@@ -171,7 +171,7 @@ fn validate_bulk(step: u64, raw_len: u64, b: &LocalBlock) {
 fn bulk_spec(placement: PluginPlacement) -> PluginSpec {
     PluginSpec {
         var: "bulk".to_string(),
-        source: codelet::plugins::sampling("bulk", STRIDE),
+        source: codelet::plugins::sampling("bulk", STRIDE).into(),
         placement,
     }
 }

@@ -246,32 +246,29 @@ impl PerfMonitor {
     /// sample window — the online feed a runtime manager uses for
     /// placement decisions (§II.G).
     pub fn bytes_per_step(&self, event: MonitorEvent, rank: usize) -> Vec<(u64, u64)> {
-        let inner = self.inner.lock();
-        let mut per_step: Vec<(u64, u64)> = Vec::new();
-        for s in inner.samples.iter().filter(|s| s.event == event && s.rank == rank) {
-            match per_step.iter_mut().find(|(st, _)| *st == s.step) {
-                Some((_, b)) => *b += s.bytes,
-                None => per_step.push((s.step, s.bytes)),
-            }
-        }
-        per_step.sort_by_key(|&(st, _)| st);
-        per_step
+        self.per_step(event, rank, |s| s.bytes)
     }
 
     /// Per-step duration series for one rank over the retained sample
     /// window — for [`MonitorEvent::StepSeal`] this is the live
     /// inter-step interval the elastic controller converges on.
     pub fn nanos_per_step(&self, event: MonitorEvent, rank: usize) -> Vec<(u64, u64)> {
+        self.per_step(event, rank, |s| s.nanos)
+    }
+
+    /// One pass over the retained window, summing `field` by step.
+    fn per_step(
+        &self,
+        event: MonitorEvent,
+        rank: usize,
+        field: impl Fn(&Sample) -> u64,
+    ) -> Vec<(u64, u64)> {
         let inner = self.inner.lock();
-        let mut per_step: Vec<(u64, u64)> = Vec::new();
+        let mut per_step = std::collections::BTreeMap::new();
         for s in inner.samples.iter().filter(|s| s.event == event && s.rank == rank) {
-            match per_step.iter_mut().find(|(st, _)| *st == s.step) {
-                Some((_, n)) => *n += s.nanos,
-                None => per_step.push((s.step, s.nanos)),
-            }
+            *per_step.entry(s.step).or_insert(0) += field(s);
         }
-        per_step.sort_by_key(|&(st, _)| st);
-        per_step
+        per_step.into_iter().collect()
     }
 }
 

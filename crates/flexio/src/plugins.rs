@@ -1,15 +1,22 @@
 //! Data Conditioning plug-in management (paper §II.F).
 //!
-//! Plug-ins are created on the **reader** side as source strings, shipped
-//! to whichever address space should run them, compiled there, and
-//! executed on each matching chunk as it moves. "They can be executed
-//! within the address space of either the simulation or analytics, and
-//! they can be migrated across address spaces at runtime."
+//! Plug-ins are created on the **reader** side, shipped to whichever
+//! address space should run them, built there, and executed on each
+//! matching chunk as it moves. "They can be executed within the address
+//! space of either the simulation or analytics, and they can be migrated
+//! across address spaces at runtime." A plug-in's body is either codelet
+//! source text, compiled for the codelet VM (user plug-ins), or a typed
+//! filter expression run by the query tier's vectorized kernel (what a
+//! pushed-down query filter is).
 
 use codelet::Codelet;
 use evpath::{FieldValue, Record};
+use flexio_query::{Expr, FilterKernel, Q_ROWS_IN};
+use parking_lot::Mutex;
 
-use adios::{ArrayData, LocalBlock, VarValue};
+use adios::{ArrayData, LocalBlock, ScalarValue, VarValue};
+
+pub use flexio_query::PluginBody;
 
 /// Which address space runs the plug-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,14 +28,15 @@ pub enum PluginPlacement {
     ReaderSide,
 }
 
-/// A deployable plug-in: the variable it conditions, its source, and
+/// A deployable plug-in: the variable it conditions, its body, and
 /// where it should run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PluginSpec {
     /// Variable name the plug-in applies to.
     pub var: String,
-    /// Codelet source (what actually migrates).
-    pub source: String,
+    /// The body (what actually migrates): codelet source or a typed
+    /// filter.
+    pub source: PluginBody,
     /// Current placement.
     pub placement: PluginPlacement,
 }
@@ -36,31 +44,44 @@ pub struct PluginSpec {
 impl PluginSpec {
     /// The same plug-in at a different placement — how migration call
     /// sites (the elastic controller, tests) respell a spec without
-    /// repeating its source.
+    /// repeating its body.
     pub fn with_placement(mut self, placement: PluginPlacement) -> PluginSpec {
         self.placement = placement;
         self
     }
 
-    /// Encode for the deployment channel.
+    /// Encode for the deployment channel. A codelet body travels as its
+    /// source text; a filter body as its postfix word list over the one
+    /// column `var`.
     pub fn to_record(&self) -> Record {
-        Record::new()
-            .with("var", FieldValue::Str(self.var.clone()))
-            .with("source", FieldValue::Str(self.source.clone()))
-            .with(
-                "placement",
-                FieldValue::U64(match self.placement {
-                    PluginPlacement::WriterSide => 0,
-                    PluginPlacement::ReaderSide => 1,
-                }),
-            )
+        let (field, body) = match &self.source {
+            PluginBody::Codelet(source) => ("source", FieldValue::Str(source.clone())),
+            PluginBody::Filter(expr) => {
+                ("filter", FieldValue::U64Array(expr.to_postfix(std::slice::from_ref(&self.var))))
+            }
+        };
+        Record::new().with("var", FieldValue::Str(self.var.clone())).with(field, body).with(
+            "placement",
+            FieldValue::U64(match self.placement {
+                PluginPlacement::WriterSide => 0,
+                PluginPlacement::ReaderSide => 1,
+            }),
+        )
     }
 
-    /// Decode from the deployment channel.
+    /// Decode from the deployment channel (`None` on anything
+    /// malformed, a filter that does not type-check included).
     pub fn from_record(r: &Record) -> Option<PluginSpec> {
+        let var = r.get_str("var")?.to_string();
+        let source = match r.get_u64_array("filter") {
+            Some(words) => {
+                PluginBody::Filter(Expr::from_postfix(words, std::slice::from_ref(&var))?)
+            }
+            None => PluginBody::Codelet(r.get_str("source")?.to_string()),
+        };
         Some(PluginSpec {
-            var: r.get_str("var")?.to_string(),
-            source: r.get_str("source")?.to_string(),
+            var,
+            source,
             placement: match r.get_u64("placement")? {
                 0 => PluginPlacement::WriterSide,
                 1 => PluginPlacement::ReaderSide,
@@ -70,12 +91,20 @@ impl PluginSpec {
     }
 }
 
-/// A compiled plug-in installed in one address space.
+/// A built plug-in installed in one address space.
 #[derive(Debug)]
 pub struct InstalledPlugin {
     /// The spec it was built from.
     pub spec: PluginSpec,
-    codelet: Codelet,
+    engine: Engine,
+}
+
+#[derive(Debug)]
+enum Engine {
+    Codelet(Codelet),
+    /// Locked only for the duration of one `apply`: the kernel reuses
+    /// its mask and scratch from chunk to chunk.
+    Filter(Mutex<FilterKernel>),
 }
 
 /// Marker extra attached to every conditioned chunk so the receiving side
@@ -88,11 +117,13 @@ pub const DC_APPLIED_MARKER: &str = "dc_applied";
 /// Error applying a plug-in to a chunk.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PluginError {
-    /// Source failed to compile at install time.
+    /// The body failed to build at install time (codelet compile error,
+    /// ill-typed filter).
     Compile(String),
     /// Runtime failure (budget, type error, ...).
     Run(String),
-    /// The plug-in is restricted to 1-D f64 array variables (the
+    /// The chunk is not one this plug-in conditions: scalars never are,
+    /// and codelet bodies are restricted to f64 array variables (the
     /// process-group pattern the paper's GTS analytics uses).
     UnsupportedChunk(&'static str),
 }
@@ -110,24 +141,44 @@ impl std::fmt::Display for PluginError {
 impl std::error::Error for PluginError {}
 
 impl InstalledPlugin {
-    /// Compile (the "install" step — this is what dynamic deployment does
-    /// on arrival in the target address space).
+    /// Build the body (the "install" step — this is what dynamic
+    /// deployment does on arrival in the target address space).
     pub fn install(spec: PluginSpec) -> Result<InstalledPlugin, PluginError> {
-        let codelet =
-            Codelet::compile(&spec.source).map_err(|e| PluginError::Compile(e.to_string()))?;
-        Ok(InstalledPlugin { spec, codelet })
+        let engine = match &spec.source {
+            PluginBody::Codelet(source) => Engine::Codelet(
+                Codelet::compile(source).map_err(|e| PluginError::Compile(e.to_string()))?,
+            ),
+            PluginBody::Filter(expr) => Engine::Filter(Mutex::new(
+                FilterKernel::new(expr, std::slice::from_ref(&spec.var))
+                    .map_err(|e| PluginError::Compile(e.to_string()))?,
+            )),
+        };
+        Ok(InstalledPlugin { spec, engine })
     }
 
-    /// Condition one chunk of the plug-in's variable: the chunk's data is
-    /// exposed to the codelet under the variable's name; the codelet's
-    /// emitted field of that name becomes the new chunk data, and any
-    /// extra emitted fields come back as metadata `(name, value)` pairs.
+    /// Condition one chunk of the plug-in's variable. A codelet sees the
+    /// chunk's data under the variable's name; its emitted field of that
+    /// name becomes the new chunk data, and any extra emitted fields come
+    /// back as metadata `(name, value)` pairs. A filter keeps the
+    /// elements its predicate accepts and reports the pre-filter count
+    /// as the [`Q_ROWS_IN`] extra.
     pub fn apply(
         &self,
         value: &VarValue,
     ) -> Result<(VarValue, Vec<(String, VarValue)>), PluginError> {
         let VarValue::Block(block) = value else {
             return Err(PluginError::UnsupportedChunk("scalars are not conditioned"));
+        };
+        let marker = (DC_APPLIED_MARKER.to_string(), VarValue::Scalar(ScalarValue::U64(1)));
+        let codelet = match &self.engine {
+            Engine::Codelet(codelet) => codelet,
+            Engine::Filter(kernel) => {
+                // Reads the chunk where it lies (packed wire views
+                // included); only the survivors are materialized.
+                let survivors = kernel.lock().filter_column(&block.data);
+                let rows_in = VarValue::Scalar(ScalarValue::I64(block.data.len() as i64));
+                return Ok((flat_block(survivors), vec![(Q_ROWS_IN.to_string(), rows_in), marker]));
+            }
         };
         // The codelet needs owned element storage; decode a packed wire
         // view with one bulk conversion (no intermediate materialization —
@@ -138,25 +189,17 @@ impl InstalledPlugin {
             _ => return Err(PluginError::UnsupportedChunk("only f64 arrays supported")),
         };
         let input = Record::new().with(&self.spec.var, FieldValue::F64Array(data));
-        let output = self.codelet.run(&input).map_err(|e| PluginError::Run(e.to_string()))?;
+        let output = codelet.run(&input).map_err(|e| PluginError::Run(e.to_string()))?;
 
         let mut new_value = None;
         let mut extras = Vec::new();
         for (name, field) in output.iter() {
             let as_value = match field {
-                FieldValue::F64Array(a) => VarValue::Block(
-                    LocalBlock {
-                        global_shape: vec![a.len() as u64],
-                        offset: vec![0],
-                        count: vec![a.len() as u64],
-                        data: ArrayData::F64(a.clone()),
-                    }
-                    .validated(),
-                ),
-                FieldValue::I64(v) => VarValue::Scalar(adios::ScalarValue::I64(*v)),
-                FieldValue::U64(v) => VarValue::Scalar(adios::ScalarValue::U64(*v)),
-                FieldValue::F64(v) => VarValue::Scalar(adios::ScalarValue::F64(*v)),
-                FieldValue::Str(s) => VarValue::Scalar(adios::ScalarValue::Str(s.clone())),
+                FieldValue::F64Array(a) => flat_block(ArrayData::F64(a.clone())),
+                FieldValue::I64(v) => VarValue::Scalar(ScalarValue::I64(*v)),
+                FieldValue::U64(v) => VarValue::Scalar(ScalarValue::U64(*v)),
+                FieldValue::F64(v) => VarValue::Scalar(ScalarValue::F64(*v)),
+                FieldValue::Str(s) => VarValue::Scalar(ScalarValue::Str(s.clone())),
                 _ => continue,
             };
             if name == self.spec.var {
@@ -166,22 +209,20 @@ impl InstalledPlugin {
             }
         }
         // Stamp the marker so the peer side never double-conditions.
-        extras.push((DC_APPLIED_MARKER.to_string(), VarValue::Scalar(adios::ScalarValue::U64(1))));
+        extras.push(marker);
         // A plug-in that emits nothing for the variable drops it entirely
         // (maximal reduction, e.g. `summarize`): represent as empty array.
-        let new_value = new_value.unwrap_or_else(|| {
-            VarValue::Block(
-                LocalBlock {
-                    global_shape: vec![0],
-                    offset: vec![0],
-                    count: vec![0],
-                    data: ArrayData::F64(Vec::new()),
-                }
-                .validated(),
-            )
-        });
+        let new_value = new_value.unwrap_or_else(|| flat_block(ArrayData::F64(Vec::new())));
         Ok((new_value, extras))
     }
+}
+
+/// A conditioned chunk: whatever survived, as a standalone 1-D block.
+fn flat_block(data: ArrayData) -> VarValue {
+    let n = data.len() as u64;
+    VarValue::Block(
+        LocalBlock { global_shape: vec![n], offset: vec![0], count: vec![n], data }.validated(),
+    )
 }
 
 #[cfg(test)]
@@ -204,17 +245,59 @@ mod tests {
     fn spec_roundtrip() {
         let spec = PluginSpec {
             var: "velocity".into(),
-            source: codelet::plugins::sampling("velocity", 2),
+            source: codelet::plugins::sampling("velocity", 2).into(),
             placement: PluginPlacement::WriterSide,
         };
         assert_eq!(PluginSpec::from_record(&spec.to_record()), Some(spec.clone()));
+    }
+
+    /// The typed filter replaced a generated codelet; on the wire nothing
+    /// may tell them apart — same block, same extras, same order.
+    #[test]
+    fn filter_body_conditions_exactly_like_the_codelet_it_replaced() {
+        let generated = r#"let v = get_f64("velocity");
+let n = len(v);
+let out = array();
+for i in 0..n {
+    let x = v[i];
+    if (x < 1.2) { push(out, x); }
+}
+emit_f64("velocity", out);
+emit_int("q_rows_in", n);
+"#;
+        let install = |source: PluginBody| {
+            let placement = PluginPlacement::WriterSide;
+            InstalledPlugin::install(PluginSpec { var: "velocity".into(), source, placement })
+                .unwrap()
+        };
+        let filter = install(PluginBody::Filter(Expr::col("velocity").lt(Expr::lit(1.2))));
+        let (value, extras) = filter.apply(&velocity_chunk()).unwrap();
+        assert_eq!(
+            (value.clone(), extras.clone()),
+            install(generated.into()).apply(&velocity_chunk()).unwrap()
+        );
+        let VarValue::Block(b) = value else { panic!() };
+        assert_eq!(b.data, ArrayData::F64(vec![0.1, 0.4, 1.1]));
+        let names: Vec<&str> = extras.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, [Q_ROWS_IN, DC_APPLIED_MARKER]);
+        assert_eq!(extras[0].1, VarValue::Scalar(ScalarValue::I64(6)));
+    }
+
+    #[test]
+    fn ill_typed_filter_fails_at_install() {
+        let spec = PluginSpec {
+            var: "v".into(),
+            source: PluginBody::Filter(Expr::col("other").lt(Expr::lit(1.0))),
+            placement: PluginPlacement::WriterSide,
+        };
+        assert!(matches!(InstalledPlugin::install(spec), Err(PluginError::Compile(_))));
     }
 
     #[test]
     fn bounding_box_plugin_filters_chunk() {
         let spec = PluginSpec {
             var: "velocity".into(),
-            source: codelet::plugins::bounding_box("velocity", 1.0, 3.0),
+            source: codelet::plugins::bounding_box("velocity", 1.0, 3.0).into(),
             placement: PluginPlacement::WriterSide,
         };
         let p = InstalledPlugin::install(spec).unwrap();
@@ -229,7 +312,7 @@ mod tests {
     fn summarize_plugin_drops_raw_data() {
         let spec = PluginSpec {
             var: "velocity".into(),
-            source: codelet::plugins::summarize("velocity"),
+            source: codelet::plugins::summarize("velocity").into(),
             placement: PluginPlacement::WriterSide,
         };
         let p = InstalledPlugin::install(spec).unwrap();
@@ -253,7 +336,7 @@ mod tests {
     fn scalar_chunks_rejected() {
         let spec = PluginSpec {
             var: "v".into(),
-            source: codelet::plugins::annotate("v", "t"),
+            source: codelet::plugins::annotate("v", "t").into(),
             placement: PluginPlacement::ReaderSide,
         };
         let p = InstalledPlugin::install(spec).unwrap();

@@ -3,13 +3,14 @@
 //!
 //! A [`QuerySession`] owns a reader, a validated plan and the
 //! vectorized executor. At attach time the pushdown planner splits the
-//! plan at the stream boundary: an eligible filter lowers to a codelet
-//! [`PluginSpec`] installed `WriterSide` through the existing Data
-//! Conditioning machinery, so filtered-out elements never cross the
-//! transport; the residual plan (aggregates, windows, assembly, row
-//! limits) runs here over the surviving chunks. Projection pushdown is
-//! the subscription model itself: un-selected variables are never
-//! subscribed, so they are never sent.
+//! plan at the stream boundary: an eligible filter ships as a typed
+//! filter-bodied [`PluginSpec`] installed `WriterSide` through the
+//! existing Data Conditioning machinery — the writer runs it on the same
+//! vectorized kernel the executor here uses — so filtered-out elements
+//! never cross the transport; the residual plan (aggregates, windows,
+//! assembly, row limits) runs here over the surviving chunks. Projection
+//! pushdown is the subscription model itself: un-selected variables are
+//! never subscribed, so they are never sent.
 //!
 //! Execution is available three ways, mirroring the rest of the stack:
 //! blocking ([`QuerySession::step`] / [`QuerySession::run_to_end`]),
@@ -299,7 +300,9 @@ impl QuerySession {
                 // the bytes-moved needle; local fallback conditioning
                 // saves nothing.
                 if self.pushdown && reader.arrived_conditioned(w, &plan.vars[0]) {
-                    let width = 8; // plug-ins condition f64 arrays
+                    // Survivors keep the column's dtype, so its element
+                    // width is the dropped rows' too.
+                    let width = columns[0].data_type().elem_bytes();
                     pushed_bytes += rows_in * width;
                     saved_bytes += rows_in.saturating_sub(survivors) * width;
                 }

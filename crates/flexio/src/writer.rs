@@ -148,6 +148,11 @@ pub struct StreamWriter {
     /// When the previous step sealed — the gap between seals is the live
     /// estimate of the simulation's I/O interval (`StepSeal` nanos).
     last_seal: Option<Instant>,
+    /// What the step being sealed put on the wire and spent in plug-ins,
+    /// tallied by `send_chunks` so the seal reads two fields instead of
+    /// rescanning the monitor's sample window.
+    step_wire_bytes: u64,
+    step_plugin_ns: u64,
     /// Optional monitoring relay: when attached, each sealed step ships
     /// its wire volume, plug-in cost and seal interval to the analytics
     /// side, closing the §II.G loop for the elastic controller.
@@ -199,6 +204,8 @@ impl StreamWriter {
             installed: HashMap::new(),
             closed: false,
             last_seal: None,
+            step_wire_bytes: 0,
+            step_plugin_ns: 0,
             relay: None,
         }
     }
@@ -219,24 +226,10 @@ impl StreamWriter {
     fn seal_step(&mut self, step: u64) {
         let gap = self.last_seal.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
         self.last_seal = Some(Instant::now());
-        let monitor = self.link.monitor.clone();
-        let wire = monitor
-            .bytes_per_step(MonitorEvent::DataSend, self.rank)
-            .iter()
-            .rev()
-            .find(|&&(s, _)| s == step)
-            .map(|&(_, b)| b)
-            .unwrap_or(0);
-        monitor.record(MonitorEvent::StepSeal, step, self.rank, wire, gap);
+        let (wire, plugin_ns) = (self.step_wire_bytes, self.step_plugin_ns);
+        self.link.monitor.record(MonitorEvent::StepSeal, step, self.rank, wire, gap);
         if let Some(relay) = &mut self.relay {
             relay.publish(MonitorEvent::DataSend, step, self.rank, wire, 0);
-            let plugin_ns = monitor
-                .nanos_per_step(MonitorEvent::PluginExec, self.rank)
-                .iter()
-                .rev()
-                .find(|&&(s, _)| s == step)
-                .map(|&(_, n)| n)
-                .unwrap_or(0);
             if plugin_ns > 0 {
                 relay.publish(MonitorEvent::PluginExec, step, self.rank, 0, plugin_ns);
             }
@@ -517,6 +510,7 @@ impl StreamWriter {
         let counters = Arc::clone(&self.link.counters);
         let monitor = self.link.monitor.clone();
         let plan_row = self.cached_plan_row.clone();
+        (self.step_wire_bytes, self.step_plugin_ns) = (0, 0);
         for (r, chunks) in plan_row.iter().enumerate() {
             // An eviction recorded mid-step (by another writer rank) is
             // honoured immediately — no point feeding a corpse's queue
@@ -540,13 +534,12 @@ impl StreamWriter {
                 let mut extras: Vec<(String, VarValue)> = Vec::new();
                 if cp.region.is_none() {
                     if let Some(plugin) = self.installed.get(&cp.var) {
-                        let applied = monitor.timed(
-                            MonitorEvent::PluginExec,
-                            step,
-                            self.rank,
-                            payload.payload_bytes(),
-                            || plugin.apply(&payload),
-                        );
+                        let started = Instant::now();
+                        let applied = plugin.apply(&payload);
+                        let ns = started.elapsed().as_nanos() as u64;
+                        let bytes = payload.payload_bytes();
+                        monitor.record(MonitorEvent::PluginExec, step, self.rank, bytes, ns);
+                        self.step_plugin_ns += ns;
                         match applied {
                             Ok((v, e)) => {
                                 payload = Cow::Owned(v);
@@ -599,17 +592,15 @@ impl StreamWriter {
                 }
                 if self.hints.packed_marshal {
                     let enc = batch.encode_segments();
-                    monitor.record(
-                        MonitorEvent::DataSend,
-                        step,
-                        self.rank,
-                        enc.total_len() as u64,
-                        0,
-                    );
+                    let wire = enc.total_len() as u64;
+                    monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
+                    self.step_wire_bytes += wire;
                     tx.send_vectored(&enc.as_slices());
                 } else {
                     let flat = batch.encode_legacy();
-                    monitor.record(MonitorEvent::DataSend, step, self.rank, flat.len() as u64, 0);
+                    let wire = flat.len() as u64;
+                    monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
+                    self.step_wire_bytes += wire;
                     tx.send(&flat);
                 }
                 counters.bump(&counters.data_msgs);
@@ -617,23 +608,15 @@ impl StreamWriter {
                 for c in &encoded_chunks {
                     if self.hints.packed_marshal {
                         let enc = c.encode_segments();
-                        monitor.record(
-                            MonitorEvent::DataSend,
-                            step,
-                            self.rank,
-                            enc.total_len() as u64,
-                            0,
-                        );
+                        let wire = enc.total_len() as u64;
+                        monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
+                        self.step_wire_bytes += wire;
                         tx.send_vectored(&enc.as_slices());
                     } else {
                         let flat = c.encode_legacy();
-                        monitor.record(
-                            MonitorEvent::DataSend,
-                            step,
-                            self.rank,
-                            flat.len() as u64,
-                            0,
-                        );
+                        let wire = flat.len() as u64;
+                        monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
+                        self.step_wire_bytes += wire;
                         tx.send(&flat);
                     }
                     counters.bump(&counters.data_msgs);
@@ -1029,6 +1012,7 @@ impl StreamWriter {
         let counters = Arc::clone(&self.link.counters);
         let monitor = self.link.monitor.clone();
         let plan_row = self.cached_plan_row.clone();
+        (self.step_wire_bytes, self.step_plugin_ns) = (0, 0);
         for (r, chunks) in plan_row.iter().enumerate() {
             if chunks.is_empty() || self.link.is_evicted(r) {
                 continue;
@@ -1045,13 +1029,12 @@ impl StreamWriter {
                 let mut extras: Vec<(String, VarValue)> = Vec::new();
                 if cp.region.is_none() {
                     if let Some(plugin) = self.installed.get(&cp.var) {
-                        let applied = monitor.timed(
-                            MonitorEvent::PluginExec,
-                            step,
-                            self.rank,
-                            payload.payload_bytes(),
-                            || plugin.apply(&payload),
-                        );
+                        let started = Instant::now();
+                        let applied = plugin.apply(&payload);
+                        let ns = started.elapsed().as_nanos() as u64;
+                        let bytes = payload.payload_bytes();
+                        monitor.record(MonitorEvent::PluginExec, step, self.rank, bytes, ns);
+                        self.step_plugin_ns += ns;
                         match applied {
                             Ok((v, e)) => {
                                 payload = Cow::Owned(v);
@@ -1102,17 +1085,15 @@ impl StreamWriter {
                 }
                 if self.hints.packed_marshal {
                     let enc = batch.encode_segments();
-                    monitor.record(
-                        MonitorEvent::DataSend,
-                        step,
-                        self.rank,
-                        enc.total_len() as u64,
-                        0,
-                    );
+                    let wire = enc.total_len() as u64;
+                    monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
+                    self.step_wire_bytes += wire;
                     tx.send_vectored(&enc.as_slices());
                 } else {
                     let flat = batch.encode_legacy();
-                    monitor.record(MonitorEvent::DataSend, step, self.rank, flat.len() as u64, 0);
+                    let wire = flat.len() as u64;
+                    monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
+                    self.step_wire_bytes += wire;
                     tx.send(&flat);
                 }
                 counters.bump(&counters.data_msgs);
@@ -1120,23 +1101,15 @@ impl StreamWriter {
                 for c in &encoded_chunks {
                     if self.hints.packed_marshal {
                         let enc = c.encode_segments();
-                        monitor.record(
-                            MonitorEvent::DataSend,
-                            step,
-                            self.rank,
-                            enc.total_len() as u64,
-                            0,
-                        );
+                        let wire = enc.total_len() as u64;
+                        monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
+                        self.step_wire_bytes += wire;
                         tx.send_vectored(&enc.as_slices());
                     } else {
                         let flat = c.encode_legacy();
-                        monitor.record(
-                            MonitorEvent::DataSend,
-                            step,
-                            self.rank,
-                            flat.len() as u64,
-                            0,
-                        );
+                        let wire = flat.len() as u64;
+                        monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
+                        self.step_wire_bytes += wire;
                         tx.send(&flat);
                     }
                     counters.bump(&counters.data_msgs);

@@ -57,7 +57,7 @@ fn manager_migrates_plugin_when_wire_volume_spikes() {
             // the wire) and let the manager decide per step.
             let sampling = |placement| PluginSpec {
                 var: "signal".to_string(),
-                source: codelet::plugins::sampling("signal", 20),
+                source: codelet::plugins::sampling("signal", 20).into(),
                 placement,
             };
             r.install_plugin(sampling(PluginPlacement::ReaderSide));

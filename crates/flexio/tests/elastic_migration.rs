@@ -7,9 +7,10 @@
 //!   (staging → inline → staging, i.e. reader-side → writer-side →
 //!   reader-side) must deliver byte-identical conditioned data, under
 //!   an active 400‰ dup/reorder fault schedule, on the blocking,
-//!   reactor and fleet backends alike. The `dc_applied` marker makes
-//!   each handover step exactly-once no matter which side conditions
-//!   first; only the *wire volume* may differ.
+//!   reactor and fleet backends alike — for a codelet-bodied plug-in
+//!   and for a typed-filter one. The `dc_applied` marker makes each
+//!   handover step exactly-once no matter which side conditions first;
+//!   only the *wire volume* may differ.
 //! * **Elastic membership** — a roster resize is announced in the next
 //!   `go` broadcast and takes effect one step later; member ranks park
 //!   while inactive, re-slice their share of the global array with
@@ -26,10 +27,12 @@ use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
 use common::{block_1d, couple, reader_core, reader_roster, writer_core, writer_roster};
 use evpath::{FaultPlan, FaultSpec};
 use flexio::elastic::ElasticRoster;
+use flexio::plugins::PluginBody;
+use flexio::query::Expr;
 use flexio::redistribute::split_box;
 use flexio::{
     CachingLevel, FleetRuntime, FlexIo, MonitorEvent, PluginPlacement, PluginSpec, Runtime,
-    StreamHints, WriteMode,
+    StreamHints, Transport, WriteMode,
 };
 use machine::laptop;
 use parking_lot::Mutex;
@@ -50,13 +53,43 @@ const MIGRATIONS: &[(u64, PluginPlacement)] =
     &[(1, PluginPlacement::WriterSide), (7, PluginPlacement::ReaderSide)];
 const STATIC: &[(u64, PluginPlacement)] = &[];
 
-fn sampling_spec(placement: PluginPlacement) -> PluginSpec {
-    PluginSpec {
-        var: "signal".to_string(),
-        source: codelet::plugins::sampling("signal", STRIDE),
-        placement,
-    }
+/// A plug-in under test: its spec at a placement, and what the reader
+/// must see of writer 0's chunk at a step once it has run.
+#[derive(Clone, Copy)]
+struct Conditioner {
+    spec: fn(PluginPlacement) -> PluginSpec,
+    expected: fn(u64) -> Vec<f64>,
 }
+
+/// Codelet body: keep every `STRIDE`-th element.
+const SAMPLING: Conditioner = Conditioner {
+    spec: |placement| PluginSpec {
+        var: "signal".to_string(),
+        source: codelet::plugins::sampling("signal", STRIDE).into(),
+        placement,
+    },
+    expected: |step| (0..N).step_by(STRIDE).map(|i| signal_value(step, i)).collect(),
+};
+
+/// Elements of each step's chunk the filter body keeps.
+const FILTER_KEEP: u64 = N / 3;
+
+/// Typed-filter body: keep the first `FILTER_KEEP` elements of every
+/// step — one range per step OR-ed together (the expression language has
+/// no modulus), which also makes it a general-path program, not the
+/// `col < lit` fast path.
+const RANGE_FILTER: Conditioner = Conditioner {
+    spec: |placement| {
+        let in_step = |step: u64| {
+            Expr::col("signal")
+                .ge(Expr::lit(signal_value(step, 0)))
+                .and(Expr::col("signal").lt(Expr::lit(signal_value(step, FILTER_KEEP))))
+        };
+        let filter = (1..STEPS).fold(in_step(0), |any, step| any.or(in_step(step)));
+        PluginSpec { var: "signal".to_string(), source: PluginBody::Filter(filter), placement }
+    },
+    expected: |step| (0..FILTER_KEEP).map(|i| signal_value(step, i)).collect(),
+};
 
 fn faulty_plan(seed: u64) -> Arc<FaultPlan> {
     let mut plan = FaultPlan::new(seed);
@@ -67,16 +100,23 @@ fn faulty_plan(seed: u64) -> Arc<FaultPlan> {
     Arc::new(plan)
 }
 
-fn signal_value(step: u64, i: u64) -> f64 {
-    (step * 10_000 + i) as f64
+/// Bounded shm queues on every channel: `queue_entries` is what keeps
+/// the async writer within a few steps of the reader, so a migration the
+/// reader asks for after step 1 still finds steps left to condition.
+/// (Placement alone would pick the unbounded cross-node transport.)
+fn migration_hints(plan: &Arc<FaultPlan>, runtime: Runtime) -> StreamHints {
+    StreamHints {
+        caching: CachingLevel::CachingAll,
+        queue_entries: 4,
+        transport: Transport::Shm,
+        faults: Some(Arc::clone(plan)),
+        runtime,
+        ..StreamHints::default()
+    }
 }
 
-/// What the reader must see at `step`: writer 0's chunk conditioned by
-/// the sampling plug-in — identical whether the plug-in ran inline (in
-/// the writer) or in staging (the reader), because a `ProcessGroup`
-/// selection delivers the producer's chunk unsplit.
-fn expected_step(step: u64) -> Vec<f64> {
-    (0..N).step_by(STRIDE).map(|i| signal_value(step, i)).collect()
+fn signal_value(step: u64, i: u64) -> f64 {
+    (step * 10_000 + i) as f64
 }
 
 /// Per-backend run result: conditioned data per step, plus the total
@@ -99,6 +139,7 @@ fn reader_step(
     r: &mut flexio::StreamReader,
     step: u64,
     seen: &mut Vec<Vec<f64>>,
+    plugin: Conditioner,
     migrations: &[(u64, PluginPlacement)],
 ) {
     let v = r.read("signal", &Selection::ProcessGroup(0)).expect("read conditioned chunk");
@@ -107,26 +148,21 @@ fn reader_step(
     r.end_step();
     for &(after, placement) in migrations {
         if step == after {
-            r.install_plugin(sampling_spec(placement));
+            r.install_plugin((plugin.spec)(placement));
         }
     }
 }
 
 /// One run on a thread-per-rank backend (blocking or single-threaded
 /// reactor, per the runtime hint): 2 writers, 1 reader conditioning
-/// writer 0's process group through the sampling plug-in.
+/// writer 0's process group through the plug-in.
 fn run_threaded(
     plan: Arc<FaultPlan>,
     runtime: Runtime,
+    plugin: Conditioner,
     migrations: &'static [(u64, PluginPlacement)],
 ) -> RunOutput {
-    let hints = StreamHints {
-        caching: CachingLevel::CachingAll,
-        queue_entries: 4,
-        faults: Some(Arc::clone(&plan)),
-        runtime,
-        ..StreamHints::default()
-    };
+    let hints = migration_hints(&plan, runtime);
     let (_links, mut reads) = couple(
         2,
         1,
@@ -137,11 +173,13 @@ fn run_threaded(
         },
         move |mut r, _rank| {
             r.subscribe("signal", Selection::ProcessGroup(0));
-            r.install_plugin(sampling_spec(PluginPlacement::ReaderSide));
+            r.install_plugin((plugin.spec)(PluginPlacement::ReaderSide));
             let mut seen = Vec::new();
             loop {
                 match r.begin_step() {
-                    StepStatus::Step(step) => reader_step(&mut r, step, &mut seen, migrations),
+                    StepStatus::Step(step) => {
+                        reader_step(&mut r, step, &mut seen, plugin, migrations)
+                    }
                     StepStatus::EndOfStream => break,
                 }
             }
@@ -154,14 +192,12 @@ fn run_threaded(
 
 /// The same program sharded over a reactor fleet: each rank is a `Send`
 /// future polled by whichever worker owns its shard.
-fn run_fleet(plan: Arc<FaultPlan>, migrations: &'static [(u64, PluginPlacement)]) -> RunOutput {
-    let hints = StreamHints {
-        caching: CachingLevel::CachingAll,
-        queue_entries: 4,
-        faults: Some(Arc::clone(&plan)),
-        runtime: Runtime::Reactor,
-        ..StreamHints::default()
-    };
+fn run_fleet(
+    plan: Arc<FaultPlan>,
+    plugin: Conditioner,
+    migrations: &'static [(u64, PluginPlacement)],
+) -> RunOutput {
+    let hints = migration_hints(&plan, Runtime::Reactor);
     let io = FlexIo::new(laptop(), 4);
     let fleet = FleetRuntime::new(&laptop(), 4);
 
@@ -192,11 +228,11 @@ fn run_fleet(plan: Arc<FaultPlan>, migrations: &'static [(u64, PluginPlacement)]
             .await
             .expect("open reader");
         r.subscribe("signal", Selection::ProcessGroup(0));
-        r.install_plugin(sampling_spec(PluginPlacement::ReaderSide));
+        r.install_plugin((plugin.spec)(PluginPlacement::ReaderSide));
         let mut seen = Vec::new();
         loop {
             match r.begin_step_rt().await.expect("begin_step") {
-                StepStatus::Step(step) => reader_step(&mut r, step, &mut seen, migrations),
+                StepStatus::Step(step) => reader_step(&mut r, step, &mut seen, plugin, migrations),
                 StepStatus::EndOfStream => break,
             }
         }
@@ -211,18 +247,32 @@ fn run_fleet(plan: Arc<FaultPlan>, migrations: &'static [(u64, PluginPlacement)]
 
 #[test]
 fn migration_is_byte_invisible_on_every_backend() {
+    check_migration(SAMPLING);
+}
+
+/// The same schedule with a typed-filter body — what a pushed-down query
+/// filter is — moving staging → inline → staging.
+#[test]
+fn filter_body_migration_is_byte_invisible_on_every_backend() {
+    check_migration(RANGE_FILTER);
+}
+
+fn check_migration(plugin: Conditioner) {
     let seed =
         std::env::var("FLEXIO_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xE1A57EC);
 
-    let baseline = run_threaded(faulty_plan(seed), Runtime::Blocking, STATIC);
+    let baseline = run_threaded(faulty_plan(seed), Runtime::Blocking, plugin, STATIC);
     let storm = faulty_plan(seed);
-    let migrated = run_threaded(Arc::clone(&storm), Runtime::Blocking, MIGRATIONS);
-    let migrated_rt = run_threaded(faulty_plan(seed), Runtime::Reactor, MIGRATIONS);
-    let migrated_fleet = run_fleet(faulty_plan(seed), MIGRATIONS);
+    let migrated = run_threaded(Arc::clone(&storm), Runtime::Blocking, plugin, MIGRATIONS);
+    let migrated_rt = run_threaded(faulty_plan(seed), Runtime::Reactor, plugin, MIGRATIONS);
+    let migrated_fleet = run_fleet(faulty_plan(seed), plugin, MIGRATIONS);
 
-    // Ground truth first: the conditioned stream is exactly the sampled
-    // chunk, every step, so the comparisons below can't be vacuous.
-    let expected: Vec<Vec<f64>> = (0..STEPS).map(expected_step).collect();
+    // Ground truth first: the conditioned stream is exactly writer 0's
+    // chunk as the plug-in leaves it — identical whether it ran inline
+    // (in the writer) or in staging (the reader), because a
+    // `ProcessGroup` selection delivers the producer's chunk unsplit —
+    // every step, so the comparisons below can't be vacuous.
+    let expected: Vec<Vec<f64>> = (0..STEPS).map(plugin.expected).collect();
     assert_eq!(baseline.data, expected, "static placement produced wrong conditioned data");
 
     assert_eq!(migrated.data, baseline.data, "seed {seed}: migration changed delivered bytes");

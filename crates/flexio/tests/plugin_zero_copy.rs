@@ -12,25 +12,37 @@
 mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 
-use adios::{ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
+use adios::{ArrayData, LocalBlock, ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
 use common::{block_1d, couple};
-use flexio::query::{AggFunc, Plan};
-use flexio::StreamHints;
+use evpath::ffs::PackedArray;
+use flexio::plugins::{InstalledPlugin, PluginBody};
+use flexio::query::{AggFunc, Expr, Plan};
+use flexio::{PluginPlacement, PluginSpec, StreamHints};
 use flexio_query::{ChunkView, Executor};
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
-static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+// Per-thread, so tests running side by side in this binary do not count
+// each other's buffers: (armed threshold, allocations at or above it).
+thread_local! {
+    static THRESHOLD: Cell<usize> = const { Cell::new(usize::MAX) };
+    static LARGE_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = THRESHOLD.try_with(|t| {
+        if size >= t.get() {
+            let _ = LARGE_ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) && layout.size() >= THRESHOLD.load(Ordering::Relaxed) {
-            LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note(layout.size());
         System.alloc(layout)
     }
 
@@ -39,9 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) && new_size >= THRESHOLD.load(Ordering::Relaxed) {
-            LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -49,13 +59,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Count this thread's allocations of at least `threshold` bytes made
+/// while `f` runs.
 fn count_large_allocs<R>(threshold: usize, f: impl FnOnce() -> R) -> (usize, R) {
-    THRESHOLD.store(threshold, Ordering::SeqCst);
-    LARGE_ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    LARGE_ALLOCS.set(0);
+    THRESHOLD.set(threshold);
     let out = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (LARGE_ALLOCS.load(Ordering::SeqCst), out)
+    THRESHOLD.set(usize::MAX);
+    (LARGE_ALLOCS.get(), out)
 }
 
 /// 128 KiB payload: far above the wire format's zero-copy threshold, so
@@ -136,6 +147,43 @@ fn unconditioned_chunks_stay_packed_and_aggregate_without_payload_allocs() {
     let base: f64 = (0..ELEMS).map(|i| i as f64).sum();
     let expect: f64 = (0..STEPS).map(|s| base + ELEMS as f64 * s as f64).sum();
     assert_eq!(total, expect);
+}
+
+/// A pushed-down filter conditions the packed chunk where it lies: per
+/// apply, the survivor vector is the only allocation that grows with the
+/// chunk — the mask is reused, and the input is never materialized as
+/// owned `f64`s (the codelet path's `to_f64_vec` is not on this path).
+#[test]
+fn filter_apply_on_a_packed_chunk_allocates_only_the_survivors() {
+    const ROWS: usize = 131_000; // 1 MiB of f64, a whole number of 0.000..0.999 cycles
+    let field: Vec<f64> = (0..ROWS).map(|i| (i % 1000) as f64 / 1000.0).collect();
+    let chunk = VarValue::Block(
+        LocalBlock {
+            global_shape: vec![ROWS as u64],
+            offset: vec![0],
+            count: vec![ROWS as u64],
+            data: ArrayData::Packed(PackedArray::from_f64s(&field)),
+        }
+        .validated(),
+    );
+    let plugin = InstalledPlugin::install(PluginSpec {
+        var: "field".to_string(),
+        source: PluginBody::Filter(Expr::col("field").lt(Expr::lit(0.2))),
+        placement: PluginPlacement::WriterSide,
+    })
+    .expect("typed filter installs");
+    // The first apply sizes the reusable mask.
+    plugin.apply(&chunk).expect("warm-up apply");
+
+    // Nothing input-sized...
+    let (input_sized, _) = count_large_allocs(ROWS * 8, || plugin.apply(&chunk));
+    assert_eq!(input_sized, 0, "the packed input was materialized");
+    // ...and of anything that scales with the chunk (the mask is
+    // ROWS bytes, the survivors a fifth of the input), exactly one.
+    let (chunk_scaled, out) = count_large_allocs(ROWS / 2, || plugin.apply(&chunk));
+    assert_eq!(chunk_scaled, 1, "survivor vector only; mask and scratch are reused");
+    let (VarValue::Block(b), _) = out.expect("apply") else { panic!("block expected") };
+    assert_eq!(b.data.len() * 5, ROWS, "20% selective");
 }
 
 #[test]

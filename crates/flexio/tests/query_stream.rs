@@ -11,7 +11,7 @@ mod common;
 
 use std::sync::Arc;
 
-use adios::WriteEngine;
+use adios::{ArrayData, LocalBlock, VarValue, WriteEngine};
 use common::{block_1d, couple, reader_core, writer_core, writer_roster};
 use evpath::{FaultPlan, FaultSpec};
 use flexio::query::{AggFunc, Expr, Plan};
@@ -58,9 +58,8 @@ fn storm(seed: u64) -> Arc<FaultPlan> {
     Arc::new(plan)
 }
 
-/// One coupled run; returns the output digest plus the counter snapshot
-/// `(rows_in, rows_out, bytes_pushed_down, bytes_saved)` and the
-/// monitor-side `(rows_in_total, records)` pair for the rows-in event.
+/// One coupled run of the standard `field < 80` plan over the `f64`
+/// stream; see [`run_plan`] for what comes back.
 fn run_query(
     faults: Arc<FaultPlan>,
     runtime: Runtime,
@@ -68,19 +67,34 @@ fn run_query(
     oracle: bool,
     agg: bool,
 ) -> (u64, (u64, u64, u64, u64), (u64, u64)) {
+    let block = |step, rank: usize| {
+        block_1d(rank as u64 * ROWS_PER_CHUNK, chunk(step, rank), WRITERS as u64 * ROWS_PER_CHUNK)
+    };
+    run_plan(faults, runtime, pushdown, oracle, test_plan(agg), block)
+}
+
+/// One coupled run of `plan` (a single-variable filter over `field`)
+/// with every writer rank writing `block(step, rank)`; returns the output
+/// digest plus the counter snapshot `(rows_in, rows_out,
+/// bytes_pushed_down, bytes_saved)` and the monitor-side
+/// `(rows_in_total, records)` pair for the rows-in event.
+fn run_plan(
+    faults: Arc<FaultPlan>,
+    runtime: Runtime,
+    pushdown: bool,
+    oracle: bool,
+    plan: Plan,
+    block: fn(u64, usize) -> VarValue,
+) -> (u64, (u64, u64, u64, u64), (u64, u64)) {
     let hints = hints_for(runtime, &faults);
     let (_w, mut reads) = couple(
         WRITERS,
         1,
         hints,
-        |mut w, rank| {
+        move |mut w, rank| {
             for step in 0..STEPS {
                 w.begin_step(step);
-                let data = chunk(step, rank);
-                w.write(
-                    "field",
-                    block_1d(rank as u64 * ROWS_PER_CHUNK, data, WRITERS as u64 * ROWS_PER_CHUNK),
-                );
+                w.write("field", block(step, rank));
                 w.end_step();
             }
             w.close();
@@ -88,12 +102,11 @@ fn run_query(
         move |r, _rank| {
             let link = Arc::clone(r.link());
             let cfg = QueryConfig { pushdown, oracle, ..QueryConfig::default() };
-            let session =
-                QuerySession::attach(r, WRITERS, test_plan(agg), cfg).expect("attach query");
+            let session = QuerySession::attach(r, WRITERS, plan.clone(), cfg).expect("attach");
             assert_eq!(
                 session.pushdown_active(),
                 pushdown,
-                "the < filter over one var must lower exactly when pushdown is on"
+                "a filter over one var must lower exactly when pushdown is on"
             );
             let counters = session.counters();
             let out = session.run_to_end().expect("query run");
@@ -168,6 +181,60 @@ fn pushdown_equivalence_survives_a_fault_storm() {
     let _ = run_query(Arc::clone(&probe), Runtime::Blocking, true, false, false);
     let (_, duplicated, reordered, ..) = probe.counters().snapshot();
     assert!(duplicated + reordered > 0, "seed {seed} injected nothing");
+}
+
+/// The typed filter keeps the column's dtype, so a byte column pushes
+/// down like any other — and the bytes that stayed home are counted at
+/// one byte a row, not eight.
+#[test]
+fn a_byte_column_pushes_down_and_saves_one_byte_per_dropped_row() {
+    let block = |step: u64, rank: usize| {
+        let data: Vec<u8> =
+            (0..ROWS_PER_CHUNK).map(|i| (step * 40 + rank as u64 * 8 + i) as u8).collect();
+        VarValue::Block(
+            LocalBlock {
+                global_shape: vec![WRITERS as u64 * ROWS_PER_CHUNK],
+                offset: vec![rank as u64 * ROWS_PER_CHUNK],
+                count: vec![ROWS_PER_CHUNK],
+                data: ArrayData::U8(data),
+            }
+            .validated(),
+        )
+    };
+    // Values 0..=135; `< 80` keeps the first two steps' rows.
+    let plan = Plan::select(&["field"]).filter(Expr::col("field").lt(Expr::lit(80.0)));
+    let quiet = || Arc::new(FaultPlan::new(0));
+    let with = run_plan(quiet(), Runtime::Blocking, true, true, plan.clone(), block);
+    let without = run_plan(quiet(), Runtime::Blocking, false, true, plan, block);
+    assert_eq!(with.0, without.0, "pushdown changed a byte column's result");
+
+    let total_rows = WRITERS as u64 * STEPS * ROWS_PER_CHUNK;
+    let (rows_in, rows_out, pushed, saved) = with.1;
+    assert_eq!((rows_in, rows_out), (total_rows, total_rows / 2));
+    assert_eq!(pushed, total_rows, "one byte per conditioned row");
+    assert_eq!(saved, rows_in - rows_out, "saved = dropped rows x 1 byte");
+    assert_eq!((without.1 .2, without.1 .3), (0, 0));
+}
+
+/// Literal bits travel exactly, so predicates against NaN and the
+/// infinities push down (codelet source had no spelling for them) and
+/// stay result-invisible: `x < NaN` keeps nothing, `x < inf` everything.
+#[test]
+fn non_finite_literals_push_down_and_digest_match() {
+    let block = |step, rank: usize| {
+        block_1d(rank as u64 * ROWS_PER_CHUNK, chunk(step, rank), WRITERS as u64 * ROWS_PER_CHUNK)
+    };
+    let total_rows = WRITERS as u64 * STEPS * ROWS_PER_CHUNK;
+    for (lit, kept) in [(f64::NAN, 0), (f64::INFINITY, total_rows)] {
+        let plan = Plan::select(&["field"]).filter(Expr::col("field").lt(Expr::lit(lit)));
+        let quiet = || Arc::new(FaultPlan::new(0));
+        let with = run_plan(quiet(), Runtime::Blocking, true, true, plan.clone(), block);
+        let without = run_plan(quiet(), Runtime::Blocking, false, true, plan, block);
+        assert_eq!(with.0, without.0, "field < {lit}: pushdown changed the result");
+        assert_eq!((with.1 .0, with.1 .1), (total_rows, kept), "field < {lit}");
+        assert_eq!(with.1 .2, total_rows * 8, "field < {lit}: conditioned writer-side");
+        assert_eq!(with.1 .3, (total_rows - kept) * 8, "field < {lit}");
+    }
 }
 
 #[test]

@@ -314,7 +314,7 @@ fn sync_mode_waits_for_acks() {
 fn writer_side_plugin_conditions_data_before_transport() {
     let spec = PluginSpec {
         var: "velocity".into(),
-        source: codelet::plugins::bounding_box("velocity", 10.0, 20.0),
+        source: codelet::plugins::bounding_box("velocity", 10.0, 20.0).into(),
         placement: PluginPlacement::WriterSide,
     };
     let (_, results) = couple(
@@ -358,7 +358,7 @@ fn plugin_migrates_between_address_spaces() {
     // must remain identically conditioned (stateless codelets).
     let writer_spec = PluginSpec {
         var: "v".into(),
-        source: codelet::plugins::unit_conversion("v", 2.0),
+        source: codelet::plugins::unit_conversion("v", 2.0).into(),
         placement: PluginPlacement::WriterSide,
     };
     let (_, results) = couple(
@@ -389,7 +389,7 @@ fn plugin_migrates_between_address_spaces() {
                             migrated = true;
                             r.install_plugin(PluginSpec {
                                 var: "v".into(),
-                                source: codelet::plugins::unit_conversion("v", 2.0),
+                                source: codelet::plugins::unit_conversion("v", 2.0).into(),
                                 placement: PluginPlacement::ReaderSide,
                             });
                         }

@@ -11,10 +11,9 @@
 //! the naive row-at-a-time oracle in [`crate::naive`] operation for
 //! operation, so outputs digest identically.
 
-use crate::expr::{CmpOp, Op, Program, MAX_DEPTH};
+use crate::kernel::{widened, ColView, FilterKernel};
 use crate::plan::{AggFunc, AggRow, Plan, PlanError, QueryOutput, StepRows};
 use adios::ArrayData;
-use evpath::ffs::PackedDtype;
 
 /// One writer's chunk for one step: columns aligned with the plan's
 /// selected variables (`plan.vars` order).
@@ -55,136 +54,6 @@ pub struct StepStats {
     pub rows_in: u64,
     /// Rows surviving into the output/aggregate.
     pub rows_out: u64,
-}
-
-// ---------------------------------------------------------------- columns
-
-/// A typed, borrow-only view over one column's elements. Packed
-/// variants read the LE wire bytes in place.
-enum ColView<'a> {
-    F64(&'a [f64]),
-    U64(&'a [u64]),
-    I64(&'a [i64]),
-    U8(&'a [u8]),
-    PackedF64(&'a [u8]),
-    PackedU64(&'a [u8]),
-    PackedI64(&'a [u8]),
-    PackedU8(&'a [u8]),
-}
-
-impl<'a> ColView<'a> {
-    fn of(data: &'a ArrayData) -> ColView<'a> {
-        match data {
-            ArrayData::F64(v) => ColView::F64(v),
-            ArrayData::U64(v) => ColView::U64(v),
-            ArrayData::I64(v) => ColView::I64(v),
-            ArrayData::U8(v) => ColView::U8(v),
-            ArrayData::Packed(p) => match p.dtype() {
-                PackedDtype::F64 => ColView::PackedF64(p.bytes()),
-                PackedDtype::U64 => ColView::PackedU64(p.bytes()),
-                PackedDtype::I64 => ColView::PackedI64(p.bytes()),
-                PackedDtype::U8 => ColView::PackedU8(p.bytes()),
-            },
-        }
-    }
-
-    /// Bulk-widen every element to `f64` into `out` (cleared first).
-    /// Each arm is a monomorphic loop the compiler can vectorize; the
-    /// packed arms decode straight from the LE wire bytes.
-    fn widen_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        match self {
-            ColView::F64(v) => out.extend_from_slice(v),
-            ColView::U64(v) => out.extend(v.iter().map(|&x| x as f64)),
-            ColView::I64(v) => out.extend(v.iter().map(|&x| x as f64)),
-            ColView::U8(v) => out.extend(v.iter().map(|&x| f64::from(x))),
-            ColView::PackedF64(b) => {
-                out.extend(b.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())))
-            }
-            ColView::PackedU64(b) => out.extend(
-                b.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap()) as f64),
-            ),
-            ColView::PackedI64(b) => out.extend(
-                b.chunks_exact(8).map(|c| i64::from_le_bytes(c.try_into().unwrap()) as f64),
-            ),
-            ColView::PackedU8(b) => out.extend(b.iter().map(|&x| f64::from(x))),
-        }
-    }
-
-    fn fresh_output(&self) -> ArrayData {
-        match self {
-            ColView::F64(_) | ColView::PackedF64(_) => ArrayData::F64(Vec::new()),
-            ColView::U64(_) | ColView::PackedU64(_) => ArrayData::U64(Vec::new()),
-            ColView::I64(_) | ColView::PackedI64(_) => ArrayData::I64(Vec::new()),
-            ColView::U8(_) | ColView::PackedU8(_) => ArrayData::U8(Vec::new()),
-        }
-    }
-
-    /// Append rows where `mask` is set (all rows when `mask` is `None`)
-    /// into `out`, stopping when `budget` (if any) runs out. Returns
-    /// the number of rows appended. Per-dtype gather loops; the packed
-    /// arms decode each kept element from the wire bytes.
-    fn gather_into(
-        &self,
-        mask: Option<&[bool]>,
-        out: &mut ArrayData,
-        budget: &mut Option<u64>,
-    ) -> u64 {
-        #[inline]
-        fn keep(mask: Option<&[bool]>, i: usize) -> bool {
-            mask.is_none_or(|m| m[i])
-        }
-        #[inline]
-        fn take(budget: &mut Option<u64>) -> bool {
-            match budget {
-                None => true,
-                Some(0) => false,
-                Some(b) => {
-                    *b -= 1;
-                    true
-                }
-            }
-        }
-        let mut appended = 0u64;
-        macro_rules! gather_owned {
-            ($src:expr, $dst:expr) => {{
-                for (i, &x) in $src.iter().enumerate() {
-                    if keep(mask, i) {
-                        if !take(budget) {
-                            break;
-                        }
-                        $dst.push(x);
-                        appended += 1;
-                    }
-                }
-            }};
-        }
-        macro_rules! gather_packed {
-            ($bytes:expr, $dst:expr, $ty:ty) => {{
-                for (i, c) in $bytes.chunks_exact(8).enumerate() {
-                    if keep(mask, i) {
-                        if !take(budget) {
-                            break;
-                        }
-                        $dst.push(<$ty>::from_le_bytes(c.try_into().unwrap()));
-                        appended += 1;
-                    }
-                }
-            }};
-        }
-        match (self, out) {
-            (ColView::F64(s), ArrayData::F64(d)) => gather_owned!(s, d),
-            (ColView::U64(s), ArrayData::U64(d)) => gather_owned!(s, d),
-            (ColView::I64(s), ArrayData::I64(d)) => gather_owned!(s, d),
-            (ColView::U8(s), ArrayData::U8(d)) => gather_owned!(s, d),
-            (ColView::PackedF64(s), ArrayData::F64(d)) => gather_packed!(s, d, f64),
-            (ColView::PackedU64(s), ArrayData::U64(d)) => gather_packed!(s, d, u64),
-            (ColView::PackedI64(s), ArrayData::I64(d)) => gather_packed!(s, d, i64),
-            (ColView::PackedU8(s), ArrayData::U8(d)) => gather_owned!(s, d),
-            _ => panic!("column dtype changed between chunks of the same variable"),
-        }
-        appended
-    }
 }
 
 // --------------------------------------------------------------- aggregate
@@ -255,10 +124,9 @@ pub(crate) fn window_bounds(step: u64, window_steps: u64, first_step: u64) -> (u
 /// The vectorized executor: feed one step at a time, then [`Executor::finish`].
 pub struct Executor {
     plan: Plan,
-    program: Option<Program>,
-    /// Column indexes the filter actually references (only these get
-    /// widened into scratch buffers).
-    referenced: Vec<usize>,
+    /// The plan's filter, if any — the same kernel a pushed-down filter
+    /// runs writer-side.
+    filter: Option<FilterKernel>,
     agg: Option<(AggState, usize)>,
     rows: Vec<StepRows>,
     row_budget: Option<u64>,
@@ -266,37 +134,22 @@ pub struct Executor {
     current_window: Option<(u64, u64)>,
     first_step: Option<u64>,
     last_step: u64,
-    // Reused scratch buffers, one widened f64 vector per plan column.
-    scratch: Vec<Vec<f64>>,
-    mask: Vec<bool>,
 }
 
 impl Executor {
     /// Validate the plan and build the executor.
     pub fn new(plan: Plan) -> Result<Executor, PlanError> {
         plan.validate()?;
-        let program = plan.filter.as_ref().map(|f| Program::compile(f, &plan.vars));
-        let referenced = plan
-            .filter
-            .as_ref()
-            .map(|f| {
-                f.columns()
-                    .iter()
-                    .map(|c| plan.vars.iter().position(|v| v == c).expect("validated"))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let filter = plan.filter.as_ref().map(|f| FilterKernel::new(f, &plan.vars)).transpose()?;
         let agg = plan.agg.as_ref().map(|(func, col)| {
             let idx = plan.vars.iter().position(|v| v == col).expect("validated");
             (AggState::new(*func), idx)
         });
         let row_budget =
             if plan.max_rows > 0 && agg.is_none() { Some(plan.max_rows) } else { None };
-        let ncols = plan.vars.len();
         Ok(Executor {
             plan,
-            program,
-            referenced,
+            filter,
             agg,
             rows: Vec::new(),
             row_budget,
@@ -304,8 +157,6 @@ impl Executor {
             current_window: None,
             first_step: None,
             last_step: 0,
-            scratch: (0..ncols).map(|_| Vec::new()).collect(),
-            mask: Vec::new(),
         })
     }
 
@@ -326,39 +177,29 @@ impl Executor {
             stats.rows_in += chunk.rows_in;
             let views: Vec<ColView<'_>> = chunk.columns.iter().map(|c| ColView::of(c)).collect();
 
-            // Build the survivor mask (None = all rows pass).
-            let use_mask = if chunk.pre_filtered || self.program.is_none() {
-                false
-            } else {
-                self.build_mask(&views, n);
-                true
+            // The survivor mask (None = all rows pass).
+            let mask = match &mut self.filter {
+                Some(kernel) if !chunk.pre_filtered => Some(kernel.mask(&views, n)),
+                _ => None,
             };
-            let mask = use_mask.then(|| &self.mask[..n]);
 
             if let Some((state, agg_idx)) = &mut self.agg {
                 // Aggregate mode: sequential accumulation over the
                 // widened aggregate column, feed order preserved.
-                let idx = *agg_idx;
-                let (head, tail) = self.scratch.split_at_mut(idx + 1);
-                let buf = &mut head[idx];
-                let _ = tail;
-                views[idx].widen_into(buf);
-                match mask {
+                widened!(&views[*agg_idx], |it| match mask {
                     None => {
-                        for &v in buf.iter() {
-                            state.accumulate(v);
-                        }
+                        it.for_each(|v| state.accumulate(v));
                         stats.rows_out += n as u64;
                     }
                     Some(m) => {
-                        for (i, &v) in buf.iter().enumerate() {
-                            if m[i] {
+                        for (v, &keep) in it.zip(m) {
+                            if keep {
                                 state.accumulate(v);
                                 stats.rows_out += 1;
                             }
                         }
                     }
-                }
+                });
             } else {
                 // Row mode: per-dtype gather of every selected column.
                 let cols = step_cols.get_or_insert_with(|| {
@@ -375,7 +216,7 @@ impl Executor {
                 let mut appended = 0;
                 for (ci, view) in views.iter().enumerate() {
                     let mut b = budget_before;
-                    appended = view.gather_into(mask, &mut cols[ci].1, &mut b);
+                    appended = view.gather_into(mask, n, &mut cols[ci].1, &mut b);
                     if ci + 1 == views.len() {
                         self.row_budget = b;
                     }
@@ -396,46 +237,6 @@ impl Executor {
             QueryOutput::Aggregates(std::mem::take(&mut self.windows))
         } else {
             QueryOutput::Rows(std::mem::take(&mut self.rows))
-        }
-    }
-
-    fn build_mask(&mut self, views: &[ColView<'_>], n: usize) {
-        let program = self.program.as_ref().expect("caller checked");
-        for &ci in &self.referenced {
-            views[ci].widen_into(&mut self.scratch[ci]);
-        }
-        self.mask.clear();
-        self.mask.resize(n, false);
-        // Fast path: the ubiquitous `col <op> literal` shape becomes a
-        // single monomorphic compare loop per operator.
-        if let [Op::PushCol(ci), Op::PushLit(lit), Op::Cmp(op)] = program.ops[..] {
-            let col = &self.scratch[ci];
-            macro_rules! cmp_loop {
-                ($op:tt) => {
-                    for i in 0..n {
-                        self.mask[i] = col[i] $op lit;
-                    }
-                };
-            }
-            match op {
-                CmpOp::Lt => cmp_loop!(<),
-                CmpOp::Le => cmp_loop!(<=),
-                CmpOp::Gt => cmp_loop!(>),
-                CmpOp::Ge => cmp_loop!(>=),
-                CmpOp::Eq => cmp_loop!(==),
-                CmpOp::Ne => cmp_loop!(!=),
-            }
-            return;
-        }
-        // General path: evaluate the compiled program row by row over
-        // the widened scratch columns.
-        let mut row = vec![0.0f64; self.plan.vars.len().max(1)];
-        debug_assert!(program.depth() <= MAX_DEPTH);
-        for i in 0..n {
-            for &ci in &self.referenced {
-                row[ci] = self.scratch[ci][i];
-            }
-            self.mask[i] = program.eval_bool(&row);
         }
     }
 

@@ -2,10 +2,10 @@
 //!
 //! Expressions are built reader-side against the columns a [`crate::Plan`]
 //! selects. Evaluation is defined in the `f64` domain (every element is
-//! widened to `f64` before arithmetic/comparison, exactly like the codelet
-//! VM the pushdown lowering targets), so the vectorized kernels, the naive
-//! oracle and a writer-side lowered codelet all compute bit-identical
-//! results.
+//! widened to `f64` before arithmetic/comparison), so the vectorized
+//! kernel — wherever it runs — and the naive oracle compute bit-identical
+//! results. A pushed-down filter crosses the stream as the postfix word
+//! list of [`Expr::to_postfix`].
 
 use std::fmt;
 
@@ -31,18 +31,6 @@ impl CmpOp {
             CmpOp::Ne => a != b,
         }
     }
-
-    /// The codelet spelling of this operator.
-    pub(crate) fn codelet_str(self) -> &'static str {
-        match self {
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-            CmpOp::Eq => "==",
-            CmpOp::Ne => "!=",
-        }
-    }
 }
 
 /// Arithmetic operators (numeric interior nodes).
@@ -61,15 +49,6 @@ impl BinOp {
             BinOp::Sub => a - b,
             BinOp::Mul => a * b,
             BinOp::Div => a / b,
-        }
-    }
-
-    pub(crate) fn codelet_str(self) -> &'static str {
-        match self {
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
         }
     }
 }
@@ -241,19 +220,6 @@ impl Expr {
             Expr::Not(a) => a.collect_columns(out),
         }
     }
-
-    /// Whether every literal in the tree is finite (a prerequisite for
-    /// lowering to codelet source, whose lexer has no NaN/inf spelling).
-    pub fn literals_finite(&self) -> bool {
-        match self {
-            Expr::Col(_) => true,
-            Expr::Lit(v) => v.is_finite(),
-            Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-                a.literals_finite() && b.literals_finite()
-            }
-            Expr::Not(a) => a.literals_finite(),
-        }
-    }
 }
 
 fn expect(got: ExprType, want: ExprType, what: &str) -> Result<(), TypeError> {
@@ -393,6 +359,103 @@ impl Program {
 /// deeper expressions up front.
 pub(crate) const MAX_DEPTH: usize = 32;
 
+// ---------------------------------------------------------------- wire form
+
+/// Most postfix ops a shipped filter may hold. Decoding rebuilds a tree
+/// no taller than its op count, so this also bounds every recursive
+/// walk (check, compile, drop) over a filter that arrived from a peer.
+pub(crate) const MAX_OPS: usize = 1024;
+
+// Wire tags of the postfix word list. An operator's tag is its table's
+// base plus its position in the table, so the tables are append-only.
+const TAG_COL: u64 = 0;
+const TAG_LIT: u64 = 1;
+const TAG_BIN: u64 = 2;
+const TAG_CMP: u64 = 6;
+const TAG_AND: u64 = 12;
+const TAG_OR: u64 = 13;
+const TAG_NOT: u64 = 14;
+const BIN_OPS: [BinOp; 4] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div];
+const CMP_OPS: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+
+impl Expr {
+    /// Serialise a checked expression as postfix words: one tag per op,
+    /// a column reference followed by its index into `columns`, a
+    /// literal by its `f64` bits (so NaN payloads, infinities and signed
+    /// zeros travel exactly).
+    pub fn to_postfix(&self, columns: &[String]) -> Vec<u64> {
+        let mut words = Vec::new();
+        for op in Program::compile(self, columns).ops {
+            match op {
+                Op::PushCol(i) => words.extend([TAG_COL, i as u64]),
+                Op::PushLit(v) => words.extend([TAG_LIT, v.to_bits()]),
+                Op::Bin(b) => words.push(TAG_BIN + position(&BIN_OPS, b)),
+                Op::Cmp(c) => words.push(TAG_CMP + position(&CMP_OPS, c)),
+                Op::And => words.push(TAG_AND),
+                Op::Or => words.push(TAG_OR),
+                Op::Not => words.push(TAG_NOT),
+            }
+        }
+        words
+    }
+
+    /// Rebuild a boolean expression from untrusted postfix words. `None`
+    /// on an unknown tag, a missing operand word, a column index outside
+    /// `columns`, an operator whose operands are missing or of the wrong
+    /// type, a stack deeper than [`MAX_DEPTH`], more than [`MAX_OPS`]
+    /// ops, or anything but one boolean left at the end.
+    pub fn from_postfix(words: &[u64], columns: &[String]) -> Option<Expr> {
+        let mut stack: Vec<(Expr, ExprType)> = Vec::new();
+        let mut words = words.iter().copied();
+        let mut ops = 0usize;
+        while let Some(tag) = words.next() {
+            ops += 1;
+            if ops > MAX_OPS {
+                return None;
+            }
+            let node = match tag {
+                TAG_COL => {
+                    let name = columns.get(usize::try_from(words.next()?).ok()?)?;
+                    (Expr::Col(name.clone()), ExprType::Num)
+                }
+                TAG_LIT => (Expr::Lit(f64::from_bits(words.next()?)), ExprType::Num),
+                TAG_NOT => (Expr::Not(Box::new(pop(&mut stack, ExprType::Bool)?)), ExprType::Bool),
+                _ => {
+                    let operands = if tag < TAG_AND { ExprType::Num } else { ExprType::Bool };
+                    let b = Box::new(pop(&mut stack, operands)?);
+                    let a = Box::new(pop(&mut stack, operands)?);
+                    match tag {
+                        TAG_BIN..TAG_CMP => {
+                            (Expr::Bin(BIN_OPS[(tag - TAG_BIN) as usize], a, b), ExprType::Num)
+                        }
+                        TAG_CMP..TAG_AND => {
+                            (Expr::Cmp(CMP_OPS[(tag - TAG_CMP) as usize], a, b), ExprType::Bool)
+                        }
+                        TAG_AND => (Expr::And(a, b), ExprType::Bool),
+                        TAG_OR => (Expr::Or(a, b), ExprType::Bool),
+                        _ => return None,
+                    }
+                }
+            };
+            if stack.len() == MAX_DEPTH {
+                return None;
+            }
+            stack.push(node);
+        }
+        let root = pop(&mut stack, ExprType::Bool)?;
+        stack.is_empty().then_some(root)
+    }
+}
+
+fn position<T: PartialEq>(table: &[T], op: T) -> u64 {
+    table.iter().position(|o| *o == op).expect("every operator is listed") as u64
+}
+
+fn pop(stack: &mut Vec<(Expr, ExprType)>, want: ExprType) -> Option<Expr> {
+    let (expr, ty) = stack.pop()?;
+    (ty == want).then_some(expr)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,12 +491,5 @@ mod tests {
     fn column_collection_dedupes_in_order() {
         let e = Expr::col("b").add(Expr::col("a")).lt(Expr::col("b"));
         assert_eq!(e.columns(), vec!["b".to_string(), "a".to_string()]);
-    }
-
-    #[test]
-    fn nonfinite_literals_are_flagged() {
-        assert!(Expr::col("v").lt(Expr::lit(1.0)).literals_finite());
-        assert!(!Expr::col("v").lt(Expr::lit(f64::NAN)).literals_finite());
-        assert!(!Expr::col("v").lt(Expr::lit(f64::INFINITY)).literals_finite());
     }
 }

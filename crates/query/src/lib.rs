@@ -11,29 +11,33 @@
 //! - a vectorized [`Executor`] whose operators consume `ArrayData`
 //!   chunk views directly, packed zero-copy receive-buffer windows
 //!   included (per-dtype inner loops over the LE wire bytes, no
-//!   `make_owned()` on the read path);
+//!   `make_owned()` on the read path); its filter half is the
+//!   standalone [`FilterKernel`];
 //! - a pushdown planner ([`lower_pushdown`]) that splits the plan at
-//!   the stream boundary: the filter compiles down to a codelet the
-//!   conditioning machinery installs writer-side, so filtered-out
-//!   elements never cross the transport, while the residual plan
-//!   (aggregates, windows, assembly) runs reader-side;
+//!   the stream boundary: an eligible filter ships as the typed
+//!   [`Expr`] itself ([`PluginBody::Filter`]) and the conditioning
+//!   machinery runs it writer-side on that same kernel, so
+//!   filtered-out elements never cross the transport, while the
+//!   residual plan (aggregates, windows, assembly) runs reader-side;
 //! - a [`NaiveExecutor`] oracle: a row-at-a-time evaluator specified
 //!   to be bit-identical, used by the differential tests and the
 //!   optional runtime oracle.
 //!
 //! The crate is transport-agnostic: it depends only on the data plane
-//! (`adios`/`evpath`) and the codelet VM. The `flexio` crate wires it
+//! (`adios`/`evpath`). The `flexio` crate wires it
 //! to live streams (`QuerySession`/`QueryHandle`), hint keys and
 //! monitoring counters.
 
 pub mod exec;
 pub mod expr;
+pub mod kernel;
 pub mod naive;
 pub mod plan;
 pub mod pushdown;
 
 pub use exec::{ChunkView, Executor, StepStats};
 pub use expr::{BinOp, CmpOp, Expr, ExprType, TypeError};
+pub use kernel::FilterKernel;
 pub use naive::NaiveExecutor;
 pub use plan::{AggFunc, AggRow, Plan, PlanError, QueryOutput, StepRows};
-pub use pushdown::{lower_pushdown, Lowered, Q_ROWS_IN};
+pub use pushdown::{lower_pushdown, Lowered, PluginBody, Q_ROWS_IN};

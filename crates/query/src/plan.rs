@@ -109,16 +109,7 @@ impl Plan {
             }
         }
         if let Some(f) = &self.filter {
-            let ty = f.check(&self.vars).map_err(|e| PlanError(e.to_string()))?;
-            if ty != ExprType::Bool {
-                return Err(PlanError("filter expression is not boolean".into()));
-            }
-            let depth = Program::compile(f, &self.vars).depth();
-            if depth > MAX_DEPTH {
-                return Err(PlanError(format!(
-                    "filter expression too deep ({depth} > {MAX_DEPTH})"
-                )));
-            }
+            check_filter(f, &self.vars)?;
         }
         if let Some((_, col)) = &self.agg {
             if !self.vars.contains(col) {
@@ -129,6 +120,22 @@ impl Plan {
         }
         Ok(())
     }
+}
+
+/// Check a row predicate against the columns it may reference — boolean,
+/// selected columns only, within the evaluation stack bound — and
+/// compile it.
+pub(crate) fn check_filter(filter: &Expr, columns: &[String]) -> Result<Program, PlanError> {
+    let ty = filter.check(columns).map_err(|e| PlanError(e.to_string()))?;
+    if ty != ExprType::Bool {
+        return Err(PlanError("filter expression is not boolean".into()));
+    }
+    let program = Program::compile(filter, columns);
+    let depth = program.depth();
+    if depth > MAX_DEPTH {
+        return Err(PlanError(format!("filter expression too deep ({depth} > {MAX_DEPTH})")));
+    }
+    Ok(program)
 }
 
 /// One step's worth of surviving rows, columns in plan order.

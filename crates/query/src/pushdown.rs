@@ -1,36 +1,58 @@
 //! Pushdown planner: split a plan at the stream boundary.
 //!
-//! Predicates that depend only on writer-visible variables lower to a
-//! codelet source string — the portable carrier the Data Conditioning
-//! plug-in machinery already ships across address spaces — so
-//! filtered-out elements never cross the transport. The residual plan
-//! (aggregates, windows, cross-chunk assembly, row limits) runs
-//! reader-side over the surviving chunks.
+//! A predicate that depends only on one writer-visible variable ships
+//! to the writer as the typed [`Expr`] itself — the body of a Data
+//! Conditioning plug-in — and runs there on the same [`FilterKernel`]
+//! the reader-side executor uses, so filtered-out elements never cross
+//! the transport. The residual plan (aggregates, windows, cross-chunk
+//! assembly, row limits) runs reader-side over the surviving chunks.
 //!
-//! Equivalence contract: the lowered codelet evaluates the predicate
-//! over the same `f64` values with the same IEEE operations as the
-//! reader-side executors (the codelet VM widens every comparison to
-//! `f64`, and every literal is emitted as a float), so pushdown ≡
+//! Equivalence contract: one kernel evaluates the predicate on either
+//! side and survivors keep their dtype and bits, so pushdown ≡
 //! no-pushdown bit-exactly. Conditioned chunks carry the standard
 //! `dc_applied` marker plus a `q_rows_in` extra recording the
 //! pre-filter element count for the query counters.
+//!
+//! [`FilterKernel`]: crate::FilterKernel
 
-use crate::expr::Expr;
+use crate::expr::{Expr, Program, MAX_OPS};
 use crate::plan::Plan;
-use codelet::Codelet;
 
-/// Extra field the lowered codelet emits alongside the filtered chunk:
-/// the element count *before* filtering, so the reader can account
+/// Extra field a conditioned chunk carries alongside the survivors: the
+/// element count *before* filtering, so the reader can account
 /// `rows_in` and `bytes_saved` without seeing the dropped elements.
 pub const Q_ROWS_IN: &str = "q_rows_in";
+
+/// What a Data Conditioning plug-in runs where it lands.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PluginBody {
+    /// Codelet source text (user plug-ins), compiled and interpreted by
+    /// the codelet VM.
+    Codelet(String),
+    /// A typed row predicate over the plug-in's one variable, run by a
+    /// [`crate::FilterKernel`]; survivors keep the variable's dtype.
+    Filter(Expr),
+}
+
+impl From<String> for PluginBody {
+    fn from(source: String) -> PluginBody {
+        PluginBody::Codelet(source)
+    }
+}
+
+impl From<&str> for PluginBody {
+    fn from(source: &str) -> PluginBody {
+        PluginBody::Codelet(source.to_string())
+    }
+}
 
 /// A writer-side lowering of the pushdown-eligible part of a plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lowered {
-    /// The variable the codelet conditions.
+    /// The variable the plug-in conditions.
     pub var: String,
-    /// Compilable codelet source (verified by [`lower_pushdown`]).
-    pub source: String,
+    /// The plug-in body: the plan's filter, typed.
+    pub source: PluginBody,
 }
 
 /// Try to split `plan` at the stream boundary. Returns the writer-side
@@ -38,125 +60,38 @@ pub struct Lowered {
 ///
 /// - the plan selects exactly one variable (the conditioning machinery
 ///   rewrites one variable per plug-in),
-/// - a filter exists and references only that variable,
-/// - every literal is finite (the codelet lexer has no NaN/inf
-///   spelling).
-///
-/// The generated source is compile-checked before being returned, so a
-/// `Some` result is guaranteed installable.
+/// - a filter exists (validation already confined it to that variable),
+/// - it fits the wire form's op bound.
 pub fn lower_pushdown(plan: &Plan) -> Option<Lowered> {
     plan.validate().ok()?;
-    if plan.vars.len() != 1 {
-        return None;
-    }
+    let [var] = &plan.vars[..] else { return None };
     let filter = plan.filter.as_ref()?;
-    if !filter.literals_finite() {
-        return None;
-    }
-    let var = &plan.vars[0];
-    let pred = render(filter, var);
-    let source = format!(
-        r#"// flexio-query pushdown filter
-let v = get_f64("{var}");
-let n = len(v);
-let out = array();
-for i in 0..n {{
-    let x = v[i];
-    if {pred} {{ push(out, x); }}
-}}
-emit_f64("{var}", out);
-emit_int("{Q_ROWS_IN}", n);
-"#
-    );
-    // Never ship a source the writer cannot compile.
-    Codelet::compile(&source).ok()?;
-    Some(Lowered { var: var.clone(), source })
-}
-
-/// Render an expression as fully parenthesized codelet source with the
-/// single column bound to the loop variable `x`.
-fn render(expr: &Expr, var: &str) -> String {
-    match expr {
-        Expr::Col(name) => {
-            debug_assert_eq!(name, var, "validated single-variable plan");
-            "x".to_string()
-        }
-        Expr::Lit(v) => fmt_f64_lit(*v),
-        Expr::Bin(op, a, b) => {
-            format!("({} {} {})", render(a, var), op.codelet_str(), render(b, var))
-        }
-        Expr::Cmp(op, a, b) => {
-            format!("({} {} {})", render(a, var), op.codelet_str(), render(b, var))
-        }
-        Expr::And(a, b) => format!("({} && {})", render(a, var), render(b, var)),
-        Expr::Or(a, b) => format!("({} || {})", render(a, var), render(b, var)),
-        Expr::Not(a) => format!("(!{})", render(a, var)),
-    }
-}
-
-/// Format a finite `f64` so the codelet lexer reads it back as a float
-/// with the exact same bits. Rust's shortest-roundtrip `{:?}` is the
-/// base, but the lexer requires a '.' in float literals ("1e100" would
-/// lex as an int followed by junk), so one is inserted when missing.
-fn fmt_f64_lit(v: f64) -> String {
-    debug_assert!(v.is_finite(), "gated by literals_finite");
-    let s = format!("{v:?}");
-    if s.contains('.') {
-        s
-    } else if let Some(epos) = s.find('e') {
-        format!("{}.0{}", &s[..epos], &s[epos..])
-    } else {
-        format!("{s}.0")
-    }
+    (Program::compile(filter, &plan.vars).ops.len() <= MAX_OPS)
+        .then(|| Lowered { var: var.clone(), source: PluginBody::Filter(filter.clone()) })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::AggFunc;
-    use evpath::{FieldValue, Record};
 
     #[test]
-    fn literal_formatting_roundtrips_through_the_lexer() {
-        for v in [0.2, -1.5, 1e100, -3.0, 0.1 + 0.2, f64::MIN_POSITIVE, 5e-324] {
-            let s = fmt_f64_lit(v);
-            assert!(s.contains('.'), "no dot in {s}");
-            let back: f64 = s.parse().unwrap();
-            assert_eq!(back.to_bits(), v.to_bits(), "{s} did not roundtrip");
-        }
-    }
-
-    #[test]
-    fn single_var_filter_lowers_and_runs() {
+    fn single_var_filter_lowers_to_its_own_expr() {
+        let filter = Expr::col("velocity").lt(Expr::lit(0.2));
         let plan = Plan::select(&["velocity"])
-            .filter(Expr::col("velocity").lt(Expr::lit(0.2)))
+            .filter(filter.clone())
             .aggregate(AggFunc::Count, "velocity");
         let lowered = lower_pushdown(&plan).expect("eligible");
         assert_eq!(lowered.var, "velocity");
-        let c = Codelet::compile(&lowered.source).unwrap();
-        let input =
-            Record::new().with("velocity", FieldValue::F64Array(vec![0.1, 0.9, 0.15, 2.4, 0.05]));
-        let out = c.run(&input).unwrap();
-        assert_eq!(out.get_f64_array("velocity"), Some(&[0.1, 0.15, 0.05][..]));
-        assert_eq!(out.get_i64(Q_ROWS_IN), Some(5));
+        assert_eq!(lowered.source, PluginBody::Filter(filter));
     }
 
     #[test]
-    fn complex_predicates_lower() {
-        let e = Expr::col("v")
-            .mul(Expr::lit(2.0))
-            .sub(Expr::lit(1.0))
-            .ge(Expr::lit(0.0))
-            .and(Expr::col("v").ne(Expr::lit(4.0)).or(Expr::col("v").gt(Expr::lit(10.0))))
-            .and(Expr::col("v").eq(Expr::lit(7.0)).not().not().not());
-        let plan = Plan::select(&["v"]).filter(e);
-        let lowered = lower_pushdown(&plan).expect("eligible");
-        let c = Codelet::compile(&lowered.source).unwrap();
-        let input = Record::new().with("v", FieldValue::F64Array(vec![0.5, 4.0, 7.0, 11.0]));
-        let out = c.run(&input).unwrap();
-        // 0.5: 2*0.5-1 = 0 >= 0, != 4, != 7 → keep; 4.0: ne 4 false, gt 10 false → drop;
-        // 7.0: eq 7 → !!(!true)=false → drop; 11.0: keep.
-        assert_eq!(out.get_f64_array("v"), Some(&[0.5, 11.0][..]));
+    fn non_finite_literals_lower() {
+        for lit in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let plan = Plan::select(&["a"]).filter(Expr::col("a").lt(Expr::lit(lit)));
+            assert!(lower_pushdown(&plan).is_some(), "{lit} must be eligible");
+        }
     }
 
     #[test]
@@ -168,10 +103,11 @@ mod tests {
         .is_none());
         // No filter.
         assert!(lower_pushdown(&Plan::select(&["a"])).is_none());
-        // Non-finite literal.
-        assert!(lower_pushdown(
-            &Plan::select(&["a"]).filter(Expr::col("a").lt(Expr::lit(f64::NAN)))
-        )
-        .is_none());
+        // More ops than the wire form carries.
+        let mut sum = Expr::col("a");
+        for _ in 0..MAX_OPS {
+            sum = sum.add(Expr::lit(1.0));
+        }
+        assert!(lower_pushdown(&Plan::select(&["a"]).filter(sum.gt(Expr::lit(0.0)))).is_none());
     }
 }

@@ -2,11 +2,18 @@
 //! row-at-a-time evaluator must produce bit-identical outputs over
 //! random dtypes, shapes (owned and packed chunk views, multiple
 //! writers, multiple steps) and plans (filters of varying depth,
-//! aggregates, windows, limits).
+//! aggregates, windows, limits). The writer-side placement of the
+//! filter kernel is held to the same oracle, and to the codelet-VM
+//! program the pushdown planner used to generate for it.
 
 use adios::ArrayData;
+use codelet::Codelet;
 use evpath::ffs::PackedArray;
-use flexio_query::{AggFunc, ChunkView, Executor, Expr, NaiveExecutor, Plan, QueryOutput};
+use evpath::{FieldValue, Record};
+use flexio_query::{
+    lower_pushdown, AggFunc, BinOp, ChunkView, CmpOp, Executor, Expr, FilterKernel, NaiveExecutor,
+    Plan, PluginBody, QueryOutput,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -220,6 +227,173 @@ proptest! {
         prop_assert_eq!(sv, sn);
         prop_assert_eq!(sv.rows_in, rows_in);
         prop_assert_eq!(vx.finish().digest(), nx.finish().digest());
+    }
+}
+
+// ------------------------------------------------- writer-side placement
+
+/// Rebind every column reference to `c0`: a single-variable predicate,
+/// the shape the pushdown planner accepts.
+fn single_col(e: Expr) -> Expr {
+    let b = |e: Box<Expr>| Box::new(single_col(*e));
+    match e {
+        Expr::Col(_) => Expr::col("c0"),
+        Expr::Lit(v) => Expr::Lit(v),
+        Expr::Bin(op, l, r) => Expr::Bin(op, b(l), b(r)),
+        Expr::Cmp(op, l, r) => Expr::Cmp(op, b(l), b(r)),
+        Expr::And(l, r) => Expr::And(b(l), b(r)),
+        Expr::Or(l, r) => Expr::Or(b(l), b(r)),
+        Expr::Not(a) => Expr::Not(b(a)),
+    }
+}
+
+/// The pre-typed-filter lowering, kept as an oracle: the predicate
+/// printed as fully parenthesized codelet source over the loop variable
+/// `x`, interpreted per element by the stack VM. Finite literals only —
+/// the codelet lexer has no NaN/inf spelling, and wants a '.' in every
+/// float.
+fn old_lowered_codelet(filter: &Expr) -> String {
+    fn lit(v: f64) -> String {
+        let s = format!("{v:?}");
+        match s.find('e') {
+            _ if s.contains('.') => s,
+            Some(epos) => format!("{}.0{}", &s[..epos], &s[epos..]),
+            None => format!("{s}.0"),
+        }
+    }
+    fn render(e: &Expr) -> String {
+        match e {
+            Expr::Col(_) => "x".to_string(),
+            Expr::Lit(v) => lit(*v),
+            Expr::Bin(op, a, b) => {
+                let op = match op {
+                    BinOp::Add => "+",
+                    BinOp::Sub => "-",
+                    BinOp::Mul => "*",
+                    BinOp::Div => "/",
+                };
+                format!("({} {op} {})", render(a), render(b))
+            }
+            Expr::Cmp(op, a, b) => {
+                let op = match op {
+                    CmpOp::Lt => "<",
+                    CmpOp::Le => "<=",
+                    CmpOp::Gt => ">",
+                    CmpOp::Ge => ">=",
+                    CmpOp::Eq => "==",
+                    CmpOp::Ne => "!=",
+                };
+                format!("({} {op} {})", render(a), render(b))
+            }
+            Expr::And(a, b) => format!("({} && {})", render(a), render(b)),
+            Expr::Or(a, b) => format!("({} || {})", render(a), render(b)),
+            Expr::Not(a) => format!("(!{})", render(a)),
+        }
+    }
+    format!(
+        r#"let v = get_f64("c0");
+let out = array();
+for i in 0..len(v) {{
+    let x = v[i];
+    if {} {{ push(out, x); }}
+}}
+emit_f64("c0", out);
+"#,
+        render(filter)
+    )
+}
+
+/// An array's dtype and element bits (NaN payloads and signed zeros
+/// distinguished, unlike `==` on `f64`).
+fn bits(data: &ArrayData) -> (u8, Vec<u64>) {
+    match data {
+        ArrayData::F64(v) => (0, v.iter().map(|x| x.to_bits()).collect()),
+        ArrayData::U64(v) => (1, v.clone()),
+        ArrayData::I64(v) => (2, v.iter().map(|&x| x as u64).collect()),
+        ArrayData::U8(v) => (3, v.iter().map(|&x| u64::from(x)).collect()),
+        ArrayData::Packed(_) => bits(&data.to_owned_data()),
+    }
+}
+
+/// What the naive oracle keeps of one single-column chunk.
+fn naive_survivors(filter: &Expr, data: &ArrayData) -> ArrayData {
+    let mut nx = NaiveExecutor::new(Plan::select(&["c0"]).filter(filter.clone())).unwrap();
+    nx.feed_step(0, &[ChunkView::raw(vec![data])]);
+    let QueryOutput::Rows(mut steps) = nx.finish() else { panic!("row plan") };
+    steps.pop().expect("one step").columns.pop().expect("one column").1
+}
+
+proptest! {
+    /// The kernel the writer runs for a pushed-down filter ≡ the naive
+    /// oracle, for any well-typed single-column predicate over any dtype
+    /// and representation; on `f64` columns both ≡ the old lowered
+    /// codelet on the VM. Bit for bit, IEEE edge values included.
+    #[test]
+    fn writer_side_kernel_equals_naive_and_the_old_codelet(
+        pred in arb_pred(3),
+        typed in (0u8..4, 0usize..40)
+            .prop_flat_map(|(d, n)| arb_column(d, n).prop_map(move |c| (d, c))),
+    ) {
+        let (dtype, data) = typed.clone();
+        let filter = single_col(pred.clone());
+        let plan = Plan::select(&["c0"]).filter(filter.clone());
+        prop_assume!(plan.validate().is_ok());
+        let lowered = lower_pushdown(&plan).expect("single-column filters are eligible");
+        prop_assert_eq!(&lowered.source, &PluginBody::Filter(filter.clone()));
+
+        let mut kernel = FilterKernel::new(&filter, &plan.vars).expect("validated");
+        let kept = kernel.filter_column(&data);
+        prop_assert_eq!(bits(&kept), bits(&naive_survivors(&filter, &data)));
+        // A second chunk through the same (now warm) kernel.
+        prop_assert_eq!(bits(&kernel.filter_column(&data)), bits(&kept));
+
+        if dtype == 0 {
+            let (_, elems) = bits(&data);
+            let input = Record::new().with(
+                "c0",
+                FieldValue::F64Array(elems.into_iter().map(f64::from_bits).collect()),
+            );
+            let vm = Codelet::compile(&old_lowered_codelet(&filter)).expect("old lowering compiles");
+            let out = vm.run(&input).expect("old lowering runs");
+            let vm_kept = ArrayData::F64(out.get_f64_array("c0").expect("emitted").to_vec());
+            prop_assert_eq!(bits(&kept), bits(&vm_kept));
+        }
+    }
+
+    /// The wire form is lossless: any valid predicate survives
+    /// `to_postfix` → `from_postfix` structurally, literal bits included.
+    #[test]
+    fn postfix_wire_form_roundtrips(pred in arb_pred(3), lit_bits in any::<u64>()) {
+        let cols = vec!["c0".to_string(), "c1".to_string()];
+        // Splice in an arbitrary bit pattern (NaN payloads, infinities).
+        let e = pred.clone().and(Expr::col("c1").ne(Expr::lit(f64::from_bits(lit_bits))));
+        prop_assume!(Plan::select(&["c0", "c1"]).filter(e.clone()).validate().is_ok());
+        let words = e.to_postfix(&cols);
+        let back = Expr::from_postfix(&words, &cols).expect("own encoding decodes");
+        prop_assert_eq!(back.to_postfix(&cols), words);
+    }
+}
+
+/// Non-finite literals could not be spelled in codelet source; as typed
+/// fragments they push down, and the kernel agrees with the oracle on
+/// them.
+#[test]
+fn non_finite_literals_filter_identically() {
+    let vals = [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -7.0];
+    let data = ArrayData::Packed(PackedArray::from_f64s(&vals));
+    for lit in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for filter in [
+            Expr::col("c0").lt(Expr::lit(lit)),
+            Expr::col("c0").ne(Expr::lit(lit)),
+            Expr::col("c0").add(Expr::lit(lit)).ge(Expr::lit(0.0)).not(),
+        ] {
+            let mut kernel = FilterKernel::new(&filter, &["c0".to_string()]).unwrap();
+            assert_eq!(
+                bits(&kernel.filter_column(&data)),
+                bits(&naive_survivors(&filter, &data)),
+                "{filter:?}"
+            );
+        }
     }
 }
 

@@ -158,11 +158,15 @@ impl BufferPool {
     /// the threshold is exceeded, largest classes first.
     pub fn give_back(&self, buf: PoolBuffer) {
         let cap = 1u64 << buf.class;
+        // Count the buffer before listing it: `acquire` subtracts after
+        // it pops, so a buffer listed first could be popped and
+        // subtracted by another thread before it was ever added, and
+        // the counter would wrap below zero.
+        let free_bytes = self.inner.free_bytes.fetch_add(cap, Ordering::Relaxed) + cap;
         {
             let mut free = self.inner.free.lock();
             free.entry(buf.class).or_default().push(buf.data);
         }
-        let free_bytes = self.inner.free_bytes.fetch_add(cap, Ordering::Relaxed) + cap;
         if free_bytes > self.inner.reclaim_threshold {
             self.reclaim();
         }
@@ -280,5 +284,37 @@ mod tests {
         assert_eq!(total, (0..1000u64).map(|i| i % 7).sum::<u64>());
         let stats = pool.stats();
         assert!(stats.hits > stats.misses, "pool should mostly reuse: {stats:?}");
+    }
+
+    /// Two threads trading buffers through the free list: one's
+    /// `acquire` pops what the other's `give_back` just listed. With
+    /// overflow checks on (as in test builds) a `free_bytes` that dips
+    /// below zero panics in `give_back`'s threshold arithmetic. The dip
+    /// needs a thread's first `acquire` to land inside the other's
+    /// `give_back`, so many short rounds on fresh pools find it where
+    /// one long round does not.
+    #[test]
+    fn free_bytes_never_wraps_under_a_two_thread_hammer() {
+        use std::sync::Barrier;
+        for round in 0..2000 {
+            let pool = BufferPool::new(1 << 30);
+            let start = Barrier::new(2);
+            // The scope joins both threads and re-raises their panics.
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        start.wait();
+                        for _ in 0..200 {
+                            pool.give_back(pool.acquire(64));
+                        }
+                    });
+                }
+            });
+            // Everything went back: at most one buffer per thread was
+            // ever live, and the counter equals what the free list holds.
+            let resident = pool.stats().resident_bytes;
+            assert!(resident <= 2 * 64, "round {round}: resident={resident}");
+            assert_eq!(pool.inner.free_bytes.load(Ordering::Relaxed), resident);
+        }
     }
 }

@@ -63,7 +63,7 @@ fn main() {
             r.subscribe("field", Selection::ProcessGroup(0));
             let summarize = |placement| PluginSpec {
                 var: "field".to_string(),
-                source: codelet::plugins::summarize("field"),
+                source: codelet::plugins::summarize("field").into(),
                 placement,
             };
             r.install_plugin(summarize(PluginPlacement::ReaderSide));

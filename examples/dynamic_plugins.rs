@@ -62,7 +62,7 @@ fn main() {
             r.subscribe("signal", Selection::ProcessGroup(0));
             let sampling = |placement| PluginSpec {
                 var: "signal".to_string(),
-                source: codelet::plugins::sampling("signal", STRIDE),
+                source: codelet::plugins::sampling("signal", STRIDE).into(),
                 placement,
             };
             // Phase 1: conditioning inside the WRITER — only 1/STRIDE of

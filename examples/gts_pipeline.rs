@@ -107,7 +107,7 @@ fn main() {
             if rank == 0 {
                 reader.install_plugin(PluginSpec {
                     var: "v_par".to_string(),
-                    source: codelet::plugins::bounding_box("v_par", v_lo, v_hi),
+                    source: codelet::plugins::bounding_box("v_par", v_lo, v_hi).into(),
                     placement: PluginPlacement::WriterSide,
                 });
             }

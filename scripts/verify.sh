@@ -79,13 +79,16 @@ cargo test -q --offline -p flexio \
 echo "pubsub battery ok"
 
 echo "== query battery (differential + pushdown under faults) =="
-# The vectorized executor must match the naive oracle bit-for-bit
-# (property suite in flexio-query), and writer-side pushdown must be
-# result-invisible end-to-end — including replayed under a seeded
-# dup/reorder fault storm on both single-threaded backends and the fleet.
+# The vectorized executor — and the same filter kernel placed
+# writer-side — must match the naive oracle bit-for-bit (property suite
+# in flexio-query), the filter's wire form must decode to a usable value
+# or nothing, and writer-side pushdown must be result-invisible
+# end-to-end — including replayed under a seeded dup/reorder fault storm
+# on both single-threaded backends and the fleet.
 cargo test -q --offline -p flexio-query \
     >/dev/null || { echo "query differential suite FAILED"; exit 1; }
 cargo test -q --offline -p flexio --test query_stream --test plugin_zero_copy \
+    --test plugin_wire_prop \
     >/dev/null || { echo "query stream battery FAILED"; exit 1; }
 for seed in 7 1234 99991; do
     FLEXIO_FAULT_SEED=$seed \
@@ -138,7 +141,7 @@ echo "pubsub bench ok ($(head -c 120 BENCH_pubsub.json)...)"
 echo "== query pushdown sweep (BENCH_query.json) =="
 QUERY_QUICK=1 cargo bench -q --offline -p bench --bench query \
     >/dev/null || { echo "query bench FAILED"; exit 1; }
-echo "query bench ok ($(head -c 120 BENCH_query.json)...)"
+echo "query bench ok ($(head -c 160 BENCH_query.json)...)"
 
 echo "== elastic closed-loop sweep (BENCH_elastic.json) =="
 ELASTIC_QUICK=1 cargo bench -q --offline -p bench --bench elastic \
