@@ -9,10 +9,10 @@
 //! in-process, same node/different core → shared memory (2-copy pooled
 //! path for large payloads).
 //!
-//! The `baseline` entry measures the pre-change marshaling path — the
-//! legacy per-element encode plus a full owned decode — on a 64 MiB
-//! payload, so the JSON records the speedup of the packed data plane
-//! over per-element marshaling on the same machine.
+//! `legacy_marshal_roundtrip_gbps` is a marshal-only context number —
+//! the old per-element encode plus a full owned decode of a 64 MiB
+//! record. The engine no longer has a per-element data path to stream
+//! over; its end-to-end A/B figure is recorded in EXPERIMENTS.md.
 //!
 //! Results land in `BENCH_data_plane.json` at the repo root and the
 //! summary JSON is printed to stdout (one line, machine-parsable).
@@ -54,27 +54,11 @@ impl RunResult {
 
 /// One writer rank streams `steps` blocks of `payload_bytes` doubles to
 /// one reader rank; returns wall time including stream open/close.
-///
-/// `packed: true` is the post-change plane: the producer hands a packed
-/// payload and the stream uses bulk marshaling, scatter-gather sends and
-/// zero-copy decode. `packed: false` is the pre-change baseline: owned
-/// `Vec<f64>` payloads, per-element legacy encode, flat sends, owned
-/// decode (the `packed_marshal: false` hint).
-fn run_stream(
-    payload_bytes: usize,
-    transport: &'static str,
-    batching: bool,
-    packed: bool,
-    steps: u64,
-) -> f64 {
+fn run_stream(payload_bytes: usize, transport: &'static str, batching: bool, steps: u64) -> f64 {
     let elems = payload_bytes / 8;
     let io = FlexIo::single_node(laptop());
-    let hints = StreamHints {
-        batching,
-        caching: CachingLevel::CachingAll,
-        packed_marshal: packed,
-        ..StreamHints::default()
-    };
+    let hints =
+        StreamHints { batching, caching: CachingLevel::CachingAll, ..StreamHints::default() };
     let writer_core = laptop().node.location_of(0);
     // Same core → inproc transport; another core on the node → shm.
     let reader_core = match transport {
@@ -86,18 +70,12 @@ fn run_stream(
     let io_w = io.clone();
     let io_r = io;
     let hints_w = hints.clone();
-    // The packed producer hands the data plane a packed payload, built
-    // once outside the timed region: per-step writes then cost an Arc
-    // bump, and the only payload copies measured are the transport's own
-    // (one flatten for inproc, the 2-copy pooled path for shm). The
-    // legacy producer keeps owned vectors, so each step's write deep
-    // clones — the cost the pre-change plane always paid.
+    // The producer hands the data plane a packed payload, built once
+    // outside the timed region: per-step writes then cost an Arc bump,
+    // and the only payload copies measured are the transport's own (one
+    // flatten for inproc, the 2-copy pooled path for shm).
     let base: Vec<f64> = (0..elems).map(|i| i as f64).collect();
-    let data = if packed {
-        ArrayData::Packed(PackedArray::from_f64s(&base))
-    } else {
-        ArrayData::F64(base.clone())
-    };
+    let data = ArrayData::Packed(PackedArray::from_f64s(&base));
     let template = VarValue::Block(
         LocalBlock {
             global_shape: vec![elems as u64],
@@ -191,31 +169,11 @@ fn main() {
     let marshal_gbps = legacy_marshal_gbps();
     eprintln!("data_plane: legacy marshal roundtrip {marshal_gbps:.3} GB/s");
 
-    // Baseline: the full pre-change data plane — owned payloads,
-    // per-element encode, flat send, owned decode — end to end over the
-    // same 64 MiB shm stream the packed plane is judged on.
-    let base_steps = sizes.last().unwrap().1;
-    let baseline = {
-        let elapsed_s = run_stream(BASELINE_BYTES, "shm", true, false, base_steps);
-        RunResult {
-            payload_bytes: BASELINE_BYTES,
-            transport: "shm",
-            batching: true,
-            steps: base_steps,
-            elapsed_s,
-        }
-    };
-    eprintln!(
-        "data_plane: baseline (per-element plane, 64 MiB shm) {:8.1} steps/s  {:7.3} GB/s",
-        baseline.steps_per_s(),
-        baseline.gbps()
-    );
-
     let mut results: Vec<RunResult> = Vec::new();
     for &(payload_bytes, steps) in &sizes {
         for transport in ["inproc", "shm"] {
             for batching in [false, true] {
-                let elapsed_s = run_stream(payload_bytes, transport, batching, true, steps);
+                let elapsed_s = run_stream(payload_bytes, transport, batching, steps);
                 let r = RunResult { payload_bytes, transport, batching, steps, elapsed_s };
                 eprintln!(
                     "data_plane: {:>10} B  {:6}  batching={:5}  {:8.1} steps/s  {:7.3} GB/s",
@@ -230,27 +188,11 @@ fn main() {
         }
     }
 
-    let best_64m_shm = results
-        .iter()
-        .filter(|r| r.payload_bytes == 64 * MIB && r.transport == "shm")
-        .map(|r| r.gbps())
-        .fold(0.0f64, f64::max);
-    let speedup = best_64m_shm / baseline.gbps();
-
-    let mut rep = bench::report::Report::new("data_plane")
-        .obj(
-            "baseline",
-            bench::report::Obj::new()
-                .str("path", "per_element_encode_flat_send")
-                .u64("payload_bytes", BASELINE_BYTES as u64)
-                .str("transport", "shm")
-                .bool("batching", true)
-                .u64("steps", baseline.steps)
-                .f64("steps_per_s", baseline.steps_per_s(), 3)
-                .f64("gbps", baseline.gbps(), 4),
-        )
-        .f64("legacy_marshal_roundtrip_gbps", marshal_gbps, 4)
-        .f64("speedup_64mib_shm_vs_baseline", speedup, 2);
+    let mut rep = bench::report::Report::new("data_plane").f64(
+        "legacy_marshal_roundtrip_gbps",
+        marshal_gbps,
+        4,
+    );
     for r in &results {
         rep.push(
             bench::report::Obj::new()
@@ -264,5 +206,4 @@ fn main() {
         );
     }
     rep.write();
-    eprintln!("data_plane: 64 MiB shm is {speedup:.2}x the per-element baseline");
 }

@@ -90,25 +90,3 @@ pub use reader::StreamReader;
 pub use relay::{MonitorRelay, MonitorSink};
 pub use task::{ControlTask, TaskHandle};
 pub use writer::StreamWriter;
-
-// Pre-unification control-task handle names. `FleetRuntime::spawn_*`
-// now returns the one [`TaskHandle`]; the typed handles remain
-// reachable through [`TaskHandle::typed`] and these paths.
-#[deprecated(
-    since = "0.10.0",
-    note = "spawn_* now returns `TaskHandle`; downcast with \
-    `TaskHandle::typed::<ManagerTaskHandle>()` when the typed observer is needed"
-)]
-pub use manager::ManagerTaskHandle;
-#[deprecated(
-    since = "0.10.0",
-    note = "spawn_* now returns `TaskHandle`; downcast with \
-    `TaskHandle::typed::<QueryHandle>()` when the typed observer is needed"
-)]
-pub use query::QueryHandle;
-#[deprecated(
-    since = "0.10.0",
-    note = "spawn_* now returns `TaskHandle`; downcast with \
-    `TaskHandle::typed::<SinkTaskHandle>()` when the typed observer is needed"
-)]
-pub use relay::SinkTaskHandle;

@@ -26,15 +26,24 @@ use crate::writer::StreamWriter;
 /// Which engine backend drives a stream's protocol steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Runtime {
-    /// One OS thread per stream side; receive waits park the thread
-    /// (the original backend, and the default).
+    /// One OS thread per stream side: a blocking call polls the engine
+    /// future in place and its receive waits park the thread through
+    /// `flexio_reactor::Backoff` (the default).
     Blocking,
-    /// Poll-driven state machines on the single-threaded
-    /// `flexio-reactor` event loop. Through the blocking `StreamWriter`
-    /// / `StreamReader` API each protocol call runs on a caller-thread
-    /// mini event loop; the `*_rt` async entry points let one reactor
-    /// thread multiplex many streams.
+    /// A blocking call runs the engine future on a caller-thread
+    /// `flexio-reactor` event loop, its waits on the timer wheel. (The
+    /// `*_rt` async entry points, awaited from a reactor task, let one
+    /// thread multiplex many streams whatever this hint says.)
     Reactor,
+}
+
+/// Run an engine future to completion for the blocking API. The protocol
+/// is the future; the runtime is only how its waits are served.
+pub(crate) fn drive<F: std::future::Future>(runtime: Runtime, fut: F) -> F::Output {
+    match runtime {
+        Runtime::Blocking => flexio_reactor::block_inline(fut),
+        Runtime::Reactor => flexio_reactor::block_on(fut),
+    }
 }
 
 impl Runtime {
@@ -137,11 +146,6 @@ pub struct StreamHints {
     /// silent past the timeout budget, instead of surfacing an error —
     /// the paper's "degrade gracefully when the producer dies" posture.
     pub eos_on_silence: bool,
-    /// Use the packed bulk marshaling + scatter-gather send data plane
-    /// (the default). `false` restores the per-element encode and flat
-    /// single-copy send path, kept as the A/B baseline for the
-    /// data-plane ablation bench.
-    pub packed_marshal: bool,
     /// Engine backend: thread-per-stream blocking calls (default) or the
     /// single-threaded reactor event loop.
     pub runtime: Runtime,
@@ -172,7 +176,6 @@ impl Default for StreamHints {
             transactional: false,
             faults: None,
             eos_on_silence: false,
-            packed_marshal: true,
             runtime: default_runtime(),
             runtime_threads: 0,
             transport: default_transport(),
@@ -207,8 +210,6 @@ pub enum HintKey {
     Transactional,
     /// Synthesize end-of-stream when the writer goes silent.
     EosOnSilence,
-    /// Packed bulk marshaling + scatter-gather sends (default `true`).
-    PackedMarshal,
     /// Engine backend (`blocking`/`reactor`).
     Runtime,
     /// Reactor-fleet worker thread count (0 = auto).
@@ -268,7 +269,6 @@ impl HintKey {
         HintKey::Retries,
         HintKey::Transactional,
         HintKey::EosOnSilence,
-        HintKey::PackedMarshal,
         HintKey::Runtime,
         HintKey::RuntimeThreads,
         HintKey::TransportSel,
@@ -304,7 +304,6 @@ impl HintKey {
             HintKey::Retries => "retries",
             HintKey::Transactional => "transactional",
             HintKey::EosOnSilence => "eos_on_silence",
-            HintKey::PackedMarshal => "packed_marshal",
             HintKey::Runtime => "runtime",
             HintKey::RuntimeThreads => "runtime.threads",
             HintKey::TransportSel => "transport",
@@ -367,12 +366,6 @@ impl StreamHints {
         }
         h.transactional = hint_bool(HintKey::Transactional);
         h.eos_on_silence = hint_bool(HintKey::EosOnSilence);
-        // Defaults to true, so only an explicit hint may flip it —
-        // `hint_bool` alone would silently disable packing on every
-        // config that doesn't mention it.
-        if hint(HintKey::PackedMarshal).is_some() {
-            h.packed_marshal = hint_bool(HintKey::PackedMarshal);
-        }
         if let Some(rt) = hint(HintKey::Runtime).and_then(Runtime::from_hint) {
             h.runtime = rt;
         }
@@ -460,12 +453,6 @@ impl StreamHintsBuilder {
         self
     }
 
-    /// Packed bulk marshaling + scatter-gather sends.
-    pub fn packed_marshal(mut self, on: bool) -> Self {
-        self.hints.packed_marshal = on;
-        self
-    }
-
     /// Engine backend.
     pub fn runtime(mut self, runtime: Runtime) -> Self {
         self.hints.runtime = runtime;
@@ -544,6 +531,24 @@ fn fault_plan_from_config(cfg: &GroupConfig) -> Option<FaultPlan> {
         }
     }
     Some(plan)
+}
+
+/// Poll `probe` until it yields or `deadline` passes, pacing the waits in
+/// between (the setup-time waits: directory, bulletin, reader attach).
+pub(crate) async fn poll_until<T>(
+    deadline: Instant,
+    mut probe: impl FnMut() -> Option<T>,
+) -> Option<T> {
+    let mut pacing = flexio_reactor::Pacing::new();
+    loop {
+        if let Some(found) = probe() {
+            return Some(found);
+        }
+        if Instant::now() >= deadline {
+            return None;
+        }
+        pacing.pause(Some(deadline)).await;
+    }
 }
 
 /// Identifies one directed channel within a stream's link.
@@ -1037,7 +1042,14 @@ impl LinkState {
 /// phases) is given progressively more slack before the stream is
 /// declared dead. Every attempt after the first bumps
 /// [`ProtocolCounters::retries`].
-pub fn recv_record(
+///
+/// The waits between polls go through [`flexio_reactor::Pacing`]: inside
+/// a reactor they yield to the event loop, so one core can hold many of
+/// these receives open at once; on a plain thread they spin briefly,
+/// then yield, then park in bounded sleeps, so a reader blocked across a
+/// long simulation phase does not burn the very helper core the
+/// placement gave it.
+pub async fn recv_record_rt(
     rx: &mut BoxedReceiver,
     hints: &StreamHints,
     counters: &ProtocolCounters,
@@ -1048,17 +1060,18 @@ pub fn recv_record(
         }
         let timeout = hints.recv_timeout * (1u32 << attempt.min(3));
         let deadline = Instant::now() + timeout;
-        // Spin briefly for low latency, then yield, then park in bounded
-        // sleeps so a reader blocked across a long simulation phase does
-        // not burn the very helper core the placement gave it.
-        let mut backoff = flexio_reactor::Backoff::new();
+        let mut pacing = flexio_reactor::Pacing::new();
         loop {
             match rx.poll_recv() {
-                evpath::RecvPoll::Msg(bytes) => return decode_record(bytes, hints),
+                // Decoded against the shared receive buffer: large array
+                // payloads come back as zero-copy views into `bytes`.
+                evpath::RecvPoll::Msg(bytes) => {
+                    return Record::decode_shared(&Arc::new(bytes))
+                        .map_err(|e| StreamError::Corrupt(e.to_string()))
+                }
                 evpath::RecvPoll::Corrupt(reason) => {
-                    // Previously swallowed as `None` and retried until the
-                    // timeout budget ran out; a consumed-but-invalid frame
-                    // is a definite event, so surface it.
+                    // A consumed-but-invalid frame is a definite event,
+                    // not a reason to retry until the budget runs out.
                     counters.bump(&counters.corrupt_frames);
                     return Err(StreamError::Corrupt(format!("transport frame: {reason}")));
                 }
@@ -1077,61 +1090,19 @@ pub fn recv_record(
             if Instant::now() >= deadline {
                 break; // retry
             }
-            backoff.snooze_capped(deadline.saturating_duration_since(Instant::now()));
-        }
-    }
-    Err(StreamError::Timeout)
-}
-
-/// Poll-driven variant of [`recv_record`] for reactor tasks: identical
-/// timeout schedule, retry accounting and failure mapping, but the waits
-/// between polls yield to the enclosing event loop (via
-/// [`flexio_reactor::Pacing`]) instead of parking the thread, so one
-/// reactor core can hold many of these waits open at once.
-pub async fn recv_record_rt(
-    rx: &mut BoxedReceiver,
-    hints: &StreamHints,
-    counters: &ProtocolCounters,
-) -> Result<Record, StreamError> {
-    for attempt in 0..=hints.retries {
-        if attempt > 0 {
-            counters.bump(&counters.retries);
-        }
-        let timeout = hints.recv_timeout * (1u32 << attempt.min(3));
-        let deadline = Instant::now() + timeout;
-        let mut pacing = flexio_reactor::Pacing::new();
-        loop {
-            match rx.poll_recv() {
-                evpath::RecvPoll::Msg(bytes) => return decode_record(bytes, hints),
-                evpath::RecvPoll::Corrupt(reason) => {
-                    counters.bump(&counters.corrupt_frames);
-                    return Err(StreamError::Corrupt(format!("transport frame: {reason}")));
-                }
-                evpath::RecvPoll::Closed => {
-                    counters.bump(&counters.closed_channels);
-                    return Err(StreamError::Timeout);
-                }
-                evpath::RecvPoll::Empty => {}
-            }
-            if Instant::now() >= deadline {
-                break; // retry
-            }
             pacing.pause(Some(deadline)).await;
         }
     }
     Err(StreamError::Timeout)
 }
 
-/// Decode a received message with the plane selected by the hints: packed
-/// decodes against the shared receive buffer (large array payloads come
-/// back as zero-copy views into `bytes`), legacy decodes owned.
-fn decode_record(bytes: Vec<u8>, hints: &StreamHints) -> Result<Record, StreamError> {
-    let decoded = if hints.packed_marshal {
-        Record::decode_shared(&std::sync::Arc::new(bytes))
-    } else {
-        Record::decode(&bytes)
-    };
-    decoded.map_err(|e| StreamError::Corrupt(e.to_string()))
+/// [`recv_record_rt`] as a blocking call.
+pub fn recv_record(
+    rx: &mut BoxedReceiver,
+    hints: &StreamHints,
+    counters: &ProtocolCounters,
+) -> Result<Record, StreamError> {
+    drive(hints.runtime, recv_record_rt(rx, hints, counters))
 }
 
 /// Stream-layer error.
@@ -1177,7 +1148,7 @@ pub struct FlexIo {
     /// Program-local bulletin letting non-coordinator ranks find the link
     /// their coordinator opened (the directory itself stays
     /// coordinator-only, as in the paper).
-    bulletin: Arc<(Mutex<HashMap<String, Arc<LinkState>>>, Condvar)>,
+    bulletin: Arc<Mutex<HashMap<String, Arc<LinkState>>>>,
 }
 
 impl FlexIo {
@@ -1189,7 +1160,7 @@ impl FlexIo {
             directory: Arc::new(InProcDirectory::new()),
             net: Some(net),
             machine: Arc::new(machine),
-            bulletin: Arc::new((Mutex::new(HashMap::new()), Condvar::new())),
+            bulletin: Arc::new(Mutex::new(HashMap::new())),
         }
     }
 
@@ -1200,7 +1171,7 @@ impl FlexIo {
             directory: Arc::new(InProcDirectory::new()),
             net: None,
             machine: Arc::new(machine),
-            bulletin: Arc::new((Mutex::new(HashMap::new()), Condvar::new())),
+            bulletin: Arc::new(Mutex::new(HashMap::new())),
         }
     }
 
@@ -1224,9 +1195,8 @@ impl FlexIo {
         &self.machine
     }
 
-    /// Open the writer side of stream `name` from one writer rank.
-    /// Rank 0 acts as coordinator: it creates the link and registers it.
-    /// Every rank passes its own `core` placement and the total count.
+    /// Open the writer side of stream `name` from one writer rank, as a
+    /// blocking call (see [`Self::open_writer_rt`]).
     pub fn open_writer(
         &self,
         name: &str,
@@ -1236,28 +1206,13 @@ impl FlexIo {
         all_cores: Vec<CoreLocation>,
         hints: StreamHints,
     ) -> Result<StreamWriter, StreamError> {
-        if hints.runtime == Runtime::Reactor {
-            return flexio_reactor::block_on(
-                self.open_writer_rt(name, rank, nranks, core, all_cores, hints),
-            );
-        }
-        assert_eq!(all_cores.len(), nranks);
-        assert_eq!(all_cores[rank], core, "rank's own core must match the roster");
-        let link = if rank == 0 {
-            let link = LinkState::new(nranks, all_cores, self.net.clone(), &hints);
-            self.directory.register(name, Arc::clone(&link))?;
-            self.post_bulletin(&format!("w:{name}"), Arc::clone(&link));
-            link
-        } else {
-            self.wait_bulletin(&format!("w:{name}"), hints.recv_timeout)
-                .ok_or(StreamError::Timeout)?
-        };
-        Ok(StreamWriter::new(link, rank, nranks, name.to_string(), hints))
+        drive(hints.runtime, self.open_writer_rt(name, rank, nranks, core, all_cores, hints))
     }
 
-    /// Poll-driven variant of [`Self::open_writer`] for reactor tasks:
-    /// identical protocol, but every wait (the non-coordinator bulletin
-    /// wait) yields to the event loop instead of parking the thread.
+    /// Open the writer side of stream `name` from one writer rank.
+    /// Rank 0 acts as coordinator: it creates the link and registers it.
+    /// Every rank passes its own `core` placement and the total count.
+    /// The one wait (the non-coordinator bulletin wait) is an `.await`.
     pub async fn open_writer_rt(
         &self,
         name: &str,
@@ -1275,16 +1230,15 @@ impl FlexIo {
             self.post_bulletin(&format!("w:{name}"), Arc::clone(&link));
             link
         } else {
-            self.bulletin_rt(&format!("w:{name}"), hints.recv_timeout)
+            self.bulletin(&format!("w:{name}"), hints.recv_timeout)
                 .await
                 .ok_or(StreamError::Timeout)?
         };
         Ok(StreamWriter::new(link, rank, nranks, name.to_string(), hints))
     }
 
-    /// Open the reader side of stream `name` from one reader rank.
-    /// Rank 0 acts as coordinator: it looks the stream up in the
-    /// directory and attaches the reader side.
+    /// Open the reader side of stream `name` from one reader rank, as a
+    /// blocking call (see [`Self::open_reader_rt`]).
     pub fn open_reader(
         &self,
         name: &str,
@@ -1294,40 +1248,14 @@ impl FlexIo {
         all_cores: Vec<CoreLocation>,
         hints: StreamHints,
     ) -> Result<StreamReader, StreamError> {
-        if hints.runtime == Runtime::Reactor {
-            return flexio_reactor::block_on(
-                self.open_reader_rt(name, rank, nranks, core, all_cores, hints),
-            );
-        }
-        assert_eq!(all_cores.len(), nranks);
-        assert_eq!(all_cores[rank], core, "rank's own core must match the roster");
-        let link = if rank == 0 {
-            // A fault plan may schedule a directory stall: the lookup
-            // budget shrinks by the stall, exactly as if the directory
-            // server were slow to respond.
-            let mut budget = hints.recv_timeout;
-            if let Some(plan) = &hints.faults {
-                if let Some(stall) = plan.spec_for("dir").stall {
-                    plan.note_stall();
-                    std::thread::sleep(stall);
-                    budget = budget.saturating_sub(stall);
-                }
-            }
-            let link = self.directory.lookup(name, budget)?;
-            link.set_reader_info(nranks, all_cores);
-            self.post_bulletin(&format!("r:{name}"), Arc::clone(&link));
-            link
-        } else {
-            self.wait_bulletin(&format!("r:{name}"), hints.recv_timeout)
-                .ok_or(StreamError::Timeout)?
-        };
-        Ok(StreamReader::new(link, rank, nranks, name.to_string(), hints))
+        drive(hints.runtime, self.open_reader_rt(name, rank, nranks, core, all_cores, hints))
     }
 
-    /// Poll-driven variant of [`Self::open_reader`] for reactor tasks:
-    /// the directory lookup, the scheduled directory stall and the
-    /// non-coordinator bulletin wait all become event-loop yields, so one
-    /// reactor thread can open many streams concurrently.
+    /// Open the reader side of stream `name` from one reader rank.
+    /// Rank 0 acts as coordinator: it looks the stream up in the
+    /// directory and attaches the reader side. The directory lookup, the
+    /// scheduled directory stall and the non-coordinator bulletin wait are
+    /// `.await`s, so one reactor thread can open many streams concurrently.
     pub async fn open_reader_rt(
         &self,
         name: &str,
@@ -1340,8 +1268,9 @@ impl FlexIo {
         assert_eq!(all_cores.len(), nranks);
         assert_eq!(all_cores[rank], core, "rank's own core must match the roster");
         let link = if rank == 0 {
-            // Same stall semantics as the blocking path: the fault plan's
-            // scheduled directory stall shrinks the lookup budget.
+            // A fault plan may schedule a directory stall: the lookup
+            // budget shrinks by the stall, exactly as if the directory
+            // server were slow to respond.
             let mut budget = hints.recv_timeout;
             if let Some(plan) = &hints.faults {
                 if let Some(stall) = plan.spec_for("dir").stall {
@@ -1350,22 +1279,14 @@ impl FlexIo {
                     budget = budget.saturating_sub(stall);
                 }
             }
-            let deadline = Instant::now() + budget;
-            let mut pacing = flexio_reactor::Pacing::new();
-            let link = loop {
-                if let Some(link) = self.directory.try_lookup(name) {
-                    break link;
-                }
-                if Instant::now() >= deadline {
-                    return Err(DirectoryError::LookupTimeout(name.to_string()).into());
-                }
-                pacing.pause(Some(deadline)).await;
-            };
+            let link = poll_until(Instant::now() + budget, || self.directory.try_lookup(name))
+                .await
+                .ok_or_else(|| DirectoryError::LookupTimeout(name.to_string()))?;
             link.set_reader_info(nranks, all_cores);
             self.post_bulletin(&format!("r:{name}"), Arc::clone(&link));
             link
         } else {
-            self.bulletin_rt(&format!("r:{name}"), hints.recv_timeout)
+            self.bulletin(&format!("r:{name}"), hints.recv_timeout)
                 .await
                 .ok_or(StreamError::Timeout)?
         };
@@ -1373,45 +1294,17 @@ impl FlexIo {
     }
 
     pub(crate) fn post_bulletin(&self, key: &str, link: Arc<LinkState>) {
-        let (lock, cvar) = &*self.bulletin;
-        lock.lock().insert(key.to_string(), link);
-        cvar.notify_all();
+        self.bulletin.lock().insert(key.to_string(), link);
     }
 
+    /// [`Self::bulletin`] as a blocking call on the calling thread.
     pub(crate) fn wait_bulletin(&self, key: &str, timeout: Duration) -> Option<Arc<LinkState>> {
-        let (lock, cvar) = &*self.bulletin;
-        let mut map = lock.lock();
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(link) = map.get(key) {
-                return Some(Arc::clone(link));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            cvar.wait_for(&mut map, deadline - now);
-        }
+        flexio_reactor::block_inline(self.bulletin(key, timeout))
     }
 
-    fn try_bulletin(&self, key: &str) -> Option<Arc<LinkState>> {
-        self.bulletin.0.lock().get(key).map(Arc::clone)
-    }
-
-    /// Poll the bulletin until `key` appears or `timeout` expires,
-    /// yielding to the event loop between polls.
-    async fn bulletin_rt(&self, key: &str, timeout: Duration) -> Option<Arc<LinkState>> {
-        let deadline = Instant::now() + timeout;
-        let mut pacing = flexio_reactor::Pacing::new();
-        loop {
-            if let Some(link) = self.try_bulletin(key) {
-                return Some(link);
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            pacing.pause(Some(deadline)).await;
-        }
+    /// Poll the bulletin until `key` appears or `timeout` expires.
+    async fn bulletin(&self, key: &str, timeout: Duration) -> Option<Arc<LinkState>> {
+        poll_until(Instant::now() + timeout, || self.bulletin.lock().get(key).cloned()).await
     }
 }
 

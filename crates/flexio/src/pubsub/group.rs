@@ -135,35 +135,17 @@ impl ReaderGroup {
         StepStatus::EndOfStream
     }
 
+    /// [`Self::try_begin_step_rt`] as a blocking call on the calling
+    /// thread.
+    pub fn try_begin_step(&mut self) -> Result<StepStatus, StreamError> {
+        flexio_reactor::block_inline(self.try_begin_step_rt())
+    }
+
     /// Advance to the next step with the timeout-and-retry discipline of
     /// [`crate::StreamReader`]: attempt `i` waits `recv_timeout << min(i,
     /// 3)`, and exhausted budgets either synthesize end-of-stream
     /// (`eos_on_silence`, the crashed-writer posture) or surface
     /// [`StreamError::Timeout`].
-    pub fn try_begin_step(&mut self) -> Result<StepStatus, StreamError> {
-        assert!(self.current.is_none(), "begin_step without end_step");
-        let mut backoff = flexio_reactor::Backoff::new();
-        for attempt in 0..=self.retries {
-            let deadline = Instant::now() + self.recv_timeout * (1u32 << attempt.min(3));
-            loop {
-                let fetch = self.poll()?;
-                if let Some(status) = self.take_step(fetch) {
-                    return Ok(status);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                backoff.snooze_capped(deadline - now);
-            }
-        }
-        if self.eos_on_silence {
-            return Ok(self.synthesize_eos());
-        }
-        Err(StreamError::Timeout)
-    }
-
-    /// Async mirror of [`Self::try_begin_step`] for reactor/fleet tasks.
     pub async fn try_begin_step_rt(&mut self) -> Result<StepStatus, StreamError> {
         assert!(self.current.is_none(), "begin_step without end_step");
         for attempt in 0..=self.retries {

@@ -37,7 +37,7 @@ pub use flexio_query::{
 };
 use parking_lot::Mutex;
 
-use crate::link::{HintKey, StreamError};
+use crate::link::{drive, HintKey, StreamError};
 use crate::monitor::MonitorEvent;
 use crate::plugins::{PluginPlacement, PluginSpec, DC_APPLIED_MARKER};
 use crate::reader::StreamReader;
@@ -199,26 +199,13 @@ impl QuerySession {
         &self.plan
     }
 
-    /// Drive one step through the blocking engine. `Ok(Some(stats))`
-    /// after feeding a step, `Ok(None)` at end-of-stream.
+    /// [`QuerySession::step_rt`] as a blocking call.
     pub fn step(&mut self) -> Result<Option<StepStats>, StreamError> {
-        if self.eos {
-            return Ok(None);
-        }
-        match self.reader.try_begin_step()? {
-            StepStatus::Step(step) => {
-                let stats = self.process_step(step)?;
-                self.reader.end_step();
-                Ok(Some(stats))
-            }
-            StepStatus::EndOfStream => {
-                self.eos = true;
-                Ok(None)
-            }
-        }
+        drive(self.reader.runtime(), self.step_rt())
     }
 
-    /// Reactor variant of [`QuerySession::step`].
+    /// Drive one step: `Ok(Some(stats))` after feeding a step, `Ok(None)`
+    /// at end-of-stream.
     pub async fn step_rt(&mut self) -> Result<Option<StepStats>, StreamError> {
         if self.eos {
             return Ok(None);

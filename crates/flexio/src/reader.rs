@@ -14,9 +14,7 @@ use std::sync::Arc;
 use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue};
 use evpath::{BoxedReceiver, BoxedSender, FieldValue, Record};
 
-use crate::link::{
-    recv_record, recv_record_rt, ChannelId, LinkState, Runtime, StreamError, StreamHints,
-};
+use crate::link::{drive, recv_record_rt, ChannelId, LinkState, StreamError, StreamHints};
 use crate::monitor::MonitorEvent;
 use crate::plugins::{InstalledPlugin, PluginPlacement, PluginSpec};
 use crate::protocol::{self, msg, CachingLevel, WriteMode};
@@ -147,6 +145,11 @@ impl StreamReader {
         &self.link
     }
 
+    /// The backend this stream's blocking calls run on.
+    pub(crate) fn runtime(&self) -> crate::link::Runtime {
+        self.hints.runtime
+    }
+
     /// Declare interest in a variable under a selection. Must be called
     /// before the first `begin_step`; afterwards only under `NO_CACHING`
     /// (cached plans assume stable subscriptions, §II.C.2).
@@ -243,328 +246,6 @@ impl StreamReader {
         }
     }
 
-    /// Coordinator/rank step negotiation; returns the step index, or
-    /// `None` for end-of-stream.
-    fn coordinate_begin(&mut self) -> Result<Option<u64>, StreamError> {
-        let first = self.steps_read == 0;
-        let need_sub_gather = first || self.hints.caching == CachingLevel::NoCaching;
-        let need_exchange = first || self.hints.caching != CachingLevel::CachingAll;
-        let counters = Arc::clone(&self.link.counters);
-        let hints = self.hints.clone();
-        let link = Arc::clone(&self.link);
-        let nranks = self.nranks;
-        // Elastic membership: `participants` are the ranks committed for
-        // *this* step (by the previous step's announcement); the roster
-        // is re-read here so this step's `go` carries the freshest
-        // desired membership for the next step.
-        let elastic = self.elastic.is_some();
-        let participants = if elastic { self.elastic_active } else { nranks };
-        let roster_note =
-            self.elastic.as_ref().map(|r| (r.generation(), r.active().clamp(1, nranks)));
-
-        if self.rank != 0 {
-            if need_sub_gather {
-                self.side_up.as_mut().expect("non-coordinator has side_up").send(
-                    &protocol::message("subs")
-                        .with("sels", FieldValue::Record(encode_subscriptions(&self.subscriptions)))
-                        .encode(),
-                );
-                counters.bump(&counters.gather_msgs);
-            }
-            let rx = self.side_down.as_mut().expect("non-coordinator has side_down");
-            let go = recv_record(rx, &hints, &counters)?;
-            match protocol::kind_of(&go) {
-                "go" => {
-                    let step = go
-                        .get_u64("step")
-                        .ok_or_else(|| StreamError::Corrupt("go missing step".into()))?;
-                    if let Some(plan) = go.get_record("plan") {
-                        self.cached_plan_col = decode_plan_col(plan)
-                            .ok_or_else(|| StreamError::Corrupt("bad plan col".into()))?;
-                    }
-                    if let Some(pl) = go.get_record("plugins") {
-                        let specs = decode_plugin_specs(pl)
-                            .ok_or_else(|| StreamError::Corrupt("bad plugin specs".into()))?;
-                        self.install_local(&specs);
-                    }
-                    if let (Some(g), Some(a)) = (go.get_u64("e_gen"), go.get_u64("e_active")) {
-                        self.announced = Some((g, a as usize));
-                    }
-                    Ok(Some(step))
-                }
-                k if k == msg::EOS => Ok(None),
-                k => Err(StreamError::Protocol(format!("expected go/eos, got {k}"))),
-            }
-        } else {
-            // ---- coordinator ----
-            let mut plugin_dirty = self.plugins_dirty;
-            self.plugins_dirty = false;
-            {
-                let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-                // Ship dynamic plug-in updates ahead of the step (after the
-                // first exchange they travel on the dedicated control path).
-                if plugin_dirty && !first {
-                    let update = protocol::message(msg::PLUGIN_UPDATE).with(
-                        "plugins",
-                        FieldValue::Record(encode_plugin_specs(&coord.all_plugins)),
-                    );
-                    coord.ctrl_tx.send(&update.encode());
-                    counters.bump(&counters.plugin_msgs);
-                }
-            }
-
-            // Step header (or EOS) from the writer coordinator. Under
-            // `eos_on_silence` a writer that died without closing (crash
-            // faults, abandoned streams) degrades into a synthesized EOS
-            // instead of an error: the reader side drains and ends cleanly.
-            let header = {
-                let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-                match coord.ctrl_in.recv_expect(&[msg::STEP, msg::EOS], &hints) {
-                    Ok(h) => h,
-                    Err(StreamError::Timeout) if hints.eos_on_silence => {
-                        counters.bump(&counters.eos_synthesized);
-                        protocol::message(msg::EOS)
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            if protocol::kind_of(&header) == msg::EOS {
-                let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-                for r in 1..participants {
-                    if elastic && link.is_evicted(r) {
-                        continue;
-                    }
-                    let tx = coord.to_ranks[r].get_or_insert_with(|| {
-                        link.claim_sender(ChannelId::ReaderSide { rank: r, up: false })
-                    });
-                    tx.send(&protocol::message(msg::EOS).encode());
-                    counters.bump(&counters.step_msgs);
-                }
-                return Ok(None);
-            }
-            let step = header
-                .get_u64("step")
-                .ok_or_else(|| StreamError::Corrupt("step header missing step".into()))?;
-            let writer_exchanges = header.get_u64("exchange") == Some(1);
-            if writer_exchanges != need_exchange {
-                return Err(StreamError::Protocol(format!(
-                    "caching configuration mismatch: writer exchange={writer_exchanges}, \
-                     reader expects {need_exchange} (configure both sides identically)"
-                )));
-            }
-
-            let mut plan_dirty = false;
-            let mut writer_dists: Option<Vec<Vec<VarMeta>>> = None;
-            if need_exchange {
-                // Receive writer distributions.
-                let info = {
-                    let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-                    coord.ctrl_in.recv_expect(&[msg::WRITER_INFO], &hints)?
-                };
-                let nw = info
-                    .get_u64("nranks")
-                    .ok_or_else(|| StreamError::Corrupt("writer_info missing nranks".into()))?
-                    as usize;
-                let mut dists = Vec::with_capacity(nw);
-                for w in 0..nw {
-                    let dr = info
-                        .get_record(&format!("dists.{w}"))
-                        .ok_or_else(|| StreamError::Corrupt("writer_info missing dists".into()))?;
-                    dists.push(
-                        decode_writer_metas(dr)
-                            .ok_or_else(|| StreamError::Corrupt("bad metas".into()))?,
-                    );
-                }
-                writer_dists = Some(dists);
-
-                // Gather this side's subscriptions.
-                let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-                if need_sub_gather {
-                    coord.cached_sels[0] = self.subscriptions.clone();
-                    for r in 1..nranks {
-                        if r >= participants || (elastic && link.is_evicted(r)) {
-                            // Outside the committed roster (or gone for
-                            // good): contributes nothing this step.
-                            coord.cached_sels[r].clear();
-                            continue;
-                        }
-                        let rx = coord.from_ranks[r].get_or_insert_with(|| {
-                            link.claim_receiver(ChannelId::ReaderSide { rank: r, up: true })
-                        });
-                        match recv_record(rx, &hints, &counters) {
-                            Ok(m) => {
-                                coord.cached_sels[r] = m
-                                    .get_record("sels")
-                                    .and_then(decode_subscriptions)
-                                    .ok_or_else(|| StreamError::Corrupt("bad subs".into()))?;
-                            }
-                            // An elastic member that never showed up
-                            // (e.g. a freshly-activated rank killed
-                            // before its first step): evict and re-plan
-                            // around it instead of failing the coupling.
-                            Err(StreamError::Timeout) if elastic => {
-                                if link.evict_reader(r) {
-                                    counters.bump(&counters.evictions);
-                                }
-                                counters.bump(&counters.degraded_steps);
-                                coord.cached_sels[r].clear();
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                // Reply with selections (and, on the first step, plug-ins).
-                let mut reply = protocol::message(msg::READER_INFO)
-                    .with("nranks", FieldValue::U64(nranks as u64));
-                for (r, sels) in coord.cached_sels.iter().enumerate() {
-                    reply.set(&format!("sels.{r}"), FieldValue::Record(encode_subscriptions(sels)));
-                }
-                if first && !coord.all_plugins.is_empty() {
-                    reply.set(
-                        "plugins",
-                        FieldValue::Record(encode_plugin_specs(&coord.all_plugins)),
-                    );
-                    plugin_dirty = true;
-                }
-                coord.ctrl_tx.send(&reply.encode());
-                counters.bump(&counters.exchange_msgs);
-                plan_dirty = true;
-            }
-
-            // Compute and distribute the plan.
-            let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-            // Under elastic membership the plug-in registry rides every
-            // `go`: a rank activated mid-run must not miss specs that
-            // were only broadcast before it joined.
-            let plugin_record = (plugin_dirty || (elastic && !coord.all_plugins.is_empty()))
-                .then(|| encode_plugin_specs(&coord.all_plugins));
-            let mut my_col = None;
-            if plan_dirty {
-                let dists = writer_dists.as_ref().expect("exchange delivered dists");
-                let full = redistribute::plan(dists, &coord.cached_sels);
-                // Column for each reader rank r: plan[w][r] over w.
-                for r in 0..nranks {
-                    let col: Vec<Vec<ChunkPlan>> = full.iter().map(|row| row[r].clone()).collect();
-                    if r == 0 {
-                        my_col = Some(col);
-                        continue;
-                    }
-                    if r >= participants || (elastic && link.is_evicted(r)) {
-                        continue;
-                    }
-                    let tx = coord.to_ranks[r].get_or_insert_with(|| {
-                        link.claim_sender(ChannelId::ReaderSide { rank: r, up: false })
-                    });
-                    let mut go = protocol::message("go")
-                        .with("step", FieldValue::U64(step))
-                        .with("plan", FieldValue::Record(encode_plan_col(&col)));
-                    if let Some(pl) = &plugin_record {
-                        go.set("plugins", FieldValue::Record(pl.clone()));
-                    }
-                    if let Some((g, a)) = roster_note {
-                        go.set("e_gen", FieldValue::U64(g));
-                        go.set("e_active", FieldValue::U64(a as u64));
-                    }
-                    tx.send(&go.encode());
-                    counters.bump(&counters.bcast_msgs);
-                }
-            } else {
-                for r in 1..participants {
-                    if elastic && link.is_evicted(r) {
-                        continue;
-                    }
-                    let tx = coord.to_ranks[r].get_or_insert_with(|| {
-                        link.claim_sender(ChannelId::ReaderSide { rank: r, up: false })
-                    });
-                    let mut go = protocol::message("go").with("step", FieldValue::U64(step));
-                    if let Some(pl) = &plugin_record {
-                        go.set("plugins", FieldValue::Record(pl.clone()));
-                    }
-                    if let Some((g, a)) = roster_note {
-                        go.set("e_gen", FieldValue::U64(g));
-                        go.set("e_active", FieldValue::U64(a as u64));
-                    }
-                    tx.send(&go.encode());
-                    counters.bump(&counters.step_msgs);
-                }
-            }
-            if let Some(col) = my_col {
-                self.cached_plan_col = col;
-            }
-            if plugin_dirty {
-                let specs = self.coord.as_ref().expect("coordinator").all_plugins.clone();
-                self.install_local(&specs);
-            }
-            if let Some((g, a)) = roster_note {
-                // Commit the announcement: every participant of this
-                // step (including this coordinator) now knows the
-                // roster the next step runs on.
-                self.announced = Some((g, a));
-                self.elastic_active = a;
-            }
-            Ok(Some(step))
-        }
-    }
-
-    /// Step 4, receive side: collect the planned chunks from each writer.
-    fn receive_chunks(&mut self, step: u64) -> Result<(), StreamError> {
-        let counters = Arc::clone(&self.link.counters);
-        let monitor = self.link.monitor.clone();
-        let plan_col = self.cached_plan_col.clone();
-        for (w, chunks) in plan_col.iter().enumerate() {
-            let expected = redistribute::expected_messages(chunks, self.hints.batching);
-            if expected == 0 {
-                continue;
-            }
-            let rx = {
-                let link = &self.link;
-                let rank = self.rank;
-                self.data_rx
-                    .entry(w)
-                    .or_insert_with(|| link.claim_receiver(ChannelId::Data { w, r: rank }))
-            };
-            let mut records = Vec::with_capacity(expected);
-            for _ in 0..expected {
-                let record = recv_record(rx, &self.hints, &counters)?;
-                records.push(record);
-            }
-            for record in records {
-                let bytes_estimate = 0u64; // bytes recorded at send side
-                monitor.record(MonitorEvent::DataRecv, step, self.rank, bytes_estimate, 0);
-                match protocol::kind_of(&record) {
-                    k if k == msg::CHUNK => self.store_chunk(&record, step)?,
-                    k if k == msg::BATCH => {
-                        let n = record
-                            .get_u64("n")
-                            .ok_or_else(|| StreamError::Corrupt("batch missing n".into()))?;
-                        for i in 0..n {
-                            let c = record
-                                .get_record(&format!("c.{i}"))
-                                .ok_or_else(|| StreamError::Corrupt("batch missing chunk".into()))?
-                                .clone();
-                            self.store_chunk(&c, step)?;
-                        }
-                    }
-                    k => {
-                        return Err(StreamError::Protocol(format!("expected chunk/batch, got {k}")))
-                    }
-                }
-            }
-            if self.hints.write_mode == WriteMode::Sync {
-                let tx = {
-                    let link = &self.link;
-                    let rank = self.rank;
-                    self.ack_tx
-                        .entry(w)
-                        .or_insert_with(|| link.claim_sender(ChannelId::Ack { w, r: rank }))
-                };
-                tx.send(&protocol::message(msg::ACK).with("step", FieldValue::U64(step)).encode());
-                counters.bump(&counters.ack_msgs);
-            }
-        }
-        Ok(())
-    }
-
     fn store_chunk(&mut self, record: &Record, step: u64) -> Result<(), StreamError> {
         let w = record
             .get_u64("w")
@@ -638,105 +319,29 @@ impl StreamReader {
         Ok(())
     }
 
-    /// 2PC participant role (enabled by `StreamHints::transactional`).
-    fn txn_reader(&mut self, step: u64) -> Result<(), StreamError> {
-        let hints = self.hints.clone();
-        if self.rank != 0 {
-            self.side_up
-                .as_mut()
-                .expect("non-coordinator has side_up")
-                .send(&protocol::message("txn_recv").with("step", FieldValue::U64(step)).encode());
-            let rx = self.side_down.as_mut().expect("non-coordinator has side_down");
-            let decision = recv_record(rx, &hints, &self.link.counters)?;
-            if protocol::kind_of(&decision) != msg::TXN_COMMIT {
-                return Err(StreamError::Protocol("expected txn_commit".into()));
-            }
-            return Ok(());
-        }
-        let link = Arc::clone(&self.link);
-        let nranks = self.nranks;
-        let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-        for r in 1..nranks {
-            let rx = coord.from_ranks[r].get_or_insert_with(|| {
-                link.claim_receiver(ChannelId::ReaderSide { rank: r, up: true })
-            });
-            let m = recv_record(rx, &hints, &link.counters)?;
-            if protocol::kind_of(&m) != "txn_recv" {
-                return Err(StreamError::Protocol("expected txn_recv".into()));
-            }
-        }
-        let prepare = coord.ctrl_in.recv_expect(&[msg::TXN_PREPARE], &hints)?;
-        if prepare.get_u64("step") != Some(step) {
-            return Err(StreamError::Protocol("prepare for unexpected step".into()));
-        }
-        coord.ctrl_tx.send(
-            &protocol::message(msg::TXN_VOTE)
-                .with("step", FieldValue::U64(step))
-                .with("ok", FieldValue::U64(1))
-                .encode(),
-        );
-        let commit = coord.ctrl_in.recv_expect(&[msg::TXN_COMMIT], &hints)?;
-        let ok = commit.get_u64("ok") == Some(1);
-        for r in 1..nranks {
-            let tx = coord.to_ranks[r].get_or_insert_with(|| {
-                link.claim_sender(ChannelId::ReaderSide { rank: r, up: false })
-            });
-            tx.send(
-                &protocol::message(msg::TXN_COMMIT).with("step", FieldValue::U64(step)).encode(),
-            );
-        }
-        if !ok {
-            return Err(StreamError::Protocol("writer aborted the step".into()));
-        }
-        Ok(())
-    }
-
-    /// Fallible version of [`ReadEngine::begin_step`].
+    /// Fallible version of [`ReadEngine::begin_step`]:
+    /// [`Self::begin_step_rt`] driven to completion on the calling thread
+    /// by the stream's `runtime` hint.
     pub fn try_begin_step(&mut self) -> Result<StepStatus, StreamError> {
-        if self.hints.runtime == Runtime::Reactor {
-            // Reactor backend through the blocking API: the caller's
-            // thread becomes a single-task event loop for this step.
-            return flexio_reactor::block_on(self.begin_step_rt());
-        }
-        assert!(self.current_step.is_none(), "begin_step without end_step");
-        if self.eos {
-            return Ok(StepStatus::EndOfStream);
-        }
-        let Some(step) = self.coordinate_begin()? else {
-            self.eos = true;
-            return Ok(StepStatus::EndOfStream);
-        };
-        self.receive_chunks(step)?;
-        if self.hints.transactional {
-            self.txn_reader(step)?;
-        }
-        self.current_step = Some(step);
-        self.steps_read += 1;
-        Ok(StepStatus::Step(step))
+        drive(self.hints.runtime, self.begin_step_rt())
     }
 
-    // ------------------------------------------------ reactor state machine
-    //
-    // The poll-driven transcription of the engine above: identical
-    // protocol steps, counter accounting and failure mapping, but every
-    // receive wait is an `.await` that yields to the enclosing
-    // `flexio-reactor` event loop — one core can drive many readers.
-
-    /// Poll-driven variant of [`Self::try_begin_step`] for reactor tasks
-    /// (the blocking API reaches it through `block_on` when the stream's
-    /// `runtime` hint selects the reactor backend).
+    /// Negotiate and receive the next step. Every receive wait is an
+    /// `.await`, so a reactor task can multiplex many readers on one
+    /// core; [`Self::try_begin_step`] is the same future run as a
+    /// blocking call.
     pub async fn begin_step_rt(&mut self) -> Result<StepStatus, StreamError> {
         assert!(self.current_step.is_none(), "begin_step without end_step");
         if self.eos {
             return Ok(StepStatus::EndOfStream);
         }
-        let Some(step) = self.coordinate_begin_rt().await? else {
+        let Some(step) = self.coordinate_begin().await? else {
             self.eos = true;
             return Ok(StepStatus::EndOfStream);
         };
-        self.receive_chunks_rt(step).await?;
+        self.receive_chunks(step).await?;
         if self.hints.transactional {
-            self.txn_reader_rt(step).await?;
+            self.txn_reader(step).await?;
         }
         self.current_step = Some(step);
         self.steps_read += 1;
@@ -746,8 +351,9 @@ impl StreamReader {
         Ok(StepStatus::Step(step))
     }
 
-    /// [`Self::coordinate_begin`] as a poll-driven step.
-    async fn coordinate_begin_rt(&mut self) -> Result<Option<u64>, StreamError> {
+    /// Coordinator/rank step negotiation; returns the step index, or
+    /// `None` for end-of-stream.
+    async fn coordinate_begin(&mut self) -> Result<Option<u64>, StreamError> {
         let first = self.steps_read == 0;
         let need_sub_gather = first || self.hints.caching == CachingLevel::NoCaching;
         let need_exchange = first || self.hints.caching != CachingLevel::CachingAll;
@@ -755,7 +361,10 @@ impl StreamReader {
         let hints = self.hints.clone();
         let link = Arc::clone(&self.link);
         let nranks = self.nranks;
-        // Elastic membership (see [`Self::coordinate_begin`]).
+        // Elastic membership: `participants` are the ranks committed for
+        // *this* step (by the previous step's announcement); the roster
+        // is re-read here so this step's `go` carries the freshest
+        // desired membership for the next step.
         let elastic = self.elastic.is_some();
         let participants = if elastic { self.elastic_active } else { nranks };
         let roster_note =
@@ -778,7 +387,7 @@ impl StreamReader {
                         .get_u64("step")
                         .ok_or_else(|| StreamError::Corrupt("go missing step".into()))?;
                     if let Some(plan) = go.get_record("plan") {
-                        self.cached_plan_col = decode_plan_col(plan)
+                        self.cached_plan_col = redistribute::decode_plan(plan)
                             .ok_or_else(|| StreamError::Corrupt("bad plan col".into()))?;
                     }
                     if let Some(pl) = go.get_record("plugins") {
@@ -800,6 +409,8 @@ impl StreamReader {
             self.plugins_dirty = false;
             {
                 let coord = self.coord.as_mut().expect("rank 0 is coordinator");
+                // Ship dynamic plug-in updates ahead of the step (after the
+                // first exchange they travel on the dedicated control path).
                 if plugin_dirty && !first {
                     let update = protocol::message(msg::PLUGIN_UPDATE).with(
                         "plugins",
@@ -810,11 +421,13 @@ impl StreamReader {
                 }
             }
 
-            // Step header (or EOS) from the writer coordinator; same
-            // `eos_on_silence` degradation as the blocking engine.
+            // Step header (or EOS) from the writer coordinator. Under
+            // `eos_on_silence` a writer that died without closing (crash
+            // faults, abandoned streams) degrades into a synthesized EOS
+            // instead of an error: the reader side drains and ends cleanly.
             let header = {
                 let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-                match coord.ctrl_in.recv_expect_rt(&[msg::STEP, msg::EOS], &hints).await {
+                match coord.ctrl_in.recv_expect(&[msg::STEP, msg::EOS], &hints).await {
                     Ok(h) => h,
                     Err(StreamError::Timeout) if hints.eos_on_silence => {
                         counters.bump(&counters.eos_synthesized);
@@ -851,31 +464,34 @@ impl StreamReader {
             let mut plan_dirty = false;
             let mut writer_dists: Option<Vec<Vec<VarMeta>>> = None;
             if need_exchange {
+                // Receive writer distributions.
                 let info = {
                     let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-                    coord.ctrl_in.recv_expect_rt(&[msg::WRITER_INFO], &hints).await?
+                    coord.ctrl_in.recv_expect(&[msg::WRITER_INFO], &hints).await?
                 };
                 let nw = info
                     .get_u64("nranks")
-                    .ok_or_else(|| StreamError::Corrupt("writer_info missing nranks".into()))?
-                    as usize;
-                let mut dists = Vec::with_capacity(nw);
-                for w in 0..nw {
-                    let dr = info
-                        .get_record(&format!("dists.{w}"))
-                        .ok_or_else(|| StreamError::Corrupt("writer_info missing dists".into()))?;
-                    dists.push(
-                        decode_writer_metas(dr)
-                            .ok_or_else(|| StreamError::Corrupt("bad metas".into()))?,
-                    );
-                }
+                    .ok_or_else(|| StreamError::Corrupt("writer_info missing nranks".into()))?;
+                // Collected, not pre-sized: `nranks` is the peer's word.
+                let dists = (0..nw)
+                    .map(|w| {
+                        let dr = info.get_record(&format!("dists.{w}")).ok_or_else(|| {
+                            StreamError::Corrupt("writer_info missing dists".into())
+                        })?;
+                        redistribute::decode_metas(dr)
+                            .ok_or_else(|| StreamError::Corrupt("bad metas".into()))
+                    })
+                    .collect::<Result<Vec<_>, StreamError>>()?;
                 writer_dists = Some(dists);
 
+                // Gather this side's subscriptions.
                 let coord = self.coord.as_mut().expect("rank 0 is coordinator");
                 if need_sub_gather {
                     coord.cached_sels[0] = self.subscriptions.clone();
                     for r in 1..nranks {
                         if r >= participants || (elastic && link.is_evicted(r)) {
+                            // Outside the committed roster (or gone for
+                            // good): contributes nothing this step.
                             coord.cached_sels[r].clear();
                             continue;
                         }
@@ -889,8 +505,10 @@ impl StreamReader {
                                     .and_then(decode_subscriptions)
                                     .ok_or_else(|| StreamError::Corrupt("bad subs".into()))?;
                             }
-                            // Same gather-timeout eviction as the
-                            // blocking engine (elastic mode only).
+                            // An elastic member that never showed up
+                            // (e.g. a freshly-activated rank killed
+                            // before its first step): evict and re-plan
+                            // around it instead of failing the coupling.
                             Err(StreamError::Timeout) if elastic => {
                                 if link.evict_reader(r) {
                                     counters.bump(&counters.evictions);
@@ -902,6 +520,7 @@ impl StreamReader {
                         }
                     }
                 }
+                // Reply with selections (and, on the first step, plug-ins).
                 let mut reply = protocol::message(msg::READER_INFO)
                     .with("nranks", FieldValue::U64(nranks as u64));
                 for (r, sels) in coord.cached_sels.iter().enumerate() {
@@ -930,6 +549,7 @@ impl StreamReader {
             if plan_dirty {
                 let dists = writer_dists.as_ref().expect("exchange delivered dists");
                 let full = redistribute::plan(dists, &coord.cached_sels);
+                // Column for each reader rank r: plan[w][r] over w.
                 for r in 0..nranks {
                     let col: Vec<Vec<ChunkPlan>> = full.iter().map(|row| row[r].clone()).collect();
                     if r == 0 {
@@ -944,7 +564,7 @@ impl StreamReader {
                     });
                     let mut go = protocol::message("go")
                         .with("step", FieldValue::U64(step))
-                        .with("plan", FieldValue::Record(encode_plan_col(&col)));
+                        .with("plan", FieldValue::Record(redistribute::encode_plan(&col)));
                     if let Some(pl) = &plugin_record {
                         go.set("plugins", FieldValue::Record(pl.clone()));
                     }
@@ -993,8 +613,8 @@ impl StreamReader {
         }
     }
 
-    /// [`Self::receive_chunks`] as a poll-driven step.
-    async fn receive_chunks_rt(&mut self, step: u64) -> Result<(), StreamError> {
+    /// Step 4, receive side: collect the planned chunks from each writer.
+    async fn receive_chunks(&mut self, step: u64) -> Result<(), StreamError> {
         let counters = Arc::clone(&self.link.counters);
         let monitor = self.link.monitor.clone();
         let plan_col = self.cached_plan_col.clone();
@@ -1052,8 +672,8 @@ impl StreamReader {
         Ok(())
     }
 
-    /// [`Self::txn_reader`] as a poll-driven step.
-    async fn txn_reader_rt(&mut self, step: u64) -> Result<(), StreamError> {
+    /// 2PC participant role (enabled by `StreamHints::transactional`).
+    async fn txn_reader(&mut self, step: u64) -> Result<(), StreamError> {
         let hints = self.hints.clone();
         if self.rank != 0 {
             self.side_up
@@ -1079,7 +699,7 @@ impl StreamReader {
                 return Err(StreamError::Protocol("expected txn_recv".into()));
             }
         }
-        let prepare = coord.ctrl_in.recv_expect_rt(&[msg::TXN_PREPARE], &hints).await?;
+        let prepare = coord.ctrl_in.recv_expect(&[msg::TXN_PREPARE], &hints).await?;
         if prepare.get_u64("step") != Some(step) {
             return Err(StreamError::Protocol("prepare for unexpected step".into()));
         }
@@ -1089,7 +709,7 @@ impl StreamReader {
                 .with("ok", FieldValue::U64(1))
                 .encode(),
         );
-        let commit = coord.ctrl_in.recv_expect_rt(&[msg::TXN_COMMIT], &hints).await?;
+        let commit = coord.ctrl_in.recv_expect(&[msg::TXN_COMMIT], &hints).await?;
         let ok = commit.get_u64("ok") == Some(1);
         for r in 1..nranks {
             let tx = coord.to_ranks[r].get_or_insert_with(|| {
@@ -1164,47 +784,4 @@ impl ReadEngine for StreamReader {
     fn close(&mut self) {
         self.eos = true;
     }
-}
-
-// --------------------------------------------------------- plan encoding
-
-fn encode_plan_col(col: &[Vec<ChunkPlan>]) -> Record {
-    let mut r = Record::new().with("writers", FieldValue::U64(col.len() as u64));
-    for (w, chunks) in col.iter().enumerate() {
-        r.set(&format!("count.{w}"), FieldValue::U64(chunks.len() as u64));
-        for (ci, c) in chunks.iter().enumerate() {
-            let mut cr = Record::new().with("var", FieldValue::Str(c.var.clone()));
-            if let Some(region) = &c.region {
-                cr.set("offset", FieldValue::U64Array(region.offset.clone()));
-                cr.set("count", FieldValue::U64Array(region.count.clone()));
-            }
-            r.set(&format!("chunk.{w}.{ci}"), FieldValue::Record(cr));
-        }
-    }
-    r
-}
-
-fn decode_plan_col(r: &Record) -> Option<Vec<Vec<ChunkPlan>>> {
-    let writers = r.get_u64("writers")? as usize;
-    let mut col = Vec::with_capacity(writers);
-    for w in 0..writers {
-        let count = r.get_u64(&format!("count.{w}"))? as usize;
-        let mut chunks = Vec::with_capacity(count);
-        for ci in 0..count {
-            let cr = r.get_record(&format!("chunk.{w}.{ci}"))?;
-            let var = cr.get_str("var")?.to_string();
-            let region = match (cr.get_u64_array("offset"), cr.get_u64_array("count")) {
-                (Some(o), Some(c)) => Some(BoxSel::new(o.to_vec(), c.to_vec())),
-                _ => None,
-            };
-            chunks.push(ChunkPlan { var, region });
-        }
-        col.push(chunks);
-    }
-    Some(col)
-}
-
-fn decode_writer_metas(r: &Record) -> Option<Vec<VarMeta>> {
-    let n = r.get_u64("n")? as usize;
-    (0..n).map(|i| VarMeta::from_record(r.get_record(&format!("m.{i}"))?)).collect()
 }

@@ -141,6 +141,64 @@ pub struct ChunkPlan {
     pub region: Option<BoxSel>,
 }
 
+/// Encode a rank's variable distributions for the gather/exchange
+/// messages.
+pub(crate) fn encode_metas(metas: &[VarMeta]) -> Record {
+    let mut r = Record::new().with("n", FieldValue::U64(metas.len() as u64));
+    for (i, m) in metas.iter().enumerate() {
+        r.set(&format!("m.{i}"), FieldValue::Record(m.to_record()));
+    }
+    r
+}
+
+/// Inverse of [`encode_metas`].
+pub(crate) fn decode_metas(r: &Record) -> Option<Vec<VarMeta>> {
+    let n = r.get_u64("n")?;
+    (0..n).map(|i| VarMeta::from_record(r.get_record(&format!("m.{i}"))?)).collect()
+}
+
+/// Encode one rank's slice of the transfer plan for its `go` message: a
+/// writer's row (chunks per reader rank) or a reader's column (chunks per
+/// writer rank) — the same shape, indexed by peer.
+pub(crate) fn encode_plan(slice: &[Vec<ChunkPlan>]) -> Record {
+    let mut r = Record::new().with("peers", FieldValue::U64(slice.len() as u64));
+    for (p, chunks) in slice.iter().enumerate() {
+        r.set(&format!("count.{p}"), FieldValue::U64(chunks.len() as u64));
+        for (ci, c) in chunks.iter().enumerate() {
+            let mut cr = Record::new().with("var", FieldValue::Str(c.var.clone()));
+            if let Some(region) = &c.region {
+                cr.set("offset", FieldValue::U64Array(region.offset.clone()));
+                cr.set("count", FieldValue::U64Array(region.count.clone()));
+            }
+            r.set(&format!("chunk.{p}.{ci}"), FieldValue::Record(cr));
+        }
+    }
+    r
+}
+
+/// Inverse of [`encode_plan`]. The counts are a peer's word (over procnet
+/// sockets, any process's): every peer and every chunk is a field of `r`,
+/// so a count above the field count is damage and is refused before it
+/// can size an allocation.
+pub(crate) fn decode_plan(r: &Record) -> Option<Vec<Vec<ChunkPlan>>> {
+    let count = |key: &str| r.get_u64(key).filter(|&n| n <= r.len() as u64);
+    (0..count("peers")?)
+        .map(|p| {
+            (0..count(&format!("count.{p}"))?)
+                .map(|ci| {
+                    let cr = r.get_record(&format!("chunk.{p}.{ci}"))?;
+                    let var = cr.get_str("var")?.to_string();
+                    let region = match (cr.get_u64_array("offset"), cr.get_u64_array("count")) {
+                        (Some(o), Some(c)) => Some(BoxSel::new(o.to_vec(), c.to_vec())),
+                        _ => None,
+                    };
+                    Some(ChunkPlan { var, region })
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Compute, for every `(writer, reader)` pair, the chunks that must move.
 /// Deterministic in its inputs; both sides run it on identical exchanged
 /// metadata. A scalar travels once, from the lowest writer rank that wrote
@@ -478,6 +536,28 @@ mod tests {
         for s in &subs {
             assert_eq!(Subscription::from_record(&s.to_record()), Some(s.clone()));
         }
+    }
+
+    #[test]
+    fn plan_codec_roundtrips_and_refuses_hostile_counts() {
+        let (dists, sels, _) = fig3_setup();
+        let row = plan(&dists, &sels).swap_remove(4); // overlaps both readers
+        let rec = encode_plan(&row);
+        assert_eq!(decode_plan(&rec), Some(row));
+        // A damaged or hostile `go`: counts far above what the record can
+        // hold must come back `None` — no capacity-overflow panic, no
+        // terabyte allocation.
+        for huge in [u64::MAX, 1 << 40] {
+            for key in ["peers", "count.0"] {
+                let mut bad = rec.clone();
+                bad.set(key, FieldValue::U64(huge));
+                assert_eq!(decode_plan(&bad), None, "{key} = {huge}");
+            }
+        }
+        // An honest count the record does not back up is refused too.
+        let mut short = rec.clone();
+        short.set("count.1", FieldValue::U64(2));
+        assert_eq!(decode_plan(&short), None);
     }
 
     #[test]

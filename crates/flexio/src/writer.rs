@@ -25,7 +25,7 @@ use adios::{ProcessGroup, VarValue, WriteEngine};
 use evpath::{BoxedReceiver, BoxedSender, FieldValue, Record};
 
 use crate::link::{
-    recv_record, recv_record_rt, ChannelId, LinkState, Runtime, StreamError, StreamHints,
+    drive, poll_until, recv_record_rt, ChannelId, LinkState, StreamError, StreamHints,
 };
 use crate::monitor::MonitorEvent;
 use crate::plugins::{InstalledPlugin, PluginPlacement, PluginSpec};
@@ -45,30 +45,10 @@ impl CtrlIn {
         CtrlIn { rx, pending: VecDeque::new(), counters }
     }
 
-    /// Blocking receive of the next message whose kind is in `expect`;
-    /// any other message encountered on the way is parked in the pending
-    /// queue (to be found by a later `recv_expect` or [`Self::drain_kind`]).
-    pub(crate) fn recv_expect(
-        &mut self,
-        expect: &[&str],
-        hints: &StreamHints,
-    ) -> Result<Record, StreamError> {
-        if let Some(idx) = self.pending.iter().position(|r| expect.contains(&protocol::kind_of(r)))
-        {
-            return Ok(self.pending.remove(idx).expect("index valid"));
-        }
-        loop {
-            let record = recv_record(&mut self.rx, hints, &self.counters)?;
-            if expect.contains(&protocol::kind_of(&record)) {
-                return Ok(record);
-            }
-            self.pending.push_back(record);
-        }
-    }
-
-    /// Poll-driven variant of [`Self::recv_expect`] for reactor tasks:
-    /// identical parking/pending semantics, waits yield to the event loop.
-    pub(crate) async fn recv_expect_rt(
+    /// Receive the next message whose kind is in `expect`; any other
+    /// message encountered on the way is parked in the pending queue (to
+    /// be found by a later `recv_expect` or [`Self::drain_kind`]).
+    pub(crate) async fn recv_expect(
         &mut self,
         expect: &[&str],
         hints: &StreamHints,
@@ -256,55 +236,6 @@ impl StreamWriter {
         group.vars.iter().map(|(n, v)| VarMeta::of(n, v)).collect()
     }
 
-    fn encode_metas(metas: &[VarMeta]) -> Record {
-        let mut r = Record::new().with("n", FieldValue::U64(metas.len() as u64));
-        for (i, m) in metas.iter().enumerate() {
-            r.set(&format!("m.{i}"), FieldValue::Record(m.to_record()));
-        }
-        r
-    }
-
-    fn decode_metas(r: &Record) -> Option<Vec<VarMeta>> {
-        let n = r.get_u64("n")? as usize;
-        (0..n).map(|i| VarMeta::from_record(r.get_record(&format!("m.{i}"))?)).collect()
-    }
-
-    fn encode_plan_row(row: &[Vec<ChunkPlan>]) -> Record {
-        let mut r = Record::new().with("readers", FieldValue::U64(row.len() as u64));
-        for (ri, chunks) in row.iter().enumerate() {
-            r.set(&format!("count.{ri}"), FieldValue::U64(chunks.len() as u64));
-            for (ci, c) in chunks.iter().enumerate() {
-                let mut cr = Record::new().with("var", FieldValue::Str(c.var.clone()));
-                if let Some(region) = &c.region {
-                    cr.set("offset", FieldValue::U64Array(region.offset.clone()));
-                    cr.set("count", FieldValue::U64Array(region.count.clone()));
-                }
-                r.set(&format!("chunk.{ri}.{ci}"), FieldValue::Record(cr));
-            }
-        }
-        r
-    }
-
-    fn decode_plan_row(r: &Record) -> Option<Vec<Vec<ChunkPlan>>> {
-        let readers = r.get_u64("readers")? as usize;
-        let mut row = Vec::with_capacity(readers);
-        for ri in 0..readers {
-            let count = r.get_u64(&format!("count.{ri}"))? as usize;
-            let mut chunks = Vec::with_capacity(count);
-            for ci in 0..count {
-                let cr = r.get_record(&format!("chunk.{ri}.{ci}"))?;
-                let var = cr.get_str("var")?.to_string();
-                let region = match (cr.get_u64_array("offset"), cr.get_u64_array("count")) {
-                    (Some(o), Some(c)) => Some(adios::BoxSel::new(o.to_vec(), c.to_vec())),
-                    _ => None,
-                };
-                chunks.push(ChunkPlan { var, region });
-            }
-            row.push(chunks);
-        }
-        Some(row)
-    }
-
     fn install_plugins(&mut self, specs: &[PluginSpec]) {
         self.installed.clear();
         for spec in specs {
@@ -324,9 +255,51 @@ impl StreamWriter {
         }
     }
 
-    /// The coordinator's per-step protocol; returns this rank's plan row
-    /// and whether it changed.
-    fn coordinate(&mut self, my_metas: Vec<VarMeta>, step: u64) -> Result<(), StreamError> {
+    /// Fallible version of [`WriteEngine::end_step`]: [`Self::end_step_rt`]
+    /// driven to completion on the calling thread by the stream's
+    /// `runtime` hint.
+    pub fn try_end_step(&mut self) -> Result<(), StreamError> {
+        drive(self.hints.runtime, self.end_step_rt())
+    }
+
+    /// Run the 4-step protocol for the step being written. Every receive
+    /// wait is an `.await`, so a reactor task can multiplex many writers
+    /// on one core; [`Self::try_end_step`] is the same future run as a
+    /// blocking call. A failure leaves the multi-rank handshake in an
+    /// indeterminate state, so the stream is poisoned: further steps are
+    /// refused rather than risking a desynchronized retry against peers
+    /// that will not replay their half of the protocol.
+    pub async fn end_step_rt(&mut self) -> Result<(), StreamError> {
+        assert!(!self.closed, "stream closed or poisoned by an earlier failure");
+        let group = self.current.take().expect("end_step without begin_step");
+        let step = group.step;
+        let metas = Self::metas(&group);
+        let result = match self.coordinate(metas, step).await {
+            Ok(()) => match self.send_chunks(&group, step).await {
+                Ok(()) if self.hints.transactional => self.commit_step_2pc(step).await,
+                other => other,
+            },
+            Err(e) => Err(e),
+        };
+        match result {
+            Ok(()) => {
+                self.steps_written += 1;
+                self.seal_step(step);
+                // Feed the fleet's per-shard steps/s counter (no-op
+                // outside a reactor).
+                flexio_reactor::note_step();
+                Ok(())
+            }
+            Err(e) => {
+                self.closed = true;
+                Err(e)
+            }
+        }
+    }
+
+    /// Steps 1–3: gather distributions, exchange with the reader
+    /// coordinator, and settle this rank's plan row and plug-ins.
+    async fn coordinate(&mut self, my_metas: Vec<VarMeta>, step: u64) -> Result<(), StreamError> {
         let first = self.steps_written == 0;
         let need_gather = first || self.hints.caching == CachingLevel::NoCaching;
         let need_exchange = first || self.hints.caching != CachingLevel::CachingAll;
@@ -341,14 +314,14 @@ impl StreamWriter {
                 let tx = self.side_up.as_mut().expect("non-coordinator has side_up");
                 tx.send(
                     &protocol::message("dists")
-                        .with("metas", FieldValue::Record(Self::encode_metas(&my_metas)))
+                        .with("metas", FieldValue::Record(redistribute::encode_metas(&my_metas)))
                         .encode(),
                 );
                 counters.bump(&counters.gather_msgs);
             }
             // Step 3: receive the go (plan/plugins when changed).
             let rx = self.side_down.as_mut().expect("non-coordinator has side_down");
-            let go = recv_record(rx, &hints, &counters)?;
+            let go = recv_record_rt(rx, &hints, &counters).await?;
             if protocol::kind_of(&go) != "go" {
                 return Err(StreamError::Protocol(format!(
                     "expected go, got {}",
@@ -356,7 +329,7 @@ impl StreamWriter {
                 )));
             }
             if let Some(plan) = go.get_record("plan") {
-                self.cached_plan_row = Self::decode_plan_row(plan)
+                self.cached_plan_row = redistribute::decode_plan(plan)
                     .ok_or_else(|| StreamError::Corrupt("bad plan row".to_string()))?;
                 self.reader_count = self.cached_plan_row.len();
             }
@@ -371,7 +344,9 @@ impl StreamWriter {
         // ---- coordinator path ----
         // Make sure the reader side is attached before the first step.
         if first {
-            link.wait_reader_info(hints.recv_timeout).ok_or(StreamError::Timeout)?;
+            poll_until(Instant::now() + hints.recv_timeout, || link.try_reader_info())
+                .await
+                .ok_or(StreamError::Timeout)?;
         }
         let coord = self.coord.as_mut().expect("rank 0 is coordinator");
         if coord.ctrl_tx.is_none() {
@@ -400,10 +375,10 @@ impl StreamWriter {
                 let rx = coord.from_ranks[r].get_or_insert_with(|| {
                     link.claim_receiver(ChannelId::WriterSide { rank: r, up: true })
                 });
-                let m = recv_record(rx, &hints, &counters)?;
+                let m = recv_record_rt(rx, &hints, &counters).await?;
                 let metas = m
                     .get_record("metas")
-                    .and_then(Self::decode_metas)
+                    .and_then(redistribute::decode_metas)
                     .ok_or_else(|| StreamError::Corrupt("bad dists".to_string()))?;
                 coord.cached_dists[r] = metas;
             }
@@ -423,7 +398,10 @@ impl StreamWriter {
             let mut info =
                 protocol::message(msg::WRITER_INFO).with("nranks", FieldValue::U64(nranks as u64));
             for (w, metas) in coord.cached_dists.iter().enumerate() {
-                info.set(&format!("dists.{w}"), FieldValue::Record(Self::encode_metas(metas)));
+                info.set(
+                    &format!("dists.{w}"),
+                    FieldValue::Record(redistribute::encode_metas(metas)),
+                );
             }
             coord.ctrl_tx.as_mut().expect("ctrl claimed").send(&info.encode());
             counters.bump(&counters.exchange_msgs);
@@ -432,21 +410,21 @@ impl StreamWriter {
                 .ctrl_in
                 .as_mut()
                 .expect("ctrl claimed")
-                .recv_expect(&[msg::READER_INFO], &hints)?;
+                .recv_expect(&[msg::READER_INFO], &hints)
+                .await?;
             let nreaders = reply
                 .get_u64("nranks")
-                .ok_or_else(|| StreamError::Corrupt("reader_info missing nranks".into()))?
-                as usize;
-            let mut sels = Vec::with_capacity(nreaders);
-            for r in 0..nreaders {
-                let sr = reply
-                    .get_record(&format!("sels.{r}"))
-                    .ok_or_else(|| StreamError::Corrupt("reader_info missing sels".into()))?;
-                sels.push(
+                .ok_or_else(|| StreamError::Corrupt("reader_info missing nranks".into()))?;
+            // Collected, not pre-sized: `nranks` is the peer's word.
+            let sels = (0..nreaders)
+                .map(|r| {
+                    let sr = reply
+                        .get_record(&format!("sels.{r}"))
+                        .ok_or_else(|| StreamError::Corrupt("reader_info missing sels".into()))?;
                     decode_subscriptions(sr)
-                        .ok_or_else(|| StreamError::Corrupt("bad subscriptions".into()))?,
-                );
-            }
+                        .ok_or_else(|| StreamError::Corrupt("bad subscriptions".into()))
+                })
+                .collect::<Result<Vec<_>, StreamError>>()?;
             if let Some(pl) = reply.get_record("plugins") {
                 coord.writer_plugins = decode_plugin_specs(pl)
                     .ok_or_else(|| StreamError::Corrupt("bad plugin specs".into()))?;
@@ -483,7 +461,7 @@ impl StreamWriter {
             });
             let mut go = protocol::message("go").with("step", FieldValue::U64(step));
             if plan_dirty {
-                go.set("plan", FieldValue::Record(Self::encode_plan_row(&full_plan[r])));
+                go.set("plan", FieldValue::Record(redistribute::encode_plan(&full_plan[r])));
             }
             if let Some(pl) = &plugin_record {
                 go.set("plugins", FieldValue::Record(pl.clone()));
@@ -505,8 +483,11 @@ impl StreamWriter {
         Ok(())
     }
 
-    /// Step 4: extract, condition and send this rank's chunks.
-    fn send_chunks(&mut self, group: &ProcessGroup, step: u64) -> Result<(), StreamError> {
+    /// Step 4: extract, condition and send this rank's chunks. Sends are
+    /// plain calls (transport handoff is non-blocking unless a queue is
+    /// full), with a yield after each reader's traffic so co-scheduled
+    /// reader tasks get to drain; the sync-mode ack waits yield.
+    async fn send_chunks(&mut self, group: &ProcessGroup, step: u64) -> Result<(), StreamError> {
         let counters = Arc::clone(&self.link.counters);
         let monitor = self.link.monitor.clone();
         let plan_row = self.cached_plan_row.clone();
@@ -580,48 +561,32 @@ impl StreamWriter {
                     .entry(r)
                     .or_insert_with(|| link.claim_sender(ChannelId::Data { w: rank, r }))
             };
-            if self.hints.batching {
+            let messages = if self.hints.batching {
                 let mut batch = protocol::message(msg::BATCH)
                     .with("step", FieldValue::U64(step))
                     .with("w", FieldValue::U64(self.rank as u64))
                     .with("n", FieldValue::U64(encoded_chunks.len() as u64));
                 for (i, c) in encoded_chunks.into_iter().enumerate() {
-                    // Chunk records are moved into the batch, so batching no
-                    // longer deep-clones every payload.
+                    // Moved, not cloned, into the batch.
                     batch.set(&format!("c.{i}"), FieldValue::Record(c));
                 }
-                if self.hints.packed_marshal {
-                    let enc = batch.encode_segments();
-                    let wire = enc.total_len() as u64;
-                    monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
-                    self.step_wire_bytes += wire;
-                    tx.send_vectored(&enc.as_slices());
-                } else {
-                    let flat = batch.encode_legacy();
-                    let wire = flat.len() as u64;
-                    monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
-                    self.step_wire_bytes += wire;
-                    tx.send(&flat);
-                }
-                counters.bump(&counters.data_msgs);
+                vec![batch]
             } else {
-                for c in &encoded_chunks {
-                    if self.hints.packed_marshal {
-                        let enc = c.encode_segments();
-                        let wire = enc.total_len() as u64;
-                        monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
-                        self.step_wire_bytes += wire;
-                        tx.send_vectored(&enc.as_slices());
-                    } else {
-                        let flat = c.encode_legacy();
-                        let wire = flat.len() as u64;
-                        monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
-                        self.step_wire_bytes += wire;
-                        tx.send(&flat);
-                    }
-                    counters.bump(&counters.data_msgs);
-                }
+                encoded_chunks
+            };
+            for m in &messages {
+                let enc = m.encode_segments();
+                let wire = enc.total_len() as u64;
+                monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
+                self.step_wire_bytes += wire;
+                tx.send_vectored(&enc.as_slices());
+                counters.bump(&counters.data_msgs);
             }
+            // One queue's worth of traffic is down the pipe: let the
+            // reader tasks sharing this reactor drain before the next
+            // reader's chunks (keeps bounded shm queues from filling
+            // while their consumer is starved of poll rounds).
+            flexio_reactor::yield_now().await;
         }
         // Synchronous mode: wait for per-reader acknowledgements. A reader
         // that exhausts the timeout-and-retry budget is *evicted* rather
@@ -636,500 +601,7 @@ impl StreamWriter {
                 .map(|(r, _)| r)
                 .collect();
             let monitor = self.link.monitor.clone();
-            let start = std::time::Instant::now();
-            let mut degraded = false;
-            for r in readers_with_data {
-                let rx = {
-                    let link = &self.link;
-                    let rank = self.rank;
-                    self.ack_rx
-                        .entry(r)
-                        .or_insert_with(|| link.claim_receiver(ChannelId::Ack { w: rank, r }))
-                };
-                match recv_record(rx, &self.hints, &counters) {
-                    Ok(ack) => {
-                        if protocol::kind_of(&ack) != msg::ACK {
-                            return Err(StreamError::Protocol("expected ack".to_string()));
-                        }
-                    }
-                    Err(StreamError::Timeout) => {
-                        degraded = true;
-                        if self.link.evict_reader(r) {
-                            counters.bump(&counters.evictions);
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if degraded {
-                counters.bump(&counters.degraded_steps);
-            }
-            monitor.record(
-                MonitorEvent::SyncWait,
-                step,
-                self.rank,
-                0,
-                start.elapsed().as_nanos() as u64,
-            );
-        }
-        Ok(())
-    }
-
-    /// Fallible version of [`WriteEngine::end_step`]. A failure leaves the
-    /// multi-rank handshake in an indeterminate state, so the stream is
-    /// poisoned: further steps are refused rather than risking a
-    /// desynchronized retry against peers that will not replay their
-    /// half of the protocol.
-    pub fn try_end_step(&mut self) -> Result<(), StreamError> {
-        if self.hints.runtime == Runtime::Reactor {
-            // Reactor backend through the blocking API: the caller's
-            // thread becomes a single-task event loop for this step.
-            return flexio_reactor::block_on(self.end_step_rt());
-        }
-        assert!(!self.closed, "stream closed or poisoned by an earlier failure");
-        let group = self.current.take().expect("end_step without begin_step");
-        let step = group.step;
-        let metas = Self::metas(&group);
-        let result =
-            self.coordinate(metas, step).and_then(|()| self.send_chunks(&group, step)).and_then(
-                |()| {
-                    if self.hints.transactional {
-                        self.commit_step_2pc(step)
-                    } else {
-                        Ok(())
-                    }
-                },
-            );
-        match result {
-            Ok(()) => {
-                self.steps_written += 1;
-                self.seal_step(step);
-                Ok(())
-            }
-            Err(e) => {
-                self.closed = true;
-                Err(e)
-            }
-        }
-    }
-
-    /// The 2-phase-commit step transaction (paper §II.H's planned
-    /// distributed transaction protocol \[26\], writer = coordinator):
-    /// every writer rank reports its sends complete; the coordinator sends
-    /// PREPARE to the reader side, collects its vote, and broadcasts the
-    /// COMMIT decision to both programs. A step is only "done" once every
-    /// reader rank took delivery.
-    fn commit_step_2pc(&mut self, step: u64) -> Result<(), StreamError> {
-        let hints = self.hints.clone();
-        if self.rank != 0 {
-            // Report sends complete; wait for the global commit.
-            self.side_up
-                .as_mut()
-                .expect("non-coordinator has side_up")
-                .send(&protocol::message("txn_sent").with("step", FieldValue::U64(step)).encode());
-            let rx = self.side_down.as_mut().expect("non-coordinator has side_down");
-            let decision = recv_record(rx, &hints, &self.link.counters)?;
-            if protocol::kind_of(&decision) != msg::TXN_COMMIT {
-                return Err(StreamError::Protocol("expected txn_commit".to_string()));
-            }
-            return Ok(());
-        }
-        let link = Arc::clone(&self.link);
-        let nranks = self.nranks;
-        let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-        // Phase 0: all writer ranks finished sending.
-        for r in 1..nranks {
-            let rx = coord.from_ranks[r].get_or_insert_with(|| {
-                link.claim_receiver(ChannelId::WriterSide { rank: r, up: true })
-            });
-            let sent = recv_record(rx, &hints, &link.counters)?;
-            if protocol::kind_of(&sent) != "txn_sent" {
-                return Err(StreamError::Protocol("expected txn_sent".to_string()));
-            }
-        }
-        // Phase 1: PREPARE → reader coordinator votes.
-        coord.ctrl_tx.as_mut().expect("ctrl claimed").send(
-            &protocol::message(msg::TXN_PREPARE).with("step", FieldValue::U64(step)).encode(),
-        );
-        link.counters.bump(&link.counters.step_msgs);
-        let vote =
-            coord.ctrl_in.as_mut().expect("ctrl claimed").recv_expect(&[msg::TXN_VOTE], &hints)?;
-        let ok = vote.get_u64("ok") == Some(1);
-        // Phase 2: decision to the reader side and our own ranks.
-        coord.ctrl_tx.as_mut().expect("ctrl claimed").send(
-            &protocol::message(msg::TXN_COMMIT)
-                .with("step", FieldValue::U64(step))
-                .with("ok", FieldValue::U64(u64::from(ok)))
-                .encode(),
-        );
-        link.counters.bump(&link.counters.step_msgs);
-        for r in 1..nranks {
-            let tx = coord.to_ranks[r].get_or_insert_with(|| {
-                link.claim_sender(ChannelId::WriterSide { rank: r, up: false })
-            });
-            tx.send(
-                &protocol::message(msg::TXN_COMMIT).with("step", FieldValue::U64(step)).encode(),
-            );
-        }
-        if !ok {
-            return Err(StreamError::Protocol(format!("reader voted abort for step {step}")));
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------ reactor state machine
-    //
-    // The poll-driven transcription of the engine above: identical
-    // protocol steps, counter accounting and failure mapping, but every
-    // receive wait is an `.await` that yields to the enclosing
-    // `flexio-reactor` event loop — one core can drive many writers.
-
-    /// Poll-driven variant of [`Self::try_end_step`] for reactor tasks
-    /// (the blocking API reaches it through `block_on` when the stream's
-    /// `runtime` hint selects the reactor backend).
-    pub async fn end_step_rt(&mut self) -> Result<(), StreamError> {
-        assert!(!self.closed, "stream closed or poisoned by an earlier failure");
-        let group = self.current.take().expect("end_step without begin_step");
-        let step = group.step;
-        let metas = Self::metas(&group);
-        let result = match self.coordinate_rt(metas, step).await {
-            Ok(()) => match self.send_chunks_rt(&group, step).await {
-                Ok(()) if self.hints.transactional => self.commit_step_2pc_rt(step).await,
-                other => other,
-            },
-            Err(e) => Err(e),
-        };
-        match result {
-            Ok(()) => {
-                self.steps_written += 1;
-                self.seal_step(step);
-                // Feed the fleet's per-shard steps/s counter (no-op
-                // outside a reactor).
-                flexio_reactor::note_step();
-                Ok(())
-            }
-            Err(e) => {
-                self.closed = true;
-                Err(e)
-            }
-        }
-    }
-
-    /// [`Self::coordinate`] as a poll-driven step.
-    async fn coordinate_rt(
-        &mut self,
-        my_metas: Vec<VarMeta>,
-        step: u64,
-    ) -> Result<(), StreamError> {
-        let first = self.steps_written == 0;
-        let need_gather = first || self.hints.caching == CachingLevel::NoCaching;
-        let need_exchange = first || self.hints.caching != CachingLevel::CachingAll;
-        let counters = Arc::clone(&self.link.counters);
-        let nranks = self.nranks;
-        let hints = self.hints.clone();
-        let link = Arc::clone(&self.link);
-
-        if self.rank != 0 {
-            // Step 1: ship distributions up.
-            if need_gather {
-                let tx = self.side_up.as_mut().expect("non-coordinator has side_up");
-                tx.send(
-                    &protocol::message("dists")
-                        .with("metas", FieldValue::Record(Self::encode_metas(&my_metas)))
-                        .encode(),
-                );
-                counters.bump(&counters.gather_msgs);
-            }
-            // Step 3: receive the go (plan/plugins when changed).
-            let rx = self.side_down.as_mut().expect("non-coordinator has side_down");
-            let go = recv_record_rt(rx, &hints, &counters).await?;
-            if protocol::kind_of(&go) != "go" {
-                return Err(StreamError::Protocol(format!(
-                    "expected go, got {}",
-                    protocol::kind_of(&go)
-                )));
-            }
-            if let Some(plan) = go.get_record("plan") {
-                self.cached_plan_row = Self::decode_plan_row(plan)
-                    .ok_or_else(|| StreamError::Corrupt("bad plan row".to_string()))?;
-                self.reader_count = self.cached_plan_row.len();
-            }
-            if let Some(pl) = go.get_record("plugins") {
-                let specs = decode_plugin_specs(pl)
-                    .ok_or_else(|| StreamError::Corrupt("bad plugin specs".to_string()))?;
-                self.install_plugins(&specs);
-            }
-            return Ok(());
-        }
-
-        // ---- coordinator path ----
-        // Make sure the reader side is attached before the first step
-        // (the blocking condvar wait becomes an event-loop poll).
-        if first {
-            let deadline = std::time::Instant::now() + hints.recv_timeout;
-            let mut pacing = flexio_reactor::Pacing::new();
-            while link.try_reader_info().is_none() {
-                if std::time::Instant::now() >= deadline {
-                    return Err(StreamError::Timeout);
-                }
-                pacing.pause(Some(deadline)).await;
-            }
-        }
-        let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-        if coord.ctrl_tx.is_none() {
-            coord.ctrl_tx = Some(link.claim_sender(ChannelId::ControlToReader));
-            coord.ctrl_in = Some(CtrlIn::new(
-                link.claim_receiver(ChannelId::ControlToWriter),
-                Arc::clone(&link.counters),
-            ));
-        }
-
-        // Drain dynamically-deployed plug-in updates.
-        let mut plugin_dirty = false;
-        for update in coord.ctrl_in.as_mut().expect("ctrl claimed").drain_kind(msg::PLUGIN_UPDATE) {
-            if let Some(specs) = update.get_record("plugins").and_then(decode_plugin_specs) {
-                coord.writer_plugins = specs;
-                plugin_dirty = true;
-                counters.bump(&counters.plugin_msgs);
-            }
-        }
-
-        // Step 1: gather distributions.
-        if need_gather {
-            coord.cached_dists[0] = my_metas;
-            for r in 1..nranks {
-                let rx = coord.from_ranks[r].get_or_insert_with(|| {
-                    link.claim_receiver(ChannelId::WriterSide { rank: r, up: true })
-                });
-                let m = recv_record_rt(rx, &hints, &counters).await?;
-                let metas = m
-                    .get_record("metas")
-                    .and_then(Self::decode_metas)
-                    .ok_or_else(|| StreamError::Corrupt("bad dists".to_string()))?;
-                coord.cached_dists[r] = metas;
-            }
-        }
-
-        // Step header (+ step 2 exchange).
-        coord.ctrl_tx.as_mut().expect("ctrl claimed").send(
-            &protocol::message(msg::STEP)
-                .with("step", FieldValue::U64(step))
-                .with("exchange", FieldValue::U64(u64::from(need_exchange)))
-                .encode(),
-        );
-        counters.bump(&counters.step_msgs);
-
-        let mut plan_dirty = false;
-        if need_exchange {
-            let mut info =
-                protocol::message(msg::WRITER_INFO).with("nranks", FieldValue::U64(nranks as u64));
-            for (w, metas) in coord.cached_dists.iter().enumerate() {
-                info.set(&format!("dists.{w}"), FieldValue::Record(Self::encode_metas(metas)));
-            }
-            coord.ctrl_tx.as_mut().expect("ctrl claimed").send(&info.encode());
-            counters.bump(&counters.exchange_msgs);
-
-            let reply = coord
-                .ctrl_in
-                .as_mut()
-                .expect("ctrl claimed")
-                .recv_expect_rt(&[msg::READER_INFO], &hints)
-                .await?;
-            let nreaders = reply
-                .get_u64("nranks")
-                .ok_or_else(|| StreamError::Corrupt("reader_info missing nranks".into()))?
-                as usize;
-            let mut sels = Vec::with_capacity(nreaders);
-            for r in 0..nreaders {
-                let sr = reply
-                    .get_record(&format!("sels.{r}"))
-                    .ok_or_else(|| StreamError::Corrupt("reader_info missing sels".into()))?;
-                sels.push(
-                    decode_subscriptions(sr)
-                        .ok_or_else(|| StreamError::Corrupt("bad subscriptions".into()))?,
-                );
-            }
-            if let Some(pl) = reply.get_record("plugins") {
-                coord.writer_plugins = decode_plugin_specs(pl)
-                    .ok_or_else(|| StreamError::Corrupt("bad plugin specs".into()))?;
-                plugin_dirty = true;
-            }
-            coord.cached_sels = Some(sels);
-            plan_dirty = true;
-        }
-
-        // Honour evictions recorded since the plan was last drawn.
-        let evicted = link.evicted_readers();
-        if evicted != coord.planned_evictions {
-            coord.planned_evictions = evicted.clone();
-            plan_dirty = true;
-        }
-
-        // Step 3: compute + broadcast the plan when it changed.
-        let cached = coord.cached_sels.as_ref().expect("selections known after first exchange");
-        let sels: Vec<Vec<Subscription>> = cached
-            .iter()
-            .enumerate()
-            .map(|(r, s)| if evicted.contains(&r) { Vec::new() } else { s.clone() })
-            .collect();
-        let full_plan = redistribute::plan(&coord.cached_dists, &sels);
-        self.reader_count = sels.len();
-
-        let plugin_record = plugin_dirty.then(|| encode_plugin_specs(&coord.writer_plugins));
-        for r in 1..nranks {
-            let tx = coord.to_ranks[r].get_or_insert_with(|| {
-                link.claim_sender(ChannelId::WriterSide { rank: r, up: false })
-            });
-            let mut go = protocol::message("go").with("step", FieldValue::U64(step));
-            if plan_dirty {
-                go.set("plan", FieldValue::Record(Self::encode_plan_row(&full_plan[r])));
-            }
-            if let Some(pl) = &plugin_record {
-                go.set("plugins", FieldValue::Record(pl.clone()));
-            }
-            tx.send(&go.encode());
-            if plan_dirty {
-                counters.bump(&counters.bcast_msgs);
-            } else {
-                counters.bump(&counters.step_msgs);
-            }
-        }
-        if plan_dirty {
-            self.cached_plan_row = full_plan[0].clone();
-        }
-        if plugin_dirty {
-            let specs = coord.writer_plugins.clone();
-            self.install_plugins(&specs);
-        }
-        Ok(())
-    }
-
-    /// [`Self::send_chunks`] as a poll-driven step: sends stay
-    /// synchronous (transport handoff is non-blocking unless a queue is
-    /// full), with a yield after each reader's traffic so co-scheduled
-    /// reader tasks get to drain; the sync-mode ack waits yield.
-    async fn send_chunks_rt(&mut self, group: &ProcessGroup, step: u64) -> Result<(), StreamError> {
-        let counters = Arc::clone(&self.link.counters);
-        let monitor = self.link.monitor.clone();
-        let plan_row = self.cached_plan_row.clone();
-        (self.step_wire_bytes, self.step_plugin_ns) = (0, 0);
-        for (r, chunks) in plan_row.iter().enumerate() {
-            if chunks.is_empty() || self.link.is_evicted(r) {
-                continue;
-            }
-            let mut encoded_chunks = Vec::with_capacity(chunks.len());
-            for cp in chunks {
-                let Some(value) = group.get(&cp.var) else {
-                    return Err(StreamError::Protocol(format!(
-                        "planned variable `{}` was not written this step",
-                        cp.var
-                    )));
-                };
-                let mut payload = redistribute::extract_chunk(value, cp);
-                let mut extras: Vec<(String, VarValue)> = Vec::new();
-                if cp.region.is_none() {
-                    if let Some(plugin) = self.installed.get(&cp.var) {
-                        let started = Instant::now();
-                        let applied = plugin.apply(&payload);
-                        let ns = started.elapsed().as_nanos() as u64;
-                        let bytes = payload.payload_bytes();
-                        monitor.record(MonitorEvent::PluginExec, step, self.rank, bytes, ns);
-                        self.step_plugin_ns += ns;
-                        match applied {
-                            Ok((v, e)) => {
-                                payload = Cow::Owned(v);
-                                extras = e;
-                            }
-                            Err(crate::plugins::PluginError::UnsupportedChunk(_)) => {}
-                            Err(e) => {
-                                return Err(StreamError::Protocol(format!(
-                                    "writer-side plug-in failed: {e}"
-                                )))
-                            }
-                        }
-                    }
-                }
-                let body = match payload {
-                    Cow::Owned(v) => v.into_record(),
-                    Cow::Borrowed(v) => v.to_record(),
-                };
-                let mut cr = protocol::message(msg::CHUNK)
-                    .with("step", FieldValue::U64(step))
-                    .with("w", FieldValue::U64(self.rank as u64))
-                    .with("var", FieldValue::Str(cp.var.clone()))
-                    .with("body", FieldValue::Record(body));
-                if !extras.is_empty() {
-                    let mut er = Record::new().with("n", FieldValue::U64(extras.len() as u64));
-                    for (i, (name, v)) in extras.iter().enumerate() {
-                        er.set(&format!("name.{i}"), FieldValue::Str(name.clone()));
-                        er.set(&format!("val.{i}"), FieldValue::Record(v.to_record()));
-                    }
-                    cr.set("extras", FieldValue::Record(er));
-                }
-                encoded_chunks.push(cr);
-            }
-            let tx = {
-                let link = &self.link;
-                let rank = self.rank;
-                self.data_tx
-                    .entry(r)
-                    .or_insert_with(|| link.claim_sender(ChannelId::Data { w: rank, r }))
-            };
-            if self.hints.batching {
-                let mut batch = protocol::message(msg::BATCH)
-                    .with("step", FieldValue::U64(step))
-                    .with("w", FieldValue::U64(self.rank as u64))
-                    .with("n", FieldValue::U64(encoded_chunks.len() as u64));
-                for (i, c) in encoded_chunks.into_iter().enumerate() {
-                    batch.set(&format!("c.{i}"), FieldValue::Record(c));
-                }
-                if self.hints.packed_marshal {
-                    let enc = batch.encode_segments();
-                    let wire = enc.total_len() as u64;
-                    monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
-                    self.step_wire_bytes += wire;
-                    tx.send_vectored(&enc.as_slices());
-                } else {
-                    let flat = batch.encode_legacy();
-                    let wire = flat.len() as u64;
-                    monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
-                    self.step_wire_bytes += wire;
-                    tx.send(&flat);
-                }
-                counters.bump(&counters.data_msgs);
-            } else {
-                for c in &encoded_chunks {
-                    if self.hints.packed_marshal {
-                        let enc = c.encode_segments();
-                        let wire = enc.total_len() as u64;
-                        monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
-                        self.step_wire_bytes += wire;
-                        tx.send_vectored(&enc.as_slices());
-                    } else {
-                        let flat = c.encode_legacy();
-                        let wire = flat.len() as u64;
-                        monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
-                        self.step_wire_bytes += wire;
-                        tx.send(&flat);
-                    }
-                    counters.bump(&counters.data_msgs);
-                }
-            }
-            // One queue's worth of traffic is down the pipe: let the
-            // reader tasks sharing this reactor drain before the next
-            // reader's chunks (keeps bounded shm queues from filling
-            // while their consumer is starved of poll rounds).
-            flexio_reactor::yield_now().await;
-        }
-        if self.hints.write_mode == WriteMode::Sync {
-            let readers_with_data: Vec<usize> = plan_row
-                .iter()
-                .enumerate()
-                .filter(|(r, c)| !c.is_empty() && !self.link.is_evicted(*r))
-                .map(|(r, _)| r)
-                .collect();
-            let monitor = self.link.monitor.clone();
-            let start = std::time::Instant::now();
+            let start = Instant::now();
             let mut degraded = false;
             for r in readers_with_data {
                 let rx = {
@@ -1168,8 +640,13 @@ impl StreamWriter {
         Ok(())
     }
 
-    /// [`Self::commit_step_2pc`] as a poll-driven step.
-    async fn commit_step_2pc_rt(&mut self, step: u64) -> Result<(), StreamError> {
+    /// The 2-phase-commit step transaction (paper §II.H's planned
+    /// distributed transaction protocol \[26\], writer = coordinator):
+    /// every writer rank reports its sends complete; the coordinator sends
+    /// PREPARE to the reader side, collects its vote, and broadcasts the
+    /// COMMIT decision to both programs. A step is only "done" once every
+    /// reader rank took delivery.
+    async fn commit_step_2pc(&mut self, step: u64) -> Result<(), StreamError> {
         let hints = self.hints.clone();
         if self.rank != 0 {
             self.side_up
@@ -1203,7 +680,7 @@ impl StreamWriter {
             .ctrl_in
             .as_mut()
             .expect("ctrl claimed")
-            .recv_expect_rt(&[msg::TXN_VOTE], &hints)
+            .recv_expect(&[msg::TXN_VOTE], &hints)
             .await?;
         let ok = vote.get_u64("ok") == Some(1);
         coord.ctrl_tx.as_mut().expect("ctrl claimed").send(
@@ -1267,9 +744,7 @@ impl StreamWriter {
             if let Some(coord) = self.coord.as_mut() {
                 // A reader may never have attached (stream never used);
                 // only then is there no one to notify.
-                if coord.ctrl_tx.is_none()
-                    && self.link.wait_reader_info(std::time::Duration::from_millis(0)).is_some()
-                {
+                if coord.ctrl_tx.is_none() && self.link.try_reader_info().is_some() {
                     coord.ctrl_tx = Some(self.link.claim_sender(ChannelId::ControlToReader));
                 }
                 if let Some(tx) = coord.ctrl_tx.as_mut() {

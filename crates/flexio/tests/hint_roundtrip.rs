@@ -2,7 +2,7 @@
 //! [`HintKey::ALL`] to a non-default value, asserting each parsed field
 //! changed accordingly. This is the regression fence for the class of
 //! bug where a hint is documented but silently ignored by `from_config`
-//! (as `inline_capacity` and `packed_marshal` once were).
+//! (as `inline_capacity` once was).
 
 use std::path::Path;
 use std::time::Duration;
@@ -28,7 +28,6 @@ fn nondefault_value(key: HintKey) -> &'static str {
         HintKey::Retries => "9",
         HintKey::Transactional => "true",
         HintKey::EosOnSilence => "true",
-        HintKey::PackedMarshal => "false",
         HintKey::Runtime => match StreamHints::default().runtime {
             Runtime::Reactor => "blocking",
             _ => "reactor",
@@ -83,7 +82,6 @@ fn every_hint_key_round_trips_through_xml() {
     assert_eq!(h.retries, 9);
     assert!(h.transactional);
     assert!(h.eos_on_silence);
-    assert!(!h.packed_marshal, "packed_marshal hint must be parsed");
     let expected_rt = match StreamHints::default().runtime {
         Runtime::Reactor => Runtime::Blocking,
         _ => Runtime::Reactor,
@@ -134,7 +132,6 @@ fn every_hint_key_round_trips_through_xml() {
     assert_ne!(h.retries, defaults.retries);
     assert_ne!(h.transactional, defaults.transactional);
     assert_ne!(h.eos_on_silence, defaults.eos_on_silence);
-    assert_ne!(h.packed_marshal, defaults.packed_marshal);
     assert_ne!(h.runtime, defaults.runtime);
     assert_ne!(h.runtime_threads, defaults.runtime_threads);
     assert_ne!(h.transport, defaults.transport);
@@ -176,7 +173,6 @@ fn builder_mirrors_the_parsed_config() {
         .retries(9)
         .transactional(true)
         .eos_on_silence(true)
-        .packed_marshal(false)
         .runtime(Runtime::Reactor)
         .runtime_threads(6)
         .transport(Transport::Uds)
@@ -192,10 +188,30 @@ fn builder_mirrors_the_parsed_config() {
     assert_eq!(h.retries, 9);
     assert!(h.transactional);
     assert!(h.eos_on_silence);
-    assert!(!h.packed_marshal);
     assert_eq!(h.runtime, Runtime::Reactor);
     assert_eq!(h.runtime_threads, 6);
     assert_eq!(h.transport, Transport::Uds);
     assert_eq!(h.net_connect_timeout, Duration::from_millis(777));
     assert_eq!(h.net_max_frame, 64 << 20);
+}
+
+#[test]
+fn retired_hint_is_ignored_like_any_unknown_hint() {
+    // The engine always encodes segments and decodes shared; a config
+    // written for the old A/B knob must still load, and change nothing.
+    let parse = |hints_xml: &str| {
+        let xml = format!(
+            r#"<adios-config><group name="g"><method transport="STREAM">{hints_xml}</method></group></adios-config>"#
+        );
+        let cfg = IoConfig::from_xml(&xml).unwrap();
+        format!("{:?}", StreamHints::from_config(cfg.group("g").unwrap()))
+    };
+    let bare = parse(r#"<hint name="retries" value="9"/>"#);
+    for stale in ["packed_marshal", "no_such_hint"] {
+        assert!(HintKey::ALL.iter().all(|k| k.as_str() != stale));
+        let with = parse(&format!(
+            r#"<hint name="{stale}" value="false"/><hint name="retries" value="9"/>"#
+        ));
+        assert_eq!(with, bare, "`{stale}` must be ignored");
+    }
 }

@@ -106,3 +106,46 @@ fn one_reactor_thread_drives_64_couplings_to_completion() {
     assert_eq!(steps_read.get(), COUPLINGS as u64 * STEPS, "no step lost or duplicated");
     assert_eq!(reactor.pending(), 0, "the loop drained every task");
 }
+
+#[test]
+fn blocking_hint_calls_made_from_a_reactor_task_still_complete_a_coupled_step() {
+    // The blocking API with `Runtime::Blocking` runs the engine future in
+    // place, its waits served on the calling thread — including when that
+    // thread happens to be inside a reactor task (a `Runtime::Reactor`
+    // hint would panic "nested reactor" there). One reactor per side, each
+    // on its own thread, so the two blocking calls can meet.
+    let io = FlexIo::single_node(laptop());
+    let hints = StreamHints {
+        write_mode: WriteMode::Sync,
+        runtime: Runtime::Blocking,
+        ..StreamHints::default()
+    };
+    let core = laptop().node.location_of(0);
+
+    let (io_r, hints_r) = (io.clone(), hints.clone());
+    let reader = std::thread::spawn(move || {
+        let mut reactor = flexio_reactor::Reactor::new();
+        reactor.spawn(async move {
+            let mut r = io_r.open_reader("nested", 0, 1, core, vec![core], hints_r).unwrap();
+            let whole = Selection::GlobalBox(BoxSel::whole(&[ELEMS]));
+            r.subscribe("u", whole.clone());
+            assert_eq!(r.try_begin_step(), Ok(StepStatus::Step(0)));
+            assert_eq!(r.read("u", &whole), Some(block_1d(0, vec![1.0, 2.0, 3.0, 4.0], ELEMS)));
+            r.end_step();
+            assert_eq!(r.try_begin_step(), Ok(StepStatus::EndOfStream));
+            assert!(flexio_reactor::in_reactor(), "the task's reactor is untouched");
+        });
+        reactor.run();
+    });
+
+    let mut reactor = flexio_reactor::Reactor::new();
+    reactor.spawn(async move {
+        let mut w = io.open_writer("nested", 0, 1, core, vec![core], hints).unwrap();
+        w.begin_step(0);
+        w.write("u", block_1d(0, vec![1.0, 2.0, 3.0, 4.0], ELEMS));
+        w.try_end_step().expect("sync step acked by the reader");
+        w.close();
+    });
+    reactor.run();
+    reader.join().expect("reader side");
+}

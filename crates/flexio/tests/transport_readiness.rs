@@ -144,13 +144,13 @@ fn oversize_payload_rides_the_pooled_path_intact() {
     assert!(bytes.len() > 64, "payload must exceed the inline capacity");
     btx.send(&bytes);
 
-    // Owned decode plane: large arrays come back as plain `U64Array`
-    // fields instead of zero-copy packed views, so the roundtrip can be
-    // compared element for element.
-    let hints = StreamHints { packed_marshal: false, ..fast_hints() };
+    // 4 KiB is exactly the zero-copy threshold: the array comes back as
+    // a packed view into the receive buffer, materialised here so the
+    // roundtrip can be compared element for element.
+    let hints = fast_hints();
     let counters = ProtocolCounters::new_shared();
     let r = recv_record(&mut rx, &hints, &counters).expect("pooled frame");
-    assert_eq!(r.get_u64_array("big"), Some(&big[..]));
+    assert_eq!(r.get_packed("big").map(|p| p.to_u64_vec()), Some(big));
     assert_eq!(counters.corrupt_frames.load(Ordering::Relaxed), 0);
     assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 0);
 }

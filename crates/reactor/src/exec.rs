@@ -1,7 +1,7 @@
 //! The cooperative executor.
 //!
 //! One [`Reactor`] owns N per-stream state machines (plain `Future`s —
-//! the async transcription of the writer/reader engine protocol) and
+//! the writer/reader engine protocol is written as `async fn`s) and
 //! drives them all from the calling thread. Each loop iteration:
 //!
 //! 1. sweep the [`TimerWheel`] so expired sleeps become runnable;
@@ -15,9 +15,11 @@
 //! thread-local context: [`sleep_until`] registers its deadline in the
 //! wheel, [`note_progress`] keeps the loop hot after useful work, and
 //! [`yield_now`] marks the task runnable-again-immediately.
-//! Everything also works *outside* a reactor ([`block_on`]-free use
-//! from a plain thread would be a bug, but the sleep/yield futures
-//! degrade to time checks), which keeps the engine code runtime-agnostic.
+//! The wait futures ([`sleep`], [`yield_now`], [`Pacing::pause`]) resolve
+//! by who polls them: with no reactor on the thread there is nothing else
+//! to run, so they serve the wait on the spot (`thread::sleep`, nothing,
+//! [`Backoff`]) and finish in one poll. That is what lets [`block_inline`]
+//! run the same engine futures as plain blocking calls.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -232,9 +234,34 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
     }
 }
 
+/// Drive one future to completion on the calling thread with *no* event
+/// loop: any enclosing reactor is hidden for the duration, so the wait
+/// futures inside serve their waits on this thread (see the module docs)
+/// and an engine future finishes in its first poll. This is the blocking
+/// backend: [`block_on`]'s protocol code, waiting through [`Backoff`].
+pub fn block_inline<F: Future>(fut: F) -> F::Output {
+    struct Restore(Option<Cx>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CX.with(|cx| *cx.borrow_mut() = self.0.take());
+        }
+    }
+    let _restore = Restore(CX.with(|cx| cx.borrow_mut().take()));
+    let mut ctx = Context::from_waker(Waker::noop());
+    let mut fut = std::pin::pin!(fut);
+    let mut backoff = Backoff::new();
+    loop {
+        if let Poll::Ready(out) = fut.as_mut().poll(&mut ctx) {
+            return out;
+        }
+        backoff.snooze(); // the future waits on something not of this module
+    }
+}
+
 /// Sleep until `deadline`. Registers a wheel entry so the executor
 /// knows how long it may park; completion is checked against the clock
-/// on each poll (there are no wakers).
+/// on each poll (there are no wakers). Outside a reactor the calling
+/// thread sleeps instead.
 pub fn sleep_until(deadline: Instant) -> Sleep {
     Sleep { deadline, timer: None }
 }
@@ -255,17 +282,21 @@ impl Future for Sleep {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _ctx: &mut Context<'_>) -> Poll<()> {
-        if Instant::now() >= self.deadline {
-            if let Some(id) = self.timer.take() {
-                with_wheel(|w| w.cancel(id));
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if !left.is_zero() {
+            if in_reactor() {
+                if self.timer.is_none() {
+                    let deadline = self.deadline;
+                    self.timer = with_wheel(|w| w.insert(deadline));
+                }
+                return Poll::Pending;
             }
-            return Poll::Ready(());
+            std::thread::sleep(left);
         }
-        if self.timer.is_none() {
-            let deadline = self.deadline;
-            self.timer = with_wheel(|w| w.insert(deadline));
+        if let Some(id) = self.timer.take() {
+            with_wheel(|w| w.cancel(id));
         }
-        Poll::Pending
+        Poll::Ready(())
     }
 }
 
@@ -280,6 +311,7 @@ impl Drop for Sleep {
 }
 
 /// Yield to the other tasks on this reactor once, staying runnable.
+/// Outside a reactor there is no one to yield to: ready at once.
 pub fn yield_now() -> YieldNow {
     YieldNow { yielded: false }
 }
@@ -294,7 +326,7 @@ impl Future for YieldNow {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _ctx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
+        if self.yielded || !in_reactor() {
             Poll::Ready(())
         } else {
             self.yielded = true;
@@ -309,10 +341,12 @@ impl Future for YieldNow {
 /// the reactor's other tasks first (a round-robin sweep is itself a
 /// wait), then by short wheel sleeps that double up to a cap — so an
 /// idle stream's receive loop converges to ~1 kHz wheel entries instead
-/// of monopolising the executor.
+/// of monopolising the executor. Outside a reactor it *is* a [`Backoff`].
 #[derive(Debug)]
 pub struct Pacing {
     rounds: u32,
+    /// Serves the pauses taken outside a reactor.
+    thread: Backoff,
 }
 
 /// Poll rounds served by bare yields before sleeping between polls.
@@ -325,17 +359,21 @@ const PACING_MAX: Duration = Duration::from_millis(1);
 impl Pacing {
     /// A fresh pacing strategy, starting in the yield regime.
     pub fn new() -> Self {
-        Pacing { rounds: 0 }
+        Pacing { rounds: 0, thread: Backoff::new() }
     }
 
     /// Forget accumulated idleness — call on every received message.
     pub fn reset(&mut self) {
-        self.rounds = 0;
+        *self = Self::new();
     }
 
     /// Wait once, escalating yield → short sleep across calls. Never
     /// sleeps past `cap` when one is given (e.g. a retry deadline).
     pub async fn pause(&mut self, cap: Option<Instant>) {
+        if !in_reactor() {
+            let cap = cap.map_or(Duration::MAX, |c| c.saturating_duration_since(Instant::now()));
+            return self.thread.snooze_capped(cap);
+        }
         let round = self.rounds;
         self.rounds = self.rounds.saturating_add(1);
         if round < PACING_YIELDS {
@@ -418,6 +456,46 @@ mod tests {
         }
         r.run();
         assert_eq!(*order.borrow(), vec!["fast", "mid", "slow"]);
+    }
+
+    #[test]
+    fn on_a_plain_thread_waits_finish_in_one_poll() {
+        let mut ctx = Context::from_waker(Waker::noop());
+        let t0 = Instant::now();
+        assert!(std::pin::pin!(sleep(Duration::from_millis(5))).poll(&mut ctx).is_ready());
+        assert!(t0.elapsed() >= Duration::from_millis(5));
+        assert!(std::pin::pin!(yield_now()).poll(&mut ctx).is_ready());
+    }
+
+    #[test]
+    fn pacing_on_a_plain_thread_escalates_like_backoff() {
+        let mut ctx = Context::from_waker(Waker::noop());
+        let mut p = Pacing::new();
+        let t0 = Instant::now();
+        while !p.thread.is_parking() {
+            assert!(std::pin::pin!(p.pause(None)).poll(&mut ctx).is_ready());
+        }
+        assert!(t0.elapsed() >= Duration::from_micros(200), "parked inside the yield window");
+        // Uncapped, these 20 parks would sleep 10 µs doubling to 1 ms each
+        // (≥ 15 ms); a cap that is already due must cut every one short.
+        let t0 = Instant::now();
+        for _ in 0..20 {
+            assert!(std::pin::pin!(p.pause(Some(t0))).poll(&mut ctx).is_ready());
+        }
+        assert!(t0.elapsed() < Duration::from_millis(10), "slept past the cap");
+        assert_eq!(p.thread.park_interval(), Some(Duration::from_millis(1)));
+        p.reset();
+        assert!(!p.thread.is_parking());
+    }
+
+    #[test]
+    fn block_inline_returns_value_and_hides_the_reactor() {
+        assert_eq!(block_inline(async { 41 + 1 }), 42);
+        assert!(!in_reactor());
+        block_on(async {
+            assert!(!block_inline(async { in_reactor() }), "waits inside must block");
+            assert!(in_reactor(), "the enclosing reactor is back afterwards");
+        });
     }
 
     #[test]

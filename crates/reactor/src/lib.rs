@@ -42,7 +42,8 @@ mod wheel;
 
 pub use backoff::Backoff;
 pub use exec::{
-    block_on, in_reactor, note_progress, note_step, sleep, sleep_until, yield_now, Pacing, Reactor,
+    block_inline, block_on, in_reactor, note_progress, note_step, sleep, sleep_until, yield_now,
+    Pacing, Reactor,
 };
 pub use fleet::{FleetBuilder, FleetHandle, FleetTopology, ReactorFleet, ShardSlot, ShardSnapshot};
 pub use rebalance::{Migration, RebalancePolicy, ShardLoad};

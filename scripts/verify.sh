@@ -4,8 +4,9 @@
 # hold for arbitrary seeds, not just the checked-in one), the same
 # mode-matrix + fault battery replayed on the reactor runtime and again
 # with every channel forced onto real TCP sockets, the cross-process
-# kill -9 chaos suite, a socket-vs-shm throughput sweep, and a 10-second
-# chaos soak alternating backends and transports.
+# kill -9 chaos suite, a socket-vs-shm throughput sweep, a 10-second
+# chaos soak alternating backends and transports, and a check that the
+# benchmark tree still matches HEAD.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -160,5 +161,19 @@ echo "== chaos soak (10s, alternating backends) =="
 FLEXIO_SOAK_SECS=10 cargo test -q --offline -p flexio --test chaos_soak \
     >/dev/null || { echo "chaos soak FAILED"; exit 1; }
 echo "chaos soak ok"
+
+echo "== benchmark tree untouched =="
+# The driver measures parent and change with the benchmark sources of
+# each commit, so a PR that is not benchmark-only must leave them alone.
+# Building or testing benchmark/ in place rewrites benchmark/Cargo.lock
+# (it is stale against the library crates' dependency tables).
+dirty=$(git status --porcelain -- benchmark BENCHMARK.json)
+if [ -n "$dirty" ]; then
+    echo "$dirty"
+    echo "benchmark/ or BENCHMARK.json differs from HEAD: run" \
+        "'git checkout -- benchmark BENCHMARK.json' before staging"
+    exit 1
+fi
+echo "benchmark tree clean"
 
 echo "verify: all green"
