@@ -11,8 +11,10 @@
 //! mode bounds each stream's in-flight data so 64 streams' traffic cannot
 //! overrun the bounded shm queues regardless of backend.
 //!
-//! Results land in `BENCH_reactor.json` at the repo root and the summary
-//! JSON is printed to stdout (one line, machine-parsable).
+//! Every cell runs [`RUNS`] times and reports the median run (see
+//! [`bench::report::Rate`]). Results land in `BENCH_reactor.json` at the
+//! repo root and the summary JSON is printed to stdout (one line,
+//! machine-parsable).
 //!
 //! Run with `cargo bench --bench reactor`. Set `REACTOR_QUICK=1` to
 //! shrink step counts for smoke runs.
@@ -22,6 +24,8 @@ use std::rc::Rc;
 use std::thread;
 use std::time::Instant;
 
+use bench::report::Rate;
+
 use adios::{
     ArrayData, BoxSel, LocalBlock, ReadEngine, Selection, StepStatus, VarValue, WriteEngine,
 };
@@ -29,20 +33,14 @@ use flexio::{CachingLevel, FlexIo, Runtime, StreamHints, WriteMode};
 use machine::laptop;
 
 const ELEMS: usize = 128; // 1 KiB of f64 per step
+const RUNS: usize = 5;
 
 struct RunResult {
     streams: usize,
     payload_bytes: usize,
     transport: &'static str,
     backend: &'static str,
-    steps_total: u64,
-    elapsed_s: f64,
-}
-
-impl RunResult {
-    fn steps_per_s(&self) -> f64 {
-        self.steps_total as f64 / self.elapsed_s
-    }
+    rate: Rate,
 }
 
 fn hints(runtime: Runtime) -> StreamHints {
@@ -202,25 +200,18 @@ fn main() {
     let mut run_cell = |streams: usize, steps: u64, elems: usize| {
         for transport in ["inproc", "shm"] {
             for backend in ["threads", "reactor"] {
-                let elapsed_s = match backend {
+                let rate = Rate::measure(RUNS, streams as u64 * steps, || match backend {
                     "threads" => run_threads(streams, transport, steps, elems),
                     _ => run_reactor(streams, transport, steps, elems),
-                };
-                let r = RunResult {
-                    streams,
-                    payload_bytes: elems * 8,
-                    transport,
-                    backend,
-                    steps_total: streams as u64 * steps,
-                    elapsed_s,
-                };
+                });
+                let r = RunResult { streams, payload_bytes: elems * 8, transport, backend, rate };
                 eprintln!(
                     "reactor: {:3} streams  {:8} B  {:6}  {:7}  {:8.1} steps/s",
                     r.streams,
                     r.payload_bytes,
                     r.transport,
                     r.backend,
-                    r.steps_per_s()
+                    r.rate.steps_per_s()
                 );
                 results.push(r);
             }
@@ -244,9 +235,7 @@ fn main() {
                 .u64("payload_bytes", r.payload_bytes as u64)
                 .str("transport", r.transport)
                 .str("backend", r.backend)
-                .u64("steps_total", r.steps_total)
-                .f64("elapsed_s", r.elapsed_s, 6)
-                .f64("steps_per_s", r.steps_per_s(), 3),
+                .rate(&r.rate),
         );
     }
     rep.write();

@@ -4,21 +4,21 @@
 //!
 //! Every coupling runs the full protocol (open, handshake, data steps,
 //! sync acks, EOS) as a pair of `Send` futures placed by
-//! [`flexio::FleetRuntime::spawn_for`]; the per-shard rebalancer and the
-//! NUMA-pinned shard pools are live exactly as in production. The small
-//! sweeps mix in-proc and shared-memory transports; the 10k-coupling
-//! cell runs in-proc only so queue memory (entries × inline capacity ×
-//! channels × couplings) stays bounded — that cell exists to prove the
-//! fleet *sustains* ten thousand live protocol state machines, not to
-//! measure copy bandwidth.
+//! [`flexio::FleetRuntime::spawn_for`]; the NUMA-pinned shard pools are
+//! live exactly as in production. The small sweeps mix in-proc and
+//! shared-memory transports; the 10k-coupling cell runs in-proc only so
+//! queue memory (entries × inline capacity × channels × couplings) stays
+//! bounded — that cell exists to prove the fleet *sustains* ten thousand
+//! live protocol state machines, not to measure copy bandwidth.
 //!
 //! `host_cores` is recorded in the JSON: on a single-core host every
 //! thread count shares one CPU, so steps/s cannot scale with threads and
 //! steps/s-per-core is the honest figure (see EXPERIMENTS.md).
 //!
-//! Results land in `BENCH_reactor_fleet.json` at the repo root. Run with
-//! `cargo bench --bench reactor_fleet`; set `FLEET_QUICK=1` for the
-//! smoke-sized sweep `scripts/verify.sh` uses.
+//! Every cell runs [`RUNS`] times and reports the median run (see
+//! [`bench::report::Rate`]). Results land in `BENCH_reactor_fleet.json`
+//! at the repo root. Run with `cargo bench --bench reactor_fleet`; set
+//! `FLEET_QUICK=1` for the smoke-sized sweep `scripts/verify.sh` uses.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,27 +27,23 @@ use std::time::Instant;
 use adios::{
     ArrayData, BoxSel, LocalBlock, ReadEngine, Selection, StepStatus, VarValue, WriteEngine,
 };
+use bench::report::Rate;
 use flexio::{CachingLevel, FleetRuntime, FlexIo, Runtime, StreamHints, WriteMode};
 use machine::laptop;
 
 const ELEMS: usize = 128; // 1 KiB of f64 per step
+const RUNS: usize = 5;
 
 struct RunResult {
     threads: usize,
     couplings: usize,
     transport: &'static str,
-    steps_total: u64,
-    elapsed_s: f64,
-    migrations: u64,
+    rate: Rate,
 }
 
 impl RunResult {
-    fn steps_per_s(&self) -> f64 {
-        self.steps_total as f64 / self.elapsed_s
-    }
-
     fn steps_per_s_per_thread(&self) -> f64 {
-        self.steps_per_s() / self.threads as f64
+        self.rate.steps_per_s() / self.threads as f64
     }
 }
 
@@ -77,8 +73,8 @@ fn payload(stream: usize, step: u64) -> VarValue {
 }
 
 /// Drive `couplings` writer/reader pairs to completion on a
-/// `threads`-worker fleet; returns (elapsed seconds, migrations).
-fn run_fleet(threads: usize, couplings: usize, steps: u64, inproc_only: bool) -> (f64, u64) {
+/// `threads`-worker fleet; returns the elapsed seconds.
+fn run_fleet(threads: usize, couplings: usize, steps: u64, inproc_only: bool) -> f64 {
     let io = FlexIo::single_node(laptop());
     let fleet = FleetRuntime::new(&laptop(), threads);
     let steps_read = Arc::new(AtomicU64::new(0));
@@ -134,15 +130,14 @@ fn run_fleet(threads: usize, couplings: usize, steps: u64, inproc_only: bool) ->
         });
     }
 
-    let snaps = fleet.join();
+    fleet.join();
     let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(
         steps_read.load(Ordering::Relaxed),
         couplings as u64 * steps,
         "every coupling completed every step"
     );
-    let migrations: u64 = snaps.iter().map(|s| s.migrated_in).sum();
-    (elapsed, migrations)
+    elapsed
 }
 
 fn main() {
@@ -168,24 +163,19 @@ fn main() {
     let mut results: Vec<RunResult> = Vec::new();
     for &(couplings, steps, inproc_only) in &coupling_sweep {
         for &threads in &thread_sweep {
-            let (elapsed_s, migrations) = run_fleet(threads, couplings, steps, inproc_only);
-            let r = RunResult {
-                threads,
-                couplings,
-                transport: if inproc_only { "inproc" } else { "mixed" },
-                steps_total: couplings as u64 * steps,
-                elapsed_s,
-                migrations,
-            };
+            let rate = Rate::measure(RUNS, couplings as u64 * steps, || {
+                run_fleet(threads, couplings, steps, inproc_only)
+            });
+            let transport = if inproc_only { "inproc" } else { "mixed" };
+            let r = RunResult { threads, couplings, transport, rate };
             eprintln!(
                 "reactor_fleet: {:2} threads  {:5} couplings  {:6}  {:9.1} steps/s  \
-                 {:9.1} steps/s/core  {} migrations",
+                 {:9.1} steps/s/core",
                 r.threads,
                 r.couplings,
                 r.transport,
-                r.steps_per_s(),
-                r.steps_per_s_per_thread(),
-                r.migrations
+                r.rate.steps_per_s(),
+                r.steps_per_s_per_thread()
             );
             results.push(r);
         }
@@ -200,11 +190,8 @@ fn main() {
                 .u64("threads", r.threads as u64)
                 .u64("couplings", r.couplings as u64)
                 .str("transport", r.transport)
-                .u64("steps_total", r.steps_total)
-                .f64("elapsed_s", r.elapsed_s, 6)
-                .f64("steps_per_s", r.steps_per_s(), 3)
-                .f64("steps_per_s_per_thread", r.steps_per_s_per_thread(), 3)
-                .u64("migrations", r.migrations),
+                .rate(&r.rate)
+                .f64("steps_per_s_per_thread", r.steps_per_s_per_thread(), 3),
         );
     }
     rep.write();

@@ -100,6 +100,52 @@ impl Obj {
     }
 }
 
+/// One bench cell timed several times over: single runs of the reactor
+/// cells last 4–600 ms and spread 2.5× run to run, so a row reports the
+/// median run with the slowest and fastest beside it.
+#[derive(Debug, Clone, Copy)]
+pub struct Rate {
+    pub steps_total: u64,
+    /// Elapsed seconds of the slowest, median and fastest run.
+    pub slowest_s: f64,
+    pub median_s: f64,
+    pub fastest_s: f64,
+    pub runs: u64,
+}
+
+impl Rate {
+    /// Call `pass` — one full pass over the cell's `steps_total` steps,
+    /// returning its elapsed seconds — `runs` times.
+    pub fn measure(runs: usize, steps_total: u64, pass: impl FnMut() -> f64) -> Rate {
+        let mut elapsed: Vec<f64> = std::iter::repeat_with(pass).take(runs).collect();
+        elapsed.sort_by(f64::total_cmp);
+        Rate {
+            steps_total,
+            slowest_s: elapsed[runs - 1],
+            median_s: elapsed[runs / 2],
+            fastest_s: elapsed[0],
+            runs: runs as u64,
+        }
+    }
+
+    pub fn steps_per_s(&self) -> f64 {
+        self.steps_total as f64 / self.median_s
+    }
+}
+
+impl Obj {
+    /// The measured columns of a repeated cell: `elapsed_s` and
+    /// `steps_per_s` are the median run's.
+    pub fn rate(self, r: &Rate) -> Obj {
+        self.u64("steps_total", r.steps_total)
+            .u64("runs", r.runs)
+            .f64("elapsed_s", r.median_s, 6)
+            .f64("steps_per_s", r.steps_per_s(), 3)
+            .f64("steps_per_s_min", r.steps_total as f64 / r.slowest_s, 3)
+            .f64("steps_per_s_max", r.steps_total as f64 / r.fastest_s, 3)
+    }
+}
+
 /// A bench report: summary fields plus result rows, serialized in
 /// declaration order with `"bench"` first and `"results"` last.
 #[derive(Debug, Clone)]

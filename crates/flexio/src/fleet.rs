@@ -1,13 +1,12 @@
 //! The staging node's multi-core runtime: a [`ReactorFleet`] wired to
 //! the machine's NUMA topology (paper §V applied to FlexIO itself).
 //!
-//! `flexio-reactor` provides the mechanism — worker threads, shard
-//! injectors, the rebalancer. This module supplies the policy FlexIO
-//! cares about:
+//! `flexio-reactor` provides the mechanism — worker threads each
+//! running the one event loop over their shard, fed by shard injectors.
+//! This module supplies the policy FlexIO cares about:
 //!
-//! * **thread count** — the `runtime.threads` XML hint, overridden by
-//!   the `FLEXIO_REACTOR_THREADS` environment variable, defaulting to
-//!   the host's available parallelism (see [`resolve_threads`]).
+//! * **thread count** — [`FleetRuntime::new`]'s argument; 0 means the
+//!   host's available parallelism.
 //! * **shard→core→domain assignment** — shards stripe over the modelled
 //!   node's cores ([`machine::NodeParams`]), so every NUMA domain with a
 //!   shard gets its own pinned buffer pool.
@@ -49,23 +48,6 @@ const SHARD_POOL_THRESHOLD: u64 = 64 << 20;
 /// coupling (the cost model only needs relative ordering).
 const PLACEMENT_PROBE_BYTES: u64 = 1 << 20;
 
-/// Resolve the fleet's worker-thread count: an explicit non-zero hint
-/// wins, else the `FLEXIO_REACTOR_THREADS` environment variable, else
-/// the host's available parallelism.
-pub fn resolve_threads(hint: usize) -> usize {
-    if hint > 0 {
-        return hint;
-    }
-    if let Some(n) = std::env::var("FLEXIO_REACTOR_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 /// A [`ReactorFleet`] plus the NUMA-pinned per-shard buffer pools and
 /// the machine model its placement decisions read. See the module docs.
 pub struct FleetRuntime {
@@ -77,11 +59,14 @@ pub struct FleetRuntime {
 }
 
 impl FleetRuntime {
-    /// Build a fleet of `threads` workers (0 = auto, see
-    /// [`resolve_threads`]) striped over `machine`'s node topology, with
-    /// one NUMA-pinned buffer pool per shard.
+    /// Build a fleet of `threads` workers (0 = the host's available
+    /// parallelism) striped over `machine`'s node topology, with one
+    /// NUMA-pinned buffer pool per shard.
     pub fn new(machine: &MachineModel, threads: usize) -> FleetRuntime {
-        let threads = resolve_threads(threads);
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         let node = &machine.node;
         let topology = FleetTopology::striped(threads, node.numa_domains, node.cores_per_numa);
         let pools: Vec<BufferPool> = topology
@@ -227,10 +212,10 @@ mod tests {
     use machine::laptop;
 
     #[test]
-    fn resolve_threads_prefers_explicit_hint() {
-        assert_eq!(resolve_threads(3), 3);
-        // 0 = auto: env or host parallelism, but never zero.
-        assert!(resolve_threads(0) >= 1);
+    fn zero_threads_means_the_hosts_parallelism() {
+        let rt = FleetRuntime::new(&laptop(), 0);
+        assert!(rt.threads() >= 1);
+        rt.join();
     }
 
     #[test]

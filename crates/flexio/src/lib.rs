@@ -71,7 +71,7 @@ pub use elastic::{
     ElasticConfig, ElasticConfigBuilder, ElasticController, ElasticDecision, ElasticHandle,
     ElasticRoster,
 };
-pub use fleet::{resolve_threads, FleetRuntime};
+pub use fleet::FleetRuntime;
 pub use link::{FlexIo, HintKey, Runtime, StreamHints, StreamHintsBuilder, Transport};
 pub use manager::{ManagerPolicy, PlacementManager, Recommendation};
 pub use monitor::{MonitorEvent, PerfMonitor};

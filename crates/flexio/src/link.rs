@@ -149,10 +149,6 @@ pub struct StreamHints {
     /// Engine backend: thread-per-stream blocking calls (default) or the
     /// single-threaded reactor event loop.
     pub runtime: Runtime,
-    /// Worker threads for the reactor fleet (`crate::fleet`): 0 = auto
-    /// (the `FLEXIO_REACTOR_THREADS` env var, else the host's available
-    /// parallelism). Ignored by the blocking backend.
-    pub runtime_threads: usize,
     /// Byte transport beneath every channel of the stream.
     pub transport: Transport,
     /// Budget for establishing one socket connection (covers the window
@@ -177,7 +173,6 @@ impl Default for StreamHints {
             faults: None,
             eos_on_silence: false,
             runtime: default_runtime(),
-            runtime_threads: 0,
             transport: default_transport(),
             net_connect_timeout: Duration::from_secs(2),
             net_max_frame: evpath::MAX_FRAME_LEN,
@@ -212,8 +207,6 @@ pub enum HintKey {
     EosOnSilence,
     /// Engine backend (`blocking`/`reactor`).
     Runtime,
-    /// Reactor-fleet worker thread count (0 = auto).
-    RuntimeThreads,
     /// Byte transport beneath every channel (`auto`/`shm`/`tcp`/`uds`).
     TransportSel,
     /// Socket connect budget in milliseconds.
@@ -270,7 +263,6 @@ impl HintKey {
         HintKey::Transactional,
         HintKey::EosOnSilence,
         HintKey::Runtime,
-        HintKey::RuntimeThreads,
         HintKey::TransportSel,
         HintKey::NetConnectMs,
         HintKey::NetMaxFrameMb,
@@ -305,7 +297,6 @@ impl HintKey {
             HintKey::Transactional => "transactional",
             HintKey::EosOnSilence => "eos_on_silence",
             HintKey::Runtime => "runtime",
-            HintKey::RuntimeThreads => "runtime.threads",
             HintKey::TransportSel => "transport",
             HintKey::NetConnectMs => "net.connect_ms",
             HintKey::NetMaxFrameMb => "net.max_frame_mb",
@@ -368,9 +359,6 @@ impl StreamHints {
         h.eos_on_silence = hint_bool(HintKey::EosOnSilence);
         if let Some(rt) = hint(HintKey::Runtime).and_then(Runtime::from_hint) {
             h.runtime = rt;
-        }
-        if let Some(n) = hint_u64(HintKey::RuntimeThreads) {
-            h.runtime_threads = n as usize;
         }
         if let Some(t) = hint(HintKey::TransportSel).and_then(Transport::from_hint) {
             h.transport = t;
@@ -456,12 +444,6 @@ impl StreamHintsBuilder {
     /// Engine backend.
     pub fn runtime(mut self, runtime: Runtime) -> Self {
         self.hints.runtime = runtime;
-        self
-    }
-
-    /// Reactor-fleet worker thread count (0 = auto).
-    pub fn runtime_threads(mut self, threads: usize) -> Self {
-        self.hints.runtime_threads = threads;
         self
     }
 

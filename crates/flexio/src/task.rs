@@ -19,6 +19,8 @@ use std::any::Any;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use flexio_reactor::Backoff;
+
 /// One spawnable control-plane service loop, as seen by the control
 /// plane: it can be asked to stop, observed for completion, and asked
 /// for a snapshot of its progress counters.
@@ -81,15 +83,18 @@ impl TaskHandle {
     }
 
     /// Poll until the task exits or `timeout` elapses; returns whether
-    /// it exited. (Control tasks end at loop boundaries, so a short poll
-    /// interval is accurate enough and keeps this runtime-agnostic.)
+    /// it exited. (Control tasks end at loop boundaries, so polling
+    /// through [`Backoff`] is accurate enough and keeps this
+    /// runtime-agnostic; no wait outlasts the deadline.)
     pub fn join(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
+        let mut backoff = Backoff::new();
         while !self.is_done() {
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            backoff.snooze_capped(left);
         }
         true
     }
@@ -148,6 +153,14 @@ mod tests {
         let fake: &Fake = h.typed::<Fake>().expect("downcast");
         fake.ticks.store(9, Ordering::Relaxed);
         assert_eq!(h.counter("ticks"), Some(9));
+        // A task that never ends: `join` gives up at the timeout. By then
+        // `Backoff` parks ~1 ms at a time, so an uncapped last park (like
+        // the 1 ms sleep steps before it) would overshoot by most of that.
+        let (t0, timeout) = (Instant::now(), Duration::from_micros(2200));
+        assert!(!h.join(timeout));
+        let waited = t0.elapsed();
+        assert!(waited >= timeout, "gave up early: {waited:?}");
+        assert!(waited < timeout + Duration::from_micros(800), "overslept: {waited:?}");
         h.stop();
         assert!(h.join(Duration::from_secs(1)), "stop flips is_done in the fake");
     }

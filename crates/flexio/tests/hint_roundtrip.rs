@@ -32,7 +32,6 @@ fn nondefault_value(key: HintKey) -> &'static str {
             Runtime::Reactor => "blocking",
             _ => "reactor",
         },
-        HintKey::RuntimeThreads => "6",
         HintKey::FaultSeed => "77",
         // Like `runtime`, the transport default is environment-sensitive
         // (`FLEXIO_TRANSPORT`), so pick whichever value it is not.
@@ -87,7 +86,6 @@ fn every_hint_key_round_trips_through_xml() {
         _ => Runtime::Reactor,
     };
     assert_eq!(h.runtime, expected_rt);
-    assert_eq!(h.runtime_threads, 6, "runtime.threads hint must be parsed");
     assert_eq!(h.faults.as_ref().expect("fault.seed enables the plan").seed(), 77);
     let expected_tp = match StreamHints::default().transport {
         Transport::Tcp => Transport::Uds,
@@ -133,7 +131,6 @@ fn every_hint_key_round_trips_through_xml() {
     assert_ne!(h.transactional, defaults.transactional);
     assert_ne!(h.eos_on_silence, defaults.eos_on_silence);
     assert_ne!(h.runtime, defaults.runtime);
-    assert_ne!(h.runtime_threads, defaults.runtime_threads);
     assert_ne!(h.transport, defaults.transport);
     assert_ne!(h.net_connect_timeout, defaults.net_connect_timeout);
     assert_ne!(h.net_max_frame, defaults.net_max_frame);
@@ -174,7 +171,6 @@ fn builder_mirrors_the_parsed_config() {
         .transactional(true)
         .eos_on_silence(true)
         .runtime(Runtime::Reactor)
-        .runtime_threads(6)
         .transport(Transport::Uds)
         .net_connect_timeout(Duration::from_millis(777))
         .net_max_frame(64 << 20)
@@ -189,7 +185,6 @@ fn builder_mirrors_the_parsed_config() {
     assert!(h.transactional);
     assert!(h.eos_on_silence);
     assert_eq!(h.runtime, Runtime::Reactor);
-    assert_eq!(h.runtime_threads, 6);
     assert_eq!(h.transport, Transport::Uds);
     assert_eq!(h.net_connect_timeout, Duration::from_millis(777));
     assert_eq!(h.net_max_frame, 64 << 20);

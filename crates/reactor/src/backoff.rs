@@ -105,16 +105,20 @@ impl Backoff {
     /// `cap` — used when a known deadline (a timer-wheel entry, a retry
     /// budget) must not be overshot.
     pub fn snooze_capped(&mut self, cap: Duration) {
-        if let Some(park) = self.park_interval() {
-            if park > cap {
-                if !cap.is_zero() {
-                    std::thread::sleep(cap);
-                }
-                self.step = self.step.saturating_add(1);
-                return;
-            }
+        self.snooze_with(cap, std::thread::sleep);
+    }
+
+    /// Like [`snooze_capped`](Self::snooze_capped), but a park is served
+    /// by `park` instead of `thread::sleep` — for a waiter that has
+    /// something better to sleep on (a fleet worker parks on its
+    /// injector's condvar, so a submission ends the park early).
+    pub fn snooze_with(&mut self, cap: Duration, park: impl FnOnce(Duration)) {
+        let Some(interval) = self.park_interval() else { return self.snooze() };
+        let nap = interval.min(cap);
+        if !nap.is_zero() {
+            park(nap);
         }
-        self.snooze();
+        self.step = self.step.saturating_add(1);
     }
 }
 

@@ -1,22 +1,26 @@
-//! The cooperative executor.
+//! The one event loop, and the wait futures that talk to it.
 //!
-//! One [`Reactor`] owns N per-stream state machines (plain `Future`s —
-//! the writer/reader engine protocol is written as `async fn`s) and
-//! drives them all from the calling thread. Each loop iteration:
+//! Every executor in this crate is `run_shard`: a run queue of tasks
+//! (plain `Future`s — the writer/reader engine protocol is written as
+//! `async fn`s) driven from one thread. Each iteration is a **round** —
+//! adopt newly submitted tasks, poll every task once in queue order
+//! (there are no wakers wired to the poll-only transports, so polling
+//! *is* the readiness check), sweep the [`TimerWheel`] — and, when the
+//! round progressed nothing, an **idle step**: one [`Backoff`] escalation
+//! whose park never outlasts the wheel's next deadline.
 //!
-//! 1. sweep the [`TimerWheel`] so expired sleeps become runnable;
-//! 2. poll every live task once (cooperative round-robin — there are
-//!    no wakers wired to the poll-only transports, so polling *is* the
-//!    readiness check);
-//! 3. if nothing progressed, park: until the wheel's next deadline when
-//!    one exists, else by [`Backoff`] escalation.
+//! The entry points differ only in the `Host` they hand that loop:
+//! [`Reactor::run`] runs it on the caller's thread over `!Send` tasks,
+//! [`block_on`] over one borrowed future, and a [`crate::ReactorFleet`]
+//! worker on its own thread with an injector queue to adopt from,
+//! counters to publish and a condvar to park on.
 //!
-//! Futures communicate with the enclosing reactor through a
-//! thread-local context: [`sleep_until`] registers its deadline in the
-//! wheel, [`note_progress`] keeps the loop hot after useful work, and
+//! Futures communicate with the enclosing loop through a thread-local
+//! context: [`sleep_until`] registers its deadline in the wheel,
+//! [`note_progress`] keeps the loop hot after useful work, and
 //! [`yield_now`] marks the task runnable-again-immediately.
 //! The wait futures ([`sleep`], [`yield_now`], [`Pacing::pause`]) resolve
-//! by who polls them: with no reactor on the thread there is nothing else
+//! by who polls them: with no loop on the thread there is nothing else
 //! to run, so they serve the wait on the spot (`thread::sleep`, nothing,
 //! [`Backoff`]) and finish in one poll. That is what lets [`block_inline`]
 //! run the same engine futures as plain blocking calls.
@@ -36,7 +40,7 @@ struct Cx {
     /// finished a protocol phase) or want an immediate re-poll.
     progressed: bool,
     /// Application-level units of work (protocol steps) completed since
-    /// the executor last harvested the counter — the fleet's per-shard
+    /// the loop last harvested the counter — the fleet's per-shard
     /// steps/s signal.
     steps: u64,
 }
@@ -45,8 +49,8 @@ thread_local! {
     static CX: RefCell<Option<Cx>> = const { RefCell::new(None) };
 }
 
-/// True while the calling thread is inside a [`Reactor::run`] or
-/// [`block_on`] loop — i.e. the timer wheel is available.
+/// True while the calling thread is inside an event loop ([`Reactor::run`],
+/// [`block_on`], a fleet worker) — i.e. the timer wheel is available.
 pub fn in_reactor() -> bool {
     CX.with(|cx| cx.borrow().is_some())
 }
@@ -64,8 +68,8 @@ pub fn note_progress() {
 
 /// Tell the executor one application-level unit of work (a protocol
 /// step) completed. The engines call this when a step commits; a
-/// [`crate::ReactorFleet`] harvests the count per poll round into its
-/// per-shard steps/s counter, which is what the rebalancer weighs.
+/// [`crate::ReactorFleet`] worker publishes the count every round as its
+/// shard's `steps` counter.
 /// Implies [`note_progress`]. A no-op outside a reactor.
 pub fn note_step() {
     CX.with(|cx| {
@@ -76,34 +80,16 @@ pub fn note_step() {
     });
 }
 
-/// Take-and-clear the step counter accumulated by [`note_step`] since
-/// the last harvest. Fleet-internal.
-pub(crate) fn take_steps() -> u64 {
-    CX.with(|cx| {
-        cx.borrow_mut().as_mut().map_or(0, |cx| {
-            let n = cx.steps;
-            cx.steps = 0;
-            n
-        })
-    })
-}
-
-/// The wheel's next deadline, if any — how long a worker may park.
-/// Fleet-internal.
-pub(crate) fn next_wheel_deadline() -> Option<Instant> {
-    CX.with(|cx| cx.borrow().as_ref().and_then(|cx| cx.wheel.next_deadline()))
-}
-
 fn with_wheel<R>(f: impl FnOnce(&mut TimerWheel) -> R) -> Option<R> {
     CX.with(|cx| cx.borrow_mut().as_mut().map(|cx| f(&mut cx.wheel)))
 }
 
 /// Clears the thread-local context on scope exit (including panics), so
 /// a poisoned reactor doesn't wedge the thread for the next one.
-pub(crate) struct CxGuard;
+struct CxGuard;
 
 impl CxGuard {
-    pub(crate) fn enter() -> CxGuard {
+    fn enter() -> CxGuard {
         CX.with(|cx| {
             let mut cx = cx.borrow_mut();
             assert!(
@@ -123,38 +109,90 @@ impl Drop for CxGuard {
     }
 }
 
-/// Sweep the wheel, take-and-clear the progress flag.
-pub(crate) fn idle_round() -> bool {
+/// One round's tally, handed to [`Host::publish`].
+pub(crate) struct Round {
+    /// Task polls performed (every queued task, once).
+    pub(crate) polled: u64,
+    /// Tasks that ran to completion and left the queue; the rest of
+    /// `polled` are still in it.
+    pub(crate) finished: u64,
+    /// Protocol steps committed ([`note_step`]).
+    pub(crate) steps: u64,
+    /// Whether anything progressed: a task finished or called
+    /// [`note_progress`], or a timer fired.
+    pub(crate) busy: bool,
+}
+
+/// What a [`run_shard`] loop is attached to. The defaults, `()`, are a
+/// loop alone on its thread: nobody submits, nobody watches, it ends
+/// with its last task. A fleet worker overrides all four.
+pub(crate) trait Host<T> {
+    /// Move newly submitted tasks onto the back of the run queue.
+    fn adopt(&mut self, _run: &mut Vec<T>) {}
+    /// Take note of a finished round.
+    fn publish(&mut self, _round: &Round) {}
+    /// Whether the loop ends now, with `queued` tasks in its run queue.
+    fn done(&self, queued: usize) -> bool {
+        queued == 0
+    }
+    /// Sleep for at most `nap`.
+    fn park(&mut self, nap: Duration) {
+        std::thread::sleep(nap);
+    }
+}
+
+impl<T> Host<T> for () {}
+
+/// Sweep the wheel and tally the round that polled `polled` tasks and
+/// left `queued` of them, taking what their polls marked in the context.
+fn tally(polled: usize, queued: usize) -> Round {
     CX.with(|cx| {
         let mut cx = cx.borrow_mut();
         let cx = cx.as_mut().expect("reactor context");
         let fired = cx.wheel.advance(Instant::now());
-        let progressed = cx.progressed || fired > 0;
-        cx.progressed = false;
-        !progressed
+        Round {
+            polled: polled as u64,
+            finished: (polled - queued) as u64,
+            steps: std::mem::take(&mut cx.steps),
+            busy: std::mem::take(&mut cx.progressed) || fired > 0 || polled > queued,
+        }
     })
 }
 
-/// Park until the next wheel deadline, or escalate `backoff` when the
-/// wheel is empty (tasks are polling something that isn't a timer).
-fn park(backoff: &mut Backoff) {
-    let deadline = CX.with(|cx| cx.borrow().as_ref().and_then(|cx| cx.wheel.next_deadline()));
-    match deadline {
-        Some(d) => {
-            let nap = d.saturating_duration_since(Instant::now());
-            if nap.is_zero() {
-                return; // already due — re-poll immediately
-            }
-            backoff.snooze_capped(nap);
+/// The event loop: drive the tasks in `run` (and whatever `host` has it
+/// adopt) on the calling thread until `host` says it is done. See the
+/// module docs. Panics if the thread is already inside one.
+pub(crate) fn run_shard<T>(run: &mut Vec<T>, host: &mut impl Host<T>)
+where
+    T: Future<Output = ()> + Unpin,
+{
+    let _guard = CxGuard::enter();
+    let mut ctx = Context::from_waker(Waker::noop());
+    let mut backoff = Backoff::new();
+    while !host.done(run.len()) {
+        host.adopt(run);
+        let polled = run.len();
+        run.retain_mut(|task| Pin::new(task).poll(&mut ctx).is_pending());
+        let round = tally(polled, run.len());
+        host.publish(&round);
+        if round.busy {
+            backoff.reset();
+            continue;
         }
-        None => backoff.snooze(),
+        // Idle: the tasks wait on a timer or on something that is not one
+        // (a channel), so never park past the wheel's next deadline and
+        // never longer than `Backoff` allows between two looks.
+        let deadline = with_wheel(|w| w.next_deadline()).flatten();
+        let cap = deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+        backoff.snooze_with(cap, |nap| host.park(nap));
     }
 }
 
-/// A single-threaded cooperative executor. See the module docs.
+/// A single-threaded cooperative executor: the event loop of the module
+/// docs over tasks spawned before it runs.
 #[derive(Default)]
 pub struct Reactor {
-    tasks: Vec<Option<Pin<Box<dyn Future<Output = ()>>>>>,
+    tasks: Vec<Pin<Box<dyn Future<Output = ()>>>>,
 }
 
 impl Reactor {
@@ -167,71 +205,35 @@ impl Reactor {
     /// `'static` but deliberately *not* `Send`: every task stays on the
     /// reactor's one thread, so captures may be `Rc`/`RefCell`.
     pub fn spawn(&mut self, fut: impl Future<Output = ()> + 'static) {
-        self.tasks.push(Some(Box::pin(fut)));
+        self.tasks.push(Box::pin(fut));
     }
 
     /// Number of tasks not yet run to completion.
     pub fn pending(&self) -> usize {
-        self.tasks.iter().filter(|t| t.is_some()).count()
+        self.tasks.len()
     }
 
     /// Drive every spawned task to completion on the calling thread.
     pub fn run(&mut self) {
-        let _guard = CxGuard::enter();
-        let waker = Waker::noop();
-        let mut ctx = Context::from_waker(waker);
-        let mut backoff = Backoff::new();
-        loop {
-            let mut live = 0usize;
-            let mut finished = false;
-            for slot in &mut self.tasks {
-                if let Some(task) = slot {
-                    match task.as_mut().poll(&mut ctx) {
-                        Poll::Ready(()) => {
-                            *slot = None;
-                            finished = true;
-                        }
-                        Poll::Pending => live += 1,
-                    }
-                }
-            }
-            if live == 0 {
-                self.tasks.clear();
-                return;
-            }
-            if finished || !idle_round() {
-                backoff.reset();
-            } else {
-                park(&mut backoff);
-            }
-        }
+        run_shard(&mut self.tasks, &mut ());
     }
 }
 
 /// Drive one future to completion on the calling thread, with a private
-/// timer wheel. This is how the blocking `StreamWriter`/`StreamReader`
-/// API runs on the reactor backend: each protocol call becomes a
-/// short-lived single-task event loop, so the caller's thread *is* the
-/// reactor for the duration of the call.
+/// timer wheel: the event loop over a single borrowed task. This is how
+/// the blocking `StreamWriter`/`StreamReader` API runs on the reactor
+/// backend: the caller's thread *is* the reactor for the duration of the
+/// call.
 ///
 /// Panics if called from inside a running reactor (tasks must use the
 /// async engine variants directly instead of the blocking wrappers).
 pub fn block_on<F: Future>(fut: F) -> F::Output {
-    let _guard = CxGuard::enter();
-    let waker = Waker::noop();
-    let mut ctx = Context::from_waker(waker);
-    let mut fut = std::pin::pin!(fut);
-    let mut backoff = Backoff::new();
-    loop {
-        if let Poll::Ready(out) = fut.as_mut().poll(&mut ctx) {
-            return out;
-        }
-        if idle_round() {
-            park(&mut backoff);
-        } else {
-            backoff.reset();
-        }
+    let mut out = None;
+    {
+        let task = std::pin::pin!(async { out = Some(fut.await) });
+        run_shard(&mut vec![task], &mut ());
     }
+    out.expect("the loop ends when its one task has finished")
 }
 
 /// Drive one future to completion on the calling thread with *no* event
@@ -409,6 +411,14 @@ mod tests {
     fn block_on_returns_value() {
         assert_eq!(block_on(async { 41 + 1 }), 42);
         assert!(!in_reactor(), "context must be torn down");
+        // The future need not be `'static`: it may borrow the caller's locals.
+        let mut seen = vec![1, 2, 3];
+        let sum = block_on(async {
+            yield_now().await;
+            seen.push(4);
+            seen.iter().sum::<i32>()
+        });
+        assert_eq!((sum, seen.len()), (10, 4));
     }
 
     #[test]

@@ -2,49 +2,38 @@
 //!
 //! One [`crate::Reactor`] drives many streams on one core; the fleet
 //! scales that design sideways instead of up. N worker threads each run
-//! the *same* single-threaded poll loop over their own shard of tasks —
-//! no shared run queue, no work stealing, no wakers. What crosses shard
-//! boundaries is coarse and explicit:
+//! the *same* event loop (`exec::run_shard`, the one `Reactor::run` and
+//! `block_on` run) over their own shard of tasks — no shared run queue,
+//! no work stealing, no wakers, and a task stays on the shard it was
+//! placed on. What a worker adds to the loop is its `Host` half:
 //!
 //! * **submission** — [`FleetHandle::spawn`] pushes a boxed future into
-//!   the least-loaded shard's injector queue (a mutexed `VecDeque`) and
+//!   the least-loaded shard's injector queue (a mutexed `Vec`) and
 //!   pokes that worker's condvar. Workers adopt injected tasks at the
-//!   top of every poll round.
-//! * **rebalancing** — every worker publishes per-round counters
-//!   (polls, busy rounds, committed steps) as relaxed atomics; whichever
-//!   worker trips the policy interval snapshots them and asks
-//!   [`crate::rebalance::plan`] for a migration order. The order is
-//!   *posted to the donor*, never executed remotely: only the thread
-//!   that owns a future may move it, so a donor ships whole futures from
-//!   the tail of its run queue into the recipient's injector. `!Send`
-//!   state never crosses threads — fleet tasks are `Send` by type.
+//!   top of every poll round, and an idle worker parks *on that condvar*,
+//!   so a submission ends the park at once. Placement at submission is
+//!   the fleet's only load balancing.
+//! * **counters** — every worker publishes its counters (polls, busy
+//!   rounds, committed steps, completions) once a round as that shard's
+//!   [`ShardSnapshot`], read through [`FleetHandle::snapshots`].
 //! * **placement** — each shard carries a [`ShardSlot`] naming the
 //!   modelled core and NUMA domain it represents. A `worker_init` hook
 //!   runs on each worker thread before its loop starts, which is where
 //!   the embedding layer pins thread-local buffer pools to the shard's
 //!   domain ([`FleetHandle::spawn_in_domain`] then routes couplings to
 //!   the shards whose pools they'll allocate from).
-//!
-//! A task migrated between shards may hold a `Sleep` whose deadline is
-//! registered on the old shard's wheel. Completion stays correct — the
-//! sleep checks the clock, not the wheel — but the new shard doesn't
-//! know the deadline, so it can park past it by up to the worker's park
-//! cap (1 ms). That bound is why workers never park unboundedly.
 
-use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Waker};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::exec;
-use crate::rebalance::{plan, Migration, RebalancePolicy, ShardLoad};
+use crate::exec::{self, Host, Round};
 
 /// A future the fleet can own: `Send` because it may be spawned from any
-/// thread and later migrated between workers.
+/// thread and is polled on a worker's.
 pub type FleetTask = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
 /// Hook run on each worker thread before its poll loop starts — the
@@ -53,7 +42,7 @@ pub type FleetTask = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 pub type WorkerInit = Arc<dyn Fn(ShardSlot) + Send + Sync>;
 
 /// Static placement of one shard: which modelled core polls it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardSlot {
     /// Shard index within the fleet (also the worker thread index).
     pub shard: usize,
@@ -121,249 +110,103 @@ impl FleetTopology {
     }
 }
 
-/// Per-shard counters, written relaxed by the owning worker, read by
-/// the rebalancer and by [`FleetHandle::snapshots`].
-#[derive(Default)]
-struct ShardStats {
-    /// Tasks in the local run queue (excludes the injector).
-    owned: AtomicUsize,
-    /// Task polls performed.
-    polls: AtomicU64,
-    /// Poll rounds completed.
-    rounds: AtomicU64,
-    /// Rounds where something progressed (task made progress, timer
-    /// fired, task finished).
-    busy_rounds: AtomicU64,
-    /// Protocol steps committed (harvested from [`exec::note_step`]).
-    steps: AtomicU64,
-    /// Tasks run to completion on this shard.
-    completed: AtomicU64,
-    /// Tasks adopted from other shards' migration orders.
-    migrated_in: AtomicU64,
-    /// Tasks shipped away by migration orders.
-    migrated_out: AtomicU64,
-}
-
-/// Plain-data copy of one shard's counters and placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One shard's counters and placement, as of its worker's last round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardSnapshot {
     /// Placement of this shard.
     pub slot: ShardSlot,
-    /// Tasks currently in the shard's local run queue.
+    /// Tasks currently in the shard's local run queue (excludes the
+    /// injector).
     pub tasks: usize,
     /// Task polls performed since startup.
     pub polls: u64,
     /// Poll rounds completed since startup.
     pub rounds: u64,
-    /// Rounds where something progressed.
+    /// Rounds where something progressed (task made progress, timer
+    /// fired, task finished).
     pub busy_rounds: u64,
-    /// Protocol steps committed on this shard.
+    /// Protocol steps committed on this shard (harvested from
+    /// [`crate::note_step`]).
     pub steps: u64,
     /// Tasks run to completion on this shard.
     pub completed: u64,
-    /// Tasks adopted via migration.
-    pub migrated_in: u64,
-    /// Tasks shipped away via migration.
-    pub migrated_out: u64,
 }
 
 struct ShardState {
     slot: ShardSlot,
     /// Cross-thread submission queue; paired with `wake` for parking.
-    injector: Mutex<VecDeque<FleetTask>>,
+    injector: Mutex<Vec<FleetTask>>,
     wake: Condvar,
-    /// Pending migration order, posted by the rebalancer, taken by the
-    /// owning worker.
-    migrate_out: Mutex<Option<Migration>>,
-    stats: ShardStats,
+    /// Written by the owning worker once a round; read by
+    /// [`FleetHandle::snapshots`] and by placement.
+    stats: Mutex<ShardSnapshot>,
 }
 
 impl ShardState {
     fn queued(&self) -> usize {
-        self.stats.owned.load(Ordering::Relaxed) + self.injector.lock().unwrap().len()
+        self.stats.lock().unwrap().tasks + self.injector.lock().unwrap().len()
     }
-
-    fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot {
-            slot: self.slot,
-            tasks: self.stats.owned.load(Ordering::Relaxed),
-            polls: self.stats.polls.load(Ordering::Relaxed),
-            rounds: self.stats.rounds.load(Ordering::Relaxed),
-            busy_rounds: self.stats.busy_rounds.load(Ordering::Relaxed),
-            steps: self.stats.steps.load(Ordering::Relaxed),
-            completed: self.stats.completed.load(Ordering::Relaxed),
-            migrated_in: self.stats.migrated_in.load(Ordering::Relaxed),
-            migrated_out: self.stats.migrated_out.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Rebalancer bookkeeping: previous counter values, so each planning
-/// round sees window deltas rather than lifetime totals.
-struct RebalanceState {
-    last: Instant,
-    /// (rounds, busy_rounds, steps) at the last planning round.
-    prev: Vec<(u64, u64, u64)>,
 }
 
 struct FleetShared {
     topology: FleetTopology,
     shards: Vec<ShardState>,
-    policy: RebalancePolicy,
     /// Spawned-but-not-completed tasks, fleet-wide.
     live: AtomicUsize,
     /// Set by `join` once `live` hits zero: workers exit when idle.
     draining: AtomicBool,
     /// Set by `Drop` without `join`: workers exit now, dropping tasks.
     abort: AtomicBool,
-    rebalance: Mutex<RebalanceState>,
     done: Mutex<()>,
     done_cv: Condvar,
 }
 
-impl FleetShared {
-    /// Run a planning round if the interval elapsed. Any worker may
-    /// trip this; try-lock keeps it single-flight and keeps workers
-    /// from stalling on each other.
-    fn maybe_rebalance(&self) {
-        let Ok(mut st) = self.rebalance.try_lock() else { return };
-        let now = Instant::now();
-        let dt = now.saturating_duration_since(st.last);
-        if dt < self.policy.interval {
-            return;
-        }
-        let secs = dt.as_secs_f64().max(1e-9);
-        let mut loads = Vec::with_capacity(self.shards.len());
-        for (i, s) in self.shards.iter().enumerate() {
-            let rounds = s.stats.rounds.load(Ordering::Relaxed);
-            let busy = s.stats.busy_rounds.load(Ordering::Relaxed);
-            let steps = s.stats.steps.load(Ordering::Relaxed);
-            let (pr, pb, ps) = st.prev[i];
-            st.prev[i] = (rounds, busy, steps);
-            let dr = rounds.saturating_sub(pr);
-            loads.push(ShardLoad {
-                shard: i,
-                tasks: s.queued(),
-                occupancy: if dr == 0 { 0.0 } else { busy.saturating_sub(pb) as f64 / dr as f64 },
-                steps_per_s: steps.saturating_sub(ps) as f64 / secs,
-            });
-        }
-        st.last = now;
-        for order in plan(&self.policy, &loads) {
-            *self.shards[order.from].migrate_out.lock().unwrap() = Some(order);
-            // The donor might be parked on an empty-looking round; poke
-            // it so the order is served promptly.
-            self.shards[order.from].wake.notify_one();
-        }
+/// A worker's half of the event loop: where its shard's tasks come from,
+/// where its counters go, what it parks on and when it ends.
+struct Worker<'a> {
+    shared: &'a FleetShared,
+    shard: &'a ShardState,
+}
+
+impl Host<FleetTask> for Worker<'_> {
+    fn adopt(&mut self, run: &mut Vec<FleetTask>) {
+        run.append(&mut self.shard.injector.lock().unwrap());
     }
 
-    fn task_done(&self) {
-        if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+    fn publish(&mut self, round: &Round) {
+        {
+            let mut stats = self.shard.stats.lock().unwrap();
+            stats.tasks = (round.polled - round.finished) as usize;
+            stats.polls += round.polled;
+            stats.rounds += 1;
+            stats.busy_rounds += u64::from(round.busy);
+            stats.steps += round.steps;
+            stats.completed += round.finished;
+        }
+        let finished = round.finished as usize;
+        if finished > 0 && self.shared.live.fetch_sub(finished, Ordering::AcqRel) == finished {
             // Take the lock so a joiner can't slip between its live
             // check and its wait.
-            let _g = self.done.lock().unwrap();
-            self.done_cv.notify_all();
+            let _g = self.shared.done.lock().unwrap();
+            self.shared.done_cv.notify_all();
         }
     }
-}
 
-/// First park interval after a round that made no progress; doubles per
-/// consecutive idle round up to [`PARK_MAX`].
-const PARK_MIN: Duration = Duration::from_micros(10);
-/// Longest single park. Also bounds how far a worker can oversleep a
-/// migrated-in task's timer (whose deadline lives on the donor's wheel).
-const PARK_MAX: Duration = Duration::from_millis(1);
-
-fn park_cap(idle_streak: u32) -> Duration {
-    (PARK_MIN * 2u32.pow(idle_streak.min(7))).min(PARK_MAX)
-}
-
-fn worker(shared: Arc<FleetShared>, me: usize, init: Option<WorkerInit>) {
-    let shard = &shared.shards[me];
-    if let Some(init) = &init {
-        init(shard.slot);
+    fn done(&self, queued: usize) -> bool {
+        self.shared.abort.load(Ordering::Acquire)
+            || (queued == 0
+                && self.shared.draining.load(Ordering::Acquire)
+                && self.shared.live.load(Ordering::Acquire) == 0)
     }
-    let _guard = exec::CxGuard::enter();
-    let waker = Waker::noop();
-    let mut ctx = Context::from_waker(waker);
-    let mut local: Vec<FleetTask> = Vec::new();
-    let mut idle_streak = 0u32;
-    loop {
-        if shared.abort.load(Ordering::Acquire) {
-            break;
-        }
-        // Adopt injected tasks (submissions and migrated-in futures).
-        {
-            let mut inj = shard.injector.lock().unwrap();
-            while let Some(t) = inj.pop_front() {
-                local.push(t);
-            }
-        }
-        // Serve a migration order: ship futures off the tail of the run
-        // queue (the tail is the least-recently-adopted work, so
-        // long-resident hot tasks keep their cache home).
-        if let Some(order) = shard.migrate_out.lock().unwrap().take() {
-            let n = order.tasks.min(local.len());
-            if n > 0 && order.to != me && order.to < shared.shards.len() {
-                let moved: Vec<FleetTask> = local.drain(local.len() - n..).collect();
-                shard.stats.migrated_out.fetch_add(n as u64, Ordering::Relaxed);
-                let target = &shared.shards[order.to];
-                target.stats.migrated_in.fetch_add(n as u64, Ordering::Relaxed);
-                target.injector.lock().unwrap().extend(moved);
-                target.wake.notify_one();
-            }
-        }
-        // One cooperative poll round over the shard.
-        let mut finished = false;
-        let mut polled = 0u64;
-        let mut i = 0;
-        while i < local.len() {
-            match local[i].as_mut().poll(&mut ctx) {
-                Poll::Ready(()) => {
-                    drop(local.swap_remove(i));
-                    shard.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    finished = true;
-                    shared.task_done();
-                }
-                Poll::Pending => i += 1,
-            }
-            polled += 1;
-        }
-        let busy = finished || !exec::idle_round();
-        shard.stats.polls.fetch_add(polled, Ordering::Relaxed);
-        shard.stats.rounds.fetch_add(1, Ordering::Relaxed);
-        if busy {
-            shard.stats.busy_rounds.fetch_add(1, Ordering::Relaxed);
-            idle_streak = 0;
-        }
-        shard.stats.steps.fetch_add(exec::take_steps(), Ordering::Relaxed);
-        shard.stats.owned.store(local.len(), Ordering::Relaxed);
-        shared.maybe_rebalance();
-        if local.is_empty()
-            && shared.draining.load(Ordering::Acquire)
-            && shared.live.load(Ordering::Acquire) == 0
-        {
-            break;
-        }
-        if !busy {
-            idle_streak = idle_streak.saturating_add(1);
-            let mut nap = park_cap(idle_streak);
-            if let Some(d) = exec::next_wheel_deadline() {
-                nap = nap.min(d.saturating_duration_since(Instant::now()));
-            }
-            if !nap.is_zero() {
-                let inj = shard.injector.lock().unwrap();
-                if inj.is_empty() && !shared.abort.load(Ordering::Acquire) {
-                    // Submissions and migration orders notify `wake`, so
-                    // the park ends early on new work.
-                    let _ = shard.wake.wait_timeout(inj, nap).unwrap();
-                }
-            }
+
+    fn park(&mut self, nap: Duration) {
+        let inj = self.shard.injector.lock().unwrap();
+        if inj.is_empty() && !self.shared.abort.load(Ordering::Acquire) {
+            // Submissions, `join` and `Drop` notify `wake`, so the park
+            // ends early on new work or shutdown.
+            let _ = self.shard.wake.wait_timeout(inj, nap).unwrap();
         }
     }
-    // Abandoned tasks (abort path) drop inside the context guard so
-    // their Sleep entries cancel against the right wheel.
-    drop(local);
 }
 
 /// Cloneable spawner/observer for a running fleet. Obtained from
@@ -400,7 +243,7 @@ impl FleetHandle {
             "spawn after ReactorFleet::join"
         );
         self.shared.live.fetch_add(1, Ordering::AcqRel);
-        s.injector.lock().unwrap().push_back(Box::pin(fut));
+        s.injector.lock().unwrap().push(Box::pin(fut));
         s.wake.notify_one();
     }
 
@@ -430,24 +273,17 @@ impl FleetHandle {
 
     /// Current per-shard counters, in shard order.
     pub fn snapshots(&self) -> Vec<ShardSnapshot> {
-        self.shared.shards.iter().map(ShardState::snapshot).collect()
+        self.shared.shards.iter().map(|s| *s.stats.lock().unwrap()).collect()
     }
 }
 
 /// Configures a [`ReactorFleet`] before its workers start.
 pub struct FleetBuilder {
     topology: FleetTopology,
-    policy: RebalancePolicy,
     worker_init: Option<WorkerInit>,
 }
 
 impl FleetBuilder {
-    /// Override the rebalance policy.
-    pub fn policy(mut self, policy: RebalancePolicy) -> FleetBuilder {
-        self.policy = policy;
-        self
-    }
-
     /// Install a hook that runs on each worker thread (with that
     /// shard's placement) before its poll loop starts.
     pub fn worker_init(mut self, f: impl Fn(ShardSlot) + Send + Sync + 'static) -> FleetBuilder {
@@ -464,23 +300,17 @@ impl FleetBuilder {
             .iter()
             .map(|&slot| ShardState {
                 slot,
-                injector: Mutex::new(VecDeque::new()),
+                injector: Mutex::new(Vec::new()),
                 wake: Condvar::new(),
-                migrate_out: Mutex::new(None),
-                stats: ShardStats::default(),
+                stats: Mutex::new(ShardSnapshot { slot, ..Default::default() }),
             })
             .collect();
         let shared = Arc::new(FleetShared {
             topology: self.topology,
             shards,
-            policy: self.policy,
             live: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             abort: AtomicBool::new(false),
-            rebalance: Mutex::new(RebalanceState {
-                last: Instant::now(),
-                prev: vec![(0, 0, 0); n],
-            }),
             done: Mutex::new(()),
             done_cv: Condvar::new(),
         });
@@ -490,7 +320,13 @@ impl FleetBuilder {
                 let init = self.worker_init.clone();
                 thread::Builder::new()
                     .name(format!("flexio-shard-{i}"))
-                    .spawn(move || worker(shared, i, init))
+                    .spawn(move || {
+                        let shard = &shared.shards[i];
+                        if let Some(init) = &init {
+                            init(shard.slot);
+                        }
+                        exec::run_shard(&mut Vec::new(), &mut Worker { shared: &shared, shard });
+                    })
                     .expect("spawn fleet worker")
             })
             .collect();
@@ -498,7 +334,7 @@ impl FleetBuilder {
     }
 }
 
-/// N reactor threads, each owning a shard of tasks. See the module docs.
+/// N event-loop threads, each owning a shard of tasks. See the module docs.
 pub struct ReactorFleet {
     handle: FleetHandle,
     workers: Vec<thread::JoinHandle<()>>,
@@ -506,14 +342,14 @@ pub struct ReactorFleet {
 
 impl ReactorFleet {
     /// A fleet of `threads` workers with a topology-blind (single
-    /// domain) placement and the default rebalance policy.
+    /// domain) placement.
     pub fn new(threads: usize) -> ReactorFleet {
         ReactorFleet::builder(FleetTopology::flat(threads)).build()
     }
 
     /// Start configuring a fleet over an explicit topology.
     pub fn builder(topology: FleetTopology) -> FleetBuilder {
-        FleetBuilder { topology, policy: RebalancePolicy::default(), worker_init: None }
+        FleetBuilder { topology, worker_init: None }
     }
 
     /// A cloneable spawner/observer for this fleet.
@@ -530,11 +366,6 @@ impl ReactorFleet {
     /// [`FleetHandle::spawn_in_domain`]).
     pub fn spawn_in_domain(&self, domain: usize, fut: impl Future<Output = ()> + Send + 'static) {
         self.handle.spawn_in_domain(domain, fut);
-    }
-
-    /// Spawn onto a specific shard.
-    pub fn spawn_on(&self, shard: usize, fut: impl Future<Output = ()> + Send + 'static) {
-        self.handle.spawn_on(shard, fut);
     }
 
     /// Number of worker threads.
@@ -586,6 +417,7 @@ mod tests {
     use super::*;
     use crate::{sleep, yield_now};
     use std::sync::atomic::AtomicU32;
+    use std::time::Instant;
 
     #[test]
     fn tasks_complete_across_shards() {
@@ -690,68 +522,68 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rebalancer_migrates_under_skew() {
-        // Everything is force-spawned onto shard 0 of a 2-shard fleet
-        // with a hair-trigger policy; the rebalancer must ship some of
-        // the backlog to shard 1.
-        let policy = RebalancePolicy {
-            interval: Duration::from_millis(2),
-            min_task_gap: 2,
-            min_occupancy_gap: 0.0,
-            max_moves: 64,
-        };
-        let fleet = ReactorFleet::builder(FleetTopology::flat(2)).policy(policy).build();
-        let release = Arc::new(AtomicBool::new(false));
-        for _ in 0..32 {
-            let release = Arc::clone(&release);
-            fleet.spawn_on(0, async move {
-                while !release.load(Ordering::Acquire) {
-                    sleep(Duration::from_micros(200)).await;
+    /// (every poll of the ping-pong tasks, sleeps in wake order)
+    type Trace = Arc<Mutex<(Vec<u32>, Vec<u64>)>>;
+
+    /// Spawn three sleeps, then two ping-pong tasks that log each of
+    /// their polls from the last-spawned one's first — by then all five
+    /// are queued, on a fleet too.
+    fn spawn_mixed(mut spawn: impl FnMut(FleetTask)) -> Trace {
+        let trace = Trace::default();
+        for ms in [12u64, 2, 6] {
+            let trace = Arc::clone(&trace);
+            spawn(Box::pin(async move {
+                sleep(Duration::from_millis(ms)).await;
+                trace.lock().unwrap().1.push(ms);
+            }));
+        }
+        let turn = Arc::new(AtomicU32::new(0));
+        for me in 0..2u32 {
+            let (turn, trace) = (Arc::clone(&turn), Arc::clone(&trace));
+            spawn(Box::pin(async move {
+                while me == 0 && trace.lock().unwrap().0.is_empty() {
+                    yield_now().await;
                 }
-            });
+                for _ in 0..50 {
+                    trace.lock().unwrap().0.push(me);
+                    while turn.load(Ordering::Acquire) % 2 != me {
+                        yield_now().await;
+                        trace.lock().unwrap().0.push(me);
+                    }
+                    turn.fetch_add(1, Ordering::AcqRel);
+                }
+            }));
         }
-        let handle = fleet.handle();
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_secs(5) {
-            let snaps = handle.snapshots();
-            if snaps[1].migrated_in > 0 {
-                break;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
-        release.store(true, Ordering::Release);
-        let snaps = fleet.join();
-        assert!(
-            snaps[0].migrated_out > 0 && snaps[1].migrated_in > 0,
-            "no migration under skew: {snaps:?}"
-        );
-        assert_eq!(snaps.iter().map(|s| s.completed).sum::<u64>(), 32);
+        trace
     }
 
     #[test]
-    fn migrated_sleep_still_completes() {
-        // A task that sleeps, gets migrated mid-sleep, then sleeps
-        // again: its first Sleep's wheel entry is stranded on the donor
-        // shard, but completion is clock-driven so nothing hangs.
-        let policy = RebalancePolicy {
-            interval: Duration::from_millis(1),
-            min_task_gap: 1,
-            min_occupancy_gap: 0.0,
-            max_moves: 64,
-        };
-        let fleet = ReactorFleet::builder(FleetTopology::flat(2)).policy(policy).build();
-        let done = Arc::new(AtomicU32::new(0));
-        for _ in 0..8 {
-            let done = Arc::clone(&done);
-            fleet.spawn_on(0, async move {
-                sleep(Duration::from_millis(10)).await;
-                sleep(Duration::from_millis(5)).await;
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
+    fn one_shard_fleet_interleaves_like_a_reactor() {
+        let mut reactor = crate::Reactor::new();
+        let on_reactor = spawn_mixed(|task| reactor.spawn(task));
+        reactor.run();
+        let fleet = ReactorFleet::new(1);
+        let on_fleet = spawn_mixed(|task| fleet.spawn(task));
         fleet.join();
-        assert_eq!(done.load(Ordering::Relaxed), 8);
+        let on_reactor = on_reactor.lock().unwrap();
+        assert_eq!(on_reactor.0[..5], [1, 0, 0, 1, 1], "round-robin in spawn order");
+        assert_eq!(on_reactor.1, [2, 6, 12]);
+        assert_eq!(*on_reactor, *on_fleet.lock().unwrap());
+    }
+
+    #[test]
+    fn parked_worker_adopts_a_submission_before_its_timer() {
+        let fleet = ReactorFleet::new(1);
+        let t0 = Instant::now();
+        fleet.spawn(async { sleep(Duration::from_millis(200)).await });
+        // Nothing shows from outside that a worker is parked: give it the
+        // time to run out of spins and yields on its one far deadline.
+        thread::sleep(Duration::from_millis(5));
+        let (tx, rx) = std::sync::mpsc::channel();
+        fleet.spawn(async move { tx.send(()).unwrap() });
+        rx.recv_timeout(Duration::from_millis(100)).expect("ran while the sleeper still waits");
+        fleet.join();
+        assert!(t0.elapsed() >= Duration::from_millis(200), "the sleeper was still pending");
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //!
 //! * [`Reactor`] — a cooperative executor. Tasks are plain `Future`s
 //!   (the compiler turns the writer/reader engine protocol into the
-//!   per-stream state machine for us); one `run()` loop polls every
-//!   runnable task, then parks the core until the next timer deadline.
+//!   per-stream state machine for us); one event loop polls every task
+//!   once a round, then idles the core until the next timer deadline.
+//!   [`block_on`] is that loop over a single future.
 //! * [`TimerWheel`] — a hashed timer wheel. Retry budgets
 //!   (`recv_timeout × 2^attempt`), fault stalls, and poll pacing all
 //!   become wheel entries instead of per-thread `sleep` calls, so one
 //!   core can hold thousands of pending deadlines.
-//! * [`Backoff`] — the spin → yield → park escalation used both by the
-//!   reactor's idle loop and by the blocking backend's receive loops
+//! * [`Backoff`] — the spin → yield → park escalation that is both the
+//!   event loop's idle step and the blocking backend's receive wait
 //!   (replacing the fixed 100 µs sleeps that used to burn a core).
 //!
 //! There are no wakers wired to I/O sources: the transports (shm SPSC
@@ -25,19 +26,18 @@
 //! core sleeps between discovery rounds. Futures that make progress call
 //! [`note_progress`] so the executor knows to keep spinning hot.
 //!
-//! When one core stops being enough, [`ReactorFleet`] runs N of these
-//! loops on worker threads — each owning a shard of tasks, with a
-//! cross-shard submission queue, per-shard progress counters
-//! ([`note_step`] feeds the steps/s signal), and a periodic rebalancer
-//! that migrates work from hot shards to cold ones (see the
-//! [`fleet`] and [`rebalance`] module docs).
+//! When one core stops being enough, [`ReactorFleet`] runs the same
+//! loop on N worker threads — each owning a shard of tasks, fed by a
+//! cross-thread submission queue that places every task on the
+//! least-loaded shard (of a NUMA domain, when asked), and publishing
+//! per-shard progress counters ([`note_step`] feeds the steps/s signal).
+//! See the [`fleet`] module docs.
 
 #![forbid(unsafe_code)]
 
 mod backoff;
 mod exec;
 pub mod fleet;
-pub mod rebalance;
 mod wheel;
 
 pub use backoff::Backoff;
@@ -46,5 +46,4 @@ pub use exec::{
     Pacing, Reactor,
 };
 pub use fleet::{FleetBuilder, FleetHandle, FleetTopology, ReactorFleet, ShardSlot, ShardSnapshot};
-pub use rebalance::{Migration, RebalancePolicy, ShardLoad};
 pub use wheel::{TimerId, TimerWheel};

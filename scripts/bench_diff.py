@@ -18,12 +18,14 @@ import sys
 MEASURED = {
     "elapsed_s",
     "steps_per_s",
+    "steps_per_s_min",
+    "steps_per_s_max",
     "steps_per_s_per_thread",
+    "runs",
     "ops_per_s",
     "msgs_per_s",
     "gbps",
     "converge_ms",
-    "migrations",
     "steps",
     "steps_total",
     "msgs",

@@ -62,10 +62,15 @@ FLEXIO_TRANSPORT=tcp FLEXIO_RUNTIME=reactor cargo test -q --offline -p flexio \
 echo "tcp+reactor replay ok"
 
 echo "== reactor fleet: equivalence + multiplex battery =="
-# Sharding couplings over the multi-core fleet must be protocol-invisible:
+# `Reactor::run`, `block_on` and the fleet workers run one event loop:
+# the crate's own suite pins that (same interleaving on a reactor and a
+# one-shard fleet, a parked worker woken by a submission). Sharding
+# couplings over the multi-core fleet must then be protocol-invisible:
 # byte-identical counters/fault schedules/data vs both single-threaded
 # backends, and the control plane (monitor sink, placement manager) must
 # run as fleet tasks.
+cargo test -q --offline -p flexio-reactor \
+    >/dev/null || { echo "reactor loop suite FAILED"; exit 1; }
 cargo test -q --offline -p flexio --test fleet_equivalence --test fleet_multiplex \
     >/dev/null || { echo "fleet battery FAILED"; exit 1; }
 echo "fleet battery ok"
