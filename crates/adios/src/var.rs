@@ -1,5 +1,7 @@
 //! The ADIOS data model: scalar and array variables.
 
+use std::borrow::Cow;
+
 use evpath::ffs::le;
 use evpath::{FieldValue, PackedArray, PackedDtype, Record};
 
@@ -70,12 +72,18 @@ impl DataType {
 /// Typed array payload.
 ///
 /// The owned variants hold element vectors; [`ArrayData::Packed`] is a
-/// read-only zero-copy view into a shared receive buffer (see
+/// read-only zero-copy view into a leased receive buffer (see
 /// [`evpath::PackedArray`]), produced when a block arrives over the wire.
-/// Views support [`ArrayData::copy_into`] as a source (the assembly path),
-/// and [`ArrayData::to_owned_data`] materializes elements when an
-/// application needs a typed slice.
-#[derive(Debug, Clone, PartialEq)]
+/// Views support [`ArrayData::copy_into`] as a source (the assembly path)
+/// and, when their bytes lie 8-byte aligned on a little-endian target,
+/// [`ArrayData::as_f64`]/[`ArrayData::as_u64`] in place;
+/// [`ArrayData::make_readable`] materializes the ones that do not, and
+/// [`ArrayData::make_owned`] any view a consumer wants to mutate.
+///
+/// Two arrays are equal when their element type and elements agree (as
+/// little-endian bytes, so a NaN equals itself and `0.0 != -0.0`), whether
+/// either is a view or owned.
+#[derive(Debug, Clone)]
 pub enum ArrayData {
     /// Doubles.
     F64(Vec<f64>),
@@ -89,7 +97,25 @@ pub enum ArrayData {
     Packed(PackedArray),
 }
 
+impl PartialEq for ArrayData {
+    fn eq(&self, other: &Self) -> bool {
+        self.data_type() == other.data_type() && self.le_bytes() == other.le_bytes()
+    }
+}
+
 impl ArrayData {
+    /// The elements as little-endian bytes (a borrow on little-endian
+    /// targets and for views).
+    fn le_bytes(&self) -> Cow<'_, [u8]> {
+        match self {
+            ArrayData::F64(v) => le::f64s_as_bytes(v),
+            ArrayData::U64(v) => le::u64s_as_bytes(v),
+            ArrayData::I64(v) => le::i64s_as_bytes(v),
+            ArrayData::U8(v) => Cow::Borrowed(v),
+            ArrayData::Packed(p) => Cow::Borrowed(p.bytes()),
+        }
+    }
+
     /// Element count.
     pub fn len(&self) -> usize {
         match self {
@@ -141,6 +167,16 @@ impl ArrayData {
     pub fn make_owned(&mut self) {
         if self.is_packed() {
             *self = self.to_owned_data();
+        }
+    }
+
+    /// Make [`Self::as_f64`]/[`Self::as_u64`] work: a view whose bytes can
+    /// be read where they lie stays a view (no copy, the receive buffer
+    /// stays leased), one whose bytes cannot is materialized; no-op for
+    /// owned data.
+    pub fn make_readable(&mut self) {
+        if matches!(self, ArrayData::Packed(p) if !p.in_place()) {
+            self.make_owned();
         }
     }
 
@@ -201,25 +237,26 @@ impl ArrayData {
         }
     }
 
-    /// View as `f64` slice (panics otherwise — caller checked the type;
-    /// packed views must be materialized with [`ArrayData::to_owned_data`]
-    /// first).
+    /// View as `f64` slice (panics otherwise — caller checked the type).
+    /// A packed view is borrowed where it lies when its bytes allow it (see
+    /// [`evpath::PackedArray::in_place`]; whatever a stream `read` returns
+    /// does) and panics when they do not: [`Self::make_readable`] first.
     pub fn as_f64(&self) -> &[f64] {
         match self {
             ArrayData::F64(v) => v,
-            ArrayData::Packed(p) => {
-                panic!("packed {:?} view: materialize with to_owned_data() first", p.dtype())
+            ArrayData::Packed(p) if p.dtype() == PackedDtype::F64 => {
+                p.as_f64s().expect("unaligned packed view: make_readable() first")
             }
             other => panic!("expected f64 array, got {:?}", other.data_type()),
         }
     }
 
-    /// View as `u64` slice.
+    /// View as `u64` slice (see [`Self::as_f64`]).
     pub fn as_u64(&self) -> &[u64] {
         match self {
             ArrayData::U64(v) => v,
-            ArrayData::Packed(p) => {
-                panic!("packed {:?} view: materialize with to_owned_data() first", p.dtype())
+            ArrayData::Packed(p) if p.dtype() == PackedDtype::U64 => {
+                p.as_u64s().expect("unaligned packed view: make_readable() first")
             }
             other => panic!("expected u64 array, got {:?}", other.data_type()),
         }
@@ -421,6 +458,14 @@ impl VarValue {
         }
     }
 
+    /// Materialize only a view that cannot be read where it lies (see
+    /// [`ArrayData::make_readable`]).
+    pub fn make_readable(&mut self) {
+        if let VarValue::Block(b) = self {
+            b.data.make_readable();
+        }
+    }
+
     /// Payload bytes (0 metadata not counted).
     pub fn payload_bytes(&self) -> u64 {
         match self {
@@ -504,6 +549,51 @@ mod tests {
         let mut dst = ArrayData::zeros(DataType::F64, 4);
         src.copy_into(1, &mut dst, 0, 2);
         assert_eq!(dst.as_f64(), &[2.0, 3.0, 0.0, 0.0]);
+    }
+
+    /// A view at each of the eight byte offsets of an 8-aligned address:
+    /// borrowed in place only at offset 0, materialized at the other seven.
+    #[test]
+    fn as_f64_borrows_a_view_in_place_only_when_aligned() {
+        let elems: Vec<f64> = (0..600).map(|i| i as f64 * 0.25 - 3.0).collect();
+        let wire = le::f64s_as_bytes(&elems);
+        for shift in 0..8 {
+            // Lay the payload `shift` bytes past an 8-byte boundary of
+            // whatever address the allocator hands out.
+            let mut buf = vec![0u8; wire.len() + 16];
+            let at = (buf.as_ptr() as usize).wrapping_neg() % 8 + shift;
+            buf[at..at + wire.len()].copy_from_slice(&wire);
+            let lease = std::sync::Arc::new(evpath::Lease::from(buf));
+            let view = PackedArray::view(PackedDtype::F64, lease, at, wire.len());
+            let mut data = ArrayData::Packed(view.clone());
+            assert_eq!(data, ArrayData::F64(elems.clone()), "content, not representation");
+            if cfg!(target_endian = "little") && shift == 0 {
+                assert!(view.in_place());
+                assert_eq!(data.as_f64().as_ptr() as *const u8, view.bytes().as_ptr());
+            } else {
+                assert!(!view.in_place(), "shift {shift}");
+                assert!(view.as_f64s().is_none());
+            }
+            data.make_readable();
+            assert_eq!(data.is_packed(), cfg!(target_endian = "little") && shift == 0);
+            assert_eq!(data.as_f64(), &elems[..], "shift {shift}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "expected f64 array")]
+    fn as_f64_on_a_u64_view_is_a_type_error() {
+        ArrayData::Packed(PackedArray::from_u64s(&[1, 2, 3])).as_f64();
+    }
+
+    #[test]
+    fn equality_is_by_content() {
+        let owned = ArrayData::U64(vec![7, 8, 9]);
+        assert_eq!(ArrayData::Packed(PackedArray::from_u64s(&[7, 8, 9])), owned);
+        assert_eq!(owned, ArrayData::Packed(PackedArray::from_u64s(&[7, 8, 9])));
+        assert_ne!(ArrayData::Packed(PackedArray::from_u64s(&[7, 8])), owned);
+        // Same bytes, different element type.
+        assert_ne!(ArrayData::Packed(PackedArray::from_i64s(&[7, 8, 9])), owned);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! bulk encoding and ships it with scatter-gather sends; the reader
 //! decodes zero-copy views out of the shared receive buffer. Transport
 //! is selected by placement exactly as in production: same core →
-//! in-process, same node/different core → shared memory (2-copy pooled
-//! path for large payloads).
+//! in-process, same node/different core → shared memory (pooled path
+//! for large payloads).
 //!
 //! `legacy_marshal_roundtrip_gbps` is a marshal-only context number —
 //! the old per-element encode plus a full owned decode of a 64 MiB
@@ -73,7 +73,7 @@ fn run_stream(payload_bytes: usize, transport: &'static str, batching: bool, ste
     // The producer hands the data plane a packed payload, built once
     // outside the timed region: per-step writes then cost an Arc bump,
     // and the only payload copies measured are the transport's own (one
-    // flatten for inproc, the 2-copy pooled path for shm).
+    // flatten for inproc, the copy into the pool slot for shm).
     let base: Vec<f64> = (0..elems).map(|i| i as f64).collect();
     let data = ArrayData::Packed(PackedArray::from_f64s(&base));
     let template = VarValue::Block(

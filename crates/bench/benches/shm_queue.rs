@@ -1,6 +1,7 @@
 //! **MICRO-SHM** — throughput of the intra-node transport (paper §II.D):
-//! the FastForward SPSC queue across payload sizes, the 2-copy pooled
-//! path vs the 1-copy XPMEM-style mapped path, and the naive locked queue
+//! the FastForward SPSC queue across payload sizes, the pooled path (one
+//! copy into the pool, the buffer leased to the consumer) vs the
+//! synchronous XPMEM-style mapped path, and the naive locked queue
 //! as the baseline the lock-free design replaces.
 
 use std::sync::Arc;
@@ -67,7 +68,7 @@ fn bench_large_message_paths(c: &mut Criterion) {
     let size = 1 << 20; // 1 MiB
     let n = 64u64;
     g.throughput(Throughput::Bytes(n * size as u64));
-    g.bench_function("pooled_two_copies", |b| {
+    g.bench_function("pooled_leased", |b| {
         b.iter(|| {
             let (mut tx, mut rx) = shm_channel(64, 256);
             let payload = vec![3u8; size];

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::transport::{BoxedReceiver, BoxedSender, EvReceiver, EvSender, RecvPoll};
+use shm::Lease;
 
 /// Fault rates and crash points for one channel (or the plan default).
 /// Rates are per-mille (0–1000) per message.
@@ -299,35 +300,22 @@ impl FaultyReceiver {
 }
 
 impl EvReceiver for FaultyReceiver {
-    fn recv(&mut self) -> Vec<u8> {
-        loop {
-            if let Some(msg) = self.try_recv() {
-                return msg;
-            }
-            // A crashed receiver never returns; its peer's timeout machinery
-            // is the intended observer.
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    fn poll_recv(&mut self) -> RecvPoll {
+    fn poll_lease(&mut self) -> RecvPoll<Lease> {
         if self.deaf() {
             // Consume and discard so the transport queue cannot back up
             // behind a corpse. A dead endpoint reports *silence*, never
             // `Closed` — its peer's timeout machinery is the intended
             // observer, exactly as with a real crashed process.
-            if self.inner.try_recv().is_some() {
+            if matches!(self.inner.poll_lease(), RecvPoll::Msg(_)) {
                 self.plan.counters.deaf_recvs.fetch_add(1, Ordering::Relaxed);
             }
             return RecvPoll::Empty;
         }
-        match self.inner.poll_recv() {
-            RecvPoll::Msg(msg) => {
-                self.received += 1;
-                RecvPoll::Msg(msg)
-            }
-            other => other,
+        let polled = self.inner.poll_lease();
+        if matches!(polled, RecvPoll::Msg(_)) {
+            self.received += 1;
         }
+        polled
     }
 }
 

@@ -24,17 +24,22 @@
 //! still produces them for compatibility testing and baseline
 //! measurement.
 //!
-//! Decoding has a zero-copy mode: [`Record::decode_shared`] borrows the
-//! receive buffer (an `Arc<Vec<u8>>`) and returns arrays of at least
-//! [`ZERO_COPY_MIN_BYTES`] as [`FieldValue::Packed`] views — an
-//! `offset/len` window into the shared buffer — so large payloads are
-//! never re-vec'd at decode time. The buffer stays alive for as long as
-//! any view into it does; converting a view to owned element storage
+//! Decoding has a zero-copy mode: [`Record::decode_leased`] takes the
+//! receive buffer (a [`Lease`] on wherever the transport received into) and
+//! returns arrays of at least [`ZERO_COPY_MIN_BYTES`] as
+//! [`FieldValue::Packed`] views — an `offset/len` window into the leased
+//! buffer — so large payloads are never re-vec'd at decode time. The
+//! buffer goes home when the last view into it drops. A view whose bytes
+//! sit on an 8-byte boundary of a little-endian target can be borrowed as
+//! typed elements where it lies ([`PackedArray::as_f64s`] and friends);
+//! otherwise converting it to owned element storage
 //! ([`PackedArray::to_f64_vec`] and friends) is the single bulk copy that
 //! hands the data to the application.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+use shm::Lease;
 
 const MAGIC: u32 = 0x4646_5331; // "FFS1"
 
@@ -52,21 +57,24 @@ const TAG_PACKED_U64: u8 = 11;
 const TAG_PACKED_I64: u8 = 12;
 
 /// Payloads at least this large decode as zero-copy [`FieldValue::Packed`]
-/// views under [`Record::decode_shared`], and encode as standalone borrowed
+/// views under [`Record::decode_leased`], and encode as standalone borrowed
 /// segments under [`Record::encode_segments`]. Smaller payloads are copied:
 /// below this size the bookkeeping costs more than the memcpy it saves.
-pub const ZERO_COPY_MIN_BYTES: usize = 4096;
+/// Tied to the shm channel's bulk threshold, so the segment borrowed here
+/// is the one the pooled path puts on an 8-byte boundary.
+pub const ZERO_COPY_MIN_BYTES: usize = shm::channel::BULK_SEGMENT_MIN;
 
 /// Bulk little-endian conversions between element slices and wire bytes.
 ///
 /// On little-endian targets the slice-to-bytes direction borrows (a
-/// reinterpret, no copy) and the bytes-to-slice direction is a single
-/// `memcpy`; big-endian targets fall back to per-element conversion.
+/// reinterpret, no copy) and the bytes-to-slice direction is a borrow when
+/// the bytes are aligned for the element and a single `memcpy` otherwise;
+/// big-endian targets fall back to per-element conversion.
 pub mod le {
     use std::borrow::Cow;
 
     macro_rules! le_impl {
-        ($as_bytes:ident, $to_vec:ident, $copy_into:ident, $ty:ty) => {
+        ($as_bytes:ident, $as_elems:ident, $to_vec:ident, $copy_into:ident, $ty:ty) => {
             /// View an element slice as its little-endian wire bytes.
             pub fn $as_bytes(v: &[$ty]) -> Cow<'_, [u8]> {
                 #[cfg(target_endian = "little")]
@@ -88,6 +96,37 @@ pub mod le {
                         out.extend_from_slice(&x.to_le_bytes());
                     }
                     Cow::Owned(out)
+                }
+            }
+
+            /// View a little-endian byte run as elements where it lies:
+            /// `Some` on a little-endian target when `src` starts on an
+            /// element-aligned address and holds a whole number of
+            /// elements, `None` otherwise (copy with the `bytes_to_*`
+            /// converter instead).
+            pub fn $as_elems(src: &[u8]) -> Option<&[$ty]> {
+                const W: usize = std::mem::size_of::<$ty>();
+                #[cfg(target_endian = "little")]
+                {
+                    let aligned =
+                        (src.as_ptr() as usize).is_multiple_of(std::mem::align_of::<$ty>());
+                    if !aligned || !src.len().is_multiple_of(W) {
+                        return None;
+                    }
+                    // SAFETY: the pointer is aligned for the element type
+                    // and the length is a whole number of elements (both
+                    // checked above); every bit pattern is a valid element;
+                    // the bytes are initialized and stay borrowed (shared,
+                    // so unmodified) for the returned lifetime; and on this
+                    // target the wire order is the native order.
+                    Some(unsafe {
+                        std::slice::from_raw_parts(src.as_ptr() as *const $ty, src.len() / W)
+                    })
+                }
+                #[cfg(not(target_endian = "little"))]
+                {
+                    let _ = (src, W);
+                    None
                 }
             }
 
@@ -127,9 +166,9 @@ pub mod le {
         };
     }
 
-    le_impl!(f64s_as_bytes, bytes_to_f64s, copy_bytes_into_f64s, f64);
-    le_impl!(u64s_as_bytes, bytes_to_u64s, copy_bytes_into_u64s, u64);
-    le_impl!(i64s_as_bytes, bytes_to_i64s, copy_bytes_into_i64s, i64);
+    le_impl!(f64s_as_bytes, bytes_as_f64s, bytes_to_f64s, copy_bytes_into_f64s, f64);
+    le_impl!(u64s_as_bytes, bytes_as_u64s, bytes_to_u64s, copy_bytes_into_u64s, u64);
+    le_impl!(i64s_as_bytes, bytes_as_i64s, bytes_to_i64s, copy_bytes_into_i64s, i64);
 }
 
 /// Element type of a [`PackedArray`] view.
@@ -155,18 +194,20 @@ impl PackedDtype {
     }
 }
 
-/// A zero-copy window into a shared receive buffer holding a contiguous
+/// A zero-copy window into a leased receive buffer holding a contiguous
 /// little-endian array payload.
 ///
-/// Produced by [`Record::decode_shared`] for payloads of at least
+/// Produced by [`Record::decode_leased`] for payloads of at least
 /// [`ZERO_COPY_MIN_BYTES`]. Cloning is cheap (an `Arc` bump); the
-/// underlying buffer lives until the last view is dropped. The bytes are
-/// immutable — materialize owned elements with the `to_*_vec` converters
-/// when mutation or a typed slice is needed.
+/// underlying buffer goes home (a pool buffer to its free list) when the
+/// last view is dropped. The bytes are immutable: borrow them as typed
+/// elements with the `as_*s` accessors when they lie aligned, materialize
+/// owned elements with the `to_*_vec` converters when they do not or when
+/// mutation is needed.
 #[derive(Clone)]
 pub struct PackedArray {
     dtype: PackedDtype,
-    buf: Arc<Vec<u8>>,
+    buf: Arc<Lease>,
     offset: usize,
     byte_len: usize,
 }
@@ -176,7 +217,7 @@ impl PackedArray {
     ///
     /// Panics if the window is out of bounds or not a whole number of
     /// elements.
-    pub fn view(dtype: PackedDtype, buf: Arc<Vec<u8>>, offset: usize, byte_len: usize) -> Self {
+    pub fn view(dtype: PackedDtype, buf: Arc<Lease>, offset: usize, byte_len: usize) -> Self {
         assert!(offset + byte_len <= buf.len(), "packed view out of bounds");
         assert_eq!(byte_len % dtype.elem_bytes(), 0, "packed view splits an element");
         PackedArray { dtype, buf, offset, byte_len }
@@ -184,7 +225,7 @@ impl PackedArray {
 
     fn from_owned_bytes(dtype: PackedDtype, bytes: Vec<u8>) -> Self {
         let byte_len = bytes.len();
-        PackedArray { dtype, buf: Arc::new(bytes), offset: 0, byte_len }
+        PackedArray { dtype, buf: Arc::new(bytes.into()), offset: 0, byte_len }
     }
 
     /// Pack an `f64` slice into a standalone buffer (one bulk copy).
@@ -227,9 +268,26 @@ impl PackedArray {
         &self.buf[self.offset..self.offset + self.byte_len]
     }
 
-    /// The shared buffer this view points into (for aliasing checks).
-    pub fn backing_buf(&self) -> &Arc<Vec<u8>> {
-        &self.buf
+    /// Whether the elements can be read where they lie: always for bytes;
+    /// for the 8-byte types, when the target is little-endian and the
+    /// payload starts on an 8-byte boundary (the `as_*s` accessors then
+    /// return `Some`).
+    pub fn in_place(&self) -> bool {
+        self.dtype == PackedDtype::U8 || le::bytes_as_u64s(self.bytes()).is_some()
+    }
+
+    /// Borrow the payload as `f64` elements where it lies, if it lies
+    /// aligned (see [`Self::in_place`]). Panics unless `dtype` is `F64`.
+    pub fn as_f64s(&self) -> Option<&[f64]> {
+        assert_eq!(self.dtype, PackedDtype::F64, "packed view is not f64");
+        le::bytes_as_f64s(self.bytes())
+    }
+
+    /// Borrow the payload as `u64` elements (see [`Self::as_f64s`]).
+    /// Panics unless `dtype` is `U64`.
+    pub fn as_u64s(&self) -> Option<&[u64]> {
+        assert_eq!(self.dtype, PackedDtype::U64, "packed view is not u64");
+        le::bytes_as_u64s(self.bytes())
     }
 
     /// Materialize owned `f64` elements. Panics unless `dtype` is `F64`.
@@ -664,16 +722,24 @@ impl Record {
         decode_body(&mut cursor, None)
     }
 
-    /// Decode from a shared receive buffer; array payloads of at least
+    /// Decode from a leased receive buffer; array payloads of at least
     /// [`ZERO_COPY_MIN_BYTES`] become [`FieldValue::Packed`] views into
     /// `buf` instead of owned vectors, so no payload-sized allocation or
-    /// copy happens here.
-    pub fn decode_shared(buf: &Arc<Vec<u8>>) -> Result<Record, DecodeError> {
-        let mut cursor = Cursor { bytes: buf, pos: 0 };
+    /// copy happens here. The lease lives as long as any such view does; a
+    /// record without one releases it on return.
+    pub fn decode_leased(buf: Lease) -> Result<Record, DecodeError> {
+        let buf = Arc::new(buf);
+        let mut cursor = Cursor { bytes: &buf, pos: 0 };
         if cursor.u32()? != MAGIC {
             return Err(DecodeError::BadMagic);
         }
-        decode_body(&mut cursor, Some(buf))
+        decode_body(&mut cursor, Some(&buf))
+    }
+
+    /// [`Record::decode_leased`] on a buffer the caller keeps a handle to:
+    /// the views alias `buf`, which is not copied.
+    pub fn decode_shared(buf: &Arc<Vec<u8>>) -> Result<Record, DecodeError> {
+        Record::decode_leased(Arc::clone(buf).into())
     }
 
     /// Group fields by a name prefix (`"dim.0"`, `"dim.1"` → `"dim"`):
@@ -898,7 +964,7 @@ impl<'a> Cursor<'a> {
 
 fn decode_body(
     cursor: &mut Cursor<'_>,
-    shared: Option<&Arc<Vec<u8>>>,
+    shared: Option<&Arc<Lease>>,
 ) -> Result<Record, DecodeError> {
     let count = cursor.u32()? as usize;
     let mut record = Record::new();
@@ -917,7 +983,7 @@ fn decode_body(
 /// one is available and the payload is large, an owned vector otherwise.
 fn decode_array(
     cursor: &mut Cursor<'_>,
-    shared: Option<&Arc<Vec<u8>>>,
+    shared: Option<&Arc<Lease>>,
     dtype: PackedDtype,
 ) -> Result<FieldValue, DecodeError> {
     let (bytes, offset, _) = cursor.array_bytes(dtype.elem_bytes())?;
@@ -941,7 +1007,7 @@ fn decode_array(
 
 fn decode_value(
     cursor: &mut Cursor<'_>,
-    shared: Option<&Arc<Vec<u8>>>,
+    shared: Option<&Arc<Lease>>,
 ) -> Result<FieldValue, DecodeError> {
     let tag = cursor.u8()?;
     Ok(match tag {
@@ -1025,7 +1091,10 @@ mod tests {
         let d = Record::decode_shared(&buf).unwrap();
         assert_eq!(d.get_f64_array("small"), Some(&[1.0, 2.0][..]));
         let p = d.get_packed("big").expect("large array should decode packed");
-        assert!(Arc::ptr_eq(p.backing_buf(), &buf), "view must alias the receive buffer");
+        assert!(
+            buf.as_ptr_range().contains(&p.bytes().as_ptr()),
+            "view must alias the receive buffer"
+        );
         assert_eq!(p.to_f64_vec(), data);
     }
 

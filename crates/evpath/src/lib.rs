@@ -40,6 +40,7 @@ pub use ffs::{
     DecodeError, EncSegment, EncodedRecord, FieldValue, PackedArray, PackedDtype, Record,
     ZERO_COPY_MIN_BYTES,
 };
+pub use shm::Lease;
 pub use socket::{
     connect, connect_retry, decode_frame_header, encode_frame_header, read_frame, receiver_over,
     sender_over, socket_pair, write_frame, SockStream, SocketKind, SocketListener, SocketReceiver,

@@ -38,6 +38,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use shm::{BufferPool, Lease, PoolBuffer};
+
 use crate::transport::{BoxedReceiver, BoxedSender, EvReceiver, EvSender, RecvPoll};
 
 // ------------------------------------------------------------- framing
@@ -357,17 +359,28 @@ impl EvSender for SocketSender {
 enum RecvPhase {
     /// Accumulating the 8-byte frame header.
     Header,
-    /// Accumulating `len` payload bytes.
-    Payload,
+    /// Accumulating `len` payload bytes into `buf`.
+    Payload { buf: PoolBuffer, len: usize },
 }
 
+/// Free frame-buffer capacity a receiver keeps before reclaiming (the shm
+/// channel's default): a cap, not a reservation — the free list only ever
+/// holds buffers this receiver's own traffic returned.
+const FRAME_POOL_THRESHOLD: u64 = 64 << 20;
+
 /// The receiving half of a socket channel: nonblocking frame accumulator.
+///
+/// Frames are received into buffers from a free list private to the
+/// receiver and handed out as [`Lease`]s, so a stream of same-sized frames
+/// reuses the same warm pages instead of faulting a fresh allocation in per
+/// frame; a buffer is back on the list when its lease (and every view
+/// decoded out of it) has dropped.
 pub struct SocketReceiver {
     stream: SockStream,
     phase: RecvPhase,
     header: [u8; FRAME_HEADER_LEN],
     filled: usize,
-    payload: Vec<u8>,
+    frames: BufferPool,
     max_frame: u32,
     poisoned: bool,
 }
@@ -381,7 +394,7 @@ impl SocketReceiver {
             phase: RecvPhase::Header,
             header: [0; FRAME_HEADER_LEN],
             filled: 0,
-            payload: Vec::new(),
+            frames: BufferPool::new(FRAME_POOL_THRESHOLD),
             max_frame: MAX_FRAME_LEN,
             poisoned: false,
         }
@@ -393,37 +406,19 @@ impl SocketReceiver {
         self.max_frame = max;
     }
 
-    fn poison(&mut self, reason: &'static str) -> RecvPoll {
+    fn poison(&mut self, reason: &'static str) -> RecvPoll<Lease> {
         self.poisoned = true;
         RecvPoll::Corrupt(reason)
-    }
-
-    fn finish_frame(&mut self) -> RecvPoll {
-        self.phase = RecvPhase::Header;
-        self.filled = 0;
-        RecvPoll::Msg(std::mem::take(&mut self.payload))
     }
 }
 
 impl EvReceiver for SocketReceiver {
-    fn recv(&mut self) -> Vec<u8> {
-        loop {
-            match self.poll_recv() {
-                RecvPoll::Msg(m) => return m,
-                RecvPoll::Empty => std::thread::sleep(Duration::from_micros(100)),
-                RecvPoll::Closed => panic!("socket channel closed"),
-                // A poisoned stream reports Closed on the next poll.
-                RecvPoll::Corrupt(_) => {}
-            }
-        }
-    }
-
-    fn poll_recv(&mut self) -> RecvPoll {
+    fn poll_lease(&mut self) -> RecvPoll<Lease> {
         if self.poisoned {
             return RecvPoll::Closed;
         }
         loop {
-            match self.phase {
+            match &mut self.phase {
                 RecvPhase::Header => {
                     let want = FRAME_HEADER_LEN - self.filled;
                     match self.stream.read(&mut self.header[self.filled..]) {
@@ -444,13 +439,13 @@ impl EvReceiver for SocketReceiver {
                             }
                             match decode_frame_header(&self.header, self.max_frame) {
                                 Ok(len) => {
-                                    if len == 0 {
-                                        self.filled = 0;
-                                        return RecvPoll::Msg(Vec::new());
-                                    }
-                                    self.payload = vec![0; len as usize];
                                     self.filled = 0;
-                                    self.phase = RecvPhase::Payload;
+                                    if len == 0 {
+                                        return RecvPoll::Msg(Vec::new().into());
+                                    }
+                                    let len = len as usize;
+                                    self.phase =
+                                        RecvPhase::Payload { buf: self.frames.acquire(len), len };
                                 }
                                 Err(reason) => return self.poison(reason),
                             }
@@ -472,20 +467,28 @@ impl EvReceiver for SocketReceiver {
                         }
                     }
                 }
-                RecvPhase::Payload => match self.stream.read(&mut self.payload[self.filled..]) {
-                    Ok(0) => return self.poison("truncated frame payload"),
-                    Ok(n) => {
-                        self.filled += n;
-                        if self.filled == self.payload.len() {
-                            return self.finish_frame();
+                RecvPhase::Payload { buf, len } => {
+                    match self.stream.read(&mut buf.as_mut_slice()[self.filled..*len]) {
+                        Ok(0) => return self.poison("truncated frame payload"),
+                        Ok(n) => {
+                            self.filled += n;
+                            if self.filled == *len {
+                                self.filled = 0;
+                                let RecvPhase::Payload { buf, len } =
+                                    std::mem::replace(&mut self.phase, RecvPhase::Header)
+                                else {
+                                    unreachable!("matched the payload phase above")
+                                };
+                                return RecvPoll::Msg(Lease::pooled(buf, 0, len));
+                            }
                         }
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                            return RecvPoll::Empty;
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(_) => return self.poison("connection error mid-frame"),
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        return RecvPoll::Empty;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return self.poison("connection error mid-frame"),
-                },
+                }
             }
         }
     }

@@ -10,6 +10,7 @@
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use netsim::{NetSim, Port, PortAddress, Registration};
 use shm::channel::{shm_channel, ShmReceiver, ShmSender};
+use shm::Lease;
 
 /// Sending side of a byte transport.
 pub trait EvSender: Send {
@@ -39,16 +40,18 @@ pub fn flatten(segments: &[&[u8]]) -> Vec<u8> {
     flat
 }
 
-/// Outcome of one non-blocking readiness poll on a receiver.
+/// Outcome of one non-blocking readiness poll on a receiver, carrying the
+/// message as a [`Lease`] on the receive buffer ([`EvReceiver::poll_lease`])
+/// or, by default, as an owned vector ([`EvReceiver::poll_recv`]).
 ///
 /// `Option<Vec<u8>>` is too lossy for an event-loop runtime (and was
 /// silently conflating real failures with "nothing yet"): the reactor
 /// must distinguish *try again later* from *this channel will never
 /// produce another message* from *this frame arrived damaged*.
 #[derive(Debug, PartialEq, Eq)]
-pub enum RecvPoll {
+pub enum RecvPoll<M = Vec<u8>> {
     /// A message was ready and has been dequeued.
-    Msg(Vec<u8>),
+    Msg(M),
     /// Nothing queued right now; poll again later.
     Empty,
     /// The queue is drained and the peer endpoint is gone — no further
@@ -60,14 +63,52 @@ pub enum RecvPoll {
     Corrupt(&'static str),
 }
 
+impl<M> RecvPoll<M> {
+    /// Convert the message, keeping every other outcome.
+    pub fn map<N>(self, f: impl FnOnce(M) -> N) -> RecvPoll<N> {
+        match self {
+            RecvPoll::Msg(m) => RecvPoll::Msg(f(m)),
+            RecvPoll::Empty => RecvPoll::Empty,
+            RecvPoll::Closed => RecvPoll::Closed,
+            RecvPoll::Corrupt(reason) => RecvPoll::Corrupt(reason),
+        }
+    }
+}
+
 /// Receiving side of a byte transport.
 pub trait EvReceiver: Send {
-    /// Blocking receive of the next message.
-    fn recv(&mut self) -> Vec<u8>;
+    /// Non-blocking readiness poll handing out the receive buffer itself:
+    /// the message stays where the transport received it (a pool buffer on
+    /// the shm and socket paths) and the storage goes home when the lease,
+    /// and every view decoded out of it, drops. Never blocks; `Empty` means
+    /// "look again", every other variant is a definite event.
+    fn poll_lease(&mut self) -> RecvPoll<Lease>;
 
-    /// Non-blocking readiness poll. Never blocks; `Empty` means "look
-    /// again", every other variant is a definite event.
-    fn poll_recv(&mut self) -> RecvPoll;
+    /// [`poll_lease`](Self::poll_lease) with the message as an owned
+    /// vector (one copy when the lease is on a pool buffer).
+    fn poll_recv(&mut self) -> RecvPoll {
+        self.poll_lease().map(Lease::into_vec)
+    }
+
+    /// Blocking receive of the next message: polls, spinning briefly and
+    /// then yielding the core. A corrupt frame is consumed and skipped — to
+    /// this caller it is a message the fabric lost. Panics once the channel
+    /// is closed.
+    fn recv(&mut self) -> Vec<u8> {
+        let mut idle = 0u32;
+        loop {
+            match self.poll_recv() {
+                RecvPoll::Msg(m) => return m,
+                RecvPoll::Corrupt(_) => {}
+                RecvPoll::Closed => panic!("channel closed"),
+                RecvPoll::Empty if idle < 64 => {
+                    idle += 1;
+                    std::hint::spin_loop();
+                }
+                RecvPoll::Empty => std::thread::yield_now(),
+            }
+        }
+    }
 
     /// Non-blocking receive, for drain-style callers that treat every
     /// non-message outcome as "stop draining". New code that must react
@@ -114,14 +155,10 @@ impl EvSender for InprocSender {
 }
 
 impl EvReceiver for InprocReceiver {
-    fn recv(&mut self) -> Vec<u8> {
-        self.0.recv().expect("in-proc channel closed")
-    }
-
-    fn poll_recv(&mut self) -> RecvPoll {
+    fn poll_lease(&mut self) -> RecvPoll<Lease> {
         use crossbeam::channel::TryRecvError;
         match self.0.try_recv() {
-            Ok(msg) => RecvPoll::Msg(msg),
+            Ok(msg) => RecvPoll::Msg(msg.into()),
             Err(TryRecvError::Empty) => RecvPoll::Empty,
             Err(TryRecvError::Disconnected) => RecvPoll::Closed,
         }
@@ -160,9 +197,8 @@ impl EvSender for ShmTransportSender {
     }
 
     fn send_vectored(&mut self, segments: &[&[u8]]) {
-        // Segments land directly in the pool slot (or inline frame): the
-        // producer-side copy stays at exactly one, preserving the paper's
-        // two-copy bound for pooled transfers.
+        // Segments land directly in the pool slot (or inline frame): one
+        // producer-side copy, and the first bulk segment 8-byte aligned.
         self.0.send_copy_vectored(segments);
     }
 
@@ -172,18 +208,7 @@ impl EvSender for ShmTransportSender {
 }
 
 impl EvReceiver for ShmTransportReceiver {
-    fn recv(&mut self) -> Vec<u8> {
-        // A corrupt control frame is consumed and skipped: to this layer it
-        // is indistinguishable from a message the fabric lost, and the
-        // protocol's timeout/retry machinery owns that failure mode.
-        loop {
-            if let Ok(msg) = self.0.recv() {
-                return msg;
-            }
-        }
-    }
-
-    fn poll_recv(&mut self) -> RecvPoll {
+    fn poll_lease(&mut self) -> RecvPoll<Lease> {
         match self.0.try_recv() {
             Ok(Some(msg)) => RecvPoll::Msg(msg),
             Ok(None) => {
@@ -244,16 +269,12 @@ impl EvSender for NetTransportSender {
 }
 
 impl EvReceiver for NetTransportReceiver {
-    fn recv(&mut self) -> Vec<u8> {
-        self.port.recv().0
-    }
-
-    fn poll_recv(&mut self) -> RecvPoll {
+    fn poll_lease(&mut self) -> RecvPoll<Lease> {
         // RDMA has no connection teardown signal: a vanished peer looks
         // exactly like silence, so this transport never reports `Closed`
         // and the protocol's timeout machinery owns that failure mode.
         match self.port.try_recv() {
-            Some((payload, _)) => RecvPoll::Msg(payload),
+            Some((payload, _)) => RecvPoll::Msg(payload.into()),
             None => RecvPoll::Empty,
         }
     }

@@ -5,7 +5,7 @@
 //! (or copy into) a payload-sized buffer — the decoded field is a view
 //! into the receive buffer itself. A counting global allocator watches
 //! for any allocation at or above the payload size during
-//! `Record::decode_shared`, and an `Arc` identity check proves the view
+//! `Record::decode_shared`, and an address check proves the view
 //! aliases the receive buffer rather than a private copy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -83,7 +83,7 @@ fn shared_decode_of_large_packed_array_does_not_copy_payload() {
     // a private copy of the payload.
     let packed = decoded.get_packed("field").expect("packed view");
     assert!(
-        Arc::ptr_eq(packed.backing_buf(), &wire),
+        wire.as_ptr_range().contains(&packed.bytes().as_ptr()),
         "packed view does not alias the shared receive buffer"
     );
     assert_eq!(packed.byte_len(), payload_bytes);

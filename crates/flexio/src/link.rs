@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use adios::GroupConfig;
 use evpath::{
-    inproc_pair, BoxedReceiver, BoxedSender, EvReceiver, EvSender, FaultPlan, FaultSpec,
+    inproc_pair, BoxedReceiver, BoxedSender, EvReceiver, EvSender, FaultPlan, FaultSpec, Lease,
     NetTransport, Record, RecvPoll, ShmTransport,
 };
 use machine::{CoreLocation, MachineModel};
@@ -639,32 +639,19 @@ impl EvSender for SeqSender {
 struct SeqReceiver {
     inner: BoxedReceiver,
     next: u64,
-    early: BTreeMap<u64, Vec<u8>>,
+    early: BTreeMap<u64, Lease>,
     counters: Arc<ProtocolCounters>,
 }
 
 impl EvReceiver for SeqReceiver {
-    fn recv(&mut self) -> Vec<u8> {
-        // Spin → yield → park: hot streams stay in the nanosecond regime,
-        // idle ones stop burning the helper core (this used to be a fixed
-        // 100 µs sleep loop).
-        let mut backoff = flexio_reactor::Backoff::new();
-        loop {
-            if let Some(msg) = self.try_recv() {
-                return msg;
-            }
-            backoff.snooze();
-        }
-    }
-
-    fn poll_recv(&mut self) -> RecvPoll {
+    fn poll_lease(&mut self) -> RecvPoll<Lease> {
         loop {
             if let Some(msg) = self.early.remove(&self.next) {
                 self.next += 1;
                 self.counters.bump(&self.counters.reorder_healed);
                 return RecvPoll::Msg(msg);
             }
-            let framed = match self.inner.poll_recv() {
+            let mut framed = match self.inner.poll_lease() {
                 RecvPoll::Msg(framed) => framed,
                 RecvPoll::Empty => return RecvPoll::Empty,
                 RecvPoll::Corrupt(reason) => return RecvPoll::Corrupt(reason),
@@ -691,7 +678,9 @@ impl EvReceiver for SeqReceiver {
                 continue;
             }
             let seq = u64::from_le_bytes(framed[..8].try_into().unwrap());
-            let payload = framed[8..].to_vec();
+            // The payload is the same buffer past the header, not a copy.
+            framed.skip(8);
+            let payload = framed;
             if seq < self.next {
                 self.counters.bump(&self.counters.dup_msgs);
                 continue;
@@ -1044,11 +1033,12 @@ pub async fn recv_record_rt(
         let deadline = Instant::now() + timeout;
         let mut pacing = flexio_reactor::Pacing::new();
         loop {
-            match rx.poll_recv() {
-                // Decoded against the shared receive buffer: large array
-                // payloads come back as zero-copy views into `bytes`.
+            match rx.poll_lease() {
+                // Decoded against the receive buffer itself (on shm, the
+                // pool slot): large array payloads come back as zero-copy
+                // views that keep `bytes` leased for as long as they live.
                 evpath::RecvPoll::Msg(bytes) => {
-                    return Record::decode_shared(&Arc::new(bytes))
+                    return Record::decode_leased(bytes)
                         .map_err(|e| StreamError::Corrupt(e.to_string()))
                 }
                 evpath::RecvPoll::Corrupt(reason) => {

@@ -11,7 +11,7 @@
 //!   identifies its channel with a *hello frame* carrying the key
 //!   `"<stream>|<channel label>"`; the hub parks the accepted stream
 //!   under that key until the local engine claims the receiving half.
-//!   Receivers are therefore **lazy**: `poll_recv` reports `Empty` until
+//!   Receivers are therefore **lazy**: `poll_lease` reports `Empty` until
 //!   the peer has dialed in, which is exactly the readiness contract the
 //!   engines and the reactor already run on.
 //! * [`WireDirNode`] — a directory node process: serves register/lookup
@@ -43,7 +43,9 @@ use evpath::socket::{
     connect, connect_retry, read_frame, write_frame, SockStream, SocketKind, SocketListener,
     SocketReceiver, SocketSender,
 };
-use evpath::{BoxedReceiver, BoxedSender, EvReceiver, EvSender, FieldValue, Record, RecvPoll};
+use evpath::{
+    BoxedReceiver, BoxedSender, EvReceiver, EvSender, FieldValue, Lease, Record, RecvPoll,
+};
 use machine::CoreLocation;
 use parking_lot::{Condvar, Mutex};
 
@@ -534,18 +536,7 @@ struct LazyHubReceiver {
 }
 
 impl EvReceiver for LazyHubReceiver {
-    fn recv(&mut self) -> Vec<u8> {
-        loop {
-            match self.poll_recv() {
-                RecvPoll::Msg(m) => return m,
-                RecvPoll::Empty => std::thread::sleep(Duration::from_micros(100)),
-                RecvPoll::Closed => panic!("socket channel closed"),
-                RecvPoll::Corrupt(_) => {}
-            }
-        }
-    }
-
-    fn poll_recv(&mut self) -> RecvPoll {
+    fn poll_lease(&mut self) -> RecvPoll<Lease> {
         if self.inner.is_none() {
             let key = self.fabric.channel_key(self.id);
             match self.fabric.hub.try_take(&key) {
@@ -561,7 +552,7 @@ impl EvReceiver for LazyHubReceiver {
                 None => return RecvPoll::Empty,
             }
         }
-        self.inner.as_mut().expect("taken above").poll_recv()
+        self.inner.as_mut().expect("taken above").poll_lease()
     }
 }
 

@@ -210,8 +210,8 @@ impl StreamReader {
 
     /// Borrow the chunks stored for `(writer, var)` in the current step,
     /// in arrival order, without copying — packed wire views stay packed.
-    /// The query executor reads chunks through this (zero-copy path);
-    /// `read()` stays the materializing application API.
+    /// The query executor reads chunks through this, whatever their
+    /// alignment; `read()` hands out only views `as_f64()` can borrow.
     pub fn stored(&self, w: usize, var: &str) -> Option<&[VarValue]> {
         self.store.get(&(w, var.to_string())).map(|v| v.as_slice())
     }
@@ -735,11 +735,14 @@ impl ReadEngine for StreamReader {
         assert!(self.current_step.is_some(), "read outside a step");
         match sel {
             Selection::ProcessGroup(w) => {
-                // Cloning a stored packed block only bumps the view's Arc;
-                // materializing owned elements for the application is the
-                // single payload copy on this path.
+                // Cloning a stored packed block only bumps the view's Arc,
+                // and the view goes to the application as it is when its
+                // bytes can be read where they lie (the receive buffer then
+                // stays leased until the application drops the block, past
+                // `end_step` if it likes). Only a view that lies unaligned
+                // is materialized — the single payload copy on this path.
                 let mut v = self.store.get(&(*w, name.to_string()))?.first().cloned()?;
-                v.make_owned();
+                v.make_readable();
                 Some(v)
             }
             Selection::Scalar => self

@@ -6,18 +6,23 @@
 //! 1. **Inline** — payloads that fit in a queue entry travel directly
 //!    through the [`crate::spsc`] data queue (the paper's "small messages
 //!    like handshaking messages are passed through data queues").
-//! 2. **Pooled (two copies)** — the producer copies the payload into a
-//!    buffer from the [`crate::pool::BufferPool`] free list, sends a control
-//!    message through the queue, and returns immediately (asynchronous
-//!    send); the consumer copies from the pooled buffer into its target and
-//!    returns the buffer to the free list.
-//! 3. **Mapped (one copy)** — emulating XPMEM `xpmem_make`/`xpmem_get`: the
-//!    producer *shares its source buffer* (an `Arc` here, a page mapping on
-//!    the Cray) and blocks until the consumer has copied directly out of it
-//!    (synchronous send). Only one copy total.
+//! 2. **Pooled (one copy, leased)** — the producer copies the payload into
+//!    a buffer from the [`crate::pool::BufferPool`] free list, sends a
+//!    control message through the queue, and returns immediately
+//!    (asynchronous send). The paper's consumer then copies from the pooled
+//!    buffer into its target; this one is handed the pool buffer itself as
+//!    a [`Lease`] and reads the message in place, and the buffer returns to
+//!    the free list when the lease (and every view decoded out of it)
+//!    drops. The producer starts the message at the 0–7 byte pad that puts
+//!    its first bulk segment on an 8-byte boundary, so a consumer can
+//!    reinterpret that payload as 8-byte elements without moving it.
+//! 3. **Mapped (one copy, synchronous)** — emulating XPMEM
+//!    `xpmem_make`/`xpmem_get`: the producer *shares its source buffer* (an
+//!    `Arc` here, a page mapping on the Cray) and blocks until the consumer
+//!    has copied directly out of it.
 //!
-//! Copy counts are instrumented so tests and benches can verify the 2-copy
-//! vs 1-copy claim rather than assume it.
+//! Copy counts are instrumented so tests and benches can verify them
+//! rather than assume them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,8 +31,18 @@ use std::sync::Arc;
 use crossbeam::channel::{bounded, Sender as OneshotSender};
 use parking_lot::Mutex;
 
-use crate::pool::{BufferPool, PoolBuffer, PoolStats};
+use crate::pool::{BufferPool, Lease, PoolStats};
 use crate::spsc::{spsc_queue, Consumer, Producer, PushError};
+
+/// Segments of a vectored send at least this long count as bulk payload:
+/// the pooled path places the first of them on a [`BULK_ALIGN`] boundary.
+/// The marshaling layer borrows array payloads from this size up as
+/// segments of their own, so the segment it borrows is the one aligned.
+pub const BULK_SEGMENT_MIN: usize = 4096;
+
+/// Alignment given to the first bulk segment of a pooled message: the
+/// widest element the data model has.
+pub const BULK_ALIGN: usize = 8;
 
 /// Control-message kinds on the wire (first byte of a queue entry).
 const KIND_INLINE: u8 = 0;
@@ -70,7 +85,7 @@ impl ChannelError {
 /// through the data queue as the stand-in for the paper's
 /// "(address, length)" control message.
 enum Transfer {
-    Pooled { buf: PoolBuffer, len: usize },
+    Pooled(Lease),
     Mapped { data: Arc<Vec<u8>>, done: OneshotSender<()> },
 }
 
@@ -143,20 +158,19 @@ impl ShmSender {
         self.queue.payload_capacity() - 1
     }
 
-    /// Asynchronous send: inline if small, otherwise the 2-copy pooled
-    /// path. Returns once the payload is safely buffered — the caller may
-    /// reuse its source immediately (the overlap the paper's asynchronous
-    /// API provides).
+    /// Asynchronous send: inline if small, otherwise the pooled path.
+    /// Returns once the payload is safely buffered — the caller may reuse
+    /// its source immediately (the overlap the paper's asynchronous API
+    /// provides).
     pub fn send_copy(&mut self, payload: &[u8]) {
         self.send_copy_vectored(&[payload]);
     }
 
     /// Scatter-gather variant of [`ShmSender::send_copy`]: the message is
     /// the concatenation of `segments`, written segment by segment straight
-    /// into the inline frame or the pooled buffer. The producer-side copy
-    /// count is the same as for a flat send — the segments never get
+    /// into the inline frame or the pooled buffer — the segments never get
     /// assembled into an intermediate message buffer, so the pooled path
-    /// keeps the paper's two-copy bound end to end.
+    /// costs one producer-side copy however the message is split.
     pub fn send_copy_vectored(&mut self, segments: &[&[u8]]) {
         let total: usize = segments.iter().map(|s| s.len()).sum();
         if total < self.queue.payload_capacity() {
@@ -168,9 +182,27 @@ impl ShmSender {
             self.queue.push(&framed).expect("inline frame fits entry capacity");
             return;
         }
-        let mut buf = self.pool.acquire(total);
+        let token = self.park_pooled(segments, total);
+        self.queue
+            .push(&control_frame(KIND_POOLED, token))
+            .expect("control frame fits entry capacity");
+    }
+
+    /// Copy `segments` (`total` bytes) into a pool buffer and park it in
+    /// the side table under a fresh token, which is returned. The message
+    /// starts at the pad that aligns its first bulk segment; the pad is
+    /// slot placement, not message bytes, and reaches the consumer as the
+    /// lease's start.
+    fn park_pooled(&mut self, segments: &[&[u8]], total: usize) -> u64 {
+        let mut buf = self.pool.acquire(total + BULK_ALIGN - 1);
         let dst = buf.as_mut_slice();
-        let mut at = 0;
+        let before_bulk: Option<usize> = segments
+            .iter()
+            .position(|s| s.len() >= BULK_SEGMENT_MIN)
+            .map(|i| segments[..i].iter().map(|s| s.len()).sum());
+        let pad =
+            before_bulk.map_or(0, |at| (dst.as_ptr() as usize + at).wrapping_neg() % BULK_ALIGN);
+        let mut at = pad;
         for s in segments {
             dst[at..at + s.len()].copy_from_slice(s);
             at += s.len();
@@ -178,10 +210,11 @@ impl ShmSender {
         self.shared.producer_copies.fetch_add(1, Ordering::Relaxed);
         let token = self.next_token;
         self.next_token += 1;
-        self.shared.transfers.lock().insert(token, Transfer::Pooled { buf, len: total });
-        self.queue
-            .push(&control_frame(KIND_POOLED, token))
-            .expect("control frame fits entry capacity");
+        self.shared
+            .transfers
+            .lock()
+            .insert(token, Transfer::Pooled(Lease::pooled(buf, pad, total)));
+        token
     }
 
     /// Synchronous one-copy send (XPMEM emulation): shares the caller's
@@ -211,31 +244,16 @@ impl ShmSender {
             framed.extend_from_slice(payload);
             return self.queue.try_push(&framed);
         }
-        // Reserve the pool buffer only if the queue has room for the
-        // control frame: probe with the frame first.
-        let token = self.next_token;
-        let frame = control_frame(KIND_POOLED, token);
-        // Copy into the pool after the push succeeds is racy (consumer may
-        // pop the token before the transfer is parked), so park first and
-        // roll back on Full.
-        let mut buf = self.pool.acquire(payload.len());
-        buf.as_mut_slice()[..payload.len()].copy_from_slice(payload);
-        self.shared.transfers.lock().insert(token, Transfer::Pooled { buf, len: payload.len() });
-        match self.queue.try_push(&frame) {
-            Ok(()) => {
-                self.shared.producer_copies.fetch_add(1, Ordering::Relaxed);
-                self.next_token += 1;
-                Ok(())
-            }
-            Err(e) => {
-                if let Some(Transfer::Pooled { buf, .. }) =
-                    self.shared.transfers.lock().remove(&token)
-                {
-                    self.pool.give_back(buf);
-                }
-                Err(e)
-            }
+        // Copying into the pool after the push succeeded would be racy
+        // (the consumer may pop the token before the transfer is parked),
+        // so park first and roll back on Full; dropping the parked lease
+        // returns the buffer.
+        let token = self.park_pooled(&[payload], payload.len());
+        let pushed = self.queue.try_push(&control_frame(KIND_POOLED, token));
+        if pushed.is_err() {
+            self.shared.transfers.lock().remove(&token);
         }
+        pushed
     }
 
     /// Fault-injection hook: push raw bytes as one queue frame, bypassing
@@ -279,9 +297,9 @@ impl ShmReceiver {
         self.pool.numa_domain()
     }
 
-    /// Blocking receive; returns the payload bytes, or the corruption error
-    /// for a frame that cannot be decoded.
-    pub fn recv(&mut self) -> Result<Vec<u8>, ChannelError> {
+    /// Blocking receive; returns the message, or the corruption error for
+    /// a frame that cannot be decoded.
+    pub fn recv(&mut self) -> Result<Lease, ChannelError> {
         loop {
             match self.try_recv() {
                 Ok(Some(msg)) => return Ok(msg),
@@ -293,19 +311,24 @@ impl ShmReceiver {
 
     /// Non-blocking receive. `Ok(None)` means the queue is currently empty;
     /// `Err` means a frame arrived but was corrupt (and was consumed).
-    pub fn try_recv(&mut self) -> Result<Option<Vec<u8>>, ChannelError> {
+    pub fn try_recv(&mut self) -> Result<Option<Lease>, ChannelError> {
         match self.queue.try_pop() {
             Some(frame) => self.decode(frame).map(Some),
             None => Ok(None),
         }
     }
 
-    fn decode(&mut self, frame: Vec<u8>) -> Result<Vec<u8>, ChannelError> {
+    fn decode(&mut self, frame: Vec<u8>) -> Result<Lease, ChannelError> {
         let Some(&kind) = frame.first() else {
             return Err(ChannelError::Corrupt("empty frame"));
         };
         match kind {
-            KIND_INLINE => Ok(frame[1..].to_vec()),
+            KIND_INLINE => {
+                // The popped entry is the message behind its kind byte.
+                let mut msg = Lease::from(frame);
+                msg.skip(1);
+                Ok(msg)
+            }
             KIND_POOLED => {
                 let token = token_of(&frame)?;
                 let transfer = self
@@ -314,16 +337,14 @@ impl ShmReceiver {
                     .lock()
                     .remove(&token)
                     .ok_or(ChannelError::Corrupt("pooled token has no parked transfer"))?;
-                let Transfer::Pooled { buf, len } = transfer else {
+                let Transfer::Pooled(msg) = transfer else {
                     // Don't reinsert: a kind/token mismatch means the frame
                     // stream is already untrustworthy for this token.
                     return Err(ChannelError::Corrupt("token parked as mapped, frame says pooled"));
                 };
-                // Copy 2 of 2: pooled buffer -> target buffer.
-                let out = buf.as_slice()[..len].to_vec();
-                self.shared.consumer_copies.fetch_add(1, Ordering::Relaxed);
-                self.pool.give_back(buf);
-                Ok(out)
+                // No consumer copy: the pool buffer itself is the message,
+                // and goes back on the free list when the lease drops.
+                Ok(msg)
             }
             KIND_MAPPED => {
                 let token = token_of(&frame)?;
@@ -336,12 +357,14 @@ impl ShmReceiver {
                 let Transfer::Mapped { data, done } = transfer else {
                     return Err(ChannelError::Corrupt("token parked as pooled, frame says mapped"));
                 };
-                // The only copy: producer's (shared) source -> target.
+                // The only copy: producer's (shared) source -> target. The
+                // producer is blocked until it is made, so the source
+                // cannot be leased out instead.
                 let out = data.as_slice().to_vec();
                 self.shared.consumer_copies.fetch_add(1, Ordering::Relaxed);
                 drop(data); // release the "mapping"
                 let _ = done.send(());
-                Ok(out)
+                Ok(out.into())
             }
             _ => Err(ChannelError::Corrupt("unknown frame kind")),
         }
@@ -381,20 +404,50 @@ mod tests {
     fn inline_roundtrip() {
         let (mut tx, mut rx) = shm_channel(8, 64);
         tx.send_copy(b"small");
-        assert_eq!(rx.recv().unwrap(), b"small");
+        assert_eq!(&rx.recv().unwrap()[..], b"small");
         // No large-path copies for inline messages.
         assert_eq!(tx.producer_copies(), 0);
         assert_eq!(rx.consumer_copies(), 0);
     }
 
     #[test]
-    fn pooled_path_costs_two_copies() {
+    fn pooled_path_costs_one_copy_and_leases_the_buffer() {
         let (mut tx, mut rx) = shm_channel(8, 64);
         let payload = vec![7u8; 100_000];
         tx.send_copy(&payload);
-        assert_eq!(rx.recv().unwrap(), payload);
+        let got = rx.recv().unwrap();
+        assert_eq!(&got[..], &payload[..]);
         assert_eq!(tx.producer_copies(), 1, "producer copies into the pool");
-        assert_eq!(rx.consumer_copies(), 1, "consumer copies out of the pool");
+        assert_eq!(rx.consumer_copies(), 0, "consumer reads the pool buffer in place");
+        // The buffer is out on lease: the next send cannot reuse it.
+        tx.send_copy(&payload);
+        assert_eq!(tx.pool_stats().misses, 2);
+        drop(got);
+        drop(rx.recv().unwrap());
+        tx.send_copy(&payload);
+        assert_eq!(tx.pool_stats().hits, 1, "a dropped lease is back on the free list");
+    }
+
+    #[test]
+    fn first_bulk_segment_lands_on_an_eight_byte_boundary() {
+        let (mut tx, mut rx) = shm_channel(8, 64);
+        let body = vec![5u8; BULK_SEGMENT_MIN];
+        for head_len in 0..=16 {
+            let head = vec![1u8; head_len];
+            tx.send_copy_vectored(&[&head, &body, b"tail"]);
+            let got = rx.recv().unwrap();
+            assert_eq!(got.len(), head_len + body.len() + 4);
+            assert_eq!(&got[..head_len], &head[..]);
+            assert_eq!(&got[head_len + body.len()..], b"tail");
+            assert!(
+                (got[head_len..].as_ptr() as usize).is_multiple_of(BULK_ALIGN),
+                "bulk segment after a {head_len}-byte head is misaligned"
+            );
+        }
+        // A message within 7 bytes of its size class still fits with its pad.
+        let edge = vec![3u8; (1 << 16) - 1];
+        tx.send_copy_vectored(&[b"x", &edge]);
+        assert_eq!(rx.recv().unwrap().len(), 1 << 16);
     }
 
     #[test]
@@ -402,7 +455,7 @@ mod tests {
         let (mut tx, mut rx) = shm_channel(8, 64);
         // Inline: segments concatenate under the capacity threshold.
         tx.send_copy_vectored(&[b"head", b"-", b"tail"]);
-        assert_eq!(rx.recv().unwrap(), b"head-tail");
+        assert_eq!(&rx.recv().unwrap()[..], b"head-tail");
         assert_eq!(tx.producer_copies(), 0);
         // Pooled: segments land in the pool slot with exactly one
         // producer-side copy (no intermediate flat message).
@@ -412,7 +465,7 @@ mod tests {
         assert_eq!(&got[..3], b"hdr");
         assert_eq!(&got[3..], &body[..]);
         assert_eq!(tx.producer_copies(), 1, "one copy into the pool, not two");
-        assert_eq!(rx.consumer_copies(), 1);
+        assert_eq!(rx.consumer_copies(), 0);
     }
 
     #[test]
@@ -424,7 +477,7 @@ mod tests {
             tx.send_mapped(payload);
             tx // return to inspect counters after the sync send completes
         });
-        assert_eq!(rx.recv().unwrap(), expect);
+        assert_eq!(&rx.recv().unwrap()[..], &expect[..]);
         let tx = t.join().unwrap();
         assert_eq!(tx.producer_copies(), 0, "producer shares, never copies");
         assert_eq!(rx.consumer_copies(), 1);
@@ -519,8 +572,8 @@ mod tests {
         assert_eq!(tx.try_send_copy(&big), Err(PushError::Full));
         // Drain and verify the two successful sends arrive intact; the
         // rolled-back one must not leave a phantom transfer.
-        assert_eq!(rx.recv().unwrap(), big);
-        assert_eq!(rx.recv().unwrap(), big);
+        assert_eq!(&rx.recv().unwrap()[..], &big[..]);
+        assert_eq!(&rx.recv().unwrap()[..], &big[..]);
         assert!(rx.try_recv().unwrap().is_none());
         assert!(tx.shared.transfers.lock().is_empty());
     }
@@ -532,26 +585,26 @@ mod tests {
 
         // Unknown kind byte.
         tx.queue.push(&[42u8, 0, 0, 0]).unwrap();
-        assert_eq!(rx.try_recv(), Err(ChannelError::Corrupt("unknown frame kind")));
+        assert_eq!(rx.try_recv().err(), Some(ChannelError::Corrupt("unknown frame kind")));
 
         // Truncated control frame (pooled kind but no room for a token).
         tx.queue.push(&[KIND_POOLED, 1, 2]).unwrap();
-        assert_eq!(rx.try_recv(), Err(ChannelError::Corrupt("truncated control frame")));
+        assert_eq!(rx.try_recv().err(), Some(ChannelError::Corrupt("truncated control frame")));
 
         // Well-formed pooled frame whose token was never parked.
         tx.queue.push(&control_frame(KIND_POOLED, 99)).unwrap();
         assert_eq!(
-            rx.try_recv(),
-            Err(ChannelError::Corrupt("pooled token has no parked transfer"))
+            rx.try_recv().err(),
+            Some(ChannelError::Corrupt("pooled token has no parked transfer"))
         );
 
         // Empty frame.
         tx.queue.push(&[]).unwrap();
-        assert_eq!(rx.try_recv(), Err(ChannelError::Corrupt("empty frame")));
+        assert_eq!(rx.try_recv().err(), Some(ChannelError::Corrupt("empty frame")));
 
         // The channel keeps working after every corrupt frame.
         tx.send_copy(b"still alive");
-        assert_eq!(rx.recv().unwrap(), b"still alive");
+        assert_eq!(&rx.recv().unwrap()[..], b"still alive");
     }
 
     #[test]
@@ -564,7 +617,7 @@ mod tests {
         // contract is flag + one more poll, which the evpath layer honours.
         assert!(rx.peer_closed());
         assert_eq!(rx.try_recv().unwrap().as_deref(), Some(&b"last words"[..]));
-        assert_eq!(rx.try_recv().unwrap(), None);
+        assert!(rx.try_recv().unwrap().is_none());
         assert!(rx.peer_closed());
     }
 
@@ -579,8 +632,8 @@ mod tests {
             .insert(7, Transfer::Mapped { data: Arc::new(vec![1, 2, 3]), done: done_tx });
         tx.queue.push(&control_frame(KIND_POOLED, 7)).unwrap();
         assert_eq!(
-            rx.try_recv(),
-            Err(ChannelError::Corrupt("token parked as mapped, frame says pooled"))
+            rx.try_recv().err(),
+            Some(ChannelError::Corrupt("token parked as mapped, frame says pooled"))
         );
     }
 }

@@ -12,14 +12,15 @@
 //!   false sharing and minimizing coherence traffic. See [`spsc`].
 //! * **Buffer pool** for large messages: the producer pre-allocates a pool
 //!   indexed by a free list; a large send copies the payload into a pooled
-//!   buffer of the closest size (allocating one on miss), passes a small
-//!   control message through the data queue, and the consumer copies out and
-//!   returns the buffer to the free list — **two copies** total. See
-//!   [`pool`].
+//!   buffer of the closest size (allocating one on miss) and passes a small
+//!   control message through the data queue. The paper's consumer copies
+//!   out and returns the buffer — two copies; here the consumer is leased
+//!   the buffer, reads the message in place, and the buffer returns to the
+//!   free list when the [`Lease`] drops — **one copy**. See [`pool`].
 //! * **XPMEM-style page mapping** (Cray XK): for synchronous large
 //!   transfers the producer *shares its source buffer* instead of copying;
 //!   the consumer maps it and copies directly into the receive buffer —
-//!   **one copy**. In this in-process reproduction the mapping is an
+//!   **one copy**, synchronous. In this in-process reproduction the mapping is an
 //!   `Arc`-shared buffer handle; see [`channel::ShmSender::send_mapped`].
 //!
 //! The paper substitution (see DESIGN.md): the original uses SysV/mmap
@@ -37,7 +38,7 @@
 //! std::thread::spawn(move || {
 //!     tx.send_copy(b"hello from the simulation");
 //! });
-//! assert_eq!(rx.recv().unwrap(), b"hello from the simulation");
+//! assert_eq!(&rx.recv().unwrap()[..], b"hello from the simulation");
 //! ```
 
 pub mod channel;
@@ -48,5 +49,5 @@ pub mod spsc;
 pub mod spsc_unpadded;
 
 pub use channel::{shm_channel, shm_channel_with_pool, ChannelError, ShmReceiver, ShmSender};
-pub use pool::{BufferPool, PoolStats};
+pub use pool::{BufferPool, Lease, PoolBuffer, PoolStats};
 pub use spsc::{spsc_queue, Consumer, Producer, PushError};

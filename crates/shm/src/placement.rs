@@ -7,7 +7,7 @@
 //! so placement is thread-scoped: at fleet startup each worker installs
 //! its shard's NUMA-pinned [`BufferPool`] here, and every
 //! [`crate::shm_channel`] created *on that thread* afterwards draws its
-//! pooled (2-copy) buffers from it instead of allocating a private,
+//! pooled buffers from it instead of allocating a private,
 //! unpinned pool.
 //!
 //! Channels created on threads with no installed pool keep the old

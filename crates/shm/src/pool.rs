@@ -11,8 +11,13 @@
 //! smallest class that fits. A configurable byte threshold triggers
 //! reclamation of idle buffers (the same mechanism the RDMA transport uses,
 //! §II.E), bounding total memory usage.
+//!
+//! Where this tree departs from the paper: the consumer does not copy out.
+//! It is handed the pool buffer itself as a [`Lease`], reads the message in
+//! place, and the buffer goes back on the free list when the lease drops.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,14 +37,26 @@ pub struct PoolStats {
     pub resident_bytes: u64,
 }
 
-/// A checked-out pool buffer. Dropping it without
-/// [`BufferPool::give_back`] leaks the capacity accounting on purpose —
-/// callers hand buffers back explicitly, mirroring the paper's explicit
-/// free-list return step.
-#[derive(Debug)]
+/// A checked-out pool buffer. It remembers its pool: dropping it, on any
+/// thread and however long after the channel that carried it is gone, is
+/// the paper's free-list return step ([`BufferPool::give_back`] is the same
+/// thing spelled out), so the capacity accounting cannot leak.
 pub struct PoolBuffer {
     data: Box<[u8]>,
     class: usize,
+    home: BufferPool,
+}
+
+impl Drop for PoolBuffer {
+    fn drop(&mut self) {
+        self.home.list(std::mem::take(&mut self.data), self.class);
+    }
+}
+
+impl std::fmt::Debug for PoolBuffer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PoolBuffer").field("capacity", &self.capacity()).finish()
+    }
 }
 
 impl PoolBuffer {
@@ -53,9 +70,99 @@ impl PoolBuffer {
         &mut self.data
     }
 
-    /// Shared view for the consumer's copy-out.
+    /// Shared view for the consumer.
     pub fn as_slice(&self) -> &[u8] {
         &self.data
+    }
+}
+
+/// The bytes of one received message, leased from wherever the transport
+/// received them into: a pool buffer (the shm pooled path, a socket's frame
+/// buffers), a vector the receiver owns, or a buffer shared with the caller.
+///
+/// Dereferences to the message bytes. Decoded array views point into the
+/// lease (behind an `Arc`), so the storage goes home — a [`PoolBuffer`] back
+/// to its free list, a vector to the allocator — when the last of them
+/// drops, wherever that is. An application that hoards views therefore pins
+/// pool buffers: the pool answers with misses and a larger
+/// [`PoolStats::resident_bytes`], where a copying receiver would have
+/// returned the buffer at once.
+pub struct Lease {
+    storage: Storage,
+    start: usize,
+    end: usize,
+}
+
+enum Storage {
+    Owned(Vec<u8>),
+    Shared(Arc<Vec<u8>>),
+    Pooled(PoolBuffer),
+}
+
+impl Lease {
+    /// The `len` message bytes at `start` in a pool buffer.
+    ///
+    /// Panics if the window exceeds the buffer's capacity.
+    pub fn pooled(buf: PoolBuffer, start: usize, len: usize) -> Lease {
+        assert!(start + len <= buf.capacity(), "lease window exceeds the pool buffer");
+        Lease { storage: Storage::Pooled(buf), start, end: start + len }
+    }
+
+    /// Drop the first `n` bytes from the message (a transport or framing
+    /// header) without moving the rest. Panics if `n` exceeds the length.
+    pub fn skip(&mut self, n: usize) {
+        assert!(n <= self.len(), "skip past the end of the lease");
+        self.start += n;
+    }
+
+    /// The message as an owned vector: the vector itself when the lease
+    /// owns one (shifted down in place if a header was skipped), one copy
+    /// otherwise.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self.storage {
+            Storage::Owned(mut v) => {
+                v.truncate(self.end);
+                v.drain(..self.start);
+                v
+            }
+            _ => self.to_vec(),
+        }
+    }
+}
+
+impl Deref for Lease {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        let all = match &self.storage {
+            Storage::Owned(v) => v.as_slice(),
+            Storage::Shared(v) => v.as_slice(),
+            Storage::Pooled(b) => b.as_slice(),
+        };
+        &all[self.start..self.end]
+    }
+}
+
+impl From<Vec<u8>> for Lease {
+    fn from(v: Vec<u8>) -> Lease {
+        Lease { start: 0, end: v.len(), storage: Storage::Owned(v) }
+    }
+}
+
+impl From<Arc<Vec<u8>>> for Lease {
+    fn from(v: Arc<Vec<u8>>) -> Lease {
+        Lease { start: 0, end: v.len(), storage: Storage::Shared(v) }
+    }
+}
+
+impl std::fmt::Debug for Lease {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let home = match self.storage {
+            Storage::Owned(_) => "owned",
+            Storage::Shared(_) => "shared",
+            Storage::Pooled(_) => "pooled",
+        };
+        f.debug_struct("Lease").field("home", &home).field("len", &self.len()).finish()
     }
 }
 
@@ -144,20 +251,26 @@ impl BufferPool {
             Some((c, data)) => {
                 self.inner.hits.fetch_add(1, Ordering::Relaxed);
                 self.inner.free_bytes.fetch_sub(1u64 << c, Ordering::Relaxed);
-                PoolBuffer { data, class: c }
+                PoolBuffer { data, class: c, home: self.clone() }
             }
             None => {
                 self.inner.misses.fetch_add(1, Ordering::Relaxed);
                 self.inner.resident_bytes.fetch_add(cap as u64, Ordering::Relaxed);
-                PoolBuffer { data: vec![0u8; cap].into_boxed_slice(), class }
+                PoolBuffer { data: vec![0u8; cap].into_boxed_slice(), class, home: self.clone() }
             }
         }
     }
 
-    /// Return a buffer to the free list; reclaims (drops) free buffers if
-    /// the threshold is exceeded, largest classes first.
+    /// Return a buffer to the free list of the pool it came from — what
+    /// dropping it does; kept as the explicit form of the paper's step.
     pub fn give_back(&self, buf: PoolBuffer) {
-        let cap = 1u64 << buf.class;
+        drop(buf);
+    }
+
+    /// List `data` as free; reclaims (drops) free buffers if the threshold
+    /// is exceeded, largest classes first.
+    fn list(&self, data: Box<[u8]>, class: usize) {
+        let cap = 1u64 << class;
         // Count the buffer before listing it: `acquire` subtracts after
         // it pops, so a buffer listed first could be popped and
         // subtracted by another thread before it was ever added, and
@@ -165,7 +278,7 @@ impl BufferPool {
         let free_bytes = self.inner.free_bytes.fetch_add(cap, Ordering::Relaxed) + cap;
         {
             let mut free = self.inner.free.lock();
-            free.entry(buf.class).or_default().push(buf.data);
+            free.entry(class).or_default().push(data);
         }
         if free_bytes > self.inner.reclaim_threshold {
             self.reclaim();
@@ -284,6 +397,41 @@ mod tests {
         assert_eq!(total, (0..1000u64).map(|i| i % 7).sum::<u64>());
         let stats = pool.stats();
         assert!(stats.hits > stats.misses, "pool should mostly reuse: {stats:?}");
+    }
+
+    #[test]
+    fn a_dropped_buffer_or_lease_is_back_on_the_free_list() {
+        let pool = BufferPool::new(1 << 30);
+        drop(pool.acquire(4096));
+        let mut buf = pool.acquire(4096);
+        assert_eq!(pool.stats().hits, 1, "the dropped buffer was listed");
+        buf.as_mut_slice()[3..8].copy_from_slice(b"hello");
+        let lease = Arc::new(Lease::pooled(buf, 3, 5));
+        let view = Arc::clone(&lease);
+        drop(lease);
+        // Still out on lease: a second request cannot be given this buffer.
+        let other = pool.acquire(4096);
+        assert_eq!(pool.stats().misses, 2);
+        assert_eq!(&view[..], b"hello");
+        // The last view may drop on any thread, after every other handle.
+        std::thread::spawn(move || drop(view)).join().unwrap();
+        drop(other);
+        let stats = pool.stats();
+        assert_eq!(stats.resident_bytes, 2 * 4096);
+        assert_eq!(pool.inner.free_bytes.load(Ordering::Relaxed), stats.resident_bytes);
+    }
+
+    #[test]
+    fn lease_skips_headers_and_converts_to_a_vector() {
+        let mut owned = Lease::from(b"HDRbody".to_vec());
+        owned.skip(3);
+        assert_eq!(&owned[..], b"body");
+        assert_eq!(owned.into_vec(), b"body");
+        let shared = Arc::new(b"shared".to_vec());
+        let mut lease = Lease::from(Arc::clone(&shared));
+        lease.skip(2);
+        assert_eq!(lease.as_ptr(), shared[2..].as_ptr(), "a shared lease aliases, never copies");
+        assert_eq!(lease.into_vec(), b"ared");
     }
 
     /// Two threads trading buffers through the free list: one's

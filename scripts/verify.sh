@@ -5,8 +5,9 @@
 # mode-matrix + fault battery replayed on the reactor runtime and again
 # with every channel forced onto real TCP sockets, the cross-process
 # kill -9 chaos suite, a socket-vs-shm throughput sweep, a 10-second
-# chaos soak alternating backends and transports, and a check that the
-# benchmark tree still matches HEAD.
+# chaos soak alternating backends and transports, a build and quick run of
+# the benchmark package against this tree (in a copy), and a check that
+# the benchmark tree itself still matches HEAD.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,7 +41,7 @@ echo "== reactor runtime: mode matrix + fault battery =="
 FLEXIO_RUNTIME=reactor cargo test -q --offline -p flexio \
     --test mode_matrix --test fault_determinism --test fault_injection \
     --test fault_crash --test directory_faults --test stream \
-    --test stream_edge \
+    --test stream_edge --test plugin_zero_copy \
     >/dev/null || { echo "reactor runtime replay FAILED"; exit 1; }
 echo "reactor runtime replay ok"
 
@@ -51,7 +52,7 @@ echo "== socket transport: mode matrix + fault battery =="
 FLEXIO_TRANSPORT=tcp cargo test -q --offline -p flexio \
     --test mode_matrix --test fault_determinism --test fault_injection \
     --test fault_crash --test stream --test stream_edge \
-    --test transport_readiness \
+    --test transport_readiness --test plugin_zero_copy \
     >/dev/null || { echo "tcp transport replay FAILED"; exit 1; }
 echo "tcp transport replay ok"
 
@@ -166,6 +167,22 @@ echo "== chaos soak (10s, alternating backends) =="
 FLEXIO_SOAK_SECS=10 cargo test -q --offline -p flexio --test chaos_soak \
     >/dev/null || { echo "chaos soak FAILED"; exit 1; }
 echo "chaos soak ok"
+
+echo "== benchmark builds and runs against this tree (in a copy) =="
+# benchmark/ is not this tree's to edit, but it compiles against crates/:
+# an API break has to show here, not at the driver. Building it in place
+# would rewrite benchmark/Cargo.lock, so build what the driver would check
+# out — tracked and unignored files — in a fresh directory.
+copy=$(mktemp -d)
+trap 'rm -rf "$copy"' EXIT
+git ls-files -co --exclude-standard -z -- benchmark crates compat src Cargo.toml Cargo.lock \
+    | tar --null --ignore-failed-read -T - -cf - | tar -xf - -C "$copy"
+(cd "$copy" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml) \
+    || { echo "benchmark build against this tree FAILED"; exit 1; }
+(cd "$copy" && cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --workload gts_shm --quick --reps 2 2>/dev/null) | tail -1 | grep -q '"correct": true' \
+    || { echo "benchmark gts_shm quick run FAILED"; exit 1; }
+echo "benchmark copy ok"
 
 echo "== benchmark tree untouched =="
 # The driver measures parent and change with the benchmark sources of
