@@ -4,9 +4,9 @@
 //! unpadded variant packs multiple entries per line, so producer and
 //! consumer ping-pong ownership of shared lines.
 
+use bench::spsc_unpadded::{spsc_queue_unpadded, UNPADDED_PAYLOAD};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use shm::spsc::spsc_queue;
-use shm::spsc_unpadded::{spsc_queue_unpadded, UNPADDED_PAYLOAD};
 
 const MSGS: u64 = 50_000;
 

@@ -7,9 +7,9 @@
 use std::sync::Arc;
 use std::thread;
 
+use bench::naive::naive_queue;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use shm::channel::shm_channel;
-use shm::naive::naive_queue;
 use shm::spsc::spsc_queue;
 
 const MSGS: u64 = 10_000;

@@ -4,7 +4,9 @@
 //! under Criterion in `benches/`. See DESIGN.md §4 for the experiment
 //! index and EXPERIMENTS.md for paper-vs-measured records.
 
+pub mod naive;
 pub mod report;
+pub mod spsc_unpadded;
 
 /// Print a row-oriented table: a header, then each row as label +
 /// fixed-width numeric columns.

@@ -2,7 +2,7 @@
 //!
 //! A mutex-protected `VecDeque` with condition-variable blocking — the
 //! "obvious" alternative to the FastForward queue. The `shm_queue` bench
-//! compares its throughput/latency against [`crate::spsc`] to quantify the
+//! compares its throughput/latency against [`shm::spsc`] to quantify the
 //! benefit of the paper's lock-free design. Not used by the FlexIO runtime.
 
 use std::collections::VecDeque;

@@ -6,7 +6,7 @@
 //! are packed back to back, so the producer writing entry *i* and the
 //! consumer reading entry *i−1* frequently contend on the same line. The
 //! `ablation_padding` bench compares throughput of this variant against
-//! [`crate::spsc`] to quantify the design choice.
+//! [`shm::spsc`] to quantify the design choice.
 //!
 //! The synchronization protocol is identical to the padded queue; only the
 //! memory layout differs. Not intended for use outside benchmarks/tests.

@@ -20,9 +20,8 @@
 //! targets the element slice is reinterpreted as bytes and appended with a
 //! single bulk copy, with a chunked per-element fallback elsewhere. The
 //! original per-element tags (5, 6, 9) remain decodable — the decoder
-//! treats both tag families identically — and [`Record::encode_legacy`]
-//! still produces them for compatibility testing and baseline
-//! measurement.
+//! treats both tag families identically; `tests/wire_compat.rs` keeps a
+//! generator of such old streams to hold it to that.
 //!
 //! Decoding has a zero-copy mode: [`Record::decode_leased`] takes the
 //! receive buffer (a [`Lease`] on wherever the transport received into) and
@@ -36,7 +35,6 @@
 //! ([`PackedArray::to_f64_vec`] and friends) is the single bulk copy that
 //! hands the data to the application.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use shm::Lease;
@@ -312,30 +310,6 @@ impl PackedArray {
     pub fn to_byte_vec(&self) -> Vec<u8> {
         assert_eq!(self.dtype, PackedDtype::U8, "packed view is not bytes");
         self.bytes().to_vec()
-    }
-
-    /// Iterate `f64` elements straight off the wire bytes — no owned
-    /// vector is materialized; each element is one fixed-width LE decode
-    /// out of the shared buffer, so chunk-consuming operators (the
-    /// `flexio-query` kernels) stay zero-copy. Panics unless `dtype` is
-    /// `F64`.
-    pub fn iter_f64(&self) -> impl Iterator<Item = f64> + '_ {
-        assert_eq!(self.dtype, PackedDtype::F64, "packed view is not f64");
-        self.bytes().chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-    }
-
-    /// Iterate `u64` elements off the wire bytes (see [`Self::iter_f64`]).
-    /// Panics unless `dtype` is `U64`.
-    pub fn iter_u64(&self) -> impl Iterator<Item = u64> + '_ {
-        assert_eq!(self.dtype, PackedDtype::U64, "packed view is not u64");
-        self.bytes().chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-    }
-
-    /// Iterate `i64` elements off the wire bytes (see [`Self::iter_f64`]).
-    /// Panics unless `dtype` is `I64`.
-    pub fn iter_i64(&self) -> impl Iterator<Item = i64> + '_ {
-        assert_eq!(self.dtype, PackedDtype::I64, "packed view is not i64");
-        self.bytes().chunks_exact(8).map(|c| i64::from_le_bytes(c.try_into().unwrap()))
     }
 
     /// One `f64` element by index, decoded in place. Panics unless
@@ -672,26 +646,6 @@ impl Record {
         }
     }
 
-    /// Encode with the original per-element array tags (the pre-packed wire
-    /// format). Kept so compatibility tests can produce old-format streams
-    /// and the bench suite can measure the per-element baseline.
-    pub fn encode_legacy(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        self.encode_body_legacy(&mut out);
-        out
-    }
-
-    fn encode_body_legacy(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.fields.len() as u32).to_le_bytes());
-        for (name, value) in &self.fields {
-            let name_bytes = name.as_bytes();
-            out.extend_from_slice(&(name_bytes.len() as u16).to_le_bytes());
-            out.extend_from_slice(name_bytes);
-            encode_value_legacy(value, out);
-        }
-    }
-
     /// Encode as scatter-gather segments: metadata accumulates in owned
     /// runs while array payloads of at least [`ZERO_COPY_MIN_BYTES`] are
     /// borrowed in place. The concatenation of the segments is identical to
@@ -740,17 +694,6 @@ impl Record {
     /// the views alias `buf`, which is not copied.
     pub fn decode_shared(buf: &Arc<Vec<u8>>) -> Result<Record, DecodeError> {
         Record::decode_leased(Arc::clone(buf).into())
-    }
-
-    /// Group fields by a name prefix (`"dim.0"`, `"dim.1"` → `"dim"`):
-    /// handy for inspecting protocol messages in tests and tracing.
-    pub fn field_names_by_prefix(&self) -> BTreeMap<String, usize> {
-        let mut out = BTreeMap::new();
-        for (name, _) in &self.fields {
-            let prefix = name.split('.').next().unwrap_or(name).to_string();
-            *out.entry(prefix).or_insert(0) += 1;
-        }
-        out
     }
 }
 
@@ -824,48 +767,6 @@ fn encode_value(value: &FieldValue, out: &mut Vec<u8>) {
             out.extend_from_slice(&(p.elem_count() as u64).to_le_bytes());
             out.extend_from_slice(p.bytes());
         }
-    }
-}
-
-fn encode_value_legacy(value: &FieldValue, out: &mut Vec<u8>) {
-    match value {
-        FieldValue::F64Array(a) => {
-            out.push(TAG_F64_ARRAY);
-            out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-            for v in a {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        FieldValue::U64Array(a) => {
-            out.push(TAG_U64_ARRAY);
-            out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-            for v in a {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        FieldValue::I64Array(a) => {
-            out.push(TAG_I64_ARRAY);
-            out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-            for v in a {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        FieldValue::Record(r) => {
-            out.push(TAG_RECORD);
-            r.encode_body_legacy(out);
-        }
-        FieldValue::Packed(p) => {
-            // Legacy streams predate views: materialize and emit the
-            // old per-element layout like any owned array.
-            let owned = match p.dtype() {
-                PackedDtype::F64 => FieldValue::F64Array(p.to_f64_vec()),
-                PackedDtype::U64 => FieldValue::U64Array(p.to_u64_vec()),
-                PackedDtype::I64 => FieldValue::I64Array(p.to_i64_vec()),
-                PackedDtype::U8 => FieldValue::Bytes(p.to_byte_vec()),
-            };
-            encode_value_legacy(&owned, out);
-        }
-        other => encode_value(other, out),
     }
 }
 
@@ -1054,12 +955,6 @@ mod tests {
         assert_eq!(decoded.get_u64("step"), Some(42));
         assert_eq!(decoded.get_str("name"), Some("zion"));
         assert_eq!(decoded.get_record("meta").unwrap().get_i64("rank"), Some(-3));
-    }
-
-    #[test]
-    fn legacy_encoding_decodes_identically() {
-        let r = sample();
-        assert_eq!(Record::decode(&r.encode_legacy()).unwrap(), r);
     }
 
     #[test]

@@ -310,11 +310,6 @@ impl SocketSender {
         SocketSender { stream, name, dead: false }
     }
 
-    /// Whether a write has failed (peer gone or stalled past the timeout).
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Push raw bytes down the stream with no framing — the socket
     /// counterpart of `ShmSender::inject_raw_frame`, for corruption tests.
     pub fn inject_raw_bytes(&mut self, bytes: &[u8]) {
@@ -683,13 +678,13 @@ mod tests {
         // going until the failure is observed, then confirm it sticks.
         for _ in 0..1000 {
             tx.send(&[0u8; 4096]);
-            if tx.is_dead() {
+            if tx.dead {
                 break;
             }
         }
-        assert!(tx.is_dead(), "writes to a dropped peer must eventually fail");
+        assert!(tx.dead, "writes to a dropped peer must eventually fail");
         tx.send(b"ignored");
-        assert!(tx.is_dead());
+        assert!(tx.dead);
     }
 
     #[test]

@@ -16,18 +16,10 @@ pub struct StoneId(usize);
 
 enum Stone {
     Terminal(Box<dyn FnMut(Record) + Send>),
-    Filter {
-        predicate: Box<dyn FnMut(&Record) -> bool + Send>,
-        target: StoneId,
-    },
-    Transform {
-        func: Box<dyn FnMut(Record) -> Record + Send>,
-        target: StoneId,
-    },
+    Filter { predicate: Box<dyn FnMut(&Record) -> bool + Send>, target: StoneId },
+    Transform { func: Box<dyn FnMut(Record) -> Record + Send>, target: StoneId },
     Split(Vec<StoneId>),
     Bridge(BoxedSender),
-    /// A stone that silently drops events (useful as a filter sink).
-    Blackhole,
 }
 
 /// A local dataflow graph of stones.
@@ -81,11 +73,6 @@ impl EvGraph {
         self.add(Stone::Bridge(sender))
     }
 
-    /// A stone that drops everything.
-    pub fn blackhole(&mut self) -> StoneId {
-        self.add(Stone::Blackhole)
-    }
-
     /// Submit an event to a stone; it propagates through the graph
     /// synchronously.
     pub fn submit(&mut self, stone: StoneId, event: Record) {
@@ -110,7 +97,6 @@ impl EvGraph {
                     }
                 }
                 Stone::Bridge(sender) => sender.send(&event.encode()),
-                Stone::Blackhole => {}
             }
         }
     }

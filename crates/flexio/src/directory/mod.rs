@@ -17,12 +17,13 @@
 //! single mutex — so the component is a **service behind a trait**
 //! ([`DirectoryService`]) with three backends:
 //!
-//! * [`InProcDirectory`] — the original single mutex+condvar map; the
-//!   default, and still right for single-program tests.
 //! * [`ShardedDirectory`] — the registry split into N lock-striped
 //!   shards keyed by stream-name hash; per-shard mutex+condvar and
 //!   [`crate::protocol::DirectoryCounters`] so registration/lookup
 //!   traffic (and lock contention) is observable per stripe.
+//! * [`InProcDirectory`] — the paper's single server: the same registry
+//!   with one stripe, cloneable; the default, and still right for
+//!   single-program tests.
 //! * [`ReplicatedDirectory`] — several directory nodes, each a sharded
 //!   store, replicating registrations via anti-entropy gossip rounds;
 //!   versioned entries with tombstoned unregisters, lookups served by
@@ -45,13 +46,8 @@ pub use service::{DirectoryCluster, ReplicatedDirectory};
 pub use shard::ShardedDirectory;
 pub(crate) use shard::VersionedEntry;
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-use adios::GroupConfig;
-use parking_lot::{Condvar, Mutex};
 
 use crate::link::LinkState;
 
@@ -121,74 +117,49 @@ pub trait DirectoryService: Send + Sync {
     fn lookup_count(&self) -> u64;
 }
 
-#[derive(Default)]
-struct State {
-    entries: HashMap<String, Arc<LinkState>>,
-}
-
-/// The original directory server: one mutex-guarded map behind one
-/// condvar, shared by cloning. The default backend of [`crate::FlexIo`]
-/// and the baseline the sharded/replicated backends are measured against.
-#[derive(Clone, Default)]
-pub struct InProcDirectory {
-    state: Arc<(Mutex<State>, Condvar)>,
-    registrations: Arc<AtomicU64>,
-    lookups: Arc<AtomicU64>,
-}
+/// The paper's directory server: one lock, one map, shared by cloning —
+/// a [`ShardedDirectory`] of a single stripe. The default backend of
+/// [`crate::FlexIo`] and the baseline the sharded/replicated backends are
+/// measured against.
+#[derive(Clone)]
+pub struct InProcDirectory(Arc<ShardedDirectory>);
 
 impl InProcDirectory {
     /// Fresh empty directory.
     pub fn new() -> InProcDirectory {
-        InProcDirectory::default()
+        InProcDirectory(Arc::new(ShardedDirectory::new(1)))
+    }
+}
+
+impl Default for InProcDirectory {
+    fn default() -> Self {
+        InProcDirectory::new()
     }
 }
 
 impl DirectoryService for InProcDirectory {
     fn register(&self, name: &str, contact: Arc<LinkState>) -> Result<(), DirectoryError> {
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock();
-        if st.entries.contains_key(name) {
-            return Err(DirectoryError::AlreadyRegistered(name.to_string()));
-        }
-        st.entries.insert(name.to_string(), contact);
-        self.registrations.fetch_add(1, Ordering::Relaxed);
-        cvar.notify_all();
-        Ok(())
+        self.0.register(name, contact)
     }
 
     fn lookup(&self, name: &str, timeout: Duration) -> Result<Arc<LinkState>, DirectoryError> {
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock();
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(contact) = st.entries.get(name) {
-                self.lookups.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(contact));
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(DirectoryError::LookupTimeout(name.to_string()));
-            }
-            cvar.wait_for(&mut st, deadline - now);
-        }
+        self.0.lookup(name, timeout)
     }
 
     fn try_lookup(&self, name: &str) -> Option<Arc<LinkState>> {
-        let contact = Arc::clone(self.state.0.lock().entries.get(name)?);
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        Some(contact)
+        self.0.try_lookup(name)
     }
 
     fn unregister(&self, name: &str) -> bool {
-        self.state.0.lock().entries.remove(name).is_some()
+        self.0.unregister(name)
     }
 
     fn registration_count(&self) -> u64 {
-        self.registrations.load(Ordering::Relaxed)
+        self.0.registration_count()
     }
 
     fn lookup_count(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
+        self.0.lookup_count()
     }
 }
 
@@ -202,59 +173,6 @@ pub(crate) fn fnv1a(s: &str) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-/// Directory deployment knobs, parsed from the `directory.*` XML hint
-/// family (same `<hint>` elements as the transport knobs, §II.B).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DirectoryConfig {
-    /// Lock stripes per node's registry. 1 reproduces the single-map
-    /// behaviour exactly.
-    pub shards: usize,
-    /// Directory nodes. 1 runs a local (non-replicated) service; more
-    /// build a gossip-replicated cluster.
-    pub nodes: usize,
-    /// Anti-entropy gossip round interval for the replicated backend.
-    pub gossip_interval: Duration,
-}
-
-impl Default for DirectoryConfig {
-    fn default() -> Self {
-        DirectoryConfig { shards: 8, nodes: 1, gossip_interval: Duration::from_millis(2) }
-    }
-}
-
-impl DirectoryConfig {
-    /// Parse `directory.shards`, `directory.nodes` and
-    /// `directory.gossip_ms` hints; absent hints keep the defaults.
-    pub fn from_config(cfg: &GroupConfig) -> DirectoryConfig {
-        let mut c = DirectoryConfig::default();
-        if let Some(s) = cfg.hint_u64(crate::link::HintKey::DirectoryShards.as_str()) {
-            c.shards = (s as usize).max(1);
-        }
-        if let Some(n) = cfg.hint_u64(crate::link::HintKey::DirectoryNodes.as_str()) {
-            c.nodes = (n as usize).max(1);
-        }
-        if let Some(ms) = cfg.hint_u64(crate::link::HintKey::DirectoryGossipMs.as_str()) {
-            c.gossip_interval = Duration::from_millis(ms.max(1));
-        }
-        c
-    }
-
-    /// Build the configured backend. Single-node configs return a
-    /// [`ShardedDirectory`]; multi-node configs build a
-    /// [`DirectoryCluster`], spawn its gossip driver thread and return a
-    /// handle bound to node 0 (the driver stops when the last handle
-    /// drops).
-    pub fn build(&self) -> Arc<dyn DirectoryService> {
-        if self.nodes <= 1 {
-            Arc::new(ShardedDirectory::new(self.shards))
-        } else {
-            let cluster =
-                DirectoryCluster::new(self.nodes, self.shards, self.gossip_interval, None);
-            Arc::new(cluster.spawn_driver())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -313,43 +231,5 @@ mod tests {
         d.lookup("a", Duration::from_millis(5)).unwrap();
         assert_eq!(d.registration_count(), 2);
         assert_eq!(d.lookup_count(), 2);
-    }
-
-    #[test]
-    fn config_defaults_and_parsing() {
-        let cfg = adios::IoConfig::from_xml(
-            r#"<adios-config><group name="g"><method transport="STREAM">
-               <hint name="directory.shards" value="4"/>
-               <hint name="directory.nodes" value="3"/>
-               <hint name="directory.gossip_ms" value="7"/>
-            </method></group></adios-config>"#,
-        )
-        .unwrap();
-        let c = DirectoryConfig::from_config(cfg.group("g").unwrap());
-        assert_eq!(c.shards, 4);
-        assert_eq!(c.nodes, 3);
-        assert_eq!(c.gossip_interval, Duration::from_millis(7));
-        let empty = adios::IoConfig::from_xml(
-            r#"<adios-config><group name="g"><method transport="STREAM">
-            </method></group></adios-config>"#,
-        )
-        .unwrap();
-        assert_eq!(
-            DirectoryConfig::from_config(empty.group("g").unwrap()),
-            DirectoryConfig::default()
-        );
-    }
-
-    #[test]
-    fn config_builds_working_backends() {
-        for nodes in [1usize, 3] {
-            let dir =
-                DirectoryConfig { nodes, shards: 2, gossip_interval: Duration::from_millis(1) }
-                    .build();
-            let link = dummy_link();
-            dir.register("cfg", Arc::clone(&link)).unwrap();
-            let found = dir.lookup("cfg", Duration::from_secs(1)).unwrap();
-            assert!(Arc::ptr_eq(&link, &found), "nodes={nodes}");
-        }
     }
 }

@@ -38,11 +38,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use adios::GroupConfig;
 use parking_lot::Mutex;
 use placement::{allocate_sync, AnalyticsScaling};
 
-use crate::link::HintKey;
 use crate::manager::{ManagerPolicy, PlacementManager};
 use crate::monitor::{MonitorEvent, PerfMonitor};
 use crate::plugins::PluginPlacement;
@@ -52,8 +50,7 @@ use crate::plugins::PluginPlacement;
 /// and the placement-manager policy — so the autoscaler and the plug-in
 /// placement loop can never disagree on tunables.
 ///
-/// Construct through [`ElasticConfig::builder`] (or parse the
-/// `elastic.*` hints with [`ElasticConfig::from_config`]); the struct is
+/// Construct through [`ElasticConfig::builder`]; the struct is
 /// `#[non_exhaustive]` so new knobs stay additive.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -100,30 +97,6 @@ impl ElasticConfig {
     /// Fluent builder starting from the defaults.
     pub fn builder() -> ElasticConfigBuilder {
         ElasticConfigBuilder { cfg: ElasticConfig::default() }
-    }
-
-    /// Parse the `elastic.*` hint family from a group configuration
-    /// (`elastic.interval_ms`, `elastic.min_readers`,
-    /// `elastic.max_readers`, `elastic.target_lag`). Unknown values keep
-    /// their defaults; bounds are normalized so `min ≤ max` and both are
-    /// at least 1.
-    pub fn from_config(cfg: &GroupConfig) -> ElasticConfig {
-        let hint_u64 = |k: HintKey| cfg.hint_u64(k.as_str());
-        let mut c = ElasticConfig::default();
-        if let Some(ms) = hint_u64(HintKey::ElasticIntervalMs) {
-            c.interval = Duration::from_millis(ms);
-        }
-        if let Some(n) = hint_u64(HintKey::ElasticMinReaders) {
-            c.min_readers = (n as usize).max(1);
-        }
-        if let Some(n) = hint_u64(HintKey::ElasticMaxReaders) {
-            c.max_readers = (n as usize).max(1);
-        }
-        if let Some(l) = hint_u64(HintKey::ElasticTargetLag) {
-            c.target_lag = l;
-        }
-        c.max_readers = c.max_readers.max(c.min_readers);
-        c
     }
 }
 
@@ -189,8 +162,7 @@ impl ElasticConfigBuilder {
         self.cfg
     }
 
-    /// Finish and build just the [`PlacementManager`] half (the
-    /// replacement for the old positional `PlacementManager::new`).
+    /// Finish and build just the [`PlacementManager`] half.
     pub fn build_manager(self) -> PlacementManager {
         PlacementManager::from_elastic(&self.build())
     }
@@ -315,22 +287,11 @@ impl ElasticRoster {
     pub fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
     }
-
-    /// Park until this rank is inside the active roster; returns `false`
-    /// once the roster is closed instead. Member tasks beyond the
-    /// initial roster sit here between activations.
-    pub async fn wait_active(&self, rank: usize, poll: Duration) -> bool {
-        loop {
-            if self.is_closed() {
-                return false;
-            }
-            if rank < self.active() {
-                return true;
-            }
-            flexio_reactor::sleep(poll).await;
-        }
-    }
 }
+
+/// The writer coordinator's rank: the monitoring series the controller
+/// reads its step seals and wire bytes from.
+const WRITER_COORD: usize = 0;
 
 /// One controller decision, with the inputs that produced it.
 #[derive(Debug, Clone, PartialEq)]
@@ -356,7 +317,6 @@ pub struct ElasticController {
     manager: PlacementManager,
     replica: PerfMonitor,
     roster: Arc<ElasticRoster>,
-    writer_rank: usize,
     last_placement: PluginPlacement,
 }
 
@@ -371,14 +331,7 @@ impl ElasticController {
     ) -> ElasticController {
         let manager = PlacementManager::from_elastic(&cfg);
         let last_placement = cfg.initial_placement;
-        ElasticController { cfg, manager, replica, roster, writer_rank: 0, last_placement }
-    }
-
-    /// Read the writer coordinator's monitoring series from `rank`
-    /// instead of rank 0.
-    pub fn with_writer_rank(mut self, rank: usize) -> Self {
-        self.writer_rank = rank;
-        self
+        ElasticController { cfg, manager, replica, roster, last_placement }
     }
 
     /// The shared roster this controller writes.
@@ -394,7 +347,7 @@ impl ElasticController {
     /// trail beyond `target_lag`, and re-decide plug-in placement.
     pub fn decide_once(&mut self) -> ElasticDecision {
         let window = self.cfg.policy.window.max(1);
-        let seals = self.replica.nanos_per_step(MonitorEvent::StepSeal, self.writer_rank);
+        let seals = self.replica.nanos_per_step(MonitorEvent::StepSeal, WRITER_COORD);
         let recent: Vec<u64> =
             seals.iter().rev().map(|&(_, n)| n).filter(|&n| n > 0).take(window).collect();
         let interval_s = if recent.is_empty() {
@@ -422,8 +375,8 @@ impl ElasticController {
         // Placement: the manager's thresholds push writer-side under
         // wire pressure; the low-water mark pulls back reader-side once
         // the traffic no longer pays for stealing simulation cycles.
-        let rec = self.manager.decide(&self.replica, self.writer_rank);
-        let series = self.replica.bytes_per_step(MonitorEvent::DataSend, self.writer_rank);
+        let rec = self.manager.decide(&self.replica, WRITER_COORD);
+        let series = self.replica.bytes_per_step(MonitorEvent::DataSend, WRITER_COORD);
         let tail = &series[series.len().saturating_sub(window)..];
         let wire = if tail.is_empty() {
             0.0
@@ -541,26 +494,6 @@ impl crate::task::ControlTask for ElasticHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_and_config_hints_agree() {
-        let built = ElasticConfig::builder()
-            .interval(Duration::from_millis(40))
-            .min_readers(2)
-            .max_readers(6)
-            .target_lag(5)
-            .build();
-        let xml = r#"<adios-config><group name="g"><method transport="STREAM">
-            <hint name="elastic.interval_ms" value="40"/>
-            <hint name="elastic.min_readers" value="2"/>
-            <hint name="elastic.max_readers" value="6"/>
-            <hint name="elastic.target_lag" value="5"/>
-        </method></group></adios-config>"#;
-        let cfg = adios::IoConfig::from_xml(xml).expect("parse");
-        let parsed = ElasticConfig::from_config(cfg.group("g").expect("group"));
-        assert_eq!(parsed, built);
-        assert_ne!(parsed, ElasticConfig::default());
-    }
 
     #[test]
     fn bounds_normalize_min_over_max() {

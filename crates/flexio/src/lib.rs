@@ -9,9 +9,14 @@
 //! * [`directory`] — the external directory service used for connection
 //!   management: the writer's coordinator registers a stream name with its
 //!   contact information; the reader's coordinator looks it up (§II.C.1).
-//!   Behind the [`DirectoryService`] trait live three backends: the
-//!   original in-process map, a lock-striped sharded registry, and a
-//!   gossip-replicated multi-node cluster with failover.
+//!   Behind the [`DirectoryService`] trait live three backends: a
+//!   lock-striped sharded registry, the paper's single server (that
+//!   registry with one stripe), and a gossip-replicated multi-node
+//!   cluster with failover.
+//! * [`context`] — [`FlexIo`], the handle a deployment shares, and the
+//!   `open_*` calls that turn it into stream engines.
+//! * [`hints`] — the per-stream tuning hints an XML config carries
+//!   (§II.B), with the runtime and transport selections among them.
 //! * [`link`] — the connection fabric between the two programs: per
 //!   `(writer rank, reader rank)` duplex channels whose transport (shared
 //!   memory vs RDMA) is **automatically selected from the placement** of
@@ -46,9 +51,11 @@
 //!   transaction it names as future work is implemented inside the
 //!   writer/reader step protocol (enable with `StreamHints::transactional`).
 
+pub mod context;
 pub mod directory;
 pub mod elastic;
 pub mod fleet;
+pub mod hints;
 pub mod link;
 pub mod manager;
 pub mod monitor;
@@ -60,19 +67,21 @@ pub mod query;
 pub mod reader;
 pub mod redistribute;
 pub mod relay;
+mod seq;
 pub mod task;
 pub mod writer;
 
+pub use context::FlexIo;
 pub use directory::{
-    decode_contact_table, encode_contact_table, DirectoryCluster, DirectoryConfig, DirectoryError,
-    DirectoryService, InProcDirectory, ReplicatedDirectory, ShardedDirectory, WireContact,
+    decode_contact_table, encode_contact_table, DirectoryCluster, DirectoryError, DirectoryService,
+    InProcDirectory, ReplicatedDirectory, ShardedDirectory, WireContact,
 };
 pub use elastic::{
     ElasticConfig, ElasticConfigBuilder, ElasticController, ElasticDecision, ElasticHandle,
     ElasticRoster,
 };
 pub use fleet::FleetRuntime;
-pub use link::{FlexIo, HintKey, Runtime, StreamHints, StreamHintsBuilder, Transport};
+pub use hints::{HintKey, Runtime, StreamHints, StreamHintsBuilder, Transport};
 pub use manager::{ManagerPolicy, PlacementManager, Recommendation};
 pub use monitor::{MonitorEvent, PerfMonitor};
 pub use plugins::{PluginPlacement, PluginSpec};

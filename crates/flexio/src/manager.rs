@@ -70,15 +70,6 @@ pub struct PlacementManager {
 }
 
 impl PlacementManager {
-    /// Start managing with an initial placement.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `PlacementManager::builder()` over an `ElasticConfig` instead of positional arguments"
-    )]
-    pub fn new(policy: ManagerPolicy, initial: PluginPlacement) -> PlacementManager {
-        PlacementManager { policy, current: initial }
-    }
-
     /// Fluent construction over [`crate::elastic::ElasticConfig`] — the
     /// one config that also drives the elastic controller, so the
     /// manager and the controller can never disagree on policy.

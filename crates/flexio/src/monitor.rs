@@ -187,11 +187,6 @@ impl PerfMonitor {
             .map(|(_, a)| (a.count, a.bytes, a.nanos))
     }
 
-    /// Every by-name event this monitor has absorbed, in first-seen order.
-    pub fn named_events(&self) -> Vec<String> {
-        self.inner.lock().named.iter().map(|(n, _)| n.clone()).collect()
-    }
-
     /// Time a closure and record it.
     pub fn timed<T>(
         &self,
@@ -320,7 +315,6 @@ mod tests {
         assert_eq!(m.named("gpu_kernel"), Some((2, 300, 12)));
         assert_eq!(m.named("rdma_poll"), Some((1, 0, 1)));
         assert_eq!(m.named("never_seen"), None);
-        assert_eq!(m.named_events(), vec!["gpu_kernel".to_string(), "rdma_poll".to_string()]);
     }
 
     #[test]

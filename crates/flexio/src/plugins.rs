@@ -42,14 +42,6 @@ pub struct PluginSpec {
 }
 
 impl PluginSpec {
-    /// The same plug-in at a different placement — how migration call
-    /// sites (the elastic controller, tests) respell a spec without
-    /// repeating its body.
-    pub fn with_placement(mut self, placement: PluginPlacement) -> PluginSpec {
-        self.placement = placement;
-        self
-    }
-
     /// Encode for the deployment channel. A codelet body travels as its
     /// source text; a filter body as its postfix word list over the one
     /// column `var`.

@@ -53,7 +53,8 @@ use crate::directory::{
     decode_contact_table, decode_digest, encode_contact_table, encode_digest, ContactTable,
     DirectoryError, VersionedEntry, WireContact,
 };
-use crate::link::{ChannelId, LinkState, StreamHints};
+use crate::hints::StreamHints;
+use crate::link::{ChannelId, LinkState};
 use crate::protocol::{self};
 use crate::reader::StreamReader;
 use crate::writer::StreamWriter;
@@ -448,9 +449,7 @@ pub struct ProcFabric {
     stream: String,
     hub: ChannelHub,
     dir: RemoteDirectory,
-    connect_budget: Duration,
-    max_frame: u32,
-    faults: Option<Arc<evpath::FaultPlan>>,
+    hints: StreamHints,
 }
 
 impl ProcFabric {
@@ -475,12 +474,12 @@ impl ProcFabric {
         let (_, dst) = net_endpoints(id);
         let contact = self
             .dir
-            .lookup(&self.endpoint_name(&dst), self.connect_budget)
+            .lookup(&self.endpoint_name(&dst), self.hints.net_connect_timeout)
             .map_err(|e| io::Error::new(io::ErrorKind::NotFound, e.to_string()))?;
-        let mut stream = connect_retry(&contact.addr, self.connect_budget)?;
+        let mut stream = connect_retry(&contact.addr, self.hints.net_connect_timeout)?;
         write_frame(&mut stream, self.channel_key(id).as_bytes())?;
         let raw: BoxedSender = Box::new(SocketSender::over(stream));
-        Ok(match &self.faults {
+        Ok(match &self.hints.faults {
             Some(plan) => plan.wrap_sender(&net_label(id), raw),
             None => raw,
         })
@@ -542,9 +541,9 @@ impl EvReceiver for LazyHubReceiver {
             match self.fabric.hub.try_take(&key) {
                 Some(stream) => {
                     let mut receiver = SocketReceiver::over(stream);
-                    receiver.set_max_frame(self.fabric.max_frame);
+                    receiver.set_max_frame(self.fabric.hints.net_max_frame);
                     let raw: BoxedReceiver = Box::new(receiver);
-                    self.inner = Some(match &self.fabric.faults {
+                    self.inner = Some(match &self.fabric.hints.faults {
                         Some(plan) => plan.wrap_receiver(&net_label(self.id), raw),
                         None => raw,
                     });
@@ -620,9 +619,7 @@ fn fabric_for(cfg: &ProcConfig) -> io::Result<Arc<ProcFabric>> {
         stream: cfg.stream.clone(),
         hub: ChannelHub::bind(cfg.kind)?,
         dir: RemoteDirectory::new(cfg.dir_addrs.clone()),
-        connect_budget: cfg.hints.net_connect_timeout,
-        max_frame: cfg.hints.net_max_frame,
-        faults: cfg.hints.faults.clone(),
+        hints: cfg.hints.clone(),
     }))
 }
 
@@ -633,7 +630,8 @@ fn fabric_for(cfg: &ProcConfig) -> io::Result<Arc<ProcFabric>> {
 pub fn open_writer_proc(cfg: ProcConfig) -> io::Result<StreamWriter> {
     let fabric = fabric_for(&cfg)?;
     let cores = synth_cores(0, cfg.nranks);
-    let link = LinkState::new_remote(cfg.nranks, cores.clone(), &cfg.hints, Arc::clone(&fabric));
+    let link =
+        LinkState::new(cfg.nranks, cores.clone(), None, &cfg.hints, Some(Arc::clone(&fabric)));
     let meta = if cfg.rank == 0 { pack_roster(&cores) } else { Vec::new() };
     fabric
         .dir
@@ -644,8 +642,8 @@ pub fn open_writer_proc(cfg: ProcConfig) -> io::Result<StreamWriter> {
         .map_err(|e| io::Error::new(io::ErrorKind::AddrNotAvailable, e.to_string()))?;
     if cfg.rank == 0 {
         // The reader coordinator dials in with an `attach` hello and one
-        // roster frame; feeding it into `set_reader_info` re-arms the
-        // same condvar the in-process wait_reader_info path runs on.
+        // roster frame; feeding it into `set_reader_info` is what the
+        // in-process `wait_reader_info` poll observes.
         let attach_link = Arc::clone(&link);
         let attach_fabric = Arc::clone(&fabric);
         let key = format!("{}|attach", cfg.stream);
@@ -679,8 +677,13 @@ pub fn open_reader_proc(cfg: ProcConfig) -> io::Result<StreamReader> {
         .map_err(|e| io::Error::new(io::ErrorKind::NotFound, e.to_string()))?;
     let writer_cores = unpack_roster(&w0.meta)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad writer roster"))?;
-    let link =
-        LinkState::new_remote(writer_cores.len(), writer_cores, &cfg.hints, Arc::clone(&fabric));
+    let link = LinkState::new(
+        writer_cores.len(),
+        writer_cores,
+        None,
+        &cfg.hints,
+        Some(Arc::clone(&fabric)),
+    );
     let reader_cores = synth_cores(1, cfg.nranks);
     link.set_reader_info(cfg.nranks, reader_cores.clone());
     fabric

@@ -14,8 +14,9 @@ use parking_lot::Mutex;
 use super::log::{Fetch, SealedStep, StreamLog};
 use super::spill::SpillTail;
 use super::{GroupCounters, Qos};
+use crate::context::StreamError;
 use crate::directory::DirectoryService;
-use crate::link::{StreamError, StreamHints};
+use crate::hints::StreamHints;
 
 enum Source {
     /// Cursor into an in-process [`StreamLog`].

@@ -12,7 +12,8 @@ use parking_lot::Mutex;
 
 use super::spill::SpillStore;
 use super::{step_digest, GroupCounters, PubSubConfig, PubSubCounters, Qos};
-use crate::link::{StreamError, StreamHints};
+use crate::context::StreamError;
+use crate::hints::StreamHints;
 use crate::monitor::{MonitorEvent, PerfMonitor};
 
 /// One published step, sealed once every writer rank contributed its
@@ -436,12 +437,6 @@ impl StreamLog {
         let mut inner = self.inner.lock();
         inner.abandoned = true;
         self.counters.abandoned.store(true, Ordering::Relaxed);
-    }
-
-    /// Lag of a registered group, in steps.
-    pub fn group_lag(&self, name: &str) -> Option<u64> {
-        let inner = self.inner.lock();
-        inner.groups.get(name).map(|e| inner.tail.saturating_sub(e.cursor))
     }
 }
 

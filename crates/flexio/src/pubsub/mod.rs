@@ -52,10 +52,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use adios::{GroupConfig, ProcessGroup};
+use adios::ProcessGroup;
 use machine::CoreLocation;
 
-use crate::link::{FlexIo, HintKey, LinkState, StreamError, StreamHints};
+use crate::context::{FlexIo, StreamError};
+use crate::hints::StreamHints;
+use crate::link::LinkState;
 
 /// Per-group delivery quality of service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,27 +72,8 @@ pub enum Qos {
     LatestOnly,
 }
 
-impl Qos {
-    /// Parse a `pubsub.qos` hint value.
-    pub fn from_hint(v: &str) -> Option<Qos> {
-        match v {
-            "lossless" | "at_least_once" => Some(Qos::Lossless),
-            "latest" | "at_most_once" => Some(Qos::LatestOnly),
-            _ => None,
-        }
-    }
-
-    /// The hint spelling of this QoS.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Qos::Lossless => "lossless",
-            Qos::LatestOnly => "latest",
-        }
-    }
-}
-
-/// The `pubsub.*` hint family, resolved through [`HintKey`] exactly like
-/// [`StreamHints`] and [`crate::DirectoryConfig`].
+/// How a stream's log is deployed; the publishing program fills it in
+/// and hands it to [`FlexIo::open_publisher`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PubSubConfig {
     /// Expected reader-group count (observability/bench sizing; groups
@@ -108,26 +91,6 @@ pub struct PubSubConfig {
 impl Default for PubSubConfig {
     fn default() -> Self {
         PubSubConfig { groups: 1, replay_steps: 64, spill_dir: None, qos: Qos::Lossless }
-    }
-}
-
-impl PubSubConfig {
-    /// Derive the pub/sub configuration from a parsed group config.
-    pub fn from_config(cfg: &GroupConfig) -> PubSubConfig {
-        let mut c = PubSubConfig::default();
-        if let Some(n) = cfg.hint_u64(HintKey::PubsubGroups.as_str()) {
-            c.groups = (n as usize).max(1);
-        }
-        if let Some(n) = cfg.hint_u64(HintKey::PubsubReplaySteps.as_str()) {
-            c.replay_steps = (n as usize).max(1);
-        }
-        if let Some(dir) = cfg.hint(HintKey::PubsubSpillDir.as_str()) {
-            c.spill_dir = Some(PathBuf::from(dir));
-        }
-        if let Some(q) = cfg.hint(HintKey::PubsubQos.as_str()).and_then(Qos::from_hint) {
-            c.qos = q;
-        }
-        c
     }
 }
 
@@ -222,7 +185,7 @@ impl FlexIo {
             let cores: Vec<CoreLocation> = (0..nranks)
                 .map(|r| self.machine().node.location_of(r % self.machine().node.cores_per_node()))
                 .collect();
-            let link = LinkState::new(nranks, cores, None, &hints);
+            let link = LinkState::new(nranks, cores, None, &hints, None);
             let log = StreamLog::new(name, nranks, cfg, link.monitor.clone())?;
             link.set_attachment(log);
             self.directory().register(&key, Arc::clone(&link))?;
@@ -263,6 +226,7 @@ impl FlexIo {
             vec![self.machine().node.location_of(0)],
             None,
             &StreamHints::default(),
+            None,
         );
         glink.set_attachment(reader.counters());
         if self.directory().register(&gkey, Arc::clone(&glink)).is_err() {

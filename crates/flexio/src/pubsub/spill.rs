@@ -29,7 +29,8 @@ use adios::bp::{BpBuilder, BpFile};
 
 use super::log::SealedStep;
 use super::{fnv1a64, GroupCounters, Qos};
-use crate::link::{StreamError, StreamHints};
+use crate::context::StreamError;
+use crate::hints::StreamHints;
 
 const MANIFEST_TAG: &str = "FXPM1";
 const CURSOR_TAG: &str = "FXPC1";

@@ -19,7 +19,7 @@
 //! [`crate::fleet::FleetRuntime::spawn_query`]) — the same
 //! `(handle, future)` shape as `ReaderGroup::into_task`.
 //!
-//! With `query.oracle` enabled every step is also fed to the naive
+//! With [`QueryConfig::oracle`] set every step is also fed to the naive
 //! row-at-a-time evaluator and the final outputs must digest
 //! bit-identically — the runtime arm of the differential-testing
 //! contract.
@@ -27,7 +27,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use adios::{ArrayData, GroupConfig, ReadEngine, ScalarValue, Selection, StepStatus, VarValue};
+use adios::{ArrayData, ReadEngine, ScalarValue, Selection, StepStatus, VarValue};
 use flexio_query::{lower_pushdown, ChunkView, Executor, NaiveExecutor, Q_ROWS_IN};
 /// The plan/expression vocabulary, re-exported so applications can build
 /// queries with `flexio::query::{Plan, Expr, AggFunc}` alone.
@@ -37,12 +37,13 @@ pub use flexio_query::{
 };
 use parking_lot::Mutex;
 
-use crate::link::{drive, HintKey, StreamError};
+use crate::context::StreamError;
+use crate::link::drive;
 use crate::monitor::MonitorEvent;
 use crate::plugins::{PluginPlacement, PluginSpec, DC_APPLIED_MARKER};
 use crate::reader::StreamReader;
 
-/// Query-tier knobs, parsed from the `query.*` hint family.
+/// Query-tier knobs, set by the program that attaches the session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryConfig {
     /// Lower eligible filters to a writer-side plug-in (default `true`).
@@ -60,25 +61,6 @@ pub struct QueryConfig {
 impl Default for QueryConfig {
     fn default() -> Self {
         QueryConfig { pushdown: true, window_steps: 0, max_rows: 0, oracle: false }
-    }
-}
-
-impl QueryConfig {
-    /// Derive the query configuration from a parsed group config.
-    pub fn from_config(cfg: &GroupConfig) -> QueryConfig {
-        let mut c = QueryConfig::default();
-        // Defaults to true: only an explicit hint may disable pushdown.
-        if cfg.hint(HintKey::QueryPushdown.as_str()).is_some() {
-            c.pushdown = cfg.hint_bool(HintKey::QueryPushdown.as_str());
-        }
-        if let Some(n) = cfg.hint_u64(HintKey::QueryWindowSteps.as_str()) {
-            c.window_steps = n;
-        }
-        if let Some(n) = cfg.hint_u64(HintKey::QueryMaxRows.as_str()) {
-            c.max_rows = n;
-        }
-        c.oracle = cfg.hint_bool(HintKey::QueryOracle.as_str());
-        c
     }
 }
 

@@ -14,7 +14,9 @@ use std::sync::Arc;
 use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue};
 use evpath::{BoxedReceiver, BoxedSender, FieldValue, Record};
 
-use crate::link::{drive, recv_record_rt, ChannelId, LinkState, StreamError, StreamHints};
+use crate::context::StreamError;
+use crate::hints::StreamHints;
+use crate::link::{drive, recv_record_rt, ChannelId, LinkState};
 use crate::monitor::MonitorEvent;
 use crate::plugins::{InstalledPlugin, PluginPlacement, PluginSpec};
 use crate::protocol::{self, msg, CachingLevel, WriteMode};
@@ -146,7 +148,7 @@ impl StreamReader {
     }
 
     /// The backend this stream's blocking calls run on.
-    pub(crate) fn runtime(&self) -> crate::link::Runtime {
+    pub(crate) fn runtime(&self) -> crate::hints::Runtime {
         self.hints.runtime
     }
 

@@ -105,24 +105,6 @@ impl MonitorRelay {
         self.sent += 1;
         self.graph.submit(self.entry, record);
     }
-
-    /// Forward an entire trace (e.g. [`PerfMonitor::dump_trace`] output).
-    /// Event names are forwarded verbatim — a trace from a newer build
-    /// loses nothing on its way through an older relay.
-    pub fn publish_trace(&mut self, trace: &[Record]) {
-        for r in trace {
-            let (Some(event), Some(step), Some(rank), Some(bytes), Some(nanos)) = (
-                r.get_str("event").map(str::to_string),
-                r.get_u64("step"),
-                r.get_u64("rank"),
-                r.get_u64("bytes"),
-                r.get_u64("nanos"),
-            ) else {
-                continue;
-            };
-            self.publish_named(&event, step, rank as usize, bytes, nanos);
-        }
-    }
 }
 
 /// The receiving (analytics-side) half: drains relayed records into a
@@ -388,35 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_replay_reconstructs_the_remote_view() {
-        // Simulation side records into its monitor; the trace is relayed;
-        // the analytics-side replica agrees on aggregates.
-        let origin = PerfMonitor::new();
-        for step in 0..4 {
-            origin.record(MonitorEvent::DataSend, step, 1, 2048, 100);
-            origin.record(MonitorEvent::PluginExec, step, 1, 0, 7_000);
-        }
-        let (tx, rx) = inproc_pair();
-        let mut relay = MonitorRelay::new(tx, 1, 1);
-        relay.publish_trace(&origin.dump_trace());
-        let mut sink = MonitorSink::new(rx);
-        sink.drain();
-        let replica = sink.monitor();
-        assert_eq!(
-            replica.total_bytes(MonitorEvent::DataSend),
-            origin.total_bytes(MonitorEvent::DataSend)
-        );
-        assert_eq!(
-            replica.total_nanos(MonitorEvent::PluginExec),
-            origin.total_nanos(MonitorEvent::PluginExec)
-        );
-        assert_eq!(
-            replica.bytes_per_step(MonitorEvent::DataSend, 1),
-            origin.bytes_per_step(MonitorEvent::DataSend, 1)
-        );
-    }
-
-    #[test]
     fn relayed_monitor_drives_placement_decisions() {
         // The §II.G loop end to end: remote samples → replica → manager.
         let (tx, rx) = inproc_pair();
@@ -457,18 +410,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_replay_preserves_unknown_event_names() {
+    fn relay_preserves_unknown_event_names() {
         let origin = PerfMonitor::new();
         origin.record_named("gpu_kernel", 64, 5);
-        let trace = vec![Record::new()
-            .with("event", FieldValue::Str("gpu_kernel".into()))
-            .with("step", FieldValue::U64(0))
-            .with("rank", FieldValue::U64(0))
-            .with("bytes", FieldValue::U64(64))
-            .with("nanos", FieldValue::U64(5))];
         let (tx, rx) = inproc_pair();
         let mut relay = MonitorRelay::new(tx, 0, 1);
-        relay.publish_trace(&trace);
+        relay.publish_named("gpu_kernel", 0, 0, 64, 5);
         let mut sink = MonitorSink::new(rx);
         sink.drain();
         assert_eq!(sink.monitor().named("gpu_kernel"), origin.named("gpu_kernel"));

@@ -24,9 +24,9 @@ use std::time::Instant;
 use adios::{ProcessGroup, VarValue, WriteEngine};
 use evpath::{BoxedReceiver, BoxedSender, FieldValue, Record};
 
-use crate::link::{
-    drive, poll_until, recv_record_rt, ChannelId, LinkState, StreamError, StreamHints,
-};
+use crate::context::StreamError;
+use crate::hints::StreamHints;
+use crate::link::{drive, poll_until, recv_record_rt, ChannelId, LinkState};
 use crate::monitor::MonitorEvent;
 use crate::plugins::{InstalledPlugin, PluginPlacement, PluginSpec};
 use crate::protocol::{self, msg, CachingLevel, ProtocolCounters, WriteMode};

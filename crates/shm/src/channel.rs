@@ -32,7 +32,7 @@ use crossbeam::channel::{bounded, Sender as OneshotSender};
 use parking_lot::Mutex;
 
 use crate::pool::{BufferPool, Lease, PoolStats};
-use crate::spsc::{spsc_queue, Consumer, Producer, PushError};
+use crate::spsc::{spsc_queue, Consumer, Producer};
 
 /// Segments of a vectored send at least this long count as bulk payload:
 /// the pooled path places the first of them on a [`BULK_ALIGN`] boundary.
@@ -153,11 +153,6 @@ pub fn shm_channel_with_pool(
 }
 
 impl ShmSender {
-    /// Largest payload that still travels inline.
-    pub fn inline_limit(&self) -> usize {
-        self.queue.payload_capacity() - 1
-    }
-
     /// Asynchronous send: inline if small, otherwise the pooled path.
     /// Returns once the payload is safely buffered — the caller may reuse
     /// its source immediately (the overlap the paper's asynchronous API
@@ -233,27 +228,6 @@ impl ShmSender {
             .expect("control frame fits entry capacity");
         // Block until the consumer releases the mapping.
         done_rx.recv().expect("consumer dropped mid-transfer");
-    }
-
-    /// Non-blocking variant of [`ShmSender::send_copy`] for callers that
-    /// poll (e.g. the async movement scheduler).
-    pub fn try_send_copy(&mut self, payload: &[u8]) -> Result<(), PushError> {
-        if payload.len() < self.queue.payload_capacity() {
-            let mut framed = Vec::with_capacity(payload.len() + 1);
-            framed.push(KIND_INLINE);
-            framed.extend_from_slice(payload);
-            return self.queue.try_push(&framed);
-        }
-        // Copying into the pool after the push succeeded would be racy
-        // (the consumer may pop the token before the transfer is parked),
-        // so park first and roll back on Full; dropping the parked lease
-        // returns the buffer.
-        let token = self.park_pooled(&[payload], payload.len());
-        let pushed = self.queue.try_push(&control_frame(KIND_POOLED, token));
-        if pushed.is_err() {
-            self.shared.transfers.lock().remove(&token);
-        }
-        pushed
     }
 
     /// Fault-injection hook: push raw bytes as one queue frame, bypassing
@@ -560,22 +534,6 @@ mod tests {
             }
         }
         t.join().unwrap();
-    }
-
-    #[test]
-    fn try_send_rolls_back_on_full_queue() {
-        let (mut tx, mut rx) = shm_channel(2, 64);
-        let big = vec![9u8; 1 << 12];
-        assert!(tx.try_send_copy(&big).is_ok());
-        assert!(tx.try_send_copy(&big).is_ok());
-        // Queue (2 entries) now full.
-        assert_eq!(tx.try_send_copy(&big), Err(PushError::Full));
-        // Drain and verify the two successful sends arrive intact; the
-        // rolled-back one must not leave a phantom transfer.
-        assert_eq!(&rx.recv().unwrap()[..], &big[..]);
-        assert_eq!(&rx.recv().unwrap()[..], &big[..]);
-        assert!(rx.try_recv().unwrap().is_none());
-        assert!(tx.shared.transfers.lock().is_empty());
     }
 
     #[test]

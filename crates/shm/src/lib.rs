@@ -42,11 +42,9 @@
 //! ```
 
 pub mod channel;
-pub mod naive;
 pub mod placement;
 pub mod pool;
 pub mod spsc;
-pub mod spsc_unpadded;
 
 pub use channel::{shm_channel, shm_channel_with_pool, ChannelError, ShmReceiver, ShmSender};
 pub use pool::{BufferPool, Lease, PoolBuffer, PoolStats};

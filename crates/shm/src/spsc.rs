@@ -73,7 +73,6 @@ struct Shared {
     /// Monotonic counters for performance monitoring (paper §II.G).
     enqueued: AtomicU64,
     dequeued: AtomicU64,
-    bytes: AtomicU64,
 }
 
 unsafe impl Send for Shared {}
@@ -111,7 +110,6 @@ pub fn spsc_queue(entries: usize, payload_capacity: usize) -> (Producer, Consume
         payload_capacity,
         enqueued: AtomicU64::new(0),
         dequeued: AtomicU64::new(0),
-        bytes: AtomicU64::new(0),
     });
     (Producer { shared: Arc::clone(&shared), head: 0 }, Consumer { shared, tail: 0 })
 }
@@ -150,7 +148,6 @@ impl Producer {
         entry.flag.store(FULL, Ordering::Release);
         self.head = (self.head + 1) % self.shared.entries.len();
         self.shared.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.shared.bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -229,11 +226,6 @@ impl Consumer {
     /// Number of messages dequeued so far (monitoring hook).
     pub fn dequeued(&self) -> u64 {
         self.shared.dequeued.load(Ordering::Relaxed)
-    }
-
-    /// Total payload bytes that have passed through the queue.
-    pub fn bytes_transferred(&self) -> u64 {
-        self.shared.bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -331,7 +323,6 @@ mod tests {
         }
         assert_eq!(tx.enqueued(), 5);
         assert_eq!(rx.dequeued(), 5);
-        assert_eq!(rx.bytes_transferred(), 10);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 # hold for arbitrary seeds, not just the checked-in one), the same
 # mode-matrix + fault battery replayed on the reactor runtime and again
 # with every channel forced onto real TCP sockets, the cross-process
-# kill -9 chaos suite, a socket-vs-shm throughput sweep, a 10-second
-# chaos soak alternating backends and transports, a build and quick run of
-# the benchmark package against this tree (in a copy), and a check that
-# the benchmark tree itself still matches HEAD.
+# kill -9 chaos suite, quick sweeps of the benches the benchmark package
+# has no counterpart for, a 10-second chaos soak alternating backends and
+# transports, a build and quick run of the benchmark package against this
+# tree (in a copy), and a check that the benchmark tree itself still
+# matches HEAD.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -130,11 +131,6 @@ cargo test -q --offline -p flexio --test process_chaos \
     >/dev/null || { echo "process chaos FAILED"; exit 1; }
 echo "process chaos ok"
 
-echo "== socket throughput sweep (BENCH_net.json) =="
-NET_QUICK=1 cargo bench -q --offline -p bench --bench net \
-    >/dev/null || { echo "net bench FAILED"; exit 1; }
-echo "net bench ok ($(head -c 120 BENCH_net.json)...)"
-
 echo "== fleet throughput sweep (BENCH_reactor_fleet.json) =="
 FLEET_QUICK=1 cargo bench -q --offline -p bench --bench reactor_fleet \
     >/dev/null || { echo "reactor_fleet bench FAILED"; exit 1; }
@@ -145,11 +141,6 @@ PUBSUB_QUICK=1 cargo bench -q --offline -p bench --bench pubsub \
     >/dev/null || { echo "pubsub bench FAILED"; exit 1; }
 echo "pubsub bench ok ($(head -c 120 BENCH_pubsub.json)...)"
 
-echo "== query pushdown sweep (BENCH_query.json) =="
-QUERY_QUICK=1 cargo bench -q --offline -p bench --bench query \
-    >/dev/null || { echo "query bench FAILED"; exit 1; }
-echo "query bench ok ($(head -c 160 BENCH_query.json)...)"
-
 echo "== elastic closed-loop sweep (BENCH_elastic.json) =="
 ELASTIC_QUICK=1 cargo bench -q --offline -p bench --bench elastic \
     >/dev/null || { echo "elastic bench FAILED"; exit 1; }
@@ -159,8 +150,7 @@ echo "== bench regression check (quick runs vs committed baselines) =="
 # Quick-mode runs are noisy (fewer steps amortize less setup), so the
 # verify gate uses a loose 50% bar; scripts/bench_diff.sh defaults to
 # 20% for full-length runs.
-./scripts/bench_diff.sh --threshold 50 BENCH_net.json BENCH_reactor_fleet.json BENCH_pubsub.json \
-    BENCH_query.json BENCH_elastic.json \
+./scripts/bench_diff.sh --threshold 50 BENCH_reactor_fleet.json BENCH_pubsub.json BENCH_elastic.json \
     || { echo "bench regression FAILED"; exit 1; }
 
 echo "== chaos soak (10s, alternating backends) =="
