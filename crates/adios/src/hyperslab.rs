@@ -7,7 +7,7 @@
 //! overlapping *strides*. The same machinery serves file-mode subset
 //! reads.
 
-use crate::var::{ArrayData, LocalBlock};
+use crate::var::LocalBlock;
 
 /// An axis-aligned box in global index space.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -76,7 +76,8 @@ impl BoxSel {
 
     /// Iterate the box's contiguous row-major runs: yields
     /// `(start_coord, run_len)` where each run spans the last dimension.
-    /// Rank-0 boxes yield a single run of length 1.
+    /// Rank-0 boxes yield a single run of length 1. Allocates per run: this
+    /// is the reference [`copy_region`] is tested against, not its kernel.
     pub fn rows(&self) -> RowIter<'_> {
         RowIter { sel: self, cursor: Some(self.offset.clone()), done: self.is_empty() }
     }
@@ -129,38 +130,146 @@ impl Iterator for RowIter<'_> {
     }
 }
 
-/// Copy the elements of `region` (a box in global space, fully contained
-/// in both blocks' extents) from `src` into `dst`. Both blocks are
-/// row-major in their own local extents.
-pub fn copy_region(src: &LocalBlock, dst: &mut LocalBlock, region: &BoxSel) {
-    let src_box = BoxSel::new(src.offset.clone(), src.count.clone());
-    let dst_box = BoxSel::new(dst.offset.clone(), dst.count.clone());
-    debug_assert!(src_box.intersect(region).map(|b| b == *region).unwrap_or(region.is_empty()));
-    debug_assert!(dst_box.intersect(region).map(|b| b == *region).unwrap_or(region.is_empty()));
-    for (start, run) in region.rows() {
-        let s = src_box.linearize(&start) as usize;
-        let d = dst_box.linearize(&start) as usize;
-        src.data.copy_into(s, &mut dst.data, d, run as usize);
+/// One axis of a [`StridePlan`]: `extent` positions, each an element
+/// step further into the source and the destination block.
+struct Axis {
+    extent: usize,
+    src_step: usize,
+    dst_step: usize,
+    /// Odometer position, used only while walking the outer axes.
+    pos: usize,
+}
+
+/// How a region is laid out in two row-major blocks at once, computed once
+/// per copy: the element offset of the region's first cell in each block
+/// and, innermost first, the axes to walk. A dimension that is full in
+/// *both* blocks is contiguous with its slower neighbour in both, so it
+/// folds into that neighbour's axis; `axes[0]` has step 1 in both blocks
+/// and is therefore the contiguous run.
+pub(crate) struct StridePlan {
+    src_start: usize,
+    dst_start: usize,
+    /// Innermost first; empty only for an empty region.
+    axes: Vec<Axis>,
+}
+
+impl StridePlan {
+    /// Plan the copy of `region` out of a block at `src` into a block at
+    /// `dst` (both `(offset, count)` in global index space). Panics unless
+    /// all three have the same rank and the region lies inside both blocks;
+    /// an empty region plans no runs wherever it lies.
+    fn new(src: (&[u64], &[u64]), dst: (&[u64], &[u64]), region: &BoxSel) -> StridePlan {
+        let rank = region.rank();
+        assert!(
+            [src.0.len(), src.1.len(), dst.0.len(), dst.1.len()] == [rank; 4],
+            "rank mismatch: region {region:?}, src block {src:?}, dst block {dst:?}"
+        );
+        let mut plan = StridePlan { src_start: 0, dst_start: 0, axes: Vec::new() };
+        if region.is_empty() {
+            return plan;
+        }
+        let inside = |(offset, count): (&[u64], &[u64])| {
+            (0..rank).all(|d| {
+                region.offset[d] >= offset[d]
+                    && region.offset[d]
+                        .checked_add(region.count[d])
+                        .is_some_and(|end| end <= offset[d].saturating_add(count[d]))
+            })
+        };
+        assert!(
+            inside(src) && inside(dst),
+            "region {region:?} must lie inside src block {src:?} and dst block {dst:?}"
+        );
+        plan.axes.reserve_exact(rank.max(1));
+        // The axis being built, starting from a unit run that the fastest
+        // dimension always continues; `src_step`/`dst_step` are the element
+        // strides of dimension `d` in each block, and `fold` says whether
+        // `d + 1` was full in both, so that `d` continues its axis too.
+        let mut axis = Axis { extent: 1, src_step: 1, dst_step: 1, pos: 0 };
+        let (mut src_step, mut dst_step, mut fold) = (1usize, 1usize, true);
+        for d in (0..rank).rev() {
+            plan.src_start += (region.offset[d] - src.0[d]) as usize * src_step;
+            plan.dst_start += (region.offset[d] - dst.0[d]) as usize * dst_step;
+            if !fold {
+                let next = Axis { extent: 1, src_step, dst_step, pos: 0 };
+                plan.axes.push(std::mem::replace(&mut axis, next));
+            }
+            axis.extent *= region.count[d] as usize;
+            fold = region.count[d] == src.1[d] && region.count[d] == dst.1[d];
+            src_step *= src.1[d] as usize;
+            dst_step *= dst.1[d] as usize;
+        }
+        plan.axes.push(axis);
+        plan
     }
+
+    /// Elements in each contiguous run (0 for an empty region).
+    pub(crate) fn run_len(&self) -> usize {
+        self.axes.first().map_or(0, |run| run.extent)
+    }
+
+    /// Call `f(src_index, dst_index)` with the first element of every run,
+    /// in row-major order of the region. Allocates nothing.
+    pub(crate) fn for_each_run(mut self, mut f: impl FnMut(usize, usize)) {
+        // Past the run, the fastest axis is a plain strided loop and the
+        // rest an odometer that steps once per pass of that loop.
+        let Some((_run, around)) = self.axes.split_first_mut() else { return };
+        let Some((inner, outer)) = around.split_first_mut() else {
+            return f(self.src_start, self.dst_start);
+        };
+        let (mut src, mut dst) = (self.src_start, self.dst_start);
+        loop {
+            for i in 0..inner.extent {
+                f(src + i * inner.src_step, dst + i * inner.dst_step);
+            }
+            let mut carried = 0;
+            for axis in outer.iter_mut() {
+                axis.pos += 1;
+                src += axis.src_step;
+                dst += axis.dst_step;
+                if axis.pos < axis.extent {
+                    break;
+                }
+                src -= axis.extent * axis.src_step;
+                dst -= axis.extent * axis.dst_step;
+                axis.pos = 0;
+                carried += 1;
+            }
+            if carried == outer.len() {
+                return;
+            }
+        }
+    }
+}
+
+fn extent_of(block: &LocalBlock) -> (&[u64], &[u64]) {
+    (&block.offset, &block.count)
+}
+
+/// Copy the elements of `region` (a box in global space) from `src` into
+/// `dst`. Both blocks are row-major in their own local extents. Panics
+/// when the ranks differ or the region is not contained in both blocks.
+pub fn copy_region(src: &LocalBlock, dst: &mut LocalBlock, region: &BoxSel) {
+    let plan = StridePlan::new(extent_of(src), extent_of(dst), region);
+    src.data.copy_runs(&mut dst.data, plan);
 }
 
 /// Extract `region` of `src` into a fresh minimal block whose extent is
 /// exactly `region` — the "packed strides" a sender ships to a receiver.
 pub fn extract_region(src: &LocalBlock, region: &BoxSel) -> LocalBlock {
-    let mut out = LocalBlock {
+    let plan = StridePlan::new(extent_of(src), (&region.offset, &region.count), region);
+    LocalBlock {
         global_shape: src.global_shape.clone(),
         offset: region.offset.clone(),
         count: region.count.clone(),
-        data: ArrayData::zeros(src.data.data_type(), region.num_elements() as usize),
-    };
-    copy_region(src, &mut out, region);
-    out
+        data: src.data.gather_runs(plan, region.num_elements() as usize),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::var::DataType;
+    use crate::var::{ArrayData, DataType};
 
     fn block_2d(offset: [u64; 2], count: [u64; 2]) -> LocalBlock {
         // Data value = global row * 100 + global col, for easy checking.
@@ -245,6 +354,65 @@ mod tests {
         assert_eq!(d[9], 403.0); // row 4 starts at index 6; col 3 => 6+3
         assert_eq!(d[10], 404.0);
         assert_eq!(d[0], 0.0, "untouched cells stay zero");
+    }
+
+    fn zeros(offset: &[u64], count: &[u64]) -> LocalBlock {
+        LocalBlock {
+            global_shape: vec![64; offset.len()],
+            offset: offset.to_vec(),
+            count: count.to_vec(),
+            data: ArrayData::zeros(DataType::F64, count.iter().product::<u64>() as usize),
+        }
+        .validated()
+    }
+
+    /// (run length, extents of the axes walked around it, innermost first).
+    fn shape_of(src: &LocalBlock, dst: &LocalBlock, region: &BoxSel) -> (usize, Vec<usize>) {
+        let plan = StridePlan::new(extent_of(src), extent_of(dst), region);
+        (plan.run_len(), plan.axes.iter().skip(1).map(|a| a.extent).collect())
+    }
+
+    #[test]
+    fn a_dimension_folds_only_when_full_in_both_blocks() {
+        let cube = zeros(&[0, 0, 0], &[32, 32, 32]);
+        let slab = BoxSel::new(vec![0, 0, 8], vec![32, 32, 16]);
+        let chunk = zeros(&slab.offset, &slab.count);
+        // Extraction: z is partial in the cube, so a run is one z-row; y is
+        // full in both, so x and y walk as one axis of 1024 rows.
+        assert_eq!(shape_of(&cube, &chunk, &slab), (16, vec![1024]));
+        // Assembly of a chunk that is the selection: one run.
+        assert_eq!(shape_of(&chunk, &chunk.clone(), &slab), (32 * 32 * 16, vec![]));
+        // Full in the source only: nothing folds.
+        let wide = zeros(&[0, 0, 0], &[32, 40, 24]);
+        assert_eq!(shape_of(&chunk, &wide, &slab), (16, vec![32, 32]));
+        // A full middle dimension folds into its slower neighbour even
+        // when the trailing one is partial in the destination.
+        let deep = zeros(&[0, 0, 0], &[40, 32, 24]);
+        assert_eq!(shape_of(&chunk, &deep, &slab), (16, vec![1024]));
+        assert_eq!(shape_of(&cube, &chunk, &BoxSel::new(vec![0, 0, 8], vec![32, 0, 16])).0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must lie inside src block")]
+    fn region_outside_the_source_is_rejected() {
+        let src = block_2d([2, 2], [4, 4]);
+        let mut dst = zeros(&[0, 0], &[10, 10]);
+        copy_region(&src, &mut dst, &BoxSel::new(vec![3, 3], vec![2, 4]));
+    }
+
+    #[test]
+    #[should_panic(expected = "and dst block")]
+    fn region_outside_the_destination_is_rejected() {
+        let src = block_2d([0, 0], [8, 8]);
+        let mut dst = zeros(&[2, 2], &[4, 4]);
+        copy_region(&src, &mut dst, &BoxSel::new(vec![1, 3], vec![2, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "rank mismatch")]
+    fn region_of_the_wrong_rank_is_rejected() {
+        let src = block_2d([0, 0], [8, 8]);
+        extract_region(&src, &BoxSel::new(vec![1], vec![2]));
     }
 
     #[test]

@@ -5,6 +5,8 @@ use std::borrow::Cow;
 use evpath::ffs::le;
 use evpath::{FieldValue, PackedArray, PackedDtype, Record};
 
+use crate::hyperslab::StridePlan;
+
 /// Element type of an array variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
@@ -74,8 +76,9 @@ impl DataType {
 /// The owned variants hold element vectors; [`ArrayData::Packed`] is a
 /// read-only zero-copy view into a leased receive buffer (see
 /// [`evpath::PackedArray`]), produced when a block arrives over the wire.
-/// Views support [`ArrayData::copy_into`] as a source (the assembly path)
-/// and, when their bytes lie 8-byte aligned on a little-endian target,
+/// Views are valid *sources* of [`ArrayData::copy_into`] and of the strided
+/// copies in [`crate::hyperslab`] (the assembly path) and, when their bytes
+/// lie 8-byte aligned on a little-endian target, support
 /// [`ArrayData::as_f64`]/[`ArrayData::as_u64`] in place;
 /// [`ArrayData::make_readable`] materializes the ones that do not, and
 /// [`ArrayData::make_owned`] any view a consumer wants to mutate.
@@ -237,6 +240,51 @@ impl ArrayData {
         }
     }
 
+    /// Copy every run of `plan` from `self` into `dst` (same panics as
+    /// [`Self::copy_into`]). The `(src, dst)` representation pair is
+    /// resolved here, once, and the walk itself allocates nothing.
+    pub(crate) fn copy_runs(&self, dst: &mut ArrayData, plan: StridePlan) {
+        self.move_runs(dst, plan, false)
+    }
+
+    /// The runs of `plan`, appended in order into a fresh owned array of
+    /// `self`'s element type with room for `len` elements.
+    pub(crate) fn gather_runs(&self, plan: StridePlan, len: usize) -> ArrayData {
+        let mut out = match self.data_type() {
+            DataType::F64 => ArrayData::F64(Vec::with_capacity(len)),
+            DataType::U64 => ArrayData::U64(Vec::with_capacity(len)),
+            DataType::I64 => ArrayData::I64(Vec::with_capacity(len)),
+            DataType::U8 => ArrayData::U8(Vec::with_capacity(len)),
+        };
+        self.move_runs(&mut out, plan, true);
+        out
+    }
+
+    fn move_runs(&self, dst: &mut ArrayData, plan: StridePlan, append: bool) {
+        use ArrayData::{Packed, F64, I64, U64, U8};
+        use Source::{Elems, Le};
+        match (self, dst) {
+            (F64(s), F64(d)) => move_typed_runs(Elems(s), d, plan, append),
+            (U64(s), U64(d)) => move_typed_runs(Elems(s), d, plan, append),
+            (I64(s), I64(d)) => move_typed_runs(Elems(s), d, plan, append),
+            (U8(s), U8(d)) => move_typed_runs(Elems(s), d, plan, append),
+            (Packed(p), F64(d)) if p.dtype() == PackedDtype::F64 => {
+                move_typed_runs(Le(p.bytes()), d, plan, append)
+            }
+            (Packed(p), U64(d)) if p.dtype() == PackedDtype::U64 => {
+                move_typed_runs(Le(p.bytes()), d, plan, append)
+            }
+            (Packed(p), I64(d)) if p.dtype() == PackedDtype::I64 => {
+                move_typed_runs(Le(p.bytes()), d, plan, append)
+            }
+            (Packed(p), U8(d)) if p.dtype() == PackedDtype::U8 => {
+                move_typed_runs(Le(p.bytes()), d, plan, append)
+            }
+            (s, Packed(_)) => panic!("packed views are read-only: {:?} into packed", s.data_type()),
+            (s, d) => panic!("type mismatch: {:?} into {:?}", s.data_type(), d.data_type()),
+        }
+    }
+
     /// View as `f64` slice (panics otherwise — caller checked the type).
     /// A packed view is borrowed where it lies when its bytes allow it (see
     /// [`evpath::PackedArray::in_place`]; whatever a stream `read` returns
@@ -295,6 +343,70 @@ impl ArrayData {
             FieldValue::Packed(p) => ArrayData::Packed(p.clone()),
             _ => return None,
         })
+    }
+}
+
+/// Where a strided copy reads elements of type `T`: owned elements, or the
+/// little-endian bytes of a packed view.
+enum Source<'a, T> {
+    Elems(&'a [T]),
+    Le(&'a [u8]),
+}
+
+/// An owned element type, and how a run of its wire bytes becomes elements.
+trait Elem: Copy {
+    fn copy_le(src: &[u8], dst: &mut [Self]);
+    fn extend_le(out: &mut Vec<Self>, src: &[u8]);
+}
+
+macro_rules! elem_impl {
+    ($ty:ty, $copy_le:path) => {
+        impl Elem for $ty {
+            fn copy_le(src: &[u8], dst: &mut [Self]) {
+                $copy_le(src, dst)
+            }
+            fn extend_le(out: &mut Vec<Self>, src: &[u8]) {
+                const W: usize = std::mem::size_of::<$ty>();
+                out.extend(
+                    src.chunks_exact(W)
+                        .map(|c| <$ty>::from_le_bytes(c.try_into().expect("exact chunk"))),
+                );
+            }
+        }
+    };
+}
+elem_impl!(f64, le::copy_bytes_into_f64s);
+elem_impl!(u64, le::copy_bytes_into_u64s);
+elem_impl!(i64, le::copy_bytes_into_i64s);
+
+impl Elem for u8 {
+    fn copy_le(src: &[u8], dst: &mut [u8]) {
+        dst.copy_from_slice(src)
+    }
+    fn extend_le(out: &mut Vec<u8>, src: &[u8]) {
+        out.extend_from_slice(src)
+    }
+}
+
+/// The one strided-copy loop: every run of `plan` from `src` either over
+/// `dst[dst_index..]` or, with `append`, onto the end of `dst`. Every run
+/// is bounds-checked by its slicing.
+fn move_typed_runs<T: Elem>(src: Source<'_, T>, dst: &mut Vec<T>, plan: StridePlan, append: bool) {
+    let n = plan.run_len();
+    let w = std::mem::size_of::<T>();
+    match (src, append) {
+        (Source::Elems(s), false) => {
+            plan.for_each_run(|at, to| dst[to..to + n].copy_from_slice(&s[at..at + n]))
+        }
+        (Source::Elems(s), true) => {
+            plan.for_each_run(|at, _| dst.extend_from_slice(&s[at..at + n]))
+        }
+        (Source::Le(b), false) => {
+            plan.for_each_run(|at, to| T::copy_le(&b[at * w..(at + n) * w], &mut dst[to..to + n]))
+        }
+        (Source::Le(b), true) => {
+            plan.for_each_run(|at, _| T::extend_le(dst, &b[at * w..(at + n) * w]))
+        }
     }
 }
 

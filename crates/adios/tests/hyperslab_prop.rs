@@ -1,8 +1,12 @@
 //! Property tests on the hyperslab machinery — the geometric core of both
 //! file-mode reads and FlexIO's MxN redistribution.
 
+use std::sync::Arc;
+
 use adios::hyperslab::{copy_region, extract_region};
-use adios::{ArrayData, BoxSel, LocalBlock};
+use adios::{ArrayData, BoxSel, DataType, LocalBlock};
+use evpath::ffs::le;
+use evpath::{Lease, PackedArray};
 use proptest::prelude::*;
 
 /// A random 2-D block within an 8×8 global array, with values encoding
@@ -34,7 +38,148 @@ fn arb_box() -> impl Strategy<Value = BoxSel> {
     })
 }
 
+/// A region with a source and a destination block around it, ranks 1–4,
+/// block extents at most 6. Per dimension: the region's start and extent,
+/// then how far each block sticks out below and above it. The trailing
+/// `src_full`/`dst_full` dimensions of a block stick out nowhere, so the
+/// blocks are larger than the region, equal to it, or share only trailing
+/// dimensions with it — the stride plan folds none, some or all dimensions.
+#[derive(Debug)]
+struct Geometry {
+    region: BoxSel,
+    src: BoxSel,
+    dst: BoxSel,
+    shape: Vec<u64>,
+}
+
+fn arb_geometry() -> impl Strategy<Value = Geometry> {
+    let dim = (0u64..3, 1u64..=4, (0u64..=1, 0u64..=1), (0u64..=1, 0u64..=1));
+    (1usize..=4, proptest::collection::vec(dim, 4), 0usize..=4, 0usize..=4).prop_map(
+        |(rank, dims, src_full, dst_full)| {
+            let around =
+                |full: usize, pick: fn(&(u64, u64, (u64, u64), (u64, u64))) -> (u64, u64)| {
+                    let (mut offset, mut count) = (Vec::new(), Vec::new());
+                    for (d, dim) in dims[..rank].iter().enumerate() {
+                        let (below, above) = if d + full >= rank { (0, 0) } else { pick(dim) };
+                        offset.push(dim.0 + 1 - below);
+                        count.push(below + dim.1 + above);
+                    }
+                    BoxSel::new(offset, count)
+                };
+            let (src, dst) = (around(src_full, |d| d.2), around(dst_full, |d| d.3));
+            let region = around(rank, |_| (0, 0));
+            let shape = (0..rank)
+                .map(|d| (src.offset[d] + src.count[d]).max(dst.offset[d] + dst.count[d]))
+                .collect();
+            Geometry { region, src, dst, shape }
+        },
+    )
+}
+
+/// `values` as elements of `dtype` (wrapping into a byte for `U8`).
+fn typed(dtype: DataType, values: impl Iterator<Item = u64>) -> ArrayData {
+    match dtype {
+        DataType::F64 => ArrayData::F64(values.map(|v| v as f64 + 0.5).collect()),
+        DataType::U64 => ArrayData::U64(values.map(|v| v << 33 | v).collect()),
+        DataType::I64 => ArrayData::I64(values.map(|v| -(v as i64)).collect()),
+        DataType::U8 => ArrayData::U8(values.map(|v| v as u8).collect()),
+    }
+}
+
+/// The same elements as a wire view lying `shift` bytes past an 8-byte
+/// boundary of its receive buffer.
+fn packed_at(data: &ArrayData, shift: usize) -> ArrayData {
+    let wire = match data {
+        ArrayData::F64(v) => le::f64s_as_bytes(v).into_owned(),
+        ArrayData::U64(v) => le::u64s_as_bytes(v).into_owned(),
+        ArrayData::I64(v) => le::i64s_as_bytes(v).into_owned(),
+        ArrayData::U8(v) => v.clone(),
+        ArrayData::Packed(_) => unreachable!("built from owned data"),
+    };
+    let mut buf = vec![0u8; wire.len() + 16];
+    let at = (buf.as_ptr() as usize).wrapping_neg() % 8 + shift;
+    buf[at..at + wire.len()].copy_from_slice(&wire);
+    let view = PackedArray::view(
+        data.data_type().packed_dtype(),
+        Arc::new(Lease::from(buf)),
+        at,
+        wire.len(),
+    );
+    ArrayData::Packed(view)
+}
+
+/// A block over `extent` whose element at a global coordinate is
+/// `value_at(coordinate, its row-major index in shape)`.
+fn block_over(
+    extent: &BoxSel,
+    shape: &[u64],
+    dtype: DataType,
+    value_at: impl Fn(&[u64], u64) -> u64,
+) -> LocalBlock {
+    let whole = BoxSel::whole(shape);
+    let mut values = Vec::new();
+    for (mut at, run) in extent.rows() {
+        for _ in 0..run {
+            values.push(value_at(&at, whole.linearize(&at)));
+            *at.last_mut().expect("rank >= 1") += 1;
+        }
+    }
+    LocalBlock {
+        global_shape: shape.to_vec(),
+        offset: extent.offset.clone(),
+        count: extent.count.clone(),
+        data: typed(dtype, values.into_iter()),
+    }
+    .validated()
+}
+
+/// The kernel before the stride plan: one `copy_into` per row of the
+/// region, both offsets re-linearized per row.
+fn copy_region_by_rows(src: &LocalBlock, dst: &mut LocalBlock, region: &BoxSel) {
+    let src_box = BoxSel::new(src.offset.clone(), src.count.clone());
+    let dst_box = BoxSel::new(dst.offset.clone(), dst.count.clone());
+    for (start, run) in region.rows() {
+        let (s, d) = (src_box.linearize(&start) as usize, dst_box.linearize(&start) as usize);
+        src.data.copy_into(s, &mut dst.data, d, run as usize);
+    }
+}
+
 proptest! {
+    /// The stride-planned kernel against the row-by-row reference: every
+    /// element type, owned sources and packed views at every byte shift,
+    /// whatever the plan folds. Cells outside the region keep their values.
+    #[test]
+    fn stride_plan_matches_the_row_reference(g in arb_geometry()) {
+        const OLD: u64 = 7777; // what the destination held, on top of the index
+        for dtype in [DataType::F64, DataType::U64, DataType::I64, DataType::U8] {
+            let owned = block_over(&g.src, &g.shape, dtype, |_, index| index);
+            let before = block_over(&g.dst, &g.shape, dtype, |_, index| index + OLD);
+            let mut by_rows = before.clone();
+            copy_region_by_rows(&owned, &mut by_rows, &g.region);
+            // And without the reference: new inside the region, old outside.
+            let by_cell = block_over(&g.dst, &g.shape, dtype, |at, index| {
+                let inside = (0..at.len())
+                    .all(|d| (g.region.offset[d]..g.region.offset[d] + g.region.count[d]).contains(&at[d]));
+                if inside { index } else { index + OLD }
+            });
+            prop_assert_eq!(&by_rows, &by_cell);
+            let chunk_by_cell = block_over(&g.region, &g.shape, dtype, |_, index| index);
+
+            for shift in 0..=8 {
+                let mut src = owned.clone();
+                if shift < 8 {
+                    src.data = packed_at(&owned.data, shift);
+                }
+                let mut got = before.clone();
+                copy_region(&src, &mut got, &g.region);
+                prop_assert_eq!(&got, &by_rows);
+                let chunk = extract_region(&src, &g.region);
+                prop_assert!(!chunk.data.is_packed());
+                prop_assert_eq!(&chunk, &chunk_by_cell);
+            }
+        }
+    }
+
     /// Extracting any overlap region preserves each element's global
     /// coordinate encoding.
     #[test]

@@ -31,7 +31,7 @@
 //! sender whose peer vanished marks itself dead and swallows further
 //! sends — exactly how the protocol layer expects a corpse to behave.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -59,6 +59,31 @@ pub fn encode_frame_header(len: u32) -> [u8; FRAME_HEADER_LEN] {
     h[..4].copy_from_slice(&FRAME_MAGIC);
     h[4..].copy_from_slice(&len.to_le_bytes());
     h
+}
+
+/// Write one frame — the header, then `segments` back to back — with
+/// vectored writes: the whole frame is offered to the writer at once (one
+/// `writev`, so one burst on a socket, however many segments) and whatever
+/// a short write leaves over is offered again. A writer that accepts
+/// nothing reads as [`io::ErrorKind::WriteZero`].
+fn write_frame_to<W: Write>(w: &mut W, segments: &[&[u8]]) -> io::Result<()> {
+    let total: usize = segments.iter().map(|s| s.len()).sum();
+    debug_assert!(total <= MAX_FRAME_LEN as usize, "frame exceeds MAX_FRAME_LEN");
+    let header = encode_frame_header(total as u32);
+    let mut slices = Vec::with_capacity(segments.len() + 1);
+    slices.push(IoSlice::new(&header));
+    // An all-empty slice list would read back as `Ok(0)`: leave them out.
+    slices.extend(segments.iter().filter(|s| !s.is_empty()).map(|s| IoSlice::new(s)));
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Decode a frame header, validating magic and the length cap.
@@ -152,6 +177,15 @@ impl Write for SockStream {
         match self {
             SockStream::Tcp(s) => s.write(buf),
             SockStream::Unix(s) => s.write(buf),
+        }
+    }
+
+    // Without this a vectored write falls back to `Write`'s default: one
+    // `write` of the first non-empty slice.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            SockStream::Tcp(s) => s.write_vectored(bufs),
+            SockStream::Unix(s) => s.write_vectored(bufs),
         }
     }
 
@@ -319,15 +353,7 @@ impl SocketSender {
     }
 
     fn write_frame(&mut self, segments: &[&[u8]]) {
-        if self.dead {
-            return;
-        }
-        let total: usize = segments.iter().map(|s| s.len()).sum();
-        debug_assert!(total <= MAX_FRAME_LEN as usize, "frame exceeds MAX_FRAME_LEN");
-        let header = encode_frame_header(total as u32);
-        let ok = self.stream.write_all(&header).is_ok()
-            && segments.iter().all(|s| self.stream.write_all(s).is_ok());
-        if !ok {
+        if !self.dead && write_frame_to(&mut self.stream, segments).is_err() {
             self.dead = true;
         }
     }
@@ -339,8 +365,8 @@ impl EvSender for SocketSender {
     }
 
     fn send_vectored(&mut self, segments: &[&[u8]]) {
-        // Segments go straight to the socket after the header — no
-        // intermediate flattened buffer.
+        // Segments go straight to the socket behind the header, in one
+        // vectored write — no intermediate flattened buffer.
         self.write_frame(segments);
     }
 
@@ -497,9 +523,7 @@ impl EvReceiver for SocketReceiver {
 
 /// Write one framed payload to a blocking stream.
 pub fn write_frame(stream: &mut SockStream, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
-    stream.write_all(&encode_frame_header(payload.len() as u32))?;
-    stream.write_all(payload)
+    write_frame_to(stream, &[payload])
 }
 
 /// Read one framed payload from a blocking stream (honouring any read
@@ -583,6 +607,133 @@ mod tests {
         let (mut tx, mut rx) = socket_pair(SocketKind::Tcp);
         tx.send_vectored(&[b"head", b"", b"body", b"tail"]);
         assert_eq!(rx.recv(), b"headbodytail");
+    }
+
+    /// A writer that takes at most `limit` bytes a call and counts calls.
+    struct Trickle {
+        limit: usize,
+        taken: Vec<u8>,
+        vectored_calls: usize,
+        plain_calls: usize,
+    }
+
+    impl Trickle {
+        fn taking(limit: usize) -> Trickle {
+            Trickle { limit, taken: Vec::new(), vectored_calls: 0, plain_calls: 0 }
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.plain_calls += 1;
+            let n = buf.len().min(self.limit);
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.vectored_calls += 1;
+            let mut room = self.limit;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.taken.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.limit - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `count` segments of lengths 0..=12 (every fourth one empty).
+    fn ragged_segments(count: usize) -> Vec<Vec<u8>> {
+        (0..count).map(|i| vec![i as u8; if i % 4 == 1 { 0 } else { 1 + i % 12 }]).collect()
+    }
+
+    fn framed(segments: &[Vec<u8>]) -> Vec<u8> {
+        let body = segments.concat();
+        [&encode_frame_header(body.len() as u32)[..], &body].concat()
+    }
+
+    #[test]
+    fn short_writes_resume_mid_frame() {
+        for count in [1, 2, 46, 3000] {
+            let segments = ragged_segments(count);
+            let slices: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
+            for limit in [1, 7, 4096, usize::MAX] {
+                let mut w = Trickle::taking(limit);
+                write_frame_to(&mut w, &slices).expect("the writer never fails");
+                assert_eq!(w.taken, framed(&segments), "{count} segments, {limit} bytes a call");
+                assert_eq!(w.plain_calls, 0);
+            }
+        }
+        // An all-empty frame is its header and nothing else.
+        let mut w = Trickle::taking(usize::MAX);
+        write_frame_to(&mut w, &[b"", b""]).unwrap();
+        assert_eq!(w.taken, encode_frame_header(0));
+    }
+
+    #[test]
+    fn header_and_payload_leave_in_one_vectored_write() {
+        let mut w = Trickle::taking(usize::MAX);
+        write_frame_to(&mut w, &[b"a control message"]).unwrap();
+        assert_eq!((w.vectored_calls, w.plain_calls), (1, 0));
+        let segments = ragged_segments(46);
+        let slices: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
+        let mut w = Trickle::taking(usize::MAX);
+        write_frame_to(&mut w, &slices).unwrap();
+        assert_eq!((w.vectored_calls, w.plain_calls), (1, 0));
+    }
+
+    #[test]
+    fn a_writer_that_stalls_or_fails_fails_the_frame() {
+        // `Ok(0)` with bytes outstanding is a stalled peer, not a finished frame.
+        let err = write_frame_to(&mut Trickle::taking(0), &[b"payload"]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+
+        struct FailsAfter(usize);
+        impl Write for FailsAfter {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                unreachable!("frames are written vectored")
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+                if self.0 == 0 {
+                    return Err(io::ErrorKind::BrokenPipe.into());
+                }
+                self.0 -= 1;
+                Ok(bufs[0].len().min(3))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = write_frame_to(&mut FailsAfter(2), &[b"payload"]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    /// More segments than one `writev` takes (`IOV_MAX` is 1024), and a
+    /// frame far larger than the socket buffer sent to a receiver that is
+    /// not reading yet: the sender blocks mid-frame and resumes.
+    #[test]
+    fn long_and_large_frames_cross_real_sockets() {
+        for kind in [SocketKind::Tcp, SocketKind::Uds] {
+            let (mut tx, mut rx) = socket_pair(kind);
+            let segments = ragged_segments(3000);
+            let large = vec![vec![0xA5u8; 8 << 20], vec![], vec![0x5Au8; 4096]];
+            let expected = [segments.concat(), large.concat()];
+            let sender = std::thread::spawn(move || {
+                for frame in [segments, large] {
+                    tx.send_vectored(&frame.iter().map(Vec::as_slice).collect::<Vec<_>>());
+                }
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            for want in expected {
+                assert!(rx.recv() == want, "{} frame of {} bytes", kind.name(), want.len());
+            }
+            sender.join().unwrap();
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub struct StreamReader {
     side_down: Option<BoxedReceiver>,
     coord: Option<ReaderCoord>,
     /// This rank's column of the transfer plan: chunks per writer rank.
-    cached_plan_col: Vec<Vec<ChunkPlan>>,
+    cached_plan_col: Arc<Vec<Vec<ChunkPlan>>>,
     steps_read: u64,
     current_step: Option<u64>,
     store: HashMap<(usize, String), Vec<VarValue>>,
@@ -120,7 +120,7 @@ impl StreamReader {
             side_up,
             side_down,
             coord,
-            cached_plan_col: Vec::new(),
+            cached_plan_col: Arc::default(),
             steps_read: 0,
             current_step: None,
             store: HashMap::new(),
@@ -390,6 +390,7 @@ impl StreamReader {
                         .ok_or_else(|| StreamError::Corrupt("go missing step".into()))?;
                     if let Some(plan) = go.get_record("plan") {
                         self.cached_plan_col = redistribute::decode_plan(plan)
+                            .map(Arc::new)
                             .ok_or_else(|| StreamError::Corrupt("bad plan col".into()))?;
                     }
                     if let Some(pl) = go.get_record("plugins") {
@@ -598,7 +599,7 @@ impl StreamReader {
                 }
             }
             if let Some(col) = my_col {
-                self.cached_plan_col = col;
+                self.cached_plan_col = Arc::new(col);
             }
             if plugin_dirty {
                 let specs = self.coord.as_ref().expect("coordinator").all_plugins.clone();
@@ -619,7 +620,7 @@ impl StreamReader {
     async fn receive_chunks(&mut self, step: u64) -> Result<(), StreamError> {
         let counters = Arc::clone(&self.link.counters);
         let monitor = self.link.monitor.clone();
-        let plan_col = self.cached_plan_col.clone();
+        let plan_col = Arc::clone(&self.cached_plan_col);
         for (w, chunks) in plan_col.iter().enumerate() {
             let expected = redistribute::expected_messages(chunks, self.hints.batching);
             if expected == 0 {
@@ -647,11 +648,10 @@ impl StreamReader {
                             .get_u64("n")
                             .ok_or_else(|| StreamError::Corrupt("batch missing n".into()))?;
                         for i in 0..n {
-                            let c = record
-                                .get_record(&format!("c.{i}"))
-                                .ok_or_else(|| StreamError::Corrupt("batch missing chunk".into()))?
-                                .clone();
-                            self.store_chunk(&c, step)?;
+                            let c = record.get_record(&format!("c.{i}")).ok_or_else(|| {
+                                StreamError::Corrupt("batch missing chunk".into())
+                            })?;
+                            self.store_chunk(c, step)?;
                         }
                     }
                     k => {
@@ -764,14 +764,11 @@ impl ReadEngine for StreamReader {
                     for v in values {
                         let VarValue::Block(b) = v else { continue };
                         let have = BoxSel::new(b.offset.clone(), b.count.clone());
-                        if have.intersect(want).is_none() {
-                            continue;
-                        }
+                        let Some(overlap) = have.intersect(want) else { continue };
                         let asm = assembler.get_or_insert_with(|| BoxAssembler::new(want, b));
                         // Merge the overlap straight from the stored block
                         // (a zero-copy wire view for large chunks) into the
                         // target — no clipped intermediate block.
-                        let overlap = have.intersect(want).expect("checked above");
                         asm.add_region(b, &overlap);
                     }
                 }

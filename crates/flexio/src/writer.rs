@@ -121,7 +121,7 @@ pub struct StreamWriter {
     side_down: Option<BoxedReceiver>,
     coord: Option<WriterCoord>,
     /// This rank's row of the transfer plan: chunks per reader rank.
-    cached_plan_row: Vec<Vec<ChunkPlan>>,
+    cached_plan_row: Arc<Vec<Vec<ChunkPlan>>>,
     reader_count: usize,
     installed: HashMap<String, InstalledPlugin>,
     closed: bool,
@@ -179,7 +179,7 @@ impl StreamWriter {
             side_up,
             side_down,
             coord,
-            cached_plan_row: Vec::new(),
+            cached_plan_row: Arc::default(),
             reader_count: 0,
             installed: HashMap::new(),
             closed: false,
@@ -330,6 +330,7 @@ impl StreamWriter {
             }
             if let Some(plan) = go.get_record("plan") {
                 self.cached_plan_row = redistribute::decode_plan(plan)
+                    .map(Arc::new)
                     .ok_or_else(|| StreamError::Corrupt("bad plan row".to_string()))?;
                 self.reader_count = self.cached_plan_row.len();
             }
@@ -451,7 +452,7 @@ impl StreamWriter {
             .enumerate()
             .map(|(r, s)| if evicted.contains(&r) { Vec::new() } else { s.clone() })
             .collect();
-        let full_plan = redistribute::plan(&coord.cached_dists, &sels);
+        let mut full_plan = redistribute::plan(&coord.cached_dists, &sels);
         self.reader_count = sels.len();
 
         let plugin_record = plugin_dirty.then(|| encode_plugin_specs(&coord.writer_plugins));
@@ -474,7 +475,7 @@ impl StreamWriter {
             }
         }
         if plan_dirty {
-            self.cached_plan_row = full_plan[0].clone();
+            self.cached_plan_row = Arc::new(full_plan.swap_remove(0));
         }
         if plugin_dirty {
             let specs = coord.writer_plugins.clone();
@@ -490,7 +491,7 @@ impl StreamWriter {
     async fn send_chunks(&mut self, group: &ProcessGroup, step: u64) -> Result<(), StreamError> {
         let counters = Arc::clone(&self.link.counters);
         let monitor = self.link.monitor.clone();
-        let plan_row = self.cached_plan_row.clone();
+        let plan_row = Arc::clone(&self.cached_plan_row);
         (self.step_wire_bytes, self.step_plugin_ns) = (0, 0);
         for (r, chunks) in plan_row.iter().enumerate() {
             // An eviction recorded mid-step (by another writer rank) is

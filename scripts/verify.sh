@@ -6,9 +6,9 @@
 # with every channel forced onto real TCP sockets, the cross-process
 # kill -9 chaos suite, quick sweeps of the benches the benchmark package
 # has no counterpart for, a 10-second chaos soak alternating backends and
-# transports, a build and quick run of the benchmark package against this
-# tree (in a copy), and a check that the benchmark tree itself still
-# matches HEAD.
+# transports, a paired smoke run (scripts/ab.sh) of the benchmark package
+# built against HEAD and against this tree, and a check that the benchmark
+# tree itself still matches HEAD.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -158,21 +158,17 @@ FLEXIO_SOAK_SECS=10 cargo test -q --offline -p flexio --test chaos_soak \
     >/dev/null || { echo "chaos soak FAILED"; exit 1; }
 echo "chaos soak ok"
 
-echo "== benchmark builds and runs against this tree (in a copy) =="
+echo "== benchmark builds and runs against this tree (paired smoke) =="
 # benchmark/ is not this tree's to edit, but it compiles against crates/:
-# an API break has to show here, not at the driver. Building it in place
-# would rewrite benchmark/Cargo.lock, so build what the driver would check
-# out — tracked and unignored files — in a fresh directory.
-copy=$(mktemp -d)
-trap 'rm -rf "$copy"' EXIT
-git ls-files -co --exclude-standard -z -- benchmark crates compat src Cargo.toml Cargo.lock \
-    | tar --null --ignore-failed-read -T - -cf - | tar -xf - -C "$copy"
-(cd "$copy" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml) \
-    || { echo "benchmark build against this tree FAILED"; exit 1; }
-(cd "$copy" && cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    run --workload gts_shm --quick --reps 2 2>/dev/null) | tail -1 | grep -q '"correct": true' \
-    || { echo "benchmark gts_shm quick run FAILED"; exit 1; }
-echo "benchmark copy ok"
+# an API break has to show here, not at the driver. scripts/ab.sh builds
+# HEAD and this tree's tracked + unignored files in clean copies (in place
+# would rewrite benchmark/Cargo.lock) and runs one 2-second pair of every
+# gated workload; every run must verify. Two seconds resolve nothing, so a
+# WORSE verdict (exit 3) is not a failure here; seed 1 leaves the script's
+# own seeds unseen.
+scripts/ab.sh --pairs 1 --seconds 2 --seed-base 0 HEAD . || [ $? -eq 3 ] \
+    || { echo "benchmark paired smoke FAILED"; exit 1; }
+echo "benchmark paired smoke ok"
 
 echo "== benchmark tree untouched =="
 # The driver measures parent and change with the benchmark sources of
