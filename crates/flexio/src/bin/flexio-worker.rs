@@ -8,6 +8,8 @@
 //! test) watches those lines to time its `kill -9`:
 //!
 //! * `DIRADDR <addr>` — a directory node announcing where it listens.
+//! * `WORKER registered` — a writer rank's endpoint is in the directory
+//!   (it cannot step before the reader group attaches).
 //! * `WORKER step=<n>` — a writer/reader rank completing a step.
 //! * `RESULT role=<r> rank=<k> ...` — final counters before exit.
 
@@ -82,17 +84,22 @@ fn proc_config(env: &RankEnv, write_side: bool) -> ProcConfig {
     }
 }
 
-/// Directory node role: announce the listen address, then serve forever
-/// (peer addresses arrive later via a `dpeers` request from the parent).
+/// Directory node role: announce the listen address, then run the node's
+/// gossip rounds and request port on a reactor until killed (peer
+/// addresses arrive later via a `dpeers` request from the parent, in rank
+/// order — the rank is the node id).
 fn run_dirnode(env: &RankEnv) {
     let node = WireDirNode::bind(
-        env.rank as u64 + 1,
+        env.rank as u64,
         sock_kind(),
         Duration::from_millis(env_u64("FLEXIO_DIR_GOSSIP_MS", 20)),
+        None,
     )
     .expect("bind directory node");
     say(&format!("DIRADDR {}", node.addr()));
-    node.serve();
+    let mut reactor = flexio_reactor::Reactor::new();
+    node.spawn_on(&mut reactor);
+    reactor.run();
 }
 
 /// Writer rank role: produce `FLEXIO_STEPS` steps of a 1-D global array,
@@ -102,6 +109,7 @@ fn run_writer(env: &RankEnv) {
     let steps = env_u64("FLEXIO_STEPS", 4);
     let step_ms = env_u64("FLEXIO_STEP_MS", 50);
     let mut w = open_writer_proc(proc_config(env, true)).expect("open writer");
+    say("WORKER registered");
     w.link().wait_reader_info(Duration::from_secs(10)).expect("readers attached");
     let global = PER_RANK * env.nranks as u64;
     let offset = PER_RANK * env.rank as u64;

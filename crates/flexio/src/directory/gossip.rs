@@ -1,27 +1,34 @@
 //! Anti-entropy gossip between directory nodes.
 //!
-//! Each node periodically ships its **entire registry digest** — every
+//! There is one node type, [`DirectoryNode`], and one gossip wire. Each
+//! node periodically ships its **entire registry digest** — every
 //! `(name, version, origin, contact token)` tuple, tombstones included —
-//! to every peer over an ordinary `evpath` transport. Receivers merge
-//! entry-by-entry under the `(version, origin)` order, so a digest is
-//! idempotent and arbitrarily lossy delivery still converges: a frame
-//! dropped by a [`FaultPlan`] is simply re-sent (in its next edition)
-//! one round later. This is the classic anti-entropy trade — O(entries)
-//! bytes per round per peer buys convergence without acks, retransmits
-//! or membership agreement, which is exactly right for a registry whose
-//! entries number in the thousands while lookups number in the millions.
+//! to every peer over an ordinary `evpath` transport: in-proc channels
+//! between the nodes of a [`super::DirectoryCluster`], socket links
+//! between directory *processes* ([`crate::procnet::WireDirNode`]).
+//! Receivers merge entry-by-entry under the `(version, origin)` order,
+//! so a digest is idempotent and arbitrarily lossy delivery still
+//! converges: a frame dropped by a [`FaultPlan`] is simply re-sent (in
+//! its next edition) one round later. This is the classic anti-entropy
+//! trade — O(entries) bytes per round per peer buys convergence without
+//! acks, retransmits or membership agreement, which is exactly right for
+//! a registry whose entries number in the thousands while lookups number
+//! in the millions.
 //!
-//! Contacts are in-process `Arc<LinkState>` handles and cannot cross a
-//! byte transport, so the wire carries a cluster-wide **token** and every
-//! node resolves tokens through the shared [`ContactTable`] — the
-//! in-process stand-in for the serialized contact string a real
-//! deployment would gossip.
+//! The digest (`DGSP` frame) carries a **token** per entry, never the
+//! contact; a node resolves tokens through its [`ContactTable`]. The two
+//! deployments differ only in the [`Contact`] payload: an `Arc<LinkState>`
+//! cannot cross a byte transport, so the nodes of an in-process cluster
+//! share one table; a [`WireContact`] can, so a cross-process node has its
+//! own and sends its live contacts as a `CTB1` frame ahead of each digest.
 
 use std::collections::HashMap;
+use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use evpath::{BoxedReceiver, BoxedSender, FaultPlan};
+use evpath::{BoxedReceiver, BoxedSender, FaultPlan, RecvPoll};
 use parking_lot::Mutex;
 
 use crate::link::LinkState;
@@ -42,50 +49,33 @@ pub struct WireContact {
     pub meta: Vec<u64>,
 }
 
-/// Cluster-wide token → contact resolution (see module docs). Shared by
-/// every node of one cluster. In-process contacts resolve to
-/// `Arc<LinkState>` handles; cross-process contacts resolve to their
-/// serialized [`WireContact`] form, which *can* cross a byte transport.
-#[derive(Default)]
-pub(crate) struct ContactTable {
-    next: AtomicU64,
-    by_token: Mutex<HashMap<u64, Arc<LinkState>>>,
-    wire_by_token: Mutex<HashMap<u64, WireContact>>,
-}
-
-impl ContactTable {
-    /// Intern a contact, returning its wire token (tokens start at 1;
-    /// 0 means "no contact" on the wire).
-    pub(crate) fn intern(&self, contact: &Arc<LinkState>) -> u64 {
-        let token = self.next.fetch_add(1, Ordering::Relaxed) + 1;
-        self.by_token.lock().insert(token, Arc::clone(contact));
-        token
+/// What a directory entry points at (see module docs).
+pub trait Contact: Clone + Send + Sync + 'static {
+    /// The contact as another process could use it, if it can.
+    fn to_wire(&self) -> Option<WireContact> {
+        None
     }
 
-    fn resolve(&self, token: u64) -> Option<Arc<LinkState>> {
-        self.by_token.lock().get(&token).cloned()
-    }
-
-    /// Store a serialized contact under a caller-chosen token (wire
-    /// directory nodes namespace tokens by node id, so two nodes never
-    /// mint the same one).
-    pub(crate) fn put_wire(&self, token: u64, contact: WireContact) {
-        self.wire_by_token.lock().insert(token, contact);
-    }
-
-    /// Resolve a token to its serialized contact.
-    pub(crate) fn resolve_wire(&self, token: u64) -> Option<WireContact> {
-        self.wire_by_token.lock().get(&token).cloned()
-    }
-
-    /// Every serialized contact this table knows, for gossip shipment.
-    pub(crate) fn export_wire(&self) -> Vec<(u64, WireContact)> {
-        let mut all: Vec<(u64, WireContact)> =
-            self.wire_by_token.lock().iter().map(|(t, c)| (*t, c.clone())).collect();
-        all.sort_by_key(|(t, _)| *t);
-        all
+    /// Rebuild a contact from a peer's `CTB1` frame.
+    fn from_wire(_wire: WireContact) -> Option<Self> {
+        None
     }
 }
+
+impl Contact for Arc<LinkState> {}
+
+impl Contact for WireContact {
+    fn to_wire(&self) -> Option<WireContact> {
+        Some(self.clone())
+    }
+
+    fn from_wire(wire: WireContact) -> Option<WireContact> {
+        Some(wire)
+    }
+}
+
+/// Token → contact resolution for the entries a node learns from digests.
+pub(crate) type ContactTable<C> = Mutex<HashMap<u64, C>>;
 
 /// Counters of one node's gossip traffic.
 #[derive(Debug, Default)]
@@ -118,14 +108,16 @@ impl GossipCounters {
 
 /// One directory node: a sharded store plus the gossip plumbing that
 /// replicates it. Lives in an `Arc` shared between the serve loop (a
-/// reactor task) and the [`super::ReplicatedDirectory`] handles.
-pub struct DirectoryNode {
+/// reactor task) and whatever takes client traffic for it — the
+/// [`super::ReplicatedDirectory`] handles, or a socket request port.
+pub struct DirectoryNode<C: Contact = Arc<LinkState>> {
     id: u64,
-    pub(crate) store: ShardedDirectory,
-    pub(crate) contacts: Arc<ContactTable>,
-    /// Outbound digest channels, one per peer.
+    pub(crate) store: ShardedDirectory<C>,
+    contacts: Arc<ContactTable<C>>,
+    next_token: AtomicU64,
+    /// Outbound gossip channels, one per peer.
     peers: Mutex<Vec<BoxedSender>>,
-    /// Inbound digest channels, one per peer.
+    /// Inbound gossip channels, one per peer.
     inboxes: Mutex<Vec<BoxedReceiver>>,
     alive: AtomicBool,
     counters: GossipCounters,
@@ -135,17 +127,18 @@ pub struct DirectoryNode {
     faults: Option<Arc<FaultPlan>>,
 }
 
-impl DirectoryNode {
+impl<C: Contact> DirectoryNode<C> {
     pub(crate) fn new(
         id: u64,
         shards: usize,
-        contacts: Arc<ContactTable>,
+        contacts: Arc<ContactTable<C>>,
         faults: Option<Arc<FaultPlan>>,
-    ) -> DirectoryNode {
+    ) -> DirectoryNode<C> {
         DirectoryNode {
             id,
             store: ShardedDirectory::with_origin(shards, id),
             contacts,
+            next_token: AtomicU64::new(1),
             peers: Mutex::new(Vec::new()),
             inboxes: Mutex::new(Vec::new()),
             alive: AtomicBool::new(true),
@@ -176,11 +169,17 @@ impl DirectoryNode {
     }
 
     /// The node's local sharded store (per-shard counter access).
-    pub fn store(&self) -> &ShardedDirectory {
+    pub fn store(&self) -> &ShardedDirectory<C> {
         &self.store
     }
 
-    pub(crate) fn add_peer_sender(&self, tx: BoxedSender) {
+    /// Add the sending half of the gossip link to `peer`; an installed
+    /// fault plan sees it as `gossip:<this node>-><peer>`.
+    pub(crate) fn add_peer_sender(&self, peer: u64, tx: BoxedSender) {
+        let tx = match &self.faults {
+            Some(plan) => plan.wrap_sender(&format!("gossip:{}->{peer}", self.id), tx),
+            None => tx,
+        };
         self.peers.lock().push(tx);
     }
 
@@ -197,16 +196,21 @@ impl DirectoryNode {
     }
 
     /// Client registration against this node: intern the contact so the
-    /// entry can cross the gossip wire, then insert locally. Replication
-    /// to the other nodes is the serve loop's job.
+    /// entry can cross the gossip wire, then insert locally (`overwrite`
+    /// as in [`ShardedDirectory::register_local`]). Replication to the
+    /// other nodes is the serve loop's job.
     pub(crate) fn register(
         &self,
         name: &str,
-        contact: Arc<LinkState>,
+        contact: C,
+        overwrite: bool,
     ) -> Result<(), DirectoryError> {
         self.check_serving()?;
-        let token = self.contacts.intern(&contact);
-        self.store.register_local(name, contact, token).map(|_| ())
+        // Never 0 (the digest's "no contact"), and namespaced by node id:
+        // nodes sharing a table cannot mint the same token.
+        let token = (self.id << 48) | self.next_token.fetch_add(1, Ordering::Relaxed);
+        self.contacts.lock().insert(token, contact.clone());
+        self.store.register_local(name, contact, token, overwrite).map(|_| ())
     }
 
     pub(crate) fn unregister(&self, name: &str) -> Result<bool, DirectoryError> {
@@ -214,17 +218,44 @@ impl DirectoryNode {
         Ok(self.store.unregister_local(name).is_some())
     }
 
-    /// One anti-entropy round: drain peer digests into the store, then
-    /// ship the (possibly updated) local digest to every peer. Returns
+    /// The node's serve loop as a reactor task: one anti-entropy round
+    /// every `interval` until the node dies or `stop` is raised.
+    pub(crate) fn serve_task(
+        self: &Arc<Self>,
+        interval: Duration,
+        stop: Arc<AtomicBool>,
+    ) -> impl Future<Output = ()> + Send + 'static {
+        let node = Arc::clone(self);
+        async move {
+            while !stop.load(Ordering::Acquire) && node.gossip_round() {
+                flexio_reactor::sleep(interval).await;
+            }
+        }
+    }
+
+    /// One anti-entropy round: drain peer frames into the store, then
+    /// ship the (possibly updated) local digest to every peer — behind the
+    /// table of its contacts, when those can cross the wire. Returns
     /// `false` once the node is dead and the serve loop should exit.
     pub(crate) fn gossip_round(&self) -> bool {
         if !self.is_alive() {
             return false;
         }
         self.drain_inbound();
-        let frame = encode_digest(self.id, &self.store.export());
+        let entries = self.store.export();
+        let table: Vec<(u64, WireContact)> = entries
+            .iter()
+            .filter_map(|(_, e)| Some((e.token, e.contact.as_ref()?.to_wire()?)))
+            .collect();
+        let table = (!table.is_empty()).then(|| encode_contact_table(&table));
+        let digest: Vec<DigestEntry> =
+            entries.into_iter().map(|(name, e)| (name, e.version, e.origin, e.token)).collect();
+        let digest = encode_digest(self.id, &digest);
         for tx in self.peers.lock().iter_mut() {
-            tx.send(&frame);
+            if let Some(table) = &table {
+                tx.send(table);
+            }
+            tx.send(&digest);
             self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
         }
         let rounds = self.counters.rounds.fetch_add(1, Ordering::Relaxed) + 1;
@@ -241,36 +272,50 @@ impl DirectoryNode {
         self.is_alive()
     }
 
+    /// A link that reports closed or corrupt is gone (its peer died, or
+    /// the byte stream lost framing): drop it.
     fn drain_inbound(&self) {
-        let mut inboxes = self.inboxes.lock();
-        for rx in inboxes.iter_mut() {
-            while let Some(frame) = rx.try_recv() {
-                match decode_digest(&frame) {
-                    Some((_from, entries)) => {
-                        self.counters.frames_received.fetch_add(1, Ordering::Relaxed);
-                        for (name, version, origin, token) in entries {
-                            let contact =
-                                if token == 0 { None } else { self.contacts.resolve(token) };
-                            if token != 0 && contact.is_none() {
-                                // Unknown token: the interning node's
-                                // table entry should exist cluster-wide;
-                                // treat a miss as corruption, not a
-                                // tombstone.
-                                self.counters.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            let applied = self
-                                .store
-                                .merge(&name, VersionedEntry { contact, version, origin, token });
-                            if applied {
-                                self.counters.entries_merged.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    None => {
-                        self.counters.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                    }
+        self.inboxes.lock().retain_mut(|rx| loop {
+            match rx.poll_recv() {
+                RecvPoll::Msg(frame) => self.absorb(&frame),
+                RecvPoll::Empty => return true,
+                RecvPoll::Closed | RecvPoll::Corrupt(_) => return false,
+            }
+        });
+    }
+
+    /// Apply one gossip frame — a contact table feeds the token table, a
+    /// digest is merged entry by entry; the magic says which it is.
+    fn absorb(&self, frame: &[u8]) {
+        let corrupt = || self.counters.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+        if frame.starts_with(CONTACT_MAGIC) {
+            let Some(table) = decode_contact_table(frame) else {
+                corrupt();
+                return;
+            };
+            for (token, wire) in table {
+                if let Some(contact) = C::from_wire(wire) {
+                    self.contacts.lock().insert(token, contact);
                 }
+            }
+            return;
+        }
+        let Some((_from, entries)) = decode_digest(frame) else {
+            corrupt();
+            return;
+        };
+        self.counters.frames_received.fetch_add(1, Ordering::Relaxed);
+        for (name, version, origin, token) in entries {
+            let contact = self.contacts.lock().get(&token).cloned();
+            if token != 0 && contact.is_none() {
+                // Unknown token: the contact is interned cluster-wide or
+                // rode the frame ahead of this one, so that frame was lost.
+                // Not a tombstone — skip; the next round brings both again.
+                corrupt();
+                continue;
+            }
+            if self.store.merge(&name, VersionedEntry { contact, version, origin, token }) {
+                self.counters.entries_merged.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -284,54 +329,73 @@ impl DirectoryNode {
 /// (token 0 = tombstone).
 const MAGIC: &[u8; 4] = b"DGSP";
 
-pub(crate) fn encode_digest(from: u64, entries: &[(String, VersionedEntry)]) -> Vec<u8> {
+/// One digest entry: `(name, version, origin, token)`.
+pub type DigestEntry = (String, u64, u64, u64);
+
+/// Smallest encoded digest entry (an empty name).
+const DIGEST_ENTRY_MIN: usize = 4 + 3 * 8;
+
+/// Encode node `from`'s digest for the gossip wire.
+pub fn encode_digest(from: u64, entries: &[DigestEntry]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + entries.len() * 48);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&from.to_le_bytes());
     buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (name, e) in entries {
+    for (name, version, origin, token) in entries {
         buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
         buf.extend_from_slice(name.as_bytes());
-        buf.extend_from_slice(&e.version.to_le_bytes());
-        buf.extend_from_slice(&e.origin.to_le_bytes());
-        buf.extend_from_slice(&e.token.to_le_bytes());
+        buf.extend_from_slice(&version.to_le_bytes());
+        buf.extend_from_slice(&origin.to_le_bytes());
+        buf.extend_from_slice(&token.to_le_bytes());
     }
     buf
 }
 
-pub(crate) type DigestEntry = (String, u64, u64, u64);
+/// Cursor over a received frame: every read is `None` past the end.
+struct Reader<'a>(&'a [u8]);
 
-pub(crate) fn decode_digest(frame: &[u8]) -> Option<(u64, Vec<DigestEntry>)> {
-    let mut at = 0usize;
-    let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = frame.get(*at..*at + n)?;
-        *at += n;
-        Some(s)
-    };
-    if take(&mut at, 4)? != MAGIC {
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn u32(&mut self) -> Option<usize> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?) as usize)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    fn string(&mut self) -> Option<String> {
+        let len = self.u32()?;
+        String::from_utf8(self.take(len)?.to_vec()).ok()
+    }
+}
+
+/// Decode a digest frame into `(sender id, entries)`; `None` on any
+/// malformation (bad magic, truncation, trailing bytes, non-UTF-8 name).
+pub fn decode_digest(frame: &[u8]) -> Option<(u64, Vec<DigestEntry>)> {
+    let mut r = Reader(frame);
+    if r.take(4)? != MAGIC {
         return None;
     }
-    let from = u64::from_le_bytes(take(&mut at, 8)?.try_into().ok()?);
-    let count = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-    let mut entries = Vec::with_capacity(count);
+    let from = r.u64()?;
+    let count = r.u32()?;
+    // The count is the peer's claim; the bytes that follow bound it.
+    let mut entries = Vec::with_capacity(count.min(r.0.len() / DIGEST_ENTRY_MIN));
     for _ in 0..count {
-        let len = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-        let name = String::from_utf8(take(&mut at, len)?.to_vec()).ok()?;
-        let version = u64::from_le_bytes(take(&mut at, 8)?.try_into().ok()?);
-        let origin = u64::from_le_bytes(take(&mut at, 8)?.try_into().ok()?);
-        let token = u64::from_le_bytes(take(&mut at, 8)?.try_into().ok()?);
-        entries.push((name, version, origin, token));
+        entries.push((r.string()?, r.u64()?, r.u64()?, r.u64()?));
     }
-    if at != frame.len() {
-        return None;
-    }
-    Some((from, entries))
+    r.0.is_empty().then_some((from, entries))
 }
 
 /// Contact-table frame layout (all little-endian):
 /// `magic "CTB1" · u32 entry count · entries`, each entry
 /// `u64 token · u32 addr length · addr bytes · u32 meta count · meta u64s`.
-/// Cross-process directory nodes gossip this alongside the digest so a
+/// Cross-process directory nodes gossip this ahead of the digest so a
 /// token arriving from a peer is resolvable locally.
 const CONTACT_MAGIC: &[u8; 4] = b"CTB1";
 
@@ -355,32 +419,21 @@ pub fn encode_contact_table(entries: &[(u64, WireContact)]) -> Vec<u8> {
 /// Decode a contact-table frame; `None` on any malformation (bad magic,
 /// truncation, trailing bytes, non-UTF-8 address).
 pub fn decode_contact_table(frame: &[u8]) -> Option<Vec<(u64, WireContact)>> {
-    let mut at = 0usize;
-    let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = frame.get(*at..*at + n)?;
-        *at += n;
-        Some(s)
-    };
-    if take(&mut at, 4)? != CONTACT_MAGIC {
+    let mut r = Reader(frame);
+    if r.take(4)? != CONTACT_MAGIC {
         return None;
     }
-    let count = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
+    let count = r.u32()?;
     let mut entries = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        let token = u64::from_le_bytes(take(&mut at, 8)?.try_into().ok()?);
-        let alen = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-        let addr = String::from_utf8(take(&mut at, alen)?.to_vec()).ok()?;
-        let mlen = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
+        let (token, addr, mlen) = (r.u64()?, r.string()?, r.u32()?);
         let mut meta = Vec::with_capacity(mlen.min(1024));
         for _ in 0..mlen {
-            meta.push(u64::from_le_bytes(take(&mut at, 8)?.try_into().ok()?));
+            meta.push(r.u64()?);
         }
         entries.push((token, WireContact { addr, meta }));
     }
-    if at != frame.len() {
-        return None;
-    }
-    Some(entries)
+    r.0.is_empty().then_some(entries)
 }
 
 #[cfg(test)]
@@ -389,35 +442,26 @@ mod tests {
 
     #[test]
     fn digest_round_trips() {
-        let entries = vec![
-            (
-                "run42/particles".to_string(),
-                VersionedEntry { contact: None, version: 3, origin: 1, token: 9 },
-            ),
-            ("gone".to_string(), VersionedEntry { contact: None, version: 8, origin: 2, token: 0 }),
-        ];
+        let entries = vec![("run42/particles".to_string(), 3, 1, 9), ("gone".to_string(), 8, 2, 0)];
         let frame = encode_digest(7, &entries);
-        let (from, decoded) = decode_digest(&frame).expect("well-formed frame");
-        assert_eq!(from, 7);
-        assert_eq!(
-            decoded,
-            vec![("run42/particles".to_string(), 3, 1, 9), ("gone".to_string(), 8, 2, 0)]
-        );
+        assert_eq!(decode_digest(&frame), Some((7, entries)));
     }
 
     #[test]
     fn garbage_frames_are_rejected() {
         assert!(decode_digest(b"").is_none());
         assert!(decode_digest(b"nope").is_none());
-        let mut truncated = encode_digest(
-            1,
-            &[("x".to_string(), VersionedEntry { contact: None, version: 1, origin: 0, token: 0 })],
-        );
+        let mut truncated = encode_digest(1, &[("x".to_string(), 1, 0, 0)]);
         truncated.pop();
         assert!(decode_digest(&truncated).is_none());
         let mut trailing = encode_digest(1, &[]);
         trailing.push(0xFF);
         assert!(decode_digest(&trailing).is_none());
+        // A 16-byte frame claiming u32::MAX entries: rejected as
+        // truncated, without reserving room for the claim first.
+        let mut inflated = encode_digest(1, &[]);
+        inflated[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_digest(&inflated).is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! The paper runs this as one external server. Reproduced literally that
 //! is a scaling wall — every coordinator in the machine funnels through a
 //! single mutex — so the component is a **service behind a trait**
-//! ([`DirectoryService`]) with three backends:
+//! ([`DirectoryService`]) over one store, in three sizes:
 //!
 //! * [`ShardedDirectory`] — the registry split into N lock-striped
 //!   shards keyed by stream-name hash; per-shard mutex+condvar and
@@ -24,27 +24,31 @@
 //! * [`InProcDirectory`] — the paper's single server: the same registry
 //!   with one stripe, cloneable; the default, and still right for
 //!   single-program tests.
-//! * [`ReplicatedDirectory`] — several directory nodes, each a sharded
-//!   store, replicating registrations via anti-entropy gossip rounds;
-//!   versioned entries with tombstoned unregisters, lookups served by
-//!   any node, failover when a node dies.
+//! * [`ReplicatedDirectory`] — a handle onto several [`DirectoryNode`]s,
+//!   each a sharded store, replicating registrations via anti-entropy
+//!   gossip rounds; versioned entries with tombstoned unregisters,
+//!   lookups served by any node, failover when a node dies.
 //!
-//! In this in-process reproduction the "contact information" is an
-//! `Arc`-shared link-state handle; only the **coordinators** touch the
-//! directory, and only at open time — the avoid-overload property is
-//! enforced structurally and verified by the registration counters.
+//! Store and node are generic over the [`Contact`] they hand out. Inside
+//! one program the "contact information" is an `Arc`-shared link-state
+//! handle, and that is what [`DirectoryService`] speaks. Between
+//! programs it is a [`WireContact`] — a socket address and some numbers —
+//! and the *same* node, gossiping over socket links, is the directory
+//! process [`crate::procnet::WireDirNode`] serves requests for. Either
+//! way only the **coordinators** touch the directory, and only at open
+//! time — the avoid-overload property is enforced structurally and
+//! verified by the registration counters.
 
 mod gossip;
 mod service;
 mod shard;
 
 pub use gossip::{
-    decode_contact_table, encode_contact_table, DirectoryNode, GossipCounters, WireContact,
+    decode_contact_table, decode_digest, encode_contact_table, encode_digest, Contact, DigestEntry,
+    DirectoryNode, GossipCounters, WireContact,
 };
-pub(crate) use gossip::{decode_digest, encode_digest, ContactTable};
 pub use service::{DirectoryCluster, ReplicatedDirectory};
 pub use shard::ShardedDirectory;
-pub(crate) use shard::VersionedEntry;
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -16,11 +16,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use evpath::{inproc_pair, FaultPlan};
+use flexio_reactor::block_inline;
 use parking_lot::Mutex;
 
-use crate::link::LinkState;
+use crate::link::{poll_until, LinkState};
 
-use super::gossip::{ContactTable, DirectoryNode};
+use super::gossip::DirectoryNode;
 use super::{DirectoryError, DirectoryService};
 
 /// A set of gossip-replicated directory nodes wired into a full mesh.
@@ -46,7 +47,7 @@ impl DirectoryCluster {
         faults: Option<Arc<FaultPlan>>,
     ) -> DirectoryCluster {
         let node_count = node_count.max(1);
-        let contacts = Arc::new(ContactTable::default());
+        let contacts = Arc::default();
         let nodes: Vec<Arc<DirectoryNode>> = (0..node_count as u64)
             .map(|id| {
                 Arc::new(DirectoryNode::new(id, shards, Arc::clone(&contacts), faults.clone()))
@@ -58,14 +59,10 @@ impl DirectoryCluster {
                 if a == b {
                     continue;
                 }
-                let (tx, rx) = inproc_pair();
-                let tx = match &faults {
-                    Some(plan) => plan.wrap_sender(&format!("gossip:{a}->{b}"), tx),
-                    None => tx,
-                };
                 // Senders and receivers are registered pairwise so node
                 // `a` ships to `b` on the same channel `b` drains.
-                nodes[a].add_peer_sender(tx);
+                let (tx, rx) = inproc_pair();
+                nodes[a].add_peer_sender(b as u64, tx);
                 nodes[b].add_peer_receiver(rx);
             }
         }
@@ -103,14 +100,7 @@ impl DirectoryCluster {
     /// staging node's stream couplings — and the node gossips every
     /// cluster interval until it dies or the cluster shuts down.
     pub fn serve_task(&self, i: usize) -> impl Future<Output = ()> + Send + 'static {
-        let node = Arc::clone(&self.nodes[i]);
-        let interval = self.interval;
-        let shutdown = Arc::clone(&self.shutdown);
-        async move {
-            while !shutdown.load(Ordering::Acquire) && node.gossip_round() {
-                flexio_reactor::sleep(interval).await;
-            }
-        }
+        self.nodes[i].serve_task(self.interval, Arc::clone(&self.shutdown))
     }
 
     /// Run every node's serve loop on a private reactor thread and
@@ -150,11 +140,6 @@ impl Drop for DriverGuard {
         }
     }
 }
-
-/// How long one failover-aware wait slice lasts: long enough to ride a
-/// condvar instead of spinning, short enough that a node dying mid-wait
-/// is noticed promptly.
-const WAIT_SLICE: Duration = Duration::from_millis(10);
 
 /// Client handle onto a [`DirectoryCluster`], implementing
 /// [`DirectoryService`] with eventual consistency: writes go to the
@@ -197,7 +182,7 @@ impl DirectoryService for ReplicatedDirectory {
     fn register(&self, name: &str, contact: Arc<LinkState>) -> Result<(), DirectoryError> {
         loop {
             let node = self.pick()?;
-            match node.register(name, Arc::clone(&contact)) {
+            match node.register(name, Arc::clone(&contact), false) {
                 // The node died between pick and register: fail over.
                 Err(DirectoryError::Unavailable(_)) => continue,
                 other => return other,
@@ -206,24 +191,16 @@ impl DirectoryService for ReplicatedDirectory {
     }
 
     fn lookup(&self, name: &str, timeout: Duration) -> Result<Arc<LinkState>, DirectoryError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let node = self.pick()?;
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(DirectoryError::LookupTimeout(name.to_string()));
-            }
-            // Wait in slices so a node death mid-wait re-picks instead of
-            // blocking on a condvar nothing will ever signal again.
-            let slice = WAIT_SLICE.min(deadline - now);
-            if let Some(contact) = node.store.wait_lookup(name, slice) {
-                return Ok(contact);
-            }
-        }
+        // Every probe picks again, so a node dying mid-wait fails over.
+        block_inline(poll_until(Instant::now() + timeout, || match self.pick() {
+            Ok(node) => node.store.lookup_local(name).map(Ok),
+            Err(down) => Some(Err(down)),
+        }))
+        .unwrap_or_else(|| Err(DirectoryError::LookupTimeout(name.to_string())))
     }
 
     fn try_lookup(&self, name: &str) -> Option<Arc<LinkState>> {
-        self.pick().ok()?.store.try_lookup(name)
+        self.pick().ok()?.store.lookup_local(name)
     }
 
     fn unregister(&self, name: &str) -> bool {

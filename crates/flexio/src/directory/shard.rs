@@ -9,7 +9,11 @@
 //! of removing the key. A standalone [`ShardedDirectory`] doesn't need
 //! either, but the gossip layer does (a removal that simply vanished
 //! could be resurrected by a stale peer digest); keeping one entry shape
-//! means the replicated nodes reuse this store unchanged.
+//! means the replicated nodes reuse this store unchanged — and keeping it
+//! generic over the contact payload `C` means the in-process nodes
+//! (`Arc<LinkState>`) and the cross-process ones
+//! ([`super::WireContact`]) are the same store with the same
+//! [`merge`](ShardedDirectory::merge).
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -28,36 +32,35 @@ use super::{fnv1a, DirectoryError, DirectoryService};
 /// id, so every node converges to the same winner regardless of the
 /// order gossip delivered the candidates.
 #[derive(Clone)]
-pub(crate) struct VersionedEntry {
+pub(crate) struct VersionedEntry<C> {
     /// The contact, or `None` for a tombstoned (unregistered) name.
-    pub contact: Option<Arc<LinkState>>,
+    pub contact: Option<C>,
     /// Monotonic per-name version; bumped by every register/unregister.
     pub version: u64,
     /// Node id that produced this version (0 for standalone stores).
     pub origin: u64,
-    /// Cluster-wide contact token carried on the gossip wire in place of
-    /// the in-process `Arc` (0 = none; real deployments would carry the
-    /// serialized contact string itself).
+    /// Cluster-wide contact token the digest carries in place of the
+    /// contact itself (0 = none).
     pub token: u64,
 }
 
-impl VersionedEntry {
+impl<C> VersionedEntry<C> {
     /// Replication ordering (see struct docs).
-    fn beats(&self, other: &VersionedEntry) -> bool {
+    fn beats(&self, other: &VersionedEntry<C>) -> bool {
         (self.version, self.origin) > (other.version, other.origin)
     }
 }
 
-struct Shard {
-    entries: Mutex<HashMap<String, VersionedEntry>>,
+struct Shard<C> {
+    entries: Mutex<HashMap<String, VersionedEntry<C>>>,
     ready: Condvar,
     counters: DirectoryCounters,
 }
 
-impl Shard {
+impl<C> Shard<C> {
     /// Lock the shard, counting the acquisitions that had to wait — the
     /// contention the striping exists to eliminate.
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, VersionedEntry>> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, VersionedEntry<C>>> {
         match self.entries.try_lock() {
             Some(guard) => guard,
             None => {
@@ -71,9 +74,9 @@ impl Shard {
 /// The directory registry split into N lock-striped shards keyed by
 /// stream-name hash. Implements [`DirectoryService`] directly (a
 /// single-node sharded server) and doubles as the per-node store of the
-/// gossip-replicated cluster.
-pub struct ShardedDirectory {
-    shards: Box<[Shard]>,
+/// gossip-replicated cluster, in-process or across processes.
+pub struct ShardedDirectory<C = Arc<LinkState>> {
+    shards: Box<[Shard<C>]>,
     /// Node id stamped into entry origins (0 for standalone use).
     origin: u64,
 }
@@ -83,10 +86,12 @@ impl ShardedDirectory {
     pub fn new(shards: usize) -> ShardedDirectory {
         ShardedDirectory::with_origin(shards, 0)
     }
+}
 
+impl<C: Clone> ShardedDirectory<C> {
     /// A registry whose locally-produced entries carry `origin` (the
     /// owning cluster node's id).
-    pub(crate) fn with_origin(shards: usize, origin: u64) -> ShardedDirectory {
+    pub(crate) fn with_origin(shards: usize, origin: u64) -> ShardedDirectory<C> {
         let shards = shards.max(1);
         ShardedDirectory {
             shards: (0..shards)
@@ -105,7 +110,7 @@ impl ShardedDirectory {
         self.shards.len()
     }
 
-    fn shard_of(&self, name: &str) -> &Shard {
+    fn shard_of(&self, name: &str) -> &Shard<C> {
         &self.shards[(fnv1a(name) % self.shards.len() as u64) as usize]
     }
 
@@ -122,19 +127,23 @@ impl ShardedDirectory {
 
     /// Register with an explicit token (gossip nodes pre-assign tokens so
     /// the entry can cross the wire). Returns the entry's new version.
+    /// A live name is an error unless `overwrite` — the cross-process
+    /// register, where a restarted rank re-registers the name its dead
+    /// incarnation left behind.
     pub(crate) fn register_local(
         &self,
         name: &str,
-        contact: Arc<LinkState>,
+        contact: C,
         token: u64,
+        overwrite: bool,
     ) -> Result<u64, DirectoryError> {
         let shard = self.shard_of(name);
         let mut entries = shard.lock();
         let version = match entries.get(name) {
-            Some(e) if e.contact.is_some() => {
+            Some(e) if e.contact.is_some() && !overwrite => {
                 return Err(DirectoryError::AlreadyRegistered(name.to_string()));
             }
-            Some(tombstone) => tombstone.version + 1,
+            Some(previous) => previous.version + 1,
             None => 1,
         };
         entries.insert(
@@ -166,7 +175,7 @@ impl ShardedDirectory {
     /// merge). Does **not** bump the registration counters — those count
     /// client traffic, not replication. Returns whether the entry was
     /// applied.
-    pub(crate) fn merge(&self, name: &str, incoming: VersionedEntry) -> bool {
+    pub(crate) fn merge(&self, name: &str, incoming: VersionedEntry<C>) -> bool {
         let shard = self.shard_of(name);
         let mut entries = shard.lock();
         match entries.get(name) {
@@ -182,7 +191,7 @@ impl ShardedDirectory {
     }
 
     /// Snapshot every entry (gossip digest source).
-    pub(crate) fn export(&self) -> Vec<(String, VersionedEntry)> {
+    pub(crate) fn export(&self) -> Vec<(String, VersionedEntry<C>)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             for (name, entry) in shard.lock().iter() {
@@ -192,42 +201,39 @@ impl ShardedDirectory {
         out
     }
 
-    /// Blocking wait for `name` on its shard's condvar, used by both the
-    /// trait `lookup` and the replicated handle (which waits in slices so
-    /// it can fail over between them).
-    pub(crate) fn wait_lookup(&self, name: &str, timeout: Duration) -> Option<Arc<LinkState>> {
+    /// Non-blocking lookup; bumps the lookup counter only on a hit.
+    pub(crate) fn lookup_local(&self, name: &str) -> Option<C> {
+        let shard = self.shard_of(name);
+        let contact = shard.lock().get(name)?.contact.clone()?;
+        shard.counters.lookups.fetch_add(1, Ordering::Relaxed);
+        Some(contact)
+    }
+}
+
+impl DirectoryService for ShardedDirectory {
+    fn register(&self, name: &str, contact: Arc<LinkState>) -> Result<(), DirectoryError> {
+        self.register_local(name, contact, 0, false).map(|_| ())
+    }
+
+    fn lookup(&self, name: &str, timeout: Duration) -> Result<Arc<LinkState>, DirectoryError> {
         let shard = self.shard_of(name);
         let mut entries = shard.lock();
         let deadline = Instant::now() + timeout;
         loop {
             if let Some(contact) = entries.get(name).and_then(|e| e.contact.clone()) {
                 shard.counters.lookups.fetch_add(1, Ordering::Relaxed);
-                return Some(contact);
+                return Ok(contact);
             }
             let now = Instant::now();
             if now >= deadline {
-                return None;
+                return Err(DirectoryError::LookupTimeout(name.to_string()));
             }
             shard.ready.wait_for(&mut entries, deadline - now);
         }
     }
-}
-
-impl DirectoryService for ShardedDirectory {
-    fn register(&self, name: &str, contact: Arc<LinkState>) -> Result<(), DirectoryError> {
-        self.register_local(name, contact, 0).map(|_| ())
-    }
-
-    fn lookup(&self, name: &str, timeout: Duration) -> Result<Arc<LinkState>, DirectoryError> {
-        self.wait_lookup(name, timeout)
-            .ok_or_else(|| DirectoryError::LookupTimeout(name.to_string()))
-    }
 
     fn try_lookup(&self, name: &str) -> Option<Arc<LinkState>> {
-        let shard = self.shard_of(name);
-        let contact = shard.lock().get(name)?.contact.clone()?;
-        shard.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        Some(contact)
+        self.lookup_local(name)
     }
 
     fn unregister(&self, name: &str) -> bool {
@@ -312,15 +318,21 @@ mod tests {
     #[test]
     fn reregistration_after_tombstone_bumps_version() {
         let d = ShardedDirectory::new(4);
-        assert_eq!(d.register_local("s", dummy_link(), 0).unwrap(), 1);
+        assert_eq!(d.register_local("s", dummy_link(), 0, false).unwrap(), 1);
         assert_eq!(d.unregister_local("s"), Some(2));
-        assert_eq!(d.register_local("s", dummy_link(), 0).unwrap(), 3);
+        assert_eq!(d.register_local("s", dummy_link(), 0, false).unwrap(), 3);
+        // The cross-process register: a live name is replaced, one
+        // version up, where the in-process one refuses.
+        assert!(d.register_local("s", dummy_link(), 0, false).is_err());
+        let second = dummy_link();
+        assert_eq!(d.register_local("s", Arc::clone(&second), 0, true).unwrap(), 4);
+        assert!(Arc::ptr_eq(&second, &d.try_lookup("s").unwrap()));
     }
 
     #[test]
     fn merge_respects_version_origin_order() {
         let d = ShardedDirectory::with_origin(4, 1);
-        d.register_local("s", dummy_link(), 7).unwrap();
+        d.register_local("s", dummy_link(), 7, false).unwrap();
         // A stale replica (version 0) must not clobber the live entry.
         let stale = VersionedEntry { contact: None, version: 0, origin: 9, token: 0 };
         assert!(!d.merge("s", stale));

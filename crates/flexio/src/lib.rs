@@ -73,8 +73,9 @@ pub mod writer;
 
 pub use context::FlexIo;
 pub use directory::{
-    decode_contact_table, encode_contact_table, DirectoryCluster, DirectoryError, DirectoryService,
-    InProcDirectory, ReplicatedDirectory, ShardedDirectory, WireContact,
+    decode_contact_table, decode_digest, encode_contact_table, encode_digest, DigestEntry,
+    DirectoryCluster, DirectoryError, DirectoryService, InProcDirectory, ReplicatedDirectory,
+    ShardedDirectory, WireContact,
 };
 pub use elastic::{
     ElasticConfig, ElasticConfigBuilder, ElasticController, ElasticDecision, ElasticHandle,

@@ -14,12 +14,11 @@
 //!   Receivers are therefore **lazy**: `poll_lease` reports `Empty` until
 //!   the peer has dialed in, which is exactly the readiness contract the
 //!   engines and the reactor already run on.
-//! * [`WireDirNode`] — a directory node process: serves register/lookup
-//!   requests over one-shot framed connections and replicates its
-//!   registry to peer nodes by gossiping the same digest wire format the
-//!   in-process cluster uses, extended with the serialized
-//!   [`WireContact`] table so tokens arriving from a peer resolve to
-//!   connectable addresses.
+//! * [`WireDirNode`] — a directory node process: the in-process
+//!   cluster's [`DirectoryNode`] holding serialized [`WireContact`]s,
+//!   its gossip links socket channels its peers dial like any other
+//!   channel, its register/lookup port one more reactor task beside the
+//!   gossip rounds.
 //! * [`ProcFabric`] — installed on a [`LinkState`], it reroutes
 //!   `claim_sender`/`claim_receiver`: senders resolve the destination
 //!   rank's hub address through the directory and dial out on first use;
@@ -35,7 +34,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,17 +43,16 @@ use evpath::socket::{
     SocketReceiver, SocketSender,
 };
 use evpath::{
-    BoxedReceiver, BoxedSender, EvReceiver, EvSender, FieldValue, Lease, Record, RecvPoll,
+    BoxedReceiver, BoxedSender, EvReceiver, EvSender, FaultPlan, FieldValue, Lease, Record,
+    RecvPoll,
 };
+use flexio_reactor::{block_inline, Reactor};
 use machine::CoreLocation;
 use parking_lot::{Condvar, Mutex};
 
-use crate::directory::{
-    decode_contact_table, decode_digest, encode_contact_table, encode_digest, ContactTable,
-    DirectoryError, VersionedEntry, WireContact,
-};
+use crate::directory::{DirectoryError, DirectoryNode, WireContact};
 use crate::hints::StreamHints;
-use crate::link::{ChannelId, LinkState};
+use crate::link::{poll_until, ChannelId, LinkState};
 use crate::protocol::{self};
 use crate::reader::StreamReader;
 use crate::writer::StreamWriter;
@@ -182,9 +180,26 @@ fn hub_accept_loop(listener: SocketListener, shared: Arc<HubShared>) {
 
 // --------------------------------------------------- directory (client)
 
+/// How long a registration keeps looking for a node that accepts it.
+const REGISTER_BUDGET: Duration = Duration::from_secs(5);
+
+/// Attach a contact to a `dreg` request or a `dhit` reply.
+fn with_contact(msg: Record, contact: &WireContact) -> Record {
+    msg.with("addr", FieldValue::Str(contact.addr.clone()))
+        .with("meta", FieldValue::U64Array(contact.meta.clone()))
+}
+
+fn contact_of(msg: &Record) -> Option<WireContact> {
+    let addr = msg.get_str("addr")?.to_string();
+    let meta = msg.get_u64_array("meta").map(<[u64]>::to_vec).unwrap_or_default();
+    Some(WireContact { addr, meta })
+}
+
 /// Client handle on a cluster of [`WireDirNode`] processes: requests are
 /// one-shot framed record exchanges, tried against each node in turn so a
-/// dead node is simply skipped (failover).
+/// dead node is simply skipped (failover). It speaks [`WireContact`]s — an
+/// `Arc<LinkState>` cannot cross a process — so it is not a
+/// [`crate::DirectoryService`].
 pub struct RemoteDirectory {
     nodes: Vec<String>,
 }
@@ -205,30 +220,24 @@ impl RemoteDirectory {
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad directory reply"))
     }
 
-    fn request_any(&self, req: &Record) -> Option<Record> {
-        self.nodes.iter().find_map(|n| Self::request_once(n, req).ok())
+    /// Put `req` to every node in turn until one gives a `kind` reply.
+    fn request_until(&self, req: &Record, kind: &str, budget: Duration) -> Option<Record> {
+        let wanted = |node: &String| {
+            Self::request_once(node, req).ok().filter(|reply| protocol::kind_of(reply) == kind)
+        };
+        block_inline(poll_until(Instant::now() + budget, || self.nodes.iter().find_map(wanted)))
     }
 
     /// Register an endpoint contact under `name` (first reachable node;
-    /// gossip replicates it to the rest).
+    /// gossip replicates it to the rest). A live name is replaced: a
+    /// restarted rank re-registers the name its dead incarnation left.
     pub fn register(&self, name: &str, contact: &WireContact) -> Result<(), DirectoryError> {
-        let req = protocol::message("dreg")
-            .with("name", FieldValue::Str(name.to_string()))
-            .with("addr", FieldValue::Str(contact.addr.clone()))
-            .with("meta", FieldValue::U64Array(contact.meta.clone()));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            if let Some(reply) = self.request_any(&req) {
-                if protocol::kind_of(&reply) == "dok" {
-                    return Ok(());
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(DirectoryError::Unavailable(format!(
-                    "no directory node accepted registration of `{name}`"
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(10));
+        let req = protocol::message("dreg").with("name", FieldValue::Str(name.to_string()));
+        match self.request_until(&with_contact(req, contact), "dok", REGISTER_BUDGET) {
+            Some(_) => Ok(()),
+            None => Err(DirectoryError::Unavailable(format!(
+                "no directory node accepted registration of `{name}`"
+            ))),
         }
     }
 
@@ -236,26 +245,16 @@ impl RemoteDirectory {
     /// belong to a process that has not finished registering yet.
     pub fn lookup(&self, name: &str, timeout: Duration) -> Result<WireContact, DirectoryError> {
         let req = protocol::message("dlkp").with("name", FieldValue::Str(name.to_string()));
-        let deadline = Instant::now() + timeout;
-        loop {
-            for node in &self.nodes {
-                let Ok(reply) = Self::request_once(node, &req) else { continue };
-                if protocol::kind_of(&reply) == "dhit" {
-                    let addr = reply.get_str("addr").unwrap_or_default().to_string();
-                    let meta = reply.get_u64_array("meta").map(<[u64]>::to_vec).unwrap_or_default();
-                    return Ok(WireContact { addr, meta });
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(DirectoryError::LookupTimeout(name.to_string()));
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        self.request_until(&req, "dhit", timeout)
+            .and_then(|hit| contact_of(&hit))
+            .ok_or_else(|| DirectoryError::LookupTimeout(name.to_string()))
     }
 }
 
 /// Hand a directory node process its peer list (the parent that spawned
 /// the cluster collects all addresses first, then bootstraps each node).
+/// `peers[i]` is the address of the node bound with id `i`; the node's
+/// own address may be among them.
 pub fn send_peer_list(node_addr: &str, peers: &[String]) -> io::Result<()> {
     let req = protocol::message("dpeers").with("addrs", FieldValue::Str(peers.join(",")));
     RemoteDirectory::request_once(node_addr, &req).map(|_| ())
@@ -263,179 +262,109 @@ pub fn send_peer_list(node_addr: &str, peers: &[String]) -> io::Result<()> {
 
 // --------------------------------------------------- directory (server)
 
-/// Gossip frame prefix: `WGS1 · u32 digest length · digest · contacts`.
-const GOSSIP_MAGIC: &[u8; 4] = b"WGS1";
+/// How often an idle request port looks at its listener.
+const ACCEPT_PACE: Duration = Duration::from_millis(1);
 
-/// A cross-process directory node: serves register/lookup over framed
-/// socket requests and anti-entropy-gossips `(digest, contact table)`
-/// frames to its peers. Run one per process via [`WireDirNode::serve`].
+/// A cross-process directory node: a [`DirectoryNode`] of [`WireContact`]s
+/// behind the one listener both its clients and its peers dial. A
+/// connection opens with one framed record: a `dreg`/`dlkp`/`dpeers`
+/// request, answered and closed, or a peer's `dgossip` hello, after which
+/// the stream is that peer's gossip link into this node.
 pub struct WireDirNode {
-    id: u64,
+    node: Arc<DirectoryNode<WireContact>>,
     listener: SocketListener,
-    addr: String,
-    /// name → (version, origin, token); token 0 is a tombstone.
-    entries: Mutex<HashMap<String, (u64, u64, u64)>>,
-    contacts: ContactTable,
-    peers: Mutex<Vec<String>>,
-    next_token: AtomicU64,
     gossip_every: Duration,
 }
 
 impl WireDirNode {
-    /// Bind a node (ephemeral address). `id` namespaces minted tokens so
-    /// two nodes can never collide.
-    pub fn bind(id: u64, kind: SocketKind, gossip_every: Duration) -> io::Result<WireDirNode> {
+    /// Bind a node (ephemeral address). `id` stamps the entries and tokens
+    /// it originates and is its position in the cluster's peer list;
+    /// `faults` is as for [`crate::DirectoryCluster::new`].
+    pub fn bind(
+        id: u64,
+        kind: SocketKind,
+        gossip_every: Duration,
+        faults: Option<Arc<FaultPlan>>,
+    ) -> io::Result<WireDirNode> {
         let listener = SocketListener::bind(kind)?;
-        let addr = listener.local_addr().to_string();
-        Ok(WireDirNode {
-            id,
-            listener,
-            addr,
-            entries: Mutex::new(HashMap::new()),
-            contacts: ContactTable::default(),
-            peers: Mutex::new(Vec::new()),
-            next_token: AtomicU64::new(1),
-            gossip_every,
-        })
+        listener.set_nonblocking(true)?;
+        let node = Arc::new(DirectoryNode::new(id, 1, Arc::default(), faults));
+        Ok(WireDirNode { node, listener, gossip_every })
     }
 
     /// The node's connectable address.
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.listener.local_addr()
     }
 
-    /// Serve requests and gossip forever (the dirnode process's main).
-    pub fn serve(&self) -> ! {
-        self.listener.set_nonblocking(true).expect("nonblocking listener");
-        let mut last_gossip = Instant::now();
-        loop {
-            while let Ok(Some(mut stream)) = self.listener.try_accept() {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
-                if let Ok(frame) = read_frame(&mut stream, CTRL_FRAME_MAX) {
-                    self.handle_frame(&frame, &mut stream);
+    /// The node behind the port (liveness, counters, its store).
+    pub fn node(&self) -> &Arc<DirectoryNode<WireContact>> {
+        &self.node
+    }
+
+    /// Spawn the node's two tasks — its gossip rounds and its request
+    /// port — onto `reactor`. Both end when the node dies, which closes
+    /// the listener: to a client, a dead node refuses connections.
+    pub fn spawn_on(self, reactor: &mut Reactor) {
+        // No stop flag is ever raised: a wire node stops by dying.
+        reactor.spawn(self.node.serve_task(self.gossip_every, Arc::default()));
+        reactor.spawn(async move {
+            while self.node.is_alive() {
+                match self.listener.try_accept() {
+                    Ok(Some(stream)) => self.handle(stream),
+                    _ => flexio_reactor::sleep(ACCEPT_PACE).await,
                 }
             }
-            if last_gossip.elapsed() >= self.gossip_every {
-                self.gossip_round();
-                last_gossip = Instant::now();
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        });
     }
 
-    fn handle_frame(&self, frame: &[u8], stream: &mut SockStream) {
-        if frame.len() >= 4 && &frame[..4] == GOSSIP_MAGIC {
-            self.merge_gossip(frame);
-            return;
-        }
-        let Ok(req) = Record::decode(frame) else { return };
+    fn handle(&self, mut stream: SockStream) {
+        // The opening record follows the connect immediately; bound the
+        // read so one bad connection cannot hold the node up for long.
+        let _ = stream.set_nonblocking(false);
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
+        let Ok(frame) = read_frame(&mut stream, CTRL_FRAME_MAX) else { return };
+        let Ok(req) = Record::decode(&frame) else { return };
+        let name = req.get_str("name");
         let reply = match protocol::kind_of(&req) {
-            "dreg" => self.handle_register(&req),
-            "dlkp" => self.handle_lookup(&req),
-            "dunr" => self.handle_unregister(&req),
+            "dreg" => {
+                let registered = match (name, contact_of(&req)) {
+                    (Some(name), Some(contact)) => self.node.register(name, contact, true).is_ok(),
+                    _ => false,
+                };
+                protocol::message(if registered { "dok" } else { "derr" })
+            }
+            "dlkp" => match name.and_then(|n| self.node.store.lookup_local(n)) {
+                Some(contact) => with_contact(protocol::message("dhit"), &contact),
+                None => protocol::message("dmiss"),
+            },
             "dpeers" => {
-                let peers: Vec<String> = req
-                    .get_str("addrs")
-                    .unwrap_or_default()
-                    .split(',')
-                    .filter(|a| !a.is_empty() && *a != self.addr)
-                    .map(str::to_string)
-                    .collect();
-                *self.peers.lock() = peers;
+                self.dial_peers(req.get_str("addrs").unwrap_or_default());
                 protocol::message("dok")
+            }
+            "dgossip" => {
+                let mut link = SocketReceiver::over(stream);
+                link.set_max_frame(CTRL_FRAME_MAX);
+                self.node.add_peer_receiver(Box::new(link));
+                return;
             }
             _ => protocol::message("derr"),
         };
-        let _ = write_frame(stream, &reply.encode());
+        let _ = write_frame(&mut stream, &reply.encode());
     }
 
-    fn handle_register(&self, req: &Record) -> Record {
-        let Some(name) = req.get_str("name") else { return protocol::message("derr") };
-        let Some(addr) = req.get_str("addr") else { return protocol::message("derr") };
-        let meta = req.get_u64_array("meta").map(<[u64]>::to_vec).unwrap_or_default();
-        let token = (self.id << 48) | self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.contacts.put_wire(token, WireContact { addr: addr.to_string(), meta });
-        let mut entries = self.entries.lock();
-        let version = entries.get(name).map_or(0, |(v, _, _)| *v) + 1;
-        entries.insert(name.to_string(), (version, self.id, token));
-        protocol::message("dok")
-    }
-
-    fn handle_unregister(&self, req: &Record) -> Record {
-        let Some(name) = req.get_str("name") else { return protocol::message("derr") };
-        let mut entries = self.entries.lock();
-        let version = entries.get(name).map_or(0, |(v, _, _)| *v) + 1;
-        entries.insert(name.to_string(), (version, self.id, 0));
-        protocol::message("dok")
-    }
-
-    fn handle_lookup(&self, req: &Record) -> Record {
-        let Some(name) = req.get_str("name") else { return protocol::message("derr") };
-        let token = match self.entries.lock().get(name) {
-            Some(&(_, _, token)) if token != 0 => token,
-            _ => return protocol::message("dmiss"),
-        };
-        match self.contacts.resolve_wire(token) {
-            Some(c) => protocol::message("dhit")
-                .with("addr", FieldValue::Str(c.addr))
-                .with("meta", FieldValue::U64Array(c.meta)),
-            None => protocol::message("dmiss"),
-        }
-    }
-
-    /// Ship `(digest, contact table)` to every peer. One-shot
-    /// connections; a dead peer is skipped — anti-entropy needs no acks.
-    fn gossip_round(&self) {
-        let peers = self.peers.lock().clone();
-        if peers.is_empty() {
-            return;
-        }
-        let digest_entries: Vec<(String, VersionedEntry)> = {
-            let entries = self.entries.lock();
-            let mut v: Vec<_> = entries
-                .iter()
-                .map(|(name, &(version, origin, token))| {
-                    (name.clone(), VersionedEntry { contact: None, version, origin, token })
-                })
-                .collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
-        let digest = encode_digest(self.id, &digest_entries);
-        let contacts = encode_contact_table(&self.contacts.export_wire());
-        let mut frame = Vec::with_capacity(8 + digest.len() + contacts.len());
-        frame.extend_from_slice(GOSSIP_MAGIC);
-        frame.extend_from_slice(&(digest.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&digest);
-        frame.extend_from_slice(&contacts);
-        for peer in peers {
-            if let Ok(mut s) = connect(&peer) {
-                let _ = write_frame(&mut s, &frame);
+    /// Open the outbound gossip links: dial every peer and say hello. No
+    /// answer is awaited (nodes on one reactor cannot wait on each other);
+    /// an unreachable peer gets no link, like one that has died.
+    fn dial_peers(&self, addrs: &str) {
+        let hello = protocol::message("dgossip").encode();
+        for (peer, addr) in addrs.split(',').enumerate() {
+            if addr.is_empty() || addr == self.addr() {
+                continue;
             }
-        }
-    }
-
-    fn merge_gossip(&self, frame: &[u8]) {
-        let Some(dlen_bytes) = frame.get(4..8) else { return };
-        let dlen = u32::from_le_bytes(dlen_bytes.try_into().expect("4 bytes")) as usize;
-        let Some(digest) = frame.get(8..8 + dlen) else { return };
-        let Some(contacts) = frame.get(8 + dlen..) else { return };
-        // Contacts first, so every merged token resolves immediately.
-        if let Some(table) = decode_contact_table(contacts) {
-            for (token, contact) in table {
-                self.contacts.put_wire(token, contact);
-            }
-        }
-        let Some((_from, decoded)) = decode_digest(digest) else { return };
-        let mut entries = self.entries.lock();
-        for (name, version, origin, token) in decoded {
-            let newer = match entries.get(&name) {
-                None => true,
-                Some(&(v, o, _)) => (version, origin) > (v, o),
-            };
-            if newer {
-                entries.insert(name, (version, origin, token));
+            let Ok(mut stream) = connect(addr) else { continue };
+            if write_frame(&mut stream, &hello).is_ok() {
+                self.node.add_peer_sender(peer as u64, Box::new(SocketSender::over(stream)));
             }
         }
     }
@@ -717,43 +646,58 @@ mod tests {
         assert_eq!(body, b"payload-after-hello");
     }
 
+    /// Bind `n` nodes gossiping every `every`, run them all on one
+    /// reactor thread and bootstrap their peer lists. The nodes serve
+    /// until killed; killing them all ends the thread.
+    fn serve_cluster(
+        n: u64,
+        every: Duration,
+    ) -> (Vec<String>, Vec<Arc<DirectoryNode<WireContact>>>, std::thread::JoinHandle<()>) {
+        let wire: Vec<WireDirNode> =
+            (0..n).map(|id| WireDirNode::bind(id, SocketKind::Uds, every, None).unwrap()).collect();
+        let addrs: Vec<String> = wire.iter().map(|w| w.addr().to_string()).collect();
+        let nodes = wire.iter().map(|w| Arc::clone(w.node())).collect();
+        let thread = std::thread::spawn(move || {
+            let mut reactor = Reactor::new();
+            wire.into_iter().for_each(|w| w.spawn_on(&mut reactor));
+            reactor.run();
+        });
+        for addr in &addrs {
+            send_peer_list(addr, &addrs).unwrap();
+        }
+        (addrs, nodes, thread)
+    }
+
     #[test]
     fn wire_dir_node_serves_register_and_lookup() {
-        let node =
-            Arc::new(WireDirNode::bind(1, SocketKind::Uds, Duration::from_secs(3600)).unwrap());
-        let addr = node.addr().to_string();
-        let serve_node = Arc::clone(&node);
-        std::thread::spawn(move || serve_node.serve());
-        let dir = RemoteDirectory::new(vec![addr]);
+        let (addrs, nodes, thread) = serve_cluster(1, Duration::from_millis(5));
+        let dir = RemoteDirectory::new(addrs);
         assert!(dir.lookup("s#w0", Duration::from_millis(50)).is_err());
-        dir.register("s#w0", &WireContact { addr: "tcp:127.0.0.1:9".into(), meta: vec![1, 2] })
-            .unwrap();
-        let hit = dir.lookup("s#w0", Duration::from_secs(2)).unwrap();
-        assert_eq!(hit.addr, "tcp:127.0.0.1:9");
-        assert_eq!(hit.meta, vec![1, 2]);
+        let first = WireContact { addr: "tcp:127.0.0.1:9".into(), meta: vec![1, 2] };
+        dir.register("s#w0", &first).unwrap();
+        assert_eq!(dir.lookup("s#w0", Duration::from_secs(2)).unwrap(), first);
+        // A restarted rank registers its old name again and replaces it.
+        let second = WireContact { addr: "tcp:127.0.0.1:10".into(), meta: vec![] };
+        dir.register("s#w0", &second).unwrap();
+        assert_eq!(dir.lookup("s#w0", Duration::from_secs(2)).unwrap(), second);
+        // A dead node refuses connections instead of answering.
+        nodes[0].kill();
+        thread.join().unwrap();
+        assert!(dir.lookup("s#w0", Duration::from_millis(50)).is_err());
     }
 
     #[test]
     fn gossip_replicates_registrations_across_nodes() {
-        let a = Arc::new(WireDirNode::bind(1, SocketKind::Uds, Duration::from_millis(5)).unwrap());
-        let b = Arc::new(WireDirNode::bind(2, SocketKind::Uds, Duration::from_millis(5)).unwrap());
-        let addrs = vec![a.addr().to_string(), b.addr().to_string()];
-        for node in [&a, &b] {
-            let n = Arc::clone(node);
-            std::thread::spawn(move || n.serve());
-        }
-        for addr in &addrs {
-            send_peer_list(addr, &addrs).unwrap();
-        }
+        let (addrs, nodes, thread) = serve_cluster(2, Duration::from_millis(5));
         // Register on A only; read back through B only.
         let only_a = RemoteDirectory::new(vec![addrs[0].clone()]);
-        only_a
-            .register("s#r3", &WireContact { addr: "uds:/tmp/r3".into(), meta: vec![7] })
-            .unwrap();
+        let contact = WireContact { addr: "uds:/tmp/r3".into(), meta: vec![7] };
+        only_a.register("s#r3", &contact).unwrap();
         let only_b = RemoteDirectory::new(vec![addrs[1].clone()]);
         let hit = only_b.lookup("s#r3", Duration::from_secs(5)).expect("gossip converged");
-        assert_eq!(hit.addr, "uds:/tmp/r3");
-        assert_eq!(hit.meta, vec![7]);
+        assert_eq!(hit, contact);
+        nodes.iter().for_each(|n| n.kill());
+        thread.join().unwrap();
     }
 
     #[test]

@@ -242,9 +242,13 @@ fn net_max_frame_mb_caps_what_a_tcp_channel_accepts() {
 fn net_connect_ms_bounds_the_wait_on_a_dead_address() {
     // A writer coordinator that registered and then died: its endpoint is
     // in the directory, nobody listens behind it.
-    let node = Arc::new(WireDirNode::bind(1, SocketKind::Tcp, Duration::from_secs(3600)).unwrap());
+    let node = WireDirNode::bind(0, SocketKind::Tcp, Duration::from_secs(3600), None).unwrap();
     let dir_addr = node.addr().to_string();
-    thread::spawn(move || node.serve());
+    thread::spawn(move || {
+        let mut reactor = flexio_reactor::Reactor::new();
+        node.spawn_on(&mut reactor);
+        reactor.run();
+    });
     let one_core_roster = vec![1, 0, 0, 0];
     RemoteDirectory::new(vec![dir_addr.clone()])
         .register(

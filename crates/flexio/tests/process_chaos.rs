@@ -1,6 +1,7 @@
 //! Cross-process chaos battery: a writer rank, a reader group and a
 //! 3-node directory cluster run as *separate OS processes* over real
-//! sockets, and the test kills one of them with `SIGKILL` mid-step.
+//! sockets, and the test kills one of them with `SIGKILL` mid-run — a
+//! rank mid-step, or the directory node the ranks registered with.
 //!
 //! The parent watches each child's flushed stdout lines (`DIRADDR`,
 //! `WORKER step=N`, `RESULT ...`) to time the kill and to collect final
@@ -392,4 +393,51 @@ fn killing_the_writer_synthesizes_eos_for_all_readers() {
     }
     let coord = &results[&("reader", 0)];
     assert!(field(coord, "eos_synth") >= 1, "coordinator synthesized EOS: {coord:?}");
+}
+
+/// Kill -9 the directory process the writer registered with — the first
+/// in `FLEXIO_DIR_ADDRS`, the node every client tries first — once gossip
+/// has carried that registration to a survivor and before the reader
+/// group opens. (A writer cannot step before its readers attach, so this
+/// is the earliest the node can die without taking the stream's only
+/// registration with it.) Everything after is failover: the readers find
+/// the writer, register themselves and are found by it through the two
+/// nodes left, and the run completes every step with nobody evicted.
+#[test]
+fn killing_the_directory_node_the_ranks_registered_with_fails_over() {
+    const STEPS: u64 = 4;
+    let (mut dirs, dir_addrs) = start_directory("tcp");
+    let envs = worker_envs("tcp", "chaos-dirnode-kill", &dir_addrs, STEPS, 50);
+    let (tx, rx) = channel();
+    let _writers = start_workers("writer", 1, &envs, &tx);
+
+    let deadline = Instant::now() + DEADLINE;
+    loop {
+        let ev = next_event(&rx, deadline);
+        if ev.role == "writer" && ev.line == "WORKER registered" {
+            break;
+        }
+    }
+    let survivor = dir_addrs.split(',').nth(1).expect("three nodes").to_string();
+    flexio::RemoteDirectory::new(vec![survivor])
+        .lookup("chaos-dirnode-kill#w0", Duration::from_secs(5))
+        .expect("gossip replicates the writer's registration off node 0");
+    dirs.kill(0);
+    let _readers = start_workers("reader", 2, &envs, &tx);
+
+    let mut results: HashMap<(&'static str, usize), HashMap<String, String>> = HashMap::new();
+    while results.len() < 3 {
+        let ev = next_event(&rx, deadline);
+        if ev.line.starts_with("RESULT ") {
+            results.insert((ev.role, ev.rank), parse_result(&ev.line));
+        }
+    }
+    let writer = &results[&("writer", 0)];
+    assert_eq!(field(writer, "steps"), STEPS, "writer completed every step: {writer:?}");
+    assert_eq!(field(writer, "evictions"), 0, "every reader was found: {writer:?}");
+    for rank in 0..2 {
+        let reader = &results[&("reader", rank)];
+        assert_eq!(field(reader, "steps"), STEPS, "reader {rank} saw every step: {reader:?}");
+        assert_eq!(field(reader, "eos_synth"), 0, "reader {rank} got a real EOS: {reader:?}");
+    }
 }

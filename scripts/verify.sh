@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo verification: release build, full test suite, rustfmt + clippy, a 20-seed
+# Repo verification: release build, full test suite, rustfmt + clippy, the
+# structure gates (things that exist once and must not come back twice), a 20-seed
 # sweep of the fault-injection replay test (the determinism property must
 # hold for arbitrary seeds, not just the checked-in one), the same
 # mode-matrix + fault battery replayed on the reactor runtime and again
@@ -23,6 +24,23 @@ cargo fmt --all -- --check
 
 echo "== clippy =="
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
+
+echo "== structure gates =="
+# One replicated directory: a gossiped entry is compared in one place, the
+# cross-process node's second envelope and merge stay gone, and the bare
+# sleeps in non-test library code outside crates/reactor (each blocks
+# whole-system simulation) may only go down: socket.rs connect_retry,
+# fault.rs delay, pubsub/log.rs stall.
+merges=$(grep -rl "fn merge" crates/flexio/src | grep -vx "crates/flexio/src/directory/shard.rs" || true)
+[ -z "$merges" ] || { echo "fn merge outside directory/shard.rs: $merges"; exit 1; }
+if grep -rn "WGS1\|merge_gossip" crates/; then
+    echo "a second gossip protocol is back under crates/"; exit 1
+fi
+sleeps=$(awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && /thread::sleep/' \
+    $(find crates/*/src -name '*.rs' -not -path 'crates/reactor/*' \
+        -not -path '*/bin/*' -not -path 'crates/bench/*') | wc -l)
+[ "$sleeps" -le 3 ] || { echo "$sleeps bare thread::sleep in library code (limit 3)"; exit 1; }
+echo "structure gates ok (bare sleeps: $sleeps)"
 
 echo "== benches compile =="
 cargo bench -q --offline --workspace --no-run
