@@ -21,15 +21,21 @@
 //!   `(writer rank, reader rank)` duplex channels whose transport (shared
 //!   memory vs RDMA) is **automatically selected from the placement** of
 //!   the two endpoints (§II.A).
-//! * [`protocol`] — the 4-step handshake (gather → exchange → broadcast →
-//!   transfer) with the three caching levels `NO_CACHING` /
-//!   `CACHING_LOCAL` / `CACHING_ALL`, batching, and sync/async write
-//!   modes (§II.C.2), instrumented so message counts are observable.
+//! * [`protocol`] — the vocabulary of the 4-step handshake (gather →
+//!   exchange → broadcast → transfer, §II.C.2): the three caching levels
+//!   `NO_CACHING` / `CACHING_LOCAL` / `CACHING_ALL`, sync/async write
+//!   modes, the counters that make message counts observable, and the
+//!   wire form of every step-protocol message — one builder and one
+//!   checked parser per kind, the only code that names a message field.
+//!   `side` (private) is the plumbing under both engines: one program's
+//!   rank↔coordinator star, its control channel and its rank↔rank data
+//!   channels, with the gather / broadcast / 2PC legs both engines run.
 //! * [`redistribute`] — MxN global-array redistribution (Fig. 3) on top
 //!   of `adios`' hyperslab machinery, plus the process-group pattern.
 //! * [`writer`] / [`reader`] — stream-mode [`adios::WriteEngine`] /
-//!   [`adios::ReadEngine`] implementations; swapping them with the file
-//!   engines is the paper's one-line-config placement switch.
+//!   [`adios::ReadEngine`] implementations: which message goes when, and
+//!   what a step does with it; swapping them with the file engines is
+//!   the paper's one-line-config placement switch.
 //! * [`plugins`] — Data Conditioning plug-in management: reader-side
 //!   creation, dynamic deployment into the writer's address space, and
 //!   runtime migration (§II.F).
@@ -68,6 +74,7 @@ pub mod reader;
 pub mod redistribute;
 pub mod relay;
 mod seq;
+mod side;
 pub mod task;
 pub mod writer;
 

@@ -208,9 +208,16 @@ impl LinkState {
         *ri = Some((count, cores));
     }
 
-    /// The reader side's `(count, cores)`, once it has attached.
+    /// The reader side's `(count, cores)`, once it has attached. Across
+    /// processes the attach is a connection waiting at this rank's hub,
+    /// and this probe is what takes it.
     pub fn try_reader_info(&self) -> Option<(usize, Vec<CoreLocation>)> {
-        self.reader_info.lock().clone()
+        let mut info = self.reader_info.lock();
+        if info.is_none() {
+            let attached = self.fabric.as_ref().and_then(|fabric| fabric.take_attach());
+            *info = attached.map(|cores| (cores.len(), cores));
+        }
+        info.clone()
     }
 
     /// Wait until the reader side has attached; returns `(count, cores)`.

@@ -58,22 +58,38 @@ pub enum MonitorEvent {
 }
 
 impl MonitorEvent {
+    /// The one event table: every variant with its wire name, in
+    /// aggregate-slot order. [`Self::name`], [`Self::event_from_name`] and the
+    /// aggregate array's length all derive from it.
+    pub(crate) const ALL: [(MonitorEvent, &'static str); 13] = [
+        (MonitorEvent::DataSend, "data_send"),
+        (MonitorEvent::DataRecv, "data_recv"),
+        (MonitorEvent::Handshake, "handshake"),
+        (MonitorEvent::PluginExec, "plugin_exec"),
+        (MonitorEvent::Allocation, "allocation"),
+        (MonitorEvent::SyncWait, "sync_wait"),
+        (MonitorEvent::PubSubDeliver, "pubsub_deliver"),
+        (MonitorEvent::PubSubSpill, "pubsub_spill"),
+        (MonitorEvent::QueryRowsIn, "query_rows_in"),
+        (MonitorEvent::QueryRowsOut, "query_rows_out"),
+        (MonitorEvent::QueryBytesPushed, "query_bytes_pushed"),
+        (MonitorEvent::QueryBytesSaved, "query_bytes_saved"),
+        (MonitorEvent::StepSeal, "step_seal"),
+    ];
+
+    /// Slot of this event in [`Self::ALL`] — the table lists the variants
+    /// in declaration order, so the discriminant is the index.
+    fn index(self) -> usize {
+        self as usize
+    }
+
     pub(crate) fn name(&self) -> &'static str {
-        match self {
-            MonitorEvent::DataSend => "data_send",
-            MonitorEvent::DataRecv => "data_recv",
-            MonitorEvent::Handshake => "handshake",
-            MonitorEvent::PluginExec => "plugin_exec",
-            MonitorEvent::Allocation => "allocation",
-            MonitorEvent::SyncWait => "sync_wait",
-            MonitorEvent::PubSubDeliver => "pubsub_deliver",
-            MonitorEvent::PubSubSpill => "pubsub_spill",
-            MonitorEvent::QueryRowsIn => "query_rows_in",
-            MonitorEvent::QueryRowsOut => "query_rows_out",
-            MonitorEvent::QueryBytesPushed => "query_bytes_pushed",
-            MonitorEvent::QueryBytesSaved => "query_bytes_saved",
-            MonitorEvent::StepSeal => "step_seal",
-        }
+        Self::ALL[self.index()].1
+    }
+
+    /// The event a relay record's name stands for, if this build knows it.
+    pub(crate) fn event_from_name(name: &str) -> Option<MonitorEvent> {
+        Self::ALL.iter().find(|(_, n)| *n == name).map(|(event, _)| *event)
     }
 }
 
@@ -104,30 +120,12 @@ const DEFAULT_SAMPLE_CAPACITY: usize = 100_000;
 #[derive(Default)]
 struct Inner {
     samples: std::collections::VecDeque<Sample>,
-    aggregates: [Aggregate; 13],
+    aggregates: [Aggregate; MonitorEvent::ALL.len()],
     /// Aggregates for event names this build does not know — a newer
     /// relay publishing through an older sink. Never dropped, so the
     /// counters survive a version skew and can be inspected by name.
     named: Vec<(String, Aggregate)>,
     epoch: Option<Instant>,
-}
-
-fn event_index(event: MonitorEvent) -> usize {
-    match event {
-        MonitorEvent::DataSend => 0,
-        MonitorEvent::DataRecv => 1,
-        MonitorEvent::Handshake => 2,
-        MonitorEvent::PluginExec => 3,
-        MonitorEvent::Allocation => 4,
-        MonitorEvent::SyncWait => 5,
-        MonitorEvent::PubSubDeliver => 6,
-        MonitorEvent::PubSubSpill => 7,
-        MonitorEvent::QueryRowsIn => 8,
-        MonitorEvent::QueryRowsOut => 9,
-        MonitorEvent::QueryBytesPushed => 10,
-        MonitorEvent::QueryBytesSaved => 11,
-        MonitorEvent::StepSeal => 12,
-    }
 }
 
 /// Shared monitor; cloning shares the sample store.
@@ -146,7 +144,7 @@ impl PerfMonitor {
     pub fn record(&self, event: MonitorEvent, step: u64, rank: usize, bytes: u64, nanos: u64) {
         let mut inner = self.inner.lock();
         inner.epoch.get_or_insert_with(Instant::now);
-        let agg = &mut inner.aggregates[event_index(event)];
+        let agg = &mut inner.aggregates[event.index()];
         agg.count += 1;
         agg.bytes += bytes;
         agg.nanos += nanos;
@@ -204,17 +202,17 @@ impl PerfMonitor {
 
     /// Total bytes recorded for an event class (exact over the whole run).
     pub fn total_bytes(&self, event: MonitorEvent) -> u64 {
-        self.inner.lock().aggregates[event_index(event)].bytes
+        self.inner.lock().aggregates[event.index()].bytes
     }
 
     /// Total nanoseconds recorded for an event class (exact).
     pub fn total_nanos(&self, event: MonitorEvent) -> u64 {
-        self.inner.lock().aggregates[event_index(event)].nanos
+        self.inner.lock().aggregates[event.index()].nanos
     }
 
     /// Number of samples of an event class (exact).
     pub fn count(&self, event: MonitorEvent) -> u64 {
-        self.inner.lock().aggregates[event_index(event)].count
+        self.inner.lock().aggregates[event.index()].count
     }
 
     /// Dump the retained trace window as self-describing records, one per
@@ -304,6 +302,19 @@ mod tests {
         assert_eq!(r.get_str("event"), Some("handshake"));
         assert_eq!(r.get_u64("step"), Some(5));
         assert_eq!(r.get_u64("nanos"), Some(123));
+    }
+
+    #[test]
+    fn event_table_is_dense_and_round_trips() {
+        for (slot, (event, name)) in MonitorEvent::ALL.iter().enumerate() {
+            assert_eq!(event.index(), slot, "{name} sits at its own discriminant");
+            assert_eq!(event.name(), *name);
+            assert_eq!(MonitorEvent::event_from_name(name), Some(*event));
+        }
+        assert_eq!(MonitorEvent::event_from_name("gpu_kernel"), None);
+        // Every variant is in the table: one more would have the next
+        // discriminant, which `StepSeal` (the last declared) pins.
+        assert_eq!(MonitorEvent::StepSeal.index() + 1, MonitorEvent::ALL.len());
     }
 
     #[test]

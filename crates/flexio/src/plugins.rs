@@ -9,6 +9,8 @@
 //! filter expression run by the query tier's vectorized kernel (what a
 //! pushed-down query filter is).
 
+use std::collections::HashMap;
+
 use codelet::Codelet;
 use evpath::{FieldValue, Record};
 use flexio_query::{Expr, FilterKernel, Q_ROWS_IN};
@@ -97,6 +99,28 @@ enum Engine {
     /// Locked only for the duration of one `apply`: the kernel reuses
     /// its mask and scratch from chunk to chunk.
     Filter(Mutex<FilterKernel>),
+}
+
+/// (Re)build `specs` in one address space: each goes into the table for
+/// its placement, when this side keeps one. A body that fails to build is
+/// dropped with a note — a bad plug-in must not take down the simulation.
+pub(crate) fn install_all<'t>(
+    specs: &[PluginSpec],
+    mut writer_side: Option<&'t mut HashMap<String, InstalledPlugin>>,
+    mut reader_side: Option<&'t mut HashMap<String, InstalledPlugin>>,
+) {
+    [&mut writer_side, &mut reader_side].into_iter().flatten().for_each(|table| table.clear());
+    for spec in specs {
+        let table = match spec.placement {
+            PluginPlacement::WriterSide => &mut writer_side,
+            PluginPlacement::ReaderSide => &mut reader_side,
+        };
+        let Some(table) = table else { continue };
+        match InstalledPlugin::install(spec.clone()) {
+            Ok(plugin) => drop(table.insert(spec.var.clone(), plugin)),
+            Err(e) => eprintln!("flexio: dropping plug-in for `{}`: {e}", spec.var),
+        }
+    }
 }
 
 /// Marker extra attached to every conditioned chunk so the receiving side

@@ -48,7 +48,7 @@ use evpath::{
 };
 use flexio_reactor::{block_inline, Reactor};
 use machine::CoreLocation;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::directory::{DirectoryError, DirectoryNode, WireContact};
 use crate::hints::StreamHints;
@@ -99,7 +99,6 @@ fn net_label(id: ChannelId) -> String {
 
 struct HubShared {
     parked: Mutex<HashMap<String, SockStream>>,
-    ready: Condvar,
     alive: AtomicBool,
 }
 
@@ -116,7 +115,6 @@ impl ChannelHub {
         let addr = listener.local_addr().to_string();
         let shared = Arc::new(HubShared {
             parked: Mutex::new(HashMap::new()),
-            ready: Condvar::new(),
             alive: AtomicBool::new(true),
         });
         let accept_shared = Arc::clone(&shared);
@@ -134,22 +132,6 @@ impl ChannelHub {
     /// Take the parked stream for `key` if one has arrived.
     pub fn try_take(&self, key: &str) -> Option<SockStream> {
         self.shared.parked.lock().remove(key)
-    }
-
-    /// Wait up to `timeout` for a stream keyed `key` to arrive.
-    pub fn wait_take(&self, key: &str, timeout: Duration) -> Option<SockStream> {
-        let deadline = Instant::now() + timeout;
-        let mut parked = self.shared.parked.lock();
-        loop {
-            if let Some(s) = parked.remove(key) {
-                return Some(s);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.shared.ready.wait_for(&mut parked, deadline - now);
-        }
     }
 }
 
@@ -174,7 +156,6 @@ fn hub_accept_loop(listener: SocketListener, shared: Arc<HubShared>) {
         let Ok(key) = String::from_utf8(key) else { continue };
         let _ = stream.set_read_timeout(None);
         shared.parked.lock().insert(key, stream);
-        shared.ready.notify_all();
     }
 }
 
@@ -398,6 +379,29 @@ impl ProcFabric {
         Box::new(LazyHubReceiver { fabric: Arc::clone(self), id, inner: None })
     }
 
+    /// The reader roster, once the reader coordinator has dialed this
+    /// (writer coordinator's) hub with its `attach` hello: the frame that
+    /// follows it is read here, bounded as `WireDirNode::handle` bounds
+    /// its own, by whoever probes for the reader side.
+    pub(crate) fn take_attach(&self) -> Option<Vec<CoreLocation>> {
+        let mut stream = self.hub.try_take(&self.attach_key())?;
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
+        let frame = read_frame(&mut stream, CTRL_FRAME_MAX).ok()?;
+        unpack_roster(&contact_of(&Record::decode(&frame).ok()?)?.meta)
+    }
+
+    fn attach_key(&self) -> String {
+        format!("{}|attach", self.stream)
+    }
+
+    /// Register this process's hub as endpoint `role``rank` (`w0`, `r3`).
+    fn register_rank(&self, role: char, rank: usize, meta: Vec<u64>) -> io::Result<()> {
+        let contact = WireContact { addr: self.hub.addr().to_string(), meta };
+        self.dir
+            .register(&self.endpoint_name(&format!("{role}{rank}")), &contact)
+            .map_err(|e| io::Error::new(io::ErrorKind::AddrNotAvailable, e.to_string()))
+    }
+
     /// Resolve, dial and identify one outbound channel.
     fn connect_channel(&self, id: ChannelId) -> io::Result<BoxedSender> {
         let (_, dst) = net_endpoints(id);
@@ -514,27 +518,17 @@ fn pack_roster(cores: &[CoreLocation]) -> Vec<u64> {
     out
 }
 
+/// Inverse of [`pack_roster`]. The count is a peer's word (the directory
+/// `meta` of `w0`, the attach frame): sized with checked arithmetic, and
+/// refused unless the words it claims are there.
 fn unpack_roster(meta: &[u64]) -> Option<Vec<CoreLocation>> {
-    let count = *meta.first()? as usize;
-    let body = meta.get(1..1 + count * 3)?;
+    let count = usize::try_from(*meta.first()?).ok()?;
+    let body = meta.get(1..count.checked_mul(3)?.checked_add(1)?)?;
     Some(
         body.chunks_exact(3)
             .map(|c| CoreLocation { node: c[0] as usize, numa: c[1] as usize, core: c[2] as usize })
             .collect(),
     )
-}
-
-fn roster_bytes(cores: &[CoreLocation]) -> Vec<u8> {
-    pack_roster(cores).iter().flat_map(|v| v.to_le_bytes()).collect()
-}
-
-fn roster_from_bytes(bytes: &[u8]) -> Option<Vec<CoreLocation>> {
-    if !bytes.len().is_multiple_of(8) {
-        return None;
-    }
-    let words: Vec<u64> =
-        bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))).collect();
-    unpack_roster(&words)
 }
 
 /// Synthetic core roster for a role group — placement is moot in fabric
@@ -554,40 +548,15 @@ fn fabric_for(cfg: &ProcConfig) -> io::Result<Arc<ProcFabric>> {
 
 /// Open the writer side of a cross-process coupling from one writer-rank
 /// process. Registers this rank's endpoint; rank 0 additionally ships the
-/// rank roster in its metadata and waits (in the background) for the
-/// reader coordinator's attach frame.
+/// rank roster in its metadata. The reader coordinator's attach arrives at
+/// rank 0's hub, where `LinkState::try_reader_info` finds it.
 pub fn open_writer_proc(cfg: ProcConfig) -> io::Result<StreamWriter> {
     let fabric = fabric_for(&cfg)?;
     let cores = synth_cores(0, cfg.nranks);
     let link =
         LinkState::new(cfg.nranks, cores.clone(), None, &cfg.hints, Some(Arc::clone(&fabric)));
     let meta = if cfg.rank == 0 { pack_roster(&cores) } else { Vec::new() };
-    fabric
-        .dir
-        .register(
-            &fabric.endpoint_name(&format!("w{}", cfg.rank)),
-            &WireContact { addr: fabric.hub.addr().to_string(), meta },
-        )
-        .map_err(|e| io::Error::new(io::ErrorKind::AddrNotAvailable, e.to_string()))?;
-    if cfg.rank == 0 {
-        // The reader coordinator dials in with an `attach` hello and one
-        // roster frame; feeding it into `set_reader_info` is what the
-        // in-process `wait_reader_info` poll observes.
-        let attach_link = Arc::clone(&link);
-        let attach_fabric = Arc::clone(&fabric);
-        let key = format!("{}|attach", cfg.stream);
-        std::thread::Builder::new().name("flexio-attach".to_string()).spawn(move || {
-            let Some(mut stream) = attach_fabric.hub.wait_take(&key, Duration::from_secs(300))
-            else {
-                return;
-            };
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-            let Ok(frame) = read_frame(&mut stream, CTRL_FRAME_MAX) else { return };
-            if let Some(cores) = roster_from_bytes(&frame) {
-                attach_link.set_reader_info(cores.len(), cores);
-            }
-        })?;
-    }
+    fabric.register_rank('w', cfg.rank, meta)?;
     Ok(StreamWriter::new(link, cfg.rank, cfg.nranks, cfg.stream, cfg.hints))
 }
 
@@ -615,17 +584,13 @@ pub fn open_reader_proc(cfg: ProcConfig) -> io::Result<StreamReader> {
     );
     let reader_cores = synth_cores(1, cfg.nranks);
     link.set_reader_info(cfg.nranks, reader_cores.clone());
-    fabric
-        .dir
-        .register(
-            &fabric.endpoint_name(&format!("r{}", cfg.rank)),
-            &WireContact { addr: fabric.hub.addr().to_string(), meta: Vec::new() },
-        )
-        .map_err(|e| io::Error::new(io::ErrorKind::AddrNotAvailable, e.to_string()))?;
+    fabric.register_rank('r', cfg.rank, Vec::new())?;
     if cfg.rank == 0 {
         let mut stream = connect_retry(&w0.addr, cfg.hints.net_connect_timeout)?;
-        write_frame(&mut stream, format!("{}|attach", cfg.stream).as_bytes())?;
-        write_frame(&mut stream, &roster_bytes(&reader_cores))?;
+        let attach =
+            WireContact { addr: fabric.hub.addr().to_string(), meta: pack_roster(&reader_cores) };
+        write_frame(&mut stream, fabric.attach_key().as_bytes())?;
+        write_frame(&mut stream, &with_contact(protocol::message("attach"), &attach).encode())?;
     }
     Ok(StreamReader::new(link, cfg.rank, cfg.nranks, cfg.stream, cfg.hints))
 }
@@ -640,7 +605,9 @@ mod tests {
         let mut a = connect_retry(hub.addr(), Duration::from_secs(2)).expect("dial");
         write_frame(&mut a, b"s|data:0->1").unwrap();
         write_frame(&mut a, b"payload-after-hello").unwrap();
-        let mut parked = hub.wait_take("s|data:0->1", Duration::from_secs(2)).expect("parked");
+        let arrived =
+            poll_until(Instant::now() + Duration::from_secs(2), || hub.try_take("s|data:0->1"));
+        let mut parked = block_inline(arrived).expect("parked");
         assert!(hub.try_take("s|data:0->1").is_none(), "taken exactly once");
         let body = read_frame(&mut parked, CTRL_FRAME_MAX).unwrap();
         assert_eq!(body, b"payload-after-hello");
@@ -703,8 +670,11 @@ mod tests {
     #[test]
     fn roster_round_trips() {
         let cores = synth_cores(3, 5);
-        assert_eq!(roster_from_bytes(&roster_bytes(&cores)), Some(cores));
-        assert_eq!(roster_from_bytes(&[1, 2, 3]), None, "ragged byte count");
+        assert_eq!(unpack_roster(&pack_roster(&cores)), Some(cores));
+        assert_eq!(unpack_roster(&[]), None, "no count");
         assert_eq!(unpack_roster(&[9, 0, 0, 0]), None, "truncated roster");
+        // A hostile count must not overflow the range it sizes.
+        assert_eq!(unpack_roster(&[u64::MAX]), None);
+        assert_eq!(unpack_roster(&[u64::MAX / 3 + 1, 0, 0, 0]), None);
     }
 }

@@ -7,29 +7,30 @@
 //! calls. When the simulation closes the file, the connections are closed
 //! by the transport and analytics components receive End-of-Stream as
 //! return values from their read calls."
+//!
+//! This file owns the reader's half of the step protocol — negotiating a
+//! step, receiving and conditioning its chunks, serving `read`. The wire
+//! form of every message it sends or parses is [`crate::protocol`]'s; the
+//! channels to its coordinator and to the writer program are `side.rs`'s.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue};
-use evpath::{BoxedReceiver, BoxedSender, FieldValue, Record};
 
 use crate::context::StreamError;
 use crate::hints::StreamHints;
-use crate::link::{drive, recv_record_rt, ChannelId, LinkState};
+use crate::link::{drive, LinkState};
 use crate::monitor::MonitorEvent;
-use crate::plugins::{InstalledPlugin, PluginPlacement, PluginSpec};
-use crate::protocol::{self, msg, CachingLevel, WriteMode};
-use crate::redistribute::{self, BoxAssembler, ChunkPlan, Subscription, VarMeta};
-use crate::writer::{
-    decode_plugin_specs, decode_subscriptions, encode_plugin_specs, encode_subscriptions, CtrlIn,
-};
+use crate::plugins::{install_all, InstalledPlugin, PluginSpec};
+use crate::protocol::{self, msg, CachingLevel, Chunk, Go, WriteMode};
+use crate::redistribute::{self, BoxAssembler, ChunkPlan, Subscription};
+use crate::side::{Program, ProgramSide};
 
+/// What the reader coordinator remembers between steps (empty on any
+/// other rank).
+#[derive(Default)]
 struct ReaderCoord {
-    from_ranks: Vec<Option<BoxedReceiver>>,
-    to_ranks: Vec<Option<BoxedSender>>,
-    ctrl_tx: BoxedSender,
-    ctrl_in: CtrlIn,
     cached_sels: Vec<Vec<Subscription>>,
     /// Full plug-in registry; reader-side specs are also distributed to
     /// reader ranks, writer-side specs shipped across.
@@ -51,11 +52,11 @@ pub struct StreamReader {
     /// (the writer has not yet installed the migrated plug-in), making
     /// migration seamless.
     fallback: HashMap<String, InstalledPlugin>,
-    data_rx: HashMap<usize, BoxedReceiver>,
-    ack_tx: HashMap<usize, BoxedSender>,
-    side_up: Option<BoxedSender>,
-    side_down: Option<BoxedReceiver>,
-    coord: Option<ReaderCoord>,
+    /// This rank's channels: to its coordinator (on rank 0: to every
+    /// rank, and the control channel to the writer coordinator) and to
+    /// the writer ranks.
+    side: ProgramSide,
+    coord: ReaderCoord,
     /// This rank's column of the transfer plan: chunks per writer rank.
     cached_plan_col: Arc<Vec<Vec<ChunkPlan>>>,
     steps_read: u64,
@@ -85,26 +86,9 @@ impl StreamReader {
         name: String,
         hints: StreamHints,
     ) -> StreamReader {
-        let (side_up, side_down, coord) = if rank == 0 {
-            let coord = ReaderCoord {
-                from_ranks: (0..nranks).map(|_| None).collect(),
-                to_ranks: (0..nranks).map(|_| None).collect(),
-                ctrl_tx: link.claim_sender(ChannelId::ControlToWriter),
-                ctrl_in: CtrlIn::new(
-                    link.claim_receiver(ChannelId::ControlToReader),
-                    Arc::clone(&link.counters),
-                ),
-                cached_sels: vec![Vec::new(); nranks],
-                all_plugins: Vec::new(),
-            };
-            (None, None, Some(coord))
-        } else {
-            (
-                Some(link.claim_sender(ChannelId::ReaderSide { rank, up: true })),
-                Some(link.claim_receiver(ChannelId::ReaderSide { rank, up: false })),
-                None,
-            )
-        };
+        let coord = ReaderCoord { cached_sels: vec![Vec::new(); nranks], ..Default::default() };
+        let side =
+            ProgramSide::new(Arc::clone(&link), Program::Reader, rank, nranks, hints.clone());
         StreamReader {
             link,
             rank,
@@ -115,10 +99,7 @@ impl StreamReader {
             plugins_dirty: false,
             installed: HashMap::new(),
             fallback: HashMap::new(),
-            data_rx: HashMap::new(),
-            ack_tx: HashMap::new(),
-            side_up,
-            side_down,
+            side,
             coord,
             cached_plan_col: Arc::default(),
             steps_read: 0,
@@ -204,9 +185,8 @@ impl StreamReader {
     /// drives deployment; placement updates take effect within one step.
     pub fn install_plugin(&mut self, spec: PluginSpec) {
         assert_eq!(self.rank, 0, "plug-ins are deployed from the reader coordinator");
-        let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-        coord.all_plugins.retain(|p| p.var != spec.var);
-        coord.all_plugins.push(spec);
+        self.coord.all_plugins.retain(|p| p.var != spec.var);
+        self.coord.all_plugins.push(spec);
         self.plugins_dirty = true;
     }
 
@@ -226,62 +206,12 @@ impl StreamReader {
         self.wire_conditioned.contains(&(w, var.to_string()))
     }
 
-    fn install_local(&mut self, specs: &[PluginSpec]) {
-        self.installed.clear();
-        self.fallback.clear();
-        for spec in specs {
-            match InstalledPlugin::install(spec.clone()) {
-                Ok(p) => {
-                    if spec.placement == PluginPlacement::ReaderSide {
-                        self.installed.insert(spec.var.clone(), p);
-                    } else {
-                        // Writer-side plug-in: keep a local copy to cover
-                        // the migration handover (chunks that arrive
-                        // unconditioned are conditioned here instead).
-                        self.fallback.insert(spec.var.clone(), p);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("flexio: dropping plug-in for `{}`: {e}", spec.var);
-                }
-            }
-        }
-    }
-
-    fn store_chunk(&mut self, record: &Record, step: u64) -> Result<(), StreamError> {
-        let w = record
-            .get_u64("w")
-            .ok_or_else(|| StreamError::Corrupt("chunk missing writer rank".into()))?
-            as usize;
-        let chunk_step = record
-            .get_u64("step")
-            .ok_or_else(|| StreamError::Corrupt("chunk missing step".into()))?;
+    fn store_chunk(&mut self, chunk: Chunk, step: u64) -> Result<(), StreamError> {
+        let Chunk { step: chunk_step, w, var, mut value, mut extras } = chunk;
         if chunk_step != step {
             return Err(StreamError::Protocol(format!(
                 "chunk for step {chunk_step} arrived during step {step}"
             )));
-        }
-        let var = record
-            .get_str("var")
-            .ok_or_else(|| StreamError::Corrupt("chunk missing var".into()))?
-            .to_string();
-        let mut value = record
-            .get_record("body")
-            .and_then(VarValue::from_record)
-            .ok_or_else(|| StreamError::Corrupt("chunk body undecodable".into()))?;
-        let mut extras: Vec<(String, VarValue)> = Vec::new();
-        if let Some(er) = record.get_record("extras") {
-            let n = er.get_u64("n").unwrap_or(0);
-            for i in 0..n {
-                let (Some(name), Some(vr)) =
-                    (er.get_str(&format!("name.{i}")), er.get_record(&format!("val.{i}")))
-                else {
-                    return Err(StreamError::Corrupt("bad chunk extras".into()));
-                };
-                let v = VarValue::from_record(vr)
-                    .ok_or_else(|| StreamError::Corrupt("bad extra value".into()))?;
-                extras.push((name.to_string(), v));
-            }
         }
         // Reader-side conditioning for whole-value (process-group) chunks:
         // the installed reader-side plug-in, or — when the chunk arrived
@@ -359,261 +289,141 @@ impl StreamReader {
         let first = self.steps_read == 0;
         let need_sub_gather = first || self.hints.caching == CachingLevel::NoCaching;
         let need_exchange = first || self.hints.caching != CachingLevel::CachingAll;
-        let counters = Arc::clone(&self.link.counters);
-        let hints = self.hints.clone();
-        let link = Arc::clone(&self.link);
-        let nranks = self.nranks;
-        // Elastic membership: `participants` are the ranks committed for
-        // *this* step (by the previous step's announcement); the roster
-        // is re-read here so this step's `go` carries the freshest
-        // desired membership for the next step.
-        let elastic = self.elastic.is_some();
-        let participants = if elastic { self.elastic_active } else { nranks };
-        let roster_note =
-            self.elastic.as_ref().map(|r| (r.generation(), r.active().clamp(1, nranks)));
+        let (link, counters, nranks) = (&self.link, &self.link.counters, self.nranks);
 
         if self.rank != 0 {
             if need_sub_gather {
-                self.side_up.as_mut().expect("non-coordinator has side_up").send(
-                    &protocol::message("subs")
-                        .with("sels", FieldValue::Record(encode_subscriptions(&self.subscriptions)))
-                        .encode(),
-                );
+                self.side.send_up(&protocol::subs(&self.subscriptions));
                 counters.bump(&counters.gather_msgs);
             }
-            let rx = self.side_down.as_mut().expect("non-coordinator has side_down");
-            let go = recv_record_rt(rx, &hints, &counters).await?;
-            match protocol::kind_of(&go) {
-                "go" => {
-                    let step = go
-                        .get_u64("step")
-                        .ok_or_else(|| StreamError::Corrupt("go missing step".into()))?;
-                    if let Some(plan) = go.get_record("plan") {
-                        self.cached_plan_col = redistribute::decode_plan(plan)
-                            .map(Arc::new)
-                            .ok_or_else(|| StreamError::Corrupt("bad plan col".into()))?;
-                    }
-                    if let Some(pl) = go.get_record("plugins") {
-                        let specs = decode_plugin_specs(pl)
-                            .ok_or_else(|| StreamError::Corrupt("bad plugin specs".into()))?;
-                        self.install_local(&specs);
-                    }
-                    if let (Some(g), Some(a)) = (go.get_u64("e_gen"), go.get_u64("e_active")) {
-                        self.announced = Some((g, a as usize));
-                    }
-                    Ok(Some(step))
-                }
-                k if k == msg::EOS => Ok(None),
-                k => Err(StreamError::Protocol(format!("expected go/eos, got {k}"))),
-            }
-        } else {
-            // ---- coordinator ----
-            let mut plugin_dirty = self.plugins_dirty;
-            self.plugins_dirty = false;
-            {
-                let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-                // Ship dynamic plug-in updates ahead of the step (after the
-                // first exchange they travel on the dedicated control path).
-                if plugin_dirty && !first {
-                    let update = protocol::message(msg::PLUGIN_UPDATE).with(
-                        "plugins",
-                        FieldValue::Record(encode_plugin_specs(&coord.all_plugins)),
-                    );
-                    coord.ctrl_tx.send(&update.encode());
-                    counters.bump(&counters.plugin_msgs);
-                }
-            }
-
-            // Step header (or EOS) from the writer coordinator. Under
-            // `eos_on_silence` a writer that died without closing (crash
-            // faults, abandoned streams) degrades into a synthesized EOS
-            // instead of an error: the reader side drains and ends cleanly.
-            let header = {
-                let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-                match coord.ctrl_in.recv_expect(&[msg::STEP, msg::EOS], &hints).await {
-                    Ok(h) => h,
-                    Err(StreamError::Timeout) if hints.eos_on_silence => {
-                        counters.bump(&counters.eos_synthesized);
-                        protocol::message(msg::EOS)
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            if protocol::kind_of(&header) == msg::EOS {
-                let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-                for r in 1..participants {
-                    if elastic && link.is_evicted(r) {
-                        continue;
-                    }
-                    let tx = coord.to_ranks[r].get_or_insert_with(|| {
-                        link.claim_sender(ChannelId::ReaderSide { rank: r, up: false })
-                    });
-                    tx.send(&protocol::message(msg::EOS).encode());
-                    counters.bump(&counters.step_msgs);
-                }
+            let released = self.side.recv_down(&[msg::GO, msg::EOS]).await?;
+            if protocol::kind_of(&released) == msg::EOS {
                 return Ok(None);
             }
-            let step = header
-                .get_u64("step")
-                .ok_or_else(|| StreamError::Corrupt("step header missing step".into()))?;
-            let writer_exchanges = header.get_u64("exchange") == Some(1);
-            if writer_exchanges != need_exchange {
-                return Err(StreamError::Protocol(format!(
-                    "caching configuration mismatch: writer exchange={writer_exchanges}, \
-                     reader expects {need_exchange} (configure both sides identically)"
-                )));
-            }
-
-            let mut plan_dirty = false;
-            let mut writer_dists: Option<Vec<Vec<VarMeta>>> = None;
-            if need_exchange {
-                // Receive writer distributions.
-                let info = {
-                    let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-                    coord.ctrl_in.recv_expect(&[msg::WRITER_INFO], &hints).await?
-                };
-                let nw = info
-                    .get_u64("nranks")
-                    .ok_or_else(|| StreamError::Corrupt("writer_info missing nranks".into()))?;
-                // Collected, not pre-sized: `nranks` is the peer's word.
-                let dists = (0..nw)
-                    .map(|w| {
-                        let dr = info.get_record(&format!("dists.{w}")).ok_or_else(|| {
-                            StreamError::Corrupt("writer_info missing dists".into())
-                        })?;
-                        redistribute::decode_metas(dr)
-                            .ok_or_else(|| StreamError::Corrupt("bad metas".into()))
-                    })
-                    .collect::<Result<Vec<_>, StreamError>>()?;
-                writer_dists = Some(dists);
-
-                // Gather this side's subscriptions.
-                let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-                if need_sub_gather {
-                    coord.cached_sels[0] = self.subscriptions.clone();
-                    for r in 1..nranks {
-                        if r >= participants || (elastic && link.is_evicted(r)) {
-                            // Outside the committed roster (or gone for
-                            // good): contributes nothing this step.
-                            coord.cached_sels[r].clear();
-                            continue;
-                        }
-                        let rx = coord.from_ranks[r].get_or_insert_with(|| {
-                            link.claim_receiver(ChannelId::ReaderSide { rank: r, up: true })
-                        });
-                        match recv_record_rt(rx, &hints, &counters).await {
-                            Ok(m) => {
-                                coord.cached_sels[r] = m
-                                    .get_record("sels")
-                                    .and_then(decode_subscriptions)
-                                    .ok_or_else(|| StreamError::Corrupt("bad subs".into()))?;
-                            }
-                            // An elastic member that never showed up
-                            // (e.g. a freshly-activated rank killed
-                            // before its first step): evict and re-plan
-                            // around it instead of failing the coupling.
-                            Err(StreamError::Timeout) if elastic => {
-                                if link.evict_reader(r) {
-                                    counters.bump(&counters.evictions);
-                                }
-                                counters.bump(&counters.degraded_steps);
-                                coord.cached_sels[r].clear();
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                // Reply with selections (and, on the first step, plug-ins).
-                let mut reply = protocol::message(msg::READER_INFO)
-                    .with("nranks", FieldValue::U64(nranks as u64));
-                for (r, sels) in coord.cached_sels.iter().enumerate() {
-                    reply.set(&format!("sels.{r}"), FieldValue::Record(encode_subscriptions(sels)));
-                }
-                if first && !coord.all_plugins.is_empty() {
-                    reply.set(
-                        "plugins",
-                        FieldValue::Record(encode_plugin_specs(&coord.all_plugins)),
-                    );
-                    plugin_dirty = true;
-                }
-                coord.ctrl_tx.send(&reply.encode());
-                counters.bump(&counters.exchange_msgs);
-                plan_dirty = true;
-            }
-
-            // Compute and distribute the plan.
-            let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-            // Under elastic membership the plug-in registry rides every
-            // `go`: a rank activated mid-run must not miss specs that
-            // were only broadcast before it joined.
-            let plugin_record = (plugin_dirty || (elastic && !coord.all_plugins.is_empty()))
-                .then(|| encode_plugin_specs(&coord.all_plugins));
-            let mut my_col = None;
-            if plan_dirty {
-                let dists = writer_dists.as_ref().expect("exchange delivered dists");
-                let full = redistribute::plan(dists, &coord.cached_sels);
-                // Column for each reader rank r: plan[w][r] over w.
-                for r in 0..nranks {
-                    let col: Vec<Vec<ChunkPlan>> = full.iter().map(|row| row[r].clone()).collect();
-                    if r == 0 {
-                        my_col = Some(col);
-                        continue;
-                    }
-                    if r >= participants || (elastic && link.is_evicted(r)) {
-                        continue;
-                    }
-                    let tx = coord.to_ranks[r].get_or_insert_with(|| {
-                        link.claim_sender(ChannelId::ReaderSide { rank: r, up: false })
-                    });
-                    let mut go = protocol::message("go")
-                        .with("step", FieldValue::U64(step))
-                        .with("plan", FieldValue::Record(redistribute::encode_plan(&col)));
-                    if let Some(pl) = &plugin_record {
-                        go.set("plugins", FieldValue::Record(pl.clone()));
-                    }
-                    if let Some((g, a)) = roster_note {
-                        go.set("e_gen", FieldValue::U64(g));
-                        go.set("e_active", FieldValue::U64(a as u64));
-                    }
-                    tx.send(&go.encode());
-                    counters.bump(&counters.bcast_msgs);
-                }
-            } else {
-                for r in 1..participants {
-                    if elastic && link.is_evicted(r) {
-                        continue;
-                    }
-                    let tx = coord.to_ranks[r].get_or_insert_with(|| {
-                        link.claim_sender(ChannelId::ReaderSide { rank: r, up: false })
-                    });
-                    let mut go = protocol::message("go").with("step", FieldValue::U64(step));
-                    if let Some(pl) = &plugin_record {
-                        go.set("plugins", FieldValue::Record(pl.clone()));
-                    }
-                    if let Some((g, a)) = roster_note {
-                        go.set("e_gen", FieldValue::U64(g));
-                        go.set("e_active", FieldValue::U64(a as u64));
-                    }
-                    tx.send(&go.encode());
-                    counters.bump(&counters.step_msgs);
-                }
-            }
-            if let Some(col) = my_col {
+            let go = Go::from_record(&released)?;
+            if let Some(col) = go.plan {
                 self.cached_plan_col = Arc::new(col);
             }
-            if plugin_dirty {
-                let specs = self.coord.as_ref().expect("coordinator").all_plugins.clone();
-                self.install_local(&specs);
+            if let Some(specs) = go.plugins {
+                install_all(&specs, Some(&mut self.fallback), Some(&mut self.installed));
             }
-            if let Some((g, a)) = roster_note {
-                // Commit the announcement: every participant of this
-                // step (including this coordinator) now knows the
-                // roster the next step runs on.
-                self.announced = Some((g, a));
-                self.elastic_active = a;
+            if go.roster.is_some() {
+                self.announced = go.roster;
             }
-            Ok(Some(step))
+            return Ok(Some(go.step));
         }
+
+        // ---- coordinator ----
+        // Elastic membership: the ranks committed for *this* step (by the
+        // previous step's announcement) that are still alive — evaluated
+        // as it is walked, so an eviction during the gather is honoured
+        // by the broadcast. The roster is re-read here so this step's
+        // `go` carries the freshest desired membership for the next step.
+        let elastic = self.elastic.is_some();
+        let committed = if elastic { self.elastic_active } else { nranks };
+        let participants = || (1..committed).filter(|&r| !(elastic && link.is_evicted(r)));
+        let roster = self.elastic.as_ref().map(|r| (r.generation(), r.active().clamp(1, nranks)));
+
+        let mut plugin_dirty = std::mem::take(&mut self.plugins_dirty);
+        let coord = &mut self.coord;
+        // Ship dynamic plug-in updates ahead of the step (after the first
+        // exchange they travel on the dedicated control path).
+        if plugin_dirty && !first {
+            self.side.ctrl_send(&protocol::plugin_update(&coord.all_plugins));
+            counters.bump(&counters.plugin_msgs);
+        }
+
+        // Step header (or EOS) from the writer coordinator. Under
+        // `eos_on_silence` a writer that died without closing (crash
+        // faults, abandoned streams) degrades into a synthesized EOS
+        // instead of an error: the reader side drains and ends cleanly.
+        let header = match self.side.ctrl_recv(&[msg::STEP, msg::EOS]).await {
+            Ok(h) => h,
+            Err(StreamError::Timeout) if self.hints.eos_on_silence => {
+                counters.bump(&counters.eos_synthesized);
+                protocol::eos()
+            }
+            Err(e) => return Err(e),
+        };
+        if protocol::kind_of(&header) == msg::EOS {
+            self.side.bcast(participants(), Some(&counters.step_msgs), |_| protocol::eos());
+            return Ok(None);
+        }
+        let (step, writer_exchanges) = protocol::parse_step(&header)?;
+        if writer_exchanges != need_exchange {
+            return Err(StreamError::Protocol(format!(
+                "caching configuration mismatch: writer exchange={writer_exchanges}, \
+                 reader expects {need_exchange} (configure both sides identically)"
+            )));
+        }
+
+        let mut full_plan = None;
+        if need_exchange {
+            let info = self.side.ctrl_recv(&[msg::WRITER_INFO]).await?;
+            let writer_dists = protocol::parse_writer_info(&info)?;
+
+            // Gather this side's subscriptions. A rank outside the
+            // committed roster (or gone for good) contributes nothing.
+            if need_sub_gather {
+                let sels = &mut coord.cached_sels;
+                sels[1..].iter_mut().for_each(Vec::clear);
+                sels[0] = self.subscriptions.clone();
+                let each = |r: usize, m: Result<_, _>| match m {
+                    Ok(m) => {
+                        sels[r] = protocol::parse_subs(&m)?;
+                        Ok(())
+                    }
+                    // An elastic member that never showed up (e.g. a
+                    // freshly-activated rank killed before its first
+                    // step): evict and re-plan around it instead of
+                    // failing the coupling.
+                    Err(StreamError::Timeout) if elastic => {
+                        if link.evict_reader(r) {
+                            counters.bump(&counters.evictions);
+                        }
+                        counters.bump(&counters.degraded_steps);
+                        Ok(())
+                    }
+                    Err(e) => Err(e),
+                };
+                self.side.gather(participants(), msg::SUBS, each).await?;
+            }
+            // Reply with selections (and, on the first step, plug-ins).
+            let plugins =
+                (first && !coord.all_plugins.is_empty()).then_some(&coord.all_plugins[..]);
+            plugin_dirty |= plugins.is_some();
+            self.side.ctrl_send(&protocol::reader_info(&coord.cached_sels, plugins));
+            counters.bump(&counters.exchange_msgs);
+            full_plan = Some(redistribute::plan(&writer_dists, &coord.cached_sels));
+        }
+
+        // Distribute the plan: reader rank r's column is plan[w][r] over w.
+        let column = |r: usize| -> Option<Vec<Vec<ChunkPlan>>> {
+            full_plan.as_ref().map(|full| full.iter().map(|row| row[r].clone()).collect())
+        };
+        // Under elastic membership the plug-in registry rides every `go`:
+        // a rank activated mid-run must not miss specs that were only
+        // broadcast before it joined.
+        let plugins = (plugin_dirty || (elastic && !coord.all_plugins.is_empty()))
+            .then(|| coord.all_plugins.clone());
+        let class = if full_plan.is_some() { &counters.bcast_msgs } else { &counters.step_msgs };
+        self.side.bcast(participants(), Some(class), |r| {
+            Go { step, plan: column(r), plugins: plugins.clone(), roster }.to_record()
+        });
+        if let Some(col) = column(0) {
+            self.cached_plan_col = Arc::new(col);
+        }
+        if plugin_dirty {
+            install_all(&coord.all_plugins, Some(&mut self.fallback), Some(&mut self.installed));
+        }
+        if let Some((_, active)) = roster {
+            // Commit the announcement: every participant of this step
+            // (including this coordinator) now knows the roster the next
+            // step runs on.
+            self.announced = roster;
+            self.elastic_active = active;
+        }
+        Ok(Some(step))
     }
 
     /// Step 4, receive side: collect the planned chunks from each writer.
@@ -626,48 +436,23 @@ impl StreamReader {
             if expected == 0 {
                 continue;
             }
-            let rx = {
-                let link = &self.link;
-                let rank = self.rank;
-                self.data_rx
-                    .entry(w)
-                    .or_insert_with(|| link.claim_receiver(ChannelId::Data { w, r: rank }))
-            };
             let mut records = Vec::with_capacity(expected);
             for _ in 0..expected {
-                let record = recv_record_rt(rx, &self.hints, &counters).await?;
-                records.push(record);
+                records.push(self.side.peer_recv(w, &[msg::CHUNK, msg::BATCH]).await?);
             }
             for record in records {
-                let bytes_estimate = 0u64; // bytes recorded at send side
-                monitor.record(MonitorEvent::DataRecv, step, self.rank, bytes_estimate, 0);
-                match protocol::kind_of(&record) {
-                    k if k == msg::CHUNK => self.store_chunk(&record, step)?,
-                    k if k == msg::BATCH => {
-                        let n = record
-                            .get_u64("n")
-                            .ok_or_else(|| StreamError::Corrupt("batch missing n".into()))?;
-                        for i in 0..n {
-                            let c = record.get_record(&format!("c.{i}")).ok_or_else(|| {
-                                StreamError::Corrupt("batch missing chunk".into())
-                            })?;
-                            self.store_chunk(c, step)?;
-                        }
+                // Bytes are recorded at the send side.
+                monitor.record(MonitorEvent::DataRecv, step, self.rank, 0, 0);
+                if protocol::kind_of(&record) == msg::BATCH {
+                    for c in protocol::batch_chunks(&record)? {
+                        self.store_chunk(protocol::parse_chunk(c)?, step)?;
                     }
-                    k => {
-                        return Err(StreamError::Protocol(format!("expected chunk/batch, got {k}")))
-                    }
+                } else {
+                    self.store_chunk(protocol::parse_chunk(&record)?, step)?;
                 }
             }
             if self.hints.write_mode == WriteMode::Sync {
-                let tx = {
-                    let link = &self.link;
-                    let rank = self.rank;
-                    self.ack_tx
-                        .entry(w)
-                        .or_insert_with(|| link.claim_sender(ChannelId::Ack { w, r: rank }))
-                };
-                tx.send(&protocol::message(msg::ACK).with("step", FieldValue::U64(step)).encode());
+                self.side.peer_tx(w).send(&protocol::signal(msg::ACK, step, None).encode());
                 counters.bump(&counters.ack_msgs);
             }
         }
@@ -676,51 +461,18 @@ impl StreamReader {
 
     /// 2PC participant role (enabled by `StreamHints::transactional`).
     async fn txn_reader(&mut self, step: u64) -> Result<(), StreamError> {
-        let hints = self.hints.clone();
         if self.rank != 0 {
-            self.side_up
-                .as_mut()
-                .expect("non-coordinator has side_up")
-                .send(&protocol::message("txn_recv").with("step", FieldValue::U64(step)).encode());
-            let rx = self.side_down.as_mut().expect("non-coordinator has side_down");
-            let decision = recv_record_rt(rx, &hints, &self.link.counters).await?;
-            if protocol::kind_of(&decision) != msg::TXN_COMMIT {
-                return Err(StreamError::Protocol("expected txn_commit".into()));
-            }
-            return Ok(());
+            return self.side.txn_report(msg::TXN_RECV, step).await;
         }
-        let link = Arc::clone(&self.link);
-        let nranks = self.nranks;
-        let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-        for r in 1..nranks {
-            let rx = coord.from_ranks[r].get_or_insert_with(|| {
-                link.claim_receiver(ChannelId::ReaderSide { rank: r, up: true })
-            });
-            let m = recv_record_rt(rx, &hints, &link.counters).await?;
-            if protocol::kind_of(&m) != "txn_recv" {
-                return Err(StreamError::Protocol("expected txn_recv".into()));
-            }
-        }
-        let prepare = coord.ctrl_in.recv_expect(&[msg::TXN_PREPARE], &hints).await?;
-        if prepare.get_u64("step") != Some(step) {
+        self.side.txn_collect(msg::TXN_RECV).await?;
+        let prepare = self.side.ctrl_recv(&[msg::TXN_PREPARE]).await?;
+        if protocol::parse_signal(&prepare)?.0 != step {
             return Err(StreamError::Protocol("prepare for unexpected step".into()));
         }
-        coord.ctrl_tx.send(
-            &protocol::message(msg::TXN_VOTE)
-                .with("step", FieldValue::U64(step))
-                .with("ok", FieldValue::U64(1))
-                .encode(),
-        );
-        let commit = coord.ctrl_in.recv_expect(&[msg::TXN_COMMIT], &hints).await?;
-        let ok = commit.get_u64("ok") == Some(1);
-        for r in 1..nranks {
-            let tx = coord.to_ranks[r].get_or_insert_with(|| {
-                link.claim_sender(ChannelId::ReaderSide { rank: r, up: false })
-            });
-            tx.send(
-                &protocol::message(msg::TXN_COMMIT).with("step", FieldValue::U64(step)).encode(),
-            );
-        }
+        self.side.ctrl_send(&protocol::signal(msg::TXN_VOTE, step, Some(true)));
+        let commit = self.side.ctrl_recv(&[msg::TXN_COMMIT]).await?;
+        let (_, ok) = protocol::parse_signal(&commit)?;
+        self.side.txn_release(step);
         if !ok {
             return Err(StreamError::Protocol("writer aborted the step".into()));
         }

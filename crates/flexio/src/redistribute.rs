@@ -120,15 +120,21 @@ impl Subscription {
         let var = r.get_str("var")?.to_string();
         let sel = match r.get_u64("sel")? {
             0 => Selection::ProcessGroup(r.get_u64("rank")? as usize),
-            1 => Selection::GlobalBox(BoxSel::new(
-                r.get_u64_array("offset")?.to_vec(),
-                r.get_u64_array("count")?.to_vec(),
-            )),
+            1 => Selection::GlobalBox(wire_box(
+                r.get_u64_array("offset")?,
+                r.get_u64_array("count")?,
+            )?),
             2 => Selection::Scalar,
             _ => return None,
         };
         Some(Subscription { var, sel })
     }
+}
+
+/// A box off the wire: a peer's offset and count of different rank are
+/// damage to refuse, not the caller bug [`BoxSel::new`] asserts against.
+fn wire_box(offset: &[u64], count: &[u64]) -> Option<BoxSel> {
+    (offset.len() == count.len()).then(|| BoxSel::new(offset.to_vec(), count.to_vec()))
 }
 
 /// One planned chunk from a writer rank to a reader rank.
@@ -139,22 +145,6 @@ pub struct ChunkPlan {
     /// For global arrays: the overlap region to extract; `None` sends the
     /// value whole (process-group / scalar reads).
     pub region: Option<BoxSel>,
-}
-
-/// Encode a rank's variable distributions for the gather/exchange
-/// messages.
-pub(crate) fn encode_metas(metas: &[VarMeta]) -> Record {
-    let mut r = Record::new().with("n", FieldValue::U64(metas.len() as u64));
-    for (i, m) in metas.iter().enumerate() {
-        r.set(&format!("m.{i}"), FieldValue::Record(m.to_record()));
-    }
-    r
-}
-
-/// Inverse of [`encode_metas`].
-pub(crate) fn decode_metas(r: &Record) -> Option<Vec<VarMeta>> {
-    let n = r.get_u64("n")?;
-    (0..n).map(|i| VarMeta::from_record(r.get_record(&format!("m.{i}"))?)).collect()
 }
 
 /// Encode one rank's slice of the transfer plan for its `go` message: a
@@ -189,7 +179,7 @@ pub(crate) fn decode_plan(r: &Record) -> Option<Vec<Vec<ChunkPlan>>> {
                     let cr = r.get_record(&format!("chunk.{p}.{ci}"))?;
                     let var = cr.get_str("var")?.to_string();
                     let region = match (cr.get_u64_array("offset"), cr.get_u64_array("count")) {
-                        (Some(o), Some(c)) => Some(BoxSel::new(o.to_vec(), c.to_vec())),
+                        (Some(o), Some(c)) => Some(wire_box(o, c)?),
                         _ => None,
                     };
                     Some(ChunkPlan { var, region })
@@ -536,6 +526,10 @@ mod tests {
         for s in &subs {
             assert_eq!(Subscription::from_record(&s.to_record()), Some(s.clone()));
         }
+        // A box whose offset and count disagree in rank is refused.
+        let mut ragged = subs[1].to_record();
+        ragged.set("count", FieldValue::U64Array(vec![2, 2]));
+        assert_eq!(Subscription::from_record(&ragged), None);
     }
 
     #[test]
@@ -554,6 +548,14 @@ mod tests {
                 assert_eq!(decode_plan(&bad), None, "{key} = {huge}");
             }
         }
+        // So is a region whose offset and count disagree in rank.
+        let mut ragged = rec.clone();
+        let FieldValue::Record(mut chunk) = ragged.get("chunk.0.0").unwrap().clone() else {
+            panic!()
+        };
+        chunk.set("count", FieldValue::U64Array(vec![1]));
+        ragged.set("chunk.0.0", FieldValue::Record(chunk));
+        assert_eq!(decode_plan(&ragged), None);
         // An honest count the record does not back up is refused too.
         let mut short = rec.clone();
         short.set("count.1", FieldValue::U64(2));

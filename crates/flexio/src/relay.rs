@@ -25,25 +25,6 @@ use crate::directory::{DirectoryError, DirectoryService};
 use crate::link::ChannelId;
 use crate::monitor::{MonitorEvent, PerfMonitor};
 
-fn event_from_name(name: &str) -> Option<MonitorEvent> {
-    Some(match name {
-        "data_send" => MonitorEvent::DataSend,
-        "data_recv" => MonitorEvent::DataRecv,
-        "handshake" => MonitorEvent::Handshake,
-        "plugin_exec" => MonitorEvent::PluginExec,
-        "allocation" => MonitorEvent::Allocation,
-        "sync_wait" => MonitorEvent::SyncWait,
-        "pubsub_deliver" => MonitorEvent::PubSubDeliver,
-        "pubsub_spill" => MonitorEvent::PubSubSpill,
-        "query_rows_in" => MonitorEvent::QueryRowsIn,
-        "query_rows_out" => MonitorEvent::QueryRowsOut,
-        "query_bytes_pushed" => MonitorEvent::QueryBytesPushed,
-        "query_bytes_saved" => MonitorEvent::QueryBytesSaved,
-        "step_seal" => MonitorEvent::StepSeal,
-        _ => return None,
-    })
-}
-
 /// The sending (simulation-side) half of the relay: a stone graph that
 /// samples, annotates and ships monitoring records.
 pub struct MonitorRelay {
@@ -183,7 +164,7 @@ impl MonitorSink {
             };
             let Ok(r) = Record::decode(&bytes) else { continue };
             let Some(name) = r.get_str("event") else { continue };
-            match event_from_name(name) {
+            match MonitorEvent::event_from_name(name) {
                 Some(event) => {
                     let (Some(step), Some(rank), Some(payload), Some(nanos)) = (
                         r.get_u64("step"),

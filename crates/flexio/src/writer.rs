@@ -15,86 +15,32 @@
 //! A tiny per-step "go"/step-header message keeps the two programs in
 //! step and carries end-of-stream; it is deliberately outside the
 //! handshake counters, which measure steps 1–3 only.
+//!
+//! This file owns the writer's half of that sequence — which message goes
+//! when, what is cached, what a step does to its chunks. What a message
+//! looks like on the wire is [`crate::protocol`]'s; how it travels between
+//! this rank, its coordinator and the reader program is `side.rs`'s.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 use adios::{ProcessGroup, VarValue, WriteEngine};
-use evpath::{BoxedReceiver, BoxedSender, FieldValue, Record};
 
 use crate::context::StreamError;
 use crate::hints::StreamHints;
-use crate::link::{drive, poll_until, recv_record_rt, ChannelId, LinkState};
+use crate::link::{drive, poll_until, LinkState};
 use crate::monitor::MonitorEvent;
-use crate::plugins::{InstalledPlugin, PluginPlacement, PluginSpec};
-use crate::protocol::{self, msg, CachingLevel, ProtocolCounters, WriteMode};
+use crate::plugins::{install_all, InstalledPlugin, PluginSpec};
+use crate::protocol::{self, msg, CachingLevel, Go, WriteMode};
 use crate::redistribute::{self, ChunkPlan, Subscription, VarMeta};
+use crate::side::{Program, ProgramSide};
 
-/// Control-channel receiver with a pending queue so out-of-band messages
-/// (plug-in updates) can be drained without losing in-band ones.
-pub(crate) struct CtrlIn {
-    rx: BoxedReceiver,
-    pending: VecDeque<Record>,
-    counters: Arc<ProtocolCounters>,
-}
-
-impl CtrlIn {
-    pub(crate) fn new(rx: BoxedReceiver, counters: Arc<ProtocolCounters>) -> CtrlIn {
-        CtrlIn { rx, pending: VecDeque::new(), counters }
-    }
-
-    /// Receive the next message whose kind is in `expect`; any other
-    /// message encountered on the way is parked in the pending queue (to
-    /// be found by a later `recv_expect` or [`Self::drain_kind`]).
-    pub(crate) async fn recv_expect(
-        &mut self,
-        expect: &[&str],
-        hints: &StreamHints,
-    ) -> Result<Record, StreamError> {
-        if let Some(idx) = self.pending.iter().position(|r| expect.contains(&protocol::kind_of(r)))
-        {
-            return Ok(self.pending.remove(idx).expect("index valid"));
-        }
-        loop {
-            let record = recv_record_rt(&mut self.rx, hints, &self.counters).await?;
-            if expect.contains(&protocol::kind_of(&record)) {
-                return Ok(record);
-            }
-            self.pending.push_back(record);
-        }
-    }
-
-    /// Drain any immediately-available messages of `kind`.
-    pub(crate) fn drain_kind(&mut self, kind: &str) -> Vec<Record> {
-        let mut out = Vec::new();
-        // Move channel contents into pending.
-        while let Some(bytes) = self.rx.try_recv() {
-            if let Ok(r) = Record::decode(&bytes) {
-                self.pending.push_back(r);
-            }
-        }
-        let mut keep = VecDeque::new();
-        for r in self.pending.drain(..) {
-            if protocol::kind_of(&r) == kind {
-                out.push(r);
-            } else {
-                keep.push_back(r);
-            }
-        }
-        self.pending = keep;
-        out
-    }
-}
-
+/// What the writer coordinator remembers between steps (empty on any
+/// other rank).
+#[derive(Default)]
 struct WriterCoord {
-    from_ranks: Vec<Option<BoxedReceiver>>,
-    to_ranks: Vec<Option<BoxedSender>>,
-    /// Control channels are claimed lazily: their transport depends on the
-    /// reader coordinator's placement, unknown until the reader attaches.
-    ctrl_tx: Option<BoxedSender>,
-    ctrl_in: Option<CtrlIn>,
     /// Last gathered per-rank distributions.
     cached_dists: Vec<Vec<VarMeta>>,
     /// Last received reader selections.
@@ -115,14 +61,13 @@ pub struct StreamWriter {
     hints: StreamHints,
     steps_written: u64,
     current: Option<ProcessGroup>,
-    data_tx: HashMap<usize, BoxedSender>,
-    ack_rx: HashMap<usize, BoxedReceiver>,
-    side_up: Option<BoxedSender>,
-    side_down: Option<BoxedReceiver>,
-    coord: Option<WriterCoord>,
+    /// This rank's channels: to its coordinator (on rank 0: to every
+    /// rank, and the control channel to the reader coordinator) and to
+    /// the reader ranks.
+    side: ProgramSide,
+    coord: WriterCoord,
     /// This rank's row of the transfer plan: chunks per reader rank.
     cached_plan_row: Arc<Vec<Vec<ChunkPlan>>>,
-    reader_count: usize,
     installed: HashMap<String, InstalledPlugin>,
     closed: bool,
     /// When the previous step sealed — the gap between seals is the live
@@ -147,25 +92,9 @@ impl StreamWriter {
         name: String,
         hints: StreamHints,
     ) -> StreamWriter {
-        let (side_up, side_down, coord) = if rank == 0 {
-            let coord = WriterCoord {
-                from_ranks: (0..nranks).map(|_| None).collect(),
-                to_ranks: (0..nranks).map(|_| None).collect(),
-                ctrl_tx: None,
-                ctrl_in: None,
-                cached_dists: vec![Vec::new(); nranks],
-                cached_sels: None,
-                writer_plugins: Vec::new(),
-                planned_evictions: HashSet::new(),
-            };
-            (None, None, Some(coord))
-        } else {
-            (
-                Some(link.claim_sender(ChannelId::WriterSide { rank, up: true })),
-                Some(link.claim_receiver(ChannelId::WriterSide { rank, up: false })),
-                None,
-            )
-        };
+        let coord = WriterCoord { cached_dists: vec![Vec::new(); nranks], ..Default::default() };
+        let side =
+            ProgramSide::new(Arc::clone(&link), Program::Writer, rank, nranks, hints.clone());
         StreamWriter {
             link,
             rank,
@@ -174,13 +103,9 @@ impl StreamWriter {
             hints,
             steps_written: 0,
             current: None,
-            data_tx: HashMap::new(),
-            ack_rx: HashMap::new(),
-            side_up,
-            side_down,
+            side,
             coord,
             cached_plan_row: Arc::default(),
-            reader_count: 0,
             installed: HashMap::new(),
             closed: false,
             last_seal: None,
@@ -232,29 +157,6 @@ impl StreamWriter {
         &self.link
     }
 
-    fn metas(group: &ProcessGroup) -> Vec<VarMeta> {
-        group.vars.iter().map(|(n, v)| VarMeta::of(n, v)).collect()
-    }
-
-    fn install_plugins(&mut self, specs: &[PluginSpec]) {
-        self.installed.clear();
-        for spec in specs {
-            if spec.placement == PluginPlacement::WriterSide {
-                match InstalledPlugin::install(spec.clone()) {
-                    Ok(p) => {
-                        self.installed.insert(spec.var.clone(), p);
-                    }
-                    Err(e) => {
-                        // A bad plug-in must not take down the simulation;
-                        // it is skipped (and would be reported through
-                        // monitoring in a production system).
-                        eprintln!("flexio: dropping writer-side plug-in for `{}`: {e}", spec.var);
-                    }
-                }
-            }
-        }
-    }
-
     /// Fallible version of [`WriteEngine::end_step`]: [`Self::end_step_rt`]
     /// driven to completion on the calling thread by the stream's
     /// `runtime` hint.
@@ -273,14 +175,7 @@ impl StreamWriter {
         assert!(!self.closed, "stream closed or poisoned by an earlier failure");
         let group = self.current.take().expect("end_step without begin_step");
         let step = group.step;
-        let metas = Self::metas(&group);
-        let result = match self.coordinate(metas, step).await {
-            Ok(()) => match self.send_chunks(&group, step).await {
-                Ok(()) if self.hints.transactional => self.commit_step_2pc(step).await,
-                other => other,
-            },
-            Err(e) => Err(e),
-        };
+        let result = self.run_step(&group, step).await;
         match result {
             Ok(()) => {
                 self.steps_written += 1;
@@ -288,13 +183,20 @@ impl StreamWriter {
                 // Feed the fleet's per-shard steps/s counter (no-op
                 // outside a reactor).
                 flexio_reactor::note_step();
-                Ok(())
             }
-            Err(e) => {
-                self.closed = true;
-                Err(e)
-            }
+            Err(_) => self.closed = true,
         }
+        result
+    }
+
+    async fn run_step(&mut self, group: &ProcessGroup, step: u64) -> Result<(), StreamError> {
+        let metas = group.vars.iter().map(|(n, v)| VarMeta::of(n, v)).collect();
+        self.coordinate(metas, step).await?;
+        self.send_chunks(group, step).await?;
+        if self.hints.transactional {
+            self.commit_step_2pc(step).await?;
+        }
+        Ok(())
     }
 
     /// Steps 1–3: gather distributions, exchange with the reader
@@ -303,41 +205,21 @@ impl StreamWriter {
         let first = self.steps_written == 0;
         let need_gather = first || self.hints.caching == CachingLevel::NoCaching;
         let need_exchange = first || self.hints.caching != CachingLevel::CachingAll;
-        let counters = Arc::clone(&self.link.counters);
-        let nranks = self.nranks;
-        let hints = self.hints.clone();
-        let link = Arc::clone(&self.link);
+        let (link, counters, nranks) = (&self.link, &self.link.counters, self.nranks);
 
         if self.rank != 0 {
             // Step 1: ship distributions up.
             if need_gather {
-                let tx = self.side_up.as_mut().expect("non-coordinator has side_up");
-                tx.send(
-                    &protocol::message("dists")
-                        .with("metas", FieldValue::Record(redistribute::encode_metas(&my_metas)))
-                        .encode(),
-                );
+                self.side.send_up(&protocol::dists(&my_metas));
                 counters.bump(&counters.gather_msgs);
             }
             // Step 3: receive the go (plan/plugins when changed).
-            let rx = self.side_down.as_mut().expect("non-coordinator has side_down");
-            let go = recv_record_rt(rx, &hints, &counters).await?;
-            if protocol::kind_of(&go) != "go" {
-                return Err(StreamError::Protocol(format!(
-                    "expected go, got {}",
-                    protocol::kind_of(&go)
-                )));
+            let go = Go::from_record(&self.side.recv_down(&[msg::GO]).await?)?;
+            if let Some(row) = go.plan {
+                self.cached_plan_row = Arc::new(row);
             }
-            if let Some(plan) = go.get_record("plan") {
-                self.cached_plan_row = redistribute::decode_plan(plan)
-                    .map(Arc::new)
-                    .ok_or_else(|| StreamError::Corrupt("bad plan row".to_string()))?;
-                self.reader_count = self.cached_plan_row.len();
-            }
-            if let Some(pl) = go.get_record("plugins") {
-                let specs = decode_plugin_specs(pl)
-                    .ok_or_else(|| StreamError::Corrupt("bad plugin specs".to_string()))?;
-                self.install_plugins(&specs);
+            if let Some(specs) = go.plugins {
+                install_all(&specs, Some(&mut self.installed), None);
             }
             return Ok(());
         }
@@ -345,24 +227,17 @@ impl StreamWriter {
         // ---- coordinator path ----
         // Make sure the reader side is attached before the first step.
         if first {
-            poll_until(Instant::now() + hints.recv_timeout, || link.try_reader_info())
+            poll_until(Instant::now() + self.hints.recv_timeout, || link.try_reader_info())
                 .await
                 .ok_or(StreamError::Timeout)?;
         }
-        let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-        if coord.ctrl_tx.is_none() {
-            coord.ctrl_tx = Some(link.claim_sender(ChannelId::ControlToReader));
-            coord.ctrl_in = Some(CtrlIn::new(
-                link.claim_receiver(ChannelId::ControlToWriter),
-                Arc::clone(&link.counters),
-            ));
-        }
+        let coord = &mut self.coord;
 
         // Drain dynamically-deployed plug-in updates (separate logical
         // channel from data movement, §II.F).
         let mut plugin_dirty = false;
-        for update in coord.ctrl_in.as_mut().expect("ctrl claimed").drain_kind(msg::PLUGIN_UPDATE) {
-            if let Some(specs) = update.get_record("plugins").and_then(decode_plugin_specs) {
+        for update in self.side.ctrl_drain(msg::PLUGIN_UPDATE) {
+            if let Ok(specs) = protocol::parse_plugin_update(&update) {
                 coord.writer_plugins = specs;
                 plugin_dirty = true;
                 counters.bump(&counters.plugin_msgs);
@@ -372,63 +247,28 @@ impl StreamWriter {
         // Step 1: gather distributions.
         if need_gather {
             coord.cached_dists[0] = my_metas;
-            for r in 1..nranks {
-                let rx = coord.from_ranks[r].get_or_insert_with(|| {
-                    link.claim_receiver(ChannelId::WriterSide { rank: r, up: true })
-                });
-                let m = recv_record_rt(rx, &hints, &counters).await?;
-                let metas = m
-                    .get_record("metas")
-                    .and_then(redistribute::decode_metas)
-                    .ok_or_else(|| StreamError::Corrupt("bad dists".to_string()))?;
-                coord.cached_dists[r] = metas;
-            }
+            let dists = &mut coord.cached_dists;
+            self.side
+                .gather(1..nranks, msg::DISTS, |r, m| {
+                    dists[r] = protocol::parse_dists(&m?)?;
+                    Ok(())
+                })
+                .await?;
         }
 
         // Step header (+ step 2 exchange).
-        coord.ctrl_tx.as_mut().expect("ctrl claimed").send(
-            &protocol::message(msg::STEP)
-                .with("step", FieldValue::U64(step))
-                .with("exchange", FieldValue::U64(u64::from(need_exchange)))
-                .encode(),
-        );
+        self.side.ctrl_send(&protocol::step(step, need_exchange));
         counters.bump(&counters.step_msgs);
 
         let mut plan_dirty = false;
         if need_exchange {
-            let mut info =
-                protocol::message(msg::WRITER_INFO).with("nranks", FieldValue::U64(nranks as u64));
-            for (w, metas) in coord.cached_dists.iter().enumerate() {
-                info.set(
-                    &format!("dists.{w}"),
-                    FieldValue::Record(redistribute::encode_metas(metas)),
-                );
-            }
-            coord.ctrl_tx.as_mut().expect("ctrl claimed").send(&info.encode());
+            self.side.ctrl_send(&protocol::writer_info(&coord.cached_dists));
             counters.bump(&counters.exchange_msgs);
 
-            let reply = coord
-                .ctrl_in
-                .as_mut()
-                .expect("ctrl claimed")
-                .recv_expect(&[msg::READER_INFO], &hints)
-                .await?;
-            let nreaders = reply
-                .get_u64("nranks")
-                .ok_or_else(|| StreamError::Corrupt("reader_info missing nranks".into()))?;
-            // Collected, not pre-sized: `nranks` is the peer's word.
-            let sels = (0..nreaders)
-                .map(|r| {
-                    let sr = reply
-                        .get_record(&format!("sels.{r}"))
-                        .ok_or_else(|| StreamError::Corrupt("reader_info missing sels".into()))?;
-                    decode_subscriptions(sr)
-                        .ok_or_else(|| StreamError::Corrupt("bad subscriptions".into()))
-                })
-                .collect::<Result<Vec<_>, StreamError>>()?;
-            if let Some(pl) = reply.get_record("plugins") {
-                coord.writer_plugins = decode_plugin_specs(pl)
-                    .ok_or_else(|| StreamError::Corrupt("bad plugin specs".into()))?;
+            let reply = self.side.ctrl_recv(&[msg::READER_INFO]).await?;
+            let (sels, plugins) = protocol::parse_reader_info(&reply)?;
+            if let Some(specs) = plugins {
+                coord.writer_plugins = specs;
                 plugin_dirty = true;
             }
             coord.cached_sels = Some(sels);
@@ -453,33 +293,18 @@ impl StreamWriter {
             .map(|(r, s)| if evicted.contains(&r) { Vec::new() } else { s.clone() })
             .collect();
         let mut full_plan = redistribute::plan(&coord.cached_dists, &sels);
-        self.reader_count = sels.len();
 
-        let plugin_record = plugin_dirty.then(|| encode_plugin_specs(&coord.writer_plugins));
-        for r in 1..nranks {
-            let tx = coord.to_ranks[r].get_or_insert_with(|| {
-                link.claim_sender(ChannelId::WriterSide { rank: r, up: false })
-            });
-            let mut go = protocol::message("go").with("step", FieldValue::U64(step));
-            if plan_dirty {
-                go.set("plan", FieldValue::Record(redistribute::encode_plan(&full_plan[r])));
-            }
-            if let Some(pl) = &plugin_record {
-                go.set("plugins", FieldValue::Record(pl.clone()));
-            }
-            tx.send(&go.encode());
-            if plan_dirty {
-                counters.bump(&counters.bcast_msgs);
-            } else {
-                counters.bump(&counters.step_msgs);
-            }
-        }
+        let plugins = plugin_dirty.then(|| coord.writer_plugins.clone());
+        let class = if plan_dirty { &counters.bcast_msgs } else { &counters.step_msgs };
+        self.side.bcast(1..nranks, Some(class), |r| {
+            let plan = plan_dirty.then(|| std::mem::take(&mut full_plan[r]));
+            Go { step, plan, plugins: plugins.clone(), roster: None }.to_record()
+        });
         if plan_dirty {
             self.cached_plan_row = Arc::new(full_plan.swap_remove(0));
         }
-        if plugin_dirty {
-            let specs = coord.writer_plugins.clone();
-            self.install_plugins(&specs);
+        if let Some(specs) = plugins {
+            install_all(&specs, Some(&mut self.installed), None);
         }
         Ok(())
     }
@@ -540,38 +365,11 @@ impl StreamWriter {
                     Cow::Owned(v) => v.into_record(),
                     Cow::Borrowed(v) => v.to_record(),
                 };
-                let mut cr = protocol::message(msg::CHUNK)
-                    .with("step", FieldValue::U64(step))
-                    .with("w", FieldValue::U64(self.rank as u64))
-                    .with("var", FieldValue::Str(cp.var.clone()))
-                    .with("body", FieldValue::Record(body));
-                if !extras.is_empty() {
-                    let mut er = Record::new().with("n", FieldValue::U64(extras.len() as u64));
-                    for (i, (name, v)) in extras.iter().enumerate() {
-                        er.set(&format!("name.{i}"), FieldValue::Str(name.clone()));
-                        er.set(&format!("val.{i}"), FieldValue::Record(v.to_record()));
-                    }
-                    cr.set("extras", FieldValue::Record(er));
-                }
-                encoded_chunks.push(cr);
+                encoded_chunks.push(protocol::chunk(step, self.rank, &cp.var, body, &extras));
             }
-            let tx = {
-                let link = &self.link;
-                let rank = self.rank;
-                self.data_tx
-                    .entry(r)
-                    .or_insert_with(|| link.claim_sender(ChannelId::Data { w: rank, r }))
-            };
+            let tx = self.side.peer_tx(r);
             let messages = if self.hints.batching {
-                let mut batch = protocol::message(msg::BATCH)
-                    .with("step", FieldValue::U64(step))
-                    .with("w", FieldValue::U64(self.rank as u64))
-                    .with("n", FieldValue::U64(encoded_chunks.len() as u64));
-                for (i, c) in encoded_chunks.into_iter().enumerate() {
-                    // Moved, not cloned, into the batch.
-                    batch.set(&format!("c.{i}"), FieldValue::Record(c));
-                }
-                vec![batch]
+                vec![protocol::batch(step, self.rank, encoded_chunks)]
             } else {
                 encoded_chunks
             };
@@ -605,19 +403,8 @@ impl StreamWriter {
             let start = Instant::now();
             let mut degraded = false;
             for r in readers_with_data {
-                let rx = {
-                    let link = &self.link;
-                    let rank = self.rank;
-                    self.ack_rx
-                        .entry(r)
-                        .or_insert_with(|| link.claim_receiver(ChannelId::Ack { w: rank, r }))
-                };
-                match recv_record_rt(rx, &self.hints, &counters).await {
-                    Ok(ack) => {
-                        if protocol::kind_of(&ack) != msg::ACK {
-                            return Err(StreamError::Protocol("expected ack".to_string()));
-                        }
-                    }
+                match self.side.peer_recv(r, &[msg::ACK]).await {
+                    Ok(_) => {}
                     Err(StreamError::Timeout) => {
                         degraded = true;
                         if self.link.evict_reader(r) {
@@ -648,57 +435,18 @@ impl StreamWriter {
     /// COMMIT decision to both programs. A step is only "done" once every
     /// reader rank took delivery.
     async fn commit_step_2pc(&mut self, step: u64) -> Result<(), StreamError> {
-        let hints = self.hints.clone();
         if self.rank != 0 {
-            self.side_up
-                .as_mut()
-                .expect("non-coordinator has side_up")
-                .send(&protocol::message("txn_sent").with("step", FieldValue::U64(step)).encode());
-            let rx = self.side_down.as_mut().expect("non-coordinator has side_down");
-            let decision = recv_record_rt(rx, &hints, &self.link.counters).await?;
-            if protocol::kind_of(&decision) != msg::TXN_COMMIT {
-                return Err(StreamError::Protocol("expected txn_commit".to_string()));
-            }
-            return Ok(());
+            return self.side.txn_report(msg::TXN_SENT, step).await;
         }
-        let link = Arc::clone(&self.link);
-        let nranks = self.nranks;
-        let coord = self.coord.as_mut().expect("rank 0 is coordinator");
-        for r in 1..nranks {
-            let rx = coord.from_ranks[r].get_or_insert_with(|| {
-                link.claim_receiver(ChannelId::WriterSide { rank: r, up: true })
-            });
-            let sent = recv_record_rt(rx, &hints, &link.counters).await?;
-            if protocol::kind_of(&sent) != "txn_sent" {
-                return Err(StreamError::Protocol("expected txn_sent".to_string()));
-            }
-        }
-        coord.ctrl_tx.as_mut().expect("ctrl claimed").send(
-            &protocol::message(msg::TXN_PREPARE).with("step", FieldValue::U64(step)).encode(),
-        );
-        link.counters.bump(&link.counters.step_msgs);
-        let vote = coord
-            .ctrl_in
-            .as_mut()
-            .expect("ctrl claimed")
-            .recv_expect(&[msg::TXN_VOTE], &hints)
-            .await?;
-        let ok = vote.get_u64("ok") == Some(1);
-        coord.ctrl_tx.as_mut().expect("ctrl claimed").send(
-            &protocol::message(msg::TXN_COMMIT)
-                .with("step", FieldValue::U64(step))
-                .with("ok", FieldValue::U64(u64::from(ok)))
-                .encode(),
-        );
-        link.counters.bump(&link.counters.step_msgs);
-        for r in 1..nranks {
-            let tx = coord.to_ranks[r].get_or_insert_with(|| {
-                link.claim_sender(ChannelId::WriterSide { rank: r, up: false })
-            });
-            tx.send(
-                &protocol::message(msg::TXN_COMMIT).with("step", FieldValue::U64(step)).encode(),
-            );
-        }
+        let counters = &self.link.counters;
+        self.side.txn_collect(msg::TXN_SENT).await?;
+        self.side.ctrl_send(&protocol::signal(msg::TXN_PREPARE, step, None));
+        counters.bump(&counters.step_msgs);
+        let vote = self.side.ctrl_recv(&[msg::TXN_VOTE]).await?;
+        let (_, ok) = protocol::parse_signal(&vote)?;
+        self.side.ctrl_send(&protocol::signal(msg::TXN_COMMIT, step, Some(ok)));
+        counters.bump(&counters.step_msgs);
+        self.side.txn_release(step);
         if !ok {
             return Err(StreamError::Protocol(format!("reader voted abort for step {step}")));
         }
@@ -726,7 +474,12 @@ impl WriteEngine for StreamWriter {
             return;
         }
         self.closed = true;
-        self.close_notify();
+        // A reader may never have attached (stream never used); only then
+        // is there no one to notify.
+        if self.rank == 0 && self.link.try_reader_info().is_some() {
+            self.side.ctrl_send(&protocol::eos());
+            self.link.counters.bump(&self.link.counters.step_msgs);
+        }
     }
 }
 
@@ -739,22 +492,6 @@ impl StreamWriter {
     pub fn abandon(mut self) {
         self.closed = true; // Drop::close() becomes a no-op
     }
-
-    fn close_notify(&mut self) {
-        if self.rank == 0 {
-            if let Some(coord) = self.coord.as_mut() {
-                // A reader may never have attached (stream never used);
-                // only then is there no one to notify.
-                if coord.ctrl_tx.is_none() && self.link.try_reader_info().is_some() {
-                    coord.ctrl_tx = Some(self.link.claim_sender(ChannelId::ControlToReader));
-                }
-                if let Some(tx) = coord.ctrl_tx.as_mut() {
-                    tx.send(&protocol::message(msg::EOS).encode());
-                    self.link.counters.bump(&self.link.counters.step_msgs);
-                }
-            }
-        }
-    }
 }
 
 impl Drop for StreamWriter {
@@ -762,32 +499,4 @@ impl Drop for StreamWriter {
         // Ensure readers observe end-of-stream even on early drop.
         self.close();
     }
-}
-
-// ------------------------------------------------------- shared encoders
-
-pub(crate) fn encode_subscriptions(subs: &[Subscription]) -> Record {
-    let mut r = Record::new().with("n", FieldValue::U64(subs.len() as u64));
-    for (i, s) in subs.iter().enumerate() {
-        r.set(&format!("s.{i}"), FieldValue::Record(s.to_record()));
-    }
-    r
-}
-
-pub(crate) fn decode_subscriptions(r: &Record) -> Option<Vec<Subscription>> {
-    let n = r.get_u64("n")? as usize;
-    (0..n).map(|i| Subscription::from_record(r.get_record(&format!("s.{i}"))?)).collect()
-}
-
-pub(crate) fn encode_plugin_specs(specs: &[PluginSpec]) -> Record {
-    let mut r = Record::new().with("n", FieldValue::U64(specs.len() as u64));
-    for (i, s) in specs.iter().enumerate() {
-        r.set(&format!("p.{i}"), FieldValue::Record(s.to_record()));
-    }
-    r
-}
-
-pub(crate) fn decode_plugin_specs(r: &Record) -> Option<Vec<PluginSpec>> {
-    let n = r.get_u64("n")? as usize;
-    (0..n).map(|i| PluginSpec::from_record(r.get_record(&format!("p.{i}"))?)).collect()
 }

@@ -40,7 +40,42 @@ sleeps=$(awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && /thread::sleep/' \
     $(find crates/*/src -name '*.rs' -not -path 'crates/reactor/*' \
         -not -path '*/bin/*' -not -path 'crates/bench/*') | wc -l)
 [ "$sleeps" -le 3 ] || { echo "$sleeps bare thread::sleep in library code (limit 3)"; exit 1; }
+# One definition per step-protocol message: the engines name messages
+# (protocol.rs builds and parses them, side.rs moves them between a
+# program's ranks and its coordinator) and never a field, a list key or a
+# side channel; reader.rs does not reach into writer.rs; the monitor event
+# table exists once.
+engines="crates/flexio/src/writer.rs crates/flexio/src/reader.rs"
+if grep -n 'protocol::message(\|format!("[a-z_]*\.{\|get_or_insert_with(|| link\.claim_' $engines; then
+    echo "an engine builds a message, a list key or a side channel by hand"; exit 1
+fi
+if grep -n "use crate::writer" crates/flexio/src/reader.rs; then
+    echo "reader.rs imports from writer.rs"; exit 1
+fi
+stray=$(grep -rl "event_from_name" crates/ | grep -vx "crates/flexio/src/monitor.rs" \
+    | xargs -r grep -L "MonitorEvent::event_from_name" || true)
+defs=$(grep -rn "fn event_from_name" crates/ | grep -v "^crates/flexio/src/monitor.rs:" || true)
+[ -z "$stray$defs" ] || { echo "event_from_name outside monitor.rs: $stray $defs"; exit 1; }
 echo "structure gates ok (bare sleeps: $sleeps)"
+
+echo "== doc references resolve =="
+# The docs of record describe the tree as it is: every bench, binary and
+# crate they name must exist.
+docs="README.md DESIGN.md EXPERIMENTS.md"
+missing=0
+for b in $(grep -oh -- '--bench [a-z_0-9]*' $docs | awk '{print $2}' | sort -u); do
+    ls crates/*/benches/"$b".rs >/dev/null 2>&1 || { echo "--bench $b: no such bench"; missing=1; }
+done
+for f in $(grep -oh 'src/bin/[A-Za-z_0-9-]*\.rs' $docs | sort -u); do
+    found=0
+    for at in crates/*/"$f" "$f" benchmark/"$f"; do [ -e "$at" ] && found=1; done
+    [ "$found" -eq 1 ] || { echo "$f: no such binary"; missing=1; }
+done
+for c in $(grep -oh 'crates/[a-z_0-9-]*' $docs | sort -u); do
+    [ -d "$c" ] || { echo "$c: no such crate"; missing=1; }
+done
+[ "$missing" -eq 0 ] || { echo "a doc names something the tree does not have"; exit 1; }
+echo "doc references ok"
 
 echo "== benches compile =="
 cargo bench -q --offline --workspace --no-run
