@@ -439,17 +439,33 @@ pub struct LocalBlock {
 }
 
 impl LocalBlock {
-    /// Validate shape consistency; returns `self` for chaining.
+    /// What is inconsistent about this block's shape, if anything: rank
+    /// agreement, `count` product vs data length, `offset + count` within
+    /// the global shape. Checked arithmetic throughout — the fields may be
+    /// a peer's claims, and a product or sum that overflows is a mismatch,
+    /// not a wrap-around that happens to agree.
+    fn shape_error(&self) -> Option<String> {
+        let rank = self.global_shape.len();
+        if self.offset.len() != rank || self.count.len() != rank {
+            return Some("rank mismatch".into());
+        }
+        let elems = self.count.iter().try_fold(1u64, |n, &c| n.checked_mul(c));
+        if elems.and_then(|n| usize::try_from(n).ok()) != Some(self.data.len()) {
+            return Some("data length != count product".into());
+        }
+        (0..rank)
+            .find(|&d| {
+                self.offset[d].checked_add(self.count[d]).is_none_or(|e| e > self.global_shape[d])
+            })
+            .map(|d| format!("block exceeds global shape in dim {d}"))
+    }
+
+    /// Validate shape consistency; returns `self` for chaining. Panics on
+    /// a block the program itself built wrongly; bytes from a peer go
+    /// through [`VarValue::from_record`], which refuses instead.
     pub fn validated(self) -> LocalBlock {
-        assert_eq!(self.global_shape.len(), self.offset.len(), "rank mismatch");
-        assert_eq!(self.global_shape.len(), self.count.len(), "rank mismatch");
-        let elems: u64 = self.count.iter().product();
-        assert_eq!(elems as usize, self.data.len(), "data length != count product");
-        for d in 0..self.global_shape.len() {
-            assert!(
-                self.offset[d] + self.count[d] <= self.global_shape[d],
-                "block exceeds global shape in dim {d}"
-            );
+        if let Some(what) = self.shape_error() {
+            panic!("{what}");
         }
         self
     }
@@ -527,7 +543,8 @@ impl VarValue {
         }
     }
 
-    /// Decode from an FFS record.
+    /// Decode from an FFS record; `None` for a record that is not a
+    /// variable or whose block shape contradicts itself.
     pub fn from_record(r: &Record) -> Option<VarValue> {
         match r.get_u64("kind")? {
             0 => {
@@ -549,15 +566,15 @@ impl VarValue {
                 if data.data_type() != expected {
                     return None;
                 }
-                Some(VarValue::Block(
-                    LocalBlock {
-                        global_shape: r.get_u64_array("shape")?.to_vec(),
-                        offset: r.get_u64_array("offset")?.to_vec(),
-                        count: r.get_u64_array("count")?.to_vec(),
-                        data,
-                    }
-                    .validated(),
-                ))
+                let block = LocalBlock {
+                    global_shape: r.get_u64_array("shape")?.to_vec(),
+                    offset: r.get_u64_array("offset")?.to_vec(),
+                    count: r.get_u64_array("count")?.to_vec(),
+                    data,
+                };
+                // What a record claims about its shape is checked, never
+                // asserted: the record may be a peer's bytes.
+                block.shape_error().is_none().then_some(VarValue::Block(block))
             }
             _ => None,
         }
@@ -645,6 +662,25 @@ mod tests {
             data: ArrayData::F64(vec![0.0; 2]),
         }
         .validated();
+    }
+
+    #[test]
+    fn record_with_a_contradictory_shape_is_refused_not_asserted() {
+        // The fields a chunk body carries are a peer's claims.
+        let tamper = |key: &str, value: Vec<u64>| {
+            let mut r = VarValue::Block(block()).to_record();
+            r.set(key, FieldValue::U64Array(value));
+            VarValue::from_record(&r)
+        };
+        assert!(tamper("count", vec![2, 3]).is_some(), "the untampered shape decodes");
+        assert_eq!(tamper("count", vec![2, 4]), None, "product != data length");
+        assert_eq!(tamper("count", vec![6]), None, "rank disagreement");
+        assert_eq!(tamper("offset", vec![3, 0]), None, "offset + count > shape");
+        assert_eq!(tamper("shape", vec![4, 2]), None);
+        // Overflow is a mismatch, not a wrap-around that agrees: (2^63 + 3)
+        // * 2 wraps to the 6 elements there are, u64::MAX + 2 to 1.
+        assert_eq!(tamper("count", vec![(1 << 63) + 3, 2]), None);
+        assert_eq!(tamper("offset", vec![u64::MAX, 0]), None);
     }
 
     #[test]

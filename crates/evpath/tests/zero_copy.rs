@@ -9,7 +9,7 @@
 //! aliases the receive buffer rather than a private copy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use evpath::{FieldValue, Record};
@@ -19,15 +19,26 @@ use evpath::{FieldValue, Record};
 /// any hidden payload-sized `Vec` shows up as a nonzero count.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
-static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+// Per-thread, so the sibling tests' 64 KiB arrays (allocated on other
+// threads of this binary) are not counted against the armed one:
+// (armed threshold, allocations at or above it).
+thread_local! {
+    static THRESHOLD: Cell<usize> = const { Cell::new(usize::MAX) };
+    static LARGE_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = THRESHOLD.try_with(|t| {
+        if size >= t.get() {
+            let _ = LARGE_ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) && layout.size() >= THRESHOLD.load(Ordering::Relaxed) {
-            LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note(layout.size());
         System.alloc(layout)
     }
 
@@ -36,9 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) && new_size >= THRESHOLD.load(Ordering::Relaxed) {
-            LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,15 +55,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Run `f` with the allocation counter armed at `threshold` bytes and
-/// return how many allocations at or above it happened inside.
+/// Run `f` with this thread's allocation counter armed at `threshold`
+/// bytes and return how many allocations at or above it happened inside.
 fn count_large_allocs<R>(threshold: usize, f: impl FnOnce() -> R) -> (usize, R) {
-    THRESHOLD.store(threshold, Ordering::SeqCst);
-    LARGE_ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    LARGE_ALLOCS.set(0);
+    THRESHOLD.set(threshold);
     let out = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (LARGE_ALLOCS.load(Ordering::SeqCst), out)
+    THRESHOLD.set(usize::MAX);
+    (LARGE_ALLOCS.get(), out)
 }
 
 #[test]

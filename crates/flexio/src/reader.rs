@@ -12,6 +12,17 @@
 //! step, receiving and conditioning its chunks, serving `read`. The wire
 //! form of every message it sends or parses is [`crate::protocol`]'s; the
 //! channels to its coordinator and to the writer program are `side.rs`'s.
+//!
+//! The step-2 exchange is a *post*, not a rendezvous: this side's
+//! `reader_info` depends on nothing the writer sends, so the coordinator
+//! sends it the moment its content is fixed — after the subscription
+//! gather on entry to `begin_step` (first step, every `NO_CACHING` step),
+//! and from `end_step(s)` for step `s+1` under `CACHING_LOCAL`, where
+//! subscriptions are frozen — and only then waits for the writer's `step`
+//! and `writer_info`. A `CACHING_LOCAL` writer therefore runs exactly one
+//! step ahead: it moves step `s+1` while this program is still between
+//! `end_step(s)` and `begin_step(s+1)` (its analytics), and cannot finish
+//! `s+2` before `end_step(s+1)` posts again.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -182,7 +193,12 @@ impl StreamReader {
 
     /// Install or migrate a Data Conditioning plug-in. Reader-side
     /// creation (paper §II.F): only the analytics coordinator (rank 0)
-    /// drives deployment; placement updates take effect within one step.
+    /// drives deployment. Installed before `begin_step(s+1)`, it conditions
+    /// every chunk from step `s+1` on, exactly once: on this side at first
+    /// (a writer-side placement through its fallback copy, for chunks that
+    /// arrive without the `dc_applied` marker), and in the writer from step
+    /// `s+2` at the latest — `s+3` under `CACHING_LOCAL`, whose writer may
+    /// already be one step ahead when the update leaves.
     pub fn install_plugin(&mut self, spec: PluginSpec) {
         assert_eq!(self.rank, 0, "plug-ins are deployed from the reader coordinator");
         self.coord.all_plugins.retain(|p| p.var != spec.var);
@@ -283,13 +299,28 @@ impl StreamReader {
         Ok(StepStatus::Step(step))
     }
 
+    /// Step 2, reader half (coordinator only): send the next exchanging
+    /// step's `reader_info`. Nothing in it depends on what the writer sends
+    /// — each side computes the plan itself — so its two callers post it
+    /// the moment its content is fixed (module docs) and the writer
+    /// coordinator finds it waiting.
+    fn post_reader_info(&mut self) {
+        // The plug-in registry rides the first exchange only; later
+        // changes travel as `plugin_update`s on the control path.
+        let plugins = (self.steps_read == 0 && !self.coord.all_plugins.is_empty())
+            .then_some(&self.coord.all_plugins[..]);
+        self.side.ctrl_send(&protocol::reader_info(&self.coord.cached_sels, plugins));
+        self.link.counters.bump(&self.link.counters.exchange_msgs);
+    }
+
     /// Coordinator/rank step negotiation; returns the step index, or
     /// `None` for end-of-stream.
     async fn coordinate_begin(&mut self) -> Result<Option<u64>, StreamError> {
         let first = self.steps_read == 0;
         let need_sub_gather = first || self.hints.caching == CachingLevel::NoCaching;
         let need_exchange = first || self.hints.caching != CachingLevel::CachingAll;
-        let (link, counters, nranks) = (&self.link, &self.link.counters, self.nranks);
+        let link = Arc::clone(&self.link);
+        let (counters, nranks) = (&link.counters, self.nranks);
 
         if self.rank != 0 {
             if need_sub_gather {
@@ -324,13 +355,44 @@ impl StreamReader {
         let participants = || (1..committed).filter(|&r| !(elastic && link.is_evicted(r)));
         let roster = self.elastic.as_ref().map(|r| (r.generation(), r.active().clamp(1, nranks)));
 
-        let mut plugin_dirty = std::mem::take(&mut self.plugins_dirty);
-        let coord = &mut self.coord;
+        let plugin_dirty = std::mem::take(&mut self.plugins_dirty);
         // Ship dynamic plug-in updates ahead of the step (after the first
         // exchange they travel on the dedicated control path).
         if plugin_dirty && !first {
-            self.side.ctrl_send(&protocol::plugin_update(&coord.all_plugins));
+            self.side.ctrl_send(&protocol::plugin_update(&self.coord.all_plugins));
             counters.bump(&counters.plugin_msgs);
+        }
+
+        // Gather this side's subscriptions — a rank outside the committed
+        // roster (or gone for good) contributes nothing — and with them
+        // fixed, post step 2's reader half before any wait on the writer.
+        // (Where nothing is gathered, the selections are the cached ones:
+        // `CACHING_LOCAL`'s previous `end_step` has posted already, and
+        // `CACHING_ALL` does not exchange.)
+        if need_sub_gather {
+            let sels = &mut self.coord.cached_sels;
+            sels[1..].iter_mut().for_each(Vec::clear);
+            sels[0] = self.subscriptions.clone();
+            let each = |r: usize, m: Result<_, _>| match m {
+                Ok(m) => {
+                    sels[r] = protocol::parse_subs(&m)?;
+                    Ok(())
+                }
+                // An elastic member that never showed up (e.g. a
+                // freshly-activated rank killed before its first
+                // step): evict and re-plan around it instead of
+                // failing the coupling.
+                Err(StreamError::Timeout) if elastic => {
+                    if link.evict_reader(r) {
+                        counters.bump(&counters.evictions);
+                    }
+                    counters.bump(&counters.degraded_steps);
+                    Ok(())
+                }
+                Err(e) => Err(e),
+            };
+            self.side.gather(participants(), msg::SUBS, each).await?;
+            self.post_reader_info();
         }
 
         // Step header (or EOS) from the writer coordinator. Under
@@ -357,44 +419,13 @@ impl StreamReader {
             )));
         }
 
+        // Step 2, the writer's half: its distributions against the posted
+        // selections give the plan (the writer computes the same one).
         let mut full_plan = None;
         if need_exchange {
             let info = self.side.ctrl_recv(&[msg::WRITER_INFO]).await?;
             let writer_dists = protocol::parse_writer_info(&info)?;
-
-            // Gather this side's subscriptions. A rank outside the
-            // committed roster (or gone for good) contributes nothing.
-            if need_sub_gather {
-                let sels = &mut coord.cached_sels;
-                sels[1..].iter_mut().for_each(Vec::clear);
-                sels[0] = self.subscriptions.clone();
-                let each = |r: usize, m: Result<_, _>| match m {
-                    Ok(m) => {
-                        sels[r] = protocol::parse_subs(&m)?;
-                        Ok(())
-                    }
-                    // An elastic member that never showed up (e.g. a
-                    // freshly-activated rank killed before its first
-                    // step): evict and re-plan around it instead of
-                    // failing the coupling.
-                    Err(StreamError::Timeout) if elastic => {
-                        if link.evict_reader(r) {
-                            counters.bump(&counters.evictions);
-                        }
-                        counters.bump(&counters.degraded_steps);
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                };
-                self.side.gather(participants(), msg::SUBS, each).await?;
-            }
-            // Reply with selections (and, on the first step, plug-ins).
-            let plugins =
-                (first && !coord.all_plugins.is_empty()).then_some(&coord.all_plugins[..]);
-            plugin_dirty |= plugins.is_some();
-            self.side.ctrl_send(&protocol::reader_info(&coord.cached_sels, plugins));
-            counters.bump(&counters.exchange_msgs);
-            full_plan = Some(redistribute::plan(&writer_dists, &coord.cached_sels));
+            full_plan = Some(redistribute::plan(&writer_dists, &self.coord.cached_sels));
         }
 
         // Distribute the plan: reader rank r's column is plan[w][r] over w.
@@ -404,6 +435,7 @@ impl StreamReader {
         // Under elastic membership the plug-in registry rides every `go`:
         // a rank activated mid-run must not miss specs that were only
         // broadcast before it joined.
+        let coord = &self.coord;
         let plugins = (plugin_dirty || (elastic && !coord.all_plugins.is_empty()))
             .then(|| coord.all_plugins.clone());
         let class = if full_plan.is_some() { &counters.bcast_msgs } else { &counters.step_msgs };
@@ -533,6 +565,13 @@ impl ReadEngine for StreamReader {
         assert!(self.current_step.take().is_some(), "end_step without begin_step");
         self.store.clear();
         self.wire_conditioned.clear();
+        // `CACHING_LOCAL` freezes the subscriptions after step one, so the
+        // next step's `reader_info` is fixed here: the writer moves step
+        // s+1 while this program is between steps, and waits for
+        // `end_step(s+1)` before it can finish s+2.
+        if self.rank == 0 && self.hints.caching == CachingLevel::CachingLocal {
+            self.post_reader_info();
+        }
     }
 
     fn close(&mut self) {

@@ -6,7 +6,11 @@
 //!    writer coordinator (skipped under `CACHING_LOCAL`/`CACHING_ALL`
 //!    after the first step);
 //! 2. the coordinator exchanges distributions/selections with the reader
-//!    coordinator (skipped under `CACHING_ALL` after the first step);
+//!    coordinator (skipped under `CACHING_ALL` after the first step) — the
+//!    reader's half is posted as soon as its content is fixed, not sent in
+//!    reply (see `reader.rs`): under `CACHING_LOCAL` the wait for it here
+//!    ends when the reader program has *ended* the previous step, not when
+//!    it has begun this one;
 //! 3. the coordinator broadcasts the computed transfer plan to its ranks
 //!    (skipped when the cached plan is unchanged);
 //! 4. every rank extracts and sends its overlapping chunks directly to
@@ -265,6 +269,7 @@ impl StreamWriter {
             self.side.ctrl_send(&protocol::writer_info(&coord.cached_dists));
             counters.bump(&counters.exchange_msgs);
 
+            // Usually already waiting: the reader posts it unprompted.
             let reply = self.side.ctrl_recv(&[msg::READER_INFO]).await?;
             let (sels, plugins) = protocol::parse_reader_info(&reply)?;
             if let Some(specs) = plugins {

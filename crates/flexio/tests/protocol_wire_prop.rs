@@ -262,6 +262,35 @@ proptest! {
         prop_assert_eq!(parsed.as_ref(), Ok(&chunks));
     }
 
+    /// A chunk body's `shape` / `offset` / `count` are the sender's claims
+    /// about its data: a body (or an extra) in which they contradict each
+    /// other or the data length is refused — also when the product or the
+    /// sum only agrees after wrapping around `u64` — never asserted on.
+    #[test]
+    fn chunks_with_contradictory_block_shapes_are_refused(
+        values in vec(0u32..100, 0..7),
+        dims in vec(vec(prop_oneof![0u64..8, Just(u64::MAX), any::<u64>()], 0..3), 3),
+        in_extras in any::<bool>(),
+    ) {
+        let [shape, offset, count] = <[Vec<u64>; 3]>::try_from(dims.clone()).expect("three lists");
+        // The oracle works in u128, where two u64 factors cannot wrap.
+        let wide = |v: u64| v as u128;
+        let consistent = shape.len() == offset.len()
+            && shape.len() == count.len()
+            && count.iter().map(|&c| wide(c)).product::<u128>() == values.len() as u128
+            && (0..shape.len()).all(|d| wide(offset[d]) + wide(count[d]) <= wide(shape[d]));
+        prop_assume!(!consistent);
+        let data = ArrayData::F64(values.iter().map(|&v| f64::from(v)).collect());
+        let bad = VarValue::Block(LocalBlock { global_shape: shape, offset, count, data });
+        let record = if in_extras {
+            let body = VarValue::Scalar(ScalarValue::U64(1)).to_record();
+            protocol::chunk(3, 0, "v", body, &[("extra".to_string(), bad)])
+        } else {
+            protocol::chunk(3, 0, "v", bad.to_record(), &[])
+        };
+        prop_assert!(protocol::parse_chunk(&wired(&record)).is_err(), "accepted {record:?}");
+    }
+
     /// Cut the ffs bytes anywhere: no record comes out, or one every
     /// parser survives.
     #[test]

@@ -225,12 +225,16 @@ fn caching_levels_cut_handshake_traffic() {
     // know the final begin_step will hit EOS, so it eagerly re-sends its
     // subscriptions once more.
     assert_eq!(g_no, STEPS * 3 + 1, "gathers: {g_no}");
-    // Exchange happens twice per step (writer_info + reader_info).
-    assert_eq!(e_no, STEPS * 2);
+    // Exchange happens twice per step (writer_info + reader_info), plus
+    // one for the same reason: reader_info is posted as soon as its content
+    // is fixed — on entry to begin_step here — and the reader coordinator
+    // cannot know that begin_step will hit EOS.
+    assert_eq!(e_no, STEPS * 2 + 1);
 
     // CACHING_LOCAL: gather only on the first step, exchange still per step.
     assert_eq!(g_lo, 3, "local caching skips step 1 after warmup: {g_lo}");
-    assert_eq!(e_lo, STEPS * 2);
+    // The trailing post leaves from the last end_step instead.
+    assert_eq!(e_lo, STEPS * 2 + 1);
 
     // CACHING_ALL: the whole handshake happens exactly once.
     assert_eq!(g_all, 3);

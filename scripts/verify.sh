@@ -52,6 +52,11 @@ fi
 if grep -n "use crate::writer" crates/flexio/src/reader.rs; then
     echo "reader.rs imports from writer.rs"; exit 1
 fi
+# The step-2 exchange is a post: reader.rs sends reader_info from one
+# place (post_reader_info), so the reply-style send cannot come back
+# beside it.
+posts=$(grep -c "protocol::reader_info(" crates/flexio/src/reader.rs || true)
+[ "$posts" -eq 1 ] || { echo "reader.rs sends reader_info from $posts places (must be 1)"; exit 1; }
 stray=$(grep -rl "event_from_name" crates/ | grep -vx "crates/flexio/src/monitor.rs" \
     | xargs -r grep -L "MonitorEvent::event_from_name" || true)
 defs=$(grep -rn "fn event_from_name" crates/ | grep -v "^crates/flexio/src/monitor.rs:" || true)
