@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use adios::{
     ArrayData, BoxSel, LocalBlock, ReadEngine, Selection, StepStatus, VarValue, WriteEngine,
 };
-use flexio::elastic::{ElasticConfig, ElasticController, ElasticHandle, ElasticRoster};
+use flexio::elastic::{ElasticConfig, ElasticController, ElasticRoster};
 use flexio::redistribute::split_box;
 use flexio::{
     CachingLevel, FleetRuntime, FlexIo, ManagerPolicy, MonitorEvent, MonitorRelay, MonitorSink,
@@ -364,13 +364,12 @@ fn main() {
         MonitorSink::for_stream(io.directory().as_ref(), "elastic-bench", Duration::from_secs(5))
             .expect("sink attaches");
     let fleet = FleetRuntime::new(&laptop(), 2);
-    let sink_task = fleet.spawn_monitor_sink(sink, Duration::from_millis(1));
-    let sink_handle =
-        sink_task.typed::<flexio::relay::SinkTaskHandle>().expect("monitor_sink downcast").clone();
     let controller =
-        ElasticController::new(elastic_cfg(), sink_handle.monitor().clone(), Arc::clone(&roster));
-    let elastic_task = fleet.spawn_elastic(controller);
-    let elastic_handle = elastic_task.typed::<ElasticHandle>().expect("elastic downcast").clone();
+        ElasticController::new(elastic_cfg(), sink.monitor().clone(), Arc::clone(&roster));
+    let (sink_handle, sink_task) = sink.into_task(Duration::from_millis(1));
+    fleet.spawn(sink_task);
+    let (elastic_handle, elastic_task) = controller.into_task();
+    fleet.spawn(elastic_task);
 
     // --- phase loop: wait for each phase's steps to be delivered, then
     // hold the writer while the controller converges on that phase's
@@ -422,9 +421,9 @@ fn main() {
     writer.join().expect("writer group");
     let mut by_rank = reader.join().expect("reader group");
     let elapsed_s = start.elapsed().as_secs_f64();
-    sink_task.stop();
+    sink_handle.stop();
     fleet.join();
-    assert!(elastic_task.is_done(), "roster close ends the controller loop");
+    assert!(elastic_handle.is_done(), "roster close ends the controller loop");
 
     // --- gates.
     let (coord_steps, evictions, degraded) = by_rank.remove(0);
@@ -443,13 +442,9 @@ fn main() {
         roster.migrations()
     );
     assert!(roster.activations() >= 4 && roster.retirements() >= 2, "two scale-out/in cycles");
-    assert_eq!(sink_handle.corrupt_frames(), 0);
-    assert!(sink_handle.absorbed() >= 2 * total_steps, "sink drained every relayed sample");
-    assert_eq!(
-        elastic_task.counter("migrations"),
-        Some(roster.migrations()),
-        "unified counters mirror the roster"
-    );
+    let sink_stats = sink_handle.latest().expect("sink drained at least once");
+    assert_eq!(sink_stats.corrupt_frames, 0);
+    assert!(sink_stats.absorbed >= 2 * total_steps, "sink drained every relayed sample");
     let expected: Vec<usize> = PHASES.iter().map(|p| p.readers).collect();
     let converged: Vec<usize> = phase_out.iter().map(|p| p.readers).collect();
     assert_eq!(converged, expected, "per-phase reader convergence");
@@ -458,7 +453,7 @@ fn main() {
         "elastic: {total_steps} steps, readers {converged:?}, {} migrations, \
          {} decisions, {member_steps} member steps",
         roster.migrations(),
-        elastic_handle.decisions(),
+        elastic_handle.rounds(),
     );
 
     let mut rep = bench::report::Report::new("elastic")
@@ -467,7 +462,7 @@ fn main() {
         .u64("migrations", roster.migrations())
         .u64("activations", roster.activations())
         .u64("retirements", roster.retirements())
-        .u64("decisions", elastic_handle.decisions())
+        .u64("decisions", elastic_handle.rounds())
         .u64("member_steps", member_steps as u64)
         .f64("elapsed_s", elapsed_s, 6);
     for (phase, out) in PHASES.iter().zip(&phase_out) {

@@ -232,6 +232,11 @@ pub fn connect_retry(addr: &str, budget: Duration) -> io::Result<SockStream> {
 
 static UDS_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// The `n`-th Unix-socket listener path of this process.
+fn uds_path(n: u64) -> PathBuf {
+    std::env::temp_dir().join(format!("flexio-uds-{}-{n}.sock", std::process::id()))
+}
+
 enum ListenerInner {
     Tcp(TcpListener),
     Uds(UnixListener, PathBuf),
@@ -258,12 +263,10 @@ impl SocketListener {
                 Ok(SocketListener { inner: ListenerInner::Tcp(l), addr })
             }
             SocketKind::Uds => {
-                let n = UDS_COUNTER.fetch_add(1, Ordering::Relaxed);
-                let path = std::env::temp_dir().join(format!(
-                    "flexio-uds-{}-{}.sock",
-                    std::process::id(),
-                    n
-                ));
+                let path = uds_path(UDS_COUNTER.fetch_add(1, Ordering::Relaxed));
+                // Only a killed process whose pid this one recycled can
+                // have left a file here: `n` is never reused in-process.
+                let _ = std::fs::remove_file(&path);
                 let l = UnixListener::bind(&path)?;
                 let addr = format!("uds:{}", path.display());
                 Ok(SocketListener { inner: ListenerInner::Uds(l, path), addr })
@@ -846,5 +849,23 @@ mod tests {
         }
         let h = encode_frame_header(MAX_FRAME_LEN);
         assert_eq!(decode_frame_header(&h, MAX_FRAME_LEN - 1), Err("frame length exceeds cap"));
+    }
+
+    #[test]
+    fn uds_bind_replaces_a_stale_file_at_its_path() {
+        // A killed process with this pid left files at the next paths
+        // (planted over a range: parallel tests also bind UDS listeners).
+        let next = UDS_COUNTER.load(Ordering::Relaxed);
+        let planted: Vec<PathBuf> = (next..next + 64).map(uds_path).collect();
+        for p in &planted {
+            std::fs::write(p, b"stale").unwrap();
+        }
+        let l = SocketListener::bind(SocketKind::Uds).expect("bind over a stale file");
+        let ListenerInner::Uds(_, path) = &l.inner else { unreachable!() };
+        assert!(planted.contains(path), "bound {path:?}, outside the planted range");
+        drop(l);
+        for p in &planted {
+            let _ = std::fs::remove_file(p);
+        }
     }
 }

@@ -32,6 +32,10 @@
 //! controller's placement request is applied by the coordinator at the
 //! next step boundary, and the reader's fallback copies keep
 //! conditioning exactly-once across the handover.
+//!
+//! The controller runs as the control plane's periodic loop
+//! ([`ElasticController::into_task`], see [`crate::task`]) beside the
+//! monitor-sink drain that feeds its replica.
 
 use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -44,6 +48,7 @@ use placement::{allocate_sync, AnalyticsScaling};
 use crate::manager::{ManagerPolicy, PlacementManager};
 use crate::monitor::{MonitorEvent, PerfMonitor};
 use crate::plugins::PluginPlacement;
+use crate::task::{periodic, PeriodicHandle};
 
 /// One config for the whole elastic control plane: the controller's
 /// cadence and bounds, the scaling model the allocation formula reads,
@@ -321,9 +326,10 @@ pub struct ElasticController {
 }
 
 impl ElasticController {
-    /// Build over the live monitor `replica` (e.g.
-    /// `SinkTaskHandle::monitor().clone()` — the sink keeps draining
-    /// into it while the controller reads) and the shared roster.
+    /// Build over the live monitor `replica` (e.g. a
+    /// `MonitorSink::monitor().clone()` taken before the sink's
+    /// `into_task` — the sink keeps draining into it while the controller
+    /// reads) and the shared roster.
     pub fn new(
         cfg: ElasticConfig,
         replica: PerfMonitor,
@@ -376,13 +382,10 @@ impl ElasticController {
         // wire pressure; the low-water mark pulls back reader-side once
         // the traffic no longer pays for stealing simulation cycles.
         let rec = self.manager.decide(&self.replica, WRITER_COORD);
-        let series = self.replica.bytes_per_step(MonitorEvent::DataSend, WRITER_COORD);
-        let tail = &series[series.len().saturating_sub(window)..];
-        let wire = if tail.is_empty() {
-            0.0
-        } else {
-            tail.iter().map(|&(_, b)| b as f64).sum::<f64>() / tail.len() as f64
-        };
+        let wire = PlacementManager::recent_mean(
+            &self.replica.bytes_per_step(MonitorEvent::DataSend, WRITER_COORD),
+            window,
+        );
         let placement = if (wire as u64) < self.cfg.low_wire_bytes {
             PluginPlacement::ReaderSide
         } else {
@@ -396,98 +399,21 @@ impl ElasticController {
         ElasticDecision { target_readers: target, interval_s, lag, placement, reason: rec.reason }
     }
 
-    /// Convert into a periodic decision loop for the fleet (the same
-    /// `(handle, future)` shape as every other control task). The loop
-    /// ends when the roster closes, the monitored coupling's relay dies
-    /// upstream (the replica simply stops changing — harmless), or the
-    /// handle's `stop`.
-    pub fn into_task(mut self) -> (ElasticHandle, impl Future<Output = ()> + Send) {
-        let handle = ElasticHandle {
-            roster: Arc::clone(&self.roster),
-            latest: Arc::new(Mutex::new(None)),
-            decisions: Arc::new(AtomicU64::new(0)),
-            stop: Arc::new(AtomicBool::new(false)),
-            done: Arc::new(AtomicBool::new(false)),
-        };
-        let (latest, decisions, stop, done) = (
-            Arc::clone(&handle.latest),
-            Arc::clone(&handle.decisions),
-            Arc::clone(&handle.stop),
-            Arc::clone(&handle.done),
-        );
-        let interval = self.cfg.interval;
-        let task = async move {
-            while !stop.load(Ordering::Acquire) && !self.roster.is_closed() {
-                let d = self.decide_once();
-                *latest.lock() = Some(d);
-                decisions.fetch_add(1, Ordering::Relaxed);
-                flexio_reactor::sleep(interval).await;
+    /// Convert into the control plane's periodic decision loop
+    /// ([`crate::task`]), one [`Self::decide_once`] per `cfg.interval`,
+    /// each [`ElasticDecision`] published through the handle. It ends on
+    /// its own once the roster closes (the coupling is over); a relay
+    /// that dies upstream only stops the replica changing, which is
+    /// harmless.
+    pub fn into_task(
+        mut self,
+    ) -> (PeriodicHandle<ElasticDecision>, impl Future<Output = ()> + Send) {
+        periodic(self.cfg.interval, move || {
+            if self.roster.is_closed() {
+                return (None, true);
             }
-            done.store(true, Ordering::Release);
-        };
-        (handle, task)
-    }
-}
-
-/// Observer/controller for a fleet-spawned [`ElasticController`]
-/// decision loop. Cloning shares the underlying state.
-#[derive(Clone)]
-pub struct ElasticHandle {
-    roster: Arc<ElasticRoster>,
-    latest: Arc<Mutex<Option<ElasticDecision>>>,
-    decisions: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    done: Arc<AtomicBool>,
-}
-
-impl ElasticHandle {
-    /// The most recent decision, if a round has run.
-    pub fn latest(&self) -> Option<ElasticDecision> {
-        self.latest.lock().clone()
-    }
-
-    /// Decision rounds completed so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions.load(Ordering::Relaxed)
-    }
-
-    /// The roster the controller writes (shared with the reader side).
-    pub fn roster(&self) -> &Arc<ElasticRoster> {
-        &self.roster
-    }
-
-    /// Ask the loop to exit after its current round.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-}
-
-impl crate::task::ControlTask for ElasticHandle {
-    fn kind(&self) -> &'static str {
-        "elastic"
-    }
-
-    fn stop(&self) {
-        ElasticHandle::stop(self);
-    }
-
-    fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("decisions", self.decisions()),
-            ("target_readers", self.roster.active() as u64),
-            ("activations", self.roster.activations()),
-            ("retirements", self.roster.retirements()),
-            ("migrations", self.roster.migrations()),
-            ("steps_delivered", self.roster.steps_delivered()),
-        ]
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+            (Some(self.decide_once()), false)
+        })
     }
 }
 

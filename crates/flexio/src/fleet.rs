@@ -20,25 +20,19 @@
 //!   producer-local placement (§III.B.3) when the producer is the lone
 //!   endpoint.
 //!
-//! The control-plane pollers ride the same fleet:
-//! [`FleetRuntime::spawn_monitor_sink`] and
-//! [`FleetRuntime::spawn_manager`] turn the relay drain and the
-//! placement decision loop into reactor tasks, so a staging node runs
-//! entirely on its fleet cores.
+//! Everything a staging node runs is a fleet task, spawned through
+//! [`FleetRuntime::spawn`] or [`FleetRuntime::spawn_for`]: each service's
+//! `into_task` returns a `(handle, future)` pair, the future goes to the
+//! fleet and the caller keeps the typed handle. The control plane's
+//! periodic loops (monitor-sink drain, placement manager, elastic
+//! controller; see [`crate::task`]) and the step-driven query and
+//! reader-group tasks all ride the fleet cores this way.
 
 use std::future::Future;
-use std::sync::Arc;
-use std::time::Duration;
 
 use flexio_reactor::{FleetHandle, FleetTopology, ReactorFleet, ShardSnapshot};
 use machine::{CoreLocation, MachineModel};
 use shm::BufferPool;
-
-use crate::directory::DirectoryService;
-use crate::elastic::ElasticController;
-use crate::manager::PlacementManager;
-use crate::relay::MonitorSink;
-use crate::task::TaskHandle;
 
 /// Per-shard pool reclamation threshold: the same 64 MiB default as a
 /// private channel pool, but shared by every channel the shard owns.
@@ -126,69 +120,6 @@ impl FleetRuntime {
         self.fleet.spawn_in_domain(domain, fut);
     }
 
-    /// Run a pub/sub reader group's delivery loop as a fleet task placed
-    /// near `endpoints` (see [`Self::spawn_for`]) — fan-out consumers
-    /// land next to the data they drain. Returns the observer handle.
-    pub fn spawn_reader_group(
-        &self,
-        group: crate::pubsub::ReaderGroup,
-        endpoints: &[CoreLocation],
-    ) -> crate::pubsub::GroupTaskHandle {
-        let (handle, task) = group.into_task();
-        self.spawn_for(endpoints, task);
-        handle
-    }
-
-    /// Fold a query session into the fleet: the residual plan runs as a
-    /// reactor task placed near its endpoints (see
-    /// [`crate::query::QuerySession::into_task`]). Like every
-    /// `spawn_*`, returns the unified [`TaskHandle`]; recover the typed
-    /// observer with `handle.typed::<QueryHandle>()`.
-    pub fn spawn_query(
-        &self,
-        session: crate::query::QuerySession,
-        endpoints: &[CoreLocation],
-    ) -> TaskHandle {
-        let (handle, task) = session.into_task();
-        self.spawn_for(endpoints, task);
-        TaskHandle::new(handle)
-    }
-
-    /// Fold a monitor-relay drain into the fleet: the sink becomes a
-    /// periodic reactor task (see [`MonitorSink::into_task`]). Recover
-    /// the typed observer (live replica) with
-    /// `handle.typed::<SinkTaskHandle>()`.
-    pub fn spawn_monitor_sink(&self, sink: MonitorSink, interval: Duration) -> TaskHandle {
-        let (handle, task) = sink.into_task(interval);
-        self.fleet.spawn(task);
-        TaskHandle::new(handle)
-    }
-
-    /// Fold a placement-manager decision loop into the fleet (see
-    /// [`PlacementManager::into_task`]). Recover the typed observer
-    /// (latest recommendation) with `handle.typed::<ManagerTaskHandle>()`.
-    pub fn spawn_manager(
-        &self,
-        manager: PlacementManager,
-        directory: Arc<dyn DirectoryService>,
-        stream: impl Into<String>,
-        rank: usize,
-        interval: Duration,
-    ) -> TaskHandle {
-        let (handle, task) = manager.into_task(directory, stream.into(), rank, interval);
-        self.fleet.spawn(task);
-        TaskHandle::new(handle)
-    }
-
-    /// Fold an elastic controller's decision loop into the fleet (see
-    /// [`ElasticController::into_task`]). Recover the typed observer
-    /// (roster, latest decision) with `handle.typed::<ElasticHandle>()`.
-    pub fn spawn_elastic(&self, controller: ElasticController) -> TaskHandle {
-        let (handle, task) = controller.into_task();
-        self.fleet.spawn(task);
-        TaskHandle::new(handle)
-    }
-
     /// Stats of every shard's pinned pool, in shard order:
     /// `(shard, numa_domain, stats)`.
     pub fn pool_stats(&self) -> Vec<(usize, usize, shm::PoolStats)> {
@@ -236,6 +167,7 @@ mod tests {
     #[test]
     fn workers_see_their_shard_pool() {
         use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
         let rt = FleetRuntime::new(&laptop(), 4);
         let expect = rt.handle().topology().clone();
         let checked = Arc::new(AtomicUsize::new(0));

@@ -43,7 +43,9 @@
 //!   memory (§II.G); [`manager`] — the online decision loop that turns
 //!   monitoring data into dynamic plug-in placement (§II.G/§IV);
 //!   [`relay`] — the stone-graph relay that ships monitoring samples from
-//!   the simulation side to the analytics side online.
+//!   the simulation side to the analytics side online; [`task`] — the one
+//!   periodic loop the sink drain, the manager and the elastic controller
+//!   run on.
 //! * [`pubsub`] — pub/sub fan-out with durable replay: one writer stream
 //!   feeds N independent reader groups through a bounded replay ring with
 //!   per-group QoS/backpressure and BP-spilled retention, so late joiners
@@ -85,8 +87,7 @@ pub use directory::{
     ShardedDirectory, WireContact,
 };
 pub use elastic::{
-    ElasticConfig, ElasticConfigBuilder, ElasticController, ElasticDecision, ElasticHandle,
-    ElasticRoster,
+    ElasticConfig, ElasticConfigBuilder, ElasticController, ElasticDecision, ElasticRoster,
 };
 pub use fleet::FleetRuntime;
 pub use hints::{HintKey, Runtime, StreamHints, StreamHintsBuilder, Transport};
@@ -105,5 +106,5 @@ pub use pubsub::{
 pub use query::{QueryConfig, QueryCounters, QuerySession};
 pub use reader::StreamReader;
 pub use relay::{MonitorRelay, MonitorSink};
-pub use task::{ControlTask, TaskHandle};
+pub use task::PeriodicHandle;
 pub use writer::StreamWriter;

@@ -15,17 +15,18 @@
 //!   before the transport, shrink traffic);
 //! * heavy plug-in cost relative to the simulation's budget ⇒ **reader
 //!   side** (don't steal simulation cycles).
+//!
+//! On a staging node the decision loop runs as the control plane's
+//! periodic loop ([`PlacementManager::into_task`], see [`crate::task`]).
 
 use std::future::Future;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::directory::{DirectoryError, DirectoryService};
 use crate::monitor::{MonitorEvent, PerfMonitor};
 use crate::plugins::PluginPlacement;
+use crate::task::{periodic, PeriodicHandle};
 
 /// Tunables of the decision policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,7 +89,7 @@ impl PlacementManager {
     }
 
     /// Mean of the last `window` values of a per-step series.
-    fn recent_mean(series: &[(u64, u64)], window: usize) -> f64 {
+    pub(crate) fn recent_mean(series: &[(u64, u64)], window: usize) -> f64 {
         if series.is_empty() {
             return 0.0;
         }
@@ -155,101 +156,27 @@ impl PlacementManager {
         Ok(self.decide(&link.monitor, rank))
     }
 
-    /// Convert the manager into a periodic decision loop for a reactor
-    /// (the staging node's placement poller folded into the fleet). The
-    /// task re-decides stream `name`'s placement every `interval` from
-    /// the live link's monitor, publishing each recommendation through
-    /// the handle. It ends on its own once a stream it has seen becomes
-    /// unregistered (the coupling is gone), or early via the handle's
-    /// `stop`.
+    /// Convert the manager into the control plane's periodic decision
+    /// loop ([`crate::task`]): every `interval` it re-decides stream
+    /// `name`'s placement from the live link's monitor and publishes the
+    /// [`Recommendation`]. It ends on its own once a stream it has seen
+    /// is unregistered: the coupling is gone and won't come back under
+    /// the same registration.
     pub fn into_task(
         mut self,
         directory: Arc<dyn DirectoryService>,
         name: String,
         rank: usize,
         interval: Duration,
-    ) -> (ManagerTaskHandle, impl Future<Output = ()> + Send) {
-        let handle = ManagerTaskHandle {
-            latest: Arc::new(Mutex::new(None)),
-            decisions: Arc::new(AtomicU64::new(0)),
-            stop: Arc::new(AtomicBool::new(false)),
-            done: Arc::new(AtomicBool::new(false)),
-        };
-        let (latest, decisions, stop, done) = (
-            Arc::clone(&handle.latest),
-            Arc::clone(&handle.decisions),
-            Arc::clone(&handle.stop),
-            Arc::clone(&handle.done),
-        );
-        let task = async move {
-            let mut seen = false;
-            while !stop.load(Ordering::Acquire) {
-                match directory.try_lookup(&name) {
-                    Some(link) => {
-                        seen = true;
-                        let rec = self.decide(&link.monitor, rank);
-                        *latest.lock() = Some(rec);
-                        decisions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // A stream that was up and is now gone won't come
-                    // back under the same registration; stop polling.
-                    None if seen => break,
-                    None => {}
-                }
-                flexio_reactor::sleep(interval).await;
+    ) -> (PeriodicHandle<Recommendation>, impl Future<Output = ()> + Send) {
+        let mut seen = false;
+        periodic(interval, move || match directory.try_lookup(&name) {
+            Some(link) => {
+                seen = true;
+                (Some(self.decide(&link.monitor, rank)), false)
             }
-            done.store(true, Ordering::Release);
-        };
-        (handle, task)
-    }
-}
-
-/// Observer/controller for a fleet-spawned [`PlacementManager::into_task`]
-/// decision loop. Cloning shares the underlying state.
-#[derive(Clone)]
-pub struct ManagerTaskHandle {
-    latest: Arc<Mutex<Option<Recommendation>>>,
-    decisions: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    done: Arc<AtomicBool>,
-}
-
-impl ManagerTaskHandle {
-    /// The most recent recommendation, if any decision has run yet.
-    pub fn latest(&self) -> Option<Recommendation> {
-        self.latest.lock().clone()
-    }
-
-    /// Decision rounds completed so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions.load(Ordering::Relaxed)
-    }
-
-    /// Ask the task to exit after its current round.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-}
-
-impl crate::task::ControlTask for ManagerTaskHandle {
-    fn kind(&self) -> &'static str {
-        "manager"
-    }
-
-    fn stop(&self) {
-        ManagerTaskHandle::stop(self);
-    }
-
-    fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![("decisions", self.decisions())]
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+            None => (None, seen),
+        })
     }
 }
 

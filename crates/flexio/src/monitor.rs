@@ -20,9 +20,9 @@ use parking_lot::Mutex;
 /// Non-exhaustive: new measurement points are added as the middleware
 /// grows (most recently [`MonitorEvent::StepSeal`] for the elastic
 /// controller), and downstream consumers must tolerate variants they do
-/// not know. Relay sinks forward records with unrecognised event names
-/// into the named-aggregate table (see [`PerfMonitor::record_named`])
-/// instead of dropping them.
+/// not know. A relay sink skips a record whose event name its build does
+/// not know, like any other malformed record (relay and sink are always
+/// the same build).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MonitorEvent {
@@ -121,10 +121,6 @@ const DEFAULT_SAMPLE_CAPACITY: usize = 100_000;
 struct Inner {
     samples: std::collections::VecDeque<Sample>,
     aggregates: [Aggregate; MonitorEvent::ALL.len()],
-    /// Aggregates for event names this build does not know — a newer
-    /// relay publishing through an older sink. Never dropped, so the
-    /// counters survive a version skew and can be inspected by name.
-    named: Vec<(String, Aggregate)>,
     epoch: Option<Instant>,
 }
 
@@ -152,37 +148,6 @@ impl PerfMonitor {
             inner.samples.pop_front();
         }
         inner.samples.push_back(Sample { event, step, rank, bytes, nanos });
-    }
-
-    /// Record one event under a raw name — the forward-compatibility
-    /// path a relay sink takes when a record arrives with an event name
-    /// this build has no [`MonitorEvent`] variant for. The counters land
-    /// in a by-name aggregate table instead of being dropped.
-    pub fn record_named(&self, name: &str, bytes: u64, nanos: u64) {
-        let mut inner = self.inner.lock();
-        inner.epoch.get_or_insert_with(Instant::now);
-        let idx = match inner.named.iter().position(|(n, _)| n == name) {
-            Some(i) => i,
-            None => {
-                inner.named.push((name.to_string(), Aggregate::default()));
-                inner.named.len() - 1
-            }
-        };
-        let agg = &mut inner.named[idx].1;
-        agg.count += 1;
-        agg.bytes += bytes;
-        agg.nanos += nanos;
-    }
-
-    /// Aggregate `(count, bytes, nanos)` for a by-name event recorded via
-    /// [`PerfMonitor::record_named`]; `None` if the name was never seen.
-    pub fn named(&self, name: &str) -> Option<(u64, u64, u64)> {
-        self.inner
-            .lock()
-            .named
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, a)| (a.count, a.bytes, a.nanos))
     }
 
     /// Time a closure and record it.
@@ -315,17 +280,6 @@ mod tests {
         // Every variant is in the table: one more would have the next
         // discriminant, which `StepSeal` (the last declared) pins.
         assert_eq!(MonitorEvent::StepSeal.index() + 1, MonitorEvent::ALL.len());
-    }
-
-    #[test]
-    fn named_aggregates_absorb_unknown_events() {
-        let m = PerfMonitor::new();
-        m.record_named("gpu_kernel", 100, 5);
-        m.record_named("gpu_kernel", 200, 7);
-        m.record_named("rdma_poll", 0, 1);
-        assert_eq!(m.named("gpu_kernel"), Some((2, 300, 12)));
-        assert_eq!(m.named("rdma_poll"), Some((1, 0, 1)));
-        assert_eq!(m.named("never_seen"), None);
     }
 
     #[test]

@@ -191,8 +191,8 @@ impl ReaderGroup {
     /// Convert into a delivery task: a `Send` future that drains the
     /// stream to end-of-stream (committing after every step) plus a
     /// handle exposing the per-step digests, completion flag and any
-    /// error — the unit [`crate::FleetRuntime::spawn_reader_group`]
-    /// places near the consuming analytics.
+    /// error — the unit [`crate::FleetRuntime::spawn_for`] places near
+    /// the consuming analytics.
     pub fn into_task(mut self) -> (GroupTaskHandle, impl std::future::Future<Output = ()> + Send) {
         let state = Arc::new(TaskState {
             steps: Mutex::new(Vec::new()),

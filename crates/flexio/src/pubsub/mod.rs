@@ -35,8 +35,8 @@
 //! `pubsub:<stream>#<group>` carrying its counters, so any backend
 //! (in-proc, sharded, gossip-replicated) serves pub/sub discovery
 //! unchanged. Delivery runs as reactor/fleet tasks via
-//! [`ReaderGroup::into_task`] and
-//! [`crate::FleetRuntime::spawn_reader_group`], with
+//! [`ReaderGroup::into_task`] (a fleet places the future with
+//! [`crate::FleetRuntime::spawn_for`]), with
 //! [`crate::MonitorEvent::PubSubDeliver`]/[`crate::MonitorEvent::PubSubSpill`]
 //! measurement points feeding the §II.G monitor.
 

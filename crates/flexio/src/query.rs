@@ -15,9 +15,9 @@
 //! Execution is available three ways, mirroring the rest of the stack:
 //! blocking ([`QuerySession::step`] / [`QuerySession::run_to_end`]),
 //! reactor ([`QuerySession::step_rt`]), and as a spawnable task
-//! ([`QuerySession::into_task`], fleet-placed via
-//! [`crate::fleet::FleetRuntime::spawn_query`]) — the same
-//! `(handle, future)` shape as `ReaderGroup::into_task`.
+//! ([`QuerySession::into_task`], fleet-placed with
+//! `fleet.spawn_for(&endpoints, task)`) — the same `(handle, future)`
+//! shape as `ReaderGroup::into_task`.
 //!
 //! With [`QueryConfig::oracle`] set every step is also fed to the naive
 //! row-at-a-time evaluator and the final outputs must digest
@@ -387,33 +387,5 @@ impl QueryHandle {
     /// next boundary and finalizes its output.
     pub fn stop(&self) {
         self.state.stop.store(true, Ordering::Release);
-    }
-}
-
-impl crate::task::ControlTask for QueryHandle {
-    fn kind(&self) -> &'static str {
-        "query"
-    }
-
-    fn stop(&self) {
-        QueryHandle::stop(self);
-    }
-
-    fn is_done(&self) -> bool {
-        QueryHandle::is_done(self)
-    }
-
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        let (rows_in, rows_out, pushed, saved) = self.state.counters.snapshot();
-        vec![
-            ("rows_in", rows_in),
-            ("rows_out", rows_out),
-            ("bytes_pushed_down", pushed),
-            ("bytes_saved", saved),
-        ]
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }

@@ -12,10 +12,11 @@
 //! — and the analytics side decodes the arriving records into a
 //! [`PerfMonitor`] replica it can hand to the
 //! [`crate::manager::PlacementManager`]. The filter keeps the relay off
-//! the critical path: only every `stride`-th event crosses.
+//! the critical path: only every `stride`-th event crosses. On a staging
+//! node the drain runs as the control plane's periodic loop
+//! ([`MonitorSink::into_task`], see [`crate::task`]).
 
 use std::future::Future;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,6 +25,7 @@ use evpath::{BoxedReceiver, BoxedSender, EvGraph, FieldValue, Record, RecvPoll, 
 use crate::directory::{DirectoryError, DirectoryService};
 use crate::link::ChannelId;
 use crate::monitor::{MonitorEvent, PerfMonitor};
+use crate::task::{periodic, PeriodicHandle};
 
 /// The sending (simulation-side) half of the relay: a stone graph that
 /// samples, annotates and ships monitoring records.
@@ -68,17 +70,9 @@ impl MonitorRelay {
 
     /// Submit one monitoring sample into the relay.
     pub fn publish(&mut self, event: MonitorEvent, step: u64, rank: usize, bytes: u64, nanos: u64) {
-        self.publish_named(event.name(), step, rank, bytes, nanos);
-    }
-
-    /// Submit a sample under a raw event name. This is how a newer
-    /// producer ships an event class an older sink has no
-    /// [`MonitorEvent`] variant for — the sink forwards it into its
-    /// replica's named-aggregate table rather than dropping it.
-    pub fn publish_named(&mut self, name: &str, step: u64, rank: usize, bytes: u64, nanos: u64) {
         let record = Record::new()
             .with("seq", FieldValue::U64(self.sent))
-            .with("event", FieldValue::Str(name.to_string()))
+            .with("event", FieldValue::Str(event.name().to_string()))
             .with("step", FieldValue::U64(step))
             .with("rank", FieldValue::U64(rank as u64))
             .with("bytes", FieldValue::U64(bytes))
@@ -163,28 +157,16 @@ impl MonitorSink {
                 }
             };
             let Ok(r) = Record::decode(&bytes) else { continue };
-            let Some(name) = r.get_str("event") else { continue };
-            match MonitorEvent::event_from_name(name) {
-                Some(event) => {
-                    let (Some(step), Some(rank), Some(payload), Some(nanos)) = (
-                        r.get_u64("step"),
-                        r.get_u64("rank"),
-                        r.get_u64("bytes"),
-                        r.get_u64("nanos"),
-                    ) else {
-                        continue;
-                    };
-                    self.replica.record(event, step, rank as usize, payload, nanos);
-                }
-                // An event class this build does not know — a newer
-                // producer on the other end. Forward the counters into
-                // the by-name table instead of silently dropping them.
-                None => {
-                    let payload = r.get_u64("bytes").unwrap_or(0);
-                    let nanos = r.get_u64("nanos").unwrap_or(0);
-                    self.replica.record_named(name, payload, nanos);
-                }
-            }
+            let (Some(event), Some(step), Some(rank), Some(payload), Some(nanos)) = (
+                r.get_str("event").and_then(MonitorEvent::event_from_name),
+                r.get_u64("step"),
+                r.get_u64("rank"),
+                r.get_u64("bytes"),
+                r.get_u64("nanos"),
+            ) else {
+                continue;
+            };
+            self.replica.record(event, step, rank as usize, payload, nanos);
             absorbed += 1;
         }
         absorbed
@@ -208,114 +190,34 @@ impl MonitorSink {
         &self.replica
     }
 
-    /// Convert the sink into a periodic drain task for a reactor (one of
-    /// the staging node's ad-hoc pollers folded into the fleet). The
-    /// task drains every `interval`, ends on its own when the producing
-    /// side goes away, and can be ended early through the handle's
-    /// `stop`. The handle shares the live [`PerfMonitor`] replica, so a
-    /// manager can read it while the task runs.
+    /// Convert the sink into the control plane's periodic drain loop
+    /// ([`crate::task`]): it drains every `interval`, publishes the
+    /// running [`SinkStats`], and ends on its own once the producing side
+    /// is gone. Clone [`Self::monitor`] first to read the replica while
+    /// the task drains into it.
     pub fn into_task(
         mut self,
         interval: Duration,
-    ) -> (SinkTaskHandle, impl Future<Output = ()> + Send) {
-        let handle = SinkTaskHandle {
-            absorbed: Arc::new(AtomicU64::new(0)),
-            corrupt: Arc::new(AtomicU64::new(0)),
-            closed: Arc::new(AtomicBool::new(false)),
-            stop: Arc::new(AtomicBool::new(false)),
-            done: Arc::new(AtomicBool::new(false)),
-            replica: self.replica.clone(),
-        };
-        let (absorbed, corrupt, closed, stop, done) = (
-            Arc::clone(&handle.absorbed),
-            Arc::clone(&handle.corrupt),
-            Arc::clone(&handle.closed),
-            Arc::clone(&handle.stop),
-            Arc::clone(&handle.done),
-        );
-        let task = async move {
-            while !stop.load(Ordering::Acquire) {
-                let n = self.drain();
-                if n > 0 {
-                    absorbed.fetch_add(n as u64, Ordering::Relaxed);
-                    flexio_reactor::note_progress();
-                }
-                corrupt.store(self.corrupt_frames, Ordering::Relaxed);
-                if self.peer_closed() {
-                    closed.store(true, Ordering::Release);
-                    break;
-                }
-                flexio_reactor::sleep(interval).await;
+    ) -> (PeriodicHandle<SinkStats>, impl Future<Output = ()> + Send) {
+        let mut absorbed = 0;
+        periodic(interval, move || {
+            let n = self.drain() as u64;
+            if n > 0 {
+                absorbed += n;
+                flexio_reactor::note_progress();
             }
-            done.store(true, Ordering::Release);
-        };
-        (handle, task)
+            (Some(SinkStats { absorbed, corrupt_frames: self.corrupt_frames }), self.closed)
+        })
     }
 }
 
-/// Observer/controller for a fleet-spawned [`MonitorSink::into_task`]
-/// drain loop. Cloning shares the underlying state.
-#[derive(Clone)]
-pub struct SinkTaskHandle {
-    absorbed: Arc<AtomicU64>,
-    corrupt: Arc<AtomicU64>,
-    closed: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
-    done: Arc<AtomicBool>,
-    replica: PerfMonitor,
-}
-
-impl SinkTaskHandle {
+/// What a [`MonitorSink::into_task`] round publishes: running totals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SinkStats {
     /// Samples absorbed into the replica so far.
-    pub fn absorbed(&self) -> u64 {
-        self.absorbed.load(Ordering::Relaxed)
-    }
-
+    pub absorbed: u64,
     /// Damaged frames skipped so far.
-    pub fn corrupt_frames(&self) -> u64 {
-        self.corrupt.load(Ordering::Relaxed)
-    }
-
-    /// Whether the task saw the producing side gone (and exited).
-    pub fn peer_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
-    /// The live monitor replica (shared with the running task).
-    pub fn monitor(&self) -> &PerfMonitor {
-        &self.replica
-    }
-
-    /// Ask the task to exit after its current drain.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-}
-
-impl crate::task::ControlTask for SinkTaskHandle {
-    fn kind(&self) -> &'static str {
-        "monitor_sink"
-    }
-
-    fn stop(&self) {
-        SinkTaskHandle::stop(self);
-    }
-
-    fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("absorbed", self.absorbed()),
-            ("corrupt_frames", self.corrupt_frames()),
-            ("peer_closed", u64::from(self.peer_closed())),
-        ]
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
+    pub corrupt_frames: u64,
 }
 
 #[cfg(test)]
@@ -368,14 +270,13 @@ mod tests {
     }
 
     #[test]
-    fn garbage_is_ignored_but_unknown_events_are_forwarded() {
+    fn garbage_is_ignored_and_unknown_events_are_skipped() {
         let (mut tx, rx) = inproc_pair();
-        // Undecodable bytes and event-less records stay ignored…
+        // Undecodable bytes and event-less records are ignored, and so is
+        // a well-formed record with an event name this build does not
+        // know: relay and sink are always the same build.
         tx.send(b"not a record");
         tx.send(&Record::new().with("step", FieldValue::U64(1)).encode());
-        // …but a well-formed record with an event name this build does
-        // not know is forwarded into the named-aggregate table (a newer
-        // producer must not lose counters through an older sink).
         tx.send(
             &Record::new()
                 .with("event", FieldValue::Str("gpu_kernel".into()))
@@ -386,20 +287,7 @@ mod tests {
                 .encode(),
         );
         let mut sink = MonitorSink::new(rx);
-        assert_eq!(sink.drain(), 1);
-        assert_eq!(sink.monitor().named("gpu_kernel"), Some((1, 512, 9)));
-    }
-
-    #[test]
-    fn relay_preserves_unknown_event_names() {
-        let origin = PerfMonitor::new();
-        origin.record_named("gpu_kernel", 64, 5);
-        let (tx, rx) = inproc_pair();
-        let mut relay = MonitorRelay::new(tx, 0, 1);
-        relay.publish_named("gpu_kernel", 0, 0, 64, 5);
-        let mut sink = MonitorSink::new(rx);
-        sink.drain();
-        assert_eq!(sink.monitor().named("gpu_kernel"), origin.named("gpu_kernel"));
+        assert_eq!(sink.drain(), 0);
     }
 
     #[test]

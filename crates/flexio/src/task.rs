@@ -1,167 +1,188 @@
-//! Unified control-plane task handles.
+//! The control plane's one periodic loop (paper §II.G: monitoring
+//! "gathered online and transferred to the analytics side", which uses it
+//! to "decide the placement of DC Plug-ins").
 //!
-//! The staging node grew several spawnable service loops — the monitor
-//! sink drain, the placement manager, streaming queries, and now the
-//! elastic controller — each with its own ad-hoc handle type and its own
-//! spelling of "stop", "are you done", and "show me your counters".
-//! [`ControlTask`] is the one interface they all implement, and
-//! [`TaskHandle`] is the one type every `FleetRuntime::spawn_*` method
-//! returns, so a control plane can manage a heterogeneous set of service
-//! tasks without knowing what each one is.
+//! The monitor-sink drain ([`crate::MonitorSink::into_task`]), the
+//! placement manager ([`crate::PlacementManager::into_task`]) and the
+//! elastic controller ([`crate::ElasticController::into_task`]) are the
+//! same loop over a different round:
 //!
-//! The typed handles still exist underneath ([`TaskHandle::typed`]
-//! recovers them) because each service has observers with no generic
-//! equivalent — the sink's live [`crate::PerfMonitor`] replica, the
-//! manager's latest recommendation, a query's output. The common
-//! lifecycle, though, lives here.
+//! ```text
+//! while !stop { round; if ended break; sleep(interval) }  done = true
+//! ```
+//!
+//! Each `into_task` hands its round to the crate-private `periodic` and
+//! returns the `(handle, future)` pair; the caller spawns the future
+//! (`fleet.spawn(task)`, `reactor.spawn(task)`) and keeps the typed
+//! [`PeriodicHandle`], which shows the latest result a round published.
 
-use std::any::Any;
+use std::future::Future;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use flexio_reactor::Backoff;
+use parking_lot::Mutex;
 
-/// One spawnable control-plane service loop, as seen by the control
-/// plane: it can be asked to stop, observed for completion, and asked
-/// for a snapshot of its progress counters.
-pub trait ControlTask: Send + Sync {
-    /// Short service-class name (`"monitor_sink"`, `"manager"`,
-    /// `"query"`, `"elastic"`) for logs and counter dumps.
-    fn kind(&self) -> &'static str;
-
-    /// Ask the loop to exit at its next boundary. Idempotent; the task
-    /// may also end on its own (peer gone, stream unregistered, EOS).
-    fn stop(&self);
-
-    /// Whether the loop has exited (for any reason).
-    fn is_done(&self) -> bool;
-
-    /// Named progress counters, a consistent-enough snapshot for
-    /// dashboards and assertions.
-    fn counters(&self) -> Vec<(&'static str, u64)>;
-
-    /// Downcast support for [`TaskHandle::typed`].
-    fn as_any(&self) -> &dyn Any;
+struct LoopState<T> {
+    latest: Mutex<Option<T>>,
+    rounds: AtomicU64,
+    stop: AtomicBool,
+    done: AtomicBool,
 }
 
-/// Type-erased handle to a spawned control task. Cloning shares the
-/// underlying task state.
-#[derive(Clone)]
-pub struct TaskHandle {
-    task: Arc<dyn ControlTask>,
+/// Observer/controller for one periodic control loop; `T` is what a round
+/// publishes. Cloning shares the underlying state.
+pub struct PeriodicHandle<T> {
+    state: Arc<LoopState<T>>,
 }
 
-impl TaskHandle {
-    /// Wrap a typed handle. `FleetRuntime::spawn_*` does this for you.
-    pub fn new(task: impl ControlTask + 'static) -> TaskHandle {
-        TaskHandle { task: Arc::new(task) }
+impl<T> Clone for PeriodicHandle<T> {
+    fn clone(&self) -> Self {
+        PeriodicHandle { state: Arc::clone(&self.state) }
+    }
+}
+
+impl<T: Clone> PeriodicHandle<T> {
+    /// What the most recent publishing round observed, if one has run.
+    pub fn latest(&self) -> Option<T> {
+        self.state.latest.lock().clone()
+    }
+}
+
+impl<T> PeriodicHandle<T> {
+    /// Rounds that published a result so far.
+    pub fn rounds(&self) -> u64 {
+        self.state.rounds.load(Ordering::Relaxed)
     }
 
-    /// Service-class name of the underlying task.
-    pub fn kind(&self) -> &'static str {
-        self.task.kind()
-    }
-
-    /// Ask the task to exit at its next boundary.
+    /// Ask the loop to exit after its current round.
     pub fn stop(&self) {
-        self.task.stop();
+        self.state.stop.store(true, Ordering::Release);
     }
 
-    /// Whether the task's loop has exited.
+    /// Whether the loop has exited, on `stop` or on its own condition.
     pub fn is_done(&self) -> bool {
-        self.task.is_done()
-    }
-
-    /// Snapshot of the task's named counters.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.task.counters()
-    }
-
-    /// One named counter, if the task exports it.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.task.counters().iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
-    }
-
-    /// Poll until the task exits or `timeout` elapses; returns whether
-    /// it exited. (Control tasks end at loop boundaries, so polling
-    /// through [`Backoff`] is accurate enough and keeps this
-    /// runtime-agnostic; no wait outlasts the deadline.)
-    pub fn join(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut backoff = Backoff::new();
-        while !self.is_done() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            backoff.snooze_capped(left);
-        }
-        true
-    }
-
-    /// Recover the typed handle for service-specific observers (the
-    /// sink's monitor replica, the manager's recommendation, …).
-    pub fn typed<T: ControlTask + 'static>(&self) -> Option<&T> {
-        self.task.as_any().downcast_ref::<T>()
+        self.state.done.load(Ordering::Acquire)
     }
 }
 
-impl std::fmt::Debug for TaskHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaskHandle")
-            .field("kind", &self.kind())
-            .field("done", &self.is_done())
-            .finish()
-    }
+/// Run `round` every `interval` until the handle's `stop` or until a
+/// round reports the loop ended. A round returns what it observed (`None`
+/// publishes nothing) and whether the loop's own end condition holds.
+pub(crate) fn periodic<T: Send + 'static>(
+    interval: Duration,
+    mut round: impl FnMut() -> (Option<T>, bool) + Send + 'static,
+) -> (PeriodicHandle<T>, impl Future<Output = ()> + Send + 'static) {
+    let state = Arc::new(LoopState {
+        latest: Mutex::new(None),
+        rounds: AtomicU64::new(0),
+        stop: AtomicBool::new(false),
+        done: AtomicBool::new(false),
+    });
+    let handle = PeriodicHandle { state: Arc::clone(&state) };
+    let task = async move {
+        while !state.stop.load(Ordering::Acquire) {
+            let (out, ended) = round();
+            if let Some(out) = out {
+                *state.latest.lock() = Some(out);
+                state.rounds.fetch_add(1, Ordering::Relaxed);
+            }
+            if ended {
+                break;
+            }
+            flexio_reactor::sleep(interval).await;
+        }
+        state.done.store(true, Ordering::Release);
+    };
+    (handle, task)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use crate::directory::{DirectoryService, InProcDirectory};
+    use crate::elastic::{ElasticConfig, ElasticController, ElasticDecision, ElasticRoster};
+    use crate::link::LinkState;
+    use crate::manager::{PlacementManager, Recommendation};
+    use crate::monitor::{MonitorEvent, PerfMonitor};
+    use crate::relay::{MonitorRelay, MonitorSink, SinkStats};
+    use flexio_reactor::Reactor;
 
-    struct Fake {
-        stopped: AtomicBool,
-        ticks: AtomicU64,
+    const TICK: Duration = Duration::from_millis(1);
+
+    struct Loops {
+        relay: MonitorRelay,
+        directory: Arc<dyn DirectoryService>,
+        roster: Arc<ElasticRoster>,
+        sink: PeriodicHandle<SinkStats>,
+        mgr: PeriodicHandle<Recommendation>,
+        ela: PeriodicHandle<ElasticDecision>,
     }
 
-    impl ControlTask for Fake {
-        fn kind(&self) -> &'static str {
-            "fake"
-        }
-        fn stop(&self) {
-            self.stopped.store(true, Ordering::Release);
-        }
-        fn is_done(&self) -> bool {
-            self.stopped.load(Ordering::Acquire)
-        }
-        fn counters(&self) -> Vec<(&'static str, u64)> {
-            vec![("ticks", self.ticks.load(Ordering::Relaxed))]
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
+    /// The three loops on `reactor`, over a live relay (its sender kept
+    /// in `relay`), a registered stream and an open roster.
+    fn three_loops(reactor: &mut Reactor) -> Loops {
+        let (tx, rx) = evpath::inproc_pair();
+        let mut relay = MonitorRelay::new(tx, 0, 1);
+        relay.publish(MonitorEvent::DataSend, 0, 0, 8, 1);
+        let (sink, sink_task) = MonitorSink::new(rx).into_task(TICK);
+
+        let directory: Arc<dyn DirectoryService> = Arc::new(InProcDirectory::new());
+        directory.register("s", LinkState::for_tests()).unwrap();
+        let (mgr, mgr_task) = PlacementManager::builder().build_manager().into_task(
+            Arc::clone(&directory),
+            "s".into(),
+            0,
+            TICK,
+        );
+
+        let roster = Arc::new(ElasticRoster::new(1));
+        let cfg = ElasticConfig::builder().interval(TICK).build();
+        let (ela, ela_task) =
+            ElasticController::new(cfg, PerfMonitor::new(), Arc::clone(&roster)).into_task();
+
+        reactor.spawn(sink_task);
+        reactor.spawn(mgr_task);
+        reactor.spawn(ela_task);
+        Loops { relay, directory, roster, sink, mgr, ela }
     }
 
     #[test]
-    fn handle_erases_and_recovers_the_type() {
-        let h = TaskHandle::new(Fake { stopped: AtomicBool::new(false), ticks: AtomicU64::new(3) });
-        assert_eq!(h.kind(), "fake");
-        assert!(!h.is_done());
-        assert_eq!(h.counter("ticks"), Some(3));
-        assert_eq!(h.counter("nope"), None);
-        let fake: &Fake = h.typed::<Fake>().expect("downcast");
-        fake.ticks.store(9, Ordering::Relaxed);
-        assert_eq!(h.counter("ticks"), Some(9));
-        // A task that never ends: `join` gives up at the timeout. By then
-        // `Backoff` parks ~1 ms at a time, so an uncapped last park (like
-        // the 1 ms sleep steps before it) would overshoot by most of that.
-        let (t0, timeout) = (Instant::now(), Duration::from_micros(2200));
-        assert!(!h.join(timeout));
-        let waited = t0.elapsed();
-        assert!(waited >= timeout, "gave up early: {waited:?}");
-        assert!(waited < timeout + Duration::from_micros(800), "overslept: {waited:?}");
-        h.stop();
-        assert!(h.join(Duration::from_secs(1)), "stop flips is_done in the fake");
+    fn each_loop_ends_on_its_own_condition() {
+        let mut reactor = Reactor::new();
+        let Loops { relay, directory, roster, sink, mgr, ela } = three_loops(&mut reactor);
+        drop(relay);
+        let (m, e) = (mgr.clone(), ela.clone());
+        reactor.spawn(async move {
+            while m.rounds() == 0 || e.rounds() == 0 {
+                flexio_reactor::sleep(TICK).await;
+            }
+            directory.unregister("s");
+            roster.close();
+        });
+        reactor.run();
+        assert!(sink.is_done() && mgr.is_done() && ela.is_done());
+        assert!(sink.rounds() > 0 && mgr.rounds() > 0 && ela.rounds() > 0);
+        assert_eq!(sink.latest(), Some(SinkStats { absorbed: 1, corrupt_frames: 0 }));
+    }
+
+    #[test]
+    fn each_loop_ends_on_stop() {
+        let mut reactor = Reactor::new();
+        let Loops { relay, roster, sink, mgr, ela, .. } = three_loops(&mut reactor);
+        let (s, m, e) = (sink.clone(), mgr.clone(), ela.clone());
+        reactor.spawn(async move {
+            while s.rounds() == 0 || m.rounds() == 0 || e.rounds() == 0 {
+                flexio_reactor::sleep(TICK).await;
+            }
+            s.stop();
+            m.stop();
+            e.stop();
+        });
+        reactor.run();
+        assert!(sink.is_done() && mgr.is_done() && ela.is_done());
+        assert!(sink.rounds() > 0 && mgr.rounds() > 0 && ela.rounds() > 0);
+        assert!(!roster.is_closed(), "stopped, not ended: the roster is still open");
+        drop(relay);
     }
 }

@@ -230,7 +230,9 @@ fn control_plane_rides_the_fleet() {
     link.wait_reader_info(Duration::from_secs(2)).expect("reader attached");
     let sink = MonitorSink::for_stream(io.directory().as_ref(), "mon", Duration::from_secs(2))
         .expect("sink attaches to the registered link");
-    let sink_task = fleet.spawn_monitor_sink(sink, Duration::from_millis(1));
+    let replica = sink.monitor().clone();
+    let (sink_handle, sink_task) = sink.into_task(Duration::from_millis(1));
+    fleet.spawn(sink_task);
     // The manager reads the coupling's live link monitor, where the
     // engines record real per-step wire volume (2 KiB here) — set the
     // threshold below it so the decision loop has something to decide.
@@ -239,53 +241,34 @@ fn control_plane_rides_the_fleet() {
         .policy(policy)
         .initial_placement(PluginPlacement::ReaderSide)
         .build_manager();
-    let mgr_task = fleet.spawn_manager(
-        manager,
-        Arc::clone(io.directory()),
-        "mon",
-        0,
-        Duration::from_millis(1),
-    );
-
-    // Every spawn_* now returns the unified TaskHandle; the typed
-    // observers (live replica, latest recommendation) come back via
-    // downcast when the generic kind/counters surface isn't enough.
-    assert_eq!(sink_task.kind(), "monitor_sink");
-    assert_eq!(mgr_task.kind(), "manager");
-    let sink_handle =
-        sink_task.typed::<flexio::relay::SinkTaskHandle>().expect("monitor_sink downcast").clone();
-    let mgr_handle =
-        mgr_task.typed::<flexio::manager::ManagerTaskHandle>().expect("manager downcast").clone();
+    let (mgr_handle, mgr_task) =
+        manager.into_task(Arc::clone(io.directory()), "mon".into(), 0, Duration::from_millis(1));
+    fleet.spawn(mgr_task);
+    let absorbed = || sink_handle.latest().map_or(0, |s| s.absorbed);
 
     // Wait (off-fleet) until the data plane finished and the control
     // plane observed it, then release the two periodic loops.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let data_done = writer_done.load(Ordering::Relaxed) == 1;
-        let monitored = sink_handle.absorbed() >= STEPS;
-        let decided = mgr_handle.decisions() > 0 && mgr_handle.latest().is_some();
+        let monitored = absorbed() >= STEPS;
+        let decided = mgr_handle.rounds() > 0 && mgr_handle.latest().is_some();
         if data_done && monitored && decided {
             break;
         }
         assert!(Instant::now() < deadline, "control plane never caught up");
         std::thread::sleep(Duration::from_millis(2));
     }
-    sink_task.stop();
-    mgr_task.stop();
+    sink_handle.stop();
+    mgr_handle.stop();
     fleet.join();
-    assert!(sink_task.is_done() && mgr_task.is_done(), "fleet joined ⇒ control tasks finished");
-    assert_eq!(
-        sink_task.counter("absorbed"),
-        Some(sink_handle.absorbed()),
-        "unified counters mirror the typed observer"
-    );
-    assert_eq!(mgr_task.counter("decisions"), Some(mgr_handle.decisions()));
+    assert!(sink_handle.is_done() && mgr_handle.is_done(), "fleet joined ⇒ control tasks finished");
 
     // The sink's shared monitor replica saw the relayed samples, and the
     // manager turned them into a placement decision.
-    assert!(sink_handle.absorbed() >= STEPS, "sink drained every relayed sample");
-    assert_eq!(sink_handle.corrupt_frames(), 0);
-    assert!(sink_handle.monitor().count(flexio::MonitorEvent::DataSend) >= STEPS);
+    assert!(absorbed() >= STEPS, "sink drained every relayed sample");
+    assert_eq!(sink_handle.latest().map(|s| s.corrupt_frames), Some(0));
+    assert!(replica.count(flexio::MonitorEvent::DataSend) >= STEPS);
     let rec = mgr_handle.latest().expect("manager published a recommendation");
     assert_eq!(
         rec.placement,

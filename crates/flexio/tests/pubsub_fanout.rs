@@ -133,7 +133,9 @@ fn run_fleet(stream: &str, plan: Option<&Arc<FaultPlan>>) -> Vec<Vec<(u64, u64)>
             .enumerate()
             .map(|(g, r)| {
                 let core = laptop().node.location_of(g % laptop().node.cores_per_node());
-                fleet.spawn_reader_group(r, &[core])
+                let (handle, task) = r.into_task();
+                fleet.spawn_for(&[core], task);
+                handle
             })
             .collect();
         fleet.join();

@@ -247,9 +247,8 @@ fn oracle_mode_validates_the_vectorized_executor_in_vivo() {
 }
 
 /// The fleet backend: writers are reactor tasks sharded over worker
-/// cores, the query runs as a spawned task via
-/// [`FleetRuntime::spawn_query`]; results must match the blocking
-/// backend bit for bit.
+/// cores, the query runs as a fleet task placed near its reader core;
+/// results must match the blocking backend bit for bit.
 #[test]
 fn fleet_query_task_matches_the_blocking_backend() {
     let reference = run_query(Arc::new(FaultPlan::new(0)), Runtime::Blocking, true, false, false);
@@ -290,16 +289,14 @@ fn fleet_query_task_matches_the_blocking_backend() {
         .expect("open reader");
     let session = QuerySession::attach(reader, WRITERS, test_plan(false), QueryConfig::default())
         .expect("attach query");
-    let task = fleet.spawn_query(session, &[reader_core(0)]);
+    let (handle, task) = session.into_task();
+    fleet.spawn_for(&[reader_core(0)], task);
     fleet.join();
 
-    assert!(task.is_done());
-    assert_eq!(task.kind(), "query");
-    let handle = task.typed::<flexio::query::QueryHandle>().expect("query downcast");
+    assert!(handle.is_done());
     let out = handle.take_output().expect("task finished").expect("query ok");
     assert_eq!(out.digest(), reference.0, "fleet query diverged from the blocking backend");
     let c = handle.counters();
     assert_eq!(c.snapshot().0, reference.1 .0, "fleet query saw a different number of input rows");
-    assert_eq!(task.counter("rows_in"), Some(reference.1 .0), "unified counter mirrors snapshot");
     assert_eq!(handle.steps().len() as u64, STEPS);
 }

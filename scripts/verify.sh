@@ -61,6 +61,22 @@ stray=$(grep -rl "event_from_name" crates/ | grep -vx "crates/flexio/src/monitor
     | xargs -r grep -L "MonitorEvent::event_from_name" || true)
 defs=$(grep -rn "fn event_from_name" crates/ | grep -v "^crates/flexio/src/monitor.rs:" || true)
 [ -z "$stray$defs" ] || { echo "event_from_name outside monitor.rs: $stray $defs"; exit 1; }
+# One control-plane task shape: every `into_task` hands back its typed
+# handle and a future the caller spawns with FleetRuntime::spawn/spawn_for
+# (no type-erased handle to downcast out of, no per-service forwarder),
+# and the sink, manager and elastic loops are task.rs's one periodic loop.
+if grep -rnwE "ControlTask|TaskHandle|as_any" crates/ examples/; then
+    echo "the type-erased control-task layer is back"; exit 1
+fi
+if grep -n "fn spawn_" crates/flexio/src/fleet.rs | grep -v "fn spawn_for"; then
+    echo "FleetRuntime grew a spawn_<tier> forwarder (callers use into_task + spawn/spawn_for)"; exit 1
+fi
+for f in relay manager elastic; do
+    grep -q "periodic(" "crates/flexio/src/$f.rs" || { echo "$f.rs: into_task off the shared loop"; exit 1; }
+    if grep -n "flexio_reactor::sleep" "crates/flexio/src/$f.rs"; then
+        echo "$f.rs hand-rolls a periodic loop (use task::periodic)"; exit 1
+    fi
+done
 echo "structure gates ok (bare sleeps: $sleeps)"
 
 echo "== doc references resolve =="
