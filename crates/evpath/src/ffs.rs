@@ -35,6 +35,7 @@
 //! ([`PackedArray::to_f64_vec`] and friends) is the single bulk copy that
 //! hands the data to the application.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use shm::Lease;
@@ -458,6 +459,33 @@ impl<'a> EncodedRecord<'a> {
     }
 }
 
+/// Where one walk of the wire layout goes: the flat buffer of
+/// [`Record::encode`], the segments of [`Record::encode_segments`] or the
+/// byte count of [`Record::encoded_len`].
+trait Sink<'a> {
+    fn put(&mut self, bytes: &[u8]);
+
+    /// An array payload, which a segment writer may borrow in place.
+    fn put_payload(&mut self, bytes: &'a [u8]) {
+        self.put(bytes);
+    }
+}
+
+impl Sink<'_> for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Counts the bytes a walk would write.
+struct ByteCount(usize);
+
+impl Sink<'_> for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
 /// Accumulates owned metadata runs and flushes them whenever a large
 /// borrowed payload is interleaved.
 struct SegWriter<'a> {
@@ -465,11 +493,7 @@ struct SegWriter<'a> {
     cur: Vec<u8>,
 }
 
-impl<'a> SegWriter<'a> {
-    fn new() -> Self {
-        SegWriter { segments: Vec::new(), cur: Vec::with_capacity(256) }
-    }
-
+impl<'a> Sink<'a> for SegWriter<'a> {
     fn put(&mut self, bytes: &[u8]) {
         self.cur.extend_from_slice(bytes);
     }
@@ -483,13 +507,6 @@ impl<'a> SegWriter<'a> {
         } else {
             self.cur.extend_from_slice(bytes);
         }
-    }
-
-    fn finish(mut self) -> Vec<EncSegment<'a>> {
-        if !self.cur.is_empty() {
-            self.segments.push(EncSegment::Owned(self.cur));
-        }
-        self.segments
     }
 }
 
@@ -616,34 +633,17 @@ impl Record {
 
     /// Exact byte length [`Record::encode`] will produce.
     pub fn encoded_len(&self) -> usize {
-        4 + self.encoded_body_len()
-    }
-
-    fn encoded_body_len(&self) -> usize {
-        let mut n = 4;
-        for (name, value) in &self.fields {
-            n += 2 + name.len() + encoded_value_len(value);
-        }
-        n
+        let mut n = ByteCount(0);
+        self.walk(&mut n);
+        n.0
     }
 
     /// Encode to the self-describing wire format (packed array tags; array
     /// payloads appended with bulk copies).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        self.encode_body(&mut out);
+        self.walk(&mut out);
         out
-    }
-
-    fn encode_body(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.fields.len() as u32).to_le_bytes());
-        for (name, value) in &self.fields {
-            let name_bytes = name.as_bytes();
-            out.extend_from_slice(&(name_bytes.len() as u16).to_le_bytes());
-            out.extend_from_slice(name_bytes);
-            encode_value(value, out);
-        }
     }
 
     /// Encode as scatter-gather segments: metadata accumulates in owned
@@ -651,19 +651,26 @@ impl Record {
     /// borrowed in place. The concatenation of the segments is identical to
     /// [`Record::encode`] output.
     pub fn encode_segments(&self) -> EncodedRecord<'_> {
-        let mut w = SegWriter::new();
-        w.put(&MAGIC.to_le_bytes());
-        self.encode_body_segments(&mut w);
-        EncodedRecord { segments: w.finish() }
+        let mut w = SegWriter { segments: Vec::new(), cur: Vec::with_capacity(256) };
+        self.walk(&mut w);
+        if !w.cur.is_empty() {
+            w.segments.push(EncSegment::Owned(w.cur));
+        }
+        EncodedRecord { segments: w.segments }
     }
 
-    fn encode_body_segments<'a>(&'a self, w: &mut SegWriter<'a>) {
+    /// The one walk of the wire layout (see the module docs).
+    fn walk<'a>(&'a self, w: &mut impl Sink<'a>) {
+        w.put(&MAGIC.to_le_bytes());
+        self.walk_body(w);
+    }
+
+    fn walk_body<'a>(&'a self, w: &mut impl Sink<'a>) {
         w.put(&(self.fields.len() as u32).to_le_bytes());
         for (name, value) in &self.fields {
-            let name_bytes = name.as_bytes();
-            w.put(&(name_bytes.len() as u16).to_le_bytes());
-            w.put(name_bytes);
-            encode_value_segments(value, w);
+            w.put(&(name.len() as u16).to_le_bytes());
+            w.put(name.as_bytes());
+            walk_value(value, w);
         }
     }
 
@@ -697,19 +704,6 @@ impl Record {
     }
 }
 
-fn encoded_value_len(value: &FieldValue) -> usize {
-    match value {
-        FieldValue::I64(_) | FieldValue::U64(_) | FieldValue::F64(_) => 1 + 8,
-        FieldValue::Str(s) => 1 + 8 + s.len(),
-        FieldValue::F64Array(a) => 1 + 8 + a.len() * 8,
-        FieldValue::U64Array(a) => 1 + 8 + a.len() * 8,
-        FieldValue::I64Array(a) => 1 + 8 + a.len() * 8,
-        FieldValue::Bytes(b) => 1 + 8 + b.len(),
-        FieldValue::Record(r) => 1 + r.encoded_body_len(),
-        FieldValue::Packed(p) => 1 + 8 + p.byte_len(),
-    }
-}
-
 fn packed_tag(dtype: PackedDtype) -> u8 {
     match dtype {
         PackedDtype::F64 => TAG_PACKED_F64,
@@ -719,102 +713,38 @@ fn packed_tag(dtype: PackedDtype) -> u8 {
     }
 }
 
-fn encode_value(value: &FieldValue, out: &mut Vec<u8>) {
-    match value {
-        FieldValue::I64(v) => {
-            out.push(TAG_I64);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        FieldValue::U64(v) => {
-            out.push(TAG_U64);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        FieldValue::F64(v) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        FieldValue::Str(s) => {
-            out.push(TAG_STR);
-            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        FieldValue::F64Array(a) => {
-            out.push(TAG_PACKED_F64);
-            out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-            out.extend_from_slice(&le::f64s_as_bytes(a));
-        }
-        FieldValue::U64Array(a) => {
-            out.push(TAG_PACKED_U64);
-            out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-            out.extend_from_slice(&le::u64s_as_bytes(a));
-        }
-        FieldValue::I64Array(a) => {
-            out.push(TAG_PACKED_I64);
-            out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-            out.extend_from_slice(&le::i64s_as_bytes(a));
-        }
-        FieldValue::Bytes(b) => {
-            out.push(TAG_BYTES);
-            out.extend_from_slice(&(b.len() as u64).to_le_bytes());
-            out.extend_from_slice(b);
-        }
-        FieldValue::Record(r) => {
-            out.push(TAG_RECORD);
-            r.encode_body(out);
-        }
-        FieldValue::Packed(p) => {
-            out.push(packed_tag(p.dtype()));
-            out.extend_from_slice(&(p.elem_count() as u64).to_le_bytes());
-            out.extend_from_slice(p.bytes());
-        }
-    }
+/// A type tag and the little-endian word after it: a scalar, or the
+/// element count (byte length) ahead of a payload.
+fn put_tagged<'a>(w: &mut impl Sink<'a>, tag: u8, word: u64) {
+    let mut head = [tag; 9];
+    head[1..].copy_from_slice(&word.to_le_bytes());
+    w.put(&head);
 }
 
-fn encode_value_segments<'a>(value: &'a FieldValue, w: &mut SegWriter<'a>) {
-    match value {
-        FieldValue::F64Array(a) => {
-            w.put(&[TAG_PACKED_F64]);
-            w.put(&(a.len() as u64).to_le_bytes());
-            match le::f64s_as_bytes(a) {
-                std::borrow::Cow::Borrowed(b) => w.put_payload(b),
-                std::borrow::Cow::Owned(o) => w.put(&o),
-            }
-        }
-        FieldValue::U64Array(a) => {
-            w.put(&[TAG_PACKED_U64]);
-            w.put(&(a.len() as u64).to_le_bytes());
-            match le::u64s_as_bytes(a) {
-                std::borrow::Cow::Borrowed(b) => w.put_payload(b),
-                std::borrow::Cow::Owned(o) => w.put(&o),
-            }
-        }
-        FieldValue::I64Array(a) => {
-            w.put(&[TAG_PACKED_I64]);
-            w.put(&(a.len() as u64).to_le_bytes());
-            match le::i64s_as_bytes(a) {
-                std::borrow::Cow::Borrowed(b) => w.put_payload(b),
-                std::borrow::Cow::Owned(o) => w.put(&o),
-            }
-        }
-        FieldValue::Bytes(b) => {
-            w.put(&[TAG_BYTES]);
-            w.put(&(b.len() as u64).to_le_bytes());
-            w.put_payload(b);
-        }
-        FieldValue::Packed(p) => {
-            w.put(&[packed_tag(p.dtype())]);
-            w.put(&(p.elem_count() as u64).to_le_bytes());
-            w.put_payload(p.bytes());
+fn walk_value<'a>(value: &'a FieldValue, w: &mut impl Sink<'a>) {
+    let (tag, count, payload) = match value {
+        FieldValue::I64(v) => return put_tagged(w, TAG_I64, *v as u64),
+        FieldValue::U64(v) => return put_tagged(w, TAG_U64, *v),
+        FieldValue::F64(v) => return put_tagged(w, TAG_F64, v.to_bits()),
+        FieldValue::Str(s) => {
+            // Strings are small: copied into the current run, never borrowed.
+            put_tagged(w, TAG_STR, s.len() as u64);
+            return w.put(s.as_bytes());
         }
         FieldValue::Record(r) => {
             w.put(&[TAG_RECORD]);
-            r.encode_body_segments(w);
+            return r.walk_body(w);
         }
-        scalar => {
-            // Scalars and strings are small; reuse the flat encoder into
-            // the current owned run.
-            encode_value(scalar, &mut w.cur);
-        }
+        FieldValue::F64Array(a) => (TAG_PACKED_F64, a.len(), le::f64s_as_bytes(a)),
+        FieldValue::U64Array(a) => (TAG_PACKED_U64, a.len(), le::u64s_as_bytes(a)),
+        FieldValue::I64Array(a) => (TAG_PACKED_I64, a.len(), le::i64s_as_bytes(a)),
+        FieldValue::Bytes(b) => (TAG_BYTES, b.len(), Cow::Borrowed(&b[..])),
+        FieldValue::Packed(p) => (packed_tag(p.dtype()), p.elem_count(), Cow::Borrowed(p.bytes())),
+    };
+    put_tagged(w, tag, count as u64);
+    match payload {
+        Cow::Borrowed(bytes) => w.put_payload(bytes),
+        Cow::Owned(bytes) => w.put(&bytes),
     }
 }
 

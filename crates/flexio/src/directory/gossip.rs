@@ -32,6 +32,7 @@ use evpath::{BoxedReceiver, BoxedSender, FaultPlan, RecvPoll};
 use parking_lot::Mutex;
 
 use crate::link::LinkState;
+use crate::task::{periodic, LoopHandle};
 
 use super::shard::{ShardedDirectory, VersionedEntry};
 use super::DirectoryError;
@@ -218,19 +219,15 @@ impl<C: Contact> DirectoryNode<C> {
         Ok(self.store.unregister_local(name).is_some())
     }
 
-    /// The node's serve loop as a reactor task: one anti-entropy round
-    /// every `interval` until the node dies or `stop` is raised.
+    /// The node's serve loop, [`crate::task`]'s periodic loop: one
+    /// anti-entropy round every `interval` until the node dies or the
+    /// handle's `stop`.
     pub(crate) fn serve_task(
         self: &Arc<Self>,
         interval: Duration,
-        stop: Arc<AtomicBool>,
-    ) -> impl Future<Output = ()> + Send + 'static {
+    ) -> (LoopHandle<()>, impl Future<Output = ()> + Send + 'static) {
         let node = Arc::clone(self);
-        async move {
-            while !stop.load(Ordering::Acquire) && node.gossip_round() {
-                flexio_reactor::sleep(interval).await;
-            }
-        }
+        periodic(interval, move || (None, !node.gossip_round()))
     }
 
     /// One anti-entropy round: drain peer frames into the store, then

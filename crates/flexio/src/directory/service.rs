@@ -1,25 +1,25 @@
 //! The replicated directory service: cluster assembly, the per-node
-//! gossip/serve loop (a reactor task), and the failover-capable client
-//! handle.
+//! gossip/serve loop ([`crate::task`]'s periodic loop), and the
+//! failover-capable client handle.
 //!
-//! The serve loop is deliberately a plain `Future`: a staging node spawns
-//! one [`DirectoryCluster::serve_task`] per local directory node onto the
-//! same single-threaded `flexio_reactor::Reactor` that already drives its
-//! stream couplings, so the whole control plane shares one core. For
-//! deployments without their own reactor, [`DirectoryCluster::spawn_driver`]
-//! runs the loops on a private reactor thread that lives exactly as long
-//! as the returned handle.
+//! A staging node spawns one [`DirectoryCluster::serve_task`] future per
+//! local directory node onto the same single-threaded
+//! `flexio_reactor::Reactor` that already drives its stream couplings, so
+//! the whole control plane shares one core, and keeps the handle that
+//! stops it. For deployments without their own reactor,
+//! [`DirectoryCluster::spawn_driver`] runs the loops on a private reactor
+//! thread that lives exactly as long as the returned handle.
 
 use std::future::Future;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use evpath::{inproc_pair, FaultPlan};
 use flexio_reactor::block_inline;
-use parking_lot::Mutex;
 
 use crate::link::{poll_until, LinkState};
+use crate::task::LoopHandle;
 
 use super::gossip::DirectoryNode;
 use super::{DirectoryError, DirectoryService};
@@ -30,7 +30,6 @@ use super::{DirectoryError, DirectoryService};
 pub struct DirectoryCluster {
     nodes: Vec<Arc<DirectoryNode>>,
     interval: Duration,
-    shutdown: Arc<AtomicBool>,
 }
 
 impl DirectoryCluster {
@@ -66,7 +65,7 @@ impl DirectoryCluster {
                 nodes[b].add_peer_receiver(rx);
             }
         }
-        DirectoryCluster { nodes, interval, shutdown: Arc::new(AtomicBool::new(false)) }
+        DirectoryCluster { nodes, interval }
     }
 
     /// Number of nodes.
@@ -90,24 +89,23 @@ impl DirectoryCluster {
         }
     }
 
-    /// Stop every serve loop (idempotent).
-    pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-    }
-
-    /// The gossip/serve loop of node `i` as a reactor task. Spawn it on
-    /// any `flexio_reactor::Reactor` — e.g. the one already driving a
-    /// staging node's stream couplings — and the node gossips every
-    /// cluster interval until it dies or the cluster shuts down.
-    pub fn serve_task(&self, i: usize) -> impl Future<Output = ()> + Send + 'static {
-        self.nodes[i].serve_task(self.interval, Arc::clone(&self.shutdown))
+    /// The gossip/serve loop of node `i`: spawn the future on any
+    /// `flexio_reactor::Reactor` — e.g. the one already driving a staging
+    /// node's stream couplings — and the node gossips every cluster
+    /// interval until it dies or the handle's `stop`.
+    pub fn serve_task(
+        &self,
+        i: usize,
+    ) -> (LoopHandle<()>, impl Future<Output = ()> + Send + 'static) {
+        self.nodes[i].serve_task(self.interval)
     }
 
     /// Run every node's serve loop on a private reactor thread and
     /// return a handle bound to node 0. The thread (and the gossip) stop
     /// when the last clone of the returned handle drops.
     pub fn spawn_driver(&self) -> ReplicatedDirectory {
-        let tasks: Vec<_> = (0..self.nodes.len()).map(|i| self.serve_task(i)).collect();
+        let (loops, tasks): (Vec<_>, Vec<_>) =
+            (0..self.nodes.len()).map(|i| self.serve_task(i)).unzip();
         let thread = std::thread::Builder::new()
             .name("flexio-directory".into())
             .spawn(move || {
@@ -119,23 +117,22 @@ impl DirectoryCluster {
             })
             .expect("spawn directory driver thread");
         let mut handle = self.handle(0);
-        handle._driver =
-            Some(Arc::new(DriverGuard { cluster: self.clone(), thread: Mutex::new(Some(thread)) }));
+        handle._driver = Some(Arc::new(DriverGuard { loops, thread: Some(thread) }));
         handle
     }
 }
 
-/// Keeps the driver thread alive while any handle clone exists; shuts the
-/// cluster down and joins the thread when the last one drops.
+/// Keeps the driver thread alive while any handle clone exists; stops
+/// the serve loops and joins the thread when the last one drops.
 struct DriverGuard {
-    cluster: DirectoryCluster,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    loops: Vec<LoopHandle<()>>,
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Drop for DriverGuard {
     fn drop(&mut self) {
-        self.cluster.shutdown();
-        if let Some(t) = self.thread.lock().take() {
+        self.loops.iter().for_each(LoopHandle::stop);
+        if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }

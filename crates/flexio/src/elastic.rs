@@ -48,7 +48,7 @@ use placement::{allocate_sync, AnalyticsScaling};
 use crate::manager::{ManagerPolicy, PlacementManager};
 use crate::monitor::{MonitorEvent, PerfMonitor};
 use crate::plugins::PluginPlacement;
-use crate::task::{periodic, PeriodicHandle};
+use crate::task::{periodic, LoopHandle};
 
 /// One config for the whole elastic control plane: the controller's
 /// cadence and bounds, the scaling model the allocation formula reads,
@@ -405,9 +405,7 @@ impl ElasticController {
     /// its own once the roster closes (the coupling is over); a relay
     /// that dies upstream only stops the replica changing, which is
     /// harmless.
-    pub fn into_task(
-        mut self,
-    ) -> (PeriodicHandle<ElasticDecision>, impl Future<Output = ()> + Send) {
+    pub fn into_task(mut self) -> (LoopHandle<ElasticDecision>, impl Future<Output = ()> + Send) {
         periodic(self.cfg.interval, move || {
             if self.roster.is_closed() {
                 return (None, true);

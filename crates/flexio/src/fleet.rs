@@ -23,10 +23,11 @@
 //! Everything a staging node runs is a fleet task, spawned through
 //! [`FleetRuntime::spawn`] or [`FleetRuntime::spawn_for`]: each service's
 //! `into_task` returns a `(handle, future)` pair, the future goes to the
-//! fleet and the caller keeps the typed handle. The control plane's
-//! periodic loops (monitor-sink drain, placement manager, elastic
-//! controller; see [`crate::task`]) and the step-driven query and
-//! reader-group tasks all ride the fleet cores this way.
+//! fleet and the caller keeps the [`crate::task::LoopHandle`]. The
+//! control plane's periodic loops (monitor-sink drain, placement manager,
+//! elastic controller, directory gossip) and the step-driven query and
+//! reader-group loops are one loop ([`crate::task`]) and ride the fleet
+//! cores this way.
 
 use std::future::Future;
 

@@ -44,8 +44,9 @@
 //!   monitoring data into dynamic plug-in placement (§II.G/§IV);
 //!   [`relay`] — the stone-graph relay that ships monitoring samples from
 //!   the simulation side to the analytics side online; [`task`] — the one
-//!   periodic loop the sink drain, the manager and the elastic controller
-//!   run on.
+//!   loop every background service runs on, periodic (sink drain,
+//!   manager, elastic controller, directory gossip) or step-driven
+//!   (queries, reader groups).
 //! * [`pubsub`] — pub/sub fan-out with durable replay: one writer stream
 //!   feeds N independent reader groups through a bounded replay ring with
 //!   per-group QoS/backpressure and BP-spilled retention, so late joiners
@@ -100,11 +101,11 @@ pub use procnet::{
 };
 pub use protocol::{CachingLevel, ProtocolCounters, WriteMode};
 pub use pubsub::{
-    step_digest, Fetch, GroupCounters, GroupTaskHandle, PubSubConfig, PubSubCounters, Qos,
-    ReaderGroup, SealedStep, SpillStore, SpillTail, StepPublisher, StreamLog,
+    step_digest, Fetch, GroupCounters, PubSubConfig, PubSubCounters, Qos, ReaderGroup, SealedStep,
+    SpillStore, SpillTail, StepPublisher, StreamLog,
 };
 pub use query::{QueryConfig, QueryCounters, QuerySession};
 pub use reader::StreamReader;
 pub use relay::{MonitorRelay, MonitorSink};
-pub use task::PeriodicHandle;
+pub use task::LoopHandle;
 pub use writer::StreamWriter;

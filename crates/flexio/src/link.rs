@@ -361,66 +361,69 @@ impl LinkState {
 
 /// Receive a [`Record`] with the timeout-and-retry resiliency scheme
 /// (§II.H: "the current version uses simple timeout-and-retry schemes to
-/// cope with errors and failures during data movement").
-///
-/// Attempt `i` waits `hints.recv_timeout × 2^min(i, 3)` — exponential
-/// backoff so a transiently slow peer (delay faults, long simulation
-/// phases) is given progressively more slack before the stream is
-/// declared dead. Every attempt after the first bumps
+/// cope with errors and failures during data movement"), on `retry_rt`'s
+/// schedule; every attempt after the first bumps
 /// [`ProtocolCounters::retries`].
-///
-/// The waits between polls go through [`flexio_reactor::Pacing`]: inside
-/// a reactor they yield to the event loop, so one core can hold many of
-/// these receives open at once; on a plain thread they spin briefly,
-/// then yield, then park in bounded sleeps, so a reader blocked across a
-/// long simulation phase does not burn the very helper core the
-/// placement gave it.
 pub async fn recv_record_rt(
     rx: &mut BoxedReceiver,
     hints: &StreamHints,
     counters: &ProtocolCounters,
 ) -> Result<Record, StreamError> {
-    for attempt in 0..=hints.retries {
-        if attempt > 0 {
-            counters.bump(&counters.retries);
+    let probe = || match rx.poll_lease() {
+        // Decoded against the receive buffer itself (on shm, the pool
+        // slot): large array payloads come back as zero-copy views that
+        // keep `bytes` leased for as long as they live.
+        evpath::RecvPoll::Msg(bytes) => {
+            Some(Record::decode_leased(bytes).map_err(|e| StreamError::Corrupt(e.to_string())))
         }
-        let timeout = hints.recv_timeout * (1u32 << attempt.min(3));
-        let deadline = Instant::now() + timeout;
-        let mut pacing = flexio_reactor::Pacing::new();
-        loop {
-            match rx.poll_lease() {
-                // Decoded against the receive buffer itself (on shm, the
-                // pool slot): large array payloads come back as zero-copy
-                // views that keep `bytes` leased for as long as they live.
-                evpath::RecvPoll::Msg(bytes) => {
-                    return Record::decode_leased(bytes)
-                        .map_err(|e| StreamError::Corrupt(e.to_string()))
-                }
-                evpath::RecvPoll::Corrupt(reason) => {
-                    // A consumed-but-invalid frame is a definite event,
-                    // not a reason to retry until the budget runs out.
-                    counters.bump(&counters.corrupt_frames);
-                    return Err(StreamError::Corrupt(format!("transport frame: {reason}")));
-                }
-                evpath::RecvPoll::Closed => {
-                    // The peer endpoint is gone and the queue is drained:
-                    // no amount of waiting produces another message, so
-                    // fail the same way an exhausted retry budget would —
-                    // the callers' timeout handling (EOS synthesis, reader
-                    // eviction) is exactly the right degradation — just
-                    // without burning the remaining budget.
-                    counters.bump(&counters.closed_channels);
-                    return Err(StreamError::Timeout);
-                }
-                evpath::RecvPoll::Empty => {}
-            }
-            if Instant::now() >= deadline {
-                break; // retry
-            }
-            pacing.pause(Some(deadline)).await;
+        evpath::RecvPoll::Corrupt(reason) => {
+            // A consumed-but-invalid frame is a definite event, not a
+            // reason to retry until the budget runs out.
+            counters.bump(&counters.corrupt_frames);
+            Some(Err(StreamError::Corrupt(format!("transport frame: {reason}"))))
+        }
+        evpath::RecvPoll::Closed => {
+            // The peer is gone and the queue drained: fail as an exhausted
+            // budget would (the callers' EOS synthesis and reader eviction
+            // are the right degradation), without burning the budget.
+            counters.bump(&counters.closed_channels);
+            Some(Err(StreamError::Timeout))
+        }
+        evpath::RecvPoll::Empty => None,
+    };
+    let retried = || counters.bump(&counters.retries);
+    retry_rt(hints.recv_timeout, hints.retries, retried, probe)
+        .await
+        .unwrap_or(Err(StreamError::Timeout))
+}
+
+/// The timeout-and-retry schedule: attempt `i` polls `probe` until
+/// `recv_timeout × 2^min(i, 3)` has passed — exponential backoff, so a
+/// transiently slow peer (delay faults, long simulation phases) gets
+/// progressively more slack — and `on_retry` runs before every attempt
+/// after the first. `None` once every attempt ran out.
+///
+/// The waits are [`poll_until`]'s [`flexio_reactor::Pacing`]: inside a
+/// reactor they yield to the event loop, so one core holds many receives
+/// open at once; on a plain thread they spin, yield, then park in bounded
+/// sleeps, so a reader blocked across a long simulation phase does not
+/// burn the helper core the placement gave it.
+pub(crate) async fn retry_rt<T>(
+    recv_timeout: Duration,
+    retries: u32,
+    mut on_retry: impl FnMut(),
+    mut probe: impl FnMut() -> Option<T>,
+) -> Option<T> {
+    for attempt in 0..=retries {
+        if attempt > 0 {
+            on_retry();
+        }
+        let deadline = Instant::now() + recv_timeout * (1u32 << attempt.min(3));
+        if let Some(found) = poll_until(deadline, &mut probe).await {
+            return Some(found);
         }
     }
-    Err(StreamError::Timeout)
+    None
 }
 
 /// [`recv_record_rt`] as a blocking call.

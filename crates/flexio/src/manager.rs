@@ -26,7 +26,7 @@ use std::time::Duration;
 use crate::directory::{DirectoryError, DirectoryService};
 use crate::monitor::{MonitorEvent, PerfMonitor};
 use crate::plugins::PluginPlacement;
-use crate::task::{periodic, PeriodicHandle};
+use crate::task::{periodic, LoopHandle};
 
 /// Tunables of the decision policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,7 +168,7 @@ impl PlacementManager {
         name: String,
         rank: usize,
         interval: Duration,
-    ) -> (PeriodicHandle<Recommendation>, impl Future<Output = ()> + Send) {
+    ) -> (LoopHandle<Recommendation>, impl Future<Output = ()> + Send) {
         let mut seen = false;
         periodic(interval, move || match directory.try_lookup(&name) {
             Some(link) => {

@@ -30,8 +30,6 @@ pub enum MonitorEvent {
     DataSend,
     /// One data message received.
     DataRecv,
-    /// A handshake step executed.
-    Handshake,
     /// A DC plug-in executed on a chunk.
     PluginExec,
     /// A buffer allocation inside the movement path.
@@ -61,10 +59,9 @@ impl MonitorEvent {
     /// The one event table: every variant with its wire name, in
     /// aggregate-slot order. [`Self::name`], [`Self::event_from_name`] and the
     /// aggregate array's length all derive from it.
-    pub(crate) const ALL: [(MonitorEvent, &'static str); 13] = [
+    pub(crate) const ALL: [(MonitorEvent, &'static str); 12] = [
         (MonitorEvent::DataSend, "data_send"),
         (MonitorEvent::DataRecv, "data_recv"),
-        (MonitorEvent::Handshake, "handshake"),
         (MonitorEvent::PluginExec, "plugin_exec"),
         (MonitorEvent::Allocation, "allocation"),
         (MonitorEvent::SyncWait, "sync_wait"),
@@ -260,11 +257,11 @@ mod tests {
     #[test]
     fn trace_dump_is_decodable() {
         let m = PerfMonitor::new();
-        m.record(MonitorEvent::Handshake, 5, 3, 0, 123);
+        m.record(MonitorEvent::SyncWait, 5, 3, 0, 123);
         let trace = m.dump_trace();
         assert_eq!(trace.len(), 1);
         let r = Record::decode(&trace[0].encode()).unwrap();
-        assert_eq!(r.get_str("event"), Some("handshake"));
+        assert_eq!(r.get_str("event"), Some("sync_wait"));
         assert_eq!(r.get_u64("step"), Some(5));
         assert_eq!(r.get_u64("nanos"), Some(123));
     }

@@ -55,6 +55,7 @@ use crate::hints::StreamHints;
 use crate::link::{poll_until, ChannelId, LinkState};
 use crate::protocol::{self};
 use crate::reader::StreamReader;
+use crate::task::periodic;
 use crate::writer::StreamWriter;
 
 /// Cap on control frames (hello keys, directory requests) — tiny by
@@ -283,20 +284,22 @@ impl WireDirNode {
         &self.node
     }
 
-    /// Spawn the node's two tasks — its gossip rounds and its request
-    /// port — onto `reactor`. Both end when the node dies, which closes
-    /// the listener: to a client, a dead node refuses connections.
+    /// Spawn the node's two loops — its gossip rounds and its request
+    /// port, [`crate::task`]'s periodic loop each — onto `reactor`. Both
+    /// end when the node dies, which closes the listener: to a client, a
+    /// dead node refuses connections.
     pub fn spawn_on(self, reactor: &mut Reactor) {
-        // No stop flag is ever raised: a wire node stops by dying.
-        reactor.spawn(self.node.serve_task(self.gossip_every, Arc::default()));
-        reactor.spawn(async move {
-            while self.node.is_alive() {
-                match self.listener.try_accept() {
-                    Ok(Some(stream)) => self.handle(stream),
-                    _ => flexio_reactor::sleep(ACCEPT_PACE).await,
+        reactor.spawn(self.node.serve_task(self.gossip_every).1);
+        let (_, port) = periodic(ACCEPT_PACE, move || {
+            let alive = self.node.is_alive();
+            if alive {
+                while let Ok(Some(stream)) = self.listener.try_accept() {
+                    self.handle(stream);
                 }
             }
+            (None::<()>, !alive)
         });
+        reactor.spawn(port);
     }
 
     fn handle(&self, mut stream: SockStream) {

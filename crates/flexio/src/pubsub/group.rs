@@ -3,13 +3,11 @@
 //! [`SpillTail`] (another process, through the durable spill files),
 //! with memory → spill → live-tail transitions invisible to the caller.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use adios::hyperslab::{copy_region, BoxSel};
 use adios::{ArrayData, LocalBlock, ProcessGroup, ReadEngine, Selection, StepStatus, VarValue};
-use parking_lot::Mutex;
 
 use super::log::{Fetch, SealedStep, StreamLog};
 use super::spill::SpillTail;
@@ -17,6 +15,8 @@ use super::{GroupCounters, Qos};
 use crate::context::StreamError;
 use crate::directory::DirectoryService;
 use crate::hints::StreamHints;
+use crate::link::retry_rt;
+use crate::task::{driven, LoopHandle};
 
 enum Source {
     /// Cursor into an in-process [`StreamLog`].
@@ -32,9 +32,8 @@ enum Source {
 pub struct ReaderGroup {
     source: Source,
     group: String,
-    recv_timeout: Duration,
-    retries: u32,
-    eos_on_silence: bool,
+    /// Receive timeout, retry budget and `eos_on_silence`.
+    hints: StreamHints,
     current: Option<Arc<SealedStep>>,
     counters: Arc<GroupCounters>,
     registration: Option<(Arc<dyn DirectoryService>, String)>,
@@ -54,9 +53,7 @@ impl ReaderGroup {
         Ok(ReaderGroup {
             source: Source::Local(log),
             group: group.to_string(),
-            recv_timeout: hints.recv_timeout,
-            retries: hints.retries,
-            eos_on_silence: hints.eos_on_silence,
+            hints: hints.clone(),
             current: None,
             counters,
             registration: None,
@@ -79,9 +76,7 @@ impl ReaderGroup {
         Ok(ReaderGroup {
             source: Source::Tail(Box::new(tail)),
             group: group.to_string(),
-            recv_timeout: hints.recv_timeout,
-            retries: hints.retries,
-            eos_on_silence: hints.eos_on_silence,
+            hints: hints.clone(),
             current: None,
             counters,
             registration: None,
@@ -142,31 +137,22 @@ impl ReaderGroup {
         flexio_reactor::block_inline(self.try_begin_step_rt())
     }
 
-    /// Advance to the next step with the timeout-and-retry discipline of
-    /// [`crate::StreamReader`]: attempt `i` waits `recv_timeout << min(i,
-    /// 3)`, and exhausted budgets either synthesize end-of-stream
-    /// (`eos_on_silence`, the crashed-writer posture) or surface
-    /// [`StreamError::Timeout`].
+    /// Advance to the next step on the stream receive path's
+    /// timeout-and-retry schedule ([`crate::link::recv_record_rt`]); an
+    /// exhausted budget either synthesizes end-of-stream (`eos_on_silence`,
+    /// the crashed-writer posture) or surfaces [`StreamError::Timeout`].
     pub async fn try_begin_step_rt(&mut self) -> Result<StepStatus, StreamError> {
         assert!(self.current.is_none(), "begin_step without end_step");
-        for attempt in 0..=self.retries {
-            let deadline = Instant::now() + self.recv_timeout * (1u32 << attempt.min(3));
-            let mut pacing = flexio_reactor::Pacing::new();
-            loop {
-                let fetch = self.poll()?;
-                if let Some(status) = self.take_step(fetch) {
-                    return Ok(status);
-                }
-                if Instant::now() >= deadline {
-                    break;
-                }
-                pacing.pause(Some(deadline)).await;
-            }
+        let (timeout, retries) = (self.hints.recv_timeout, self.hints.retries);
+        let probe = || match self.poll() {
+            Ok(fetch) => self.take_step(fetch).map(Ok),
+            Err(e) => Some(Err(e)),
+        };
+        match retry_rt(timeout, retries, || {}, probe).await {
+            Some(status) => status,
+            None if self.hints.eos_on_silence => Ok(self.synthesize_eos()),
+            None => Err(StreamError::Timeout),
         }
-        if self.eos_on_silence {
-            return Ok(self.synthesize_eos());
-        }
-        Err(StreamError::Timeout)
     }
 
     /// Digest of the step currently open (None outside a step). The
@@ -188,38 +174,40 @@ impl ReaderGroup {
         }
     }
 
-    /// Convert into a delivery task: a `Send` future that drains the
-    /// stream to end-of-stream (committing after every step) plus a
-    /// handle exposing the per-step digests, completion flag and any
-    /// error — the unit [`crate::FleetRuntime::spawn_for`] places near
-    /// the consuming analytics.
-    pub fn into_task(mut self) -> (GroupTaskHandle, impl std::future::Future<Output = ()> + Send) {
-        let state = Arc::new(TaskState {
-            steps: Mutex::new(Vec::new()),
-            done: AtomicBool::new(false),
-            error: Mutex::new(None),
-            counters: Arc::clone(&self.counters),
-        });
-        let shared = Arc::clone(&state);
-        let task = async move {
-            loop {
-                match self.try_begin_step_rt().await {
-                    Ok(StepStatus::Step(step)) => {
-                        let digest = self.current_step_digest().expect("open step has a digest");
-                        shared.steps.lock().push((step, digest));
-                        self.end_step();
-                    }
-                    Ok(StepStatus::EndOfStream) => break,
-                    Err(e) => {
-                        *shared.error.lock() = Some(e);
-                        break;
-                    }
+    /// Convert into a delivery task, a step-driven loop
+    /// ([`crate::task`]) that drains the stream to end-of-stream,
+    /// committing after every step — the unit
+    /// [`crate::FleetRuntime::spawn_for`] places near the consuming
+    /// analytics. A round delivers one step and publishes its `(step,
+    /// digest)`; the output is every pair delivered, or the error that
+    /// stopped delivery. The group is closed either way. Take
+    /// [`Self::counters`] first to read them while it runs.
+    pub fn into_task(
+        self,
+    ) -> (
+        LoopHandle<(u64, u64), Result<Vec<(u64, u64)>, StreamError>>,
+        impl std::future::Future<Output = ()> + Send,
+    ) {
+        let round = |(mut group, mut trace): (ReaderGroup, Vec<_>)| async move {
+            match group.try_begin_step_rt().await {
+                Ok(StepStatus::Step(step)) => {
+                    let delivered =
+                        (step, group.current_step_digest().expect("open step has a digest"));
+                    trace.push(delivered);
+                    group.end_step();
+                    Ok(((group, trace), Some(delivered), false))
+                }
+                Ok(StepStatus::EndOfStream) => Ok(((group, trace), None, true)),
+                Err(e) => {
+                    group.close();
+                    Err(Err(e))
                 }
             }
-            self.close();
-            shared.done.store(true, Ordering::Release);
         };
-        (GroupTaskHandle { state }, task)
+        driven((self, Vec::new()), round, |(mut group, trace)| {
+            group.close();
+            Ok(trace)
+        })
     }
 }
 
@@ -283,40 +271,5 @@ fn assemble(groups: &[ProcessGroup], name: &str, sel: &Selection) -> Option<VarV
             }
             out.map(VarValue::Block)
         }
-    }
-}
-
-struct TaskState {
-    steps: Mutex<Vec<(u64, u64)>>,
-    done: AtomicBool,
-    error: Mutex<Option<StreamError>>,
-    counters: Arc<GroupCounters>,
-}
-
-/// Observer handle for a reader group running as a reactor/fleet task.
-#[derive(Clone)]
-pub struct GroupTaskHandle {
-    state: Arc<TaskState>,
-}
-
-impl GroupTaskHandle {
-    /// `(step, digest)` pairs delivered so far, in delivery order.
-    pub fn steps(&self) -> Vec<(u64, u64)> {
-        self.state.steps.lock().clone()
-    }
-
-    /// The task drained to end-of-stream (or failed) and closed.
-    pub fn is_done(&self) -> bool {
-        self.state.done.load(Ordering::Acquire)
-    }
-
-    /// The error that stopped delivery, if any.
-    pub fn error(&self) -> Option<StreamError> {
-        self.state.error.lock().clone()
-    }
-
-    /// The group's shared counters.
-    pub fn counters(&self) -> Arc<GroupCounters> {
-        Arc::clone(&self.state.counters)
     }
 }

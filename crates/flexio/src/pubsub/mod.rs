@@ -44,7 +44,7 @@ mod group;
 mod log;
 mod spill;
 
-pub use group::{GroupTaskHandle, ReaderGroup};
+pub use group::ReaderGroup;
 pub use log::{Fetch, SealedStep, StepPublisher, StreamLog};
 pub use spill::{SpillStore, SpillTail};
 

@@ -16,15 +16,15 @@
 //! blocking ([`QuerySession::step`] / [`QuerySession::run_to_end`]),
 //! reactor ([`QuerySession::step_rt`]), and as a spawnable task
 //! ([`QuerySession::into_task`], fleet-placed with
-//! `fleet.spawn_for(&endpoints, task)`) — the same `(handle, future)`
-//! shape as `ReaderGroup::into_task`.
+//! `fleet.spawn_for(&endpoints, task)`) — [`crate::task`]'s step-driven
+//! loop, as `ReaderGroup::into_task` is.
 //!
 //! With [`QueryConfig::oracle`] set every step is also fed to the naive
 //! row-at-a-time evaluator and the final outputs must digest
 //! bit-identically — the runtime arm of the differential-testing
 //! contract.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use adios::{ArrayData, ReadEngine, ScalarValue, Selection, StepStatus, VarValue};
@@ -35,13 +35,13 @@ pub use flexio_query::{
     AggFunc, AggRow, BinOp, CmpOp, Expr, ExprType, Plan, PlanError, QueryOutput, StepRows,
     StepStats, TypeError,
 };
-use parking_lot::Mutex;
 
 use crate::context::StreamError;
 use crate::link::drive;
 use crate::monitor::MonitorEvent;
 use crate::plugins::{PluginPlacement, PluginSpec, DC_APPLIED_MARKER};
 use crate::reader::StreamReader;
+use crate::task::{driven, LoopHandle};
 
 /// Query-tier knobs, set by the program that attaches the session.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -309,83 +309,30 @@ impl QuerySession {
         Ok(stats)
     }
 
-    /// Convert into a spawnable task for the reactor/fleet backends —
-    /// the same `(handle, future)` shape as `ReaderGroup::into_task`.
-    pub fn into_task(mut self) -> (QueryHandle, impl std::future::Future<Output = ()> + Send) {
-        let state = Arc::new(TaskState {
-            steps: Mutex::new(Vec::new()),
-            output: Mutex::new(None),
-            done: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            counters: Arc::clone(&self.counters),
-        });
-        let shared = Arc::clone(&state);
-        let task = async move {
-            loop {
-                if shared.stop.load(Ordering::Acquire) {
-                    self.reader.close();
-                    *shared.output.lock() = Some(self.finish());
-                    break;
+    /// Convert into a spawnable task for the reactor/fleet backends, a
+    /// step-driven loop ([`crate::task`]): a round is one step, the handle's
+    /// `latest` its [`StepStats`], and the output `finish`'s result once
+    /// the stream ends or the handle's `stop` lands — either way the
+    /// reader is closed first — or the error that stopped the query. Take
+    /// [`Self::counters`] first to read them while it runs.
+    pub fn into_task(
+        self,
+    ) -> (
+        LoopHandle<StepStats, Result<QueryOutput, StreamError>>,
+        impl std::future::Future<Output = ()> + Send,
+    ) {
+        let round = |mut session: QuerySession| async move {
+            match session.step_rt().await {
+                Ok(stats) => {
+                    let ended = stats.is_none();
+                    Ok((session, stats, ended))
                 }
-                match self.step_rt().await {
-                    Ok(Some(stats)) => shared.steps.lock().push(stats),
-                    Ok(None) => {
-                        self.reader.close();
-                        *shared.output.lock() = Some(self.finish());
-                        break;
-                    }
-                    Err(e) => {
-                        *shared.output.lock() = Some(Err(e));
-                        break;
-                    }
-                }
+                Err(e) => Err(Err(e)),
             }
-            shared.done.store(true, Ordering::Release);
         };
-        (QueryHandle { state }, task)
-    }
-}
-
-struct TaskState {
-    steps: Mutex<Vec<StepStats>>,
-    output: Mutex<Option<Result<QueryOutput, StreamError>>>,
-    done: AtomicBool,
-    stop: AtomicBool,
-    counters: Arc<QueryCounters>,
-}
-
-/// Handle onto a spawned query task. Cloning shares the underlying
-/// state.
-#[derive(Clone)]
-pub struct QueryHandle {
-    state: Arc<TaskState>,
-}
-
-impl QueryHandle {
-    /// Whether the task has finished (end-of-stream or error).
-    pub fn is_done(&self) -> bool {
-        self.state.done.load(Ordering::Acquire)
-    }
-
-    /// Per-step stats observed so far.
-    pub fn steps(&self) -> Vec<StepStats> {
-        self.state.steps.lock().clone()
-    }
-
-    /// Shared counters.
-    pub fn counters(&self) -> Arc<QueryCounters> {
-        Arc::clone(&self.state.counters)
-    }
-
-    /// Take the finished output (or terminal error). `None` until the
-    /// task completes; consumes the result.
-    pub fn take_output(&self) -> Option<Result<QueryOutput, StreamError>> {
-        self.state.output.lock().take()
-    }
-
-    /// Ask the task to finish early: it stops consuming steps at the
-    /// next boundary and finalizes its output.
-    pub fn stop(&self) {
-        self.state.stop.store(true, Ordering::Release);
+        driven(self, round, |mut session| {
+            session.reader.close();
+            session.finish()
+        })
     }
 }

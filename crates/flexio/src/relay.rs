@@ -25,7 +25,7 @@ use evpath::{BoxedReceiver, BoxedSender, EvGraph, FieldValue, Record, RecvPoll, 
 use crate::directory::{DirectoryError, DirectoryService};
 use crate::link::ChannelId;
 use crate::monitor::{MonitorEvent, PerfMonitor};
-use crate::task::{periodic, PeriodicHandle};
+use crate::task::{periodic, LoopHandle};
 
 /// The sending (simulation-side) half of the relay: a stone graph that
 /// samples, annotates and ships monitoring records.
@@ -198,7 +198,7 @@ impl MonitorSink {
     pub fn into_task(
         mut self,
         interval: Duration,
-    ) -> (PeriodicHandle<SinkStats>, impl Future<Output = ()> + Send) {
+    ) -> (LoopHandle<SinkStats>, impl Future<Output = ()> + Send) {
         let mut absorbed = 0;
         periodic(interval, move || {
             let n = self.drain() as u64;
@@ -246,7 +246,7 @@ mod tests {
         let mut relay = MonitorRelay::new(tx, 0, 4);
         let mut sink = MonitorSink::new(rx);
         for step in 0..20 {
-            relay.publish(MonitorEvent::Handshake, step, 0, 0, 10);
+            relay.publish(MonitorEvent::SyncWait, step, 0, 0, 10);
         }
         // Only seq 0, 4, 8, 12, 16 cross.
         assert_eq!(sink.drain(), 5);

@@ -16,7 +16,7 @@ use flexio::directory::{Contact, DirectoryNode};
 use flexio::link::LinkState;
 use flexio::plugins::PluginPlacement;
 use flexio::{
-    DirectoryCluster, DirectoryError, DirectoryService, InProcDirectory, MonitorEvent,
+    DirectoryCluster, DirectoryError, DirectoryService, InProcDirectory, LoopHandle, MonitorEvent,
     PlacementManager, RemoteDirectory, ReplicatedDirectory, ShardedDirectory, WireContact,
     WireDirNode,
 };
@@ -271,7 +271,7 @@ fn serve_loops_run_as_tasks_on_one_explicit_reactor() {
     // serve loop onto it the way a staging node would alongside its
     // stream couplings — three gossiping nodes, one OS thread.
     let cluster = DirectoryCluster::new(3, 4, Duration::from_millis(1), None);
-    let tasks: Vec<_> = (0..3).map(|i| cluster.serve_task(i)).collect();
+    let (loops, tasks): (Vec<_>, Vec<_>) = (0..3).map(|i| cluster.serve_task(i)).unzip();
     let reactor_thread = thread::spawn(move || {
         let mut reactor = flexio_reactor::Reactor::new();
         for task in tasks {
@@ -284,7 +284,7 @@ fn serve_loops_run_as_tasks_on_one_explicit_reactor() {
     for i in 0..3 {
         cluster.handle(i).lookup("on-reactor", Duration::from_secs(2)).unwrap();
     }
-    cluster.shutdown();
+    loops.iter().for_each(LoopHandle::stop);
     reactor_thread.join().unwrap();
     assert!(cluster.node(0).gossip_counters().snapshot().0 > 0, "node 0 gossiped on the reactor");
 }

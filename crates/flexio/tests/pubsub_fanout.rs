@@ -115,8 +115,9 @@ fn run_reactor(stream: &str, plan: Option<&Arc<FaultPlan>>) -> Vec<Vec<(u64, u64
             .into_iter()
             .map(|h| {
                 assert!(h.is_done(), "reactor drained the task");
-                assert_eq!(h.error(), None, "no delivery error");
-                h.steps()
+                let delivered = h.take_output().expect("the loop left its output");
+                assert_eq!(delivered.as_ref().err(), None, "no delivery error");
+                delivered.unwrap()
             })
             .collect()
     })
@@ -143,8 +144,9 @@ fn run_fleet(stream: &str, plan: Option<&Arc<FaultPlan>>) -> Vec<Vec<(u64, u64)>
             .into_iter()
             .map(|h| {
                 assert!(h.is_done(), "fleet drained the task");
-                assert_eq!(h.error(), None, "no delivery error");
-                h.steps()
+                let delivered = h.take_output().expect("the loop left its output");
+                assert_eq!(delivered.as_ref().err(), None, "no delivery error");
+                delivered.unwrap()
             })
             .collect()
     })

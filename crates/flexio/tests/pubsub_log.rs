@@ -279,6 +279,49 @@ fn restarted_group_resumes_from_durable_cursor() {
     std::fs::remove_dir_all(&spill).ok();
 }
 
+/// A lossless group's delivery loop stopped after `K` steps has committed
+/// every step it delivered: the next incarnation resumes at step `K`.
+#[test]
+fn stopped_group_task_resumes_where_it_stopped() {
+    const K: u64 = 3;
+    let io = FlexIo::single_node(laptop());
+    let spill = temp_spill("stop");
+    let cfg =
+        PubSubConfig { replay_steps: 4, spill_dir: Some(spill.clone()), ..PubSubConfig::default() };
+    let mut w = io.open_publisher("s10", 0, 1, &cfg, hints()).expect("open publisher");
+    for step in 0..6 {
+        publish_step(&mut w, step);
+    }
+    w.close();
+
+    // Every step is ready, so only `stop` ends the loop before EOS: it
+    // yields between rounds, and the watcher behind it sees each count.
+    let r = ReaderGroup::tail(&spill, "s10", "g0", Qos::Lossless, &hints()).expect("tail attach");
+    let (handle, task) = r.into_task();
+    let watch = handle.clone();
+    let mut reactor = flexio_reactor::Reactor::new();
+    reactor.spawn(task);
+    reactor.spawn(async move {
+        while watch.rounds() < K {
+            flexio_reactor::yield_now().await;
+        }
+        watch.stop();
+    });
+    reactor.run();
+    let delivered = handle.take_output().expect("the loop ended").expect("no delivery error");
+    assert_eq!(delivered.iter().map(|(step, _)| *step).collect::<Vec<_>>(), vec![0, 1, 2]);
+
+    let mut r =
+        ReaderGroup::tail(&spill, "s10", "g0", Qos::Lossless, &hints()).expect("tail re-attach");
+    assert_eq!(
+        r.counters().resumed_from.load(std::sync::atomic::Ordering::Relaxed),
+        K,
+        "the stopped loop committed every step it delivered"
+    );
+    assert_eq!(drain(&mut r), vec![3, 4, 5], "no step lost, none repeated");
+    std::fs::remove_dir_all(&spill).ok();
+}
+
 #[test]
 fn abandoned_writer_drains_retained_steps_then_eos() {
     let io = FlexIo::single_node(laptop());

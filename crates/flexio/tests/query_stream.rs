@@ -9,7 +9,8 @@
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use adios::{ArrayData, LocalBlock, VarValue, WriteEngine};
 use common::{block_1d, couple, reader_core, writer_core, writer_roster};
@@ -289,6 +290,7 @@ fn fleet_query_task_matches_the_blocking_backend() {
         .expect("open reader");
     let session = QuerySession::attach(reader, WRITERS, test_plan(false), QueryConfig::default())
         .expect("attach query");
+    let c = session.counters();
     let (handle, task) = session.into_task();
     fleet.spawn_for(&[reader_core(0)], task);
     fleet.join();
@@ -296,7 +298,80 @@ fn fleet_query_task_matches_the_blocking_backend() {
     assert!(handle.is_done());
     let out = handle.take_output().expect("task finished").expect("query ok");
     assert_eq!(out.digest(), reference.0, "fleet query diverged from the blocking backend");
-    let c = handle.counters();
     assert_eq!(c.snapshot().0, reference.1 .0, "fleet query saw a different number of input rows");
-    assert_eq!(handle.steps().len() as u64, STEPS);
+    assert_eq!(handle.rounds(), STEPS);
+}
+
+/// The first `k` steps of the standard query: `(steps fed, digest)`. The
+/// writers write `k` steps; with `stop` the query runs as a task whose
+/// handle stops it after `k` rounds while the stream is still open, and
+/// without it as a blocking `run_to_end` over a `k`-step stream.
+fn first_steps(k: u64, stop: bool) -> (u64, u64) {
+    let quiet = Arc::new(FaultPlan::new(0));
+    // A loop that missed its stop would time out here instead of hanging.
+    let hints = StreamHints {
+        recv_timeout: Duration::from_secs(2),
+        retries: 0,
+        ..hints_for(Runtime::Blocking, &quiet)
+    };
+    // With `stop` the writers close only after the loop has ended, so
+    // nothing but the stop can end it.
+    let loop_ended = Arc::new(Barrier::new(WRITERS + 1));
+    let (held, release) = (Arc::clone(&loop_ended), loop_ended);
+    let (_w, mut reads) = couple(
+        WRITERS,
+        1,
+        hints,
+        move |mut w, rank| {
+            for step in 0..k {
+                w.begin_step(step);
+                let data = chunk(step, rank);
+                w.write(
+                    "field",
+                    block_1d(rank as u64 * ROWS_PER_CHUNK, data, WRITERS as u64 * ROWS_PER_CHUNK),
+                );
+                w.end_step();
+            }
+            if stop {
+                held.wait();
+            }
+            w.close();
+        },
+        move |r, _rank| {
+            let session =
+                QuerySession::attach(r, WRITERS, test_plan(false), QueryConfig::default())
+                    .expect("attach");
+            if !stop {
+                return (k, session.run_to_end().expect("query run").digest());
+            }
+            let (handle, task) = session.into_task();
+            let watch = handle.clone();
+            let mut reactor = flexio_reactor::Reactor::new();
+            reactor.spawn(task);
+            // The loop yields between rounds, so the watcher behind it
+            // sees every count and the stop lands after exactly `k`.
+            reactor.spawn(async move {
+                while watch.rounds() < k {
+                    flexio_reactor::yield_now().await;
+                }
+                watch.stop();
+            });
+            reactor.run();
+            release.wait();
+            let out = handle.take_output().expect("the loop ended").expect("query ok");
+            (handle.rounds(), out.digest())
+        },
+    );
+    reads.pop().expect("one reader")
+}
+
+#[test]
+fn a_stopped_query_task_finishes_over_the_steps_it_ran() {
+    let stopped = first_steps(2, true);
+    assert_eq!(
+        stopped,
+        first_steps(2, false),
+        "stop after 2 steps = a 2-step stream run to its end"
+    );
+    assert_ne!(stopped.1, first_steps(STEPS, false).1, "and not the whole stream's output");
 }

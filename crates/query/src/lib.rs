@@ -25,7 +25,7 @@
 //!
 //! The crate is transport-agnostic: it depends only on the data plane
 //! (`adios`/`evpath`). The `flexio` crate wires it
-//! to live streams (`QuerySession`/`QueryHandle`), hint keys and
+//! to live streams (`QuerySession`), hint keys and
 //! monitoring counters.
 
 pub mod exec;

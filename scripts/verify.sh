@@ -64,19 +64,31 @@ defs=$(grep -rn "fn event_from_name" crates/ | grep -v "^crates/flexio/src/monit
 # One control-plane task shape: every `into_task` hands back its typed
 # handle and a future the caller spawns with FleetRuntime::spawn/spawn_for
 # (no type-erased handle to downcast out of, no per-service forwarder),
-# and the sink, manager and elastic loops are task.rs's one periodic loop.
+# and the sink, manager, elastic, query, reader-group and directory loops
+# are task.rs's one loop.
 if grep -rnwE "ControlTask|TaskHandle|as_any" crates/ examples/; then
     echo "the type-erased control-task layer is back"; exit 1
 fi
 if grep -n "fn spawn_" crates/flexio/src/fleet.rs | grep -v "fn spawn_for"; then
     echo "FleetRuntime grew a spawn_<tier> forwarder (callers use into_task + spawn/spawn_for)"; exit 1
 fi
-for f in relay manager elastic; do
-    grep -q "periodic(" "crates/flexio/src/$f.rs" || { echo "$f.rs: into_task off the shared loop"; exit 1; }
-    if grep -n "flexio_reactor::sleep" "crates/flexio/src/$f.rs"; then
-        echo "$f.rs hand-rolls a periodic loop (use task::periodic)"; exit 1
-    fi
+for f in relay manager elastic query pubsub/group directory; do
+    [ -d "crates/flexio/src/$f" ] && at="crates/flexio/src/$f" || at="crates/flexio/src/$f.rs"
+    grep -rqE "periodic\(|driven\(" "$at" || { echo "$f: into_task off the shared loop"; exit 1; }
 done
+# One loop shape for every background service: task.rs's one loop and its
+# one handle. The per-service handles stay gone, task.rs is the only place
+# that sleeps between rounds (beside context.rs's one-shot fault-plan
+# directory stall), and no stop/done/shutdown flag lives outside it.
+if grep -rnwE "QueryHandle|GroupTaskHandle" crates/ examples/; then
+    echo "a per-service task handle is back (use task::LoopHandle)"; exit 1
+fi
+stray=$(grep -rln "flexio_reactor::sleep" crates/flexio/src \
+    | grep -vxE "crates/flexio/src/(task|context)\.rs" || true)
+[ -z "$stray" ] || { echo "a loop hand-rolled outside task.rs: $stray"; exit 1; }
+if grep -rnE "\b(stop|done|shutdown)\b.*AtomicBool" crates/flexio/src | grep -v "^crates/flexio/src/task\.rs:"; then
+    echo "a stop/done/shutdown flag outside task.rs (use task::LoopHandle)"; exit 1
+fi
 echo "structure gates ok (bare sleeps: $sleeps)"
 
 echo "== doc references resolve =="
