@@ -26,6 +26,8 @@ pub const ATTR_NAMES: [&str; ATTRS] = ["r", "theta", "zeta", "v_par", "v_perp", 
 pub const VPAR: usize = 3;
 /// Column index of the perpendicular velocity.
 pub const VPERP: usize = 4;
+/// Column index of the particle weight.
+pub const WEIGHT: usize = 5;
 
 /// Configuration of one GTS rank.
 #[derive(Debug, Clone, PartialEq)]

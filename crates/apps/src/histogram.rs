@@ -22,8 +22,11 @@ impl Histogram1D {
         Histogram1D { min, max, bins: vec![0.0; nbins], underflow: 0.0, overflow: 0.0 }
     }
 
-    /// Accumulate one sample with weight.
+    /// Accumulate one sample with weight. A NaN sample counts nowhere.
     pub fn add_weighted(&mut self, x: f64, w: f64) {
+        if x.is_nan() {
+            return;
+        }
         if x < self.min {
             self.underflow += w;
             return;

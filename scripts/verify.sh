@@ -89,6 +89,15 @@ stray=$(grep -rln "flexio_reactor::sleep" crates/flexio/src \
 if grep -rnE "\b(stop|done|shutdown)\b.*AtomicBool" crates/flexio/src | grep -v "^crates/flexio/src/task\.rs:"; then
     echo "a stop/done/shutdown flag outside task.rs (use task::LoopHandle)"; exit 1
 fi
+# One array kernel for every analytic: the GTS chain runs on
+# flexio_query::kernel, and its scalar row loops live only in the test
+# oracle, so a per-row loop in analytics.rs outside #[cfg(test)] is a
+# second implementation.
+analytics=crates/apps/src/analytics.rs
+rowloops=$(sed '/#\[cfg(test)\]/,$d' "$analytics" | grep -c "chunks_exact(ATTRS)" || true)
+[ "$rowloops" -eq 0 ] || { echo "$analytics: $rowloops per-row loop(s) outside #[cfg(test)]"; exit 1; }
+grep -B1 "mod oracle;" "$analytics" | head -1 | grep -qF "#[cfg(test)]" \
+    || { echo "$analytics: the scalar oracle is compiled outside #[cfg(test)]"; exit 1; }
 echo "structure gates ok (bare sleeps: $sleeps)"
 
 echo "== doc references resolve =="
@@ -181,6 +190,9 @@ echo "== query battery (differential + pushdown under faults) =="
 # on both single-threaded backends and the fleet.
 cargo test -q --offline -p flexio-query \
     >/dev/null || { echo "query differential suite FAILED"; exit 1; }
+# The GTS analytics chain on the same kernel ≡ its scalar row loops.
+cargo test -q --offline -p apps --test analytics_differential \
+    >/dev/null || { echo "analytics differential suite FAILED"; exit 1; }
 cargo test -q --offline -p flexio --test query_stream --test plugin_zero_copy \
     --test plugin_wire_prop \
     >/dev/null || { echo "query stream battery FAILED"; exit 1; }
