@@ -7,27 +7,27 @@
 //! generated from the query results and written to files which can then
 //! be used for parallel coordinates visualization."
 //!
-//! Every step runs on the array kernel of `flexio_query` (the one the
-//! query executor and writer-side filters run): the particle array is a
-//! [`RowView`] read where it lies, the range query is its fused range
-//! select, the histograms its in-order bin reductions. The scalar row
-//! loops those replace are the test oracle (`oracle.rs`), and the kernel
-//! is held to them bit for bit.
+//! Each step is one in-order pass over the row-major n×7 particle array,
+//! read where it lies (a packed shm view included): the distribution
+//! function and the histograms add each row's sample to its slot in an
+//! accumulator of `histogram.rs`'s `Bins`, and the range query is a
+//! fused select. The scalar row loops these replace, one histogram fill
+//! per row, are the test oracle (`oracle.rs`), and the passes are held to
+//! them bit for bit.
 
 use crate::gts::{ATTRS, VPAR, VPERP, WEIGHT};
-use crate::histogram::{Histogram1D, Histogram2D};
-use flexio_query::{BinSums, Bins, RowView};
-
-/// The histogram over `[min, max)` whose sums the kernel computed.
-fn histogram_1d((min, max): (f64, f64), sums: BinSums) -> Histogram1D {
-    Histogram1D { min, max, bins: sums.bins, underflow: sums.underflow, overflow: sums.overflow }
-}
+use crate::histogram::{Bins, Histogram1D, Histogram2D};
 
 /// The velocity-space particle distribution function: a weighted 1-D
 /// histogram of `v_par` over the particle population.
 pub fn distribution_function(particles: &[f64], nbins: usize, v_range: (f64, f64)) -> Histogram1D {
+    assert!(particles.len().is_multiple_of(ATTRS), "not an n×7 particle array");
     let bins = Bins::new(v_range.0, v_range.1, nbins);
-    histogram_1d(v_range, RowView::new(particles, ATTRS).histogram(VPAR, WEIGHT, bins))
+    let mut acc = bins.slots();
+    for row in particles.chunks_exact(ATTRS) {
+        acc[bins.slot(row[VPAR])] += row[WEIGHT];
+    }
+    bins.histogram(acc)
 }
 
 /// A velocity range query.
@@ -55,9 +55,22 @@ impl RangeQuery {
 }
 
 /// Run the range query, returning the selected particles (dense copy, all
-/// seven attributes preserved).
+/// seven attributes preserved). One pass and no branch on the predicate:
+/// every row is appended, then cut off again unless it matched. The
+/// output is allocated once at the input's size (only the pages the
+/// survivors fill are touched) and shrunk to fit.
 pub fn range_query(particles: &[f64], query: &RangeQuery) -> Vec<f64> {
-    RowView::new(particles, ATTRS).select_range(VPAR, query.v_par_min, query.v_par_max)
+    assert!(particles.len().is_multiple_of(ATTRS), "not an n×7 particle array");
+    let (lo, hi) = (query.v_par_min, query.v_par_max);
+    let mut out = Vec::with_capacity(particles.len());
+    for row in particles.chunks_exact(ATTRS) {
+        out.extend_from_slice(row);
+        let x = row[VPAR];
+        let dropped = usize::from(!((x >= lo) & (x < hi)));
+        out.truncate(out.len() - dropped * ATTRS);
+    }
+    out.shrink_to_fit();
+    out
 }
 
 /// The downstream products: 1-D histograms per velocity attribute and the
@@ -73,21 +86,33 @@ pub struct HistogramSet {
 }
 
 impl HistogramSet {
-    /// Build from a selected particle array.
+    /// Build from a selected particle array, in one pass: each row's two
+    /// bins are computed once and feed all three histograms. A row outside
+    /// either range (NaN included) counts in no 2-D cell.
     pub fn build(selected: &[f64], v_range: (f64, f64), nbins: usize) -> HistogramSet {
+        assert!(selected.len().is_multiple_of(ATTRS), "not an n×7 particle array");
         let perp_range = (0.0, v_range.1.max(1e-9));
         let (par, perp) =
             (Bins::new(v_range.0, v_range.1, nbins), Bins::new(0.0, perp_range.1, nbins));
-        let sums = RowView::new(selected, ATTRS).joint_histogram((VPAR, VPERP), par, perp);
+        let cells = nbins.checked_mul(nbins).expect("2-D bin count overflows usize");
+        let (mut ax, mut ay, mut axy) = (par.slots(), perp.slots(), vec![0.0; cells + 1]);
+        for row in selected.chunks_exact(ATTRS) {
+            let (sx, sy) = (par.slot(row[VPAR]), perp.slot(row[VPERP]));
+            ax[sx] += 1.0;
+            ay[sy] += 1.0;
+            // A slot below `nbins` is a bin: the row is inside that range.
+            axy[if (sx < nbins) & (sy < nbins) { sx * nbins + sy } else { cells }] += 1.0;
+        }
+        axy.truncate(cells);
         HistogramSet {
-            v_par: histogram_1d(v_range, sums.x),
-            v_perp: histogram_1d(perp_range, sums.y),
+            v_par: par.histogram(ax),
+            v_perp: perp.histogram(ay),
             joint: Histogram2D {
                 x_range: v_range,
                 y_range: perp_range,
                 nx: nbins,
                 ny: nbins,
-                bins: sums.joint,
+                bins: axy,
             },
         }
     }

@@ -7,11 +7,11 @@ pub struct Histogram1D {
     pub min: f64,
     /// Upper edge of the last bin.
     pub max: f64,
-    /// Bin counts (weights accumulate as f64).
+    /// Counts of the bins over `[min, max)` (weights accumulate as f64).
     pub bins: Vec<f64>,
-    /// Samples below `min` / above `max`.
+    /// Samples below `min`.
     pub underflow: f64,
-    /// Samples above `max`.
+    /// Samples at or above `max`. (A NaN sample counts nowhere.)
     pub overflow: f64,
 }
 
@@ -99,6 +99,55 @@ impl Histogram1D {
     }
 }
 
+/// The geometry of one histogram axis, for the analytics' in-order
+/// passes: a sample goes to one of `n + 3` accumulator slots by index,
+/// not by branch, and each slot sums its samples in row order, so the
+/// histogram the slots hold is the one `add_weighted` fills, bit for bit.
+#[derive(Debug)]
+pub(crate) struct Bins {
+    min: f64,
+    max: f64,
+    n: usize,
+}
+
+impl Bins {
+    /// `n` bins over `[min, max)`; panics unless `max > min` and
+    /// `0 < n <= u32::MAX`.
+    pub(crate) fn new(min: f64, max: f64, n: usize) -> Bins {
+        assert!(max > min && n > 0 && u32::try_from(n).is_ok(), "bad bin geometry");
+        Bins { min, max, n }
+    }
+
+    /// A zeroed accumulator: the `n` bins, then underflow, overflow, NaN.
+    pub(crate) fn slots(&self) -> Vec<f64> {
+        vec![0.0; self.n + 3]
+    }
+
+    /// The slot of `x`: its bin — `add_weighted`'s expression, truncated
+    /// through `u32` (exact on `[0, n]`, and faster than a saturating cast
+    /// to `usize`) and clamped to the last bin — or `n` below `min`,
+    /// `n + 1` at or above `max`, `n + 2` for NaN.
+    #[inline]
+    pub(crate) fn slot(&self, x: f64) -> usize {
+        let bin = ((((x - self.min) / (self.max - self.min)) * self.n as f64) as u32 as usize)
+            .min(self.n - 1);
+        let mut slot = if x >= self.max { self.n + 1 } else { bin };
+        slot = if x < self.min { self.n } else { slot };
+        if x.is_nan() {
+            self.n + 2
+        } else {
+            slot
+        }
+    }
+
+    /// The histogram an accumulator from [`Bins::slots`] holds.
+    pub(crate) fn histogram(&self, mut acc: Vec<f64>) -> Histogram1D {
+        let (underflow, overflow) = (acc[self.n], acc[self.n + 1]);
+        acc.truncate(self.n);
+        Histogram1D { min: self.min, max: self.max, bins: acc, underflow, overflow }
+    }
+}
+
 /// A fixed-range 2-D histogram (e.g. `v_par × v_perp`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram2D {
@@ -140,6 +189,8 @@ impl Histogram2D {
 
     /// Merge another histogram of identical geometry.
     pub fn merge(&mut self, other: &Histogram2D) {
+        assert_eq!(self.x_range, other.x_range);
+        assert_eq!(self.y_range, other.y_range);
         assert_eq!(self.nx, other.nx);
         assert_eq!(self.ny, other.ny);
         for (a, b) in self.bins.iter_mut().zip(&other.bins) {
@@ -221,6 +272,13 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.total(), 3.0);
         assert_eq!(h.bins[1], 1.0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn hist2d_merge_refuses_another_range() {
+        let mut h = Histogram2D::new((0.0, 1.0), (0.0, 1.0), 2, 2);
+        h.merge(&Histogram2D::new((0.0, 1.0), (0.0, 2.0), 2, 2));
     }
 
     proptest! {

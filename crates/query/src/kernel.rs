@@ -1,18 +1,14 @@
-//! The array kernel: survivor mask + per-dtype gather over chunk
-//! columns, and range selection + in-order bin reduction over row-major
-//! tables.
+//! The filter kernel: survivor mask + per-dtype gather over chunk
+//! columns.
 //!
 //! The filter is one implementation with two placements. The
 //! reader-side [`Executor`] calls it on every raw chunk it is fed; a
 //! pushed-down filter runs the very same kernel inside the writer's
 //! address space (the `flexio` plug-in machinery builds one from the
 //! shipped [`Expr`]), so where a predicate runs is a property of the
-//! plan, not a second implementation. The GTS analytics chain
-//! (`apps::analytics`) runs its range query and histograms on a
-//! [`RowView`] of the particle array. Data is read where it lies —
+//! plan, not a second implementation. Data is read where it lies —
 //! packed receive/send-buffer windows are decoded from their LE wire
-//! bytes in place, never materialized, and one attribute of a row-major
-//! table is a strided read, not a copy — and the scratch buffers and the
+//! bytes in place, never materialized — and the scratch buffers and the
 //! mask are reused from chunk to chunk.
 //!
 //! [`Executor`]: crate::Executor
@@ -243,156 +239,6 @@ impl FilterKernel {
             self.mask[i] = self.program.eval_bool(&self.row);
         }
         &self.mask
-    }
-}
-
-/// Fixed-width bins over `[min, max)`: one histogram axis.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bins {
-    min: f64,
-    max: f64,
-    n: usize,
-}
-
-impl Bins {
-    /// `n` bins over `[min, max)`; panics unless `max > min` and
-    /// `0 < n <= u32::MAX`.
-    pub fn new(min: f64, max: f64, n: usize) -> Bins {
-        assert!(max > min && n > 0 && u32::try_from(n).is_ok(), "bad bin geometry");
-        Bins { min, max, n }
-    }
-
-    /// The bin of an in-range `x`: `(x - min) / (max - min) * n`
-    /// truncated, clamped to the last bin. The expression (and so every
-    /// bin) is the scalar histogram fill's; the truncation goes through
-    /// `u32`, which is exact on `[0, n]` and converts faster than a
-    /// saturating cast to `usize`.
-    #[inline]
-    fn bin(&self, x: f64) -> usize {
-        ((((x - self.min) / (self.max - self.min)) * self.n as f64) as u32 as usize).min(self.n - 1)
-    }
-
-    /// The accumulator slot of `x`: its bin, or `n` below `min`, `n + 1`
-    /// at or above `max`, `n + 2` for NaN — an index, not a branch.
-    #[inline]
-    fn slot(&self, x: f64) -> usize {
-        let mut slot = self.bin(x);
-        slot = if x >= self.max { self.n + 1 } else { slot };
-        slot = if x < self.min { self.n } else { slot };
-        if x.is_nan() {
-            self.n + 2
-        } else {
-            slot
-        }
-    }
-}
-
-/// A 1-D bin reduction: per-bin sums, and what fell below and above the
-/// range (a NaN sample counts nowhere).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BinSums {
-    /// One sum per bin.
-    pub bins: Vec<f64>,
-    /// Sum of the samples below the range.
-    pub underflow: f64,
-    /// Sum of the samples at or above the range's end.
-    pub overflow: f64,
-}
-
-impl BinSums {
-    /// Split an accumulator of `n + 3` slots (see [`Bins::slot`]).
-    fn from_slots(mut acc: Vec<f64>, n: usize) -> BinSums {
-        let (underflow, overflow) = (acc[n], acc[n + 1]);
-        acc.truncate(n);
-        BinSums { bins: acc, underflow, overflow }
-    }
-}
-
-/// Two 1-D histograms and their joint 2-D histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JointSums {
-    /// The first attribute's histogram.
-    pub x: BinSums,
-    /// The second attribute's histogram.
-    pub y: BinSums,
-    /// Row-major `x × y` cell counts of the rows inside both ranges.
-    pub joint: Vec<f64>,
-}
-
-/// A row-major `rows × width` table of `f64`s, read where it lies: one
-/// attribute of every row is a strided read, never a copy. A packed
-/// receive buffer borrowed through `ArrayData::as_f64` is such a table.
-///
-/// Every reduction visits rows in order and adds each sample to its slot
-/// as it comes, so each slot's sum is the one a row-at-a-time scalar
-/// loop computes, bit for bit.
-#[derive(Debug, Clone, Copy)]
-pub struct RowView<'a> {
-    data: &'a [f64],
-    width: usize,
-}
-
-impl<'a> RowView<'a> {
-    /// View `data` as rows of `width` values; panics unless it holds a
-    /// whole number of rows.
-    pub fn new(data: &'a [f64], width: usize) -> RowView<'a> {
-        assert!(width > 0 && data.len().is_multiple_of(width), "not a table of {width}-wide rows");
-        RowView { data, width }
-    }
-
-    fn rows(&self) -> std::slice::ChunksExact<'a, f64> {
-        self.data.chunks_exact(self.width)
-    }
-
-    /// The rows whose attribute `col` lies in `[lo, hi)` (never a NaN),
-    /// whole and in order, as one dense vector. One pass and no branch on
-    /// the predicate: every row is appended, then cut off again unless it
-    /// matched. The output is allocated once at the input's size (only
-    /// the pages the survivors fill are touched) and shrunk to fit.
-    pub fn select_range(&self, col: usize, lo: f64, hi: f64) -> Vec<f64> {
-        assert!(col < self.width);
-        let mut out = Vec::with_capacity(self.data.len());
-        for row in self.rows() {
-            out.extend_from_slice(row);
-            let x = row[col];
-            let dropped = usize::from(!((x >= lo) & (x < hi)));
-            out.truncate(out.len() - dropped * self.width);
-        }
-        out.shrink_to_fit();
-        out
-    }
-
-    /// Histogram of attribute `col` over `bins`, each row weighted by
-    /// its attribute `weight`. (Unit-weighted 1-D histograms come out of
-    /// [`RowView::joint_histogram`].)
-    pub fn histogram(&self, col: usize, weight: usize, bins: Bins) -> BinSums {
-        assert!(col < self.width && weight < self.width);
-        let mut acc = vec![0.0; bins.n + 3];
-        for row in self.rows() {
-            acc[bins.slot(row[col])] += row[weight];
-        }
-        BinSums::from_slots(acc, bins.n)
-    }
-
-    /// Unit-weighted histograms of attribute `cols.0` over `x` and
-    /// attribute `cols.1` over `y`, and their joint 2-D histogram, in one
-    /// pass: each row's two bins are computed once and feed all three. A
-    /// row outside either range (NaN included) counts in no 2-D cell.
-    pub fn joint_histogram(&self, cols: (usize, usize), x: Bins, y: Bins) -> JointSums {
-        let (cx, cy) = cols;
-        assert!(cx < self.width && cy < self.width);
-        let cells = x.n.checked_mul(y.n).expect("2-D bin count overflows usize");
-        let (mut ax, mut ay, mut axy) =
-            (vec![0.0; x.n + 3], vec![0.0; y.n + 3], vec![0.0; cells + 1]);
-        for row in self.rows() {
-            let (sx, sy) = (x.slot(row[cx]), y.slot(row[cy]));
-            ax[sx] += 1.0;
-            ay[sy] += 1.0;
-            // A slot below `n` is a bin: the row is inside that range.
-            axy[if (sx < x.n) & (sy < y.n) { sx * y.n + sy } else { cells }] += 1.0;
-        }
-        axy.truncate(cells);
-        JointSums { x: BinSums::from_slots(ax, x.n), y: BinSums::from_slots(ay, y.n), joint: axy }
     }
 }
 

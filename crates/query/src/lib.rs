@@ -13,9 +13,6 @@
 //!   included (per-dtype inner loops over the LE wire bytes, no
 //!   `make_owned()` on the read path); its filter half is the
 //!   standalone [`FilterKernel`];
-//! - a [`RowView`] over row-major `f64` tables read in place, with a
-//!   fused range select and in-order bin reductions ([`Bins`]): the
-//!   kernel the GTS analytics chain (`apps::analytics`) runs on;
 //! - a pushdown planner ([`lower_pushdown`]) that splits the plan at
 //!   the stream boundary: an eligible filter ships as the typed
 //!   [`Expr`] itself ([`PluginBody::Filter`]) and the conditioning
@@ -40,7 +37,7 @@ pub mod pushdown;
 
 pub use exec::{ChunkView, Executor, StepStats};
 pub use expr::{BinOp, CmpOp, Expr, ExprType, TypeError};
-pub use kernel::{BinSums, Bins, FilterKernel, JointSums, RowView};
+pub use kernel::FilterKernel;
 pub use naive::NaiveExecutor;
 pub use plan::{AggFunc, AggRow, Plan, PlanError, QueryOutput, StepRows};
 pub use pushdown::{lower_pushdown, Lowered, PluginBody, Q_ROWS_IN};
