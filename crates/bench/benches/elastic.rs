@@ -217,7 +217,6 @@ fn main() {
             let mut relay = MonitorRelay::for_stream(
                 io_w.directory().as_ref(),
                 "elastic-bench",
-                0,
                 1,
                 Duration::from_secs(5),
             )

@@ -29,7 +29,7 @@ use bench::report::Rate;
 use adios::{
     ArrayData, BoxSel, LocalBlock, ReadEngine, Selection, StepStatus, VarValue, WriteEngine,
 };
-use flexio::{CachingLevel, FlexIo, Runtime, StreamHints, WriteMode};
+use flexio::{CachingLevel, FlexIo, StreamHints, WriteMode};
 use machine::laptop;
 
 const ELEMS: usize = 128; // 1 KiB of f64 per step
@@ -43,11 +43,10 @@ struct RunResult {
     rate: Rate,
 }
 
-fn hints(runtime: Runtime) -> StreamHints {
+fn hints() -> StreamHints {
     StreamHints {
         write_mode: WriteMode::Sync,
         caching: CachingLevel::CachingAll,
-        runtime,
         ..StreamHints::default()
     }
 }
@@ -88,9 +87,8 @@ fn run_threads(streams: usize, transport: &'static str, steps: u64, elems: usize
         let io_w = io.clone();
         let name_w = name.clone();
         handles.push(thread::spawn(move || {
-            let mut w = io_w
-                .open_writer(&name_w, 0, 1, wcore, vec![wcore], hints(Runtime::Blocking))
-                .expect("open writer");
+            let mut w =
+                io_w.open_writer(&name_w, 0, 1, wcore, vec![wcore], hints()).expect("open writer");
             for step in 0..steps {
                 w.begin_step(step);
                 w.write("u", payload(i, step, elems));
@@ -100,9 +98,8 @@ fn run_threads(streams: usize, transport: &'static str, steps: u64, elems: usize
         }));
         let io_r = io.clone();
         handles.push(thread::spawn(move || {
-            let mut r = io_r
-                .open_reader(&name, 0, 1, rcore, vec![rcore], hints(Runtime::Blocking))
-                .expect("open reader");
+            let mut r =
+                io_r.open_reader(&name, 0, 1, rcore, vec![rcore], hints()).expect("open reader");
             r.subscribe("u", Selection::GlobalBox(BoxSel::whole(&[elems as u64])));
             let mut seen = 0u64;
             while let StepStatus::Step(_) = r.begin_step() {
@@ -133,7 +130,7 @@ fn run_reactor(streams: usize, transport: &'static str, steps: u64, elems: usize
         let done_w = Rc::clone(&done);
         reactor.spawn(async move {
             let mut w = io_w
-                .open_writer_rt(&name_w, 0, 1, wcore, vec![wcore], hints(Runtime::Reactor))
+                .open_writer_rt(&name_w, 0, 1, wcore, vec![wcore], hints())
                 .await
                 .expect("open writer");
             for step in 0..steps {
@@ -148,7 +145,7 @@ fn run_reactor(streams: usize, transport: &'static str, steps: u64, elems: usize
         let done_r = Rc::clone(&done);
         reactor.spawn(async move {
             let mut r = io_r
-                .open_reader_rt(&name, 0, 1, rcore, vec![rcore], hints(Runtime::Reactor))
+                .open_reader_rt(&name, 0, 1, rcore, vec![rcore], hints())
                 .await
                 .expect("open reader");
             r.subscribe("u", Selection::GlobalBox(BoxSel::whole(&[elems as u64])));

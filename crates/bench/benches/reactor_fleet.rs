@@ -28,7 +28,7 @@ use adios::{
     ArrayData, BoxSel, LocalBlock, ReadEngine, Selection, StepStatus, VarValue, WriteEngine,
 };
 use bench::report::Rate;
-use flexio::{CachingLevel, FleetRuntime, FlexIo, Runtime, StreamHints, WriteMode};
+use flexio::{CachingLevel, FleetRuntime, FlexIo, StreamHints, WriteMode};
 use machine::laptop;
 
 const ELEMS: usize = 128; // 1 KiB of f64 per step
@@ -53,7 +53,6 @@ fn hints() -> StreamHints {
         // keep 10k couplings' channel memory affordable.
         write_mode: WriteMode::Sync,
         caching: CachingLevel::CachingAll,
-        runtime: Runtime::Reactor,
         queue_entries: 8,
         ..StreamHints::default()
     }

@@ -6,16 +6,12 @@
 //! transports, and we have added to it the shared memory transport and the
 //! RDMA transport required by FlexIO." (§II.C)
 //!
-//! This crate reproduces those three capabilities:
+//! This crate reproduces those capabilities:
 //!
 //! * [`ffs`] — self-describing binary marshaling in the spirit of FFS
 //!   (EVPath's format system): every message carries a compact schema so a
 //!   receiver can decode records it has never seen the layout of. Typed
 //!   fields cover scalars, strings, numeric arrays and nested records.
-//! * [`stones`] — EVPath's dataflow abstraction: *stones* are graph nodes
-//!   events flow through. Terminal stones invoke handlers, filter stones
-//!   drop events, split stones fan out, transform stones rewrite records,
-//!   and bridge stones forward events into a transport.
 //! * [`transport`] — the pluggable byte transports: in-process channels,
 //!   the [`shm`] lock-free shared-memory channel (intra-node), and the
 //!   [`netsim`] RDMA fabric (inter-node). FlexIO picks among them per the
@@ -32,7 +28,6 @@
 pub mod fault;
 pub mod ffs;
 pub mod socket;
-pub mod stones;
 pub mod transport;
 
 pub use fault::{FaultCounters, FaultPlan, FaultSpec};
@@ -46,7 +41,6 @@ pub use socket::{
     sender_over, socket_pair, write_frame, SockStream, SocketKind, SocketListener, SocketReceiver,
     SocketSender, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN,
 };
-pub use stones::{EvGraph, StoneId};
 pub use transport::{
     inproc_pair, BoxedReceiver, BoxedSender, EvReceiver, EvSender, NetTransport, RecvPoll,
     ShmTransport,

@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 
 use crate::directory::{DirectoryError, DirectoryService, InProcDirectory};
 use crate::hints::StreamHints;
-use crate::link::{drive, poll_until, LinkState};
+use crate::link::{poll_until, LinkState};
 use crate::reader::StreamReader;
 use crate::writer::StreamWriter;
 
@@ -117,7 +117,9 @@ impl FlexIo {
         all_cores: Vec<CoreLocation>,
         hints: StreamHints,
     ) -> Result<StreamWriter, StreamError> {
-        drive(hints.runtime, self.open_writer_rt(name, rank, nranks, core, all_cores, hints))
+        flexio_reactor::block_inline(
+            self.open_writer_rt(name, rank, nranks, core, all_cores, hints),
+        )
     }
 
     /// Open the writer side of stream `name` from one writer rank.
@@ -159,7 +161,9 @@ impl FlexIo {
         all_cores: Vec<CoreLocation>,
         hints: StreamHints,
     ) -> Result<StreamReader, StreamError> {
-        drive(hints.runtime, self.open_reader_rt(name, rank, nranks, core, all_cores, hints))
+        flexio_reactor::block_inline(
+            self.open_reader_rt(name, rank, nranks, core, all_cores, hints),
+        )
     }
 
     /// Open the reader side of stream `name` from one reader rank.

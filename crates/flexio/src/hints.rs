@@ -1,9 +1,8 @@
 //! Per-stream tuning hints: the typed vocabulary of XML `<hint>` names,
-//! the [`StreamHints`] they parse into, and the two selections a hint can
-//! make for a whole stream — which [`Runtime`] serves a blocking call's
-//! waits and which byte [`Transport`] runs beneath every channel (paper
-//! §II.B: "to tune transports, transport-specific parameters specified as
-//! hints in an XML configuration file are passed to the FlexIO runtime").
+//! the [`StreamHints`] they parse into, and the byte [`Transport`] a hint
+//! can select beneath every channel of a stream (paper §II.B: "to tune
+//! transports, transport-specific parameters specified as hints in an XML
+//! configuration file are passed to the FlexIO runtime").
 //!
 //! Only stream hints ride the XML config. The extension tiers (pub/sub,
 //! queries, the elastic loop, directory backends) are configured by the
@@ -18,44 +17,15 @@ use evpath::{FaultPlan, FaultSpec};
 
 use crate::protocol::{CachingLevel, WriteMode};
 
-/// Which engine backend drives a stream's protocol steps.
+/// The one engine driver: a blocking call is
+/// `flexio_reactor::block_inline(<engine future>)`, its waits parked
+/// through `flexio_reactor::Backoff`. (The `*_rt` async entry points,
+/// awaited from a reactor task, let one thread multiplex many streams.)
+/// Kept only as the argument of [`StreamHintsBuilder::runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Runtime {
-    /// One OS thread per stream side: a blocking call polls the engine
-    /// future in place and its receive waits park the thread through
-    /// `flexio_reactor::Backoff` (the default).
+    /// The calling thread polls the engine future in place.
     Blocking,
-    /// A blocking call runs the engine future on a caller-thread
-    /// `flexio-reactor` event loop, its waits on the timer wheel. (The
-    /// `*_rt` async entry points, awaited from a reactor task, let one
-    /// thread multiplex many streams whatever this hint says.)
-    Reactor,
-}
-
-impl Runtime {
-    /// Parse an XML `runtime` hint value.
-    pub fn from_hint(value: &str) -> Option<Runtime> {
-        match value {
-            "blocking" | "thread" => Some(Runtime::Blocking),
-            "reactor" => Some(Runtime::Reactor),
-            _ => None,
-        }
-    }
-}
-
-/// Process-wide default runtime: `FLEXIO_RUNTIME=reactor` flips every
-/// stream that doesn't set an explicit hint, which is how the verify
-/// suite replays the whole mode-matrix and fault battery on the reactor
-/// backend without touching the tests.
-fn default_runtime() -> Runtime {
-    static DEFAULT: std::sync::OnceLock<Runtime> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("FLEXIO_RUNTIME")
-            .ok()
-            .as_deref()
-            .and_then(Runtime::from_hint)
-            .unwrap_or(Runtime::Blocking)
-    })
 }
 
 /// Which byte transport a stream's channels run over.
@@ -132,9 +102,6 @@ pub struct StreamHints {
     /// silent past the timeout budget, instead of surfacing an error —
     /// the paper's "degrade gracefully when the producer dies" posture.
     pub eos_on_silence: bool,
-    /// Engine backend: thread-per-stream blocking calls (default) or the
-    /// single-threaded reactor event loop.
-    pub runtime: Runtime,
     /// Byte transport beneath every channel of the stream.
     pub transport: Transport,
     /// Budget for establishing one socket connection (covers the window
@@ -158,7 +125,6 @@ impl Default for StreamHints {
             transactional: false,
             faults: None,
             eos_on_silence: false,
-            runtime: default_runtime(),
             transport: default_transport(),
             net_connect_timeout: Duration::from_secs(2),
             net_max_frame: evpath::MAX_FRAME_LEN,
@@ -191,8 +157,6 @@ pub enum HintKey {
     Transactional,
     /// Synthesize end-of-stream when the writer goes silent.
     EosOnSilence,
-    /// Engine backend (`blocking`/`reactor`).
-    Runtime,
     /// Byte transport beneath every channel (`auto`/`shm`/`tcp`/`uds`).
     TransportSel,
     /// Socket connect budget in milliseconds.
@@ -216,7 +180,6 @@ impl HintKey {
         HintKey::Retries,
         HintKey::Transactional,
         HintKey::EosOnSilence,
-        HintKey::Runtime,
         HintKey::TransportSel,
         HintKey::NetConnectMs,
         HintKey::NetMaxFrameMb,
@@ -235,7 +198,6 @@ impl HintKey {
             HintKey::Retries => "retries",
             HintKey::Transactional => "transactional",
             HintKey::EosOnSilence => "eos_on_silence",
-            HintKey::Runtime => "runtime",
             HintKey::TransportSel => "transport",
             HintKey::NetConnectMs => "net.connect_ms",
             HintKey::NetMaxFrameMb => "net.max_frame_mb",
@@ -281,9 +243,6 @@ impl StreamHints {
         }
         h.transactional = hint_bool(HintKey::Transactional);
         h.eos_on_silence = hint_bool(HintKey::EosOnSilence);
-        if let Some(rt) = hint(HintKey::Runtime).and_then(Runtime::from_hint) {
-            h.runtime = rt;
-        }
         if let Some(t) = hint(HintKey::TransportSel).and_then(Transport::from_hint) {
             h.transport = t;
         }
@@ -365,9 +324,9 @@ impl StreamHintsBuilder {
         self
     }
 
-    /// Engine backend.
-    pub fn runtime(mut self, runtime: Runtime) -> Self {
-        self.hints.runtime = runtime;
+    /// A no-op: there is one engine driver. Kept so the benchmark's
+    /// `.runtime(Runtime::Blocking)` call still compiles.
+    pub fn runtime(self, _: Runtime) -> Self {
         self
     }
 

@@ -16,7 +16,7 @@
 //! * [`context`] — [`FlexIo`], the handle a deployment shares, and the
 //!   `open_*` calls that turn it into stream engines.
 //! * [`hints`] — the per-stream tuning hints an XML config carries
-//!   (§II.B), with the runtime and transport selections among them.
+//!   (§II.B), with the transport selection among them.
 //! * [`link`] — the connection fabric between the two programs: per
 //!   `(writer rank, reader rank)` duplex channels whose transport (shared
 //!   memory vs RDMA) is **automatically selected from the placement** of
@@ -42,7 +42,7 @@
 //! * [`monitor`] — performance monitoring of movement, plug-ins and
 //!   memory (§II.G); [`manager`] — the online decision loop that turns
 //!   monitoring data into dynamic plug-in placement (§II.G/§IV);
-//!   [`relay`] — the stone-graph relay that ships monitoring samples from
+//!   [`relay`] — the strided relay that ships monitoring samples from
 //!   the simulation side to the analytics side online; [`task`] — the one
 //!   loop every background service runs on, periodic (sink drain,
 //!   manager, elastic controller, directory gossip) or step-driven

@@ -21,19 +21,10 @@ use parking_lot::Mutex;
 
 // Callers outside the crate name the error as `flexio::link::StreamError`.
 pub use crate::context::StreamError;
-use crate::hints::{Runtime, StreamHints, Transport};
+use crate::hints::{StreamHints, Transport};
 use crate::monitor::PerfMonitor;
 use crate::protocol::ProtocolCounters;
 use crate::seq::{SeqReceiver, SeqSender};
-
-/// Run an engine future to completion for the blocking API. The protocol
-/// is the future; the runtime is only how its waits are served.
-pub(crate) fn drive<F: std::future::Future>(runtime: Runtime, fut: F) -> F::Output {
-    match runtime {
-        Runtime::Blocking => flexio_reactor::block_inline(fut),
-        Runtime::Reactor => flexio_reactor::block_on(fut),
-    }
-}
 
 /// Poll `probe` until it yields or `deadline` passes, pacing the waits in
 /// between (the setup-time waits: directory, bulletin, reader attach).
@@ -432,7 +423,7 @@ pub fn recv_record(
     hints: &StreamHints,
     counters: &ProtocolCounters,
 ) -> Result<Record, StreamError> {
-    drive(hints.runtime, recv_record_rt(rx, hints, counters))
+    flexio_reactor::block_inline(recv_record_rt(rx, hints, counters))
 }
 
 #[cfg(test)]

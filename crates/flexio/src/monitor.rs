@@ -118,7 +118,6 @@ const DEFAULT_SAMPLE_CAPACITY: usize = 100_000;
 struct Inner {
     samples: std::collections::VecDeque<Sample>,
     aggregates: [Aggregate; MonitorEvent::ALL.len()],
-    epoch: Option<Instant>,
 }
 
 /// Shared monitor; cloning shares the sample store.
@@ -136,7 +135,6 @@ impl PerfMonitor {
     /// Record one event with its payload size and duration.
     pub fn record(&self, event: MonitorEvent, step: u64, rank: usize, bytes: u64, nanos: u64) {
         let mut inner = self.inner.lock();
-        inner.epoch.get_or_insert_with(Instant::now);
         let agg = &mut inner.aggregates[event.index()];
         agg.count += 1;
         agg.bytes += bytes;

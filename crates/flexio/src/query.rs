@@ -37,7 +37,6 @@ pub use flexio_query::{
 };
 
 use crate::context::StreamError;
-use crate::link::drive;
 use crate::monitor::MonitorEvent;
 use crate::plugins::{PluginPlacement, PluginSpec, DC_APPLIED_MARKER};
 use crate::reader::StreamReader;
@@ -183,7 +182,7 @@ impl QuerySession {
 
     /// [`QuerySession::step_rt`] as a blocking call.
     pub fn step(&mut self) -> Result<Option<StepStats>, StreamError> {
-        drive(self.reader.runtime(), self.step_rt())
+        flexio_reactor::block_inline(self.step_rt())
     }
 
     /// Drive one step: `Ok(Some(stats))` after feeding a step, `Ok(None)`

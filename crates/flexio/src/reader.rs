@@ -31,7 +31,7 @@ use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue};
 
 use crate::context::StreamError;
 use crate::hints::StreamHints;
-use crate::link::{drive, LinkState};
+use crate::link::LinkState;
 use crate::monitor::MonitorEvent;
 use crate::plugins::{install_all, InstalledPlugin, PluginSpec};
 use crate::protocol::{self, msg, CachingLevel, Chunk, Go, WriteMode};
@@ -137,11 +137,6 @@ impl StreamReader {
     /// Shared link (counters, monitor) for inspection.
     pub fn link(&self) -> &Arc<LinkState> {
         &self.link
-    }
-
-    /// The backend this stream's blocking calls run on.
-    pub(crate) fn runtime(&self) -> crate::hints::Runtime {
-        self.hints.runtime
     }
 
     /// Declare interest in a variable under a selection. Must be called
@@ -268,10 +263,10 @@ impl StreamReader {
     }
 
     /// Fallible version of [`ReadEngine::begin_step`]:
-    /// [`Self::begin_step_rt`] driven to completion on the calling thread
-    /// by the stream's `runtime` hint.
+    /// [`Self::begin_step_rt`] driven to completion on the calling
+    /// thread.
     pub fn try_begin_step(&mut self) -> Result<StepStatus, StreamError> {
-        drive(self.hints.runtime, self.begin_step_rt())
+        flexio_reactor::block_inline(self.begin_step_rt())
     }
 
     /// Negotiate and receive the next step. Every receive wait is an

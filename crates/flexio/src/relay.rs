@@ -1,53 +1,40 @@
-//! Online monitoring relay over EVPath stones (paper §II.G).
+//! Online monitoring relay (paper §II.G).
 //!
 //! "For runtime management, monitoring data captured from the simulation
 //! side can be gathered online and transferred to the analytics side."
-//! The relay is built exactly the way EVPath applications build event
-//! paths: monitoring samples are submitted to a stone graph —
-//!
-//! ```text
-//! [sample filter] → [annotate transform] → [bridge → transport]
-//! ```
-//!
-//! — and the analytics side decodes the arriving records into a
+//! The simulation side publishes monitoring samples into a transport and
+//! the analytics side decodes the arriving records into a
 //! [`PerfMonitor`] replica it can hand to the
-//! [`crate::manager::PlacementManager`]. The filter keeps the relay off
-//! the critical path: only every `stride`-th event crosses. On a staging
-//! node the drain runs as the control plane's periodic loop
-//! ([`MonitorSink::into_task`], see [`crate::task`]).
+//! [`crate::manager::PlacementManager`]. Sampling keeps the relay off
+//! the critical path: only every `stride`-th sample is encoded and
+//! crosses. On a staging node the drain runs as the control plane's
+//! periodic loop ([`MonitorSink::into_task`], see [`crate::task`]).
 
 use std::future::Future;
 use std::sync::Arc;
 use std::time::Duration;
 
-use evpath::{BoxedReceiver, BoxedSender, EvGraph, FieldValue, Record, RecvPoll, StoneId};
+use evpath::{BoxedReceiver, BoxedSender, FieldValue, Record, RecvPoll};
 
 use crate::directory::{DirectoryError, DirectoryService};
 use crate::link::ChannelId;
 use crate::monitor::{MonitorEvent, PerfMonitor};
 use crate::task::{periodic, LoopHandle};
 
-/// The sending (simulation-side) half of the relay: a stone graph that
-/// samples, annotates and ships monitoring records.
+/// The sending (simulation-side) half of the relay: samples and ships
+/// monitoring records.
 pub struct MonitorRelay {
-    graph: EvGraph,
-    entry: StoneId,
-    sent: u64,
+    tx: BoxedSender,
+    stride: u64,
+    published: u64,
 }
 
 impl MonitorRelay {
     /// Build a relay over `transport`, forwarding every `stride`-th
-    /// sample, annotated with the producing `rank`.
-    pub fn new(transport: BoxedSender, rank: usize, stride: u64) -> MonitorRelay {
+    /// sample.
+    pub fn new(transport: BoxedSender, stride: u64) -> MonitorRelay {
         assert!(stride >= 1);
-        let mut graph = EvGraph::new();
-        let bridge = graph.bridge(transport);
-        let annotate =
-            graph.transform(move |r| r.with("relay_rank", FieldValue::U64(rank as u64)), bridge);
-        // Sampling filter driven by a sequence number stamped on entry.
-        let sample = graph
-            .filter(move |r| r.get_u64("seq").is_some_and(|s| s.is_multiple_of(stride)), annotate);
-        MonitorRelay { graph, entry: sample, sent: 0 }
+        MonitorRelay { tx: transport, stride, published: 0 }
     }
 
     /// Build the relay on stream `name`'s own monitoring channel,
@@ -60,25 +47,27 @@ impl MonitorRelay {
     pub fn for_stream(
         directory: &dyn DirectoryService,
         name: &str,
-        rank: usize,
         stride: u64,
         timeout: Duration,
     ) -> Result<MonitorRelay, DirectoryError> {
         let link = directory.lookup(name, timeout)?;
-        Ok(MonitorRelay::new(link.claim_sender(ChannelId::Monitor), rank, stride))
+        Ok(MonitorRelay::new(link.claim_sender(ChannelId::Monitor), stride))
     }
 
     /// Submit one monitoring sample into the relay.
     pub fn publish(&mut self, event: MonitorEvent, step: u64, rank: usize, bytes: u64, nanos: u64) {
+        let seq = self.published;
+        self.published += 1;
+        if !seq.is_multiple_of(self.stride) {
+            return;
+        }
         let record = Record::new()
-            .with("seq", FieldValue::U64(self.sent))
             .with("event", FieldValue::Str(event.name().to_string()))
             .with("step", FieldValue::U64(step))
             .with("rank", FieldValue::U64(rank as u64))
             .with("bytes", FieldValue::U64(bytes))
             .with("nanos", FieldValue::U64(nanos));
-        self.sent += 1;
-        self.graph.submit(self.entry, record);
+        self.tx.send(&record.encode());
     }
 }
 
@@ -230,7 +219,7 @@ mod tests {
     #[test]
     fn relay_ships_samples_across_a_transport() {
         let (tx, rx) = inproc_pair();
-        let mut relay = MonitorRelay::new(tx, 3, 1);
+        let mut relay = MonitorRelay::new(tx, 1);
         let mut sink = MonitorSink::new(rx);
         for step in 0..5 {
             relay.publish(MonitorEvent::DataSend, step, 3, 1000, 50);
@@ -243,7 +232,7 @@ mod tests {
     #[test]
     fn sampling_stride_thins_the_stream() {
         let (tx, rx) = inproc_pair();
-        let mut relay = MonitorRelay::new(tx, 0, 4);
+        let mut relay = MonitorRelay::new(tx, 4);
         let mut sink = MonitorSink::new(rx);
         for step in 0..20 {
             relay.publish(MonitorEvent::SyncWait, step, 0, 0, 10);
@@ -256,7 +245,7 @@ mod tests {
     fn relayed_monitor_drives_placement_decisions() {
         // The §II.G loop end to end: remote samples → replica → manager.
         let (tx, rx) = inproc_pair();
-        let mut relay = MonitorRelay::new(tx, 0, 1);
+        let mut relay = MonitorRelay::new(tx, 1);
         for step in 0..5 {
             relay.publish(MonitorEvent::DataSend, step, 0, 50 << 20, 0);
         }

@@ -192,7 +192,7 @@ mod tests {
     /// in `relay`), a registered stream and an open roster.
     fn three_loops(reactor: &mut Reactor) -> Loops {
         let (tx, rx) = evpath::inproc_pair();
-        let mut relay = MonitorRelay::new(tx, 0, 1);
+        let mut relay = MonitorRelay::new(tx, 1);
         relay.publish(MonitorEvent::DataSend, 0, 0, 8, 1);
         let (sink, sink_task) = MonitorSink::new(rx).into_task(TICK);
 
@@ -298,7 +298,9 @@ mod tests {
     #[test]
     fn a_driven_loop_ends_on_its_own_condition_or_on_a_failed_round() {
         let (ended, task) = counter(4, u64::MAX);
-        flexio_reactor::block_on(task);
+        let mut reactor = Reactor::new();
+        reactor.spawn(task);
+        reactor.run();
         assert_eq!((ended.rounds(), ended.take_output()), (4, Some(Ok(4))));
         let (failed, task) = counter(u64::MAX, 2);
         flexio_reactor::block_inline(task);

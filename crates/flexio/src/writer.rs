@@ -34,7 +34,7 @@ use adios::{ProcessGroup, VarValue, WriteEngine};
 
 use crate::context::StreamError;
 use crate::hints::StreamHints;
-use crate::link::{drive, poll_until, LinkState};
+use crate::link::{poll_until, LinkState};
 use crate::monitor::MonitorEvent;
 use crate::plugins::{install_all, InstalledPlugin, PluginSpec};
 use crate::protocol::{self, msg, CachingLevel, Go, WriteMode};
@@ -162,10 +162,9 @@ impl StreamWriter {
     }
 
     /// Fallible version of [`WriteEngine::end_step`]: [`Self::end_step_rt`]
-    /// driven to completion on the calling thread by the stream's
-    /// `runtime` hint.
+    /// driven to completion on the calling thread.
     pub fn try_end_step(&mut self) -> Result<(), StreamError> {
-        drive(self.hints.runtime, self.end_step_rt())
+        flexio_reactor::block_inline(self.end_step_rt())
     }
 
     /// Run the 4-step protocol for the step being written. Every receive

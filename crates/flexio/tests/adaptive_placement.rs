@@ -124,7 +124,7 @@ fn attached_relay_ships_each_sealed_step_to_the_analytics_side() {
         let mut w = io_w.open_writer("relayed", 0, 1, core, vec![core], hints_w).unwrap();
         // The monitoring channel is placed from both coordinators' cores.
         w.link().wait_reader_info(WAIT).expect("reader attached");
-        let relay = MonitorRelay::for_stream(io_w.directory().as_ref(), "relayed", 0, 1, WAIT)
+        let relay = MonitorRelay::for_stream(io_w.directory().as_ref(), "relayed", 1, WAIT)
             .expect("relay finds the stream");
         w.attach_relay(relay);
         for step in 0..STEPS {

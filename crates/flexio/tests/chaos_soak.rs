@@ -1,13 +1,13 @@
 //! Time-boxed chaos soak: `FLEXIO_SOAK_SECS=<n>` turns this no-op test
 //! into an n-second loop of faulted couplings, sweeping a fresh fault seed
-//! every iteration and alternating the blocking and reactor backends. Each
-//! iteration is a *multi-stream* round: two couplings run concurrently, one
-//! on the shared-memory transport and one on real TCP sockets (which
-//! stream gets which backend alternates too, so every runtime × transport
-//! pair is soaked). Any seed that loses data, wedges a handshake or panics
-//! an engine fails the run — this is the long-tail search the fixed
-//! 20-seed sweep in `scripts/verify.sh` cannot afford on every invocation.
-//! Unset, the test returns immediately so the default suite stays fast.
+//! every iteration. Each iteration is a *multi-stream* round: two
+//! couplings run concurrently, one on the shared-memory transport and one
+//! on real TCP sockets (which stream gets which transport alternates, so
+//! both seeds of a round are soaked on both). Any seed that loses data,
+//! wedges a handshake or panics an engine fails the run — this is the
+//! long-tail search the fixed 20-seed sweep in `scripts/verify.sh` cannot
+//! afford on every invocation. Unset, the test returns immediately so the
+//! default suite stays fast.
 
 mod common;
 
@@ -17,12 +17,12 @@ use std::time::{Duration, Instant};
 use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
 use common::{block_1d, couple};
 use evpath::{FaultPlan, FaultSpec};
-use flexio::{CachingLevel, Runtime, StreamHints, Transport};
+use flexio::{CachingLevel, StreamHints, Transport};
 
 /// One faulted coupling: 2 writers × 1 reader × 2 steps under 50%
 /// duplicate + 50% reorder on the data channels; the reader asserts every
 /// element it assembles.
-fn soak_once(seed: u64, runtime: Runtime, transport: Transport) {
+fn soak_once(seed: u64, transport: Transport) {
     const STEPS: u64 = 2;
     let mut plan = FaultPlan::new(seed);
     plan.set(
@@ -32,7 +32,6 @@ fn soak_once(seed: u64, runtime: Runtime, transport: Transport) {
     let hints = StreamHints {
         caching: CachingLevel::CachingAll,
         faults: Some(Arc::new(plan)),
-        runtime,
         transport,
         ..StreamHints::default()
     };
@@ -63,7 +62,7 @@ fn soak_once(seed: u64, runtime: Runtime, transport: Transport) {
                             assert_eq!(
                                 x,
                                 (step * 100 + g as u64) as f64,
-                                "seed {seed} {runtime:?} {transport:?} step {step} idx {g}"
+                                "seed {seed} {transport:?} step {step} idx {g}"
                             );
                         }
                         seen += 1;
@@ -75,7 +74,7 @@ fn soak_once(seed: u64, runtime: Runtime, transport: Transport) {
             seen
         },
     );
-    assert_eq!(steps, vec![STEPS as usize], "seed {seed} {runtime:?} {transport:?} lost steps");
+    assert_eq!(steps, vec![STEPS as usize], "seed {seed} {transport:?} lost steps");
 }
 
 #[test]
@@ -89,17 +88,15 @@ fn chaos_soak() {
     let mut iterations = 0u64;
     while Instant::now() < deadline {
         let seed = 0x50A4 ^ iterations.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let runtime =
-            if iterations.is_multiple_of(2) { Runtime::Blocking } else { Runtime::Reactor };
-        // Two streams in flight at once, one per backend; which stream
-        // rides which transport swaps every other iteration.
-        let (ta, tb) = if iterations.is_multiple_of(4) || iterations % 4 == 1 {
+        // Two streams in flight at once, one per transport; which stream
+        // rides which swaps every iteration.
+        let (ta, tb) = if iterations.is_multiple_of(2) {
             (Transport::Shm, Transport::Tcp)
         } else {
             (Transport::Tcp, Transport::Shm)
         };
-        let a = std::thread::spawn(move || soak_once(seed, runtime, ta));
-        let b = std::thread::spawn(move || soak_once(seed ^ 0x5EED, runtime, tb));
+        let a = std::thread::spawn(move || soak_once(seed, ta));
+        let b = std::thread::spawn(move || soak_once(seed ^ 0x5EED, tb));
         a.join().expect("shm-or-tcp stream A survived");
         b.join().expect("shm-or-tcp stream B survived");
         iterations += 1;

@@ -6,8 +6,8 @@
 //!   static reader-side plug-in and run with two mid-run migrations
 //!   (staging → inline → staging, i.e. reader-side → writer-side →
 //!   reader-side) must deliver byte-identical conditioned data, under
-//!   an active 400‰ dup/reorder fault schedule, on the blocking,
-//!   reactor and fleet backends alike — for a codelet-bodied plug-in
+//!   an active 400‰ dup/reorder fault schedule, as blocking calls and as
+//!   fleet tasks alike — for a codelet-bodied plug-in
 //!   and for a typed-filter one. The `dc_applied` marker makes each
 //!   handover step exactly-once no matter which side conditions first;
 //!   only the *wire volume* may differ.
@@ -31,8 +31,8 @@ use flexio::plugins::PluginBody;
 use flexio::query::Expr;
 use flexio::redistribute::split_box;
 use flexio::{
-    CachingLevel, FleetRuntime, FlexIo, MonitorEvent, PluginPlacement, PluginSpec, Runtime,
-    StreamHints, Transport, WriteMode,
+    CachingLevel, FleetRuntime, FlexIo, MonitorEvent, PluginPlacement, PluginSpec, StreamHints,
+    Transport, WriteMode,
 };
 use machine::laptop;
 use parking_lot::Mutex;
@@ -104,13 +104,12 @@ fn faulty_plan(seed: u64) -> Arc<FaultPlan> {
 /// the async writer within a few steps of the reader, so a migration the
 /// reader asks for after step 1 still finds steps left to condition.
 /// (Placement alone would pick the unbounded cross-node transport.)
-fn migration_hints(plan: &Arc<FaultPlan>, runtime: Runtime) -> StreamHints {
+fn migration_hints(plan: &Arc<FaultPlan>) -> StreamHints {
     StreamHints {
         caching: CachingLevel::CachingAll,
         queue_entries: 4,
         transport: Transport::Shm,
         faults: Some(Arc::clone(plan)),
-        runtime,
         ..StreamHints::default()
     }
 }
@@ -153,16 +152,14 @@ fn reader_step(
     }
 }
 
-/// One run on a thread-per-rank backend (blocking or single-threaded
-/// reactor, per the runtime hint): 2 writers, 1 reader conditioning
-/// writer 0's process group through the plug-in.
+/// One run of blocking calls, one thread per rank: 2 writers, 1 reader
+/// conditioning writer 0's process group through the plug-in.
 fn run_threaded(
     plan: Arc<FaultPlan>,
-    runtime: Runtime,
     plugin: Conditioner,
     migrations: &'static [(u64, PluginPlacement)],
 ) -> RunOutput {
-    let hints = migration_hints(&plan, runtime);
+    let hints = migration_hints(&plan);
     let (_links, mut reads) = couple(
         2,
         1,
@@ -197,7 +194,7 @@ fn run_fleet(
     plugin: Conditioner,
     migrations: &'static [(u64, PluginPlacement)],
 ) -> RunOutput {
-    let hints = migration_hints(&plan, Runtime::Reactor);
+    let hints = migration_hints(&plan);
     let io = FlexIo::new(laptop(), 4);
     let fleet = FleetRuntime::new(&laptop(), 4);
 
@@ -261,10 +258,9 @@ fn check_migration(plugin: Conditioner) {
     let seed =
         std::env::var("FLEXIO_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xE1A57EC);
 
-    let baseline = run_threaded(faulty_plan(seed), Runtime::Blocking, plugin, STATIC);
+    let baseline = run_threaded(faulty_plan(seed), plugin, STATIC);
     let storm = faulty_plan(seed);
-    let migrated = run_threaded(Arc::clone(&storm), Runtime::Blocking, plugin, MIGRATIONS);
-    let migrated_rt = run_threaded(faulty_plan(seed), Runtime::Reactor, plugin, MIGRATIONS);
+    let migrated = run_threaded(Arc::clone(&storm), plugin, MIGRATIONS);
     let migrated_fleet = run_fleet(faulty_plan(seed), plugin, MIGRATIONS);
 
     // Ground truth first: the conditioned stream is exactly writer 0's
@@ -276,7 +272,6 @@ fn check_migration(plugin: Conditioner) {
     assert_eq!(baseline.data, expected, "static placement produced wrong conditioned data");
 
     assert_eq!(migrated.data, baseline.data, "seed {seed}: migration changed delivered bytes");
-    assert_eq!(migrated_rt.data, baseline.data, "seed {seed}: reactor migration diverged");
     assert_eq!(migrated_fleet.data, baseline.data, "seed {seed}: fleet migration diverged");
 
     // The migrations must have actually happened: the two writer-side

@@ -1,10 +1,15 @@
 //! Fleet equivalence: sharding couplings over a multi-core reactor fleet
 //! must be protocol-invisible. The same coupled program, the same fault
-//! seed, the same data — run on the blocking thread-per-stream backend,
-//! on the single-threaded reactor, and sharded across a [`ReactorFleet`]
-//! of worker cores — must land on byte-identical protocol counters,
-//! fault schedules and application data. Parallelism may only change
-//! *when* engines get polled, never *what* they say on the wire.
+//! seed, the same data — run as blocking calls on one thread per rank,
+//! and as `*_rt` tasks sharded across a [`ReactorFleet`] of worker cores
+//! — must land on byte-identical protocol counters, fault schedules and
+//! application data. Parallelism may only change *when* engines get
+//! polled, never *what* they say on the wire.
+//!
+//! The engine futures are the same on both sides. What differs is who
+//! serves their waits: `block_inline` parking through `Backoff` on one
+//! side, `run_shard` on a `fleet::Worker` with `Pacing`'s wheel branch on
+//! the other.
 //!
 //! [`ReactorFleet`]: flexio_reactor::ReactorFleet
 
@@ -15,7 +20,7 @@ use std::sync::Arc;
 use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
 use common::{block_1d, couple, reader_core, reader_roster, writer_core, writer_roster};
 use evpath::{FaultPlan, FaultSpec};
-use flexio::{CachingLevel, FleetRuntime, FlexIo, Runtime, StreamHints, WriteMode};
+use flexio::{CachingLevel, FleetRuntime, FlexIo, StreamHints, WriteMode};
 use machine::laptop;
 use parking_lot::Mutex;
 
@@ -25,9 +30,9 @@ const STEPS: u64 = 3;
 
 /// Everything about a run that must be backend-independent. `retries` is
 /// timing dependent (how often a wait loop wakes before the message
-/// lands differs between a parked thread, a paced poll and a fleet
-/// shard) and is deliberately excluded; every protocol message, fault
-/// decision and healing action is not.
+/// lands differs between a parked thread and a fleet shard) and is
+/// deliberately excluded; every protocol message, fault decision and
+/// healing action is not.
 #[derive(Debug, PartialEq)]
 struct RunSignature {
     protocol: (u64, u64, u64, u64, u64, u64, u64),
@@ -40,12 +45,11 @@ struct RunSignature {
     data: Vec<Vec<f64>>,
 }
 
-fn hints_for(runtime: Runtime, write_mode: WriteMode, plan: &Arc<FaultPlan>) -> StreamHints {
+fn hints_for(write_mode: WriteMode, plan: &Arc<FaultPlan>) -> StreamHints {
     StreamHints {
         write_mode,
         caching: CachingLevel::CachingAll,
         faults: Some(Arc::clone(plan)),
-        runtime,
         ..StreamHints::default()
     }
 }
@@ -78,10 +82,10 @@ fn signature(
     }
 }
 
-/// One run on a thread-per-rank backend (blocking or single-threaded
-/// reactor, per the runtime hint) through the shared `couple` harness.
-fn run_threaded(plan: Arc<FaultPlan>, runtime: Runtime, write_mode: WriteMode) -> RunSignature {
-    let hints = hints_for(runtime, write_mode, &plan);
+/// One run of blocking calls, one thread per rank, through the shared
+/// `couple` harness.
+fn run_threaded(plan: Arc<FaultPlan>, write_mode: WriteMode) -> RunSignature {
+    let hints = hints_for(write_mode, &plan);
     let (links, reads) = couple(
         WRITERS,
         READERS,
@@ -123,7 +127,7 @@ fn run_threaded(plan: Arc<FaultPlan>, runtime: Runtime, write_mode: WriteMode) -
 /// engine is a `Send` future spawned near its endpoint core, polled by
 /// whichever worker thread owns its shard.
 fn run_fleet(plan: Arc<FaultPlan>, threads: usize, write_mode: WriteMode) -> RunSignature {
-    let hints = hints_for(Runtime::Reactor, write_mode, &plan);
+    let hints = hints_for(write_mode, &plan);
     let io = FlexIo::new(laptop(), 4);
     let fleet = FleetRuntime::new(&laptop(), threads);
 
@@ -203,14 +207,12 @@ fn run_fleet(plan: Arc<FaultPlan>, threads: usize, write_mode: WriteMode) -> Run
 fn fleet_matches_both_single_threaded_backends_byte_for_byte() {
     let seed =
         std::env::var("FLEXIO_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xBACCE4D);
-    let blocking = run_threaded(faulty_plan(seed), Runtime::Blocking, WriteMode::default());
-    let reactor = run_threaded(faulty_plan(seed), Runtime::Reactor, WriteMode::default());
+    let blocking = run_threaded(faulty_plan(seed), WriteMode::default());
     let fleet = run_fleet(faulty_plan(seed), 4, WriteMode::default());
     assert_eq!(
-        reactor, fleet,
+        blocking, fleet,
         "seed {seed}: sharding over a fleet changed observable protocol behavior"
     );
-    assert_eq!(blocking, fleet, "seed {seed}: fleet diverged from the blocking backend");
     // Non-vacuous: the equivalence must hold *through* an active fault
     // schedule, not on a quiet channel.
     let (_, duplicated, reordered, ..) = fleet.faults;
@@ -220,19 +222,19 @@ fn fleet_matches_both_single_threaded_backends_byte_for_byte() {
 #[test]
 fn fleet_equivalence_holds_across_the_mode_matrix() {
     // Both write modes at 1 and 4 worker threads: a 1-thread fleet is
-    // the single-threaded reactor with a different scheduler, and a
-    // 4-thread fleet adds true parallelism. Neither may leak into the
-    // protocol. (Fault replay rides the other test; sync-mode acks and a
-    // 500‰ dup/reorder storm time out on every backend alike, so the
-    // matrix runs on a quiet plan to keep all cells completable.)
+    // one event loop over every rank, and a 4-thread fleet adds true
+    // parallelism. Neither may leak into the protocol. (Fault replay
+    // rides the other test; sync-mode acks and a 500‰ dup/reorder storm
+    // time out on every backend alike, so the matrix runs on a quiet plan
+    // to keep all cells completable.)
     let quiet = || Arc::new(FaultPlan::new(0));
     for write_mode in [WriteMode::Sync, WriteMode::Async] {
-        let reference = run_threaded(quiet(), Runtime::Reactor, write_mode);
+        let reference = run_threaded(quiet(), write_mode);
         for threads in [1, 4] {
             let fleet = run_fleet(quiet(), threads, write_mode);
             assert_eq!(
                 reference, fleet,
-                "mode {write_mode:?} × {threads} threads diverged from the reactor backend"
+                "mode {write_mode:?} × {threads} threads diverged from the blocking calls"
             );
         }
     }

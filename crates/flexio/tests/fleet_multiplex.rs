@@ -15,7 +15,7 @@ use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
 use common::block_1d;
 use flexio::{
     CachingLevel, FleetRuntime, FlexIo, ManagerPolicy, MonitorRelay, MonitorSink, PlacementManager,
-    PluginPlacement, Runtime, StreamHints, WriteMode,
+    PluginPlacement, StreamHints, WriteMode,
 };
 use machine::laptop;
 
@@ -33,7 +33,6 @@ fn fleet_hints() -> StreamHints {
         // consumers wait for their turn on a shard.
         write_mode: WriteMode::Sync,
         caching: CachingLevel::CachingAll,
-        runtime: Runtime::Reactor,
         ..StreamHints::default()
     }
 }
@@ -189,14 +188,9 @@ fn control_plane_rides_the_fleet() {
         while w.link().try_reader_info().is_none() {
             flexio_reactor::sleep(Duration::from_millis(1)).await;
         }
-        let mut relay = MonitorRelay::for_stream(
-            io_w.directory().as_ref(),
-            "mon",
-            0,
-            1,
-            Duration::from_secs(2),
-        )
-        .expect("relay attaches to the registered link");
+        let mut relay =
+            MonitorRelay::for_stream(io_w.directory().as_ref(), "mon", 1, Duration::from_secs(2))
+                .expect("relay attaches to the registered link");
         for step in 0..STEPS {
             w.begin_step(step);
             let data: Vec<f64> = (0..ELEMS).map(|e| (step * 10 + e) as f64).collect();

@@ -13,8 +13,8 @@ use adios::IoConfig;
 use evpath::{FieldValue, Record, SocketKind};
 use flexio::link::{recv_record, ChannelId, LinkState, StreamError};
 use flexio::{
-    open_reader_proc, CachingLevel, FlexIo, HintKey, ProcConfig, RemoteDirectory, Runtime,
-    StreamHints, Transport, WireContact, WireDirNode, WriteMode,
+    open_reader_proc, CachingLevel, FlexIo, HintKey, ProcConfig, RemoteDirectory, StreamHints,
+    Transport, WireContact, WireDirNode, WriteMode,
 };
 use machine::{laptop, CoreLocation};
 use shm::BufferPool;
@@ -28,8 +28,6 @@ fn hints_from_xml(hints_xml: &str) -> StreamHints {
 }
 
 /// The non-default value each key is set to in the round-trip config.
-/// (`runtime`'s default is environment-sensitive — `FLEXIO_RUNTIME`
-/// overrides it — so its non-default is computed, not hardcoded.)
 fn nondefault_value(key: HintKey) -> &'static str {
     match key {
         HintKey::Caching => "CACHING_ALL",
@@ -42,12 +40,8 @@ fn nondefault_value(key: HintKey) -> &'static str {
         HintKey::Retries => "9",
         HintKey::Transactional => "true",
         HintKey::EosOnSilence => "true",
-        HintKey::Runtime => match StreamHints::default().runtime {
-            Runtime::Reactor => "blocking",
-            _ => "reactor",
-        },
         HintKey::FaultSeed => "77",
-        // Like `runtime`, the transport default is environment-sensitive
+        // The transport default is environment-sensitive
         // (`FLEXIO_TRANSPORT`), so pick whichever value it is not.
         HintKey::TransportSel => match StreamHints::default().transport {
             Transport::Tcp => "uds",
@@ -74,11 +68,6 @@ fn every_hint_key_round_trips_through_xml() {
     assert_eq!(h.retries, 9);
     assert!(h.transactional);
     assert!(h.eos_on_silence);
-    let expected_rt = match StreamHints::default().runtime {
-        Runtime::Reactor => Runtime::Blocking,
-        _ => Runtime::Reactor,
-    };
-    assert_eq!(h.runtime, expected_rt);
     assert_eq!(h.faults.as_ref().expect("fault.seed enables the plan").seed(), 77);
     let expected_tp = match StreamHints::default().transport {
         Transport::Tcp => Transport::Uds,
@@ -100,7 +89,6 @@ fn every_hint_key_round_trips_through_xml() {
     assert_ne!(h.retries, defaults.retries);
     assert_ne!(h.transactional, defaults.transactional);
     assert_ne!(h.eos_on_silence, defaults.eos_on_silence);
-    assert_ne!(h.runtime, defaults.runtime);
     assert_ne!(h.transport, defaults.transport);
     assert_ne!(h.net_connect_timeout, defaults.net_connect_timeout);
     assert_ne!(h.net_max_frame, defaults.net_max_frame);
@@ -121,7 +109,6 @@ fn builder_mirrors_the_parsed_config() {
         .retries(9)
         .transactional(true)
         .eos_on_silence(true)
-        .runtime(Runtime::Reactor)
         .transport(Transport::Uds)
         .net_connect_timeout(Duration::from_millis(777))
         .net_max_frame(64 << 20)
@@ -135,7 +122,6 @@ fn builder_mirrors_the_parsed_config() {
     assert_eq!(h.retries, 9);
     assert!(h.transactional);
     assert!(h.eos_on_silence);
-    assert_eq!(h.runtime, Runtime::Reactor);
     assert_eq!(h.transport, Transport::Uds);
     assert_eq!(h.net_connect_timeout, Duration::from_millis(777));
     assert_eq!(h.net_max_frame, 64 << 20);
@@ -144,22 +130,23 @@ fn builder_mirrors_the_parsed_config() {
 #[test]
 fn retired_hints_are_ignored_like_any_unknown_hint() {
     // A config written for a knob that no longer exists — the old
-    // marshal A/B switch, the extension tiers' one-time XML route (they
-    // are configured through their structs and builders) — must still
-    // load, and change nothing.
+    // marshal A/B switch, the second engine driver, the extension tiers'
+    // one-time XML route (they are configured through their structs and
+    // builders) — must still load, and change nothing.
     let parse = |hints_xml: &str| format!("{:?}", hints_from_xml(hints_xml));
     let bare = parse(r#"<hint name="retries" value="9"/>"#);
-    for stale in [
-        "packed_marshal",
-        "pubsub.qos",
-        "query.pushdown",
-        "elastic.target_lag",
-        "directory.shards",
-        "no_such_hint",
+    for (stale, value) in [
+        ("packed_marshal", "false"),
+        ("runtime", "reactor"),
+        ("pubsub.qos", "false"),
+        ("query.pushdown", "false"),
+        ("elastic.target_lag", "false"),
+        ("directory.shards", "false"),
+        ("no_such_hint", "false"),
     ] {
         assert!(HintKey::ALL.iter().all(|k| k.as_str() != stale));
         let with = parse(&format!(
-            r#"<hint name="{stale}" value="false"/><hint name="retries" value="9"/>"#
+            r#"<hint name="{stale}" value="{value}"/><hint name="retries" value="9"/>"#
         ));
         assert_eq!(with, bare, "`{stale}` must be ignored");
     }

@@ -1,11 +1,10 @@
 //! End-to-end query battery: the pushdown planner must be
 //! result-invisible. The same plan over the same stream — filter lowered
 //! to a writer-side plug-in vs. everything evaluated reader-side — must
-//! produce byte-identical [`QueryOutput`] digests, on the blocking and
-//! reactor backends, sharded over a fleet, and under a seeded
-//! dup/reorder fault storm. The only observable difference pushdown is
-//! allowed to make is fewer bytes on the wire — which the counters must
-//! actually show.
+//! produce byte-identical [`QueryOutput`] digests, as blocking calls,
+//! sharded over a fleet, and under a seeded dup/reorder fault storm. The
+//! only observable difference pushdown is allowed to make is fewer bytes
+//! on the wire — which the counters must actually show.
 
 mod common;
 
@@ -17,8 +16,7 @@ use common::{block_1d, couple, reader_core, writer_core, writer_roster};
 use evpath::{FaultPlan, FaultSpec};
 use flexio::query::{AggFunc, Expr, Plan};
 use flexio::{
-    CachingLevel, FleetRuntime, FlexIo, MonitorEvent, QueryConfig, QuerySession, Runtime,
-    StreamHints,
+    CachingLevel, FleetRuntime, FlexIo, MonitorEvent, QueryConfig, QuerySession, StreamHints,
 };
 use machine::laptop;
 
@@ -41,11 +39,10 @@ fn test_plan(agg: bool) -> Plan {
     }
 }
 
-fn hints_for(runtime: Runtime, plan: &Arc<FaultPlan>) -> StreamHints {
+fn hints_for(plan: &Arc<FaultPlan>) -> StreamHints {
     StreamHints {
         caching: CachingLevel::CachingAll,
         faults: Some(Arc::clone(plan)),
-        runtime,
         ..StreamHints::default()
     }
 }
@@ -63,7 +60,6 @@ fn storm(seed: u64) -> Arc<FaultPlan> {
 /// stream; see [`run_plan`] for what comes back.
 fn run_query(
     faults: Arc<FaultPlan>,
-    runtime: Runtime,
     pushdown: bool,
     oracle: bool,
     agg: bool,
@@ -71,7 +67,7 @@ fn run_query(
     let block = |step, rank: usize| {
         block_1d(rank as u64 * ROWS_PER_CHUNK, chunk(step, rank), WRITERS as u64 * ROWS_PER_CHUNK)
     };
-    run_plan(faults, runtime, pushdown, oracle, test_plan(agg), block)
+    run_plan(faults, pushdown, oracle, test_plan(agg), block)
 }
 
 /// One coupled run of `plan` (a single-variable filter over `field`)
@@ -81,13 +77,12 @@ fn run_query(
 /// `(rows_in_total, records)` pair for the rows-in event.
 fn run_plan(
     faults: Arc<FaultPlan>,
-    runtime: Runtime,
     pushdown: bool,
     oracle: bool,
     plan: Plan,
     block: fn(u64, usize) -> VarValue,
 ) -> (u64, (u64, u64, u64, u64), (u64, u64)) {
-    let hints = hints_for(runtime, &faults);
+    let hints = hints_for(&faults);
     let (_w, mut reads) = couple(
         WRITERS,
         1,
@@ -125,26 +120,19 @@ fn run_plan(
 fn pushdown_is_result_invisible_on_both_backends() {
     for agg in [false, true] {
         let quiet = || Arc::new(FaultPlan::new(0));
-        let base = run_query(quiet(), Runtime::Blocking, false, false, agg);
-        for runtime in [Runtime::Blocking, Runtime::Reactor] {
-            for pushdown in [false, true] {
-                let run = run_query(quiet(), runtime, pushdown, false, agg);
-                assert_eq!(
-                    run.0, base.0,
-                    "agg={agg} {runtime:?} pushdown={pushdown}: output digest diverged"
-                );
-                // Same rows enter and leave the filter no matter where it ran.
-                assert_eq!((run.1 .0, run.1 .1), (base.1 .0, base.1 .1));
-            }
-        }
+        let base = run_query(quiet(), false, false, agg);
+        let run = run_query(quiet(), true, false, agg);
+        assert_eq!(run.0, base.0, "agg={agg}: pushdown changed the output digest");
+        // Same rows enter and leave the filter no matter where it ran.
+        assert_eq!((run.1 .0, run.1 .1), (base.1 .0, base.1 .1));
     }
 }
 
 #[test]
 fn pushdown_counters_show_the_bytes_that_stayed_home() {
     let quiet = || Arc::new(FaultPlan::new(0));
-    let with = run_query(quiet(), Runtime::Blocking, true, false, false);
-    let without = run_query(quiet(), Runtime::Blocking, false, false, false);
+    let with = run_query(quiet(), true, false, false);
+    let without = run_query(quiet(), false, false, false);
 
     let total_rows = WRITERS as u64 * STEPS * ROWS_PER_CHUNK;
     let (rows_in, rows_out, pushed, saved) = with.1;
@@ -168,18 +156,12 @@ fn pushdown_counters_show_the_bytes_that_stayed_home() {
 fn pushdown_equivalence_survives_a_fault_storm() {
     let seed =
         std::env::var("FLEXIO_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xF1E510);
-    for runtime in [Runtime::Blocking, Runtime::Reactor] {
-        let with = run_query(storm(seed), runtime, true, false, false);
-        let without = run_query(storm(seed), runtime, false, false, false);
-        assert_eq!(
-            with.0, without.0,
-            "seed {seed} {runtime:?}: faults made pushdown observable in the results"
-        );
-        assert!(with.1 .2 > 0, "seed {seed}: pushdown must still condition chunks under faults");
-    }
-    // Non-vacuous: the schedule must have injected something.
     let probe = storm(seed);
-    let _ = run_query(Arc::clone(&probe), Runtime::Blocking, true, false, false);
+    let with = run_query(Arc::clone(&probe), true, false, false);
+    let without = run_query(storm(seed), false, false, false);
+    assert_eq!(with.0, without.0, "seed {seed}: faults made pushdown observable in the results");
+    assert!(with.1 .2 > 0, "seed {seed}: pushdown must still condition chunks under faults");
+    // Non-vacuous: the schedule must have injected something.
     let (_, duplicated, reordered, ..) = probe.counters().snapshot();
     assert!(duplicated + reordered > 0, "seed {seed} injected nothing");
 }
@@ -205,8 +187,8 @@ fn a_byte_column_pushes_down_and_saves_one_byte_per_dropped_row() {
     // Values 0..=135; `< 80` keeps the first two steps' rows.
     let plan = Plan::select(&["field"]).filter(Expr::col("field").lt(Expr::lit(80.0)));
     let quiet = || Arc::new(FaultPlan::new(0));
-    let with = run_plan(quiet(), Runtime::Blocking, true, true, plan.clone(), block);
-    let without = run_plan(quiet(), Runtime::Blocking, false, true, plan, block);
+    let with = run_plan(quiet(), true, true, plan.clone(), block);
+    let without = run_plan(quiet(), false, true, plan, block);
     assert_eq!(with.0, without.0, "pushdown changed a byte column's result");
 
     let total_rows = WRITERS as u64 * STEPS * ROWS_PER_CHUNK;
@@ -229,8 +211,8 @@ fn non_finite_literals_push_down_and_digest_match() {
     for (lit, kept) in [(f64::NAN, 0), (f64::INFINITY, total_rows)] {
         let plan = Plan::select(&["field"]).filter(Expr::col("field").lt(Expr::lit(lit)));
         let quiet = || Arc::new(FaultPlan::new(0));
-        let with = run_plan(quiet(), Runtime::Blocking, true, true, plan.clone(), block);
-        let without = run_plan(quiet(), Runtime::Blocking, false, true, plan, block);
+        let with = run_plan(quiet(), true, true, plan.clone(), block);
+        let without = run_plan(quiet(), false, true, plan, block);
         assert_eq!(with.0, without.0, "field < {lit}: pushdown changed the result");
         assert_eq!((with.1 .0, with.1 .1), (total_rows, kept), "field < {lit}");
         assert_eq!(with.1 .2, total_rows * 8, "field < {lit}: conditioned writer-side");
@@ -243,7 +225,7 @@ fn oracle_mode_validates_the_vectorized_executor_in_vivo() {
     for (pushdown, agg) in [(true, false), (false, false), (true, true)] {
         let quiet = Arc::new(FaultPlan::new(0));
         // `run_to_end` fails loudly on any vectorized/naive divergence.
-        let _ = run_query(quiet, Runtime::Blocking, pushdown, true, agg);
+        let _ = run_query(quiet, pushdown, true, agg);
     }
 }
 
@@ -252,9 +234,9 @@ fn oracle_mode_validates_the_vectorized_executor_in_vivo() {
 /// results must match the blocking backend bit for bit.
 #[test]
 fn fleet_query_task_matches_the_blocking_backend() {
-    let reference = run_query(Arc::new(FaultPlan::new(0)), Runtime::Blocking, true, false, false);
+    let reference = run_query(Arc::new(FaultPlan::new(0)), true, false, false);
 
-    let hints = hints_for(Runtime::Reactor, &Arc::new(FaultPlan::new(0)));
+    let hints = hints_for(&Arc::new(FaultPlan::new(0)));
     let io = FlexIo::new(laptop(), 4);
     let fleet = FleetRuntime::new(&laptop(), 4);
     for rank in 0..WRITERS {
@@ -309,11 +291,8 @@ fn fleet_query_task_matches_the_blocking_backend() {
 fn first_steps(k: u64, stop: bool) -> (u64, u64) {
     let quiet = Arc::new(FaultPlan::new(0));
     // A loop that missed its stop would time out here instead of hanging.
-    let hints = StreamHints {
-        recv_timeout: Duration::from_secs(2),
-        retries: 0,
-        ..hints_for(Runtime::Blocking, &quiet)
-    };
+    let hints =
+        StreamHints { recv_timeout: Duration::from_secs(2), retries: 0, ..hints_for(&quiet) };
     // With `stop` the writers close only after the loop has ended, so
     // nothing but the stop can end it.
     let loop_ended = Arc::new(Barrier::new(WRITERS + 1));

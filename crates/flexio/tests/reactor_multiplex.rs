@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
 use common::block_1d;
-use flexio::{CachingLevel, FlexIo, Runtime, StreamHints, WriteMode};
+use flexio::{CachingLevel, FlexIo, StreamHints, WriteMode};
 use machine::laptop;
 
 const COUPLINGS: usize = 64;
@@ -28,7 +28,6 @@ fn one_reactor_thread_drives_64_couplings_to_completion() {
         // consumers wait for their turn on the shared loop.
         write_mode: WriteMode::Sync,
         caching: CachingLevel::CachingAll,
-        runtime: Runtime::Reactor,
         ..StreamHints::default()
     };
 
@@ -109,17 +108,12 @@ fn one_reactor_thread_drives_64_couplings_to_completion() {
 
 #[test]
 fn blocking_hint_calls_made_from_a_reactor_task_still_complete_a_coupled_step() {
-    // The blocking API with `Runtime::Blocking` runs the engine future in
-    // place, its waits served on the calling thread — including when that
-    // thread happens to be inside a reactor task (a `Runtime::Reactor`
-    // hint would panic "nested reactor" there). One reactor per side, each
-    // on its own thread, so the two blocking calls can meet.
+    // The blocking API runs the engine future in place, its waits served
+    // on the calling thread — including when that thread happens to be
+    // inside a reactor task. One reactor per side, each on its own
+    // thread, so the two blocking calls can meet.
     let io = FlexIo::single_node(laptop());
-    let hints = StreamHints {
-        write_mode: WriteMode::Sync,
-        runtime: Runtime::Blocking,
-        ..StreamHints::default()
-    };
+    let hints = StreamHints { write_mode: WriteMode::Sync, ..StreamHints::default() };
     let core = laptop().node.location_of(0);
 
     let (io_r, hints_r) = (io.clone(), hints.clone());

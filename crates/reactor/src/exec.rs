@@ -9,11 +9,11 @@
 //! round progressed nothing, an **idle step**: one [`Backoff`] escalation
 //! whose park never outlasts the wheel's next deadline.
 //!
-//! The entry points differ only in the `Host` they hand that loop:
+//! The two hosts differ only in the `Host` they hand that loop:
 //! [`Reactor::run`] runs it on the caller's thread over `!Send` tasks,
-//! [`block_on`] over one borrowed future, and a [`crate::ReactorFleet`]
-//! worker on its own thread with an injector queue to adopt from,
-//! counters to publish and a condvar to park on.
+//! and a [`crate::ReactorFleet`] worker on its own thread with an
+//! injector queue to adopt from, counters to publish and a condvar to
+//! park on.
 //!
 //! Futures communicate with the enclosing loop through a thread-local
 //! context: [`sleep_until`] registers its deadline in the wheel,
@@ -50,7 +50,7 @@ thread_local! {
 }
 
 /// True while the calling thread is inside an event loop ([`Reactor::run`],
-/// [`block_on`], a fleet worker) — i.e. the timer wheel is available.
+/// a fleet worker) — i.e. the timer wheel is available.
 pub fn in_reactor() -> bool {
     CX.with(|cx| cx.borrow().is_some())
 }
@@ -94,8 +94,8 @@ impl CxGuard {
             let mut cx = cx.borrow_mut();
             assert!(
                 cx.is_none(),
-                "nested reactor: block_on/run called from inside a reactor task \
-                 (use the *_rt async variants instead of the blocking wrappers)"
+                "nested reactor: a loop started from inside a reactor task \
+                 (spawn the future on the enclosing loop instead)"
             );
             *cx = Some(Cx { wheel: TimerWheel::default(), progressed: false, steps: 0 });
         });
@@ -219,28 +219,12 @@ impl Reactor {
     }
 }
 
-/// Drive one future to completion on the calling thread, with a private
-/// timer wheel: the event loop over a single borrowed task. This is how
-/// the blocking `StreamWriter`/`StreamReader` API runs on the reactor
-/// backend: the caller's thread *is* the reactor for the duration of the
-/// call.
-///
-/// Panics if called from inside a running reactor (tasks must use the
-/// async engine variants directly instead of the blocking wrappers).
-pub fn block_on<F: Future>(fut: F) -> F::Output {
-    let mut out = None;
-    {
-        let task = std::pin::pin!(async { out = Some(fut.await) });
-        run_shard(&mut vec![task], &mut ());
-    }
-    out.expect("the loop ends when its one task has finished")
-}
-
 /// Drive one future to completion on the calling thread with *no* event
 /// loop: any enclosing reactor is hidden for the duration, so the wait
 /// futures inside serve their waits on this thread (see the module docs)
-/// and an engine future finishes in its first poll. This is the blocking
-/// backend: [`block_on`]'s protocol code, waiting through [`Backoff`].
+/// and an engine future finishes in its first poll. This is every
+/// blocking call of the `StreamWriter`/`StreamReader` API: the engine's
+/// protocol code, waiting through [`Backoff`].
 pub fn block_inline<F: Future>(fut: F) -> F::Output {
     struct Restore(Option<Cx>);
     impl Drop for Restore {
@@ -408,26 +392,13 @@ mod tests {
     use std::rc::Rc;
 
     #[test]
-    fn block_on_returns_value() {
-        assert_eq!(block_on(async { 41 + 1 }), 42);
-        assert!(!in_reactor(), "context must be torn down");
-        // The future need not be `'static`: it may borrow the caller's locals.
-        let mut seen = vec![1, 2, 3];
-        let sum = block_on(async {
-            yield_now().await;
-            seen.push(4);
-            seen.iter().sum::<i32>()
-        });
-        assert_eq!((sum, seen.len()), (10, 4));
-    }
-
-    #[test]
     fn sleeps_complete_and_wheel_parks() {
         let t0 = Instant::now();
-        block_on(async {
-            sleep(Duration::from_millis(5)).await;
-        });
+        let mut r = Reactor::new();
+        r.spawn(sleep(Duration::from_millis(5)));
+        r.run();
         assert!(t0.elapsed() >= Duration::from_millis(5));
+        assert!(!in_reactor(), "context must be torn down");
     }
 
     #[test]
@@ -502,17 +473,20 @@ mod tests {
     fn block_inline_returns_value_and_hides_the_reactor() {
         assert_eq!(block_inline(async { 41 + 1 }), 42);
         assert!(!in_reactor());
-        block_on(async {
+        let mut r = Reactor::new();
+        r.spawn(async {
             assert!(!block_inline(async { in_reactor() }), "waits inside must block");
             assert!(in_reactor(), "the enclosing reactor is back afterwards");
         });
+        r.run();
     }
 
+    /// Blocking on a second loop from inside a reactor task panics.
     #[test]
     #[should_panic(expected = "nested reactor")]
     fn nested_block_on_panics() {
-        block_on(async {
-            block_on(async {});
-        });
+        let mut r = Reactor::new();
+        r.spawn(async { Reactor::new().run() });
+        r.run();
     }
 }

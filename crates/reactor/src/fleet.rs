@@ -2,8 +2,8 @@
 //!
 //! One [`crate::Reactor`] drives many streams on one core; the fleet
 //! scales that design sideways instead of up. N worker threads each run
-//! the *same* event loop (`exec::run_shard`, the one `Reactor::run` and
-//! `block_on` run) over their own shard of tasks — no shared run queue,
+//! the *same* event loop (`exec::run_shard`, the one `Reactor::run`
+//! runs) over their own shard of tasks — no shared run queue,
 //! no work stealing, no wakers, and a task stays on the shard it was
 //! placed on. What a worker adds to the loop is its `Host` half:
 //!

@@ -11,7 +11,8 @@
 //!   (the compiler turns the writer/reader engine protocol into the
 //!   per-stream state machine for us); one event loop polls every task
 //!   once a round, then idles the core until the next timer deadline.
-//!   [`block_on`] is that loop over a single future.
+//!   [`block_inline`] runs one such future as a plain blocking call,
+//!   with no loop: its waits park the calling thread.
 //! * [`TimerWheel`] — a hashed timer wheel. Retry budgets
 //!   (`recv_timeout × 2^attempt`), fault stalls, and poll pacing all
 //!   become wheel entries instead of per-thread `sleep` calls, so one
@@ -42,8 +43,8 @@ mod wheel;
 
 pub use backoff::Backoff;
 pub use exec::{
-    block_inline, block_on, in_reactor, note_progress, note_step, sleep, sleep_until, yield_now,
-    Pacing, Reactor,
+    block_inline, in_reactor, note_progress, note_step, sleep, sleep_until, yield_now, Pacing,
+    Reactor,
 };
 pub use fleet::{FleetBuilder, FleetHandle, FleetTopology, ReactorFleet, ShardSlot, ShardSnapshot};
 pub use wheel::{TimerId, TimerWheel};
