@@ -3,64 +3,22 @@
 //! `copy_region` plans its strides once and then walks runs without
 //! touching the heap, so its allocation count must not depend on how many
 //! runs the region has; `extract_region` allocates the block it returns
-//! exactly once, at full size. A counting global allocator (the pattern of
-//! `evpath/tests/zero_copy.rs`) watches both. One `#[test]` only: the
-//! counters are process-wide, and a second test thread would be counted.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+//! exactly once, at full size. The workspace's counting global allocator
+//! (`test_support::CountingAlloc`, per thread) watches both.
 
 use adios::hyperslab::{copy_region, extract_region};
 use adios::{ArrayData, BoxSel, DataType, LocalBlock};
 use evpath::PackedArray;
-
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static THRESHOLD: AtomicUsize = AtomicUsize::new(0);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-fn count(size: usize) {
-    if ARMED.load(Ordering::Relaxed) && size >= THRESHOLD.load(Ordering::Relaxed) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// wrapper only counts.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use test_support::{measure, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Run `f` counting allocations (and reallocations) of at least
-/// `threshold` bytes.
+/// Run `f` counting this thread's allocations (and reallocations) of at
+/// least `threshold` bytes.
 fn allocs_of<R>(threshold: usize, f: impl FnOnce() -> R) -> (usize, R) {
-    THRESHOLD.store(threshold, Ordering::SeqCst);
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let out = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), out)
+    let (counts, out) = measure(threshold, f);
+    (counts.at_or_over(), out)
 }
 
 /// An `n`³ cube as it arrives off the wire, its z ∈ [n/4, 3n/4) slab, and

@@ -197,11 +197,6 @@ impl Histogram2D {
             *a += b;
         }
     }
-
-    /// Flatten to an f64 vector (for cross-rank reduction transports).
-    pub fn as_flat(&self) -> &[f64] {
-        &self.bins
-    }
 }
 
 #[cfg(test)]

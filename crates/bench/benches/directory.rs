@@ -59,7 +59,7 @@ fn names() -> Vec<String> {
 
 /// 8 client threads hammering lookups over a pre-registered name set.
 fn run_sharded(shards: usize, ops_per_thread: u64) -> RunResult {
-    let dir = Arc::new(ShardedDirectory::new(shards));
+    let dir = Arc::new(ShardedDirectory::striped(shards));
     let names = Arc::new(names());
     for name in names.iter() {
         dir.register(name, LinkState::for_tests()).expect("register");
@@ -95,7 +95,7 @@ fn run_sharded(shards: usize, ops_per_thread: u64) -> RunResult {
 /// reader sharing the stripe — all 7 with one stripe, ~1 with eight.
 fn run_discovery(shards: usize, names_per_reader: u64) -> RunResult {
     const READERS: usize = THREADS - 1;
-    let dir = Arc::new(ShardedDirectory::new(shards));
+    let dir = Arc::new(ShardedDirectory::striped(shards));
     let start = Instant::now();
     let mut workers = Vec::new();
     let registrar = Arc::clone(&dir);

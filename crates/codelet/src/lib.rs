@@ -89,9 +89,4 @@ impl Codelet {
     pub fn source(&self) -> &str {
         &self.source
     }
-
-    /// Number of bytecode instructions (a proxy for install cost).
-    pub fn code_len(&self) -> usize {
-        self.program.instructions.len()
-    }
 }

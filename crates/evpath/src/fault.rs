@@ -21,6 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::transport::{BoxedReceiver, BoxedSender, EvReceiver, EvSender, RecvPoll};
+use crate::{fnv1a64, FNV_OFFSET};
 use shm::Lease;
 
 /// Fault rates and crash points for one channel (or the plan default).
@@ -163,7 +164,7 @@ impl FaultPlan {
         Box::new(FaultySender {
             inner,
             spec,
-            rng: SplitMix64::new(self.seed ^ fnv1a(label)),
+            rng: SplitMix64::new(self.seed ^ fnv1a64(FNV_OFFSET, label.as_bytes())),
             plan: Arc::clone(self),
             sent: 0,
             held: None,
@@ -180,16 +181,6 @@ impl FaultPlan {
         }
         Box::new(FaultyReceiver { inner, spec, plan: Arc::clone(self), received: 0 })
     }
-}
-
-/// Stable FNV-1a hash for label → per-channel seed derivation.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 struct SplitMix64 {

@@ -45,3 +45,30 @@ pub use transport::{
     inproc_pair, BoxedReceiver, BoxedSender, EvReceiver, EvSender, NetTransport, RecvPoll,
     ShmTransport,
 };
+
+/// FNV-1a 64 offset basis: the hash of the empty input, and the seed a
+/// fresh [`fnv1a64`] chain starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 of `bytes`, continuing the chain at `hash` (start it at
+/// [`FNV_OFFSET`]). The workspace's one stable byte hash: fault-plan label
+/// seeds, directory stripes, pub/sub spill checksums and query digests all
+/// come from it, so its output is part of the on-disk and seed formats.
+#[inline]
+pub fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv1a64_known_answers() {
+        assert_eq!(fnv1a64(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // A chain is the hash of the concatenation.
+        assert_eq!(fnv1a64(fnv1a64(FNV_OFFSET, b"foo"), b"bar"), fnv1a64(FNV_OFFSET, b"foobar"));
+    }
+}

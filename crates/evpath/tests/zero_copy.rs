@@ -8,61 +8,21 @@
 //! `Record::decode_shared`, and an address check proves the view
 //! aliases the receive buffer rather than a private copy.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use evpath::{FieldValue, Record};
-
-/// Wraps the system allocator, counting allocations >= a size threshold
-/// while armed. The threshold is set to the payload size under test, so
-/// any hidden payload-sized `Vec` shows up as a nonzero count.
-struct CountingAlloc;
-
-// Per-thread, so the sibling tests' 64 KiB arrays (allocated on other
-// threads of this binary) are not counted against the armed one:
-// (armed threshold, allocations at or above it).
-thread_local! {
-    static THRESHOLD: Cell<usize> = const { Cell::new(usize::MAX) };
-    static LARGE_ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = THRESHOLD.try_with(|t| {
-        if size >= t.get() {
-            let _ = LARGE_ALLOCS.try_with(|n| n.set(n.get() + 1));
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use test_support::{measure, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Run `f` with this thread's allocation counter armed at `threshold`
-/// bytes and return how many allocations at or above it happened inside.
+/// bytes and return how many allocations (or reallocations) at or above
+/// it happened inside. The threshold is set to the payload size under
+/// test, so any hidden payload-sized `Vec` shows up as a nonzero count.
 fn count_large_allocs<R>(threshold: usize, f: impl FnOnce() -> R) -> (usize, R) {
-    LARGE_ALLOCS.set(0);
-    THRESHOLD.set(threshold);
-    let out = f();
-    THRESHOLD.set(usize::MAX);
-    (LARGE_ALLOCS.get(), out)
+    let (counts, out) = measure(threshold, f);
+    (counts.at_or_over(), out)
 }
 
 #[test]

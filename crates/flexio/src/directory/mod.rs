@@ -21,9 +21,9 @@
 //!   shards keyed by stream-name hash; per-shard mutex+condvar and
 //!   [`crate::protocol::DirectoryCounters`] so registration/lookup
 //!   traffic (and lock contention) is observable per stripe.
-//! * [`InProcDirectory`] — the paper's single server: the same registry
-//!   with one stripe, cloneable; the default, and still right for
-//!   single-program tests.
+//! * [`InProcDirectory`] — the paper's single server: another name for
+//!   the same registry built with one stripe; the default, and still
+//!   right for single-program tests.
 //! * [`ReplicatedDirectory`] — a handle onto several [`DirectoryNode`]s,
 //!   each a sharded store, replicating registrations via anti-entropy
 //!   gossip rounds; versioned entries with tombstoned unregisters,
@@ -121,63 +121,12 @@ pub trait DirectoryService: Send + Sync {
     fn lookup_count(&self) -> u64;
 }
 
-/// The paper's directory server: one lock, one map, shared by cloning —
-/// a [`ShardedDirectory`] of a single stripe. The default backend of
-/// [`crate::FlexIo`] and the baseline the sharded/replicated backends are
-/// measured against.
-#[derive(Clone)]
-pub struct InProcDirectory(Arc<ShardedDirectory>);
-
-impl InProcDirectory {
-    /// Fresh empty directory.
-    pub fn new() -> InProcDirectory {
-        InProcDirectory(Arc::new(ShardedDirectory::new(1)))
-    }
-}
-
-impl Default for InProcDirectory {
-    fn default() -> Self {
-        InProcDirectory::new()
-    }
-}
-
-impl DirectoryService for InProcDirectory {
-    fn register(&self, name: &str, contact: Arc<LinkState>) -> Result<(), DirectoryError> {
-        self.0.register(name, contact)
-    }
-
-    fn lookup(&self, name: &str, timeout: Duration) -> Result<Arc<LinkState>, DirectoryError> {
-        self.0.lookup(name, timeout)
-    }
-
-    fn try_lookup(&self, name: &str) -> Option<Arc<LinkState>> {
-        self.0.try_lookup(name)
-    }
-
-    fn unregister(&self, name: &str) -> bool {
-        self.0.unregister(name)
-    }
-
-    fn registration_count(&self) -> u64 {
-        self.0.registration_count()
-    }
-
-    fn lookup_count(&self) -> u64 {
-        self.0.lookup_count()
-    }
-}
-
-/// Stable FNV-1a hash used to key stream names onto shards. The same
-/// function the fault layer uses for label → seed derivation, so shard
-/// assignment is deterministic across runs and nodes.
-pub(crate) fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// The paper's directory server: one lock, one map — a
+/// [`ShardedDirectory`] of a single stripe ([`ShardedDirectory::new`]).
+/// The default backend of [`crate::FlexIo`] and the baseline the
+/// striped/replicated backends are measured against; share it through an
+/// `Arc`.
+pub type InProcDirectory = ShardedDirectory;
 
 #[cfg(test)]
 mod tests {
@@ -199,8 +148,8 @@ mod tests {
 
     #[test]
     fn lookup_blocks_until_registration() {
-        let d = InProcDirectory::new();
-        let d2 = d.clone();
+        let d = Arc::new(InProcDirectory::new());
+        let d2 = Arc::clone(&d);
         let t = thread::spawn(move || d2.lookup("late", Duration::from_secs(5)));
         thread::sleep(Duration::from_millis(30));
         d.register("late", dummy_link()).unwrap();

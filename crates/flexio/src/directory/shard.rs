@@ -20,12 +20,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use evpath::{fnv1a64, FNV_OFFSET};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::link::LinkState;
 use crate::protocol::DirectoryCounters;
 
-use super::{fnv1a, DirectoryError, DirectoryService};
+use super::{DirectoryError, DirectoryService};
 
 /// One registry entry. `(version, origin)` orders concurrent updates
 /// cluster-wide: higher version wins, ties broken by higher origin node
@@ -82,9 +83,20 @@ pub struct ShardedDirectory<C = Arc<LinkState>> {
 }
 
 impl ShardedDirectory {
+    /// The paper's one-stripe server ([`super::InProcDirectory`]).
+    pub fn new() -> ShardedDirectory {
+        ShardedDirectory::striped(1)
+    }
+
     /// A registry striped over `shards` locks (at least 1).
-    pub fn new(shards: usize) -> ShardedDirectory {
+    pub fn striped(shards: usize) -> ShardedDirectory {
         ShardedDirectory::with_origin(shards, 0)
+    }
+}
+
+impl Default for ShardedDirectory {
+    fn default() -> Self {
+        ShardedDirectory::new()
     }
 }
 
@@ -111,12 +123,13 @@ impl<C: Clone> ShardedDirectory<C> {
     }
 
     fn shard_of(&self, name: &str) -> &Shard<C> {
-        &self.shards[(fnv1a(name) % self.shards.len() as u64) as usize]
+        &self.shards[self.shard_index(name)]
     }
 
-    /// Which stripe serves `name` (stable across runs and nodes).
+    /// Which stripe serves `name`: its FNV-1a 64 modulo the stripe count,
+    /// so the assignment is stable across runs and nodes.
     pub fn shard_index(&self, name: &str) -> usize {
-        (fnv1a(name) % self.shards.len() as u64) as usize
+        (fnv1a64(FNV_OFFSET, name.as_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// Per-shard counter snapshots `(registrations, lookups, unregisters,
@@ -260,7 +273,7 @@ mod tests {
 
     #[test]
     fn behaves_like_the_single_map_directory() {
-        let d = ShardedDirectory::new(8);
+        let d = ShardedDirectory::striped(8);
         let link = dummy_link();
         d.register("s", Arc::clone(&link)).unwrap();
         assert!(Arc::ptr_eq(&link, &d.lookup("s", Duration::from_millis(5)).unwrap()));
@@ -277,7 +290,7 @@ mod tests {
 
     #[test]
     fn one_shard_degenerates_to_single_map() {
-        let d = ShardedDirectory::new(1);
+        let d = ShardedDirectory::striped(1);
         for i in 0..16 {
             d.register(&format!("s{i}"), dummy_link()).unwrap();
         }
@@ -287,7 +300,7 @@ mod tests {
 
     #[test]
     fn names_spread_across_shards() {
-        let d = ShardedDirectory::new(8);
+        let d = ShardedDirectory::striped(8);
         for i in 0..64 {
             d.register(&format!("stream/{i}"), dummy_link()).unwrap();
         }
@@ -298,8 +311,8 @@ mod tests {
 
     #[test]
     fn shard_assignment_is_stable() {
-        let a = ShardedDirectory::new(8);
-        let b = ShardedDirectory::new(8);
+        let a = ShardedDirectory::striped(8);
+        let b = ShardedDirectory::striped(8);
         for name in ["x", "run42/particles", "a/very/long/stream/name"] {
             assert_eq!(a.shard_index(name), b.shard_index(name));
         }
@@ -307,7 +320,7 @@ mod tests {
 
     #[test]
     fn blocking_lookup_wakes_on_its_shard() {
-        let d = Arc::new(ShardedDirectory::new(8));
+        let d = Arc::new(ShardedDirectory::striped(8));
         let d2 = Arc::clone(&d);
         let t = thread::spawn(move || d2.lookup("late", Duration::from_secs(5)));
         thread::sleep(Duration::from_millis(20));
@@ -317,7 +330,7 @@ mod tests {
 
     #[test]
     fn reregistration_after_tombstone_bumps_version() {
-        let d = ShardedDirectory::new(4);
+        let d = ShardedDirectory::striped(4);
         assert_eq!(d.register_local("s", dummy_link(), 0, false).unwrap(), 1);
         assert_eq!(d.unregister_local("s"), Some(2));
         assert_eq!(d.register_local("s", dummy_link(), 0, false).unwrap(), 3);

@@ -11,7 +11,7 @@
 //! the fault-time sequence framing in `seq`.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use evpath::{inproc_pair, BoxedReceiver, BoxedSender, NetTransport, Record, ShmTransport};
@@ -136,11 +136,11 @@ pub struct LinkState {
     /// its own OS process: channels are real sockets dialed through the
     /// fabric instead of halves parked in shared memory.
     fabric: Option<Arc<crate::procnet::ProcFabric>>,
-    /// Subsystem payload riding the directory registration: the pub/sub
-    /// layer attaches its [`crate::pubsub::StreamLog`] here so reader
-    /// groups discover the log through the same directory lookup that
-    /// resolves stream contacts.
-    attachment: Mutex<Option<Arc<dyn std::any::Any + Send + Sync>>>,
+    /// A pub/sub stream's log, set once by the publisher's rank 0 before
+    /// it registers `pubsub:<stream>`: reader groups and the other
+    /// publisher ranks find the log through the same directory lookup
+    /// (or bulletin) that resolves stream contacts.
+    pub(crate) pubsub_log: OnceLock<Arc<crate::pubsub::StreamLog>>,
 }
 
 impl LinkState {
@@ -166,7 +166,7 @@ impl LinkState {
             hints: hints.clone(),
             evicted: Mutex::new(HashSet::new()),
             fabric,
-            attachment: Mutex::new(None),
+            pubsub_log: OnceLock::new(),
         })
     }
 
@@ -179,17 +179,6 @@ impl LinkState {
             &StreamHints::default(),
             None,
         )
-    }
-
-    /// Attach a subsystem payload to this link (see the `attachment`
-    /// field). Last write wins.
-    pub fn set_attachment(&self, payload: Arc<dyn std::any::Any + Send + Sync>) {
-        *self.attachment.lock() = Some(payload);
-    }
-
-    /// Downcast the attached payload, if any.
-    pub fn attachment<T: std::any::Any + Send + Sync>(&self) -> Option<Arc<T>> {
-        self.attachment.lock().clone().and_then(|a| a.downcast::<T>().ok())
     }
 
     /// The reader coordinator announces its side.

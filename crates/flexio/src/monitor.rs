@@ -40,15 +40,6 @@ pub enum MonitorEvent {
     PubSubDeliver,
     /// A pub/sub step spilled to (or replayed from) a BP segment.
     PubSubSpill,
-    /// Rows entering a query's filter (`bytes` = row count).
-    QueryRowsIn,
-    /// Rows surviving into a query's output (`bytes` = row count).
-    QueryRowsOut,
-    /// Payload bytes filtered writer-side before the transport.
-    QueryBytesPushed,
-    /// Payload bytes that never crossed the transport thanks to
-    /// writer-side pushdown (dropped rows × element width).
-    QueryBytesSaved,
     /// A writer sealed a step. `nanos` is the gap since the previous
     /// seal — the live estimate of the simulation's I/O interval that the
     /// elastic controller feeds into the holistic allocation formula.
@@ -59,7 +50,7 @@ impl MonitorEvent {
     /// The one event table: every variant with its wire name, in
     /// aggregate-slot order. [`Self::name`], [`Self::event_from_name`] and the
     /// aggregate array's length all derive from it.
-    pub(crate) const ALL: [(MonitorEvent, &'static str); 12] = [
+    pub(crate) const ALL: [(MonitorEvent, &'static str); 8] = [
         (MonitorEvent::DataSend, "data_send"),
         (MonitorEvent::DataRecv, "data_recv"),
         (MonitorEvent::PluginExec, "plugin_exec"),
@@ -67,10 +58,6 @@ impl MonitorEvent {
         (MonitorEvent::SyncWait, "sync_wait"),
         (MonitorEvent::PubSubDeliver, "pubsub_deliver"),
         (MonitorEvent::PubSubSpill, "pubsub_spill"),
-        (MonitorEvent::QueryRowsIn, "query_rows_in"),
-        (MonitorEvent::QueryRowsOut, "query_rows_out"),
-        (MonitorEvent::QueryBytesPushed, "query_bytes_pushed"),
-        (MonitorEvent::QueryBytesSaved, "query_bytes_saved"),
         (MonitorEvent::StepSeal, "step_seal"),
     ];
 

@@ -13,7 +13,6 @@ use super::log::{Fetch, SealedStep, StreamLog};
 use super::spill::SpillTail;
 use super::{GroupCounters, Qos};
 use crate::context::StreamError;
-use crate::directory::DirectoryService;
 use crate::hints::StreamHints;
 use crate::link::retry_rt;
 use crate::task::{driven, LoopHandle};
@@ -36,7 +35,6 @@ pub struct ReaderGroup {
     hints: StreamHints,
     current: Option<Arc<SealedStep>>,
     counters: Arc<GroupCounters>,
-    registration: Option<(Arc<dyn DirectoryService>, String)>,
     closed: bool,
 }
 
@@ -56,7 +54,6 @@ impl ReaderGroup {
             hints: hints.clone(),
             current: None,
             counters,
-            registration: None,
             closed: false,
         })
     }
@@ -79,7 +76,6 @@ impl ReaderGroup {
             hints: hints.clone(),
             current: None,
             counters,
-            registration: None,
             closed: false,
         })
     }
@@ -92,16 +88,6 @@ impl ReaderGroup {
     /// Group name.
     pub fn group(&self) -> &str {
         &self.group
-    }
-
-    /// Remember a directory registration to drop at close.
-    pub(crate) fn with_registration(
-        mut self,
-        dir: Arc<dyn DirectoryService>,
-        key: String,
-    ) -> ReaderGroup {
-        self.registration = Some((dir, key));
-        self
     }
 
     /// One non-blocking poll of the cursor.
@@ -232,8 +218,8 @@ impl ReadEngine for ReaderGroup {
         }
         self.closed = true;
         self.current = None;
-        if let Some((dir, key)) = self.registration.take() {
-            dir.unregister(&key);
+        if let Source::Local(log) = &self.source {
+            log.detach(&self.group);
         }
     }
 }

@@ -75,6 +75,10 @@ struct GroupEntry {
     qos: Qos,
     counters: Arc<GroupCounters>,
     eos_counted: bool,
+    /// A reader group holds this cursor open: between
+    /// [`StreamLog::register_group`] and its close. Only an attached
+    /// group's counters are discoverable.
+    attached: bool,
 }
 
 struct LogInner {
@@ -276,8 +280,9 @@ impl StreamLog {
     /// counters and the cursor the group starts from.
     pub(crate) fn register_group(&self, name: &str, qos: Option<Qos>) -> (Arc<GroupCounters>, u64) {
         let mut inner = self.inner.lock();
-        if let Some(entry) = inner.groups.get(name) {
+        if let Some(entry) = inner.groups.get_mut(name) {
             // Same-process re-attach: the cursor survived in the log.
+            entry.attached = true;
             let counters = Arc::clone(&entry.counters);
             let cursor = entry.cursor;
             counters.resumed_from.store(cursor, Ordering::Relaxed);
@@ -306,9 +311,29 @@ impl StreamLog {
         counters.lag_steps.store(inner.tail.saturating_sub(cursor), Ordering::Relaxed);
         inner.groups.insert(
             name.to_string(),
-            GroupEntry { cursor, qos, counters: Arc::clone(&counters), eos_counted: false },
+            GroupEntry {
+                cursor,
+                qos,
+                counters: Arc::clone(&counters),
+                eos_counted: false,
+                attached: true,
+            },
         );
         (counters, cursor)
+    }
+
+    /// A group closed: its cursor stays for a later re-attach, but its
+    /// counters are no longer discoverable.
+    pub(crate) fn detach(&self, name: &str) {
+        if let Some(entry) = self.inner.lock().groups.get_mut(name) {
+            entry.attached = false;
+        }
+    }
+
+    /// The live counters of group `name`, while it is attached.
+    pub(crate) fn group_counters(&self, name: &str) -> Option<Arc<GroupCounters>> {
+        let inner = self.inner.lock();
+        inner.groups.get(name).filter(|e| e.attached).map(|e| Arc::clone(&e.counters))
     }
 
     /// One non-blocking poll of a group's cursor.

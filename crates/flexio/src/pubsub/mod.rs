@@ -30,11 +30,12 @@
 //!   then observing a synthesized end-of-stream.
 //!
 //! Discovery goes through the [`crate::DirectoryService`] trait: the
-//! publisher registers `pubsub:<stream>` with the log attached to the
-//! contact [`crate::link::LinkState`]; each group registers
-//! `pubsub:<stream>#<group>` carrying its counters, so any backend
-//! (in-proc, sharded, gossip-replicated) serves pub/sub discovery
-//! unchanged. Delivery runs as reactor/fleet tasks via
+//! publisher registers `pubsub:<stream>` once, its contact
+//! [`crate::link::LinkState`] carrying the log, so any backend (in-proc,
+//! sharded, gossip-replicated) serves pub/sub discovery unchanged. Groups
+//! register nothing: each one's counters live in the log beside its
+//! cursor, where [`FlexIo::lookup_group_counters`] finds them while the
+//! group is attached. Delivery runs as reactor/fleet tasks via
 //! [`ReaderGroup::into_task`] (a fleet places the future with
 //! [`crate::FleetRuntime::spawn_for`]), with
 //! [`crate::MonitorEvent::PubSubDeliver`]/[`crate::MonitorEvent::PubSubSpill`]
@@ -51,13 +52,15 @@ pub use spill::{SpillStore, SpillTail};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use adios::ProcessGroup;
+use evpath::{fnv1a64, FNV_OFFSET};
 use machine::CoreLocation;
 
 use crate::context::{FlexIo, StreamError};
 use crate::hints::StreamHints;
-use crate::link::LinkState;
+use crate::link::{poll_until, LinkState};
 
 /// Per-group delivery quality of service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,30 +97,15 @@ impl Default for PubSubConfig {
     }
 }
 
-/// FNV-1a over bytes; the checksum/digest primitive of the module.
-pub(crate) fn fnv1a64(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// Deterministic digest of one sealed step's content: the byte-identity
 /// probe the fan-out equivalence tests compare across groups, backends
 /// and replay sources (memory vs spill).
 pub fn step_digest(step: u64, groups: &[ProcessGroup]) -> u64 {
-    let mut h = fnv1a64(&step.to_le_bytes(), FNV_OFFSET);
-    for g in groups {
-        h = fnv1a64(&g.encode(), h);
-    }
-    h
+    groups.iter().fold(fnv1a64(FNV_OFFSET, &step.to_le_bytes()), |h, g| fnv1a64(h, &g.encode()))
 }
 
-/// Per-group delivery counters, shared with the group's directory
-/// registration (the pub/sub analogue of [`crate::ProtocolCounters`]).
+/// Per-group delivery counters, kept by the log beside the group's cursor
+/// (the pub/sub analogue of [`crate::ProtocolCounters`]).
 #[derive(Debug, Default)]
 pub struct GroupCounters {
     /// Steps delivered to the group, from any source.
@@ -168,10 +156,10 @@ pub struct PubSubCounters {
 
 impl FlexIo {
     /// Open the publishing side of pub/sub stream `name` from one writer
-    /// rank. Rank 0 creates the [`StreamLog`] and registers
-    /// `pubsub:<name>` through the directory service with the log
-    /// attached to the contact; other ranks join through the program
-    /// bulletin exactly like [`FlexIo::open_writer`].
+    /// rank. Rank 0 creates the [`StreamLog`], sets it on the contact and
+    /// registers `pubsub:<name>` through the directory service; other
+    /// ranks join through the program bulletin exactly like
+    /// [`FlexIo::open_writer`].
     pub fn open_publisher(
         &self,
         name: &str,
@@ -180,32 +168,29 @@ impl FlexIo {
         cfg: &PubSubConfig,
         hints: StreamHints,
     ) -> Result<StepPublisher, StreamError> {
-        let key = format!("pubsub:{name}");
-        let link = if rank == 0 {
+        let log = if rank == 0 {
             let cores: Vec<CoreLocation> = (0..nranks)
                 .map(|r| self.machine().node.location_of(r % self.machine().node.cores_per_node()))
                 .collect();
             let link = LinkState::new(nranks, cores, None, &hints, None);
             let log = StreamLog::new(name, nranks, cfg, link.monitor.clone())?;
-            link.set_attachment(log);
-            self.directory().register(&key, Arc::clone(&link))?;
-            self.post_bulletin(&format!("p:{name}"), Arc::clone(&link));
-            link
+            let _ = link.pubsub_log.set(Arc::clone(&log));
+            self.directory().register(&format!("pubsub:{name}"), Arc::clone(&link))?;
+            self.post_bulletin(&format!("p:{name}"), link);
+            log
         } else {
-            self.wait_bulletin(&format!("p:{name}"), hints.recv_timeout)
-                .ok_or(StreamError::Timeout)?
+            let link = self
+                .wait_bulletin(&format!("p:{name}"), hints.recv_timeout)
+                .ok_or(StreamError::Timeout)?;
+            stream_log(&link, name)?
         };
-        let log = link
-            .attachment::<StreamLog>()
-            .ok_or_else(|| StreamError::Protocol(format!("{key} contact carries no stream log")))?;
         Ok(StepPublisher::new(log, rank, hints))
     }
 
     /// Attach a reader group to pub/sub stream `stream`: look the log up
-    /// through the directory service, register the group's own
-    /// `pubsub:<stream>#<group>` entry (carrying its counters for
-    /// discovery/observation), and resume from the group's durable
-    /// cursor when one is retained.
+    /// through the directory service and register (or resume) the group's
+    /// cursor in it, from the group's durable cursor when one is retained.
+    /// The stream's one directory entry serves every group.
     pub fn open_reader_group(
         &self,
         stream: &str,
@@ -214,40 +199,35 @@ impl FlexIo {
         hints: StreamHints,
     ) -> Result<ReaderGroup, StreamError> {
         let link = self.directory().lookup(&format!("pubsub:{stream}"), hints.recv_timeout)?;
-        let log = link.attachment::<StreamLog>().ok_or_else(|| {
-            StreamError::Protocol(format!("pubsub:{stream} contact carries no stream log"))
-        })?;
-        let reader = ReaderGroup::attach(log, group, qos, &hints)?;
-        // Advertise the group. A restarted group (kill -9 never
-        // unregisters) steals its stale registration.
-        let gkey = format!("pubsub:{stream}#{group}");
-        let glink = LinkState::new(
-            1,
-            vec![self.machine().node.location_of(0)],
-            None,
-            &StreamHints::default(),
-            None,
-        );
-        glink.set_attachment(reader.counters());
-        if self.directory().register(&gkey, Arc::clone(&glink)).is_err() {
-            self.directory().unregister(&gkey);
-            self.directory().register(&gkey, Arc::clone(&glink))?;
-        }
-        Ok(reader.with_registration(Arc::clone(self.directory()), gkey))
+        ReaderGroup::attach(stream_log(&link, stream)?, group, qos, &hints)
     }
 
     /// Discover a reader group's live counters through the directory — a
     /// monitor/manager observing fan-out health uses this exactly like
-    /// [`crate::MonitorSink::for_stream`] discovers streams.
+    /// [`crate::MonitorSink::for_stream`] discovers streams. Waits up to
+    /// `timeout` for the stream and then for the group to attach; fails
+    /// once the group has closed.
     pub fn lookup_group_counters(
         &self,
         stream: &str,
         group: &str,
-        timeout: std::time::Duration,
+        timeout: Duration,
     ) -> Result<Arc<GroupCounters>, StreamError> {
-        let link = self.directory().lookup(&format!("pubsub:{stream}#{group}"), timeout)?;
-        link.attachment::<GroupCounters>().ok_or_else(|| {
-            StreamError::Protocol(format!("pubsub:{stream}#{group} carries no counters"))
+        let deadline = Instant::now() + timeout;
+        let link = self.directory().lookup(&format!("pubsub:{stream}"), timeout)?;
+        let log = stream_log(&link, stream)?;
+        let attached = poll_until(deadline, || log.group_counters(group));
+        flexio_reactor::block_inline(attached).ok_or_else(|| {
+            StreamError::Directory(format!(
+                "no group `{group}` attached to pubsub:{stream} in time"
+            ))
         })
     }
+}
+
+/// The log a `pubsub:<stream>` contact carries.
+fn stream_log(link: &LinkState, stream: &str) -> Result<Arc<StreamLog>, StreamError> {
+    link.pubsub_log.get().cloned().ok_or_else(|| {
+        StreamError::Protocol(format!("pubsub:{stream} contact carries no stream log"))
+    })
 }

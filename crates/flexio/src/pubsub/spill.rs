@@ -26,16 +26,16 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use adios::bp::{BpBuilder, BpFile};
+use evpath::{fnv1a64, FNV_OFFSET};
 
 use super::log::SealedStep;
-use super::{fnv1a64, GroupCounters, Qos};
+use super::{GroupCounters, Qos};
 use crate::context::StreamError;
 use crate::hints::StreamHints;
 
 const MANIFEST_TAG: &str = "FXPM1";
 const CURSOR_TAG: &str = "FXPC1";
 const SEGMENT_TAG: &str = "FXPS1";
-const CK_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Parsed spill manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,9 +93,9 @@ impl SpillStore {
             "{SEGMENT_TAG} seq={} label={} payload={:016x}",
             sealed.seq,
             sealed.step,
-            fnv1a64(&bytes, CK_SEED)
+            fnv1a64(FNV_OFFSET, &bytes)
         );
-        let line = format!("{body} ck={:016x}\n", fnv1a64(body.as_bytes(), CK_SEED));
+        let line = format!("{body} ck={:016x}\n", fnv1a64(FNV_OFFSET, body.as_bytes()));
         write_atomic(&self.sidecar_path(sealed.seq), line.as_bytes())?;
         write_atomic(&self.step_path(sealed.seq), &bytes)?;
         Ok(bytes.len() as u64)
@@ -116,7 +116,7 @@ impl SpillStore {
         }
         let bytes =
             std::fs::read(&path).map_err(|e| corrupt(&format!("unreadable segment: {e}")))?;
-        if fnv1a64(&bytes, CK_SEED) != payload_ck {
+        if fnv1a64(FNV_OFFSET, &bytes) != payload_ck {
             return Err(corrupt("payload hash mismatch"));
         }
         let file = BpFile::parse(&bytes).map_err(|e| corrupt(&e.to_string()))?;
@@ -136,7 +136,7 @@ impl SpillStore {
             std::fs::read_to_string(&path).map_err(|e| corrupt(&format!("unreadable: {e}")))?;
         let line = raw.trim_end();
         let (body, ck) = line.rsplit_once(" ck=").ok_or_else(|| corrupt("no checksum"))?;
-        if u64::from_str_radix(ck, 16) != Ok(fnv1a64(body.as_bytes(), CK_SEED)) {
+        if u64::from_str_radix(ck, 16) != Ok(fnv1a64(FNV_OFFSET, body.as_bytes())) {
             return Err(corrupt("checksum mismatch"));
         }
         let mut fields = body.split(' ');
@@ -156,7 +156,7 @@ impl SpillStore {
     /// Publish the manifest: steps `[0, tail)` durable, plus the EOS mark.
     pub fn write_manifest(&self, tail: u64, eos: bool) -> Result<(), StreamError> {
         let body = format!("{MANIFEST_TAG} tail={tail} eos={}", u8::from(eos));
-        let line = format!("{body} ck={:016x}\n", fnv1a64(body.as_bytes(), CK_SEED));
+        let line = format!("{body} ck={:016x}\n", fnv1a64(FNV_OFFSET, body.as_bytes()));
         write_atomic(&self.dir.join("MANIFEST"), line.as_bytes())
     }
 
@@ -171,7 +171,7 @@ impl SpillStore {
         let corrupt = || StreamError::Corrupt(format!("spill manifest: {raw:?}"));
         let line = raw.trim_end();
         let (body, ck) = line.rsplit_once(" ck=").ok_or_else(corrupt)?;
-        if u64::from_str_radix(ck, 16) != Ok(fnv1a64(body.as_bytes(), CK_SEED)) {
+        if u64::from_str_radix(ck, 16) != Ok(fnv1a64(FNV_OFFSET, body.as_bytes())) {
             return Err(corrupt());
         }
         let mut fields = body.split(' ');
@@ -191,7 +191,7 @@ impl SpillStore {
     /// only costs redelivery, which at-least-once permits.
     pub fn write_cursor(&self, group: &str, next: u64) {
         let body = format!("{CURSOR_TAG} next={next}");
-        let line = format!("{body} ck={:016x}\n", fnv1a64(body.as_bytes(), CK_SEED));
+        let line = format!("{body} ck={:016x}\n", fnv1a64(FNV_OFFSET, body.as_bytes()));
         let _ = write_atomic(&self.cursor_path(group), line.as_bytes());
     }
 
@@ -202,7 +202,7 @@ impl SpillStore {
         let raw = std::fs::read_to_string(self.cursor_path(group)).ok()?;
         let line = raw.trim_end();
         let (body, ck) = line.rsplit_once(" ck=")?;
-        if u64::from_str_radix(ck, 16) != Ok(fnv1a64(body.as_bytes(), CK_SEED)) {
+        if u64::from_str_radix(ck, 16) != Ok(fnv1a64(FNV_OFFSET, body.as_bytes())) {
             return None;
         }
         let mut fields = body.split(' ');

@@ -37,7 +37,6 @@ pub use flexio_query::{
 };
 
 use crate::context::StreamError;
-use crate::monitor::MonitorEvent;
 use crate::plugins::{PluginPlacement, PluginSpec, DC_APPLIED_MARKER};
 use crate::reader::StreamReader;
 use crate::task::{driven, LoopHandle};
@@ -63,9 +62,10 @@ impl Default for QueryConfig {
     }
 }
 
-/// Shared per-query throughput counters (mirrored into the monitor as
-/// `query_*` events, so a [`crate::MonitorRelay`]/[`crate::MonitorSink`]
-/// pair ships them across programs like any other measurement point).
+/// Shared per-query throughput counters: the one record of a query's rows
+/// and pushed-down bytes. They stay in the reading program — the monitor
+/// relay ships only what the writer's `seal_step` records — so an observer
+/// reads them through [`QuerySession::counters`].
 #[derive(Debug, Default)]
 pub struct QueryCounters {
     /// Rows entering the filter (pre-pushdown original counts).
@@ -232,7 +232,6 @@ impl QuerySession {
     fn process_step(&mut self, step: u64) -> Result<StepStats, StreamError> {
         let reader = &self.reader;
         let plan = &self.plan;
-        let rank = reader.rank();
         // Assemble this step's chunks writer by writer. A writer whose
         // chunks were routed to another reader rank simply has nothing
         // stored here.
@@ -298,13 +297,6 @@ impl QuerySession {
         self.counters.bump(&self.counters.rows_out, stats.rows_out);
         self.counters.bump(&self.counters.bytes_pushed_down, pushed_bytes);
         self.counters.bump(&self.counters.bytes_saved, saved_bytes);
-        let monitor = &self.reader.link().monitor;
-        monitor.record(MonitorEvent::QueryRowsIn, step, rank, stats.rows_in, 0);
-        monitor.record(MonitorEvent::QueryRowsOut, step, rank, stats.rows_out, 0);
-        if pushed_bytes > 0 || saved_bytes > 0 {
-            monitor.record(MonitorEvent::QueryBytesPushed, step, rank, pushed_bytes, 0);
-            monitor.record(MonitorEvent::QueryBytesSaved, step, rank, saved_bytes, 0);
-        }
         Ok(stats)
     }
 

@@ -297,7 +297,7 @@ fn trait_object_api_spans_every_backend() {
     let cluster = DirectoryCluster::new(2, 4, Duration::from_millis(1), None);
     let backends: Vec<(&str, Arc<dyn DirectoryService>)> = vec![
         ("in-proc", Arc::new(InProcDirectory::new())),
-        ("sharded", Arc::new(ShardedDirectory::new(8))),
+        ("sharded", Arc::new(ShardedDirectory::striped(8))),
         ("replicated", Arc::new(cluster.spawn_driver())),
     ];
     for (kind, dir) in backends {

@@ -31,7 +31,7 @@ fn concurrent_register_lookup_unregister_stress() {
     const NAMES_PER_THREAD: usize = 16;
     const CYCLES: usize = 50;
 
-    let dir = Arc::new(ShardedDirectory::new(8));
+    let dir = Arc::new(ShardedDirectory::striped(8));
     let hits = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::new();
     for t in 0..THREADS {
@@ -91,7 +91,7 @@ fn parked_lookups_wake_on_registrations_from_other_threads() {
     // Every waiter must resolve — a lost condvar wakeup would hang one
     // of them until its (generous) timeout and fail the assert.
     const WAITERS: usize = 24;
-    let dir = Arc::new(ShardedDirectory::new(8));
+    let dir = Arc::new(ShardedDirectory::striped(8));
     let mut waiters = Vec::new();
     for n in 0..WAITERS {
         let dir = Arc::clone(&dir);
@@ -123,7 +123,7 @@ fn single_stripe_contention_is_counted() {
     // All traffic forced onto one stripe: the contended counter must
     // eventually observe try_lock failures. Rounds are repeated until it
     // does so the test asserts the mechanism, not a timing coincidence.
-    let dir = Arc::new(ShardedDirectory::new(1));
+    let dir = Arc::new(ShardedDirectory::striped(1));
     for round in 0..50 {
         let threads: Vec<_> = (0..8)
             .map(|t| {
@@ -154,7 +154,7 @@ fn flexio_coupling_runs_over_the_sharded_backend() {
     // any DirectoryService trait object, and a writer/reader coupling
     // discovers itself through the sharded backend exactly as it did
     // through the single-map one.
-    let io = FlexIo::new(laptop(), 4).with_directory(Arc::new(ShardedDirectory::new(8)));
+    let io = FlexIo::new(laptop(), 4).with_directory(Arc::new(ShardedDirectory::striped(8)));
     let io_r = io.clone();
     let rt = thread::spawn(move || {
         let hints = StreamHints { recv_timeout: Duration::from_secs(2), ..StreamHints::default() };

@@ -18,9 +18,6 @@
 
 mod common;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use adios::{ArrayData, LocalBlock, ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
 use common::{block_1d, couple};
 use evpath::ffs::PackedArray;
@@ -29,52 +26,16 @@ use flexio::query::{AggFunc, Expr, Plan};
 use flexio::{PluginPlacement, PluginSpec, StreamHints, Transport, WriteMode};
 use flexio_query::{ChunkView, Executor};
 use shm::BufferPool;
-
-struct CountingAlloc;
-
-// Per-thread, so tests running side by side in this binary do not count
-// each other's buffers: (armed threshold, allocations at or above it).
-thread_local! {
-    static THRESHOLD: Cell<usize> = const { Cell::new(usize::MAX) };
-    static LARGE_ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = THRESHOLD.try_with(|t| {
-        if size >= t.get() {
-            let _ = LARGE_ALLOCS.try_with(|n| n.set(n.get() + 1));
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use test_support::{measure, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Count this thread's allocations of at least `threshold` bytes made
-/// while `f` runs.
+/// Count this thread's allocations (and reallocations) of at least
+/// `threshold` bytes made while `f` runs.
 fn count_large_allocs<R>(threshold: usize, f: impl FnOnce() -> R) -> (usize, R) {
-    LARGE_ALLOCS.set(0);
-    THRESHOLD.set(threshold);
-    let out = f();
-    THRESHOLD.set(usize::MAX);
-    (LARGE_ALLOCS.get(), out)
+    let (counts, out) = measure(threshold, f);
+    (counts.at_or_over(), out)
 }
 
 /// 128 KiB payload: far above the wire format's zero-copy threshold, so

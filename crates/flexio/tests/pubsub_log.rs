@@ -365,3 +365,39 @@ fn group_counters_discoverable_through_directory() {
         "close must unregister the group"
     );
 }
+
+#[test]
+fn one_directory_entry_serves_every_group() {
+    let io = FlexIo::single_node(laptop());
+    let mut w =
+        io.open_publisher("s10", 0, 1, &PubSubConfig::default(), hints()).expect("open publisher");
+
+    // Before its attach a group is not discoverable; an observer that
+    // asks with time to spare gets the counters once the group attaches.
+    // (The pause only makes it likely the observer is already waiting;
+    // the assertions hold in either order.)
+    assert!(io.lookup_group_counters("s10", "g2", Duration::from_millis(20)).is_err());
+    let observer = {
+        let io = io.clone();
+        std::thread::spawn(move || io.lookup_group_counters("s10", "g2", Duration::from_secs(5)))
+    };
+    std::thread::sleep(Duration::from_millis(30));
+    let mut groups: Vec<ReaderGroup> = ["g0", "g1", "g2"]
+        .iter()
+        .map(|g| io.open_reader_group("s10", g, None, hints()).expect("open group"))
+        .collect();
+    let counters = observer.join().unwrap().expect("counters found once g2 attached");
+
+    // The stream registered once; its groups registered nothing.
+    assert_eq!(io.directory().registration_count(), 1);
+
+    for step in 0..2 {
+        publish_step(&mut w, step);
+    }
+    w.close();
+    for r in &mut groups {
+        assert_eq!(drain(r), vec![0, 1]);
+    }
+    assert_eq!(counters.delivered.load(std::sync::atomic::Ordering::Relaxed), 2);
+    assert_eq!(io.directory().registration_count(), 1);
+}

@@ -15,9 +15,7 @@ use adios::{ArrayData, LocalBlock, VarValue, WriteEngine};
 use common::{block_1d, couple, reader_core, writer_core, writer_roster};
 use evpath::{FaultPlan, FaultSpec};
 use flexio::query::{AggFunc, Expr, Plan};
-use flexio::{
-    CachingLevel, FleetRuntime, FlexIo, MonitorEvent, QueryConfig, QuerySession, StreamHints,
-};
+use flexio::{CachingLevel, FleetRuntime, FlexIo, QueryConfig, QuerySession, StreamHints};
 use machine::laptop;
 
 const WRITERS: usize = 2;
@@ -63,7 +61,7 @@ fn run_query(
     pushdown: bool,
     oracle: bool,
     agg: bool,
-) -> (u64, (u64, u64, u64, u64), (u64, u64)) {
+) -> (u64, (u64, u64, u64, u64)) {
     let block = |step, rank: usize| {
         block_1d(rank as u64 * ROWS_PER_CHUNK, chunk(step, rank), WRITERS as u64 * ROWS_PER_CHUNK)
     };
@@ -73,15 +71,14 @@ fn run_query(
 /// One coupled run of `plan` (a single-variable filter over `field`)
 /// with every writer rank writing `block(step, rank)`; returns the output
 /// digest plus the counter snapshot `(rows_in, rows_out,
-/// bytes_pushed_down, bytes_saved)` and the monitor-side
-/// `(rows_in_total, records)` pair for the rows-in event.
+/// bytes_pushed_down, bytes_saved)`.
 fn run_plan(
     faults: Arc<FaultPlan>,
     pushdown: bool,
     oracle: bool,
     plan: Plan,
     block: fn(u64, usize) -> VarValue,
-) -> (u64, (u64, u64, u64, u64), (u64, u64)) {
+) -> (u64, (u64, u64, u64, u64)) {
     let hints = hints_for(&faults);
     let (_w, mut reads) = couple(
         WRITERS,
@@ -96,7 +93,6 @@ fn run_plan(
             w.close();
         },
         move |r, _rank| {
-            let link = Arc::clone(r.link());
             let cfg = QueryConfig { pushdown, oracle, ..QueryConfig::default() };
             let session = QuerySession::attach(r, WRITERS, plan.clone(), cfg).expect("attach");
             assert_eq!(
@@ -106,11 +102,7 @@ fn run_plan(
             );
             let counters = session.counters();
             let out = session.run_to_end().expect("query run");
-            let rows_in_monitor = (
-                link.monitor.total_bytes(MonitorEvent::QueryRowsIn),
-                link.monitor.count(MonitorEvent::QueryRowsIn),
-            );
-            (out.digest(), counters.snapshot(), rows_in_monitor)
+            (out.digest(), counters.snapshot())
         },
     );
     reads.pop().expect("one reader")
@@ -144,12 +136,6 @@ fn pushdown_counters_show_the_bytes_that_stayed_home() {
     let (rows_in2, rows_out2, pushed2, saved2) = without.1;
     assert_eq!((rows_in2, rows_out2), (rows_in, rows_out));
     assert_eq!((pushed2, saved2), (0, 0), "no pushdown, nothing crosses pre-filtered");
-
-    // The counters are mirrored into the monitor: one record per step,
-    // totals matching the session counters (the relay/sink path ships
-    // these like any other measurement point).
-    assert_eq!(with.2, (rows_in, STEPS));
-    assert_eq!(without.2, (rows_in, STEPS));
 }
 
 #[test]

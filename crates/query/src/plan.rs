@@ -2,6 +2,7 @@
 
 use crate::expr::{Expr, ExprType, Program, MAX_DEPTH};
 use adios::ArrayData;
+use evpath::{fnv1a64, FNV_OFFSET};
 use std::fmt;
 
 /// Aggregate functions over the surviving rows of one window.
@@ -167,20 +168,8 @@ pub enum QueryOutput {
     Aggregates(Vec<AggRow>),
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 fn fnv_u64(hash: u64, v: u64) -> u64 {
-    fnv(hash, &v.to_le_bytes())
+    fnv1a64(hash, &v.to_le_bytes())
 }
 
 fn fnv_array(mut h: u64, data: &ArrayData) -> u64 {
@@ -205,12 +194,12 @@ fn fnv_array(mut h: u64, data: &ArrayData) -> u64 {
         }
         ArrayData::U8(v) => {
             h = fnv_u64(h, 3);
-            h = fnv(h, v);
+            h = fnv1a64(h, v);
         }
         ArrayData::Packed(p) => {
             // Digest as if materialized: same dtype tag, same LE bytes.
             h = fnv_u64(h, p.dtype() as u64);
-            h = fnv(h, p.bytes());
+            h = fnv1a64(h, p.bytes());
         }
     }
     h
@@ -225,19 +214,19 @@ impl QueryOutput {
         let mut h = FNV_OFFSET;
         match self {
             QueryOutput::Rows(steps) => {
-                h = fnv(h, b"rows");
+                h = fnv1a64(h, b"rows");
                 for s in steps {
                     h = fnv_u64(h, s.step);
                     h = fnv_u64(h, s.columns.len() as u64);
                     for (name, data) in &s.columns {
-                        h = fnv(h, name.as_bytes());
+                        h = fnv1a64(h, name.as_bytes());
                         h = fnv_u64(h, data.len() as u64);
                         h = fnv_array(h, data);
                     }
                 }
             }
             QueryOutput::Aggregates(rows) => {
-                h = fnv(h, b"aggs");
+                h = fnv1a64(h, b"aggs");
                 for r in rows {
                     h = fnv_u64(h, r.window_start);
                     h = fnv_u64(h, r.window_end);
