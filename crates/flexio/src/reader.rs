@@ -468,8 +468,8 @@ impl StreamReader {
                 records.push(self.side.peer_recv(w, &[msg::CHUNK, msg::BATCH]).await?);
             }
             for record in records {
-                // Bytes are recorded at the send side.
-                monitor.record(MonitorEvent::DataRecv, step, self.rank, 0, 0);
+                let wire = record.encoded_len() as u64;
+                monitor.record(MonitorEvent::DataRecv, step, self.rank, wire, 0);
                 if protocol::kind_of(&record) == msg::BATCH {
                     for c in protocol::batch_chunks(&record)? {
                         self.store_chunk(protocol::parse_chunk(c)?, step)?;

@@ -147,9 +147,10 @@ fn filter_apply_on_a_packed_chunk_allocates_only_the_survivors() {
     // Nothing input-sized...
     let (input_sized, _) = count_large_allocs(ROWS * 8, || plugin.apply(&chunk));
     assert_eq!(input_sized, 0, "the packed input was materialized");
-    // ...and of anything that scales with the chunk (the mask is
-    // ROWS bytes, the survivors a fifth of the input), exactly one.
-    let (chunk_scaled, out) = count_large_allocs(ROWS / 2, || plugin.apply(&chunk));
+    // ...and of anything that scales with the chunk (the mask is one
+    // bit per row, the survivors a fifth of the input), exactly one.
+    let mask_bytes = ROWS.div_ceil(64) * 8;
+    let (chunk_scaled, out) = count_large_allocs(mask_bytes, || plugin.apply(&chunk));
     assert_eq!(chunk_scaled, 1, "survivor vector only; mask and scratch are reused");
     let (VarValue::Block(b), _) = out.expect("apply") else { panic!("block expected") };
     assert_eq!(b.data.len() * 5, ROWS, "20% selective");

@@ -563,6 +563,43 @@ fn monitoring_observes_movement() {
 }
 
 #[test]
+fn data_recv_bytes_match_data_send() {
+    use flexio::{MonitorEvent, Transport};
+    // One small owned block and one packed above the zero-copy threshold.
+    for transport in [Transport::Auto, Transport::Shm, Transport::Tcp] {
+        let hints = StreamHints::builder().transport(transport).build();
+        let (links, _) = couple(
+            1,
+            1,
+            hints,
+            |mut w, _| {
+                for step in 0..4u64 {
+                    w.begin_step(step);
+                    w.write("small", block_1d(0, vec![step as f64; 10], 10));
+                    w.write("large", block_1d(0, vec![step as f64; 2048], 2048));
+                    w.end_step();
+                }
+                let link = w.link().clone();
+                w.close();
+                link
+            },
+            |mut r, _| {
+                r.subscribe("small", Selection::ProcessGroup(0));
+                r.subscribe("large", Selection::ProcessGroup(0));
+                while let StepStatus::Step(_) = r.begin_step() {
+                    r.end_step();
+                }
+            },
+        );
+        let monitor = &links[0].monitor;
+        let sent = monitor.total_bytes(MonitorEvent::DataSend);
+        assert!(sent >= 4 * 2058 * 8, "{transport:?}: sent {sent} bytes");
+        assert_eq!(monitor.total_bytes(MonitorEvent::DataRecv), sent, "{transport:?}");
+        assert_eq!(monitor.count(MonitorEvent::DataRecv), monitor.count(MonitorEvent::DataSend));
+    }
+}
+
+#[test]
 fn directory_is_out_of_the_critical_path() {
     let io = FlexIo::new(laptop(), 4);
     let io_w = io.clone();

@@ -186,17 +186,19 @@ impl Executor {
             if let Some((state, agg_idx)) = &mut self.agg {
                 // Aggregate mode: sequential accumulation over the
                 // widened aggregate column, feed order preserved.
-                widened!(&views[*agg_idx], |it| match mask {
+                widened!(&views[*agg_idx], |rows, get| match mask {
                     None => {
-                        it.for_each(|v| state.accumulate(v));
+                        rows.iter().for_each(|x| state.accumulate(get(x)));
                         stats.rows_out += n as u64;
                     }
                     Some(m) => {
-                        for (v, &keep) in it.zip(m) {
-                            if keep {
-                                state.accumulate(v);
-                                stats.rows_out += 1;
+                        for (&word, block) in m.iter().zip(rows.chunks(64)) {
+                            let mut w = word;
+                            while w != 0 {
+                                state.accumulate(get(&block[w.trailing_zeros() as usize]));
+                                w &= w - 1;
                             }
+                            stats.rows_out += u64::from(word.count_ones());
                         }
                     }
                 });

@@ -30,47 +30,110 @@ pub(crate) enum ColView<'a> {
     PackedI64(&'a [u8]),
 }
 
-/// Bind `$it` to an iterator over the column's elements widened to
-/// `f64` and evaluate `$body` with it. Each arm is a monomorphic loop
-/// the compiler can vectorize; the packed arms decode straight from the
-/// LE wire bytes.
+/// Bind `$rows` to the column's rows (elements, or 8-byte LE words for
+/// the packed variants) and `$get` to one row's value widened to `f64`,
+/// and evaluate `$body` with them. Each arm is monomorphic, so a loop
+/// in `$body` is one the compiler can vectorize.
 macro_rules! widened {
-    ($view:expr, |$it:ident| $body:expr) => {
+    ($view:expr, |$rows:ident, $get:ident| $body:expr) => {
         match $view {
             ColView::F64(v) => {
-                let $it = v.iter().copied();
+                let ($rows, $get) = (*v, |x: &f64| *x);
                 $body
             }
             ColView::U64(v) => {
-                let $it = v.iter().map(|&x| x as f64);
+                let ($rows, $get) = (*v, |x: &u64| *x as f64);
                 $body
             }
             ColView::I64(v) => {
-                let $it = v.iter().map(|&x| x as f64);
+                let ($rows, $get) = (*v, |x: &i64| *x as f64);
                 $body
             }
             ColView::U8(v) => {
-                let $it = v.iter().map(|&x| f64::from(x));
+                let ($rows, $get) = (*v, |x: &u8| f64::from(*x));
                 $body
             }
             ColView::PackedF64(b) => {
-                let $it = b.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap()));
+                let ($rows, $get) = (b.as_chunks().0, |r: &[u8; 8]| f64::from_le_bytes(*r));
                 $body
             }
             ColView::PackedU64(b) => {
-                let $it =
-                    b.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap()) as f64);
+                let ($rows, $get) = (b.as_chunks().0, |r: &[u8; 8]| u64::from_le_bytes(*r) as f64);
                 $body
             }
             ColView::PackedI64(b) => {
-                let $it =
-                    b.chunks_exact(8).map(|c| i64::from_le_bytes(c.try_into().unwrap()) as f64);
+                let ($rows, $get) = (b.as_chunks().0, |r: &[u8; 8]| i64::from_le_bytes(*r) as f64);
                 $body
             }
         }
     };
 }
 pub(crate) use widened;
+
+/// `BIT[i]` is row `i`'s bit in its 64-row mask word. ANDing it with a
+/// comparison stretched to all-ones or all-zeros keeps the word build a
+/// branch-free AND-OR that vectorizes on baseline x86-64; the shift
+/// form `(keep as u64) << i` does not.
+const BIT: [u64; 64] = {
+    let mut bits = [0; 64];
+    let mut i = 0;
+    while i < 64 {
+        bits[i] = 1 << i;
+        i += 1;
+    }
+    bits
+};
+
+/// Set `words` (one bit per row, row `i` at bit `i % 64` of word
+/// `i / 64`) to `keep` over `rows`, an exact 64-row block at a time.
+#[inline(always)]
+fn pack_words<E>(rows: &[E], words: &mut [u64], keep: impl Fn(&E) -> bool) {
+    let word = |block: &[E]| {
+        block.iter().zip(&BIT).fold(0, |w, (x, bit)| w | bit & 0u64.wrapping_sub(keep(x) as u64))
+    };
+    let (blocks, tail) = rows.as_chunks::<64>();
+    for (w, block) in words.iter_mut().zip(blocks) {
+        *w = word(block);
+    }
+    if !tail.is_empty() {
+        words[blocks.len()] = word(tail);
+    }
+}
+
+/// Append the first `take` rows whose `mask` bit is set (of every row
+/// when `mask` is `None`) to `dst`, decoded by `get`. `dst` grows once;
+/// a zero word is skipped, a full one copied whole, and any other walks
+/// its set bits.
+fn gather<E, T>(
+    rows: &[E],
+    get: impl Fn(&E) -> T,
+    mask: Option<&[u64]>,
+    take: u64,
+    dst: &mut Vec<T>,
+) {
+    let mut left = take as usize;
+    dst.reserve(left);
+    let Some(mask) = mask else {
+        dst.extend(rows.iter().take(left).map(get));
+        return;
+    };
+    for (&word, block) in mask.iter().zip(rows.chunks(64)) {
+        if word == u64::MAX && left >= 64 {
+            dst.extend(block.iter().map(&get));
+            left -= 64;
+            continue;
+        }
+        let mut w = word;
+        while w != 0 && left > 0 {
+            dst.push(get(&block[w.trailing_zeros() as usize]));
+            w &= w - 1;
+            left -= 1;
+        }
+        if left == 0 {
+            break;
+        }
+    }
+}
 
 impl<'a> ColView<'a> {
     pub(crate) fn of(data: &'a ArrayData) -> ColView<'a> {
@@ -97,55 +160,37 @@ impl<'a> ColView<'a> {
         }
     }
 
-    /// Append rows where `mask` is set (all `n` rows when `mask` is
+    /// Append rows whose `mask` bit is set (all `n` rows when `mask` is
     /// `None`) into `out`, stopping when `budget` (if any) runs out.
     /// Returns the number of rows appended. Per-dtype gather loops; the
     /// packed arms decode each kept element from the wire bytes. `out`
     /// grows once, by exactly the rows about to be appended.
     pub(crate) fn gather_into(
         &self,
-        mask: Option<&[bool]>,
+        mask: Option<&[u64]>,
         n: usize,
         out: &mut ArrayData,
         budget: &mut Option<u64>,
     ) -> u64 {
-        #[inline]
-        fn keep(mask: Option<&[bool]>, i: usize) -> bool {
-            mask.is_none_or(|m| m[i])
-        }
-        let kept = mask.map_or(n, |m| m.iter().filter(|&&k| k).count()) as u64;
+        let kept = mask.map_or(n as u64, |m| m.iter().map(|w| u64::from(w.count_ones())).sum());
         let take = budget.map_or(kept, |b| b.min(kept));
         if let Some(b) = budget {
             *b -= take;
         }
-        macro_rules! gather {
-            ($elems:expr, $dst:expr) => {{
-                $dst.reserve(take as usize);
-                let mut left = take;
-                for (i, x) in $elems.enumerate() {
-                    if left == 0 {
-                        break;
-                    }
-                    if keep(mask, i) {
-                        $dst.push(x);
-                        left -= 1;
-                    }
-                }
-            }};
-        }
-        macro_rules! packed {
-            ($bytes:expr, $ty:ty) => {
-                $bytes.chunks_exact(8).map(|c| <$ty>::from_le_bytes(c.try_into().unwrap()))
-            };
-        }
         match (self, out) {
-            (ColView::F64(s), ArrayData::F64(d)) => gather!(s.iter().copied(), d),
-            (ColView::U64(s), ArrayData::U64(d)) => gather!(s.iter().copied(), d),
-            (ColView::I64(s), ArrayData::I64(d)) => gather!(s.iter().copied(), d),
-            (ColView::U8(s), ArrayData::U8(d)) => gather!(s.iter().copied(), d),
-            (ColView::PackedF64(s), ArrayData::F64(d)) => gather!(packed!(s, f64), d),
-            (ColView::PackedU64(s), ArrayData::U64(d)) => gather!(packed!(s, u64), d),
-            (ColView::PackedI64(s), ArrayData::I64(d)) => gather!(packed!(s, i64), d),
+            (ColView::F64(s), ArrayData::F64(d)) => gather(s, |x| *x, mask, take, d),
+            (ColView::U64(s), ArrayData::U64(d)) => gather(s, |x| *x, mask, take, d),
+            (ColView::I64(s), ArrayData::I64(d)) => gather(s, |x| *x, mask, take, d),
+            (ColView::U8(s), ArrayData::U8(d)) => gather(s, |x| *x, mask, take, d),
+            (ColView::PackedF64(s), ArrayData::F64(d)) => {
+                gather(s.as_chunks().0, |r| f64::from_le_bytes(*r), mask, take, d)
+            }
+            (ColView::PackedU64(s), ArrayData::U64(d)) => {
+                gather(s.as_chunks().0, |r| u64::from_le_bytes(*r), mask, take, d)
+            }
+            (ColView::PackedI64(s), ArrayData::I64(d)) => {
+                gather(s.as_chunks().0, |r| i64::from_le_bytes(*r), mask, take, d)
+            }
             _ => panic!("column dtype changed between chunks of the same variable"),
         }
         take
@@ -164,7 +209,8 @@ pub struct FilterKernel {
     /// One widened `f64` vector per column, used by the general path.
     scratch: Vec<Vec<f64>>,
     row: Vec<f64>,
-    mask: Vec<bool>,
+    /// One bit per row, 64 rows a word; bits past the last row are 0.
+    mask: Vec<u64>,
 }
 
 impl FilterKernel {
@@ -200,19 +246,18 @@ impl FilterKernel {
     }
 
     /// The survivor mask over one chunk of `n` rows, `views` in the
-    /// kernel's column order.
-    pub(crate) fn mask(&mut self, views: &[ColView<'_>], n: usize) -> &[bool] {
+    /// kernel's column order: bit `i % 64` of word `i / 64` is row `i`.
+    pub(crate) fn mask(&mut self, views: &[ColView<'_>], n: usize) -> &[u64] {
         self.mask.clear();
-        self.mask.resize(n, false);
+        self.mask.resize(n.div_ceil(64), 0);
         // Fast path: the ubiquitous `col <op> literal` shape becomes a
         // single monomorphic compare loop per operator and dtype, read
         // straight off the column.
         if let [Op::PushCol(ci), Op::PushLit(lit), Op::Cmp(op)] = self.program.ops[..] {
+            let words = &mut self.mask;
             macro_rules! cmp_loop {
                 ($op:tt) => {
-                    widened!(&views[ci], |it| for (m, x) in self.mask.iter_mut().zip(it) {
-                        *m = x $op lit;
-                    })
+                    widened!(&views[ci], |rows, get| pack_words(rows, words, |x| get(x) $op lit))
                 };
             }
             match op {
@@ -230,13 +275,13 @@ impl FilterKernel {
         for &ci in &self.referenced {
             let buf = &mut self.scratch[ci];
             buf.clear();
-            widened!(&views[ci], |it| buf.extend(it));
+            widened!(&views[ci], |rows, get| buf.extend(rows.iter().map(get)));
         }
         for i in 0..n {
             for &ci in &self.referenced {
                 self.row[ci] = self.scratch[ci][i];
             }
-            self.mask[i] = self.program.eval_bool(&self.row);
+            self.mask[i / 64] |= u64::from(self.program.eval_bool(&self.row)) << (i % 64);
         }
         &self.mask
     }

@@ -33,6 +33,27 @@ fn arb_f64() -> impl Strategy<Value = f64> {
     ]
 }
 
+/// Chunk lengths at the 64-row mask-word boundaries half the time, any
+/// up to 200 otherwise.
+fn arb_len() -> BoxedStrategy<usize> {
+    const EDGES: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 129];
+    prop_oneof![(0..EDGES.len()).prop_map(|i| EDGES[i]), 0usize..=200].boxed()
+}
+
+/// `len` elements of `elem`, either independent or (the benchmark's
+/// shape) runs of one value: runs of 64 and more cover whole 64-row
+/// mask words that a comparison passes entirely or not at all.
+fn arb_elems<T: Clone + std::fmt::Debug + 'static>(
+    elem: BoxedStrategy<T>,
+    len: usize,
+) -> BoxedStrategy<Vec<T>> {
+    let runs = vec((elem.clone(), 1usize..=150), 1..=6).prop_map(move |runs| {
+        let flat: Vec<T> = runs.into_iter().flat_map(|(x, n)| std::iter::repeat_n(x, n)).collect();
+        flat.into_iter().cycle().take(len).collect()
+    });
+    prop_oneof![vec(elem, len..=len), runs].boxed()
+}
+
 /// One column's data with a fixed logical dtype (`0..4`: f64, u64,
 /// i64, u8) in a random physical representation — owned or a packed
 /// zero-copy view, chosen per chunk. The dtype is chosen once per
@@ -41,7 +62,7 @@ fn arb_f64() -> impl Strategy<Value = f64> {
 /// where small chunks arrive owned and large ones packed.
 fn arb_column(dtype: u8, len: usize) -> BoxedStrategy<ArrayData> {
     match dtype {
-        0 => (vec(arb_f64(), len..=len), any::<bool>())
+        0 => (arb_elems(arb_f64().boxed(), len), any::<bool>())
             .prop_map(|(v, packed)| {
                 if packed {
                     ArrayData::Packed(PackedArray::from_f64s(&v))
@@ -50,7 +71,7 @@ fn arb_column(dtype: u8, len: usize) -> BoxedStrategy<ArrayData> {
                 }
             })
             .boxed(),
-        1 => (vec(0u64..5000, len..=len), any::<bool>())
+        1 => (arb_elems((0u64..5000).boxed(), len), any::<bool>())
             .prop_map(|(v, packed)| {
                 if packed {
                     ArrayData::Packed(PackedArray::from_u64s(&v))
@@ -59,7 +80,7 @@ fn arb_column(dtype: u8, len: usize) -> BoxedStrategy<ArrayData> {
                 }
             })
             .boxed(),
-        2 => (vec(-2500i64..2500, len..=len), any::<bool>())
+        2 => (arb_elems((-2500i64..2500).boxed(), len), any::<bool>())
             .prop_map(|(v, packed)| {
                 if packed {
                     ArrayData::Packed(PackedArray::from_i64s(&v))
@@ -68,9 +89,8 @@ fn arb_column(dtype: u8, len: usize) -> BoxedStrategy<ArrayData> {
                 }
             })
             .boxed(),
-        _ => (vec(0u64..256, len..=len), any::<bool>())
-            .prop_map(|(v, packed)| {
-                let bytes: Vec<u8> = v.into_iter().map(|x| x as u8).collect();
+        _ => (arb_elems(any::<u8>().boxed(), len), any::<bool>())
+            .prop_map(|(bytes, packed)| {
                 if packed {
                     ArrayData::Packed(PackedArray::from_bytes(&bytes))
                 } else {
@@ -164,7 +184,7 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
         }),
     ];
     let filter = prop_oneof![Just(None), arb_pred(2).prop_map(Some)];
-    (filter, agg, 0u64..4, 0u64..30).prop_map(|(filter, agg, window, limit)| {
+    (filter, agg, 0u64..4, 0u64..300).prop_map(|(filter, agg, window, limit)| {
         let mut plan = Plan::select(&["c0", "c1"]);
         if let Some(f) = filter {
             plan = plan.filter(f);
@@ -178,12 +198,14 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
     })
 }
 
-/// Steps × writers of two-column chunks with varying lengths and
-/// physical representations; each column's dtype is fixed stream-wide.
+/// Steps × writers of two-column chunks with varying lengths (0 to
+/// 200: empty, a ragged tail word, exactly one and several whole mask
+/// words) and physical representations; each column's dtype is fixed
+/// stream-wide.
 fn arb_stream() -> impl Strategy<Value = Vec<Vec<(ArrayData, ArrayData)>>> {
     (0u8..4, 0u8..4).prop_flat_map(|(d0, d1)| {
         vec(
-            vec((0usize..12).prop_flat_map(move |n| (arb_column(d0, n), arb_column(d1, n))), 1..3),
+            vec(arb_len().prop_flat_map(move |n| (arb_column(d0, n), arb_column(d1, n))), 1..3),
             1..4,
         )
     })
@@ -217,8 +239,12 @@ proptest! {
     /// Pre-filtered (writer-conditioned) chunks short-circuit both
     /// executors identically.
     #[test]
-    fn conditioned_chunks_agree(data in vec(arb_f64(), 0..32), rows_in in 0u64..100) {
-        let plan = Plan::select(&["c0"]).filter(Expr::col("c0").lt(Expr::lit(0.5)));
+    fn conditioned_chunks_agree(
+        data in arb_len().prop_flat_map(|n| vec(arb_f64(), n)),
+        rows_in in 0u64..300,
+        limit in 0u64..300,
+    ) {
+        let plan = Plan::select(&["c0"]).filter(Expr::col("c0").lt(Expr::lit(0.5))).limit(limit);
         let col = ArrayData::F64(data.clone());
         let mut vx = Executor::new(plan.clone()).unwrap();
         let mut nx = NaiveExecutor::new(plan).unwrap();
@@ -331,7 +357,7 @@ proptest! {
     #[test]
     fn writer_side_kernel_equals_naive_and_the_old_codelet(
         pred in arb_pred(3),
-        typed in (0u8..4, 0usize..40)
+        typed in (0u8..4, arb_len())
             .prop_flat_map(|(d, n)| arb_column(d, n).prop_map(move |c| (d, c))),
     ) {
         let (dtype, data) = typed.clone();
@@ -393,6 +419,49 @@ fn non_finite_literals_filter_identically() {
                 bits(&naive_survivors(&filter, &data)),
                 "{filter:?}"
             );
+        }
+    }
+}
+
+/// A row limit that runs out inside a mask word — one with its bits
+/// all set, and one with every other bit set — stops at the same row
+/// as the oracle, across chunks and steps, for every dtype, packed and
+/// owned.
+#[test]
+fn row_limit_stops_mid_word() {
+    let vals: Vec<u64> = (0..200).collect();
+    let columns = [
+        ArrayData::F64(vals.iter().map(|&v| v as f64).collect()),
+        ArrayData::Packed(PackedArray::from_f64s(
+            &vals.iter().map(|&v| v as f64).collect::<Vec<_>>(),
+        )),
+        ArrayData::U64(vals.clone()),
+        ArrayData::Packed(PackedArray::from_u64s(&vals)),
+        ArrayData::I64(vals.iter().map(|&v| v as i64).collect()),
+        ArrayData::Packed(PackedArray::from_i64s(
+            &vals.iter().map(|&v| v as i64).collect::<Vec<_>>(),
+        )),
+        ArrayData::U8(vals.iter().map(|&v| v as u8).collect()),
+        ArrayData::Packed(PackedArray::from_bytes(
+            &vals.iter().map(|&v| v as u8).collect::<Vec<_>>(),
+        )),
+    ];
+    let parity = ArrayData::U64(vals.iter().map(|v| v % 2).collect());
+    let all = Expr::col("c0").ge(Expr::lit(0.0));
+    let odd = Expr::col("c1").eq(Expr::lit(1.0));
+    let filters = [None, Some(all.clone()), Some(odd.clone()), Some(odd.and(all))];
+    for col in &columns {
+        for filter in &filters {
+            for limit in [1, 37, 64, 100, 230, 333] {
+                let mut plan = Plan::select(&["c0", "c1"]).limit(limit);
+                if let Some(f) = filter {
+                    plan = plan.filter(f.clone());
+                }
+                let chunk = vec![(col.clone(), parity.clone())];
+                let (v, n) = run_both(&plan, &[chunk.clone(), chunk]);
+                assert_eq!(v.digest(), n.digest(), "{col:?} {filter:?} limit {limit}");
+                assert_eq!(v.rows(), n.rows());
+            }
         }
     }
 }

@@ -105,6 +105,14 @@ fi
 if sed -n '/^\[dependencies\]/,/^\[/p' crates/apps/Cargo.toml | grep -q "flexio-query"; then
     echo "crates/apps/Cargo.toml: flexio-query is a dev-dependency only"; exit 1
 fi
+# One survivor-mask representation: the filter kernel and the executor
+# build and read 64-row bit words, so a bool-per-row mask in their
+# non-test code is a second one.
+for f in crates/query/src/kernel.rs crates/query/src/exec.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nF -e 'Vec<bool>' -e '[bool]'; then
+        echo "$f: a bool-per-row mask beside the word mask"; exit 1
+    fi
+done
 # One way to run a blocking call: block_inline over the engine future. The
 # second driver, its env var and the thread-local loop over one borrowed
 # future stay gone (the brackets keep this script out of its own grep), and
@@ -158,7 +166,7 @@ done
 [ "$missing" -eq 0 ] || { echo "a doc names something the tree does not have"; exit 1; }
 # Their size only goes down, toward the ROADMAP's 100 KB target; lower
 # this limit when a PR shrinks them, never raise it.
-doc_limit=141502
+doc_limit=132622
 doc_bytes=$(cat $docs | wc -c)
 [ "$doc_bytes" -le "$doc_limit" ] || { echo "docs are $doc_bytes bytes (limit $doc_limit)"; exit 1; }
 echo "doc references ok (docs: $doc_bytes bytes)"
