@@ -9,15 +9,17 @@
 //! module ships the **file mode** implementations (BP container on disk);
 //! the `flexio` crate ships the **stream mode** implementations of the
 //! same traits. Which one an application gets is decided by the XML
-//! configuration, not by its code.
+//! configuration, not by its code. Every reader answers `read` through
+//! [`select`], so the engines cannot disagree on what a selection means.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::bp::{BpBuilder, BpError, BpFile};
 use crate::group::ProcessGroup;
-use crate::hyperslab::BoxSel;
+use crate::hyperslab::{BoxAssembler, BoxSel};
 use crate::var::{LocalBlock, VarValue};
 
 /// What a reader asks for within the current step.
@@ -70,6 +72,51 @@ pub trait ReadEngine: Send {
 
     /// Close the reader.
     fn close(&mut self);
+}
+
+/// The one answer to [`ReadEngine::read`]: `sel` over `values`, the
+/// `(writer rank, value)` pairs one variable has in the current step,
+/// whatever engine holds them (file, POSIX files, pub/sub log, stream).
+///
+/// - `ProcessGroup(r)`: the first value from rank `r`.
+/// - `Scalar`: the first scalar.
+/// - `GlobalBox(b)`: every block's overlap with `b`, laid into one block of
+///   `b`'s extent; cells no block covers stay zero. `None` when no block
+///   intersects `b`, and when a block is of another rank than `b` or an
+///   intersecting one disagrees with the first on global shape or element
+///   type: such data comes from a peer or a file, so it is refused, not
+///   trusted.
+pub fn select<'v>(
+    values: impl IntoIterator<Item = (usize, &'v VarValue)>,
+    sel: &Selection,
+) -> Option<VarValue> {
+    let mut values = values.into_iter();
+    match sel {
+        Selection::ProcessGroup(rank) => values.find(|(r, _)| r == rank).map(|(_, v)| v.clone()),
+        Selection::Scalar => {
+            values.map(|(_, v)| v).find(|v| matches!(v, VarValue::Scalar(_))).cloned()
+        }
+        Selection::GlobalBox(want) => {
+            let mut assembled: Option<(&LocalBlock, BoxAssembler)> = None;
+            for (_, value) in values {
+                let VarValue::Block(block) = value else { continue };
+                if block.offset.len() != want.rank() {
+                    return None;
+                }
+                let have = BoxSel::new(block.offset.clone(), block.count.clone());
+                let Some(overlap) = have.intersect(want) else { continue };
+                let (first, asm) =
+                    assembled.get_or_insert_with(|| (block, BoxAssembler::new(want, block)));
+                if block.global_shape != first.global_shape
+                    || block.data.data_type() != first.data.data_type()
+                {
+                    return None;
+                }
+                asm.add_region(block, &overlap);
+            }
+            assembled.map(|(_, asm)| VarValue::Block(asm.finish()))
+        }
+    }
 }
 
 // ------------------------------------------------------------- file mode
@@ -145,10 +192,13 @@ impl WriteEngine for FileWriteEngine {
     }
 }
 
-/// File-mode reader over a finalized `.bp` container.
+/// File-mode reader over finalized `.bp` containers: one aggregated
+/// container ([`Self::open`]) or the POSIX method's one per writing rank
+/// ([`Self::open_posix`]), where a step's groups are the concatenation of
+/// its files' groups.
 pub struct FileReadEngine {
-    file: BpFile,
-    steps: Vec<u64>,
+    /// Every step's process groups, in step order.
+    steps: Vec<(u64, Vec<ProcessGroup>)>,
     cursor: usize,
     in_step: bool,
 }
@@ -156,24 +206,21 @@ pub struct FileReadEngine {
 impl FileReadEngine {
     /// Open a container from disk.
     pub fn open(path: &Path) -> Result<FileReadEngine, BpError> {
-        let file = BpFile::open(path)?;
-        let steps = file.steps();
-        Ok(FileReadEngine { file, steps, cursor: 0, in_step: false })
+        Ok(FileReadEngine::from_groups(BpFile::open(path)?.into_groups()))
     }
 
     /// Open from in-memory bytes (used with the simulated file system).
     pub fn from_bytes(bytes: &[u8]) -> Result<FileReadEngine, BpError> {
-        let file = BpFile::parse(bytes)?;
-        let steps = file.steps();
-        Ok(FileReadEngine { file, steps, cursor: 0, in_step: false })
+        Ok(FileReadEngine::from_groups(BpFile::parse(bytes)?.into_groups()))
     }
 
-    fn current_step(&self) -> Option<u64> {
-        if self.in_step {
-            self.steps.get(self.cursor).copied()
-        } else {
-            None
+    /// A reader over `groups`, each step's in the order given.
+    pub(crate) fn from_groups(groups: impl IntoIterator<Item = ProcessGroup>) -> FileReadEngine {
+        let mut steps = BTreeMap::<u64, Vec<ProcessGroup>>::new();
+        for g in groups {
+            steps.entry(g.step).or_default().push(g);
         }
+        FileReadEngine { steps: steps.into_iter().collect(), cursor: 0, in_step: false }
     }
 }
 
@@ -181,7 +228,7 @@ impl ReadEngine for FileReadEngine {
     fn begin_step(&mut self) -> StepStatus {
         assert!(!self.in_step, "begin_step without end_step");
         match self.steps.get(self.cursor) {
-            Some(&s) => {
+            Some(&(s, _)) => {
                 self.in_step = true;
                 StepStatus::Step(s)
             }
@@ -190,17 +237,9 @@ impl ReadEngine for FileReadEngine {
     }
 
     fn read(&mut self, name: &str, sel: &Selection) -> Option<VarValue> {
-        let step = self.current_step().expect("read outside a step");
-        match sel {
-            Selection::ProcessGroup(rank) => self.file.group(step, *rank)?.get(name).cloned(),
-            Selection::GlobalBox(b) => self.file.read_box(step, name, b).map(VarValue::Block),
-            Selection::Scalar => {
-                self.file.groups_of_step(step).iter().find_map(|g| match g.get(name) {
-                    Some(v @ VarValue::Scalar(_)) => Some(v.clone()),
-                    _ => None,
-                })
-            }
-        }
+        assert!(self.in_step, "read outside a step");
+        let groups = &self.steps[self.cursor].1;
+        select(groups.iter().filter_map(|g| Some((g.rank, g.get(name)?))), sel)
     }
 
     fn end_step(&mut self) {

@@ -19,8 +19,6 @@ use std::sync::Arc;
 use parking_lot_stub::Mutex;
 
 use crate::group::ProcessGroup;
-use crate::hyperslab::{copy_region, BoxSel};
-use crate::var::{ArrayData, LocalBlock, VarValue};
 
 // `adios` avoids a parking_lot dependency for one mutex; std suffices.
 mod parking_lot_stub {
@@ -166,8 +164,8 @@ impl BpFile {
     }
 
     /// Consume the container, yielding every process group ordered by
-    /// `(step, rank)` — the owned-extraction path replay consumers use so
-    /// a spilled step is decoded once, not cloned per reader group.
+    /// `(step, rank)` — the owned extraction the file reader and replay
+    /// consumers use, so a step is decoded once, not cloned per reader.
     pub fn into_groups(mut self) -> Vec<ProcessGroup> {
         self.groups.sort_by_key(|g| (g.step, g.rank));
         self.groups
@@ -178,63 +176,14 @@ impl BpFile {
         let steps: BTreeSet<u64> = self.groups.iter().map(|g| g.step).collect();
         steps.into_iter().collect()
     }
-
-    /// All process groups of a step, ordered by rank.
-    pub fn groups_of_step(&self, step: u64) -> Vec<&ProcessGroup> {
-        let mut out: Vec<&ProcessGroup> = self.groups.iter().filter(|g| g.step == step).collect();
-        out.sort_by_key(|g| g.rank);
-        out
-    }
-
-    /// One rank's group for a step.
-    pub fn group(&self, step: u64, rank: usize) -> Option<&ProcessGroup> {
-        self.groups.iter().find(|g| g.step == step && g.rank == rank)
-    }
-
-    /// Distinct variable names in a step, in first-seen order.
-    pub fn var_names(&self, step: u64) -> Vec<String> {
-        let mut names = Vec::new();
-        for g in self.groups_of_step(step) {
-            for (n, _) in &g.vars {
-                if !names.contains(n) {
-                    names.push(n.clone());
-                }
-            }
-        }
-        names
-    }
-
-    /// Assemble a box selection of a global-array variable from every
-    /// contributing block of a step. Returns `None` if the variable is
-    /// absent or not an array; panics on inconsistent global shapes (a
-    /// writer bug).
-    pub fn read_box(&self, step: u64, name: &str, sel: &BoxSel) -> Option<LocalBlock> {
-        let mut out: Option<LocalBlock> = None;
-        for g in self.groups_of_step(step) {
-            let Some(VarValue::Block(block)) = g.get(name) else { continue };
-            let out = out.get_or_insert_with(|| LocalBlock {
-                global_shape: block.global_shape.clone(),
-                offset: sel.offset.clone(),
-                count: sel.count.clone(),
-                data: ArrayData::zeros(block.data.data_type(), sel.num_elements() as usize),
-            });
-            assert_eq!(
-                out.global_shape, block.global_shape,
-                "inconsistent global shape for `{name}`"
-            );
-            let block_box = BoxSel::new(block.offset.clone(), block.count.clone());
-            if let Some(region) = block_box.intersect(sel) {
-                copy_region(block, out, &region);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::var::ScalarValue;
+    use crate::api::{FileReadEngine, ReadEngine, Selection, StepStatus};
+    use crate::hyperslab::BoxSel;
+    use crate::var::{ArrayData, LocalBlock, ScalarValue, VarValue};
 
     fn group_with_block(rank: usize, step: u64, row: u64) -> ProcessGroup {
         let mut g = ProcessGroup::new(rank, step);
@@ -254,51 +203,65 @@ mod tests {
         g
     }
 
-    fn container() -> BpFile {
+    fn container_bytes() -> Vec<u8> {
         let b = BpBuilder::new();
         for step in 0..2 {
             for rank in 0..4usize {
                 b.append(group_with_block(rank, step, rank as u64));
             }
         }
-        BpFile::parse(&b.build()).unwrap()
+        b.build()
+    }
+
+    fn container() -> BpFile {
+        BpFile::parse(&container_bytes()).unwrap()
     }
 
     #[test]
     fn roundtrip_and_index() {
         let f = container();
         assert_eq!(f.steps(), vec![0, 1]);
-        assert_eq!(f.groups_of_step(0).len(), 4);
-        assert_eq!(
-            f.group(1, 2).unwrap().get("meta"),
-            Some(&VarValue::Scalar(ScalarValue::U64(12)))
-        );
-        assert_eq!(f.var_names(0), vec!["meta".to_string(), "field".to_string()]);
+        let groups = f.into_groups();
+        let keys: Vec<_> = groups.iter().map(|g| (g.step, g.rank)).collect();
+        assert_eq!(keys, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3)]);
+        assert_eq!(groups[6].get("meta"), Some(&VarValue::Scalar(ScalarValue::U64(12))));
+        let names: Vec<_> = groups[0].vars.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["meta", "field"]);
+    }
+
+    /// Step 0 of the container through the file engine.
+    fn step0() -> FileReadEngine {
+        let mut r = FileReadEngine::from_bytes(&container_bytes()).unwrap();
+        assert_eq!(r.begin_step(), StepStatus::Step(0));
+        r
+    }
+
+    fn box_of(r: &mut FileReadEngine, name: &str, sel: BoxSel) -> Option<LocalBlock> {
+        match r.read(name, &Selection::GlobalBox(sel))? {
+            VarValue::Block(b) => Some(b),
+            VarValue::Scalar(_) => panic!("a box read yields a block"),
+        }
     }
 
     #[test]
-    fn read_box_reassembles_across_ranks() {
-        let f = container();
+    fn box_reads_reassemble_across_ranks() {
         // Rows 1..3, cols 1..3 spans ranks 1 and 2.
-        let sel = BoxSel::new(vec![1, 1], vec![2, 2]);
-        let block = f.read_box(0, "field", &sel).unwrap();
+        let block = box_of(&mut step0(), "field", BoxSel::new(vec![1, 1], vec![2, 2])).unwrap();
         assert_eq!(block.data.as_f64(), &[11.0, 12.0, 21.0, 22.0]);
     }
 
     #[test]
     fn read_whole_array() {
-        let f = container();
-        let sel = BoxSel::whole(&[4, 4]);
-        let block = f.read_box(0, "field", &sel).unwrap();
+        let block = box_of(&mut step0(), "field", BoxSel::whole(&[4, 4])).unwrap();
         assert_eq!(block.num_elements(), 16);
         assert_eq!(block.data.as_f64()[15], 33.0);
     }
 
     #[test]
     fn missing_variable() {
-        let f = container();
-        assert!(f.read_box(0, "absent", &BoxSel::whole(&[4, 4])).is_none());
-        assert!(f.group(0, 99).is_none());
+        let mut r = step0();
+        assert!(box_of(&mut r, "absent", BoxSel::whole(&[4, 4])).is_none());
+        assert!(r.read("field", &Selection::ProcessGroup(99)).is_none());
     }
 
     #[test]

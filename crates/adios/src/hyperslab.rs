@@ -4,10 +4,11 @@
 //! array distributed over 9 simulation processes is read by 2 analytics
 //! processes with a different decomposition, each sender computes the
 //! overlap of its block with each reader's requested box and copies the
-//! overlapping *strides*. The same machinery serves file-mode subset
-//! reads.
+//! overlapping *strides*. [`BoxAssembler`] is the one place a box is
+//! laid together from such overlaps, for every engine's
+//! [`crate::select`].
 
-use crate::var::LocalBlock;
+use crate::var::{ArrayData, LocalBlock};
 
 /// An axis-aligned box in global index space.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -263,6 +264,55 @@ pub fn extract_region(src: &LocalBlock, region: &BoxSel) -> LocalBlock {
         offset: region.offset.clone(),
         count: region.count.clone(),
         data: src.data.gather_runs(plan, region.num_elements() as usize),
+    }
+}
+
+/// Reader-side accumulator that assembles a global-box selection from the
+/// received region chunks.
+#[derive(Debug)]
+pub struct BoxAssembler {
+    target: LocalBlock,
+    received_elems: u64,
+}
+
+impl BoxAssembler {
+    /// Start assembling `sel` of an array whose blocks have `dtype`
+    /// matching the first received chunk (lazily allocated).
+    pub fn new(sel: &BoxSel, template: &LocalBlock) -> BoxAssembler {
+        BoxAssembler {
+            target: LocalBlock {
+                global_shape: template.global_shape.clone(),
+                offset: sel.offset.clone(),
+                count: sel.count.clone(),
+                data: ArrayData::zeros(template.data.data_type(), sel.num_elements() as usize),
+            },
+            received_elems: 0,
+        }
+    }
+
+    /// Merge one received region chunk.
+    pub fn add(&mut self, chunk: &LocalBlock) {
+        let region = BoxSel::new(chunk.offset.clone(), chunk.count.clone());
+        self.add_region(chunk, &region);
+    }
+
+    /// Merge `region` of a (possibly larger, possibly packed-view) source
+    /// block directly into the target — the zero-intermediate assembly
+    /// path: strides go from the shared receive buffer straight into the
+    /// target block, with no clipped temporary in between.
+    pub fn add_region(&mut self, src: &LocalBlock, region: &BoxSel) {
+        copy_region(src, &mut self.target, region);
+        self.received_elems += region.num_elements();
+    }
+
+    /// Elements received so far (detects over/under-delivery in tests).
+    pub fn received_elements(&self) -> u64 {
+        self.received_elems
+    }
+
+    /// Finish; returns the assembled block.
+    pub fn finish(self) -> LocalBlock {
+        self.target
     }
 }
 

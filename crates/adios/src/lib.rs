@@ -23,12 +23,13 @@
 //!   I/O method per group and carrying transport hints ("a one-line update
 //!   to the configuration file is sufficient to switch between file I/O
 //!   and online data movement");
-//! * [`api`] — the engine traits (`WriteEngine`/`ReadEngine`) and the
-//!   built-in **file mode** engines (aggregated BP container), plus
-//!   [`posix`] — the one-file-per-rank POSIX method, a second
-//!   interchangeable file method. FlexIO's *stream mode* engines
-//!   implement the same traits, which is exactly what makes file and
-//!   stream modes swappable without touching application code.
+//! * [`api`] — the engine traits (`WriteEngine`/`ReadEngine`), the one
+//!   selection read every reader answers with ([`select`]) and the
+//!   **file mode** engines: one reader for both file layouts, the
+//!   aggregated BP container and [`posix`]'s one file per rank. FlexIO's
+//!   *stream mode* engines implement the same traits and read through
+//!   the same `select`, which is exactly what makes file and stream modes
+//!   swappable without touching application code.
 
 pub mod api;
 pub mod bp;
@@ -39,9 +40,11 @@ pub mod posix;
 pub mod var;
 pub mod xml;
 
-pub use api::{FileReadEngine, FileWriteEngine, ReadEngine, Selection, StepStatus, WriteEngine};
+pub use api::{
+    select, FileReadEngine, FileWriteEngine, ReadEngine, Selection, StepStatus, WriteEngine,
+};
 pub use config::{GroupConfig, IoConfig, IoMethod};
 pub use group::ProcessGroup;
 pub use hyperslab::BoxSel;
-pub use posix::{PosixReadEngine, PosixWriteEngine};
+pub use posix::PosixWriteEngine;
 pub use var::{ArrayData, DataType, LocalBlock, ScalarValue, VarValue};

@@ -2,15 +2,15 @@
 //!
 //! ADIOS ships several interchangeable file I/O methods behind the same
 //! API ("MPI-IO, HDF5, and NetCDF", §II.A); the POSIX method writes one
-//! file per process to avoid write-lock contention, and readers merge the
-//! per-rank containers. This second file engine exists to demonstrate
-//! that the method axis (POSIX vs aggregated BP vs stream) is orthogonal
-//! to application code — all implement [`crate::WriteEngine`] /
-//! [`crate::ReadEngine`].
+//! file per process to avoid write-lock contention. There is one file
+//! reader for both layouts: [`FileReadEngine::open_posix`] opens the
+//! per-rank containers as one, so the method axis (POSIX vs aggregated BP
+//! vs stream) stays orthogonal to application code — all implement
+//! [`crate::WriteEngine`] / [`crate::ReadEngine`].
 
 use std::path::{Path, PathBuf};
 
-use crate::api::{ReadEngine, Selection, StepStatus, WriteEngine};
+use crate::api::{FileReadEngine, WriteEngine};
 use crate::bp::{BpBuilder, BpError, BpFile};
 use crate::group::ProcessGroup;
 use crate::var::VarValue;
@@ -70,99 +70,23 @@ impl WriteEngine for PosixWriteEngine {
     }
 }
 
-/// Reader that merges the per-rank POSIX containers back into one logical
-/// time-indexed view — identical semantics to [`crate::FileReadEngine`].
-pub struct PosixReadEngine {
-    files: Vec<BpFile>,
-    steps: Vec<u64>,
-    cursor: usize,
-    in_step: bool,
-}
-
-impl PosixReadEngine {
-    /// Open all `<dir>/<name>.<rank>.bp` containers for `nranks` writers.
-    pub fn open(dir: &Path, name: &str, nranks: usize) -> Result<PosixReadEngine, BpError> {
-        let mut files = Vec::with_capacity(nranks);
+impl FileReadEngine {
+    /// Open the `nranks` containers `<dir>/<name>.<rank>.bp` as one
+    /// reader; a missing rank's file is an error.
+    pub fn open_posix(dir: &Path, name: &str, nranks: usize) -> Result<FileReadEngine, BpError> {
+        let mut groups = Vec::new();
         for rank in 0..nranks {
-            files.push(BpFile::open(&PosixWriteEngine::rank_path(dir, name, rank))?);
+            let path = PosixWriteEngine::rank_path(dir, name, rank);
+            groups.extend(BpFile::open(&path)?.into_groups());
         }
-        let mut steps: Vec<u64> = files.iter().flat_map(|f| f.steps()).collect();
-        steps.sort_unstable();
-        steps.dedup();
-        Ok(PosixReadEngine { files, steps, cursor: 0, in_step: false })
+        Ok(FileReadEngine::from_groups(groups))
     }
-
-    fn current_step(&self) -> Option<u64> {
-        self.in_step.then(|| self.steps[self.cursor])
-    }
-}
-
-impl ReadEngine for PosixReadEngine {
-    fn begin_step(&mut self) -> StepStatus {
-        assert!(!self.in_step, "begin_step without end_step");
-        match self.steps.get(self.cursor) {
-            Some(&s) => {
-                self.in_step = true;
-                StepStatus::Step(s)
-            }
-            None => StepStatus::EndOfStream,
-        }
-    }
-
-    fn read(&mut self, name: &str, sel: &Selection) -> Option<VarValue> {
-        let step = self.current_step().expect("read outside a step");
-        match sel {
-            Selection::ProcessGroup(rank) => {
-                self.files.get(*rank)?.group(step, *rank)?.get(name).cloned()
-            }
-            Selection::GlobalBox(b) => {
-                // Merge region reads across every rank's container.
-                let mut out: Option<crate::var::LocalBlock> = None;
-                for f in &self.files {
-                    if let Some(block) = f.read_box(step, name, b) {
-                        match &mut out {
-                            None => out = Some(block),
-                            Some(acc) => {
-                                // Blocks cover disjoint parts; merge by
-                                // copying non-zero contributor regions.
-                                for g in f.groups_of_step(step) {
-                                    if let Some(VarValue::Block(src)) = g.get(name) {
-                                        let have = crate::hyperslab::BoxSel::new(
-                                            src.offset.clone(),
-                                            src.count.clone(),
-                                        );
-                                        if let Some(region) = have.intersect(b) {
-                                            crate::hyperslab::copy_region(src, acc, &region);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                out.map(VarValue::Block)
-            }
-            Selection::Scalar => self.files.iter().find_map(|f| {
-                f.groups_of_step(step).iter().find_map(|g| match g.get(name) {
-                    Some(v @ VarValue::Scalar(_)) => Some(v.clone()),
-                    _ => None,
-                })
-            }),
-        }
-    }
-
-    fn end_step(&mut self) {
-        assert!(self.in_step, "end_step without begin_step");
-        self.in_step = false;
-        self.cursor += 1;
-    }
-
-    fn close(&mut self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{ReadEngine, Selection, StepStatus};
     use crate::hyperslab::BoxSel;
     use crate::var::{ArrayData, LocalBlock, ScalarValue};
 
@@ -199,7 +123,7 @@ mod tests {
         for rank in 0..3 {
             assert!(PosixWriteEngine::rank_path(&dir, "sim", rank).exists());
         }
-        let mut r = PosixReadEngine::open(&dir, "sim", 3).unwrap();
+        let mut r = FileReadEngine::open_posix(&dir, "sim", 3).unwrap();
         assert_eq!(r.begin_step(), StepStatus::Step(0));
         // Global read spans the three files.
         let v = r.read("u", &Selection::GlobalBox(BoxSel::whole(&[9]))).unwrap();
@@ -223,7 +147,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         write_posix(&dir);
         // Ask for more ranks than exist.
-        assert!(PosixReadEngine::open(&dir, "sim", 5).is_err());
+        assert!(FileReadEngine::open_posix(&dir, "sim", 5).is_err());
         for rank in 0..3 {
             std::fs::remove_file(PosixWriteEngine::rank_path(&dir, "sim", rank)).ok();
         }

@@ -147,7 +147,7 @@ impl FlexIo {
                 .await
                 .ok_or(StreamError::Timeout)?
         };
-        Ok(StreamWriter::new(link, rank, nranks, name.to_string(), hints))
+        Ok(StreamWriter::new(link, rank, nranks, hints))
     }
 
     /// Open the reader side of stream `name` from one reader rank, as a
@@ -205,7 +205,7 @@ impl FlexIo {
                 .await
                 .ok_or(StreamError::Timeout)?
         };
-        Ok(StreamReader::new(link, rank, nranks, name.to_string(), hints))
+        Ok(StreamReader::new(link, rank, nranks, hints))
     }
 
     pub(crate) fn post_bulletin(&self, key: &str, link: Arc<LinkState>) {

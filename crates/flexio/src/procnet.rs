@@ -560,7 +560,7 @@ pub fn open_writer_proc(cfg: ProcConfig) -> io::Result<StreamWriter> {
         LinkState::new(cfg.nranks, cores.clone(), None, &cfg.hints, Some(Arc::clone(&fabric)));
     let meta = if cfg.rank == 0 { pack_roster(&cores) } else { Vec::new() };
     fabric.register_rank('w', cfg.rank, meta)?;
-    Ok(StreamWriter::new(link, cfg.rank, cfg.nranks, cfg.stream, cfg.hints))
+    Ok(StreamWriter::new(link, cfg.rank, cfg.nranks, cfg.hints))
 }
 
 /// Open the reader side of a cross-process coupling from one reader-rank
@@ -595,7 +595,7 @@ pub fn open_reader_proc(cfg: ProcConfig) -> io::Result<StreamReader> {
         write_frame(&mut stream, fabric.attach_key().as_bytes())?;
         write_frame(&mut stream, &with_contact(protocol::message("attach"), &attach).encode())?;
     }
-    Ok(StreamReader::new(link, cfg.rank, cfg.nranks, cfg.stream, cfg.hints))
+    Ok(StreamReader::new(link, cfg.rank, cfg.nranks, cfg.hints))
 }
 
 #[cfg(test)]

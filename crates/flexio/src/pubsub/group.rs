@@ -6,8 +6,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use adios::hyperslab::{copy_region, BoxSel};
-use adios::{ArrayData, LocalBlock, ProcessGroup, ReadEngine, Selection, StepStatus, VarValue};
+use adios::{ProcessGroup, ReadEngine, Selection, StepStatus, VarValue};
 
 use super::log::{Fetch, SealedStep, StreamLog};
 use super::spill::SpillTail;
@@ -68,7 +67,7 @@ impl ReaderGroup {
         qos: Qos,
         hints: &StreamHints,
     ) -> Result<ReaderGroup, StreamError> {
-        let tail = SpillTail::attach(root, stream, group, qos, hints)?;
+        let tail = SpillTail::attach(root, stream, group, qos)?;
         let counters = tail.counters();
         Ok(ReaderGroup {
             source: Source::Tail(Box::new(tail)),
@@ -109,14 +108,6 @@ impl ReaderGroup {
         Some(StepStatus::Step(step))
     }
 
-    fn synthesize_eos(&mut self) -> StepStatus {
-        self.counters.eos_synthesized.fetch_add(1, Ordering::Relaxed);
-        if let Source::Tail(tail) = &mut self.source {
-            tail.note_synthesized_eos();
-        }
-        StepStatus::EndOfStream
-    }
-
     /// [`Self::try_begin_step_rt`] as a blocking call on the calling
     /// thread.
     pub fn try_begin_step(&mut self) -> Result<StepStatus, StreamError> {
@@ -136,7 +127,10 @@ impl ReaderGroup {
         };
         match retry_rt(timeout, retries, || {}, probe).await {
             Some(status) => status,
-            None if self.hints.eos_on_silence => Ok(self.synthesize_eos()),
+            None if self.hints.eos_on_silence => {
+                self.counters.eos_synthesized.fetch_add(1, Ordering::Relaxed);
+                Ok(StepStatus::EndOfStream)
+            }
             None => Err(StreamError::Timeout),
         }
     }
@@ -204,7 +198,7 @@ impl ReadEngine for ReaderGroup {
 
     fn read(&mut self, name: &str, sel: &Selection) -> Option<VarValue> {
         let sealed = self.current.as_ref().expect("read outside begin_step/end_step");
-        assemble(&sealed.groups, name, sel)
+        adios::select(sealed.groups.iter().filter_map(|g| Some((g.rank, g.get(name)?))), sel)
     }
 
     fn end_step(&mut self) {
@@ -220,42 +214,6 @@ impl ReadEngine for ReaderGroup {
         self.current = None;
         if let Source::Local(log) = &self.source {
             log.detach(&self.group);
-        }
-    }
-}
-
-/// Assemble one variable of a sealed step under a selection, mirroring
-/// [`adios::FileReadEngine`] semantics (and [`adios::bp::BpFile::read_box`]
-/// for the global-box path).
-fn assemble(groups: &[ProcessGroup], name: &str, sel: &Selection) -> Option<VarValue> {
-    match sel {
-        Selection::ProcessGroup(rank) => {
-            groups.iter().find(|g| g.rank == *rank)?.get(name).cloned()
-        }
-        Selection::Scalar => groups.iter().find_map(|g| match g.get(name) {
-            Some(v @ VarValue::Scalar(_)) => Some(v.clone()),
-            _ => None,
-        }),
-        Selection::GlobalBox(sel) => {
-            let mut out: Option<LocalBlock> = None;
-            for g in groups {
-                let Some(VarValue::Block(block)) = g.get(name) else { continue };
-                let out = out.get_or_insert_with(|| LocalBlock {
-                    global_shape: block.global_shape.clone(),
-                    offset: sel.offset.clone(),
-                    count: sel.count.clone(),
-                    data: ArrayData::zeros(block.data.data_type(), sel.num_elements() as usize),
-                });
-                assert_eq!(
-                    out.global_shape, block.global_shape,
-                    "inconsistent global shape for `{name}`"
-                );
-                let block_box = BoxSel::new(block.offset.clone(), block.count.clone());
-                if let Some(region) = block_box.intersect(sel) {
-                    copy_region(block, out, &region);
-                }
-            }
-            out.map(VarValue::Block)
         }
     }
 }

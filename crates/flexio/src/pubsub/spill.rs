@@ -31,7 +31,6 @@ use evpath::{fnv1a64, FNV_OFFSET};
 use super::log::SealedStep;
 use super::{GroupCounters, Qos};
 use crate::context::StreamError;
-use crate::hints::StreamHints;
 
 const MANIFEST_TAG: &str = "FXPM1";
 const CURSOR_TAG: &str = "FXPC1";
@@ -242,7 +241,6 @@ pub struct SpillTail {
     qos: Qos,
     cursor: u64,
     counters: Arc<GroupCounters>,
-    eos_counted: bool,
 }
 
 impl SpillTail {
@@ -253,7 +251,6 @@ impl SpillTail {
         stream: &str,
         group: &str,
         qos: Qos,
-        _hints: &StreamHints,
     ) -> Result<SpillTail, StreamError> {
         let store = SpillStore::open(root, stream);
         let counters = GroupCounters::new_shared();
@@ -271,7 +268,7 @@ impl SpillTail {
             },
         };
         counters.lag_steps.store(tail.saturating_sub(cursor), std::sync::atomic::Ordering::Relaxed);
-        Ok(SpillTail { store, group: group.to_string(), qos, cursor, counters, eos_counted: false })
+        Ok(SpillTail { store, group: group.to_string(), qos, cursor, counters })
     }
 
     /// Shared delivery counters.
@@ -327,15 +324,6 @@ impl SpillTail {
         self.cursor = self.cursor.max(next);
         if self.qos == Qos::Lossless {
             self.store.write_cursor(&self.group, self.cursor);
-        }
-    }
-
-    /// Synthesized end-of-stream after writer silence (the `kill -9`'d
-    /// publisher never finalizes the manifest).
-    pub fn note_synthesized_eos(&mut self) {
-        if !self.eos_counted {
-            self.eos_counted = true;
-            self.counters.eos_synthesized.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
     }
 }

@@ -24,10 +24,10 @@
 //! `end_step(s)` and `begin_step(s+1)` (its analytics), and cannot finish
 //! `s+2` before `end_step(s+1)` posts again.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue};
+use adios::{ReadEngine, Selection, StepStatus, VarValue};
 
 use crate::context::StreamError;
 use crate::hints::StreamHints;
@@ -35,7 +35,7 @@ use crate::link::LinkState;
 use crate::monitor::MonitorEvent;
 use crate::plugins::{install_all, InstalledPlugin, PluginSpec};
 use crate::protocol::{self, msg, CachingLevel, Chunk, Go, WriteMode};
-use crate::redistribute::{self, BoxAssembler, ChunkPlan, Subscription};
+use crate::redistribute::{self, ChunkPlan, Subscription};
 use crate::side::{Program, ProgramSide};
 
 /// What the reader coordinator remembers between steps (empty on any
@@ -53,7 +53,6 @@ pub struct StreamReader {
     link: Arc<LinkState>,
     rank: usize,
     nranks: usize,
-    name: String,
     hints: StreamHints,
     subscriptions: Vec<Subscription>,
     plugins_dirty: bool,
@@ -72,7 +71,9 @@ pub struct StreamReader {
     cached_plan_col: Arc<Vec<Vec<ChunkPlan>>>,
     steps_read: u64,
     current_step: Option<u64>,
-    store: HashMap<(usize, String), Vec<VarValue>>,
+    /// The current step's values per `(writer, var)`, in arrival order;
+    /// ordered by writer, so a read takes the lowest writer's first.
+    store: BTreeMap<(usize, String), Vec<VarValue>>,
     /// `(writer, var)` chunks of the current step that arrived already
     /// conditioned (the `dc_applied` marker was stamped upstream), i.e.
     /// the writer-side plug-in really ran before the transport.
@@ -94,7 +95,6 @@ impl StreamReader {
         link: Arc<LinkState>,
         rank: usize,
         nranks: usize,
-        name: String,
         hints: StreamHints,
     ) -> StreamReader {
         let coord = ReaderCoord { cached_sels: vec![Vec::new(); nranks], ..Default::default() };
@@ -104,7 +104,6 @@ impl StreamReader {
             link,
             rank,
             nranks,
-            name,
             hints,
             subscriptions: Vec::new(),
             plugins_dirty: false,
@@ -115,18 +114,13 @@ impl StreamReader {
             cached_plan_col: Arc::default(),
             steps_read: 0,
             current_step: None,
-            store: HashMap::new(),
+            store: BTreeMap::new(),
             wire_conditioned: HashSet::new(),
             eos: false,
             elastic: None,
             elastic_active: nranks,
             announced: None,
         }
-    }
-
-    /// Stream name.
-    pub fn stream_name(&self) -> &str {
-        &self.name
     }
 
     /// This rank.
@@ -514,46 +508,17 @@ impl ReadEngine for StreamReader {
 
     fn read(&mut self, name: &str, sel: &Selection) -> Option<VarValue> {
         assert!(self.current_step.is_some(), "read outside a step");
-        match sel {
-            Selection::ProcessGroup(w) => {
-                // Cloning a stored packed block only bumps the view's Arc,
-                // and the view goes to the application as it is when its
-                // bytes can be read where they lie (the receive buffer then
-                // stays leased until the application drops the block, past
-                // `end_step` if it likes). Only a view that lies unaligned
-                // is materialized — the single payload copy on this path.
-                let mut v = self.store.get(&(*w, name.to_string()))?.first().cloned()?;
-                v.make_readable();
-                Some(v)
-            }
-            Selection::Scalar => self
-                .store
-                .iter()
-                .filter(|((_, n), _)| n == name)
-                .flat_map(|(_, vs)| vs.iter())
-                .find(|v| matches!(v, VarValue::Scalar(_)))
-                .cloned(),
-            Selection::GlobalBox(want) => {
-                // Assemble from all received region chunks of this var.
-                let mut assembler: Option<BoxAssembler> = None;
-                for ((_, n), values) in self.store.iter() {
-                    if n != name {
-                        continue;
-                    }
-                    for v in values {
-                        let VarValue::Block(b) = v else { continue };
-                        let have = BoxSel::new(b.offset.clone(), b.count.clone());
-                        let Some(overlap) = have.intersect(want) else { continue };
-                        let asm = assembler.get_or_insert_with(|| BoxAssembler::new(want, b));
-                        // Merge the overlap straight from the stored block
-                        // (a zero-copy wire view for large chunks) into the
-                        // target — no clipped intermediate block.
-                        asm.add_region(b, &overlap);
-                    }
-                }
-                assembler.map(|a| VarValue::Block(a.finish()))
-            }
-        }
+        let values = self.store.iter().filter(|((_, n), _)| n == name);
+        // A box is assembled straight from the stored blocks (zero-copy
+        // wire views for large chunks), with no clipped intermediate. A
+        // whole value is a clone, which for a packed view only bumps its
+        // Arc: it goes to the application as it is when its bytes can be
+        // read where they lie (the receive buffer then stays leased until
+        // the application drops it, past `end_step` if it likes), and only
+        // a view that lies unaligned is materialized here.
+        let mut v = adios::select(values.flat_map(|((w, _), vs)| vs.iter().map(|v| (*w, v))), sel)?;
+        v.make_readable();
+        Some(v)
     }
 
     fn end_step(&mut self) {

@@ -14,7 +14,8 @@
 
 use std::borrow::Cow;
 
-use adios::{ArrayData, BoxSel, LocalBlock, Selection, VarValue};
+pub use adios::hyperslab::BoxAssembler;
+use adios::{BoxSel, LocalBlock, Selection, VarValue};
 use evpath::{FieldValue, Record};
 
 /// Metadata describing one variable a writer rank wrote (no payload).
@@ -307,59 +308,10 @@ pub fn extract_block_chunk<'b>(block: &'b LocalBlock, plan: &ChunkPlan) -> Cow<'
     }
 }
 
-/// Reader-side accumulator that assembles a global-box selection from the
-/// received region chunks.
-#[derive(Debug)]
-pub struct BoxAssembler {
-    target: LocalBlock,
-    received_elems: u64,
-}
-
-impl BoxAssembler {
-    /// Start assembling `sel` of an array whose blocks have `dtype`
-    /// matching the first received chunk (lazily allocated).
-    pub fn new(sel: &BoxSel, template: &LocalBlock) -> BoxAssembler {
-        BoxAssembler {
-            target: LocalBlock {
-                global_shape: template.global_shape.clone(),
-                offset: sel.offset.clone(),
-                count: sel.count.clone(),
-                data: ArrayData::zeros(template.data.data_type(), sel.num_elements() as usize),
-            },
-            received_elems: 0,
-        }
-    }
-
-    /// Merge one received region chunk.
-    pub fn add(&mut self, chunk: &LocalBlock) {
-        let region = BoxSel::new(chunk.offset.clone(), chunk.count.clone());
-        self.add_region(chunk, &region);
-    }
-
-    /// Merge `region` of a (possibly larger, possibly packed-view) source
-    /// block directly into the target — the zero-intermediate assembly
-    /// path: strides go from the shared receive buffer straight into the
-    /// target block, with no clipped temporary in between.
-    pub fn add_region(&mut self, src: &LocalBlock, region: &BoxSel) {
-        adios::hyperslab::copy_region(src, &mut self.target, region);
-        self.received_elems += region.num_elements();
-    }
-
-    /// Elements received so far (detects over/under-delivery in tests).
-    pub fn received_elements(&self) -> u64 {
-        self.received_elems
-    }
-
-    /// Finish; returns the assembled block.
-    pub fn finish(self) -> LocalBlock {
-        self.target
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adios::{DataType, ScalarValue};
+    use adios::{ArrayData, DataType, ScalarValue};
 
     /// Fig. 3's scenario: a 2-D array on a 3×3 writer grid read by 2
     /// readers splitting the array into top/bottom halves.

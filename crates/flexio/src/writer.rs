@@ -61,7 +61,6 @@ pub struct StreamWriter {
     link: Arc<LinkState>,
     rank: usize,
     nranks: usize,
-    name: String,
     hints: StreamHints,
     steps_written: u64,
     current: Option<ProcessGroup>,
@@ -93,7 +92,6 @@ impl StreamWriter {
         link: Arc<LinkState>,
         rank: usize,
         nranks: usize,
-        name: String,
         hints: StreamHints,
     ) -> StreamWriter {
         let coord = WriterCoord { cached_dists: vec![Vec::new(); nranks], ..Default::default() };
@@ -103,7 +101,6 @@ impl StreamWriter {
             link,
             rank,
             nranks,
-            name,
             hints,
             steps_written: 0,
             current: None,
@@ -144,11 +141,6 @@ impl StreamWriter {
             }
             relay.publish(MonitorEvent::StepSeal, step, self.rank, wire, gap);
         }
-    }
-
-    /// Stream name.
-    pub fn stream_name(&self) -> &str {
-        &self.name
     }
 
     /// This rank.

@@ -252,7 +252,7 @@ fn killing_the_publisher_leaves_subscribers_draining_spilled_steps_to_eos() {
     let steps = field(sub, "steps");
     assert!(steps >= 2, "steps sealed before the kill are delivered: {sub:?}");
     assert!(steps < STEPS, "the subscriber cannot see steps that never sealed: {sub:?}");
-    assert!(field(sub, "eos_synth") >= 1, "writer silence synthesizes EOS: {sub:?}");
+    assert_eq!(field(sub, "eos_synth"), 1, "writer silence synthesizes one EOS: {sub:?}");
     std::fs::remove_dir_all(&spill).ok();
 }
 

@@ -197,3 +197,24 @@ fn torn_cursor_degrades_to_replay_from_start() {
     assert_eq!(drain_steps(&mut r), vec![0, 1, 2, 3, 4]);
     std::fs::remove_dir_all(&spill).ok();
 }
+
+#[test]
+fn tail_group_counts_one_synthesized_eos() {
+    // A publisher that crashes never finalizes the manifest: a tail group
+    // drains what was spilled, and its silence becomes one EOS, counted once.
+    let io = FlexIo::single_node(laptop());
+    let spill = temp_spill("tail-eos");
+    let cfg = PubSubConfig { spill_dir: Some(spill.clone()), ..PubSubConfig::default() };
+    let mut w = io.open_publisher("tail-eos", 0, 1, &cfg, hints()).expect("open publisher");
+    for step in 0..2 {
+        w.begin_step(step);
+        w.write("t", VarValue::Scalar(ScalarValue::F64(step as f64)));
+        w.end_step();
+    }
+    w.abandon();
+    let silent = StreamHints { eos_on_silence: true, ..hints() };
+    let mut r = ReaderGroup::tail(&spill, "tail-eos", "g", Qos::Lossless, &silent).expect("tail");
+    assert_eq!(drain_steps(&mut r), vec![0, 1]);
+    assert_eq!(r.counters().eos_synthesized.load(std::sync::atomic::Ordering::Relaxed), 1);
+    std::fs::remove_dir_all(&spill).ok();
+}
