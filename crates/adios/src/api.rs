@@ -251,19 +251,6 @@ impl ReadEngine for FileReadEngine {
     fn close(&mut self) {}
 }
 
-/// Read a full global array variable back as one block (convenience for
-/// offline analytics and tests).
-pub fn read_whole_array(
-    engine: &mut dyn ReadEngine,
-    name: &str,
-    global_shape: &[u64],
-) -> Option<LocalBlock> {
-    match engine.read(name, &Selection::GlobalBox(BoxSel::whole(global_shape)))? {
-        VarValue::Block(b) => Some(b),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,7 +307,8 @@ mod tests {
                     let VarValue::Block(b) = pg else { panic!() };
                     assert_eq!(b.data.as_f64(), &[1.0; 4]);
                     // Global box read spanning both writers.
-                    let whole = read_whole_array(&mut reader, "grid", &[2, 4]).unwrap();
+                    let whole = reader.read("grid", &Selection::GlobalBox(BoxSel::whole(&[2, 4])));
+                    let Some(VarValue::Block(whole)) = whole else { panic!() };
                     assert_eq!(whole.data.as_f64(), &[0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]);
                     reader.end_step();
                 }

@@ -34,11 +34,6 @@ impl ProcessGroup {
         self.vars.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
-    /// Total payload bytes across variables.
-    pub fn payload_bytes(&self) -> u64 {
-        self.vars.iter().map(|(_, v)| v.payload_bytes()).sum()
-    }
-
     /// Encode to the wire/disk representation.
     pub fn to_record(&self) -> Record {
         let mut r = Record::new()
@@ -112,7 +107,7 @@ mod tests {
         let g = sample();
         assert!(matches!(g.get("nparticles"), Some(VarValue::Scalar(_))));
         assert!(g.get("absent").is_none());
-        assert_eq!(g.payload_bytes(), 8 + 32);
+        assert_eq!(g.vars.iter().map(|(_, v)| v.payload_bytes()).sum::<u64>(), 8 + 32);
     }
 
     #[test]

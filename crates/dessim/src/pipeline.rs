@@ -57,10 +57,11 @@ pub struct PipelineReport {
     pub analytics_idle_s: f64,
 }
 
+#[cfg(test)]
 impl PipelineReport {
     /// Analytics idle fraction of the total run (paper §IV.A.2: "analytics
     /// processes are idle for 67% of time").
-    pub fn analytics_idle_fraction(&self) -> f64 {
+    pub(crate) fn analytics_idle_fraction(&self) -> f64 {
         if self.total_s == 0.0 {
             0.0
         } else {

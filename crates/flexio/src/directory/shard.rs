@@ -117,11 +117,6 @@ impl<C: Clone> ShardedDirectory<C> {
         }
     }
 
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, name: &str) -> &Shard<C> {
         &self.shards[self.shard_index(name)]
     }
@@ -294,7 +289,7 @@ mod tests {
         for i in 0..16 {
             d.register(&format!("s{i}"), dummy_link()).unwrap();
         }
-        assert_eq!(d.shard_count(), 1);
+        assert_eq!(d.shards.len(), 1);
         assert_eq!(d.shard_snapshots()[0].0, 16);
     }
 

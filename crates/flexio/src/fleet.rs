@@ -157,8 +157,8 @@ mod tests {
         let rt = FleetRuntime::new(&laptop(), 4);
         assert_eq!(rt.threads(), 4);
         let topo = rt.handle().topology().clone();
-        assert!(!topo.shards_in_domain(0).is_empty());
-        assert!(!topo.shards_in_domain(1).is_empty());
+        assert!(topo.slots().iter().any(|s| s.numa_domain == 0));
+        assert!(topo.slots().iter().any(|s| s.numa_domain == 1));
         for (shard, domain, _) in rt.pool_stats() {
             assert_eq!(domain, topo.slot(shard).numa_domain);
         }
@@ -190,7 +190,9 @@ mod tests {
         // A producer in domain 1: the coupling must land on a shard
         // pinned to domain 1 (laptop has 2 domains; 4 shards cover both).
         let rt = FleetRuntime::new(&laptop(), 4);
-        let domain1 = rt.handle().topology().shards_in_domain(1);
+        let topo = rt.handle().topology().clone();
+        let domain1: Vec<usize> =
+            topo.slots().iter().filter(|s| s.numa_domain == 1).map(|s| s.shard).collect();
         let producer = CoreLocation { node: 0, numa: 1, core: 0 };
         for _ in 0..6 {
             rt.spawn_for(&[producer], async {});

@@ -145,9 +145,10 @@ pub enum HintKey {
     Batching,
     /// `true` = async writes, any other value = sync.
     Async,
-    /// Shared-memory queue depth.
+    /// Shared-memory queue depth; values below 2 read as 2.
     QueueEntries,
-    /// Shared-memory inline payload capacity in bytes.
+    /// Shared-memory inline payload capacity in bytes; values below 32
+    /// (the room a control message needs) read as 32.
     InlineCapacity,
     /// Receive timeout in milliseconds.
     TimeoutMs,
@@ -161,7 +162,8 @@ pub enum HintKey {
     TransportSel,
     /// Socket connect budget in milliseconds.
     NetConnectMs,
-    /// Socket per-frame payload cap in mebibytes.
+    /// Socket per-frame payload cap in mebibytes; a cap past
+    /// `u32::MAX` bytes reads as `u32::MAX`.
     NetMaxFrameMb,
     /// Enables the `fault.*` hint family (the family's per-channel knobs
     /// are parsed by prefix, not by this enum).
@@ -230,10 +232,10 @@ impl StreamHints {
             h.write_mode = WriteMode::Sync;
         }
         if let Some(q) = hint_u64(HintKey::QueueEntries) {
-            h.queue_entries = q as usize;
+            h.queue_entries = (q as usize).max(2);
         }
         if let Some(cap) = hint_u64(HintKey::InlineCapacity) {
-            h.inline_capacity = cap as usize;
+            h.inline_capacity = (cap as usize).max(32);
         }
         if let Some(ms) = hint_u64(HintKey::TimeoutMs) {
             h.recv_timeout = Duration::from_millis(ms);
@@ -250,7 +252,7 @@ impl StreamHints {
             h.net_connect_timeout = Duration::from_millis(ms);
         }
         if let Some(mb) = hint_u64(HintKey::NetMaxFrameMb) {
-            h.net_max_frame = (mb as u32).saturating_mul(1 << 20);
+            h.net_max_frame = u32::try_from(mb.saturating_mul(1 << 20)).unwrap_or(u32::MAX);
         }
         h.faults = fault_plan_from_config(cfg).map(Arc::new);
         h

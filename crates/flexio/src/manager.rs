@@ -23,7 +23,7 @@ use std::future::Future;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::directory::{DirectoryError, DirectoryService};
+use crate::directory::DirectoryService;
 use crate::monitor::{MonitorEvent, PerfMonitor};
 use crate::plugins::PluginPlacement;
 use crate::task::{periodic, LoopHandle};
@@ -138,22 +138,6 @@ impl PlacementManager {
         };
         self.current = rec.placement;
         rec
-    }
-
-    /// Decide placement for stream `name` found through the directory
-    /// service: the manager reads the live link's shared [`PerfMonitor`]
-    /// directly, so a staging-node decision loop needs only a directory
-    /// handle — not a reference to whichever program opened the stream.
-    pub fn decide_stream(
-        &mut self,
-        directory: &dyn DirectoryService,
-        name: &str,
-        rank: usize,
-    ) -> Result<Recommendation, DirectoryError> {
-        let link = directory
-            .try_lookup(name)
-            .ok_or_else(|| DirectoryError::LookupTimeout(name.to_string()))?;
-        Ok(self.decide(&link.monitor, rank))
     }
 
     /// Convert the manager into the control plane's periodic decision

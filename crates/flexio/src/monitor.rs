@@ -36,10 +36,6 @@ pub enum MonitorEvent {
     Allocation,
     /// A synchronous-mode wait for acknowledgements.
     SyncWait,
-    /// A pub/sub step delivered to one reader group.
-    PubSubDeliver,
-    /// A pub/sub step spilled to (or replayed from) a BP segment.
-    PubSubSpill,
     /// A writer sealed a step. `nanos` is the gap since the previous
     /// seal — the live estimate of the simulation's I/O interval that the
     /// elastic controller feeds into the holistic allocation formula.
@@ -50,14 +46,12 @@ impl MonitorEvent {
     /// The one event table: every variant with its wire name, in
     /// aggregate-slot order. [`Self::name`], [`Self::event_from_name`] and the
     /// aggregate array's length all derive from it.
-    pub(crate) const ALL: [(MonitorEvent, &'static str); 8] = [
+    pub(crate) const ALL: [(MonitorEvent, &'static str); 6] = [
         (MonitorEvent::DataSend, "data_send"),
         (MonitorEvent::DataRecv, "data_recv"),
         (MonitorEvent::PluginExec, "plugin_exec"),
         (MonitorEvent::Allocation, "allocation"),
         (MonitorEvent::SyncWait, "sync_wait"),
-        (MonitorEvent::PubSubDeliver, "pubsub_deliver"),
-        (MonitorEvent::PubSubSpill, "pubsub_spill"),
         (MonitorEvent::StepSeal, "step_seal"),
     ];
 

@@ -6,7 +6,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use adios::{ProcessGroup, ReadEngine, Selection, StepStatus, VarValue};
+use adios::{ReadEngine, Selection, StepStatus, VarValue};
 
 use super::log::{Fetch, SealedStep, StreamLog};
 use super::spill::SpillTail;
@@ -140,11 +140,6 @@ impl ReaderGroup {
     /// and replay sources.
     pub fn current_step_digest(&self) -> Option<u64> {
         self.current.as_ref().map(|s| s.digest())
-    }
-
-    /// The raw process groups of the step currently open.
-    pub fn current_groups(&self) -> Option<&Arc<Vec<ProcessGroup>>> {
-        self.current.as_ref().map(|s| &s.groups)
     }
 
     fn commit(&mut self, next: u64) {

@@ -14,7 +14,6 @@ use super::spill::SpillStore;
 use super::{step_digest, GroupCounters, PubSubConfig, PubSubCounters, Qos};
 use crate::context::StreamError;
 use crate::hints::StreamHints;
-use crate::monitor::{MonitorEvent, PerfMonitor};
 
 /// One published step, sealed once every writer rank contributed its
 /// process group. Reader groups share the seal by `Arc`: fan-out to N
@@ -36,11 +35,6 @@ impl SealedStep {
     /// Deterministic content digest (see [`step_digest`]).
     pub fn digest(&self) -> u64 {
         step_digest(self.step, &self.groups)
-    }
-
-    /// Total payload bytes across ranks.
-    pub fn payload_bytes(&self) -> u64 {
-        self.groups.iter().map(|g| g.payload_bytes()).sum()
     }
 }
 
@@ -111,7 +105,6 @@ pub struct StreamLog {
     replay_steps: usize,
     default_qos: Qos,
     spill: Option<SpillStore>,
-    monitor: PerfMonitor,
     counters: PubSubCounters,
     inner: Mutex<LogInner>,
 }
@@ -122,7 +115,6 @@ impl StreamLog {
         name: &str,
         nranks: usize,
         cfg: &PubSubConfig,
-        monitor: PerfMonitor,
     ) -> Result<Arc<StreamLog>, StreamError> {
         assert!(nranks >= 1, "a stream needs at least one writer rank");
         let spill = match &cfg.spill_dir {
@@ -135,7 +127,6 @@ impl StreamLog {
             replay_steps: cfg.replay_steps.max(1),
             default_qos: cfg.qos,
             spill,
-            monitor,
             counters: PubSubCounters::default(),
             inner: Mutex::new(LogInner {
                 mem: VecDeque::new(),
@@ -241,7 +232,6 @@ impl StreamLog {
                 spill.write_manifest(sealed.seq + 1, false)?;
                 self.counters.spilled_steps.fetch_add(1, Ordering::Relaxed);
                 self.counters.spill_bytes.fetch_add(bytes, Ordering::Relaxed);
-                self.monitor.record(MonitorEvent::PubSubSpill, sealed.step, 0, bytes, 0);
             }
             inner.mem.push_back(sealed);
             inner.tail += 1;
@@ -375,7 +365,7 @@ impl StreamLog {
                     entry.cursor = tail;
                     counters.lag_steps.store(0, Ordering::Relaxed);
                     let step = Arc::clone(&inner.mem[(target - mem_start) as usize]);
-                    self.deliver(&step, &counters);
+                    counters.delivered.fetch_add(1, Ordering::Relaxed);
                     if dropped > 0 {
                         Plan::Mem(Fetch::Skipped { dropped, step })
                     } else {
@@ -388,7 +378,7 @@ impl StreamLog {
                     } else {
                         let cursor = entry.cursor;
                         let step = Arc::clone(&inner.mem[(cursor - mem_start) as usize]);
-                        self.deliver(&step, &counters);
+                        counters.delivered.fetch_add(1, Ordering::Relaxed);
                         Plan::Mem(Fetch::Step(step))
                     }
                 }
@@ -402,22 +392,10 @@ impl StreamLog {
                 let spill = self.spill.as_ref().expect("cursor below ring implies spill");
                 let step = spill.read_step(cursor)?;
                 counters.replayed_from_spill.fetch_add(1, Ordering::Relaxed);
-                self.monitor.record(
-                    MonitorEvent::PubSubSpill,
-                    step.step,
-                    0,
-                    step.payload_bytes(),
-                    0,
-                );
-                self.deliver(&step, &counters);
+                counters.delivered.fetch_add(1, Ordering::Relaxed);
                 Ok(Fetch::Spilled(step))
             }
         }
-    }
-
-    fn deliver(&self, step: &Arc<SealedStep>, counters: &GroupCounters) {
-        counters.delivered.fetch_add(1, Ordering::Relaxed);
-        self.monitor.record(MonitorEvent::PubSubDeliver, step.step, 0, step.payload_bytes(), 0);
     }
 
     /// Commit a group's cursor: delivery up to (excluding) `next` is

@@ -37,9 +37,8 @@
 //! cursor, where [`FlexIo::lookup_group_counters`] finds them while the
 //! group is attached. Delivery runs as reactor/fleet tasks via
 //! [`ReaderGroup::into_task`] (a fleet places the future with
-//! [`crate::FleetRuntime::spawn_for`]), with
-//! [`crate::MonitorEvent::PubSubDeliver`]/[`crate::MonitorEvent::PubSubSpill`]
-//! measurement points feeding the §II.G monitor.
+//! [`crate::FleetRuntime::spawn_for`]). Delivery and spill are counted in
+//! the log's `PubSubCounters` and each group's `GroupCounters`.
 
 mod group;
 mod log;
@@ -173,7 +172,7 @@ impl FlexIo {
                 .map(|r| self.machine().node.location_of(r % self.machine().node.cores_per_node()))
                 .collect();
             let link = LinkState::new(nranks, cores, None, &hints, None);
-            let log = StreamLog::new(name, nranks, cfg, link.monitor.clone())?;
+            let log = StreamLog::new(name, nranks, cfg)?;
             let _ = link.pubsub_log.set(Arc::clone(&log));
             self.directory().register(&format!("pubsub:{name}"), Arc::clone(&link))?;
             self.post_bulletin(&format!("p:{name}"), link);

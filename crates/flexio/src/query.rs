@@ -46,11 +46,6 @@ use crate::task::{driven, LoopHandle};
 pub struct QueryConfig {
     /// Lower eligible filters to a writer-side plug-in (default `true`).
     pub pushdown: bool,
-    /// Override the plan's tumbling-window width in steps (0 = keep the
-    /// plan's own setting).
-    pub window_steps: u64,
-    /// Override the plan's output-row cap (0 = keep the plan's own).
-    pub max_rows: u64,
     /// Run the naive oracle next to the vectorized executor and require
     /// bit-identical outputs (default `false`; used by test batteries).
     pub oracle: bool,
@@ -58,7 +53,7 @@ pub struct QueryConfig {
 
 impl Default for QueryConfig {
     fn default() -> Self {
-        QueryConfig { pushdown: true, window_steps: 0, max_rows: 0, oracle: false }
+        QueryConfig { pushdown: true, oracle: false }
     }
 }
 
@@ -118,15 +113,9 @@ impl QuerySession {
     pub fn attach(
         mut reader: StreamReader,
         nwriters: usize,
-        mut plan: Plan,
+        plan: Plan,
         cfg: QueryConfig,
     ) -> Result<QuerySession, StreamError> {
-        if cfg.window_steps > 0 {
-            plan.window_steps = cfg.window_steps;
-        }
-        if cfg.max_rows > 0 {
-            plan.max_rows = cfg.max_rows;
-        }
         plan.validate().map_err(|e| StreamError::Protocol(e.to_string()))?;
         let mut pushdown = false;
         if cfg.pushdown && reader.rank() == 0 {

@@ -15,7 +15,7 @@
 use std::borrow::Cow;
 
 pub use adios::hyperslab::BoxAssembler;
-use adios::{BoxSel, LocalBlock, Selection, VarValue};
+use adios::{BoxSel, Selection, VarValue};
 use evpath::{FieldValue, Record};
 
 /// Metadata describing one variable a writer rank wrote (no payload).
@@ -299,19 +299,10 @@ pub fn extract_chunk<'v>(value: &'v VarValue, plan: &ChunkPlan) -> Cow<'v, VarVa
     }
 }
 
-/// [`extract_chunk`] specialized to an array block, so callers holding a
-/// [`LocalBlock`] don't have to clone it into a [`VarValue`] first.
-pub fn extract_block_chunk<'b>(block: &'b LocalBlock, plan: &ChunkPlan) -> Cow<'b, LocalBlock> {
-    match &plan.region {
-        None => Cow::Borrowed(block),
-        Some(region) => Cow::Owned(adios::hyperslab::extract_region(block, region)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adios::{ArrayData, DataType, ScalarValue};
+    use adios::{ArrayData, DataType, LocalBlock, ScalarValue};
 
     /// Fig. 3's scenario: a 2-D array on a 3×3 writer grid read by 2
     /// readers splitting the array into top/bottom halves.
@@ -384,8 +375,11 @@ mod tests {
             let Selection::GlobalBox(want) = &subs[0].sel else { panic!() };
             let mut asm = BoxAssembler::new(want, &blocks[0]);
             for (w, block) in blocks.iter().enumerate() {
+                let value = VarValue::Block(block.clone());
                 for cp in &p[w][r] {
-                    asm.add(&extract_block_chunk(block, cp));
+                    let chunk = extract_chunk(&value, cp);
+                    let VarValue::Block(chunk) = chunk.as_ref() else { unreachable!() };
+                    asm.add(chunk);
                 }
             }
             assert_eq!(asm.received_elements(), want.num_elements());
@@ -533,10 +527,6 @@ mod tests {
         );
         let VarValue::Block(p) = part.as_ref() else { panic!() };
         assert_eq!(p.data.as_f64(), &[1.0, 2.0]);
-        // The block-level helper borrows the same way.
-        let bw = extract_block_chunk(&b, &ChunkPlan { var: "x".into(), region: None });
-        assert!(matches!(bw, Cow::Borrowed(_)));
-        assert_eq!(bw.as_ref(), &b);
         // Scalars pass through whole.
         let s = VarValue::Scalar(ScalarValue::U64(7));
         assert_eq!(extract_chunk(&s, &ChunkPlan { var: "x".into(), region: None }).as_ref(), &s);

@@ -293,7 +293,7 @@ fn serve_loops_run_as_tasks_on_one_explicit_reactor() {
 fn trait_object_api_spans_every_backend() {
     // The redesigned API's core promise: callers hold Arc<dyn
     // DirectoryService> and never know which backend serves them. The
-    // placement manager's decide_stream runs unchanged against all three.
+    // placement manager decides from a link found through any of the three.
     let cluster = DirectoryCluster::new(2, 4, Duration::from_millis(1), None);
     let backends: Vec<(&str, Arc<dyn DirectoryService>)> = vec![
         ("in-proc", Arc::new(InProcDirectory::new())),
@@ -309,12 +309,10 @@ fn trait_object_api_spans_every_backend() {
         let mut mgr = PlacementManager::builder()
             .initial_placement(PluginPlacement::ReaderSide)
             .build_manager();
-        let rec = mgr.decide_stream(dir.as_ref(), "managed", 0).unwrap();
+        let found = dir.try_lookup("managed").expect("registered");
+        let rec = mgr.decide(&found.monitor, 0);
         assert_eq!(rec.placement, PluginPlacement::WriterSide, "{kind}: heavy wire ⇒ writer side");
-        assert!(matches!(
-            mgr.decide_stream(dir.as_ref(), "missing", 0),
-            Err(DirectoryError::LookupTimeout(_))
-        ));
+        assert!(dir.try_lookup("missing").is_none(), "{kind}");
 
         assert!(dir.unregister("managed"), "{kind}");
         assert!(dir.try_lookup("managed").is_none(), "{kind}");

@@ -203,6 +203,36 @@ fn inline_capacity_decides_which_shm_path_a_record_takes() {
 }
 
 #[test]
+fn undersized_shm_hints_still_claim_a_working_channel() {
+    // The shm queue needs two entries and 32 inline bytes; a config asking
+    // for less gets the minimum instead of a panic at channel claim.
+    for hint in [
+        r#"<hint name="inline_capacity" value="16"/>"#,
+        r#"<hint name="queue_entries" value="1"/>"#,
+        r#"<hint name="queue_entries" value="0"/>"#,
+    ] {
+        let hints = hints_from_xml(&format!(r#"<hint name="transport" value="shm"/>{hint}"#));
+        let link = coupled_link("undersized", hints.clone());
+        let id = ChannelId::Data { w: 0, r: 0 };
+        let (mut tx, mut rx) = (link.claim_sender(id), link.claim_receiver(id));
+        tx.send(&blob_record(100));
+        let got = recv_record(&mut rx, &hints, &link.counters).expect("record arrives");
+        assert_eq!(blob_len(&got), Some(100), "{hint}");
+    }
+}
+
+#[test]
+fn net_max_frame_mb_saturates_instead_of_wrapping() {
+    let cap = |mb: &str| {
+        hints_from_xml(&format!(r#"<hint name="net.max_frame_mb" value="{mb}"/>"#)).net_max_frame
+    };
+    assert_eq!(cap("1"), 1 << 20);
+    assert_eq!(cap("4096"), u32::MAX);
+    assert_eq!(cap("4294967296"), u32::MAX, "a 2^32 MiB cap must not wrap to 0 bytes");
+    assert_eq!(cap("18446744073709551615"), u32::MAX);
+}
+
+#[test]
 fn net_max_frame_mb_caps_what_a_tcp_channel_accepts() {
     let receive_2mib = |cap_hint: &str| {
         let hints = hints_from_xml(&format!(

@@ -129,7 +129,7 @@ fn multi_rank_steps_seal_in_order_despite_skewed_ranks() {
     // Rank 1 races two steps ahead; nothing seals until rank 0 shows up.
     for step in 0..2 {
         w1.begin_step(step);
-        w1.write("t", VarValue::Scalar(ScalarValue::F64(step as f64)));
+        w1.write("t", VarValue::Scalar(ScalarValue::F64(100.0 + step as f64)));
         w1.end_step();
     }
     assert_eq!(w0.log().tail(), 0, "incomplete steps must not seal");
@@ -146,9 +146,12 @@ fn multi_rank_steps_seal_in_order_despite_skewed_ranks() {
     loop {
         match r.try_begin_step().expect("begin_step") {
             StepStatus::Step(step) => {
-                // Both ranks' groups are present and rank-ordered.
-                let groups = r.current_groups().expect("open step");
-                assert_eq!(groups.iter().map(|g| g.rank).collect::<Vec<_>>(), vec![0, 1]);
+                // Both ranks' groups are present and rank-ordered: the
+                // first scalar is rank 0's.
+                let t = |v: f64| Some(VarValue::Scalar(ScalarValue::F64(v)));
+                assert_eq!(r.read("t", &Selection::Scalar), t(step as f64));
+                assert_eq!(r.read("t", &Selection::ProcessGroup(1)), t(100.0 + step as f64));
+                assert_eq!(r.read("t", &Selection::ProcessGroup(2)), None);
                 seen.push(step);
                 r.end_step();
             }

@@ -93,7 +93,7 @@ fn run_plan(
             w.close();
         },
         move |r, _rank| {
-            let cfg = QueryConfig { pushdown, oracle, ..QueryConfig::default() };
+            let cfg = QueryConfig { pushdown, oracle };
             let session = QuerySession::attach(r, WRITERS, plan.clone(), cfg).expect("attach");
             assert_eq!(
                 session.pushdown_active(),

@@ -4,7 +4,7 @@
 
 use adios::{ArrayData, BoxSel, LocalBlock, Selection, VarValue};
 use flexio::redistribute::{
-    expected_messages, extract_block_chunk, plan, BoxAssembler, Subscription, VarMeta,
+    expected_messages, extract_chunk, plan, BoxAssembler, Subscription, VarMeta,
 };
 use proptest::prelude::*;
 
@@ -65,10 +65,8 @@ proptest! {
         boxes in arb_reader_boxes(3),
     ) {
         let blocks = writer_blocks(&decomp);
-        let dists: Vec<Vec<VarMeta>> = blocks
-            .iter()
-            .map(|b| vec![VarMeta::of("v", &VarValue::Block(b.clone()))])
-            .collect();
+        let values: Vec<VarValue> = blocks.iter().map(|b| VarValue::Block(b.clone())).collect();
+        let dists: Vec<Vec<VarMeta>> = values.iter().map(|v| vec![VarMeta::of("v", v)]).collect();
         let sels: Vec<Vec<Subscription>> = boxes
             .iter()
             .map(|b| vec![Subscription { var: "v".into(), sel: Selection::GlobalBox(b.clone()) }])
@@ -76,10 +74,11 @@ proptest! {
         let p = plan(&dists, &sels);
         for (r, want) in boxes.iter().enumerate() {
             let mut asm = BoxAssembler::new(want, &blocks[0]);
-            for (w, block) in blocks.iter().enumerate() {
+            for (w, value) in values.iter().enumerate() {
                 for cp in &p[w][r] {
-                    let chunk = extract_block_chunk(block, cp);
-                    asm.add(&chunk);
+                    let chunk = extract_chunk(value, cp);
+                    let VarValue::Block(chunk) = chunk.as_ref() else { unreachable!() };
+                    asm.add(chunk);
                 }
             }
             // Exactly-once delivery: received element count equals the

@@ -18,7 +18,7 @@
 //! paper's own measurements (e.g. Fig. 4's bandwidth plateau).
 //!
 //! Everything is a plain-old-data description; the behavioural models that
-//! consume these parameters live in `netsim`, `memsim`, `fssim`, `dessim`.
+//! consume these parameters live in `netsim`, `memsim`, `dessim`.
 
 mod cache;
 mod interconnect;

@@ -56,17 +56,6 @@ impl NodeParams {
         self.numa_domains * self.cores_per_numa
     }
 
-    /// Enumerate all core locations of node `node`.
-    pub fn cores_of_node(&self, node: usize) -> Vec<CoreLocation> {
-        let mut out = Vec::with_capacity(self.cores_per_node());
-        for numa in 0..self.numa_domains {
-            for core in 0..self.cores_per_numa {
-                out.push(CoreLocation { node, numa, core });
-            }
-        }
-        out
-    }
-
     /// Flatten a core location to a machine-wide linear index.
     pub fn linear_index(&self, loc: CoreLocation) -> usize {
         loc.node * self.cores_per_node() + loc.numa * self.cores_per_numa + loc.core
@@ -82,13 +71,6 @@ impl NodeParams {
             numa: within / self.cores_per_numa,
             core: within % self.cores_per_numa,
         }
-    }
-
-    /// NUMA domain of a machine-wide linear core index (node-relative:
-    /// the domain index within that core's own node). The fleet's
-    /// shard→core→domain assignment is built from this.
-    pub fn numa_of_linear(&self, linear: usize) -> usize {
-        self.location_of(linear).numa
     }
 }
 
@@ -120,7 +102,8 @@ mod tests {
     #[test]
     fn cores_of_node_enumerates_all() {
         let n = sample();
-        let cores = n.cores_of_node(3);
+        // Node 3's cores are the fourth block of linear indices.
+        let cores: Vec<CoreLocation> = (48..64).map(|i| n.location_of(i)).collect();
         assert_eq!(cores.len(), 16);
         assert!(cores.iter().all(|c| c.node == 3));
         assert_eq!(cores[5], CoreLocation { node: 3, numa: 1, core: 1 });

@@ -1,4 +1,4 @@
-//! Shared parallel-file-system parameters (consumed by `fssim`).
+//! Shared parallel-file-system parameters (read by `dessim::s3d`).
 
 /// Parameters of the center-wide parallel file system (Lustre on both
 /// Smoky and Titan). The key behaviour for the paper's S3D experiment
@@ -36,13 +36,6 @@ impl FileSystemParams {
         linear * decay
     }
 
-    /// Time for `writers` ranks to each write `bytes_per_writer` bytes,
-    /// nanoseconds.
-    pub fn write_time_ns(&self, writers: usize, bytes_per_writer: u64) -> f64 {
-        let total = writers as f64 * bytes_per_writer as f64;
-        self.per_op_ns + total / self.effective_aggregate_bw(writers) * 1e9
-    }
-
     /// Lustre as seen by a single job on the shared OLCF center-wide
     /// file system (calibrated to a few GB/s of job-visible bandwidth).
     pub fn lustre_shared() -> Self {
@@ -68,14 +61,5 @@ mod tests {
         let many = fs.effective_aggregate_bw(4096);
         assert!(few < sat);
         assert!(many < sat, "contention must reduce aggregate bw: {many} vs {sat}");
-    }
-
-    #[test]
-    fn per_writer_time_grows_with_scale() {
-        // Weak scaling: same bytes per writer, more writers => more time.
-        let fs = FileSystemParams::lustre_shared();
-        let t_small = fs.write_time_ns(64, 1 << 20);
-        let t_big = fs.write_time_ns(4096, 1 << 20);
-        assert!(t_big > t_small);
     }
 }

@@ -9,7 +9,6 @@
 //! per-byte cost of the deepest level that still contains both (their
 //! lowest common ancestor).
 
-use crate::node::CoreLocation;
 use crate::MachineModel;
 
 /// Index of a tree node in the flattened representation.
@@ -40,8 +39,6 @@ pub struct ArchTree {
     level_cost: Vec<f64>,
     /// Leaf tree-node ids indexed by machine-linear core index.
     leaf_ids: Vec<TreeNodeId>,
-    /// Core location of each leaf, parallel to `leaf_ids`.
-    leaf_locs: Vec<CoreLocation>,
 }
 
 impl ArchTree {
@@ -73,26 +70,23 @@ impl ArchTree {
             depth: vec![0],
             level_cost,
             leaf_ids: Vec::new(),
-            leaf_locs: Vec::new(),
         };
         let root = 0;
-        for node in 0..nodes {
+        for _ in 0..nodes {
             let node_id = tree.add_child(root);
             match kind {
                 ArchTreeKind::TwoLevel => {
-                    for loc in np.cores_of_node(node) {
+                    for _ in 0..np.cores_per_node() {
                         let leaf = tree.add_child(node_id);
                         tree.leaf_ids.push(leaf);
-                        tree.leaf_locs.push(loc);
                     }
                 }
                 ArchTreeKind::NumaAware => {
-                    for numa in 0..np.numa_domains {
+                    for _ in 0..np.numa_domains {
                         let numa_id = tree.add_child(node_id);
-                        for core in 0..np.cores_per_numa {
+                        for _ in 0..np.cores_per_numa {
                             let leaf = tree.add_child(numa_id);
                             tree.leaf_ids.push(leaf);
-                            tree.leaf_locs.push(CoreLocation { node, numa, core });
                         }
                     }
                 }
@@ -118,16 +112,6 @@ impl ArchTree {
     /// Number of leaves (cores).
     pub fn num_leaves(&self) -> usize {
         self.leaf_ids.len()
-    }
-
-    /// Core location of leaf `leaf` (machine-linear core index).
-    pub fn leaf_location(&self, leaf: usize) -> CoreLocation {
-        self.leaf_locs[leaf]
-    }
-
-    /// Tree-node id of leaf `leaf`.
-    pub fn leaf_id(&self, leaf: usize) -> TreeNodeId {
-        self.leaf_ids[leaf]
     }
 
     /// Root node id.
@@ -197,7 +181,7 @@ impl ArchTree {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::node::CoreLocation;
     use crate::presets::smoky;
 
     #[test]
@@ -247,12 +231,25 @@ mod tests {
 
     #[test]
     fn leaf_locations_are_linear() {
+        // Leaf i is machine-linear core i: it sits under that core's node
+        // (both tree kinds) and NUMA domain (the NUMA-aware tree).
         let m = smoky();
+        for t in [m.two_level_tree(2), m.topology_tree(2)] {
+            for (node, &node_id) in t.children(t.root()).iter().enumerate() {
+                for leaf in t.leaves_under(node_id) {
+                    assert_eq!(m.node.location_of(leaf).node, node);
+                }
+            }
+        }
         let t = m.topology_tree(2);
-        assert_eq!(t.leaf_location(0), CoreLocation { node: 0, numa: 0, core: 0 });
-        assert_eq!(t.leaf_location(17), CoreLocation { node: 1, numa: 0, core: 1 });
-        for i in 0..32 {
-            assert_eq!(m.node.linear_index(t.leaf_location(i)), i);
+        let second_node = t.children(t.root())[1];
+        for (numa, &numa_id) in t.children(second_node).iter().enumerate() {
+            let leaves = t.leaves_under(numa_id);
+            let locs: Vec<CoreLocation> = leaves.iter().map(|&l| m.node.location_of(l)).collect();
+            let want: Vec<CoreLocation> = (0..m.node.cores_per_numa)
+                .map(|core| CoreLocation { node: 1, numa, core })
+                .collect();
+            assert_eq!(locs, want);
         }
     }
 }

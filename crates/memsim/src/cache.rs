@@ -86,14 +86,18 @@ impl CacheSim {
     pub fn stats(&self) -> CacheSimStats {
         self.stats
     }
+}
 
+// Warm-up and occupancy probes only the tests read.
+#[cfg(test)]
+impl CacheSim {
     /// Reset counters (keeps cache contents — useful to skip warmup).
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = CacheSimStats::default();
     }
 
     /// Lines currently resident.
-    pub fn resident_lines(&self) -> usize {
+    pub(crate) fn resident_lines(&self) -> usize {
         self.sets.iter().map(|s| s.ways.len()).sum()
     }
 }

@@ -94,8 +94,6 @@ pub struct Nic {
     params: InterconnectParams,
     /// Modelled time accumulated by operations through this NIC, ns.
     clock_ns: AtomicU64,
-    /// Concurrent bulk flows currently using this NIC (contention input).
-    active_flows: AtomicUsize,
     /// Bulk transfers staged toward this NIC but not yet fetched
     /// (deterministic offered-load measure for the contention model).
     pending_in: AtomicUsize,
@@ -116,7 +114,6 @@ impl Nic {
         Nic {
             params,
             clock_ns: AtomicU64::new(0),
-            active_flows: AtomicUsize::new(0),
             pending_in: AtomicUsize::new(0),
             pending_out: AtomicUsize::new(0),
             cache: RegistrationCache::new(cache_threshold),
@@ -168,17 +165,6 @@ impl Nic {
     /// Modelled nanoseconds accumulated so far.
     pub fn clock_ns(&self) -> u64 {
         self.clock_ns.load(Ordering::Relaxed)
-    }
-
-    /// Enter a bulk flow; returns the flow count *including* this one,
-    /// which the caller feeds into [`Nic::contended_bw`].
-    pub fn begin_flow(&self) -> usize {
-        self.active_flows.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Leave a bulk flow.
-    pub fn end_flow(&self) {
-        self.active_flows.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// A bulk transfer was staged toward this NIC.

@@ -76,40 +76,6 @@ impl CommGraph {
         self.adj[u].get(&v).copied().unwrap_or(0.0)
     }
 
-    /// Sum of all edge weights (each edge counted once).
-    pub fn total_weight(&self) -> f64 {
-        self.adj
-            .iter()
-            .enumerate()
-            .flat_map(|(u, nbrs)| nbrs.iter().filter(move |(&v, _)| v > u))
-            .map(|(_, &w)| w)
-            .sum()
-    }
-
-    /// Weight crossing a 2-way partition (`side[v]` ∈ {false,true}).
-    pub fn cut_weight(&self, side: &[bool]) -> f64 {
-        assert_eq!(side.len(), self.len());
-        let mut cut = 0.0;
-        for u in 0..self.len() {
-            for (v, w) in self.neighbors(u) {
-                if v > u && side[u] != side[v] {
-                    cut += w;
-                }
-            }
-        }
-        cut
-    }
-
-    /// Indices of simulation vertices.
-    pub fn simulation_vertices(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&v| self.kinds[v].is_simulation()).collect()
-    }
-
-    /// Indices of analytics vertices.
-    pub fn analytics_vertices(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&v| !self.kinds[v].is_simulation()).collect()
-    }
-
     /// Build the canonical coupled-workload graph used throughout the
     /// experiments: `nsim` simulation ranks in a `rows × cols` logical 2-D
     /// grid exchanging `halo_bytes` with grid neighbours, `nana` analytics
@@ -154,6 +120,44 @@ impl CommGraph {
             }
         }
         g
+    }
+}
+
+// Graph measures only the tests read.
+#[cfg(test)]
+impl CommGraph {
+    /// Sum of all edge weights (each edge counted once).
+    pub(crate) fn total_weight(&self) -> f64 {
+        self.adj
+            .iter()
+            .enumerate()
+            .flat_map(|(u, nbrs)| nbrs.iter().filter(move |(&v, _)| v > u))
+            .map(|(_, &w)| w)
+            .sum()
+    }
+
+    /// Weight crossing a 2-way partition (`side[v]` ∈ {false,true}).
+    pub(crate) fn cut_weight(&self, side: &[bool]) -> f64 {
+        assert_eq!(side.len(), self.len());
+        let mut cut = 0.0;
+        for u in 0..self.len() {
+            for (v, w) in self.neighbors(u) {
+                if v > u && side[u] != side[v] {
+                    cut += w;
+                }
+            }
+        }
+        cut
+    }
+
+    /// Indices of simulation vertices.
+    pub(crate) fn simulation_vertices(&self) -> Vec<usize> {
+        (0..self.len()).filter(|&v| self.kinds[v].is_simulation()).collect()
+    }
+
+    /// Indices of analytics vertices.
+    pub(crate) fn analytics_vertices(&self) -> Vec<usize> {
+        (0..self.len()).filter(|&v| !self.kinds[v].is_simulation()).collect()
     }
 }
 

@@ -1,10 +1,10 @@
 //! Collective operations layered on point-to-point messaging.
 //!
-//! The FlexIO handshake protocol (paper §II.C) uses gather, exchange and
-//! broadcast among each side's ranks; placement bootstrap uses allgather and
-//! reductions. All collectives here use simple, deterministic algorithms
-//! (flat root-based trees for gather/bcast, dissemination for barrier),
-//! which is appropriate for the in-process scale of this runtime.
+//! What the launcher, the examples and the tests run: barrier, broadcast,
+//! gather and the sum reductions built on them. All collectives here use
+//! simple, deterministic algorithms (flat root-based trees for
+//! gather/bcast, dissemination for barrier), which is appropriate for the
+//! in-process scale of this runtime.
 
 use crate::comm::{Comm, Tag, COLLECTIVE_SEQ_WINDOWS, COLLECTIVE_SLOTS, COLLECTIVE_TAG_BASE};
 
@@ -12,10 +12,6 @@ use crate::comm::{Comm, Tag, COLLECTIVE_SEQ_WINDOWS, COLLECTIVE_SLOTS, COLLECTIV
 /// Slots 0..63 are the barrier's per-round tags.
 const SLOT_BCAST: Tag = 64;
 const SLOT_GATHER: Tag = 65;
-const SLOT_SCATTER: Tag = 66;
-const SLOT_ALLTOALL: Tag = 67;
-/// Middleware-reserved tags live below the collective space entirely.
-const TAG_RESERVED: Tag = COLLECTIVE_TAG_BASE - 1024;
 
 /// Tag for `slot` within the window of collective sequence `seq`.
 /// Sequence numbers wrap after [`COLLECTIVE_SEQ_WINDOWS`] calls, which is
@@ -89,56 +85,6 @@ impl Comm {
         }
     }
 
-    /// Gather every rank's `data` at every rank (gather + broadcast).
-    pub fn allgather(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        let gathered = self.gather(0, data);
-        let packed = if self.rank() == 0 {
-            pack_parts(&gathered.expect("root gathers"))
-        } else {
-            Vec::new()
-        };
-        let packed = self.bcast(0, &packed);
-        unpack_parts(&packed)
-    }
-
-    /// Scatter: root supplies one byte-vector per rank; each rank (root
-    /// included) returns its own slice.
-    pub fn scatter(&self, root: usize, parts: Option<&[Vec<u8>]>) -> Vec<u8> {
-        assert!(root < self.size());
-        let tag = coll_tag(self.next_collective_seq(), SLOT_SCATTER);
-        if self.rank() == root {
-            let parts = parts.expect("root must supply parts");
-            assert_eq!(parts.len(), self.size(), "one part per rank");
-            for (r, part) in parts.iter().enumerate() {
-                if r != root {
-                    self.send(r, tag, part);
-                }
-            }
-            parts[root].clone()
-        } else {
-            self.recv(root, tag)
-        }
-    }
-
-    /// Personalized all-to-all: `parts[r]` goes to rank `r`; returns the
-    /// vector of bytes received from each rank.
-    pub fn alltoall(&self, parts: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let tag = coll_tag(self.next_collective_seq(), SLOT_ALLTOALL);
-        assert_eq!(parts.len(), self.size(), "one part per rank");
-        for (r, part) in parts.iter().enumerate() {
-            if r != self.rank() {
-                self.send(r, tag, part);
-            }
-        }
-        let mut out = vec![Vec::new(); self.size()];
-        out[self.rank()] = parts[self.rank()].clone();
-        for _ in 0..self.size() - 1 {
-            let (src, payload) = self.recv_any(tag);
-            out[src] = payload;
-        }
-        out
-    }
-
     /// Sum-reduce a `u64` to `root`; the root gets `Some(total)`.
     pub fn reduce_sum_u64(&self, root: usize, value: u64) -> Option<u64> {
         let contributions = self.gather(root, &value.to_le_bytes())?;
@@ -154,35 +100,6 @@ impl Comm {
     pub fn allreduce_sum_u64(&self, value: u64) -> u64 {
         let total = self.reduce_sum_u64(0, value);
         let bytes = self.bcast(0, &total.unwrap_or(0).to_le_bytes());
-        u64::from_le_bytes(bytes.try_into().expect("u64 payload"))
-    }
-
-    /// Sum-reduce an `f64` to every rank.
-    pub fn allreduce_sum_f64(&self, value: f64) -> f64 {
-        let contributions = self.gather(0, &value.to_le_bytes());
-        let total: f64 = match contributions {
-            Some(parts) => parts
-                .iter()
-                .map(|b| f64::from_le_bytes(b.as_slice().try_into().expect("f64 payload")))
-                .sum(),
-            None => 0.0,
-        };
-        let bytes = self.bcast(0, &total.to_le_bytes());
-        f64::from_le_bytes(bytes.try_into().expect("f64 payload"))
-    }
-
-    /// Max-reduce a `u64` to every rank.
-    pub fn allreduce_max_u64(&self, value: u64) -> u64 {
-        let contributions = self.gather(0, &value.to_le_bytes());
-        let total: u64 = match contributions {
-            Some(parts) => parts
-                .iter()
-                .map(|b| u64::from_le_bytes(b.as_slice().try_into().expect("u64 payload")))
-                .max()
-                .unwrap_or(0),
-            None => 0,
-        };
-        let bytes = self.bcast(0, &total.to_le_bytes());
         u64::from_le_bytes(bytes.try_into().expect("u64 payload"))
     }
 
@@ -208,42 +125,6 @@ impl Comm {
         let merged = self.bcast(0, &merged);
         crate::typed::bytes_as_f64s(&merged)
     }
-
-    /// Unused-reserved tag helper exposed for middleware layers that need a
-    /// tag space disjoint from both user tags and collective tags.
-    pub fn reserved_tag(slot: u64) -> Tag {
-        assert!(slot < 512, "reserved tag slot out of range");
-        TAG_RESERVED + slot
-    }
-}
-
-/// Length-prefixed packing of byte parts (used by allgather's broadcast leg).
-fn pack_parts(parts: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = parts.iter().map(|p| 8 + p.len()).sum();
-    let mut out = Vec::with_capacity(8 + total);
-    out.extend_from_slice(&(parts.len() as u64).to_le_bytes());
-    for p in parts {
-        out.extend_from_slice(&(p.len() as u64).to_le_bytes());
-        out.extend_from_slice(p);
-    }
-    out
-}
-
-fn unpack_parts(bytes: &[u8]) -> Vec<Vec<u8>> {
-    let mut cursor = 0usize;
-    let read_u64 = |cursor: &mut usize| {
-        let v = u64::from_le_bytes(bytes[*cursor..*cursor + 8].try_into().unwrap());
-        *cursor += 8;
-        v
-    };
-    let count = read_u64(&mut cursor) as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = read_u64(&mut cursor) as usize;
-        out.push(bytes[cursor..cursor + len].to_vec());
-        cursor += len;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -281,54 +162,11 @@ mod tests {
     }
 
     #[test]
-    fn allgather_delivers_everywhere() {
-        let results = launch(6, |comm| comm.allgather(&(comm.rank() as u64).to_le_bytes()));
-        for per_rank in results {
-            let vals: Vec<u64> = per_rank
-                .iter()
-                .map(|b| u64::from_le_bytes(b.as_slice().try_into().unwrap()))
-                .collect();
-            assert_eq!(vals, vec![0, 1, 2, 3, 4, 5]);
-        }
-    }
-
-    #[test]
-    fn scatter_distributes_parts() {
-        let results = launch(3, |comm| {
-            if comm.rank() == 0 {
-                let parts = vec![b"a".to_vec(), b"bb".to_vec(), b"ccc".to_vec()];
-                comm.scatter(0, Some(&parts))
-            } else {
-                comm.scatter(0, None)
-            }
-        });
-        assert_eq!(results, vec![b"a".to_vec(), b"bb".to_vec(), b"ccc".to_vec()]);
-    }
-
-    #[test]
-    fn alltoall_transposes() {
-        let results = launch(3, |comm| {
-            let parts: Vec<Vec<u8>> =
-                (0..3).map(|dst| vec![comm.rank() as u8, dst as u8]).collect();
-            comm.alltoall(&parts)
-        });
-        for (rank, received) in results.iter().enumerate() {
-            for (src, msg) in received.iter().enumerate() {
-                assert_eq!(msg, &vec![src as u8, rank as u8]);
-            }
-        }
-    }
-
-    #[test]
     fn reductions() {
         let sums = launch(4, |comm| comm.allreduce_sum_u64(comm.rank() as u64 + 1));
         assert_eq!(sums, vec![10, 10, 10, 10]);
-        let maxes = launch(4, |comm| comm.allreduce_max_u64(comm.rank() as u64 * 7));
-        assert_eq!(maxes, vec![21, 21, 21, 21]);
-        let fsums = launch(3, |comm| comm.allreduce_sum_f64(0.5));
-        for v in fsums {
-            assert!((v - 1.5).abs() < 1e-12);
-        }
+        let at_root = launch(3, |comm| comm.reduce_sum_u64(2, comm.rank() as u64 * 7));
+        assert_eq!(at_root, vec![None, None, Some(21)]);
     }
 
     #[test]
@@ -358,19 +196,21 @@ mod tests {
     }
 
     #[test]
-    fn back_to_back_barriers_and_alltoalls() {
+    fn back_to_back_barriers_and_gathers() {
+        // Barriers and gathers interleaved, with a different root each
+        // round, reuse the sequence windows across collective kinds.
         let results = launch(4, |comm| {
-            for _ in 0..20 {
+            let mut ok = true;
+            for round in 0u64..20 {
                 comm.barrier();
-            }
-            for round in 0u64..10 {
-                let parts: Vec<Vec<u8>> = (0..4).map(|d| vec![(round * 4 + d) as u8]).collect();
-                let got = comm.alltoall(&parts);
-                for (src, msg) in got.iter().enumerate() {
-                    assert_eq!(msg[0], (round * 4 + comm.rank() as u64) as u8, "from {src}");
+                let root = round as usize % 4;
+                if let Some(parts) = comm.gather(root, &[(round * 4) as u8 + comm.rank() as u8]) {
+                    for (src, msg) in parts.iter().enumerate() {
+                        ok &= msg[..] == [(round * 4) as u8 + src as u8];
+                    }
                 }
             }
-            true
+            ok
         });
         assert!(results.iter().all(|&ok| ok));
     }

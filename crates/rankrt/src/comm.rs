@@ -3,13 +3,12 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 /// Message tag, as in MPI. Tags below `COLLECTIVE_TAG_BASE` (near
 /// `u64::MAX`) are available to applications; higher values are reserved
-/// for collectives and middleware.
+/// for collectives.
 pub type Tag = u64;
 
 /// Reserved tag space used internally by collectives: 8192 sequence
@@ -22,27 +21,11 @@ pub(crate) const COLLECTIVE_SEQ_WINDOWS: u64 = 8192;
 pub(crate) const COLLECTIVE_SLOTS: u64 = 128;
 
 /// A message in flight: the sending rank, the tag, and the payload bytes.
-#[derive(Debug, Clone)]
-pub struct Envelope {
-    /// Rank (within the communicator) that sent the message.
-    pub src: usize,
-    /// Application- or middleware-chosen tag.
-    pub tag: Tag,
-    /// Owned payload bytes.
-    pub payload: Vec<u8>,
+struct Envelope {
+    src: usize,
+    tag: Tag,
+    payload: Vec<u8>,
 }
-
-/// Error returned by [`Comm::recv_timeout`] when the deadline expires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvTimeoutError;
-
-impl std::fmt::Display for RecvTimeoutError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "receive timed out before a matching message arrived")
-    }
-}
-
-impl std::error::Error for RecvTimeoutError {}
 
 /// Shared channel fabric for one communicator: one inbox per rank.
 struct Fabric {
@@ -69,7 +52,7 @@ impl Comm {
     /// Build a fully-connected communicator of `size` ranks.
     ///
     /// Returns one `Comm` per rank; each must be moved to its own thread.
-    pub fn fabric(size: usize) -> Vec<Comm> {
+    pub(crate) fn fabric(size: usize) -> Vec<Comm> {
         assert!(size > 0, "communicator must have at least one rank");
         let mut senders = Vec::with_capacity(size);
         let mut receivers = Vec::with_capacity(size);
@@ -115,13 +98,8 @@ impl Comm {
     /// Sends are buffered (MPI "standard mode" with unlimited eager
     /// buffering): the call never blocks.
     pub fn send(&self, dst: usize, tag: Tag, payload: &[u8]) {
-        self.send_owned(dst, tag, payload.to_vec());
-    }
-
-    /// Send an owned payload, avoiding a copy.
-    pub fn send_owned(&self, dst: usize, tag: Tag, payload: Vec<u8>) {
         assert!(dst < self.size(), "destination rank {dst} out of range");
-        let env = Envelope { src: self.rank, tag, payload };
+        let env = Envelope { src: self.rank, tag, payload: payload.to_vec() };
         // The receiver half only disappears if the peer thread has exited,
         // which in this runtime means the program is tearing down; sends to
         // departed ranks are silently dropped like MPI after finalize.
@@ -130,80 +108,27 @@ impl Comm {
 
     /// Blocking receive matching a specific `(src, tag)`.
     pub fn recv(&self, src: usize, tag: Tag) -> Vec<u8> {
-        self.recv_matching(|e| e.src == src && e.tag == tag, None)
-            .expect("blocking recv cannot time out")
-            .payload
+        self.recv_matching(|e| e.src == src && e.tag == tag).payload
     }
 
     /// Blocking receive matching any source with the given tag.
     /// Returns `(source_rank, payload)`.
     pub fn recv_any(&self, tag: Tag) -> (usize, Vec<u8>) {
-        let env =
-            self.recv_matching(|e| e.tag == tag, None).expect("blocking recv cannot time out");
+        let env = self.recv_matching(|e| e.tag == tag);
         (env.src, env.payload)
     }
 
-    /// Receive matching `(src, tag)` with a deadline.
-    pub fn recv_timeout(
-        &self,
-        src: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Vec<u8>, RecvTimeoutError> {
-        self.recv_matching(|e| e.src == src && e.tag == tag, Some(timeout))
-            .map(|e| e.payload)
-            .ok_or(RecvTimeoutError)
-    }
-
-    /// Non-blocking probe-and-receive for `(src, tag)`.
-    pub fn try_recv(&self, src: usize, tag: Tag) -> Option<Vec<u8>> {
-        self.drain_inbox();
-        self.take_pending(|e| e.src == src && e.tag == tag).map(|e| e.payload)
-    }
-
-    /// Non-blocking receive of any message with the given tag.
-    pub fn try_recv_any(&self, tag: Tag) -> Option<(usize, Vec<u8>)> {
-        self.drain_inbox();
-        self.take_pending(|e| e.tag == tag).map(|e| (e.src, e.payload))
-    }
-
     /// Core matching loop shared by the receive variants.
-    fn recv_matching(
-        &self,
-        matches: impl Fn(&Envelope) -> bool,
-        timeout: Option<Duration>,
-    ) -> Option<Envelope> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+    fn recv_matching(&self, matches: impl Fn(&Envelope) -> bool) -> Envelope {
         loop {
             if let Some(env) = self.take_pending(&matches) {
-                return Some(env);
+                return env;
             }
-            let env = match deadline {
-                None => self.inbox.recv().expect("fabric sender vanished"),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return None;
-                    }
-                    match self.inbox.recv_timeout(d - now) {
-                        Ok(env) => env,
-                        Err(_) => return None,
-                    }
-                }
-            };
+            let env = self.inbox.recv().expect("fabric sender vanished");
             if matches(&env) {
-                return Some(env);
+                return env;
             }
             self.pending.borrow_mut().push_back(env);
-        }
-    }
-
-    /// Move everything currently queued in the channel into `pending` so the
-    /// matcher sees a consistent FIFO view.
-    fn drain_inbox(&self) {
-        let mut pending = self.pending.borrow_mut();
-        while let Ok(env) = self.inbox.try_recv() {
-            pending.push_back(env);
         }
     }
 
@@ -273,32 +198,6 @@ mod tests {
             assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), i);
         }
         t.join().unwrap();
-    }
-
-    #[test]
-    fn recv_timeout_expires() {
-        let comms = Comm::fabric(2);
-        let err = comms[0].recv_timeout(1, 3, Duration::from_millis(20));
-        assert_eq!(err, Err(RecvTimeoutError));
-    }
-
-    #[test]
-    fn try_recv_nonblocking() {
-        let mut comms = Comm::fabric(2);
-        let c1 = comms.pop().unwrap();
-        let c0 = comms.pop().unwrap();
-        assert!(c0.try_recv(1, 9).is_none());
-        c1.send(0, 9, b"x");
-        // Wait for delivery (channel is immediate, but be robust).
-        let mut got = None;
-        for _ in 0..1000 {
-            got = c0.try_recv(1, 9);
-            if got.is_some() {
-                break;
-            }
-            thread::yield_now();
-        }
-        assert_eq!(got.unwrap(), b"x");
     }
 
     #[test]

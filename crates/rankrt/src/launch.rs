@@ -7,21 +7,6 @@ use std::thread;
 
 use crate::comm::Comm;
 
-/// Error produced when one or more ranks panicked.
-#[derive(Debug)]
-pub struct LaunchError {
-    /// Ranks whose thread panicked.
-    pub failed_ranks: Vec<usize>,
-}
-
-impl std::fmt::Display for LaunchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ranks {:?} panicked during parallel execution", self.failed_ranks)
-    }
-}
-
-impl std::error::Error for LaunchError {}
-
 /// Run `body` on `nranks` ranks (threads) and collect each rank's return
 /// value, ordered by rank. Panics if any rank panics.
 ///
@@ -32,7 +17,7 @@ where
     T: Send + 'static,
     F: Fn(Comm) -> T + Send + Sync + 'static,
 {
-    try_launch(nranks, "rank", body).expect("a rank panicked")
+    launch_named(nranks, "rank", body)
 }
 
 /// Like [`launch`] but threads are named `"{name}-{rank}"`, which makes
@@ -42,18 +27,9 @@ where
     T: Send + 'static,
     F: Fn(Comm) -> T + Send + Sync + 'static,
 {
-    try_launch(nranks, name, body).expect("a rank panicked")
-}
-
-fn try_launch<T, F>(nranks: usize, name: &str, body: F) -> Result<Vec<T>, LaunchError>
-where
-    T: Send + 'static,
-    F: Fn(Comm) -> T + Send + Sync + 'static,
-{
-    let comms = Comm::fabric(nranks);
     let body = std::sync::Arc::new(body);
     let mut handles = Vec::with_capacity(nranks);
-    for comm in comms {
+    for comm in Comm::fabric(nranks) {
         let body = std::sync::Arc::clone(&body);
         let rank = comm.rank();
         let handle = thread::Builder::new()
@@ -70,20 +46,17 @@ where
             Err(_) => failed.push(rank),
         }
     }
-    if failed.is_empty() {
-        Ok(results)
-    } else {
-        Err(LaunchError { failed_ranks: failed })
-    }
+    assert!(failed.is_empty(), "ranks {failed:?} panicked during parallel execution");
+    results
 }
 
 /// Environment variable carrying the rank group name to a spawned rank
 /// process.
-pub const ENV_NAME: &str = "RANKRT_NAME";
+const ENV_NAME: &str = "RANKRT_NAME";
 /// Environment variable carrying the process's rank index.
-pub const ENV_RANK: &str = "RANKRT_RANK";
+const ENV_RANK: &str = "RANKRT_RANK";
 /// Environment variable carrying the rank group size.
-pub const ENV_NRANKS: &str = "RANKRT_NRANKS";
+const ENV_NRANKS: &str = "RANKRT_NRANKS";
 
 /// One spawned rank process (see [`spawn_ranks`]).
 pub struct RankProc {

@@ -4,9 +4,10 @@
 //! This crate provides the equivalent substrate for a single-machine
 //! reproduction: each *rank* is an OS thread, and ranks exchange typed,
 //! tagged messages through lock-free channels. On top of point-to-point
-//! messaging we provide the collectives the FlexIO protocol needs
-//! (barrier, broadcast, gather, all-gather, reductions) and communicator
-//! splitting (used to run simulation and analytics ranks side by side).
+//! messaging we provide the collectives the examples and tests run
+//! (barrier, broadcast, gather, sum reductions); [`spawn_ranks`] starts
+//! one OS process per rank instead, for couplings that must survive
+//! `kill -9`.
 //!
 //! Semantics intentionally mirror MPI:
 //!
@@ -38,9 +39,6 @@ mod comm;
 mod launch;
 mod typed;
 
-pub use comm::{Comm, Envelope, RecvTimeoutError, Tag};
-pub use launch::{
-    launch, launch_named, spawn_ranks, LaunchError, RankEnv, RankProc, ENV_NAME, ENV_NRANKS,
-    ENV_RANK,
-};
-pub use typed::{bytes_as_f64s, bytes_as_u64s, f64s_as_bytes, u64s_as_bytes};
+pub use comm::{Comm, Tag};
+pub use launch::{launch, launch_named, spawn_ranks, RankEnv, RankProc};
+pub use typed::{bytes_as_f64s, f64s_as_bytes};

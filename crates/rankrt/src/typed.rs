@@ -20,22 +20,6 @@ pub fn bytes_as_f64s(bytes: &[u8]) -> Vec<f64> {
     bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect()
 }
 
-/// Encode a slice of `u64`s as little-endian bytes.
-pub fn u64s_as_bytes(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decode little-endian bytes into `u64`s. Panics if the length is not a
-/// multiple of 8.
-pub fn bytes_as_u64s(bytes: &[u8]) -> Vec<u64> {
-    assert!(bytes.len().is_multiple_of(8), "payload is not a whole number of u64s");
-    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,12 +34,6 @@ mod tests {
             for (a, b) in values.iter().zip(&back) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
-        }
-
-        #[test]
-        fn u64_roundtrip(values in proptest::collection::vec(any::<u64>(), 0..64)) {
-            let bytes = u64s_as_bytes(&values);
-            prop_assert_eq!(bytes_as_u64s(&bytes), values);
         }
     }
 }

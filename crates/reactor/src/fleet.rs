@@ -103,11 +103,6 @@ impl FleetTopology {
     pub fn slots(&self) -> &[ShardSlot] {
         &self.slots
     }
-
-    /// Shards pinned to `domain`, in shard order.
-    pub fn shards_in_domain(&self, domain: usize) -> Vec<usize> {
-        self.slots.iter().filter(|s| s.numa_domain == domain).map(|s| s.shard).collect()
-    }
 }
 
 /// One shard's counters and placement, as of its worker's last round.
@@ -478,7 +473,9 @@ mod tests {
     #[test]
     fn spawn_in_domain_prefers_resident_shards() {
         let topo = FleetTopology::from_cores(vec![(0, 0), (1, 0), (2, 1)]);
-        assert_eq!(topo.shards_in_domain(1), vec![2]);
+        let domain1: Vec<usize> =
+            topo.slots().iter().filter(|s| s.numa_domain == 1).map(|s| s.shard).collect();
+        assert_eq!(domain1, vec![2]);
         let fleet = ReactorFleet::builder(topo).build();
         let release = Arc::new(AtomicBool::new(false));
         for _ in 0..6 {

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use crossbeam::channel::{bounded, Sender as OneshotSender};
 use parking_lot::Mutex;
 
-use crate::pool::{BufferPool, Lease, PoolStats};
+use crate::pool::{BufferPool, Lease};
 use crate::spsc::{spsc_queue, Consumer, Producer};
 
 /// Segments of a vectored send at least this long count as bulk payload:
@@ -110,7 +110,6 @@ pub struct ShmSender {
 /// Receiving half of a shared-memory channel.
 pub struct ShmReceiver {
     queue: Consumer,
-    pool: BufferPool,
     shared: Arc<Shared>,
 }
 
@@ -142,13 +141,8 @@ pub fn shm_channel_with_pool(
         closed: AtomicBool::new(false),
     });
     (
-        ShmSender {
-            queue: producer,
-            pool: pool.clone(),
-            shared: Arc::clone(&shared),
-            next_token: 0,
-        },
-        ShmReceiver { queue: consumer, pool, shared },
+        ShmSender { queue: producer, pool, shared: Arc::clone(&shared), next_token: 0 },
+        ShmReceiver { queue: consumer, shared },
     )
 }
 
@@ -239,21 +233,6 @@ impl ShmSender {
     pub fn inject_raw_frame(&mut self, frame: &[u8]) {
         self.queue.push(frame).expect("injected frame fits entry capacity");
     }
-
-    /// Buffer-pool statistics (monitoring hook).
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// NUMA domain of the channel's buffer pool, if placement-pinned.
-    pub fn pool_domain(&self) -> Option<usize> {
-        self.pool.numa_domain()
-    }
-
-    /// Number of producer-side payload copies performed so far.
-    pub fn producer_copies(&self) -> u64 {
-        self.shared.producer_copies.load(Ordering::Relaxed)
-    }
 }
 
 impl Drop for ShmSender {
@@ -266,11 +245,6 @@ impl Drop for ShmSender {
 }
 
 impl ShmReceiver {
-    /// NUMA domain of the channel's buffer pool, if placement-pinned.
-    pub fn pool_domain(&self) -> Option<usize> {
-        self.pool.numa_domain()
-    }
-
     /// Blocking receive; returns the message, or the corruption error for
     /// a frame that cannot be decoded.
     pub fn recv(&mut self) -> Result<Lease, ChannelError> {
@@ -367,6 +341,26 @@ fn control_frame(kind: u8, token: u64) -> [u8; 9] {
 fn token_of(frame: &[u8]) -> Result<u64, ChannelError> {
     let bytes = frame.get(1..9).ok_or(ChannelError::Corrupt("truncated control frame"))?;
     Ok(u64::from_le_bytes(bytes.try_into().expect("slice is 8 bytes")))
+}
+
+// Pool and copy probes: the tests pin each send path's copy count and
+// pool placement through these.
+#[cfg(test)]
+impl ShmSender {
+    /// Buffer-pool statistics (monitoring hook).
+    pub(crate) fn pool_stats(&self) -> crate::pool::PoolStats {
+        self.pool.stats()
+    }
+
+    /// NUMA domain of the channel's buffer pool, if placement-pinned.
+    pub(crate) fn pool_domain(&self) -> Option<usize> {
+        self.pool.numa_domain()
+    }
+
+    /// Number of producer-side payload copies performed so far.
+    pub(crate) fn producer_copies(&self) -> u64 {
+        self.shared.producer_copies.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]
@@ -499,7 +493,6 @@ mod tests {
             let (mut a_tx, mut a_rx) = shm_channel(8, 64);
             let (tx2, _rx2) = shm_channel(8, 64);
             assert_eq!(a_tx.pool_domain(), Some(2));
-            assert_eq!(a_rx.pool_domain(), Some(2));
             assert_eq!(tx2.pool_domain(), Some(2));
             a_tx.send_copy(&vec![7u8; 4096]); // pooled path
             assert_eq!(a_rx.recv().unwrap().len(), 4096);

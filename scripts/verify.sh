@@ -154,6 +154,28 @@ copies=$(awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && /copy_region\(/{print FI
 if grep -rnE "PosixReadEngine|fn read_box|fn assemble" crates/; then
     echo "a second selection read is back under crates/ (use adios::select)"; exit 1
 fi
+# What nothing runs stays deleted: the file-system simulator (Fig. 9 reads
+# machine::FileSystemParams through dessim::s3d) and rankrt's collectives
+# and receives without a caller.
+if [ -e crates/fssim ] || grep -nw fssim Cargo.toml crates/*/Cargo.toml src/lib.rs; then
+    echo "the fssim crate is back (Fig. 9's file system is machine::FileSystemParams)"; exit 1
+fi
+if grep -rnE "fn (allgather|scatter|alltoall|reserved_tag|try_recv_any)\b" crates/rankrt/src; then
+    echo "rankrt grew a collective or receive nothing calls"; exit 1
+fi
+# Every public function has a caller: each `pub fn NAME` under crates/*/src
+# appears as a word in the Rust tree more often than `fn NAME` is defined.
+# One pass: definitions (D), public definitions (P) and words (W) counted
+# together.
+rs_tree="crates benchmark examples src tests"
+uncalled=$( { grep -rhoE --include='*.rs' --exclude-dir=target '\bfn [A-Za-z_][A-Za-z0-9_]*' $rs_tree \
+                | sed 's/^fn /D /'
+            grep -rhoE --include='*.rs' '\bpub fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src | sed 's/^pub fn /P /'
+            grep -rhowE --include='*.rs' --exclude-dir=target '[A-Za-z_][A-Za-z0-9_]*' $rs_tree \
+                | sed 's/^/W /'; } | sort | uniq -c \
+    | awk '{ c[$2, $3] = $1; seen[$3] = 1 }
+           END { for (n in seen) if (c["P", n] && c["W", n] <= c["D", n]) print n }' | sort)
+[ -z "$uncalled" ] || { echo "public functions nothing names: $uncalled"; exit 1; }
 echo "structure gates ok (bare sleeps: $sleeps)"
 
 echo "== doc references resolve =="
@@ -175,7 +197,7 @@ done
 [ "$missing" -eq 0 ] || { echo "a doc names something the tree does not have"; exit 1; }
 # Their size only goes down, toward the ROADMAP's 100 KB target; lower
 # this limit when a PR shrinks them, never raise it.
-doc_limit=132035
+doc_limit=132029
 doc_bytes=$(cat $docs | wc -c)
 [ "$doc_bytes" -le "$doc_limit" ] || { echo "docs are $doc_bytes bytes (limit $doc_limit)"; exit 1; }
 echo "doc references ok (docs: $doc_bytes bytes)"

@@ -19,7 +19,6 @@
 //! | [`shm`] | `shm` | FastForward shared-memory transport |
 //! | [`netsim`] | `netsim` | simulated RDMA interconnect |
 //! | [`memsim`] | `memsim` | shared-cache / NUMA simulator |
-//! | [`fssim`] | `fssim` | parallel-file-system simulator |
 //! | [`machine`] | `machine` | Titan/Smoky machine models |
 //! | [`placement`] | `placement` | the three placement policies (§III) |
 //! | [`apps`] | `apps` | GTS / S3D skeletons and analytics (§IV) |
@@ -32,7 +31,6 @@ pub use codelet;
 pub use dessim;
 pub use evpath;
 pub use flexio;
-pub use fssim;
 pub use machine;
 pub use memsim;
 pub use netsim;
