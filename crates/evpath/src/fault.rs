@@ -308,6 +308,11 @@ impl EvReceiver for FaultyReceiver {
         }
         polled
     }
+
+    // Deaf or not, the next poll reads the wire: wait on it.
+    fn wait_readable(&mut self, timeout: Duration) -> bool {
+        self.inner.wait_readable(timeout)
+    }
 }
 
 #[cfg(test)]

@@ -25,14 +25,23 @@
 //!   lets drain-style callers treat `Corrupt` as "count and continue"
 //!   without risking a livelock.
 //!
+//! `Empty` is not the only way to wait: [`EvReceiver::wait_readable`]
+//! blocks in one `poll(2)` on the stream's fd until bytes (or EOF) arrive
+//! or a timeout passes, so a blocking receive that has run out of spin
+//! and yield rounds wakes when the peer's write lands instead of at the
+//! end of a sleep. A partial frame needs nothing special: its remaining
+//! bytes arrive on the same fd.
+//!
 //! Each directed channel uses its own connection: the sending end stays
 //! blocking (with a write timeout so a stalled peer degrades into silence
 //! instead of wedging the writer), the receiving end is nonblocking. A
 //! sender whose peer vanished marks itself dead and swallows further
 //! sends — exactly how the protocol layer expects a corpse to behave.
 
+use std::ffi::{c_int, c_short, c_ulong};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,11 +74,16 @@ pub fn encode_frame_header(len: u32) -> [u8; FRAME_HEADER_LEN] {
 /// vectored writes: the whole frame is offered to the writer at once (one
 /// `writev`, so one burst on a socket, however many segments) and whatever
 /// a short write leaves over is offered again. A writer that accepts
-/// nothing reads as [`io::ErrorKind::WriteZero`].
+/// nothing reads as [`io::ErrorKind::WriteZero`]; a frame whose length
+/// does not fit the header's 32 bits is [`io::ErrorKind::InvalidInput`]
+/// before any byte is written. How long a frame may be is the receiver's
+/// cap to judge.
 fn write_frame_to<W: Write>(w: &mut W, segments: &[&[u8]]) -> io::Result<()> {
     let total: usize = segments.iter().map(|s| s.len()).sum();
-    debug_assert!(total <= MAX_FRAME_LEN as usize, "frame exceeds MAX_FRAME_LEN");
-    let header = encode_frame_header(total as u32);
+    let len = u32::try_from(total).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidInput, "frame longer than the 32-bit length field")
+    })?;
+    let header = encode_frame_header(len);
     let mut slices = Vec::with_capacity(segments.len() + 1);
     slices.push(IoSlice::new(&header));
     // An all-empty slice list would read back as `Ok(0)`: leave them out.
@@ -159,6 +173,13 @@ impl SockStream {
         match self {
             SockStream::Tcp(s) => s.set_write_timeout(t),
             SockStream::Unix(s) => s.set_write_timeout(t),
+        }
+    }
+
+    fn raw_fd(&self) -> RawFd {
+        match self {
+            SockStream::Tcp(s) => s.as_raw_fd(),
+            SockStream::Unix(s) => s.as_raw_fd(),
         }
     }
 }
@@ -516,6 +537,42 @@ impl EvReceiver for SocketReceiver {
             }
         }
     }
+
+    fn wait_readable(&mut self, timeout: Duration) -> bool {
+        wait_fd_readable(self.stream.raw_fd(), timeout)
+    }
+}
+
+// ----------------------------------------------------------- readiness
+
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+/// `poll(2)`'s "there is data to read" event (EOF and errors are reported
+/// whether asked for or not).
+const POLLIN: c_short = 0x001;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// Block in one `poll(2)` until `fd` is readable or `timeout` (rounded up
+/// to whole ms, capped at `i32::MAX`) passes. `true` when the wait was
+/// served — readable, timed out or interrupted by a signal — and `false`
+/// when `poll` failed, so the caller sleeps instead.
+fn wait_fd_readable(fd: RawFd, timeout: Duration) -> bool {
+    let ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as c_int;
+    let mut pfd = PollFd { fd, events: POLLIN, revents: 0 };
+    // SAFETY: `pfd` is a live `struct pollfd` borrowed exclusively for the
+    // call and `nfds` is 1, so `poll` reads and writes that one entry only;
+    // the fd belongs to a stream the caller keeps open across the call.
+    let ready = unsafe { poll(&mut pfd, 1, ms) };
+    ready >= 0 || io::Error::last_os_error().kind() == io::ErrorKind::Interrupted
 }
 
 // --------------------------------------------------- blocking frame I/O
@@ -714,6 +771,82 @@ mod tests {
         }
         let err = write_frame_to(&mut FailsAfter(2), &[b"payload"]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    /// A writer that takes everything, keeping the header it was offered
+    /// first and counting the bytes.
+    #[derive(Default)]
+    struct Counting {
+        header: Vec<u8>,
+        written: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            if self.written == 0 {
+                self.header = bufs[0].to_vec();
+            }
+            let n = bufs.iter().map(|b| b.len()).sum::<usize>();
+            self.written += n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_past_the_length_field_is_refused_before_any_byte() {
+        // 4097 MiB from one 1 MiB slice: longer than `u32::MAX`.
+        let mib = vec![0x11u8; 1 << 20];
+        let segments = vec![mib.as_slice(); 4097];
+        let mut w = Counting::default();
+        let err = write_frame_to(&mut w, &segments).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(w.written, 0, "nothing of the frame may leave");
+
+        // A sender handed such a frame goes dead instead of wrapping it.
+        let (tx, _rx) = raw_socket_pair(SocketKind::Uds);
+        let mut tx = SocketSender::over(tx);
+        tx.send_vectored(&segments);
+        assert!(tx.dead);
+    }
+
+    #[test]
+    fn a_frame_past_the_default_cap_is_framed_with_its_exact_length() {
+        // The receiver's cap is policy (`net.max_frame_mb` raises it), so
+        // the writer frames 300 MiB as it frames anything else.
+        let mib = vec![0x22u8; 1 << 20];
+        let segments = vec![mib.as_slice(); 300];
+        let mut w = Counting::default();
+        write_frame_to(&mut w, &segments).unwrap();
+        assert_eq!(w.header, encode_frame_header(300 << 20));
+        assert_eq!(w.written, FRAME_HEADER_LEN + (300 << 20));
+    }
+
+    #[test]
+    fn wait_readable_wakes_on_data_and_times_out_on_silence() {
+        let (mut tx, mut rx) = socket_pair(SocketKind::Tcp);
+        let t0 = std::time::Instant::now();
+        assert!(rx.wait_readable(Duration::from_millis(20)), "a timed-out wait is served");
+        assert!(t0.elapsed() >= Duration::from_millis(20), "returned before the timeout");
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            tx.send(b"wake up");
+            tx
+        });
+        let t0 = std::time::Instant::now();
+        assert!(rx.wait_readable(Duration::from_secs(10)));
+        assert!(t0.elapsed() < Duration::from_secs(5), "slept through the write");
+        assert_eq!(rx.recv(), b"wake up");
+        drop(sender.join().unwrap());
+        assert!(rx.wait_readable(Duration::from_secs(10)), "EOF wakes the wait");
+        assert_eq!(rx.poll_recv(), RecvPoll::Closed);
     }
 
     /// More segments than one `writev` takes (`IOV_MAX` is 1024), and a

@@ -7,6 +7,8 @@
 //! (intra-node placement) or the simulated RDMA fabric (inter-node
 //! placement).
 
+use std::time::Duration;
+
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use netsim::{NetSim, Port, PortAddress, Registration};
 use shm::channel::{shm_channel, ShmReceiver, ShmSender};
@@ -88,6 +90,15 @@ pub trait EvReceiver: Send {
     /// vector (one copy when the lease is on a pool buffer).
     fn poll_recv(&mut self) -> RecvPoll {
         self.poll_lease().map(Lease::into_vec)
+    }
+
+    /// Block until the next [`poll_lease`](Self::poll_lease) may find
+    /// something (the fd is readable, at EOF or in error) or `timeout`
+    /// passes. `false` means this transport has nothing to block on and
+    /// the caller should sleep instead: the default, and every transport
+    /// but a socket.
+    fn wait_readable(&mut self, _timeout: Duration) -> bool {
+        false
     }
 
     /// Blocking receive of the next message: polls, spinning briefly and

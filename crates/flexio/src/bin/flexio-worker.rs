@@ -184,10 +184,11 @@ fn run_reader(env: &RankEnv) {
 /// keep knocking (`try_begin_step`, retrying on timeout) until the
 /// coordinator starts gathering them, then ride the stream to EOS.
 ///
-/// Narration: `WORKER attached` once the rank is registered (the chaos
-/// parent kills a member on this line, *before* its first step),
-/// `WORKER scaled` when rank 0 commits the scale-out, `WORKER step=N`
-/// per completed step.
+/// Narration: `WORKER attached` once the rank is registered, `WORKER
+/// scaled` when rank 0 commits the scale-out, `WORKER step=N` per
+/// completed step. After `attached` a member reads one line (or EOF) from
+/// stdin before it steps, so the chaos parent, holding that stdin open,
+/// kills it on this line *before* its first step.
 fn run_elastic_reader(env: &RankEnv) {
     let mut cfg = proc_config(env, false);
     cfg.hints.caching = CachingLevel::NoCaching;
@@ -196,6 +197,9 @@ fn run_elastic_reader(env: &RankEnv) {
     let sel = Selection::GlobalBox(BoxSel::whole(&[global]));
     r.subscribe("field", sel.clone());
     say("WORKER attached");
+    if env.rank > 0 {
+        let _ = std::io::stdin().read_line(&mut String::new());
+    }
 
     let validate = |step: u64, v: VarValue| {
         let VarValue::Block(block) = v else { panic!("field is a block") };

@@ -32,15 +32,27 @@ pub(crate) async fn poll_until<T>(
     deadline: Instant,
     mut probe: impl FnMut() -> Option<T>,
 ) -> Option<T> {
+    poll_until_on(deadline, &mut (), |_| probe(), |_, _| false).await
+}
+
+/// [`poll_until`] over a source `src` that can be waited on: a pause
+/// that parks calls `wait(src, time left)` first and naps only when it
+/// returns `false` ([`flexio_reactor::Pacing::pause_on`]).
+async fn poll_until_on<S: ?Sized, T>(
+    deadline: Instant,
+    src: &mut S,
+    mut probe: impl FnMut(&mut S) -> Option<T>,
+    mut wait: impl FnMut(&mut S, Duration) -> bool,
+) -> Option<T> {
     let mut pacing = flexio_reactor::Pacing::new();
     loop {
-        if let Some(found) = probe() {
+        if let Some(found) = probe(src) {
             return Some(found);
         }
         if Instant::now() >= deadline {
             return None;
         }
-        pacing.pause(Some(deadline)).await;
+        pacing.pause_on(Some(deadline), |left| wait(src, left)).await;
     }
 }
 
@@ -349,7 +361,7 @@ pub async fn recv_record_rt(
     hints: &StreamHints,
     counters: &ProtocolCounters,
 ) -> Result<Record, StreamError> {
-    let probe = || match rx.poll_lease() {
+    let probe = |rx: &mut BoxedReceiver| match rx.poll_lease() {
         // Decoded against the receive buffer itself (on shm, the pool
         // slot): large array payloads come back as zero-copy views that
         // keep `bytes` leased for as long as they live.
@@ -372,34 +384,39 @@ pub async fn recv_record_rt(
         evpath::RecvPoll::Empty => None,
     };
     let retried = || counters.bump(&counters.retries);
-    retry_rt(hints.recv_timeout, hints.retries, retried, probe)
+    let wait = |rx: &mut BoxedReceiver, left| rx.wait_readable(left);
+    retry_rt(hints.recv_timeout, hints.retries, retried, rx, probe, wait)
         .await
         .unwrap_or(Err(StreamError::Timeout))
 }
 
-/// The timeout-and-retry schedule: attempt `i` polls `probe` until
+/// The timeout-and-retry schedule: attempt `i` polls `probe(src)` until
 /// `recv_timeout × 2^min(i, 3)` has passed — exponential backoff, so a
 /// transiently slow peer (delay faults, long simulation phases) gets
 /// progressively more slack — and `on_retry` runs before every attempt
 /// after the first. `None` once every attempt ran out.
 ///
-/// The waits are [`poll_until`]'s [`flexio_reactor::Pacing`]: inside a
+/// The waits are [`poll_until_on`]'s [`flexio_reactor::Pacing`]: inside a
 /// reactor they yield to the event loop, so one core holds many receives
-/// open at once; on a plain thread they spin, yield, then park in bounded
-/// sleeps, so a reader blocked across a long simulation phase does not
-/// burn the helper core the placement gave it.
-pub(crate) async fn retry_rt<T>(
+/// open at once; on a plain thread they spin, yield, then park — in
+/// `wait(src, time left)` (a socket's `poll(2)`, which wakes when the
+/// peer's bytes land) or, where `wait` has nothing to block on, in
+/// bounded sleeps — so a reader blocked across a long simulation phase
+/// does not burn the helper core the placement gave it.
+pub(crate) async fn retry_rt<S: ?Sized, T>(
     recv_timeout: Duration,
     retries: u32,
     mut on_retry: impl FnMut(),
-    mut probe: impl FnMut() -> Option<T>,
+    src: &mut S,
+    mut probe: impl FnMut(&mut S) -> Option<T>,
+    mut wait: impl FnMut(&mut S, Duration) -> bool,
 ) -> Option<T> {
     for attempt in 0..=retries {
         if attempt > 0 {
             on_retry();
         }
         let deadline = Instant::now() + recv_timeout * (1u32 << attempt.min(3));
-        if let Some(found) = poll_until(deadline, &mut probe).await {
+        if let Some(found) = poll_until_on(deadline, src, &mut probe, &mut wait).await {
             return Some(found);
         }
     }

@@ -489,6 +489,11 @@ impl EvReceiver for LazyHubReceiver {
         }
         self.inner.as_mut().expect("taken above").poll_lease()
     }
+
+    /// Nothing to wait on until the hub hands over the stream.
+    fn wait_readable(&mut self, timeout: Duration) -> bool {
+        self.inner.as_mut().is_some_and(|rx| rx.wait_readable(timeout))
+    }
 }
 
 // ------------------------------------------------------- engine openers
@@ -668,6 +673,36 @@ mod tests {
         assert_eq!(hit, contact);
         nodes.iter().for_each(|n| n.kill());
         thread.join().unwrap();
+    }
+
+    #[test]
+    fn a_hub_receiver_has_no_fd_to_wait_on_until_its_peer_dials_in() {
+        let cfg = ProcConfig {
+            stream: "s".into(),
+            rank: 0,
+            nranks: 1,
+            dir_addrs: vec!["tcp:127.0.0.1:9".into()],
+            kind: SocketKind::Tcp,
+            hints: StreamHints::default(),
+        };
+        let fabric = fabric_for(&cfg).expect("bind hub");
+        let id = ChannelId::Data { w: 0, r: 0 };
+        let mut rx = fabric.make_receiver(id);
+        let t0 = Instant::now();
+        assert!(!rx.wait_readable(Duration::from_secs(5)), "nothing to wait on yet");
+        assert!(t0.elapsed() < Duration::from_secs(1), "waited without a stream");
+
+        let mut peer = connect_retry(fabric.hub.addr(), Duration::from_secs(2)).expect("dial");
+        write_frame(&mut peer, fabric.channel_key(id).as_bytes()).unwrap();
+        write_frame(&mut peer, b"first").unwrap();
+        let msg = |rx: &mut BoxedReceiver| match rx.poll_recv() {
+            RecvPoll::Msg(m) => Some(m),
+            _ => None,
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let first = block_inline(poll_until(deadline, || msg(&mut rx)));
+        assert_eq!(first.as_deref(), Some(&b"first"[..]));
+        assert!(rx.wait_readable(Duration::from_millis(10)), "the adopted stream is waited on");
     }
 
     #[test]

@@ -121,11 +121,11 @@ impl ReaderGroup {
     pub async fn try_begin_step_rt(&mut self) -> Result<StepStatus, StreamError> {
         assert!(self.current.is_none(), "begin_step without end_step");
         let (timeout, retries) = (self.hints.recv_timeout, self.hints.retries);
-        let probe = || match self.poll() {
-            Ok(fetch) => self.take_step(fetch).map(Ok),
+        let probe = |group: &mut Self| match group.poll() {
+            Ok(fetch) => group.take_step(fetch).map(Ok),
             Err(e) => Some(Err(e)),
         };
-        match retry_rt(timeout, retries, || {}, probe).await {
+        match retry_rt(timeout, retries, || {}, self, probe, |_, _| false).await {
             Some(status) => status,
             None if self.hints.eos_on_silence => {
                 self.counters.eos_synthesized.fetch_add(1, Ordering::Relaxed);

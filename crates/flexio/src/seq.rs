@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use evpath::{BoxedReceiver, BoxedSender, EvReceiver, EvSender, Lease, RecvPoll};
 
@@ -127,6 +128,12 @@ impl EvReceiver for SeqReceiver {
                 self.next = lowest;
             }
         }
+    }
+
+    // Only an empty wire makes `poll_lease` report `Empty`: the next
+    // expected message is never already in `early`.
+    fn wait_readable(&mut self, timeout: Duration) -> bool {
+        self.inner.wait_readable(timeout)
     }
 }
 

@@ -57,6 +57,7 @@ fn start_directory(kind: &str) -> (Group, String) {
     let mut procs = spawn_ranks(BIN, "dirnode", 3, &envs).expect("spawn dirnodes");
     let mut addrs = Vec::new();
     for p in &mut procs {
+        drop(p.child.stdin.take());
         let stdout = p.child.stdout.as_mut().expect("stdout piped");
         let mut line = String::new();
         BufReader::new(stdout).read_line(&mut line).expect("dirnode announces");
@@ -69,15 +70,32 @@ fn start_directory(kind: &str) -> (Group, String) {
     (Group { procs }, addrs.join(","))
 }
 
-/// Spawn a worker rank group and feed its stdout lines into `tx`.
+/// Spawn a worker rank group and feed its stdout lines into `tx`. Every
+/// rank's stdin is closed at once (a rank that waits on it goes on).
 fn start_workers(
     role: &'static str,
     nranks: usize,
     envs: &[(String, String)],
     tx: &Sender<Event>,
 ) -> Group {
+    start_workers_holding(role, nranks, envs, tx, &[])
+}
+
+/// [`start_workers`], but the ranks in `held` keep their stdin open —
+/// an elastic member waits on it before its first step — until they are
+/// killed or the group drops.
+fn start_workers_holding(
+    role: &'static str,
+    nranks: usize,
+    envs: &[(String, String)],
+    tx: &Sender<Event>,
+    held: &[usize],
+) -> Group {
     let mut procs = spawn_ranks(BIN, role, nranks, envs).expect("spawn workers");
     for p in &mut procs {
+        if !held.contains(&p.rank) {
+            drop(p.child.stdin.take());
+        }
         let stdout = p.child.stdout.take().expect("stdout piped");
         let rank = p.rank;
         let tx = tx.clone();
@@ -318,7 +336,8 @@ fn killing_a_newly_added_elastic_rank_evicts_it_and_the_run_completes() {
     }
     let (tx, rx) = channel();
     let _writers = start_workers("writer", 1, &writer_envs_, &tx);
-    let mut elastics = start_workers("elastic", 3, &envs, &tx);
+    // Rank 2 is held at its attach until the kill lands; rank 1 goes on.
+    let mut elastics = start_workers_holding("elastic", 3, &envs, &tx, &[2]);
 
     let deadline = Instant::now() + DEADLINE;
     let mut killed = false;

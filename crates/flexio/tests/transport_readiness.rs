@@ -4,7 +4,9 @@
 //! corrupt frames are injected straight into the raw SPSC queue
 //! (`ShmSender::inject_raw_frame`), beneath an *active* fault plan, so the
 //! whole production receive stack (fault layer → evpath shm transport →
-//! `recv_record`) is exercised, not a mock.
+//! `recv_record`) is exercised, not a mock. The socket cases pin the
+//! readiness wait: a blocking receive that parks waits in `poll(2)` on
+//! the channel's fd, which timeouts, EOF and partial frames all wake.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -13,7 +15,8 @@ use std::time::{Duration, Instant};
 use evpath::socket::{raw_socket_pair, receiver_over, SocketKind, SocketSender};
 use evpath::{EvReceiver, EvSender, FaultPlan, FaultSpec, FieldValue, Record, ShmTransport};
 use flexio::link::{recv_record, ChannelId, LinkState, StreamError};
-use flexio::{MonitorSink, ProtocolCounters, StreamHints};
+use flexio::{FlexIo, MonitorSink, ProtocolCounters, StreamHints, Transport};
+use machine::{laptop, CoreLocation};
 use shm::channel::shm_channel;
 
 fn fast_hints() -> StreamHints {
@@ -247,4 +250,96 @@ fn link_counters_record_peer_death_on_claimed_channels() {
     let err = recv_record(&mut rx, &hints, &link.counters).expect_err("peer gone");
     assert_eq!(err, StreamError::Timeout);
     assert_eq!(link.counters.closed_channels.load(Ordering::Relaxed), 1);
+}
+
+#[test]
+fn an_empty_socket_times_out_on_the_retry_schedule() {
+    let (_tx, rx) = raw_socket_pair(SocketKind::Tcp);
+    let mut rx = receiver_over(rx);
+    let hints = fast_hints();
+    let counters = ProtocolCounters::new_shared();
+    let start = Instant::now();
+    let err = recv_record(&mut rx, &hints, &counters).expect_err("nothing ever arrives");
+    assert_eq!(err, StreamError::Timeout);
+    // 5 ms, then 10 ms: waiting on the fd still runs out both attempts.
+    assert!(start.elapsed() >= Duration::from_millis(15), "gave up early: {:?}", start.elapsed());
+    assert_eq!(counters.retries.load(Ordering::Relaxed), 1);
+    assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 0, "sender still alive");
+}
+
+#[test]
+fn a_socket_peer_dropping_mid_wait_wakes_the_receiver() {
+    let (tx, rx) = raw_socket_pair(SocketKind::Tcp);
+    let mut rx = receiver_over(rx);
+    let hints =
+        StreamHints { recv_timeout: Duration::from_secs(5), retries: 1, ..StreamHints::default() };
+    let counters = ProtocolCounters::new_shared();
+    let dropper = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(50));
+        drop(tx);
+    });
+    let start = Instant::now();
+    let err = recv_record(&mut rx, &hints, &counters).expect_err("peer gone");
+    assert_eq!(err, StreamError::Timeout);
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "EOF must end the wait ({:?})",
+        start.elapsed()
+    );
+    assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 1);
+    assert_eq!(counters.retries.load(Ordering::Relaxed), 0);
+    dropper.join().unwrap();
+}
+
+#[test]
+fn a_frame_trickling_in_arrives_as_one_record() {
+    let (tx, rx) = raw_socket_pair(SocketKind::Tcp);
+    let mut rx = receiver_over(rx);
+    let payload = record_bytes(11);
+    let mut frame = evpath::encode_frame_header(payload.len() as u32).to_vec();
+    frame.extend_from_slice(&payload);
+    let writer = std::thread::spawn(move || {
+        let mut tx = SocketSender::over(tx);
+        for piece in frame.chunks(frame.len().div_ceil(4)) {
+            std::thread::sleep(Duration::from_millis(20));
+            tx.inject_raw_bytes(piece);
+        }
+        tx
+    });
+    let hints =
+        StreamHints { recv_timeout: Duration::from_secs(5), retries: 1, ..StreamHints::default() };
+    let counters = ProtocolCounters::new_shared();
+    let record = recv_record(&mut rx, &hints, &counters).expect("the whole frame");
+    assert_eq!(record.get_u64("tag"), Some(11));
+    assert_eq!(counters.corrupt_frames.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.retries.load(Ordering::Relaxed), 0);
+    drop(writer.join().unwrap());
+}
+
+/// A 1x1 coupling's link on two cores of one node, opened with `hints`.
+fn coupled_link(name: &str, hints: StreamHints) -> Arc<LinkState> {
+    let io = FlexIo::single_node(laptop());
+    let (wcore, rcore) =
+        (CoreLocation { node: 0, numa: 0, core: 0 }, CoreLocation { node: 0, numa: 0, core: 1 });
+    let w = io.open_writer(name, 0, 1, wcore, vec![wcore], hints.clone()).unwrap();
+    let _r = io.open_reader(name, 0, 1, rcore, vec![rcore], hints).unwrap();
+    Arc::clone(w.link())
+}
+
+#[test]
+fn claimed_socket_channels_wait_on_their_fd_and_shm_channels_do_not() {
+    let mut plan = FaultPlan::new(7);
+    plan.set("mon", FaultSpec { crash_receiver_after: Some(1 << 32), ..Default::default() });
+    let faulty = StreamHints { faults: Some(Arc::new(plan)), ..fast_hints() };
+    for (transport, waits) in [(Transport::Tcp, true), (Transport::Shm, false)] {
+        let hints = StreamHints { transport, ..faulty.clone() };
+        let link = coupled_link(&format!("readiness-{transport:?}"), hints);
+        // seq → fault → transport, as every faulted channel is stacked.
+        let mut tx = link.claim_sender(ChannelId::Monitor);
+        let mut rx = link.claim_receiver(ChannelId::Monitor);
+        tx.send(&record_bytes(5));
+        assert_eq!(rx.wait_readable(Duration::from_secs(5)), waits, "{transport:?}");
+        let r = recv_record(&mut rx, &fast_hints(), &link.counters).expect("the sent record");
+        assert_eq!(r.get_u64("tag"), Some(5));
+    }
 }

@@ -63,7 +63,9 @@ pub struct RankProc {
     /// Rank index within the group.
     pub rank: usize,
     /// The OS process. `stdout` is piped so the parent can observe
-    /// progress lines; `kill()` is the chaos hammer.
+    /// progress lines, `stdin` so it can hold a rank at a point of its
+    /// choosing (the rank reads a line; dropping the pipe releases it);
+    /// `kill()` is the chaos hammer.
     pub child: Child,
 }
 
@@ -94,8 +96,9 @@ impl RankEnv {
 /// protocol plus the caller's extra `envs`. Unlike thread ranks, these
 /// survive nothing for free — a `kill -9` on one of them is exactly the
 /// failure mode the coupling layers above are built to absorb, which is
-/// why stdout is piped (the parent watches progress) and stderr is
-/// inherited (panics stay visible).
+/// why stdout is piped (the parent watches progress), stdin is piped (the
+/// parent can hold a rank until it has acted) and stderr is inherited
+/// (panics stay visible).
 pub fn spawn_ranks(
     bin: &str,
     name: &str,
@@ -108,6 +111,7 @@ pub fn spawn_ranks(
         cmd.env(ENV_NAME, name)
             .env(ENV_RANK, rank.to_string())
             .env(ENV_NRANKS, nranks.to_string())
+            .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
         for (k, v) in envs {

@@ -19,7 +19,12 @@
 //! 3. **park** — bounded sleeps that double from 10 µs up to a 1 ms
 //!    cap, so an idle stream costs ~1k wakeups/s instead of a core.
 //!
-//! `reset()` on any progress snaps back to the spin regime.
+//! `reset()` on any progress snaps back to the spin regime. A waiter
+//! with something better to sleep on serves the park itself through
+//! [`Backoff::snooze_with`]: a fleet worker parks on its injector's
+//! condvar, and a blocking socket receive ([`crate::Pacing::pause_on`])
+//! blocks in `poll(2)` on its fd until the retry deadline, so it wakes
+//! when the peer's bytes land rather than at the end of a nap.
 //!
 //! The yield regime is bounded by time, not by rounds, because the
 //! shortest park is far longer than it says: `sleep(10 µs)` returns

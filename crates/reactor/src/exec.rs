@@ -23,7 +23,10 @@
 //! by who polls them: with no loop on the thread there is nothing else
 //! to run, so they serve the wait on the spot (`thread::sleep`, nothing,
 //! [`Backoff`]) and finish in one poll. That is what lets [`block_inline`]
-//! run the same engine futures as plain blocking calls.
+//! run the same engine futures as plain blocking calls. There a
+//! [`Pacing::pause_on`] park is handed to the caller's readiness wait (a
+//! socket's `poll(2)`); inside a loop it never is, since the loop serves
+//! many sources and must not block on one.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -327,7 +330,8 @@ impl Future for YieldNow {
 /// the reactor's other tasks first (a round-robin sweep is itself a
 /// wait), then by short wheel sleeps that double up to a cap — so an
 /// idle stream's receive loop converges to ~1 kHz wheel entries instead
-/// of monopolising the executor. Outside a reactor it *is* a [`Backoff`].
+/// of monopolising the executor. Outside a reactor it *is* a [`Backoff`],
+/// whose parks [`pause_on`](Self::pause_on) can hand to a readiness wait.
 #[derive(Debug)]
 pub struct Pacing {
     rounds: u32,
@@ -356,9 +360,25 @@ impl Pacing {
     /// Wait once, escalating yield → short sleep across calls. Never
     /// sleeps past `cap` when one is given (e.g. a retry deadline).
     pub async fn pause(&mut self, cap: Option<Instant>) {
+        self.pause_on(cap, |_| false).await
+    }
+
+    /// [`pause`](Self::pause) for a poll loop whose source can be waited
+    /// on. On a plain thread, once the [`Backoff`] parks, the park calls
+    /// `wait(time left until cap)` instead — a caller that blocks on its
+    /// source (a socket's `poll(2)`) wakes when the source is ready, not
+    /// at the end of a nap — and sleeps the nap only when `wait` returns
+    /// `false` (it had nothing to block on). Spinning and yielding are
+    /// unchanged. Inside a loop `wait` is never called: the loop serves
+    /// many sources and must not block on one.
+    pub async fn pause_on(&mut self, cap: Option<Instant>, wait: impl FnOnce(Duration) -> bool) {
         if !in_reactor() {
-            let cap = cap.map_or(Duration::MAX, |c| c.saturating_duration_since(Instant::now()));
-            return self.thread.snooze_capped(cap);
+            let left = cap.map_or(Duration::MAX, |c| c.saturating_duration_since(Instant::now()));
+            return self.thread.snooze_with(left, |nap| {
+                if !wait(left) {
+                    std::thread::sleep(nap);
+                }
+            });
         }
         let round = self.rounds;
         self.rounds = self.rounds.saturating_add(1);
@@ -467,6 +487,38 @@ mod tests {
         assert_eq!(p.thread.park_interval(), Some(Duration::from_millis(1)));
         p.reset();
         assert!(!p.thread.is_parking());
+    }
+
+    #[test]
+    fn pause_on_hands_each_park_to_the_wait_with_the_time_left() {
+        let mut ctx = Context::from_waker(Waker::noop());
+        let mut p = Pacing::new();
+        let mut waited = false;
+        while !p.thread.is_parking() {
+            let pause = p.pause_on(None, |_| std::mem::replace(&mut waited, true));
+            assert!(std::pin::pin!(pause).poll(&mut ctx).is_ready());
+        }
+        assert!(!waited, "spin and yield rounds never wait");
+        // Each park hands `wait` the time left until the cap, not the nap
+        // (10 µs doubling to 1 ms: ≥ 15 ms over 20 parks); a wait that
+        // says it served the pause leaves no nap to sleep.
+        let cap = Instant::now() + Duration::from_secs(60);
+        let t0 = Instant::now();
+        for _ in 0..20 {
+            let mut handed = Duration::ZERO;
+            let pause = p.pause_on(Some(cap), |left| {
+                handed = left;
+                true
+            });
+            assert!(std::pin::pin!(pause).poll(&mut ctx).is_ready());
+            assert!(handed > Duration::from_secs(50), "handed {handed:?}, not the time left");
+        }
+        assert!(t0.elapsed() < Duration::from_millis(10), "slept a nap after a served wait");
+        // A wait with nothing to block on leaves the park to the nap.
+        assert_eq!(p.thread.park_interval(), Some(Duration::from_millis(1)));
+        let t0 = Instant::now();
+        assert!(std::pin::pin!(p.pause_on(Some(cap), |_| false)).poll(&mut ctx).is_ready());
+        assert!(t0.elapsed() >= Duration::from_millis(1), "an unserved park sleeps its nap");
     }
 
     #[test]

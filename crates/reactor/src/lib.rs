@@ -25,7 +25,9 @@
 //! queues, in-proc channels, simulated RDMA) are poll-only, so readiness
 //! is discovered by polling and the wheel only bounds *how long* the
 //! core sleeps between discovery rounds. Futures that make progress call
-//! [`note_progress`] so the executor knows to keep spinning hot.
+//! [`note_progress`] so the executor knows to keep spinning hot. Only a
+//! blocking call, which serves one receive, blocks on a socket's fd
+//! ([`Pacing::pause_on`]).
 //!
 //! When one core stops being enough, [`ReactorFleet`] runs the same
 //! loop on N worker threads — each owning a shard of tasks, fed by a

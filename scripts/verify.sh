@@ -39,6 +39,15 @@ sleeps=$(awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && /thread::sleep/' \
     $(find crates/*/src -name '*.rs' -not -path 'crates/reactor/*' \
         -not -path '*/bin/*' -not -path 'crates/bench/*') | wc -l)
 [ "$sleeps" -le 3 ] || { echo "$sleeps bare thread::sleep in library code (limit 3)"; exit 1; }
+# One foreign call: the socket receiver's poll(2) readiness wait lives in
+# evpath's socket.rs (evpath already holds the workspace's unsafe), and the
+# reactor, which only hands parks to it, stays safe code.
+ffi=$(grep -rl 'extern "C"' crates/*/src | tr '\n' ' ' || true)
+[ "$ffi" = "crates/evpath/src/socket.rs " ] || {
+    echo "extern \"C\" must be in crates/evpath/src/socket.rs alone, found in: ${ffi:-none}"; exit 1
+}
+grep -qx '#!\[forbid(unsafe_code)\]' crates/reactor/src/lib.rs \
+    || { echo "crates/reactor/src/lib.rs no longer forbids unsafe code"; exit 1; }
 # One definition per step-protocol message: the engines name messages
 # (protocol.rs builds and parses them, side.rs moves them between a
 # program's ranks and its coordinator) and never a field, a list key or a
@@ -197,7 +206,7 @@ done
 [ "$missing" -eq 0 ] || { echo "a doc names something the tree does not have"; exit 1; }
 # Their size only goes down, toward the ROADMAP's 100 KB target; lower
 # this limit when a PR shrinks them, never raise it.
-doc_limit=132029
+doc_limit=131314
 doc_bytes=$(cat $docs | wc -c)
 [ "$doc_bytes" -le "$doc_limit" ] || { echo "docs are $doc_bytes bytes (limit $doc_limit)"; exit 1; }
 echo "doc references ok (docs: $doc_bytes bytes)"
