@@ -1,10 +1,8 @@
 //! **MICRO-SHM** — throughput of the intra-node transport (paper §II.D):
 //! the FastForward SPSC queue across payload sizes, the pooled path (one
-//! copy into the pool, the buffer leased to the consumer) vs the
-//! synchronous XPMEM-style mapped path, and the naive locked queue
-//! as the baseline the lock-free design replaces.
+//! copy into the pool, the buffer leased to the consumer), and the naive
+//! locked queue as the baseline the lock-free design replaces.
 
-use std::sync::Arc;
 use std::thread;
 
 use bench::naive::naive_queue;
@@ -75,21 +73,6 @@ fn bench_large_message_paths(c: &mut Criterion) {
             let t = thread::spawn(move || {
                 for _ in 0..n {
                     tx.send_copy(&payload);
-                }
-            });
-            for _ in 0..n {
-                rx.recv().unwrap();
-            }
-            t.join().unwrap();
-        });
-    });
-    g.bench_function("mapped_one_copy", |b| {
-        b.iter(|| {
-            let (mut tx, mut rx) = shm_channel(64, 256);
-            let payload = Arc::new(vec![3u8; size]);
-            let t = thread::spawn(move || {
-                for _ in 0..n {
-                    tx.send_mapped(Arc::clone(&payload));
                 }
             });
             for _ in 0..n {

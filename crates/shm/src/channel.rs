@@ -1,35 +1,25 @@
-//! The complete intra-node channel: SPSC control/data queue + buffer pool
-//! + XPMEM-style mapped path (paper §II.D).
+//! The complete intra-node channel: SPSC data queue + buffer pool (paper
+//! §II.D).
 //!
-//! Three message paths, chosen per send:
+//! Two message paths, chosen per send:
 //!
 //! 1. **Inline** — payloads that fit in a queue entry travel directly
 //!    through the [`crate::spsc`] data queue (the paper's "small messages
 //!    like handshaking messages are passed through data queues").
 //! 2. **Pooled (one copy, leased)** — the producer copies the payload into
-//!    a buffer from the [`crate::pool::BufferPool`] free list, sends a
-//!    control message through the queue, and returns immediately
+//!    a buffer from the [`crate::pool::BufferPool`] free list, posts the
+//!    buffer in its pool slot, pushes the control frame `(slot, start,
+//!    len)` — the paper's "(address, length)" — and returns immediately
 //!    (asynchronous send). The paper's consumer then copies from the pooled
-//!    buffer into its target; this one is handed the pool buffer itself as
-//!    a [`Lease`] and reads the message in place, and the buffer returns to
-//!    the free list when the lease (and every view decoded out of it)
-//!    drops. The producer starts the message at the 0–7 byte pad that puts
-//!    its first bulk segment on an 8-byte boundary, so a consumer can
-//!    reinterpret that payload as 8-byte elements without moving it.
-//! 3. **Mapped (one copy, synchronous)** — emulating XPMEM
-//!    `xpmem_make`/`xpmem_get`: the producer *shares its source buffer* (an
-//!    `Arc` here, a page mapping on the Cray) and blocks until the consumer
-//!    has copied directly out of it.
-//!
-//! Copy counts are instrumented so tests and benches can verify them
-//! rather than assume them.
+//!    buffer into its target; this one claims the slot and is handed the
+//!    pool buffer itself as a [`Lease`], and the buffer returns to the free
+//!    list when the lease (and every view decoded out of it) drops. The
+//!    producer starts the message at the 0–7 byte pad that puts its first
+//!    bulk segment on an 8-byte boundary, so a consumer can reinterpret
+//!    that payload as 8-byte elements without moving it.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-use crossbeam::channel::{bounded, Sender as OneshotSender};
-use parking_lot::Mutex;
 
 use crate::pool::{BufferPool, Lease};
 use crate::spsc::{spsc_queue, Consumer, Producer};
@@ -47,7 +37,13 @@ pub const BULK_ALIGN: usize = 8;
 /// Control-message kinds on the wire (first byte of a queue entry).
 const KIND_INLINE: u8 = 0;
 const KIND_POOLED: u8 = 1;
-const KIND_MAPPED: u8 = 2;
+
+/// A pooled frame: the kind byte, then slot, start and length as `u64`s.
+const POOLED_FRAME_LEN: usize = 25;
+
+/// Channel ids tag the slots a channel posts in a pool that other
+/// channels (and socket receivers) may share.
+static NEXT_CHANNEL: AtomicU64 = AtomicU64::new(0);
 
 /// Error surfaced by the receive path when a control frame cannot be
 /// interpreted. A corrupt frame no longer brings the process down; callers
@@ -56,8 +52,8 @@ const KIND_MAPPED: u8 = 2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelError {
     /// The control frame was malformed: truncated, an unknown kind byte, a
-    /// token with no parked transfer, or a token parked under a different
-    /// transfer kind than the frame claims.
+    /// slot holding nothing posted for this channel, or a window past the
+    /// end of the slot's buffer.
     Corrupt(&'static str),
 }
 
@@ -81,30 +77,29 @@ impl ChannelError {
     }
 }
 
-/// An in-flight large transfer parked in the side table. The token travels
-/// through the data queue as the stand-in for the paper's
-/// "(address, length)" control message.
-enum Transfer {
-    Pooled(Lease),
-    Mapped { data: Arc<Vec<u8>>, done: OneshotSender<()> },
-}
-
 struct Shared {
-    transfers: Mutex<HashMap<u64, Transfer>>,
+    /// The tag on the slots this channel posts in `pool`.
+    id: u64,
+    pool: BufferPool,
     producer_copies: AtomicU64,
-    consumer_copies: AtomicU64,
     /// Set (with `Release`, after the producer's final push) when the
     /// sending half is dropped: the SPSC producer is unique, so the drop
     /// is the definitive "no more frames will ever arrive" event.
     closed: AtomicBool,
 }
 
+impl Drop for Shared {
+    /// Both halves are gone: what was posted and never claimed goes back
+    /// on the free list.
+    fn drop(&mut self) {
+        self.pool.unpost(self.id);
+    }
+}
+
 /// Sending half of a shared-memory channel.
 pub struct ShmSender {
     queue: Producer,
-    pool: BufferPool,
     shared: Arc<Shared>,
-    next_token: u64,
 }
 
 /// Receiving half of a shared-memory channel.
@@ -115,7 +110,7 @@ pub struct ShmReceiver {
 
 /// Create a shared-memory channel with `entries` queue slots of
 /// `inline_capacity` bytes each. Payloads up to `inline_capacity - 1`
-/// travel inline; larger ones take the pooled or mapped path.
+/// travel inline; larger ones take the pooled path.
 pub fn shm_channel(entries: usize, inline_capacity: usize) -> (ShmSender, ShmReceiver) {
     // Default reclamation threshold: 64 MiB of free pooled capacity, the
     // "configurable threshold value [that] controls total memory usage".
@@ -135,13 +130,13 @@ pub fn shm_channel_with_pool(
     assert!(inline_capacity >= 32, "need room for control messages");
     let (producer, consumer) = spsc_queue(entries, inline_capacity);
     let shared = Arc::new(Shared {
-        transfers: Mutex::new(HashMap::new()),
+        id: NEXT_CHANNEL.fetch_add(1, Ordering::Relaxed),
+        pool,
         producer_copies: AtomicU64::new(0),
-        consumer_copies: AtomicU64::new(0),
         closed: AtomicBool::new(false),
     });
     (
-        ShmSender { queue: producer, pool, shared: Arc::clone(&shared), next_token: 0 },
+        ShmSender { queue: producer, shared: Arc::clone(&shared) },
         ShmReceiver { queue: consumer, shared },
     )
 }
@@ -171,19 +166,17 @@ impl ShmSender {
             self.queue.push(&framed).expect("inline frame fits entry capacity");
             return;
         }
-        let token = self.park_pooled(segments, total);
-        self.queue
-            .push(&control_frame(KIND_POOLED, token))
-            .expect("control frame fits entry capacity");
+        let frame = self.post_pooled(segments, total);
+        self.queue.push(&frame).expect("control frame fits entry capacity");
     }
 
-    /// Copy `segments` (`total` bytes) into a pool buffer and park it in
-    /// the side table under a fresh token, which is returned. The message
-    /// starts at the pad that aligns its first bulk segment; the pad is
-    /// slot placement, not message bytes, and reaches the consumer as the
+    /// Copy `segments` (`total` bytes) into a pool buffer, post it for
+    /// this channel and return its control frame. The message starts at
+    /// the pad that aligns its first bulk segment; the pad is slot
+    /// placement, not message bytes, and reaches the consumer as the
     /// lease's start.
-    fn park_pooled(&mut self, segments: &[&[u8]], total: usize) -> u64 {
-        let mut buf = self.pool.acquire(total + BULK_ALIGN - 1);
+    fn post_pooled(&mut self, segments: &[&[u8]], total: usize) -> [u8; POOLED_FRAME_LEN] {
+        let mut buf = self.shared.pool.acquire(total + BULK_ALIGN - 1);
         let dst = buf.as_mut_slice();
         let before_bulk: Option<usize> = segments
             .iter()
@@ -197,31 +190,7 @@ impl ShmSender {
             at += s.len();
         }
         self.shared.producer_copies.fetch_add(1, Ordering::Relaxed);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.shared
-            .transfers
-            .lock()
-            .insert(token, Transfer::Pooled(Lease::pooled(buf, pad, total)));
-        token
-    }
-
-    /// Synchronous one-copy send (XPMEM emulation): shares the caller's
-    /// buffer with the consumer and blocks until the consumer has copied
-    /// out of it, mirroring `xpmem_make` → consumer copy → release.
-    pub fn send_mapped(&mut self, payload: Arc<Vec<u8>>) {
-        let token = self.next_token;
-        self.next_token += 1;
-        let (done_tx, done_rx) = bounded(1);
-        self.shared
-            .transfers
-            .lock()
-            .insert(token, Transfer::Mapped { data: payload, done: done_tx });
-        self.queue
-            .push(&control_frame(KIND_MAPPED, token))
-            .expect("control frame fits entry capacity");
-        // Block until the consumer releases the mapping.
-        done_rx.recv().expect("consumer dropped mid-transfer");
+        pooled_frame(buf.post(self.shared.id), pad, total)
     }
 
     /// Fault-injection hook: push raw bytes as one queue frame, bypassing
@@ -266,61 +235,31 @@ impl ShmReceiver {
         }
     }
 
-    fn decode(&mut self, frame: Vec<u8>) -> Result<Lease, ChannelError> {
-        let Some(&kind) = frame.first() else {
-            return Err(ChannelError::Corrupt("empty frame"));
-        };
-        match kind {
-            KIND_INLINE => {
+    fn decode(&self, frame: Vec<u8>) -> Result<Lease, ChannelError> {
+        match frame.first() {
+            Some(&KIND_INLINE) => {
                 // The popped entry is the message behind its kind byte.
                 let mut msg = Lease::from(frame);
                 msg.skip(1);
                 Ok(msg)
             }
-            KIND_POOLED => {
-                let token = token_of(&frame)?;
-                let transfer = self
-                    .shared
-                    .transfers
-                    .lock()
-                    .remove(&token)
-                    .ok_or(ChannelError::Corrupt("pooled token has no parked transfer"))?;
-                let Transfer::Pooled(msg) = transfer else {
-                    // Don't reinsert: a kind/token mismatch means the frame
-                    // stream is already untrustworthy for this token.
-                    return Err(ChannelError::Corrupt("token parked as mapped, frame says pooled"));
-                };
+            Some(&KIND_POOLED) => {
+                let [slot, start, len] = pooled_words(&frame)?;
+                let buf =
+                    self.shared.pool.claim(slot, self.shared.id).ok_or(ChannelError::Corrupt(
+                        "slot holds nothing posted for this channel",
+                    ))?;
+                // A bad window drops the claimed buffer back on the free list.
+                if start.checked_add(len).is_none_or(|end| end > buf.capacity()) {
+                    return Err(ChannelError::Corrupt("window past the end of the slot's buffer"));
+                }
                 // No consumer copy: the pool buffer itself is the message,
                 // and goes back on the free list when the lease drops.
-                Ok(msg)
+                Ok(Lease::pooled(buf, start, len))
             }
-            KIND_MAPPED => {
-                let token = token_of(&frame)?;
-                let transfer = self
-                    .shared
-                    .transfers
-                    .lock()
-                    .remove(&token)
-                    .ok_or(ChannelError::Corrupt("mapped token has no parked transfer"))?;
-                let Transfer::Mapped { data, done } = transfer else {
-                    return Err(ChannelError::Corrupt("token parked as pooled, frame says mapped"));
-                };
-                // The only copy: producer's (shared) source -> target. The
-                // producer is blocked until it is made, so the source
-                // cannot be leased out instead.
-                let out = data.as_slice().to_vec();
-                self.shared.consumer_copies.fetch_add(1, Ordering::Relaxed);
-                drop(data); // release the "mapping"
-                let _ = done.send(());
-                Ok(out.into())
-            }
-            _ => Err(ChannelError::Corrupt("unknown frame kind")),
+            Some(_) => Err(ChannelError::Corrupt("unknown frame kind")),
+            None => Err(ChannelError::Corrupt("empty frame")),
         }
-    }
-
-    /// Number of consumer-side payload copies performed so far.
-    pub fn consumer_copies(&self) -> u64 {
-        self.shared.consumer_copies.load(Ordering::Relaxed)
     }
 
     /// True once the sending half has been dropped. The flag is set after
@@ -331,30 +270,35 @@ impl ShmReceiver {
     }
 }
 
-fn control_frame(kind: u8, token: u64) -> [u8; 9] {
-    let mut frame = [0u8; 9];
-    frame[0] = kind;
-    frame[1..9].copy_from_slice(&token.to_le_bytes());
+fn pooled_frame(slot: usize, start: usize, len: usize) -> [u8; POOLED_FRAME_LEN] {
+    let mut frame = [KIND_POOLED; POOLED_FRAME_LEN];
+    for (word, at) in [slot, start, len].into_iter().zip(frame[1..].chunks_exact_mut(8)) {
+        at.copy_from_slice(&(word as u64).to_le_bytes());
+    }
     frame
 }
 
-fn token_of(frame: &[u8]) -> Result<u64, ChannelError> {
-    let bytes = frame.get(1..9).ok_or(ChannelError::Corrupt("truncated control frame"))?;
-    Ok(u64::from_le_bytes(bytes.try_into().expect("slice is 8 bytes")))
+/// A pooled frame's slot, start and length; a word too wide for `usize`
+/// reads as `usize::MAX`, which no slot or window accepts.
+fn pooled_words(frame: &[u8]) -> Result<[usize; 3], ChannelError> {
+    let words =
+        frame.get(1..POOLED_FRAME_LEN).ok_or(ChannelError::Corrupt("truncated control frame"))?;
+    Ok(std::array::from_fn(|i| {
+        let word = u64::from_le_bytes(words[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        usize::try_from(word).unwrap_or(usize::MAX)
+    }))
 }
 
-// Pool and copy probes: the tests pin each send path's copy count and
-// pool placement through these.
 #[cfg(test)]
 impl ShmSender {
     /// Buffer-pool statistics (monitoring hook).
     pub(crate) fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.pool.stats()
+        self.shared.pool.stats()
     }
 
     /// NUMA domain of the channel's buffer pool, if placement-pinned.
     pub(crate) fn pool_domain(&self) -> Option<usize> {
-        self.pool.numa_domain()
+        self.shared.pool.numa_domain()
     }
 
     /// Number of producer-side payload copies performed so far.
@@ -375,7 +319,6 @@ mod tests {
         assert_eq!(&rx.recv().unwrap()[..], b"small");
         // No large-path copies for inline messages.
         assert_eq!(tx.producer_copies(), 0);
-        assert_eq!(rx.consumer_copies(), 0);
     }
 
     #[test]
@@ -386,7 +329,6 @@ mod tests {
         let got = rx.recv().unwrap();
         assert_eq!(&got[..], &payload[..]);
         assert_eq!(tx.producer_copies(), 1, "producer copies into the pool");
-        assert_eq!(rx.consumer_copies(), 0, "consumer reads the pool buffer in place");
         // The buffer is out on lease: the next send cannot reuse it.
         tx.send_copy(&payload);
         assert_eq!(tx.pool_stats().misses, 2);
@@ -433,40 +375,6 @@ mod tests {
         assert_eq!(&got[..3], b"hdr");
         assert_eq!(&got[3..], &body[..]);
         assert_eq!(tx.producer_copies(), 1, "one copy into the pool, not two");
-        assert_eq!(rx.consumer_copies(), 0);
-    }
-
-    #[test]
-    fn mapped_path_costs_one_copy() {
-        let (mut tx, mut rx) = shm_channel(8, 64);
-        let payload = Arc::new(vec![3u8; 100_000]);
-        let expect = payload.as_slice().to_vec();
-        let t = thread::spawn(move || {
-            tx.send_mapped(payload);
-            tx // return to inspect counters after the sync send completes
-        });
-        assert_eq!(&rx.recv().unwrap()[..], &expect[..]);
-        let tx = t.join().unwrap();
-        assert_eq!(tx.producer_copies(), 0, "producer shares, never copies");
-        assert_eq!(rx.consumer_copies(), 1);
-    }
-
-    #[test]
-    fn mapped_send_blocks_until_consumed() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let (mut tx, mut rx) = shm_channel(8, 64);
-        let sent = Arc::new(AtomicBool::new(false));
-        let sent2 = Arc::clone(&sent);
-        let t = thread::spawn(move || {
-            tx.send_mapped(Arc::new(vec![1u8; 4096]));
-            sent2.store(true, Ordering::SeqCst);
-        });
-        // Give the sender a moment: it must NOT complete before we recv.
-        thread::sleep(std::time::Duration::from_millis(30));
-        assert!(!sent.load(Ordering::SeqCst), "synchronous send returned early");
-        let _ = rx.recv().unwrap();
-        t.join().unwrap();
-        assert!(sent.load(Ordering::SeqCst));
     }
 
     #[test]
@@ -529,33 +437,145 @@ mod tests {
         t.join().unwrap();
     }
 
+    const NOT_POSTED: &str = "slot holds nothing posted for this channel";
+
+    /// Push `frame` raw, expect it rejected for `reason`, and check that
+    /// the channel still carries the next message.
+    fn rejects(tx: &mut ShmSender, rx: &mut ShmReceiver, frame: &[u8], reason: &'static str) {
+        tx.inject_raw_frame(frame);
+        assert_eq!(rx.try_recv().err(), Some(ChannelError::Corrupt(reason)), "{frame:?}");
+        tx.send_copy(b"still alive");
+        assert_eq!(&rx.recv().unwrap()[..], b"still alive");
+    }
+
+    /// A buffer of `pool` holding `bytes`, posted for `channel`; its slot.
+    fn post(pool: &BufferPool, channel: u64, bytes: &[u8]) -> usize {
+        let mut buf = pool.acquire(bytes.len());
+        buf.as_mut_slice()[..bytes.len()].copy_from_slice(bytes);
+        buf.post(channel)
+    }
+
     #[test]
     fn corrupt_frames_error_instead_of_panicking() {
         // Regression: each of these frames used to panic the receiver.
-        let (mut tx, mut rx) = shm_channel(8, 64);
+        let pool = BufferPool::new(1 << 30);
+        let (mut tx, mut rx) = shm_channel_with_pool(8, 64, pool.clone());
+        let (mut other_tx, mut other_rx) = shm_channel_with_pool(8, 64, pool.clone());
+        let (tx_id, other_id) = (tx.shared.id, other_tx.shared.id);
 
-        // Unknown kind byte.
-        tx.queue.push(&[42u8, 0, 0, 0]).unwrap();
-        assert_eq!(rx.try_recv().err(), Some(ChannelError::Corrupt("unknown frame kind")));
+        rejects(&mut tx, &mut rx, &[42u8, 0, 0, 0], "unknown frame kind");
+        rejects(&mut tx, &mut rx, &[], "empty frame");
+        rejects(&mut tx, &mut rx, &[KIND_POOLED, 1, 2], "truncated control frame");
+        let cut = pooled_frame(0, 0, 8);
+        rejects(&mut tx, &mut rx, &cut[..POOLED_FRAME_LEN - 1], "truncated control frame");
 
-        // Truncated control frame (pooled kind but no room for a token).
-        tx.queue.push(&[KIND_POOLED, 1, 2]).unwrap();
-        assert_eq!(rx.try_recv().err(), Some(ChannelError::Corrupt("truncated control frame")));
+        // Slots out of range, one checked out and never posted, one free.
+        rejects(&mut tx, &mut rx, &pooled_frame(1000, 0, 8), NOT_POSTED);
+        rejects(&mut tx, &mut rx, &pooled_frame(usize::MAX, 0, 8), NOT_POSTED);
+        let out = pool.acquire(64);
+        rejects(&mut tx, &mut rx, &pooled_frame(out.slot, 0, 8), NOT_POSTED);
+        let free = out.slot;
+        drop(out);
+        rejects(&mut tx, &mut rx, &pooled_frame(free, 0, 8), NOT_POSTED);
 
-        // Well-formed pooled frame whose token was never parked.
-        tx.queue.push(&control_frame(KIND_POOLED, 99)).unwrap();
-        assert_eq!(
-            rx.try_recv().err(),
-            Some(ChannelError::Corrupt("pooled token has no parked transfer"))
-        );
+        // A replayed frame: the first claims the slot, the second finds
+        // nothing there.
+        let frame = pooled_frame(post(&pool, tx_id, b"hello"), 0, 5);
+        tx.inject_raw_frame(&frame);
+        assert_eq!(&rx.recv().unwrap()[..], b"hello");
+        rejects(&mut tx, &mut rx, &frame, NOT_POSTED);
 
-        // Empty frame.
-        tx.queue.push(&[]).unwrap();
-        assert_eq!(rx.try_recv().err(), Some(ChannelError::Corrupt("empty frame")));
+        // A slot posted by another channel on the same pool stays posted
+        // for that channel, which still receives its message.
+        let theirs = pooled_frame(post(&pool, other_id, b"theirs"), 0, 6);
+        rejects(&mut tx, &mut rx, &theirs, NOT_POSTED);
+        other_tx.inject_raw_frame(&theirs);
+        assert_eq!(&other_rx.recv().unwrap()[..], b"theirs");
 
-        // The channel keeps working after every corrupt frame.
-        tx.send_copy(b"still alive");
-        assert_eq!(&rx.recv().unwrap()[..], b"still alive");
+        // A window past the buffer's end: the claimed buffer goes back on
+        // the free list.
+        for (start, len) in [(8, 64), (usize::MAX, 1)] {
+            let slot = post(&pool, tx_id, &[0; 64]);
+            rejects(
+                &mut tx,
+                &mut rx,
+                &pooled_frame(slot, start, len),
+                "window past the end of the slot's buffer",
+            );
+            let before = pool.stats();
+            assert_eq!(pool.acquire(64).slot, slot);
+            assert_eq!(pool.stats().hits, before.hits + 1);
+        }
+        assert_eq!(pool.free_and_posted().1, 0, "nothing is left posted");
+    }
+
+    #[test]
+    fn a_dropped_channel_lists_what_it_posted_and_nobody_claimed() {
+        let pool = BufferPool::new(1 << 30);
+        let (mut tx, rx) = shm_channel_with_pool(8, 64, pool.clone());
+        for _ in 0..3 {
+            tx.send_copy(&[1u8; 10_000]);
+        }
+        let resident = pool.stats().resident_bytes;
+        assert_eq!(pool.free_and_posted(), (0, 3));
+        drop(tx);
+        assert_eq!(pool.free_and_posted(), (0, 3), "the receiver may still claim them");
+        drop(rx);
+        assert_eq!(pool.free_and_posted(), (resident, 0), "free bytes equal resident bytes");
+        let before = pool.stats();
+        drop(pool.acquire(10_000));
+        let after = pool.stats();
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
+        assert_eq!(after.resident_bytes, resident);
+    }
+
+    /// Two channels on one pool, each with a producer and a consumer
+    /// thread, trading slots through the one free list. Every consumer
+    /// gets exactly its own producer's messages, in order; with both
+    /// channels gone nothing is posted and every resident byte is free.
+    /// Many short rounds on fresh pools, as in the pool's own hammer.
+    #[test]
+    fn two_channels_on_one_pool_keep_their_messages_under_a_hammer() {
+        use std::sync::Barrier;
+        const MSGS: usize = 40;
+        let message = |ch: usize, i: usize| -> Vec<u8> {
+            (0..20 + i * 37 % 200).map(|k| (ch * 97 + i * 31 + k) as u8).collect()
+        };
+        for round in 0..300 {
+            let pool = BufferPool::new(1 << 30);
+            let start = Barrier::new(4);
+            thread::scope(|s| {
+                for ch in 0..2 {
+                    let (mut tx, mut rx) = shm_channel_with_pool(MSGS, 32, pool.clone());
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        for i in 0..MSGS {
+                            tx.send_copy(&message(ch, i));
+                        }
+                    });
+                    s.spawn(move || {
+                        start.wait();
+                        for i in 0..MSGS {
+                            let msg = loop {
+                                match rx.try_recv() {
+                                    Ok(Some(msg)) => break msg,
+                                    Ok(None) => thread::yield_now(),
+                                    Err(e) => panic!("round {round}, channel {ch}: {e}"),
+                                }
+                            };
+                            assert_eq!(
+                                &msg[..],
+                                &message(ch, i)[..],
+                                "round {round}, channel {ch}"
+                            );
+                        }
+                    });
+                }
+            });
+            let resident = pool.stats().resident_bytes;
+            assert_eq!(pool.free_and_posted(), (resident, 0), "round {round}");
+        }
     }
 
     #[test]
@@ -570,21 +590,5 @@ mod tests {
         assert_eq!(rx.try_recv().unwrap().as_deref(), Some(&b"last words"[..]));
         assert!(rx.try_recv().unwrap().is_none());
         assert!(rx.peer_closed());
-    }
-
-    #[test]
-    fn kind_mismatch_frame_is_corrupt() {
-        let (mut tx, mut rx) = shm_channel(8, 64);
-        // Park a mapped transfer, then forge a POOLED frame for its token.
-        let (done_tx, _done_rx) = bounded(1);
-        tx.shared
-            .transfers
-            .lock()
-            .insert(7, Transfer::Mapped { data: Arc::new(vec![1, 2, 3]), done: done_tx });
-        tx.queue.push(&control_frame(KIND_POOLED, 7)).unwrap();
-        assert_eq!(
-            rx.try_recv().err(),
-            Some(ChannelError::Corrupt("token parked as mapped, frame says pooled"))
-        );
     }
 }

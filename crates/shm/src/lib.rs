@@ -12,16 +12,14 @@
 //!   false sharing and minimizing coherence traffic. See [`spsc`].
 //! * **Buffer pool** for large messages: the producer pre-allocates a pool
 //!   indexed by a free list; a large send copies the payload into a pooled
-//!   buffer of the closest size (allocating one on miss) and passes a small
-//!   control message through the data queue. The paper's consumer copies
-//!   out and returns the buffer — two copies; here the consumer is leased
+//!   buffer of the closest size (allocating one on miss), posts it in its
+//!   pool slot and passes the small control message "(slot, start, len)"
+//!   through the data queue. The paper's consumer copies out and returns
+//!   the buffer — two copies; here the consumer claims the slot, is leased
 //!   the buffer, reads the message in place, and the buffer returns to the
-//!   free list when the [`Lease`] drops — **one copy**. See [`pool`].
-//! * **XPMEM-style page mapping** (Cray XK): for synchronous large
-//!   transfers the producer *shares its source buffer* instead of copying;
-//!   the consumer maps it and copies directly into the receive buffer —
-//!   **one copy**, synchronous. In this in-process reproduction the mapping is an
-//!   `Arc`-shared buffer handle; see [`channel::ShmSender::send_mapped`].
+//!   free list when the [`Lease`] drops — **one copy**, asynchronous. This
+//!   is also the copy count of the paper's synchronous XPMEM page-mapping
+//!   path (Cray XK), which therefore has no counterpart here. See [`pool`].
 //!
 //! The paper substitution (see DESIGN.md): the original uses SysV/mmap
 //! segments between *processes*; we share memory between *threads* of one

@@ -12,13 +12,16 @@
 //! reclamation of idle buffers (the same mechanism the RDMA transport uses,
 //! §II.E), bounding total memory usage.
 //!
+//! Every buffer has a slot, its stable index in the pool: a channel posts
+//! a filled buffer in its slot, sends the slot as the control message's
+//! "address", and the consumer claims the slot.
+//!
 //! Where this tree departs from the paper: the consumer does not copy out.
 //! It is handed the pool buffer itself as a [`Lease`], reads the message in
 //! place, and the buffer goes back on the free list when the lease drops.
 
 use std::collections::BTreeMap;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -37,19 +40,23 @@ pub struct PoolStats {
     pub resident_bytes: u64,
 }
 
-/// A checked-out pool buffer. It remembers its pool: dropping it, on any
-/// thread and however long after the channel that carried it is gone, is
-/// the paper's free-list return step ([`BufferPool::give_back`] is the same
-/// thing spelled out), so the capacity accounting cannot leak.
+/// A checked-out pool buffer. It remembers its pool and slot: dropping it,
+/// on any thread and however long after the channel that carried it is
+/// gone, is the paper's free-list return step ([`BufferPool::give_back`]
+/// is the same thing spelled out), so the capacity accounting cannot leak.
 pub struct PoolBuffer {
+    /// Empty once [`post`](Self::post) has moved the bytes into the slot.
     data: Box<[u8]>,
-    class: usize,
+    pub(crate) slot: usize,
     home: BufferPool,
 }
 
 impl Drop for PoolBuffer {
     fn drop(&mut self) {
-        self.home.list(std::mem::take(&mut self.data), self.class);
+        if !self.data.is_empty() {
+            let data = std::mem::take(&mut self.data);
+            self.home.inner.slab.lock().list(self.slot, data, self.home.inner.reclaim_threshold);
+        }
     }
 }
 
@@ -73,6 +80,14 @@ impl PoolBuffer {
     /// Shared view for the consumer.
     pub fn as_slice(&self) -> &[u8] {
         &self.data
+    }
+
+    /// Leave the buffer in its slot for `channel` to
+    /// [`claim`](BufferPool::claim), and return the slot.
+    pub(crate) fn post(mut self, channel: u64) -> usize {
+        let data = std::mem::take(&mut self.data);
+        self.home.inner.slab.lock().posted[self.slot] = Some((channel, data));
+        self.slot
     }
 }
 
@@ -166,9 +181,43 @@ impl std::fmt::Debug for Lease {
     }
 }
 
+/// Every buffer the pool owns, by where it is. A buffer's slot is its index
+/// in `posted` for as long as it lives; a reclaimed buffer's slot is vacant
+/// until the next miss takes it.
+#[derive(Default)]
+struct Slab {
+    /// Free buffers and their slots, binned by size class (log2 of capacity).
+    free: BTreeMap<usize, Vec<(usize, Box<[u8]>)>>,
+    /// By slot: a buffer posted for a channel (its id) and not yet claimed.
+    posted: Vec<Option<(u64, Box<[u8]>)>>,
+    vacant: Vec<usize>,
+    free_bytes: u64,
+    stats: PoolStats,
+}
+
+impl Slab {
+    /// List `data` as free in `slot`; past `threshold` bytes of free
+    /// capacity, drop free buffers (largest first) down to half of it.
+    fn list(&mut self, slot: usize, data: Box<[u8]>, threshold: u64) {
+        self.free_bytes += data.len() as u64;
+        self.free.entry(data.len().trailing_zeros() as usize).or_default().push((slot, data));
+        if self.free_bytes <= threshold {
+            return;
+        }
+        for bin in self.free.values_mut().rev() {
+            while self.free_bytes > threshold / 2 {
+                let Some((slot, data)) = bin.pop() else { break };
+                self.free_bytes -= data.len() as u64;
+                self.stats.resident_bytes -= data.len() as u64;
+                self.stats.reclaimed += 1;
+                self.vacant.push(slot);
+            }
+        }
+    }
+}
+
 struct Inner {
-    /// Free buffers binned by size class (log2 of capacity).
-    free: Mutex<BTreeMap<usize, Vec<Box<[u8]>>>>,
+    slab: Mutex<Slab>,
     /// Reclamation threshold in bytes of *free* capacity.
     reclaim_threshold: u64,
     /// NUMA domain this pool's buffers are modelled as resident in
@@ -176,11 +225,6 @@ struct Inner {
     /// reproduction it tags which reactor shard's domain owns the pool,
     /// mirroring the paper's node-topology-aware buffer pinning (§V).
     numa_domain: Option<usize>,
-    free_bytes: AtomicU64,
-    resident_bytes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    reclaimed: AtomicU64,
 }
 
 /// Thread-safe buffer pool shared between one producer and one consumer
@@ -205,18 +249,8 @@ impl BufferPool {
     }
 
     fn build(reclaim_threshold: u64, numa_domain: Option<usize>) -> BufferPool {
-        BufferPool {
-            inner: Arc::new(Inner {
-                free: Mutex::new(BTreeMap::new()),
-                reclaim_threshold,
-                numa_domain,
-                free_bytes: AtomicU64::new(0),
-                resident_bytes: AtomicU64::new(0),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                reclaimed: AtomicU64::new(0),
-            }),
-        }
+        let slab = Mutex::new(Slab::default());
+        BufferPool { inner: Arc::new(Inner { slab, reclaim_threshold, numa_domain }) }
     }
 
     /// The NUMA domain this pool is pinned to, if any.
@@ -224,41 +258,31 @@ impl BufferPool {
         self.inner.numa_domain
     }
 
-    /// Size class (log2 of capacity) for a requested length.
-    fn class_for(len: usize) -> usize {
-        len.max(1).next_power_of_two().trailing_zeros() as usize
-    }
-
     /// Acquire a buffer of at least `len` bytes: the smallest free buffer
     /// whose class fits, else a fresh allocation of the fitting class.
     pub fn acquire(&self, len: usize) -> PoolBuffer {
-        let class = Self::class_for(len);
-        let cap = 1usize << class;
-        let reused = {
-            let mut free = self.inner.free.lock();
-            // "closest size": exact class first, then any larger class.
-            let hit_class = if free.get(&class).is_some_and(|v| !v.is_empty()) {
-                Some(class)
-            } else {
-                free.range(class..).find(|(_, v)| !v.is_empty()).map(|(c, _)| *c)
-            };
-            hit_class.and_then(|c| {
-                let buf = free.get_mut(&c)?.pop()?;
-                Some((c, buf))
-            })
+        let cap = len.max(1).next_power_of_two();
+        let (slot, reused) = {
+            let slab = &mut *self.inner.slab.lock();
+            match slab.free.range_mut(cap.trailing_zeros() as usize..).find_map(|(_, b)| b.pop()) {
+                Some((slot, data)) => {
+                    slab.stats.hits += 1;
+                    slab.free_bytes -= data.len() as u64;
+                    (slot, Some(data))
+                }
+                None => {
+                    slab.stats.misses += 1;
+                    slab.stats.resident_bytes += cap as u64;
+                    let slot = slab.vacant.pop().unwrap_or(slab.posted.len());
+                    if slot == slab.posted.len() {
+                        slab.posted.push(None);
+                    }
+                    (slot, None)
+                }
+            }
         };
-        match reused {
-            Some((c, data)) => {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                self.inner.free_bytes.fetch_sub(1u64 << c, Ordering::Relaxed);
-                PoolBuffer { data, class: c, home: self.clone() }
-            }
-            None => {
-                self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                self.inner.resident_bytes.fetch_add(cap as u64, Ordering::Relaxed);
-                PoolBuffer { data: vec![0u8; cap].into_boxed_slice(), class, home: self.clone() }
-            }
-        }
+        let data = reused.unwrap_or_else(|| vec![0u8; cap].into_boxed_slice());
+        PoolBuffer { data, slot, home: self.clone() }
     }
 
     /// Return a buffer to the free list of the pool it came from — what
@@ -267,57 +291,34 @@ impl BufferPool {
         drop(buf);
     }
 
-    /// List `data` as free; reclaims (drops) free buffers if the threshold
-    /// is exceeded, largest classes first.
-    fn list(&self, data: Box<[u8]>, class: usize) {
-        let cap = 1u64 << class;
-        // Count the buffer before listing it: `acquire` subtracts after
-        // it pops, so a buffer listed first could be popped and
-        // subtracted by another thread before it was ever added, and
-        // the counter would wrap below zero.
-        let free_bytes = self.inner.free_bytes.fetch_add(cap, Ordering::Relaxed) + cap;
-        {
-            let mut free = self.inner.free.lock();
-            free.entry(class).or_default().push(data);
-        }
-        if free_bytes > self.inner.reclaim_threshold {
-            self.reclaim();
-        }
+    /// Take the buffer [posted](PoolBuffer::post) in `slot` for `channel`;
+    /// `None` if the slot is out of range or holds nothing posted for it.
+    pub(crate) fn claim(&self, slot: usize, channel: u64) -> Option<PoolBuffer> {
+        let mut slab = self.inner.slab.lock();
+        let (_, data) = slab.posted.get_mut(slot)?.take_if(|(c, _)| *c == channel)?;
+        Some(PoolBuffer { data, slot, home: self.clone() })
     }
 
-    /// Drop free buffers (largest first) until free capacity is at or
-    /// below half the threshold.
-    fn reclaim(&self) {
-        let target = self.inner.reclaim_threshold / 2;
-        let mut free = self.inner.free.lock();
-        let mut current = self.inner.free_bytes.load(Ordering::Relaxed);
-        let classes: Vec<usize> = free.keys().rev().copied().collect();
-        for class in classes {
-            let cap = 1u64 << class;
-            let bin = free.get_mut(&class).expect("class exists");
-            while current > target {
-                if bin.pop().is_none() {
-                    break;
-                }
-                current -= cap;
-                self.inner.free_bytes.fetch_sub(cap, Ordering::Relaxed);
-                self.inner.resident_bytes.fetch_sub(cap, Ordering::Relaxed);
-                self.inner.reclaimed.fetch_add(1, Ordering::Relaxed);
-            }
-            if current <= target {
-                break;
+    /// List every buffer still posted for `channel`: nothing will claim it.
+    pub(crate) fn unpost(&self, channel: u64) {
+        let slab = &mut *self.inner.slab.lock();
+        for slot in 0..slab.posted.len() {
+            if let Some((_, data)) = slab.posted[slot].take_if(|(c, _)| *c == channel) {
+                slab.list(slot, data, self.inner.reclaim_threshold);
             }
         }
     }
 
     /// Snapshot of pool counters.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            reclaimed: self.inner.reclaimed.load(Ordering::Relaxed),
-            resident_bytes: self.inner.resident_bytes.load(Ordering::Relaxed),
-        }
+        self.inner.slab.lock().stats
+    }
+
+    /// Bytes of free capacity, and how many buffers are posted.
+    #[cfg(test)]
+    pub(crate) fn free_and_posted(&self) -> (u64, usize) {
+        let slab = self.inner.slab.lock();
+        (slab.free_bytes, slab.posted.iter().filter(|p| p.is_some()).count())
     }
 }
 
@@ -418,7 +419,33 @@ mod tests {
         drop(other);
         let stats = pool.stats();
         assert_eq!(stats.resident_bytes, 2 * 4096);
-        assert_eq!(pool.inner.free_bytes.load(Ordering::Relaxed), stats.resident_bytes);
+        assert_eq!(pool.free_and_posted().0, stats.resident_bytes);
+    }
+
+    #[test]
+    fn a_posted_buffer_waits_in_its_slot_for_its_channel() {
+        let pool = BufferPool::new(4096); // reclaims past one free buffer
+        let mut buf = pool.acquire(4096);
+        buf.as_mut_slice()[0] = 9;
+        let slot = buf.post(7);
+        // Neither acquire nor reclamation reaches a posted buffer.
+        let (b, c) = (pool.acquire(4096), pool.acquire(4096));
+        assert!(b.slot != slot && c.slot != slot);
+        drop((b, c));
+        assert_eq!(pool.stats().reclaimed, 2);
+        assert_eq!(pool.stats().resident_bytes, 4096);
+        assert_eq!(pool.free_and_posted(), (0, 1));
+        // Only its channel claims it, and only once.
+        assert!(pool.claim(slot, 8).is_none());
+        assert!(pool.claim(99, 7).is_none());
+        let claimed = pool.claim(slot, 7).expect("posted for channel 7");
+        assert_eq!(claimed.as_slice()[0], 9);
+        assert!(pool.claim(slot, 7).is_none());
+        claimed.post(7);
+        // Unposting lists it; a miss takes a reclaimed buffer's slot.
+        pool.unpost(7);
+        assert_eq!(pool.free_and_posted(), (4096, 0));
+        assert!(pool.acquire(1 << 16).slot < 3, "a vacant slot is reused");
     }
 
     #[test]
@@ -437,10 +464,9 @@ mod tests {
     /// Two threads trading buffers through the free list: one's
     /// `acquire` pops what the other's `give_back` just listed. With
     /// overflow checks on (as in test builds) a `free_bytes` that dips
-    /// below zero panics in `give_back`'s threshold arithmetic. The dip
-    /// needs a thread's first `acquire` to land inside the other's
-    /// `give_back`, so many short rounds on fresh pools find it where
-    /// one long round does not.
+    /// below zero panics. Such a dip needs a thread's first `acquire` to
+    /// land inside the other's `give_back`, so many short rounds on fresh
+    /// pools find it where one long round does not.
     #[test]
     fn free_bytes_never_wraps_under_a_two_thread_hammer() {
         use std::sync::Barrier;
@@ -462,7 +488,7 @@ mod tests {
             // ever live, and the counter equals what the free list holds.
             let resident = pool.stats().resident_bytes;
             assert!(resident <= 2 * 64, "round {round}: resident={resident}");
-            assert_eq!(pool.inner.free_bytes.load(Ordering::Relaxed), resident);
+            assert_eq!(pool.free_and_posted().0, resident);
         }
     }
 }

@@ -172,6 +172,12 @@ fi
 if grep -rnE "fn (allgather|scatter|alltoall|reserved_tag|try_recv_any)\b" crates/rankrt/src; then
     echo "rankrt grew a collective or receive nothing calls"; exit 1
 fi
+# The shm pool is addressed by position: a pooled frame names (slot, start,
+# len) and the consumer claims that slot, so no side table, token map or
+# page-mapping send path comes back.
+if grep -rnE "HashMap|send_mapped|KIND_MAPPED|crossbeam::channel" crates/shm/src; then
+    echo "shm passes messages outside the pool's slots again (a pooled frame names its slot)"; exit 1
+fi
 # Every public function has a caller: each `pub fn NAME` under crates/*/src
 # appears as a word in the Rust tree more often than `fn NAME` is defined.
 # One pass: definitions (D), public definitions (P) and words (W) counted
@@ -206,7 +212,7 @@ done
 [ "$missing" -eq 0 ] || { echo "a doc names something the tree does not have"; exit 1; }
 # Their size only goes down, toward the ROADMAP's 100 KB target; lower
 # this limit when a PR shrinks them, never raise it.
-doc_limit=131314
+doc_limit=131268
 doc_bytes=$(cat $docs | wc -c)
 [ "$doc_bytes" -le "$doc_limit" ] || { echo "docs are $doc_bytes bytes (limit $doc_limit)"; exit 1; }
 echo "doc references ok (docs: $doc_bytes bytes)"
