@@ -36,27 +36,30 @@ impl ProcessGroup {
 
     /// Encode to the wire/disk representation.
     pub fn to_record(&self) -> Record {
-        let mut r = Record::new()
+        let mut r = Record::with_capacity(3 + 2 * self.vars.len())
             .with("rank", FieldValue::U64(self.rank as u64))
             .with("step", FieldValue::U64(self.step))
             .with("nvars", FieldValue::U64(self.vars.len() as u64));
         for (i, (name, value)) in self.vars.iter().enumerate() {
-            r.set(&format!("name.{i}"), FieldValue::Str(name.clone()));
-            r.set(&format!("var.{i}"), FieldValue::Record(value.to_record()));
+            r.set_item("name", &[i], FieldValue::Str(name.clone()));
+            r.set_item("var", &[i], FieldValue::Record(value.to_record()));
         }
         r
     }
 
-    /// Decode; `None` on malformed input.
-    pub fn from_record(r: &Record) -> Option<ProcessGroup> {
+    /// Decode, moving names and values out of the record; `None` on
+    /// malformed input. The variable count is the record's word: a count
+    /// above its field count is refused before it can size an allocation.
+    pub fn from_record(r: impl Into<Record>) -> Option<ProcessGroup> {
+        let mut r = r.into();
         let rank = r.get_u64("rank")? as usize;
         let step = r.get_u64("step")?;
-        let nvars = r.get_u64("nvars")? as usize;
+        let nvars = r.get_u64("nvars").filter(|&n| n <= r.len() as u64)? as usize;
         let mut vars = Vec::with_capacity(nvars);
         for i in 0..nvars {
-            let name = r.get_str(&format!("name.{i}"))?.to_string();
-            let value = VarValue::from_record(r.get_record(&format!("var.{i}"))?)?;
-            vars.push((name, value));
+            let Some(FieldValue::Str(name)) = r.take_item("name", &[i]) else { return None };
+            let Some(FieldValue::Record(value)) = r.take_item("var", &[i]) else { return None };
+            vars.push((name, VarValue::from_record(value)?));
         }
         Some(ProcessGroup { rank, step, vars })
     }
@@ -68,7 +71,7 @@ impl ProcessGroup {
 
     /// Decode straight from bytes.
     pub fn decode(bytes: &[u8]) -> Option<ProcessGroup> {
-        ProcessGroup::from_record(&Record::decode(bytes).ok()?)
+        ProcessGroup::from_record(Record::decode(bytes).ok()?)
     }
 }
 
@@ -115,6 +118,15 @@ mod tests {
         assert!(ProcessGroup::decode(b"junk").is_none());
         // A record missing fields.
         let r = Record::new().with("rank", FieldValue::U64(1));
-        assert!(ProcessGroup::from_record(&r).is_none());
+        assert!(ProcessGroup::from_record(r).is_none());
+    }
+
+    #[test]
+    fn a_variable_count_the_record_cannot_hold_is_refused() {
+        // Sizing a vector by this count would abort on the allocation.
+        for nvars in [u64::MAX, 1 << 40, 3] {
+            let r = sample().to_record().with("nvars", FieldValue::U64(nvars));
+            assert!(ProcessGroup::from_record(r).is_none(), "nvars = {nvars}");
+        }
     }
 }

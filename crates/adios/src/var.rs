@@ -333,14 +333,14 @@ impl ArrayData {
         }
     }
 
-    fn from_field(f: &FieldValue) -> Option<ArrayData> {
+    /// Adopt a field's payload: vectors and views are moved, not copied.
+    fn from_field(f: FieldValue) -> Option<ArrayData> {
         Some(match f {
-            FieldValue::F64Array(v) => ArrayData::F64(v.clone()),
-            FieldValue::U64Array(v) => ArrayData::U64(v.clone()),
-            FieldValue::I64Array(v) => ArrayData::I64(v.clone()),
-            FieldValue::Bytes(v) => ArrayData::U8(v.clone()),
-            // Adopt the view: an Arc bump, not a payload copy.
-            FieldValue::Packed(p) => ArrayData::Packed(p.clone()),
+            FieldValue::F64Array(v) => ArrayData::F64(v),
+            FieldValue::U64Array(v) => ArrayData::U64(v),
+            FieldValue::I64Array(v) => ArrayData::I64(v),
+            FieldValue::Bytes(v) => ArrayData::U8(v),
+            FieldValue::Packed(p) => ArrayData::Packed(p),
             _ => return None,
         })
     }
@@ -501,7 +501,7 @@ impl VarValue {
     pub fn to_record(&self) -> Record {
         match self {
             VarValue::Scalar(s) => {
-                let r = Record::new().with("kind", FieldValue::U64(0));
+                let r = Record::with_capacity(3).with("kind", FieldValue::U64(0));
                 match s {
                     ScalarValue::F64(v) => {
                         r.with("stype", FieldValue::U64(0)).with("v", FieldValue::F64(*v))
@@ -517,7 +517,7 @@ impl VarValue {
                     }
                 }
             }
-            VarValue::Block(b) => Record::new()
+            VarValue::Block(b) => Record::with_capacity(6)
                 .with("kind", FieldValue::U64(1))
                 .with("dtype", FieldValue::U64(b.data.data_type().tag()))
                 .with("shape", FieldValue::U64Array(b.global_shape.clone()))
@@ -533,7 +533,7 @@ impl VarValue {
     pub fn into_record(self) -> Record {
         match self {
             VarValue::Scalar(_) => self.to_record(),
-            VarValue::Block(b) => Record::new()
+            VarValue::Block(b) => Record::with_capacity(6)
                 .with("kind", FieldValue::U64(1))
                 .with("dtype", FieldValue::U64(b.data.data_type().tag()))
                 .with("shape", FieldValue::U64Array(b.global_shape))
@@ -543,33 +543,29 @@ impl VarValue {
         }
     }
 
-    /// Decode from an FFS record; `None` for a record that is not a
-    /// variable or whose block shape contradicts itself.
-    pub fn from_record(r: &Record) -> Option<VarValue> {
+    /// Decode from an FFS record, moving its strings, vectors and views
+    /// out; `None` for a record that is not a variable or whose block
+    /// shape contradicts itself.
+    pub fn from_record(r: impl Into<Record>) -> Option<VarValue> {
+        let mut r = r.into();
         match r.get_u64("kind")? {
-            0 => {
-                let v = r.get("v")?;
-                Some(VarValue::Scalar(match r.get_u64("stype")? {
-                    0 => ScalarValue::F64(r.get_f64("v")?),
-                    1 => ScalarValue::U64(r.get_u64("v")?),
-                    2 => ScalarValue::I64(r.get_i64("v")?),
-                    3 => match v {
-                        FieldValue::Str(s) => ScalarValue::Str(s.clone()),
-                        _ => return None,
-                    },
-                    _ => return None,
-                }))
-            }
+            0 => Some(VarValue::Scalar(match r.get_u64("stype")? {
+                0 => ScalarValue::F64(r.get_f64("v")?),
+                1 => ScalarValue::U64(r.get_u64("v")?),
+                2 => ScalarValue::I64(r.get_i64("v")?),
+                3 => ScalarValue::Str(r.take_str("v")?),
+                _ => return None,
+            })),
             1 => {
-                let data = ArrayData::from_field(r.get("data")?)?;
                 let expected = DataType::from_tag(r.get_u64("dtype")?)?;
+                let data = ArrayData::from_field(r.take("data")?)?;
                 if data.data_type() != expected {
                     return None;
                 }
                 let block = LocalBlock {
-                    global_shape: r.get_u64_array("shape")?.to_vec(),
-                    offset: r.get_u64_array("offset")?.to_vec(),
-                    count: r.get_u64_array("count")?.to_vec(),
+                    global_shape: r.take_u64_array("shape")?,
+                    offset: r.take_u64_array("offset")?,
+                    count: r.take_u64_array("count")?,
                     data,
                 };
                 // What a record claims about its shape is checked, never
@@ -628,7 +624,7 @@ mod tests {
         ] {
             let v = VarValue::Scalar(s);
             let r = v.to_record();
-            assert_eq!(VarValue::from_record(&r), Some(v));
+            assert_eq!(VarValue::from_record(r), Some(v));
         }
     }
 
@@ -636,7 +632,7 @@ mod tests {
     fn block_roundtrip() {
         let v = VarValue::Block(block());
         let encoded = v.to_record().encode();
-        let decoded = VarValue::from_record(&evpath::Record::decode(&encoded).unwrap());
+        let decoded = VarValue::from_record(evpath::Record::decode(&encoded).unwrap());
         assert_eq!(decoded, Some(v));
     }
 
@@ -670,7 +666,7 @@ mod tests {
         let tamper = |key: &str, value: Vec<u64>| {
             let mut r = VarValue::Block(block()).to_record();
             r.set(key, FieldValue::U64Array(value));
-            VarValue::from_record(&r)
+            VarValue::from_record(r)
         };
         assert!(tamper("count", vec![2, 3]).is_some(), "the untampered shape decodes");
         assert_eq!(tamper("count", vec![2, 4]), None, "product != data length");

@@ -377,6 +377,17 @@ pub enum FieldValue {
     Packed(PackedArray),
 }
 
+impl FieldValue {
+    /// The value as a `u64`: a `U64`, or an `I64` that is not negative.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            FieldValue::U64(v) => Some(*v),
+            FieldValue::I64(v) => u64::try_from(*v).ok(),
+            _ => None,
+        }
+    }
+}
+
 /// Error decoding a byte stream into a [`Record`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
@@ -389,6 +400,8 @@ pub enum DecodeError {
     UnknownTag(u8),
     /// Field name or string payload was not UTF-8.
     BadUtf8,
+    /// Records nested deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -398,6 +411,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "bad magic (not an FFS1 stream)"),
             DecodeError::UnknownTag(t) => write!(f, "unknown type tag {t}"),
             DecodeError::BadUtf8 => write!(f, "invalid UTF-8 in stream"),
+            DecodeError::TooDeep => write!(f, "records nested deeper than {MAX_DEPTH}"),
         }
     }
 }
@@ -510,16 +524,106 @@ impl<'a> Sink<'a> for SegWriter<'a> {
     }
 }
 
+/// Field names of up to this many bytes are held in the record's field
+/// vector itself (the 24 bytes a `String` header takes); longer ones go
+/// on the heap.
+const INLINE_NAME: usize = 22;
+
+/// A field name: inline when short (every name the step protocol uses),
+/// boxed otherwise.
+#[derive(Clone)]
+enum Name {
+    Inline { len: u8, bytes: [u8; INLINE_NAME] },
+    Heap(Box<str>),
+}
+
+const _: () = assert!(std::mem::size_of::<Name>() == std::mem::size_of::<String>());
+
+impl Name {
+    fn new(s: &str) -> Name {
+        if s.len() > INLINE_NAME {
+            return Name::Heap(s.into());
+        }
+        let mut bytes = [0; INLINE_NAME];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        Name::Inline { len: s.len() as u8, bytes }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            // SAFETY: the bytes were copied whole from a `&str` in `new`,
+            // so they are valid UTF-8.
+            Name::Inline { len, bytes } => unsafe {
+                std::str::from_utf8_unchecked(&bytes[..usize::from(*len)])
+            },
+            Name::Heap(s) => s,
+        }
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl std::fmt::Debug for Name {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// Room for a list-item key on the stack: a prefix and up to two indices
+/// of any width.
+const ITEM_KEY_CAP: usize = 64;
+
+/// Call `f` with the key of a list item, `<prefix>.<i>` (`<prefix>.<i>.<j>`
+/// for two indices, and so on): the one place the convention is spelled
+/// out. The key is formatted on the stack, and on the heap only when it
+/// does not fit there.
+fn with_item_key<R>(prefix: &str, index: &[usize], f: impl FnOnce(&str) -> R) -> R {
+    use std::io::Write;
+    let mut buf = [0u8; ITEM_KEY_CAP];
+    let mut rest = &mut buf[..];
+    let fits = rest.write_all(prefix.as_bytes()).is_ok()
+        && index.iter().all(|i| write!(rest, ".{i}").is_ok());
+    if fits {
+        let len = ITEM_KEY_CAP - rest.len();
+        // Only a `&str` and ASCII digits and dots were written.
+        return f(std::str::from_utf8(&buf[..len]).expect("key bytes are UTF-8"));
+    }
+    let mut key = String::from(prefix);
+    for i in index {
+        key.push('.');
+        key.push_str(&i.to_string());
+    }
+    f(&key)
+}
+
 /// An ordered collection of named, typed fields.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Record {
-    fields: Vec<(String, FieldValue)>,
+    fields: Vec<(Name, FieldValue)>,
+}
+
+/// A parser that consumes a record (moving its strings and vectors out)
+/// also takes a borrowed one, which it clones first.
+impl From<&Record> for Record {
+    fn from(r: &Record) -> Record {
+        r.clone()
+    }
 }
 
 impl Record {
     /// Empty record.
     pub fn new() -> Record {
         Record::default()
+    }
+
+    /// Empty record with room for `fields` fields, so building it makes
+    /// one allocation.
+    pub fn with_capacity(fields: usize) -> Record {
+        Record { fields: Vec::with_capacity(fields) }
     }
 
     /// Builder-style field append.
@@ -530,16 +634,71 @@ impl Record {
 
     /// Insert or replace a field.
     pub fn set(&mut self, name: &str, value: FieldValue) {
-        if let Some(slot) = self.fields.iter_mut().find(|(n, _)| n == name) {
+        if let Some(slot) = self.fields.iter_mut().find(|(n, _)| n.as_str() == name) {
             slot.1 = value;
         } else {
-            self.fields.push((name.to_string(), value));
+            self.fields.push((Name::new(name), value));
+        }
+    }
+
+    /// Insert or replace item `index` of the list `prefix`: the field
+    /// `<prefix>.<i>` (`<prefix>.<i>.<j>` for a two-level index).
+    pub fn set_item(&mut self, prefix: &str, index: &[usize], value: FieldValue) {
+        with_item_key(prefix, index, |key| self.set(key, value));
+    }
+
+    /// Look up item `index` of the list `prefix` (see [`Record::set_item`]).
+    pub fn get_item(&self, prefix: &str, index: &[usize]) -> Option<&FieldValue> {
+        with_item_key(prefix, index, |key| self.get(key))
+    }
+
+    /// Remove item `index` of the list `prefix` and return its value.
+    pub fn take_item(&mut self, prefix: &str, index: &[usize]) -> Option<FieldValue> {
+        with_item_key(prefix, index, |key| self.take(key))
+    }
+
+    /// Remove a field and return its value; the other fields keep their
+    /// order.
+    pub fn take(&mut self, name: &str) -> Option<FieldValue> {
+        let at = self.fields.iter().position(|(n, _)| n.as_str() == name)?;
+        Some(self.fields.remove(at).1)
+    }
+
+    /// Remove the first field named `name` if `is` holds for its value.
+    fn take_matching(&mut self, name: &str, is: fn(&FieldValue) -> bool) -> Option<FieldValue> {
+        let at = self.fields.iter().position(|(n, _)| n.as_str() == name)?;
+        is(&self.fields[at].1).then(|| self.fields.remove(at).1)
+    }
+
+    /// Remove a string field and return it; a field of another type stays.
+    pub fn take_str(&mut self, name: &str) -> Option<String> {
+        match self.take_matching(name, |v| matches!(v, FieldValue::Str(_)))? {
+            FieldValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Remove a `u64` array field and return it; a field of another type
+    /// stays.
+    pub fn take_u64_array(&mut self, name: &str) -> Option<Vec<u64>> {
+        match self.take_matching(name, |v| matches!(v, FieldValue::U64Array(_)))? {
+            FieldValue::U64Array(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Remove a nested-record field and return it; a field of another
+    /// type stays.
+    pub fn take_record(&mut self, name: &str) -> Option<Record> {
+        match self.take_matching(name, |v| matches!(v, FieldValue::Record(_)))? {
+            FieldValue::Record(r) => Some(r),
+            _ => None,
         }
     }
 
     /// Look up a field by name.
     pub fn get(&self, name: &str) -> Option<&FieldValue> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+        self.fields.iter().find(|(n, _)| n.as_str() == name).map(|(_, v)| v)
     }
 
     /// Field count.
@@ -568,11 +727,7 @@ impl Record {
 
     /// Typed accessor: `u64` (accepts non-negative `I64`).
     pub fn get_u64(&self, name: &str) -> Option<u64> {
-        match self.get(name)? {
-            FieldValue::U64(v) => Some(*v),
-            FieldValue::I64(v) => u64::try_from(*v).ok(),
-            _ => None,
-        }
+        self.get(name)?.as_u64()
     }
 
     /// Typed accessor: `f64`.
@@ -668,6 +823,7 @@ impl Record {
     fn walk_body<'a>(&'a self, w: &mut impl Sink<'a>) {
         w.put(&(self.fields.len() as u32).to_le_bytes());
         for (name, value) in &self.fields {
+            let name = name.as_str();
             w.put(&(name.len() as u16).to_le_bytes());
             w.put(name.as_bytes());
             walk_value(value, w);
@@ -680,7 +836,7 @@ impl Record {
         if cursor.u32()? != MAGIC {
             return Err(DecodeError::BadMagic);
         }
-        decode_body(&mut cursor, None)
+        decode_body(&mut cursor, None, 0)
     }
 
     /// Decode from a leased receive buffer; array payloads of at least
@@ -694,7 +850,7 @@ impl Record {
         if cursor.u32()? != MAGIC {
             return Err(DecodeError::BadMagic);
         }
-        decode_body(&mut cursor, Some(&buf))
+        decode_body(&mut cursor, Some(&buf), 0)
     }
 
     /// [`Record::decode_leased`] on a buffer the caller keeps a handle to:
@@ -793,18 +949,34 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// How deep records may nest in a stream. The step protocol nests five
+/// levels at most; a frame past this cap is refused before its recursion
+/// can exhaust the receiving thread's stack.
+pub const MAX_DEPTH: usize = 32;
+
+/// The fewest wire bytes a field takes: a name length, a tag and an empty
+/// nested record's field count.
+const MIN_FIELD_BYTES: usize = 2 + 1 + 4;
+
+/// Decode a record body at nesting `depth` (0 for the outermost record).
 fn decode_body(
     cursor: &mut Cursor<'_>,
     shared: Option<&Arc<Lease>>,
+    depth: usize,
 ) -> Result<Record, DecodeError> {
+    if depth > MAX_DEPTH {
+        return Err(DecodeError::TooDeep);
+    }
     let count = cursor.u32()? as usize;
-    let mut record = Record::new();
+    // The count is the sender's word: the vector is sized once, but never
+    // for more fields than the bytes left could hold.
+    let room = (cursor.bytes.len() - cursor.pos) / MIN_FIELD_BYTES;
+    let mut record = Record::with_capacity(count.min(room));
     for _ in 0..count {
         let name_len = cursor.u16()? as usize;
-        let name = std::str::from_utf8(cursor.take(name_len)?)
-            .map_err(|_| DecodeError::BadUtf8)?
-            .to_string();
-        let value = decode_value(cursor, shared)?;
+        let name = std::str::from_utf8(cursor.take(name_len)?).map_err(|_| DecodeError::BadUtf8)?;
+        let name = Name::new(name);
+        let value = decode_value(cursor, shared, depth)?;
         record.fields.push((name, value));
     }
     Ok(record)
@@ -839,6 +1011,7 @@ fn decode_array(
 fn decode_value(
     cursor: &mut Cursor<'_>,
     shared: Option<&Arc<Lease>>,
+    depth: usize,
 ) -> Result<FieldValue, DecodeError> {
     let tag = cursor.u8()?;
     Ok(match tag {
@@ -857,7 +1030,7 @@ fn decode_value(
         TAG_U64_ARRAY | TAG_PACKED_U64 => decode_array(cursor, shared, PackedDtype::U64)?,
         TAG_I64_ARRAY | TAG_PACKED_I64 => decode_array(cursor, shared, PackedDtype::I64)?,
         TAG_BYTES => decode_array(cursor, shared, PackedDtype::U8)?,
-        TAG_RECORD => FieldValue::Record(decode_body(cursor, shared)?),
+        TAG_RECORD => FieldValue::Record(decode_body(cursor, shared, depth + 1)?),
         t => return Err(DecodeError::UnknownTag(t)),
     })
 }
@@ -995,6 +1168,90 @@ mod tests {
         assert_eq!(r.get_u64("a"), Some(7));
         assert_eq!(r.get_i64("b"), Some(9));
         assert_eq!(r.get_u64("neg"), None, "negative cannot coerce to u64");
+    }
+
+    #[test]
+    fn names_inline_and_boxed_roundtrip() {
+        let inline = "x".repeat(INLINE_NAME);
+        let boxed = "y".repeat(INLINE_NAME + 1);
+        let r = Record::new()
+            .with(&inline, FieldValue::U64(1))
+            .with(&boxed, FieldValue::U64(2))
+            .with("ünï", FieldValue::U64(3))
+            .with("", FieldValue::U64(4));
+        let d = Record::decode(&r.encode()).unwrap();
+        assert_eq!(d, r);
+        let names: Vec<&str> = d.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, [inline.as_str(), boxed.as_str(), "ünï", ""]);
+        assert_eq!((d.get_u64(&inline), d.get_u64(&boxed)), (Some(1), Some(2)));
+    }
+
+    #[test]
+    fn list_items_are_prefix_dot_index_fields() {
+        let mut r = Record::new();
+        r.set_item("m", &[3], FieldValue::U64(7));
+        r.set_item("chunk", &[1, 20], FieldValue::U64(8));
+        let long = "p".repeat(ITEM_KEY_CAP);
+        r.set_item(&long, &[usize::MAX], FieldValue::U64(9));
+        assert_eq!(r.get_u64("m.3"), Some(7));
+        assert_eq!(r.get_u64("chunk.1.20"), Some(8));
+        assert_eq!(r.get_u64(&format!("{long}.{}", usize::MAX)), Some(9));
+        assert_eq!(r.get_item("m", &[3]), Some(&FieldValue::U64(7)));
+        assert_eq!(r.get_item("m", &[4]), None);
+        assert_eq!(r.take_item("chunk", &[1, 20]), Some(FieldValue::U64(8)));
+        assert_eq!((r.len(), r.get_item("chunk", &[1, 20])), (2, None));
+    }
+
+    #[test]
+    fn typed_takes_move_out_only_their_type() {
+        let mut r = sample();
+        assert_eq!(r.take_str("step"), None, "a u64 is not taken as a string");
+        assert_eq!(r.take_u64_array("name"), None);
+        assert_eq!(r.take_record("dims"), None);
+        assert_eq!(r.len(), sample().len());
+        assert_eq!(r.take_str("name").as_deref(), Some("zion"));
+        assert_eq!(r.take_u64_array("dims"), Some(vec![128, 64, 32]));
+        assert_eq!(r.take_record("meta").and_then(|m| m.get_i64("rank")), Some(-3));
+        let left: Vec<&str> = r.iter().map(|(n, _)| n).collect();
+        assert_eq!(left, ["step", "temp", "data"], "the rest keep their order");
+        assert_eq!(r.take("step"), Some(FieldValue::U64(42)));
+        assert_eq!(r.take("step"), None);
+    }
+
+    /// `depth` records, each the one field of its parent; the innermost
+    /// is empty.
+    fn nested(depth: usize) -> Vec<u8> {
+        let mut bytes = MAGIC.to_le_bytes().to_vec();
+        for _ in 0..depth {
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(&0u16.to_le_bytes());
+            bytes.push(TAG_RECORD);
+        }
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_decodes_and_past_it_is_refused() {
+        let deepest = Record::decode(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(deepest.encode(), nested(MAX_DEPTH));
+        assert_eq!(Record::decode(&nested(MAX_DEPTH + 1)), Err(DecodeError::TooDeep));
+        let leased = Record::decode_shared(&Arc::new(nested(MAX_DEPTH + 1)));
+        assert_eq!(leased.err(), Some(DecodeError::TooDeep));
+    }
+
+    #[test]
+    fn a_deeply_nested_frame_is_refused_on_a_small_stack() {
+        // 20 000 levels, 140 KB: without the cap, one recursion per level
+        // overflows a 2 MiB thread stack and aborts the process.
+        let frame = Arc::new(nested(20_000));
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || (Record::decode(&frame).err(), Record::decode_shared(&frame).err()))
+            .unwrap()
+            .join()
+            .expect("decoder thread survived");
+        assert_eq!(outcome, (Some(DecodeError::TooDeep), Some(DecodeError::TooDeep)));
     }
 
     proptest! {

@@ -191,7 +191,9 @@ impl DirectoryCounters {
 // tag in [`msg`], its builder and its checked parser side by side. The
 // engines (`writer.rs`, `reader.rs`) name messages, never fields. A parser
 // takes a peer's bytes: it returns a value or an error, never panics, and
-// sizes no allocation by a count it was sent.
+// sizes no allocation by a count it was sent. A parser whose message
+// carries strings or vectors takes the decoded record by value and moves
+// them into what it returns.
 
 /// Message type tags on the control, side and data channels.
 pub mod msg {
@@ -230,9 +232,14 @@ pub mod msg {
     pub const TXN_COMMIT: &str = "txn_commit";
 }
 
+/// Fields a message record has room for from the start: every
+/// fixed-shape message fits (`go` and a `chunk` with extras take six), so
+/// building one grows its field vector only for a long list.
+const MESSAGE_FIELDS: usize = 6;
+
 /// Build a typed message skeleton.
 pub fn message(kind: &str) -> Record {
-    Record::new().with("type", FieldValue::Str(kind.to_string()))
+    Record::with_capacity(MESSAGE_FIELDS).with("type", FieldValue::Str(kind.to_string()))
 }
 
 /// Read the message type tag.
@@ -264,25 +271,30 @@ fn put_list<T, const K: usize>(
     r.set(count_key, FieldValue::U64(items.len() as u64));
     for (i, item) in items.enumerate() {
         for (prefix, value) in prefixes.iter().zip(fields(item)) {
-            r.set(&format!("{prefix}.{i}"), value);
+            r.set_item(prefix, &[i], value);
         }
     }
 }
 
-/// Inverse of [`put_list`]. The count is a peer's word: every item is at
-/// least one field of `r`, so a count above the field count is damage and
-/// is refused before anything is collected.
-fn get_list<'r, T, const K: usize>(
-    r: &'r Record,
+/// Inverse of [`put_list`], moving the items' fields out of `r`. The
+/// count is a peer's word: every item is at least one field of `r`, so a
+/// count above the field count is damage and is refused before anything
+/// is collected.
+fn take_list<T, const K: usize>(
+    r: &mut Record,
     count_key: &str,
     prefixes: [&str; K],
-    item: impl Fn([Option<&'r FieldValue>; K]) -> Option<T>,
+    item: impl Fn([Option<FieldValue>; K]) -> Option<T>,
 ) -> Option<Vec<T>> {
-    let n = r.get_u64(count_key).filter(|&n| n <= r.len() as u64)?;
-    (0..n).map(|i| item(prefixes.map(|prefix| r.get(&format!("{prefix}.{i}"))))).collect()
+    let n = r.get_u64(count_key).filter(|&n| n <= r.len() as u64)? as usize;
+    let mut items = Vec::with_capacity(n);
+    for i in 0..n {
+        items.push(item(prefixes.map(|prefix| r.take_item(prefix, &[i])))?);
+    }
+    Some(items)
 }
 
-fn as_record(field: Option<&FieldValue>) -> Option<&Record> {
+fn as_record(field: Option<FieldValue>) -> Option<Record> {
     match field? {
         FieldValue::Record(r) => Some(r),
         _ => None,
@@ -291,27 +303,28 @@ fn as_record(field: Option<&FieldValue>) -> Option<&Record> {
 
 /// A list of records as a field of its own — `n`, then `<prefix>.<i>` —
 /// with the record form of its items.
-struct ListOf<T: 'static>(&'static str, fn(&T) -> Record, fn(&Record) -> Option<T>);
+struct ListOf<T: 'static>(&'static str, fn(&T) -> Record, fn(Record) -> Option<T>);
 
 const METAS: ListOf<VarMeta> = ListOf("m", VarMeta::to_record, VarMeta::from_record);
 const SELS: ListOf<Subscription> = ListOf("s", Subscription::to_record, Subscription::from_record);
-const SPECS: ListOf<PluginSpec> = ListOf("p", PluginSpec::to_record, PluginSpec::from_record);
+const SPECS: ListOf<PluginSpec> =
+    ListOf("p", PluginSpec::to_record, |r| PluginSpec::from_record(&r));
 
 impl<T> ListOf<T> {
     fn put(&self, items: &[T]) -> FieldValue {
-        let mut r = Record::new();
+        let mut r = Record::with_capacity(1 + items.len());
         put_list(&mut r, "n", [self.0], items.iter(), |t| [FieldValue::Record(self.1(t))]);
         FieldValue::Record(r)
     }
 
-    fn get(&self, list: Option<&Record>) -> Option<Vec<T>> {
-        get_list(list?, "n", [self.0], |[f]| self.2(as_record(f)?))
+    fn get(&self, list: Option<Record>) -> Option<Vec<T>> {
+        take_list(&mut list?, "n", [self.0], |[f]| self.2(as_record(f)?))
     }
 }
 
 /// The optional `plugins` field of `go`, `reader_info` and `plugin_update`.
-fn plugins_of(r: &Record) -> Result<Option<Vec<PluginSpec>>, StreamError> {
-    let list = r.get_record("plugins");
+fn plugins_of(r: &mut Record) -> Result<Option<Vec<PluginSpec>>, StreamError> {
+    let list = r.take_record("plugins");
     list.map(|l| SPECS.get(Some(l)).ok_or_else(|| corrupt("bad plugin specs"))).transpose()
 }
 
@@ -337,8 +350,8 @@ pub fn dists(of_rank: &[VarMeta]) -> Record {
 }
 
 /// Parse a [`dists`] message.
-pub fn parse_dists(r: &Record) -> Result<Vec<VarMeta>, StreamError> {
-    METAS.get(r.get_record("metas")).ok_or_else(|| corrupt("bad dists"))
+pub fn parse_dists(r: impl Into<Record>) -> Result<Vec<VarMeta>, StreamError> {
+    METAS.get(r.into().take_record("metas")).ok_or_else(|| corrupt("bad dists"))
 }
 
 /// `subs`: one reader rank's subscriptions (step 1).
@@ -347,8 +360,8 @@ pub fn subs(of_rank: &[Subscription]) -> Record {
 }
 
 /// Parse a [`subs`] message.
-pub fn parse_subs(r: &Record) -> Result<Vec<Subscription>, StreamError> {
-    SELS.get(r.get_record("sels")).ok_or_else(|| corrupt("bad subs"))
+pub fn parse_subs(r: impl Into<Record>) -> Result<Vec<Subscription>, StreamError> {
+    SELS.get(r.into().take_record("sels")).ok_or_else(|| corrupt("bad subs"))
 }
 
 /// `writer_info`: every writer rank's distributions (exchange leg 1).
@@ -359,8 +372,8 @@ pub fn writer_info(per_rank: &[Vec<VarMeta>]) -> Record {
 }
 
 /// Parse a [`writer_info`] message.
-pub fn parse_writer_info(r: &Record) -> Result<Vec<Vec<VarMeta>>, StreamError> {
-    get_list(r, "nranks", ["dists"], |[f]| METAS.get(as_record(f)))
+pub fn parse_writer_info(r: impl Into<Record>) -> Result<Vec<Vec<VarMeta>>, StreamError> {
+    take_list(&mut r.into(), "nranks", ["dists"], |[f]| METAS.get(as_record(f)))
         .ok_or_else(|| corrupt("bad writer_info"))
 }
 
@@ -377,11 +390,12 @@ pub fn reader_info(per_rank: &[Vec<Subscription>], plugins: Option<&[PluginSpec]
 
 /// Parse a [`reader_info`] message into `(selections, plug-ins)`.
 pub fn parse_reader_info(
-    r: &Record,
+    r: impl Into<Record>,
 ) -> Result<(Vec<Vec<Subscription>>, Option<Vec<PluginSpec>>), StreamError> {
-    let sels = get_list(r, "nranks", ["sels"], |[f]| SELS.get(as_record(f)))
+    let mut r = r.into();
+    let sels = take_list(&mut r, "nranks", ["sels"], |[f]| SELS.get(as_record(f)))
         .ok_or_else(|| corrupt("bad reader_info"))?;
-    Ok((sels, plugins_of(r)?))
+    Ok((sels, plugins_of(&mut r)?))
 }
 
 /// `go`: a coordinator releases one of its ranks into a step (step 3).
@@ -418,13 +432,15 @@ impl Go {
     }
 
     /// Parse.
-    pub fn from_record(r: &Record) -> Result<Go, StreamError> {
+    pub fn from_record(r: impl Into<Record>) -> Result<Go, StreamError> {
+        let mut r = r.into();
         let plan = r
-            .get_record("plan")
+            .take_record("plan")
             .map(|p| redistribute::decode_plan(p).ok_or_else(|| corrupt("bad plan slice")))
             .transpose()?;
         let roster = r.get_u64("e_gen").zip(r.get_u64("e_active")).map(|(g, a)| (g, a as usize));
-        Ok(Go { step: step_of(r, "go missing step")?, plan, plugins: plugins_of(r)?, roster })
+        let step = step_of(&r, "go missing step")?;
+        Ok(Go { step, plan, plugins: plugins_of(&mut r)?, roster })
     }
 }
 
@@ -467,21 +483,22 @@ pub struct Chunk {
 }
 
 /// Parse a [`chunk`] (a message of its own, or one element of a batch).
-pub fn parse_chunk(r: &Record) -> Result<Chunk, StreamError> {
-    let extras = match r.get_record("extras") {
+pub fn parse_chunk(r: impl Into<Record>) -> Result<Chunk, StreamError> {
+    let mut r = r.into();
+    let extras = match r.take_record("extras") {
         None => Vec::new(),
-        Some(er) => get_list(er, "n", ["name", "val"], |[name, val]| match name? {
-            FieldValue::Str(name) => Some((name.clone(), VarValue::from_record(as_record(val)?)?)),
+        Some(mut er) => take_list(&mut er, "n", ["name", "val"], |[name, val]| match name? {
+            FieldValue::Str(name) => Some((name, VarValue::from_record(as_record(val)?)?)),
             _ => None,
         })
         .ok_or_else(|| corrupt("bad chunk extras"))?,
     };
     Ok(Chunk {
-        step: step_of(r, "chunk missing step")?,
+        step: step_of(&r, "chunk missing step")?,
         w: r.get_u64("w").ok_or_else(|| corrupt("chunk missing writer rank"))? as usize,
-        var: r.get_str("var").ok_or_else(|| corrupt("chunk missing var"))?.to_string(),
+        var: r.take_str("var").ok_or_else(|| corrupt("chunk missing var"))?,
         value: r
-            .get_record("body")
+            .take_record("body")
             .and_then(VarValue::from_record)
             .ok_or_else(|| corrupt("chunk body undecodable"))?,
         extras,
@@ -497,8 +514,8 @@ pub fn batch(step: u64, w: usize, chunks: Vec<Record>) -> Record {
 }
 
 /// The [`chunk`] records of a [`batch`], for [`parse_chunk`].
-pub fn batch_chunks(r: &Record) -> Result<Vec<&Record>, StreamError> {
-    get_list(r, "n", ["c"], |[f]| as_record(f)).ok_or_else(|| corrupt("bad batch"))
+pub fn batch_chunks(r: impl Into<Record>) -> Result<Vec<Record>, StreamError> {
+    take_list(&mut r.into(), "n", ["c"], |[f]| as_record(f)).ok_or_else(|| corrupt("bad batch"))
 }
 
 /// `plugin_update`: the plug-in registry, shipped ahead of a step when it
@@ -508,8 +525,8 @@ pub fn plugin_update(specs: &[PluginSpec]) -> Record {
 }
 
 /// Parse a [`plugin_update`] message.
-pub fn parse_plugin_update(r: &Record) -> Result<Vec<PluginSpec>, StreamError> {
-    plugins_of(r)?.ok_or_else(|| corrupt("plugin_update without plugins"))
+pub fn parse_plugin_update(r: impl Into<Record>) -> Result<Vec<PluginSpec>, StreamError> {
+    plugins_of(&mut r.into())?.ok_or_else(|| corrupt("plugin_update without plugins"))
 }
 
 /// The bare signals about a step: `ack` (sync mode; checked by kind alone),
@@ -687,35 +704,68 @@ mod tests {
         let frames: std::collections::HashMap<_, _> = frames().into_iter().collect();
         let wire = |name: &str| Record::decode(&frames[name].encode()).expect("own encoding");
         assert_eq!(parse_step(&wire("step")), Ok((7, true)));
-        assert_eq!(parse_dists(&wire("dists")).as_ref(), Ok(&dists[0]));
-        assert_eq!(parse_subs(&wire("subs")).as_ref(), Ok(&sels[0]));
-        assert_eq!(parse_writer_info(&wire("writer_info")), Ok(dists));
-        assert_eq!(parse_reader_info(&wire("reader_info")), Ok((sels.clone(), None)));
+        assert_eq!(parse_dists(wire("dists")).as_ref(), Ok(&dists[0]));
+        assert_eq!(parse_subs(wire("subs")).as_ref(), Ok(&sels[0]));
+        assert_eq!(parse_writer_info(wire("writer_info")), Ok(dists));
+        assert_eq!(parse_reader_info(wire("reader_info")), Ok((sels.clone(), None)));
         assert_eq!(
-            parse_reader_info(&wire("reader_info_plugins")),
+            parse_reader_info(wire("reader_info_plugins")),
             Ok((sels, Some(plugins.clone())))
         );
         let full =
             Go { step: 7, plan: Some(plan), plugins: Some(plugins.clone()), roster: Some((3, 2)) };
-        assert_eq!(Go::from_record(&wire("go_full")), Ok(full));
+        assert_eq!(Go::from_record(wire("go_full")), Ok(full));
         let bare = Go { step: 7, plan: None, plugins: None, roster: None };
-        assert_eq!(Go::from_record(&wire("go_bare")), Ok(bare));
+        assert_eq!(Go::from_record(wire("go_bare")), Ok(bare));
         let batched = wire("batch");
-        let chunks = batch_chunks(&batched).unwrap();
+        let chunks = batch_chunks(batched).unwrap();
         assert_eq!(chunks.len(), 2);
-        assert_eq!(parse_chunk(chunks[0]), parse_chunk(&wire("chunk")));
-        let conditioned = parse_chunk(chunks[1]).unwrap();
+        assert_eq!(parse_chunk(&chunks[0]), parse_chunk(wire("chunk")));
+        let conditioned = parse_chunk(&chunks[1]).unwrap();
         assert_eq!((conditioned.step, conditioned.w, conditioned.var.as_str()), (7, 1, "zion"));
         assert_eq!(conditioned.value, block(vec![2.5]));
         assert_eq!(
             conditioned.extras[1],
             ("q_rows_in".into(), VarValue::Scalar(ScalarValue::U64(3)))
         );
-        assert_eq!(parse_plugin_update(&wire("plugin_update")), Ok(plugins));
+        assert_eq!(parse_plugin_update(wire("plugin_update")), Ok(plugins));
         assert_eq!(parse_signal(&wire("txn_vote")), Ok((7, true)));
         assert_eq!(parse_signal(&wire("txn_commit")), Ok((7, false)));
         assert_eq!(parse_signal(&wire("txn_commit_rank")), Ok((7, false)));
     }
+
+    /// The wire, frozen one kind at a time: `evpath::fnv1a64` of one frame
+    /// of every message kind, recorded from the encoder whose records held
+    /// their names as `String`s and built list keys with `format!`. Inline
+    /// names and stack-built keys change what a message allocates, never
+    /// its bytes.
+    #[test]
+    fn one_frame_of_every_kind_hashes_as_recorded() {
+        let frames: std::collections::HashMap<_, _> = frames().into_iter().collect();
+        for (name, hash) in FROZEN {
+            let got = evpath::fnv1a64(evpath::FNV_OFFSET, &frames[name].encode());
+            assert_eq!(got, hash, "{name}: {got:#018x}");
+        }
+    }
+
+    const FROZEN: [(&str, u64); 16] = [
+        ("step", 0x3e91_ca0c_b9f5_c8c5),
+        ("eos", 0xfeec_9915_5ce2_d0a8),
+        ("dists", 0x205b_34c1_444e_ac36),
+        ("subs", 0x4c67_b9ca_59e4_825d),
+        ("writer_info", 0x00eb_0232_dfaf_9c98),
+        ("reader_info", 0x1ae5_671d_a616_da75),
+        ("go_full", 0x2e05_725c_a15b_6825),
+        ("chunk", 0x7632_3a87_9ae0_3be4),
+        ("batch", 0xb3f9_2b62_c28a_68d4),
+        ("plugin_update", 0x07fc_714c_14cd_14a7),
+        ("ack", 0x60db_c504_1b7f_d3b2),
+        ("txn_sent", 0xd5d1_68e0_580b_a287),
+        ("txn_recv", 0xd6d4_93e9_994d_5d55),
+        ("txn_prepare", 0x3e6a_1775_be97_7a7b),
+        ("txn_vote", 0xd075_03a5_3d7f_1b57),
+        ("txn_commit", 0x18d2_d2cd_00bc_8601),
+    ];
 
     const GOLDEN: [(&str, &str); 22] = [
         ("step", "315346460300000004007479706504040000000000000073746570040073746570020700000000000000080065786368616e6765020100000000000000"),

@@ -320,7 +320,7 @@ impl StreamReader {
             if protocol::kind_of(&released) == msg::EOS {
                 return Ok(None);
             }
-            let go = Go::from_record(&released)?;
+            let go = Go::from_record(released)?;
             if let Some(col) = go.plan {
                 self.cached_plan_col = Arc::new(col);
             }
@@ -364,7 +364,7 @@ impl StreamReader {
             sels[0] = self.subscriptions.clone();
             let each = |r: usize, m: Result<_, _>| match m {
                 Ok(m) => {
-                    sels[r] = protocol::parse_subs(&m)?;
+                    sels[r] = protocol::parse_subs(m)?;
                     Ok(())
                 }
                 // An elastic member that never showed up (e.g. a
@@ -413,7 +413,7 @@ impl StreamReader {
         let mut full_plan = None;
         if need_exchange {
             let info = self.side.ctrl_recv(&[msg::WRITER_INFO]).await?;
-            let writer_dists = protocol::parse_writer_info(&info)?;
+            let writer_dists = protocol::parse_writer_info(info)?;
             full_plan = Some(redistribute::plan(&writer_dists, &self.coord.cached_sels));
         }
 
@@ -465,11 +465,11 @@ impl StreamReader {
                 let wire = record.encoded_len() as u64;
                 monitor.record(MonitorEvent::DataRecv, step, self.rank, wire, 0);
                 if protocol::kind_of(&record) == msg::BATCH {
-                    for c in protocol::batch_chunks(&record)? {
+                    for c in protocol::batch_chunks(record)? {
                         self.store_chunk(protocol::parse_chunk(c)?, step)?;
                     }
                 } else {
-                    self.store_chunk(protocol::parse_chunk(&record)?, step)?;
+                    self.store_chunk(protocol::parse_chunk(record)?, step)?;
                 }
             }
             if self.hints.write_mode == WriteMode::Sync {

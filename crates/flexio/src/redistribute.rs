@@ -63,10 +63,10 @@ impl VarMeta {
     /// Encode for the exchange message.
     pub fn to_record(&self) -> Record {
         match self {
-            VarMeta::Scalar { name } => Record::new()
+            VarMeta::Scalar { name } => Record::with_capacity(2)
                 .with("kind", FieldValue::U64(0))
                 .with("name", FieldValue::Str(name.clone())),
-            VarMeta::Block { name, shape, offset, count } => Record::new()
+            VarMeta::Block { name, shape, offset, count } => Record::with_capacity(5)
                 .with("kind", FieldValue::U64(1))
                 .with("name", FieldValue::Str(name.clone()))
                 .with("shape", FieldValue::U64Array(shape.clone()))
@@ -75,16 +75,17 @@ impl VarMeta {
         }
     }
 
-    /// Decode from the exchange message.
-    pub fn from_record(r: &Record) -> Option<VarMeta> {
-        let name = r.get_str("name")?.to_string();
+    /// Decode from the exchange message, moving its name and vectors out.
+    pub fn from_record(r: impl Into<Record>) -> Option<VarMeta> {
+        let mut r = r.into();
+        let name = r.take_str("name")?;
         Some(match r.get_u64("kind")? {
             0 => VarMeta::Scalar { name },
             1 => VarMeta::Block {
                 name,
-                shape: r.get_u64_array("shape")?.to_vec(),
-                offset: r.get_u64_array("offset")?.to_vec(),
-                count: r.get_u64_array("count")?.to_vec(),
+                shape: r.take_u64_array("shape")?,
+                offset: r.take_u64_array("offset")?,
+                count: r.take_u64_array("count")?,
             },
             _ => return None,
         })
@@ -103,7 +104,7 @@ pub struct Subscription {
 impl Subscription {
     /// Encode for the exchange message.
     pub fn to_record(&self) -> Record {
-        let r = Record::new().with("var", FieldValue::Str(self.var.clone()));
+        let r = Record::with_capacity(4).with("var", FieldValue::Str(self.var.clone()));
         match &self.sel {
             Selection::ProcessGroup(rank) => {
                 r.with("sel", FieldValue::U64(0)).with("rank", FieldValue::U64(*rank as u64))
@@ -116,14 +117,15 @@ impl Subscription {
         }
     }
 
-    /// Decode from the exchange message.
-    pub fn from_record(r: &Record) -> Option<Subscription> {
-        let var = r.get_str("var")?.to_string();
+    /// Decode from the exchange message, moving its name and vectors out.
+    pub fn from_record(r: impl Into<Record>) -> Option<Subscription> {
+        let mut r = r.into();
+        let var = r.take_str("var")?;
         let sel = match r.get_u64("sel")? {
             0 => Selection::ProcessGroup(r.get_u64("rank")? as usize),
             1 => Selection::GlobalBox(wire_box(
-                r.get_u64_array("offset")?,
-                r.get_u64_array("count")?,
+                r.take_u64_array("offset")?,
+                r.take_u64_array("count")?,
             )?),
             2 => Selection::Scalar,
             _ => return None,
@@ -134,8 +136,8 @@ impl Subscription {
 
 /// A box off the wire: a peer's offset and count of different rank are
 /// damage to refuse, not the caller bug [`BoxSel::new`] asserts against.
-fn wire_box(offset: &[u64], count: &[u64]) -> Option<BoxSel> {
-    (offset.len() == count.len()).then(|| BoxSel::new(offset.to_vec(), count.to_vec()))
+fn wire_box(offset: Vec<u64>, count: Vec<u64>) -> Option<BoxSel> {
+    (offset.len() == count.len()).then(|| BoxSel::new(offset, count))
 }
 
 /// One planned chunk from a writer rank to a reader rank.
@@ -152,16 +154,17 @@ pub struct ChunkPlan {
 /// writer's row (chunks per reader rank) or a reader's column (chunks per
 /// writer rank) — the same shape, indexed by peer.
 pub(crate) fn encode_plan(slice: &[Vec<ChunkPlan>]) -> Record {
-    let mut r = Record::new().with("peers", FieldValue::U64(slice.len() as u64));
+    let fields = 1 + slice.iter().map(|chunks| 1 + chunks.len()).sum::<usize>();
+    let mut r = Record::with_capacity(fields).with("peers", FieldValue::U64(slice.len() as u64));
     for (p, chunks) in slice.iter().enumerate() {
-        r.set(&format!("count.{p}"), FieldValue::U64(chunks.len() as u64));
+        r.set_item("count", &[p], FieldValue::U64(chunks.len() as u64));
         for (ci, c) in chunks.iter().enumerate() {
-            let mut cr = Record::new().with("var", FieldValue::Str(c.var.clone()));
+            let mut cr = Record::with_capacity(3).with("var", FieldValue::Str(c.var.clone()));
             if let Some(region) = &c.region {
                 cr.set("offset", FieldValue::U64Array(region.offset.clone()));
                 cr.set("count", FieldValue::U64Array(region.count.clone()));
             }
-            r.set(&format!("chunk.{p}.{ci}"), FieldValue::Record(cr));
+            r.set_item("chunk", &[p, ci], FieldValue::Record(cr));
         }
     }
     r
@@ -171,23 +174,28 @@ pub(crate) fn encode_plan(slice: &[Vec<ChunkPlan>]) -> Record {
 /// sockets, any process's): every peer and every chunk is a field of `r`,
 /// so a count above the field count is damage and is refused before it
 /// can size an allocation.
-pub(crate) fn decode_plan(r: &Record) -> Option<Vec<Vec<ChunkPlan>>> {
-    let count = |key: &str| r.get_u64(key).filter(|&n| n <= r.len() as u64);
-    (0..count("peers")?)
-        .map(|p| {
-            (0..count(&format!("count.{p}"))?)
-                .map(|ci| {
-                    let cr = r.get_record(&format!("chunk.{p}.{ci}"))?;
-                    let var = cr.get_str("var")?.to_string();
-                    let region = match (cr.get_u64_array("offset"), cr.get_u64_array("count")) {
-                        (Some(o), Some(c)) => Some(wire_box(o, c)?),
-                        _ => None,
-                    };
-                    Some(ChunkPlan { var, region })
-                })
-                .collect()
-        })
-        .collect()
+pub(crate) fn decode_plan(mut r: Record) -> Option<Vec<Vec<ChunkPlan>>> {
+    let fields = r.len() as u64;
+    let count = |n: Option<&FieldValue>| n?.as_u64().filter(|&n| n <= fields).map(|n| n as usize);
+    let peers = count(r.get("peers"))?;
+    let mut slice = Vec::with_capacity(peers);
+    for p in 0..peers {
+        let chunks = count(r.get_item("count", &[p]))?;
+        let mut column = Vec::with_capacity(chunks);
+        for ci in 0..chunks {
+            let Some(FieldValue::Record(mut cr)) = r.take_item("chunk", &[p, ci]) else {
+                return None;
+            };
+            let var = cr.take_str("var")?;
+            let region = match (cr.take_u64_array("offset"), cr.take_u64_array("count")) {
+                (Some(o), Some(c)) => Some(wire_box(o, c)?),
+                _ => None,
+            };
+            column.push(ChunkPlan { var, region });
+        }
+        slice.push(column);
+    }
+    Some(slice)
 }
 
 /// Compute, for every `(writer, reader)` pair, the chunks that must move.
@@ -459,7 +467,7 @@ mod tests {
             },
         ];
         for m in &metas {
-            assert_eq!(VarMeta::from_record(&m.to_record()), Some(m.clone()));
+            assert_eq!(VarMeta::from_record(m.to_record()), Some(m.clone()));
         }
         let subs = [
             Subscription { var: "v".into(), sel: Selection::ProcessGroup(3) },
@@ -470,12 +478,12 @@ mod tests {
             Subscription { var: "v".into(), sel: Selection::Scalar },
         ];
         for s in &subs {
-            assert_eq!(Subscription::from_record(&s.to_record()), Some(s.clone()));
+            assert_eq!(Subscription::from_record(s.to_record()), Some(s.clone()));
         }
         // A box whose offset and count disagree in rank is refused.
         let mut ragged = subs[1].to_record();
         ragged.set("count", FieldValue::U64Array(vec![2, 2]));
-        assert_eq!(Subscription::from_record(&ragged), None);
+        assert_eq!(Subscription::from_record(ragged), None);
     }
 
     #[test]
@@ -483,7 +491,7 @@ mod tests {
         let (dists, sels, _) = fig3_setup();
         let row = plan(&dists, &sels).swap_remove(4); // overlaps both readers
         let rec = encode_plan(&row);
-        assert_eq!(decode_plan(&rec), Some(row));
+        assert_eq!(decode_plan(rec.clone()), Some(row));
         // A damaged or hostile `go`: counts far above what the record can
         // hold must come back `None` — no capacity-overflow panic, no
         // terabyte allocation.
@@ -491,7 +499,7 @@ mod tests {
             for key in ["peers", "count.0"] {
                 let mut bad = rec.clone();
                 bad.set(key, FieldValue::U64(huge));
-                assert_eq!(decode_plan(&bad), None, "{key} = {huge}");
+                assert_eq!(decode_plan(bad), None, "{key} = {huge}");
             }
         }
         // So is a region whose offset and count disagree in rank.
@@ -501,11 +509,11 @@ mod tests {
         };
         chunk.set("count", FieldValue::U64Array(vec![1]));
         ragged.set("chunk.0.0", FieldValue::Record(chunk));
-        assert_eq!(decode_plan(&ragged), None);
+        assert_eq!(decode_plan(ragged), None);
         // An honest count the record does not back up is refused too.
         let mut short = rec.clone();
         short.set("count.1", FieldValue::U64(2));
-        assert_eq!(decode_plan(&short), None);
+        assert_eq!(decode_plan(short), None);
     }
 
     #[test]

@@ -185,8 +185,7 @@ impl StreamWriter {
     }
 
     async fn run_step(&mut self, group: &ProcessGroup, step: u64) -> Result<(), StreamError> {
-        let metas = group.vars.iter().map(|(n, v)| VarMeta::of(n, v)).collect();
-        self.coordinate(metas, step).await?;
+        self.coordinate(group, step).await?;
         self.send_chunks(group, step).await?;
         if self.hints.transactional {
             self.commit_step_2pc(step).await?;
@@ -195,21 +194,25 @@ impl StreamWriter {
     }
 
     /// Steps 1–3: gather distributions, exchange with the reader
-    /// coordinator, and settle this rank's plan row and plug-ins.
-    async fn coordinate(&mut self, my_metas: Vec<VarMeta>, step: u64) -> Result<(), StreamError> {
+    /// coordinator, and settle this rank's plan row and plug-ins. This
+    /// rank's distributions are derived from `group` only on a step that
+    /// gathers them.
+    async fn coordinate(&mut self, group: &ProcessGroup, step: u64) -> Result<(), StreamError> {
         let first = self.steps_written == 0;
         let need_gather = first || self.hints.caching == CachingLevel::NoCaching;
+        let my_metas =
+            || -> Vec<VarMeta> { group.vars.iter().map(|(n, v)| VarMeta::of(n, v)).collect() };
         let need_exchange = first || self.hints.caching != CachingLevel::CachingAll;
         let (link, counters, nranks) = (&self.link, &self.link.counters, self.nranks);
 
         if self.rank != 0 {
             // Step 1: ship distributions up.
             if need_gather {
-                self.side.send_up(&protocol::dists(&my_metas));
+                self.side.send_up(&protocol::dists(&my_metas()));
                 counters.bump(&counters.gather_msgs);
             }
             // Step 3: receive the go (plan/plugins when changed).
-            let go = Go::from_record(&self.side.recv_down(&[msg::GO]).await?)?;
+            let go = Go::from_record(self.side.recv_down(&[msg::GO]).await?)?;
             if let Some(row) = go.plan {
                 self.cached_plan_row = Arc::new(row);
             }
@@ -232,7 +235,7 @@ impl StreamWriter {
         // channel from data movement, §II.F).
         let mut plugin_dirty = false;
         for update in self.side.ctrl_drain(msg::PLUGIN_UPDATE) {
-            if let Ok(specs) = protocol::parse_plugin_update(&update) {
+            if let Ok(specs) = protocol::parse_plugin_update(update) {
                 coord.writer_plugins = specs;
                 plugin_dirty = true;
                 counters.bump(&counters.plugin_msgs);
@@ -241,11 +244,11 @@ impl StreamWriter {
 
         // Step 1: gather distributions.
         if need_gather {
-            coord.cached_dists[0] = my_metas;
+            coord.cached_dists[0] = my_metas();
             let dists = &mut coord.cached_dists;
             self.side
                 .gather(1..nranks, msg::DISTS, |r, m| {
-                    dists[r] = protocol::parse_dists(&m?)?;
+                    dists[r] = protocol::parse_dists(m?)?;
                     Ok(())
                 })
                 .await?;
@@ -262,7 +265,7 @@ impl StreamWriter {
 
             // Usually already waiting: the reader posts it unprompted.
             let reply = self.side.ctrl_recv(&[msg::READER_INFO]).await?;
-            let (sels, plugins) = protocol::parse_reader_info(&reply)?;
+            let (sels, plugins) = protocol::parse_reader_info(reply)?;
             if let Some(specs) = plugins {
                 coord.writer_plugins = specs;
                 plugin_dirty = true;

@@ -235,7 +235,7 @@ fn damage(
 proptest! {
     #[test]
     fn go_round_trips(go in arb_go()) {
-        prop_assert_eq!(Go::from_record(&wired(&go.to_record())).as_ref(), Ok(&go));
+        prop_assert_eq!(Go::from_record(wired(&go.to_record())).as_ref(), Ok(&go));
     }
 
     #[test]
@@ -253,7 +253,7 @@ proptest! {
     #[test]
     fn chunks_round_trip_alone_and_batched(chunks in vec(arb_chunk(), 1..4)) {
         for c in &chunks {
-            prop_assert_eq!(protocol::parse_chunk(&wired(&chunk_record(c))).as_ref(), Ok(c));
+            prop_assert_eq!(protocol::parse_chunk(wired(&chunk_record(c))).as_ref(), Ok(c));
         }
         let batch = wired(&protocol::batch(9, 2, chunks.iter().map(chunk_record).collect()));
         let inner = protocol::batch_chunks(&batch).expect("own batch");
@@ -288,7 +288,7 @@ proptest! {
         } else {
             protocol::chunk(3, 0, "v", bad.to_record(), &[])
         };
-        prop_assert!(protocol::parse_chunk(&wired(&record)).is_err(), "accepted {record:?}");
+        prop_assert!(protocol::parse_chunk(wired(&record)).is_err(), "accepted {record:?}");
     }
 
     /// Cut the ffs bytes anywhere: no record comes out, or one every

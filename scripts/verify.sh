@@ -50,12 +50,17 @@ grep -qx '#!\[forbid(unsafe_code)\]' crates/reactor/src/lib.rs \
     || { echo "crates/reactor/src/lib.rs no longer forbids unsafe code"; exit 1; }
 # One definition per step-protocol message: the engines name messages
 # (protocol.rs builds and parses them, side.rs moves them between a
-# program's ranks and its coordinator) and never a field, a list key or a
-# side channel; reader.rs does not reach into writer.rs; the monitor event
+# program's ranks and its coordinator) and never a field or a side
+# channel; reader.rs does not reach into writer.rs; the monitor event
 # table exists once.
 engines="crates/flexio/src/writer.rs crates/flexio/src/reader.rs"
-if grep -n 'protocol::message(\|format!("[a-z_]*\.{\|get_or_insert_with(|| link\.claim_' $engines; then
-    echo "an engine builds a message, a list key or a side channel by hand"; exit 1
+if grep -n 'protocol::message(\|get_or_insert_with(|| link\.claim_' $engines; then
+    echo "an engine builds a message or a side channel by hand"; exit 1
+fi
+# One list-key convention: `<prefix>.<i>` keys are formatted on the stack
+# by evpath's Record::{set_item, get_item, take_item}, nowhere by format!.
+if grep -rn 'format!("[a-z_{}.]*\.{[a-z_]*}")' crates/*/src; then
+    echo "a list key is built with format! instead of Record::set_item/get_item"; exit 1
 fi
 if grep -n "use crate::writer" crates/flexio/src/reader.rs; then
     echo "reader.rs imports from writer.rs"; exit 1
@@ -212,7 +217,7 @@ done
 [ "$missing" -eq 0 ] || { echo "a doc names something the tree does not have"; exit 1; }
 # Their size only goes down, toward the ROADMAP's 100 KB target; lower
 # this limit when a PR shrinks them, never raise it.
-doc_limit=131268
+doc_limit=130841
 doc_bytes=$(cat $docs | wc -c)
 [ "$doc_bytes" -le "$doc_limit" ] || { echo "docs are $doc_bytes bytes (limit $doc_limit)"; exit 1; }
 echo "doc references ok (docs: $doc_bytes bytes)"
