@@ -159,7 +159,7 @@ impl ArrayData {
                 PackedDtype::F64 => ArrayData::F64(p.to_f64_vec()),
                 PackedDtype::U64 => ArrayData::U64(p.to_u64_vec()),
                 PackedDtype::I64 => ArrayData::I64(p.to_i64_vec()),
-                PackedDtype::U8 => ArrayData::U8(p.to_byte_vec()),
+                PackedDtype::U8 => ArrayData::U8(p.bytes().to_vec()),
             },
             owned => owned.clone(),
         }
@@ -310,38 +310,35 @@ impl ArrayData {
         }
     }
 
+    /// The payload as a field value: owned elements are cloned, a view
+    /// only bumps its `Arc` (the encoder copies its bytes onto the wire).
     fn to_field(&self) -> FieldValue {
-        match self {
-            ArrayData::F64(v) => FieldValue::F64Array(v.clone()),
-            ArrayData::U64(v) => FieldValue::U64Array(v.clone()),
-            ArrayData::I64(v) => FieldValue::I64Array(v.clone()),
-            ArrayData::U8(v) => FieldValue::Bytes(v.clone()),
-            // A view re-encodes by reference: cloning bumps the Arc, and the
-            // encoder bulk-copies the bytes straight onto the wire.
-            ArrayData::Packed(p) => FieldValue::Packed(p.clone()),
-        }
+        self.clone().into_field()
     }
 
-    /// Move the payload into a field value without cloning element storage.
+    /// Move the payload into a field value: an owned vector is adopted
+    /// by the array without a copy.
     fn into_field(self) -> FieldValue {
         match self {
-            ArrayData::F64(v) => FieldValue::F64Array(v),
-            ArrayData::U64(v) => FieldValue::U64Array(v),
-            ArrayData::I64(v) => FieldValue::I64Array(v),
-            ArrayData::U8(v) => FieldValue::Bytes(v),
+            ArrayData::F64(v) => v.into(),
+            ArrayData::U64(v) => v.into(),
+            ArrayData::I64(v) => v.into(),
+            ArrayData::U8(v) => v.into(),
             ArrayData::Packed(p) => FieldValue::Packed(p),
         }
     }
 
-    /// Adopt a field's payload: vectors and views are moved, not copied.
+    /// Adopt a field's array: a view stays one, an owned store lands as
+    /// the owned variant of its element type without a copy (bytes, whose
+    /// store is not words, are copied).
     fn from_field(f: FieldValue) -> Option<ArrayData> {
-        Some(match f {
-            FieldValue::F64Array(v) => ArrayData::F64(v),
-            FieldValue::U64Array(v) => ArrayData::U64(v),
-            FieldValue::I64Array(v) => ArrayData::I64(v),
-            FieldValue::Bytes(v) => ArrayData::U8(v),
-            FieldValue::Packed(p) => ArrayData::Packed(p),
-            _ => return None,
+        let FieldValue::Packed(p) = f else { return None };
+        Some(match p.dtype() {
+            _ if p.is_view() => ArrayData::Packed(p),
+            PackedDtype::F64 => ArrayData::F64(p.into_f64_vec()),
+            PackedDtype::U64 => ArrayData::U64(p.into_u64_vec()),
+            PackedDtype::I64 => ArrayData::I64(p.into_i64_vec()),
+            PackedDtype::U8 => ArrayData::U8(p.bytes().to_vec()),
         })
     }
 }
@@ -520,9 +517,9 @@ impl VarValue {
             VarValue::Block(b) => Record::with_capacity(6)
                 .with("kind", FieldValue::U64(1))
                 .with("dtype", FieldValue::U64(b.data.data_type().tag()))
-                .with("shape", FieldValue::U64Array(b.global_shape.clone()))
-                .with("offset", FieldValue::U64Array(b.offset.clone()))
-                .with("count", FieldValue::U64Array(b.count.clone()))
+                .with("shape", FieldValue::from(b.global_shape.clone()))
+                .with("offset", FieldValue::from(b.offset.clone()))
+                .with("count", FieldValue::from(b.count.clone()))
                 .with("data", b.data.to_field()),
         }
     }
@@ -536,9 +533,9 @@ impl VarValue {
             VarValue::Block(b) => Record::with_capacity(6)
                 .with("kind", FieldValue::U64(1))
                 .with("dtype", FieldValue::U64(b.data.data_type().tag()))
-                .with("shape", FieldValue::U64Array(b.global_shape))
-                .with("offset", FieldValue::U64Array(b.offset))
-                .with("count", FieldValue::U64Array(b.count))
+                .with("shape", FieldValue::from(b.global_shape))
+                .with("offset", FieldValue::from(b.offset))
+                .with("count", FieldValue::from(b.count))
                 .with("data", b.data.into_field()),
         }
     }
@@ -665,7 +662,7 @@ mod tests {
         // The fields a chunk body carries are a peer's claims.
         let tamper = |key: &str, value: Vec<u64>| {
             let mut r = VarValue::Block(block()).to_record();
-            r.set(key, FieldValue::U64Array(value));
+            r.set(key, FieldValue::from(value));
             VarValue::from_record(r)
         };
         assert!(tamper("count", vec![2, 3]).is_some(), "the untampered shape decodes");

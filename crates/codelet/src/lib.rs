@@ -40,7 +40,7 @@
 //!     }
 //!     emit_f64("selected", out);
 //! "#).unwrap();
-//! let input = Record::new().with("values", FieldValue::F64Array(vec![1.0, 50.0, 3.0, 99.0]));
+//! let input = Record::new().with("values", FieldValue::from(vec![1.0, 50.0, 3.0, 99.0]));
 //! let output = plugin.run(&input).unwrap();
 //! assert_eq!(output.get_f64_array("selected"), Some(&[50.0, 99.0][..]));
 //! ```

@@ -97,7 +97,7 @@ mod tests {
 
     fn particles() -> Record {
         Record::new()
-            .with("velocity", FieldValue::F64Array(vec![0.1, 0.9, 1.5, 2.4, 3.0, 0.5, 1.1, 2.0]))
+            .with("velocity", FieldValue::from(vec![0.1, 0.9, 1.5, 2.4, 3.0, 0.5, 1.1, 2.0]))
     }
 
     #[test]
@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn summarize_empty_input() {
-        let input = Record::new().with("velocity", FieldValue::F64Array(vec![]));
+        let input = Record::new().with("velocity", FieldValue::from(Vec::<f64>::new()));
         let c = Codelet::compile(&super::summarize("velocity")).unwrap();
         let out = c.run(&input).unwrap();
         assert_eq!(out.get_i64("dc_count"), Some(0));

@@ -1,6 +1,6 @@
 //! The bytecode interpreter and builtin table.
 
-use evpath::{FieldValue, Record};
+use evpath::{FieldValue, PackedDtype, Record};
 
 use crate::compile::{Const, Instr, Program};
 use crate::value::{values_equal, Value};
@@ -72,8 +72,8 @@ const BUILTINS: &[&str] = &[
     "sum",        // 9
     "int",        // 10: cast to int
     "float",      // 11: cast to float
-    "get_f64",    // 12: input F64Array field -> float[]
-    "get_i64",    // 13: input I64/U64Array field -> int[]
+    "get_f64",    // 12: input f64 array field -> float[]
+    "get_i64",    // 13: input i64/u64 array field -> int[]
     "get_int",    // 14: input integer scalar
     "get_float",  // 15: input float scalar
     "get_str",    // 16: input string
@@ -421,17 +421,23 @@ impl Vm<'_> {
             "get_f64" => {
                 arity(1)?;
                 let field = need_str(&args[0])?;
-                let arr = self.input.get_f64_array(&field).ok_or(RunError::MissingField(field))?;
-                Ok(Value::float_arr(arr.to_vec()))
+                // Owned or a view of the receive buffer, aligned or not:
+                // one bulk copy into the codelet's own array.
+                match self.input.get_packed(&field) {
+                    Some(p) if p.dtype() == PackedDtype::F64 => {
+                        Ok(Value::float_arr(p.to_f64_vec()))
+                    }
+                    _ => Err(RunError::MissingField(field)),
+                }
             }
             "get_i64" => {
                 arity(1)?;
                 let field = need_str(&args[0])?;
-                match self.input.get(&field) {
-                    Some(FieldValue::I64Array(a)) => Ok(Value::int_arr(a.clone())),
-                    Some(FieldValue::U64Array(a)) => {
-                        Ok(Value::int_arr(a.iter().map(|&v| v as i64).collect()))
-                    }
+                match self.input.get_packed(&field) {
+                    Some(p) if p.dtype() == PackedDtype::I64 => Ok(Value::int_arr(p.to_i64_vec())),
+                    Some(p) if p.dtype() == PackedDtype::U64 => Ok(Value::int_arr(
+                        (0..p.elem_count()).map(|i| p.u64_at(i) as i64).collect(),
+                    )),
                     _ => Err(RunError::MissingField(field)),
                 }
             }
@@ -460,7 +466,7 @@ impl Vm<'_> {
                 let field = need_str(&args[0])?;
                 match &args[1] {
                     Value::FloatArr(a) => {
-                        self.output.set(&field, FieldValue::F64Array(a.borrow().clone()));
+                        self.output.set(&field, FieldValue::from(a.borrow().clone()));
                         Ok(Value::Bool(true))
                     }
                     other => Err(RunError::Type(format!(
@@ -474,7 +480,7 @@ impl Vm<'_> {
                 let field = need_str(&args[0])?;
                 match &args[1] {
                     Value::IntArr(a) => {
-                        self.output.set(&field, FieldValue::I64Array(a.borrow().clone()));
+                        self.output.set(&field, FieldValue::from(a.borrow().clone()));
                         Ok(Value::Bool(true))
                     }
                     other => Err(RunError::Type(format!(
@@ -592,7 +598,7 @@ mod tests {
 
     #[test]
     fn short_circuit_guards_indexing() {
-        let input = Record::new().with("v", FieldValue::F64Array(vec![5.0]));
+        let input = Record::new().with("v", FieldValue::from(vec![5.0]));
         // v[1] would be out of bounds; && must not evaluate it.
         let out = run(
             "let v = get_f64(\"v\"); let ok = len(v) > 1 && v[1] > 0.0; emit_int(\"ok\", int(float(0)));
@@ -620,7 +626,7 @@ mod tests {
     #[test]
     fn input_round_trip() {
         let input = Record::new()
-            .with("vals", FieldValue::F64Array(vec![1.0, 2.0, 3.0]))
+            .with("vals", FieldValue::from(vec![1.0, 2.0, 3.0]))
             .with("scale", FieldValue::F64(10.0))
             .with("tag", FieldValue::Str("gts".into()));
         let out = run(
@@ -650,7 +656,7 @@ mod tests {
 
     #[test]
     fn index_out_of_bounds_detected() {
-        let input = Record::new().with("v", FieldValue::F64Array(vec![1.0]));
+        let input = Record::new().with("v", FieldValue::from(vec![1.0]));
         let c = Codelet::compile("let v = get_f64(\"v\"); let x = v[5];").unwrap();
         assert_eq!(c.run(&input), Err(RunError::IndexOutOfBounds { index: 5, len: 1 }));
     }
@@ -717,7 +723,7 @@ mod tests {
 
     #[test]
     fn int_arrays() {
-        let input = Record::new().with("ids", FieldValue::U64Array(vec![10, 20, 30]));
+        let input = Record::new().with("ids", FieldValue::from(vec![10u64, 20, 30]));
         let out = run(
             r#"let ids = get_i64("ids");
                let o = int_array();

@@ -135,7 +135,7 @@ proptest! {
         stride in 1usize..12,
     ) {
         let plugin = Codelet::compile(&codelet::plugins::sampling("x", stride)).unwrap();
-        let input = Record::new().with("x", evpath::FieldValue::F64Array(values.clone()));
+        let input = Record::new().with("x", evpath::FieldValue::from(values.clone()));
         let out = plugin.run(&input).unwrap();
         let expected: Vec<f64> =
             values.iter().copied().step_by(stride).collect();
@@ -150,7 +150,7 @@ proptest! {
         hi in 0f64..50.0,
     ) {
         let plugin = Codelet::compile(&codelet::plugins::bounding_box("x", lo, hi)).unwrap();
-        let input = Record::new().with("x", evpath::FieldValue::F64Array(values.clone()));
+        let input = Record::new().with("x", evpath::FieldValue::from(values.clone()));
         let out = plugin.run(&input).unwrap();
         let expected: Vec<f64> =
             values.iter().copied().filter(|v| (lo..=hi).contains(v)).collect();

@@ -25,7 +25,7 @@ fn empty_and_inverted_ranges_run_zero_iterations() {
         "#,
     )
     .expect("compile");
-    let input = Record::new().with("v", FieldValue::F64Array(Vec::new()));
+    let input = Record::new().with("v", FieldValue::from(Vec::<f64>::new()));
     let out = c.run(&input).expect("run");
     assert_eq!(out.get_f64_array("v"), Some(&[][..]), "empty chunk passes through empty");
     assert_eq!(out.get_i64("iters"), Some(0), "degenerate ranges must not iterate");
@@ -45,7 +45,7 @@ fn budget_exhaustion_mid_loop_is_a_clean_error() {
         "#,
     )
     .expect("compile");
-    let input = Record::new().with("v", FieldValue::F64Array(vec![1.0; 10_000]));
+    let input = Record::new().with("v", FieldValue::from(vec![1.0; 10_000]));
     // Generous budget: completes.
     c.run_budgeted(&input, 10_000_000).expect("generous budget");
     // Starved budget: must stop mid-loop with the typed error, never
@@ -67,7 +67,7 @@ fn get_f64_on_non_f64_fields_reports_the_field() {
     )
     .expect("compile");
     // Wrong dtype: u64 array under the requested name.
-    let wrong = Record::new().with("v", FieldValue::U64Array(vec![1, 2, 3]));
+    let wrong = Record::new().with("v", FieldValue::from(vec![1u64, 2, 3]));
     assert_eq!(c.run(&wrong).expect_err("dtype mismatch"), RunError::MissingField("v".into()));
     // Scalar under the requested name.
     let scalar = Record::new().with("v", FieldValue::F64(1.5));

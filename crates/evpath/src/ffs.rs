@@ -7,35 +7,26 @@
 //!   [name_len u16][name bytes][type_tag u8][payload]
 //! ```
 //!
-//! Arrays carry a `u64` element count; strings and byte arrays a `u64`
-//! length; nested records recurse. All integers little-endian. The format
-//! is self-describing: decoding requires no out-of-band schema, which is
+//! An array carries its element type in its tag and a `u64` element count
+//! ahead of its little-endian bytes; a string carries a `u64` length;
+//! nested records recurse. All integers little-endian. The format is
+//! self-describing: decoding requires no out-of-band schema, which is
 //! what lets FlexIO's handshake messages evolve without lockstep upgrades
 //! on both sides (the property FFS provides the real system).
 //!
-//! # Packed arrays
+//! # Arrays
 //!
-//! Array payloads are encoded as one contiguous little-endian byte run
-//! (tags [`TAG_PACKED_F64`]..[`TAG_PACKED_I64`] below): on little-endian
-//! targets the element slice is reinterpreted as bytes and appended with a
-//! single bulk copy, with a chunked per-element fallback elsewhere. The
-//! original per-element tags (5, 6, 9) remain decodable — the decoder
-//! treats both tag families identically; `tests/wire_compat.rs` keeps a
-//! generator of such old streams to hold it to that.
-//!
-//! Decoding has a zero-copy mode: [`Record::decode_leased`] takes the
-//! receive buffer (a [`Lease`] on wherever the transport received into) and
-//! returns arrays of at least [`ZERO_COPY_MIN_BYTES`] as
-//! [`FieldValue::Packed`] views — an `offset/len` window into the leased
-//! buffer — so large payloads are never re-vec'd at decode time. The
-//! buffer goes home when the last view into it drops. A view whose bytes
-//! sit on an 8-byte boundary of a little-endian target can be borrowed as
-//! typed elements where it lies ([`PackedArray::as_f64s`] and friends);
-//! otherwise converting it to owned element storage
-//! ([`PackedArray::to_f64_vec`] and friends) is the single bulk copy that
-//! hands the data to the application.
+//! Every array, whatever its element type, is one [`PackedArray`]: a
+//! [`PackedDtype`] over the very bytes the wire carries, so encoding
+//! appends them with one bulk copy (or, under [`Record::encode_segments`],
+//! borrows them) and the encoder has one array arm. Its bytes are owned
+//! words, or a view into a shared receive buffer that
+//! [`Record::decode_leased`] makes of a payload of at least
+//! [`ZERO_COPY_MIN_BYTES`], so large payloads are never copied at decode
+//! time. The original per-element tags (5, 6, 9) still decode, through the
+//! same arms as the packed tags; `tests/wire_compat.rs` keeps a generator
+//! of such old streams to hold the decoder to that.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use shm::Lease;
@@ -55,7 +46,7 @@ const TAG_PACKED_F64: u8 = 10;
 const TAG_PACKED_U64: u8 = 11;
 const TAG_PACKED_I64: u8 = 12;
 
-/// Payloads at least this large decode as zero-copy [`FieldValue::Packed`]
+/// Payloads at least this large decode as zero-copy [`PackedArray`]
 /// views under [`Record::decode_leased`], and encode as standalone borrowed
 /// segments under [`Record::encode_segments`]. Smaller payloads are copied:
 /// below this size the bookkeeping costs more than the memcpy it saves.
@@ -73,7 +64,7 @@ pub mod le {
     use std::borrow::Cow;
 
     macro_rules! le_impl {
-        ($as_bytes:ident, $as_elems:ident, $to_vec:ident, $copy_into:ident, $ty:ty) => {
+        ($as_bytes:ident, $as_elems:ident, $copy_into:ident, $ty:ty) => {
             /// View an element slice as its little-endian wire bytes.
             pub fn $as_bytes(v: &[$ty]) -> Cow<'_, [u8]> {
                 #[cfg(target_endian = "little")]
@@ -90,19 +81,14 @@ pub mod le {
                 }
                 #[cfg(not(target_endian = "little"))]
                 {
-                    let mut out = Vec::with_capacity(std::mem::size_of_val(v));
-                    for x in v {
-                        out.extend_from_slice(&x.to_le_bytes());
-                    }
-                    Cow::Owned(out)
+                    Cow::Owned(v.iter().flat_map(|x| x.to_le_bytes()).collect())
                 }
             }
 
             /// View a little-endian byte run as elements where it lies:
             /// `Some` on a little-endian target when `src` starts on an
             /// element-aligned address and holds a whole number of
-            /// elements, `None` otherwise (copy with the `bytes_to_*`
-            /// converter instead).
+            /// elements, `None` otherwise.
             pub fn $as_elems(src: &[u8]) -> Option<&[$ty]> {
                 const W: usize = std::mem::size_of::<$ty>();
                 #[cfg(target_endian = "little")]
@@ -112,12 +98,9 @@ pub mod le {
                     if !aligned || !src.len().is_multiple_of(W) {
                         return None;
                     }
-                    // SAFETY: the pointer is aligned for the element type
-                    // and the length is a whole number of elements (both
-                    // checked above); every bit pattern is a valid element;
-                    // the bytes are initialized and stay borrowed (shared,
-                    // so unmodified) for the returned lifetime; and on this
-                    // target the wire order is the native order.
+                    // SAFETY: aligned, whole elements (checked above), any
+                    // bit pattern valid, borrowed for the returned lifetime,
+                    // and on this target the wire order is the native one.
                     Some(unsafe {
                         std::slice::from_raw_parts(src.as_ptr() as *const $ty, src.len() / W)
                     })
@@ -127,19 +110,6 @@ pub mod le {
                     let _ = (src, W);
                     None
                 }
-            }
-
-            /// Decode a little-endian byte run into a fresh vector.
-            ///
-            /// Panics if `src.len()` is not a multiple of the element width.
-            pub fn $to_vec(src: &[u8]) -> Vec<$ty> {
-                const W: usize = std::mem::size_of::<$ty>();
-                assert_eq!(src.len() % W, 0, "byte run not a whole number of elements");
-                // `vec![0; n]` uses a zeroed allocation, so the only data
-                // touch is the copy below.
-                let mut out = vec![<$ty>::default(); src.len() / W];
-                $copy_into(src, &mut out);
-                out
             }
 
             /// Copy a little-endian byte run over an existing slice.
@@ -165,12 +135,12 @@ pub mod le {
         };
     }
 
-    le_impl!(f64s_as_bytes, bytes_as_f64s, bytes_to_f64s, copy_bytes_into_f64s, f64);
-    le_impl!(u64s_as_bytes, bytes_as_u64s, bytes_to_u64s, copy_bytes_into_u64s, u64);
-    le_impl!(i64s_as_bytes, bytes_as_i64s, bytes_to_i64s, copy_bytes_into_i64s, i64);
+    le_impl!(f64s_as_bytes, bytes_as_f64s, copy_bytes_into_f64s, f64);
+    le_impl!(u64s_as_bytes, bytes_as_u64s, copy_bytes_into_u64s, u64);
+    le_impl!(i64s_as_bytes, bytes_as_i64s, copy_bytes_into_i64s, i64);
 }
 
-/// Element type of a [`PackedArray`] view.
+/// Element type of a [`PackedArray`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackedDtype {
     /// IEEE-754 doubles.
@@ -193,22 +163,56 @@ impl PackedDtype {
     }
 }
 
-/// A zero-copy window into a leased receive buffer holding a contiguous
-/// little-endian array payload.
+/// A typed array as its little-endian wire bytes: the one array a
+/// [`Record`] holds ([`FieldValue::Packed`]).
 ///
-/// Produced by [`Record::decode_leased`] for payloads of at least
-/// [`ZERO_COPY_MIN_BYTES`]. Cloning is cheap (an `Arc` bump); the
-/// underlying buffer goes home (a pool buffer to its free list) when the
-/// last view is dropped. The bytes are immutable: borrow them as typed
-/// elements with the `as_*s` accessors when they lie aligned, materialize
-/// owned elements with the `to_*_vec` converters when they do not or when
-/// mutation is needed.
+/// The bytes lie in one of two stores. An **owned** store is 8-aligned
+/// words: a `Vec<f64>`/`Vec<u64>`/`Vec<i64>` adopted without a copy
+/// (`From`) and given back the same way (`into_*_vec`), or a small array
+/// copied out of a frame. A **view** is a window into a shared buffer: a
+/// payload of at least [`ZERO_COPY_MIN_BYTES`] under
+/// [`Record::decode_leased`], an adopted `Vec<u8>`, or a slice the
+/// `from_*s` constructors packed. Cloning a view bumps an `Arc`; the
+/// buffer goes home when the last view drops. The `as_*s` accessors
+/// borrow the elements where they lie (an owned store always can on a
+/// little-endian target, a view when it starts on an 8-byte boundary);
+/// the `to_*_vec` converters make the one bulk copy. Equality is by dtype
+/// and bytes, whatever the stores.
 #[derive(Clone)]
 pub struct PackedArray {
     dtype: PackedDtype,
-    buf: Arc<Lease>,
-    offset: usize,
     byte_len: usize,
+    store: Store,
+}
+
+#[derive(Clone)]
+enum Store {
+    /// Words holding the little-endian bytes; a byte array's last word is
+    /// padded.
+    Owned(Vec<u64>),
+    /// A window at this offset into the shared buffer.
+    View(Arc<Lease>, usize),
+}
+
+/// Reinterpret a vector of one 8-byte element type as another, in place.
+///
+/// # Safety
+///
+/// `A` and `B` must be `u64`, `i64` or `f64`: one size and alignment and
+/// every bit pattern valid, so the parts describe a `Vec<B>` that frees
+/// with the layout it was allocated with.
+unsafe fn recast<A, B>(v: Vec<A>) -> Vec<B> {
+    let mut v = std::mem::ManuallyDrop::new(v);
+    // SAFETY: the caller's contract.
+    unsafe { Vec::from_raw_parts(v.as_mut_ptr().cast(), v.len(), v.capacity()) }
+}
+
+/// Turn words between native and little-endian order (an involution, and
+/// nothing at all on a little-endian target).
+fn swap_le(words: &mut [u64]) {
+    if cfg!(target_endian = "big") {
+        words.iter_mut().for_each(|w| *w = w.swap_bytes());
+    }
 }
 
 impl PackedArray {
@@ -219,130 +223,154 @@ impl PackedArray {
     pub fn view(dtype: PackedDtype, buf: Arc<Lease>, offset: usize, byte_len: usize) -> Self {
         assert!(offset + byte_len <= buf.len(), "packed view out of bounds");
         assert_eq!(byte_len % dtype.elem_bytes(), 0, "packed view splits an element");
-        PackedArray { dtype, buf, offset, byte_len }
+        PackedArray { dtype, byte_len, store: Store::View(buf, offset) }
     }
 
-    fn from_owned_bytes(dtype: PackedDtype, bytes: Vec<u8>) -> Self {
-        let byte_len = bytes.len();
-        PackedArray { dtype, buf: Arc::new(bytes.into()), offset: 0, byte_len }
+    /// An owned array holding a copy of the little-endian run `bytes`.
+    fn copied(dtype: PackedDtype, bytes: &[u8]) -> Self {
+        let mut words = vec![0u64; bytes.len().div_ceil(8)];
+        // SAFETY: the words hold at least `bytes.len()` bytes, any of which
+        // make a valid `u64`, and a fresh vector overlaps nothing.
+        unsafe {
+            std::ptr::copy_nonoverlapping(bytes.as_ptr(), words.as_mut_ptr().cast(), bytes.len())
+        }
+        PackedArray { dtype, byte_len: bytes.len(), store: Store::Owned(words) }
     }
 
-    /// Pack an `f64` slice into a standalone buffer (one bulk copy).
-    pub fn from_f64s(v: &[f64]) -> Self {
-        Self::from_owned_bytes(PackedDtype::F64, le::f64s_as_bytes(v).into_owned())
-    }
-
-    /// Pack a `u64` slice into a standalone buffer (one bulk copy).
-    pub fn from_u64s(v: &[u64]) -> Self {
-        Self::from_owned_bytes(PackedDtype::U64, le::u64s_as_bytes(v).into_owned())
-    }
-
-    /// Pack an `i64` slice into a standalone buffer (one bulk copy).
-    pub fn from_i64s(v: &[i64]) -> Self {
-        Self::from_owned_bytes(PackedDtype::I64, le::i64s_as_bytes(v).into_owned())
-    }
-
-    /// Pack raw bytes into a standalone buffer (one bulk copy).
-    pub fn from_bytes(v: &[u8]) -> Self {
-        Self::from_owned_bytes(PackedDtype::U8, v.to_vec())
-    }
-
-    /// Element type of the view.
+    /// Element type.
     pub fn dtype(&self) -> PackedDtype {
         self.dtype
     }
 
-    /// Number of elements in the view.
+    /// Number of elements.
     pub fn elem_count(&self) -> usize {
         self.byte_len / self.dtype.elem_bytes()
     }
 
-    /// Length of the window in bytes.
+    /// Length of the payload in bytes.
     pub fn byte_len(&self) -> usize {
         self.byte_len
     }
 
     /// The raw little-endian wire bytes of the payload.
     pub fn bytes(&self) -> &[u8] {
-        &self.buf[self.offset..self.offset + self.byte_len]
+        match &self.store {
+            // SAFETY: the words hold at least `byte_len` bytes; `u64` has
+            // no padding and `u8` alignment 1.
+            Store::Owned(words) => unsafe {
+                std::slice::from_raw_parts(words.as_ptr().cast(), self.byte_len)
+            },
+            Store::View(buf, offset) => &buf[*offset..*offset + self.byte_len],
+        }
     }
 
-    /// Whether the elements can be read where they lie: always for bytes;
-    /// for the 8-byte types, when the target is little-endian and the
-    /// payload starts on an 8-byte boundary (the `as_*s` accessors then
-    /// return `Some`).
+    /// Whether the bytes are a window into a shared buffer rather than
+    /// words the array owns.
+    pub fn is_view(&self) -> bool {
+        matches!(self.store, Store::View(..))
+    }
+
+    /// Whether the `as_*s` accessors can borrow the elements where they
+    /// lie (always for bytes).
     pub fn in_place(&self) -> bool {
         self.dtype == PackedDtype::U8 || le::bytes_as_u64s(self.bytes()).is_some()
     }
+}
 
-    /// Borrow the payload as `f64` elements where it lies, if it lies
-    /// aligned (see [`Self::in_place`]). Panics unless `dtype` is `F64`.
-    pub fn as_f64s(&self) -> Option<&[f64]> {
-        assert_eq!(self.dtype, PackedDtype::F64, "packed view is not f64");
-        le::bytes_as_f64s(self.bytes())
+/// The constructors, accessors and converters of one 8-byte element type.
+macro_rules! words {
+    ($ty:ty, $dtype:ident, $from_s:ident, $as_s:ident, $to_vec:ident, $into_vec:ident,
+     $at:ident, $le_bytes:path, $le_as:path) => {
+        impl PackedArray {
+            /// Pack a slice into a view of a buffer of its own (one bulk
+            /// copy); its clones share that buffer.
+            pub fn $from_s(v: &[$ty]) -> Self {
+                PackedArray { dtype: PackedDtype::$dtype, ..$le_bytes(v).into_owned().into() }
+            }
+
+            /// Borrow the elements where they lie: `None` for another
+            /// dtype, or for bytes that cannot be read in place (see
+            /// [`Self::in_place`]).
+            pub fn $as_s(&self) -> Option<&[$ty]> {
+                (self.dtype == PackedDtype::$dtype).then(|| $le_as(self.bytes())).flatten()
+            }
+
+            /// Copy into owned elements (one bulk copy). Panics on another
+            /// dtype.
+            pub fn $to_vec(&self) -> Vec<$ty> {
+                Self::copied(self.dtype, self.bytes()).$into_vec()
+            }
+
+            /// The elements as a vector: an owned store's words given back
+            /// without a copy, a view's bytes copied. Panics on another
+            /// dtype.
+            pub fn $into_vec(self) -> Vec<$ty> {
+                assert_eq!(self.dtype, PackedDtype::$dtype, "packed array of another dtype");
+                let mut words = match self.store {
+                    Store::Owned(words) => words,
+                    Store::View(..) => return self.$to_vec(),
+                };
+                swap_le(&mut words);
+                // SAFETY: an 8-byte element type, see `recast`.
+                unsafe { recast(words) }
+            }
+
+            /// One element by index, decoded in place. Panics on another
+            /// dtype or out of bounds.
+            pub fn $at(&self, i: usize) -> $ty {
+                assert_eq!(self.dtype, PackedDtype::$dtype, "packed array of another dtype");
+                <$ty>::from_le_bytes(self.bytes()[i * 8..i * 8 + 8].try_into().unwrap())
+            }
+        }
+
+        /// Adopt the vector as an owned store, without a copy.
+        impl From<Vec<$ty>> for PackedArray {
+            fn from(v: Vec<$ty>) -> Self {
+                // SAFETY: an 8-byte element type, see `recast`.
+                let mut words: Vec<u64> = unsafe { recast(v) };
+                swap_le(&mut words);
+                let byte_len = words.len() * 8;
+                PackedArray { dtype: PackedDtype::$dtype, byte_len, store: Store::Owned(words) }
+            }
+        }
+    };
+}
+
+use le::{
+    bytes_as_f64s, bytes_as_i64s, bytes_as_u64s, f64s_as_bytes, i64s_as_bytes, u64s_as_bytes,
+};
+words! {
+    f64, F64, from_f64s, as_f64s, to_f64_vec, into_f64_vec, f64_at, f64s_as_bytes, bytes_as_f64s
+}
+words! {
+    u64, U64, from_u64s, as_u64s, to_u64_vec, into_u64_vec, u64_at, u64s_as_bytes, bytes_as_u64s
+}
+words! {
+    i64, I64, from_i64s, as_i64s, to_i64_vec, into_i64_vec, i64_at, i64s_as_bytes, bytes_as_i64s
+}
+
+/// Adopt a byte vector as the buffer of a view, without a copy.
+impl From<Vec<u8>> for PackedArray {
+    fn from(v: Vec<u8>) -> Self {
+        let byte_len = v.len();
+        Self::view(PackedDtype::U8, Arc::new(v.into()), 0, byte_len)
     }
+}
 
-    /// Borrow the payload as `u64` elements (see [`Self::as_f64s`]).
-    /// Panics unless `dtype` is `U64`.
-    pub fn as_u64s(&self) -> Option<&[u64]> {
-        assert_eq!(self.dtype, PackedDtype::U64, "packed view is not u64");
-        le::bytes_as_u64s(self.bytes())
-    }
-
-    /// Materialize owned `f64` elements. Panics unless `dtype` is `F64`.
-    pub fn to_f64_vec(&self) -> Vec<f64> {
-        assert_eq!(self.dtype, PackedDtype::F64, "packed view is not f64");
-        le::bytes_to_f64s(self.bytes())
-    }
-
-    /// Materialize owned `u64` elements. Panics unless `dtype` is `U64`.
-    pub fn to_u64_vec(&self) -> Vec<u64> {
-        assert_eq!(self.dtype, PackedDtype::U64, "packed view is not u64");
-        le::bytes_to_u64s(self.bytes())
-    }
-
-    /// Materialize owned `i64` elements. Panics unless `dtype` is `I64`.
-    pub fn to_i64_vec(&self) -> Vec<i64> {
-        assert_eq!(self.dtype, PackedDtype::I64, "packed view is not i64");
-        le::bytes_to_i64s(self.bytes())
-    }
-
-    /// Materialize an owned byte vector. Panics unless `dtype` is `U8`.
-    pub fn to_byte_vec(&self) -> Vec<u8> {
-        assert_eq!(self.dtype, PackedDtype::U8, "packed view is not bytes");
-        self.bytes().to_vec()
-    }
-
-    /// One `f64` element by index, decoded in place. Panics unless
-    /// `dtype` is `F64` and `i` is in bounds.
-    pub fn f64_at(&self, i: usize) -> f64 {
-        assert_eq!(self.dtype, PackedDtype::F64, "packed view is not f64");
-        let b = self.bytes();
-        f64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().unwrap())
-    }
-
-    /// One `u64` element by index (see [`Self::f64_at`]).
-    pub fn u64_at(&self, i: usize) -> u64 {
-        assert_eq!(self.dtype, PackedDtype::U64, "packed view is not u64");
-        let b = self.bytes();
-        u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().unwrap())
-    }
-
-    /// One `i64` element by index (see [`Self::f64_at`]).
-    pub fn i64_at(&self, i: usize) -> i64 {
-        assert_eq!(self.dtype, PackedDtype::I64, "packed view is not i64");
-        let b = self.bytes();
-        i64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().unwrap())
+/// An array field adopting the vector (see [`PackedArray`]).
+impl<T> From<Vec<T>> for FieldValue
+where
+    PackedArray: From<Vec<T>>,
+{
+    fn from(v: Vec<T>) -> Self {
+        FieldValue::Packed(v.into())
     }
 }
 
 impl std::fmt::Debug for PackedArray {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PackedArray")
-            .field("dtype", &self.dtype)
-            .field("elems", &self.elem_count())
-            .field("offset", &self.offset)
-            .finish()
+        let store = if self.is_view() { "view" } else { "owned" };
+        write!(f, "PackedArray({:?} x {}, {store})", self.dtype, self.elem_count())
     }
 }
 
@@ -363,17 +391,9 @@ pub enum FieldValue {
     F64(f64),
     /// UTF-8 string.
     Str(String),
-    /// Array of doubles (field data travels as these).
-    F64Array(Vec<f64>),
-    /// Array of unsigned integers (shape/offset vectors).
-    U64Array(Vec<u64>),
-    /// Array of signed integers.
-    I64Array(Vec<i64>),
-    /// Raw bytes (pre-packed payloads).
-    Bytes(Vec<u8>),
     /// Nested record.
     Record(Record),
-    /// Zero-copy view into a shared receive buffer (see [`PackedArray`]).
+    /// An array of any element type (see [`PackedArray`]).
     Packed(PackedArray),
 }
 
@@ -678,11 +698,13 @@ impl Record {
         }
     }
 
-    /// Remove a `u64` array field and return it; a field of another type
-    /// stays.
+    /// Remove a `u64` array field and return it, owned or view (an owned
+    /// store is given back without a copy); a field of another type stays.
     pub fn take_u64_array(&mut self, name: &str) -> Option<Vec<u64>> {
-        match self.take_matching(name, |v| matches!(v, FieldValue::U64Array(_)))? {
-            FieldValue::U64Array(v) => Some(v),
+        let is_u64s =
+            |v: &FieldValue| matches!(v, FieldValue::Packed(p) if p.dtype() == PackedDtype::U64);
+        match self.take_matching(name, is_u64s)? {
+            FieldValue::Packed(p) => Some(p.into_u64_vec()),
             _ => None,
         }
     }
@@ -746,28 +768,20 @@ impl Record {
         }
     }
 
-    /// Typed accessor: `u64` array.
+    /// Typed accessor: `u64` array, borrowed where it lies (`None` for a
+    /// view [`PackedArray::as_u64s`] cannot borrow).
     pub fn get_u64_array(&self, name: &str) -> Option<&[u64]> {
-        match self.get(name)? {
-            FieldValue::U64Array(v) => Some(v),
-            _ => None,
-        }
+        self.get_packed(name)?.as_u64s()
     }
 
-    /// Typed accessor: `f64` array.
+    /// Typed accessor: `f64` array (see [`Record::get_u64_array`]).
     pub fn get_f64_array(&self, name: &str) -> Option<&[f64]> {
-        match self.get(name)? {
-            FieldValue::F64Array(v) => Some(v),
-            _ => None,
-        }
+        self.get_packed(name)?.as_f64s()
     }
 
     /// Typed accessor: raw bytes.
     pub fn get_bytes(&self, name: &str) -> Option<&[u8]> {
-        match self.get(name)? {
-            FieldValue::Bytes(b) => Some(b),
-            _ => None,
-        }
+        self.get_packed(name).filter(|p| p.dtype() == PackedDtype::U8).map(PackedArray::bytes)
     }
 
     /// Typed accessor: nested record.
@@ -778,7 +792,7 @@ impl Record {
         }
     }
 
-    /// Typed accessor: zero-copy packed view.
+    /// Typed accessor: an array of any element type, owned or view.
     pub fn get_packed(&self, name: &str) -> Option<&PackedArray> {
         match self.get(name)? {
             FieldValue::Packed(p) => Some(p),
@@ -840,8 +854,8 @@ impl Record {
     }
 
     /// Decode from a leased receive buffer; array payloads of at least
-    /// [`ZERO_COPY_MIN_BYTES`] become [`FieldValue::Packed`] views into
-    /// `buf` instead of owned vectors, so no payload-sized allocation or
+    /// [`ZERO_COPY_MIN_BYTES`] become [`PackedArray`] views into `buf`
+    /// instead of owned stores, so no payload-sized allocation or
     /// copy happens here. The lease lives as long as any such view does; a
     /// record without one releases it on return.
     pub fn decode_leased(buf: Lease) -> Result<Record, DecodeError> {
@@ -878,29 +892,23 @@ fn put_tagged<'a>(w: &mut impl Sink<'a>, tag: u8, word: u64) {
 }
 
 fn walk_value<'a>(value: &'a FieldValue, w: &mut impl Sink<'a>) {
-    let (tag, count, payload) = match value {
-        FieldValue::I64(v) => return put_tagged(w, TAG_I64, *v as u64),
-        FieldValue::U64(v) => return put_tagged(w, TAG_U64, *v),
-        FieldValue::F64(v) => return put_tagged(w, TAG_F64, v.to_bits()),
+    match value {
+        FieldValue::I64(v) => put_tagged(w, TAG_I64, *v as u64),
+        FieldValue::U64(v) => put_tagged(w, TAG_U64, *v),
+        FieldValue::F64(v) => put_tagged(w, TAG_F64, v.to_bits()),
         FieldValue::Str(s) => {
             // Strings are small: copied into the current run, never borrowed.
             put_tagged(w, TAG_STR, s.len() as u64);
-            return w.put(s.as_bytes());
+            w.put(s.as_bytes());
         }
         FieldValue::Record(r) => {
             w.put(&[TAG_RECORD]);
-            return r.walk_body(w);
+            r.walk_body(w);
         }
-        FieldValue::F64Array(a) => (TAG_PACKED_F64, a.len(), le::f64s_as_bytes(a)),
-        FieldValue::U64Array(a) => (TAG_PACKED_U64, a.len(), le::u64s_as_bytes(a)),
-        FieldValue::I64Array(a) => (TAG_PACKED_I64, a.len(), le::i64s_as_bytes(a)),
-        FieldValue::Bytes(b) => (TAG_BYTES, b.len(), Cow::Borrowed(&b[..])),
-        FieldValue::Packed(p) => (packed_tag(p.dtype()), p.elem_count(), Cow::Borrowed(p.bytes())),
-    };
-    put_tagged(w, tag, count as u64);
-    match payload {
-        Cow::Borrowed(bytes) => w.put_payload(bytes),
-        Cow::Owned(bytes) => w.put(&bytes),
+        FieldValue::Packed(p) => {
+            put_tagged(w, packed_tag(p.dtype()), p.elem_count() as u64);
+            w.put_payload(p.bytes());
+        }
     }
 }
 
@@ -940,12 +948,11 @@ impl<'a> Cursor<'a> {
     /// the remaining stream BEFORE any allocation, so hostile declared
     /// lengths fail with [`DecodeError::Truncated`] instead of reserving
     /// memory. Returns the payload bytes and their offset in the stream.
-    fn array_bytes(&mut self, elem_bytes: usize) -> Result<(&'a [u8], usize, usize), DecodeError> {
+    fn array_bytes(&mut self, elem_bytes: usize) -> Result<(&'a [u8], usize), DecodeError> {
         let len = usize::try_from(self.u64()?).map_err(|_| DecodeError::Truncated)?;
         let byte_len = len.checked_mul(elem_bytes).ok_or(DecodeError::Truncated)?;
         let offset = self.pos;
-        let bytes = self.take(byte_len)?;
-        Ok((bytes, offset, len))
+        Ok((self.take(byte_len)?, offset))
     }
 }
 
@@ -982,30 +989,20 @@ fn decode_body(
     Ok(record)
 }
 
-/// Decode one array payload: a zero-copy view into the shared buffer when
-/// one is available and the payload is large, an owned vector otherwise.
+/// Decode one array payload: a view into the shared buffer when one is
+/// available and the payload is large, an owned copy otherwise.
 fn decode_array(
     cursor: &mut Cursor<'_>,
     shared: Option<&Arc<Lease>>,
     dtype: PackedDtype,
 ) -> Result<FieldValue, DecodeError> {
-    let (bytes, offset, _) = cursor.array_bytes(dtype.elem_bytes())?;
-    if let Some(buf) = shared {
-        if bytes.len() >= ZERO_COPY_MIN_BYTES {
-            return Ok(FieldValue::Packed(PackedArray::view(
-                dtype,
-                Arc::clone(buf),
-                offset,
-                bytes.len(),
-            )));
+    let (bytes, offset) = cursor.array_bytes(dtype.elem_bytes())?;
+    Ok(FieldValue::Packed(match shared {
+        Some(buf) if bytes.len() >= ZERO_COPY_MIN_BYTES => {
+            PackedArray::view(dtype, Arc::clone(buf), offset, bytes.len())
         }
-    }
-    Ok(match dtype {
-        PackedDtype::F64 => FieldValue::F64Array(le::bytes_to_f64s(bytes)),
-        PackedDtype::U64 => FieldValue::U64Array(le::bytes_to_u64s(bytes)),
-        PackedDtype::I64 => FieldValue::I64Array(le::bytes_to_i64s(bytes)),
-        PackedDtype::U8 => FieldValue::Bytes(bytes.to_vec()),
-    })
+        _ => PackedArray::copied(dtype, bytes),
+    }))
 }
 
 fn decode_value(
@@ -1019,7 +1016,7 @@ fn decode_value(
         TAG_U64 => FieldValue::U64(cursor.u64()?),
         TAG_F64 => FieldValue::F64(f64::from_le_bytes(cursor.take(8)?.try_into().unwrap())),
         TAG_STR => {
-            let (bytes, _, _) = cursor.array_bytes(1)?;
+            let (bytes, _) = cursor.array_bytes(1)?;
             FieldValue::Str(
                 std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)?.to_string(),
             )
@@ -1045,8 +1042,8 @@ mod tests {
             .with("step", FieldValue::U64(42))
             .with("name", FieldValue::Str("zion".into()))
             .with("temp", FieldValue::F64(1.5e6))
-            .with("dims", FieldValue::U64Array(vec![128, 64, 32]))
-            .with("data", FieldValue::F64Array(vec![1.0, 2.0, 3.0]))
+            .with("dims", FieldValue::from(vec![128u64, 64, 32]))
+            .with("data", FieldValue::from(vec![1.0, 2.0, 3.0]))
             .with("meta", FieldValue::Record(Record::new().with("rank", FieldValue::I64(-3))))
     }
 
@@ -1069,7 +1066,7 @@ mod tests {
     #[test]
     fn segments_concatenate_to_flat_encoding() {
         let mut r = sample();
-        r.set("big", FieldValue::F64Array((0..4096).map(|i| i as f64).collect()));
+        r.set("big", FieldValue::from((0..4096).map(f64::from).collect::<Vec<_>>()));
         let enc = r.encode_segments();
         assert_eq!(enc.to_vec(), r.encode());
         assert_eq!(enc.total_len(), r.encoded_len());
@@ -1083,12 +1080,13 @@ mod tests {
     fn decode_shared_returns_views_for_large_arrays() {
         let data: Vec<f64> = (0..(ZERO_COPY_MIN_BYTES / 8 + 1)).map(|i| i as f64).collect();
         let r = Record::new()
-            .with("small", FieldValue::F64Array(vec![1.0, 2.0]))
-            .with("big", FieldValue::F64Array(data.clone()));
+            .with("small", FieldValue::from(vec![1.0, 2.0]))
+            .with("big", FieldValue::from(data.clone()));
         let buf = Arc::new(r.encode());
         let d = Record::decode_shared(&buf).unwrap();
         assert_eq!(d.get_f64_array("small"), Some(&[1.0, 2.0][..]));
-        let p = d.get_packed("big").expect("large array should decode packed");
+        let p = d.get_packed("big").expect("an array field");
+        assert!(p.is_view() && !d.get_packed("small").unwrap().is_view());
         assert!(
             buf.as_ptr_range().contains(&p.bytes().as_ptr()),
             "view must alias the receive buffer"
@@ -1150,10 +1148,10 @@ mod tests {
     #[test]
     fn packed_field_reencodes_bit_exact() {
         let data: Vec<f64> = (0..2048).map(|i| (i as f64).sin()).collect();
-        let r = Record::new().with("d", FieldValue::F64Array(data.clone()));
+        let r = Record::new().with("d", FieldValue::from(data.clone()));
         let buf = Arc::new(r.encode());
         let d = Record::decode_shared(&buf).unwrap();
-        assert!(d.get_packed("d").is_some());
+        assert!(d.get_packed("d").is_some_and(PackedArray::is_view));
         // Re-encoding a record holding a view reproduces the same bytes.
         assert_eq!(d.encode(), *buf);
         assert_eq!(Record::decode(&d.encode()).unwrap().get_f64_array("d"), Some(&data[..]));
@@ -1266,7 +1264,7 @@ mod tests {
                 .with("step", FieldValue::U64(step))
                 .with("x", FieldValue::F64(x))
                 .with("s", FieldValue::Str(s.clone()))
-                .with("arr", FieldValue::U64Array(arr.clone()));
+                .with("arr", FieldValue::from(arr.clone()));
             let d = Record::decode(&r.encode()).unwrap();
             prop_assert_eq!(d.get_u64("step"), Some(step));
             let got_x = d.get_f64("x").unwrap();

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use evpath::ffs::le;
-use evpath::{DecodeError, FieldValue, PackedArray, Record};
+use evpath::{DecodeError, FieldValue, PackedArray, PackedDtype, Record};
 use proptest::prelude::*;
 
 fn arb_record() -> impl Strategy<Value = Record> {
@@ -25,14 +25,14 @@ fn arb_record() -> impl Strategy<Value = Record> {
             let meta = Record::new()
                 .with("rank", FieldValue::I64(step as i64))
                 .with("temp", FieldValue::F64(1.5e6))
-                .with("dims", FieldValue::U64Array(us.clone()));
+                .with("dims", FieldValue::from(us.clone()));
             Record::new()
                 .with("step", FieldValue::U64(step))
                 .with("name", FieldValue::Str("var/x".into()))
-                .with("f", FieldValue::F64Array(fs))
-                .with("u", FieldValue::U64Array(us))
-                .with("i", FieldValue::I64Array(is))
-                .with("b", FieldValue::Bytes(bs))
+                .with("f", FieldValue::from(fs))
+                .with("u", FieldValue::from(us))
+                .with("i", FieldValue::from(is))
+                .with("b", FieldValue::from(bs))
                 .with("meta", FieldValue::Record(meta))
         })
 }
@@ -77,37 +77,28 @@ fn encode_value_legacy(value: &FieldValue, out: &mut Vec<u8>) {
             out.extend_from_slice(&(s.len() as u64).to_le_bytes());
             out.extend_from_slice(s.as_bytes());
         }
-        FieldValue::F64Array(a) => {
-            out.push(5);
-            out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-            for v in a {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        FieldValue::U64Array(a) => {
-            out.push(6);
-            out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-            for v in a {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        FieldValue::Bytes(b) => {
-            out.push(7);
-            out.extend_from_slice(&(b.len() as u64).to_le_bytes());
-            out.extend_from_slice(b);
-        }
         FieldValue::Record(r) => {
             out.push(8);
             encode_body_legacy(r, out);
         }
-        FieldValue::I64Array(a) => {
-            out.push(9);
-            out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-            for v in a {
-                out.extend_from_slice(&v.to_le_bytes());
+        FieldValue::Packed(p) => {
+            let dtype = p.dtype();
+            out.push(match dtype {
+                PackedDtype::F64 => 5,
+                PackedDtype::U64 => 6,
+                PackedDtype::I64 => 9,
+                PackedDtype::U8 => 7,
+            });
+            out.extend_from_slice(&(p.elem_count() as u64).to_le_bytes());
+            for i in 0..p.elem_count() {
+                match dtype {
+                    PackedDtype::F64 => out.extend_from_slice(&p.f64_at(i).to_le_bytes()),
+                    PackedDtype::U64 => out.extend_from_slice(&p.u64_at(i).to_le_bytes()),
+                    PackedDtype::I64 => out.extend_from_slice(&p.i64_at(i).to_le_bytes()),
+                    PackedDtype::U8 => out.push(p.bytes()[i]),
+                }
             }
         }
-        FieldValue::Packed(_) => panic!("the old format predates views"),
     }
 }
 
@@ -147,11 +138,7 @@ fn packed_roundtrips_bit_exact_all_dtypes() {
         let p = PackedArray::from_f64s(case);
         let rec = Record::new().with("x", FieldValue::Packed(p));
         let back = Record::decode(&rec.encode()).unwrap();
-        let got = match back.get("x").unwrap() {
-            FieldValue::F64Array(v) => v.clone(),
-            FieldValue::Packed(p) => p.to_f64_vec(),
-            other => panic!("unexpected variant {other:?}"),
-        };
+        let got = back.get_packed("x").unwrap().to_f64_vec();
         assert_eq!(got.len(), case.len());
         for (a, b) in got.iter().zip(case) {
             assert_eq!(a.to_bits(), b.to_bits(), "f64 bits drifted through the wire");
@@ -162,11 +149,7 @@ fn packed_roundtrips_bit_exact_all_dtypes() {
     for case in u64_cases {
         let rec = Record::new().with("x", FieldValue::Packed(PackedArray::from_u64s(case)));
         let back = Record::decode(&rec.encode()).unwrap();
-        let got = match back.get("x").unwrap() {
-            FieldValue::U64Array(v) => v.clone(),
-            FieldValue::Packed(p) => p.to_u64_vec(),
-            other => panic!("unexpected variant {other:?}"),
-        };
+        let got = back.get_packed("x").unwrap().to_u64_vec();
         assert_eq!(&got[..], case);
     }
 
@@ -174,17 +157,13 @@ fn packed_roundtrips_bit_exact_all_dtypes() {
     for case in i64_cases {
         let rec = Record::new().with("x", FieldValue::Packed(PackedArray::from_i64s(case)));
         let back = Record::decode(&rec.encode()).unwrap();
-        let got = match back.get("x").unwrap() {
-            FieldValue::I64Array(v) => v.clone(),
-            FieldValue::Packed(p) => p.to_i64_vec(),
-            other => panic!("unexpected variant {other:?}"),
-        };
+        let got = back.get_packed("x").unwrap().to_i64_vec();
         assert_eq!(&got[..], case);
     }
 
     let u8_cases: [&[u8]; 3] = [&[], &[0xFF], &[0, 1, 2, 254, 255]];
     for case in u8_cases {
-        let rec = Record::new().with("x", FieldValue::Bytes(case.to_vec()));
+        let rec = Record::new().with("x", FieldValue::from(case.to_vec()));
         let back = Record::decode(&rec.encode()).unwrap();
         assert_eq!(back.get_bytes("x"), Some(case));
     }
@@ -196,11 +175,11 @@ fn packed_roundtrips_bit_exact_all_dtypes() {
 fn shared_views_reencode_identically() {
     let data: Vec<f64> = (0..4096).map(|i| (i as f64).sin()).collect();
     let rec = Record::new()
-        .with("v", FieldValue::F64Array(data))
+        .with("v", FieldValue::from(data))
         .with("tag", FieldValue::Str("pass1".into()));
     let wire1 = Arc::new(rec.encode());
     let viewed = Record::decode_shared(&wire1).unwrap();
-    assert!(viewed.get_packed("v").is_some(), "expected zero-copy view");
+    assert!(viewed.get_packed("v").is_some_and(PackedArray::is_view), "expected zero-copy view");
     let wire2 = viewed.encode();
     assert_eq!(*wire1, wire2);
 }
@@ -214,7 +193,7 @@ fn oversized_lengths_rejected_for_both_tag_families() {
     // 1 << 61 elements * 8 bytes overflows a u64 byte count; the other
     // two are plain too-large-for-the-buffer lengths.
     for huge in [u64::MAX, 1u64 << 40, 1u64 << 61] {
-        let rec = Record::new().with("a", FieldValue::U64Array(vec![1, 2, 3]));
+        let rec = Record::new().with("a", FieldValue::from(vec![1u64, 2, 3]));
         for bytes in [rec.encode(), encode_legacy(&rec)] {
             // Field header: magic(4) + count(4) + name_len(2) + "a"(1) + tag(1),
             // then the u64 element count we overwrite.
@@ -231,7 +210,7 @@ fn oversized_lengths_rejected_for_both_tag_families() {
 #[test]
 fn truncation_always_errors_cleanly() {
     let rec = Record::new()
-        .with("f", FieldValue::F64Array(vec![1.0; 100]))
+        .with("f", FieldValue::from(vec![1.0; 100]))
         .with("s", FieldValue::Str("hello".into()));
     let full = rec.encode();
     for cut in 0..full.len() {
@@ -251,7 +230,8 @@ fn bulk_le_helpers_match_per_element_layout() {
         per_elem.extend_from_slice(&v.to_le_bytes());
     }
     assert_eq!(bulk, per_elem);
-    let back = le::bytes_to_f64s(&bulk);
+    let mut back = [0.0; 4];
+    le::copy_bytes_into_f64s(&bulk, &mut back);
     for (a, b) in back.iter().zip(vals) {
         assert_eq!(a.to_bits(), b.to_bits());
     }

@@ -34,7 +34,7 @@ fn shared_decode_of_large_packed_array_does_not_copy_payload() {
     let data: Vec<f64> = (0..elems).map(|i| i as f64 * 0.5).collect();
     let rec = Record::new()
         .with("step", FieldValue::U64(7))
-        .with("field", FieldValue::F64Array(data.clone()));
+        .with("field", FieldValue::from(data.clone()));
 
     // Wire bytes arrive in a shared receive buffer (as off recv_record).
     let wire = Arc::new(rec.encode());
@@ -65,10 +65,10 @@ fn shared_decode_of_large_packed_array_does_not_copy_payload() {
 fn small_arrays_decode_owned_even_from_shared_buffers() {
     // Below ZERO_COPY_MIN_BYTES the decoder materializes owned vectors,
     // so short-lived records don't pin large receive buffers alive.
-    let rec = Record::new().with("v", FieldValue::F64Array(vec![1.0, 2.0, 3.0]));
+    let rec = Record::new().with("v", FieldValue::from(vec![1.0, 2.0, 3.0]));
     let wire = Arc::new(rec.encode());
     let decoded = Record::decode_shared(&wire).expect("decode");
-    assert!(decoded.get_packed("v").is_none(), "small array should decode owned");
+    assert!(!decoded.get_packed("v").unwrap().is_view(), "small array should decode owned");
     assert_eq!(decoded.get_f64_array("v"), Some(&[1.0, 2.0, 3.0][..]));
 }
 
@@ -78,7 +78,7 @@ fn view_outlives_caller_arc_via_refcount() {
     // caller can drop the receive buffer handle and the view stays valid.
     let elems = 8192usize;
     let data: Vec<u64> = (0..elems as u64).collect();
-    let rec = Record::new().with("u", FieldValue::U64Array(data.clone()));
+    let rec = Record::new().with("u", FieldValue::from(data.clone()));
     let wire = Arc::new(rec.encode());
     let decoded = Record::decode_shared(&wire).expect("decode");
     drop(wire);

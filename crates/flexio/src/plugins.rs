@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use codelet::Codelet;
-use evpath::{FieldValue, Record};
+use evpath::{FieldValue, PackedDtype, Record};
 use flexio_query::{Expr, FilterKernel, Q_ROWS_IN};
 use parking_lot::Mutex;
 
@@ -51,7 +51,7 @@ impl PluginSpec {
         let (field, body) = match &self.source {
             PluginBody::Codelet(source) => ("source", FieldValue::Str(source.clone())),
             PluginBody::Filter(expr) => {
-                ("filter", FieldValue::U64Array(expr.to_postfix(std::slice::from_ref(&self.var))))
+                ("filter", FieldValue::from(expr.to_postfix(std::slice::from_ref(&self.var))))
             }
         };
         Record::new().with("var", FieldValue::Str(self.var.clone())).with(field, body).with(
@@ -196,22 +196,23 @@ impl InstalledPlugin {
                 return Ok((flat_block(survivors), vec![(Q_ROWS_IN.to_string(), rows_in), marker]));
             }
         };
-        // The codelet needs owned element storage; decode a packed wire
-        // view with one bulk conversion (no intermediate materialization —
-        // the caller keeps the zero-copy view if we reject the chunk).
-        let data: Vec<f64> = match &block.data {
-            ArrayData::F64(data) => data.clone(),
-            ArrayData::Packed(p) if p.dtype() == evpath::ffs::PackedDtype::F64 => p.to_f64_vec(),
+        // A packed wire view goes to the codelet as it is (an `Arc` bump):
+        // its `get_f64` makes the one bulk copy the VM needs.
+        let data = match &block.data {
+            ArrayData::F64(data) => FieldValue::from(data.clone()),
+            ArrayData::Packed(p) if p.dtype() == PackedDtype::F64 => FieldValue::Packed(p.clone()),
             _ => return Err(PluginError::UnsupportedChunk("only f64 arrays supported")),
         };
-        let input = Record::new().with(&self.spec.var, FieldValue::F64Array(data));
+        let input = Record::new().with(&self.spec.var, data);
         let output = codelet.run(&input).map_err(|e| PluginError::Run(e.to_string()))?;
 
         let mut new_value = None;
         let mut extras = Vec::new();
         for (name, field) in output.iter() {
             let as_value = match field {
-                FieldValue::F64Array(a) => flat_block(ArrayData::F64(a.clone())),
+                FieldValue::Packed(a) if a.dtype() == PackedDtype::F64 => {
+                    flat_block(ArrayData::F64(a.to_f64_vec()))
+                }
                 FieldValue::I64(v) => VarValue::Scalar(ScalarValue::I64(*v)),
                 FieldValue::U64(v) => VarValue::Scalar(ScalarValue::U64(*v)),
                 FieldValue::F64(v) => VarValue::Scalar(ScalarValue::F64(*v)),

@@ -168,7 +168,7 @@ const REGISTER_BUDGET: Duration = Duration::from_secs(5);
 /// Attach a contact to a `dreg` request or a `dhit` reply.
 fn with_contact(msg: Record, contact: &WireContact) -> Record {
     msg.with("addr", FieldValue::Str(contact.addr.clone()))
-        .with("meta", FieldValue::U64Array(contact.meta.clone()))
+        .with("meta", FieldValue::from(contact.meta.clone()))
 }
 
 fn contact_of(msg: &Record) -> Option<WireContact> {

@@ -69,9 +69,9 @@ impl VarMeta {
             VarMeta::Block { name, shape, offset, count } => Record::with_capacity(5)
                 .with("kind", FieldValue::U64(1))
                 .with("name", FieldValue::Str(name.clone()))
-                .with("shape", FieldValue::U64Array(shape.clone()))
-                .with("offset", FieldValue::U64Array(offset.clone()))
-                .with("count", FieldValue::U64Array(count.clone())),
+                .with("shape", FieldValue::from(shape.clone()))
+                .with("offset", FieldValue::from(offset.clone()))
+                .with("count", FieldValue::from(count.clone())),
         }
     }
 
@@ -111,8 +111,8 @@ impl Subscription {
             }
             Selection::GlobalBox(b) => r
                 .with("sel", FieldValue::U64(1))
-                .with("offset", FieldValue::U64Array(b.offset.clone()))
-                .with("count", FieldValue::U64Array(b.count.clone())),
+                .with("offset", FieldValue::from(b.offset.clone()))
+                .with("count", FieldValue::from(b.count.clone())),
             Selection::Scalar => r.with("sel", FieldValue::U64(2)),
         }
     }
@@ -161,8 +161,8 @@ pub(crate) fn encode_plan(slice: &[Vec<ChunkPlan>]) -> Record {
         for (ci, c) in chunks.iter().enumerate() {
             let mut cr = Record::with_capacity(3).with("var", FieldValue::Str(c.var.clone()));
             if let Some(region) = &c.region {
-                cr.set("offset", FieldValue::U64Array(region.offset.clone()));
-                cr.set("count", FieldValue::U64Array(region.count.clone()));
+                cr.set("offset", FieldValue::from(region.offset.clone()));
+                cr.set("count", FieldValue::from(region.count.clone()));
             }
             r.set_item("chunk", &[p, ci], FieldValue::Record(cr));
         }
@@ -482,7 +482,7 @@ mod tests {
         }
         // A box whose offset and count disagree in rank is refused.
         let mut ragged = subs[1].to_record();
-        ragged.set("count", FieldValue::U64Array(vec![2, 2]));
+        ragged.set("count", FieldValue::from(vec![2u64, 2]));
         assert_eq!(Subscription::from_record(ragged), None);
     }
 
@@ -507,7 +507,7 @@ mod tests {
         let FieldValue::Record(mut chunk) = ragged.get("chunk.0.0").unwrap().clone() else {
             panic!()
         };
-        chunk.set("count", FieldValue::U64Array(vec![1]));
+        chunk.set("count", FieldValue::from(vec![1u64]));
         ragged.set("chunk.0.0", FieldValue::Record(chunk));
         assert_eq!(decode_plan(ragged), None);
         // An honest count the record does not back up is refused too.

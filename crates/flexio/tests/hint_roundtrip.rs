@@ -163,17 +163,13 @@ fn coupled_link(name: &str, hints: StreamHints) -> Arc<LinkState> {
 }
 
 fn blob_record(len: usize) -> Vec<u8> {
-    Record::new().with("blob", FieldValue::Bytes(vec![0xA5; len])).encode()
+    Record::new().with("blob", FieldValue::from(vec![0xA5u8; len])).encode()
 }
 
 /// Payload length of a received [`blob_record`] (small blobs decode
 /// owned, bulk ones as a view into the receive buffer).
 fn blob_len(record: &Record) -> Option<usize> {
-    match record.get("blob")? {
-        FieldValue::Bytes(b) => Some(b.len()),
-        FieldValue::Packed(p) => Some(p.byte_len()),
-        _ => None,
-    }
+    record.get_bytes("blob").map(<[u8]>::len)
 }
 
 #[test]

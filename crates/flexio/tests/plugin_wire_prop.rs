@@ -80,7 +80,7 @@ fn filter_spec(filter: Expr) -> PluginSpec {
 fn record_with(words: Vec<u64>) -> Record {
     Record::new()
         .with("var", FieldValue::Str("v".to_string()))
-        .with("filter", FieldValue::U64Array(words))
+        .with("filter", FieldValue::from(words))
         .with("placement", FieldValue::U64(0))
 }
 

@@ -143,7 +143,7 @@ fn oversize_payload_rides_the_pooled_path_intact() {
     let (_plan, mut rx) = plan_wrapped(brx);
 
     let big: Vec<u64> = (0..512).collect();
-    let bytes = Record::new().with("big", FieldValue::U64Array(big.clone())).encode();
+    let bytes = Record::new().with("big", FieldValue::from(big.clone())).encode();
     assert!(bytes.len() > 64, "payload must exceed the inline capacity");
     btx.send(&bytes);
 

@@ -305,7 +305,7 @@ mod tests {
             ArrayData::I64(vec![7, 2])
         );
         assert_eq!(
-            k.filter_column(&ArrayData::Packed(PackedArray::from_bytes(&[9, 0]))),
+            k.filter_column(&ArrayData::Packed(PackedArray::from(vec![9u8, 0]))),
             ArrayData::U8(vec![9])
         );
     }

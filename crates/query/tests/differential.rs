@@ -92,7 +92,7 @@ fn arb_column(dtype: u8, len: usize) -> BoxedStrategy<ArrayData> {
         _ => (arb_elems(any::<u8>().boxed(), len), any::<bool>())
             .prop_map(|(bytes, packed)| {
                 if packed {
-                    ArrayData::Packed(PackedArray::from_bytes(&bytes))
+                    ArrayData::Packed(PackedArray::from(bytes))
                 } else {
                     ArrayData::U8(bytes)
                 }
@@ -377,7 +377,7 @@ proptest! {
             let (_, elems) = bits(&data);
             let input = Record::new().with(
                 "c0",
-                FieldValue::F64Array(elems.into_iter().map(f64::from_bits).collect()),
+                FieldValue::from(elems.into_iter().map(f64::from_bits).collect::<Vec<_>>()),
             );
             let vm = Codelet::compile(&old_lowered_codelet(&filter)).expect("old lowering compiles");
             let out = vm.run(&input).expect("old lowering runs");
@@ -442,9 +442,7 @@ fn row_limit_stops_mid_word() {
             &vals.iter().map(|&v| v as i64).collect::<Vec<_>>(),
         )),
         ArrayData::U8(vals.iter().map(|&v| v as u8).collect()),
-        ArrayData::Packed(PackedArray::from_bytes(
-            &vals.iter().map(|&v| v as u8).collect::<Vec<_>>(),
-        )),
+        ArrayData::Packed(PackedArray::from(vals.iter().map(|&v| v as u8).collect::<Vec<_>>())),
     ];
     let parity = ArrayData::U64(vals.iter().map(|v| v % 2).collect());
     let all = Expr::col("c0").ge(Expr::lit(0.0));
