@@ -155,13 +155,19 @@ impl ArrayData {
     /// view, a clone otherwise.
     pub fn to_owned_data(&self) -> ArrayData {
         match self {
-            ArrayData::Packed(p) => match p.dtype() {
-                PackedDtype::F64 => ArrayData::F64(p.to_f64_vec()),
-                PackedDtype::U64 => ArrayData::U64(p.to_u64_vec()),
-                PackedDtype::I64 => ArrayData::I64(p.to_i64_vec()),
-                PackedDtype::U8 => ArrayData::U8(p.bytes().to_vec()),
-            },
+            ArrayData::Packed(p) => ArrayData::owned(p.clone()),
             owned => owned.clone(),
+        }
+    }
+
+    /// `p`'s elements in the owned variant of their type: an owned store's
+    /// words moved (bytes copied), a view's copied.
+    fn owned(p: PackedArray) -> ArrayData {
+        match p.dtype() {
+            PackedDtype::F64 => ArrayData::F64(p.into_f64_vec()),
+            PackedDtype::U64 => ArrayData::U64(p.into_u64_vec()),
+            PackedDtype::I64 => ArrayData::I64(p.into_i64_vec()),
+            PackedDtype::U8 => ArrayData::U8(p.bytes().to_vec()),
         }
     }
 
@@ -329,17 +335,10 @@ impl ArrayData {
     }
 
     /// Adopt a field's array: a view stays one, an owned store lands as
-    /// the owned variant of its element type without a copy (bytes, whose
-    /// store is not words, are copied).
+    /// the owned variant of its element type ([`Self::owned`]).
     fn from_field(f: FieldValue) -> Option<ArrayData> {
         let FieldValue::Packed(p) = f else { return None };
-        Some(match p.dtype() {
-            _ if p.is_view() => ArrayData::Packed(p),
-            PackedDtype::F64 => ArrayData::F64(p.into_f64_vec()),
-            PackedDtype::U64 => ArrayData::U64(p.into_u64_vec()),
-            PackedDtype::I64 => ArrayData::I64(p.into_i64_vec()),
-            PackedDtype::U8 => ArrayData::U8(p.bytes().to_vec()),
-        })
+        Some(if p.is_view() { ArrayData::Packed(p) } else { ArrayData::owned(p) })
     }
 }
 

@@ -421,14 +421,8 @@ impl Vm<'_> {
             "get_f64" => {
                 arity(1)?;
                 let field = need_str(&args[0])?;
-                // Owned or a view of the receive buffer, aligned or not:
-                // one bulk copy into the codelet's own array.
-                match self.input.get_packed(&field) {
-                    Some(p) if p.dtype() == PackedDtype::F64 => {
-                        Ok(Value::float_arr(p.to_f64_vec()))
-                    }
-                    _ => Err(RunError::MissingField(field)),
-                }
+                let arr = self.input.get_packed(&field).filter(|p| p.dtype() == PackedDtype::F64);
+                Ok(Value::float_arr(arr.ok_or(RunError::MissingField(field))?.to_f64_vec()))
             }
             "get_i64" => {
                 arity(1)?;

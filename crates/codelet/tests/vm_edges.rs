@@ -2,6 +2,8 @@
 //! loop ranges, mid-loop budget exhaustion (the sandbox guarantee for
 //! writer-side plug-ins), and dtype mismatches on `get_f64`.
 
+use std::sync::Arc;
+
 use codelet::{Codelet, RunError};
 use evpath::{FieldValue, Record};
 
@@ -75,4 +77,33 @@ fn get_f64_on_non_f64_fields_reports_the_field() {
     // Absent entirely.
     let empty = Record::new();
     assert_eq!(c.run(&empty).expect_err("absent"), RunError::MissingField("v".into()));
+}
+
+/// `get_f64` reads an f64 array wherever it lies: a view of a receive
+/// buffer (what a chunk of at least `ZERO_COPY_MIN_BYTES` decodes to; this
+/// one starts 20 bytes into its frame, off an 8-byte boundary) gives what
+/// the owned elements give.
+#[test]
+fn get_f64_reads_a_view_of_a_receive_buffer_like_owned_elements() {
+    let c = Codelet::compile(
+        r#"
+        let v = get_f64("v");
+        let out = array();
+        for i in 0..len(v) {
+            if v[i] > 10.0 { push(out, v[i] * 2.0); }
+        }
+        emit_f64("v", out);
+        emit_float("sum", sum(v));
+        "#,
+    )
+    .expect("compile");
+    let data: Vec<f64> = (0..1024).map(|i| f64::from(i) * 0.25 - 50.0).collect();
+    let owned = Record::new().with("v", FieldValue::from(data));
+    let wire = Arc::new(owned.encode());
+    let viewed = Record::decode_shared(&wire).expect("decode");
+    let view = viewed.get_packed("v").expect("an array field");
+    assert!(view.is_view() && view.byte_len() >= evpath::ZERO_COPY_MIN_BYTES);
+    let from_owned = c.run(&owned).expect("owned input");
+    assert_eq!(c.run(&viewed).expect("view input"), from_owned);
+    assert_eq!(from_owned.get_f64_array("v").map(<[f64]>::len), Some(783));
 }

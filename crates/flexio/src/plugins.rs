@@ -67,10 +67,12 @@ impl PluginSpec {
     /// malformed, a filter that does not type-check included).
     pub fn from_record(r: &Record) -> Option<PluginSpec> {
         let var = r.get_str("var")?.to_string();
-        let source = match r.get_u64_array("filter") {
-            Some(words) => {
-                PluginBody::Filter(Expr::from_postfix(words, std::slice::from_ref(&var))?)
-            }
+        // A long filter may be a view off an 8-byte boundary: copy it out.
+        let source = match r.get_packed("filter").filter(|p| p.dtype() == PackedDtype::U64) {
+            Some(words) => PluginBody::Filter(Expr::from_postfix(
+                &words.to_u64_vec(),
+                std::slice::from_ref(&var),
+            )?),
             None => PluginBody::Codelet(r.get_str("source")?.to_string()),
         };
         Some(PluginSpec {
@@ -266,6 +268,27 @@ mod tests {
             placement: PluginPlacement::WriterSide,
         };
         assert_eq!(PluginSpec::from_record(&spec.to_record()), Some(spec.clone()));
+    }
+
+    /// A filter body of at least `ZERO_COPY_MIN_BYTES` decodes as a view of
+    /// the receive buffer; whichever of the eight residues it starts on,
+    /// the spec parses back.
+    #[test]
+    fn a_bulk_filter_body_parses_from_a_view_at_any_alignment() {
+        for name_len in 1..=8 {
+            let var = "v".repeat(name_len);
+            let clause = |i: i32| Expr::col(&var).gt(Expr::lit(f64::from(i)));
+            let filter = (1..100).fold(clause(0), |e, i| e.or(clause(i)));
+            let spec = PluginSpec {
+                var: var.clone(),
+                source: PluginBody::Filter(filter),
+                placement: PluginPlacement::WriterSide,
+            };
+            let wire = std::sync::Arc::new(spec.to_record().encode());
+            let r = Record::decode_shared(&wire).unwrap();
+            assert!(r.get_packed("filter").is_some_and(evpath::PackedArray::is_view));
+            assert_eq!(PluginSpec::from_record(&r), Some(spec), "var {var}");
+        }
     }
 
     /// The typed filter replaced a generated codelet; on the wire nothing

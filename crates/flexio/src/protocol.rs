@@ -681,6 +681,26 @@ mod tests {
         ]
     }
 
+    /// A `chunk` whose f64 payload is a bulk segment (at least
+    /// `ZERO_COPY_MIN_BYTES`), with a small odd-length `U8` array among its
+    /// extras.
+    fn bulk_chunk() -> Record {
+        let n = 640u64;
+        let field = VarValue::Block(LocalBlock {
+            global_shape: vec![n],
+            offset: vec![0],
+            count: vec![n],
+            data: ArrayData::F64((0..640).map(|i| f64::from(i) * 0.5 - 7.0).collect()),
+        });
+        let mask = VarValue::Block(LocalBlock {
+            global_shape: vec![5],
+            offset: vec![0],
+            count: vec![5],
+            data: ArrayData::U8(vec![1, 0, 255, 7, 3]),
+        });
+        chunk(7, 1, "field", field.to_record(), &[("mask".into(), mask)])
+    }
+
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
@@ -738,17 +758,40 @@ mod tests {
     /// of every message kind, recorded from the encoder whose records held
     /// their names as `String`s and built list keys with `format!`. Inline
     /// names and stack-built keys change what a message allocates, never
-    /// its bytes.
+    /// its bytes. `chunk_bulk` was recorded from the encoder that held each
+    /// element type's arrays in a variant of its own; one array type changes
+    /// where the bytes lie, never the bytes.
     #[test]
     fn one_frame_of_every_kind_hashes_as_recorded() {
-        let frames: std::collections::HashMap<_, _> = frames().into_iter().collect();
+        let frames: std::collections::HashMap<_, _> =
+            frames().into_iter().chain([("chunk_bulk", bulk_chunk())]).collect();
         for (name, hash) in FROZEN {
             let got = evpath::fnv1a64(evpath::FNV_OFFSET, &frames[name].encode());
             assert_eq!(got, hash, "{name}: {got:#018x}");
         }
     }
 
-    const FROZEN: [(&str, u64); 16] = [
+    /// A record whose arrays are owned words and the same record decoded
+    /// as views of its frame encode to the same bytes, flat or as segments.
+    #[test]
+    fn a_bulk_chunk_encodes_alike_from_owned_words_and_from_views() {
+        let owned = bulk_chunk();
+        let flat = Arc::new(owned.encode());
+        let viewed = Record::decode_shared(&flat).unwrap();
+        let data = viewed.get_record("body").and_then(|b| b.get_packed("data")).unwrap();
+        assert!(data.is_view() && data.byte_len() >= evpath::ZERO_COPY_MIN_BYTES);
+        let frozen = FROZEN.iter().find(|(name, _)| *name == "chunk_bulk").unwrap().1;
+        for (how, bytes) in [
+            ("encode", owned.encode()),
+            ("encode_segments", owned.encode_segments().to_vec()),
+            ("views", viewed.encode()),
+            ("views as segments", viewed.encode_segments().to_vec()),
+        ] {
+            assert_eq!(evpath::fnv1a64(evpath::FNV_OFFSET, &bytes), frozen, "{how}");
+        }
+    }
+
+    const FROZEN: [(&str, u64); 17] = [
         ("step", 0x3e91_ca0c_b9f5_c8c5),
         ("eos", 0xfeec_9915_5ce2_d0a8),
         ("dists", 0x205b_34c1_444e_ac36),
@@ -765,6 +808,7 @@ mod tests {
         ("txn_prepare", 0x3e6a_1775_be97_7a7b),
         ("txn_vote", 0xd075_03a5_3d7f_1b57),
         ("txn_commit", 0x18d2_d2cd_00bc_8601),
+        ("chunk_bulk", 0x9f9b_7bc6_9e0d_f6c0),
     ];
 
     const GOLDEN: [(&str, &str); 22] = [

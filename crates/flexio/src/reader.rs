@@ -523,7 +523,8 @@ impl ReadEngine for StreamReader {
 
     fn end_step(&mut self) {
         assert!(self.current_step.take().is_some(), "end_step without begin_step");
-        self.store.clear();
+        // Emptied, not dropped: next step's chunks land in the same vectors.
+        self.store.values_mut().for_each(Vec::clear);
         self.wire_conditioned.clear();
         // `CACHING_LOCAL` freezes the subscriptions after step one, so the
         // next step's `reader_info` is fixed here: the writer moves step

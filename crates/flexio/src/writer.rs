@@ -285,21 +285,23 @@ impl StreamWriter {
         }
 
         // Step 3: compute + broadcast the plan when it changed.
-        let cached = coord.cached_sels.as_ref().expect("selections known after first exchange");
-        let sels: Vec<Vec<Subscription>> = cached
-            .iter()
-            .enumerate()
-            .map(|(r, s)| if evicted.contains(&r) { Vec::new() } else { s.clone() })
-            .collect();
-        let mut full_plan = redistribute::plan(&coord.cached_dists, &sels);
+        let mut full_plan = plan_dirty.then(|| {
+            let cached =
+                coord.cached_sels.as_deref().expect("selections known after first exchange");
+            let mut sels = Cow::Borrowed(cached);
+            for &r in &evicted {
+                sels.to_mut()[r].clear();
+            }
+            redistribute::plan(&coord.cached_dists, &sels)
+        });
 
         let plugins = plugin_dirty.then(|| coord.writer_plugins.clone());
         let class = if plan_dirty { &counters.bcast_msgs } else { &counters.step_msgs };
         self.side.bcast(1..nranks, Some(class), |r| {
-            let plan = plan_dirty.then(|| std::mem::take(&mut full_plan[r]));
+            let plan = full_plan.as_mut().map(|p| std::mem::take(&mut p[r]));
             Go { step, plan, plugins: plugins.clone(), roster: None }.to_record()
         });
-        if plan_dirty {
+        if let Some(mut full_plan) = full_plan {
             self.cached_plan_row = Arc::new(full_plan.swap_remove(0));
         }
         if let Some(specs) = plugins {

@@ -183,6 +183,12 @@ fi
 if grep -rnE "HashMap|send_mapped|KIND_MAPPED|crossbeam::channel" crates/shm/src; then
     echo "shm passes messages outside the pool's slots again (a pooled frame names its slot)"; exit 1
 fi
+# One array type: a record holds every array, of any element type, owned
+# or a view of a receive buffer, as one `FieldValue::Packed(PackedArray)`.
+if grep -rnE --include='*.rs' --exclude-dir=target "FieldValue::(F64Array|U64Array|I64Array|Bytes)\b" \
+    crates src tests examples benchmark; then
+    echo "FieldValue has a per-type array variant again (every array is one PackedArray)"; exit 1
+fi
 # Every public function has a caller: each `pub fn NAME` under crates/*/src
 # appears as a word in the Rust tree more often than `fn NAME` is defined.
 # One pass: definitions (D), public definitions (P) and words (W) counted
@@ -217,7 +223,7 @@ done
 [ "$missing" -eq 0 ] || { echo "a doc names something the tree does not have"; exit 1; }
 # Their size only goes down, toward the ROADMAP's 100 KB target; lower
 # this limit when a PR shrinks them, never raise it.
-doc_limit=130841
+doc_limit=130821
 doc_bytes=$(cat $docs | wc -c)
 [ "$doc_bytes" -le "$doc_limit" ] || { echo "docs are $doc_bytes bytes (limit $doc_limit)"; exit 1; }
 echo "doc references ok (docs: $doc_bytes bytes)"
