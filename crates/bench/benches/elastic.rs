@@ -311,9 +311,9 @@ fn main() {
                         StepStatus::EndOfStream => break,
                     }
                 }
-                let (.., evictions, degraded) = r.link().counters.resilience_snapshot();
+                let c = r.link().counters.snapshot();
                 roster.close();
-                (seen, evictions, degraded)
+                (seen, c.evictions, c.degraded_steps)
             } else {
                 let mut seen = Vec::new();
                 'outer: loop {

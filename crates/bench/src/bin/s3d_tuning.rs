@@ -24,7 +24,7 @@ use std::time::Instant;
 use adios::{
     ArrayData, BoxSel, LocalBlock, ReadEngine, Selection, StepStatus, VarValue, WriteEngine,
 };
-use flexio::{CachingLevel, FlexIo, StreamHints, WriteMode};
+use flexio::{CachingLevel, FlexIo, ProtocolSnapshot, StreamHints, WriteMode};
 use machine::{laptop, smoky, titan, CoreLocation, MachineModel};
 
 /// Modelled untuned movement time per step, per writer rank: 22 variables
@@ -53,7 +53,7 @@ fn modelled_tuned(m: &MachineModel) -> f64 {
     1.7e6 / marshal_bw
 }
 
-fn real_run(hints: StreamHints) -> (f64, (u64, u64, u64, u64, u64, u64, u64)) {
+fn real_run(hints: StreamHints) -> (f64, ProtocolSnapshot) {
     const WRITERS: usize = 8;
     const STEPS: u64 = 6;
     const ELEMS: usize = 1200; // ~9.6 kB/var ≈ the paper's per-var size
@@ -152,20 +152,18 @@ fn main() {
         "{:<10} {:>16} {:>10} {:>10} {:>10} {:>10}",
         "config", "visible s/step", "gathers", "exchanges", "bcasts", "data msgs"
     );
-    println!(
-        "{:<10} {:>16.6} {:>10} {:>10} {:>10} {:>10}",
-        "untuned", u_time, u_counters.0, u_counters.1, u_counters.2, u_counters.3
-    );
-    println!(
-        "{:<10} {:>16.6} {:>10} {:>10} {:>10} {:>10}",
-        "tuned", t_time, t_counters.0, t_counters.1, t_counters.2, t_counters.3
-    );
+    for (config, time, c) in [("untuned", u_time, u_counters), ("tuned", t_time, t_counters)] {
+        println!(
+            "{config:<10} {time:>16.6} {:>10} {:>10} {:>10} {:>10}",
+            c.gather_msgs, c.exchange_msgs, c.bcast_msgs, c.data_msgs
+        );
+    }
     println!(
         "\ntuning cut the visible movement time by {:.0}x and the handshake\n\
          messages from {} to {} — the same lever the paper pulls, with no\n\
          change to simulation or visualization code (hints only).",
         u_time / t_time.max(1e-9),
-        u_counters.0 + u_counters.1 + u_counters.2,
-        t_counters.0 + t_counters.1 + t_counters.2,
+        u_counters.gather_msgs + u_counters.exchange_msgs + u_counters.bcast_msgs,
+        t_counters.gather_msgs + t_counters.exchange_msgs + t_counters.bcast_msgs,
     );
 }

@@ -16,7 +16,7 @@
 //! assert exact counter values across runs.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -57,39 +57,24 @@ impl FaultSpec {
     }
 }
 
-/// Counters of faults actually injected; shared by every channel of one
-/// plan so tests can assert the schedule fired.
-#[derive(Debug, Default)]
-pub struct FaultCounters {
-    /// Messages silently dropped by sender wrappers.
-    pub dropped: AtomicU64,
-    /// Messages delivered twice.
-    pub duplicated: AtomicU64,
-    /// Message pairs delivered swapped.
-    pub reordered: AtomicU64,
-    /// Sends that stalled for `delay` first.
-    pub delayed: AtomicU64,
-    /// Messages discarded because their sender had crashed.
-    pub crashed_sends: AtomicU64,
-    /// Messages discarded because their receiver had gone deaf.
-    pub deaf_recvs: AtomicU64,
-    /// Directory lookups that were stalled.
-    pub stalls: AtomicU64,
-}
-
-impl FaultCounters {
-    /// Snapshot as plain numbers `(dropped, duplicated, reordered, delayed,
-    /// crashed_sends, deaf_recvs, stalls)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64, u64, u64) {
-        (
-            self.dropped.load(Ordering::Relaxed),
-            self.duplicated.load(Ordering::Relaxed),
-            self.reordered.load(Ordering::Relaxed),
-            self.delayed.load(Ordering::Relaxed),
-            self.crashed_sends.load(Ordering::Relaxed),
-            self.deaf_recvs.load(Ordering::Relaxed),
-            self.stalls.load(Ordering::Relaxed),
-        )
+crate::counters! {
+    /// Counters of faults actually injected; shared by every channel of one
+    /// plan so tests can assert the schedule fired.
+    pub struct FaultCounters => FaultSnapshot {
+        /// Messages silently dropped by sender wrappers.
+        dropped,
+        /// Messages delivered twice.
+        duplicated,
+        /// Message pairs delivered swapped.
+        reordered,
+        /// Sends that stalled for `delay` first.
+        delayed,
+        /// Messages discarded because their sender had crashed.
+        crashed_sends,
+        /// Messages discarded because their receiver had gone deaf.
+        deaf_recvs,
+        /// Directory lookups that were stalled.
+        stalls,
     }
 }
 
@@ -336,7 +321,7 @@ mod tests {
         let mut rx = plan.wrap_receiver("data:0->0", rx);
         tx.send(b"x");
         assert_eq!(rx.recv(), b"x");
-        assert_eq!(plan.counters().snapshot(), (0, 0, 0, 0, 0, 0, 0));
+        assert_eq!(plan.counters().snapshot(), FaultSnapshot::default());
     }
 
     #[test]
@@ -369,7 +354,7 @@ mod tests {
         assert_eq!(a1, a2, "same seed must drop the same messages");
         assert_eq!(c1, c2);
         assert_ne!(a1, b, "different seed should drop differently");
-        assert!(c1.0 > 0, "a 30% rate over 200 messages must drop some");
+        assert!(c1.dropped > 0, "a 30% rate over 200 messages must drop some");
     }
 
     #[test]
@@ -382,7 +367,7 @@ mod tests {
         tx.send(b"once");
         let got = drain(&mut rx);
         assert_eq!(got, vec![b"once".to_vec(), b"once".to_vec()]);
-        assert_eq!(plan.counters().duplicated.load(Ordering::Relaxed), 1);
+        assert_eq!(plan.counters().snapshot().duplicated, 1);
     }
 
     #[test]
@@ -403,7 +388,7 @@ mod tests {
         sorted.sort();
         assert_eq!(sorted, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec(), b"d".to_vec()]);
         assert_ne!(got[0], b"a".to_vec(), "first message must have been held back");
-        assert!(plan.counters().reordered.load(Ordering::Relaxed) >= 1);
+        assert!(plan.counters().snapshot().reordered >= 1);
     }
 
     #[test]
@@ -417,7 +402,7 @@ mod tests {
             tx.send(&i.to_le_bytes());
         }
         assert_eq!(drain(&mut rx).len(), 3);
-        assert_eq!(plan.counters().crashed_sends.load(Ordering::Relaxed), 7);
+        assert_eq!(plan.counters().snapshot().crashed_sends, 7);
     }
 
     #[test]
@@ -437,7 +422,7 @@ mod tests {
         assert!(rx.try_recv().is_none());
         assert!(rx.try_recv().is_none());
         assert!(rx.try_recv().is_none());
-        assert_eq!(plan.counters().deaf_recvs.load(Ordering::Relaxed), 3);
+        assert_eq!(plan.counters().snapshot().deaf_recvs, 3);
     }
 
     #[test]
@@ -455,6 +440,6 @@ mod tests {
         tx.send(b"slow");
         assert!(start.elapsed() >= Duration::from_millis(5));
         assert_eq!(rx.recv(), b"slow");
-        assert_eq!(plan.counters().delayed.load(Ordering::Relaxed), 1);
+        assert_eq!(plan.counters().snapshot().delayed, 1);
     }
 }

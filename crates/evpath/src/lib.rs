@@ -30,7 +30,7 @@ pub mod ffs;
 pub mod socket;
 pub mod transport;
 
-pub use fault::{FaultCounters, FaultPlan, FaultSpec};
+pub use fault::{FaultCounters, FaultPlan, FaultSnapshot, FaultSpec};
 pub use ffs::{
     DecodeError, EncSegment, EncodedRecord, FieldValue, PackedArray, PackedDtype, Record,
     ZERO_COPY_MIN_BYTES,
@@ -57,6 +57,37 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 #[inline]
 pub fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Declare a block of relaxed `AtomicU64` counters and its plain-number
+/// snapshot: `counters! { pub struct Block => BlockSnapshot { a, b } }`
+/// gives `Block { pub a: AtomicU64, .. }`, a `Copy` `BlockSnapshot { pub
+/// a: u64, .. }` with the same field names and docs, and
+/// `Block::snapshot()`. Bump a field with `fetch_add`; read it by name.
+#[macro_export]
+macro_rules! counters {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident => $snap:ident {
+        $($(#[$fmeta:meta])* $field:ident),* $(,)?
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $vis struct $name {
+            $($(#[$fmeta])* pub $field: ::std::sync::atomic::AtomicU64,)*
+        }
+
+        #[doc = concat!("Every counter of [`", stringify!($name), "`] read once, by name.")]
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        $vis struct $snap {
+            $($(#[$fmeta])* pub $field: u64,)*
+        }
+
+        impl $name {
+            /// Read every counter (relaxed) into one named record.
+            pub fn snapshot(&self) -> $snap {
+                $snap { $($field: self.$field.load(::std::sync::atomic::Ordering::Relaxed),)* }
+            }
+        }
+    };
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ fn fault_schedule_is_transport_independent() {
     let (shm, c_shm) = run(|| ShmTransport::pair(256, 64));
     assert_eq!(inproc, shm, "identical survivors on both transports");
     assert_eq!(c_inproc, c_shm, "identical fault counts on both transports");
-    assert!(c_inproc.0 > 0 && c_inproc.1 > 0, "chaos actually fired: {c_inproc:?}");
+    assert!(c_inproc.dropped > 0 && c_inproc.duplicated > 0, "chaos actually fired: {c_inproc:?}");
 }
 
 #[test]
@@ -76,9 +76,9 @@ fn concurrent_chaos_over_bounded_shm_queue_loses_only_dropped_messages() {
     }
     sender.join().unwrap();
     got.extend(drain(&mut rx));
-    let (dropped, duplicated, ..) = plan.counters().snapshot();
-    assert_eq!(got.len() as u64, N - dropped + duplicated);
-    assert!(dropped > 0 && duplicated > 0, "chaos fired");
+    let c = plan.counters().snapshot();
+    assert_eq!(got.len() as u64, N - c.dropped + c.duplicated);
+    assert!(c.dropped > 0 && c.duplicated > 0, "chaos fired");
     assert!(got.iter().all(|&o| o < N), "nothing invented");
 }
 
@@ -92,9 +92,9 @@ fn faults_compose_with_the_rdma_fabric() {
     send_ordinals(&mut tx, 100);
     drop(tx);
     let got = drain(&mut rx);
-    let (dropped, duplicated, ..) = plan.counters().snapshot();
-    assert_eq!(got.len() as u64, 100 - dropped + duplicated);
-    assert!(dropped > 0, "drops scheduled for this seed must fire over RDMA too");
+    let c = plan.counters().snapshot();
+    assert_eq!(got.len() as u64, 100 - c.dropped + c.duplicated);
+    assert!(c.dropped > 0, "drops scheduled for this seed must fire over RDMA too");
 }
 
 #[test]
@@ -114,5 +114,5 @@ fn deaf_receiver_swallows_the_tail_over_shm() {
     for _ in 0..20 {
         assert!(rx.try_recv().is_none());
     }
-    assert_eq!(plan.counters().snapshot().5, 7, "the tail is counted as deaf receives");
+    assert_eq!(plan.counters().snapshot().deaf_recvs, 7, "the tail is counted as deaf receives");
 }

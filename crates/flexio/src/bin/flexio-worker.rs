@@ -15,7 +15,6 @@
 
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use adios::{
@@ -138,10 +137,10 @@ fn run_writer(env: &RankEnv) {
         std::thread::sleep(Duration::from_millis(step_ms));
     }
     w.close();
-    let (_, _, _, _, eos_synth, evictions, degraded) = w.link().counters.resilience_snapshot();
+    let c = w.link().counters.snapshot();
     say(&format!(
-        "RESULT role=writer rank={} steps={done} evictions={evictions} degraded={degraded} eos_synth={eos_synth}",
-        env.rank
+        "RESULT role=writer rank={} steps={done} evictions={} degraded={} eos_synth={}",
+        env.rank, c.evictions, c.degraded_steps, c.eos_synthesized
     ));
 }
 
@@ -172,7 +171,7 @@ fn run_reader(env: &RankEnv) {
         }
     }
     r.close();
-    let (_, _, _, _, eos_synth, ..) = r.link().counters.resilience_snapshot();
+    let eos_synth = r.link().counters.snapshot().eos_synthesized;
     say(&format!("RESULT role=reader rank={} steps={steps} eos_synth={eos_synth}", env.rank));
 }
 
@@ -232,9 +231,10 @@ fn run_elastic_reader(env: &RankEnv) {
         }
         roster.close();
         r.close();
-        let (_, _, _, _, eos_synth, evictions, degraded) = r.link().counters.resilience_snapshot();
+        let c = r.link().counters.snapshot();
         say(&format!(
-            "RESULT role=elastic rank=0 steps={steps} evictions={evictions} degraded={degraded} eos_synth={eos_synth}",
+            "RESULT role=elastic rank=0 steps={steps} evictions={} degraded={} eos_synth={}",
+            c.evictions, c.degraded_steps, c.eos_synthesized
         ));
     } else {
         loop {
@@ -254,7 +254,7 @@ fn run_elastic_reader(env: &RankEnv) {
             }
         }
         r.close();
-        let (_, _, _, _, eos_synth, ..) = r.link().counters.resilience_snapshot();
+        let eos_synth = r.link().counters.snapshot().eos_synthesized;
         say(&format!("RESULT role=elastic rank={} steps={steps} eos_synth={eos_synth}", env.rank));
     }
 }
@@ -300,7 +300,7 @@ fn run_publisher(env: &RankEnv) {
         std::thread::sleep(Duration::from_millis(step_ms));
     }
     w.close();
-    let spilled = w.log().counters().spilled_steps.load(Ordering::Relaxed);
+    let spilled = w.log().counters().snapshot().spilled_steps;
     say(&format!("RESULT role=publisher rank={} steps={done} spilled={spilled}", env.rank));
 }
 
@@ -315,7 +315,7 @@ fn run_subscriber(env: &RankEnv) {
     let group = env_str("FLEXIO_GROUP", "g");
     let mut r =
         ReaderGroup::tail(&spill, &stream, &group, Qos::Lossless, &hints(false)).expect("attach");
-    let resumed = r.counters().resumed_from.load(Ordering::Relaxed);
+    let resumed = r.counters().snapshot().resumed_from;
     let mut steps = 0u64;
     let mut first = None;
     loop {
@@ -336,13 +336,14 @@ fn run_subscriber(env: &RankEnv) {
             Err(e) => panic!("subscriber fetch failed: {e}"),
         }
     }
-    let (_, replayed, _, _) = r.counters().snapshot();
-    let eos_synth = r.counters().eos_synthesized.load(Ordering::Relaxed);
+    let c = r.counters().snapshot();
     r.close();
     say(&format!(
-        "RESULT role=subscriber rank={} steps={steps} first={} resumed={resumed} replayed={replayed} eos_synth={eos_synth}",
+        "RESULT role=subscriber rank={} steps={steps} first={} resumed={resumed} replayed={} eos_synth={}",
         env.rank,
         first.unwrap_or(0),
+        c.replayed_from_spill,
+        c.eos_synthesized,
     ));
 }
 

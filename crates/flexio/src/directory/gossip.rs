@@ -78,32 +78,19 @@ impl Contact for WireContact {
 /// Token → contact resolution for the entries a node learns from digests.
 pub(crate) type ContactTable<C> = Mutex<HashMap<u64, C>>;
 
-/// Counters of one node's gossip traffic.
-#[derive(Debug, Default)]
-pub struct GossipCounters {
-    /// Anti-entropy rounds completed.
-    pub rounds: AtomicU64,
-    /// Digest frames sent to peers.
-    pub frames_sent: AtomicU64,
-    /// Digest frames received and decoded.
-    pub frames_received: AtomicU64,
-    /// Entries applied from peers (local entry was older or absent).
-    pub entries_merged: AtomicU64,
-    /// Frames that failed to decode and were discarded.
-    pub corrupt_frames: AtomicU64,
-}
-
-impl GossipCounters {
-    /// Snapshot as plain numbers `(rounds, frames_sent, frames_received,
-    /// entries_merged, corrupt_frames)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.rounds.load(Ordering::Relaxed),
-            self.frames_sent.load(Ordering::Relaxed),
-            self.frames_received.load(Ordering::Relaxed),
-            self.entries_merged.load(Ordering::Relaxed),
-            self.corrupt_frames.load(Ordering::Relaxed),
-        )
+evpath::counters! {
+    /// Counters of one node's gossip traffic.
+    pub struct GossipCounters => GossipSnapshot {
+        /// Anti-entropy rounds completed.
+        rounds,
+        /// Digest frames sent to peers.
+        frames_sent,
+        /// Digest frames received and decoded.
+        frames_received,
+        /// Entries applied from peers (local entry was older or absent).
+        entries_merged,
+        /// Frames that failed to decode and were discarded.
+        corrupt_frames,
     }
 }
 

@@ -45,7 +45,7 @@ mod shard;
 
 pub use gossip::{
     decode_contact_table, decode_digest, encode_contact_table, encode_digest, Contact, DigestEntry,
-    DirectoryNode, GossipCounters, WireContact,
+    DirectoryNode, GossipCounters, GossipSnapshot, WireContact,
 };
 pub use service::{DirectoryCluster, ReplicatedDirectory};
 pub use shard::ShardedDirectory;

@@ -24,7 +24,7 @@ use evpath::{fnv1a64, FNV_OFFSET};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::link::LinkState;
-use crate::protocol::DirectoryCounters;
+use crate::protocol::{DirectoryCounters, DirectorySnapshot};
 
 use super::{DirectoryError, DirectoryService};
 
@@ -127,9 +127,8 @@ impl<C: Clone> ShardedDirectory<C> {
         (fnv1a64(FNV_OFFSET, name.as_bytes()) % self.shards.len() as u64) as usize
     }
 
-    /// Per-shard counter snapshots `(registrations, lookups, unregisters,
-    /// contended)`, index = shard.
-    pub fn shard_snapshots(&self) -> Vec<(u64, u64, u64, u64)> {
+    /// Per-shard counter snapshots, index = shard.
+    pub fn shard_snapshots(&self) -> Vec<DirectorySnapshot> {
         self.shards.iter().map(|s| s.counters.snapshot()).collect()
     }
 
@@ -249,11 +248,11 @@ impl DirectoryService for ShardedDirectory {
     }
 
     fn registration_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.counters.registrations.load(Ordering::Relaxed)).sum()
+        self.shards.iter().map(|s| s.counters.snapshot().registrations).sum()
     }
 
     fn lookup_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.counters.lookups.load(Ordering::Relaxed)).sum()
+        self.shards.iter().map(|s| s.counters.snapshot().lookups).sum()
     }
 }
 
@@ -290,7 +289,7 @@ mod tests {
             d.register(&format!("s{i}"), dummy_link()).unwrap();
         }
         assert_eq!(d.shards.len(), 1);
-        assert_eq!(d.shard_snapshots()[0].0, 16);
+        assert_eq!(d.shard_snapshots()[0].registrations, 16);
     }
 
     #[test]
@@ -299,7 +298,7 @@ mod tests {
         for i in 0..64 {
             d.register(&format!("stream/{i}"), dummy_link()).unwrap();
         }
-        let active = d.shard_snapshots().iter().filter(|s| s.0 > 0).count();
+        let active = d.shard_snapshots().iter().filter(|s| s.registrations > 0).count();
         assert!(active >= 4, "64 names must spread over the 8 stripes, hit {active}");
         assert_eq!(d.registration_count(), 64);
     }

@@ -99,10 +99,10 @@ pub use procnet::{
     open_reader_proc, open_writer_proc, send_peer_list, ChannelHub, ProcConfig, RemoteDirectory,
     WireDirNode,
 };
-pub use protocol::{CachingLevel, ProtocolCounters, WriteMode};
+pub use protocol::{CachingLevel, ProtocolCounters, ProtocolSnapshot, WriteMode};
 pub use pubsub::{
-    step_digest, Fetch, GroupCounters, PubSubConfig, PubSubCounters, Qos, ReaderGroup, SealedStep,
-    SpillStore, SpillTail, StepPublisher, StreamLog,
+    step_digest, Fetch, GroupCounters, GroupSnapshot, PubSubConfig, PubSubCounters, PubSubSnapshot,
+    Qos, ReaderGroup, SealedStep, SpillStore, SpillTail, StepPublisher, StreamLog,
 };
 pub use query::{QueryConfig, QueryCounters, QuerySession};
 pub use reader::StreamReader;

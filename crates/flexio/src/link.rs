@@ -531,7 +531,7 @@ mod tests {
         let counters = ProtocolCounters::new_shared();
         let err = recv_record(&mut rx, &hints, &counters);
         assert_eq!(err, Err(StreamError::Timeout));
-        assert_eq!(counters.resilience_snapshot().0, 2, "one bump per retry attempt");
+        assert_eq!(counters.snapshot().retries, 2, "one bump per retry attempt");
     }
 
     #[test]

@@ -59,50 +59,48 @@ pub enum WriteMode {
     Async,
 }
 
-/// Counters for every protocol message class; shared between both sides
-/// of a stream so tests and the monitoring layer can verify claims like
-/// "CACHING_ALL avoids the handshake entirely".
-#[derive(Debug, Default)]
-pub struct ProtocolCounters {
-    /// Step-1 messages: rank → coordinator distribution gathers.
-    pub gather_msgs: AtomicU64,
-    /// Step-2 messages: coordinator ↔ coordinator exchanges.
-    pub exchange_msgs: AtomicU64,
-    /// Step-3 messages: coordinator → rank broadcasts.
-    pub bcast_msgs: AtomicU64,
-    /// Step-4 messages: actual data chunks/batches.
-    pub data_msgs: AtomicU64,
-    /// Per-step step-header control messages (stream liveness/EOS channel;
-    /// not part of the 4-step variable handshake).
-    pub step_msgs: AtomicU64,
-    /// Synchronous-mode acknowledgements.
-    pub ack_msgs: AtomicU64,
-    /// Plug-in deployment/migration messages.
-    pub plugin_msgs: AtomicU64,
-    // -- resiliency counters (not part of `snapshot()`, which existing
-    //    tests index positionally; see `resilience_snapshot()`) --
-    /// Control-channel receive attempts that timed out and were retried.
-    pub retries: AtomicU64,
-    /// Duplicate sequence numbers discarded by the dedup layer.
-    pub dup_msgs: AtomicU64,
-    /// Out-of-order messages healed by reassembly buffering.
-    pub reorder_healed: AtomicU64,
-    /// Sequence gaps given up on (messages written off as lost).
-    pub drops_observed: AtomicU64,
-    /// End-of-stream markers synthesized after writer silence.
-    pub eos_synthesized: AtomicU64,
-    /// Readers evicted from the stream after repeated ack timeouts.
-    pub evictions: AtomicU64,
-    /// Steps completed in degraded form (some reader evicted/skipped).
-    pub degraded_steps: AtomicU64,
-    // -- transport-readiness counters (fed by the `poll_recv` contract;
-    //    queried directly, not part of either positional snapshot) --
-    /// Frames the transport consumed but could not validate (shm corrupt
-    /// control frames). Previously indistinguishable from silence.
-    pub corrupt_frames: AtomicU64,
-    /// Receive waits cut short because the peer endpoint was observed
-    /// closed (queue drained + sending half dropped).
-    pub closed_channels: AtomicU64,
+evpath::counters! {
+    /// Counters for every protocol message class; shared between both sides
+    /// of a stream so tests and the monitoring layer can verify claims like
+    /// "CACHING_ALL avoids the handshake entirely". Its snapshot is the
+    /// link's one stats record.
+    pub struct ProtocolCounters => ProtocolSnapshot {
+        /// Step-1 messages: rank → coordinator distribution gathers.
+        gather_msgs,
+        /// Step-2 messages: coordinator ↔ coordinator exchanges.
+        exchange_msgs,
+        /// Step-3 messages: coordinator → rank broadcasts.
+        bcast_msgs,
+        /// Step-4 messages: actual data chunks/batches.
+        data_msgs,
+        /// Per-step step-header control messages (stream liveness/EOS
+        /// channel; not part of the 4-step variable handshake).
+        step_msgs,
+        /// Synchronous-mode acknowledgements.
+        ack_msgs,
+        /// Plug-in deployment/migration messages.
+        plugin_msgs,
+        /// Control-channel receive attempts that timed out and were retried.
+        retries,
+        /// Duplicate sequence numbers discarded by the dedup layer.
+        dup_msgs,
+        /// Out-of-order messages healed by reassembly buffering.
+        reorder_healed,
+        /// Sequence gaps given up on (messages written off as lost).
+        drops_observed,
+        /// End-of-stream markers synthesized after writer silence.
+        eos_synthesized,
+        /// Readers evicted from the stream after repeated ack timeouts.
+        evictions,
+        /// Steps completed in degraded form (some reader evicted/skipped).
+        degraded_steps,
+        /// Frames the transport consumed but could not validate (shm
+        /// corrupt control frames), fed by the `poll_recv` contract.
+        corrupt_frames,
+        /// Receive waits cut short because the peer endpoint was observed
+        /// closed (queue drained + sending half dropped).
+        closed_channels,
+    }
 }
 
 impl ProtocolCounters {
@@ -116,72 +114,30 @@ impl ProtocolCounters {
         which.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot as plain numbers `(gather, exchange, bcast, data, step,
-    /// ack, plugin)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64, u64, u64) {
-        (
-            self.gather_msgs.load(Ordering::Relaxed),
-            self.exchange_msgs.load(Ordering::Relaxed),
-            self.bcast_msgs.load(Ordering::Relaxed),
-            self.data_msgs.load(Ordering::Relaxed),
-            self.step_msgs.load(Ordering::Relaxed),
-            self.ack_msgs.load(Ordering::Relaxed),
-            self.plugin_msgs.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Snapshot of the resiliency counters as plain numbers `(retries,
-    /// dup_msgs, reorder_healed, drops_observed, eos_synthesized,
-    /// evictions, degraded_steps)`.
-    pub fn resilience_snapshot(&self) -> (u64, u64, u64, u64, u64, u64, u64) {
-        (
-            self.retries.load(Ordering::Relaxed),
-            self.dup_msgs.load(Ordering::Relaxed),
-            self.reorder_healed.load(Ordering::Relaxed),
-            self.drops_observed.load(Ordering::Relaxed),
-            self.eos_synthesized.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-            self.degraded_steps.load(Ordering::Relaxed),
-        )
-    }
-
     /// Handshake messages only (steps 1–3).
     pub fn handshake_total(&self) -> u64 {
-        self.gather_msgs.load(Ordering::Relaxed)
-            + self.exchange_msgs.load(Ordering::Relaxed)
-            + self.bcast_msgs.load(Ordering::Relaxed)
+        let s = self.snapshot();
+        s.gather_msgs + s.exchange_msgs + s.bcast_msgs
     }
 }
 
-/// Per-shard instrumentation of the directory service (one block per
-/// lock stripe): how much registration/lookup traffic the shard served
-/// and how often its lock was contended. The whole point of sharding the
-/// registry is to spread this traffic — tests and the directory bench
-/// read these to verify the spread actually happened.
-#[derive(Debug, Default)]
-pub struct DirectoryCounters {
-    /// Successful registrations handled by this shard.
-    pub registrations: AtomicU64,
-    /// Successful lookups (blocking or `try_lookup` hits) served.
-    pub lookups: AtomicU64,
-    /// Unregisters (tombstones written) handled.
-    pub unregisters: AtomicU64,
-    /// Lock acquisitions that found the shard mutex already held and had
-    /// to wait — the contention a single-map directory suffers on every
-    /// concurrent caller, and striping is meant to eliminate.
-    pub contended: AtomicU64,
-}
-
-impl DirectoryCounters {
-    /// Snapshot as plain numbers `(registrations, lookups, unregisters,
-    /// contended)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.registrations.load(Ordering::Relaxed),
-            self.lookups.load(Ordering::Relaxed),
-            self.unregisters.load(Ordering::Relaxed),
-            self.contended.load(Ordering::Relaxed),
-        )
+evpath::counters! {
+    /// Per-shard instrumentation of the directory service (one block per
+    /// lock stripe): how much registration/lookup traffic the shard served
+    /// and how often its lock was contended. The whole point of sharding the
+    /// registry is to spread this traffic — tests and the directory bench
+    /// read these to verify the spread actually happened.
+    pub struct DirectoryCounters => DirectorySnapshot {
+        /// Successful registrations handled by this shard.
+        registrations,
+        /// Successful lookups (blocking or `try_lookup` hits) served.
+        lookups,
+        /// Unregisters (tombstones written) handled.
+        unregisters,
+        /// Lock acquisitions that found the shard mutex already held and
+        /// had to wait — the contention a single-map directory suffers on
+        /// every concurrent caller, and striping is meant to eliminate.
+        contended,
     }
 }
 
@@ -565,12 +521,49 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let c = ProtocolCounters::new_shared();
-        c.bump(&c.gather_msgs);
-        c.bump(&c.gather_msgs);
-        c.bump(&c.data_msgs);
-        let (g, e, b, d, ..) = c.snapshot();
-        assert_eq!((g, e, b, d), (2, 0, 0, 1));
-        assert_eq!(c.handshake_total(), 2);
+        // The i-th field is bumped i + 1 times: a count that lands under
+        // another field's name shows in the literal below.
+        let fields = [
+            &c.gather_msgs,
+            &c.exchange_msgs,
+            &c.bcast_msgs,
+            &c.data_msgs,
+            &c.step_msgs,
+            &c.ack_msgs,
+            &c.plugin_msgs,
+            &c.retries,
+            &c.dup_msgs,
+            &c.reorder_healed,
+            &c.drops_observed,
+            &c.eos_synthesized,
+            &c.evictions,
+            &c.degraded_steps,
+            &c.corrupt_frames,
+            &c.closed_channels,
+        ];
+        for (i, field) in fields.into_iter().enumerate() {
+            (0..=i).for_each(|_| c.bump(field));
+        }
+        let expected = ProtocolSnapshot {
+            gather_msgs: 1,
+            exchange_msgs: 2,
+            bcast_msgs: 3,
+            data_msgs: 4,
+            step_msgs: 5,
+            ack_msgs: 6,
+            plugin_msgs: 7,
+            retries: 8,
+            dup_msgs: 9,
+            reorder_healed: 10,
+            drops_observed: 11,
+            eos_synthesized: 12,
+            evictions: 13,
+            degraded_steps: 14,
+            corrupt_frames: 15,
+            closed_channels: 16,
+        };
+        assert_eq!(c.snapshot(), expected);
+        assert_eq!(c.handshake_total(), 1 + 2 + 3);
     }
 
     #[test]

@@ -279,7 +279,7 @@ impl StreamLog {
             return (counters, cursor);
         }
         let qos = qos.unwrap_or(self.default_qos);
-        let counters = GroupCounters::new_shared();
+        let counters = Arc::<GroupCounters>::default();
         let cursor = match qos {
             // A fresh latest-only group only cares about new steps.
             Qos::LatestOnly => inner.tail,
@@ -439,7 +439,6 @@ impl StreamLog {
     pub fn abandon(&self) {
         let mut inner = self.inner.lock();
         inner.abandoned = true;
-        self.counters.abandoned.store(true, Ordering::Relaxed);
     }
 }
 

@@ -49,7 +49,6 @@ pub use log::{Fetch, SealedStep, StepPublisher, StreamLog};
 pub use spill::{SpillStore, SpillTail};
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -103,54 +102,37 @@ pub fn step_digest(step: u64, groups: &[ProcessGroup]) -> u64 {
     groups.iter().fold(fnv1a64(FNV_OFFSET, &step.to_le_bytes()), |h, g| fnv1a64(h, &g.encode()))
 }
 
-/// Per-group delivery counters, kept by the log beside the group's cursor
-/// (the pub/sub analogue of [`crate::ProtocolCounters`]).
-#[derive(Debug, Default)]
-pub struct GroupCounters {
-    /// Steps delivered to the group, from any source.
-    pub delivered: AtomicU64,
-    /// Steps delivered out of BP spill segments rather than the ring.
-    pub replayed_from_spill: AtomicU64,
-    /// Steps skipped by at-most-once QoS.
-    pub dropped_by_qos: AtomicU64,
-    /// Current lag behind the log tail, in steps (gauge).
-    pub lag_steps: AtomicU64,
-    /// The cursor this group resumed from (0 = fresh start).
-    pub resumed_from: AtomicU64,
-    /// End-of-stream synthesized after writer silence/crash.
-    pub eos_synthesized: AtomicU64,
-}
-
-impl GroupCounters {
-    pub(crate) fn new_shared() -> Arc<GroupCounters> {
-        Arc::new(GroupCounters::default())
-    }
-
-    /// `(delivered, replayed_from_spill, dropped_by_qos, lag_steps)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.delivered.load(Ordering::Relaxed),
-            self.replayed_from_spill.load(Ordering::Relaxed),
-            self.dropped_by_qos.load(Ordering::Relaxed),
-            self.lag_steps.load(Ordering::Relaxed),
-        )
+evpath::counters! {
+    /// Per-group delivery counters, kept by the log beside the group's
+    /// cursor (the pub/sub analogue of [`crate::ProtocolCounters`]).
+    pub struct GroupCounters => GroupSnapshot {
+        /// Steps delivered to the group, from any source.
+        delivered,
+        /// Steps delivered out of BP spill segments rather than the ring.
+        replayed_from_spill,
+        /// Steps skipped by at-most-once QoS.
+        dropped_by_qos,
+        /// Current lag behind the log tail, in steps (gauge).
+        lag_steps,
+        /// The cursor this group resumed from (0 = fresh start).
+        resumed_from,
+        /// End-of-stream synthesized after writer silence/crash.
+        eos_synthesized,
     }
 }
 
-/// Log-level counters.
-#[derive(Debug, Default)]
-pub struct PubSubCounters {
-    /// Steps sealed into the log.
-    pub published_steps: AtomicU64,
-    /// Steps written through to BP spill segments.
-    pub spilled_steps: AtomicU64,
-    /// Bytes written to spill segments.
-    pub spill_bytes: AtomicU64,
-    /// Publishes that blocked on per-group backpressure.
-    pub backpressure_waits: AtomicU64,
-    /// Whether the writer abandoned the stream (crash) instead of
-    /// closing it.
-    pub abandoned: AtomicBool,
+evpath::counters! {
+    /// Log-level counters.
+    pub struct PubSubCounters => PubSubSnapshot {
+        /// Steps sealed into the log.
+        published_steps,
+        /// Steps written through to BP spill segments.
+        spilled_steps,
+        /// Bytes written to spill segments.
+        spill_bytes,
+        /// Publishes that blocked on per-group backpressure.
+        backpressure_waits,
+    }
 }
 
 impl FlexIo {

@@ -253,7 +253,7 @@ impl SpillTail {
         qos: Qos,
     ) -> Result<SpillTail, StreamError> {
         let store = SpillStore::open(root, stream);
-        let counters = GroupCounters::new_shared();
+        let counters = Arc::<GroupCounters>::default();
         let manifest = store.read_manifest()?;
         let tail = manifest.map_or(0, |m| m.tail);
         let cursor = match qos {

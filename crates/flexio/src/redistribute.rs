@@ -81,12 +81,16 @@ impl VarMeta {
         let name = r.take_str("name")?;
         Some(match r.get_u64("kind")? {
             0 => VarMeta::Scalar { name },
-            1 => VarMeta::Block {
-                name,
-                shape: r.take_u64_array("shape")?,
-                offset: r.take_u64_array("offset")?,
-                count: r.take_u64_array("count")?,
-            },
+            1 => {
+                let shape = r.take_u64_array("shape")?;
+                let offset = r.take_u64_array("offset")?;
+                let count = r.take_u64_array("count")?;
+                // A peer's geometry is refused here, not asserted on by `plan`.
+                if adios::block_bounds_error(&shape, &offset, &count).is_some() {
+                    return None;
+                }
+                VarMeta::Block { name, shape, offset, count }
+            }
             _ => return None,
         })
     }

@@ -182,10 +182,10 @@ mod tests {
             let got = rx.recv();
             assert_eq!(u64::from_le_bytes(got[..8].try_into().unwrap()), i);
         }
-        let (_retries, dups, healed, drops, ..) = link.counters.resilience_snapshot();
-        assert!(dups > 0, "duplication faults must have fired");
-        assert!(healed > 0, "reorder faults must have been healed");
-        assert_eq!(drops, 0, "nothing was dropped");
+        let c = link.counters.snapshot();
+        assert!(c.dup_msgs > 0, "duplication faults must have fired");
+        assert!(c.reorder_healed > 0, "reorder faults must have been healed");
+        assert_eq!(c.drops_observed, 0, "nothing was dropped");
     }
 
     #[test]
@@ -223,7 +223,7 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(got, sorted, "sequence order must be preserved");
         assert!(got.len() < 200, "a 25% drop rate must lose messages");
-        let (_retries, _dups, _healed, drops, ..) = link.counters.resilience_snapshot();
+        let drops = link.counters.snapshot().drops_observed;
         assert!(drops > 0, "skipped gaps must be counted as observed drops");
     }
 }

@@ -249,7 +249,6 @@ impl ProgramSide {
 mod tests {
     use super::*;
     use evpath::ShmTransport;
-    use std::sync::atomic::Ordering;
 
     #[test]
     fn drain_counts_a_corrupt_frame_and_keeps_draining() {
@@ -267,7 +266,7 @@ mod tests {
         let drained = ctrl.drain_kind(msg::PLUGIN_UPDATE);
         assert_eq!(drained.len(), 2, "the update behind the damage is not lost");
         assert!(drained.iter().all(|r| protocol::kind_of(r) == msg::PLUGIN_UPDATE));
-        assert_eq!(counters.corrupt_frames.load(Ordering::Relaxed), 2, "one bump per bad frame");
+        assert_eq!(counters.snapshot().corrupt_frames, 2, "one bump per bad frame");
         // The in-band message swept up on the way is still there to receive.
         assert_eq!(ctrl.pending.len(), 1);
         assert_eq!(protocol::kind_of(&ctrl.pending[0]), msg::EOS);

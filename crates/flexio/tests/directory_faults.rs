@@ -74,7 +74,7 @@ fn xml_fault_hints_stall_the_lookup_but_within_budget() {
     let r = io.open_reader("s", 0, 1, reader_core(0), reader_roster(1), hints);
     assert!(r.is_ok(), "a 40 ms stall fits a 500 ms budget: {:?}", r.err());
     assert!(start.elapsed() >= Duration::from_millis(40), "the stall must be real");
-    assert_eq!(plan.counters().snapshot().6, 1, "exactly one recorded stall");
+    assert_eq!(plan.counters().snapshot().stalls, 1, "exactly one recorded stall");
 }
 
 #[test]
@@ -100,7 +100,7 @@ fn lookup_stall_exhausting_the_budget_times_out() {
     assert!(matches!(err, Err(StreamError::Directory(_))), "{:?}", err.as_ref().err());
     assert!(elapsed >= Duration::from_millis(80), "stall happened: {elapsed:?}");
     assert!(elapsed < Duration::from_millis(400), "budget was shrunk, not reset");
-    assert_eq!(plan.counters().snapshot().6, 1);
+    assert_eq!(plan.counters().snapshot().stalls, 1);
 }
 
 #[test]

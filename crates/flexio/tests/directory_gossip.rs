@@ -43,7 +43,7 @@ const LOOKUP_BUDGET: Duration = Duration::from_secs(5);
 
 /// Client registrations `node` took (replication does not count).
 fn registrations<C: Contact>(node: &DirectoryNode<C>) -> u64 {
-    node.store().shard_snapshots().iter().map(|s| s.0).sum()
+    node.store().shard_snapshots().iter().map(|s| s.registrations).sum()
 }
 
 struct InProcess(DirectoryCluster, #[allow(dead_code)] ReplicatedDirectory);
@@ -177,11 +177,12 @@ fn converges_while_dropping_gossip_frames<D: Deployment>() {
     // round, before the seeded schedule's first drop comes due; gossip
     // keeps running, so wait for that drop rather than for luck.
     assert!(
-        eventually(Duration::from_secs(5), || plan.counters().snapshot().0 > 0),
+        eventually(Duration::from_secs(5), || plan.counters().snapshot().dropped > 0),
         "the seeded plan must have dropped gossip frames"
     );
-    let sent: u64 = (0..3).map(|i| cluster.node(i).gossip_counters().snapshot().1).sum();
-    let received: u64 = (0..3).map(|i| cluster.node(i).gossip_counters().snapshot().2).sum();
+    let sent: u64 = (0..3).map(|i| cluster.node(i).gossip_counters().snapshot().frames_sent).sum();
+    let received: u64 =
+        (0..3).map(|i| cluster.node(i).gossip_counters().snapshot().frames_received).sum();
     assert!(received < sent, "drops must be visible in the traffic counters");
     assert!(received > 0, "and yet digests got through");
     // Each registration was counted once cluster-wide despite replication.
@@ -252,7 +253,7 @@ fn fails_over_when_the_fault_schedule_kills_a_node<D: Deployment>() {
     cluster.lookup(&[2], "late").unwrap();
     let taken: Vec<u64> = (0..3).map(|i| registrations(cluster.node(i))).collect();
     assert!(taken[0] <= 1 && taken.iter().sum::<u64>() == 2, "{taken:?}");
-    assert_eq!(cluster.node(0).gossip_counters().snapshot().0, 5, "dead nodes gossip nothing");
+    assert_eq!(cluster.node(0).gossip_counters().snapshot().rounds, 5, "dead nodes gossip nothing");
 }
 
 #[test]
@@ -286,7 +287,10 @@ fn serve_loops_run_as_tasks_on_one_explicit_reactor() {
     }
     loops.iter().for_each(LoopHandle::stop);
     reactor_thread.join().unwrap();
-    assert!(cluster.node(0).gossip_counters().snapshot().0 > 0, "node 0 gossiped on the reactor");
+    assert!(
+        cluster.node(0).gossip_counters().snapshot().rounds > 0,
+        "node 0 gossiped on the reactor"
+    );
 }
 
 #[test]

@@ -73,7 +73,7 @@ fn concurrent_register_lookup_unregister_stress() {
     // unregistered; lookup_count equals the successful try_lookups.
     let total = (THREADS * NAMES_PER_THREAD * CYCLES) as u64;
     assert_eq!(dir.registration_count(), total);
-    let unregisters: u64 = dir.shard_snapshots().iter().map(|s| s.2).sum();
+    let unregisters: u64 = dir.shard_snapshots().iter().map(|s| s.unregisters).sum();
     assert_eq!(unregisters, total - (THREADS * NAMES_PER_THREAD) as u64);
     assert_eq!(dir.lookup_count(), hits.load(Ordering::Relaxed));
     // The survivors of the last cycle are all still resolvable.
@@ -141,7 +141,7 @@ fn single_stripe_contention_is_counted() {
         for t in threads {
             t.join().unwrap();
         }
-        if dir.shard_snapshots()[0].3 > 0 {
+        if dir.shard_snapshots()[0].contended > 0 {
             return;
         }
     }

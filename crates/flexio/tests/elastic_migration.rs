@@ -285,8 +285,8 @@ fn check_migration(plugin: Conditioner) {
 
     // Non-vacuous: equivalence must hold *through* an active fault
     // schedule, not on a quiet channel.
-    let (_, duplicated, reordered, ..) = storm.counters().snapshot();
-    assert!(duplicated + reordered > 0, "seed {seed} injected nothing");
+    let faults = storm.counters().snapshot();
+    assert!(faults.duplicated + faults.reordered > 0, "seed {seed} injected nothing");
 }
 
 /// Global array sliced across whatever the roster says is active.

@@ -105,7 +105,7 @@ fn silence_hints() -> (StreamHints, StreamHints) {
 
 fn assert_synthesized_eos(steps: &[u64], link: &LinkState) {
     assert_eq!(steps, [0, 1], "both completed steps must be drained first");
-    let eos_synthesized = link.counters.resilience_snapshot().4;
+    let eos_synthesized = link.counters.snapshot().eos_synthesized;
     assert_eq!(eos_synthesized, 1, "silence must have been converted to EOS once");
 }
 
@@ -251,8 +251,8 @@ fn writer_ctrl_crash_drains_buffered_steps_then_eos() {
         assert_eq!(steps, &vec![0, 1, 2], "rank {rank} must drain exactly the delivered steps");
     }
     let link = &results[0].1;
-    assert_eq!(link.counters.resilience_snapshot().4, 1, "one synthesized EOS");
-    let crashed = plan.counters().snapshot().4;
+    assert_eq!(link.counters.snapshot().eos_synthesized, 1, "one synthesized EOS");
+    let crashed = plan.counters().snapshot().crashed_sends;
     assert_eq!(crashed, 4, "STEP₃..₅ and the EOS must have hit the dead channel");
 }
 
@@ -296,13 +296,14 @@ fn assert_evicted(link: &LinkState, survivor_steps: &[u64]) {
     // The survivor saw the whole stream, the corpse exactly its 2 steps.
     assert_eq!(survivor_steps, [EVICTION_STEPS, 2]);
 
-    let (_, _, _, _, eos_synth, evictions, degraded) = link.counters.resilience_snapshot();
-    assert_eq!(evictions, 1, "reader 1 evicted exactly once");
+    let c = link.counters.snapshot();
+    assert_eq!(c.evictions, 1, "reader 1 evicted exactly once");
     assert!(
-        (1..=2).contains(&degraded),
-        "the step that hit the ack timeout completed degraded: {degraded}"
+        (1..=2).contains(&c.degraded_steps),
+        "the step that hit the ack timeout completed degraded: {}",
+        c.degraded_steps
     );
-    assert_eq!(eos_synth, 0, "the writer closed cleanly; no EOS synthesis involved");
+    assert_eq!(c.eos_synthesized, 0, "the writer closed cleanly; no EOS synthesis involved");
     assert!(link.is_evicted(1) && !link.is_evicted(0));
 }
 

@@ -10,22 +10,18 @@ use std::sync::Arc;
 
 use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
 use common::{block_1d, couple};
-use evpath::{FaultPlan, FaultSpec};
-use flexio::{CachingLevel, StreamHints};
+use evpath::{FaultPlan, FaultSnapshot, FaultSpec};
+use flexio::{CachingLevel, ProtocolSnapshot, StreamHints};
 
 /// Everything about a run that must be reproducible. `retries` is timing
 /// dependent (a fast machine may win a race a loaded one loses) and is
-/// deliberately excluded; every fault decision and every healing action is
-/// not.
+/// deliberately zeroed, as are `degraded_steps`, `corrupt_frames` and
+/// `closed_channels`; every fault decision and every healing action is
+/// compared.
 #[derive(Debug, PartialEq)]
 struct RunSignature {
-    protocol: (u64, u64, u64, u64, u64, u64, u64),
-    dup_msgs: u64,
-    reorder_healed: u64,
-    drops_observed: u64,
-    eos_synthesized: u64,
-    evictions: u64,
-    faults: (u64, u64, u64, u64, u64, u64, u64),
+    protocol: ProtocolSnapshot,
+    faults: FaultSnapshot,
 }
 
 fn run_once(seed: u64) -> RunSignature {
@@ -84,15 +80,14 @@ fn run_once(seed: u64) -> RunSignature {
         },
     );
     assert_eq!(steps, vec![STEPS as usize, STEPS as usize], "seed {seed} lost data");
-    let (_retries, dup_msgs, reorder_healed, drops_observed, eos_synthesized, evictions, _) =
-        links[0].counters.resilience_snapshot();
     RunSignature {
-        protocol: links[0].counters.snapshot(),
-        dup_msgs,
-        reorder_healed,
-        drops_observed,
-        eos_synthesized,
-        evictions,
+        protocol: ProtocolSnapshot {
+            retries: 0,
+            degraded_steps: 0,
+            corrupt_frames: 0,
+            closed_channels: 0,
+            ..links[0].counters.snapshot()
+        },
         faults: plan.counters().snapshot(),
     }
 }
@@ -108,9 +103,8 @@ fn same_seed_replays_identical_fault_schedule() {
     // run's data messages, at least one fault fires for any seed (the
     // odds of a fully quiet schedule are ~2⁻²⁴, and the seed sweep in the
     // verify script would surface such a degenerate seed immediately).
-    let (_, duplicated, reordered, ..) = first.faults;
     assert!(
-        duplicated + reordered > 0,
+        first.faults.duplicated + first.faults.reordered > 0,
         "seed {seed} injected nothing — not a meaningful replay test"
     );
 }

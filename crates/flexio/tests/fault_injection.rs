@@ -77,7 +77,8 @@ fn duplicated_and_reordered_data_is_healed_end_to_end() {
 
     // The schedule actually fired (seed 21 injects both fault kinds over
     // the 12 data messages of this run — deterministic, not a probability).
-    let (_, duplicated, reordered, ..) = plan.counters().snapshot();
+    let faults = plan.counters().snapshot();
+    let (duplicated, reordered) = (faults.duplicated, faults.reordered);
     assert!(duplicated > 0, "plan injected no duplicates: {duplicated}");
     assert!(reordered > 0, "plan injected no reorders: {reordered}");
 
@@ -86,15 +87,15 @@ fn duplicated_and_reordered_data_is_healed_end_to_end() {
     // of a channel's *final* chunk can land after the reader took its last
     // step and stopped polling that channel, so the healed counts are
     // bounded by the injected counts, not equal to them.
-    let (_, dup_msgs, reorder_healed, drops, eos_synth, evictions, _) =
-        links[0].counters.resilience_snapshot();
+    let c = links[0].counters.snapshot();
+    let (dup_msgs, reorder_healed) = (c.dup_msgs, c.reorder_healed);
     assert!(dup_msgs > 0 && dup_msgs <= duplicated, "{dup_msgs} of {duplicated} dups discarded");
     assert!(
         reorder_healed > 0 && reorder_healed <= reordered,
         "{reorder_healed} of {reordered} held messages re-sorted on arrival"
     );
-    assert_eq!(drops, 0, "nothing was dropped, nothing may be written off");
-    assert_eq!((eos_synth, evictions), (0, 0), "no crash machinery involved");
+    assert_eq!(c.drops_observed, 0, "nothing was dropped, nothing may be written off");
+    assert_eq!((c.eos_synthesized, c.evictions), (0, 0), "no crash machinery involved");
 }
 
 #[test]
@@ -149,8 +150,11 @@ fn delayed_data_is_absorbed_by_retry_with_backoff() {
     );
 
     assert_eq!(sums, vec![STEPS as usize]);
-    let delayed = plan.counters().snapshot().3;
-    assert_eq!(delayed, STEPS, "every data message must have been delayed");
-    let (retries, ..) = links[0].counters.resilience_snapshot();
+    assert_eq!(
+        plan.counters().snapshot().delayed,
+        STEPS,
+        "every data message must have been delayed"
+    );
+    let retries = links[0].counters.snapshot().retries;
     assert!(retries >= 2, "300 ms stalls against a 30 ms timeout must retry: {retries}");
 }

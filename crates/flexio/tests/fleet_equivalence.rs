@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
 use common::{block_1d, couple, reader_core, reader_roster, writer_core, writer_roster};
-use evpath::{FaultPlan, FaultSpec};
-use flexio::{CachingLevel, FleetRuntime, FlexIo, StreamHints, WriteMode};
+use evpath::{FaultPlan, FaultSnapshot, FaultSpec};
+use flexio::{CachingLevel, FleetRuntime, FlexIo, ProtocolSnapshot, StreamHints, WriteMode};
 use machine::laptop;
 use parking_lot::Mutex;
 
@@ -31,17 +31,13 @@ const STEPS: u64 = 3;
 /// Everything about a run that must be backend-independent. `retries` is
 /// timing dependent (how often a wait loop wakes before the message
 /// lands differs between a parked thread and a fleet shard) and is
-/// deliberately excluded; every protocol message, fault decision and
-/// healing action is not.
+/// deliberately zeroed, as are `degraded_steps`, `corrupt_frames` and
+/// `closed_channels`; every protocol message, fault decision and healing
+/// action is compared.
 #[derive(Debug, PartialEq)]
 struct RunSignature {
-    protocol: (u64, u64, u64, u64, u64, u64, u64),
-    dup_msgs: u64,
-    reorder_healed: u64,
-    drops_observed: u64,
-    eos_synthesized: u64,
-    evictions: u64,
-    faults: (u64, u64, u64, u64, u64, u64, u64),
+    protocol: ProtocolSnapshot,
+    faults: FaultSnapshot,
     data: Vec<Vec<f64>>,
 }
 
@@ -68,15 +64,14 @@ fn signature(
     plan: &FaultPlan,
     data: Vec<Vec<f64>>,
 ) -> RunSignature {
-    let (_retries, dup_msgs, reorder_healed, drops_observed, eos_synthesized, evictions, _) =
-        link.resilience_snapshot();
     RunSignature {
-        protocol: link.snapshot(),
-        dup_msgs,
-        reorder_healed,
-        drops_observed,
-        eos_synthesized,
-        evictions,
+        protocol: ProtocolSnapshot {
+            retries: 0,
+            degraded_steps: 0,
+            corrupt_frames: 0,
+            closed_channels: 0,
+            ..link.snapshot()
+        },
         faults: plan.counters().snapshot(),
         data,
     }
@@ -215,8 +210,7 @@ fn fleet_matches_both_single_threaded_backends_byte_for_byte() {
     );
     // Non-vacuous: the equivalence must hold *through* an active fault
     // schedule, not on a quiet channel.
-    let (_, duplicated, reordered, ..) = fleet.faults;
-    assert!(duplicated + reordered > 0, "seed {seed} injected nothing");
+    assert!(fleet.faults.duplicated + fleet.faults.reordered > 0, "seed {seed} injected nothing");
 }
 
 #[test]

@@ -58,7 +58,7 @@ fn run_cell(write_mode: WriteMode, batching: bool) -> (u64, u64, Vec<Vec<Vec<f64
         },
     );
     let snap = links[0].counters.snapshot();
-    (snap.3, snap.5, arrays)
+    (snap.data_msgs, snap.ack_msgs, arrays)
 }
 
 #[test]

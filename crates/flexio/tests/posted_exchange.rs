@@ -10,7 +10,6 @@ mod common;
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -203,10 +202,10 @@ fn eos_with_an_unread_post(transport: Transport, writer_leaves_early: bool) {
         },
     );
     let counters = &links[0].counters;
-    assert_eq!(counters.corrupt_frames.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.snapshot().corrupt_frames, 0);
     // One `writer_info` and one `reader_info` per step, and the trailing
     // post.
-    assert_eq!(counters.exchange_msgs.load(Ordering::Relaxed), STEPS * 2 + 1);
+    assert_eq!(counters.snapshot().exchange_msgs, STEPS * 2 + 1);
 }
 
 #[test]

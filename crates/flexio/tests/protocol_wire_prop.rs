@@ -21,10 +21,6 @@ fn arb_name() -> impl Strategy<Value = String> {
     prop_oneof![Just("t"), Just("zion"), Just("field"), Just("")].prop_map(str::to_string)
 }
 
-fn arb_dims() -> impl Strategy<Value = Vec<u64>> {
-    vec(prop_oneof![0u64..8, any::<u64>()], 0..3)
-}
-
 fn arb_box() -> impl Strategy<Value = BoxSel> {
     let dim = || prop_oneof![0u64..8, any::<u64>()];
     vec((dim(), dim()), 0..3).prop_map(|dims| {
@@ -33,14 +29,22 @@ fn arb_box() -> impl Strategy<Value = BoxSel> {
     })
 }
 
+/// A scalar, or a block that lies inside its shape: the only blocks a
+/// writer describes. A contradictory triple is refused on parse
+/// (`chunks_with_contradictory_block_shapes_are_refused`).
 fn arb_meta() -> impl Strategy<Value = VarMeta> {
+    let dim = || prop_oneof![0u64..8, any::<u64>()];
     prop_oneof![
         arb_name().prop_map(|name| VarMeta::Scalar { name }),
-        (arb_name(), arb_dims(), arb_box()).prop_map(|(name, shape, b)| VarMeta::Block {
-            name,
-            shape,
-            offset: b.offset,
-            count: b.count,
+        (arb_name(), vec((dim(), dim(), dim()), 0..3)).prop_map(|(name, dims)| {
+            let (mut shape, mut offset, mut count) = (Vec::new(), Vec::new(), Vec::new());
+            for (s, o, c) in dims {
+                let o = o.min(s);
+                shape.push(s);
+                offset.push(o);
+                count.push(c.min(s - o));
+            }
+            VarMeta::Block { name, shape, offset, count }
         }),
     ]
 }
@@ -265,7 +269,10 @@ proptest! {
     /// A chunk body's `shape` / `offset` / `count` are the sender's claims
     /// about its data: a body (or an extra) in which they contradict each
     /// other or the data length is refused — also when the product or the
-    /// sum only agrees after wrapping around `u64` — never asserted on.
+    /// sum only agrees after wrapping around `u64` — never asserted on. A
+    /// writer's block metadata (`dists`, `writer_info`) carries the same
+    /// triple without data, and is refused when the triple contradicts
+    /// itself.
     #[test]
     fn chunks_with_contradictory_block_shapes_are_refused(
         values in vec(0u32..100, 0..7),
@@ -275,11 +282,24 @@ proptest! {
         let [shape, offset, count] = <[Vec<u64>; 3]>::try_from(dims.clone()).expect("three lists");
         // The oracle works in u128, where two u64 factors cannot wrap.
         let wide = |v: u64| v as u128;
-        let consistent = shape.len() == offset.len()
+        let in_bounds = shape.len() == offset.len()
             && shape.len() == count.len()
-            && count.iter().map(|&c| wide(c)).product::<u128>() == values.len() as u128
             && (0..shape.len()).all(|d| wide(offset[d]) + wide(count[d]) <= wide(shape[d]));
+        let consistent = in_bounds
+            && count.iter().map(|&c| wide(c)).product::<u128>() == values.len() as u128;
         prop_assume!(!consistent);
+        if !in_bounds {
+            let meta = VarMeta::Block {
+                name: "v".into(),
+                shape: shape.clone(),
+                offset: offset.clone(),
+                count: count.clone(),
+            };
+            let dists = protocol::dists(std::slice::from_ref(&meta));
+            prop_assert!(protocol::parse_dists(wired(&dists)).is_err(), "accepted {dists:?}");
+            let info = protocol::writer_info(&[vec![meta]]);
+            prop_assert!(protocol::parse_writer_info(wired(&info)).is_err(), "accepted {info:?}");
+        }
         let data = ArrayData::F64(values.iter().map(|&v| f64::from(v)).collect());
         let bad = VarValue::Block(LocalBlock { global_shape: shape, offset, count, data });
         let record = if in_extras {

@@ -228,7 +228,7 @@ fn crash_fault_is_accounted_once_per_run() {
     let plan = crash_plan(seed());
     let _ = run_blocking("fan-acct", Some(&plan));
     assert_eq!(
-        plan.counters().crashed_sends.load(std::sync::atomic::Ordering::Relaxed),
+        plan.counters().snapshot().crashed_sends,
         1,
         "the scheduled writer crash fires exactly once"
     );

@@ -81,8 +81,8 @@ fn single_group_delivers_every_step_in_order() {
     }
     w.close();
     assert_eq!(drain(&mut r), vec![0, 1, 2, 3, 4]);
-    let (delivered, replayed, dropped, lag) = r.counters().snapshot();
-    assert_eq!((delivered, replayed, dropped, lag), (5, 0, 0, 0));
+    let c = r.counters().snapshot();
+    assert_eq!((c.delivered, c.replayed_from_spill, c.dropped_by_qos, c.lag_steps), (5, 0, 0, 0));
 }
 
 #[test]
@@ -179,9 +179,9 @@ fn latest_only_skips_to_newest_and_accounts_drops() {
     r.end_step();
     w.close();
     assert!(matches!(r.try_begin_step().expect("eos"), StepStatus::EndOfStream));
-    let (delivered, _, dropped, _) = r.counters().snapshot();
-    assert_eq!(delivered, 1);
-    assert_eq!(dropped, 9, "the skipped steps are visible in dropped_by_qos");
+    let c = r.counters().snapshot();
+    assert_eq!(c.delivered, 1);
+    assert_eq!(c.dropped_by_qos, 9, "the skipped steps are visible in dropped_by_qos");
 }
 
 #[test]
@@ -202,10 +202,7 @@ fn lossless_cursor_backpressures_publisher_without_spill() {
     w.write("t", VarValue::Scalar(ScalarValue::F64(0.0)));
     let err = w.try_end_step().expect_err("publish must backpressure");
     assert_eq!(err, flexio::link::StreamError::Timeout);
-    assert!(
-        w.log().counters().backpressure_waits.load(std::sync::atomic::Ordering::Relaxed) > 0,
-        "the wait is observable"
-    );
+    assert!(w.log().counters().snapshot().backpressure_waits > 0, "the wait is observable");
 
     // The group commits one step; the stalled publish now fits.
     let StepStatus::Step(0) = r.try_begin_step().expect("step 0") else { panic!("step 0") };
@@ -237,8 +234,9 @@ fn late_joiner_replays_history_from_spill() {
     let late_steps = drain(&mut late);
     assert_eq!(live_steps, (0..8).collect::<Vec<_>>());
     assert_eq!(late_steps, live_steps, "replayed history must equal the live stream");
-    let (delivered, replayed, _, _) = late.counters().snapshot();
-    assert_eq!(delivered, 8);
+    let c = late.counters().snapshot();
+    let replayed = c.replayed_from_spill;
+    assert_eq!(c.delivered, 8);
     assert!(replayed >= 6, "at least the evicted steps came from spill, got {replayed}");
     std::fs::remove_dir_all(&spill).ok();
 }
@@ -272,11 +270,7 @@ fn restarted_group_resumes_from_durable_cursor() {
     // The restart resumes exactly where the commit left off.
     let mut r =
         ReaderGroup::tail(&spill, "s7", "g0", Qos::Lossless, &hints()).expect("tail re-attach");
-    assert_eq!(
-        r.counters().resumed_from.load(std::sync::atomic::Ordering::Relaxed),
-        3,
-        "resume point is the durable cursor"
-    );
+    assert_eq!(r.counters().snapshot().resumed_from, 3, "resume point is the durable cursor");
     let steps = drain(&mut r);
     assert_eq!(steps, vec![3, 4, 5], "no step lost, none repeated");
     std::fs::remove_dir_all(&spill).ok();
@@ -317,7 +311,7 @@ fn stopped_group_task_resumes_where_it_stopped() {
     let mut r =
         ReaderGroup::tail(&spill, "s10", "g0", Qos::Lossless, &hints()).expect("tail re-attach");
     assert_eq!(
-        r.counters().resumed_from.load(std::sync::atomic::Ordering::Relaxed),
+        r.counters().snapshot().resumed_from,
         K,
         "the stopped loop committed every step it delivered"
     );
@@ -338,10 +332,7 @@ fn abandoned_writer_drains_retained_steps_then_eos() {
 
     let steps = drain(&mut r);
     assert_eq!(steps, vec![0, 1, 2, 3], "every retained step drains before EOS");
-    assert!(
-        r.counters().eos_synthesized.load(std::sync::atomic::Ordering::Relaxed) >= 1,
-        "the EOS was synthesized, not clean"
-    );
+    assert!(r.counters().snapshot().eos_synthesized >= 1, "the EOS was synthesized, not clean");
 }
 
 #[test]
@@ -362,7 +353,7 @@ fn group_counters_discoverable_through_directory() {
         .lookup_group_counters("s9", "g0", Duration::from_millis(200))
         .expect("counters registered");
     drain(&mut r);
-    assert_eq!(c.delivered.load(std::sync::atomic::Ordering::Relaxed), 3);
+    assert_eq!(c.snapshot().delivered, 3);
     assert!(
         io.lookup_group_counters("s9", "g0", Duration::from_millis(50)).is_err(),
         "close must unregister the group"
@@ -401,6 +392,6 @@ fn one_directory_entry_serves_every_group() {
     for r in &mut groups {
         assert_eq!(drain(r), vec![0, 1]);
     }
-    assert_eq!(counters.delivered.load(std::sync::atomic::Ordering::Relaxed), 2);
+    assert_eq!(counters.snapshot().delivered, 2);
     assert_eq!(io.directory().registration_count(), 1);
 }

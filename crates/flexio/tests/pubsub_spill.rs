@@ -90,10 +90,10 @@ fn cursor_exactly_at_memory_spill_seam() {
     let mut r = io.open_reader_group("seam", "g", None, hints()).expect("open group");
     w.close();
     assert_eq!(drain_steps(&mut r), (0..8).collect::<Vec<_>>());
-    let (delivered, replayed, _, _) = r.counters().snapshot();
-    assert_eq!(delivered, 8);
+    let c = r.counters().snapshot();
+    assert_eq!(c.delivered, 8);
     assert_eq!(
-        replayed, 4,
+        c.replayed_from_spill, 4,
         "exactly the evicted prefix replays from spill; the step at the seam comes from memory"
     );
 }
@@ -215,6 +215,6 @@ fn tail_group_counts_one_synthesized_eos() {
     let silent = StreamHints { eos_on_silence: true, ..hints() };
     let mut r = ReaderGroup::tail(&spill, "tail-eos", "g", Qos::Lossless, &silent).expect("tail");
     assert_eq!(drain_steps(&mut r), vec![0, 1]);
-    assert_eq!(r.counters().eos_synthesized.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(r.counters().snapshot().eos_synthesized, 1);
     std::fs::remove_dir_all(&spill).ok();
 }

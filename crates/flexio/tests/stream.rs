@@ -7,7 +7,9 @@ use adios::{
     ArrayData, BoxSel, LocalBlock, ReadEngine, ScalarValue, Selection, StepStatus, VarValue,
     WriteEngine,
 };
-use flexio::{CachingLevel, FlexIo, PluginPlacement, PluginSpec, StreamHints, WriteMode};
+use flexio::{
+    CachingLevel, FlexIo, PluginPlacement, PluginSpec, ProtocolSnapshot, StreamHints, WriteMode,
+};
 use machine::{laptop, CoreLocation};
 
 /// Deterministic core roster: writers fill node 0 onward, readers fill
@@ -181,7 +183,7 @@ fn process_group_pattern_with_scalars() {
     assert_eq!(ok, vec![true, true]);
 }
 
-fn run_caching(level: CachingLevel, steps: u64) -> (u64, u64, u64, u64, u64, u64, u64) {
+fn run_caching(level: CachingLevel, steps: u64) -> ProtocolSnapshot {
     let hints = StreamHints { caching: level, ..StreamHints::default() };
     // Snapshot counters only after both programs are fully done: every
     // rank returns its shared link, and we read the counters post-join.
@@ -212,35 +214,35 @@ fn run_caching(level: CachingLevel, steps: u64) -> (u64, u64, u64, u64, u64, u64
 #[test]
 fn caching_levels_cut_handshake_traffic() {
     const STEPS: u64 = 5;
-    let (g_no, e_no, b_no, d_no, ..) = run_caching(CachingLevel::NoCaching, STEPS);
-    let (g_lo, e_lo, _b_lo, d_lo, ..) = run_caching(CachingLevel::CachingLocal, STEPS);
-    let (g_all, e_all, b_all, d_all, ..) = run_caching(CachingLevel::CachingAll, STEPS);
+    let no = run_caching(CachingLevel::NoCaching, STEPS);
+    let lo = run_caching(CachingLevel::CachingLocal, STEPS);
+    let all = run_caching(CachingLevel::CachingAll, STEPS);
 
     // Data volume identical in all modes.
-    assert_eq!(d_no, d_lo);
-    assert_eq!(d_no, d_all);
+    assert_eq!(no.data_msgs, lo.data_msgs);
+    assert_eq!(no.data_msgs, all.data_msgs);
 
     // NO_CACHING gathers on both sides every step (writer 2 + reader 1
     // non-coordinator ranks per step), plus one: the reader rank cannot
     // know the final begin_step will hit EOS, so it eagerly re-sends its
     // subscriptions once more.
-    assert_eq!(g_no, STEPS * 3 + 1, "gathers: {g_no}");
+    assert_eq!(no.gather_msgs, STEPS * 3 + 1, "gathers: {}", no.gather_msgs);
     // Exchange happens twice per step (writer_info + reader_info), plus
     // one for the same reason: reader_info is posted as soon as its content
     // is fixed — on entry to begin_step here — and the reader coordinator
     // cannot know that begin_step will hit EOS.
-    assert_eq!(e_no, STEPS * 2 + 1);
+    assert_eq!(no.exchange_msgs, STEPS * 2 + 1);
 
     // CACHING_LOCAL: gather only on the first step, exchange still per step.
-    assert_eq!(g_lo, 3, "local caching skips step 1 after warmup: {g_lo}");
+    assert_eq!(lo.gather_msgs, 3, "local caching skips step 1 after warmup: {}", lo.gather_msgs);
     // The trailing post leaves from the last end_step instead.
-    assert_eq!(e_lo, STEPS * 2 + 1);
+    assert_eq!(lo.exchange_msgs, STEPS * 2 + 1);
 
     // CACHING_ALL: the whole handshake happens exactly once.
-    assert_eq!(g_all, 3);
-    assert_eq!(e_all, 2);
-    assert_eq!(b_all, 3, "plan broadcast only once: {b_all}");
-    assert!(b_no >= STEPS * 3, "plan re-broadcast every step: {b_no}");
+    assert_eq!(all.gather_msgs, 3);
+    assert_eq!(all.exchange_msgs, 2);
+    assert_eq!(all.bcast_msgs, 3, "plan broadcast only once: {}", all.bcast_msgs);
+    assert!(no.bcast_msgs >= STEPS * 3, "plan re-broadcast every step: {}", no.bcast_msgs);
 }
 
 #[test]
@@ -274,7 +276,7 @@ fn batching_aggregates_data_messages() {
                 }
             },
         );
-        counters[0].counters.snapshot().3 // data_msgs, post-join
+        counters[0].counters.snapshot().data_msgs // post-join
     };
     let unbatched = run(false);
     let batched = run(true);
@@ -306,7 +308,7 @@ fn sync_mode_waits_for_acks() {
             }
         },
     );
-    let acks = counters[0].counters.snapshot().5;
+    let acks = counters[0].counters.snapshot().ack_msgs;
     // Each reader acks each writer that sent to it, each step. With the
     // 4-element halves each reader overlaps exactly one writer: 2 acks/step.
     assert_eq!(acks, 6, "acks={acks}");

@@ -8,7 +8,6 @@
 //! readiness wait: a blocking receive that parks waits in `poll(2)` on
 //! the channel's fd, which timeouts, EOF and partial frames all wake.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,16 +53,16 @@ fn corrupt_frames_surface_once_each_and_the_stream_recovers() {
 
     let first = recv_record(&mut rx, &hints, &counters).expect("valid frame before garbage");
     assert_eq!(first.get_u64("tag"), Some(1));
-    assert_eq!(counters.corrupt_frames.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.snapshot().corrupt_frames, 0);
 
     // Each corrupt frame is one definite, consumed event: an error and
     // exactly one counter bump — not a retry loop burning the budget.
     for expected in 1..=2u64 {
         let err = recv_record(&mut rx, &hints, &counters).expect_err("corrupt frame");
         assert!(matches!(err, StreamError::Corrupt(_)), "got {err:?}");
-        assert_eq!(counters.corrupt_frames.load(Ordering::Relaxed), expected);
+        assert_eq!(counters.snapshot().corrupt_frames, expected);
     }
-    assert_eq!(counters.retries.load(Ordering::Relaxed), 0, "no retry burned on corruption");
+    assert_eq!(counters.snapshot().retries, 0, "no retry burned on corruption");
 
     // The channel is still usable past the damage.
     let last = recv_record(&mut rx, &hints, &counters).expect("valid frame after garbage");
@@ -91,8 +90,8 @@ fn peer_close_fails_fast_without_burning_the_retry_budget() {
         "peer death must be immediate, not a timeout sweep ({:?})",
         start.elapsed()
     );
-    assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 1);
-    assert_eq!(counters.retries.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.snapshot().closed_channels, 1);
+    assert_eq!(counters.snapshot().retries, 0);
 }
 
 #[test]
@@ -109,7 +108,7 @@ fn push_then_drop_race_still_delivers_the_final_frame() {
     assert_eq!(r.get_u64("tag"), Some(7));
     let err = recv_record(&mut rx, &hints, &counters).expect_err("now drained and closed");
     assert_eq!(err, StreamError::Timeout);
-    assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 1);
+    assert_eq!(counters.snapshot().closed_channels, 1);
 }
 
 #[test]
@@ -126,9 +125,9 @@ fn empty_channel_exhausts_the_budget_and_counts_every_retry() {
     let counters = ProtocolCounters::new_shared();
     let err = recv_record(&mut rx, &hints, &counters).expect_err("nothing ever arrives");
     assert_eq!(err, StreamError::Timeout);
-    assert_eq!(counters.retries.load(Ordering::Relaxed), u64::from(hints.retries));
-    assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 0, "sender still alive");
-    assert_eq!(counters.corrupt_frames.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.snapshot().retries, u64::from(hints.retries));
+    assert_eq!(counters.snapshot().closed_channels, 0, "sender still alive");
+    assert_eq!(counters.snapshot().corrupt_frames, 0);
     drop(btx);
 }
 
@@ -154,8 +153,8 @@ fn oversize_payload_rides_the_pooled_path_intact() {
     let counters = ProtocolCounters::new_shared();
     let r = recv_record(&mut rx, &hints, &counters).expect("pooled frame");
     assert_eq!(r.get_packed("big").map(|p| p.to_u64_vec()), Some(big));
-    assert_eq!(counters.corrupt_frames.load(Ordering::Relaxed), 0);
-    assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.snapshot().corrupt_frames, 0);
+    assert_eq!(counters.snapshot().closed_channels, 0);
 }
 
 #[test]
@@ -174,8 +173,8 @@ fn socket_peer_close_counts_exact_like_shm_peer_close() {
     let err = recv_record(&mut rx, &hints, &counters).expect_err("closed socket");
     assert_eq!(err, StreamError::Timeout);
     assert!(start.elapsed() < Duration::from_secs(2), "socket peer death must fail fast");
-    assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 1);
-    assert_eq!(counters.retries.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.snapshot().closed_channels, 1);
+    assert_eq!(counters.snapshot().retries, 0);
 }
 
 #[test]
@@ -196,12 +195,12 @@ fn socket_corruption_counts_once_then_the_stream_is_closed() {
 
     let err = recv_record(&mut rx, &hints, &counters).expect_err("corrupt frame");
     assert!(matches!(err, StreamError::Corrupt(_)), "got {err:?}");
-    assert_eq!(counters.corrupt_frames.load(Ordering::Relaxed), 1);
+    assert_eq!(counters.snapshot().corrupt_frames, 1);
 
     let err = recv_record(&mut rx, &hints, &counters).expect_err("poisoned stream");
     assert_eq!(err, StreamError::Timeout, "poisoned socket reads as closed");
-    assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 1);
-    assert_eq!(counters.corrupt_frames.load(Ordering::Relaxed), 1, "corruption charged once");
+    assert_eq!(counters.snapshot().closed_channels, 1);
+    assert_eq!(counters.snapshot().corrupt_frames, 1, "corruption charged once");
 }
 
 #[test]
@@ -226,12 +225,12 @@ fn monitor_sink_mirrors_socket_peer_health_into_link_counters() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(sink.corrupt_frames(), 1, "local book keeps the corrupt frame");
-    assert_eq!(counters.corrupt_frames.load(Ordering::Relaxed), 1, "shared book matches");
-    assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 1, "peer death mirrored once");
+    assert_eq!(counters.snapshot().corrupt_frames, 1, "shared book matches");
+    assert_eq!(counters.snapshot().closed_channels, 1, "peer death mirrored once");
 
     // Further drains must not double-charge the close.
     sink.drain();
-    assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 1);
+    assert_eq!(counters.snapshot().closed_channels, 1);
 }
 
 #[test]
@@ -249,7 +248,7 @@ fn link_counters_record_peer_death_on_claimed_channels() {
     let hints = fast_hints();
     let err = recv_record(&mut rx, &hints, &link.counters).expect_err("peer gone");
     assert_eq!(err, StreamError::Timeout);
-    assert_eq!(link.counters.closed_channels.load(Ordering::Relaxed), 1);
+    assert_eq!(link.counters.snapshot().closed_channels, 1);
 }
 
 #[test]
@@ -263,8 +262,8 @@ fn an_empty_socket_times_out_on_the_retry_schedule() {
     assert_eq!(err, StreamError::Timeout);
     // 5 ms, then 10 ms: waiting on the fd still runs out both attempts.
     assert!(start.elapsed() >= Duration::from_millis(15), "gave up early: {:?}", start.elapsed());
-    assert_eq!(counters.retries.load(Ordering::Relaxed), 1);
-    assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 0, "sender still alive");
+    assert_eq!(counters.snapshot().retries, 1);
+    assert_eq!(counters.snapshot().closed_channels, 0, "sender still alive");
 }
 
 #[test]
@@ -286,8 +285,8 @@ fn a_socket_peer_dropping_mid_wait_wakes_the_receiver() {
         "EOF must end the wait ({:?})",
         start.elapsed()
     );
-    assert_eq!(counters.closed_channels.load(Ordering::Relaxed), 1);
-    assert_eq!(counters.retries.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.snapshot().closed_channels, 1);
+    assert_eq!(counters.snapshot().retries, 0);
     dropper.join().unwrap();
 }
 
@@ -311,8 +310,8 @@ fn a_frame_trickling_in_arrives_as_one_record() {
     let counters = ProtocolCounters::new_shared();
     let record = recv_record(&mut rx, &hints, &counters).expect("the whole frame");
     assert_eq!(record.get_u64("tag"), Some(11));
-    assert_eq!(counters.corrupt_frames.load(Ordering::Relaxed), 0);
-    assert_eq!(counters.retries.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.snapshot().corrupt_frames, 0);
+    assert_eq!(counters.snapshot().retries, 0);
     drop(writer.join().unwrap());
 }
 

@@ -189,6 +189,15 @@ if grep -rnE --include='*.rs' --exclude-dir=target "FieldValue::(F64Array|U64Arr
     crates src tests examples benchmark; then
     echo "FieldValue has a per-type array variant again (every array is one PackedArray)"; exit 1
 fi
+# Counters as data: every counter block but `QueryCounters` is declared
+# through `evpath::counters!`, whose `snapshot()` is a struct read by name.
+if grep -rnE --include='*.rs' 'fn (resilience_)?snapshot\(&self\) -> \(' crates/*/src \
+    | grep -v '^crates/flexio/src/query\.rs:'; then
+    echo "a counter snapshot is a positional tuple again (declare the block with evpath::counters!)"; exit 1
+fi
+if grep -rn --include='*.rs' --exclude-dir=target 'resilience_snapshot' crates src tests examples; then
+    echo "resilience_snapshot is back (the one ProtocolSnapshot names every protocol counter)"; exit 1
+fi
 # Every public function has a caller: each `pub fn NAME` under crates/*/src
 # appears as a word in the Rust tree more often than `fn NAME` is defined.
 # One pass: definitions (D), public definitions (P) and words (W) counted
@@ -223,7 +232,7 @@ done
 [ "$missing" -eq 0 ] || { echo "a doc names something the tree does not have"; exit 1; }
 # Their size only goes down, toward the ROADMAP's 100 KB target; lower
 # this limit when a PR shrinks them, never raise it.
-doc_limit=130821
+doc_limit=130573
 doc_bytes=$(cat $docs | wc -c)
 [ "$doc_bytes" -le "$doc_limit" ] || { echo "docs are $doc_bytes bytes (limit $doc_limit)"; exit 1; }
 echo "doc references ok (docs: $doc_bytes bytes)"

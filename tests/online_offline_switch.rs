@@ -211,10 +211,10 @@ fn hybrid_mode_serves_live_tailing_and_late_replay_groups_identically() {
     let mut late =
         ReaderGroup::tail(&spill, "hybrid", "late", Qos::Lossless, &hints).expect("late group");
     let offline = consume(&mut late);
-    let (delivered, replayed, dropped, _) = late.counters().snapshot();
-    assert_eq!(delivered, STEPS, "late joiner misses nothing");
-    assert_eq!(replayed, STEPS, "every step the late joiner saw came from BP spill");
-    assert_eq!(dropped, 0);
+    let c = late.counters().snapshot();
+    assert_eq!(c.delivered, STEPS, "late joiner misses nothing");
+    assert_eq!(c.replayed_from_spill, STEPS, "every step the late joiner saw came from BP spill");
+    assert_eq!(c.dropped_by_qos, 0);
 
     assert_eq!(online, baseline, "live tailing must not perturb the data");
     assert_eq!(offline, baseline, "spill replay must reproduce the stream byte-for-byte");
