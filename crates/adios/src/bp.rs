@@ -14,16 +14,9 @@
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::Arc;
-
-use parking_lot_stub::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::group::ProcessGroup;
-
-// `adios` avoids a parking_lot dependency for one mutex; std suffices.
-mod parking_lot_stub {
-    pub use std::sync::Mutex;
-}
 
 const MAGIC: u32 = 0x4250_5253; // "BPRS"
 const VERSION: u32 = 1;

@@ -20,10 +20,18 @@ pub struct BoxSel {
 }
 
 impl BoxSel {
-    /// Construct (offsets and counts must have equal rank).
+    /// Construct; panics on exactly what [`BoxSel::try_new`] refuses.
     pub fn new(offset: Vec<u64>, count: Vec<u64>) -> BoxSel {
         assert_eq!(offset.len(), count.len(), "rank mismatch");
-        BoxSel { offset, count }
+        BoxSel::try_new(offset, count).expect("box end overflows u64")
+    }
+
+    /// The one constructor for a peer's box: `None` unless `offset` and
+    /// `count` have equal rank and every `offset + count` fits in a `u64`.
+    pub fn try_new(offset: Vec<u64>, count: Vec<u64>) -> Option<BoxSel> {
+        let fits = offset.len() == count.len()
+            && offset.iter().zip(&count).all(|(o, c)| o.checked_add(*c).is_some());
+        fits.then_some(BoxSel { offset, count })
     }
 
     /// The whole array of the given shape.
@@ -46,9 +54,12 @@ impl BoxSel {
         self.count.contains(&0)
     }
 
-    /// Intersection with another box; `None` when disjoint (or empty).
+    /// Intersection with another box; `None` when disjoint (or empty), and
+    /// for a box of another rank.
     pub fn intersect(&self, other: &BoxSel) -> Option<BoxSel> {
-        assert_eq!(self.rank(), other.rank(), "rank mismatch");
+        if self.rank() != other.rank() {
+            return None;
+        }
         let mut offset = Vec::with_capacity(self.rank());
         let mut count = Vec::with_capacity(self.rank());
         for d in 0..self.rank() {
@@ -82,6 +93,25 @@ impl BoxSel {
     pub fn rows(&self) -> RowIter<'_> {
         RowIter { sel: self, cursor: Some(self.offset.clone()), done: self.is_empty() }
     }
+}
+
+/// Whether the box at `offset`/`count` lies inside `block`, an
+/// `(offset, count)` pair in global index space, or `(None, shape)` for a
+/// whole array: all of one rank, and in every dimension the box starts at
+/// or after the block and ends at or before it. The box's end is a checked
+/// sum (one that overflows lies outside). The one bounds rule: every box
+/// or block a peer describes is held to it before a copy trusts it.
+pub fn lies_inside(offset: &[u64], count: &[u64], block: (Option<&[u64]>, &[u64])) -> bool {
+    let (start, extent) = block;
+    let rank = extent.len();
+    let start_of = |d: usize| start.map_or(0, |s| s[d]);
+    [offset.len(), count.len(), start.map_or(rank, <[u64]>::len)] == [rank; 3]
+        && (0..rank).all(|d| {
+            offset[d] >= start_of(d)
+                && offset[d]
+                    .checked_add(count[d])
+                    .is_some_and(|end| end <= start_of(d).saturating_add(extent[d]))
+        })
 }
 
 /// Iterator over contiguous last-dimension runs of a box.
@@ -170,12 +200,7 @@ impl StridePlan {
             return plan;
         }
         let inside = |(offset, count): (&[u64], &[u64])| {
-            (0..rank).all(|d| {
-                region.offset[d] >= offset[d]
-                    && region.offset[d]
-                        .checked_add(region.count[d])
-                        .is_some_and(|end| end <= offset[d].saturating_add(count[d]))
-            })
+            lies_inside(&region.offset, &region.count, (Some(offset), count))
         };
         assert!(
             inside(src) && inside(dst),
@@ -345,6 +370,9 @@ mod tests {
         assert_eq!(a.intersect(&b), Some(BoxSel::new(vec![3, 3], vec![2, 2])));
         let c = BoxSel::new(vec![5, 0], vec![2, 2]);
         assert_eq!(a.intersect(&c), None);
+        let line = BoxSel::new(vec![1], vec![3]);
+        assert_eq!(a.intersect(&line), None, "a box of another rank meets nothing");
+        assert_eq!(line.intersect(&a), None);
     }
 
     #[test]

@@ -47,4 +47,4 @@ pub use config::{GroupConfig, IoConfig, IoMethod};
 pub use group::ProcessGroup;
 pub use hyperslab::BoxSel;
 pub use posix::PosixWriteEngine;
-pub use var::{block_bounds_error, ArrayData, DataType, LocalBlock, ScalarValue, VarValue};
+pub use var::{ArrayData, DataType, LocalBlock, ScalarValue, VarValue};

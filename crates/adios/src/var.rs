@@ -419,20 +419,6 @@ pub enum ScalarValue {
     Str(String),
 }
 
-/// What is wrong with a block at `offset` of extent `count` in an array of
-/// `shape`, if anything: the three disagree in rank, or `offset + count`
-/// passes `shape` in some dimension (checked: a sum that overflows passes
-/// it). Every block a peer describes — its data or only its metadata — is
-/// held to this before a plan or a copy trusts its geometry.
-pub fn block_bounds_error(shape: &[u64], offset: &[u64], count: &[u64]) -> Option<String> {
-    if offset.len() != shape.len() || count.len() != shape.len() {
-        return Some("rank mismatch".into());
-    }
-    (0..shape.len())
-        .find(|&d| offset[d].checked_add(count[d]).is_none_or(|e| e > shape[d]))
-        .map(|d| format!("block exceeds global shape in dim {d}"))
-}
-
 /// One process's block of a (possibly distributed) array variable:
 /// the global shape plus this block's offset and count per dimension,
 /// row-major data.
@@ -449,17 +435,18 @@ pub struct LocalBlock {
 }
 
 impl LocalBlock {
-    /// What is inconsistent about this block's shape, if anything: its
-    /// [`block_bounds_error`], or a `count` product that is not the data
-    /// length. Checked arithmetic throughout — the fields may be a peer's
-    /// claims, and a product that overflows is a mismatch, not a
-    /// wrap-around that happens to agree.
-    fn shape_error(&self) -> Option<String> {
-        block_bounds_error(&self.global_shape, &self.offset, &self.count).or_else(|| {
-            let elems = self.count.iter().try_fold(1u64, |n, &c| n.checked_mul(c));
-            (elems.and_then(|n| usize::try_from(n).ok()) != Some(self.data.len()))
-                .then(|| "data length != count product".into())
-        })
+    /// What is inconsistent about this block's shape, if anything: it does
+    /// not [`lies_inside`](crate::hyperslab::lies_inside) its global shape,
+    /// or its `count` product is not the data length. Checked arithmetic
+    /// throughout — the fields may be a peer's claims, and a product that
+    /// overflows is a mismatch, not a wrap-around that happens to agree.
+    fn shape_error(&self) -> Option<&'static str> {
+        if !crate::hyperslab::lies_inside(&self.offset, &self.count, (None, &self.global_shape)) {
+            return Some("block exceeds global shape or differs from it in rank");
+        }
+        let elems = self.count.iter().try_fold(1u64, |n, &c| n.checked_mul(c));
+        (elems.and_then(|n| usize::try_from(n).ok()) != Some(self.data.len()))
+            .then_some("data length != count product")
     }
 
     /// Validate shape consistency; returns `self` for chaining. Panics on

@@ -6,9 +6,7 @@
 //! benefit of the paper's lock-free design. Not used by the FlexIO runtime.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 struct Inner {
     queue: Mutex<VecDeque<Vec<u8>>>,
@@ -43,10 +41,8 @@ pub fn naive_queue(capacity: usize) -> (NaiveSender, NaiveReceiver) {
 impl NaiveSender {
     /// Blocking bounded push.
     pub fn push(&self, payload: &[u8]) {
-        let mut q = self.inner.queue.lock();
-        while q.len() >= self.inner.capacity {
-            self.inner.not_full.wait(&mut q);
-        }
+        let q = self.inner.queue.lock().unwrap();
+        let mut q = self.inner.not_full.wait_while(q, |q| q.len() >= self.inner.capacity).unwrap();
         q.push_back(payload.to_vec());
         self.inner.not_empty.notify_one();
     }
@@ -55,13 +51,13 @@ impl NaiveSender {
 impl NaiveReceiver {
     /// Blocking pop.
     pub fn pop(&self) -> Vec<u8> {
-        let mut q = self.inner.queue.lock();
+        let mut q = self.inner.queue.lock().unwrap();
         loop {
             if let Some(msg) = q.pop_front() {
                 self.inner.not_full.notify_one();
                 return msg;
             }
-            self.inner.not_empty.wait(&mut q);
+            q = self.inner.not_empty.wait(q).unwrap();
         }
     }
 }

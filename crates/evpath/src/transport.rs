@@ -7,9 +7,9 @@
 //! (intra-node placement) or the simulated RDMA fabric (inter-node
 //! placement).
 
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use netsim::{NetSim, Port, PortAddress, Registration};
 use shm::channel::{shm_channel, ShmReceiver, ShmSender};
 use shm::Lease;
@@ -145,7 +145,7 @@ struct InprocReceiver(Receiver<Vec<u8>>);
 /// An in-process channel transport (same-address-space coupling, used for
 /// inline placement and tests).
 pub fn inproc_pair() -> (BoxedSender, BoxedReceiver) {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     (Box::new(InprocSender(tx)), Box::new(InprocReceiver(rx)))
 }
 
@@ -167,7 +167,6 @@ impl EvSender for InprocSender {
 
 impl EvReceiver for InprocReceiver {
     fn poll_lease(&mut self) -> RecvPoll<Lease> {
-        use crossbeam::channel::TryRecvError;
         match self.0.try_recv() {
             Ok(msg) => RecvPoll::Msg(msg.into()),
             Err(TryRecvError::Empty) => RecvPoll::Empty,

@@ -3,12 +3,11 @@
 //! calls that turn it into engines, with the error type they report.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use machine::{CoreLocation, MachineModel};
 use netsim::NetSim;
-use parking_lot::Mutex;
 
 use crate::directory::{DirectoryError, DirectoryService, InProcDirectory};
 use crate::hints::StreamHints;
@@ -209,7 +208,7 @@ impl FlexIo {
     }
 
     pub(crate) fn post_bulletin(&self, key: &str, link: Arc<LinkState>) {
-        self.bulletin.lock().insert(key.to_string(), link);
+        self.bulletin.lock().unwrap().insert(key.to_string(), link);
     }
 
     /// [`Self::bulletin`] as a blocking call on the calling thread.
@@ -219,6 +218,7 @@ impl FlexIo {
 
     /// Poll the bulletin until `key` appears or `timeout` expires.
     async fn bulletin(&self, key: &str, timeout: Duration) -> Option<Arc<LinkState>> {
-        poll_until(Instant::now() + timeout, || self.bulletin.lock().get(key).cloned()).await
+        poll_until(Instant::now() + timeout, || self.bulletin.lock().unwrap().get(key).cloned())
+            .await
     }
 }

@@ -25,11 +25,10 @@
 use std::collections::HashMap;
 use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use evpath::{BoxedReceiver, BoxedSender, FaultPlan, RecvPoll};
-use parking_lot::Mutex;
 
 use crate::link::LinkState;
 use crate::task::{periodic, LoopHandle};
@@ -168,11 +167,11 @@ impl<C: Contact> DirectoryNode<C> {
             Some(plan) => plan.wrap_sender(&format!("gossip:{}->{peer}", self.id), tx),
             None => tx,
         };
-        self.peers.lock().push(tx);
+        self.peers.lock().unwrap().push(tx);
     }
 
     pub(crate) fn add_peer_receiver(&self, rx: BoxedReceiver) {
-        self.inboxes.lock().push(rx);
+        self.inboxes.lock().unwrap().push(rx);
     }
 
     fn check_serving(&self) -> Result<(), DirectoryError> {
@@ -197,7 +196,7 @@ impl<C: Contact> DirectoryNode<C> {
         // Never 0 (the digest's "no contact"), and namespaced by node id:
         // nodes sharing a table cannot mint the same token.
         let token = (self.id << 48) | self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.contacts.lock().insert(token, contact.clone());
+        self.contacts.lock().unwrap().insert(token, contact.clone());
         self.store.register_local(name, contact, token, overwrite).map(|_| ())
     }
 
@@ -235,7 +234,7 @@ impl<C: Contact> DirectoryNode<C> {
         let digest: Vec<DigestEntry> =
             entries.into_iter().map(|(name, e)| (name, e.version, e.origin, e.token)).collect();
         let digest = encode_digest(self.id, &digest);
-        for tx in self.peers.lock().iter_mut() {
+        for tx in self.peers.lock().unwrap().iter_mut() {
             if let Some(table) = &table {
                 tx.send(table);
             }
@@ -259,7 +258,7 @@ impl<C: Contact> DirectoryNode<C> {
     /// A link that reports closed or corrupt is gone (its peer died, or
     /// the byte stream lost framing): drop it.
     fn drain_inbound(&self) {
-        self.inboxes.lock().retain_mut(|rx| loop {
+        self.inboxes.lock().unwrap().retain_mut(|rx| loop {
             match rx.poll_recv() {
                 RecvPoll::Msg(frame) => self.absorb(&frame),
                 RecvPoll::Empty => return true,
@@ -279,7 +278,7 @@ impl<C: Contact> DirectoryNode<C> {
             };
             for (token, wire) in table {
                 if let Some(contact) = C::from_wire(wire) {
-                    self.contacts.lock().insert(token, contact);
+                    self.contacts.lock().unwrap().insert(token, contact);
                 }
             }
             return;
@@ -290,7 +289,7 @@ impl<C: Contact> DirectoryNode<C> {
         };
         self.counters.frames_received.fetch_add(1, Ordering::Relaxed);
         for (name, version, origin, token) in entries {
-            let contact = self.contacts.lock().get(&token).cloned();
+            let contact = self.contacts.lock().unwrap().get(&token).cloned();
             if token != 0 && contact.is_none() {
                 // Unknown token: the contact is interned cluster-wide or
                 // rode the frame ahead of this one, so that frame was lost.

@@ -17,11 +17,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use evpath::{fnv1a64, FNV_OFFSET};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::link::LinkState;
 use crate::protocol::{DirectoryCounters, DirectorySnapshot};
@@ -62,13 +61,11 @@ impl<C> Shard<C> {
     /// Lock the shard, counting the acquisitions that had to wait — the
     /// contention the striping exists to eliminate.
     fn lock(&self) -> MutexGuard<'_, HashMap<String, VersionedEntry<C>>> {
-        match self.entries.try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.counters.contended.fetch_add(1, Ordering::Relaxed);
-                self.entries.lock()
-            }
+        if let Ok(guard) = self.entries.try_lock() {
+            return guard;
         }
+        self.counters.contended.fetch_add(1, Ordering::Relaxed);
+        self.entries.lock().unwrap()
     }
 }
 
@@ -235,7 +232,7 @@ impl DirectoryService for ShardedDirectory {
             if now >= deadline {
                 return Err(DirectoryError::LookupTimeout(name.to_string()));
             }
-            shard.ready.wait_for(&mut entries, deadline - now);
+            entries = shard.ready.wait_timeout(entries, deadline - now).unwrap().0;
         }
     }
 

@@ -39,10 +39,9 @@
 
 use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use placement::{allocate_sync, AnalyticsScaling};
 
 use crate::manager::{ManagerPolicy, PlacementManager};
@@ -241,13 +240,13 @@ impl ElasticRoster {
     /// Ask the reader coordinator to migrate the managed plug-in(s) to
     /// `placement` at the next step boundary.
     pub fn request_placement(&self, placement: PluginPlacement) {
-        *self.desired_placement.lock() = Some(placement);
+        *self.desired_placement.lock().unwrap() = Some(placement);
     }
 
     /// Take a pending placement request (the coordinator's rank pool
     /// calls this once per step boundary; `None` = nothing to migrate).
     pub fn take_placement(&self) -> Option<PluginPlacement> {
-        self.desired_placement.lock().take()
+        self.desired_placement.lock().unwrap().take()
     }
 
     /// Record one applied placement migration.

@@ -11,13 +11,12 @@
 //! the fault-time sequence framing in `seq`.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use evpath::{inproc_pair, BoxedReceiver, BoxedSender, NetTransport, Record, ShmTransport};
 use machine::CoreLocation;
 use netsim::NetSim;
-use parking_lot::Mutex;
 
 // Callers outside the crate name the error as `flexio::link::StreamError`.
 pub use crate::context::StreamError;
@@ -195,7 +194,7 @@ impl LinkState {
 
     /// The reader coordinator announces its side.
     pub fn set_reader_info(&self, count: usize, cores: Vec<CoreLocation>) {
-        let mut ri = self.reader_info.lock();
+        let mut ri = self.reader_info.lock().unwrap();
         assert!(ri.is_none(), "reader already attached to this stream");
         *ri = Some((count, cores));
     }
@@ -204,7 +203,7 @@ impl LinkState {
     /// processes the attach is a connection waiting at this rank's hub,
     /// and this probe is what takes it.
     pub fn try_reader_info(&self) -> Option<(usize, Vec<CoreLocation>)> {
-        let mut info = self.reader_info.lock();
+        let mut info = self.reader_info.lock().unwrap();
         if info.is_none() {
             let attached = self.fabric.as_ref().and_then(|fabric| fabric.take_attach());
             *info = attached.map(|cores| (cores.len(), cores));
@@ -220,8 +219,10 @@ impl LinkState {
     }
 
     fn endpoints_of(&self, id: ChannelId) -> (CoreLocation, CoreLocation) {
-        let reader_cores =
-            || self.reader_info.lock().clone().expect("reader info needed for channel placement").1;
+        let reader_cores = || {
+            let info = self.reader_info.lock().unwrap().clone();
+            info.expect("reader info needed for channel placement").1
+        };
         match id {
             ChannelId::Data { w, r } => (self.writer_cores[w], reader_cores()[r]),
             ChannelId::Ack { w, r } => (reader_cores()[r], self.writer_cores[w]),
@@ -294,7 +295,7 @@ impl LinkState {
         let raw = if let Some(fabric) = &self.fabric {
             fabric.make_sender(id)
         } else {
-            let mut halves = self.halves.lock();
+            let mut halves = self.halves.lock().unwrap();
             if let Some(ParkedHalf::Sender(s)) = halves.remove(&id) {
                 s
             } else {
@@ -315,7 +316,7 @@ impl LinkState {
         let raw = if let Some(fabric) = &self.fabric {
             fabric.make_receiver(id)
         } else {
-            let mut halves = self.halves.lock();
+            let mut halves = self.halves.lock().unwrap();
             if let Some(ParkedHalf::Receiver(r)) = halves.remove(&id) {
                 r
             } else {
@@ -337,17 +338,17 @@ impl LinkState {
     /// Write a reader rank off as dead. Returns true on the first eviction
     /// of that rank (callers bump the eviction counter exactly once).
     pub fn evict_reader(&self, rank: usize) -> bool {
-        self.evicted.lock().insert(rank)
+        self.evicted.lock().unwrap().insert(rank)
     }
 
     /// Reader ranks evicted so far.
     pub fn evicted_readers(&self) -> HashSet<usize> {
-        self.evicted.lock().clone()
+        self.evicted.lock().unwrap().clone()
     }
 
     /// Whether a reader rank has been evicted.
     pub fn is_evicted(&self, rank: usize) -> bool {
-        self.evicted.lock().contains(&rank)
+        self.evicted.lock().unwrap().contains(&rank)
     }
 }
 

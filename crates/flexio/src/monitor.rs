@@ -9,11 +9,10 @@
 //! captured from the simulation side can be gathered online and
 //! transferred to the analytics side."
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use evpath::{FieldValue, Record};
-use parking_lot::Mutex;
 
 /// What a measurement point observed.
 ///
@@ -115,7 +114,7 @@ impl PerfMonitor {
 
     /// Record one event with its payload size and duration.
     pub fn record(&self, event: MonitorEvent, step: u64, rank: usize, bytes: u64, nanos: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let agg = &mut inner.aggregates[event.index()];
         agg.count += 1;
         agg.bytes += bytes;
@@ -143,17 +142,17 @@ impl PerfMonitor {
 
     /// Total bytes recorded for an event class (exact over the whole run).
     pub fn total_bytes(&self, event: MonitorEvent) -> u64 {
-        self.inner.lock().aggregates[event.index()].bytes
+        self.inner.lock().unwrap().aggregates[event.index()].bytes
     }
 
     /// Total nanoseconds recorded for an event class (exact).
     pub fn total_nanos(&self, event: MonitorEvent) -> u64 {
-        self.inner.lock().aggregates[event.index()].nanos
+        self.inner.lock().unwrap().aggregates[event.index()].nanos
     }
 
     /// Number of samples of an event class (exact).
     pub fn count(&self, event: MonitorEvent) -> u64 {
-        self.inner.lock().aggregates[event.index()].count
+        self.inner.lock().unwrap().aggregates[event.index()].count
     }
 
     /// Dump the retained trace window as self-describing records, one per
@@ -163,6 +162,7 @@ impl PerfMonitor {
     pub fn dump_trace(&self) -> Vec<Record> {
         self.inner
             .lock()
+            .unwrap()
             .samples
             .iter()
             .map(|s| {
@@ -197,7 +197,7 @@ impl PerfMonitor {
         rank: usize,
         field: impl Fn(&Sample) -> u64,
     ) -> Vec<(u64, u64)> {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap();
         let mut per_step = std::collections::BTreeMap::new();
         for s in inner.samples.iter().filter(|s| s.event == event && s.rank == rank) {
             *per_step.entry(s.step).or_insert(0) += field(s);

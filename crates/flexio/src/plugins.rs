@@ -10,11 +10,11 @@
 //! pushed-down query filter is).
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 use codelet::Codelet;
 use evpath::{FieldValue, PackedDtype, Record};
 use flexio_query::{Expr, FilterKernel, Q_ROWS_IN};
-use parking_lot::Mutex;
 
 use adios::{ArrayData, LocalBlock, ScalarValue, VarValue};
 
@@ -193,7 +193,7 @@ impl InstalledPlugin {
             Engine::Filter(kernel) => {
                 // Reads the chunk where it lies (packed wire views
                 // included); only the survivors are materialized.
-                let survivors = kernel.lock().filter_column(&block.data);
+                let survivors = kernel.lock().unwrap().filter_column(&block.data);
                 let rows_in = VarValue::Scalar(ScalarValue::I64(block.data.len() as i64));
                 return Ok((flat_block(survivors), vec![(Q_ROWS_IN.to_string(), rows_in), marker]));
             }

@@ -35,7 +35,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use evpath::socket::{
@@ -48,7 +48,6 @@ use evpath::{
 };
 use flexio_reactor::{block_inline, Reactor};
 use machine::CoreLocation;
-use parking_lot::Mutex;
 
 use crate::directory::{DirectoryError, DirectoryNode, WireContact};
 use crate::hints::StreamHints;
@@ -132,7 +131,7 @@ impl ChannelHub {
 
     /// Take the parked stream for `key` if one has arrived.
     pub fn try_take(&self, key: &str) -> Option<SockStream> {
-        self.shared.parked.lock().remove(key)
+        self.shared.parked.lock().unwrap().remove(key)
     }
 }
 
@@ -156,7 +155,7 @@ fn hub_accept_loop(listener: SocketListener, shared: Arc<HubShared>) {
         let Ok(key) = read_frame(&mut stream, CTRL_FRAME_MAX) else { continue };
         let Ok(key) = String::from_utf8(key) else { continue };
         let _ = stream.set_read_timeout(None);
-        shared.parked.lock().insert(key, stream);
+        shared.parked.lock().unwrap().insert(key, stream);
     }
 }
 

@@ -4,11 +4,10 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use adios::{ProcessGroup, VarValue, WriteEngine};
-use parking_lot::Mutex;
 
 use super::spill::SpillStore;
 use super::{step_digest, GroupCounters, PubSubConfig, PubSubCounters, Qos};
@@ -155,12 +154,12 @@ impl StreamLog {
 
     /// Next sequence number to be sealed (== steps sealed so far).
     pub fn tail(&self) -> u64 {
-        self.inner.lock().tail
+        self.inner.lock().unwrap().tail
     }
 
     /// Sequence number of the oldest step still in the in-memory ring.
     pub fn mem_start(&self) -> u64 {
-        self.inner.lock().mem_start
+        self.inner.lock().unwrap().mem_start
     }
 
     /// One writer rank contributes its process group for a step. The
@@ -176,7 +175,7 @@ impl StreamLog {
         let mut waited = false;
         loop {
             {
-                let mut inner = self.inner.lock();
+                let mut inner = self.inner.lock().unwrap();
                 if inner.eos || inner.abandoned {
                     return Err(StreamError::Protocol("publish after close".into()));
                 }
@@ -269,7 +268,7 @@ impl StreamLog {
     /// Register (or re-attach) a reader group. Returns the shared
     /// counters and the cursor the group starts from.
     pub(crate) fn register_group(&self, name: &str, qos: Option<Qos>) -> (Arc<GroupCounters>, u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         if let Some(entry) = inner.groups.get_mut(name) {
             // Same-process re-attach: the cursor survived in the log.
             entry.attached = true;
@@ -315,14 +314,14 @@ impl StreamLog {
     /// A group closed: its cursor stays for a later re-attach, but its
     /// counters are no longer discoverable.
     pub(crate) fn detach(&self, name: &str) {
-        if let Some(entry) = self.inner.lock().groups.get_mut(name) {
+        if let Some(entry) = self.inner.lock().unwrap().groups.get_mut(name) {
             entry.attached = false;
         }
     }
 
     /// The live counters of group `name`, while it is attached.
     pub(crate) fn group_counters(&self, name: &str) -> Option<Arc<GroupCounters>> {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap();
         inner.groups.get(name).filter(|e| e.attached).map(|e| Arc::clone(&e.counters))
     }
 
@@ -333,7 +332,7 @@ impl StreamLog {
             Spill(u64, Arc<GroupCounters>),
         }
         let plan = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.lock().unwrap();
             let (tail, mem_start, eos, abandoned) =
                 (inner.tail, inner.mem_start, inner.eos, inner.abandoned);
             let entry = inner.groups.get_mut(name).expect("group registered with this log");
@@ -402,7 +401,7 @@ impl StreamLog {
     /// acknowledged. Lossless cursors are made durable when spill is
     /// configured.
     pub(crate) fn commit(&self, name: &str, next: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let tail = inner.tail;
         let entry = inner.groups.get_mut(name).expect("group registered with this log");
         if next <= entry.cursor {
@@ -421,7 +420,7 @@ impl StreamLog {
     /// the spill manifest, so late joiners in other processes observe a
     /// clean EOS too).
     pub fn close_rank(&self) -> Result<(), StreamError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.closed_ranks += 1;
         if inner.closed_ranks >= self.nranks && !inner.eos {
             inner.eos = true;
@@ -437,7 +436,7 @@ impl StreamLog {
     /// is left un-finalized (a cross-process tail synthesizes EOS off
     /// silence instead).
     pub fn abandon(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.abandoned = true;
     }
 }

@@ -15,7 +15,7 @@
 use std::borrow::Cow;
 
 pub use adios::hyperslab::BoxAssembler;
-use adios::{BoxSel, Selection, VarValue};
+use adios::{hyperslab, BoxSel, Selection, VarValue};
 use evpath::{FieldValue, Record};
 
 /// Metadata describing one variable a writer rank wrote (no payload).
@@ -86,7 +86,7 @@ impl VarMeta {
                 let offset = r.take_u64_array("offset")?;
                 let count = r.take_u64_array("count")?;
                 // A peer's geometry is refused here, not asserted on by `plan`.
-                if adios::block_bounds_error(&shape, &offset, &count).is_some() {
+                if !hyperslab::lies_inside(&offset, &count, (None, &shape)) {
                     return None;
                 }
                 VarMeta::Block { name, shape, offset, count }
@@ -127,7 +127,7 @@ impl Subscription {
         let var = r.take_str("var")?;
         let sel = match r.get_u64("sel")? {
             0 => Selection::ProcessGroup(r.get_u64("rank")? as usize),
-            1 => Selection::GlobalBox(wire_box(
+            1 => Selection::GlobalBox(BoxSel::try_new(
                 r.take_u64_array("offset")?,
                 r.take_u64_array("count")?,
             )?),
@@ -136,12 +136,6 @@ impl Subscription {
         };
         Some(Subscription { var, sel })
     }
-}
-
-/// A box off the wire: a peer's offset and count of different rank are
-/// damage to refuse, not the caller bug [`BoxSel::new`] asserts against.
-fn wire_box(offset: Vec<u64>, count: Vec<u64>) -> Option<BoxSel> {
-    (offset.len() == count.len()).then(|| BoxSel::new(offset, count))
 }
 
 /// One planned chunk from a writer rank to a reader rank.
@@ -192,7 +186,7 @@ pub(crate) fn decode_plan(mut r: Record) -> Option<Vec<Vec<ChunkPlan>>> {
             };
             let var = cr.take_str("var")?;
             let region = match (cr.take_u64_array("offset"), cr.take_u64_array("count")) {
-                (Some(o), Some(c)) => Some(wire_box(o, c)?),
+                (Some(o), Some(c)) => Some(BoxSel::try_new(o, c)?),
                 _ => None,
             };
             column.push(ChunkPlan { var, region });
@@ -294,16 +288,30 @@ pub fn expected_messages(plan_wr: &[ChunkPlan], batching: bool) -> usize {
     }
 }
 
+/// Whether [`extract_chunk`] can serve `plan` from `value`: a whole-value
+/// plan always, a region only of a block that holds it. A `go` region is
+/// the coordinator's word, so a writer asks before extracting.
+pub fn plan_fits(value: &VarValue, plan: &ChunkPlan) -> bool {
+    match (&plan.region, value) {
+        (None, _) => true,
+        (Some(region), VarValue::Block(b)) => {
+            hyperslab::lies_inside(&region.offset, &region.count, (Some(&b.offset), &b.count))
+        }
+        (Some(_), VarValue::Scalar(_)) => false,
+    }
+}
+
 /// Extract the payload a chunk plan calls for from a written value.
 ///
 /// Whole-value plans borrow the source (no payload copy — the marshal
 /// layer bulk-copies bytes straight onto the wire); region plans pack the
-/// overlapping strides into a fresh owned block.
+/// overlapping strides into a fresh owned block. Panics unless
+/// [`plan_fits`].
 pub fn extract_chunk<'v>(value: &'v VarValue, plan: &ChunkPlan) -> Cow<'v, VarValue> {
     match (&plan.region, value) {
         (None, v) => Cow::Borrowed(v),
         (Some(region), VarValue::Block(b)) => {
-            Cow::Owned(VarValue::Block(adios::hyperslab::extract_region(b, region)))
+            Cow::Owned(VarValue::Block(hyperslab::extract_region(b, region)))
         }
         (Some(_), VarValue::Scalar(_)) => {
             unreachable!("planner never selects a region of a scalar")

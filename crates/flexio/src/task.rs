@@ -21,10 +21,8 @@
 
 use std::future::{ready, Future};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 struct LoopState<T, O> {
     latest: Mutex<Option<T>>,
@@ -50,7 +48,7 @@ impl<T, O> Clone for LoopHandle<T, O> {
 impl<T: Clone, O> LoopHandle<T, O> {
     /// What the most recent publishing round observed, if one has run.
     pub fn latest(&self) -> Option<T> {
-        self.state.latest.lock().clone()
+        self.state.latest.lock().unwrap().clone()
     }
 }
 
@@ -73,7 +71,7 @@ impl<T, O> LoopHandle<T, O> {
     /// The loop's output: `None` until it has ended, and to every call
     /// after the first that returned it.
     pub fn take_output(&self) -> Option<O> {
-        self.state.output.lock().take()
+        self.state.output.lock().unwrap().take()
     }
 }
 
@@ -148,7 +146,7 @@ where
                 Err(output) => break output,
             };
             if let Some(out) = out {
-                *shared.latest.lock() = Some(out);
+                *shared.latest.lock().unwrap() = Some(out);
                 shared.rounds.fetch_add(1, Ordering::Relaxed);
             }
             if ended {
@@ -160,7 +158,7 @@ where
                 None => flexio_reactor::yield_now().await,
             }
         };
-        *shared.output.lock() = Some(output);
+        *shared.output.lock().unwrap() = Some(output);
         shared.done.store(true, Ordering::Release);
     };
     (handle, task)

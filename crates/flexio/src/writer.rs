@@ -334,6 +334,12 @@ impl StreamWriter {
                         cp.var
                     )));
                 };
+                if !redistribute::plan_fits(value, cp) {
+                    return Err(StreamError::Protocol(format!(
+                        "planned region of `{}` is not of its written block",
+                        cp.var
+                    )));
+                }
                 // Whole-value chunks borrow the written value — the only
                 // payload copy before the transport is the marshal layer's
                 // bulk append; region chunks own their packed strides and

@@ -19,7 +19,7 @@
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -35,7 +35,6 @@ use flexio::{
     Transport, WriteMode,
 };
 use machine::laptop;
-use parking_lot::Mutex;
 
 const STEPS: u64 = 10;
 /// Elements per writer chunk; divisible by the sampling stride so the
@@ -234,11 +233,11 @@ fn run_fleet(
             }
         }
         let wire = r.link().monitor.total_bytes(MonitorEvent::DataSend);
-        *keep.lock() = Some(RunOutput { data: seen, wire_bytes: wire });
+        *keep.lock().unwrap() = Some(RunOutput { data: seen, wire_bytes: wire });
         r.close();
     });
     fleet.join();
-    let output = out.lock().take().expect("fleet reader finished");
+    let output = out.lock().unwrap().take().expect("fleet reader finished");
     output
 }
 

@@ -15,14 +15,13 @@
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
 use common::{block_1d, couple, reader_core, reader_roster, writer_core, writer_roster};
 use evpath::{FaultPlan, FaultSnapshot, FaultSpec};
 use flexio::{CachingLevel, FleetRuntime, FlexIo, ProtocolSnapshot, StreamHints, WriteMode};
 use machine::laptop;
-use parking_lot::Mutex;
 
 const WRITERS: usize = 3;
 const READERS: usize = 2;
@@ -151,7 +150,7 @@ fn run_fleet(plan: Arc<FaultPlan>, threads: usize, write_mode: WriteMode) -> Run
                 w.end_step_rt().await.expect("end_step");
             }
             if rank == 0 {
-                *keep.lock() = Some(w.link().clone());
+                *keep.lock().unwrap() = Some(w.link().clone());
             }
             w.close();
         });
@@ -188,13 +187,13 @@ fn run_fleet(plan: Arc<FaultPlan>, threads: usize, write_mode: WriteMode) -> Run
                     StepStatus::EndOfStream => break,
                 }
             }
-            reads.lock()[rank] = seen;
+            reads.lock().unwrap()[rank] = seen;
         });
     }
 
     fleet.join();
-    let link = coordinator_link.lock().take().expect("writer 0 kept its link");
-    let reads = Arc::try_unwrap(reads).expect("fleet joined").into_inner();
+    let link = coordinator_link.lock().unwrap().take().expect("writer 0 kept its link");
+    let reads = Arc::try_unwrap(reads).expect("fleet joined").into_inner().unwrap();
     signature(&link.counters, &plan, reads)
 }
 

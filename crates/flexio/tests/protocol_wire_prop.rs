@@ -6,13 +6,14 @@
 //! panic and never an allocation sized by the claimed count (which at
 //! `u64::MAX` would abort the test).
 
+use adios::hyperslab;
 use adios::{ArrayData, BoxSel, LocalBlock, ScalarValue, Selection, VarValue};
 use evpath::{FieldValue, Record};
 use flexio::link::StreamError;
 use flexio::plugins::PluginBody;
 use flexio::protocol::{self, msg, Chunk, Go};
 use flexio::query::Expr;
-use flexio::redistribute::{ChunkPlan, Subscription, VarMeta};
+use flexio::redistribute::{self, BoxAssembler, ChunkPlan, Subscription, VarMeta};
 use flexio::{PluginPlacement, PluginSpec};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -21,10 +22,13 @@ fn arb_name() -> impl Strategy<Value = String> {
     prop_oneof![Just("t"), Just("zion"), Just("field"), Just("")].prop_map(str::to_string)
 }
 
+/// A box whose every `offset + count` fits in a `u64`, the only boxes
+/// `BoxSel` holds; a wrapping one is refused on parse
+/// (`wrapping_boxes_are_refused`).
 fn arb_box() -> impl Strategy<Value = BoxSel> {
     let dim = || prop_oneof![0u64..8, any::<u64>()];
     vec((dim(), dim()), 0..3).prop_map(|dims| {
-        let (offset, count) = dims.into_iter().unzip();
+        let (offset, count) = dims.into_iter().map(|(o, c)| (o, c.min(u64::MAX - o))).unzip();
         BoxSel::new(offset, count)
     })
 }
@@ -342,5 +346,204 @@ proptest! {
         let inflated = damage(&message, at % counts, is_count, |_| Some(FieldValue::U64(huge)));
         prop_assert!(parse_own(&inflated).is_err(), "accepted {inflated:?}");
         parse_all(&inflated);
+    }
+}
+
+// ------------------------------------------------------ a peer's geometry
+
+/// What a writer holds under `meta`: a scalar, or a block of 1, 2, 3, …
+fn written(meta: &VarMeta) -> VarValue {
+    let VarMeta::Block { shape, offset, count, .. } = meta else {
+        return VarValue::Scalar(ScalarValue::U64(7));
+    };
+    let data = ArrayData::F64((1..=count.iter().product::<u64>()).map(|i| i as f64).collect());
+    let (global_shape, offset, count) = (shape.clone(), offset.clone(), count.clone());
+    VarValue::Block(LocalBlock { global_shape, offset, count, data }.validated())
+}
+
+/// A writer's process group: `t` a scalar or a block of a `[6, 6]` array,
+/// and `v` nothing or a block of a `[4, 4, 4]` one.
+fn arb_group() -> impl Strategy<Value = Vec<VarMeta>> {
+    let block = |name: &'static str, shape: Vec<u64>| {
+        vec((0u64..6, 1u64..6), shape.len()).prop_map(move |dims| {
+            let offset: Vec<u64> = dims.iter().zip(&shape).map(|(&(o, _), &s)| o % s).collect();
+            let count = (0..shape.len()).map(|d| dims[d].1.min(shape[d] - offset[d])).collect();
+            VarMeta::Block { name: name.into(), shape: shape.clone(), offset, count }
+        })
+    };
+    let t = prop_oneof![Just(VarMeta::Scalar { name: "t".into() }), block("t", vec![6, 6])];
+    (t, prop_oneof![Just(None), block("v", vec![4; 3]).prop_map(Some)])
+        .prop_map(|(t, v)| std::iter::once(t).chain(v).collect())
+}
+
+/// A box as a peer may send it: of any rank, mostly small, sometimes past
+/// every block or wrapping `u64`, and now and then with a count missing.
+fn arb_peer_box() -> impl Strategy<Value = BoxSel> {
+    let dim = || prop_oneof![0u64..6, 0u64..6, 0u64..6, any::<u64>(), Just(u64::MAX)];
+    (vec((dim(), dim()), 0..4), 0..8).prop_map(|(dims, skew)| {
+        let (offset, mut count): (Vec<u64>, Vec<u64>) = dims.into_iter().unzip();
+        count.truncate(count.len() - usize::from(skew == 0 && !count.is_empty()));
+        BoxSel { offset, count }
+    })
+}
+
+/// A subscription as a peer may send it; a third of them a box of the
+/// variable's rank inside its shape, which the writers' blocks often meet.
+fn arb_peer_sub() -> impl Strategy<Value = Subscription> {
+    let var = || prop_oneof![Just("t"), Just("v")];
+    let inside = |var, rank, n: u64| {
+        let dims = vec((0..n, 1..n + 1), rank).prop_map(|d| d.into_iter().unzip());
+        (Just(var), dims.prop_map(|(offset, count)| Selection::GlobalBox(BoxSel { offset, count })))
+    };
+    prop_oneof![
+        (var(), (0usize..4).prop_map(Selection::ProcessGroup)),
+        (var(), Just(Selection::Scalar)),
+        (var(), arb_peer_box().prop_map(Selection::GlobalBox)),
+        (var(), arb_peer_box().prop_map(Selection::GlobalBox)),
+        inside("t", 2, 6),
+        inside("v", 3, 4),
+    ]
+    .prop_map(|(var, sel)| Subscription { var: var.into(), sel })
+}
+
+fn sane(b: &BoxSel) -> bool {
+    BoxSel::try_new(b.offset.clone(), b.count.clone()).is_some()
+}
+
+/// A writer serves `cp` as `StreamWriter::send_chunks` does: it refuses a
+/// region that its value does not hold before extracting it.
+fn serve(value: &VarValue, cp: &ChunkPlan) -> Option<VarValue> {
+    redistribute::plan_fits(value, cp).then(|| redistribute::extract_chunk(value, cp).into_owned())
+}
+
+fn go_with(row: Vec<Vec<ChunkPlan>>) -> Result<Go, StreamError> {
+    Go::from_record(wired(
+        &Go { step: 5, plan: Some(row), plugins: None, roster: None }.to_record(),
+    ))
+}
+
+proptest! {
+    /// Peer geometry goes through parse (`dists`, `writer_info`, `subs`,
+    /// `reader_info`) → `plan` → the `go` codec → the writer's region
+    /// check → `extract_chunk` → `BoxAssembler`: each step refuses or gives
+    /// what `adios::select` reads from the written blocks, and none panics.
+    /// Wrapping and skewed boxes are refused.
+    #[test]
+    fn peer_geometry_is_refused_or_moved_right(
+        groups in vec(arb_group(), 1..4),
+        sels in vec(vec(arb_peer_sub(), 0..4), 1..4),
+        nudges in vec(prop_oneof![Just((1, 1)), Just((1, 1)), (0u64..3, 0u64..3)], 1..8),
+        wild in vec(arb_peer_sub(), 0..3),
+    ) {
+        let parse = |g| protocol::parse_dists(wired(&protocol::dists(g))).expect("own dists");
+        let dists: Vec<Vec<VarMeta>> = groups.iter().map(|g| parse(g)).collect();
+        let info = protocol::parse_writer_info(wired(&protocol::writer_info(&dists)));
+        prop_assert_eq!(info.as_ref(), Ok(&dists));
+        // A reader rank whose boxes are refused subscribes to nothing.
+        let mut subs = Vec::new();
+        for s in &sels {
+            let parsed = protocol::parse_subs(wired(&protocol::subs(s)));
+            let insane = s.iter().any(|s| matches!(&s.sel, Selection::GlobalBox(b) if !sane(b)));
+            prop_assert_eq!(parsed.is_ok(), !insane, "{:?}", s);
+            subs.push(parsed.unwrap_or_default());
+        }
+        let info = protocol::parse_reader_info(wired(&protocol::reader_info(&subs, None)));
+        prop_assert_eq!(info, Ok((subs.clone(), None)));
+
+        let plan = redistribute::plan(&dists, &subs);
+        let written = |g: &Vec<VarMeta>| g.iter().map(|m| (m.name().into(), written(m))).collect();
+        let values: Vec<Vec<(String, VarValue)>> = groups.iter().map(written).collect();
+        let of = |w: usize, var: &str| values[w].iter().find(|(n, _)| n == var).map(|(_, v)| v);
+        for (r, subs) in subs.iter().enumerate() {
+            let mut got = Vec::new();
+            for (w, row) in plan.iter().enumerate() {
+                for cp in &row[r] {
+                    got.push((&cp.var, serve(of(w, &cp.var).expect("planned"), cp).expect("fits")));
+                }
+            }
+            for sub in subs {
+                let Selection::GlobalBox(want) = &sub.sel else { continue };
+                let elems = want.count.iter().try_fold(1u64, |n, &c| n.checked_mul(c));
+                if elems.is_none_or(|n| n > 4096) {
+                    continue;
+                }
+                let mut asm = None;
+                for (_, chunk) in got.iter().filter(|(var, _)| **var == sub.var) {
+                    let VarValue::Block(b) = chunk else { continue };
+                    let box_of_want = (Some(want.offset.as_slice()), want.count.as_slice());
+                    if hyperslab::lies_inside(&b.offset, &b.count, box_of_want) {
+                        asm.get_or_insert_with(|| BoxAssembler::new(want, b)).add(b);
+                    }
+                }
+                let local = (0..values.len()).filter_map(|w| Some((w, of(w, &sub.var)?)));
+                let read = adios::select(local, &sub.sel);
+                prop_assert_eq!(asm.map(|a| VarValue::Block(a.finish())), read, "{:?}", sub);
+            }
+        }
+
+        // Each writer's `go` row as a coordinator may send it: every planned
+        // region with some sides moved by -1 or +1, and wild regions. A
+        // region is served as `select` reads it from the block, or refused.
+        let mut nudge = nudges.iter().cycle();
+        for (w, row) in plan.iter().enumerate() {
+            prop_assert_eq!(go_with(row.clone()).map(|go| go.plan), Ok(Some(row.clone())));
+            let mut row: Vec<ChunkPlan> = row.iter().flatten().cloned().collect();
+            for g in row.iter_mut().filter_map(|cp| cp.region.as_mut()) {
+                for d in 0..g.rank() {
+                    let (lo, hi) = nudge.next().expect("cycle");
+                    let end = (g.offset[d] + g.count[d] + hi).saturating_sub(1);
+                    g.offset[d] = (g.offset[d] + lo).saturating_sub(1);
+                    g.count[d] = end.saturating_sub(g.offset[d]);
+                }
+            }
+            row.extend(wild.iter().filter_map(|s| match &s.sel {
+                Selection::GlobalBox(b) => {
+                    Some(ChunkPlan { var: s.var.clone(), region: Some(b.clone()) })
+                }
+                _ => None,
+            }));
+            let decoded = go_with(vec![row.clone()]);
+            let sane_row = row.iter().all(|cp| cp.region.as_ref().is_none_or(sane));
+            prop_assert_eq!(decoded.is_ok(), sane_row);
+            for cp in decoded.ok().and_then(|go| go.plan).into_iter().flatten().flatten() {
+                let (Some(value), Some(region)) = (of(w, &cp.var), &cp.region) else { continue };
+                if let Some(chunk) = serve(value, &cp).filter(|_| !region.is_empty()) {
+                    let read = adios::select([(w, value)], &Selection::GlobalBox(region.clone()));
+                    prop_assert_eq!(Some(chunk), read);
+                }
+            }
+        }
+    }
+}
+
+/// Five peer boxes that once panicked a rank: (a) a subscription of rank 1
+/// against a 2-D block, (b) one whose end wraps `u64`, and `go` regions
+/// (c) outside the writer's block, (d) of another rank, (e) of a scalar.
+/// Each is now refused, or plans nothing.
+#[test]
+fn the_reported_peer_boxes_are_refused() {
+    let block = VarMeta::Block {
+        name: "v".into(),
+        shape: vec![4, 4],
+        offset: vec![0, 0],
+        count: vec![4, 4],
+    };
+    let subs = |offset, count| {
+        let sub =
+            Subscription { var: "v".into(), sel: Selection::GlobalBox(BoxSel { offset, count }) };
+        protocol::parse_reader_info(wired(&protocol::reader_info(&[vec![sub]], None))).map(|s| s.0)
+    };
+    let rank_1 = subs(vec![1], vec![2]).expect("a box of one rank parses");
+    assert_eq!(redistribute::plan(&[vec![block.clone()]], &rank_1), vec![vec![vec![]]]);
+    assert!(subs(vec![2], vec![u64::MAX]).is_err());
+    let scalar = VarValue::Scalar(ScalarValue::U64(7));
+    for (value, offset, count) in [
+        (&written(&block), vec![2, 2], vec![4, 4]),
+        (&written(&block), vec![1], vec![2]),
+        (&scalar, vec![0], vec![1]),
+    ] {
+        let cp = ChunkPlan { var: "v".into(), region: Some(BoxSel::new(offset, count)) };
+        let go = go_with(vec![vec![cp]]).expect("go parses");
+        assert_eq!(serve(value, &go.plan.expect("a plan")[0][0]), None);
     }
 }

@@ -1,9 +1,9 @@
 //! Per-node NIC model: registration cache, contention, virtual clock.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use machine::InterconnectParams;
-use parking_lot::Mutex;
 
 /// Counters exposed for performance monitoring and for the Fig. 4 harness.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +55,7 @@ impl RegistrationCache {
     /// the class on hit.
     fn try_reuse(&self, len: u64) -> Option<usize> {
         let want = Self::class_for(len);
-        let mut free = self.free.lock();
+        let mut free = self.free.lock().unwrap();
         let hit = (want..free.len()).find(|&c| free[c] > 0)?;
         free[hit] -= 1;
         self.free_bytes.fetch_sub(1 << hit, Ordering::Relaxed);
@@ -66,7 +66,7 @@ impl RegistrationCache {
     /// reports how many buffers reclamation tore down (if the threshold
     /// was exceeded).
     fn give_back(&self, class: usize) -> u64 {
-        let mut free = self.free.lock();
+        let mut free = self.free.lock().unwrap();
         free[class] += 1;
         let bytes = self.free_bytes.fetch_add(1 << class, Ordering::Relaxed) + (1 << class);
         if bytes <= self.threshold {

@@ -2,11 +2,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use machine::InterconnectParams;
-use parking_lot::Mutex;
 
 use crate::nic::Nic;
 use crate::sched::{GetScheduler, SchedulingPolicy};
@@ -120,8 +119,8 @@ impl NetSim {
     pub fn open_port_with_scheduler(&self, node: usize, scheduler: GetScheduler) -> Port {
         assert!(node < self.shared.nics.len(), "node {node} out of range");
         let id = self.shared.next_port.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = unbounded();
-        self.shared.ports.lock().insert(id, tx);
+        let (tx, rx) = channel();
+        self.shared.ports.lock().unwrap().insert(id, tx);
         Port {
             shared: Arc::clone(&self.shared),
             address: PortAddress { node, port: id },
@@ -168,7 +167,7 @@ impl Port {
         let params = &self.shared.params;
         let nic = &self.shared.nics[self.address.node];
         let dst_tx = {
-            let ports = self.shared.ports.lock();
+            let ports = self.shared.ports.lock().unwrap();
             ports.get(&dst.port).cloned()
         };
         let Some(dst_tx) = dst_tx else {
@@ -197,7 +196,7 @@ impl Port {
         nic.charge_ns(sender_ns);
 
         let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
-        self.shared.slab.lock().insert(token, payload.to_vec());
+        self.shared.slab.lock().unwrap().insert(token, payload.to_vec());
         // Offered load for the deterministic contention model.
         self.shared.nics[dst.node].stage_inbound();
         nic.stage_outbound();
@@ -264,6 +263,7 @@ impl Port {
                     .shared
                     .slab
                     .lock()
+                    .unwrap()
                     .remove(&token)
                     .expect("RTS token must have a staged payload");
                 // Both sides' buffers go back to their caches (or are
@@ -285,13 +285,19 @@ impl Port {
 
 impl Drop for Port {
     fn drop(&mut self) {
-        self.shared.ports.lock().remove(&self.address.port);
+        // A poisoned fabric is left as it is: a drop must not panic while
+        // the panic that poisoned it unwinds.
+        if let Ok(mut ports) = self.shared.ports.lock() {
+            ports.remove(&self.address.port);
+        }
         // Reclaim any transfers that were staged toward this port but
         // never fetched, so the slab does not retain their payloads and
         // the contention model does not overcount offered load forever.
         while let Ok(msg) = self.inbox.try_recv() {
             if let NetMessage::Rts { token, src_node, .. } = msg {
-                self.shared.slab.lock().remove(&token);
+                if let Ok(mut slab) = self.shared.slab.lock() {
+                    slab.remove(&token);
+                }
                 self.shared.nics[self.address.node].complete_inbound();
                 self.shared.nics[src_node].complete_outbound();
             }

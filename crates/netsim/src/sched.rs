@@ -10,9 +10,7 @@
 //! (the baseline) lets every Get proceed immediately, maximizing NIC
 //! contention; `Windowed(k)` is the paper's server-directed approach.
 
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// How a receiver schedules its outstanding Gets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,30 +56,31 @@ impl GetScheduler {
     /// Block until a Get slot is available, then claim it.
     pub fn acquire(&self) -> GetSlot {
         let (lock, cvar) = &*self.state;
-        let mut st = lock.lock();
-        while st.limit.is_some_and(|k| st.in_flight >= k) {
-            cvar.wait(&mut st);
-        }
+        let st = lock.lock().unwrap();
+        let mut st = cvar.wait_while(st, |st| st.limit.is_some_and(|k| st.in_flight >= k)).unwrap();
         st.in_flight += 1;
         GetSlot { state: Arc::clone(&self.state) }
     }
 
     /// Gets currently in flight (for monitoring/tests).
     pub fn in_flight(&self) -> usize {
-        self.state.0.lock().in_flight
+        self.state.0.lock().unwrap().in_flight
     }
 
     /// The window limit, if any (`None` = unthrottled).
     pub fn limit(&self) -> Option<usize> {
-        self.state.0.lock().limit
+        self.state.0.lock().unwrap().limit
     }
 }
 
 impl Drop for GetSlot {
     fn drop(&mut self) {
+        // A poisoned scheduler wakes its waiter, which then meets the
+        // poison itself: a drop must not panic while a panic unwinds.
         let (lock, cvar) = &*self.state;
-        let mut st = lock.lock();
-        st.in_flight -= 1;
+        if let Ok(mut st) = lock.lock() {
+            st.in_flight -= 1;
+        }
         cvar.notify_one();
     }
 }

@@ -2,9 +2,8 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 /// Message tag, as in MPI. Tags below `COLLECTIVE_TAG_BASE` (near
 /// `u64::MAX`) are available to applications; higher values are reserved
@@ -57,7 +56,7 @@ impl Comm {
         let mut senders = Vec::with_capacity(size);
         let mut receivers = Vec::with_capacity(size);
         for _ in 0..size {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }

@@ -22,9 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Deref;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Counters describing pool behaviour; exposed through FlexIO's performance
 /// monitoring (paper §II.G instruments "dynamic memory allocation points").
@@ -53,9 +51,14 @@ pub struct PoolBuffer {
 
 impl Drop for PoolBuffer {
     fn drop(&mut self) {
-        if !self.data.is_empty() {
+        if self.data.is_empty() {
+            return;
+        }
+        // A poisoned pool (a panic under its lock) keeps nothing back: a
+        // drop may run while that panic unwinds, and must not panic again.
+        if let Ok(mut slab) = self.home.inner.slab.lock() {
             let data = std::mem::take(&mut self.data);
-            self.home.inner.slab.lock().list(self.slot, data, self.home.inner.reclaim_threshold);
+            slab.list(self.slot, data, self.home.inner.reclaim_threshold);
         }
     }
 }
@@ -86,7 +89,7 @@ impl PoolBuffer {
     /// [`claim`](BufferPool::claim), and return the slot.
     pub(crate) fn post(mut self, channel: u64) -> usize {
         let data = std::mem::take(&mut self.data);
-        self.home.inner.slab.lock().posted[self.slot] = Some((channel, data));
+        self.home.inner.slab.lock().unwrap().posted[self.slot] = Some((channel, data));
         self.slot
     }
 }
@@ -263,7 +266,7 @@ impl BufferPool {
     pub fn acquire(&self, len: usize) -> PoolBuffer {
         let cap = len.max(1).next_power_of_two();
         let (slot, reused) = {
-            let slab = &mut *self.inner.slab.lock();
+            let slab = &mut *self.inner.slab.lock().unwrap();
             match slab.free.range_mut(cap.trailing_zeros() as usize..).find_map(|(_, b)| b.pop()) {
                 Some((slot, data)) => {
                     slab.stats.hits += 1;
@@ -294,14 +297,16 @@ impl BufferPool {
     /// Take the buffer [posted](PoolBuffer::post) in `slot` for `channel`;
     /// `None` if the slot is out of range or holds nothing posted for it.
     pub(crate) fn claim(&self, slot: usize, channel: u64) -> Option<PoolBuffer> {
-        let mut slab = self.inner.slab.lock();
+        let mut slab = self.inner.slab.lock().unwrap();
         let (_, data) = slab.posted.get_mut(slot)?.take_if(|(c, _)| *c == channel)?;
         Some(PoolBuffer { data, slot, home: self.clone() })
     }
 
     /// List every buffer still posted for `channel`: nothing will claim it.
+    /// A channel's drop calls this, so a poisoned pool is left as it is.
     pub(crate) fn unpost(&self, channel: u64) {
-        let slab = &mut *self.inner.slab.lock();
+        let Ok(mut slab) = self.inner.slab.lock() else { return };
+        let slab = &mut *slab;
         for slot in 0..slab.posted.len() {
             if let Some((_, data)) = slab.posted[slot].take_if(|(c, _)| *c == channel) {
                 slab.list(slot, data, self.inner.reclaim_threshold);
@@ -311,13 +316,13 @@ impl BufferPool {
 
     /// Snapshot of pool counters.
     pub fn stats(&self) -> PoolStats {
-        self.inner.slab.lock().stats
+        self.inner.slab.lock().unwrap().stats
     }
 
     /// Bytes of free capacity, and how many buffers are posted.
     #[cfg(test)]
     pub(crate) fn free_and_posted(&self) -> (u64, usize) {
-        let slab = self.inner.slab.lock();
+        let slab = self.inner.slab.lock().unwrap();
         (slab.free_bytes, slab.posted.iter().filter(|p| p.is_some()).count())
     }
 }
@@ -325,6 +330,19 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_poisoned_pool_drops_buffers_without_panicking() {
+        let pool = BufferPool::new(1 << 20);
+        let (buf, inner) = (pool.acquire(64), Arc::clone(&pool.inner));
+        let poisoner = std::thread::spawn(move || {
+            let _held = inner.slab.lock().unwrap();
+            panic!("a panic under the pool's lock");
+        });
+        assert!(poisoner.join().is_err());
+        drop(buf);
+        pool.unpost(1);
+    }
 
     #[test]
     fn acquire_rounds_to_power_of_two() {

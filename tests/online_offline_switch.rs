@@ -101,7 +101,7 @@ fn run_offline() -> Vec<(f64, f64)> {
     // The writers run as real rank threads here too — file mode is not a
     // degenerate serial path.
     let engines = FileWriteEngine::create(&path, WRITERS);
-    let engines = std::sync::Arc::new(parking_lot_mutexes(engines));
+    let engines = std::sync::Arc::new(mutexes(engines));
     let e2 = std::sync::Arc::clone(&engines);
     rankrt::launch(WRITERS, move |comm| {
         let rank = comm.rank();
@@ -114,7 +114,7 @@ fn run_offline() -> Vec<(f64, f64)> {
     out
 }
 
-fn parking_lot_mutexes(engines: Vec<FileWriteEngine>) -> Vec<std::sync::Mutex<FileWriteEngine>> {
+fn mutexes(engines: Vec<FileWriteEngine>) -> Vec<std::sync::Mutex<FileWriteEngine>> {
     engines.into_iter().map(std::sync::Mutex::new).collect()
 }
 
