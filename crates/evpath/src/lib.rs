@@ -37,9 +37,9 @@ pub use ffs::{
 };
 pub use shm::Lease;
 pub use socket::{
-    connect, connect_retry, decode_frame_header, encode_frame_header, read_frame, receiver_over,
-    sender_over, socket_pair, write_frame, SockStream, SocketKind, SocketListener, SocketReceiver,
-    SocketSender, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN,
+    connect, decode_frame_header, encode_frame_header, read_frame, receiver_over, sender_over,
+    socket_pair, write_frame, SockStream, SocketKind, SocketListener, SocketReceiver, SocketSender,
+    FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN,
 };
 pub use transport::{
     inproc_pair, BoxedReceiver, BoxedSender, EvReceiver, EvSender, NetTransport, RecvPoll,

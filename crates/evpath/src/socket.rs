@@ -232,23 +232,6 @@ pub fn connect(addr: &str) -> io::Result<SockStream> {
     }
 }
 
-/// Keep trying [`connect`] until it succeeds or `budget` runs out — the
-/// listener may belong to a process that has not finished binding yet.
-pub fn connect_retry(addr: &str, budget: Duration) -> io::Result<SockStream> {
-    let deadline = std::time::Instant::now() + budget;
-    loop {
-        match connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                if std::time::Instant::now() >= deadline {
-                    return Err(e);
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-    }
-}
-
 // ------------------------------------------------------------ listener
 
 static UDS_COUNTER: AtomicU64 = AtomicU64::new(0);

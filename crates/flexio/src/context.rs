@@ -4,14 +4,14 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use machine::{CoreLocation, MachineModel};
 use netsim::NetSim;
 
 use crate::directory::{DirectoryError, DirectoryService, InProcDirectory};
 use crate::hints::StreamHints;
-use crate::link::{poll_until, LinkState};
+use crate::link::LinkState;
 use crate::reader::StreamReader;
 use crate::writer::StreamWriter;
 
@@ -193,7 +193,7 @@ impl FlexIo {
                     budget = budget.saturating_sub(stall);
                 }
             }
-            let link = poll_until(Instant::now() + budget, || self.directory.try_lookup(name))
+            let link = flexio_reactor::poll_for(budget, || self.directory.try_lookup(name))
                 .await
                 .ok_or_else(|| DirectoryError::LookupTimeout(name.to_string()))?;
             link.set_reader_info(nranks, all_cores);
@@ -218,7 +218,6 @@ impl FlexIo {
 
     /// Poll the bulletin until `key` appears or `timeout` expires.
     async fn bulletin(&self, key: &str, timeout: Duration) -> Option<Arc<LinkState>> {
-        poll_until(Instant::now() + timeout, || self.bulletin.lock().unwrap().get(key).cloned())
-            .await
+        flexio_reactor::poll_for(timeout, || self.bulletin.lock().unwrap().get(key).cloned()).await
     }
 }

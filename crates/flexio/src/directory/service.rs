@@ -13,12 +13,12 @@
 use std::future::Future;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use evpath::{inproc_pair, FaultPlan};
-use flexio_reactor::block_inline;
+use flexio_reactor::{block_inline, poll_for};
 
-use crate::link::{poll_until, LinkState};
+use crate::link::LinkState;
 use crate::task::LoopHandle;
 
 use super::gossip::DirectoryNode;
@@ -184,7 +184,7 @@ impl DirectoryService for ReplicatedDirectory {
 
     fn lookup(&self, name: &str, timeout: Duration) -> Result<Arc<LinkState>, DirectoryError> {
         // Every probe picks again, so a node dying mid-wait fails over.
-        block_inline(poll_until(Instant::now() + timeout, || match self.pick() {
+        block_inline(poll_for(timeout, || match self.pick() {
             Ok(node) => node.store.lookup_local(name).map(Ok),
             Err(down) => Some(Err(down)),
         }))

@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use evpath::{fnv1a64, FNV_OFFSET};
 
@@ -220,20 +220,21 @@ impl DirectoryService for ShardedDirectory {
     }
 
     fn lookup(&self, name: &str, timeout: Duration) -> Result<Arc<LinkState>, DirectoryError> {
+        // A registration or merge of `name` notifies the shard's condvar,
+        // so a lookup blocked on a late writer wakes as soon as it lands.
         let shard = self.shard_of(name);
-        let mut entries = shard.lock();
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(contact) = entries.get(name).and_then(|e| e.contact.clone()) {
-                shard.counters.lookups.fetch_add(1, Ordering::Relaxed);
-                return Ok(contact);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(DirectoryError::LookupTimeout(name.to_string()));
-            }
-            entries = shard.ready.wait_timeout(entries, deadline - now).unwrap().0;
-        }
+        let (entries, _) = shard
+            .ready
+            .wait_timeout_while(shard.lock(), timeout, |entries| {
+                entries.get(name).is_none_or(|e| e.contact.is_none())
+            })
+            .unwrap();
+        let contact = entries
+            .get(name)
+            .and_then(|e| e.contact.clone())
+            .ok_or_else(|| DirectoryError::LookupTimeout(name.to_string()))?;
+        shard.counters.lookups.fetch_add(1, Ordering::Relaxed);
+        Ok(contact)
     }
 
     fn try_lookup(&self, name: &str) -> Option<Arc<LinkState>> {
@@ -277,6 +278,14 @@ mod tests {
         d.register("s", dummy_link()).unwrap();
         assert_eq!(d.registration_count(), 2);
         assert_eq!(d.lookup_count(), 1);
+    }
+
+    #[test]
+    fn an_unbounded_lookup_of_a_registered_name_returns_it() {
+        let d = ShardedDirectory::striped(8);
+        let link = dummy_link();
+        d.register("s", Arc::clone(&link)).unwrap();
+        assert!(Arc::ptr_eq(&link, &d.lookup("s", Duration::MAX).unwrap()));
     }
 
     #[test]

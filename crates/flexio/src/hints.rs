@@ -89,9 +89,11 @@ pub struct StreamHints {
     pub queue_entries: usize,
     /// Shared-memory inline payload capacity.
     pub inline_capacity: usize,
-    /// Receive timeout for the timeout-and-retry resiliency scheme.
+    /// Receive timeout for the timeout-and-retry resiliency scheme
+    /// (`Duration::MAX` waits forever).
     pub recv_timeout: Duration,
-    /// Retry attempts before giving up.
+    /// Retry attempts before giving up (an XML value past `u32::MAX`
+    /// saturates).
     pub retries: u32,
     /// Run the 2-phase-commit step transaction protocol.
     pub transactional: bool,
@@ -241,7 +243,7 @@ impl StreamHints {
             h.recv_timeout = Duration::from_millis(ms);
         }
         if let Some(r) = hint_u64(HintKey::Retries) {
-            h.retries = r as u32;
+            h.retries = u32::try_from(r).unwrap_or(u32::MAX);
         }
         h.transactional = hint_bool(HintKey::Transactional);
         h.eos_on_silence = hint_bool(HintKey::EosOnSilence);

@@ -12,7 +12,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use evpath::{inproc_pair, BoxedReceiver, BoxedSender, NetTransport, Record, ShmTransport};
 use machine::CoreLocation;
@@ -24,36 +24,6 @@ use crate::hints::{StreamHints, Transport};
 use crate::monitor::PerfMonitor;
 use crate::protocol::ProtocolCounters;
 use crate::seq::{SeqReceiver, SeqSender};
-
-/// Poll `probe` until it yields or `deadline` passes, pacing the waits in
-/// between (the setup-time waits: directory, bulletin, reader attach).
-pub(crate) async fn poll_until<T>(
-    deadline: Instant,
-    mut probe: impl FnMut() -> Option<T>,
-) -> Option<T> {
-    poll_until_on(deadline, &mut (), |_| probe(), |_, _| false).await
-}
-
-/// [`poll_until`] over a source `src` that can be waited on: a pause
-/// that parks calls `wait(src, time left)` first and naps only when it
-/// returns `false` ([`flexio_reactor::Pacing::pause_on`]).
-async fn poll_until_on<S: ?Sized, T>(
-    deadline: Instant,
-    src: &mut S,
-    mut probe: impl FnMut(&mut S) -> Option<T>,
-    mut wait: impl FnMut(&mut S, Duration) -> bool,
-) -> Option<T> {
-    let mut pacing = flexio_reactor::Pacing::new();
-    loop {
-        if let Some(found) = probe(src) {
-            return Some(found);
-        }
-        if Instant::now() >= deadline {
-            return None;
-        }
-        pacing.pause_on(Some(deadline), |left| wait(src, left)).await;
-    }
-}
 
 /// Identifies one directed channel within a stream's link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -213,9 +183,7 @@ impl LinkState {
 
     /// Wait until the reader side has attached; returns `(count, cores)`.
     pub fn wait_reader_info(&self, timeout: Duration) -> Option<(usize, Vec<CoreLocation>)> {
-        flexio_reactor::block_inline(poll_until(Instant::now() + timeout, || {
-            self.try_reader_info()
-        }))
+        flexio_reactor::block_inline(flexio_reactor::poll_for(timeout, || self.try_reader_info()))
     }
 
     fn endpoints_of(&self, id: ChannelId) -> (CoreLocation, CoreLocation) {
@@ -391,14 +359,15 @@ pub async fn recv_record_rt(
         .unwrap_or(Err(StreamError::Timeout))
 }
 
-/// The timeout-and-retry schedule: attempt `i` polls `probe(src)` until
-/// `recv_timeout × 2^min(i, 3)` has passed — exponential backoff, so a
+/// The timeout-and-retry schedule: attempt `i` polls `probe(src)` for a
+/// budget of `recv_timeout × 2^min(i, 3)` — exponential backoff, so a
 /// transiently slow peer (delay faults, long simulation phases) gets
-/// progressively more slack — and `on_retry` runs before every attempt
-/// after the first. `None` once every attempt ran out.
+/// progressively more slack; the product saturates, so `Duration::MAX`
+/// waits forever — and `on_retry` runs before every attempt after the
+/// first. `None` once every attempt ran out.
 ///
-/// The waits are [`poll_until_on`]'s [`flexio_reactor::Pacing`]: inside a
-/// reactor they yield to the event loop, so one core holds many receives
+/// Each attempt is one [`flexio_reactor::poll_for_on`]: inside a reactor
+/// its pauses yield to the event loop, so one core holds many receives
 /// open at once; on a plain thread they spin, yield, then park — in
 /// `wait(src, time left)` (a socket's `poll(2)`, which wakes when the
 /// peer's bytes land) or, where `wait` has nothing to block on, in
@@ -416,8 +385,8 @@ pub(crate) async fn retry_rt<S: ?Sized, T>(
         if attempt > 0 {
             on_retry();
         }
-        let deadline = Instant::now() + recv_timeout * (1u32 << attempt.min(3));
-        if let Some(found) = poll_until_on(deadline, src, &mut probe, &mut wait).await {
+        let budget = recv_timeout.saturating_mul(1 << attempt.min(3));
+        if let Some(found) = flexio_reactor::poll_for_on(budget, src, &mut probe, &mut wait).await {
             return Some(found);
         }
     }
@@ -437,6 +406,7 @@ pub fn recv_record(
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Instant;
 
     fn link_with_cores() -> Arc<LinkState> {
         let link = LinkState::new(
@@ -553,5 +523,16 @@ mod tests {
             "attempts must back off, not retry at a fixed pace (took {:?})",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn an_unbounded_recv_timeout_returns_a_queued_message() {
+        let (mut tx, mut rx) = inproc_pair();
+        let record = crate::protocol::message("go");
+        tx.send(&record.encode());
+        let hints = StreamHints { recv_timeout: Duration::MAX, ..Default::default() };
+        let counters = ProtocolCounters::new_shared();
+        let got = recv_record(&mut rx, &hints, &counters).expect("the queued message");
+        assert_eq!(got, record);
     }
 }

@@ -36,22 +36,22 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use evpath::socket::{
-    connect, connect_retry, read_frame, write_frame, SockStream, SocketKind, SocketListener,
-    SocketReceiver, SocketSender,
+    connect, read_frame, write_frame, SockStream, SocketKind, SocketListener, SocketReceiver,
+    SocketSender,
 };
 use evpath::{
     BoxedReceiver, BoxedSender, EvReceiver, EvSender, FaultPlan, FieldValue, Lease, Record,
     RecvPoll,
 };
-use flexio_reactor::{block_inline, Reactor};
+use flexio_reactor::{block_inline, poll_for, Reactor};
 use machine::CoreLocation;
 
 use crate::directory::{DirectoryError, DirectoryNode, WireContact};
 use crate::hints::StreamHints;
-use crate::link::{poll_until, ChannelId, LinkState};
+use crate::link::{ChannelId, LinkState};
 use crate::protocol::{self};
 use crate::reader::StreamReader;
 use crate::task::periodic;
@@ -60,6 +60,15 @@ use crate::writer::StreamWriter;
 /// Cap on control frames (hello keys, directory requests) — tiny by
 /// construction, so a garbage connection cannot ask for a big allocation.
 const CTRL_FRAME_MAX: u32 = 1 << 20;
+
+/// [`connect`] to `addr` until it answers or `budget` runs out — the
+/// listener may belong to a process that has not finished binding yet.
+/// On timeout, the last connect error.
+fn dial(addr: &str, budget: Duration) -> io::Result<SockStream> {
+    let mut last = None;
+    let dialed = block_inline(poll_for(budget, || connect(addr).map_err(|e| last = Some(e)).ok()));
+    dialed.ok_or_else(|| last.expect("poll_for probes at least once"))
+}
 
 // ----------------------------------------------------------- addressing
 
@@ -206,7 +215,7 @@ impl RemoteDirectory {
         let wanted = |node: &String| {
             Self::request_once(node, req).ok().filter(|reply| protocol::kind_of(reply) == kind)
         };
-        block_inline(poll_until(Instant::now() + budget, || self.nodes.iter().find_map(wanted)))
+        block_inline(poll_for(budget, || self.nodes.iter().find_map(wanted)))
     }
 
     /// Register an endpoint contact under `name` (first reachable node;
@@ -411,7 +420,7 @@ impl ProcFabric {
             .dir
             .lookup(&self.endpoint_name(&dst), self.hints.net_connect_timeout)
             .map_err(|e| io::Error::new(io::ErrorKind::NotFound, e.to_string()))?;
-        let mut stream = connect_retry(&contact.addr, self.hints.net_connect_timeout)?;
+        let mut stream = dial(&contact.addr, self.hints.net_connect_timeout)?;
         write_frame(&mut stream, self.channel_key(id).as_bytes())?;
         let raw: BoxedSender = Box::new(SocketSender::over(stream));
         Ok(match &self.hints.faults {
@@ -593,7 +602,7 @@ pub fn open_reader_proc(cfg: ProcConfig) -> io::Result<StreamReader> {
     link.set_reader_info(cfg.nranks, reader_cores.clone());
     fabric.register_rank('r', cfg.rank, Vec::new())?;
     if cfg.rank == 0 {
-        let mut stream = connect_retry(&w0.addr, cfg.hints.net_connect_timeout)?;
+        let mut stream = dial(&w0.addr, cfg.hints.net_connect_timeout)?;
         let attach =
             WireContact { addr: fabric.hub.addr().to_string(), meta: pack_roster(&reader_cores) };
         write_frame(&mut stream, fabric.attach_key().as_bytes())?;
@@ -605,15 +614,15 @@ pub fn open_reader_proc(cfg: ProcConfig) -> io::Result<StreamReader> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn hub_parks_streams_by_hello_key() {
         let hub = ChannelHub::bind(SocketKind::Tcp).expect("bind hub");
-        let mut a = connect_retry(hub.addr(), Duration::from_secs(2)).expect("dial");
+        let mut a = dial(hub.addr(), Duration::from_secs(2)).expect("dial");
         write_frame(&mut a, b"s|data:0->1").unwrap();
         write_frame(&mut a, b"payload-after-hello").unwrap();
-        let arrived =
-            poll_until(Instant::now() + Duration::from_secs(2), || hub.try_take("s|data:0->1"));
+        let arrived = poll_for(Duration::from_secs(2), || hub.try_take("s|data:0->1"));
         let mut parked = block_inline(arrived).expect("parked");
         assert!(hub.try_take("s|data:0->1").is_none(), "taken exactly once");
         let body = read_frame(&mut parked, CTRL_FRAME_MAX).unwrap();
@@ -691,15 +700,14 @@ mod tests {
         assert!(!rx.wait_readable(Duration::from_secs(5)), "nothing to wait on yet");
         assert!(t0.elapsed() < Duration::from_secs(1), "waited without a stream");
 
-        let mut peer = connect_retry(fabric.hub.addr(), Duration::from_secs(2)).expect("dial");
+        let mut peer = dial(fabric.hub.addr(), Duration::from_secs(2)).expect("dial");
         write_frame(&mut peer, fabric.channel_key(id).as_bytes()).unwrap();
         write_frame(&mut peer, b"first").unwrap();
         let msg = |rx: &mut BoxedReceiver| match rx.poll_recv() {
             RecvPoll::Msg(m) => Some(m),
             _ => None,
         };
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let first = block_inline(poll_until(deadline, || msg(&mut rx)));
+        let first = block_inline(poll_for(Duration::from_secs(5), || msg(&mut rx)));
         assert_eq!(first.as_deref(), Some(&b"first"[..]));
         assert!(rx.wait_readable(Duration::from_millis(10)), "the adopted stream is waited on");
     }

@@ -5,9 +5,10 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use adios::{ProcessGroup, VarValue, WriteEngine};
+use flexio_reactor::{block_inline, poll_for};
 
 use super::spill::SpillStore;
 use super::{step_digest, GroupCounters, PubSubConfig, PubSubCounters, Qos};
@@ -170,30 +171,18 @@ impl StreamLog {
     /// group — the per-group backpressure path; on timeout the step was
     /// never published.
     pub fn append_group(&self, group: ProcessGroup, timeout: Duration) -> Result<(), StreamError> {
-        let deadline = Instant::now() + timeout;
-        let mut backoff = flexio_reactor::Backoff::new();
+        let step = group.step;
         let mut waited = false;
-        loop {
-            {
-                let mut inner = self.inner.lock().unwrap();
-                if inner.eos || inner.abandoned {
-                    return Err(StreamError::Protocol("publish after close".into()));
-                }
-                let step = group.step;
-                if inner.last_label.is_some_and(|l| step <= l) {
-                    return Err(StreamError::Protocol(format!("step {step} already sealed")));
-                }
-                if self.evict(&mut inner) {
-                    let slot = inner.pending.entry(step).or_default();
-                    slot.push(group);
-                    if slot.len() == self.nranks {
-                        let groups = inner.pending.remove(&step).expect("pending slot present");
-                        inner.ready.insert(step, groups);
-                    }
-                    self.seal_ready(&mut inner)?;
-                    self.evict(&mut inner);
-                    return Ok(());
-                }
+        let admitted = block_inline(poll_for(timeout, || {
+            let mut inner = self.inner.lock().unwrap();
+            if inner.eos || inner.abandoned {
+                return Some(Err(StreamError::Protocol("publish after close".into())));
+            }
+            if inner.last_label.is_some_and(|l| step <= l) {
+                return Some(Err(StreamError::Protocol(format!("step {step} already sealed"))));
+            }
+            if self.evict(&mut inner) {
+                return Some(Ok(inner));
             }
             // Backpressure: a registered lossless cursor still needs the
             // ring's oldest step. Wait for it to commit.
@@ -201,11 +190,18 @@ impl StreamLog {
                 waited = true;
                 self.counters.backpressure_waits.fetch_add(1, Ordering::Relaxed);
             }
-            if Instant::now() >= deadline {
-                return Err(StreamError::Timeout);
-            }
-            backoff.snooze_capped(deadline.saturating_duration_since(Instant::now()));
+            None
+        }));
+        let mut inner = admitted.unwrap_or(Err(StreamError::Timeout))?;
+        let slot = inner.pending.entry(step).or_default();
+        slot.push(group);
+        if slot.len() == self.nranks {
+            let groups = inner.pending.remove(&step).expect("pending slot present");
+            inner.ready.insert(step, groups);
         }
+        self.seal_ready(&mut inner)?;
+        self.evict(&mut inner);
+        Ok(())
     }
 
     /// Seal complete steps in label order. A ready step seals only when

@@ -50,15 +50,16 @@ pub use spill::{SpillStore, SpillTail};
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use adios::ProcessGroup;
 use evpath::{fnv1a64, FNV_OFFSET};
 use machine::CoreLocation;
 
 use crate::context::{FlexIo, StreamError};
+use crate::directory::DirectoryError;
 use crate::hints::StreamHints;
-use crate::link::{poll_until, LinkState};
+use crate::link::LinkState;
 
 /// Per-group delivery quality of service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -194,15 +195,32 @@ impl FlexIo {
         group: &str,
         timeout: Duration,
     ) -> Result<Arc<GroupCounters>, StreamError> {
-        let deadline = Instant::now() + timeout;
-        let link = self.directory().lookup(&format!("pubsub:{stream}"), timeout)?;
-        let log = stream_log(&link, stream)?;
-        let attached = poll_until(deadline, || log.group_counters(group));
-        flexio_reactor::block_inline(attached).ok_or_else(|| {
-            StreamError::Directory(format!(
+        let name = format!("pubsub:{stream}");
+        // One wait over one budget: the probe resolves the stream's log
+        // once, then looks for the group in it. A zero-budget `lookup`
+        // (not `try_lookup`) keeps "every directory node is down" an
+        // error at once rather than a timeout.
+        let mut log = None;
+        let found = flexio_reactor::block_inline(flexio_reactor::poll_for(timeout, || {
+            if log.is_none() {
+                match self.directory().lookup(&name, Duration::ZERO) {
+                    Ok(link) => match stream_log(&link, stream) {
+                        Ok(found) => log = Some(found),
+                        Err(e) => return Some(Err(e)),
+                    },
+                    Err(DirectoryError::LookupTimeout(_)) => return None,
+                    Err(down) => return Some(Err(down.into())),
+                }
+            }
+            log.as_ref()?.group_counters(group).map(Ok)
+        }));
+        match found {
+            Some(result) => result,
+            None if log.is_none() => Err(DirectoryError::LookupTimeout(name).into()),
+            None => Err(StreamError::Directory(format!(
                 "no group `{group}` attached to pubsub:{stream} in time"
-            ))
-        })
+            ))),
+        }
     }
 }
 

@@ -34,7 +34,7 @@ use adios::{ProcessGroup, VarValue, WriteEngine};
 
 use crate::context::StreamError;
 use crate::hints::StreamHints;
-use crate::link::{poll_until, LinkState};
+use crate::link::LinkState;
 use crate::monitor::MonitorEvent;
 use crate::plugins::{install_all, InstalledPlugin, PluginSpec};
 use crate::protocol::{self, msg, CachingLevel, Go, WriteMode};
@@ -225,7 +225,7 @@ impl StreamWriter {
         // ---- coordinator path ----
         // Make sure the reader side is attached before the first step.
         if first {
-            poll_until(Instant::now() + self.hints.recv_timeout, || link.try_reader_info())
+            flexio_reactor::poll_for(self.hints.recv_timeout, || link.try_reader_info())
                 .await
                 .ok_or(StreamError::Timeout)?;
         }

@@ -229,6 +229,15 @@ fn net_max_frame_mb_saturates_instead_of_wrapping() {
 }
 
 #[test]
+fn retries_saturate_instead_of_wrapping() {
+    let retries =
+        |r: &str| hints_from_xml(&format!(r#"<hint name="retries" value="{r}"/>"#)).retries;
+    assert_eq!(retries("9"), 9);
+    assert_eq!(retries("4294967295"), u32::MAX);
+    assert_eq!(retries("4294967297"), u32::MAX, "2^32 + 1 retries must not wrap to 1");
+}
+
+#[test]
 fn net_max_frame_mb_caps_what_a_tcp_channel_accepts() {
     let receive_2mib = |cap_hint: &str| {
         let hints = hints_from_xml(&format!(

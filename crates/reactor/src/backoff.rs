@@ -22,7 +22,7 @@
 //! `reset()` on any progress snaps back to the spin regime. A waiter
 //! with something better to sleep on serves the park itself through
 //! [`Backoff::snooze_with`]: a fleet worker parks on its injector's
-//! condvar, and a blocking socket receive ([`crate::Pacing::pause_on`])
+//! condvar, and a blocking socket receive ([`crate::poll_for_on`])
 //! blocks in `poll(2)` on its fd until the retry deadline, so it wakes
 //! when the peer's bytes land rather than at the end of a nap.
 //!
@@ -106,17 +106,12 @@ impl Backoff {
         self.step = self.step.saturating_add(1);
     }
 
-    /// Like [`snooze`](Self::snooze), but never sleeps longer than
-    /// `cap` — used when a known deadline (a timer-wheel entry, a retry
-    /// budget) must not be overshot.
-    pub fn snooze_capped(&mut self, cap: Duration) {
-        self.snooze_with(cap, std::thread::sleep);
-    }
-
-    /// Like [`snooze_capped`](Self::snooze_capped), but a park is served
-    /// by `park` instead of `thread::sleep` — for a waiter that has
-    /// something better to sleep on (a fleet worker parks on its
-    /// injector's condvar, so a submission ends the park early).
+    /// Like [`snooze`](Self::snooze), but a park never lasts longer than
+    /// `cap` — a known deadline (a timer-wheel entry, a retry budget) must
+    /// not be overshot — and is served by `park` instead of
+    /// `thread::sleep`, for a waiter that has something better to sleep on
+    /// (a fleet worker parks on its injector's condvar, so a submission
+    /// ends the park early).
     pub fn snooze_with(&mut self, cap: Duration, park: impl FnOnce(Duration)) {
         let Some(interval) = self.park_interval() else { return self.snooze() };
         let nap = interval.min(cap);
@@ -161,7 +156,7 @@ mod tests {
             b.snooze();
         }
         for _ in 0..20 {
-            b.snooze_capped(Duration::from_micros(1));
+            b.snooze_with(Duration::from_micros(1), std::thread::sleep);
         }
         assert_eq!(b.park_interval(), Some(MAX_PARK));
     }

@@ -19,12 +19,12 @@
 //! context: [`sleep_until`] registers its deadline in the wheel,
 //! [`note_progress`] keeps the loop hot after useful work, and
 //! [`yield_now`] marks the task runnable-again-immediately.
-//! The wait futures ([`sleep`], [`yield_now`], [`Pacing::pause`]) resolve
-//! by who polls them: with no loop on the thread there is nothing else
-//! to run, so they serve the wait on the spot (`thread::sleep`, nothing,
-//! [`Backoff`]) and finish in one poll. That is what lets [`block_inline`]
+//! The wait futures ([`sleep`], [`yield_now`], [`poll_for`]'s pauses)
+//! resolve by who polls them: with no loop on the thread there is
+//! nothing else to run, so they serve the wait on the spot
+//! (`thread::sleep`, nothing, [`Backoff`]) and finish in one poll. That is what lets [`block_inline`]
 //! run the same engine futures as plain blocking calls. There a
-//! [`Pacing::pause_on`] park is handed to the caller's readiness wait (a
+//! [`poll_for_on`] park is handed to the caller's readiness wait (a
 //! socket's `poll(2)`); inside a loop it never is, since the loop serves
 //! many sources and must not block on one.
 
@@ -326,14 +326,45 @@ impl Future for YieldNow {
     }
 }
 
-/// The async analogue of [`Backoff`]: paces a poll loop by yielding to
-/// the reactor's other tasks first (a round-robin sweep is itself a
-/// wait), then by short wheel sleeps that double up to a cap — so an
-/// idle stream's receive loop converges to ~1 kHz wheel entries instead
-/// of monopolising the executor. Outside a reactor it *is* a [`Backoff`],
-/// whose parks [`pause_on`](Self::pause_on) can hand to a readiness wait.
+/// Poll `probe` until it yields or `budget` has passed, pacing the waits
+/// in between: the one deadline wait of the stack (directory lookups,
+/// reader attach, every protocol receive's timeout-and-retry). A budget
+/// past the clock's range, `Duration::MAX` among them, never expires.
+pub async fn poll_for<T>(budget: Duration, mut probe: impl FnMut() -> Option<T>) -> Option<T> {
+    poll_for_on(budget, &mut (), |_| probe(), |_, _| false).await
+}
+
+/// [`poll_for`] over a source `src` that can be waited on: on a plain
+/// thread a pause that parks calls `wait(src, time left)` first (a
+/// socket's `poll(2)`) and naps only when it returns `false`.
+pub async fn poll_for_on<S: ?Sized, T>(
+    budget: Duration,
+    src: &mut S,
+    mut probe: impl FnMut(&mut S) -> Option<T>,
+    mut wait: impl FnMut(&mut S, Duration) -> bool,
+) -> Option<T> {
+    let deadline = Instant::now().checked_add(budget);
+    let mut pacing = Pacing::new();
+    loop {
+        if let Some(found) = probe(src) {
+            return Some(found);
+        }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return None;
+        }
+        pacing.pause_on(deadline, |left| wait(src, left)).await;
+    }
+}
+
+/// How [`poll_for_on`] waits between probes: the async analogue of
+/// [`Backoff`]. Inside a reactor it yields to the other tasks first (a
+/// round-robin sweep is itself a wait), then takes short wheel sleeps
+/// that double up to a cap, so an idle stream's receive loop converges
+/// to ~1 kHz wheel entries instead of monopolising the executor. Outside
+/// a reactor it *is* a [`Backoff`], whose parks
+/// [`pause_on`](Self::pause_on) can hand to a readiness wait.
 #[derive(Debug)]
-pub struct Pacing {
+struct Pacing {
     rounds: u32,
     /// Serves the pauses taken outside a reactor.
     thread: Backoff,
@@ -348,30 +379,20 @@ const PACING_MAX: Duration = Duration::from_millis(1);
 
 impl Pacing {
     /// A fresh pacing strategy, starting in the yield regime.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Pacing { rounds: 0, thread: Backoff::new() }
     }
 
-    /// Forget accumulated idleness — call on every received message.
-    pub fn reset(&mut self) {
-        *self = Self::new();
-    }
-
-    /// Wait once, escalating yield → short sleep across calls. Never
-    /// sleeps past `cap` when one is given (e.g. a retry deadline).
-    pub async fn pause(&mut self, cap: Option<Instant>) {
-        self.pause_on(cap, |_| false).await
-    }
-
-    /// [`pause`](Self::pause) for a poll loop whose source can be waited
-    /// on. On a plain thread, once the [`Backoff`] parks, the park calls
-    /// `wait(time left until cap)` instead — a caller that blocks on its
-    /// source (a socket's `poll(2)`) wakes when the source is ready, not
-    /// at the end of a nap — and sleeps the nap only when `wait` returns
-    /// `false` (it had nothing to block on). Spinning and yielding are
-    /// unchanged. Inside a loop `wait` is never called: the loop serves
-    /// many sources and must not block on one.
-    pub async fn pause_on(&mut self, cap: Option<Instant>, wait: impl FnOnce(Duration) -> bool) {
+    /// Wait once, escalating yield → short sleep across calls, never
+    /// sleeping past `cap` when there is one. On a plain thread, once the
+    /// [`Backoff`] parks, the park calls `wait(time left until cap)`
+    /// instead — a caller that blocks on its source (a socket's
+    /// `poll(2)`) wakes when the source is ready, not at the end of a nap
+    /// — and sleeps the nap only when `wait` returns `false` (it had
+    /// nothing to block on). Spinning and yielding are unchanged. Inside
+    /// a loop `wait` is never called: the loop serves many sources and
+    /// must not block on one.
+    async fn pause_on(&mut self, cap: Option<Instant>, wait: impl FnOnce(Duration) -> bool) {
         if !in_reactor() {
             let left = cap.map_or(Duration::MAX, |c| c.saturating_duration_since(Instant::now()));
             return self.thread.snooze_with(left, |nap| {
@@ -396,12 +417,6 @@ impl Pacing {
         } else {
             sleep(nap).await;
         }
-    }
-}
-
-impl Default for Pacing {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -474,19 +489,17 @@ mod tests {
         let mut p = Pacing::new();
         let t0 = Instant::now();
         while !p.thread.is_parking() {
-            assert!(std::pin::pin!(p.pause(None)).poll(&mut ctx).is_ready());
+            assert!(std::pin::pin!(p.pause_on(None, |_| false)).poll(&mut ctx).is_ready());
         }
         assert!(t0.elapsed() >= Duration::from_micros(200), "parked inside the yield window");
         // Uncapped, these 20 parks would sleep 10 µs doubling to 1 ms each
         // (≥ 15 ms); a cap that is already due must cut every one short.
         let t0 = Instant::now();
         for _ in 0..20 {
-            assert!(std::pin::pin!(p.pause(Some(t0))).poll(&mut ctx).is_ready());
+            assert!(std::pin::pin!(p.pause_on(Some(t0), |_| false)).poll(&mut ctx).is_ready());
         }
         assert!(t0.elapsed() < Duration::from_millis(10), "slept past the cap");
         assert_eq!(p.thread.park_interval(), Some(Duration::from_millis(1)));
-        p.reset();
-        assert!(!p.thread.is_parking());
     }
 
     #[test]
@@ -519,6 +532,43 @@ mod tests {
         let t0 = Instant::now();
         assert!(std::pin::pin!(p.pause_on(Some(cap), |_| false)).poll(&mut ctx).is_ready());
         assert!(t0.elapsed() >= Duration::from_millis(1), "an unserved park sleeps its nap");
+    }
+
+    #[test]
+    fn poll_for_returns_the_probes_value_as_soon_as_it_has_one() {
+        let mut probes = 0;
+        let t0 = Instant::now();
+        let found = block_inline(poll_for(Duration::from_secs(60), || {
+            probes += 1;
+            (probes == 3).then_some(probes)
+        }));
+        assert_eq!(found, Some(3), "probed past the hit");
+        assert!(t0.elapsed() < Duration::from_secs(5), "waited on after the hit");
+    }
+
+    #[test]
+    fn poll_for_gives_up_no_earlier_than_its_budget() {
+        let t0 = Instant::now();
+        assert_eq!(block_inline(poll_for(Duration::from_millis(20), || None::<()>)), None);
+        assert!(t0.elapsed() >= Duration::from_millis(20), "gave up early");
+        // On a reactor the pauses are wheel sleeps and yields, same budget.
+        let mut r = Reactor::new();
+        r.spawn(async {
+            let t0 = Instant::now();
+            assert_eq!(poll_for(Duration::from_millis(20), || None::<()>).await, None);
+            assert!(t0.elapsed() >= Duration::from_millis(20), "gave up early on a reactor");
+        });
+        r.run();
+    }
+
+    #[test]
+    fn poll_for_with_an_unbounded_budget_still_returns_a_hit() {
+        let mut probes = 0;
+        let found = block_inline(poll_for(Duration::MAX, || {
+            probes += 1;
+            (probes == 3).then_some("hit")
+        }));
+        assert_eq!(found, Some("hit"));
     }
 
     #[test]

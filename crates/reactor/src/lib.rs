@@ -20,6 +20,9 @@
 //! * [`Backoff`] — the spin → yield → park escalation that is both the
 //!   event loop's idle step and the blocking backend's receive wait
 //!   (replacing the fixed 100 µs sleeps that used to burn a core).
+//! * [`poll_for`] — the one deadline wait: poll a probe until it yields
+//!   or a `Duration` budget runs out. Callers hand it the budget and never
+//!   read the clock to wait.
 //!
 //! There are no wakers wired to I/O sources: the transports (shm SPSC
 //! queues, in-proc channels, simulated RDMA) are poll-only, so readiness
@@ -27,7 +30,7 @@
 //! core sleeps between discovery rounds. Futures that make progress call
 //! [`note_progress`] so the executor knows to keep spinning hot. Only a
 //! blocking call, which serves one receive, blocks on a socket's fd
-//! ([`Pacing::pause_on`]).
+//! ([`poll_for_on`]).
 //!
 //! When one core stops being enough, [`ReactorFleet`] runs the same
 //! loop on N worker threads — each owning a shard of tasks, fed by a
@@ -45,8 +48,8 @@ mod wheel;
 
 pub use backoff::Backoff;
 pub use exec::{
-    block_inline, in_reactor, note_progress, note_step, sleep, sleep_until, yield_now, Pacing,
-    Reactor,
+    block_inline, in_reactor, note_progress, note_step, poll_for, poll_for_on, sleep, sleep_until,
+    yield_now, Reactor,
 };
 pub use fleet::{FleetBuilder, FleetHandle, FleetTopology, ReactorFleet, ShardSlot, ShardSnapshot};
 pub use wheel::{TimerId, TimerWheel};

@@ -28,8 +28,8 @@ echo "== structure gates =="
 # One replicated directory: a gossiped entry is compared in one place, the
 # cross-process node's second envelope and merge stay gone, and the bare
 # sleeps in non-test library code outside crates/reactor (each blocks
-# whole-system simulation) may only go down: socket.rs connect_retry,
-# fault.rs delay, pubsub/log.rs stall.
+# whole-system simulation) may only go down: fault.rs delay, pubsub/log.rs
+# stall.
 merges=$(grep -rl "fn merge" crates/flexio/src | grep -vx "crates/flexio/src/directory/shard.rs" || true)
 [ -z "$merges" ] || { echo "fn merge outside directory/shard.rs: $merges"; exit 1; }
 if grep -rn "WGS1\|merge_gossip" crates/; then
@@ -38,7 +38,7 @@ fi
 sleeps=$(awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && /thread::sleep/' \
     $(find crates/*/src -name '*.rs' -not -path 'crates/reactor/*' \
         -not -path '*/bin/*' -not -path 'crates/bench/*') | wc -l)
-[ "$sleeps" -le 3 ] || { echo "$sleeps bare thread::sleep in library code (limit 3)"; exit 1; }
+[ "$sleeps" -le 2 ] || { echo "$sleeps bare thread::sleep in library code (limit 2)"; exit 1; }
 # One foreign call: the socket receiver's poll(2) readiness wait lives in
 # evpath's socket.rs (evpath already holds the workspace's unsafe), and the
 # reactor, which only hands parks to it, stays safe code.
@@ -199,10 +199,22 @@ if grep -rnE --include='*.rs' --exclude-dir=target 'fn wire_box|block_bounds_err
     echo "a second bounds rule is back (BoxSel::try_new, hyperslab::lies_inside)"; exit 1
 fi
 # One time source, step 1: the non-test Instant::now() calls in flexio,
-# evpath and the reactor may only go down, toward one clock::now().
+# evpath and the reactor may only go down, toward one clock::now(). A wait
+# with a deadline is flexio_reactor::poll_for(budget, probe) (or a condvar's
+# wait_timeout_while): callers hand over a budget and build no deadline of
+# their own, and the hand-rolled retry loops stay gone.
 clock_reads=$(awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t {n+=gsub(/Instant::now\(\)/, "")} END{print n+0}' \
     $(find crates/flexio/src crates/evpath/src crates/reactor/src -name '*.rs'))
-[ "$clock_reads" -le 27 ] || { echo "$clock_reads non-test Instant::now() in flexio/evpath/reactor (limit 27)"; exit 1; }
+[ "$clock_reads" -le 13 ] || { echo "$clock_reads non-test Instant::now() in flexio/evpath/reactor (limit 13)"; exit 1; }
+deadlines=$(awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && /Instant::now\(\) \+/{print FILENAME ":" FNR}' \
+    $(find crates/flexio/src crates/evpath/src -name '*.rs'))
+[ -z "$deadlines" ] || { echo "a hand-built deadline (hand the budget to poll_for): $deadlines"; exit 1; }
+if grep -rnwE --include='*.rs' --exclude-dir=target 'connect_retry|snooze_capped' crates src tests examples; then
+    echo "a hand-rolled deadline loop is back (use flexio_reactor::poll_for)"; exit 1
+fi
+if sed -n '/^pub use/,/;/p' crates/reactor/src/lib.rs | grep -qw Pacing; then
+    echo "Pacing is public again (poll_for is its one caller)"; exit 1
+fi
 # One array type: a record holds every array, of any element type, owned
 # or a view of a receive buffer, as one `FieldValue::Packed(PackedArray)`.
 if grep -rnE --include='*.rs' --exclude-dir=target "FieldValue::(F64Array|U64Array|I64Array|Bytes)\b" \
@@ -252,7 +264,7 @@ done
 [ "$missing" -eq 0 ] || { echo "a doc names something the tree does not have"; exit 1; }
 # Their size only goes down, toward the ROADMAP's 100 KB target; lower
 # this limit when a PR shrinks them, never raise it.
-doc_limit=130356
+doc_limit=130317
 doc_bytes=$(cat $docs | wc -c)
 [ "$doc_bytes" -le "$doc_limit" ] || { echo "docs are $doc_bytes bytes (limit $doc_limit)"; exit 1; }
 echo "doc references ok (docs: $doc_bytes bytes)"
