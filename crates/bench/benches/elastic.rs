@@ -30,9 +30,10 @@ use adios::{
 use flexio::elastic::{ElasticConfig, ElasticController, ElasticRoster};
 use flexio::redistribute::split_box;
 use flexio::{
-    CachingLevel, FleetRuntime, FlexIo, ManagerPolicy, MonitorEvent, MonitorRelay, MonitorSink,
-    PluginPlacement, PluginSpec, StreamHints, WriteMode,
+    CachingLevel, FlexIo, ManagerPolicy, MonitorEvent, MonitorRelay, MonitorSink, PluginPlacement,
+    PluginSpec, StreamHints, WriteMode,
 };
+use flexio_reactor::ReactorFleet;
 use machine::laptop;
 use placement::AnalyticsScaling;
 
@@ -362,7 +363,7 @@ fn main() {
     let sink =
         MonitorSink::for_stream(io.directory().as_ref(), "elastic-bench", Duration::from_secs(5))
             .expect("sink attaches");
-    let fleet = FleetRuntime::new(&laptop(), 2);
+    let fleet = ReactorFleet::new(2);
     let controller =
         ElasticController::new(elastic_cfg(), sink.monitor().clone(), Arc::clone(&roster));
     let (sink_handle, sink_task) = sink.into_task(Duration::from_millis(1));

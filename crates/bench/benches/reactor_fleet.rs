@@ -3,9 +3,9 @@
 //! {1, 4, host} worker threads × {64, 1k, 10k} couplings.
 //!
 //! Every coupling runs the full protocol (open, handshake, data steps,
-//! sync acks, EOS) as a pair of `Send` futures placed by
-//! [`flexio::FleetRuntime::spawn_for`]; the NUMA-pinned shard pools are
-//! live exactly as in production. The small sweeps mix in-proc and
+//! sync acks, EOS) as a pair of `Send` futures that
+//! [`flexio_reactor::ReactorFleet::spawn`] places on the least-loaded
+//! shard. The small sweeps mix in-proc and
 //! shared-memory transports; the 10k-coupling cell runs in-proc only so
 //! queue memory (entries × inline capacity × channels × couplings) stays
 //! bounded — that cell exists to prove the fleet *sustains* ten thousand
@@ -28,7 +28,8 @@ use adios::{
     ArrayData, BoxSel, LocalBlock, ReadEngine, Selection, StepStatus, VarValue, WriteEngine,
 };
 use bench::report::Rate;
-use flexio::{CachingLevel, FleetRuntime, FlexIo, StreamHints, WriteMode};
+use flexio::{CachingLevel, FlexIo, StreamHints, WriteMode};
+use flexio_reactor::ReactorFleet;
 use machine::laptop;
 
 const ELEMS: usize = 128; // 1 KiB of f64 per step
@@ -75,7 +76,7 @@ fn payload(stream: usize, step: u64) -> VarValue {
 /// `threads`-worker fleet; returns the elapsed seconds.
 fn run_fleet(threads: usize, couplings: usize, steps: u64, inproc_only: bool) -> f64 {
     let io = FlexIo::single_node(laptop());
-    let fleet = FleetRuntime::new(&laptop(), threads);
+    let fleet = ReactorFleet::new(threads);
     let steps_read = Arc::new(AtomicU64::new(0));
     let start = Instant::now();
 
@@ -92,7 +93,7 @@ fn run_fleet(threads: usize, couplings: usize, steps: u64, inproc_only: bool) ->
 
         let io_w = io.clone();
         let name_w = name.clone();
-        fleet.spawn_for(&[wcore], async move {
+        fleet.spawn(async move {
             let mut w = io_w
                 .open_writer_rt(&name_w, 0, 1, wcore, vec![wcore], hints())
                 .await
@@ -107,7 +108,7 @@ fn run_fleet(threads: usize, couplings: usize, steps: u64, inproc_only: bool) ->
 
         let io_r = io.clone();
         let counted = Arc::clone(&steps_read);
-        fleet.spawn_for(&[rcore], async move {
+        fleet.spawn(async move {
             let mut r = io_r
                 .open_reader_rt(&name, 0, 1, rcore, vec![rcore], hints())
                 .await

@@ -184,18 +184,23 @@ impl FlexIo {
         let link = if rank == 0 {
             // A fault plan may schedule a directory stall: the lookup
             // budget shrinks by the stall, exactly as if the directory
-            // server were slow to respond.
+            // server were slow to respond, and a stall that uses up the
+            // budget times the lookup out when the budget runs out.
+            let timeout = || DirectoryError::LookupTimeout(name.to_string());
             let mut budget = hints.recv_timeout;
             if let Some(plan) = &hints.faults {
                 if let Some(stall) = plan.spec_for("dir").stall {
                     plan.note_stall();
-                    flexio_reactor::sleep(stall).await;
-                    budget = budget.saturating_sub(stall);
+                    flexio_reactor::sleep(stall.min(budget)).await;
+                    if stall >= budget {
+                        return Err(timeout().into());
+                    }
+                    budget -= stall;
                 }
             }
             let link = flexio_reactor::poll_for(budget, || self.directory.try_lookup(name))
                 .await
-                .ok_or_else(|| DirectoryError::LookupTimeout(name.to_string()))?;
+                .ok_or_else(timeout)?;
             link.set_reader_info(nranks, all_cores);
             self.post_bulletin(&format!("r:{name}"), Arc::clone(&link));
             link

@@ -378,12 +378,14 @@ fn fault_plan_from_config(cfg: &GroupConfig) -> Option<FaultPlan> {
         let Ok(n) = value.parse::<u64>() else {
             continue;
         };
+        // A chance past 1000 ‰ saturates: every message.
+        let pm = n.min(1000) as u16;
         let spec = specs.entry(label.to_string()).or_default();
         match param {
-            "drop_pm" => spec.drop_per_mille = n as u16,
-            "dup_pm" => spec.dup_per_mille = n as u16,
-            "reorder_pm" => spec.reorder_per_mille = n as u16,
-            "delay_pm" => spec.delay_per_mille = n as u16,
+            "drop_pm" => spec.drop_per_mille = pm,
+            "dup_pm" => spec.dup_per_mille = pm,
+            "reorder_pm" => spec.reorder_per_mille = pm,
+            "delay_pm" => spec.delay_per_mille = pm,
             "delay_ms" => spec.delay = Duration::from_millis(n),
             "crash_sender_after" => spec.crash_sender_after = Some(n),
             "crash_receiver_after" => spec.crash_receiver_after = Some(n),
@@ -438,6 +440,7 @@ mod tests {
                <hint name="fault.data.drop_pm" value="120"/>
                <hint name="fault.ctrl:w2r.crash_sender_after" value="3"/>
                <hint name="fault.dir.stall_ms" value="25"/>
+               <hint name="fault.ctrl:r2w.dup_pm" value="65537"/>
                <hint name="eos_on_silence" value="true"/>
             </method></group></adios-config>"#,
         )
@@ -449,6 +452,7 @@ mod tests {
         assert_eq!(plan.spec_for("data:1->0").drop_per_mille, 120);
         assert_eq!(plan.spec_for("ctrl:w2r").crash_sender_after, Some(3));
         assert_eq!(plan.spec_for("dir").stall, Some(Duration::from_millis(25)));
+        assert_eq!(plan.spec_for("ctrl:r2w").dup_per_mille, 1000, "saturates, not wraps");
         let dflt = plan.spec_for("ack:0->0");
         assert_eq!(dflt.delay, Duration::from_millis(7));
         assert_eq!(dflt.delay_per_mille, 50);

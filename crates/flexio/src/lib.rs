@@ -63,7 +63,6 @@
 pub mod context;
 pub mod directory;
 pub mod elastic;
-pub mod fleet;
 pub mod hints;
 pub mod link;
 pub mod manager;
@@ -90,7 +89,6 @@ pub use directory::{
 pub use elastic::{
     ElasticConfig, ElasticConfigBuilder, ElasticController, ElasticDecision, ElasticRoster,
 };
-pub use fleet::FleetRuntime;
 pub use hints::{HintKey, Runtime, StreamHints, StreamHintsBuilder, Transport};
 pub use manager::{ManagerPolicy, PlacementManager, Recommendation};
 pub use monitor::{MonitorEvent, PerfMonitor};

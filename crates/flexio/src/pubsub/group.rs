@@ -151,9 +151,8 @@ impl ReaderGroup {
 
     /// Convert into a delivery task, a step-driven loop
     /// ([`crate::task`]) that drains the stream to end-of-stream,
-    /// committing after every step — the unit
-    /// [`crate::FleetRuntime::spawn_for`] places near the consuming
-    /// analytics. A round delivers one step and publishes its `(step,
+    /// committing after every step — the unit a reactor or a
+    /// [`flexio_reactor::ReactorFleet`] runs. A round delivers one step and publishes its `(step,
     /// digest)`; the output is every pair delivered, or the error that
     /// stopped delivery. The group is closed either way. Take
     /// [`Self::counters`] first to read them while it runs.

@@ -36,8 +36,7 @@
 //! register nothing: each one's counters live in the log beside its
 //! cursor, where [`FlexIo::lookup_group_counters`] finds them while the
 //! group is attached. Delivery runs as reactor/fleet tasks via
-//! [`ReaderGroup::into_task`] (a fleet places the future with
-//! [`crate::FleetRuntime::spawn_for`]). Delivery and spill are counted in
+//! [`ReaderGroup::into_task`]. Delivery and spill are counted in
 //! the log's `PubSubCounters` and each group's `GroupCounters`.
 
 mod group;

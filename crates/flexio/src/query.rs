@@ -15,8 +15,8 @@
 //! Execution is available three ways, mirroring the rest of the stack:
 //! blocking ([`QuerySession::step`] / [`QuerySession::run_to_end`]),
 //! reactor ([`QuerySession::step_rt`]), and as a spawnable task
-//! ([`QuerySession::into_task`], fleet-placed with
-//! `fleet.spawn_for(&endpoints, task)`) — [`crate::task`]'s step-driven
+//! ([`QuerySession::into_task`], spawned on a reactor or with
+//! `fleet.spawn(task)`) — [`crate::task`]'s step-driven
 //! loop, as `ReaderGroup::into_task` is.
 //!
 //! With [`QueryConfig::oracle`] set every step is also fed to the naive

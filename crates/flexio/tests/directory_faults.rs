@@ -5,11 +5,13 @@
 
 mod common;
 
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use adios::IoConfig;
 use common::{reader_core, reader_roster, writer_core, writer_roster};
+use evpath::{FaultPlan, FaultSpec};
 use flexio::link::StreamError;
 use flexio::{FlexIo, StreamHints};
 use machine::laptop;
@@ -101,6 +103,42 @@ fn lookup_stall_exhausting_the_budget_times_out() {
     assert!(elapsed >= Duration::from_millis(80), "stall happened: {elapsed:?}");
     assert!(elapsed < Duration::from_millis(400), "budget was shrunk, not reset");
     assert_eq!(plan.counters().snapshot().stalls, 1);
+}
+
+/// Open a reader on a registered stream under a directory stall of
+/// `stall` against a 100 ms lookup budget.
+fn open_under_stall(stall: Duration) -> (Result<flexio::StreamReader, StreamError>, Duration) {
+    let mut plan = FaultPlan::new(3);
+    plan.set("dir", FaultSpec { stall: Some(stall), ..FaultSpec::default() });
+    let hints = StreamHints {
+        recv_timeout: Duration::from_millis(100),
+        faults: Some(Arc::new(plan)),
+        ..StreamHints::default()
+    };
+    let io = FlexIo::single_node(laptop());
+    let _w = io
+        .open_writer("slow", 0, 1, writer_core(0), writer_roster(1), StreamHints::default())
+        .unwrap();
+    let start = Instant::now();
+    let r = io.open_reader("slow", 0, 1, reader_core(0), reader_roster(1), hints);
+    (r, start.elapsed())
+}
+
+#[test]
+fn a_stall_longer_than_the_budget_ends_with_the_budget() {
+    // The stream is registered, but the directory answers 10 s late: the
+    // lookup gives up when its 100 ms budget runs out.
+    let (r, elapsed) = open_under_stall(Duration::from_secs(10));
+    assert!(matches!(r, Err(StreamError::Directory(_))), "{:?}", r.as_ref().err());
+    assert!(elapsed >= Duration::from_millis(100), "the budget was spent: {elapsed:?}");
+    assert!(elapsed < Duration::from_secs(5), "the stall outlived the budget: {elapsed:?}");
+}
+
+#[test]
+fn an_endless_stall_times_out() {
+    let (r, elapsed) = open_under_stall(Duration::MAX);
+    assert!(matches!(r, Err(StreamError::Directory(_))), "{:?}", r.as_ref().err());
+    assert!(elapsed < Duration::from_secs(5), "the stall outlived the budget: {elapsed:?}");
 }
 
 #[test]

@@ -31,9 +31,10 @@ use flexio::plugins::PluginBody;
 use flexio::query::Expr;
 use flexio::redistribute::split_box;
 use flexio::{
-    CachingLevel, FleetRuntime, FlexIo, MonitorEvent, PluginPlacement, PluginSpec, StreamHints,
-    Transport, WriteMode,
+    CachingLevel, FlexIo, MonitorEvent, PluginPlacement, PluginSpec, StreamHints, Transport,
+    WriteMode,
 };
+use flexio_reactor::ReactorFleet;
 use machine::laptop;
 
 const STEPS: u64 = 10;
@@ -195,12 +196,12 @@ fn run_fleet(
 ) -> RunOutput {
     let hints = migration_hints(&plan);
     let io = FlexIo::new(laptop(), 4);
-    let fleet = FleetRuntime::new(&laptop(), 4);
+    let fleet = ReactorFleet::new(4);
 
     for rank in 0..2usize {
         let io = io.clone();
         let hints = hints.clone();
-        fleet.spawn_for(&[writer_core(rank)], async move {
+        fleet.spawn(async move {
             let mut w = io
                 .open_writer_rt("stream", rank, 2, writer_core(rank), writer_roster(2), hints)
                 .await
@@ -218,7 +219,7 @@ fn run_fleet(
 
     let out = Arc::new(Mutex::new(None));
     let keep = Arc::clone(&out);
-    fleet.spawn_for(&[reader_core(0)], async move {
+    fleet.spawn(async move {
         let mut r = io
             .open_reader_rt("stream", 0, 1, reader_core(0), reader_roster(1), hints)
             .await

@@ -20,7 +20,8 @@ use std::sync::{Arc, Mutex};
 use adios::{BoxSel, ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
 use common::{block_1d, couple, reader_core, reader_roster, writer_core, writer_roster};
 use evpath::{FaultPlan, FaultSnapshot, FaultSpec};
-use flexio::{CachingLevel, FleetRuntime, FlexIo, ProtocolSnapshot, StreamHints, WriteMode};
+use flexio::{CachingLevel, FlexIo, ProtocolSnapshot, StreamHints, WriteMode};
+use flexio_reactor::ReactorFleet;
 use machine::laptop;
 
 const WRITERS: usize = 3;
@@ -118,19 +119,19 @@ fn run_threaded(plan: Arc<FaultPlan>, write_mode: WriteMode) -> RunSignature {
 }
 
 /// The same coupled program sharded over a reactor fleet: every rank's
-/// engine is a `Send` future spawned near its endpoint core, polled by
-/// whichever worker thread owns its shard.
+/// engine is a `Send` future spawned onto the least-loaded shard, polled
+/// by whichever worker thread owns it.
 fn run_fleet(plan: Arc<FaultPlan>, threads: usize, write_mode: WriteMode) -> RunSignature {
     let hints = hints_for(write_mode, &plan);
     let io = FlexIo::new(laptop(), 4);
-    let fleet = FleetRuntime::new(&laptop(), threads);
+    let fleet = ReactorFleet::new(threads);
 
     let coordinator_link = Arc::new(Mutex::new(None));
     for rank in 0..WRITERS {
         let io = io.clone();
         let hints = hints.clone();
         let keep = Arc::clone(&coordinator_link);
-        fleet.spawn_for(&[writer_core(rank)], async move {
+        fleet.spawn(async move {
             let mut w = io
                 .open_writer_rt(
                     "stream",
@@ -161,7 +162,7 @@ fn run_fleet(plan: Arc<FaultPlan>, threads: usize, write_mode: WriteMode) -> Run
         let io = io.clone();
         let hints = hints.clone();
         let reads = Arc::clone(&reads);
-        fleet.spawn_for(&[reader_core(rank)], async move {
+        fleet.spawn(async move {
             let mut r = io
                 .open_reader_rt(
                     "stream",

@@ -1,17 +1,19 @@
 //! Fan-out equivalence: one writer, four reader groups, three delivery
 //! backends — blocking threads, a single-threaded [`Reactor`], and a
-//! [`FleetRuntime`] — must hand every group the byte-identical step
+//! [`ReactorFleet`] — must hand every group the byte-identical step
 //! sequence (probed by [`flexio::step_digest`]), both on a clean run and
 //! under a seeded fault plan that crashes the writer mid-stream.
 //!
 //! [`Reactor`]: flexio_reactor::Reactor
+//! [`ReactorFleet`]: flexio_reactor::ReactorFleet
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use adios::{ArrayData, LocalBlock, ScalarValue, StepStatus, VarValue, WriteEngine};
 use evpath::{FaultPlan, FaultSpec};
-use flexio::{FleetRuntime, FlexIo, PubSubConfig, ReaderGroup, StreamHints};
+use flexio::{FlexIo, PubSubConfig, ReaderGroup, StreamHints};
+use flexio_reactor::ReactorFleet;
 use machine::laptop;
 
 const GROUPS: usize = 4;
@@ -123,19 +125,16 @@ fn run_reactor(stream: &str, plan: Option<&Arc<FaultPlan>>) -> Vec<Vec<(u64, u64
     })
 }
 
-/// Fleet backend: each group is spawned near a distinct core of a
-/// four-worker [`FleetRuntime`].
+/// Fleet backend: each group is a task on a four-worker [`ReactorFleet`].
 fn run_fleet(stream: &str, plan: Option<&Arc<FaultPlan>>) -> Vec<Vec<(u64, u64)>> {
     let io = FlexIo::single_node(laptop());
     publishers_first(&io, stream, plan, |groups| {
-        let fleet = FleetRuntime::new(&laptop(), 4);
+        let fleet = ReactorFleet::new(4);
         let handles: Vec<_> = groups
             .into_iter()
-            .enumerate()
-            .map(|(g, r)| {
-                let core = laptop().node.location_of(g % laptop().node.cores_per_node());
+            .map(|r| {
                 let (handle, task) = r.into_task();
-                fleet.spawn_for(&[core], task);
+                fleet.spawn(task);
                 handle
             })
             .collect();

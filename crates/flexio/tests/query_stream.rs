@@ -15,7 +15,8 @@ use adios::{ArrayData, LocalBlock, VarValue, WriteEngine};
 use common::{block_1d, couple, reader_core, writer_core, writer_roster};
 use evpath::{FaultPlan, FaultSpec};
 use flexio::query::{AggFunc, Expr, Plan};
-use flexio::{CachingLevel, FleetRuntime, FlexIo, QueryConfig, QuerySession, StreamHints};
+use flexio::{CachingLevel, FlexIo, QueryConfig, QuerySession, StreamHints};
+use flexio_reactor::ReactorFleet;
 use machine::laptop;
 
 const WRITERS: usize = 2;
@@ -216,7 +217,7 @@ fn oracle_mode_validates_the_vectorized_executor_in_vivo() {
 }
 
 /// The fleet backend: writers are reactor tasks sharded over worker
-/// cores, the query runs as a fleet task placed near its reader core;
+/// threads, the query runs as one more fleet task;
 /// results must match the blocking backend bit for bit.
 #[test]
 fn fleet_query_task_matches_the_blocking_backend() {
@@ -224,11 +225,11 @@ fn fleet_query_task_matches_the_blocking_backend() {
 
     let hints = hints_for(&Arc::new(FaultPlan::new(0)));
     let io = FlexIo::new(laptop(), 4);
-    let fleet = FleetRuntime::new(&laptop(), 4);
+    let fleet = ReactorFleet::new(4);
     for rank in 0..WRITERS {
         let io = io.clone();
         let hints = hints.clone();
-        fleet.spawn_for(&[writer_core(rank)], async move {
+        fleet.spawn(async move {
             let mut w = io
                 .open_writer_rt(
                     "stream",
@@ -260,7 +261,7 @@ fn fleet_query_task_matches_the_blocking_backend() {
         .expect("attach query");
     let c = session.counters();
     let (handle, task) = session.into_task();
-    fleet.spawn_for(&[reader_core(0)], task);
+    fleet.spawn(task);
     fleet.join();
 
     assert!(handle.is_done());

@@ -25,5 +25,5 @@ pub mod stream;
 
 pub use cache::{CacheSim, CacheSimStats};
 pub use interference::{corun_mpki, CorunReport, Workload};
-pub use numa::{best_domain, copy_time_ns, queue_placement_cost, QueuePlacement};
+pub use numa::{copy_time_ns, queue_placement_cost, QueuePlacement};
 pub use stream::AccessPattern;

@@ -47,25 +47,6 @@ pub fn queue_placement_cost(
     copy_time_ns(node, producer, queue_loc, bytes) + copy_time_ns(node, queue_loc, consumer, bytes)
 }
 
-/// The NUMA domain minimizing total modelled copy cost to a set of
-/// communicating endpoints — where a coupling's buffer pool (and the
-/// reactor shard that polls it) should live. With a single endpoint this
-/// is producer-local placement (§III.B.3); with several it's the domain
-/// hosting the most traffic, bandwidth-weighted. Endpoints must share a
-/// node; ties break toward the lowest domain index.
-pub fn best_domain(node: &NodeParams, endpoints: &[CoreLocation], bytes: u64) -> usize {
-    let Some(first) = endpoints.first() else { return 0 };
-    let mut best = (0usize, f64::INFINITY);
-    for domain in 0..node.numa_domains {
-        let seat = CoreLocation { node: first.node, numa: domain, core: 0 };
-        let cost: f64 = endpoints.iter().map(|&e| copy_time_ns(node, e, seat, bytes)).sum();
-        if cost < best.1 {
-            best = (domain, cost);
-        }
-    }
-    best.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,23 +83,6 @@ mod tests {
         let t1 = queue_placement_cost(&node, p, cross, bytes, QueuePlacement::ProducerLocal);
         let t2 = queue_placement_cost(&node, p, cross, bytes, QueuePlacement::ConsumerLocal);
         assert!((t1 - t2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn best_domain_is_producer_local_for_one_endpoint() {
-        let (node, p, _, cross) = cores();
-        assert_eq!(best_domain(&node, &[p], 1 << 20), p.numa);
-        assert_eq!(best_domain(&node, &[cross], 1 << 20), cross.numa);
-        assert_eq!(best_domain(&node, &[], 1 << 20), 0, "no endpoints → domain 0");
-    }
-
-    #[test]
-    fn best_domain_follows_the_majority_of_traffic() {
-        let node = smoky().node;
-        let in2 = |core| CoreLocation { node: 0, numa: 2, core };
-        let lone = CoreLocation { node: 0, numa: 0, core: 0 };
-        // Two endpoints in domain 2, one in domain 0: domain 2 wins.
-        assert_eq!(best_domain(&node, &[in2(0), in2(1), lone], 1 << 20), 2);
     }
 
     #[test]

@@ -252,18 +252,21 @@ pub fn block_inline<F: Future>(fut: F) -> F::Output {
 /// on each poll (there are no wakers). Outside a reactor the calling
 /// thread sleeps instead.
 pub fn sleep_until(deadline: Instant) -> Sleep {
-    Sleep { deadline, timer: None }
+    Sleep { deadline: Some(deadline), timer: None }
 }
 
-/// Sleep for `dur`. See [`sleep_until`].
+/// Sleep for `dur`. See [`sleep_until`]. A `dur` past the clock's range,
+/// `Duration::MAX` among them, follows [`poll_for`]'s rule: the sleep
+/// never fires on a reactor and blocks a plain thread for good.
 pub fn sleep(dur: Duration) -> Sleep {
-    sleep_until(Instant::now() + dur)
+    Sleep { deadline: Instant::now().checked_add(dur), timer: None }
 }
 
 /// Future returned by [`sleep`] / [`sleep_until`].
 #[derive(Debug)]
 pub struct Sleep {
-    deadline: Instant,
+    /// `None`: past the clock's range, never due.
+    deadline: Option<Instant>,
     timer: Option<TimerId>,
 }
 
@@ -271,12 +274,12 @@ impl Future for Sleep {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _ctx: &mut Context<'_>) -> Poll<()> {
-        let left = self.deadline.saturating_duration_since(Instant::now());
+        let left =
+            self.deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
         if !left.is_zero() {
             if in_reactor() {
                 if self.timer.is_none() {
-                    let deadline = self.deadline;
-                    self.timer = with_wheel(|w| w.insert(deadline));
+                    self.timer = self.deadline.and_then(|d| with_wheel(|w| w.insert(d)));
                 }
                 return Poll::Pending;
             }
@@ -434,6 +437,18 @@ mod tests {
         r.run();
         assert!(t0.elapsed() >= Duration::from_millis(5));
         assert!(!in_reactor(), "context must be torn down");
+    }
+
+    #[test]
+    fn a_sleep_past_the_clocks_range_stays_pending_on_a_reactor() {
+        let mut r = Reactor::new();
+        r.spawn(async {
+            let mut forever = std::pin::pin!(sleep(Duration::MAX));
+            let mut ctx = Context::from_waker(Waker::noop());
+            assert!(forever.as_mut().poll(&mut ctx).is_pending());
+            assert_eq!(with_wheel(|w| w.len()), Some(0), "no wheel entry for a deadline never due");
+        });
+        r.run();
     }
 
     #[test]

@@ -16,12 +16,9 @@
 //! * **counters** — every worker publishes its counters (polls, busy
 //!   rounds, committed steps, completions) once a round as that shard's
 //!   [`ShardSnapshot`], read through [`FleetHandle::snapshots`].
-//! * **placement** — each shard carries a [`ShardSlot`] naming the
-//!   modelled core and NUMA domain it represents. A `worker_init` hook
-//!   runs on each worker thread before its loop starts, which is where
-//!   the embedding layer pins thread-local buffer pools to the shard's
-//!   domain ([`FleetHandle::spawn_in_domain`] then routes couplings to
-//!   the shards whose pools they'll allocate from).
+//!
+//! A fleet task is like any other thread's code: an shm channel it
+//! creates gets its own private buffer pool.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -36,80 +33,11 @@ use crate::exec::{self, Host, Round};
 /// thread and is polled on a worker's.
 pub type FleetTask = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
-/// Hook run on each worker thread before its poll loop starts — the
-/// embedding layer's chance to install thread-local state (e.g. a NUMA-
-/// pinned buffer pool) keyed by the shard's placement.
-pub type WorkerInit = Arc<dyn Fn(ShardSlot) + Send + Sync>;
-
-/// Static placement of one shard: which modelled core polls it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardSlot {
-    /// Shard index within the fleet (also the worker thread index).
-    pub shard: usize,
-    /// Machine-wide linear core index the shard represents.
-    pub core: usize,
-    /// NUMA domain of that core.
-    pub numa_domain: usize,
-}
-
-/// Shard→core→NUMA-domain assignment, fixed at fleet startup.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FleetTopology {
-    slots: Vec<ShardSlot>,
-}
-
-impl FleetTopology {
-    /// Topology-blind assignment: shard i is core i, everything in
-    /// domain 0. What `ReactorFleet::new` uses when the embedding layer
-    /// has no machine model.
-    pub fn flat(threads: usize) -> FleetTopology {
-        FleetTopology::from_cores((0..threads.max(1)).map(|c| (c, 0)).collect())
-    }
-
-    /// Explicit (core, numa_domain) per shard, in shard order.
-    pub fn from_cores(cores: Vec<(usize, usize)>) -> FleetTopology {
-        assert!(!cores.is_empty(), "fleet topology needs at least one shard");
-        FleetTopology {
-            slots: cores
-                .into_iter()
-                .enumerate()
-                .map(|(shard, (core, numa_domain))| ShardSlot { shard, core, numa_domain })
-                .collect(),
-        }
-    }
-
-    /// Stripe `threads` shards across a node of `numa_domains` domains
-    /// with `cores_per_numa` cores each, round-robin over the cores.
-    pub fn striped(threads: usize, numa_domains: usize, cores_per_numa: usize) -> FleetTopology {
-        let domains = numa_domains.max(1);
-        let per = cores_per_numa.max(1);
-        let total = domains * per;
-        FleetTopology::from_cores(
-            (0..threads.max(1)).map(|i| (i % total, (i % total) / per)).collect(),
-        )
-    }
-
-    /// Number of shards (= worker threads).
-    pub fn threads(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Placement of shard `i`.
-    pub fn slot(&self, shard: usize) -> ShardSlot {
-        self.slots[shard]
-    }
-
-    /// All placements, in shard order.
-    pub fn slots(&self) -> &[ShardSlot] {
-        &self.slots
-    }
-}
-
-/// One shard's counters and placement, as of its worker's last round.
+/// One shard's counters, as of its worker's last round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardSnapshot {
-    /// Placement of this shard.
-    pub slot: ShardSlot,
+    /// Shard index within the fleet (also the worker thread index).
+    pub shard: usize,
     /// Tasks currently in the shard's local run queue (excludes the
     /// injector).
     pub tasks: usize,
@@ -128,12 +56,11 @@ pub struct ShardSnapshot {
 }
 
 struct ShardState {
-    slot: ShardSlot,
     /// Cross-thread submission queue; paired with `wake` for parking.
     injector: Mutex<Vec<FleetTask>>,
     wake: Condvar,
     /// Written by the owning worker once a round; read by
-    /// [`FleetHandle::snapshots`] and by placement.
+    /// [`FleetHandle::snapshots`] and by placement at submission.
     stats: Mutex<ShardSnapshot>,
 }
 
@@ -144,7 +71,6 @@ impl ShardState {
 }
 
 struct FleetShared {
-    topology: FleetTopology,
     shards: Vec<ShardState>,
     /// Spawned-but-not-completed tasks, fleet-wide.
     live: AtomicUsize,
@@ -212,20 +138,11 @@ pub struct FleetHandle {
 }
 
 impl FleetHandle {
-    /// Spawn onto the least-loaded shard.
+    /// Spawn onto the least-loaded shard (run queue + injector backlog).
     pub fn spawn(&self, fut: impl Future<Output = ()> + Send + 'static) {
-        let shard = self.least_loaded(None).expect("fleet has at least one shard");
-        self.spawn_on(shard, fut);
-    }
-
-    /// Spawn onto the least-loaded shard pinned to `domain`, falling
-    /// back to the fleet-wide least-loaded shard when no shard lives
-    /// there. This is the placement path: a coupling spawned into its
-    /// buffers' domain is polled by the core its pool is pinned to.
-    pub fn spawn_in_domain(&self, domain: usize, fut: impl Future<Output = ()> + Send + 'static) {
-        let shard = self
-            .least_loaded(Some(domain))
-            .or_else(|| self.least_loaded(None))
+        let shared = &self.shared;
+        let shard = (0..shared.shards.len())
+            .min_by_key(|&i| shared.shards[i].queued())
             .expect("fleet has at least one shard");
         self.spawn_on(shard, fut);
     }
@@ -242,23 +159,9 @@ impl FleetHandle {
         s.wake.notify_one();
     }
 
-    fn least_loaded(&self, domain: Option<usize>) -> Option<usize> {
-        self.shared
-            .shards
-            .iter()
-            .filter(|s| domain.is_none_or(|d| s.slot.numa_domain == d))
-            .min_by_key(|s| s.queued())
-            .map(|s| s.slot.shard)
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.shared.shards.len()
-    }
-
-    /// The fleet's shard→core→domain assignment.
-    pub fn topology(&self) -> &FleetTopology {
-        &self.shared.topology
     }
 
     /// Spawned-but-not-completed tasks, fleet-wide.
@@ -272,36 +175,24 @@ impl FleetHandle {
     }
 }
 
-/// Configures a [`ReactorFleet`] before its workers start.
-pub struct FleetBuilder {
-    topology: FleetTopology,
-    worker_init: Option<WorkerInit>,
+/// N event-loop threads, each owning a shard of tasks. See the module docs.
+pub struct ReactorFleet {
+    handle: FleetHandle,
+    workers: Vec<thread::JoinHandle<()>>,
 }
 
-impl FleetBuilder {
-    /// Install a hook that runs on each worker thread (with that
-    /// shard's placement) before its poll loop starts.
-    pub fn worker_init(mut self, f: impl Fn(ShardSlot) + Send + Sync + 'static) -> FleetBuilder {
-        self.worker_init = Some(Arc::new(f));
-        self
-    }
-
-    /// Start the worker threads.
-    pub fn build(self) -> ReactorFleet {
-        let n = self.topology.threads();
-        let shards = self
-            .topology
-            .slots()
-            .iter()
-            .map(|&slot| ShardState {
-                slot,
+impl ReactorFleet {
+    /// Start a fleet of `threads` workers (at least one).
+    pub fn new(threads: usize) -> ReactorFleet {
+        let n = threads.max(1);
+        let shards = (0..n)
+            .map(|shard| ShardState {
                 injector: Mutex::new(Vec::new()),
                 wake: Condvar::new(),
-                stats: Mutex::new(ShardSnapshot { slot, ..Default::default() }),
+                stats: Mutex::new(ShardSnapshot { shard, ..Default::default() }),
             })
             .collect();
         let shared = Arc::new(FleetShared {
-            topology: self.topology,
             shards,
             live: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
@@ -312,39 +203,16 @@ impl FleetBuilder {
         let workers = (0..n)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let init = self.worker_init.clone();
                 thread::Builder::new()
                     .name(format!("flexio-shard-{i}"))
                     .spawn(move || {
                         let shard = &shared.shards[i];
-                        if let Some(init) = &init {
-                            init(shard.slot);
-                        }
                         exec::run_shard(&mut Vec::new(), &mut Worker { shared: &shared, shard });
                     })
                     .expect("spawn fleet worker")
             })
             .collect();
         ReactorFleet { handle: FleetHandle { shared }, workers }
-    }
-}
-
-/// N event-loop threads, each owning a shard of tasks. See the module docs.
-pub struct ReactorFleet {
-    handle: FleetHandle,
-    workers: Vec<thread::JoinHandle<()>>,
-}
-
-impl ReactorFleet {
-    /// A fleet of `threads` workers with a topology-blind (single
-    /// domain) placement.
-    pub fn new(threads: usize) -> ReactorFleet {
-        ReactorFleet::builder(FleetTopology::flat(threads)).build()
-    }
-
-    /// Start configuring a fleet over an explicit topology.
-    pub fn builder(topology: FleetTopology) -> FleetBuilder {
-        FleetBuilder { topology, worker_init: None }
     }
 
     /// A cloneable spawner/observer for this fleet.
@@ -355,12 +223,6 @@ impl ReactorFleet {
     /// Spawn onto the least-loaded shard.
     pub fn spawn(&self, fut: impl Future<Output = ()> + Send + 'static) {
         self.handle.spawn(fut);
-    }
-
-    /// Spawn onto the least-loaded shard in `domain` (see
-    /// [`FleetHandle::spawn_in_domain`]).
-    pub fn spawn_in_domain(&self, domain: usize, fut: impl Future<Output = ()> + Send + 'static) {
-        self.handle.spawn_in_domain(domain, fut);
     }
 
     /// Number of worker threads.
@@ -449,7 +311,7 @@ mod tests {
         release.store(true, Ordering::Release);
         let snaps = fleet.join();
         for s in &snaps {
-            assert!(s.completed >= 5, "shard {} starved: {:?}", s.slot.shard, snaps);
+            assert!(s.completed >= 5, "shard {} starved: {:?}", s.shard, snaps);
         }
     }
 
@@ -468,55 +330,6 @@ mod tests {
         fleet.join();
         assert_eq!(done.load(Ordering::Relaxed), 8);
         assert!(t0.elapsed() >= Duration::from_millis(5));
-    }
-
-    #[test]
-    fn spawn_in_domain_prefers_resident_shards() {
-        let topo = FleetTopology::from_cores(vec![(0, 0), (1, 0), (2, 1)]);
-        let domain1: Vec<usize> =
-            topo.slots().iter().filter(|s| s.numa_domain == 1).map(|s| s.shard).collect();
-        assert_eq!(domain1, vec![2]);
-        let fleet = ReactorFleet::builder(topo).build();
-        let release = Arc::new(AtomicBool::new(false));
-        for _ in 0..6 {
-            let release = Arc::clone(&release);
-            fleet.spawn_in_domain(1, async move {
-                while !release.load(Ordering::Acquire) {
-                    yield_now().await;
-                }
-            });
-        }
-        release.store(true, Ordering::Release);
-        let snaps = fleet.join();
-        assert_eq!(snaps[2].completed, 6, "domain-1 work must land on the domain-1 shard");
-        // An unknown domain still spawns (fleet-wide fallback).
-        let fleet = ReactorFleet::new(1);
-        fleet.spawn_in_domain(9, async {});
-        assert_eq!(fleet.join().iter().map(|s| s.completed).sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn worker_init_runs_once_per_shard_with_its_slot() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let topo = FleetTopology::striped(3, 2, 2);
-        let fleet = {
-            let seen = Arc::clone(&seen);
-            ReactorFleet::builder(topo)
-                .worker_init(move |slot| seen.lock().unwrap().push(slot))
-                .build()
-        };
-        fleet.spawn(async {});
-        fleet.join();
-        let mut got = seen.lock().unwrap().clone();
-        got.sort_by_key(|s| s.shard);
-        assert_eq!(
-            got,
-            vec![
-                ShardSlot { shard: 0, core: 0, numa_domain: 0 },
-                ShardSlot { shard: 1, core: 1, numa_domain: 0 },
-                ShardSlot { shard: 2, core: 2, numa_domain: 1 },
-            ]
-        );
     }
 
     /// (every poll of the ping-pong tasks, sleeps in wake order)

@@ -35,7 +35,7 @@
 //! When one core stops being enough, [`ReactorFleet`] runs the same
 //! loop on N worker threads — each owning a shard of tasks, fed by a
 //! cross-thread submission queue that places every task on the
-//! least-loaded shard (of a NUMA domain, when asked), and publishing
+//! least-loaded shard, and publishing
 //! per-shard progress counters ([`note_step`] feeds the steps/s signal).
 //! See the [`fleet`] module docs.
 
@@ -51,5 +51,5 @@ pub use exec::{
     block_inline, in_reactor, note_progress, note_step, poll_for, poll_for_on, sleep, sleep_until,
     yield_now, Reactor,
 };
-pub use fleet::{FleetBuilder, FleetHandle, FleetTopology, ReactorFleet, ShardSlot, ShardSnapshot};
+pub use fleet::{FleetHandle, ReactorFleet, ShardSnapshot};
 pub use wheel::{TimerId, TimerWheel};

@@ -1,20 +1,12 @@
-//! Thread-scoped buffer-pool placement (paper §V applied to ourselves).
+//! A thread-scoped buffer pool: the seam through which a caller watches
+//! the pooled buffers of the shm channels it creates.
 //!
-//! The paper pins FlexIO's internal buffers in the NUMA domain local to
-//! the core that runs the data movement ("allocating FlexIO's internal
-//! buffers [...] in the local memory of the NUMA domain"). In this
-//! reproduction the unit of execution is a reactor-fleet worker thread,
-//! so placement is thread-scoped: at fleet startup each worker installs
-//! its shard's NUMA-pinned [`BufferPool`] here, and every
-//! [`crate::shm_channel`] created *on that thread* afterwards draws its
-//! pooled buffers from it instead of allocating a private,
-//! unpinned pool.
-//!
-//! Channels created on threads with no installed pool keep the old
-//! behaviour (a fresh per-channel pool), so nothing outside the fleet
-//! changes. The channel's two halves share whichever pool the *creating*
-//! thread had installed — in a fleet that is the shard that claimed the
-//! channel first, which is the core that polls it.
+//! Every [`crate::shm_channel`] allocates a private pool unless the
+//! creating thread has installed one here, in which case both halves of
+//! the channel draw their pooled buffers from that pool and its
+//! [`BufferPool::stats`] count them. That is all this module is for:
+//! tests install a pool to see which path a channel's traffic took and
+//! whether its buffers were reused.
 
 use std::cell::RefCell;
 
@@ -38,7 +30,7 @@ pub fn clear_thread_pool() {
 }
 
 /// A handle to this thread's installed pool, if any.
-pub fn thread_pool() -> Option<BufferPool> {
+pub(crate) fn thread_pool() -> Option<BufferPool> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
@@ -49,15 +41,15 @@ mod tests {
     #[test]
     fn install_take_and_clear() {
         assert!(thread_pool().is_none());
-        install_thread_pool(BufferPool::new_pinned(1 << 20, 3));
-        assert_eq!(thread_pool().expect("installed").numa_domain(), Some(3));
+        install_thread_pool(BufferPool::new(1 << 20));
+        assert!(thread_pool().is_some());
         clear_thread_pool();
         assert!(thread_pool().is_none());
     }
 
     #[test]
     fn installation_is_thread_scoped() {
-        install_thread_pool(BufferPool::new_pinned(1 << 20, 1));
+        install_thread_pool(BufferPool::new(1 << 20));
         let other = std::thread::spawn(|| thread_pool().is_none()).join().unwrap();
         assert!(other, "pool must not leak to other threads");
         clear_thread_pool();

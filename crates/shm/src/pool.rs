@@ -223,11 +223,6 @@ struct Inner {
     slab: Mutex<Slab>,
     /// Reclamation threshold in bytes of *free* capacity.
     reclaim_threshold: u64,
-    /// NUMA domain this pool's buffers are modelled as resident in
-    /// (None = unpinned). Placement metadata only: in this in-process
-    /// reproduction it tags which reactor shard's domain owns the pool,
-    /// mirroring the paper's node-topology-aware buffer pinning (§V).
-    numa_domain: Option<usize>,
 }
 
 /// Thread-safe buffer pool shared between one producer and one consumer
@@ -241,24 +236,8 @@ impl BufferPool {
     /// Create a pool that reclaims free buffers once their total capacity
     /// exceeds `reclaim_threshold` bytes.
     pub fn new(reclaim_threshold: u64) -> BufferPool {
-        Self::build(reclaim_threshold, None)
-    }
-
-    /// Like [`new`](Self::new), but tags the pool as resident in NUMA
-    /// domain `numa_domain` — the reactor fleet pins one pool per shard
-    /// so a coupling's buffers live on the core that polls it.
-    pub fn new_pinned(reclaim_threshold: u64, numa_domain: usize) -> BufferPool {
-        Self::build(reclaim_threshold, Some(numa_domain))
-    }
-
-    fn build(reclaim_threshold: u64, numa_domain: Option<usize>) -> BufferPool {
         let slab = Mutex::new(Slab::default());
-        BufferPool { inner: Arc::new(Inner { slab, reclaim_threshold, numa_domain }) }
-    }
-
-    /// The NUMA domain this pool is pinned to, if any.
-    pub fn numa_domain(&self) -> Option<usize> {
-        self.inner.numa_domain
+        BufferPool { inner: Arc::new(Inner { slab, reclaim_threshold }) }
     }
 
     /// Acquire a buffer of at least `len` bytes: the smallest free buffer
