@@ -41,7 +41,7 @@ impl ProcessGroup {
             .with("step", FieldValue::U64(self.step))
             .with("nvars", FieldValue::U64(self.vars.len() as u64));
         for (i, (name, value)) in self.vars.iter().enumerate() {
-            r.set_item("name", &[i], FieldValue::Str(name.clone()));
+            r.set_item("name", &[i], FieldValue::Str(name.as_str().into()));
             r.set_item("var", &[i], FieldValue::Record(value.to_record()));
         }
         r
@@ -59,7 +59,7 @@ impl ProcessGroup {
         for i in 0..nvars {
             let Some(FieldValue::Str(name)) = r.take_item("name", &[i]) else { return None };
             let Some(FieldValue::Record(value)) = r.take_item("var", &[i]) else { return None };
-            vars.push((name, VarValue::from_record(value)?));
+            vars.push((name.into(), VarValue::from_record(value)?));
         }
         Some(ProcessGroup { rank, step, vars })
     }

@@ -334,8 +334,8 @@ impl ArrayData {
         }
     }
 
-    /// Adopt a field's array: a view stays one, an owned store lands as
-    /// the owned variant of its element type ([`Self::owned`]).
+    /// Adopt a field's array: a view stays one, an inline or owned store
+    /// lands as the owned variant of its element type ([`Self::owned`]).
     fn from_field(f: FieldValue) -> Option<ArrayData> {
         let FieldValue::Packed(p) = f else { return None };
         Some(if p.is_view() { ArrayData::Packed(p) } else { ArrayData::owned(p) })
@@ -501,17 +501,17 @@ impl VarValue {
                     ScalarValue::I64(v) => {
                         r.with("stype", FieldValue::U64(2)).with("v", FieldValue::I64(*v))
                     }
-                    ScalarValue::Str(v) => {
-                        r.with("stype", FieldValue::U64(3)).with("v", FieldValue::Str(v.clone()))
-                    }
+                    ScalarValue::Str(v) => r
+                        .with("stype", FieldValue::U64(3))
+                        .with("v", FieldValue::Str(v.as_str().into())),
                 }
             }
             VarValue::Block(b) => Record::with_capacity(6)
                 .with("kind", FieldValue::U64(1))
                 .with("dtype", FieldValue::U64(b.data.data_type().tag()))
-                .with("shape", FieldValue::from(b.global_shape.clone()))
-                .with("offset", FieldValue::from(b.offset.clone()))
-                .with("count", FieldValue::from(b.count.clone()))
+                .with("shape", FieldValue::from(&b.global_shape[..]))
+                .with("offset", FieldValue::from(&b.offset[..]))
+                .with("count", FieldValue::from(&b.count[..]))
                 .with("data", b.data.to_field()),
         }
     }
@@ -542,7 +542,7 @@ impl VarValue {
                 0 => ScalarValue::F64(r.get_f64("v")?),
                 1 => ScalarValue::U64(r.get_u64("v")?),
                 2 => ScalarValue::I64(r.get_i64("v")?),
-                3 => ScalarValue::Str(r.take_str("v")?),
+                3 => ScalarValue::Str(r.take_str("v")?.into()),
                 _ => return None,
             })),
             1 => {

@@ -502,7 +502,7 @@ impl Vm<'_> {
                 arity(2)?;
                 let field = need_str(&args[0])?;
                 let s = need_str(&args[1])?;
-                self.output.set(&field, FieldValue::Str(s));
+                self.output.set(&field, FieldValue::Str(s.into()));
                 Ok(Value::Bool(true))
             }
             "noop" => Ok(Value::Bool(true)),

@@ -19,17 +19,20 @@
 //! Every array, whatever its element type, is one [`PackedArray`]: a
 //! [`PackedDtype`] over the very bytes the wire carries, so encoding
 //! appends them with one bulk copy (or, under [`Record::encode_segments`],
-//! borrows them) and the encoder has one array arm. Its bytes are owned
-//! words, or a view into a shared receive buffer that
-//! [`Record::decode_leased`] makes of a payload of at least
-//! [`ZERO_COPY_MIN_BYTES`], so large payloads are never copied at decode
-//! time. The original per-element tags (5, 6, 9) still decode, through the
-//! same arms as the packed tags; `tests/wire_compat.rs` keeps a generator
-//! of such old streams to hold the decoder to that.
+//! borrows them) and the encoder has one array arm. Its bytes are held
+//! inline (a shape, an offset, a count), owned words, or a view into a
+//! shared receive buffer that [`Record::decode_leased`] makes of a payload
+//! of at least [`ZERO_COPY_MIN_BYTES`], so large payloads are never copied
+//! at decode time. Short strings are inline [`Name`]s the same way. The
+//! original per-element tags (5, 6, 9) still decode, through the same arms
+//! as the packed tags; `tests/wire_compat.rs` keeps a generator of such old
+//! streams to hold the decoder to that.
 
 use std::sync::Arc;
 
 use shm::Lease;
+
+use crate::{StackVec, FRAME_SLICES};
 
 const MAGIC: u32 = 0x4646_5331; // "FFS1"
 
@@ -166,33 +169,46 @@ impl PackedDtype {
 /// A typed array as its little-endian wire bytes: the one array a
 /// [`Record`] holds ([`FieldValue::Packed`]).
 ///
-/// The bytes lie in one of two stores. An **owned** store is 8-aligned
+/// The bytes lie in one of three stores. An **inline** store holds up to
+/// [`INLINE_WORDS`] words in place — every shape, offset and count of a
+/// 1-, 2- or 3-D block — so a short array is decoded, built from a slice
+/// and cloned without an allocation. An **owned** store is 8-aligned
 /// words: a `Vec<f64>`/`Vec<u64>`/`Vec<i64>` adopted without a copy
-/// (`From`) and given back the same way (`into_*_vec`), or a small array
+/// (`From`) and given back the same way (`into_*_vec`), or a longer array
 /// copied out of a frame. A **view** is a window into a shared buffer: a
 /// payload of at least [`ZERO_COPY_MIN_BYTES`] under
-/// [`Record::decode_leased`], an adopted `Vec<u8>`, or a slice the
+/// [`Record::decode_leased`], an adopted `Vec<u8>`, or a longer slice the
 /// `from_*s` constructors packed. Cloning a view bumps an `Arc`; the
 /// buffer goes home when the last view drops. The `as_*s` accessors
-/// borrow the elements where they lie (an owned store always can on a
-/// little-endian target, a view when it starts on an 8-byte boundary);
-/// the `to_*_vec` converters make the one bulk copy. Equality is by dtype
-/// and bytes, whatever the stores.
+/// borrow the elements where they lie (an inline or owned store always can
+/// on a little-endian target, a view when it starts on an 8-byte
+/// boundary); the `to_*_vec` converters make the one bulk copy. Equality is
+/// by dtype and bytes, whatever the stores.
 #[derive(Clone)]
 pub struct PackedArray {
     dtype: PackedDtype,
-    byte_len: usize,
     store: Store,
 }
 
+/// Arrays of at most this many words (`U8` arrays of at most eight times
+/// as many bytes) are held inline in their [`PackedArray`].
+pub const INLINE_WORDS: usize = 3;
+
 #[derive(Clone)]
 enum Store {
-    /// Words holding the little-endian bytes; a byte array's last word is
-    /// padded.
-    Owned(Vec<u64>),
-    /// A window at this offset into the shared buffer.
-    View(Arc<Lease>, usize),
+    /// The first `len` bytes of these words.
+    Inline { len: u8, words: [u64; INLINE_WORDS] },
+    /// Words holding the little-endian bytes; a byte array's last word
+    /// ends in `pad` bytes of padding.
+    Owned { pad: u8, words: Vec<u64> },
+    /// A window of `len` bytes at `offset` into the shared buffer.
+    View { buf: Arc<Lease>, offset: usize, len: usize },
 }
+
+// A record's field vector holds a name and a value per field: an inline
+// store must not grow either past the 64 bytes a field takes.
+const _: () = assert!(std::mem::size_of::<PackedArray>() == 40);
+const _: () = assert!(std::mem::size_of::<FieldValue>() == 40);
 
 /// Reinterpret a vector of one 8-byte element type as another, in place.
 ///
@@ -223,18 +239,35 @@ impl PackedArray {
     pub fn view(dtype: PackedDtype, buf: Arc<Lease>, offset: usize, byte_len: usize) -> Self {
         assert!(offset + byte_len <= buf.len(), "packed view out of bounds");
         assert_eq!(byte_len % dtype.elem_bytes(), 0, "packed view splits an element");
-        PackedArray { dtype, byte_len, store: Store::View(buf, offset) }
+        PackedArray { dtype, store: Store::View { buf, offset, len: byte_len } }
     }
 
-    /// An owned array holding a copy of the little-endian run `bytes`.
+    /// A copy of the little-endian run `bytes`: inline when it fits, owned
+    /// words otherwise.
     fn copied(dtype: PackedDtype, bytes: &[u8]) -> Self {
-        let mut words = vec![0u64; bytes.len().div_ceil(8)];
-        // SAFETY: the words hold at least `bytes.len()` bytes, any of which
-        // make a valid `u64`, and a fresh vector overlaps nothing.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), words.as_mut_ptr().cast(), bytes.len())
+        fn fill(words: &mut [u64], bytes: &[u8]) {
+            assert!(bytes.len() <= words.len() * 8, "words too short for the bytes");
+            // SAFETY: the words hold at least `bytes.len()` bytes (checked
+            // above), any of which make a valid `u64`, and fresh words
+            // overlap nothing.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    bytes.as_ptr(),
+                    words.as_mut_ptr().cast(),
+                    bytes.len(),
+                )
+            }
         }
-        PackedArray { dtype, byte_len: bytes.len(), store: Store::Owned(words) }
+        let store = if bytes.len() <= INLINE_WORDS * 8 {
+            let mut words = [0u64; INLINE_WORDS];
+            fill(&mut words, bytes);
+            Store::Inline { len: bytes.len() as u8, words }
+        } else {
+            let mut words = vec![0u64; bytes.len().div_ceil(8)];
+            fill(&mut words, bytes);
+            Store::Owned { pad: (words.len() * 8 - bytes.len()) as u8, words }
+        };
+        PackedArray { dtype, store }
     }
 
     /// Element type.
@@ -244,30 +277,41 @@ impl PackedArray {
 
     /// Number of elements.
     pub fn elem_count(&self) -> usize {
-        self.byte_len / self.dtype.elem_bytes()
+        self.byte_len() / self.dtype.elem_bytes()
     }
 
     /// Length of the payload in bytes.
     pub fn byte_len(&self) -> usize {
-        self.byte_len
+        match &self.store {
+            Store::Inline { len, .. } => usize::from(*len),
+            Store::Owned { pad, words } => words.len() * 8 - usize::from(*pad),
+            Store::View { len, .. } => *len,
+        }
     }
 
     /// The raw little-endian wire bytes of the payload.
     pub fn bytes(&self) -> &[u8] {
-        match &self.store {
-            // SAFETY: the words hold at least `byte_len` bytes; `u64` has
-            // no padding and `u8` alignment 1.
-            Store::Owned(words) => unsafe {
-                std::slice::from_raw_parts(words.as_ptr().cast(), self.byte_len)
-            },
-            Store::View(buf, offset) => &buf[*offset..*offset + self.byte_len],
-        }
+        let words = match &self.store {
+            Store::Inline { words, .. } => &words[..],
+            Store::Owned { words, .. } => &words[..],
+            Store::View { buf, offset, len } => return &buf[*offset..*offset + *len],
+        };
+        // SAFETY: the words hold at least `byte_len` bytes (only this
+        // module builds a store: an inline `len` is at most its words'
+        // bytes, an owned `pad` less than one word); `u64` has no padding
+        // and `u8` alignment 1.
+        unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), self.byte_len()) }
     }
 
     /// Whether the bytes are a window into a shared buffer rather than
-    /// words the array owns.
+    /// words the array holds.
     pub fn is_view(&self) -> bool {
-        matches!(self.store, Store::View(..))
+        matches!(self.store, Store::View { .. })
+    }
+
+    /// Whether the bytes are held inline (see [`INLINE_WORDS`]).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.store, Store::Inline { .. })
     }
 
     /// Whether the `as_*s` accessors can borrow the elements where they
@@ -280,11 +324,15 @@ impl PackedArray {
 /// The constructors, accessors and converters of one 8-byte element type.
 macro_rules! words {
     ($ty:ty, $dtype:ident, $from_s:ident, $as_s:ident, $to_vec:ident, $into_vec:ident,
-     $at:ident, $le_bytes:path, $le_as:path) => {
+     $at:ident, $le_bytes:path, $le_as:path, $copy_into:path) => {
         impl PackedArray {
-            /// Pack a slice into a view of a buffer of its own (one bulk
-            /// copy); its clones share that buffer.
+            /// Pack a slice: inline when it is at most [`INLINE_WORDS`]
+            /// long, else into a view of a buffer of its own (one bulk
+            /// copy) that its clones share.
             pub fn $from_s(v: &[$ty]) -> Self {
+                if v.len() <= INLINE_WORDS {
+                    return Self::copied(PackedDtype::$dtype, &$le_bytes(v));
+                }
                 PackedArray { dtype: PackedDtype::$dtype, ..$le_bytes(v).into_owned().into() }
             }
 
@@ -298,17 +346,20 @@ macro_rules! words {
             /// Copy into owned elements (one bulk copy). Panics on another
             /// dtype.
             pub fn $to_vec(&self) -> Vec<$ty> {
-                Self::copied(self.dtype, self.bytes()).$into_vec()
+                assert_eq!(self.dtype, PackedDtype::$dtype, "packed array of another dtype");
+                let mut out = vec![0 as $ty; self.elem_count()];
+                $copy_into(self.bytes(), &mut out);
+                out
             }
 
             /// The elements as a vector: an owned store's words given back
-            /// without a copy, a view's bytes copied. Panics on another
-            /// dtype.
+            /// without a copy, an inline store's or a view's bytes copied.
+            /// Panics on another dtype.
             pub fn $into_vec(self) -> Vec<$ty> {
                 assert_eq!(self.dtype, PackedDtype::$dtype, "packed array of another dtype");
                 let mut words = match self.store {
-                    Store::Owned(words) => words,
-                    Store::View(..) => return self.$to_vec(),
+                    Store::Owned { words, .. } => words,
+                    Store::Inline { .. } | Store::View { .. } => return self.$to_vec(),
                 };
                 swap_le(&mut words);
                 // SAFETY: an 8-byte element type, see `recast`.
@@ -329,24 +380,36 @@ macro_rules! words {
                 // SAFETY: an 8-byte element type, see `recast`.
                 let mut words: Vec<u64> = unsafe { recast(v) };
                 swap_le(&mut words);
-                let byte_len = words.len() * 8;
-                PackedArray { dtype: PackedDtype::$dtype, byte_len, store: Store::Owned(words) }
+                PackedArray { dtype: PackedDtype::$dtype, store: Store::Owned { pad: 0, words } }
             }
         }
     };
 }
 
 use le::{
-    bytes_as_f64s, bytes_as_i64s, bytes_as_u64s, f64s_as_bytes, i64s_as_bytes, u64s_as_bytes,
+    bytes_as_f64s, bytes_as_i64s, bytes_as_u64s, copy_bytes_into_f64s, copy_bytes_into_i64s,
+    copy_bytes_into_u64s, f64s_as_bytes, i64s_as_bytes, u64s_as_bytes,
 };
 words! {
-    f64, F64, from_f64s, as_f64s, to_f64_vec, into_f64_vec, f64_at, f64s_as_bytes, bytes_as_f64s
+    f64, F64, from_f64s, as_f64s, to_f64_vec, into_f64_vec, f64_at, f64s_as_bytes, bytes_as_f64s,
+    copy_bytes_into_f64s
 }
 words! {
-    u64, U64, from_u64s, as_u64s, to_u64_vec, into_u64_vec, u64_at, u64s_as_bytes, bytes_as_u64s
+    u64, U64, from_u64s, as_u64s, to_u64_vec, into_u64_vec, u64_at, u64s_as_bytes, bytes_as_u64s,
+    copy_bytes_into_u64s
 }
 words! {
-    i64, I64, from_i64s, as_i64s, to_i64_vec, into_i64_vec, i64_at, i64s_as_bytes, bytes_as_i64s
+    i64, I64, from_i64s, as_i64s, to_i64_vec, into_i64_vec, i64_at, i64s_as_bytes, bytes_as_i64s,
+    copy_bytes_into_i64s
+}
+
+/// An array field holding a copy of the slice (inline when short, see
+/// [`PackedArray::from_u64s`]): how a shape, offset or count goes into a
+/// record without an allocation.
+impl From<&[u64]> for FieldValue {
+    fn from(v: &[u64]) -> Self {
+        FieldValue::Packed(PackedArray::from_u64s(v))
+    }
 }
 
 /// Adopt a byte vector as the buffer of a view, without a copy.
@@ -369,7 +432,11 @@ where
 
 impl std::fmt::Debug for PackedArray {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let store = if self.is_view() { "view" } else { "owned" };
+        let store = match self.store {
+            Store::Inline { .. } => "inline",
+            Store::Owned { .. } => "owned",
+            Store::View { .. } => "view",
+        };
         write!(f, "PackedArray({:?} x {}, {store})", self.dtype, self.elem_count())
     }
 }
@@ -389,8 +456,8 @@ pub enum FieldValue {
     U64(u64),
     /// IEEE-754 double.
     F64(f64),
-    /// UTF-8 string.
-    Str(String),
+    /// UTF-8 string, inline when short (see [`Name`]).
+    Str(Name),
     /// Nested record.
     Record(Record),
     /// An array of any element type (see [`PackedArray`]).
@@ -473,9 +540,12 @@ impl<'a> EncodedRecord<'a> {
         &self.segments
     }
 
-    /// Segment byte slices in wire order (the shape vectored sends take).
-    pub fn as_slices(&self) -> Vec<&[u8]> {
-        self.segments.iter().map(|s| s.as_slice()).collect()
+    /// Segment byte slices in wire order (the shape vectored sends take),
+    /// on the stack for the usual handful of segments.
+    pub fn as_slices(&self) -> StackVec<&[u8], FRAME_SLICES> {
+        let mut slices = StackVec::new(&[][..]);
+        self.segments.iter().for_each(|s| slices.push(s.as_slice()));
+        slices
     }
 
     /// Total encoded length.
@@ -544,15 +614,19 @@ impl<'a> Sink<'a> for SegWriter<'a> {
     }
 }
 
-/// Field names of up to this many bytes are held in the record's field
-/// vector itself (the 24 bytes a `String` header takes); longer ones go
-/// on the heap.
-const INLINE_NAME: usize = 22;
+/// Text of up to this many bytes is held in a [`Name`] itself (the 24
+/// bytes a `String` header takes); longer text goes on the heap.
+pub const INLINE_NAME: usize = 22;
 
-/// A field name: inline when short (every name the step protocol uses),
-/// boxed otherwise.
+/// Short text: a field name, a string field's value, a variable name. Held
+/// inline when it is at most [`INLINE_NAME`] bytes (every name and message
+/// kind the step protocol uses), boxed otherwise; either way it reads as a
+/// `&str`, and compares, orders and hashes as one.
 #[derive(Clone)]
-enum Name {
+pub struct Name(NameRepr);
+
+#[derive(Clone)]
+enum NameRepr {
     Inline { len: u8, bytes: [u8; INLINE_NAME] },
     Heap(Box<str>),
 }
@@ -560,23 +634,58 @@ enum Name {
 const _: () = assert!(std::mem::size_of::<Name>() == std::mem::size_of::<String>());
 
 impl Name {
-    fn new(s: &str) -> Name {
+    /// The text, inline when it fits.
+    pub fn new(s: &str) -> Name {
         if s.len() > INLINE_NAME {
-            return Name::Heap(s.into());
+            return Name(NameRepr::Heap(s.into()));
         }
         let mut bytes = [0; INLINE_NAME];
         bytes[..s.len()].copy_from_slice(s.as_bytes());
-        Name::Inline { len: s.len() as u8, bytes }
+        Name(NameRepr::Inline { len: s.len() as u8, bytes })
     }
 
-    fn as_str(&self) -> &str {
-        match self {
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
             // SAFETY: the bytes were copied whole from a `&str` in `new`,
             // so they are valid UTF-8.
-            Name::Inline { len, bytes } => unsafe {
+            NameRepr::Inline { len, bytes } => unsafe {
                 std::str::from_utf8_unchecked(&bytes[..usize::from(*len)])
             },
-            Name::Heap(s) => s,
+            NameRepr::Heap(s) => s,
+        }
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Name {
+        Name::new(s)
+    }
+}
+
+/// Long text keeps the string's buffer; short text moves inline.
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        if s.len() > INLINE_NAME {
+            return Name(NameRepr::Heap(s.into_boxed_str()));
+        }
+        Name::new(&s)
+    }
+}
+
+impl From<Name> for String {
+    fn from(n: Name) -> String {
+        match n.0 {
+            NameRepr::Heap(s) => s.into_string(),
+            NameRepr::Inline { .. } => n.as_str().to_string(),
         }
     }
 }
@@ -584,6 +693,32 @@ impl Name {
 impl PartialEq for Name {
     fn eq(&self, other: &Name) -> bool {
         self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Name) -> std::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl std::hash::Hash for Name {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
     }
 }
 
@@ -691,15 +826,16 @@ impl Record {
     }
 
     /// Remove a string field and return it; a field of another type stays.
-    pub fn take_str(&mut self, name: &str) -> Option<String> {
+    pub fn take_str(&mut self, name: &str) -> Option<Name> {
         match self.take_matching(name, |v| matches!(v, FieldValue::Str(_)))? {
             FieldValue::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    /// Remove a `u64` array field and return it, owned or view (an owned
-    /// store is given back without a copy); a field of another type stays.
+    /// Remove a `u64` array field and return it, whatever its store (an
+    /// owned store is given back without a copy); a field of another type
+    /// stays.
     pub fn take_u64_array(&mut self, name: &str) -> Option<Vec<u64>> {
         let is_u64s =
             |v: &FieldValue| matches!(v, FieldValue::Packed(p) if p.dtype() == PackedDtype::U64);
@@ -763,7 +899,7 @@ impl Record {
     /// Typed accessor: string slice.
     pub fn get_str(&self, name: &str) -> Option<&str> {
         match self.get(name)? {
-            FieldValue::Str(s) => Some(s),
+            FieldValue::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -792,7 +928,7 @@ impl Record {
         }
     }
 
-    /// Typed accessor: an array of any element type, owned or view.
+    /// Typed accessor: an array of any element type, in any store.
     pub fn get_packed(&self, name: &str) -> Option<&PackedArray> {
         match self.get(name)? {
             FieldValue::Packed(p) => Some(p),
@@ -859,12 +995,31 @@ impl Record {
     /// copy happens here. The lease lives as long as any such view does; a
     /// record without one releases it on return.
     pub fn decode_leased(buf: Lease) -> Result<Record, DecodeError> {
+        if buf.len() < ZERO_COPY_MIN_BYTES {
+            // Too short to hold a view-sized payload: nothing to share.
+            return Record::decode(&buf);
+        }
         let buf = Arc::new(buf);
         let mut cursor = Cursor { bytes: &buf, pos: 0 };
         if cursor.u32()? != MAGIC {
             return Err(DecodeError::BadMagic);
         }
         decode_body(&mut cursor, Some(&buf), 0)
+    }
+
+    /// The value of an encoded record's first field, when that field is the
+    /// string `name`; `None` for any other bytes. How a message's kind is
+    /// read off its frame without decoding the rest of it.
+    pub fn peek_str<'a>(bytes: &'a [u8], name: &str) -> Option<&'a str> {
+        let mut cursor = Cursor { bytes, pos: 0 };
+        if cursor.u32().ok()? != MAGIC || cursor.u32().ok()? == 0 {
+            return None;
+        }
+        let name_len = usize::from(cursor.u16().ok()?);
+        if cursor.take(name_len).ok()? != name.as_bytes() || cursor.u8().ok()? != TAG_STR {
+            return None;
+        }
+        std::str::from_utf8(cursor.array_bytes(1).ok()?.0).ok()
     }
 
     /// [`Record::decode_leased`] on a buffer the caller keeps a handle to:
@@ -1017,9 +1172,9 @@ fn decode_value(
         TAG_F64 => FieldValue::F64(f64::from_le_bytes(cursor.take(8)?.try_into().unwrap())),
         TAG_STR => {
             let (bytes, _) = cursor.array_bytes(1)?;
-            FieldValue::Str(
-                std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)?.to_string(),
-            )
+            FieldValue::Str(Name::new(
+                std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)?,
+            ))
         }
         // Legacy per-element tags and packed tags share a byte-identical
         // payload layout; both decode through the bulk path.
@@ -1252,7 +1407,73 @@ mod tests {
         assert_eq!(outcome, (Some(DecodeError::TooDeep), Some(DecodeError::TooDeep)));
     }
 
+    /// `bytes` as a view at an odd offset into a buffer of their own.
+    fn viewed(dtype: PackedDtype, bytes: &[u8]) -> PackedArray {
+        let buf: Vec<u8> = [&[0xa5][..], bytes].concat();
+        PackedArray::view(dtype, Arc::new(buf.into()), 1, bytes.len())
+    }
+
+    #[test]
+    fn short_arrays_decode_inline_and_a_frame_kind_is_peeked() {
+        let r = Record::new()
+            .with("type", FieldValue::Str("writer_info".into()))
+            .with("shape", FieldValue::from(&[64u64, 64, 64][..]));
+        let bytes = r.encode();
+        let d = Record::decode(&bytes).unwrap();
+        assert!(d.get_packed("shape").is_some_and(PackedArray::is_inline));
+        assert_eq!(Record::peek_str(&bytes, "type"), Some("writer_info"));
+        assert_eq!(Record::peek_str(&bytes, "shape"), None, "only the first field is read");
+        assert_eq!(Record::peek_str(&bytes[..bytes.len() / 2], "type"), Some("writer_info"));
+        assert_eq!(Record::peek_str(&bytes[..12], "type"), None);
+    }
+
     proptest! {
+        /// Every dtype's arrays of up to `INLINE_WORDS` words (byte arrays
+        /// of up to eight times as many bytes) decode into the inline store
+        /// bit-exact, and a record holding them is equal to, and encodes
+        /// byte for byte as, the same record over owned words or views.
+        #[test]
+        fn short_arrays_round_trip_inline_and_equal_every_store(
+            words in proptest::collection::vec(any::<u64>(), 0..=INLINE_WORDS),
+            bytes in proptest::collection::vec(any::<u8>(), 0..=INLINE_WORDS * 8),
+        ) {
+            let f64s: Vec<f64> = words.iter().map(|w| f64::from_bits(*w)).collect();
+            let i64s: Vec<i64> = words.iter().map(|w| *w as i64).collect();
+            let raw = u64s_as_bytes(&words).into_owned();
+            let arrays: [(PackedDtype, PackedArray, PackedArray); 3] = [
+                (PackedDtype::U64, PackedArray::from_u64s(&words), words.clone().into()),
+                (PackedDtype::F64, PackedArray::from_f64s(&f64s), f64s.clone().into()),
+                (PackedDtype::I64, PackedArray::from_i64s(&i64s), i64s.clone().into()),
+            ];
+            let mut inline = Record::new();
+            let mut owned = Record::new();
+            let mut views = Record::new();
+            for (dtype, short, adopted) in arrays {
+                prop_assert!(short.is_inline() && !adopted.is_inline());
+                prop_assert_eq!(short.bytes(), &raw[..]);
+                let name = format!("{dtype:?}");
+                inline.set(&name, FieldValue::Packed(short));
+                owned.set(&name, FieldValue::Packed(adopted));
+                views.set(&name, FieldValue::Packed(viewed(dtype, &raw)));
+            }
+            owned.set("U8", FieldValue::from(bytes.clone()));
+            views.set("U8", FieldValue::Packed(viewed(PackedDtype::U8, &bytes)));
+            let wire = owned.encode();
+            inline = Record::decode(&wire).unwrap();
+            for (_, v) in inline.iter() {
+                prop_assert!(matches!(v, FieldValue::Packed(p) if p.is_inline()));
+            }
+            prop_assert_eq!(inline.get_bytes("U8"), Some(&bytes[..]));
+            prop_assert_eq!(inline.get_u64_array("U64"), Some(&words[..]));
+            let f64_bits = inline.get_f64_array("F64").unwrap().iter().map(|x| x.to_bits());
+            prop_assert_eq!(f64_bits.collect::<Vec<_>>(), words.clone());
+            prop_assert_eq!(inline.get_packed("I64").unwrap().to_i64_vec(), i64s);
+            prop_assert!(inline == owned && owned == views && views == inline);
+            prop_assert_eq!(&views.encode(), &wire);
+            prop_assert_eq!(&inline.encode_segments().to_vec(), &wire);
+            prop_assert_eq!(&Record::decode_shared(&Arc::new(wire.clone())).unwrap(), &owned);
+        }
+
         #[test]
         fn roundtrip_random_scalars(
             step in any::<u64>(),
@@ -1263,7 +1484,7 @@ mod tests {
             let r = Record::new()
                 .with("step", FieldValue::U64(step))
                 .with("x", FieldValue::F64(x))
-                .with("s", FieldValue::Str(s.clone()))
+                .with("s", FieldValue::Str(s.as_str().into()))
                 .with("arr", FieldValue::from(arr.clone()));
             let d = Record::decode(&r.encode()).unwrap();
             prop_assert_eq!(d.get_u64("step"), Some(step));

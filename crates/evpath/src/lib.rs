@@ -32,7 +32,7 @@ pub mod transport;
 
 pub use fault::{FaultCounters, FaultPlan, FaultSnapshot, FaultSpec};
 pub use ffs::{
-    DecodeError, EncSegment, EncodedRecord, FieldValue, PackedArray, PackedDtype, Record,
+    DecodeError, EncSegment, EncodedRecord, FieldValue, Name, PackedArray, PackedDtype, Record,
     ZERO_COPY_MIN_BYTES,
 };
 pub use shm::Lease;
@@ -57,6 +57,61 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 #[inline]
 pub fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// How many slices of one frame a [`StackVec`] holds on the stack in the
+/// send paths: a message's segments, a frame header and a sequence header.
+pub const FRAME_SLICES: usize = 8;
+
+/// Up to `N` items on the stack and the rest on the heap: the handful of
+/// slices one frame is sent as, gathered without an allocation per frame.
+pub struct StackVec<T: Copy, const N: usize> {
+    len: usize,
+    inline: [T; N],
+    spilled: Vec<T>,
+}
+
+impl<T: Copy, const N: usize> StackVec<T, N> {
+    /// Empty; `fill` stands in the unused stack slots.
+    pub fn new(fill: T) -> Self {
+        StackVec { len: 0, inline: [fill; N], spilled: Vec::new() }
+    }
+
+    /// Append an item, moving every item to the heap when the stack
+    /// slots run out.
+    pub fn push(&mut self, item: T) {
+        if self.spilled.is_empty() && self.len < N {
+            self.inline[self.len] = item;
+            self.len += 1;
+            return;
+        }
+        if self.spilled.is_empty() {
+            self.spilled.extend_from_slice(&self.inline[..self.len]);
+        }
+        self.spilled.push(item);
+    }
+}
+
+impl<T: Copy, const N: usize> std::ops::Deref for StackVec<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        if self.spilled.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spilled
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> std::ops::DerefMut for StackVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        if self.spilled.is_empty() {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spilled
+        }
+    }
 }
 
 /// Declare a block of relaxed `AtomicU64` counters and its plain-number
@@ -93,6 +148,18 @@ macro_rules! counters {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_stack_vec_spills_to_the_heap_in_order() {
+        let mut v: StackVec<u32, 2> = StackVec::new(0);
+        assert!(v.is_empty());
+        for i in 1..=5 {
+            v.push(i);
+            assert_eq!(&v[..], &(1..=i).collect::<Vec<_>>()[..]);
+        }
+        v[4] = 9;
+        assert_eq!(&v[..], [1, 2, 3, 4, 9]);
+    }
 
     #[test]
     fn fnv1a64_known_answers() {

@@ -50,6 +50,7 @@ use std::time::Duration;
 use shm::{BufferPool, Lease, PoolBuffer};
 
 use crate::transport::{BoxedReceiver, BoxedSender, EvReceiver, EvSender, RecvPoll};
+use crate::{StackVec, FRAME_SLICES};
 
 // ------------------------------------------------------------- framing
 
@@ -84,10 +85,10 @@ fn write_frame_to<W: Write>(w: &mut W, segments: &[&[u8]]) -> io::Result<()> {
         io::Error::new(io::ErrorKind::InvalidInput, "frame longer than the 32-bit length field")
     })?;
     let header = encode_frame_header(len);
-    let mut slices = Vec::with_capacity(segments.len() + 1);
+    let mut slices: StackVec<IoSlice, FRAME_SLICES> = StackVec::new(IoSlice::new(&[]));
     slices.push(IoSlice::new(&header));
     // An all-empty slice list would read back as `Ok(0)`: leave them out.
-    slices.extend(segments.iter().filter(|s| !s.is_empty()).map(|s| IoSlice::new(s)));
+    segments.iter().filter(|s| !s.is_empty()).for_each(|s| slices.push(IoSlice::new(s)));
     let mut rest = &mut slices[..];
     while !rest.is_empty() {
         match w.write_vectored(rest) {

@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use evpath::{inproc_pair, BoxedReceiver, BoxedSender, NetTransport, Record, ShmTransport};
+use evpath::{inproc_pair, BoxedReceiver, BoxedSender, Lease, NetTransport, Record, ShmTransport};
 use machine::CoreLocation;
 use netsim::NetSim;
 
@@ -330,13 +330,21 @@ pub async fn recv_record_rt(
     hints: &StreamHints,
     counters: &ProtocolCounters,
 ) -> Result<Record, StreamError> {
+    // Decoded against the receive buffer itself (on shm, the pool slot):
+    // large array payloads come back as zero-copy views that keep the
+    // frame leased for as long as they live.
+    let frame = recv_frame_rt(rx, hints, counters).await?;
+    Record::decode_leased(frame).map_err(|e| StreamError::Corrupt(e.to_string()))
+}
+
+/// [`recv_record_rt`]'s receive, the frame left undecoded.
+pub(crate) async fn recv_frame_rt(
+    rx: &mut BoxedReceiver,
+    hints: &StreamHints,
+    counters: &ProtocolCounters,
+) -> Result<Lease, StreamError> {
     let probe = |rx: &mut BoxedReceiver| match rx.poll_lease() {
-        // Decoded against the receive buffer itself (on shm, the pool
-        // slot): large array payloads come back as zero-copy views that
-        // keep `bytes` leased for as long as they live.
-        evpath::RecvPoll::Msg(bytes) => {
-            Some(Record::decode_leased(bytes).map_err(|e| StreamError::Corrupt(e.to_string())))
-        }
+        evpath::RecvPoll::Msg(frame) => Some(Ok(frame)),
         evpath::RecvPoll::Corrupt(reason) => {
             // A consumed-but-invalid frame is a definite event, not a
             // reason to retry until the budget runs out.

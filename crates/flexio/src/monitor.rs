@@ -167,7 +167,7 @@ impl PerfMonitor {
             .iter()
             .map(|s| {
                 Record::new()
-                    .with("event", FieldValue::Str(s.event.name().to_string()))
+                    .with("event", FieldValue::Str(s.event.name().into()))
                     .with("step", FieldValue::U64(s.step))
                     .with("rank", FieldValue::U64(s.rank as u64))
                     .with("bytes", FieldValue::U64(s.bytes))

@@ -49,12 +49,12 @@ impl PluginSpec {
     /// column `var`.
     pub fn to_record(&self) -> Record {
         let (field, body) = match &self.source {
-            PluginBody::Codelet(source) => ("source", FieldValue::Str(source.clone())),
+            PluginBody::Codelet(source) => ("source", FieldValue::Str(source.as_str().into())),
             PluginBody::Filter(expr) => {
                 ("filter", FieldValue::from(expr.to_postfix(std::slice::from_ref(&self.var))))
             }
         };
-        Record::new().with("var", FieldValue::Str(self.var.clone())).with(field, body).with(
+        Record::new().with("var", FieldValue::Str(self.var.as_str().into())).with(field, body).with(
             "placement",
             FieldValue::U64(match self.placement {
                 PluginPlacement::WriterSide => 0,
@@ -218,7 +218,7 @@ impl InstalledPlugin {
                 FieldValue::I64(v) => VarValue::Scalar(ScalarValue::I64(*v)),
                 FieldValue::U64(v) => VarValue::Scalar(ScalarValue::U64(*v)),
                 FieldValue::F64(v) => VarValue::Scalar(ScalarValue::F64(*v)),
-                FieldValue::Str(s) => VarValue::Scalar(ScalarValue::Str(s.clone())),
+                FieldValue::Str(s) => VarValue::Scalar(ScalarValue::Str(s.to_string())),
                 _ => continue,
             };
             if name == self.spec.var {

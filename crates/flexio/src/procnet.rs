@@ -175,7 +175,7 @@ const REGISTER_BUDGET: Duration = Duration::from_secs(5);
 
 /// Attach a contact to a `dreg` request or a `dhit` reply.
 fn with_contact(msg: Record, contact: &WireContact) -> Record {
-    msg.with("addr", FieldValue::Str(contact.addr.clone()))
+    msg.with("addr", FieldValue::Str(contact.addr.as_str().into()))
         .with("meta", FieldValue::from(contact.meta.clone()))
 }
 
@@ -222,7 +222,7 @@ impl RemoteDirectory {
     /// gossip replicates it to the rest). A live name is replaced: a
     /// restarted rank re-registers the name its dead incarnation left.
     pub fn register(&self, name: &str, contact: &WireContact) -> Result<(), DirectoryError> {
-        let req = protocol::message("dreg").with("name", FieldValue::Str(name.to_string()));
+        let req = protocol::message("dreg").with("name", FieldValue::Str(name.into()));
         match self.request_until(&with_contact(req, contact), "dok", REGISTER_BUDGET) {
             Some(_) => Ok(()),
             None => Err(DirectoryError::Unavailable(format!(
@@ -234,7 +234,7 @@ impl RemoteDirectory {
     /// Look `name` up, polling every node until `timeout` — the name may
     /// belong to a process that has not finished registering yet.
     pub fn lookup(&self, name: &str, timeout: Duration) -> Result<WireContact, DirectoryError> {
-        let req = protocol::message("dlkp").with("name", FieldValue::Str(name.to_string()));
+        let req = protocol::message("dlkp").with("name", FieldValue::Str(name.into()));
         self.request_until(&req, "dhit", timeout)
             .and_then(|hit| contact_of(&hit))
             .ok_or_else(|| DirectoryError::LookupTimeout(name.to_string()))
@@ -246,7 +246,7 @@ impl RemoteDirectory {
 /// `peers[i]` is the address of the node bound with id `i`; the node's
 /// own address may be among them.
 pub fn send_peer_list(node_addr: &str, peers: &[String]) -> io::Result<()> {
-    let req = protocol::message("dpeers").with("addrs", FieldValue::Str(peers.join(",")));
+    let req = protocol::message("dpeers").with("addrs", FieldValue::Str(peers.join(",").into()));
     RemoteDirectory::request_once(node_addr, &req).map(|_| ())
 }
 

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use adios::VarValue;
-use evpath::{FieldValue, Record};
+use evpath::{FieldValue, Name, Record};
 
 use crate::context::StreamError;
 use crate::plugins::PluginSpec;
@@ -195,12 +195,19 @@ const MESSAGE_FIELDS: usize = 6;
 
 /// Build a typed message skeleton.
 pub fn message(kind: &str) -> Record {
-    Record::with_capacity(MESSAGE_FIELDS).with("type", FieldValue::Str(kind.to_string()))
+    Record::with_capacity(MESSAGE_FIELDS).with("type", FieldValue::Str(kind.into()))
 }
 
 /// Read the message type tag.
 pub fn kind_of(r: &Record) -> &str {
     r.get_str("type").unwrap_or("")
+}
+
+/// Read the message type tag off an encoded frame without decoding the
+/// rest: every message starts from [`message`], which puts the tag first.
+/// `None` for bytes that do not start that way.
+pub fn frame_kind(frame: &[u8]) -> Option<&str> {
+    Record::peek_str(frame, "type")
 }
 
 fn corrupt(what: &str) -> StreamError {
@@ -411,12 +418,12 @@ pub fn chunk(
 ) -> Record {
     let mut r = stepped(msg::CHUNK, step)
         .with("w", FieldValue::U64(w as u64))
-        .with("var", FieldValue::Str(var.to_string()))
+        .with("var", FieldValue::Str(var.into()))
         .with("body", FieldValue::Record(body));
     if !extras.is_empty() {
         let mut er = Record::new();
         put_list(&mut er, "n", ["name", "val"], extras.iter(), |(name, v)| {
-            [FieldValue::Str(name.clone()), FieldValue::Record(v.to_record())]
+            [FieldValue::Str(name.as_str().into()), FieldValue::Record(v.to_record())]
         });
         r.set("extras", FieldValue::Record(er));
     }
@@ -431,11 +438,11 @@ pub struct Chunk {
     /// Writer rank that sent it.
     pub w: usize,
     /// Variable name.
-    pub var: String,
+    pub var: Name,
     /// The payload.
     pub value: VarValue,
     /// Plug-in extras `(name, value)`.
-    pub extras: Vec<(String, VarValue)>,
+    pub extras: Vec<(Name, VarValue)>,
 }
 
 /// Parse a [`chunk`] (a message of its own, or one element of a batch).
@@ -781,6 +788,28 @@ mod tests {
             ("views as segments", viewed.encode_segments().to_vec()),
         ] {
             assert_eq!(evpath::fnv1a64(evpath::FNV_OFFSET, &bytes), frozen, "{how}");
+        }
+    }
+
+    /// A coordinator whose exchange did not change re-sends the frame it
+    /// built when it last did, and the peer keeps what it parsed from it.
+    /// That frame, a fresh build and a build from the parsed values all
+    /// hash as recorded.
+    #[test]
+    fn a_resent_exchange_frame_hashes_as_a_fresh_build() {
+        let (dists, sels, _, _) = fixtures();
+        let frozen = |kind| FROZEN.iter().find(|(name, _)| *name == kind).unwrap().1;
+        let fnv = |bytes: &[u8]| evpath::fnv1a64(evpath::FNV_OFFSET, bytes);
+        let cached = writer_info(&dists).encode();
+        let parsed = parse_writer_info(Record::decode(&cached).unwrap()).unwrap();
+        for bytes in [&cached, &writer_info(&dists).encode(), &writer_info(&parsed).encode()] {
+            assert_eq!(fnv(bytes), frozen("writer_info"));
+        }
+        let cached = reader_info(&sels, None).encode();
+        let (parsed, _) = parse_reader_info(Record::decode(&cached).unwrap()).unwrap();
+        let rebuilt = [reader_info(&sels, None).encode(), reader_info(&parsed, None).encode()];
+        for bytes in [&cached, &rebuilt[0], &rebuilt[1]] {
+            assert_eq!(fnv(bytes), frozen("reader_info"));
         }
     }
 

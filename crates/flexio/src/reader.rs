@@ -28,6 +28,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use adios::{ReadEngine, Selection, StepStatus, VarValue};
+use evpath::Name;
 
 use crate::context::StreamError;
 use crate::hints::StreamHints;
@@ -35,14 +36,22 @@ use crate::link::LinkState;
 use crate::monitor::MonitorEvent;
 use crate::plugins::{install_all, InstalledPlugin, PluginSpec};
 use crate::protocol::{self, msg, CachingLevel, Chunk, Go, WriteMode};
-use crate::redistribute::{self, ChunkPlan, Subscription};
-use crate::side::{Program, ProgramSide};
+use crate::redistribute::{self, ChunkPlan, Subscription, VarMeta};
+use crate::side::{FrameMemo, Program, ProgramSide};
 
 /// What the reader coordinator remembers between steps (empty on any
 /// other rank).
 #[derive(Default)]
 struct ReaderCoord {
     cached_sels: Vec<Vec<Subscription>>,
+    /// Per rank, the frame of the last `subs` parsed from it.
+    subs_in: Vec<FrameMemo>,
+    /// The frame of the last `writer_info` parsed, and its distributions.
+    writer_info_in: FrameMemo,
+    writer_dists: Vec<Vec<VarMeta>>,
+    /// The plan last drawn from `writer_dists` and `cached_sels`: chunks
+    /// per writer rank per reader rank.
+    plan: Vec<Vec<Vec<ChunkPlan>>>,
     /// Full plug-in registry; reader-side specs are also distributed to
     /// reader ranks, writer-side specs shipped across.
     all_plugins: Vec<PluginSpec>,
@@ -55,6 +64,9 @@ pub struct StreamReader {
     nranks: usize,
     hints: StreamHints,
     subscriptions: Vec<Subscription>,
+    /// The frame of the last `subs` (a rank) or `reader_info` (the
+    /// coordinator) sent, re-sent as it is while the selections stand.
+    sent: Option<Vec<u8>>,
     plugins_dirty: bool,
     installed: HashMap<String, InstalledPlugin>,
     /// Local fallback copies of *writer-side* plug-ins: applied only to
@@ -73,11 +85,11 @@ pub struct StreamReader {
     current_step: Option<u64>,
     /// The current step's values per `(writer, var)`, in arrival order;
     /// ordered by writer, so a read takes the lowest writer's first.
-    store: BTreeMap<(usize, String), Vec<VarValue>>,
+    store: BTreeMap<(usize, Name), Vec<VarValue>>,
     /// `(writer, var)` chunks of the current step that arrived already
     /// conditioned (the `dc_applied` marker was stamped upstream), i.e.
     /// the writer-side plug-in really ran before the transport.
-    wire_conditioned: HashSet<(usize, String)>,
+    wire_conditioned: HashSet<(usize, Name)>,
     eos: bool,
     /// Elastic membership (coordinator only): the roster whose desired
     /// member count gets announced inside each `go` broadcast.
@@ -97,7 +109,11 @@ impl StreamReader {
         nranks: usize,
         hints: StreamHints,
     ) -> StreamReader {
-        let coord = ReaderCoord { cached_sels: vec![Vec::new(); nranks], ..Default::default() };
+        let coord = ReaderCoord {
+            cached_sels: vec![Vec::new(); nranks],
+            subs_in: (0..nranks).map(|_| FrameMemo::default()).collect(),
+            ..Default::default()
+        };
         let side =
             ProgramSide::new(Arc::clone(&link), Program::Reader, rank, nranks, hints.clone());
         StreamReader {
@@ -106,6 +122,7 @@ impl StreamReader {
             nranks,
             hints,
             subscriptions: Vec::new(),
+            sent: None,
             plugins_dirty: false,
             installed: HashMap::new(),
             fallback: HashMap::new(),
@@ -142,6 +159,7 @@ impl StreamReader {
             "subscriptions are frozen after the first step unless NO_CACHING"
         );
         self.subscriptions.push(Subscription { var: var.to_string(), sel });
+        self.sent = None;
     }
 
     /// Drop every subscription (same freeze rule as [`Self::subscribe`]).
@@ -153,6 +171,7 @@ impl StreamReader {
             "subscriptions are frozen after the first step unless NO_CACHING"
         );
         self.subscriptions.clear();
+        self.sent = None;
     }
 
     /// Put this coordinator's membership under `roster` control: from
@@ -200,7 +219,7 @@ impl StreamReader {
     /// The query executor reads chunks through this, whatever their
     /// alignment; `read()` hands out only views `as_f64()` can borrow.
     pub fn stored(&self, w: usize, var: &str) -> Option<&[VarValue]> {
-        self.store.get(&(w, var.to_string())).map(|v| v.as_slice())
+        self.store.get(&(w, Name::new(var))).map(|v| v.as_slice())
     }
 
     /// Whether `(writer, var)`'s chunk for the current step arrived
@@ -208,7 +227,7 @@ impl StreamReader {
     /// the transport) — i.e. writer-side pushdown actually ran, as
     /// opposed to the reader's local fallback copy.
     pub fn arrived_conditioned(&self, w: usize, var: &str) -> bool {
-        self.wire_conditioned.contains(&(w, var.to_string()))
+        self.wire_conditioned.contains(&(w, Name::new(var)))
     }
 
     fn store_chunk(&mut self, chunk: Chunk, step: u64) -> Result<(), StreamError> {
@@ -231,7 +250,9 @@ impl StreamReader {
             self.wire_conditioned.insert((w, var.clone()));
         }
         if matches!(value, VarValue::Block(_)) && !already_conditioned {
-            if let Some(plugin) = self.installed.get(&var).or_else(|| self.fallback.get(&var)) {
+            let plugin =
+                self.installed.get(var.as_str()).or_else(|| self.fallback.get(var.as_str()));
+            if let Some(plugin) = plugin {
                 // The plug-in decodes a packed wire view itself (one bulk
                 // conversion); a rejected chunk stays as-is, so read-only
                 // consumers keep borrowing the shared receive buffer.
@@ -245,7 +266,7 @@ impl StreamReader {
                 );
                 if let Ok((v, e)) = applied {
                     value = v;
-                    extras.extend(e);
+                    extras.extend(e.into_iter().map(|(name, v)| (Name::from(name), v)));
                 }
             }
         }
@@ -292,18 +313,31 @@ impl StreamReader {
     /// step's `reader_info`. Nothing in it depends on what the writer sends
     /// — each side computes the plan itself — so its two callers post it
     /// the moment its content is fixed (module docs) and the writer
-    /// coordinator finds it waiting.
+    /// coordinator finds it waiting. While the selections stand, the frame
+    /// last posted goes again.
     fn post_reader_info(&mut self) {
-        // The plug-in registry rides the first exchange only; later
-        // changes travel as `plugin_update`s on the control path.
-        let plugins = (self.steps_read == 0 && !self.coord.all_plugins.is_empty())
-            .then_some(&self.coord.all_plugins[..]);
-        self.side.ctrl_send(&protocol::reader_info(&self.coord.cached_sels, plugins));
+        // The plug-in registry rides the first exchange only (so a post
+        // that carries it is not kept); later changes travel as
+        // `plugin_update`s on the control path.
+        let coord = &self.coord;
+        let plugins = (self.steps_read == 0 && !coord.all_plugins.is_empty())
+            .then_some(&coord.all_plugins[..]);
+        if plugins.is_some() {
+            self.sent = None;
+        }
+        let sels = &coord.cached_sels;
+        let frame = self.sent.get_or_insert_with(|| protocol::reader_info(sels, plugins).encode());
+        self.side.ctrl_send(frame);
+        if plugins.is_some() {
+            self.sent = None;
+        }
         self.link.counters.bump(&self.link.counters.exchange_msgs);
     }
 
     /// Coordinator/rank step negotiation; returns the step index, or
-    /// `None` for end-of-stream.
+    /// `None` for end-of-stream. What did not change since the last step
+    /// is neither rebuilt nor parsed again, and the plan is redrawn only
+    /// when the distributions or the selections moved.
     async fn coordinate_begin(&mut self) -> Result<Option<u64>, StreamError> {
         let first = self.steps_read == 0;
         let need_sub_gather = first || self.hints.caching == CachingLevel::NoCaching;
@@ -313,7 +347,9 @@ impl StreamReader {
 
         if self.rank != 0 {
             if need_sub_gather {
-                self.side.send_up(&protocol::subs(&self.subscriptions));
+                let own = &self.subscriptions;
+                let frame = self.sent.get_or_insert_with(|| protocol::subs(own).encode());
+                self.side.send_up(frame);
                 counters.bump(&counters.gather_msgs);
             }
             let released = self.side.recv_down(&[msg::GO, msg::EOS]).await?;
@@ -341,14 +377,15 @@ impl StreamReader {
         // `go` carries the freshest desired membership for the next step.
         let elastic = self.elastic.is_some();
         let committed = if elastic { self.elastic_active } else { nranks };
-        let participants = || (1..committed).filter(|&r| !(elastic && link.is_evicted(r)));
+        let participates = |r: usize| r < committed && !(elastic && link.is_evicted(r));
+        let participants = || (1..nranks).filter(|&r| participates(r));
         let roster = self.elastic.as_ref().map(|r| (r.generation(), r.active().clamp(1, nranks)));
 
         let plugin_dirty = std::mem::take(&mut self.plugins_dirty);
         // Ship dynamic plug-in updates ahead of the step (after the first
         // exchange they travel on the dedicated control path).
         if plugin_dirty && !first {
-            self.side.ctrl_send(&protocol::plugin_update(&self.coord.all_plugins));
+            self.side.ctrl_send(&protocol::plugin_update(&self.coord.all_plugins).encode());
             counters.bump(&counters.plugin_msgs);
         }
 
@@ -358,15 +395,26 @@ impl StreamReader {
         // (Where nothing is gathered, the selections are the cached ones:
         // `CACHING_LOCAL`'s previous `end_step` has posted already, and
         // `CACHING_ALL` does not exchange.)
+        let mut plan_dirty = false;
         if need_sub_gather {
-            let sels = &mut self.coord.cached_sels;
-            sels[1..].iter_mut().for_each(Vec::clear);
-            sels[0] = self.subscriptions.clone();
+            let coord = &mut self.coord;
+            let sels = &mut coord.cached_sels;
+            if sels[0] != self.subscriptions {
+                sels[0].clone_from(&self.subscriptions);
+                plan_dirty = true;
+            }
+            for r in (1..nranks).filter(|&r| !participates(r)) {
+                coord.subs_in[r].forget();
+                plan_dirty |= !sels[r].is_empty();
+                sels[r].clear();
+            }
             let each = |r: usize, m: Result<_, _>| match m {
-                Ok(m) => {
-                    sels[r] = protocol::parse_subs(m)?;
+                Ok(Some(subs)) => {
+                    sels[r] = subs;
+                    plan_dirty = true;
                     Ok(())
                 }
+                Ok(None) => Ok(()),
                 // An elastic member that never showed up (e.g. a
                 // freshly-activated rank killed before its first
                 // step): evict and re-plan around it instead of
@@ -376,11 +424,17 @@ impl StreamReader {
                         counters.bump(&counters.evictions);
                     }
                     counters.bump(&counters.degraded_steps);
+                    plan_dirty |= !sels[r].is_empty();
+                    sels[r].clear();
                     Ok(())
                 }
                 Err(e) => Err(e),
             };
-            self.side.gather(participants(), msg::SUBS, each).await?;
+            let (memos, parse) = (&mut coord.subs_in, protocol::parse_subs);
+            self.side.gather(participants(), msg::SUBS, memos, parse, each).await?;
+            if plan_dirty {
+                self.sent = None;
+            }
             self.post_reader_info();
         }
 
@@ -410,29 +464,38 @@ impl StreamReader {
 
         // Step 2, the writer's half: its distributions against the posted
         // selections give the plan (the writer computes the same one).
-        let mut full_plan = None;
+        let coord = &mut self.coord;
         if need_exchange {
-            let info = self.side.ctrl_recv(&[msg::WRITER_INFO]).await?;
-            let writer_dists = protocol::parse_writer_info(info)?;
-            full_plan = Some(redistribute::plan(&writer_dists, &self.coord.cached_sels));
+            let (memo, parse) = (&mut coord.writer_info_in, protocol::parse_writer_info);
+            if let Some(dists) = self.side.ctrl_recv_changed(msg::WRITER_INFO, memo, parse).await? {
+                coord.writer_dists = dists;
+                plan_dirty = true;
+            }
+            if plan_dirty {
+                coord.plan = redistribute::plan(&coord.writer_dists, &coord.cached_sels);
+            }
         }
 
         // Distribute the plan: reader rank r's column is plan[w][r] over w.
+        // A rank gets its column when the plan changed — and under elastic
+        // membership on every exchange, since a rank activated mid-run
+        // holds whatever column it had when it left.
+        let send_plan = need_exchange && (plan_dirty || elastic);
+        let coord = &self.coord;
         let column = |r: usize| -> Option<Vec<Vec<ChunkPlan>>> {
-            full_plan.as_ref().map(|full| full.iter().map(|row| row[r].clone()).collect())
+            send_plan.then(|| coord.plan.iter().map(|row| row[r].clone()).collect())
         };
         // Under elastic membership the plug-in registry rides every `go`:
         // a rank activated mid-run must not miss specs that were only
         // broadcast before it joined.
-        let coord = &self.coord;
         let plugins = (plugin_dirty || (elastic && !coord.all_plugins.is_empty()))
             .then(|| coord.all_plugins.clone());
-        let class = if full_plan.is_some() { &counters.bcast_msgs } else { &counters.step_msgs };
+        let class = if need_exchange { &counters.bcast_msgs } else { &counters.step_msgs };
         self.side.bcast(participants(), Some(class), |r| {
             Go { step, plan: column(r), plugins: plugins.clone(), roster }.to_record()
         });
-        if let Some(col) = column(0) {
-            self.cached_plan_col = Arc::new(col);
+        if need_exchange && plan_dirty {
+            self.cached_plan_col = Arc::new(column(0).expect("a plan to send"));
         }
         if plugin_dirty {
             install_all(&coord.all_plugins, Some(&mut self.fallback), Some(&mut self.installed));
@@ -490,7 +553,7 @@ impl StreamReader {
         if protocol::parse_signal(&prepare)?.0 != step {
             return Err(StreamError::Protocol("prepare for unexpected step".into()));
         }
-        self.side.ctrl_send(&protocol::signal(msg::TXN_VOTE, step, Some(true)));
+        self.side.ctrl_send(&protocol::signal(msg::TXN_VOTE, step, Some(true)).encode());
         let commit = self.side.ctrl_recv(&[msg::TXN_COMMIT]).await?;
         let (_, ok) = protocol::parse_signal(&commit)?;
         self.side.txn_release(step);

@@ -60,25 +60,37 @@ impl VarMeta {
         }
     }
 
+    /// Whether this describes `value` written as `name` — what
+    /// [`VarMeta::of`] would derive, checked without building it.
+    pub fn describes(&self, var: &str, value: &VarValue) -> bool {
+        match (self, value) {
+            (VarMeta::Scalar { name }, VarValue::Scalar(_)) => name == var,
+            (VarMeta::Block { name, shape, offset, count }, VarValue::Block(b)) => {
+                name == var && *shape == b.global_shape && *offset == b.offset && *count == b.count
+            }
+            _ => false,
+        }
+    }
+
     /// Encode for the exchange message.
     pub fn to_record(&self) -> Record {
         match self {
             VarMeta::Scalar { name } => Record::with_capacity(2)
                 .with("kind", FieldValue::U64(0))
-                .with("name", FieldValue::Str(name.clone())),
+                .with("name", FieldValue::Str(name.as_str().into())),
             VarMeta::Block { name, shape, offset, count } => Record::with_capacity(5)
                 .with("kind", FieldValue::U64(1))
-                .with("name", FieldValue::Str(name.clone()))
-                .with("shape", FieldValue::from(shape.clone()))
-                .with("offset", FieldValue::from(offset.clone()))
-                .with("count", FieldValue::from(count.clone())),
+                .with("name", FieldValue::Str(name.as_str().into()))
+                .with("shape", FieldValue::from(&shape[..]))
+                .with("offset", FieldValue::from(&offset[..]))
+                .with("count", FieldValue::from(&count[..])),
         }
     }
 
     /// Decode from the exchange message, moving its name and vectors out.
     pub fn from_record(r: impl Into<Record>) -> Option<VarMeta> {
         let mut r = r.into();
-        let name = r.take_str("name")?;
+        let name = r.take_str("name")?.into();
         Some(match r.get_u64("kind")? {
             0 => VarMeta::Scalar { name },
             1 => {
@@ -108,15 +120,15 @@ pub struct Subscription {
 impl Subscription {
     /// Encode for the exchange message.
     pub fn to_record(&self) -> Record {
-        let r = Record::with_capacity(4).with("var", FieldValue::Str(self.var.clone()));
+        let r = Record::with_capacity(4).with("var", FieldValue::Str(self.var.as_str().into()));
         match &self.sel {
             Selection::ProcessGroup(rank) => {
                 r.with("sel", FieldValue::U64(0)).with("rank", FieldValue::U64(*rank as u64))
             }
             Selection::GlobalBox(b) => r
                 .with("sel", FieldValue::U64(1))
-                .with("offset", FieldValue::from(b.offset.clone()))
-                .with("count", FieldValue::from(b.count.clone())),
+                .with("offset", FieldValue::from(&b.offset[..]))
+                .with("count", FieldValue::from(&b.count[..])),
             Selection::Scalar => r.with("sel", FieldValue::U64(2)),
         }
     }
@@ -124,7 +136,7 @@ impl Subscription {
     /// Decode from the exchange message, moving its name and vectors out.
     pub fn from_record(r: impl Into<Record>) -> Option<Subscription> {
         let mut r = r.into();
-        let var = r.take_str("var")?;
+        let var = r.take_str("var")?.into();
         let sel = match r.get_u64("sel")? {
             0 => Selection::ProcessGroup(r.get_u64("rank")? as usize),
             1 => Selection::GlobalBox(BoxSel::try_new(
@@ -157,10 +169,11 @@ pub(crate) fn encode_plan(slice: &[Vec<ChunkPlan>]) -> Record {
     for (p, chunks) in slice.iter().enumerate() {
         r.set_item("count", &[p], FieldValue::U64(chunks.len() as u64));
         for (ci, c) in chunks.iter().enumerate() {
-            let mut cr = Record::with_capacity(3).with("var", FieldValue::Str(c.var.clone()));
+            let mut cr =
+                Record::with_capacity(3).with("var", FieldValue::Str(c.var.as_str().into()));
             if let Some(region) = &c.region {
-                cr.set("offset", FieldValue::from(region.offset.clone()));
-                cr.set("count", FieldValue::from(region.count.clone()));
+                cr.set("offset", FieldValue::from(&region.offset[..]));
+                cr.set("count", FieldValue::from(&region.count[..]));
             }
             r.set_item("chunk", &[p, ci], FieldValue::Record(cr));
         }
@@ -184,7 +197,7 @@ pub(crate) fn decode_plan(mut r: Record) -> Option<Vec<Vec<ChunkPlan>>> {
             let Some(FieldValue::Record(mut cr)) = r.take_item("chunk", &[p, ci]) else {
                 return None;
             };
-            let var = cr.take_str("var")?;
+            let var = cr.take_str("var")?.into();
             let region = match (cr.take_u64_array("offset"), cr.take_u64_array("count")) {
                 (Some(o), Some(c)) => Some(BoxSel::try_new(o, c)?),
                 _ => None,

@@ -62,7 +62,7 @@ impl MonitorRelay {
             return;
         }
         let record = Record::new()
-            .with("event", FieldValue::Str(event.name().to_string()))
+            .with("event", FieldValue::Str(event.name().into()))
             .with("step", FieldValue::U64(step))
             .with("rank", FieldValue::U64(rank as u64))
             .with("bytes", FieldValue::U64(bytes))

@@ -6,7 +6,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use evpath::{BoxedReceiver, BoxedSender, EvReceiver, EvSender, Lease, RecvPoll};
+use evpath::{
+    BoxedReceiver, BoxedSender, EvReceiver, EvSender, Lease, RecvPoll, StackVec, FRAME_SLICES,
+};
 
 use crate::protocol::ProtocolCounters;
 
@@ -39,9 +41,9 @@ impl EvSender for SeqSender {
         // The sequence header rides as one more leading segment, so a
         // scatter-gather send stays scatter-gather through this layer.
         let header = self.next.to_le_bytes();
-        let mut framed: Vec<&[u8]> = Vec::with_capacity(segments.len() + 1);
+        let mut framed: StackVec<&[u8], FRAME_SLICES> = StackVec::new(&[]);
         framed.push(&header);
-        framed.extend_from_slice(segments);
+        segments.iter().for_each(|s| framed.push(s));
         self.next += 1;
         self.inner.send_vectored(&framed);
     }

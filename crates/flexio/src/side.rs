@@ -14,18 +14,63 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use evpath::{BoxedReceiver, BoxedSender, Record, RecvPoll};
+use evpath::{BoxedReceiver, BoxedSender, Lease, Record, RecvPoll};
 
 use crate::context::StreamError;
 use crate::hints::StreamHints;
-use crate::link::{recv_record_rt, ChannelId, LinkState};
+use crate::link::{recv_frame_rt, ChannelId, LinkState};
 use crate::protocol::{self, msg, ProtocolCounters};
 
+/// Decode a received frame, which must be a message of one of the
+/// `expect`ed kinds.
+fn decode_kind(frame: Lease, expect: &[&str]) -> Result<Record, StreamError> {
+    let m = Record::decode_leased(frame).map_err(|e| StreamError::Corrupt(e.to_string()))?;
+    match protocol::kind_of(&m) {
+        k if expect.contains(&k) => Ok(m),
+        k => Err(StreamError::Protocol(format!("expected {}, got {k}", expect.join("/")))),
+    }
+}
+
+/// The frame of the last message of one kind from one peer that parsed,
+/// as owned bytes (never the lease: a receive buffer goes home with its
+/// step). A frame equal to it is that message again: it is neither
+/// decoded nor parsed, and what the last parse left behind stands. The
+/// comparison is of the bytes themselves.
+#[derive(Default)]
+pub(crate) struct FrameMemo(Option<Vec<u8>>);
+
+impl FrameMemo {
+    /// `frame` decoded as a `kind` message and parsed, or `None` when it
+    /// repeats the frame this memo holds; a frame that parsed is held.
+    fn parse<T>(
+        &mut self,
+        frame: Lease,
+        kind: &str,
+        parse: impl FnOnce(Record) -> Result<T, StreamError>,
+    ) -> Result<Option<T>, StreamError> {
+        if self.0.as_deref() == Some(&frame[..]) {
+            return Ok(None);
+        }
+        let mut held = self.0.take().unwrap_or_default();
+        held.clear();
+        held.extend_from_slice(&frame);
+        let parsed = parse(decode_kind(frame, &[kind])?)?;
+        self.0 = Some(held);
+        Ok(Some(parsed))
+    }
+
+    /// Drop the held frame: the next one is parsed, whatever it is.
+    pub(crate) fn forget(&mut self) {
+        self.0 = None;
+    }
+}
+
 /// Control-channel receiver with a pending queue so out-of-band messages
-/// (plug-in updates) can be drained without losing in-band ones.
+/// (plug-in updates) can be drained without losing in-band ones. Parked
+/// frames stay undecoded: a frame's kind is read off its first field.
 struct CtrlIn {
     rx: BoxedReceiver,
-    pending: VecDeque<Record>,
+    pending: VecDeque<Lease>,
     counters: Arc<ProtocolCounters>,
     hints: StreamHints,
 }
@@ -35,37 +80,52 @@ impl CtrlIn {
         CtrlIn { rx, pending: VecDeque::new(), counters, hints }
     }
 
-    /// Receive the next message whose kind is in `expect`; any other
-    /// message encountered on the way is parked in the pending queue (to
-    /// be found by a later `recv_expect` or [`Self::drain_kind`]).
-    async fn recv_expect(&mut self, expect: &[&str]) -> Result<Record, StreamError> {
+    /// Receive the next frame whose kind is in `expect`; any other frame
+    /// encountered on the way is parked in the pending queue (to be found
+    /// by a later `recv_frame` or [`Self::drain_kind`]).
+    async fn recv_frame(&mut self, expect: &[&str]) -> Result<Lease, StreamError> {
         loop {
-            let wanted = |r: &Record| expect.contains(&protocol::kind_of(r));
+            let wanted = |f: &Lease| protocol::frame_kind(f).is_some_and(|k| expect.contains(&k));
             if let Some(idx) = self.pending.iter().position(wanted) {
                 return Ok(self.pending.remove(idx).expect("index valid"));
             }
-            let record = recv_record_rt(&mut self.rx, &self.hints, &self.counters).await?;
-            self.pending.push_back(record);
+            let frame = recv_frame_rt(&mut self.rx, &self.hints, &self.counters).await?;
+            if protocol::frame_kind(&frame).is_none() {
+                return Err(StreamError::Corrupt("frame carries no message kind".into()));
+            }
+            self.pending.push_back(frame);
         }
     }
 
     /// Drain any immediately-available messages of `kind`. A frame the
-    /// transport could not validate, or a record that does not decode, is
-    /// counted in `corrupt_frames` (as [`recv_record_rt`] counts it) and
-    /// the sweep goes on to what lies behind it.
+    /// transport could not validate, or one that names no kind or does not
+    /// decode, is counted in `corrupt_frames` (as [`recv_frame_rt`] counts
+    /// the first) and the sweep goes on to what lies behind it.
     fn drain_kind(&mut self, kind: &str) -> Vec<Record> {
         loop {
-            match self.rx.poll_lease().map(Record::decode_leased) {
-                RecvPoll::Msg(Ok(r)) => self.pending.push_back(r),
-                RecvPoll::Msg(Err(_)) | RecvPoll::Corrupt(_) => {
+            match self.rx.poll_lease() {
+                RecvPoll::Msg(f) if protocol::frame_kind(&f).is_some() => self.pending.push_back(f),
+                RecvPoll::Msg(_) | RecvPoll::Corrupt(_) => {
                     self.counters.bump(&self.counters.corrupt_frames)
                 }
                 RecvPoll::Empty | RecvPoll::Closed => break,
             }
         }
-        let (out, keep): (Vec<_>, Vec<_>) =
-            self.pending.drain(..).partition(|r| protocol::kind_of(r) == kind);
-        self.pending = keep.into();
+        // Taken out in place: the queue keeps its buffer, and a sweep that
+        // finds nothing allocates nothing.
+        let mut out = Vec::new();
+        let mut at = 0;
+        while at < self.pending.len() {
+            if protocol::frame_kind(&self.pending[at]) != Some(kind) {
+                at += 1;
+                continue;
+            }
+            let frame = self.pending.remove(at).expect("index valid");
+            match Record::decode_leased(frame) {
+                Ok(r) => out.push(r),
+                Err(_) => self.counters.bump(&self.counters.corrupt_frames),
+            }
+        }
         out
     }
 }
@@ -136,15 +196,16 @@ impl ProgramSide {
         self.tx.entry(id).or_insert_with(|| self.link.claim_sender(id))
     }
 
+    /// The next frame on `id`, undecoded.
+    async fn recv_frame(&mut self, id: ChannelId) -> Result<Lease, StreamError> {
+        let rx = self.rx.entry(id).or_insert_with(|| self.link.claim_receiver(id));
+        recv_frame_rt(rx, &self.hints, &self.link.counters).await
+    }
+
     /// The next message on `id`, which must be of one of the `expect`ed
     /// kinds.
     async fn recv(&mut self, id: ChannelId, expect: &[&str]) -> Result<Record, StreamError> {
-        let rx = self.rx.entry(id).or_insert_with(|| self.link.claim_receiver(id));
-        let m = recv_record_rt(rx, &self.hints, &self.link.counters).await?;
-        match protocol::kind_of(&m) {
-            k if expect.contains(&k) => Ok(m),
-            k => Err(StreamError::Protocol(format!("expected {}, got {k}", expect.join("/")))),
-        }
+        decode_kind(self.recv_frame(id).await?, expect)
     }
 
     /// Sending half to rank `peer` of the other program (the data path
@@ -162,9 +223,9 @@ impl ProgramSide {
         self.recv(self.peer_channel(peer, false), expect).await
     }
 
-    /// Rank → coordinator.
-    pub(crate) fn send_up(&mut self, m: &Record) {
-        self.sender(self.side_channel(0, true)).send(&m.encode());
+    /// Rank → coordinator, an encoded message.
+    pub(crate) fn send_up(&mut self, frame: &[u8]) {
+        self.sender(self.side_channel(0, true)).send(frame);
     }
 
     /// Coordinator → this rank.
@@ -173,17 +234,20 @@ impl ProgramSide {
     }
 
     /// Coordinator: receive one `kind` message from each of `ranks`, in
-    /// order, handing each outcome to `each` (which decides whether a
-    /// rank's failure fails the gather).
-    pub(crate) async fn gather(
+    /// order, and hand each rank's outcome to `each` (which decides whether
+    /// a rank's failure fails the gather): its message as `parse` reads it,
+    /// or `None` when its frame repeats the one `memos[r]` holds.
+    pub(crate) async fn gather<T>(
         &mut self,
         ranks: impl IntoIterator<Item = usize>,
         kind: &str,
-        mut each: impl FnMut(usize, Result<Record, StreamError>) -> Result<(), StreamError>,
+        memos: &mut [FrameMemo],
+        parse: impl Fn(Record) -> Result<T, StreamError>,
+        mut each: impl FnMut(usize, Result<Option<T>, StreamError>) -> Result<(), StreamError>,
     ) -> Result<(), StreamError> {
         for r in ranks {
-            let m = self.recv(self.side_channel(r, false), &[kind]).await;
-            each(r, m)?;
+            let frame = self.recv_frame(self.side_channel(r, false)).await;
+            each(r, frame.and_then(|f| memos[r].parse(f, kind, &parse)))?;
         }
         Ok(())
     }
@@ -207,13 +271,16 @@ impl ProgramSide {
     /// 2PC, rank leg: report `kind` (`txn_sent` / `txn_recv`) up and await
     /// the coordinator's commit.
     pub(crate) async fn txn_report(&mut self, kind: &str, step: u64) -> Result<(), StreamError> {
-        self.send_up(&protocol::signal(kind, step, None));
+        self.send_up(&protocol::signal(kind, step, None).encode());
         self.recv_down(&[msg::TXN_COMMIT]).await.map(drop)
     }
 
     /// 2PC, coordinator leg 1: collect every rank's `kind` report.
     pub(crate) async fn txn_collect(&mut self, kind: &str) -> Result<(), StreamError> {
-        self.gather(1..self.nranks, kind, |_, m| m.map(drop)).await
+        for r in 1..self.nranks {
+            self.recv(self.side_channel(r, false), &[kind]).await?;
+        }
+        Ok(())
     }
 
     /// 2PC, coordinator leg 2: release every rank with the commit.
@@ -221,9 +288,9 @@ impl ProgramSide {
         self.bcast(1..self.nranks, None, |_| protocol::signal(msg::TXN_COMMIT, step, None));
     }
 
-    /// Coordinator → peer coordinator.
-    pub(crate) fn ctrl_send(&mut self, m: &Record) {
-        self.sender(self.ctrl_channel(true)).send(&m.encode());
+    /// Coordinator → peer coordinator, an encoded message.
+    pub(crate) fn ctrl_send(&mut self, frame: &[u8]) {
+        self.sender(self.ctrl_channel(true)).send(frame);
     }
 
     fn ctrl_in(&mut self) -> &mut CtrlIn {
@@ -236,7 +303,19 @@ impl ProgramSide {
     /// Peer coordinator → this coordinator: the next message of one of the
     /// `expect`ed kinds (others wait their turn, see [`CtrlIn`]).
     pub(crate) async fn ctrl_recv(&mut self, expect: &[&str]) -> Result<Record, StreamError> {
-        self.ctrl_in().recv_expect(expect).await
+        decode_kind(self.ctrl_in().recv_frame(expect).await?, expect)
+    }
+
+    /// [`Self::ctrl_recv`] of one `kind`, read by `parse` — or `None` when
+    /// its frame repeats the one `memo` holds.
+    pub(crate) async fn ctrl_recv_changed<T>(
+        &mut self,
+        kind: &str,
+        memo: &mut FrameMemo,
+        parse: impl FnOnce(Record) -> Result<T, StreamError>,
+    ) -> Result<Option<T>, StreamError> {
+        let frame = self.ctrl_in().recv_frame(&[kind]).await?;
+        memo.parse(frame, kind, parse)
     }
 
     /// Everything of `kind` already waiting on the control channel.
@@ -269,6 +348,6 @@ mod tests {
         assert_eq!(counters.snapshot().corrupt_frames, 2, "one bump per bad frame");
         // The in-band message swept up on the way is still there to receive.
         assert_eq!(ctrl.pending.len(), 1);
-        assert_eq!(protocol::kind_of(&ctrl.pending[0]), msg::EOS);
+        assert_eq!(protocol::frame_kind(&ctrl.pending[0]), Some(msg::EOS));
     }
 }

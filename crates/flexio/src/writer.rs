@@ -39,14 +39,35 @@ use crate::monitor::MonitorEvent;
 use crate::plugins::{install_all, InstalledPlugin, PluginSpec};
 use crate::protocol::{self, msg, CachingLevel, Go, WriteMode};
 use crate::redistribute::{self, ChunkPlan, Subscription, VarMeta};
-use crate::side::{Program, ProgramSide};
+use crate::side::{FrameMemo, Program, ProgramSide};
 
-/// What the writer coordinator remembers between steps (empty on any
-/// other rank).
+/// Bring `metas` in line with what `group` holds; whether it changed. The
+/// check walks both in place, so an unchanged step allocates nothing.
+fn refresh_metas(metas: &mut Vec<VarMeta>, group: &ProcessGroup) -> bool {
+    let vars = &group.vars;
+    let same = metas.len() == vars.len()
+        && metas.iter().zip(vars).all(|(m, (name, value))| m.describes(name, value));
+    if !same {
+        *metas = vars.iter().map(|(name, value)| VarMeta::of(name, value)).collect();
+    }
+    !same
+}
+
+/// What a writer rank remembers between steps of the handshake: on the
+/// coordinator, every rank's distributions and what the reader side sent;
+/// on any other rank, its own distributions and the frame that carried
+/// them.
 #[derive(Default)]
 struct WriterCoord {
-    /// Last gathered per-rank distributions.
+    /// Last gathered per-rank distributions (this rank's own at 0).
     cached_dists: Vec<Vec<VarMeta>>,
+    /// The frame of the last `dists` (a rank) or `writer_info` (the
+    /// coordinator) sent, re-sent as it is while the distributions stand.
+    sent: Option<Vec<u8>>,
+    /// Per rank, the frame of the last `dists` parsed from it.
+    dists_in: Vec<FrameMemo>,
+    /// The frame of the last `reader_info` parsed.
+    reader_info_in: FrameMemo,
     /// Last received reader selections.
     cached_sels: Option<Vec<Vec<Subscription>>>,
     /// Writer-side plug-in specs currently active.
@@ -94,7 +115,11 @@ impl StreamWriter {
         nranks: usize,
         hints: StreamHints,
     ) -> StreamWriter {
-        let coord = WriterCoord { cached_dists: vec![Vec::new(); nranks], ..Default::default() };
+        let coord = WriterCoord {
+            cached_dists: vec![Vec::new(); nranks],
+            dists_in: (0..nranks).map(|_| FrameMemo::default()).collect(),
+            ..Default::default()
+        };
         let side =
             ProgramSide::new(Arc::clone(&link), Program::Writer, rank, nranks, hints.clone());
         StreamWriter {
@@ -195,20 +220,28 @@ impl StreamWriter {
 
     /// Steps 1–3: gather distributions, exchange with the reader
     /// coordinator, and settle this rank's plan row and plug-ins. This
-    /// rank's distributions are derived from `group` only on a step that
-    /// gathers them.
+    /// rank's distributions are checked against `group` on a step that
+    /// gathers them, and rebuilt only when they changed; every message is
+    /// sent each step it is due, but what did not change is neither
+    /// rebuilt nor parsed again, and the plan is redrawn only when the
+    /// distributions, the selections or the eviction set moved.
     async fn coordinate(&mut self, group: &ProcessGroup, step: u64) -> Result<(), StreamError> {
         let first = self.steps_written == 0;
         let need_gather = first || self.hints.caching == CachingLevel::NoCaching;
-        let my_metas =
-            || -> Vec<VarMeta> { group.vars.iter().map(|(n, v)| VarMeta::of(n, v)).collect() };
         let need_exchange = first || self.hints.caching != CachingLevel::CachingAll;
         let (link, counters, nranks) = (&self.link, &self.link.counters, self.nranks);
+        let coord = &mut self.coord;
+        let mut dists_changed = need_gather && refresh_metas(&mut coord.cached_dists[0], group);
 
         if self.rank != 0 {
             // Step 1: ship distributions up.
             if need_gather {
-                self.side.send_up(&protocol::dists(&my_metas()));
+                if dists_changed {
+                    coord.sent = None;
+                }
+                let own = &coord.cached_dists[0];
+                let frame = coord.sent.get_or_insert_with(|| protocol::dists(own).encode());
+                self.side.send_up(frame);
                 counters.bump(&counters.gather_msgs);
             }
             // Step 3: receive the go (plan/plugins when changed).
@@ -229,7 +262,6 @@ impl StreamWriter {
                 .await
                 .ok_or(StreamError::Timeout)?;
         }
-        let coord = &mut self.coord;
 
         // Drain dynamically-deployed plug-in updates (separate logical
         // channel from data movement, §II.F).
@@ -244,34 +276,45 @@ impl StreamWriter {
 
         // Step 1: gather distributions.
         if need_gather {
-            coord.cached_dists[0] = my_metas();
             let dists = &mut coord.cached_dists;
+            let (memos, parse) = (&mut coord.dists_in, protocol::parse_dists);
             self.side
-                .gather(1..nranks, msg::DISTS, |r, m| {
-                    dists[r] = protocol::parse_dists(m?)?;
+                .gather(1..nranks, msg::DISTS, memos, parse, |r, m| {
+                    if let Some(metas) = m? {
+                        dists[r] = metas;
+                        dists_changed = true;
+                    }
                     Ok(())
                 })
                 .await?;
         }
+        if dists_changed {
+            coord.sent = None;
+        }
 
         // Step header (+ step 2 exchange).
-        self.side.ctrl_send(&protocol::step(step, need_exchange));
+        self.side.ctrl_send(&protocol::step(step, need_exchange).encode());
         counters.bump(&counters.step_msgs);
 
-        let mut plan_dirty = false;
+        let mut plan_dirty = dists_changed;
         if need_exchange {
-            self.side.ctrl_send(&protocol::writer_info(&coord.cached_dists));
+            let dists = &coord.cached_dists;
+            let frame = coord.sent.get_or_insert_with(|| protocol::writer_info(dists).encode());
+            self.side.ctrl_send(frame);
             counters.bump(&counters.exchange_msgs);
 
             // Usually already waiting: the reader posts it unprompted.
-            let reply = self.side.ctrl_recv(&[msg::READER_INFO]).await?;
-            let (sels, plugins) = protocol::parse_reader_info(reply)?;
-            if let Some(specs) = plugins {
-                coord.writer_plugins = specs;
-                plugin_dirty = true;
+            let (memo, parse) = (&mut coord.reader_info_in, protocol::parse_reader_info);
+            if let Some((sels, plugins)) =
+                self.side.ctrl_recv_changed(msg::READER_INFO, memo, parse).await?
+            {
+                if let Some(specs) = plugins {
+                    coord.writer_plugins = specs;
+                    plugin_dirty = true;
+                }
+                coord.cached_sels = Some(sels);
+                plan_dirty = true;
             }
-            coord.cached_sels = Some(sels);
-            plan_dirty = true;
         }
 
         // Steps degrade around evicted readers: their selections are
@@ -284,7 +327,8 @@ impl StreamWriter {
             plan_dirty = true;
         }
 
-        // Step 3: compute + broadcast the plan when it changed.
+        // Step 3: compute the plan when an input changed; broadcast the go
+        // (with each rank's row when it changed).
         let mut full_plan = plan_dirty.then(|| {
             let cached =
                 coord.cached_sels.as_deref().expect("selections known after first exchange");
@@ -296,7 +340,8 @@ impl StreamWriter {
         });
 
         let plugins = plugin_dirty.then(|| coord.writer_plugins.clone());
-        let class = if plan_dirty { &counters.bcast_msgs } else { &counters.step_msgs };
+        let handshake = need_exchange || plan_dirty;
+        let class = if handshake { &counters.bcast_msgs } else { &counters.step_msgs };
         self.side.bcast(1..nranks, Some(class), |r| {
             let plan = full_plan.as_mut().map(|p| std::mem::take(&mut p[r]));
             Go { step, plan, plugins: plugins.clone(), roster: None }.to_record()
@@ -447,11 +492,11 @@ impl StreamWriter {
         }
         let counters = &self.link.counters;
         self.side.txn_collect(msg::TXN_SENT).await?;
-        self.side.ctrl_send(&protocol::signal(msg::TXN_PREPARE, step, None));
+        self.side.ctrl_send(&protocol::signal(msg::TXN_PREPARE, step, None).encode());
         counters.bump(&counters.step_msgs);
         let vote = self.side.ctrl_recv(&[msg::TXN_VOTE]).await?;
         let (_, ok) = protocol::parse_signal(&vote)?;
-        self.side.ctrl_send(&protocol::signal(msg::TXN_COMMIT, step, Some(ok)));
+        self.side.ctrl_send(&protocol::signal(msg::TXN_COMMIT, step, Some(ok)).encode());
         counters.bump(&counters.step_msgs);
         self.side.txn_release(step);
         if !ok {
@@ -484,7 +529,7 @@ impl WriteEngine for StreamWriter {
         // A reader may never have attached (stream never used); only then
         // is there no one to notify.
         if self.rank == 0 && self.link.try_reader_info().is_some() {
-            self.side.ctrl_send(&protocol::eos());
+            self.side.ctrl_send(&protocol::eos().encode());
             self.link.counters.bump(&self.link.counters.step_msgs);
         }
     }

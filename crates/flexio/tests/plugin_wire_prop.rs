@@ -79,7 +79,7 @@ fn filter_spec(filter: Expr) -> PluginSpec {
 
 fn record_with(words: Vec<u64>) -> Record {
     Record::new()
-        .with("var", FieldValue::Str("v".to_string()))
+        .with("var", FieldValue::Str("v".into()))
         .with("filter", FieldValue::from(words))
         .with("placement", FieldValue::U64(0))
 }

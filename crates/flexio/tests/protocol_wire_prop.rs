@@ -114,11 +114,15 @@ fn arb_go() -> impl Strategy<Value = Go> {
 
 fn arb_chunk() -> impl Strategy<Value = Chunk> {
     (any::<u64>(), 0usize..64, arb_name(), arb_value(), vec((arb_name(), arb_value()), 0..3))
-        .prop_map(|(step, w, var, value, extras)| Chunk { step, w, var, value, extras })
+        .prop_map(|(step, w, var, value, extras)| {
+            let extras = extras.into_iter().map(|(name, v)| (name.into(), v)).collect();
+            Chunk { step, w, var: var.into(), value, extras }
+        })
 }
 
 fn chunk_record(c: &Chunk) -> Record {
-    protocol::chunk(c.step, c.w, &c.var, c.value.to_record(), &c.extras)
+    let extras: Vec<_> = c.extras.iter().map(|(name, v)| (name.to_string(), v.clone())).collect();
+    protocol::chunk(c.step, c.w, &c.var, c.value.to_record(), &extras)
 }
 
 /// What a receiver sees: the record after a trip through its ffs bytes.

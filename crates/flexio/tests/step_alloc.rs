@@ -7,9 +7,10 @@
 //! the shm pool, so what the step allocates is control-plane
 //! bookkeeping: records, their strings and small vectors. `CountingAlloc`
 //! counts every request of both rank threads while the step runs, and
-//! the ledger pins the sum per step after warm-up. The codec pins count
-//! one build + encode + decode + parse round of `writer_info` and of
-//! `chunk`, where a `format!` list key or a cloned name shows at once.
+//! the ledger pins the sum per step after warm-up, and the share of it
+//! that asks for 8 bytes or fewer. The codec pins count one build +
+//! encode + decode + parse round of `writer_info` and of `chunk`, where a
+//! `format!` list key or a cloned name shows at once.
 
 mod common;
 
@@ -50,10 +51,10 @@ fn value(v: usize) -> VarValue {
     )
 }
 
-/// Fresh allocations per step of each side, `STEPS` entries. Reallocations
-/// are left out: they follow the capacities of buffers reused from step
-/// to step, which grow in amortized jumps.
-fn ledger(caching: CachingLevel) -> (Vec<usize>, Vec<usize>) {
+/// Fresh allocations of at least `threshold` bytes per step of each side,
+/// `STEPS` entries. Reallocations are left out: they follow the capacities
+/// of buffers reused from step to step, which grow in amortized jumps.
+fn ledger(caching: CachingLevel, threshold: usize) -> (Vec<usize>, Vec<usize>) {
     let hints = StreamHints::builder()
         .transport(Transport::Shm)
         .caching(caching)
@@ -63,7 +64,7 @@ fn ledger(caching: CachingLevel) -> (Vec<usize>, Vec<usize>) {
         1,
         1,
         hints,
-        |mut w, _rank| {
+        move |mut w, _rank| {
             let names = names();
             let values: Vec<VarValue> = (0..VARS).map(value).collect();
             let mut per_step = Vec::new();
@@ -71,7 +72,7 @@ fn ledger(caching: CachingLevel) -> (Vec<usize>, Vec<usize>) {
                 // The application's own copies are made outside the
                 // ledger: it counts what the library asks for.
                 let mut vars: Vec<VarValue> = values.clone();
-                let (counts, ()) = measure(0, || {
+                let (counts, ()) = measure(threshold, || {
                     w.begin_step(step);
                     for (name, v) in names.iter().zip(vars.drain(..)) {
                         w.write(name, v);
@@ -83,14 +84,14 @@ fn ledger(caching: CachingLevel) -> (Vec<usize>, Vec<usize>) {
             w.close();
             per_step
         },
-        |mut r, _rank| {
+        move |mut r, _rank| {
             let names = names();
             for name in &names {
                 r.subscribe(name, Selection::ProcessGroup(0));
             }
             let mut per_step = Vec::new();
             loop {
-                let (counts, more) = measure(0, || {
+                let (counts, more) = measure(threshold, || {
                     let StepStatus::Step(_) = r.try_begin_step().expect("begin_step") else {
                         return false;
                     };
@@ -119,33 +120,55 @@ fn steady(per_step: &[usize]) -> &[usize] {
     &per_step[WARMUP as usize..]
 }
 
+/// Writer and reader rank together, per steady step.
+fn both_sides((writer, reader): (Vec<usize>, Vec<usize>)) -> Vec<usize> {
+    steady(&writer).iter().zip(steady(&reader)).map(|(w, r)| w + r).collect()
+}
+
 /// A steady `NO_CACHING` step, writer and reader rank together: 904 when
 /// every field name was a `String`, every list key a `format!` and every
 /// parser cloned what it read; 434 while the coordinator cloned every
 /// reader's subscriptions to plan over and the reader dropped its chunk
-/// store's vectors at each `end_step`.
-const STEP_ALLOCS: usize = 415;
+/// store's vectors at each `end_step`; 415 while both coordinators
+/// rebuilt, re-encoded, re-parsed and re-planned an unchanged exchange
+/// every step and every short name and shape was a heap buffer.
+const STEP_ALLOCS: usize = 136;
+
+/// The share of [`STEP_ALLOCS`] that asks for 8 bytes or fewer (260 of
+/// the 415): the reader's block shapes, moved out of each chunk (24) and
+/// cloned by `read` (24) — `LocalBlock` holds them as `Vec<u64>` — and
+/// the names `ProcessGroup::push` copies (8).
+const SMALL_STEP_ALLOCS: usize = 56;
 
 /// The writer rank's share of a steady `CACHING_ALL` step, which neither
 /// gathers nor exchanges distributions, nor draws up a plan (120 while it
-/// drew up one every step and threw it away).
-const CACHED_WRITER_STEP_ALLOCS: usize = 99;
+/// drew up one every step and threw it away, 99 while every message kind
+/// and chunk shape was a heap buffer).
+const CACHED_WRITER_STEP_ALLOCS: usize = 48;
 
 #[test]
 fn a_control_bound_step_allocates_a_pinned_count() {
-    let (writer, reader) = ledger(CachingLevel::NoCaching);
-    let both: Vec<usize> =
-        steady(&writer).iter().zip(steady(&reader)).map(|(w, r)| w + r).collect();
+    let both = both_sides(ledger(CachingLevel::NoCaching, 0));
     assert!(
         both.iter().all(|&n| n == STEP_ALLOCS),
-        "allocations per step after warm-up {both:?} (writer {writer:?}, reader {reader:?}), \
-         pinned at {STEP_ALLOCS}"
+        "allocations per step after warm-up {both:?}, pinned at {STEP_ALLOCS}"
+    );
+}
+
+#[test]
+fn a_control_bound_step_makes_a_pinned_count_of_small_allocations() {
+    let all = both_sides(ledger(CachingLevel::NoCaching, 0));
+    let over_8 = both_sides(ledger(CachingLevel::NoCaching, 9));
+    let small: Vec<usize> = all.iter().zip(&over_8).map(|(a, o)| a - o).collect();
+    assert!(
+        small.iter().all(|&n| n == SMALL_STEP_ALLOCS),
+        "allocations of at most 8 bytes per step {small:?}, pinned at {SMALL_STEP_ALLOCS}"
     );
 }
 
 #[test]
 fn a_cached_step_derives_no_distributions() {
-    let (writer, _) = ledger(CachingLevel::CachingAll);
+    let (writer, _) = ledger(CachingLevel::CachingAll, 0);
     assert!(
         steady(&writer).iter().all(|&n| n == CACHED_WRITER_STEP_ALLOCS),
         "writer allocations per cached step {writer:?}, pinned at {CACHED_WRITER_STEP_ALLOCS}"
@@ -168,10 +191,12 @@ fn round(build: impl FnOnce() -> Record, parse: impl FnOnce(Record)) -> [usize; 
 }
 
 /// `writer_info` for one rank of eight blocks. Building: per variable a
-/// record, its name and three shape vectors, then the list record, the
-/// message record and its type string (43); the encode is one buffer;
-/// decoding allocates what building did; parsing moves all of it into
-/// the two result vectors. A `format!` list key would add one per item.
+/// record, then the list record and the message record (10; names, shapes
+/// and the type tag are inline); the encode is one buffer; decoding
+/// allocates what building did; parsing makes the two result vectors and
+/// per variable the `String` name and three `Vec<u64>` shapes `VarMeta`
+/// holds (34). A `format!` list key would add one per item. (43, 1, 43, 2
+/// while names and shapes were heap buffers in the record.)
 #[test]
 fn writer_info_allocations_are_pinned() {
     let per_rank = vec![metas()];
@@ -182,12 +207,13 @@ fn writer_info_allocations_are_pinned() {
             assert_eq!(dists, per_rank);
         },
     );
-    assert_eq!(legs, [43, 1, 43, 2], "writer_info: build, encode, decode, parse");
+    assert_eq!(legs, [10, 1, 10, 34], "writer_info: build, encode, decode, parse");
 }
 
-/// A 4 KiB chunk: the message record, its type and variable strings, the
-/// body record and its three shape vectors (7); decoding adds the owned
-/// payload (8); parsing moves everything and allocates nothing.
+/// A 4 KiB chunk: the message record and the body record (2; the type,
+/// the variable name and the shapes are inline); decoding adds the owned
+/// payload (3); parsing makes the three `Vec<u64>` shapes `LocalBlock`
+/// holds (3). (7, 1, 8, 0 while names and shapes were heap buffers.)
 #[test]
 fn chunk_allocations_are_pinned() {
     let v = value(3);
@@ -198,5 +224,5 @@ fn chunk_allocations_are_pinned() {
             assert_eq!(chunk.value, v);
         },
     );
-    assert_eq!(legs, [7, 1, 8, 0], "chunk: build, encode, decode, parse");
+    assert_eq!(legs, [2, 1, 3, 3], "chunk: build, encode, decode, parse");
 }

@@ -272,7 +272,7 @@ done
 [ "$missing" -eq 0 ] || { echo "a doc names something the tree does not have"; exit 1; }
 # Their size only goes down, toward the ROADMAP's 100 KB target; lower
 # this limit when a PR shrinks them, never raise it.
-doc_limit=127209
+doc_limit=127064
 doc_bytes=$(cat $docs | wc -c)
 [ "$doc_bytes" -le "$doc_limit" ] || { echo "docs are $doc_bytes bytes (limit $doc_limit)"; exit 1; }
 echo "doc references ok (docs: $doc_bytes bytes)"
