@@ -21,12 +21,12 @@ fn bench_padding(c: &mut Criterion) {
             let payload = [1u8; UNPADDED_PAYLOAD];
             let t = std::thread::spawn(move || {
                 for _ in 0..MSGS {
-                    tx.push(&payload).unwrap();
+                    tx.push_with(payload.len(), |e| e.copy_from_slice(&payload)).unwrap();
                 }
             });
             let mut buf = [0u8; UNPADDED_PAYLOAD];
             for _ in 0..MSGS {
-                while rx.try_pop_into(&mut buf).is_none() {
+                while rx.try_pop_with(|msg| buf[..msg.len()].copy_from_slice(msg)).is_none() {
                     std::hint::spin_loop();
                 }
             }
@@ -40,12 +40,14 @@ fn bench_padding(c: &mut Criterion) {
             let payload = [1u8; UNPADDED_PAYLOAD];
             let t = std::thread::spawn(move || {
                 for _ in 0..MSGS {
-                    tx.push(&payload);
+                    tx.push_with(payload.len(), |e| e.copy_from_slice(&payload));
                 }
             });
             let mut buf = [0u8; UNPADDED_PAYLOAD];
             for _ in 0..MSGS {
-                rx.pop_into(&mut buf);
+                while rx.try_pop_with(|msg| buf[..msg.len()].copy_from_slice(msg)).is_none() {
+                    std::hint::spin_loop();
+                }
             }
             t.join().unwrap();
         });

@@ -22,12 +22,12 @@ fn bench_spsc_inline(c: &mut Criterion) {
                 let payload = vec![7u8; size];
                 let t = thread::spawn(move || {
                     for _ in 0..MSGS {
-                        tx.push(&payload).unwrap();
+                        tx.push_with(size, |e| e.copy_from_slice(&payload)).unwrap();
                     }
                 });
                 let mut buf = [0u8; 512];
                 for _ in 0..MSGS {
-                    while rx.try_pop_into(&mut buf).is_none() {
+                    while rx.try_pop_with(|msg| buf[..msg.len()].copy_from_slice(msg)).is_none() {
                         std::hint::spin_loop();
                     }
                 }

@@ -67,18 +67,18 @@ pub fn spsc_queue_unpadded(entries: usize) -> (UnpaddedProducer, UnpaddedConsume
 }
 
 impl UnpaddedProducer {
-    /// Spin until the payload is enqueued. Panics if the payload exceeds
-    /// [`UNPADDED_PAYLOAD`].
-    pub fn push(&mut self, payload: &[u8]) {
-        assert!(payload.len() <= UNPADDED_PAYLOAD);
+    /// Spin until a `len`-byte payload that `fill` writes straight into
+    /// the entry is enqueued. Panics if `len` exceeds [`UNPADDED_PAYLOAD`].
+    pub fn push_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) {
+        assert!(len <= UNPADDED_PAYLOAD);
         let entry = &self.shared.entries[self.head];
         while entry.flag.load(Ordering::Acquire) != EMPTY {
             std::hint::spin_loop();
         }
         // SAFETY: same ownership protocol as the padded queue.
         unsafe {
-            (&mut *entry.payload.get())[..payload.len()].copy_from_slice(payload);
-            *entry.len.get() = payload.len() as u32;
+            fill(&mut (&mut *entry.payload.get())[..len]);
+            *entry.len.get() = len as u32;
         }
         entry.flag.store(FULL, Ordering::Release);
         self.head = (self.head + 1) % self.shared.entries.len();
@@ -86,21 +86,18 @@ impl UnpaddedProducer {
 }
 
 impl UnpaddedConsumer {
-    /// Spin until a message is dequeued into `target`; returns its length.
-    pub fn pop_into(&mut self, target: &mut [u8]) -> usize {
+    /// Dequeue without blocking: `read` sees the next payload where it
+    /// lies in its entry. `None` when the queue is empty.
+    pub fn try_pop_with<R>(&mut self, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let entry = &self.shared.entries[self.tail];
-        while entry.flag.load(Ordering::Acquire) != FULL {
-            std::hint::spin_loop();
+        if entry.flag.load(Ordering::Acquire) != FULL {
+            return None;
         }
         // SAFETY: same ownership protocol as the padded queue.
-        let len = unsafe {
-            let len = *entry.len.get() as usize;
-            target[..len].copy_from_slice(&(&*entry.payload.get())[..len]);
-            len
-        };
+        let out = unsafe { read(&(&*entry.payload.get())[..*entry.len.get() as usize]) };
         entry.flag.store(EMPTY, Ordering::Release);
         self.tail = (self.tail + 1) % self.shared.entries.len();
-        len
+        Some(out)
     }
 }
 
@@ -115,14 +112,17 @@ mod tests {
         let (mut tx, mut rx) = spsc_queue_unpadded(64);
         let producer = thread::spawn(move || {
             for i in 0..N {
-                tx.push(&i.to_le_bytes());
+                tx.push_with(8, |entry| entry.copy_from_slice(&i.to_le_bytes()));
             }
         });
-        let mut buf = [0u8; UNPADDED_PAYLOAD];
         for i in 0..N {
-            let n = rx.pop_into(&mut buf);
-            assert_eq!(n, 8);
-            assert_eq!(u64::from_le_bytes(buf[..8].try_into().unwrap()), i);
+            let got = loop {
+                if let Some(got) = rx.try_pop_with(|msg| <[u8; 8]>::try_from(msg).ok()) {
+                    break got;
+                }
+                std::hint::spin_loop();
+            };
+            assert_eq!(got.map(u64::from_le_bytes), Some(i));
         }
         producer.join().unwrap();
     }

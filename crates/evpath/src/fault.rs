@@ -204,7 +204,7 @@ struct FaultySender {
 }
 
 impl EvSender for FaultySender {
-    fn send(&mut self, payload: &[u8]) {
+    fn send_vectored(&mut self, segments: &[&[u8]]) {
         let c = &self.plan.counters;
         if let Some(n) = self.spec.crash_sender_after {
             if self.sent >= n {
@@ -231,18 +231,20 @@ impl EvSender for FaultySender {
             return;
         }
         if reorder && self.held.is_none() {
+            // The one copy this layer makes: a message held for a swap
+            // outlives the segments it was sent as.
             c.reordered.fetch_add(1, Ordering::Relaxed);
-            self.held = Some(payload.to_vec());
+            self.held = Some(segments.concat());
             return;
         }
-        self.inner.send(payload);
+        self.inner.send_vectored(segments);
         if let Some(held) = self.held.take() {
             // The held message goes out *after* its successor: swapped.
             self.inner.send(&held);
         }
         if dup {
             c.duplicated.fetch_add(1, Ordering::Relaxed);
-            self.inner.send(payload);
+            self.inner.send_vectored(segments);
         }
     }
 

@@ -505,67 +505,50 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// One segment of a scatter-gather encoded record: metadata runs are owned,
-/// large array payloads borrow straight from the record.
-#[derive(Debug)]
-pub enum EncSegment<'a> {
-    /// Accumulated header/metadata bytes.
-    Owned(Vec<u8>),
-    /// A large payload borrowed from the record being encoded.
-    Borrowed(&'a [u8]),
-}
-
-impl EncSegment<'_> {
-    /// The segment's bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        match self {
-            EncSegment::Owned(v) => v,
-            EncSegment::Borrowed(b) => b,
-        }
-    }
-}
-
-/// A record encoded as a sequence of segments whose concatenation equals
-/// [`Record::encode`]. Pairs with vectored transport sends: large array
-/// payloads are borrowed, so no flat copy of the message is ever built on
-/// the send path.
-#[derive(Debug)]
+/// A record encoded for a vectored send: every metadata byte in one
+/// buffer, with the array payloads of at least [`ZERO_COPY_MIN_BYTES`]
+/// borrowed from the record and spliced in where they go, so no flat copy
+/// of the message is ever built on the send path. The concatenation of
+/// [`EncodedRecord::as_slices`] equals [`Record::encode`].
 pub struct EncodedRecord<'a> {
-    segments: Vec<EncSegment<'a>>,
+    meta: Vec<u8>,
+    /// Each borrowed payload, after the `meta` bytes before that offset.
+    payloads: StackVec<(usize, &'a [u8]), FRAME_SLICES>,
 }
 
 impl<'a> EncodedRecord<'a> {
-    /// The segments in wire order.
-    pub fn segments(&self) -> &[EncSegment<'a>] {
-        &self.segments
-    }
-
-    /// Segment byte slices in wire order (the shape vectored sends take),
-    /// on the stack for the usual handful of segments.
+    /// The message's byte slices in wire order (the shape vectored sends
+    /// take), on the stack for the usual handful of slices.
     pub fn as_slices(&self) -> StackVec<&[u8], FRAME_SLICES> {
         let mut slices = StackVec::new(&[][..]);
-        self.segments.iter().for_each(|s| slices.push(s.as_slice()));
+        let mut from = 0;
+        for &(at, payload) in self.payloads.iter() {
+            if at > from {
+                slices.push(&self.meta[from..at]);
+            }
+            slices.push(payload);
+            from = at;
+        }
+        if from < self.meta.len() {
+            slices.push(&self.meta[from..]);
+        }
         slices
     }
 
     /// Total encoded length.
     pub fn total_len(&self) -> usize {
-        self.segments.iter().map(|s| s.as_slice().len()).sum()
+        self.meta.len() + self.payloads.iter().map(|(_, p)| p.len()).sum::<usize>()
     }
 
     /// Flatten into one buffer (equals [`Record::encode`] output).
     pub fn to_vec(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.total_len());
-        for s in &self.segments {
-            out.extend_from_slice(s.as_slice());
-        }
-        out
+        self.as_slices().concat()
     }
 }
 
 /// Where one walk of the wire layout goes: the flat buffer of
-/// [`Record::encode`], the segments of [`Record::encode_segments`] or the
-/// byte count of [`Record::encoded_len`].
+/// [`Record::encode`], the [`EncodedRecord`] of
+/// [`Record::encode_segments`] or the byte count of [`Record::encoded_len`].
 trait Sink<'a> {
     fn put(&mut self, bytes: &[u8]);
 
@@ -590,26 +573,16 @@ impl Sink<'_> for ByteCount {
     }
 }
 
-/// Accumulates owned metadata runs and flushes them whenever a large
-/// borrowed payload is interleaved.
-struct SegWriter<'a> {
-    segments: Vec<EncSegment<'a>>,
-    cur: Vec<u8>,
-}
-
-impl<'a> Sink<'a> for SegWriter<'a> {
+impl<'a> Sink<'a> for EncodedRecord<'a> {
     fn put(&mut self, bytes: &[u8]) {
-        self.cur.extend_from_slice(bytes);
+        self.meta.extend_from_slice(bytes);
     }
 
     fn put_payload(&mut self, bytes: &'a [u8]) {
         if bytes.len() >= ZERO_COPY_MIN_BYTES {
-            if !self.cur.is_empty() {
-                self.segments.push(EncSegment::Owned(std::mem::take(&mut self.cur)));
-            }
-            self.segments.push(EncSegment::Borrowed(bytes));
+            self.payloads.push((self.meta.len(), bytes));
         } else {
-            self.cur.extend_from_slice(bytes);
+            self.meta.extend_from_slice(bytes);
         }
     }
 }
@@ -951,17 +924,14 @@ impl Record {
         out
     }
 
-    /// Encode as scatter-gather segments: metadata accumulates in owned
-    /// runs while array payloads of at least [`ZERO_COPY_MIN_BYTES`] are
-    /// borrowed in place. The concatenation of the segments is identical to
-    /// [`Record::encode`] output.
+    /// Encode for a vectored send: the metadata goes to one buffer while
+    /// array payloads of at least [`ZERO_COPY_MIN_BYTES`] are borrowed in
+    /// place (see [`EncodedRecord`]).
     pub fn encode_segments(&self) -> EncodedRecord<'_> {
-        let mut w = SegWriter { segments: Vec::new(), cur: Vec::with_capacity(256) };
-        self.walk(&mut w);
-        if !w.cur.is_empty() {
-            w.segments.push(EncSegment::Owned(w.cur));
-        }
-        EncodedRecord { segments: w.segments }
+        let mut enc =
+            EncodedRecord { meta: Vec::with_capacity(256), payloads: StackVec::new((0, &[])) };
+        self.walk(&mut enc);
+        enc
     }
 
     /// The one walk of the wire layout (see the module docs).
@@ -1225,9 +1195,10 @@ mod tests {
         let enc = r.encode_segments();
         assert_eq!(enc.to_vec(), r.encode());
         assert_eq!(enc.total_len(), r.encoded_len());
+        let big = r.get_packed("big").unwrap().bytes();
         assert!(
-            enc.segments().iter().any(|s| matches!(s, EncSegment::Borrowed(_))),
-            "large payload should be a borrowed segment"
+            enc.as_slices().iter().any(|s| std::ptr::eq(*s, big)),
+            "large payload should be borrowed where it lies"
         );
     }
 

@@ -32,7 +32,7 @@ pub mod transport;
 
 pub use fault::{FaultCounters, FaultPlan, FaultSnapshot, FaultSpec};
 pub use ffs::{
-    DecodeError, EncSegment, EncodedRecord, FieldValue, Name, PackedArray, PackedDtype, Record,
+    DecodeError, EncodedRecord, FieldValue, Name, PackedArray, PackedDtype, Record,
     ZERO_COPY_MIN_BYTES,
 };
 pub use shm::Lease;

@@ -368,10 +368,6 @@ impl SocketSender {
 }
 
 impl EvSender for SocketSender {
-    fn send(&mut self, payload: &[u8]) {
-        self.write_frame(&[payload]);
-    }
-
     fn send_vectored(&mut self, segments: &[&[u8]]) {
         // Segments go straight to the socket behind the header, in one
         // vectored write — no intermediate flattened buffer.

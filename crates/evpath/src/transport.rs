@@ -16,30 +16,20 @@ use shm::Lease;
 
 /// Sending side of a byte transport.
 pub trait EvSender: Send {
-    /// Deliver one message; ordering per sender is preserved.
-    fn send(&mut self, payload: &[u8]);
-
     /// Deliver one message given as scatter-gather segments (header +
-    /// payload slices). Equivalent to `send` of the concatenation; the
-    /// default implementation flattens once, while transports that can
-    /// write segments directly into their destination (the shm pool slot)
-    /// override it to skip the intermediate message buffer.
-    fn send_vectored(&mut self, segments: &[&[u8]]) {
-        self.send(&flatten(segments));
+    /// payload slices): the message is their concatenation, and ordering
+    /// per sender is preserved. Each transport writes the segments where
+    /// the message goes (the shm entry or pool slot, the socket) without
+    /// assembling them first, unless it needs one flat message.
+    fn send_vectored(&mut self, segments: &[&[u8]]);
+
+    /// Deliver one message.
+    fn send(&mut self, payload: &[u8]) {
+        self.send_vectored(&[payload]);
     }
 
     /// Human-readable transport name (for monitoring traces).
     fn transport_name(&self) -> &'static str;
-}
-
-/// Concatenate scatter-gather segments into one message buffer.
-pub fn flatten(segments: &[&[u8]]) -> Vec<u8> {
-    let total = segments.iter().map(|s| s.len()).sum();
-    let mut flat = Vec::with_capacity(total);
-    for s in segments {
-        flat.extend_from_slice(s);
-    }
-    flat
 }
 
 /// Outcome of one non-blocking readiness poll on a receiver, carrying the
@@ -150,14 +140,9 @@ pub fn inproc_pair() -> (BoxedSender, BoxedReceiver) {
 }
 
 impl EvSender for InprocSender {
-    fn send(&mut self, payload: &[u8]) {
-        let _ = self.0.send(payload.to_vec());
-    }
-
     fn send_vectored(&mut self, segments: &[&[u8]]) {
-        // Assemble the message once and hand the vector over without the
-        // second copy the default (flatten → send → to_vec) would pay.
-        let _ = self.0.send(flatten(segments));
+        // Assemble the message once and hand the vector over.
+        let _ = self.0.send(segments.concat());
     }
 
     fn transport_name(&self) -> &'static str {
@@ -202,12 +187,8 @@ struct ShmTransportSender(ShmSender);
 struct ShmTransportReceiver(ShmReceiver);
 
 impl EvSender for ShmTransportSender {
-    fn send(&mut self, payload: &[u8]) {
-        self.0.send_copy(payload);
-    }
-
     fn send_vectored(&mut self, segments: &[&[u8]]) {
-        // Segments land directly in the pool slot (or inline frame): one
+        // Segments land directly in the pool slot (or the queue entry): one
         // producer-side copy, and the first bulk segment 8-byte aligned.
         self.0.send_copy_vectored(segments);
     }
@@ -269,7 +250,16 @@ struct NetTransportReceiver {
 }
 
 impl EvSender for NetTransportSender {
-    fn send(&mut self, payload: &[u8]) {
+    fn send_vectored(&mut self, segments: &[&[u8]]) {
+        // The fabric sends one flat buffer; a one-segment message is one.
+        let flat;
+        let payload = match segments {
+            [payload] => *payload,
+            _ => {
+                flat = segments.concat();
+                &flat
+            }
+        };
         self.port.send(&self.peer, payload, Registration::Cached);
     }
 

@@ -6,11 +6,12 @@
 //! [`LinkState`]; across a process boundary nothing is shared, so this
 //! module rebuilds the same contract from three pieces:
 //!
-//! * [`ChannelHub`] — every rank process binds one listener and accepts
-//!   inbound channel connections on a background thread. A connector
-//!   identifies its channel with a *hello frame* carrying the key
-//!   `"<stream>|<channel label>"`; the hub parks the accepted stream
-//!   under that key until the local engine claims the receiving half.
+//! * [`ChannelHub`] — every rank process binds one nonblocking listener,
+//!   and each probe for a channel accepts what is pending on it. A
+//!   connector identifies its channel with a *hello frame* carrying the
+//!   key `"<stream>|<channel label>"`; the hub reads it through the
+//!   connection's own [`SocketReceiver`] and parks that receiver under the
+//!   key until the local engine claims the receiving half.
 //!   Receivers are therefore **lazy**: `poll_lease` reports `Empty` until
 //!   the peer has dialed in, which is exactly the readiness contract the
 //!   engines and the reactor already run on.
@@ -34,7 +35,6 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -106,65 +106,68 @@ fn net_label(id: ChannelId) -> String {
 
 // ------------------------------------------------------------------ hub
 
-struct HubShared {
-    parked: Mutex<HashMap<String, SockStream>>,
-    alive: AtomicBool,
+/// One rank process's inbound-connection endpoint (see module docs). It
+/// has no thread: whoever probes it for a channel first sweeps what is
+/// pending on its nonblocking listener.
+pub struct ChannelHub {
+    listener: SocketListener,
+    conns: Mutex<HubConns>,
 }
 
-/// One rank process's inbound-connection endpoint (see module docs).
-pub struct ChannelHub {
-    addr: String,
-    shared: Arc<HubShared>,
+/// The hub's accepted connections, each read through its own
+/// [`SocketReceiver`]: those whose hello has not arrived yet, and those
+/// parked under the key their hello named.
+#[derive(Default)]
+struct HubConns {
+    hello: Vec<SocketReceiver>,
+    parked: HashMap<String, SocketReceiver>,
 }
 
 impl ChannelHub {
-    /// Bind a hub listener and start its accept thread.
+    /// Bind a hub listener.
     pub fn bind(kind: SocketKind) -> io::Result<ChannelHub> {
         let listener = SocketListener::bind(kind)?;
-        let addr = listener.local_addr().to_string();
-        let shared = Arc::new(HubShared {
-            parked: Mutex::new(HashMap::new()),
-            alive: AtomicBool::new(true),
-        });
-        let accept_shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("flexio-hub".to_string())
-            .spawn(move || hub_accept_loop(listener, accept_shared))?;
-        Ok(ChannelHub { addr, shared })
+        listener.set_nonblocking(true)?;
+        Ok(ChannelHub { listener, conns: Mutex::default() })
     }
 
     /// The connectable address peers dial (registered in the directory).
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.listener.local_addr()
     }
 
-    /// Take the parked stream for `key` if one has arrived.
-    pub fn try_take(&self, key: &str) -> Option<SockStream> {
-        self.shared.parked.lock().unwrap().remove(key)
-    }
-}
-
-impl Drop for ChannelHub {
-    fn drop(&mut self) {
-        self.shared.alive.store(false, Ordering::Release);
-        // Unblock the accept thread; it rechecks `alive` per connection.
-        let _ = connect(&self.addr);
-    }
-}
-
-fn hub_accept_loop(listener: SocketListener, shared: Arc<HubShared>) {
-    loop {
-        if !shared.alive.load(Ordering::Acquire) {
-            return;
+    /// Take the receiver parked under `key` if its connection has arrived
+    /// and said hello. Each probe first accepts every pending connection
+    /// and reads every hello that is in; neither waits. An accept error
+    /// means nothing is pending this time, and a connection that closes or
+    /// sends garbage before its hello is dropped.
+    pub fn try_take(&self, key: &str) -> Option<SocketReceiver> {
+        let mut conns = self.conns.lock().unwrap();
+        while let Ok(Some(stream)) = self.listener.try_accept() {
+            let mut rx = SocketReceiver::over(stream);
+            rx.set_max_frame(CTRL_FRAME_MAX);
+            conns.hello.push(rx);
         }
-        let Ok(mut stream) = listener.accept() else { return };
-        // The hello follows the connect immediately; bound the read so
-        // one bad connection cannot stall the accept loop forever.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-        let Ok(key) = read_frame(&mut stream, CTRL_FRAME_MAX) else { continue };
-        let Ok(key) = String::from_utf8(key) else { continue };
-        let _ = stream.set_read_timeout(None);
-        shared.parked.lock().unwrap().insert(key, stream);
+        let HubConns { hello, parked } = &mut *conns;
+        let mut i = 0;
+        while i < hello.len() {
+            match hello[i].poll_lease() {
+                RecvPoll::Empty => i += 1,
+                RecvPoll::Msg(said) => {
+                    let rx = hello.swap_remove(i);
+                    if let Ok(said) = std::str::from_utf8(&said) {
+                        parked.insert(said.to_string(), rx);
+                    }
+                }
+                RecvPoll::Closed | RecvPoll::Corrupt(_) => drop(hello.swap_remove(i)),
+            }
+        }
+        parked.remove(key)
+    }
+
+    /// Put a taken receiver back under `key`.
+    fn park(&self, key: String, rx: SocketReceiver) {
+        self.conns.lock().unwrap().parked.insert(key, rx);
     }
 }
 
@@ -391,13 +394,20 @@ impl ProcFabric {
     }
 
     /// The reader roster, once the reader coordinator has dialed this
-    /// (writer coordinator's) hub with its `attach` hello: the frame that
-    /// follows it is read here, bounded as `WireDirNode::handle` bounds
-    /// its own, by whoever probes for the reader side.
+    /// (writer coordinator's) hub with its `attach` hello and the frame
+    /// that follows it is in; until then the connection stays parked and
+    /// the probe answers `None`.
     pub(crate) fn take_attach(&self) -> Option<Vec<CoreLocation>> {
-        let mut stream = self.hub.try_take(&self.attach_key())?;
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
-        let frame = read_frame(&mut stream, CTRL_FRAME_MAX).ok()?;
+        let key = self.attach_key();
+        let mut rx = self.hub.try_take(&key)?;
+        let frame = match rx.poll_lease() {
+            RecvPoll::Msg(frame) => frame,
+            RecvPoll::Empty => {
+                self.hub.park(key, rx);
+                return None;
+            }
+            RecvPoll::Closed | RecvPoll::Corrupt(_) => return None,
+        };
         unpack_roster(&contact_of(&Record::decode(&frame).ok()?)?.meta)
     }
 
@@ -441,10 +451,6 @@ struct LazyConnectSender {
 }
 
 impl EvSender for LazyConnectSender {
-    fn send(&mut self, payload: &[u8]) {
-        self.send_vectored(&[payload]);
-    }
-
     fn send_vectored(&mut self, segments: &[&[u8]]) {
         if self.dead {
             return;
@@ -483,8 +489,7 @@ impl EvReceiver for LazyHubReceiver {
         if self.inner.is_none() {
             let key = self.fabric.channel_key(self.id);
             match self.fabric.hub.try_take(&key) {
-                Some(stream) => {
-                    let mut receiver = SocketReceiver::over(stream);
+                Some(mut receiver) => {
                     receiver.set_max_frame(self.fabric.hints.net_max_frame);
                     let raw: BoxedReceiver = Box::new(receiver);
                     self.inner = Some(match &self.fabric.hints.faults {
@@ -616,6 +621,13 @@ mod tests {
     use super::*;
     use std::time::Instant;
 
+    fn next_msg(rx: &mut (impl EvReceiver + ?Sized)) -> Option<Vec<u8>> {
+        match rx.poll_recv() {
+            RecvPoll::Msg(m) => Some(m),
+            _ => None,
+        }
+    }
+
     #[test]
     fn hub_parks_streams_by_hello_key() {
         let hub = ChannelHub::bind(SocketKind::Tcp).expect("bind hub");
@@ -625,8 +637,27 @@ mod tests {
         let arrived = poll_for(Duration::from_secs(2), || hub.try_take("s|data:0->1"));
         let mut parked = block_inline(arrived).expect("parked");
         assert!(hub.try_take("s|data:0->1").is_none(), "taken exactly once");
-        let body = read_frame(&mut parked, CTRL_FRAME_MAX).unwrap();
-        assert_eq!(body, b"payload-after-hello");
+        let body = block_inline(poll_for(Duration::from_secs(2), || next_msg(&mut parked)));
+        assert_eq!(body.as_deref(), Some(&b"payload-after-hello"[..]));
+    }
+
+    /// A connection that dialed and never said hello holds nothing up:
+    /// the next one's channel is handed over at once, and the silent one
+    /// is still heard when it speaks.
+    #[test]
+    fn a_silent_connection_does_not_hold_up_the_next_channel() {
+        let hub = ChannelHub::bind(SocketKind::Tcp).expect("bind hub");
+        let mut silent = dial(hub.addr(), Duration::from_secs(2)).expect("dial");
+        assert!(hub.try_take("s|data:0->0").is_none());
+        let mut b = dial(hub.addr(), Duration::from_secs(2)).expect("dial");
+        write_frame(&mut b, b"s|data:1->0").unwrap();
+        let t0 = Instant::now();
+        let taken = block_inline(poll_for(Duration::from_secs(5), || hub.try_take("s|data:1->0")));
+        assert!(taken.is_some(), "the second channel arrives");
+        assert!(t0.elapsed() < Duration::from_secs(1), "handed over in {:?}", t0.elapsed());
+        write_frame(&mut silent, b"s|data:0->0").unwrap();
+        let late = poll_for(Duration::from_secs(2), || hub.try_take("s|data:0->0"));
+        assert!(block_inline(late).is_some(), "a late hello still parks its channel");
     }
 
     /// Bind `n` nodes gossiping every `every`, run them all on one
@@ -703,11 +734,7 @@ mod tests {
         let mut peer = dial(fabric.hub.addr(), Duration::from_secs(2)).expect("dial");
         write_frame(&mut peer, fabric.channel_key(id).as_bytes()).unwrap();
         write_frame(&mut peer, b"first").unwrap();
-        let msg = |rx: &mut BoxedReceiver| match rx.poll_recv() {
-            RecvPoll::Msg(m) => Some(m),
-            _ => None,
-        };
-        let first = block_inline(poll_for(Duration::from_secs(5), || msg(&mut rx)));
+        let first = block_inline(poll_for(Duration::from_secs(5), || next_msg(rx.as_mut())));
         assert_eq!(first.as_deref(), Some(&b"first"[..]));
         assert!(rx.wait_readable(Duration::from_millis(10)), "the adopted stream is waited on");
     }

@@ -33,10 +33,6 @@ impl SeqSender {
 }
 
 impl EvSender for SeqSender {
-    fn send(&mut self, payload: &[u8]) {
-        self.send_vectored(&[payload]);
-    }
-
     fn send_vectored(&mut self, segments: &[&[u8]]) {
         // The sequence header rides as one more leading segment, so a
         // scatter-gather send stays scatter-gather through this layer.

@@ -131,8 +131,12 @@ fn both_sides((writer, reader): (Vec<usize>, Vec<usize>)) -> Vec<usize> {
 /// reader's subscriptions to plan over and the reader dropped its chunk
 /// store's vectors at each `end_step`; 415 while both coordinators
 /// rebuilt, re-encoded, re-parsed and re-planned an unchanged exchange
-/// every step and every short name and shape was a heap buffer.
-const STEP_ALLOCS: usize = 136;
+/// every step and every short name and shape was a heap buffer; 136 while
+/// the shm queue copied every entry out into a fresh vector (a pooled
+/// frame's 25-byte descriptor included), an inline send built its frame
+/// before copying it into the entry, and every encoded chunk kept a
+/// segment vector beside its metadata.
+const STEP_ALLOCS: usize = 116;
 
 /// The share of [`STEP_ALLOCS`] that asks for 8 bytes or fewer (260 of
 /// the 415): the reader's block shapes, moved out of each chunk (24) and
@@ -143,8 +147,9 @@ const SMALL_STEP_ALLOCS: usize = 56;
 /// The writer rank's share of a steady `CACHING_ALL` step, which neither
 /// gathers nor exchanges distributions, nor draws up a plan (120 while it
 /// drew up one every step and threw it away, 99 while every message kind
-/// and chunk shape was a heap buffer).
-const CACHED_WRITER_STEP_ALLOCS: usize = 48;
+/// and chunk shape was a heap buffer, 48 while every encoded chunk kept a
+/// segment vector and an inline send built its frame apart).
+const CACHED_WRITER_STEP_ALLOCS: usize = 39;
 
 #[test]
 fn a_control_bound_step_allocates_a_pinned_count() {

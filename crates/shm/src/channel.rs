@@ -5,18 +5,21 @@
 //!
 //! 1. **Inline** — payloads that fit in a queue entry travel directly
 //!    through the [`crate::spsc`] data queue (the paper's "small messages
-//!    like handshaking messages are passed through data queues").
+//!    like handshaking messages are passed through data queues"): the
+//!    sender gathers its segments into the entry behind a kind byte, and
+//!    the receiver copies the message out once, into its lease.
 //! 2. **Pooled (one copy, leased)** — the producer copies the payload into
 //!    a buffer from the [`crate::pool::BufferPool`] free list, posts the
 //!    buffer in its pool slot, pushes the control frame `(slot, start,
 //!    len)` — the paper's "(address, length)" — and returns immediately
 //!    (asynchronous send). The paper's consumer then copies from the pooled
-//!    buffer into its target; this one claims the slot and is handed the
-//!    pool buffer itself as a [`Lease`], and the buffer returns to the free
-//!    list when the lease (and every view decoded out of it) drops. The
-//!    producer starts the message at the 0–7 byte pad that puts its first
-//!    bulk segment on an 8-byte boundary, so a consumer can reinterpret
-//!    that payload as 8-byte elements without moving it.
+//!    buffer into its target; this one parses the frame in its queue
+//!    entry, claims the slot and is handed the pool buffer itself as a
+//!    [`Lease`], and the buffer returns to the free list when the lease
+//!    (and every view decoded out of it) drops. The producer starts the
+//!    message at the 0–7 byte pad that puts its first bulk segment on an
+//!    8-byte boundary, so a consumer can reinterpret that payload as 8-byte
+//!    elements without moving it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -88,6 +91,33 @@ struct Shared {
     closed: AtomicBool,
 }
 
+impl Shared {
+    /// The message a queue entry carries, read where the entry lies: an
+    /// inline message is copied once, into its lease; a pooled frame's
+    /// descriptor is only parsed, and the claimed pool buffer is the lease.
+    fn decode(&self, frame: &[u8]) -> Result<Lease, ChannelError> {
+        match frame.first() {
+            Some(&KIND_INLINE) => Ok(Lease::from(frame[1..].to_vec())),
+            Some(&KIND_POOLED) => {
+                let [slot, start, len] = pooled_words(frame)?;
+                let buf = self
+                    .pool
+                    .claim(slot, self.id)
+                    .ok_or(ChannelError::Corrupt("slot holds nothing posted for this channel"))?;
+                // A bad window drops the claimed buffer back on the free list.
+                if start.checked_add(len).is_none_or(|end| end > buf.capacity()) {
+                    return Err(ChannelError::Corrupt("window past the end of the slot's buffer"));
+                }
+                // No consumer copy: the pool buffer itself is the message,
+                // and goes back on the free list when the lease drops.
+                Ok(Lease::pooled(buf, start, len))
+            }
+            Some(_) => Err(ChannelError::Corrupt("unknown frame kind")),
+            None => Err(ChannelError::Corrupt("empty frame")),
+        }
+    }
+}
+
 impl Drop for Shared {
     /// Both halves are gone: what was posted and never claimed goes back
     /// on the free list.
@@ -152,22 +182,22 @@ impl ShmSender {
 
     /// Scatter-gather variant of [`ShmSender::send_copy`]: the message is
     /// the concatenation of `segments`, written segment by segment straight
-    /// into the inline frame or the pooled buffer — the segments never get
-    /// assembled into an intermediate message buffer, so the pooled path
-    /// costs one producer-side copy however the message is split.
+    /// into the queue entry (behind its kind byte) or the pooled buffer —
+    /// the segments never get assembled into an intermediate message
+    /// buffer, so either path costs one producer-side copy however the
+    /// message is split.
     pub fn send_copy_vectored(&mut self, segments: &[&[u8]]) {
         let total: usize = segments.iter().map(|s| s.len()).sum();
-        if total < self.queue.payload_capacity() {
-            let mut framed = Vec::with_capacity(total + 1);
-            framed.push(KIND_INLINE);
-            for s in segments {
-                framed.extend_from_slice(s);
-            }
-            self.queue.push(&framed).expect("inline frame fits entry capacity");
-            return;
-        }
-        let frame = self.post_pooled(segments, total);
-        self.queue.push(&frame).expect("control frame fits entry capacity");
+        let pushed = if total < self.queue.payload_capacity() {
+            self.queue.push_with(total + 1, |entry| {
+                entry[0] = KIND_INLINE;
+                gather(segments, &mut entry[1..]);
+            })
+        } else {
+            let frame = self.post_pooled(segments, total);
+            self.queue.push_with(POOLED_FRAME_LEN, |entry| entry.copy_from_slice(&frame))
+        };
+        pushed.expect("frame fits entry capacity");
     }
 
     /// Copy `segments` (`total` bytes) into a pool buffer, post it for
@@ -184,11 +214,7 @@ impl ShmSender {
             .map(|i| segments[..i].iter().map(|s| s.len()).sum());
         let pad =
             before_bulk.map_or(0, |at| (dst.as_ptr() as usize + at).wrapping_neg() % BULK_ALIGN);
-        let mut at = pad;
-        for s in segments {
-            dst[at..at + s.len()].copy_from_slice(s);
-            at += s.len();
-        }
+        gather(segments, &mut dst[pad..]);
         self.shared.producer_copies.fetch_add(1, Ordering::Relaxed);
         pooled_frame(buf.post(self.shared.id), pad, total)
     }
@@ -200,7 +226,18 @@ impl ShmSender {
     /// Test/chaos API.
     #[doc(hidden)]
     pub fn inject_raw_frame(&mut self, frame: &[u8]) {
-        self.queue.push(frame).expect("injected frame fits entry capacity");
+        self.queue
+            .push_with(frame.len(), |entry| entry.copy_from_slice(frame))
+            .expect("injected frame fits entry capacity");
+    }
+}
+
+/// Copy `segments` back to back to the front of `dst`.
+fn gather(segments: &[&[u8]], dst: &mut [u8]) {
+    let mut at = 0;
+    for s in segments {
+        dst[at..at + s.len()].copy_from_slice(s);
+        at += s.len();
     }
 }
 
@@ -229,37 +266,8 @@ impl ShmReceiver {
     /// Non-blocking receive. `Ok(None)` means the queue is currently empty;
     /// `Err` means a frame arrived but was corrupt (and was consumed).
     pub fn try_recv(&mut self) -> Result<Option<Lease>, ChannelError> {
-        match self.queue.try_pop() {
-            Some(frame) => self.decode(frame).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    fn decode(&self, frame: Vec<u8>) -> Result<Lease, ChannelError> {
-        match frame.first() {
-            Some(&KIND_INLINE) => {
-                // The popped entry is the message behind its kind byte.
-                let mut msg = Lease::from(frame);
-                msg.skip(1);
-                Ok(msg)
-            }
-            Some(&KIND_POOLED) => {
-                let [slot, start, len] = pooled_words(&frame)?;
-                let buf =
-                    self.shared.pool.claim(slot, self.shared.id).ok_or(ChannelError::Corrupt(
-                        "slot holds nothing posted for this channel",
-                    ))?;
-                // A bad window drops the claimed buffer back on the free list.
-                if start.checked_add(len).is_none_or(|end| end > buf.capacity()) {
-                    return Err(ChannelError::Corrupt("window past the end of the slot's buffer"));
-                }
-                // No consumer copy: the pool buffer itself is the message,
-                // and goes back on the free list when the lease drops.
-                Ok(Lease::pooled(buf, start, len))
-            }
-            Some(_) => Err(ChannelError::Corrupt("unknown frame kind")),
-            None => Err(ChannelError::Corrupt("empty frame")),
-        }
+        let shared = &self.shared;
+        self.queue.try_pop_with(|frame| shared.decode(frame)).transpose()
     }
 
     /// True once the sending half has been dropped. The flag is set after

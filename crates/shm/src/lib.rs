@@ -9,7 +9,11 @@
 //!   *separate* head/tail indices in different cache lines (no shared
 //!   counter), each entry carries a `full`/`empty` status flag, and entries
 //!   are aligned and padded so they never share a cache line — eliminating
-//!   false sharing and minimizing coherence traffic. See [`spsc`].
+//!   false sharing and minimizing coherence traffic. The producer writes a
+//!   message straight into its entry and the consumer reads it there, so
+//!   an inline message is copied once in and once out, into the receiver's
+//!   [`Lease`], and a pooled frame's descriptor is parsed where it lies.
+//!   See [`spsc`].
 //! * **Buffer pool** for large messages: the producer pre-allocates a pool
 //!   indexed by a free list; a large send copies the payload into a pooled
 //!   buffer of the closest size (allocating one on miss), posts it in its
@@ -46,4 +50,4 @@ pub mod spsc;
 
 pub use channel::{shm_channel, shm_channel_with_pool, ChannelError, ShmReceiver, ShmSender};
 pub use pool::{BufferPool, Lease, PoolBuffer, PoolStats};
-pub use spsc::{spsc_queue, Consumer, Producer, PushError};
+pub use spsc::{spsc_queue, Consumer, Producer, TooLarge};

@@ -6,10 +6,12 @@
 //!   entry to enqueue/dequeue; there is no shared head/tail counter, so the
 //!   only cross-core traffic is the per-entry status flag and payload.
 //! * Each entry has a fixed-size payload field and a status flag with two
-//!   states, `EMPTY` and `FULL`. The producer checks the flag is `EMPTY`
-//!   before copying data in and then sets it `FULL` (release); the consumer
-//!   polls for `FULL` (acquire), copies data out, and sets it `EMPTY`
-//!   (release) to hand the entry back.
+//!   states, `EMPTY` and `FULL`. The producer waits for `EMPTY`, writes the
+//!   payload straight into the entry ([`Producer::push_with`]) and sets it
+//!   `FULL` (release); the consumer polls for `FULL` (acquire), reads the
+//!   payload where it lies ([`Consumer::try_pop_with`]) and sets it `EMPTY`
+//!   (release) to hand the entry back. Neither side stages the payload in
+//!   a buffer of its own.
 //! * Entries are padded to cache-line multiples so adjacent entries never
 //!   share a line (no false sharing between producer and consumer working
 //!   on neighbouring slots).
@@ -28,29 +30,24 @@ use std::sync::Arc;
 const EMPTY: u32 = 0;
 const FULL: u32 = 1;
 
-/// Error returned by [`Producer::try_push`] when the queue is full or the
-/// payload exceeds the entry capacity.
+/// Error returned by [`Producer::push_with`] for a payload larger than the
+/// entry capacity: it can never fit, so callers route such messages
+/// through the buffer pool instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushError {
-    /// The next entry is still `FULL`; the consumer has not caught up.
-    Full,
-    /// Payload larger than the queue's fixed entry capacity; callers must
-    /// route such messages through the buffer pool instead.
-    TooLarge { capacity: usize, requested: usize },
+pub struct TooLarge {
+    /// The queue's fixed entry capacity.
+    pub capacity: usize,
+    /// The payload length asked for.
+    pub requested: usize,
 }
 
-impl std::fmt::Display for PushError {
+impl std::fmt::Display for TooLarge {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PushError::Full => write!(f, "queue is full"),
-            PushError::TooLarge { capacity, requested } => {
-                write!(f, "payload of {requested} bytes exceeds entry capacity {capacity}")
-            }
-        }
+        write!(f, "payload of {} bytes exceeds entry capacity {}", self.requested, self.capacity)
     }
 }
 
-impl std::error::Error for PushError {}
+impl std::error::Error for TooLarge {}
 
 /// One queue slot: a status flag, the valid-byte count, and the inline
 /// payload. The 128-byte alignment rounds the whole entry up to a multiple
@@ -117,28 +114,28 @@ impl Producer {
         self.shared.payload_capacity
     }
 
-    /// Attempt to enqueue `payload` without blocking.
-    pub fn try_push(&mut self, payload: &[u8]) -> Result<(), PushError> {
-        if payload.len() > self.shared.payload_capacity {
-            return Err(PushError::TooLarge {
-                capacity: self.shared.payload_capacity,
-                requested: payload.len(),
-            });
+    /// Enqueue a `len`-byte payload that `fill` writes straight into the
+    /// next entry, spinning while that entry is still `FULL`. An oversized
+    /// payload is refused before `fill` runs (it can never fit, so
+    /// spinning on it would hang forever).
+    pub fn push_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> Result<(), TooLarge> {
+        let capacity = self.shared.payload_capacity;
+        if len > capacity {
+            return Err(TooLarge { capacity, requested: len });
         }
         let entry = &self.shared.entries[self.head];
-        // Check the next entry has been released by the consumer. Acquire
-        // pairs with the consumer's release of EMPTY so our payload write
-        // cannot be ordered before the consumer finished reading.
-        if entry.flag.load(Ordering::Acquire) != EMPTY {
-            return Err(PushError::Full);
+        // Wait for the consumer to release the entry. Acquire pairs with
+        // its release of EMPTY so our payload write cannot be ordered
+        // before the consumer finished reading.
+        while entry.flag.load(Ordering::Acquire) != EMPTY {
+            std::hint::spin_loop();
         }
         // SAFETY: flag == EMPTY means the consumer no longer touches this
         // entry, and we are the unique producer, so we have exclusive
         // access to the cells until we publish FULL.
         unsafe {
-            let buf = &mut *entry.payload.get();
-            buf[..payload.len()].copy_from_slice(payload);
-            *entry.len.get() = payload.len() as u32;
+            fill(&mut (&mut *entry.payload.get())[..len]);
+            *entry.len.get() = len as u32;
         }
         // Publish: everything written above happens-before the consumer's
         // acquire-load observing FULL.
@@ -148,19 +145,6 @@ impl Producer {
         Ok(())
     }
 
-    /// Enqueue, spinning until space is available. Oversized payloads are
-    /// reported back to the caller (they can never succeed, so spinning on
-    /// them would hang forever).
-    pub fn push(&mut self, payload: &[u8]) -> Result<(), PushError> {
-        loop {
-            match self.try_push(payload) {
-                Ok(()) => return Ok(()),
-                Err(PushError::Full) => std::hint::spin_loop(),
-                Err(e @ PushError::TooLarge { .. }) => return Err(e),
-            }
-        }
-    }
-
     /// Number of messages enqueued so far (monitoring hook).
     pub fn enqueued(&self) -> u64 {
         self.shared.enqueued.load(Ordering::Relaxed)
@@ -168,8 +152,10 @@ impl Producer {
 }
 
 impl Consumer {
-    /// Attempt to dequeue into a fresh `Vec` without blocking.
-    pub fn try_pop(&mut self) -> Option<Vec<u8>> {
+    /// Dequeue without blocking: `read` sees the next payload where it
+    /// lies in its entry, which goes back to the producer once `read`
+    /// returns. `None` when the queue is empty.
+    pub fn try_pop_with<R>(&mut self, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let entry = &self.shared.entries[self.tail];
         // Poll the flag of the next entry to dequeue (paper wording).
         if entry.flag.load(Ordering::Acquire) != FULL {
@@ -177,47 +163,12 @@ impl Consumer {
         }
         // SAFETY: flag == FULL grants us exclusive read access; the
         // producer will not touch the entry again until we store EMPTY.
-        let out = unsafe {
-            let len = *entry.len.get() as usize;
-            let buf = &*entry.payload.get();
-            buf[..len].to_vec()
-        };
+        let out = unsafe { read(&(&*entry.payload.get())[..*entry.len.get() as usize]) };
         // Release the entry back to the producer.
         entry.flag.store(EMPTY, Ordering::Release);
         self.tail = (self.tail + 1) % self.shared.entries.len();
         self.shared.dequeued.fetch_add(1, Ordering::Relaxed);
         Some(out)
-    }
-
-    /// Attempt to dequeue into a caller-provided buffer, avoiding
-    /// allocation; returns the number of payload bytes written.
-    pub fn try_pop_into(&mut self, target: &mut [u8]) -> Option<usize> {
-        let entry = &self.shared.entries[self.tail];
-        if entry.flag.load(Ordering::Acquire) != FULL {
-            return None;
-        }
-        // SAFETY: as in `try_pop`.
-        let len = unsafe {
-            let len = *entry.len.get() as usize;
-            assert!(target.len() >= len, "target receive buffer too small");
-            let buf = &*entry.payload.get();
-            target[..len].copy_from_slice(&buf[..len]);
-            len
-        };
-        entry.flag.store(EMPTY, Ordering::Release);
-        self.tail = (self.tail + 1) % self.shared.entries.len();
-        self.shared.dequeued.fetch_add(1, Ordering::Relaxed);
-        Some(len)
-    }
-
-    /// Dequeue, spinning until a message arrives.
-    pub fn pop(&mut self) -> Vec<u8> {
-        loop {
-            if let Some(msg) = self.try_pop() {
-                return msg;
-            }
-            std::hint::spin_loop();
-        }
     }
 
     /// Number of messages dequeued so far (monitoring hook).
@@ -229,56 +180,83 @@ impl Consumer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::thread;
+
+    fn push(tx: &mut Producer, payload: &[u8]) -> Result<(), TooLarge> {
+        tx.push_with(payload.len(), |entry| entry.copy_from_slice(payload))
+    }
+
+    fn try_pop(rx: &mut Consumer) -> Option<Vec<u8>> {
+        rx.try_pop_with(<[u8]>::to_vec)
+    }
+
+    fn pop(rx: &mut Consumer) -> Vec<u8> {
+        loop {
+            if let Some(msg) = try_pop(rx) {
+                return msg;
+            }
+            std::hint::spin_loop();
+        }
+    }
 
     #[test]
     fn fifo_single_thread() {
         let (mut tx, mut rx) = spsc_queue(4, 16);
-        tx.try_push(b"a").unwrap();
-        tx.try_push(b"bb").unwrap();
-        assert_eq!(rx.try_pop().unwrap(), b"a");
-        assert_eq!(rx.try_pop().unwrap(), b"bb");
-        assert_eq!(rx.try_pop(), None);
+        push(&mut tx, b"a").unwrap();
+        push(&mut tx, b"bb").unwrap();
+        assert_eq!(try_pop(&mut rx).unwrap(), b"a");
+        assert_eq!(try_pop(&mut rx).unwrap(), b"bb");
+        assert_eq!(try_pop(&mut rx), None);
     }
 
     #[test]
-    fn full_queue_rejects() {
+    fn a_full_queue_holds_the_push_until_an_entry_frees() {
         let (mut tx, mut rx) = spsc_queue(2, 8);
-        tx.try_push(b"1").unwrap();
-        tx.try_push(b"2").unwrap();
-        assert_eq!(tx.try_push(b"3"), Err(PushError::Full));
-        rx.try_pop().unwrap();
-        tx.try_push(b"3").unwrap();
+        push(&mut tx, b"1").unwrap();
+        push(&mut tx, b"2").unwrap();
+        let third_in = AtomicBool::new(false);
+        thread::scope(|s| {
+            s.spawn(|| {
+                push(&mut tx, b"3").unwrap();
+                third_in.store(true, Ordering::Release);
+            });
+            thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!third_in.load(Ordering::Acquire), "a push into a full queue waits");
+            assert_eq!(pop(&mut rx), b"1");
+        });
+        assert!(third_in.load(Ordering::Acquire));
+        assert_eq!(pop(&mut rx), b"2");
+        assert_eq!(pop(&mut rx), b"3");
     }
 
     #[test]
     fn oversized_payload_rejected() {
         let (mut tx, _rx) = spsc_queue(2, 4);
-        assert_eq!(tx.try_push(b"too-big"), Err(PushError::TooLarge { capacity: 4, requested: 7 }));
+        let refused = tx.push_with(7, |_| panic!("an oversized payload is never written"));
+        assert_eq!(refused, Err(TooLarge { capacity: 4, requested: 7 }));
     }
 
     #[test]
     fn wraparound_preserves_order() {
         let (mut tx, mut rx) = spsc_queue(3, 16);
         for round in 0u64..50 {
-            tx.push(&round.to_le_bytes()).unwrap();
-            let got = rx.pop();
+            push(&mut tx, &round.to_le_bytes()).unwrap();
+            let got = pop(&mut rx);
             assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), round);
         }
     }
 
     #[test]
     fn blocking_push_reports_oversized_instead_of_panicking() {
-        // Regression: `push` used to panic on TooLarge; it must return the
-        // error so callers can fall back to the buffer pool.
+        // Regression: the blocking push used to panic on an oversized
+        // payload; it must return the error so callers can fall back to
+        // the buffer pool.
         let (mut tx, mut rx) = spsc_queue(2, 4);
-        assert_eq!(
-            tx.push(b"way-too-big"),
-            Err(PushError::TooLarge { capacity: 4, requested: 11 })
-        );
+        assert_eq!(push(&mut tx, b"way-too-big"), Err(TooLarge { capacity: 4, requested: 11 }));
         // The queue stays usable after the rejected push.
-        tx.push(b"ok").unwrap();
-        assert_eq!(rx.pop(), b"ok");
+        push(&mut tx, b"ok").unwrap();
+        assert_eq!(pop(&mut rx), b"ok");
     }
 
     #[test]
@@ -289,11 +267,11 @@ mod tests {
         let (mut tx, mut rx) = spsc_queue(128, 16);
         let producer = thread::spawn(move || {
             for i in 0..N {
-                tx.push(&i.to_le_bytes()).unwrap();
+                push(&mut tx, &i.to_le_bytes()).unwrap();
             }
         });
         for i in 0..N {
-            let msg = rx.pop();
+            let msg = pop(&mut rx);
             assert_eq!(u64::from_le_bytes(msg.try_into().unwrap()), i);
         }
         producer.join().unwrap();
@@ -301,22 +279,30 @@ mod tests {
     }
 
     #[test]
-    fn pop_into_avoids_allocation() {
+    fn push_and_pop_work_inside_the_entry() {
         let (mut tx, mut rx) = spsc_queue(4, 32);
-        tx.push(b"payload-bytes").unwrap();
-        let mut buf = [0u8; 32];
-        let n = rx.try_pop_into(&mut buf).unwrap();
-        assert_eq!(&buf[..n], b"payload-bytes");
+        // The fill sees exactly the payload's bytes of the entry.
+        tx.push_with(13, |entry| {
+            assert_eq!(entry.len(), 13);
+            entry.copy_from_slice(b"payload-bytes");
+        })
+        .unwrap();
+        // The read sees them where they lie: the entry's own buffer.
+        // SAFETY: reads only the buffer's address, which never changes.
+        let entry_buf = unsafe { (*rx.shared.entries[0].payload.get()).as_ptr() };
+        let read = rx.try_pop_with(|msg| msg.as_ptr() == entry_buf && msg == b"payload-bytes");
+        assert_eq!(read, Some(true));
+        assert_eq!(rx.try_pop_with(|_| unreachable!("queue is empty")), None);
     }
 
     #[test]
     fn counters_track_traffic() {
         let (mut tx, mut rx) = spsc_queue(8, 8);
         for _ in 0..5 {
-            tx.push(b"xy").unwrap();
+            push(&mut tx, b"xy").unwrap();
         }
         for _ in 0..5 {
-            rx.pop();
+            pop(&mut rx);
         }
         assert_eq!(tx.enqueued(), 5);
         assert_eq!(rx.dequeued(), 5);

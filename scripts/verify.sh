@@ -238,6 +238,26 @@ fi
 if grep -rn --include='*.rs' --exclude-dir=target 'resilience_snapshot' crates src tests examples; then
     echo "resilience_snapshot is back (the one ProtocolSnapshot names every protocol counter)"; exit 1
 fi
+# Hand-offs in place: an encoded record keeps its metadata in one buffer,
+# a queue entry is written and read where it lies, and the channel hub is
+# swept by whoever probes it, with no thread of its own.
+if grep -rnwE --include='*.rs' --exclude-dir=target 'EncSegment|try_pop_into|hub_accept_loop|HubShared' \
+    crates src tests examples; then
+    echo "a staged hand-off is back (one metadata buffer, push_with/try_pop_with, a threadless hub)"; exit 1
+fi
+# One send: send_vectored is EvSender's one required method, and send is
+# its provided one-liner, which no transport defines again.
+ev_impls=$(grep -rlE --include='*.rs' --exclude-dir=target 'impl[^{]*EvSender for' crates src tests examples)
+if awk '/^ *impl[^{]*EvSender for / { ind = substr($0, 1, index($0, "impl") - 1); inside = 1; next }
+        inside && $0 == ind "}" { inside = 0 }
+        inside && /fn send\(/ { print FILENAME ":" FNR; bad = 1 }
+        END { exit !bad }' $ev_impls; then
+    echo "an EvSender defines send( again (implement send_vectored only)"; exit 1
+fi
+if awk '/#\[cfg\(test\)\]/ { exit } /thread::(spawn|Builder)/ { print FILENAME ":" FNR; bad = 1 }
+        END { exit !bad }' crates/flexio/src/procnet.rs; then
+    echo "procnet starts a thread again (the hub is swept by whoever probes it)"; exit 1
+fi
 # Every public function has a caller: each `pub fn NAME` under crates/*/src
 # appears as a word in the Rust tree more often than `fn NAME` is defined.
 # One pass: definitions (D), public definitions (P) and words (W) counted
@@ -272,7 +292,7 @@ done
 [ "$missing" -eq 0 ] || { echo "a doc names something the tree does not have"; exit 1; }
 # Their size only goes down, toward the ROADMAP's 100 KB target; lower
 # this limit when a PR shrinks them, never raise it.
-doc_limit=127064
+doc_limit=126891
 doc_bytes=$(cat $docs | wc -c)
 [ "$doc_bytes" -le "$doc_limit" ] || { echo "docs are $doc_bytes bytes (limit $doc_limit)"; exit 1; }
 echo "doc references ok (docs: $doc_bytes bytes)"
