@@ -81,7 +81,9 @@ pub trait ReadEngine: Send {
 /// - `ProcessGroup(r)`: the first value from rank `r`.
 /// - `Scalar`: the first scalar.
 /// - `GlobalBox(b)`: every block's overlap with `b`, laid into one block of
-///   `b`'s extent; cells no block covers stay zero. `None` when no block
+///   `b`'s extent; cells no block covers stay zero. A block that is exactly
+///   `b`, and the only one to overlap it, is returned itself (a view keeps
+///   sharing its buffer). `None` when no block
 ///   intersects `b`, and when a block is of another rank than `b` or an
 ///   intersecting one disagrees with the first on global shape or element
 ///   type: such data comes from a peer or a file, so it is refused, not
@@ -97,7 +99,10 @@ pub fn select<'v>(
             values.map(|(_, v)| v).find(|v| matches!(v, VarValue::Scalar(_))).cloned()
         }
         Selection::GlobalBox(want) => {
-            let mut assembled: Option<(&LocalBlock, BoxAssembler)> = None;
+            // The first overlapping block waits here: when it is the only
+            // one and is exactly the box, it is the answer as it stands.
+            let mut first: Option<(&LocalBlock, BoxSel)> = None;
+            let mut asm: Option<BoxAssembler> = None;
             for (_, value) in values {
                 let VarValue::Block(block) = value else { continue };
                 if block.offset.len() != want.rank() {
@@ -105,18 +110,39 @@ pub fn select<'v>(
                 }
                 let have = BoxSel::new(block.offset.clone(), block.count.clone());
                 let Some(overlap) = have.intersect(want) else { continue };
-                let (first, asm) =
-                    assembled.get_or_insert_with(|| (block, BoxAssembler::new(want, block)));
-                if block.global_shape != first.global_shape
-                    || block.data.data_type() != first.data.data_type()
+                let Some((head, head_overlap)) = &first else {
+                    first = Some((block, overlap));
+                    continue;
+                };
+                if block.global_shape != head.global_shape
+                    || block.data.data_type() != head.data.data_type()
                 {
                     return None;
                 }
-                asm.add_region(block, &overlap);
+                asm.get_or_insert_with(|| box_holding(want, head, head_overlap))
+                    .add_region(block, &overlap);
             }
-            assembled.map(|(_, asm)| VarValue::Block(asm.finish()))
+            match (first, asm) {
+                (_, Some(asm)) => Some(VarValue::Block(asm.finish())),
+                (Some((block, _)), None)
+                    if block.offset == want.offset && block.count == want.count =>
+                {
+                    Some(VarValue::Block(block.clone()))
+                }
+                (Some((block, overlap)), None) => {
+                    Some(VarValue::Block(box_holding(want, block, &overlap).finish()))
+                }
+                (None, None) => None,
+            }
         }
     }
+}
+
+/// An assembler of the box `want`, holding `block`'s `overlap` with it.
+fn box_holding(want: &BoxSel, block: &LocalBlock, overlap: &BoxSel) -> BoxAssembler {
+    let mut asm = BoxAssembler::new(want, block);
+    asm.add_region(block, overlap);
+    asm
 }
 
 // ------------------------------------------------------------- file mode
@@ -329,6 +355,59 @@ mod tests {
         assert!(reader.read("nope", &Selection::Scalar).is_none());
         assert!(reader.read("grid", &Selection::ProcessGroup(42)).is_none());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A packed view of 2 x 4 elements, 8-aligned when `pad` is 0 and
+    /// `pad` bytes off when it is not.
+    fn view_block(offset: [u64; 2], pad: usize) -> LocalBlock {
+        let mut bytes = vec![0u8; pad];
+        (0..8u64)
+            .for_each(|i| bytes.extend_from_slice(&((offset[0] * 100 + i) as f64).to_le_bytes()));
+        let lease = std::sync::Arc::new(evpath::Lease::from(bytes));
+        LocalBlock {
+            global_shape: vec![4, 4],
+            offset: offset.to_vec(),
+            count: vec![2, 4],
+            data: ArrayData::Packed(evpath::PackedArray::view(
+                evpath::PackedDtype::F64,
+                lease,
+                pad,
+                64,
+            )),
+        }
+        .validated()
+    }
+
+    #[test]
+    fn a_box_one_block_covers_exactly_shares_that_block() {
+        let top = VarValue::Block(view_block([0, 0], 0));
+        let bottom = VarValue::Block(view_block([2, 0], 3));
+        let both = [(0, &top), (1, &bottom)];
+        let top_box = Selection::GlobalBox(BoxSel::new(vec![0, 0], vec![2, 4]));
+        let Some(VarValue::Block(got)) = select(both, &top_box) else { panic!("a block") };
+        let VarValue::Block(b) = &top else { unreachable!() };
+        assert!(got.data.is_packed(), "the stored view itself");
+        assert_eq!(got.data.as_f64().as_ptr(), b.data.as_f64().as_ptr(), "its buffer, shared");
+        assert_eq!(got, *b);
+        // An unaligned exact cover is returned as it is too; `make_readable`
+        // then copies it, and it alone.
+        let bottom_box = Selection::GlobalBox(BoxSel::new(vec![2, 0], vec![2, 4]));
+        let Some(mut got) = select(both, &bottom_box) else { panic!("a block") };
+        assert_eq!(got, bottom);
+        got.make_readable();
+        let VarValue::Block(got) = got else { unreachable!() };
+        assert_eq!(got.data.as_f64(), &[200., 201., 202., 203., 204., 205., 206., 207.]);
+        // A box two blocks meet in, or one a block only partly covers, is
+        // assembled into a buffer of its own.
+        for (offset, count) in [(vec![1, 0], vec![2, 4]), (vec![0, 1], vec![2, 2])] {
+            let want = BoxSel::new(offset, count);
+            let Some(VarValue::Block(got)) = select(both, &Selection::GlobalBox(want.clone()))
+            else {
+                panic!("a block")
+            };
+            assert!(!got.data.is_packed(), "{want:?} is assembled");
+            assert_eq!((got.offset, got.count), (want.offset, want.count));
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use ffs::{
     DecodeError, EncodedRecord, FieldValue, Name, PackedArray, PackedDtype, Record,
     ZERO_COPY_MIN_BYTES,
 };
-pub use shm::Lease;
+pub use shm::{Lease, Window};
 pub use socket::{
     connect, decode_frame_header, encode_frame_header, read_frame, receiver_over, sender_over,
     socket_pair, write_frame, SockStream, SocketKind, SocketListener, SocketReceiver, SocketSender,

@@ -14,6 +14,8 @@ use netsim::{NetSim, Port, PortAddress, Registration};
 use shm::channel::{shm_channel, ShmReceiver, ShmSender};
 use shm::Lease;
 
+use crate::ffs::EncodedRecord;
+
 /// Sending side of a byte transport.
 pub trait EvSender: Send {
     /// Deliver one message given as scatter-gather segments (header +
@@ -26,6 +28,15 @@ pub trait EvSender: Send {
     /// Deliver one message.
     fn send(&mut self, payload: &[u8]) {
         self.send_vectored(&[payload]);
+    }
+
+    /// Deliver one encoded record: by default its slices, vectored. A
+    /// transport that can hand the receiver the record's shared payload
+    /// buffers themselves (the shm channel's exposed path) overrides this;
+    /// wrappers that reframe a message (sequencing, fault injection) keep
+    /// the default, so their streams carry every byte.
+    fn send_encoded(&mut self, enc: &EncodedRecord<'_>) {
+        self.send_vectored(&enc.as_slices());
     }
 
     /// Human-readable transport name (for monitoring traces).
@@ -191,6 +202,19 @@ impl EvSender for ShmTransportSender {
         // Segments land directly in the pool slot (or the queue entry): one
         // producer-side copy, and the first bulk segment 8-byte aligned.
         self.0.send_copy_vectored(segments);
+    }
+
+    fn send_encoded(&mut self, enc: &EncodedRecord<'_>) {
+        // Every bulk payload a view of a shared buffer: only the metadata
+        // is copied, into the queue entry, and the receiver decodes views
+        // of the sender's own buffers. Otherwise, or when the metadata
+        // does not fit an entry, the message is copied as usual.
+        if let Some(windows) = enc.windows() {
+            if self.0.send_exposed(enc.meta(), windows) {
+                return;
+            }
+        }
+        self.send_vectored(&enc.as_slices());
     }
 
     fn transport_name(&self) -> &'static str {

@@ -416,6 +416,12 @@ mod tests {
     use std::thread;
     use std::time::Instant;
 
+    /// Hints that leave the transport to placement, whatever
+    /// `FLEXIO_TRANSPORT` forces on the defaults.
+    fn placed_hints() -> StreamHints {
+        StreamHints { transport: Transport::Auto, ..StreamHints::default() }
+    }
+
     fn link_with_cores() -> Arc<LinkState> {
         let link = LinkState::new(
             2,
@@ -424,7 +430,7 @@ mod tests {
                 CoreLocation { node: 0, numa: 0, core: 1 },
             ],
             None,
-            &StreamHints::default(),
+            &placed_hints(),
             None,
         );
         link.set_reader_info(1, vec![CoreLocation { node: 0, numa: 1, core: 0 }]);
@@ -473,7 +479,7 @@ mod tests {
             1,
             vec![CoreLocation { node: 0, numa: 0, core: 0 }],
             Some(NetSim::new(machine::InterconnectParams::gemini(), 2)),
-            &StreamHints::default(),
+            &placed_hints(),
             None,
         );
         link.set_reader_info(1, vec![CoreLocation { node: 1, numa: 0, core: 0 }]);

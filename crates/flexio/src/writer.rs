@@ -385,10 +385,10 @@ impl StreamWriter {
                         cp.var
                     )));
                 }
-                // Whole-value chunks borrow the written value — the only
-                // payload copy before the transport is the marshal layer's
-                // bulk append; region chunks own their packed strides and
-                // are moved (not re-cloned) into the record.
+                // Whole-value chunks borrow the written value: a view's
+                // buffer goes to the transport as it is (over shm, to the
+                // reader itself); region chunks own their packed strides
+                // and are moved (not re-cloned) into the record.
                 let mut payload = redistribute::extract_chunk(value, cp);
                 let mut extras: Vec<(String, VarValue)> = Vec::new();
                 if cp.region.is_none() {
@@ -430,7 +430,7 @@ impl StreamWriter {
                 let wire = enc.total_len() as u64;
                 monitor.record(MonitorEvent::DataSend, step, self.rank, wire, 0);
                 self.step_wire_bytes += wire;
-                tx.send_vectored(&enc.as_slices());
+                tx.send_encoded(&enc);
                 counters.bump(&counters.data_msgs);
             }
             // One queue's worth of traffic is down the pipe: let the

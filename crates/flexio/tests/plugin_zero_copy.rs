@@ -383,3 +383,72 @@ fn a_view_outlives_the_stream_and_returns_its_buffer_on_drop() {
     assert_eq!(after.misses, before.misses, "the dropped view's buffer was listed");
     assert_eq!(after.resident_bytes, before.resident_bytes, "nothing leaked, nothing wrapped");
 }
+
+/// A GTS-shaped 1×1 shm step, its two 5.6 MB variables written as views
+/// (as the simulation hands over immutable buffers): the writer exposes
+/// them to the reader, acquires no pool buffer, and the reader reads the
+/// writer's own bytes. The same variables written as owned `F64` vectors
+/// take the pooled path: one pool buffer per variable per step.
+#[test]
+fn view_payloads_acquire_no_pool_buffer_and_owned_ones_one_each() {
+    const WARM_UP: u64 = 2;
+    const STEPS: u64 = 5;
+    for views in [true, false] {
+        let pool = BufferPool::new(1 << 30);
+        let (w_pool, r_pool) = (pool.clone(), pool.clone());
+        let (acquired, reads) = couple(
+            1,
+            1,
+            hints(Transport::Shm, WriteMode::Sync),
+            move |mut w, _rank| {
+                shm::placement::install_thread_pool(w_pool.clone());
+                let mut per_step = Vec::new();
+                for step in 0..STEPS {
+                    let before = w_pool.stats();
+                    w.begin_step(step);
+                    for (salt, var) in GTS_VARS.iter().enumerate() {
+                        let data = payload(GTS_ELEMS, step, salt as u64);
+                        let data = match views {
+                            true => ArrayData::Packed(PackedArray::from_f64s(&data)),
+                            false => ArrayData::F64(data),
+                        };
+                        let n = GTS_ELEMS as u64;
+                        let block = LocalBlock {
+                            global_shape: vec![n],
+                            offset: vec![0],
+                            count: vec![n],
+                            data,
+                        };
+                        w.write(var, VarValue::Block(block.validated()));
+                    }
+                    w.end_step();
+                    let after = w_pool.stats();
+                    per_step.push(after.hits + after.misses - before.hits - before.misses);
+                }
+                w.close();
+                per_step
+            },
+            move |mut r, _rank| {
+                shm::placement::install_thread_pool(r_pool.clone());
+                for var in GTS_VARS {
+                    r.subscribe(var, Selection::ProcessGroup(0));
+                }
+                for step in 0..STEPS {
+                    assert_eq!(r.try_begin_step().expect("begin"), StepStatus::Step(step));
+                    for (salt, var) in GTS_VARS.iter().enumerate() {
+                        let b = read_block(&mut r, var);
+                        assert_eq!(b.data.as_f64(), &payload(GTS_ELEMS, step, salt as u64)[..]);
+                    }
+                    r.end_step();
+                }
+            },
+        );
+        assert_eq!(reads.len(), 1);
+        let per_var = if views { 0 } else { 1 };
+        let steady = &acquired[0][WARM_UP as usize..];
+        assert!(
+            steady.iter().all(|&n| n == per_var * GTS_VARS.len() as u64),
+            "pool buffers acquired per steady step {steady:?} (views: {views})"
+        );
+    }
+}

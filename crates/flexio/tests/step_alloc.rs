@@ -3,9 +3,10 @@
 //!
 //! A 1×1 shm coupling under `NO_CACHING` and sync writes runs the whole
 //! 4-step handshake on every step: a step header, `writer_info`,
-//! `reader_info`, eight 4 KiB chunks and their ack. The payloads ride
-//! the shm pool, so what the step allocates is control-plane
-//! bookkeeping: records, their strings and small vectors. `CountingAlloc`
+//! `reader_info`, eight 4 KiB chunks and their ack. The payloads are views
+//! that the shm channel exposes to the reader in place, so what the step
+//! allocates is control-plane bookkeeping: records, their strings and
+//! small vectors. `CountingAlloc`
 //! counts every request of both rank threads while the step runs, and
 //! the ledger pins the sum per step after warm-up, and the share of it
 //! that asks for 8 bytes or fewer. The codec pins count one build +
@@ -135,8 +136,13 @@ fn both_sides((writer, reader): (Vec<usize>, Vec<usize>)) -> Vec<usize> {
 /// the shm queue copied every entry out into a fresh vector (a pooled
 /// frame's 25-byte descriptor included), an inline send built its frame
 /// before copying it into the entry, and every encoded chunk kept a
-/// segment vector beside its metadata.
-const STEP_ALLOCS: usize = 116;
+/// segment vector beside its metadata; 116 while every chunk's payload
+/// was copied into a pool buffer. A mapped chunk costs one more each (+8):
+/// its receive copies the metadata out of the queue entry into a vector
+/// (+1) and takes its window in a vector (+1), and its decode no longer
+/// wraps the lease in an `Arc`, the metadata being too short to hold a
+/// view (−1).
+const STEP_ALLOCS: usize = 124;
 
 /// The share of [`STEP_ALLOCS`] that asks for 8 bytes or fewer (260 of
 /// the 415): the reader's block shapes, moved out of each chunk (24) and

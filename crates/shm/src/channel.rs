@@ -1,7 +1,7 @@
 //! The complete intra-node channel: SPSC data queue + buffer pool (paper
 //! §II.D).
 //!
-//! Two message paths, chosen per send:
+//! Three message paths, chosen per send:
 //!
 //! 1. **Inline** — payloads that fit in a queue entry travel directly
 //!    through the [`crate::spsc`] data queue (the paper's "small messages
@@ -20,11 +20,24 @@
 //!    message at the 0–7 byte pad that puts its first bulk segment on an
 //!    8-byte boundary, so a consumer can reinterpret that payload as 8-byte
 //!    elements without moving it.
+//! 3. **Exposed (no copy, mapped)** — the analogue of the paper's XPMEM
+//!    path, for a message whose bulk payloads already lie in shared,
+//!    immutable buffers ([`Window`]s into `Arc<Lease>`s).
+//!    [`ShmSender::send_exposed`] *exposes* each window to the channel (the
+//!    channel's shared state holds it, numbered in exposure order) and
+//!    pushes the frame `(first, count)` with the message's metadata in the
+//!    queue entry. The consumer claims exactly those windows, which must
+//!    be the oldest exposed ones and make up one message, and is handed a
+//!    mapped [`Lease`]: the metadata plus the sender's own buffers. No
+//!    payload byte is copied on either side; where the paper maps the
+//!    producer's pages and copies once, the consumer here reads them in
+//!    place.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use crate::pool::{BufferPool, Lease};
+use crate::pool::{BufferPool, Lease, Window};
 use crate::spsc::{spsc_queue, Consumer, Producer};
 
 /// Segments of a vectored send at least this long count as bulk payload:
@@ -40,9 +53,14 @@ pub const BULK_ALIGN: usize = 8;
 /// Control-message kinds on the wire (first byte of a queue entry).
 const KIND_INLINE: u8 = 0;
 const KIND_POOLED: u8 = 1;
+const KIND_EXPOSED: u8 = 2;
 
 /// A pooled frame: the kind byte, then slot, start and length as `u64`s.
 const POOLED_FRAME_LEN: usize = 25;
+
+/// An exposed frame's head: the kind byte, then the number of its first
+/// window and its window count as `u64`s. The metadata follows.
+const EXPOSED_HEAD_LEN: usize = 17;
 
 /// Channel ids tag the slots a channel posts in a pool that other
 /// channels (and socket receivers) may share.
@@ -55,8 +73,9 @@ static NEXT_CHANNEL: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelError {
     /// The control frame was malformed: truncated, an unknown kind byte, a
-    /// slot holding nothing posted for this channel, or a window past the
-    /// end of the slot's buffer.
+    /// slot holding nothing posted for this channel, a window past the
+    /// end of the slot's buffer, or exposed windows that are not the
+    /// oldest ones this channel holds, or not one message's.
     Corrupt(&'static str),
 }
 
@@ -85,10 +104,59 @@ struct Shared {
     id: u64,
     pool: BufferPool,
     producer_copies: AtomicU64,
+    /// Windows exposed and not yet claimed (see [`Exposed`]).
+    exposed: Mutex<Exposed>,
     /// Set (with `Release`, after the producer's final push) when the
     /// sending half is dropped: the SPSC producer is unique, so the drop
     /// is the definitive "no more frames will ever arrive" event.
     closed: AtomicBool,
+}
+
+/// The windows of exposed messages that the consumer has not claimed,
+/// oldest first. A window's number is its place in exposure order (the
+/// oldest held one is `next - windows.len()`); the flag marks the last
+/// window of its message. Dropping the channel drops what is left, which
+/// returns each buffer's `Arc` to whoever else holds it.
+#[derive(Default)]
+struct Exposed {
+    next: u64,
+    windows: VecDeque<(Window, bool)>,
+}
+
+impl Exposed {
+    /// Hold one message's `windows`; the number of its first.
+    fn expose(&mut self, windows: impl ExactSizeIterator<Item = Window>) -> u64 {
+        let (first, count) = (self.next, windows.len());
+        for (i, w) in windows.enumerate() {
+            self.windows.push_back((w, i + 1 == count));
+        }
+        self.next += count as u64;
+        first
+    }
+
+    /// Take the windows `first..first + count` for a frame whose metadata
+    /// is `meta_len` bytes: only the oldest held windows, making up one
+    /// whole message, whose offsets lie inside the metadata. Anything else
+    /// is a frame that is not the next exposed message, and takes nothing.
+    fn claim(&mut self, first: u64, count: usize, meta_len: usize) -> Option<Vec<Window>> {
+        let oldest = self.next - self.windows.len() as u64;
+        if first != oldest || count == 0 {
+            return (first == oldest).then(Vec::new);
+        }
+        if self.windows.get(count - 1).map(|(_, last)| *last) != Some(true) {
+            return None;
+        }
+        let mine = self.windows.range(..count);
+        if mine.clone().rev().skip(1).any(|(_, last)| *last)
+            || mine.clone().any(|(w, _)| w.at > meta_len)
+            || mine.clone().zip(mine.skip(1)).any(|((a, _), (b, _))| a.at > b.at)
+        {
+            return None;
+        }
+        let mut claimed = Vec::with_capacity(count);
+        claimed.extend(self.windows.drain(..count).map(|(w, _)| w));
+        Some(claimed)
+    }
 }
 
 impl Shared {
@@ -99,7 +167,7 @@ impl Shared {
         match frame.first() {
             Some(&KIND_INLINE) => Ok(Lease::from(frame[1..].to_vec())),
             Some(&KIND_POOLED) => {
-                let [slot, start, len] = pooled_words(frame)?;
+                let [slot, start, len] = frame_words(frame)?;
                 let buf = self
                     .pool
                     .claim(slot, self.id)
@@ -111,6 +179,19 @@ impl Shared {
                 // No consumer copy: the pool buffer itself is the message,
                 // and goes back on the free list when the lease drops.
                 Ok(Lease::pooled(buf, start, len))
+            }
+            Some(&KIND_EXPOSED) => {
+                let [first, count] = frame_words(frame)?;
+                let meta = &frame[EXPOSED_HEAD_LEN..];
+                let windows =
+                    self.exposed
+                        .lock()
+                        .unwrap()
+                        .claim(first as u64, count, meta.len())
+                        .ok_or(ChannelError::Corrupt("not the next exposed message's windows"))?;
+                // The metadata is copied out of the entry; the payloads are
+                // the sender's buffers, shared, never copied.
+                Ok(Lease::mapped(meta.to_vec(), windows))
             }
             Some(_) => Err(ChannelError::Corrupt("unknown frame kind")),
             None => Err(ChannelError::Corrupt("empty frame")),
@@ -163,6 +244,7 @@ pub fn shm_channel_with_pool(
         id: NEXT_CHANNEL.fetch_add(1, Ordering::Relaxed),
         pool,
         producer_copies: AtomicU64::new(0),
+        exposed: Mutex::default(),
         closed: AtomicBool::new(false),
     });
     (
@@ -217,6 +299,34 @@ impl ShmSender {
         gather(segments, &mut dst[pad..]);
         self.shared.producer_copies.fetch_add(1, Ordering::Relaxed);
         pooled_frame(buf.post(self.shared.id), pad, total)
+    }
+
+    /// Send a message whose bulk payloads are `windows` into shared
+    /// buffers, without copying them: `meta` is the message with the
+    /// windows cut out (each window's `at` is where its bytes go in
+    /// `meta`, in order), and only `meta` is copied, into the queue entry.
+    /// The windows stay with the channel until the consumer claims them.
+    /// Returns `false`, having sent nothing, when `meta` does not fit an
+    /// entry; the caller then sends the message flat.
+    pub fn send_exposed(
+        &mut self,
+        meta: &[u8],
+        windows: impl ExactSizeIterator<Item = Window>,
+    ) -> bool {
+        if EXPOSED_HEAD_LEN + meta.len() > self.queue.payload_capacity() {
+            return false;
+        }
+        let count = windows.len();
+        // The lock is released before a push that may wait for the
+        // consumer, who takes it to claim.
+        let first = self.shared.exposed.lock().unwrap().expose(windows);
+        self.queue
+            .push_with(EXPOSED_HEAD_LEN + meta.len(), |entry| {
+                entry[..EXPOSED_HEAD_LEN].copy_from_slice(&exposed_head(first, count));
+                entry[EXPOSED_HEAD_LEN..].copy_from_slice(meta);
+            })
+            .expect("frame fits entry capacity");
+        true
     }
 
     /// Fault-injection hook: push raw bytes as one queue frame, bypassing
@@ -278,19 +388,28 @@ impl ShmReceiver {
     }
 }
 
-fn pooled_frame(slot: usize, start: usize, len: usize) -> [u8; POOLED_FRAME_LEN] {
-    let mut frame = [KIND_POOLED; POOLED_FRAME_LEN];
-    for (word, at) in [slot, start, len].into_iter().zip(frame[1..].chunks_exact_mut(8)) {
-        at.copy_from_slice(&(word as u64).to_le_bytes());
+/// The kind byte `kind`, then `words` as little-endian `u64`s.
+fn frame_head<const L: usize>(kind: u8, words: &[usize]) -> [u8; L] {
+    let mut frame = [kind; L];
+    for (word, at) in words.iter().zip(frame[1..].chunks_exact_mut(8)) {
+        at.copy_from_slice(&(*word as u64).to_le_bytes());
     }
     frame
 }
 
-/// A pooled frame's slot, start and length; a word too wide for `usize`
-/// reads as `usize::MAX`, which no slot or window accepts.
-fn pooled_words(frame: &[u8]) -> Result<[usize; 3], ChannelError> {
-    let words =
-        frame.get(1..POOLED_FRAME_LEN).ok_or(ChannelError::Corrupt("truncated control frame"))?;
+fn pooled_frame(slot: usize, start: usize, len: usize) -> [u8; POOLED_FRAME_LEN] {
+    frame_head(KIND_POOLED, &[slot, start, len])
+}
+
+fn exposed_head(first: u64, count: usize) -> [u8; EXPOSED_HEAD_LEN] {
+    frame_head(KIND_EXPOSED, &[first as usize, count])
+}
+
+/// The `N` words after a frame's kind byte (a pooled frame's slot, start
+/// and length; an exposed frame's first window and count); a word too wide
+/// for `usize` reads as `usize::MAX`, which no slot or window accepts.
+fn frame_words<const N: usize>(frame: &[u8]) -> Result<[usize; N], ChannelError> {
+    let words = frame.get(1..1 + 8 * N).ok_or(ChannelError::Corrupt("truncated control frame"))?;
     Ok(std::array::from_fn(|i| {
         let word = u64::from_le_bytes(words[8 * i..8 * i + 8].try_into().expect("8 bytes"));
         usize::try_from(word).unwrap_or(usize::MAX)
@@ -574,6 +693,139 @@ mod tests {
             let resident = pool.stats().resident_bytes;
             assert_eq!(pool.free_and_posted(), (resident, 0), "round {round}");
         }
+    }
+
+    /// `len` bytes of a shared buffer, telling buffers apart by `salt`.
+    fn shared(len: usize, salt: u8) -> Arc<Lease> {
+        Arc::new(Lease::from(
+            (0..len).map(|i| (i as u8).wrapping_mul(31) ^ salt).collect::<Vec<_>>(),
+        ))
+    }
+
+    fn window(at: usize, buf: &Arc<Lease>, start: usize, len: usize) -> Window {
+        Window { at, buf: Arc::clone(buf), start, len }
+    }
+
+    #[test]
+    fn an_exposed_message_hands_over_the_senders_buffers_without_a_copy() {
+        let (mut tx, mut rx) = shm_channel(8, 64);
+        let (a, b) = (shared(10_000, 1), shared(5_000, 2));
+        let windows = [window(3, &a, 16, 8_000), window(5, &b, 0, 5_000)];
+        assert!(tx.send_exposed(b"head-tail", windows.into_iter()));
+        let got = rx.recv().unwrap();
+        assert_eq!(&got[..], b"head-tail", "the bytes around the windows");
+        let [wa, wb] = got.windows() else { panic!("two windows") };
+        assert_eq!(wa.bytes().as_ptr(), a[16..].as_ptr(), "the sender's own buffer");
+        assert!(Arc::ptr_eq(&wb.buf, &b));
+        assert_eq!((wa.at, wb.at), (3, 5));
+        assert_eq!(tx.producer_copies(), 0);
+        assert_eq!(tx.pool_stats(), crate::PoolStats::default(), "no pool buffer");
+        // Read flat, the windows are spliced back where they go.
+        let flat = [&b"hea"[..], &a[16..8_016], b"d-", &b[..], b"tail"].concat();
+        assert!(got.into_vec() == flat);
+        assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (1, 1));
+        // Metadata too long for an entry: nothing is sent or held.
+        assert!(!tx.send_exposed(&[0; 48], std::iter::once(window(0, &a, 0, 1))));
+        assert_eq!(Arc::strong_count(&a), 1);
+        assert!(rx.try_recv().unwrap().is_none());
+    }
+
+    #[test]
+    fn exposed_frames_claim_only_the_next_messages_windows() {
+        const NOT_NEXT: &str = "not the next exposed message's windows";
+        let (mut tx, mut rx) = shm_channel(8, 64);
+        let buf = shared(8_192, 3);
+        // Message A holds windows 0 and 1, message B window 2; their
+        // frames are not sent yet.
+        let (a, b) = {
+            let mut exposed = tx.shared.exposed.lock().unwrap();
+            let a = exposed
+                .expose([window(0, &buf, 0, 4_096), window(2, &buf, 4_096, 4_096)].into_iter());
+            (a, exposed.expose(std::iter::once(window(1, &buf, 0, 8_192))))
+        };
+        assert_eq!((a, b), (0, 2));
+        let frame = |first: u64, count: usize, meta: &[u8]| {
+            [&exposed_head(first, count)[..], meta].concat()
+        };
+        for bad in [
+            frame(2, 1, b"x"),  // B before A
+            frame(0, 1, b"ab"), // half of A
+            frame(1, 1, b"ab"), // the other half
+            frame(0, 3, b"ab"), // A and B as one
+            frame(0, 2, b"a"),  // A's second window past the metadata
+            frame(1, 0, b"ab"), // no windows, but not the oldest
+            frame(u64::MAX, 2, b"ab"),
+            frame(0, usize::MAX, b"ab"),
+        ] {
+            rejects(&mut tx, &mut rx, &bad, NOT_NEXT);
+        }
+        rejects(&mut tx, &mut rx, &exposed_head(0, 2)[..9], "truncated control frame");
+        // Nothing was taken: A, then B, arrive whole, and a replay of B
+        // finds nothing.
+        tx.inject_raw_frame(&frame(0, 2, b"ab"));
+        let got = rx.recv().unwrap();
+        assert_eq!(
+            got.windows().iter().map(|w| (w.at, w.start)).collect::<Vec<_>>(),
+            [(0, 0), (2, 4_096)]
+        );
+        tx.inject_raw_frame(&frame(2, 1, b"x"));
+        assert!(rx.recv().unwrap().into_vec() == [&b"x"[..], &buf[..]].concat());
+        rejects(&mut tx, &mut rx, &frame(2, 1, b"x"), NOT_NEXT);
+        drop(got);
+        assert_eq!(Arc::strong_count(&buf), 1);
+    }
+
+    #[test]
+    fn a_dropped_channel_releases_the_windows_nobody_claimed() {
+        let (mut tx, mut rx) = shm_channel(8, 64);
+        let buf = shared(8_192, 4);
+        for _ in 0..3 {
+            let windows = [window(0, &buf, 0, 4_096), window(1, &buf, 4_096, 4_096)];
+            assert!(tx.send_exposed(b"m", windows.into_iter()));
+        }
+        let claimed = rx.recv().unwrap();
+        assert_eq!(Arc::strong_count(&buf), 7);
+        drop(tx);
+        assert_eq!(Arc::strong_count(&buf), 7, "the receiver may still claim them");
+        drop(rx);
+        assert_eq!(Arc::strong_count(&buf), 3, "the claimed message's two are left");
+        drop(claimed);
+        assert_eq!(Arc::strong_count(&buf), 1);
+    }
+
+    /// Exposed, pooled and inline messages from a producer thread arrive
+    /// in order; each exposed one as the producer's buffers.
+    #[test]
+    fn exposed_messages_keep_their_order_among_copied_ones() {
+        let (mut tx, mut rx) = shm_channel(4, 64);
+        let bufs: Vec<Arc<Lease>> = (0..8).map(|i| shared(4_096 + i, i as u8)).collect();
+        let sent = bufs.clone();
+        let t = thread::spawn(move || {
+            for i in 0..600usize {
+                let buf = &sent[i % 8];
+                match i % 3 {
+                    0 => assert!(tx.send_exposed(
+                        &i.to_le_bytes(),
+                        std::iter::once(window(8, buf, 0, buf.len()))
+                    )),
+                    1 => tx.send_copy(&vec![i as u8; 5_000]),
+                    _ => tx.send_copy(&i.to_le_bytes()),
+                }
+            }
+        });
+        for i in 0..600usize {
+            let msg = rx.recv().unwrap();
+            match i % 3 {
+                0 => {
+                    assert_eq!(&msg[..], i.to_le_bytes());
+                    assert!(Arc::ptr_eq(&msg.windows()[0].buf, &bufs[i % 8]), "message {i}");
+                }
+                1 => assert!(msg.len() == 5_000 && msg.iter().all(|&b| b == i as u8)),
+                _ => assert_eq!(&msg[..], i.to_le_bytes()),
+            }
+        }
+        t.join().unwrap();
+        assert!(bufs.iter().all(|b| Arc::strong_count(b) == 1));
     }
 
     #[test]

@@ -21,9 +21,15 @@
 //!   through the data queue. The paper's consumer copies out and returns
 //!   the buffer — two copies; here the consumer claims the slot, is leased
 //!   the buffer, reads the message in place, and the buffer returns to the
-//!   free list when the [`Lease`] drops — **one copy**, asynchronous. This
-//!   is also the copy count of the paper's synchronous XPMEM page-mapping
-//!   path (Cray XK), which therefore has no counterpart here. See [`pool`].
+//!   free list when the [`Lease`] drops — **one copy**, asynchronous. See
+//!   [`pool`].
+//! * **Exposed windows** for payloads that already lie in shared, immutable
+//!   buffers: the analogue of the paper's XPMEM page-mapping path (Cray XK),
+//!   which maps the producer's pages so that the consumer copies once. Here
+//!   the producer exposes each payload's [`Window`] to the channel and
+//!   passes only the message's metadata through the data queue; the
+//!   consumer claims the windows and reads the producer's buffers in place
+//!   — **no copy**. See [`channel`].
 //!
 //! The paper substitution (see DESIGN.md): the original uses SysV/mmap
 //! segments between *processes*; we share memory between *threads* of one
@@ -49,5 +55,5 @@ pub mod pool;
 pub mod spsc;
 
 pub use channel::{shm_channel, shm_channel_with_pool, ChannelError, ShmReceiver, ShmSender};
-pub use pool::{BufferPool, Lease, PoolBuffer, PoolStats};
+pub use pool::{BufferPool, Lease, PoolBuffer, PoolStats, Window};
 pub use spsc::{spsc_queue, Consumer, Producer, TooLarge};

@@ -97,11 +97,15 @@ impl PoolBuffer {
 /// The bytes of one received message, leased from wherever the transport
 /// received them into: a pool buffer (the shm pooled path, a socket's frame
 /// buffers), a vector the receiver owns, or a buffer shared with the caller.
+/// A *mapped* message (the shm channel's exposed path) is its metadata and
+/// a [`Window`] into the sender's own buffer for each bulk payload.
 ///
-/// Dereferences to the message bytes. Decoded array views point into the
-/// lease (behind an `Arc`), so the storage goes home — a [`PoolBuffer`] back
-/// to its free list, a vector to the allocator — when the last of them
-/// drops, wherever that is. An application that hoards views therefore pins
+/// Dereferences to the message bytes; for a mapped message, to the bytes
+/// around its windows (the [`windows`](Self::windows) say where each goes,
+/// and [`into_vec`](Self::into_vec) splices them back). Decoded array views
+/// point into the lease (behind an `Arc`), so the storage goes home — a
+/// [`PoolBuffer`] back to its free list, a vector to the allocator — when
+/// the last of them drops, wherever that is. An application that hoards views therefore pins
 /// pool buffers: the pool answers with misses and a larger
 /// [`PoolStats::resident_bytes`], where a copying receiver would have
 /// returned the buffer at once.
@@ -115,6 +119,29 @@ enum Storage {
     Owned(Vec<u8>),
     Shared(Arc<Vec<u8>>),
     Pooled(PoolBuffer),
+    Mapped { meta: Vec<u8>, windows: Vec<Window> },
+}
+
+/// A run of bytes of a shared buffer that a mapped message carries by
+/// reference: the `len` bytes at `start` in `buf` go at offset `at` of the
+/// bytes the message's [`Lease`] dereferences to.
+#[derive(Clone)]
+pub struct Window {
+    /// Where the window's bytes go: an offset into the lease's bytes.
+    pub at: usize,
+    /// The buffer the bytes lie in, shared with whoever sent them.
+    pub buf: Arc<Lease>,
+    /// Offset of the first byte in `buf`.
+    pub start: usize,
+    /// Byte length.
+    pub len: usize,
+}
+
+impl Window {
+    /// The window's bytes, where they lie.
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf[self.start..self.start + self.len]
+    }
 }
 
 impl Lease {
@@ -126,22 +153,65 @@ impl Lease {
         Lease { storage: Storage::Pooled(buf), start, end: start + len }
     }
 
+    /// A mapped message: `meta` with each window's bytes spliced in at its
+    /// `at`, which must lie inside `meta` and not decrease.
+    pub(crate) fn mapped(meta: Vec<u8>, windows: Vec<Window>) -> Lease {
+        debug_assert!(windows.windows(2).all(|w| w[0].at <= w[1].at));
+        debug_assert!(windows.last().is_none_or(|w| w.at <= meta.len()));
+        Lease { start: 0, end: meta.len(), storage: Storage::Mapped { meta, windows } }
+    }
+
     /// Drop the first `n` bytes from the message (a transport or framing
-    /// header) without moving the rest. Panics if `n` exceeds the length.
+    /// header) without moving the rest. Panics if `n` exceeds the length,
+    /// or reaches past where a mapped message's first window goes.
     pub fn skip(&mut self, n: usize) {
         assert!(n <= self.len(), "skip past the end of the lease");
+        if let Storage::Mapped { windows, .. } = &mut self.storage {
+            assert!(windows.first().is_none_or(|w| n <= w.at), "skip past a window");
+            windows.iter_mut().for_each(|w| w.at -= n);
+        }
         self.start += n;
+    }
+
+    /// A mapped message's windows, in message order; empty for any other.
+    pub fn windows(&self) -> &[Window] {
+        match &self.storage {
+            Storage::Mapped { windows, .. } => windows,
+            _ => &[],
+        }
+    }
+
+    /// Move a mapped message's windows out, leaving the bytes around them
+    /// (what a decoder that takes each window as it comes to it wants).
+    pub fn take_windows(&mut self) -> Vec<Window> {
+        match &mut self.storage {
+            Storage::Mapped { windows, .. } => std::mem::take(windows),
+            _ => Vec::new(),
+        }
     }
 
     /// The message as an owned vector: the vector itself when the lease
     /// owns one (shifted down in place if a header was skipped), one copy
-    /// otherwise.
+    /// otherwise, a mapped message's windows spliced back where they go.
     pub fn into_vec(self) -> Vec<u8> {
         match self.storage {
             Storage::Owned(mut v) => {
                 v.truncate(self.end);
                 v.drain(..self.start);
                 v
+            }
+            Storage::Mapped { ref windows, .. } if !windows.is_empty() => {
+                let around = &self[..];
+                let spliced = windows.iter().map(|w| w.len).sum::<usize>();
+                let mut out = Vec::with_capacity(around.len() + spliced);
+                let mut from = 0;
+                for w in windows {
+                    out.extend_from_slice(&around[from..w.at]);
+                    out.extend_from_slice(w.bytes());
+                    from = w.at;
+                }
+                out.extend_from_slice(&around[from..]);
+                out
             }
             _ => self.to_vec(),
         }
@@ -156,6 +226,7 @@ impl Deref for Lease {
             Storage::Owned(v) => v.as_slice(),
             Storage::Shared(v) => v.as_slice(),
             Storage::Pooled(b) => b.as_slice(),
+            Storage::Mapped { meta, .. } => meta.as_slice(),
         };
         &all[self.start..self.end]
     }
@@ -179,6 +250,7 @@ impl std::fmt::Debug for Lease {
             Storage::Owned(_) => "owned",
             Storage::Shared(_) => "shared",
             Storage::Pooled(_) => "pooled",
+            Storage::Mapped { .. } => "mapped",
         };
         f.debug_struct("Lease").field("home", &home).field("len", &self.len()).finish()
     }

@@ -1,8 +1,13 @@
 //! What a shm receive allocates: a pooled frame is read where its queue
 //! entry lies and leases the pool buffer itself, so it allocates nothing;
-//! an inline frame is copied once, into the lease's own vector.
+//! an inline frame is copied once, into the lease's own vector; an exposed
+//! frame copies its metadata into one vector and takes its windows in
+//! another, and not a byte of the payloads.
+
+use std::sync::Arc;
 
 use shm::channel::shm_channel;
+use shm::{Lease, Window};
 use test_support::{measure, CountingAlloc};
 
 #[global_allocator]
@@ -31,5 +36,22 @@ fn an_inline_frame_is_received_with_exactly_one_allocation() {
         assert_eq!(&got[..], b"head-tail");
         assert_eq!((counts.allocs, counts.reallocs), (1, 0), "round {round}");
         assert_eq!(counts.largest, 9, "round {round}: the message, without its kind byte");
+    }
+}
+
+#[test]
+fn an_exposed_frame_is_received_with_exactly_two_allocations() {
+    let (mut tx, mut rx) = shm_channel(8, 64);
+    let buf = Arc::new(Lease::from(vec![7u8; 10_000]));
+    for round in 0..3 {
+        let window = Window { at: 4, buf: Arc::clone(&buf), start: 8, len: 9_000 };
+        assert!(tx.send_exposed(b"metadata", std::iter::once(window)));
+        let (counts, got) = measure(0, || rx.try_recv());
+        let got = got.expect("a valid frame").expect("a queued frame");
+        assert_eq!(&got[..], b"metadata");
+        assert_eq!(got.windows()[0].bytes().as_ptr(), buf[8..].as_ptr());
+        assert_eq!((counts.allocs, counts.reallocs), (2, 0), "round {round}");
+        let window_vec = std::mem::size_of::<Window>();
+        assert_eq!(counts.largest, window_vec, "round {round}: the metadata, then one window");
     }
 }
