@@ -549,17 +549,11 @@ pub struct EncodedRecord<'a> {
     payloads: StackVec<(usize, &'a PackedArray), FRAME_SLICES>,
 }
 
-/// What an [`EncodedRecord`]'s unused payload slots hold.
-static NO_PAYLOAD: PackedArray = PackedArray {
-    dtype: PackedDtype::U8,
-    store: Store::Inline { len: 0, words: [0; INLINE_WORDS] },
-};
-
 impl<'a> EncodedRecord<'a> {
     /// The message's byte slices in wire order (the shape vectored sends
     /// take), on the stack for the usual handful of slices.
     pub fn as_slices(&self) -> StackVec<&[u8], FRAME_SLICES> {
-        let mut slices = StackVec::new(&[][..]);
+        let mut slices = StackVec::new();
         let mut from = 0;
         for &(at, payload) in self.payloads.iter() {
             if at > from {
@@ -582,6 +576,12 @@ impl<'a> EncodedRecord<'a> {
     /// Every byte of the message but the borrowed payloads, in order.
     pub fn meta(&self) -> &[u8] {
         &self.meta
+    }
+
+    /// The borrowed payloads in order, each with its offset in
+    /// [`Self::meta`].
+    pub fn payloads(&self) -> impl ExactSizeIterator<Item = (usize, &[u8])> + '_ {
+        self.payloads.iter().map(|&(at, p)| (at, p.bytes()))
     }
 
     /// The borrowed payloads as windows into their shared buffers, each
@@ -989,10 +989,7 @@ impl Record {
     /// array payloads of at least [`ZERO_COPY_MIN_BYTES`] are borrowed in
     /// place (see [`EncodedRecord`]).
     pub fn encode_segments(&self) -> EncodedRecord<'_> {
-        let mut enc = EncodedRecord {
-            meta: Vec::with_capacity(256),
-            payloads: StackVec::new((0, &NO_PAYLOAD)),
-        };
+        let mut enc = EncodedRecord { meta: Vec::with_capacity(256), payloads: StackVec::new() };
         self.walk(&mut enc);
         enc
     }
@@ -1015,7 +1012,7 @@ impl Record {
 
     /// Decode from the wire format into owned field storage.
     pub fn decode(bytes: &[u8]) -> Result<Record, DecodeError> {
-        decode_from(bytes, None, Vec::new())
+        decode_from(bytes, None, &[])
     }
 
     /// Decode from a leased receive buffer; array payloads of at least
@@ -1025,15 +1022,14 @@ impl Record {
     /// record without one releases it on return. A mapped message's
     /// windows ([`Lease::windows`]) become views of the buffers they lie
     /// in, each where its payload goes: the record the flat message
-    /// decodes to, sharing the sender's buffers.
-    pub fn decode_leased(mut buf: Lease) -> Result<Record, DecodeError> {
-        let windows = buf.take_windows();
+    /// decodes to, sharing those buffers.
+    pub fn decode_leased(buf: Lease) -> Result<Record, DecodeError> {
         if buf.len() < ZERO_COPY_MIN_BYTES {
             // Too short to hold a view-sized payload: nothing to share.
-            return decode_from(&buf, None, windows);
+            return decode_from(&buf, None, buf.windows());
         }
         let buf = Arc::new(buf);
-        decode_from(&buf, Some(&buf), windows)
+        decode_from(&buf, Some(&buf), buf.windows())
     }
 
     /// The value of an encoded record's first field, when that field is the
@@ -1154,7 +1150,7 @@ const MIN_FIELD_BYTES: usize = 2 + 1 + 4;
 /// message's windows, each standing for the payload at its offset.
 struct Src<'s> {
     shared: Option<&'s Arc<Lease>>,
-    windows: std::iter::Peekable<std::vec::IntoIter<Window>>,
+    windows: std::iter::Peekable<std::slice::Iter<'s, Window>>,
 }
 
 /// Decode a whole record from `bytes` (see [`Src`] for the rest); every
@@ -1162,13 +1158,13 @@ struct Src<'s> {
 fn decode_from(
     bytes: &[u8],
     shared: Option<&Arc<Lease>>,
-    windows: Vec<Window>,
+    windows: &[Window],
 ) -> Result<Record, DecodeError> {
     let mut cursor = Cursor { bytes, pos: 0 };
     if cursor.u32()? != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let mut src = Src { shared, windows: windows.into_iter().peekable() };
+    let mut src = Src { shared, windows: windows.iter().peekable() };
     let record = decode_body(&mut cursor, &mut src, 0)?;
     match src.windows.next() {
         Some(_) => Err(DecodeError::BadWindow),
@@ -1214,7 +1210,8 @@ fn decode_array(
         if len.checked_mul(dtype.elem_bytes()) != Some(w.len) {
             return Err(DecodeError::BadWindow);
         }
-        return Ok(FieldValue::Packed(PackedArray::view(dtype, w.buf, w.start, w.len)));
+        let buf = Arc::clone(&w.buf);
+        return Ok(FieldValue::Packed(PackedArray::view(dtype, buf, w.start, w.len)));
     }
     let (bytes, offset) = cursor.array_bytes(dtype.elem_bytes())?;
     Ok(FieldValue::Packed(match src.shared {

@@ -35,7 +35,7 @@ pub use ffs::{
     DecodeError, EncodedRecord, FieldValue, Name, PackedArray, PackedDtype, Record,
     ZERO_COPY_MIN_BYTES,
 };
-pub use shm::{Lease, Window};
+pub use shm::{Lease, StackVec, Window};
 pub use socket::{
     connect, decode_frame_header, encode_frame_header, read_frame, receiver_over, sender_over,
     socket_pair, write_frame, SockStream, SocketKind, SocketListener, SocketReceiver, SocketSender,
@@ -62,57 +62,6 @@ pub fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
 /// How many slices of one frame a [`StackVec`] holds on the stack in the
 /// send paths: a message's segments, a frame header and a sequence header.
 pub const FRAME_SLICES: usize = 8;
-
-/// Up to `N` items on the stack and the rest on the heap: the handful of
-/// slices one frame is sent as, gathered without an allocation per frame.
-pub struct StackVec<T: Copy, const N: usize> {
-    len: usize,
-    inline: [T; N],
-    spilled: Vec<T>,
-}
-
-impl<T: Copy, const N: usize> StackVec<T, N> {
-    /// Empty; `fill` stands in the unused stack slots.
-    pub fn new(fill: T) -> Self {
-        StackVec { len: 0, inline: [fill; N], spilled: Vec::new() }
-    }
-
-    /// Append an item, moving every item to the heap when the stack
-    /// slots run out.
-    pub fn push(&mut self, item: T) {
-        if self.spilled.is_empty() && self.len < N {
-            self.inline[self.len] = item;
-            self.len += 1;
-            return;
-        }
-        if self.spilled.is_empty() {
-            self.spilled.extend_from_slice(&self.inline[..self.len]);
-        }
-        self.spilled.push(item);
-    }
-}
-
-impl<T: Copy, const N: usize> std::ops::Deref for StackVec<T, N> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        if self.spilled.is_empty() {
-            &self.inline[..self.len]
-        } else {
-            &self.spilled
-        }
-    }
-}
-
-impl<T: Copy, const N: usize> std::ops::DerefMut for StackVec<T, N> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        if self.spilled.is_empty() {
-            &mut self.inline[..self.len]
-        } else {
-            &mut self.spilled
-        }
-    }
-}
 
 /// Declare a block of relaxed `AtomicU64` counters and its plain-number
 /// snapshot: `counters! { pub struct Block => BlockSnapshot { a, b } }`
@@ -151,7 +100,7 @@ mod tests {
 
     #[test]
     fn a_stack_vec_spills_to_the_heap_in_order() {
-        let mut v: StackVec<u32, 2> = StackVec::new(0);
+        let mut v: StackVec<u32, 2> = StackVec::new();
         assert!(v.is_empty());
         for i in 1..=5 {
             v.push(i);

@@ -2,13 +2,30 @@
 //! [`EvSender`]/[`EvReceiver`] contract.
 //!
 //! The in-process transports move whole messages; a stream socket moves
-//! bytes, so this module adds the length-prefixed framing layer:
+//! bytes, so this module adds the length-prefixed framing layer. A message
+//! is one flat frame:
 //!
 //! ```text
 //! +------+------------+-----------------+
 //! | FXS1 | len (LE32) | payload (len B) |
 //! +------+------------+-----------------+
 //! ```
+//!
+//! An encoded record that borrows bulk payloads ([`EvSender::send_encoded`])
+//! is one *split frame* instead: its payload table, then the metadata and
+//! the payloads, so the receiver can choose where each payload lands.
+//!
+//! ```text
+//! +------+------------+--------------+-------------------------+------+-----+-----+
+//! | FXSP | len (LE32) | count (LE32) | count × (at, len) LE32s | meta | p_1 | ... |
+//! +------+------------+--------------+-------------------------+------+-----+-----+
+//! ```
+//!
+//! `len` is the record's length, the metadata's plus the payloads'; each
+//! payload goes at offset `at` of the metadata. The receiver checks the
+//! table before it sizes a buffer, reads the metadata into one pool buffer
+//! and the payloads, each at an 8-aligned offset, into another, and hands
+//! out a mapped [`Lease`] whose windows the decoder turns into views.
 //!
 //! The receiver runs the socket nonblocking and accumulates one frame at a
 //! time through a small state machine, so readiness maps exactly onto
@@ -17,20 +34,17 @@
 //! * `WouldBlock` anywhere → [`RecvPoll::Empty`] — look again later;
 //! * EOF *between* frames → [`RecvPoll::Closed`] — the peer shut down (or
 //!   died) cleanly at a message boundary, nothing was lost here;
-//! * EOF or an I/O error *inside* a frame, a bad magic, or a length above
-//!   the cap → [`RecvPoll::Corrupt`] once, after which the receiver is
-//!   *poisoned* and reports [`RecvPoll::Closed`] forever: unlike the shm
-//!   queue a byte stream has no frame boundaries to resynchronise on, so
-//!   a damaged prefix condemns the whole connection. Poisoning is what
-//!   lets drain-style callers treat `Corrupt` as "count and continue"
-//!   without risking a livelock.
+//! * EOF or an I/O error *inside* a frame, a bad magic, a length above the
+//!   cap or a bad table → [`RecvPoll::Corrupt`] once, after which the
+//!   receiver is *poisoned* and reports [`RecvPoll::Closed`] forever: a
+//!   byte stream has no frame boundaries to resynchronise on, so a damaged
+//!   prefix condemns the whole connection, and drain-style callers may
+//!   treat `Corrupt` as "count and continue" without risking a livelock.
 //!
-//! `Empty` is not the only way to wait: [`EvReceiver::wait_readable`]
-//! blocks in one `poll(2)` on the stream's fd until bytes (or EOF) arrive
-//! or a timeout passes, so a blocking receive that has run out of spin
-//! and yield rounds wakes when the peer's write lands instead of at the
-//! end of a sleep. A partial frame needs nothing special: its remaining
-//! bytes arrive on the same fd.
+//! [`EvReceiver::wait_readable`] blocks in one `poll(2)` on the stream's
+//! fd until bytes (or EOF) arrive or a timeout passes, so a blocking
+//! receive wakes when the peer's write lands instead of at the end of a
+//! sleep.
 //!
 //! Each directed channel uses its own connection: the sending end stays
 //! blocking (with a write timeout so a stalled peer degrades into silence
@@ -39,16 +53,18 @@
 //! sends — exactly how the protocol layer expects a corpse to behave.
 
 use std::ffi::{c_int, c_short, c_ulong};
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use shm::{BufferPool, Lease, PoolBuffer};
+use shm::{BufferPool, Lease, PoolBuffer, Window};
 
+use crate::ffs::{EncodedRecord, ZERO_COPY_MIN_BYTES};
 use crate::transport::{BoxedReceiver, BoxedSender, EvReceiver, EvSender, RecvPoll};
 use crate::{StackVec, FRAME_SLICES};
 
@@ -71,6 +87,22 @@ pub fn encode_frame_header(len: u32) -> [u8; FRAME_HEADER_LEN] {
     h
 }
 
+/// Magic prefix of a split frame: a record whose bulk payloads follow its
+/// metadata, with a table of where each goes.
+pub const SPLIT_FRAME_MAGIC: [u8; 4] = *b"FXSP";
+/// Bytes of a split frame's header: magic, LE32 length, LE32 table count.
+const SPLIT_HEADER_LEN: usize = 12;
+/// Bytes of one table entry: the payload's offset in the metadata and its
+/// length, as LE32s.
+const TABLE_ENTRY_LEN: usize = 8;
+
+/// `total` as a frame's 32-bit length field.
+fn frame_len(total: usize) -> io::Result<u32> {
+    u32::try_from(total).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidInput, "frame longer than the 32-bit length field")
+    })
+}
+
 /// Write one frame — the header, then `segments` back to back — with
 /// vectored writes: the whole frame is offered to the writer at once (one
 /// `writev`, so one burst on a socket, however many segments) and whatever
@@ -80,16 +112,42 @@ pub fn encode_frame_header(len: u32) -> [u8; FRAME_HEADER_LEN] {
 /// before any byte is written. How long a frame may be is the receiver's
 /// cap to judge.
 fn write_frame_to<W: Write>(w: &mut W, segments: &[&[u8]]) -> io::Result<()> {
-    let total: usize = segments.iter().map(|s| s.len()).sum();
-    let len = u32::try_from(total).map_err(|_| {
-        io::Error::new(io::ErrorKind::InvalidInput, "frame longer than the 32-bit length field")
-    })?;
-    let header = encode_frame_header(len);
-    let mut slices: StackVec<IoSlice, FRAME_SLICES> = StackVec::new(IoSlice::new(&[]));
+    let header = encode_frame_header(frame_len(segments.iter().map(|s| s.len()).sum())?);
+    let mut slices: StackVec<IoSlice, FRAME_SLICES> = StackVec::new();
     slices.push(IoSlice::new(&header));
     // An all-empty slice list would read back as `Ok(0)`: leave them out.
     segments.iter().filter(|s| !s.is_empty()).for_each(|s| slices.push(IoSlice::new(s)));
-    let mut rest = &mut slices[..];
+    write_all_slices(w, &mut slices)
+}
+
+/// Write `enc` as one split frame, its header and table built in `head`,
+/// with the same vectored writes as [`write_frame_to`].
+fn write_split_frame_to<W: Write>(
+    w: &mut W,
+    head: &mut Vec<u8>,
+    enc: &EncodedRecord<'_>,
+) -> io::Result<()> {
+    let len = frame_len(enc.total_len())?;
+    head.clear();
+    head.extend_from_slice(&SPLIT_FRAME_MAGIC);
+    head.extend_from_slice(&len.to_le_bytes());
+    head.extend_from_slice(&(enc.payloads().len() as u32).to_le_bytes());
+    for (at, payload) in enc.payloads() {
+        // Both fit: each is at most the frame's length.
+        head.extend_from_slice(&(at as u32).to_le_bytes());
+        head.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    }
+    let mut slices: StackVec<IoSlice, FRAME_SLICES> = StackVec::new();
+    slices.push(IoSlice::new(head));
+    if !enc.meta().is_empty() {
+        slices.push(IoSlice::new(enc.meta()));
+    }
+    enc.payloads().filter(|(_, p)| !p.is_empty()).for_each(|(_, p)| slices.push(IoSlice::new(p)));
+    write_all_slices(w, &mut slices)
+}
+
+fn write_all_slices<W: Write>(w: &mut W, slices: &mut [IoSlice<'_>]) -> io::Result<()> {
+    let mut rest = slices;
     while !rest.is_empty() {
         match w.write_vectored(rest) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
@@ -190,6 +248,15 @@ impl Read for SockStream {
         match self {
             SockStream::Tcp(s) => s.read(buf),
             SockStream::Unix(s) => s.read(buf),
+        }
+    }
+
+    // Without this a vectored read falls back to `Read`'s default: one
+    // `read` into the first non-empty slice.
+    fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
+        match self {
+            SockStream::Tcp(s) => s.read_vectored(bufs),
+            SockStream::Unix(s) => s.read_vectored(bufs),
         }
     }
 }
@@ -341,6 +408,8 @@ pub struct SocketSender {
     stream: SockStream,
     name: &'static str,
     dead: bool,
+    /// A split frame's header and table, rebuilt in place per frame.
+    head: Vec<u8>,
 }
 
 impl SocketSender {
@@ -349,7 +418,7 @@ impl SocketSender {
         let name = stream.kind().name();
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_write_timeout(Some(SEND_STALL_TIMEOUT));
-        SocketSender { stream, name, dead: false }
+        SocketSender { stream, name, dead: false, head: Vec::new() }
     }
 
     /// Push raw bytes down the stream with no framing — the socket
@@ -374,6 +443,17 @@ impl EvSender for SocketSender {
         self.write_frame(segments);
     }
 
+    fn send_encoded(&mut self, enc: &EncodedRecord<'_>) {
+        // Bulk payloads ride in a split frame, so the receiver lands each
+        // one where it can be read in place; anything else is a flat frame.
+        if enc.payloads().len() == 0 {
+            self.send_vectored(&enc.as_slices());
+        } else if !self.dead && write_split_frame_to(&mut self.stream, &mut self.head, enc).is_err()
+        {
+            self.dead = true;
+        }
+    }
+
     fn transport_name(&self) -> &'static str {
         self.name
     }
@@ -382,16 +462,38 @@ impl EvSender for SocketSender {
 // ------------------------------------------------------------ receiver
 
 enum RecvPhase {
-    /// Accumulating the 8-byte frame header.
+    /// Accumulating the frame header: 8 bytes, 12 for a split frame.
     Header,
-    /// Accumulating `len` payload bytes into `buf`.
+    /// Accumulating a flat frame's `len` bytes into `buf`.
     Payload { buf: PoolBuffer, len: usize },
+    /// Accumulating a split frame's table into the receiver's `table`.
+    Table { len: usize },
+    /// Accumulating a split frame's metadata into `meta` and its payloads
+    /// into `body`, the first at offset `pad` and each 8-aligned.
+    Split { meta: PoolBuffer, meta_len: usize, body: PoolBuffer, pad: usize, len: usize },
 }
 
 /// Free frame-buffer capacity a receiver keeps before reclaiming (the shm
 /// channel's default): a cap, not a reservation — the free list only ever
 /// holds buffers this receiver's own traffic returned.
 const FRAME_POOL_THRESHOLD: u64 = 64 << 20;
+
+/// The most slices one vectored read of a split frame fills.
+const READ_SLICES: usize = 32;
+
+/// Alignment of each payload of a split frame in its receive buffer: the
+/// widest element the data model has.
+const PAYLOAD_ALIGN: usize = 8;
+
+/// Why a read toward the current frame stopped without bytes.
+enum Stall {
+    /// Nothing to read yet.
+    WouldBlock,
+    /// The peer closed the stream.
+    Eof,
+    /// The connection failed.
+    Failed,
+}
 
 /// The receiving half of a socket channel: nonblocking frame accumulator.
 ///
@@ -403,8 +505,10 @@ const FRAME_POOL_THRESHOLD: u64 = 64 << 20;
 pub struct SocketReceiver {
     stream: SockStream,
     phase: RecvPhase,
-    header: [u8; FRAME_HEADER_LEN],
+    header: [u8; SPLIT_HEADER_LEN],
     filled: usize,
+    /// The current split frame's table (its capacity serves the next).
+    table: Vec<u8>,
     frames: BufferPool,
     max_frame: u32,
     poisoned: bool,
@@ -417,8 +521,9 @@ impl SocketReceiver {
         SocketReceiver {
             stream,
             phase: RecvPhase::Header,
-            header: [0; FRAME_HEADER_LEN],
+            header: [0; SPLIT_HEADER_LEN],
             filled: 0,
+            table: Vec::new(),
             frames: BufferPool::new(FRAME_POOL_THRESHOLD),
             max_frame: MAX_FRAME_LEN,
             poisoned: false,
@@ -435,6 +540,153 @@ impl SocketReceiver {
         self.poisoned = true;
         RecvPoll::Corrupt(reason)
     }
+
+    /// How many bytes the current phase accumulates.
+    fn want(&self) -> usize {
+        match &self.phase {
+            RecvPhase::Header if self.filled >= 4 && self.header[..4] == SPLIT_FRAME_MAGIC => {
+                SPLIT_HEADER_LEN
+            }
+            RecvPhase::Header => FRAME_HEADER_LEN,
+            RecvPhase::Payload { len, .. } | RecvPhase::Split { len, .. } => *len,
+            RecvPhase::Table { .. } => self.table.len(),
+        }
+    }
+
+    /// One read toward the current phase's `want` bytes, past the `filled`
+    /// ones: how many bytes it took.
+    fn read_more(&mut self, want: usize) -> Result<usize, Stall> {
+        let mut slices: StackVec<IoSliceMut, READ_SLICES> = StackVec::new();
+        let filled = self.filled;
+        match &mut self.phase {
+            RecvPhase::Header => slices.push(IoSliceMut::new(&mut self.header[filled..want])),
+            RecvPhase::Payload { buf, len } => {
+                slices.push(IoSliceMut::new(&mut buf.as_mut_slice()[filled..*len]))
+            }
+            RecvPhase::Table { .. } => slices.push(IoSliceMut::new(&mut self.table[filled..])),
+            RecvPhase::Split { meta, meta_len, body, pad, .. } => {
+                let meta = &mut meta.as_mut_slice()[..*meta_len];
+                split_slices(&mut slices, meta, body.as_mut_slice(), *pad, &self.table, filled)
+            }
+        }
+        loop {
+            match self.stream.read_vectored(&mut slices) {
+                Ok(0) => return Err(Stall::Eof),
+                Ok(n) => return Ok(n),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Err(Stall::WouldBlock),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Err(Stall::Failed),
+            }
+        }
+    }
+
+    /// A whole header is in: the frame's next phase, or the message of an
+    /// empty flat frame.
+    fn start_frame(&mut self) -> Result<Option<Lease>, &'static str> {
+        let head: &[u8; FRAME_HEADER_LEN] = self.header[..FRAME_HEADER_LEN].try_into().unwrap();
+        if head[..4] == SPLIT_FRAME_MAGIC {
+            let len = u32::from_le_bytes(head[4..].try_into().unwrap());
+            if len > self.max_frame {
+                return Err("frame length exceeds cap");
+            }
+            let count = u32::from_le_bytes(self.header[8..].try_into().unwrap()) as usize;
+            // Every payload the sender splits off is at least this long.
+            if count > len as usize / ZERO_COPY_MIN_BYTES {
+                return Err("split frame table too long for its frame");
+            }
+            self.table.clear();
+            self.table.resize(count * TABLE_ENTRY_LEN, 0);
+            self.phase = RecvPhase::Table { len: len as usize };
+            return Ok(None);
+        }
+        match decode_frame_header(head, self.max_frame)? as usize {
+            0 => Ok(Some(Vec::new().into())),
+            len => {
+                self.phase = RecvPhase::Payload { buf: self.frames.acquire(len), len };
+                Ok(None)
+            }
+        }
+    }
+
+    /// A split frame's table is in: check it, then take the buffers its
+    /// metadata and payloads land in.
+    fn start_body(&mut self, len: usize) -> Result<(), &'static str> {
+        let (mut last_at, mut payloads, mut body_len) = (0, 0usize, 0usize);
+        for (at, plen) in table_entries(&self.table) {
+            if at < last_at {
+                return Err("split frame offsets decrease");
+            }
+            last_at = at;
+            payloads += plen;
+            body_len += plen.next_multiple_of(PAYLOAD_ALIGN);
+        }
+        let meta_len = len.checked_sub(payloads).ok_or("split frame payloads overrun the frame")?;
+        if last_at > meta_len {
+            return Err("split frame offset past the metadata");
+        }
+        let meta = self.frames.acquire(meta_len);
+        let body = self.frames.acquire(body_len + PAYLOAD_ALIGN - 1);
+        let pad = (body.as_slice().as_ptr() as usize).wrapping_neg() % PAYLOAD_ALIGN;
+        self.phase = RecvPhase::Split { meta, meta_len, body, pad, len };
+        Ok(())
+    }
+}
+
+/// A split frame's table entries: each payload's offset in the metadata
+/// and its length.
+fn table_entries(table: &[u8]) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+    table.chunks_exact(TABLE_ENTRY_LEN).map(|e| {
+        let word = |i: usize| u32::from_le_bytes(e[i..i + 4].try_into().unwrap()) as usize;
+        (word(0), word(4))
+    })
+}
+
+/// Each payload of a split frame as `(at, start, len)`: its offset in the
+/// metadata, and where it lands in a body buffer whose first payload goes
+/// at `pad`.
+fn payload_places(
+    table: &[u8],
+    pad: usize,
+) -> impl ExactSizeIterator<Item = (usize, usize, usize)> + '_ {
+    let mut start = pad;
+    table_entries(table).map(move |(at, len)| {
+        let here = start;
+        start += len.next_multiple_of(PAYLOAD_ALIGN);
+        (at, here, len)
+    })
+}
+
+/// The slices the rest of a split frame lands in, `filled` of its bytes
+/// in: the metadata's remainder, then each payload's place in `body`, up
+/// to [`READ_SLICES`] of them.
+fn split_slices<'b>(
+    out: &mut StackVec<IoSliceMut<'b>, READ_SLICES>,
+    meta: &'b mut [u8],
+    mut body: &'b mut [u8],
+    pad: usize,
+    table: &[u8],
+    mut filled: usize,
+) {
+    let meta_len = meta.len();
+    if filled < meta_len {
+        out.push(IoSliceMut::new(&mut meta[filled..]));
+    }
+    filled = filled.saturating_sub(meta_len);
+    // `body` is what is left of the buffer past `cut`.
+    let mut cut = 0;
+    for (_, start, len) in payload_places(table, pad) {
+        if out.len() == READ_SLICES {
+            break;
+        }
+        if filled >= len {
+            filled -= len;
+            continue;
+        }
+        let (_, rest) = std::mem::take(&mut body).split_at_mut(start + filled - cut);
+        let (slot, rest) = rest.split_at_mut(len - filled);
+        out.push(IoSliceMut::new(slot));
+        (body, cut, filled) = (rest, start + len, 0);
+    }
 }
 
 impl EvReceiver for SocketReceiver {
@@ -443,76 +695,50 @@ impl EvReceiver for SocketReceiver {
             return RecvPoll::Closed;
         }
         loop {
-            match &mut self.phase {
-                RecvPhase::Header => {
-                    let want = FRAME_HEADER_LEN - self.filled;
-                    match self.stream.read(&mut self.header[self.filled..]) {
-                        Ok(0) => {
-                            return if self.filled == 0 {
-                                // EOF at a frame boundary: clean peer
-                                // shutdown (or death) with nothing lost.
-                                self.poisoned = true;
-                                RecvPoll::Closed
-                            } else {
-                                self.poison("truncated frame header")
-                            };
-                        }
-                        Ok(n) => {
-                            self.filled += n;
-                            if n < want {
-                                continue;
-                            }
-                            match decode_frame_header(&self.header, self.max_frame) {
-                                Ok(len) => {
-                                    self.filled = 0;
-                                    if len == 0 {
-                                        return RecvPoll::Msg(Vec::new().into());
-                                    }
-                                    let len = len as usize;
-                                    self.phase =
-                                        RecvPhase::Payload { buf: self.frames.acquire(len), len };
-                                }
-                                Err(reason) => return self.poison(reason),
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            return RecvPoll::Empty;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            // Hard error (connection reset): at a frame
-                            // boundary nothing was lost, inside a header
-                            // the frame is gone.
-                            return if self.filled == 0 {
-                                self.poisoned = true;
-                                RecvPoll::Closed
-                            } else {
-                                self.poison("connection error mid-frame")
-                            };
-                        }
+            let want = self.want();
+            if self.filled < want {
+                match self.read_more(want) {
+                    Ok(n) => self.filled += n,
+                    Err(Stall::WouldBlock) => return RecvPoll::Empty,
+                    // At a frame boundary the peer shut down (or died) with
+                    // nothing lost; inside a frame, the frame is gone.
+                    Err(_) if self.filled == 0 && matches!(self.phase, RecvPhase::Header) => {
+                        self.poisoned = true;
+                        return RecvPoll::Closed;
+                    }
+                    Err(Stall::Eof) => {
+                        return self.poison(match self.phase {
+                            RecvPhase::Header => "truncated frame header",
+                            RecvPhase::Table { .. } => "truncated split frame table",
+                            _ => "truncated frame payload",
+                        })
+                    }
+                    Err(Stall::Failed) => return self.poison("connection error mid-frame"),
+                }
+                continue;
+            }
+            self.filled = 0;
+            match std::mem::replace(&mut self.phase, RecvPhase::Header) {
+                RecvPhase::Header => match self.start_frame() {
+                    Ok(Some(msg)) => return RecvPoll::Msg(msg),
+                    Ok(None) => {}
+                    Err(reason) => return self.poison(reason),
+                },
+                RecvPhase::Payload { buf, len } => {
+                    return RecvPoll::Msg(Lease::pooled(buf, 0, len))
+                }
+                RecvPhase::Table { len } => {
+                    if let Err(reason) = self.start_body(len) {
+                        return self.poison(reason);
                     }
                 }
-                RecvPhase::Payload { buf, len } => {
-                    match self.stream.read(&mut buf.as_mut_slice()[self.filled..*len]) {
-                        Ok(0) => return self.poison("truncated frame payload"),
-                        Ok(n) => {
-                            self.filled += n;
-                            if self.filled == *len {
-                                self.filled = 0;
-                                let RecvPhase::Payload { buf, len } =
-                                    std::mem::replace(&mut self.phase, RecvPhase::Header)
-                                else {
-                                    unreachable!("matched the payload phase above")
-                                };
-                                return RecvPoll::Msg(Lease::pooled(buf, 0, len));
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            return RecvPoll::Empty;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => return self.poison("connection error mid-frame"),
-                    }
+                RecvPhase::Split { meta, meta_len, body, pad, .. } => {
+                    let used = body.capacity();
+                    let body = Arc::new(Lease::pooled(body, 0, used));
+                    let windows = payload_places(&self.table, pad)
+                        .map(|(at, start, len)| Window { at, buf: Arc::clone(&body), start, len })
+                        .collect();
+                    return RecvPoll::Msg(Lease::mapped(meta, meta_len, windows));
                 }
             }
         }
@@ -610,6 +836,8 @@ pub fn raw_socket_pair(kind: SocketKind) -> (SockStream, SockStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ffs::{FieldValue, Record};
+    use shm::PoolStats;
 
     fn exercise(mut tx: BoxedSender, mut rx: BoxedReceiver) {
         let sender = std::thread::spawn(move || {
@@ -980,5 +1208,129 @@ mod tests {
         for p in &planted {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    /// A record with `n` arrays of `elems` f64s behind a name of `head`
+    /// bytes, which shifts every payload's offset in the message.
+    fn bulk_record(n: usize, elems: usize, head: usize) -> Record {
+        let mut r = Record::new().with("type", FieldValue::Str("x".repeat(head).into()));
+        for i in 0..n {
+            let data: Vec<f64> = (0..elems).map(|k| (k * 7 + i) as f64).collect();
+            r.set_item("v", &[i], FieldValue::from(data));
+        }
+        r
+    }
+
+    /// The next message, waiting for it.
+    fn next_lease(rx: &mut SocketReceiver) -> Lease {
+        loop {
+            match rx.poll_lease() {
+                RecvPoll::Msg(lease) => return lease,
+                RecvPoll::Empty => {
+                    rx.wait_readable(Duration::from_secs(1));
+                }
+                other => panic!("a message, not {other:?}"),
+            }
+        }
+    }
+
+    /// The S3D batch's shape: 22 payloads of 128 KiB.
+    const S3D_PAYLOADS: usize = 22;
+    const S3D_ELEMS: usize = 16 * 1024;
+
+    #[test]
+    fn a_split_frame_lands_every_payload_8_aligned() {
+        for kind in [SocketKind::Tcp, SocketKind::Uds] {
+            let (tx, rx) = raw_socket_pair(kind);
+            let (mut tx, mut rx) = (SocketSender::over(tx), SocketReceiver::over(rx));
+            for head in 0..8 {
+                let rec = bulk_record(3, 1024, head);
+                tx.send_encoded(&rec.encode_segments());
+                let lease = next_lease(&mut rx);
+                assert_eq!(lease.windows().len(), 3);
+                let got = Record::decode_leased(lease).expect("decodes");
+                assert_eq!(got, rec, "{} after a {head}-byte name", kind.name());
+                for (_, v) in got.iter().filter(|(name, _)| name.starts_with('v')) {
+                    let FieldValue::Packed(p) = v else { panic!("an array") };
+                    assert!(p.is_view() && p.bytes().as_ptr().cast::<f64>().is_aligned());
+                }
+            }
+            // No bulk payload: the frame is a flat one.
+            let small = bulk_record(2, 8, 3);
+            tx.send_encoded(&small.encode_segments());
+            let lease = next_lease(&mut rx);
+            assert!(lease.windows().is_empty());
+            assert_eq!(Record::decode_leased(lease).unwrap(), small);
+        }
+    }
+
+    #[test]
+    fn a_split_frame_leaves_in_one_vectored_write() {
+        let rec = bulk_record(S3D_PAYLOADS, 1024, 5);
+        let enc = rec.encode_segments();
+        let mut w = Trickle::taking(usize::MAX);
+        write_split_frame_to(&mut w, &mut Vec::new(), &enc).unwrap();
+        assert_eq!((w.vectored_calls, w.plain_calls), (1, 0));
+        // Header, table, metadata, then the payloads back to back.
+        let (head, body) = w.taken.split_at(SPLIT_HEADER_LEN + S3D_PAYLOADS * TABLE_ENTRY_LEN);
+        assert_eq!(head[..4], SPLIT_FRAME_MAGIC);
+        assert_eq!(u32::from_le_bytes(head[4..8].try_into().unwrap()) as usize, enc.total_len());
+        assert_eq!(u32::from_le_bytes(head[8..12].try_into().unwrap()) as usize, S3D_PAYLOADS);
+        let places: Vec<(usize, usize)> = table_entries(&head[SPLIT_HEADER_LEN..]).collect();
+        let sent: Vec<(usize, usize)> = enc.payloads().map(|(at, p)| (at, p.len())).collect();
+        assert_eq!(places, sent);
+        let payloads: Vec<u8> = enc.payloads().flat_map(|(_, p)| p.to_vec()).collect();
+        assert!(body == [enc.meta(), &payloads].concat());
+        // Resumed after short writes, the bytes are the same.
+        let mut short = Trickle::taking(4093);
+        write_split_frame_to(&mut short, &mut Vec::new(), &enc).unwrap();
+        assert!(short.taken == w.taken);
+    }
+
+    /// Receive `frames` S3D-shaped split frames, decoding each and dropping
+    /// it — or, with `hold`, dropping it only once the next one is decoded,
+    /// as the pipelined reader does. The receiver's frame pool after warm-up
+    /// and at the end.
+    fn pool_over_s3d_frames(frames: usize, hold: bool) -> (PoolStats, PoolStats) {
+        const WARM_UP: usize = 3;
+        let (tx, rx) = raw_socket_pair(SocketKind::Uds);
+        let (mut tx, mut rx) = (SocketSender::over(tx), SocketReceiver::over(rx));
+        let sender = std::thread::spawn(move || {
+            let rec = bulk_record(S3D_PAYLOADS, S3D_ELEMS, 12);
+            let enc = rec.encode_segments();
+            (0..frames).for_each(|_| tx.send_encoded(&enc));
+        });
+        let (mut held, mut warm) = (None, None);
+        for i in 0..frames {
+            if i == WARM_UP {
+                warm = Some(rx.frames.stats());
+            }
+            let got = Record::decode_leased(next_lease(&mut rx)).expect("decodes");
+            let Some(FieldValue::Packed(first)) = got.get_item("v", &[0]) else {
+                panic!("an array")
+            };
+            assert_eq!(first.as_f64s().expect("in place")[1], 7.0);
+            if hold {
+                held = Some(got);
+            }
+        }
+        sender.join().unwrap();
+        drop(held);
+        (warm.expect("ran past warm-up"), rx.frames.stats())
+    }
+
+    #[test]
+    fn the_frame_pool_is_flat_over_a_thousand_s3d_frames() {
+        let body_class = (S3D_PAYLOADS * S3D_ELEMS * 8).next_power_of_two() as u64;
+        let (warm, end) = pool_over_s3d_frames(1000, false);
+        assert_eq!((end.misses, end.resident_bytes), (warm.misses, warm.resident_bytes));
+        assert!(warm.resident_bytes < 2 * body_class, "one payload buffer: {warm:?}");
+        // Holding the previous frame's views keeps exactly one more.
+        let (warm_held, end_held) = pool_over_s3d_frames(1000, true);
+        assert_eq!(
+            (end_held.misses, end_held.resident_bytes),
+            (warm_held.misses, warm_held.resident_bytes)
+        );
+        assert_eq!(end_held.resident_bytes, end.resident_bytes + body_class);
     }
 }

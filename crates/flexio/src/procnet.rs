@@ -43,8 +43,8 @@ use evpath::socket::{
     SocketSender,
 };
 use evpath::{
-    BoxedReceiver, BoxedSender, EvReceiver, EvSender, FaultPlan, FieldValue, Lease, Record,
-    RecvPoll,
+    BoxedReceiver, BoxedSender, EncodedRecord, EvReceiver, EvSender, FaultPlan, FieldValue, Lease,
+    Record, RecvPoll,
 };
 use flexio_reactor::{block_inline, poll_for, Reactor};
 use machine::CoreLocation;
@@ -450,21 +450,31 @@ struct LazyConnectSender {
     dead: bool,
 }
 
-impl EvSender for LazyConnectSender {
-    fn send_vectored(&mut self, segments: &[&[u8]]) {
-        if self.dead {
-            return;
-        }
-        if self.inner.is_none() {
+impl LazyConnectSender {
+    /// The connected sender, connecting on first use; `None` once dead.
+    fn connected(&mut self) -> Option<&mut BoxedSender> {
+        if self.inner.is_none() && !self.dead {
             match self.fabric.connect_channel(self.id) {
                 Ok(s) => self.inner = Some(s),
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
+                Err(_) => self.dead = true,
             }
         }
-        self.inner.as_mut().expect("connected above").send_vectored(segments);
+        self.inner.as_mut()
+    }
+}
+
+impl EvSender for LazyConnectSender {
+    fn send_vectored(&mut self, segments: &[&[u8]]) {
+        if let Some(tx) = self.connected() {
+            tx.send_vectored(segments);
+        }
+    }
+
+    // The socket's split frame, so a peer rank reads bulk payloads in place.
+    fn send_encoded(&mut self, enc: &EncodedRecord<'_>) {
+        if let Some(tx) = self.connected() {
+            tx.send_encoded(enc);
+        }
     }
 
     fn transport_name(&self) -> &'static str {
@@ -737,6 +747,47 @@ mod tests {
         let first = block_inline(poll_for(Duration::from_secs(5), || next_msg(rx.as_mut())));
         assert_eq!(first.as_deref(), Some(&b"first"[..]));
         assert!(rx.wait_readable(Duration::from_millis(10)), "the adopted stream is waited on");
+    }
+
+    /// A data channel between two ranks' fabrics over UDS carries a
+    /// record with bulk payloads as a split frame: every payload arrives
+    /// as a view on an 8-byte boundary, wherever its name put it.
+    #[test]
+    fn a_uds_data_channel_hands_over_8_aligned_views() {
+        let (addrs, nodes, thread) = serve_cluster(1, Duration::from_millis(5));
+        let cfg = |rank| ProcConfig {
+            stream: "s".into(),
+            rank,
+            nranks: 1,
+            dir_addrs: addrs.clone(),
+            kind: SocketKind::Uds,
+            hints: StreamHints::default(),
+        };
+        let (writer, reader) = (fabric_for(&cfg(0)).unwrap(), fabric_for(&cfg(0)).unwrap());
+        reader.register_rank('r', 0, Vec::new()).expect("registered");
+        let id = ChannelId::Data { w: 0, r: 0 };
+        let (mut tx, mut rx) = (writer.make_sender(id), reader.make_receiver(id));
+        for head in 0..8 {
+            let mut rec = Record::new().with("type", FieldValue::Str("x".repeat(head).into()));
+            for i in 0..3 {
+                rec.set_item("v", &[i], FieldValue::from(vec![head as f64 + i as f64; 1024]));
+            }
+            tx.send_encoded(&rec.encode_segments());
+            let lease = block_inline(poll_for(Duration::from_secs(5), || match rx.poll_lease() {
+                RecvPoll::Msg(lease) => Some(lease),
+                _ => None,
+            }))
+            .expect("the record arrives");
+            assert_eq!(lease.windows().len(), 3, "a split frame");
+            let got = Record::decode_leased(lease).expect("decodes");
+            assert_eq!(got, rec);
+            for i in 0..3 {
+                let Some(FieldValue::Packed(p)) = got.get_item("v", &[i]) else { panic!() };
+                assert!(p.is_view() && p.as_f64s().is_some(), "payload {i} after {head} bytes");
+            }
+        }
+        nodes.iter().for_each(|n| n.kill());
+        thread.join().unwrap();
     }
 
     #[test]

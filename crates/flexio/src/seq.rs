@@ -37,7 +37,7 @@ impl EvSender for SeqSender {
         // The sequence header rides as one more leading segment, so a
         // scatter-gather send stays scatter-gather through this layer.
         let header = self.next.to_le_bytes();
-        let mut framed: StackVec<&[u8], FRAME_SLICES> = StackVec::new(&[]);
+        let mut framed: StackVec<&[u8], FRAME_SLICES> = StackVec::new();
         framed.push(&header);
         segments.iter().for_each(|s| framed.push(s));
         self.next += 1;

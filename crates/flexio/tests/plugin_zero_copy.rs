@@ -18,12 +18,14 @@
 
 mod common;
 
-use adios::{ArrayData, LocalBlock, ReadEngine, Selection, StepStatus, VarValue, WriteEngine};
+use adios::{
+    ArrayData, BoxSel, LocalBlock, ReadEngine, Selection, StepStatus, VarValue, WriteEngine,
+};
 use common::{block_1d, couple};
 use evpath::ffs::PackedArray;
 use flexio::plugins::{InstalledPlugin, PluginBody};
 use flexio::query::{AggFunc, Expr, Plan};
-use flexio::{PluginPlacement, PluginSpec, StreamHints, Transport, WriteMode};
+use flexio::{CachingLevel, PluginPlacement, PluginSpec, StreamHints, Transport, WriteMode};
 use flexio_query::{ChunkView, Executor};
 use shm::BufferPool;
 use test_support::{measure, CountingAlloc};
@@ -182,7 +184,8 @@ fn read_block(r: &mut flexio::StreamReader, var: &str) -> LocalBlock {
 /// offsets mod 8 inside their messages: a transport that receives each
 /// message into an 8-aligned buffer serves exactly one of them in place
 /// and materializes the other seven, while the shm pooled path pads every
-/// message so that all eight are served in place.
+/// message, and a socket's split frame lands every payload 8-aligned, so
+/// that all eight are served in place.
 #[test]
 fn whatever_read_returns_can_be_borrowed_as_f64() {
     const VIEW_ELEMS: usize = 1024; // 8 KiB: above the zero-copy threshold
@@ -219,7 +222,7 @@ fn whatever_read_returns_can_be_borrowed_as_f64() {
         );
         let expect = match (transport, cfg!(target_endian = "little")) {
             (_, false) => 0,
-            (Transport::Shm, true) => names.len(),
+            (Transport::Shm | Transport::Tcp, true) => names.len(),
             // System allocations are at least 8-aligned.
             (_, true) => 1,
         };
@@ -451,4 +454,83 @@ fn view_payloads_acquire_no_pool_buffer_and_owned_ones_one_each() {
             "pool buffers acquired per steady step {steady:?} (views: {views})"
         );
     }
+}
+
+/// S3D's staging step over TCP: 22 species of 32³ f64, the reader
+/// subscribing the z ∈ [8, 24) slab of each by `GlobalBox`, so one batch
+/// message carries 22 payloads of 128 KiB. The socket's split frame lands
+/// each payload 8-aligned in the receiver's buffer: every block `read`
+/// returns is the view itself, and a steady step allocates nothing of a
+/// page or more on the reader thread.
+#[test]
+fn every_s3d_box_read_over_tcp_is_a_view_read_in_place() {
+    const N: u64 = 32;
+    const SPECIES: usize = 22;
+    const WARM_UP: u64 = 3;
+    const STEPS: u64 = 7;
+    let names: Vec<String> = (0..SPECIES).map(|s| format!("species{s:02}")).collect();
+    let slab = Selection::GlobalBox(BoxSel::new(vec![0, 0, 8], vec![N, N, 16]));
+    let hints = StreamHints::builder()
+        .transport(Transport::Tcp)
+        .caching(CachingLevel::CachingAll)
+        .batching(true)
+        .write_mode(WriteMode::Sync)
+        .build();
+    let (w_names, r_names) = (names.clone(), names.clone());
+    let (_w, reads) = couple(
+        1,
+        1,
+        hints,
+        move |mut w, _rank| {
+            for step in 0..STEPS {
+                w.begin_step(step);
+                for (salt, name) in w_names.iter().enumerate() {
+                    let block = LocalBlock {
+                        global_shape: vec![N; 3],
+                        offset: vec![0; 3],
+                        count: vec![N; 3],
+                        data: ArrayData::F64(payload((N * N * N) as usize, step, salt as u64)),
+                    };
+                    w.write(name, VarValue::Block(block.validated()));
+                }
+                w.end_step();
+            }
+            w.close();
+        },
+        move |mut r, _rank| {
+            for name in &r_names {
+                r.subscribe(name, slab.clone());
+            }
+            let mut worst = 0;
+            for step in 0..STEPS {
+                let (large, blocks) = count_large_allocs(4096, || {
+                    assert_eq!(r.try_begin_step().expect("begin"), StepStatus::Step(step));
+                    let blocks: Vec<LocalBlock> = r_names
+                        .iter()
+                        .map(|name| match r.read(name, &slab) {
+                            Some(VarValue::Block(b)) => b,
+                            other => panic!("`{name}` should read as a block, got {other:?}"),
+                        })
+                        .collect();
+                    r.end_step();
+                    blocks
+                });
+                for (salt, b) in blocks.iter().enumerate() {
+                    assert!(b.data.is_packed(), "step {step}: species {salt} was copied");
+                    // Element k of the slab is (x, y, 8 + z) of the field.
+                    let want = payload((N * N * N) as usize, step, salt as u64);
+                    let (n, k) = (N as usize, b.data.as_f64().len() - 1);
+                    let at = k / (16 * n) * n * n + k / 16 % n * n + 8 + k % 16;
+                    assert_eq!((b.data.as_f64()[0], b.data.as_f64()[k]), (want[8], want[at]));
+                }
+                let (on_drop, ()) = count_large_allocs(4096, || drop(blocks));
+                if step >= WARM_UP {
+                    worst = worst.max(large + on_drop);
+                }
+            }
+            assert_eq!(r.try_begin_step().expect("eos"), StepStatus::EndOfStream);
+            worst
+        },
+    );
+    assert_eq!(reads[0], 0, "allocations of a page or more in a steady step");
 }

@@ -137,12 +137,12 @@ fn both_sides((writer, reader): (Vec<usize>, Vec<usize>)) -> Vec<usize> {
 /// frame's 25-byte descriptor included), an inline send built its frame
 /// before copying it into the entry, and every encoded chunk kept a
 /// segment vector beside its metadata; 116 while every chunk's payload
-/// was copied into a pool buffer. A mapped chunk costs one more each (+8):
-/// its receive copies the metadata out of the queue entry into a vector
-/// (+1) and takes its window in a vector (+1), and its decode no longer
-/// wraps the lease in an `Arc`, the metadata being too short to hold a
-/// view (−1).
-const STEP_ALLOCS: usize = 124;
+/// was copied into a pool buffer; 124 while a mapped chunk's receive copied
+/// its metadata into a fresh vector (now a buffer from the receiver's
+/// metadata pool, −8) and took its window in another (now inline in the
+/// lease, −8). A mapped chunk's decode does not wrap the lease in an `Arc`,
+/// the metadata being too short to hold a view.
+const STEP_ALLOCS: usize = 108;
 
 /// The share of [`STEP_ALLOCS`] that asks for 8 bytes or fewer (260 of
 /// the 415): the reader's block shapes, moved out of each chunk (24) and

@@ -37,8 +37,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::pool::{BufferPool, Lease, Window};
+use crate::pool::{BufferPool, Lease, Window, INLINE_WINDOWS};
 use crate::spsc::{spsc_queue, Consumer, Producer};
+use crate::StackVec;
 
 /// Segments of a vectored send at least this long count as bulk payload:
 /// the pooled path places the first of them on a [`BULK_ALIGN`] boundary.
@@ -138,10 +139,15 @@ impl Exposed {
     /// is `meta_len` bytes: only the oldest held windows, making up one
     /// whole message, whose offsets lie inside the metadata. Anything else
     /// is a frame that is not the next exposed message, and takes nothing.
-    fn claim(&mut self, first: u64, count: usize, meta_len: usize) -> Option<Vec<Window>> {
+    fn claim(
+        &mut self,
+        first: u64,
+        count: usize,
+        meta_len: usize,
+    ) -> Option<StackVec<Window, INLINE_WINDOWS>> {
         let oldest = self.next - self.windows.len() as u64;
         if first != oldest || count == 0 {
-            return (first == oldest).then(Vec::new);
+            return (first == oldest).then(StackVec::new);
         }
         if self.windows.get(count - 1).map(|(_, last)| *last) != Some(true) {
             return None;
@@ -153,17 +159,16 @@ impl Exposed {
         {
             return None;
         }
-        let mut claimed = Vec::with_capacity(count);
-        claimed.extend(self.windows.drain(..count).map(|(w, _)| w));
-        Some(claimed)
+        Some(self.windows.drain(..count).map(|(w, _)| w).collect())
     }
 }
 
 impl Shared {
     /// The message a queue entry carries, read where the entry lies: an
     /// inline message is copied once, into its lease; a pooled frame's
-    /// descriptor is only parsed, and the claimed pool buffer is the lease.
-    fn decode(&self, frame: &[u8]) -> Result<Lease, ChannelError> {
+    /// descriptor is only parsed, and the claimed pool buffer is the lease;
+    /// an exposed message's metadata is copied into a buffer from `metas`.
+    fn decode(&self, frame: &[u8], metas: &BufferPool) -> Result<Lease, ChannelError> {
         match frame.first() {
             Some(&KIND_INLINE) => Ok(Lease::from(frame[1..].to_vec())),
             Some(&KIND_POOLED) => {
@@ -191,7 +196,9 @@ impl Shared {
                         .ok_or(ChannelError::Corrupt("not the next exposed message's windows"))?;
                 // The metadata is copied out of the entry; the payloads are
                 // the sender's buffers, shared, never copied.
-                Ok(Lease::mapped(meta.to_vec(), windows))
+                let mut buf = metas.acquire(meta.len());
+                buf.as_mut_slice()[..meta.len()].copy_from_slice(meta);
+                Ok(Lease::mapped(buf, meta.len(), windows))
             }
             Some(_) => Err(ChannelError::Corrupt("unknown frame kind")),
             None => Err(ChannelError::Corrupt("empty frame")),
@@ -217,7 +224,14 @@ pub struct ShmSender {
 pub struct ShmReceiver {
     queue: Consumer,
     shared: Arc<Shared>,
+    /// The buffers exposed messages' metadata is copied into: the
+    /// receiver's own, so that they recycle apart from the (possibly
+    /// shared) payload pool.
+    metas: BufferPool,
 }
+
+/// Free metadata-buffer capacity a receiver keeps before reclaiming.
+const META_POOL_THRESHOLD: u64 = 1 << 20;
 
 /// Create a shared-memory channel with `entries` queue slots of
 /// `inline_capacity` bytes each. Payloads up to `inline_capacity - 1`
@@ -249,7 +263,7 @@ pub fn shm_channel_with_pool(
     });
     (
         ShmSender { queue: producer, shared: Arc::clone(&shared) },
-        ShmReceiver { queue: consumer, shared },
+        ShmReceiver { queue: consumer, shared, metas: BufferPool::new(META_POOL_THRESHOLD) },
     )
 }
 
@@ -376,8 +390,8 @@ impl ShmReceiver {
     /// Non-blocking receive. `Ok(None)` means the queue is currently empty;
     /// `Err` means a frame arrived but was corrupt (and was consumed).
     pub fn try_recv(&mut self) -> Result<Option<Lease>, ChannelError> {
-        let shared = &self.shared;
-        self.queue.try_pop_with(|frame| shared.decode(frame)).transpose()
+        let (shared, metas) = (&self.shared, &self.metas);
+        self.queue.try_pop_with(|frame| shared.decode(frame, metas)).transpose()
     }
 
     /// True once the sending half has been dropped. The flag is set after

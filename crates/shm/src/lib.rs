@@ -53,7 +53,9 @@ pub mod channel;
 pub mod placement;
 pub mod pool;
 pub mod spsc;
+mod stack_vec;
 
 pub use channel::{shm_channel, shm_channel_with_pool, ChannelError, ShmReceiver, ShmSender};
-pub use pool::{BufferPool, Lease, PoolBuffer, PoolStats, Window};
+pub use pool::{BufferPool, Lease, PoolBuffer, PoolStats, Window, INLINE_WINDOWS};
 pub use spsc::{spsc_queue, Consumer, Producer, TooLarge};
+pub use stack_vec::StackVec;
